@@ -130,6 +130,14 @@ fn plane_sweep_oracle_count(q: &JoinQuery, c: &Candidates) -> u64 {
     count
 }
 
+/// Match count of the dispatching kernel under `cfg`, folded per chunk by
+/// the count sink.
+fn parallel_count(q: &JoinQuery, cands: &Candidates, cfg: &KernelConfig) -> u64 {
+    let mut count = 0u64;
+    kernel::execute_into(q, cands, cfg, |_| true, &mut count);
+    count
+}
+
 fn bench_overlap_heavy(c: &mut Criterion) {
     let n = 3000;
     let q = JoinQuery::chain(&[ij_interval::AllenPredicate::Overlaps]).unwrap();
@@ -165,17 +173,17 @@ fn bench_overlap_heavy(c: &mut Criterion) {
             })
         })
     });
-    group.bench_function("dispatching_kernel_parallel4", |b| {
+    // The parallel entries go through the count sink, as Count-mode
+    // reducers do: a reintroduced per-chunk row buffer shows up here.
+    for threads in [2, 4] {
         let cfg = KernelConfig {
-            threads: 4,
+            threads,
             parallel_threshold: 0,
         };
-        b.iter(|| {
-            count_with(&|count| {
-                kernel::execute(&q, &cands, &cfg, |_| true, |_| *count += 1);
-            })
-        })
-    });
+        group.bench_function(format!("dispatching_kernel_parallel{threads}"), |b| {
+            b.iter(|| count_with(&|count| *count = parallel_count(&q, &cands, &cfg)))
+        });
+    }
     group.finish();
 }
 
@@ -326,11 +334,7 @@ fn bench_event_sweep(c: &mut Criterion) {
             threads: 4,
             parallel_threshold: 0,
         };
-        b.iter(|| {
-            count_with(&|count| {
-                kernel::execute(&q, &cands, &cfg, |_| true, |_| *count += 1);
-            })
-        })
+        b.iter(|| count_with(&|count| *count = parallel_count(&q, &cands, &cfg)))
     });
     group.finish();
 }
@@ -386,7 +390,7 @@ fn run_scheduled(
                 }
                 cands.finish();
                 let mut count = 0u64;
-                kernel::reduce_join(ctx, q, &cands, |_| true, |_| count += 1);
+                kernel::reduce_into(ctx, q, &cands, |_| true, &mut count);
                 out.push((ctx.key, count));
             },
         )

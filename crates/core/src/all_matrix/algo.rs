@@ -112,22 +112,7 @@ impl Algorithm for AllMatrix {
                     cands.push(v.rel.idx(), v.iv, v.tid);
                 }
                 cands.finish();
-                let mut count = 0u64;
-                kernel::reduce_join(
-                    ctx,
-                    &q,
-                    &cands,
-                    |_| true,
-                    |a| {
-                        count += 1;
-                        if mode == OutputMode::Materialize {
-                            out.push(OutRec::Tuple(a.iter().map(|(_, t)| *t).collect()));
-                        }
-                    },
-                );
-                if mode == OutputMode::Count && count > 0 {
-                    out.push(OutRec::Count(count));
-                }
+                kernel::reduce_join(ctx, &q, &cands, mode, |_| true, out);
             },
         )?;
 

@@ -124,18 +124,7 @@ impl Algorithm for AllReplicate {
                     let max_start = a.iter().map(|(iv, _)| iv.start()).max().expect("nonempty");
                     partr.index_of(max_start) == own
                 };
-                let mut count = 0u64;
-                let rep = kernel::reduce_join(ctx, &q, &cands, accept, |a| {
-                    count += 1;
-                    if mode == OutputMode::Materialize {
-                        out.push(OutRec::Tuple(a.iter().map(|(_, t)| *t).collect()));
-                    }
-                });
-                ctx.inc(names::JOIN_CANDIDATES, rep.work);
-                ctx.inc(names::JOIN_EMITTED, count);
-                if mode == OutputMode::Count && count > 0 {
-                    out.push(OutRec::Count(count));
-                }
+                kernel::reduce_join(ctx, &q, &cands, mode, accept, out);
             },
         )?;
 

@@ -104,24 +104,16 @@ impl Algorithm for AllSeqMatrix {
                     cands.push(v.rel.idx(), v.iv, v.tid);
                 }
                 cands.finish();
-                let mut count = 0u64;
                 kernel::reduce_join(
                     ctx,
                     &q,
                     &cands,
+                    mode,
                     |a: &[(Interval, TupleId)]| {
                         owns_assignment(&compsc, &partc, &coords, |r| a[r].0)
                     },
-                    |a| {
-                        count += 1;
-                        if mode == OutputMode::Materialize {
-                            out.push(OutRec::Tuple(a.iter().map(|(_, t)| *t).collect()));
-                        }
-                    },
+                    out,
                 );
-                if mode == OutputMode::Count && count > 0 {
-                    out.push(OutRec::Count(count));
-                }
             },
         )?;
         chain.push(out.metrics);

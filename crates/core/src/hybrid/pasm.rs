@@ -47,6 +47,36 @@ impl Pasm {
     }
 }
 
+/// Cycle 2's reducer output: the `rel << 32 | tid` key of every interval
+/// in an owned component binding. A set, so absorbing chunks in any
+/// grouping yields the serial result.
+struct ParticipantSink<'a> {
+    /// Global relation of each local slot of the component query.
+    rels: &'a [u16],
+    ids: BTreeSet<u64>,
+}
+
+impl kernel::BindingSink for ParticipantSink<'_> {
+    fn push(&mut self, binding: &[(Interval, TupleId)]) {
+        for (&rel, (_, tid)) in self.rels.iter().zip(binding) {
+            self.ids.insert((rel as u64) << 32 | *tid as u64);
+        }
+    }
+}
+
+impl kernel::OutputSink for ParticipantSink<'_> {
+    type Chunk = Self;
+    fn fork(&self) -> Self {
+        ParticipantSink {
+            rels: self.rels,
+            ids: BTreeSet::new(),
+        }
+    }
+    fn absorb(&mut self, mut chunk: Self) {
+        self.ids.append(&mut chunk.ids);
+    }
+}
+
 impl Algorithm for Pasm {
     fn name(&self) -> &'static str {
         "PASM"
@@ -139,8 +169,11 @@ impl Algorithm for Pasm {
                         cands.push(local_of[v.rel.idx()] as usize, v.iv, v.tid);
                     }
                     cands.finish();
-                    let mut participating: BTreeSet<u64> = BTreeSet::new();
-                    kernel::reduce_join(
+                    let mut participating = ParticipantSink {
+                        rels: &vertex_rels[k],
+                        ids: BTreeSet::new(),
+                    };
+                    kernel::reduce_into(
                         ctx,
                         sq,
                         &cands,
@@ -149,14 +182,9 @@ impl Algorithm for Pasm {
                                 a.iter().map(|(iv, _)| iv.start()).max().expect("nonempty");
                             partc.index_of(max_start) == p
                         },
-                        |a| {
-                            for (local, (_, tid)) in a.iter().enumerate() {
-                                let rel = vertex_rels[k][local];
-                                participating.insert((rel as u64) << 32 | *tid as u64);
-                            }
-                        },
+                        &mut participating,
                     );
-                    out.extend(participating);
+                    out.extend(participating.ids);
                 }
             },
         )?;
@@ -217,24 +245,16 @@ impl Algorithm for Pasm {
                     cands.push(v.rel.idx(), v.iv, v.tid);
                 }
                 cands.finish();
-                let mut count = 0u64;
                 kernel::reduce_join(
                     ctx,
                     &q,
                     &cands,
+                    mode,
                     |a: &[(Interval, TupleId)]| {
                         owns_assignment(&compsc, &partc, &coords, |r| a[r].0)
                     },
-                    |a| {
-                        count += 1;
-                        if mode == OutputMode::Materialize {
-                            out.push(OutRec::Tuple(a.iter().map(|(_, t)| *t).collect()));
-                        }
-                    },
+                    out,
                 );
-                if mode == OutputMode::Count && count > 0 {
-                    out.push(OutRec::Count(count));
-                }
             },
         )?;
         chain.push(out.metrics);

@@ -1,9 +1,10 @@
 //! Predicate-specialized reduce-side join kernels.
 //!
 //! Every reducer of every single-attribute algorithm funnels into
-//! [`execute`] (via `executor::join_single_attr` or [`reduce_join`]): the
-//! dispatcher classifies the query's condition set and routes each bucket
-//! to the fastest applicable kernel —
+//! [`execute_serial`] (via `executor::join_single_attr`) or
+//! [`execute_into`] (via [`reduce_join`]): the dispatcher classifies the
+//! query's condition set and routes each bucket to the fastest applicable
+//! kernel —
 //!
 //! | Condition set | Kernel | Counter |
 //! |---|---|---|
@@ -27,14 +28,21 @@
 //! sets.
 //!
 //! **Heavy-bucket intra-reducer parallelism.** When a bucket's candidate
-//! count reaches the configured threshold, [`execute`] splits the level-0
-//! outer iteration into contiguous chunks across a bounded worker pool and
-//! concatenates the per-chunk outputs in chunk order. Because every kernel
+//! count reaches the configured threshold, [`execute_into`] splits the
+//! level-0 outer iteration into contiguous chunks across a bounded worker
+//! pool. Output goes through an [`OutputSink`]: the driver `fork`s one
+//! empty push-only [`BindingSink`] per chunk, each worker runs the
+//! owner-`accept` filter and `push`es accepted bindings into its own —
+//! folding them into the count, rows or id set the reducer wants, not
+//! buffering them — and the caller `absorb`s the chunks in chunk order.
+//! Because every kernel
 //! emits along a fixed outer order (and the pair sweep's retirement state
-//! is a function of the current outer interval only), the merged output is
-//! byte-identical to the serial run for any thread count, and reported
-//! work units are chunk-invariant. The owner-`accept` filter runs inside
-//! the workers; the `on_output` sink is only ever called on the caller's
+//! is a function of the current outer interval only), chunk `i` holds
+//! exactly the bindings the serial run emits for outer range `i`, in the
+//! same order; absorbing in chunk order therefore reproduces the serial
+//! sink state for any thread count, and reported work units are
+//! chunk-invariant. The closure form [`execute`] is one such sink: its
+//! chunks buffer rows that are replayed into `on_output` on the caller's
 //! thread.
 //!
 //! **Streaming reducers.** Since the memory-budgeted reduce pipeline,
@@ -49,12 +57,16 @@ mod backtrack;
 mod event_sweep;
 mod ranges;
 mod scratch;
+mod sink;
 mod sort_merge;
 mod sweep;
 
 pub use ranges::{range_pair, RangePair};
+pub use sink::{BindingSink, OutputSink};
 
 use crate::executor::Candidates;
+use crate::output::OutputMode;
+use crate::records::OutRec;
 use ij_interval::{AllenPredicate, Interval, TupleId};
 use ij_mapreduce::metrics::names;
 use ij_mapreduce::ReduceCtx;
@@ -305,6 +317,56 @@ fn run_range(
     }
 }
 
+impl KernelReport {
+    /// The report of a bucket with an empty relation: nothing ran.
+    fn idle(kind: KernelKind) -> KernelReport {
+        KernelReport {
+            kind,
+            work: 0,
+            parallel_chunks: 1,
+            active_peak: 0,
+        }
+    }
+}
+
+/// One thread over `outer`, pushing accepted bindings straight into
+/// `on_output`.
+fn run_serial(
+    prep: &Prepared,
+    cands: &Candidates,
+    outer: Range<usize>,
+    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
+    mut on_output: impl FnMut(&[(Interval, TupleId)]),
+) -> KernelReport {
+    let mut rep = KernelReport::idle(prep.kind);
+    run_range(
+        prep,
+        cands,
+        outer,
+        &mut |a| {
+            if accept(a) {
+                on_output(a)
+            }
+        },
+        &mut rep.work,
+        &mut rep.active_peak,
+    );
+    rep
+}
+
+fn run_forced(
+    kind: KernelKind,
+    q: &JoinQuery,
+    cands: &Candidates,
+    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
+    on_output: impl FnMut(&[(Interval, TupleId)]),
+) -> KernelReport {
+    match prepare(q, cands, kind) {
+        Some(prep) => run_serial(&prep, cands, 0..prep.outer_len, accept, on_output),
+        None => KernelReport::idle(kind),
+    }
+}
+
 /// Dispatching kernel execution, serial only (no `Sync` bound on
 /// `accept`). Precondition: any single-attribute query — the dispatcher
 /// routes colocation condition sets to the sweep, sequence sets to
@@ -316,68 +378,32 @@ pub fn execute_serial(
     q: &JoinQuery,
     cands: &Candidates,
     accept: impl Fn(&[(Interval, TupleId)]) -> bool,
-    mut on_output: impl FnMut(&[(Interval, TupleId)]),
+    on_output: impl FnMut(&[(Interval, TupleId)]),
 ) -> KernelReport {
-    let kind = choose(q);
-    let Some(prep) = prepare(q, cands, kind) else {
-        return KernelReport {
-            kind,
-            work: 0,
-            parallel_chunks: 1,
-            active_peak: 0,
-        };
-    };
-    let mut work = 0u64;
-    let mut active_peak = 0u64;
-    run_range(
-        &prep,
-        cands,
-        0..prep.outer_len,
-        &mut |a| {
-            if accept(a) {
-                on_output(a)
-            }
-        },
-        &mut work,
-        &mut active_peak,
-    );
-    KernelReport {
-        kind,
-        work,
-        parallel_chunks: 1,
-        active_peak,
-    }
+    run_forced(choose(q), q, cands, accept, on_output)
 }
 
-/// Dispatching kernel execution with heavy-bucket parallelism.
-/// Precondition: any single-attribute query (same predicate-class
-/// routing as [`execute_serial`]).
+/// Dispatching kernel execution with heavy-bucket parallelism, feeding an
+/// [`OutputSink`]. Precondition: any single-attribute query (same
+/// predicate-class routing as [`execute_serial`]).
 ///
 /// When the bucket's total candidate count reaches
 /// `cfg.parallel_threshold` and `cfg.threads > 1`, the outer iteration is
-/// chunked across a scoped worker pool; `accept` runs inside the workers
-/// (hence the `Sync` bound) while `on_output` observes the chunk-ordered
-/// concatenation on the calling thread — byte-identical to the serial
-/// emission order for every thread count.
-pub fn execute<A, F>(
+/// chunked across a scoped worker pool. Each worker runs `accept` (hence
+/// the `Sync` bound) and pushes into its own forked chunk sink; the
+/// caller absorbs the chunk sinks in outer order, so the sink's final
+/// state — like `work` and `active_peak` — is the serial run's for every
+/// thread count. Below the threshold bindings go straight into `sink`.
+pub fn execute_into(
     q: &JoinQuery,
     cands: &Candidates,
     cfg: &KernelConfig,
-    accept: A,
-    mut on_output: F,
-) -> KernelReport
-where
-    A: Fn(&[(Interval, TupleId)]) -> bool + Sync,
-    F: FnMut(&[(Interval, TupleId)]),
-{
+    accept: impl Fn(&[(Interval, TupleId)]) -> bool + Sync,
+    sink: &mut impl OutputSink,
+) -> KernelReport {
     let kind = choose(q);
     let Some(prep) = prepare(q, cands, kind) else {
-        return KernelReport {
-            kind,
-            work: 0,
-            parallel_chunks: 1,
-            active_peak: 0,
-        };
+        return KernelReport::idle(kind);
     };
     let threads = if prep.total >= cfg.parallel_threshold {
         cfg.threads.min(prep.outer_len).max(1)
@@ -385,68 +411,41 @@ where
         1
     };
     if threads <= 1 {
-        let mut work = 0u64;
-        let mut active_peak = 0u64;
-        run_range(
-            &prep,
-            cands,
-            0..prep.outer_len,
-            &mut |a| {
-                if accept(a) {
-                    on_output(a)
-                }
-            },
-            &mut work,
-            &mut active_peak,
-        );
-        return KernelReport {
-            kind,
-            work,
-            parallel_chunks: 1,
-            active_peak,
-        };
+        return run_serial(&prep, cands, 0..prep.outer_len, accept, |a| sink.push(a));
     }
 
     let chunk = prep.outer_len.div_ceil(threads);
-    let ranges: Vec<Range<usize>> = (0..threads)
+    let ranges = (0..threads)
         .map(|t| (t * chunk)..((t + 1) * chunk).min(prep.outer_len))
-        .filter(|r| !r.is_empty())
-        .collect();
-    let m = prep.compiled.order.len();
-    let prep_ref = &prep;
-    let accept_ref = &accept;
-    // Per chunk: (work units, active peak, buffered accepted rows).
-    type ChunkResult = (u64, u64, Vec<(Interval, TupleId)>);
-    let mut chunk_results: Vec<ChunkResult> = Vec::with_capacity(ranges.len());
+        .filter(|r| !r.is_empty());
+    let (prep_ref, accept_ref) = (&prep, &accept);
+    let mut rep = KernelReport {
+        parallel_chunks: 0,
+        ..KernelReport::idle(kind)
+    };
     let mut panic_payload: Option<Box<dyn Any + Send>> = None;
     crossbeam::scope(|scope| {
         let handles: Vec<_> = ranges
-            .iter()
-            .cloned()
             .map(|r| {
+                let mut chunk_sink = sink.fork();
                 scope.spawn(move |_| {
-                    let mut work = 0u64;
-                    let mut peak = 0u64;
-                    let mut buf: Vec<(Interval, TupleId)> = Vec::new();
-                    run_range(
-                        prep_ref,
-                        cands,
-                        r,
-                        &mut |a| {
-                            if accept_ref(a) {
-                                buf.extend_from_slice(a);
-                            }
-                        },
-                        &mut work,
-                        &mut peak,
-                    );
-                    (work, peak, buf)
+                    let chunk_rep =
+                        run_serial(prep_ref, cands, r, accept_ref, |a| chunk_sink.push(a));
+                    (chunk_rep, chunk_sink)
                 })
             })
             .collect();
         for h in handles {
             match h.join() {
-                Ok(res) => chunk_results.push(res),
+                Ok((chunk_rep, chunk_sink)) => {
+                    rep.parallel_chunks += 1;
+                    rep.work += chunk_rep.work;
+                    // Per-chunk peaks are maxima of the same per-event
+                    // occupancy series the serial run observes, so their
+                    // maximum is chunk-invariant.
+                    rep.active_peak = rep.active_peak.max(chunk_rep.active_peak);
+                    sink.absorb(chunk_sink);
+                }
                 Err(p) => {
                     panic_payload.get_or_insert(p);
                 }
@@ -457,37 +456,21 @@ where
     if let Some(p) = panic_payload {
         resume_unwind(p);
     }
-
-    let parallel_chunks = chunk_results.len();
-    let mut work = 0u64;
-    // Per-chunk peaks are maxima of the same per-event occupancy series
-    // the serial run observes, so their maximum is chunk-invariant.
-    let mut active_peak = 0u64;
-    for (w, peak, buf) in &chunk_results {
-        work += w;
-        active_peak = active_peak.max(*peak);
-        for a in buf.chunks_exact(m) {
-            on_output(a);
-        }
-    }
-    KernelReport {
-        kind,
-        work,
-        parallel_chunks,
-        active_peak,
-    }
+    rep
 }
 
-/// Runs a bucket inside a reducer: derives the [`KernelConfig`] from the
-/// engine's per-bucket thread budget, reports the work units to the cost
-/// model and maintains the `kernel.*` counters. Algorithm call sites use
-/// this instead of raw `join_single_attr`. Precondition: any
-/// single-attribute query; the dispatcher picks the kernel by predicate
-/// class.
-pub fn reduce_join<A, F>(
-    ctx: &mut ReduceCtx,
+/// The closure form of [`execute_into`]: `on_output` observes every
+/// accepted binding on the calling thread, in serial emission order.
+/// Precondition: any single-attribute query (same predicate-class
+/// routing as [`execute_serial`]).
+///
+/// On the parallel path each chunk buffers its rows and the caller
+/// replays them in chunk order — reducers that only count, collect rows
+/// or build a set should pass a folding sink to [`execute_into`] instead.
+pub fn execute<A, F>(
     q: &JoinQuery,
     cands: &Candidates,
+    cfg: &KernelConfig,
     accept: A,
     on_output: F,
 ) -> KernelReport
@@ -495,11 +478,30 @@ where
     A: Fn(&[(Interval, TupleId)]) -> bool + Sync,
     F: FnMut(&[(Interval, TupleId)]),
 {
+    let mut sink = sink::Replay {
+        arity: q.num_relations() as usize,
+        on_output,
+    };
+    execute_into(q, cands, cfg, accept, &mut sink)
+}
+
+/// Runs a bucket inside a reducer into `sink`: derives the
+/// [`KernelConfig`] from the engine's per-bucket thread budget, reports
+/// the work units to the cost model and maintains the `kernel.*`
+/// counters. Precondition: any single-attribute query; the dispatcher
+/// picks the kernel by predicate class.
+pub fn reduce_into(
+    ctx: &mut ReduceCtx,
+    q: &JoinQuery,
+    cands: &Candidates,
+    accept: impl Fn(&[(Interval, TupleId)]) -> bool + Sync,
+    sink: &mut impl OutputSink,
+) -> KernelReport {
     let cfg = KernelConfig {
         threads: ctx.thread_budget(),
         parallel_threshold: ctx.heavy_bucket_threshold(),
     };
-    let rep = execute(q, cands, &cfg, accept, on_output);
+    let rep = execute_into(q, cands, &cfg, accept, sink);
     ctx.add_work(rep.work);
     ctx.inc(rep.kind.counter(), 1);
     if rep.parallel_chunks > 1 {
@@ -515,31 +517,38 @@ where
     rep
 }
 
-fn run_forced(
-    kind: KernelKind,
+/// The reducer of a join cycle: [`reduce_into`] with the sink `mode`
+/// calls for — rows appended to `out` when materializing, one
+/// `OutRec::Count` (if nonzero) when counting — plus the `join.candidates`
+/// / `join.emitted` counters. Algorithm call sites use this instead of raw
+/// `join_single_attr`. Precondition: any single-attribute query; the
+/// dispatcher picks the kernel by predicate class.
+pub fn reduce_join(
+    ctx: &mut ReduceCtx,
     q: &JoinQuery,
     cands: &Candidates,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
-    mut on_output: impl FnMut(&[(Interval, TupleId)]),
-) -> u64 {
-    let Some(prep) = prepare(q, cands, kind) else {
-        return 0;
-    };
-    let mut work = 0u64;
-    let mut active_peak = 0u64;
-    run_range(
-        &prep,
-        cands,
-        0..prep.outer_len,
-        &mut |a| {
-            if accept(a) {
-                on_output(a)
+    mode: OutputMode,
+    accept: impl Fn(&[(Interval, TupleId)]) -> bool + Sync,
+    out: &mut Vec<OutRec>,
+) -> KernelReport {
+    let (rep, emitted) = match mode {
+        OutputMode::Count => {
+            let mut count = 0u64;
+            let rep = reduce_into(ctx, q, cands, accept, &mut count);
+            if count > 0 {
+                out.push(OutRec::Count(count));
             }
-        },
-        &mut work,
-        &mut active_peak,
-    );
-    work
+            (rep, count)
+        }
+        OutputMode::Materialize => {
+            let before = out.len();
+            let rep = reduce_into(ctx, q, cands, accept, out);
+            (rep, (out.len() - before) as u64)
+        }
+    };
+    ctx.inc(names::JOIN_CANDIDATES, rep.work);
+    ctx.inc(names::JOIN_EMITTED, emitted);
+    rep
 }
 
 /// Forces the plane-sweep kernel (complete for any single-attribute
@@ -550,7 +559,7 @@ pub fn sweep_join(
     accept: impl Fn(&[(Interval, TupleId)]) -> bool,
     on_output: impl FnMut(&[(Interval, TupleId)]),
 ) -> u64 {
-    run_forced(KernelKind::Sweep, q, cands, accept, on_output)
+    run_forced(KernelKind::Sweep, q, cands, accept, on_output).work
 }
 
 /// Forces the event-list sweep (complete only for colocation condition
@@ -569,7 +578,7 @@ pub fn event_sweep_join(
     } else {
         KernelKind::Sweep
     };
-    run_forced(kind, q, cands, accept, on_output)
+    run_forced(kind, q, cands, accept, on_output).work
 }
 
 /// Forces the sort-merge kernel (complete for any single-attribute
@@ -580,7 +589,7 @@ pub fn merge_join(
     accept: impl Fn(&[(Interval, TupleId)]) -> bool,
     on_output: impl FnMut(&[(Interval, TupleId)]),
 ) -> u64 {
-    run_forced(KernelKind::SortMerge, q, cands, accept, on_output)
+    run_forced(KernelKind::SortMerge, q, cands, accept, on_output).work
 }
 
 /// Forces the windowed backtracking fallback (the pre-kernel
@@ -592,7 +601,7 @@ pub fn backtrack_join(
     accept: impl Fn(&[(Interval, TupleId)]) -> bool,
     on_output: impl FnMut(&[(Interval, TupleId)]),
 ) -> u64 {
-    run_forced(KernelKind::Backtrack, q, cands, accept, on_output)
+    run_forced(KernelKind::Backtrack, q, cands, accept, on_output).work
 }
 
 #[cfg(test)]
@@ -737,7 +746,7 @@ mod tests {
         let q = clique3();
         let c = random_cands(3, 30, 5);
         let mut ctx = ReduceCtx::new(0);
-        let rep = reduce_join(&mut ctx, &q, &c, |_| true, |_| {});
+        let rep = reduce_into(&mut ctx, &q, &c, |_| true, &mut 0u64);
         assert_eq!(rep.kind, KernelKind::EventSweep);
         assert_eq!(ctx.counters().get("kernel.event_sweep_buckets"), 1);
         assert_eq!(ctx.counters().get("kernel.active_peak"), rep.active_peak);
@@ -824,9 +833,19 @@ mod tests {
         let q = JoinQuery::chain(&[Overlaps]).unwrap();
         let c = random_cands(2, 30, 3);
         let mut ctx = ReduceCtx::new(0);
-        let rep = reduce_join(&mut ctx, &q, &c, |_| true, |_| {});
+        let mut out = Vec::new();
+        let rep = reduce_join(
+            &mut ctx,
+            &q,
+            &c,
+            OutputMode::Materialize,
+            |_| true,
+            &mut out,
+        );
         assert_eq!(ctx.work(), rep.work);
         assert_eq!(ctx.counters().get("kernel.sweep_buckets"), 1);
         assert_eq!(ctx.counters().get("kernel.parallel_buckets"), 0);
+        assert_eq!(ctx.counters().get(names::JOIN_CANDIDATES), rep.work);
+        assert_eq!(ctx.counters().get(names::JOIN_EMITTED), out.len() as u64);
     }
 }

@@ -112,24 +112,7 @@ impl Algorithm for OneBucketTheta {
                     cands.push(v.rel.idx(), v.iv, v.tid);
                 }
                 cands.finish();
-                let mut count = 0u64;
-                let rep = kernel::reduce_join(
-                    ctx,
-                    &q,
-                    &cands,
-                    |_| true,
-                    |a| {
-                        count += 1;
-                        if mode == OutputMode::Materialize {
-                            out.push(OutRec::Tuple(a.iter().map(|(_, t)| *t).collect()));
-                        }
-                    },
-                );
-                ctx.inc(names::JOIN_CANDIDATES, rep.work);
-                ctx.inc(names::JOIN_EMITTED, count);
-                if mode == OutputMode::Count && count > 0 {
-                    out.push(OutRec::Count(count));
-                }
+                kernel::reduce_join(ctx, &q, &cands, mode, |_| true, out);
             },
         )?;
         let mut chain = JobChain::new();

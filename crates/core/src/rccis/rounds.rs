@@ -199,27 +199,17 @@ pub(crate) fn run_join_cycle(
             cands.finish();
             let own = ctx.key as usize;
             let partr = &partc;
-            let mut count = 0u64;
-            let rep = kernel::reduce_join(
+            kernel::reduce_join(
                 ctx,
                 &q,
                 &cands,
+                mode,
                 |a: &[(Interval, TupleId)]| {
                     let max_start = a.iter().map(|(iv, _)| iv.start()).max().expect("nonempty");
                     partr.index_of(max_start) == own
                 },
-                |a| {
-                    count += 1;
-                    if mode == OutputMode::Materialize {
-                        out.push(OutRec::Tuple(a.iter().map(|(_, t)| *t).collect()));
-                    }
-                },
+                out,
             );
-            ctx.inc(names::JOIN_CANDIDATES, rep.work);
-            ctx.inc(names::JOIN_EMITTED, count);
-            if mode == OutputMode::Count && count > 0 {
-                out.push(OutRec::Count(count));
-            }
         },
     )?;
     chain.push(out.metrics);

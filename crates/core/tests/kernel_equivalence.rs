@@ -8,13 +8,19 @@
 //! containment chains of arity 3–4. Separately, the parallel driver must
 //! emit byte-identical output (same tuples, same order) and identical
 //! work units — and, for the event sweep, an identical active peak — for
-//! every intra-bucket thread count and chunking threshold.
+//! every intra-bucket thread count and chunking threshold — through the
+//! closure adapter and through the folding count/tuple sinks alike.
 
 use ij_core::executor::Candidates;
-use ij_core::kernel::{self, KernelConfig};
+use ij_core::kernel::{self, KernelConfig, KernelStrategy};
 use ij_core::oracle::oracle_join;
-use ij_core::JoinInput;
-use ij_interval::{AllenPredicate, Interval, Relation, TupleId};
+use ij_core::records::{IvRec, OutRec};
+use ij_core::{JoinInput, OutputMode};
+use ij_interval::{AllenPredicate, Interval, RelId, Relation, TupleId};
+use ij_mapreduce::metrics::names;
+use ij_mapreduce::{
+    ClusterConfig, Emitter, Engine, ReduceCtx, SchedConfig, SchedPolicy, ValueStream,
+};
 use ij_query::{Condition, JoinQuery};
 use proptest::prelude::*;
 
@@ -292,4 +298,167 @@ proptest! {
             }
         }
     }
+
+    /// The folding sinks are invisible too: on one query per kernel
+    /// strategy, for threads 1/2/3/8 × "always chunk"/"never chunk", the
+    /// count sink equals the serial count, the tuple sink's rows are the
+    /// serial closure run's rows in the same order, and work and active
+    /// peak do not move.
+    #[test]
+    fn sinks_match_serial_closure_on_every_kernel(
+        seed_rels in proptest::array::uniform3(rel_strategy()),
+    ) {
+        use AllenPredicate::*;
+        for (q, strategy) in [
+            (JoinQuery::chain(&[Overlaps]).unwrap(), KernelStrategy::PairSweep),
+            (JoinQuery::chain(&[Overlaps, Overlaps]).unwrap(), KernelStrategy::DualWindow),
+            (clique(3, &[Overlaps, Overlaps, Contains]), KernelStrategy::EventSweep),
+            (JoinQuery::chain(&[Before, Before]).unwrap(), KernelStrategy::SortMerge),
+            (JoinQuery::chain(&[Overlaps, Before]).unwrap(), KernelStrategy::Backtrack),
+        ] {
+            prop_assert_eq!(kernel::planned_kernel(&q), strategy);
+            let (cands, _) = build_inputs(&q, &seed_rels[..q.num_relations() as usize]);
+            let accept = |a: &[(Interval, TupleId)]| {
+                a.iter().map(|(_, t)| *t as u64).sum::<u64>() % 5 != 1
+            };
+            let mut base: Vec<OutRec> = Vec::new();
+            let base_rep = kernel::execute(&q, &cands, &KernelConfig::serial(), accept, |a| {
+                base.push(OutRec::Tuple(a.iter().map(|(_, t)| *t).collect()))
+            });
+            for threads in [1usize, 2, 3, 8] {
+                for parallel_threshold in [0usize, usize::MAX] {
+                    let cfg = KernelConfig { threads, parallel_threshold };
+                    let mut count = 0u64;
+                    let count_rep = kernel::execute_into(&q, &cands, &cfg, accept, &mut count);
+                    let mut rows: Vec<OutRec> = Vec::new();
+                    let rows_rep = kernel::execute_into(&q, &cands, &cfg, accept, &mut rows);
+                    let at = format!("{strategy:?} threads {threads} threshold {parallel_threshold}");
+                    prop_assert_eq!(count, base.len() as u64, "count sink, {}", at);
+                    prop_assert_eq!(&rows, &base, "tuple sink, {}", at);
+                    // Every relation has >= 3 tuples, so "always chunk"
+                    // with spare threads really takes the parallel path.
+                    let chunked = threads > 1 && parallel_threshold == 0;
+                    for rep in [count_rep, rows_rep] {
+                        prop_assert_eq!(rep.parallel_chunks > 1, chunked, "chunks, {}", at);
+                        prop_assert_eq!(rep.work, base_rep.work, "work, {}", at);
+                        prop_assert_eq!(rep.active_peak, base_rep.active_peak, "peak, {}", at);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `n` intervals per relation, dense enough that every chunk of a
+/// 4-way split joins.
+fn dense_records(m: u16, n: u32) -> Vec<IvRec> {
+    let mut recs = Vec::new();
+    for rel in 0..m {
+        for tid in 0..n {
+            let s = ((tid * 7 + rel as u32 * 3) % 90) as i64;
+            let iv = Interval::new(s, s + 5 + (tid % 11) as i64).unwrap();
+            recs.push(IvRec {
+                rel: RelId(rel),
+                tid,
+                iv,
+            });
+        }
+    }
+    recs
+}
+
+/// A Count-mode reducer on the parallel path hands back one
+/// `OutRec::Count` and nothing else: no rows were ever staged in `out`
+/// (its capacity stays at the single push), and the count and the join
+/// counters equal the materializing run's.
+#[test]
+fn parallel_count_reduce_join_never_buffers_rows() {
+    let q = JoinQuery::chain(&[AllenPredicate::Overlaps, AllenPredicate::Overlaps]).unwrap();
+    let recs = dense_records(3, 120);
+    let run = |mode: OutputMode, threads: usize| {
+        let engine = Engine::new(ClusterConfig {
+            reducer_slots: 1,
+            worker_threads: threads,
+            intra_reduce_threads: threads,
+            heavy_bucket_threshold: 8,
+            sched: SchedConfig::with_policy(SchedPolicy::Uniform),
+            ..ClusterConfig::default()
+        });
+        let q = q.clone();
+        engine
+            .run_job(
+                "sink-test",
+                &recs,
+                |r: &IvRec, em: &mut Emitter<IvRec>| em.emit(0, *r),
+                move |ctx: &mut ReduceCtx, vs: &mut ValueStream<IvRec>, out: &mut Vec<OutRec>| {
+                    let mut cands = Candidates::new(3);
+                    for v in vs.by_ref() {
+                        cands.push(v.rel.idx(), v.iv, v.tid);
+                    }
+                    cands.finish();
+                    kernel::reduce_join(ctx, &q, &cands, mode, |a| a[0].1 % 3 != 0, out);
+                    if mode == OutputMode::Count {
+                        assert!(matches!(out.as_slice(), [OutRec::Count(_)]), "{out:?}");
+                        assert!(out.capacity() <= 4, "row buffer grew: {}", out.capacity());
+                    }
+                },
+            )
+            .expect("job runs")
+    };
+    let rows = run(OutputMode::Materialize, 1);
+    assert!(rows.outputs.len() > 100, "workload too sparse");
+    for threads in [1, 4] {
+        let counted = run(OutputMode::Count, threads);
+        assert_eq!(
+            counted.outputs,
+            vec![OutRec::Count(rows.outputs.len() as u64)]
+        );
+        let counters = &counted.metrics.counters;
+        assert_eq!(
+            counters.get(names::KERNEL_PARALLEL_BUCKETS),
+            (threads > 1) as u64
+        );
+        for name in [names::JOIN_EMITTED, names::JOIN_CANDIDATES] {
+            assert_eq!(
+                counters.get(name),
+                rows.metrics.counters.get(name),
+                "{name}"
+            );
+        }
+        assert_eq!(counters.get(names::JOIN_EMITTED), rows.outputs.len() as u64);
+    }
+}
+
+/// A panic inside a worker's `accept` is not swallowed with the worker:
+/// the driver re-raises the original payload on the caller's thread.
+#[test]
+fn worker_accept_panic_is_reraised_on_the_caller() {
+    let q = JoinQuery::chain(&[AllenPredicate::Overlaps]).unwrap();
+    let rels: Vec<Vec<Interval>> = (0..2)
+        .map(|_| (0..40).map(|s| Interval::new(s, s + 10).unwrap()).collect())
+        .collect();
+    let (cands, _) = build_inputs(&q, &rels);
+    let cfg = KernelConfig {
+        threads: 4,
+        parallel_threshold: 0,
+    };
+    let caught = std::panic::catch_unwind(|| {
+        let mut count = 0u64;
+        // Tuple 35 sits in the last of the four outer chunks.
+        kernel::execute_into(
+            &q,
+            &cands,
+            &cfg,
+            |a| {
+                if a[0].1 == 35 {
+                    panic!("accept exploded")
+                } else {
+                    true
+                }
+            },
+            &mut count,
+        )
+    });
+    let payload = caught.expect_err("worker panic must reach the caller");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"accept exploded"));
 }

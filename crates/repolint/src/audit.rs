@@ -65,6 +65,17 @@ pub struct AuditCase {
     /// Buckets spilled under the pinned budget (single-thread run) — how
     /// hard the budgeted re-audit actually exercised the spill path.
     pub spilled_buckets: u64,
+    /// The baseline run's `join.emitted` total, for families whose output
+    /// comes from one `kernel::reduce_join` cycle (see `suite`).
+    pub join_emitted: Option<u64>,
+}
+
+impl AuditCase {
+    /// Whether the join counters are maintained: a single-join-cycle
+    /// family must have emitted exactly its output.
+    pub fn join_counted(&self) -> bool {
+        self.join_emitted.is_none_or(|e| e == self.output_count)
+    }
 }
 
 /// The grant policies every family is cross-checked under (the default
@@ -112,7 +123,7 @@ impl AuditReport {
     /// the heavy bucket.
     pub fn deterministic(&self) -> bool {
         !self.cases.is_empty()
-            && self.cases.iter().all(|c| c.identical)
+            && self.cases.iter().all(|c| c.identical && c.join_counted())
             && self
                 .sched
                 .as_ref()
@@ -123,7 +134,9 @@ impl AuditReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for c in &self.cases {
-            let verdict = if c.identical {
+            let verdict = if !c.join_counted() {
+                format!("join.emitted {:?} != output count", c.join_emitted)
+            } else if c.identical {
                 format!("byte-identical ({} spilled buckets)", c.spilled_buckets)
             } else if c.budget_diverged.is_empty() && c.policy_diverged.is_empty() {
                 format!("DIVERGED at threads {:?}", c.diverged)
@@ -155,7 +168,8 @@ impl AuditReport {
         out.push_str(if self.deterministic() {
             "audit: PASS — all families byte-identical across thread counts, budgets and grant policies\n"
         } else {
-            "audit: FAIL — nondeterministic output or inert skew scheduler detected\n"
+            "audit: FAIL — nondeterministic output, missing join counters \
+             or inert skew scheduler detected\n"
         });
         out
     }
@@ -250,26 +264,35 @@ fn clique_query() -> JoinQuery {
 
 /// The audited suite: every algorithm family with a query class it
 /// supports (colocation for RCCIS/All-Rep, hybrid for the cascade and
-/// matrix family, sequence for All-Matrix, two-way for 1-Bucket).
-fn suite() -> Vec<(Box<dyn Algorithm>, JoinQuery)> {
+/// matrix family, sequence for All-Matrix, two-way for 1-Bucket). The flag
+/// marks families whose output comes from one `kernel::reduce_join` cycle:
+/// their `join.emitted` must equal the output count (and, being a
+/// data-plane counter, joins the byte-diff with `join.candidates`). The
+/// cascade and FCTS/FSTC also write the counters but sum them over
+/// intermediate joins; Gen-Matrix has its own reducer.
+fn suite() -> Vec<(Box<dyn Algorithm>, JoinQuery, bool)> {
     let colo = JoinQuery::chain(&[Overlaps, Overlaps]).expect("colocation chain");
     let hybrid = JoinQuery::chain(&[Overlaps, Before]).expect("hybrid chain");
     let seq = JoinQuery::chain(&[Before, Before]).expect("sequence chain");
     let pair = JoinQuery::chain(&[Overlaps]).expect("two-way chain");
     let clique = clique_query();
     vec![
-        (Box::new(Rccis::new(6)) as Box<dyn Algorithm>, colo.clone()),
-        (Box::new(AllReplicate::new(4)), colo.clone()),
-        (Box::new(AllReplicate::new(4)), clique),
-        (Box::new(TwoWayCascade::new(4)), hybrid.clone()),
-        (Box::new(AllMatrix::new(3)), seq.clone()),
-        (Box::new(AllSeqMatrix::new(3)), hybrid.clone()),
-        (Box::new(Pasm::new(3)), hybrid.clone()),
-        (Box::new(GenMatrix::new(3)), hybrid.clone()),
-        (Box::new(Fcts::new(4, 3)), hybrid.clone()),
-        (Box::new(Fstc::new(4, 3)), hybrid),
-        (Box::new(OneBucketTheta::new(4, 4)), pair.clone()),
-        (Box::new(TwoWayJoin::new(4)), pair),
+        (
+            Box::new(Rccis::new(6)) as Box<dyn Algorithm>,
+            colo.clone(),
+            true,
+        ),
+        (Box::new(AllReplicate::new(4)), colo.clone(), true),
+        (Box::new(AllReplicate::new(4)), clique, true),
+        (Box::new(TwoWayCascade::new(4)), hybrid.clone(), false),
+        (Box::new(AllMatrix::new(3)), seq.clone(), true),
+        (Box::new(AllSeqMatrix::new(3)), hybrid.clone(), true),
+        (Box::new(Pasm::new(3)), hybrid.clone(), true),
+        (Box::new(GenMatrix::new(3)), hybrid.clone(), false),
+        (Box::new(Fcts::new(4, 3)), hybrid.clone(), false),
+        (Box::new(Fstc::new(4, 3)), hybrid, false),
+        (Box::new(OneBucketTheta::new(4, 4)), pair.clone(), true),
+        (Box::new(TwoWayJoin::new(4)), pair, true),
     ]
 }
 
@@ -284,6 +307,8 @@ struct Snapshot {
     count: u64,
     /// The run's `spill.buckets` total.
     spilled_buckets: u64,
+    /// The run's `join.emitted` total.
+    join_emitted: u64,
     /// The run's `sched.heavy_buckets` total.
     heavy_buckets: u64,
     /// Largest per-bucket thread grant (`sched.grant_threads` histogram).
@@ -350,6 +375,7 @@ fn snapshot(
         bytes: stored.join("\n").into_bytes(),
         count: out.count,
         spilled_buckets: counters.get(names::SPILL_BUCKETS),
+        join_emitted: counters.get(names::JOIN_EMITTED),
         heavy_buckets: counters.get(names::SCHED_HEAVY_BUCKETS),
         max_grant: tel_snapshot
             .histograms
@@ -375,7 +401,7 @@ fn snapshot(
 pub fn run_audit(scale: usize) -> Result<AuditReport, String> {
     let mut report = AuditReport::default();
     let top_threads = THREAD_COUNTS[THREAD_COUNTS.len() - 1];
-    for (algo, q) in suite() {
+    for (algo, q, single_join) in suite() {
         let input = workload(&q, 0x5eed + q.num_relations() as u64, scale);
         let base = snapshot(
             algo.as_ref(),
@@ -430,6 +456,7 @@ pub fn run_audit(scale: usize) -> Result<AuditReport, String> {
             budget_diverged,
             policy_diverged,
             spilled_buckets,
+            join_emitted: single_join.then_some(base.join_emitted),
         });
     }
     report.sched = Some(run_sched_audit(scale)?);
@@ -502,7 +529,7 @@ mod tests {
 
     #[test]
     fn audit_snapshots_embed_data_plane_telemetry() {
-        let (algo, q) = suite().remove(0);
+        let (algo, q, _) = suite().remove(0);
         let input = workload(&q, 0x5eed + q.num_relations() as u64, 40);
         let s = snapshot(algo.as_ref(), &q, &input, 1, None, SchedPolicy::SkewDriven)
             .expect("snapshot");
@@ -536,7 +563,7 @@ mod tests {
         // The third suite entry is the colocation clique; its reducers
         // must dispatch to the event-list sweep, and the routing counter —
         // a data-plane counter — must land in the byte-diffed snapshot.
-        let (algo, q) = suite().remove(2);
+        let (algo, q, _) = suite().remove(2);
         assert_eq!(q.conditions().len(), 3, "clique has all three pairs");
         let input = workload(&q, 0x5eed + q.num_relations() as u64, 40);
         let s = snapshot(algo.as_ref(), &q, &input, 1, None, SchedPolicy::SkewDriven)
@@ -564,6 +591,15 @@ mod tests {
                 c.algorithm
             );
         }
+        // `deterministic()` held `join.emitted == output_count` for every
+        // flagged family; the expectation must not be vacuous.
+        assert!(
+            report
+                .cases
+                .iter()
+                .any(|c| c.join_emitted.is_some_and(|e| e > 0)),
+            "no single-join family emitted anything"
+        );
         assert!(
             report.cases.iter().any(|c| c.spilled_buckets > 0),
             "pinned budget of {SPILL_BUDGET}B spilled nothing — budget too generous\n{}",
