@@ -1,35 +1,40 @@
-//! Shuffle micro-benchmarks: grouping throughput of the partitioned
-//! k-way merge at 10^5–10^7 pairs, under uniform and zipf-skewed key
-//! distributions, and the end-to-end reduce path with and without a fault
-//! plan (i.e. the zero-clone move path vs. the clone-per-attempt path).
+//! Shuffle micro-benchmarks: grouping throughput of the key-major segment
+//! splice at 10^5–10^7 pairs, under uniform and zipf-skewed key
+//! distributions (the group keeps its historical `merge_sorted_runs` id so
+//! recorded baselines still compare), the map-side emit path at 16 and 216
+//! keys, and the end-to-end reduce path with and without a fault plan
+//! (i.e. the zero-clone move path vs. the clone-per-attempt path).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ij_datagen::Distribution;
 use ij_mapreduce::{
-    merge_sorted_runs, ClusterConfig, CostModel, Emitter, Engine, FaultPlan, ReduceCtx, ReducerId,
-    SortedRun, ValueStream,
+    merge_keyed_runs, ClusterConfig, CostModel, Emitter, Engine, FaultPlan, KeyedRun, ReduceCtx,
+    ReducerId, ValueStream,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const KEYS: i64 = 1024;
 
+/// One map worker's output for `pairs`, built the way the map phase
+/// builds it.
+fn emit_run(pairs: &[(ReducerId, u64)]) -> KeyedRun<u64> {
+    let mut em = Emitter::default();
+    for &(k, v) in pairs {
+        em.emit(k, v);
+    }
+    em.finish().0
+}
+
 /// Generates `n` intermediate pairs with the given key distribution, split
-/// into `workers` locally sorted runs — the shape the map phase hands to
-/// the shuffle.
-fn make_runs(n: usize, workers: usize, dist: Distribution, seed: u64) -> Vec<SortedRun<u64>> {
+/// into `workers` key-grouped runs — the shape the map phase hands to the
+/// shuffle.
+fn make_runs(n: usize, workers: usize, dist: Distribution, seed: u64) -> Vec<KeyedRun<u64>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let pairs: Vec<(ReducerId, u64)> = (0..n)
         .map(|i| (dist.sample(&mut rng, 0, KEYS - 1) as ReducerId, i as u64))
         .collect();
-    pairs
-        .chunks(n.div_ceil(workers))
-        .map(|c| {
-            let mut run = c.to_vec();
-            run.sort_by_key(|(k, _)| *k);
-            run
-        })
-        .collect()
+    pairs.chunks(n.div_ceil(workers)).map(emit_run).collect()
 }
 
 fn bench_grouping(c: &mut Criterion) {
@@ -43,9 +48,40 @@ fn bench_grouping(c: &mut Criterion) {
             group.throughput(Throughput::Elements(n as u64));
             group.bench_with_input(BenchmarkId::new(name, n), &runs, |b, runs| {
                 b.iter(|| {
-                    let (buckets, stats) = merge_sorted_runs(runs.clone());
+                    let (buckets, stats) = merge_keyed_runs(runs.clone());
                     assert_eq!(stats.pairs, n as u64);
                     criterion::black_box(buckets)
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+/// The map worker's side of the shuffle: 1 M pairs through one `Emitter`.
+/// 16 keys is the 1-D partitioning of RCCIS; 216 is All-Matrix's 6×6×6
+/// cell space. Round-robin emission misses the last-key fast path on
+/// every pair (what replicating an interval to consecutive partitions
+/// does); random keys miss it almost always.
+fn bench_map_emit(c: &mut Criterion) {
+    const PAIRS: usize = 1_000_000;
+    let mut group = c.benchmark_group("map_emit");
+    group.throughput(Throughput::Elements(PAIRS as u64));
+    for keys in [16u64, 216] {
+        let mut rng = StdRng::seed_from_u64(42);
+        let random: Vec<(ReducerId, u64)> = (0..PAIRS as u64)
+            .map(|i| {
+                let k = Distribution::Uniform.sample(&mut rng, 0, keys as i64 - 1);
+                (k as ReducerId, i)
+            })
+            .collect();
+        let round_robin: Vec<(ReducerId, u64)> = (0..PAIRS as u64).map(|i| (i % keys, i)).collect();
+        for (order, pairs) in [("random", random), ("round_robin", round_robin)] {
+            group.bench_function(format!("{keys}_keys_{order}"), |b| {
+                b.iter(|| {
+                    let run = emit_run(&pairs);
+                    assert_eq!(run.len(), keys as usize);
+                    criterion::black_box(run)
                 })
             });
         }
@@ -94,5 +130,10 @@ fn bench_reduce_ownership(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_grouping, bench_reduce_ownership);
+criterion_group!(
+    benches,
+    bench_grouping,
+    bench_map_emit,
+    bench_reduce_ownership
+);
 criterion_main!(benches);

@@ -1,5 +1,6 @@
-//! Kernel-bench trend gate: compares a fresh `BENCH_kernel.json` against
-//! the previous CI run's artifact and fails on regressions.
+//! Bench trend gate: compares a fresh `BENCH_kernel.json` (or
+//! `BENCH_shuffle.json`) against the previous CI run's artifact and fails
+//! on regressions.
 //!
 //! The vendored criterion stub appends one JSON line per benchmark when
 //! `BENCH_JSON` is set — `{"id":"<group>/<bench>","mean_ns":N,"iters":N}`.

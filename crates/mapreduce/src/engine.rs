@@ -3,15 +3,16 @@
 //! The data plane is partitioned end-to-end, mirroring Hadoop's actual
 //! shuffle rather than a single global sort:
 //!
-//! 1. **Map** — each worker maps its input chunk and finishes its output as
-//!    a locally key-sorted run (the map-side sort before the spill).
-//! 2. **Shuffle** — [`merge_sorted_runs`] k-way merges the runs by
-//!    `(key, run index)`, building reducer buckets and accumulating the
-//!    shuffle-volume counters in the same pass. No code path ever sorts the
-//!    full intermediate-pair vector. With
-//!    [`ClusterConfig::reduce_memory_budget`] set, a bucket that overflows
-//!    the budget is cut into sorted runs on an engine-internal [`crate::Dfs`]
-//!    instead of staying resident (see [`crate::spill`]).
+//! 1. **Map** — each worker maps its input chunk; its [`Emitter`] files
+//!    every pair under its reducer key as it is emitted, so the worker
+//!    finishes with a key-grouped run and nothing to sort.
+//! 2. **Shuffle** — [`merge_keyed_runs`] walks the distinct keys in
+//!    ascending order and, per key, splices the runs' segments together in
+//!    run (chunk) order, accumulating the shuffle-volume counters per
+//!    segment. No code path ever sorts or re-compares individual pairs.
+//!    With [`ClusterConfig::reduce_memory_budget`] set, a bucket that
+//!    overflows the budget is cut into runs on an engine-internal
+//!    [`crate::Dfs`] instead of staying resident (see [`crate::spill`]).
 //! 3. **Reduce** — workers steal buckets and reducers take *ownership* of
 //!    their bucket, consuming it as a pull-based
 //!    [`crate::job::ValueStream`]: resident buckets stream out of memory,
@@ -21,17 +22,16 @@
 //!    buckets the clone is just run paths — the retry re-reads them),
 //!    mirroring Hadoop re-reading the shuffled segment on retry.
 //!
-//! Determinism is preserved by construction: ties between runs break on the
-//! run (chunk) index and per-run order is emission order, so the merged
-//! stream equals a stable sort of the concatenated map outputs — identical
-//! for every `worker_threads` count. Each phase is timed separately and
-//! reported through [`JobMetrics`].
+//! Determinism is preserved by construction: a bucket is its key's
+//! segments in run (chunk) order and a segment is in emission order, so
+//! every bucket equals that key's slice of a stable sort of the
+//! concatenated map outputs — identical for every `worker_threads` count.
+//! Each phase is timed separately and reported through [`JobMetrics`].
 
 use crate::cost::{CostModel, ReducerCost};
-use crate::dfs::DfsError;
 use crate::error::EngineError;
 use crate::fault::FaultPlan;
-use crate::job::{BucketSource, Emitter, Mapper, ReduceCtx, Reducer, ReducerId, SortedRun};
+use crate::job::{BucketSource, Emitter, KeyedRun, Mapper, ReduceCtx, Reducer, ReducerId};
 use crate::metrics::{names, Counters, JobMetrics, ReducerLoad};
 use crate::record::Record;
 use crate::schedule::{BucketLoad, SchedConfig, SchedulePlan};
@@ -39,8 +39,7 @@ use crate::spill::{SpillRun, SpillStats, SpillStore, SpilledBucket};
 use crate::telemetry::{detect_stragglers, HistogramRegistry, Telemetry};
 use crate::trace::{SpanKind, TraceEvent, Tracer};
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::iter::Peekable;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -80,7 +79,7 @@ pub struct ClusterConfig {
     /// [`Record::approx_bytes`]) — the paper's reducer-size bound. `None`
     /// (the default) keeps every bucket resident; with `Some(b)`, a bucket
     /// whose buffered values exceed `b` bytes during the shuffle merge is
-    /// spilled to an engine-internal [`crate::Dfs`] as sorted runs and
+    /// spilled to an engine-internal [`crate::Dfs`] as consecutive runs and
     /// streamed back to its reducer on demand. Outputs and data-plane
     /// counters are byte-identical either way (only the `spill.*`
     /// execution-shape counters differ; see
@@ -259,7 +258,7 @@ impl Engine {
             tel.job_start(name, input.len() as u64);
         }
 
-        // ---- Map phase: per-worker locally sorted runs ---------------------
+        // ---- Map phase: per-worker key-grouped runs ------------------------
         let map_start = Instant::now();
         let map_t0 = tracer.map(Tracer::now_us).unwrap_or(0);
         let (runs, map_input_bytes, mut counters) = self.run_map_phase(name, input, &mapper);
@@ -274,7 +273,7 @@ impl Engine {
         }
         let map_wall = map_start.elapsed();
 
-        // ---- Shuffle: k-way merge of the runs into reducer buckets ---------
+        // ---- Shuffle: splice the runs' segments into reducer buckets -------
         let shuffle_start = Instant::now();
         let shuffle_t0 = tracer.map(Tracer::now_us).unwrap_or(0);
         let (buckets, shuffle, spill_stats, spill_write_nanos) = match self.cfg.reduce_memory_budget
@@ -282,7 +281,7 @@ impl Engine {
             // Unlimited budget: the in-memory fast path. No spill store
             // (hence no Dfs) is ever constructed.
             None => {
-                let (buckets, stats) = merge_sorted_runs(runs);
+                let (buckets, stats) = merge_keyed_runs(runs);
                 let sources: Vec<(ReducerId, BucketSource<M>)> = buckets
                     .into_iter()
                     .map(|(k, v)| (k, BucketSource::InMemory(v)))
@@ -291,14 +290,7 @@ impl Engine {
             }
             Some(budget) => {
                 let mut store = SpillStore::new(budget, tracer, telemetry);
-                let (sources, stats) =
-                    merge_sorted_runs_budgeted(runs, &mut store).map_err(|e| {
-                        EngineError::Spill {
-                            job: name.to_string(),
-                            reducer: ReducerId::MAX,
-                            detail: e.to_string(),
-                        }
-                    })?;
+                let (sources, stats) = merge_keyed_runs_budgeted(name, runs, &mut store)?;
                 let (spill_stats, write_nanos) = store.finish();
                 (sources, stats, spill_stats, write_nanos)
             }
@@ -403,18 +395,17 @@ impl Engine {
         Ok(JobOutput { outputs, metrics })
     }
 
-    /// Maps `input` in parallel chunks; each worker returns its run locally
-    /// sorted by key (stable, so per-key emission order survives), the
-    /// bytes it read and its accumulated user counters. Runs, counters and
-    /// per-task trace events all come back in chunk order, so the
-    /// downstream merge — and the trace — see the same sequence as
-    /// sequential execution.
+    /// Maps `input` in parallel chunks; each worker returns its run grouped
+    /// by key (per-key emission order kept), the bytes it read and its
+    /// accumulated user counters. Runs, counters and per-task trace events
+    /// all come back in chunk order, so the downstream merge — and the
+    /// trace — see the same sequence as sequential execution.
     fn run_map_phase<I, M>(
         &self,
         name: &str,
         input: &[I],
         mapper: &impl Mapper<I, M>,
-    ) -> (Vec<SortedRun<M>>, u64, Counters)
+    ) -> (Vec<KeyedRun<M>>, u64, Counters)
     where
         I: Record,
         M: Record,
@@ -430,7 +421,7 @@ impl Engine {
         let hb_every = telemetry
             .map(|t| t.config().heartbeat_every.max(1))
             .unwrap_or(u64::MAX);
-        let mut runs: Vec<SortedRun<M>> = Vec::with_capacity(chunks.len());
+        let mut runs: Vec<KeyedRun<M>> = Vec::with_capacity(chunks.len());
         let mut input_bytes = 0u64;
         let mut counters = Counters::new();
         let mut events: Vec<TraceEvent> = Vec::new();
@@ -442,7 +433,7 @@ impl Engine {
                 .map(|(ci, c)| {
                     scope.spawn(move |_| {
                         let t0 = tracer.map(Tracer::now_us).unwrap_or(0);
-                        let mut em = Emitter::new();
+                        let mut em = Emitter::default();
                         let mut bytes = 0u64;
                         let mut processed = 0u64;
                         let mut since_heartbeat = 0u64;
@@ -856,8 +847,8 @@ impl Engine {
     }
 }
 
-/// Shuffle-volume counters accumulated by [`merge_sorted_runs`] — one touch
-/// per pair, in the merge itself.
+/// Shuffle-volume counters accumulated by [`merge_keyed_runs`] — summed
+/// per segment, in the merge itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShuffleStats {
     /// Intermediate pairs merged (the paper's communication cost).
@@ -866,68 +857,70 @@ pub struct ShuffleStats {
     pub bytes: u64,
 }
 
-/// The k-way merge core shared by the in-memory and budgeted shuffle
-/// paths: invokes `each` for every `(key, value)` pair in merged order
-/// (keys ascend; ties between runs break on run index) while accumulating
-/// the shuffle-volume counters. An `Err` from `each` aborts the merge.
-fn merge_runs_each<M: Record, E>(
-    runs: Vec<SortedRun<M>>,
-    mut each: impl FnMut(ReducerId, M) -> Result<(), E>,
-) -> Result<ShuffleStats, E> {
-    let mut iters: Vec<std::vec::IntoIter<(ReducerId, M)>> =
-        runs.into_iter().map(Vec::into_iter).collect();
-    let mut heads: Vec<Option<(ReducerId, M)>> = iters.iter_mut().map(Iterator::next).collect();
-    let mut heap: BinaryHeap<Reverse<(ReducerId, usize)>> = heads
-        .iter()
-        .enumerate()
-        .filter_map(|(run, head)| head.as_ref().map(|(k, _)| Reverse((*k, run))))
-        .collect();
-
-    let mut stats = ShuffleStats::default();
-    while let Some(Reverse((key, run))) = heap.pop() {
-        // A heap entry is pushed only when `heads[run]` was just refilled,
-        // so a missing head is unreachable; skip defensively over panicking
-        // in the shuffle hot path.
-        // repolint: allow(panic-propagation): run < runs.len() — heap entries carry valid run ids
-        let Some((_, value)) = heads[run].take() else {
-            debug_assert!(false, "heap entry without a head");
-            continue;
-        };
-        stats.pairs += 1;
-        stats.bytes += value.approx_bytes() + 8;
-        each(key, value)?;
-        // repolint: allow(panic-propagation): same valid run id as above
-        heads[run] = iters[run].next();
-        // repolint: allow(panic-propagation): same valid run id as above
-        if let Some((k, _)) = &heads[run] {
-            heap.push(Reverse((*k, run)));
-        }
+impl ShuffleStats {
+    fn add_segment<M: Record>(&mut self, values: &[M]) {
+        self.pairs += values.len() as u64;
+        self.bytes += values.iter().map(|v| v.approx_bytes() + 8).sum::<u64>();
     }
-    Ok(stats)
 }
 
-/// K-way merges per-worker key-sorted runs into reducer buckets.
+/// The key-major walk shared by the in-memory and budgeted shuffle paths:
+/// [`KeyMajor::next_key`] yields every distinct key in ascending order
+/// together with that key's segments in run-index order. Runs are
+/// key-ascending, so the next key is the smallest head — a scan over the
+/// (few) runs per *key*, never a comparison per pair.
+struct KeyMajor<M> {
+    heads: Vec<Peekable<<KeyedRun<M> as IntoIterator>::IntoIter>>,
+    segments: Vec<Vec<M>>,
+}
+
+impl<M> KeyMajor<M> {
+    fn new(runs: Vec<KeyedRun<M>>) -> Self {
+        KeyMajor {
+            segments: Vec::with_capacity(runs.len()),
+            heads: runs.into_iter().map(|r| r.into_iter().peekable()).collect(),
+        }
+    }
+
+    fn next_key(&mut self) -> Option<(ReducerId, std::vec::Drain<'_, Vec<M>>)> {
+        let key = self
+            .heads
+            .iter_mut()
+            .filter_map(|h| h.peek().map(|(k, _)| *k))
+            .min()?;
+        for head in &mut self.heads {
+            if let Some((_, segment)) = head.next_if(|(k, _)| *k == key) {
+                self.segments.push(segment);
+            }
+        }
+        Some((key, self.segments.drain(..)))
+    }
+}
+
+/// Splices per-worker key-grouped runs into reducer buckets.
 ///
-/// Ties between runs holding the same key break on the run index, so the
-/// merged stream is exactly a *stable* sort of the concatenated runs: keys
-/// ascend, and values within a key keep mapper-emission order. The full
-/// pair vector is never materialized or globally sorted.
-pub fn merge_sorted_runs<M: Record>(
-    runs: Vec<SortedRun<M>>,
+/// Keys ascend, and a bucket is its key's segments concatenated in run
+/// index order, so the result is exactly a *stable* sort of the
+/// concatenated map outputs grouped by key: values within a key keep
+/// mapper-emission order. The first segment of a key is moved, the rest
+/// are appended — a memcpy per segment; the full pair vector is never
+/// materialized, sorted or compared pair by pair.
+pub fn merge_keyed_runs<M: Record>(
+    runs: Vec<KeyedRun<M>>,
 ) -> (Vec<(ReducerId, Vec<M>)>, ShuffleStats) {
     let mut buckets: Vec<(ReducerId, Vec<M>)> = Vec::new();
-    let result: Result<ShuffleStats, std::convert::Infallible> =
-        merge_runs_each(runs, |key, value| {
-            match buckets.last_mut() {
-                Some((last, vals)) if *last == key => vals.push(value),
-                _ => buckets.push((key, vec![value])),
-            }
-            Ok(())
-        });
-    let stats = match result {
-        Ok(stats) => stats,
-        Err(never) => match never {},
-    };
+    let mut stats = ShuffleStats::default();
+    let mut walk = KeyMajor::new(runs);
+    while let Some((key, mut segments)) = walk.next_key() {
+        let mut values = segments.next().unwrap_or_default();
+        stats.add_segment(&values);
+        values.reserve_exact(segments.as_slice().iter().map(Vec::len).sum());
+        for mut segment in segments {
+            stats.add_segment(&segment);
+            values.append(&mut segment);
+        }
+        buckets.push((key, values));
+    }
     (buckets, stats)
 }
 
@@ -935,75 +928,58 @@ pub fn merge_sorted_runs<M: Record>(
 /// spilled) plus the shuffle volume stats.
 type BudgetedShuffle<M> = (Vec<(ReducerId, BucketSource<M>)>, ShuffleStats);
 
-/// The budgeted shuffle: the same merge as [`merge_sorted_runs`], but a
-/// bucket buffers at most `store.budget()` approx-bytes before the buffered
-/// prefix is flushed to the spill store as a run. A bucket that never
-/// overflows comes out as [`BucketSource::InMemory`] — byte-for-byte the
-/// fast path — while an overflowing bucket becomes
+/// The budgeted shuffle: the same key-major walk as [`merge_keyed_runs`],
+/// but a bucket buffers at most `store.budget()` approx-bytes before the
+/// buffered prefix is flushed to the spill store as a run. A bucket that
+/// never overflows comes out as [`BucketSource::InMemory`] — byte-for-byte
+/// the fast path — while an overflowing bucket becomes
 /// [`BucketSource::Spilled`] over its runs (plus the in-memory tail, also
-/// flushed). The merged stream is thread-count-independent, so the flush
-/// points — and therefore the whole spill layout — depend only on the
-/// budget.
-fn merge_sorted_runs_budgeted<M: Record>(
-    runs: Vec<SortedRun<M>>,
+/// flushed). A bucket's value sequence is thread-count-independent, so the
+/// flush points — and therefore the whole spill layout — depend only on
+/// the budget. A failed spill write names the bucket being flushed.
+fn merge_keyed_runs_budgeted<M: Record>(
+    job: &str,
+    runs: Vec<KeyedRun<M>>,
     store: &mut SpillStore<'_>,
-) -> Result<BudgetedShuffle<M>, DfsError> {
-    struct OpenBucket<M> {
-        key: ReducerId,
-        vals: Vec<M>,
-        buf_bytes: u64,
-        runs: Vec<SpillRun>,
-        total: usize,
-    }
-
-    fn close<M: Record>(
-        store: &mut SpillStore<'_>,
-        open: OpenBucket<M>,
-    ) -> Result<(ReducerId, BucketSource<M>), DfsError> {
-        if open.runs.is_empty() {
-            return Ok((open.key, BucketSource::InMemory(open.vals)));
-        }
-        let mut runs = open.runs;
-        if !open.vals.is_empty() {
-            runs.push(store.spill_run(open.key, open.vals)?);
-        }
-        store.note_bucket();
-        let bucket = SpilledBucket::new(Arc::clone(store.dfs()), runs, open.total);
-        Ok((open.key, BucketSource::Spilled(bucket)))
-    }
-
+) -> Result<BudgetedShuffle<M>, EngineError> {
     let budget = store.budget();
     let mut buckets: Vec<(ReducerId, BucketSource<M>)> = Vec::new();
-    let mut cur: Option<OpenBucket<M>> = None;
-    let stats = merge_runs_each(runs, |key, value| -> Result<(), DfsError> {
-        if cur.as_ref().map(|o| o.key) != Some(key) {
-            if let Some(done) = cur.take() {
-                buckets.push(close(store, done)?);
-            }
-            cur = Some(OpenBucket {
-                key,
-                vals: Vec::new(),
-                buf_bytes: 0,
-                runs: Vec::new(),
-                total: 0,
-            });
-        }
-        let Some(open) = cur.as_mut() else {
-            debug_assert!(false, "open bucket was just ensured");
-            return Ok(());
+    let mut stats = ShuffleStats::default();
+    let mut walk = KeyMajor::new(runs);
+    while let Some((key, segments)) = walk.next_key() {
+        let spill = |store: &mut SpillStore<'_>, values: Vec<M>| {
+            store
+                .spill_run(key, values)
+                .map_err(|e| EngineError::Spill {
+                    job: job.to_string(),
+                    reducer: key,
+                    detail: e.to_string(),
+                })
         };
-        open.buf_bytes += value.approx_bytes();
-        open.total += 1;
-        open.vals.push(value);
-        if open.buf_bytes > budget {
-            let run = store.spill_run(open.key, std::mem::take(&mut open.vals))?;
-            open.runs.push(run);
-            open.buf_bytes = 0;
+        let mut values: Vec<M> = Vec::new();
+        let mut buffered = 0u64;
+        let mut spilled: Vec<SpillRun> = Vec::new();
+        for segment in segments {
+            stats.add_segment(&segment);
+            for value in segment {
+                buffered += value.approx_bytes();
+                values.push(value);
+                if buffered > budget {
+                    spilled.push(spill(store, std::mem::take(&mut values))?);
+                    buffered = 0;
+                }
+            }
         }
-        Ok(())
-    })?;
-    if let Some(done) = cur.take() {
-        buckets.push(close(store, done)?);
+        if spilled.is_empty() {
+            buckets.push((key, BucketSource::InMemory(values)));
+            continue;
+        }
+        if !values.is_empty() {
+            spilled.push(spill(store, values)?);
+        }
+        store.note_bucket();
+        let bucket = SpilledBucket::new(Arc::clone(store.dfs()), spilled);
+        buckets.push((key, BucketSource::Spilled(bucket)));
     }
     Ok((buckets, stats))
 }
@@ -1266,12 +1242,21 @@ mod tests {
             .unwrap();
     }
 
+    /// One map worker's run, built the way the map phase builds it.
+    fn run_of<M>(pairs: impl IntoIterator<Item = (ReducerId, M)>) -> KeyedRun<M> {
+        let mut e = Emitter::default();
+        for (k, v) in pairs {
+            e.emit(k, v);
+        }
+        e.finish().0
+    }
+
     #[test]
     fn merge_orders_keys_and_preserves_value_order() {
-        // Two runs as two map workers would produce them (each key-sorted).
-        let (buckets, stats) = merge_sorted_runs(vec![
-            vec![(1u64, 'b'), (5, 'a'), (5, 'c')],
-            vec![(1, 'd'), (3, 'e')],
+        // Two runs as two map workers would produce them.
+        let (buckets, stats) = merge_keyed_runs(vec![
+            run_of([(5u64, 'a'), (1, 'b'), (5, 'c')]),
+            run_of([(1, 'd'), (3, 'e')]),
         ]);
         assert_eq!(
             buckets,
@@ -1284,20 +1269,21 @@ mod tests {
     #[test]
     fn merge_breaks_key_ties_by_run_index() {
         // Every run holds key 0; values must come out in run order.
-        let (buckets, _) = merge_sorted_runs(vec![
-            vec![(0u64, 1u64), (0, 2)],
-            vec![(0, 3)],
-            vec![(0, 4), (0, 5)],
+        let (buckets, _) = merge_keyed_runs(vec![
+            run_of([(0u64, 1u64), (0, 2)]),
+            run_of([(0, 3)]),
+            run_of([(0, 4), (0, 5)]),
         ]);
         assert_eq!(buckets, vec![(0, vec![1, 2, 3, 4, 5])]);
     }
 
     #[test]
     fn merge_handles_empty_runs() {
-        let (buckets, stats) = merge_sorted_runs(vec![Vec::new(), vec![(2u64, 9u64)], Vec::new()]);
+        let (buckets, stats) =
+            merge_keyed_runs(vec![Vec::new(), run_of([(2u64, 9u64)]), Vec::new()]);
         assert_eq!(buckets, vec![(2, vec![9])]);
         assert_eq!(stats.pairs, 1);
-        let (empty, stats) = merge_sorted_runs(Vec::<SortedRun<u64>>::new());
+        let (empty, stats) = merge_keyed_runs(Vec::<KeyedRun<u64>>::new());
         assert!(empty.is_empty());
         assert_eq!(stats, ShuffleStats::default());
     }
@@ -1632,10 +1618,14 @@ mod tests {
     #[test]
     fn budgeted_merge_splits_buckets_at_flush_points() {
         // One key, 8-byte values, budget 32: a run flushes after every 5th
-        // value (40 > 32), so 12 values make 2 full runs + a 2-value tail.
-        let run: SortedRun<u64> = (0..12u64).map(|v| (0, v)).collect();
+        // value (40 > 32), so 12 values make 2 full runs + a 2-value tail —
+        // wherever the boundary between the two map runs falls.
+        let runs = vec![
+            run_of((0..7u64).map(|v| (0, v))),
+            run_of((7..12u64).map(|v| (0, v))),
+        ];
         let mut store = SpillStore::new(32, None, None);
-        let (buckets, stats) = merge_sorted_runs_budgeted(vec![run], &mut store).unwrap();
+        let (buckets, stats) = merge_keyed_runs_budgeted("flush", runs, &mut store).unwrap();
         assert_eq!(stats.pairs, 12);
         assert_eq!(buckets.len(), 1);
         let (key, source) = &buckets[0];
@@ -1646,5 +1636,93 @@ mod tests {
         assert_eq!(spill_stats.buckets, 1);
         assert_eq!(spill_stats.runs, 3);
         assert_eq!(spill_stats.bytes, 12 * 8);
+    }
+
+    #[test]
+    fn spill_layout_equals_flush_points_of_the_reference_stream() {
+        // Variable-size values over a hot key, four warm keys and a key too
+        // small to spill, mapped by three workers.
+        let pairs: Vec<(ReducerId, String)> = (0..3000u64)
+            .map(|n| match n {
+                n if n % 100 == 1 => (9, "lonely".to_string()),
+                n if n % 3 == 0 => (0, "x".repeat(n as usize % 7)),
+                n => (n % 5, "y".repeat(n as usize % 11)),
+            })
+            .collect();
+        // The stream by definition: emissions in chunk order, stably sorted.
+        let mut stream = pairs.clone();
+        stream.sort_by_key(|(k, _)| *k);
+        for budget in [64u64, 256, 4096] {
+            let mut want: Vec<(String, usize)> = Vec::new();
+            let mut want_stats = SpillStats::default();
+            for bucket in stream.chunk_by(|a, b| a.0 == b.0) {
+                let (mut cuts, mut buffered, mut len) = (Vec::new(), 0u64, 0usize);
+                for (_, v) in bucket {
+                    (buffered, len) = (buffered + v.approx_bytes(), len + 1);
+                    if buffered > budget {
+                        cuts.push(std::mem::take(&mut len));
+                        buffered = 0;
+                    }
+                }
+                if cuts.is_empty() {
+                    continue; // stayed resident
+                }
+                cuts.extend((len > 0).then_some(len));
+                want_stats.buckets += 1;
+                want_stats.bytes += bucket.iter().map(|(_, v)| v.approx_bytes()).sum::<u64>();
+                for len in cuts {
+                    want.push((format!("spill/{}/{}", bucket[0].0, want_stats.runs), len));
+                    want_stats.runs += 1;
+                }
+            }
+            want.sort();
+
+            let runs = pairs.chunks(1000).map(|c| run_of(c.to_vec())).collect();
+            let mut store = SpillStore::new(budget, None, None);
+            let (buckets, _) = merge_keyed_runs_budgeted("layout", runs, &mut store).unwrap();
+            let dfs = Arc::clone(store.dfs());
+            let got: Vec<(String, usize)> = dfs
+                .list()
+                .into_iter()
+                .map(|path| {
+                    let len = dfs.read::<String>(&path).unwrap().len();
+                    (path, len)
+                })
+                .collect();
+            assert_eq!(got, want, "budget {budget}");
+            assert_eq!(store.finish().0, want_stats, "budget {budget}");
+            for (key, source) in &buckets {
+                let prefix = format!("spill/{key}/");
+                let spilled = want.iter().any(|(path, _)| path.starts_with(&prefix));
+                assert_eq!(source.is_spilled(), spilled, "budget {budget} key {key}");
+            }
+            // Key 9 (30 values, 420 bytes) only stays resident at 4096.
+            assert_eq!(want_stats.buckets, if budget == 4096 { 5 } else { 6 });
+        }
+    }
+
+    #[test]
+    fn shuffle_spill_failure_names_the_bucket_being_flushed() {
+        // Key 2 stays under the 32-byte budget; key 5 is the first bucket
+        // to flush, and the path of that first run is already taken.
+        let runs = vec![
+            run_of([(5u64, 1u64), (2, 2), (5, 3)]),
+            run_of((4..10u64).map(|v| (5, v))),
+        ];
+        let mut store = SpillStore::new(32, None, None);
+        store.dfs().write("spill/5/0", vec![0u64]).unwrap();
+        let err = merge_keyed_runs_budgeted("occupied", runs, &mut store).unwrap_err();
+        match err {
+            EngineError::Spill {
+                job,
+                reducer,
+                detail,
+            } => {
+                assert_eq!(job, "occupied");
+                assert_eq!(reducer, 5);
+                assert!(detail.contains("spill/5/0"), "{detail}");
+            }
+            other => panic!("expected Spill, got {other:?}"),
+        }
     }
 }

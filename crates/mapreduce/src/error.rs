@@ -41,8 +41,7 @@ pub enum EngineError {
     Spill {
         /// The job whose spill I/O failed.
         job: String,
-        /// The reducer bucket involved (`u64::MAX` when the failure
-        /// happened shuffle-side before a bucket was attributable).
+        /// The reducer bucket being flushed or streamed back.
         reducer: ReducerId,
         /// The underlying DFS failure.
         detail: String,

@@ -19,13 +19,16 @@ use std::sync::Arc;
 /// matrix into this id (see `ij-core`'s `CellSpace`).
 pub type ReducerId = u64;
 
-/// One map worker's output, stably sorted by reducer key: the in-process
-/// analogue of a Hadoop map task's sorted spill file. Runs from different
-/// workers are combined by [`crate::engine::merge_sorted_runs`].
-pub type SortedRun<M> = Vec<(ReducerId, M)>;
+/// One map worker's output, grouped by reducer key: one `(key, values)`
+/// segment per distinct key, keys strictly ascending, values in emission
+/// order — the in-process analogue of a Hadoop map task's partitioned
+/// spill file. Runs from different workers are combined by
+/// [`crate::engine::merge_keyed_runs`].
+pub type KeyedRun<M> = Vec<(ReducerId, Vec<M>)>;
 
-/// The map-side context: collects the intermediate pairs a mapper emits
-/// and carries the worker's user-defined [`Counters`].
+/// The map-side context: partitions the intermediate pairs a mapper emits
+/// by reducer key *as they are emitted* and carries the worker's
+/// user-defined [`Counters`].
 ///
 /// One `Emitter` lives per map worker (not per record), so counters
 /// incremented here accumulate across the worker's whole chunk and are
@@ -34,27 +37,53 @@ pub type SortedRun<M> = Vec<(ReducerId, M)>;
 /// explicit at algorithm call sites.
 #[derive(Debug)]
 pub struct Emitter<M> {
-    pub(crate) pairs: Vec<(ReducerId, M)>,
-    pub(crate) counters: Counters,
+    /// The distinct keys emitted so far, ascending. Keys are reducer ids —
+    /// a handful to a few thousand per job — so a first emission shifting
+    /// the tail of this table is cheap, and it is the only per-key cost.
+    keys: Vec<ReducerId>,
+    /// `segments[i]` holds the values emitted to `keys[i]`, in order.
+    segments: Vec<Vec<M>>,
+    /// Position of the key the previous emit went to.
+    last: usize,
+    emitted: usize,
+    counters: Counters,
 }
 
 /// The map-side context handed to [`Mapper`]s — an alias for [`Emitter`]
 /// (the emitter *is* the per-worker map context; see its docs).
 pub type MapCtx<M> = Emitter<M>;
 
-impl<M> Emitter<M> {
-    pub(crate) fn new() -> Self {
+impl<M> Default for Emitter<M> {
+    /// An empty map-side context (the engine makes one per map worker;
+    /// tests and benches build runs through it directly).
+    fn default() -> Self {
         Emitter {
-            pairs: Vec::new(),
+            keys: Vec::new(),
+            segments: Vec::new(),
+            last: 0,
+            emitted: 0,
             counters: Counters::new(),
         }
     }
+}
 
+impl<M> Emitter<M> {
     /// Emits one intermediate pair `(key, value)` — i.e. communicates
     /// `value` to reducer `key`.
     #[inline]
     pub fn emit(&mut self, key: ReducerId, value: M) {
-        self.pairs.push((key, value));
+        self.emitted += 1;
+        // Mappers tend to emit runs of one key; skip the search for those.
+        if self.keys.get(self.last) != Some(&key) {
+            self.last = self.keys.binary_search(&key).unwrap_or_else(|at| {
+                self.keys.insert(at, key);
+                self.segments.insert(at, Vec::new());
+                at
+            });
+        }
+        if let Some(values) = self.segments.get_mut(self.last) {
+            values.push(value);
+        }
     }
 
     /// Emits the same value to every key in `keys`, cloning as needed.
@@ -63,13 +92,13 @@ impl<M> Emitter<M> {
         M: Clone,
     {
         for k in keys {
-            self.pairs.push((k, value.clone()));
+            self.emit(k, value.clone());
         }
     }
 
     /// Number of pairs emitted so far by this worker.
     pub fn emitted(&self) -> usize {
-        self.pairs.len()
+        self.emitted
     }
 
     /// Adds `delta` to the user counter `name` (Hadoop-style; merged
@@ -84,19 +113,13 @@ impl<M> Emitter<M> {
         &self.counters
     }
 
-    /// Finishes the worker's map output as a key-sorted run (Hadoop's
-    /// map-side sort before the spill). The sort is stable, so values for
-    /// one key stay in emission order — the engine's determinism contract.
-    pub fn into_sorted_run(self) -> SortedRun<M> {
-        self.finish().0
-    }
-
-    /// Finishes the worker: the key-sorted run (see [`Emitter::into_sorted_run`])
-    /// plus the worker's accumulated counters.
-    pub(crate) fn finish(self) -> (SortedRun<M>, Counters) {
-        let mut pairs = self.pairs;
-        pairs.sort_by_key(|(k, _)| *k);
-        (pairs, self.counters)
+    /// Finishes the worker: its map output as a key-grouped run, plus its
+    /// accumulated counters. Nothing is sorted: the key table is already
+    /// ascending, and each segment holds its values in emission order —
+    /// the engine's determinism contract.
+    pub fn finish(self) -> (KeyedRun<M>, Counters) {
+        let run = self.keys.into_iter().zip(self.segments).collect();
+        (run, self.counters)
     }
 }
 
@@ -427,33 +450,51 @@ mod tests {
 
     #[test]
     fn emitter_collects_pairs() {
-        let mut e: Emitter<u32> = Emitter::new();
+        let mut e: Emitter<u32> = Emitter::default();
         e.emit(3, 10);
         e.emit(3, 11);
         e.emit(7, 12);
         assert_eq!(e.emitted(), 3);
-        assert_eq!(e.pairs, vec![(3, 10), (3, 11), (7, 12)]);
+        assert_eq!(e.finish().0, vec![(3, vec![10, 11]), (7, vec![12])]);
     }
 
     #[test]
     fn emit_to_all_clones() {
-        let mut e: Emitter<String> = Emitter::new();
+        let mut e: Emitter<String> = Emitter::default();
         e.emit_to_all(0..3, &"x".to_string());
         assert_eq!(e.emitted(), 3);
-        assert!(e.pairs.iter().all(|(_, v)| v == "x"));
+        let run = e.finish().0;
+        assert_eq!(run.len(), 3);
+        assert!(run.iter().all(|(_, vs)| vs == &["x"]));
     }
 
     #[test]
-    fn into_sorted_run_is_stable() {
-        let mut e: Emitter<char> = Emitter::new();
-        e.emit(5, 'a');
-        e.emit(1, 'b');
-        e.emit(5, 'c');
-        e.emit(1, 'd');
+    fn keyed_run_is_key_ordered_and_stable() {
+        // Interleaved and descending keys: every emit misses the last-key
+        // fast path, and the run still comes out key-ascending with each
+        // key's values in emission order.
+        let mut e: Emitter<char> = Emitter::default();
+        for (k, v) in [
+            (5, 'a'),
+            (1, 'b'),
+            (5, 'c'),
+            (1, 'd'),
+            (u64::MAX, 'e'),
+            (0, 'f'),
+        ] {
+            e.emit(k, v);
+        }
+        assert_eq!(e.emitted(), 6);
         assert_eq!(
-            e.into_sorted_run(),
-            vec![(1, 'b'), (1, 'd'), (5, 'a'), (5, 'c')]
+            e.finish().0,
+            vec![
+                (0, vec!['f']),
+                (1, vec!['b', 'd']),
+                (5, vec!['a', 'c']),
+                (u64::MAX, vec!['e'])
+            ]
         );
+        assert!(Emitter::<u8>::default().finish().0.is_empty());
     }
 
     #[test]
@@ -467,7 +508,7 @@ mod tests {
 
     #[test]
     fn contexts_accumulate_counters() {
-        let mut e: Emitter<u32> = Emitter::new();
+        let mut e: Emitter<u32> = Emitter::default();
         e.inc("replicas", 3);
         e.inc("replicas", 2);
         e.inc("crossing", 1);

@@ -22,17 +22,19 @@
 //!
 //! Execution is deterministic: shuffle groups are keyed and value order is
 //! the mappers' emission order, independent of thread count. The shuffle is
-//! *partitioned* like Hadoop's: each map worker finishes its output as a
-//! key-sorted run, and [`merge_sorted_runs`] k-way merges the runs into
-//! reducer buckets — no code path sorts the full intermediate-pair vector.
+//! *partitioned* like Hadoop's, and partitioned at emit: each map worker's
+//! [`Emitter`] files every pair under its reducer key, so the worker ends
+//! with a key-grouped run, and [`merge_keyed_runs`] splices the runs'
+//! per-key segments into reducer buckets in chunk order — no code path
+//! sorts, or compares, individual intermediate pairs.
 //! Reducers take ownership of their bucket (cloned per attempt only when a
 //! [`FaultPlan`] is attached), and each phase's wall time and byte volume is
 //! reported separately in [`JobMetrics`].
 //!
 //! Reducers consume their bucket as a pull-based [`ValueStream`]. With
 //! [`ClusterConfig::reduce_memory_budget`] set, a bucket whose values
-//! exceed the budget is spilled to an engine-internal [`Dfs`] as sorted
-//! runs and streamed back on demand (see [`spill`]) — the reducer body is
+//! exceed the budget is spilled to an engine-internal [`Dfs`] as
+//! consecutive runs and streamed back on demand (see [`spill`]) — the reducer body is
 //! identical, and outputs stay byte-identical, either way.
 //!
 //! ```
@@ -69,11 +71,11 @@ pub mod trace;
 pub use chain::JobChain;
 pub use cost::{CostModel, PhaseCost};
 pub use dfs::{Dfs, DfsError, DfsStats};
-pub use engine::{merge_sorted_runs, ClusterConfig, Engine, JobOutput, ShuffleStats};
+pub use engine::{merge_keyed_runs, ClusterConfig, Engine, JobOutput, ShuffleStats};
 pub use error::EngineError;
 pub use fault::FaultPlan;
 pub use job::{
-    BucketSource, Emitter, MapCtx, Mapper, ReduceCtx, Reducer, ReducerId, SortedRun, ValueStream,
+    BucketSource, Emitter, KeyedRun, MapCtx, Mapper, ReduceCtx, Reducer, ReducerId, ValueStream,
 };
 pub use metrics::{is_execution_shape, Counters, JobMetrics, ReducerLoad, SkewReport};
 pub use record::Record;

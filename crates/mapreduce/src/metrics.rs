@@ -122,7 +122,7 @@ pub struct JobMetrics {
     /// Total intermediate key-value pairs (the paper's communication cost).
     pub intermediate_pairs: u64,
     /// Approximate bytes shuffled from mappers to reducers, accumulated
-    /// inside the run merge (see [`crate::merge_sorted_runs`]).
+    /// inside the run merge (see [`crate::merge_keyed_runs`]).
     pub shuffle_bytes: u64,
     /// Number of distinct reducer keys that received at least one pair.
     pub distinct_reducers: u64,
@@ -134,10 +134,10 @@ pub struct JobMetrics {
     pub output_bytes: u64,
     /// Real wall-clock time of the in-process execution.
     pub wall: Duration,
-    /// Wall-clock time of the map phase (chunked map + per-worker run sort).
+    /// Wall-clock time of the map phase (chunked map, partitioned at emit).
     pub map_wall: Duration,
-    /// Wall-clock time of the shuffle (k-way merge of sorted runs into
-    /// reducer buckets).
+    /// Wall-clock time of the shuffle (splicing the runs' per-key segments
+    /// into reducer buckets).
     pub shuffle_wall: Duration,
     /// Wall-clock time of the reduce phase (including output concatenation).
     pub reduce_wall: Duration,

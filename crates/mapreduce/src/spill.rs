@@ -12,17 +12,15 @@
 //!
 //! # Spill format and the determinism argument
 //!
-//! Runs are cut from the merged shuffle stream, which is already in final
-//! bucket order (keys ascend; values within a key keep mapper-emission
-//! order, ties between map runs broken by run index). Run *i* of a bucket
-//! therefore holds a contiguous segment that entirely precedes run *i + 1*,
-//! so the on-demand k-way merge of a bucket's runs degenerates to chaining
-//! them in write order — the same tie-break discipline
-//! [`crate::merge_sorted_runs`] uses. Because the merged stream is
-//! independent of `worker_threads`, the flush points (and hence
-//! `spill.runs` / `spill.bytes`) depend only on the budget, and the value
-//! sequence a reducer observes is byte-identical to in-memory execution for
-//! every budget and thread count.
+//! Runs are cut from one bucket's value sequence as the shuffle splices
+//! it: the key's segments in map-run index order, each in mapper-emission
+//! order (see [`crate::merge_keyed_runs`]). Run *i* of a bucket therefore
+//! holds a contiguous slice that entirely precedes run *i + 1*, so reading
+//! a bucket back is chaining its runs in write order — nothing to merge.
+//! Because that sequence is independent of `worker_threads`, the flush
+//! points (and hence `spill.runs` / `spill.bytes`) depend only on the
+//! budget, and the value sequence a reducer observes is byte-identical to
+//! in-memory execution for every budget and thread count.
 
 use crate::dfs::{Dfs, DfsError};
 use crate::job::ReducerId;
@@ -47,7 +45,7 @@ pub(crate) const SPILL_READ_CHUNK: usize = 1024;
 pub struct SpillStats {
     /// Buckets that overflowed the budget and were spilled.
     pub buckets: u64,
-    /// Sorted runs written across all spilled buckets.
+    /// Runs written across all spilled buckets.
     pub runs: u64,
     /// Approximate bytes written to the spill store.
     pub bytes: u64,
@@ -169,12 +167,12 @@ impl<M> Clone for SpilledBucket<M> {
 }
 
 impl<M: Record> SpilledBucket<M> {
-    /// A bucket backed by `runs` (in bucket order) holding `total` records.
-    pub(crate) fn new(dfs: Arc<Dfs>, runs: Vec<SpillRun>, total: usize) -> Self {
+    /// A bucket backed by `runs`, in bucket order.
+    pub(crate) fn new(dfs: Arc<Dfs>, runs: Vec<SpillRun>) -> Self {
         SpilledBucket {
             dfs,
+            total: runs.iter().map(|r| r.len).sum(),
             runs,
-            total,
             _values: PhantomData,
         }
     }
@@ -210,7 +208,7 @@ impl<M: Record> SpilledBucket<M> {
 }
 
 /// Pull-based reader over a spilled bucket's runs: chains the runs in
-/// write order (see the module docs for why that *is* the k-way merge) and
+/// write order (see the module docs for why that *is* bucket order) and
 /// fetches [`SPILL_READ_CHUNK`]-record chunks through [`Dfs::read_range`],
 /// so at most one chunk is resident per reducer.
 #[derive(Debug)]
@@ -292,7 +290,7 @@ mod tests {
         let mut st = store();
         let r1 = st.spill_run(3, vec![1u64, 2, 3]).unwrap();
         let r2 = st.spill_run(3, vec![4u64, 5]).unwrap();
-        let bucket = SpilledBucket::<u64>::new(Arc::clone(st.dfs()), vec![r1, r2], 5);
+        let bucket = SpilledBucket::<u64>::new(Arc::clone(st.dfs()), vec![r1, r2]);
         assert_eq!(bucket.len(), 5);
         assert_eq!(bucket.run_count(), 2);
         let mut cur = bucket.cursor();
@@ -332,7 +330,7 @@ mod tests {
         let r1 = st.spill_run(0, big.clone()).unwrap();
         let r2 = st.spill_run(0, vec![999u64]).unwrap();
         let total = big.len() + 1;
-        let bucket = SpilledBucket::<u64>::new(Arc::clone(st.dfs()), vec![r1, r2], total);
+        let bucket = SpilledBucket::<u64>::new(Arc::clone(st.dfs()), vec![r1, r2]);
         let mut cur = bucket.cursor();
         let mut got = Vec::with_capacity(total);
         while let Some(v) = cur.next_value() {
@@ -354,7 +352,6 @@ mod tests {
                 path: "spill/0/404".to_string(),
                 len: 3,
             }],
-            3,
         );
         let mut cur = bucket.cursor();
         assert!(cur.next_value().is_none());
@@ -367,7 +364,7 @@ mod tests {
     fn cloned_bucket_rereads_independently() {
         let mut st = store();
         let r = st.spill_run(0, vec![7u64, 8]).unwrap();
-        let bucket = SpilledBucket::<u64>::new(Arc::clone(st.dfs()), vec![r], 2);
+        let bucket = SpilledBucket::<u64>::new(Arc::clone(st.dfs()), vec![r]);
         let twin = bucket.clone();
         let drain = |b: SpilledBucket<u64>| {
             let mut cur = b.cursor();
