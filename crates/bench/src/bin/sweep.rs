@@ -20,7 +20,7 @@
 use ij_bench::report::{fmt_phases, fmt_sched, fmt_sim, fmt_spill, telemetry_note, Report};
 use ij_bench::scale::BenchArgs;
 use ij_bench::scenarios::{
-    assert_same_output, instrumented_engine, measure, write_metrics, write_trace,
+    assert_same_output, measure, observed_engine, write_metrics, write_trace,
 };
 use ij_core::all_matrix::AllMatrix;
 use ij_core::all_replicate::AllReplicate;
@@ -36,11 +36,10 @@ fn main() {
         0.03,
         "sweep: ablations (distributions, scale crossover, D1)",
     );
-    let (engine, tracer, telemetry) = instrumented_engine(
+    let (engine, observer) = observed_engine(
         args.slots,
-        args.trace.is_some(),
+        args.trace.is_some() || args.metrics_out.is_some(),
         args.budget,
-        args.metrics_out.is_some(),
         args.sched,
     );
 
@@ -390,10 +389,10 @@ fn main() {
             fmt_sim(depth.simulated).into(),
         ]);
     }
-    if let Some(tel) = &telemetry {
-        rep.note(telemetry_note(&tel.snapshot()));
+    if let (Some(_), Some(obs)) = (&args.metrics_out, &observer) {
+        rep.note(telemetry_note(&obs.snapshot()));
     }
     rep.finish(args.json.as_deref());
-    write_trace(args.trace.as_deref(), &tracer);
-    write_metrics(args.metrics_out.as_deref(), &telemetry);
+    write_trace(args.trace.as_deref(), &observer);
+    write_metrics(args.metrics_out.as_deref(), &observer);
 }

@@ -13,7 +13,7 @@ use ij_bench::report::{
 };
 use ij_bench::scale::BenchArgs;
 use ij_bench::scenarios::{
-    assert_same_output, instrumented_engine, measure, write_metrics, write_trace,
+    assert_same_output, measure, observed_engine, write_metrics, write_trace,
 };
 use ij_core::all_replicate::AllReplicate;
 use ij_core::cascade::TwoWayCascade;
@@ -28,11 +28,10 @@ fn main() {
         0.05,
         "table1: Q1 = R1 ov R2 ov R3, varying nI (paper: 0.5M..1.25M)",
     );
-    let (engine, tracer, telemetry) = instrumented_engine(
+    let (engine, observer) = observed_engine(
         args.slots,
-        args.trace.is_some(),
+        args.trace.is_some() || args.metrics_out.is_some(),
         args.budget,
-        args.metrics_out.is_some(),
         args.sched,
     );
     let q = JoinQuery::chain(&[Overlaps, Overlaps]).unwrap();
@@ -162,14 +161,14 @@ fn main() {
             fmt_spill(&rc.counters, rc.spill_secs)
         );
     }
-    if let Some(tel) = &telemetry {
-        report.note(telemetry_note(&tel.snapshot()));
+    if let (Some(_), Some(obs)) = (&args.metrics_out, &observer) {
+        report.note(telemetry_note(&obs.snapshot()));
     }
     report.finish(args.json.as_deref());
     for n in counters_note {
         skew_rep.note(n);
     }
     skew_rep.finish(None);
-    write_trace(args.trace.as_deref(), &tracer);
-    write_metrics(args.metrics_out.as_deref(), &telemetry);
+    write_trace(args.trace.as_deref(), &observer);
+    write_metrics(args.metrics_out.as_deref(), &observer);
 }

@@ -45,15 +45,15 @@ pub struct BenchArgs {
     /// Reduce slots of the simulated cluster (paper: 16).
     pub slots: usize,
     /// Where to write a Chrome trace-event JSON of every job run (open in
-    /// `chrome://tracing` or Perfetto), if anywhere.
+    /// `chrome://tracing` or Perfetto), if anywhere. Setting this or
+    /// `metrics_out` attaches one observer to the engine.
     pub trace: Option<String>,
     /// Reduce-memory budget in approx bytes per reducer bucket; buckets
     /// exceeding it spill to the Dfs. `None` (the default) keeps every
     /// bucket in memory.
     pub budget: Option<u64>,
-    /// Where to write the live-telemetry snapshot in Prometheus text
-    /// exposition format after the run, if anywhere. Setting this also
-    /// attaches the telemetry plane to the engine.
+    /// Where to write the telemetry snapshot in Prometheus text
+    /// exposition format after the run, if anywhere.
     pub metrics_out: Option<String>,
     /// Intra-reduce thread-grant policy (`uniform` | `skew` | `serial`);
     /// defaults to the engine's skew-driven scheduler. Output bytes are

@@ -1,7 +1,7 @@
 //! Shared measurement plumbing for the per-table/figure binaries.
 
 use ij_core::{Algorithm, JoinInput, JoinOutput};
-use ij_mapreduce::{ClusterConfig, Counters, Engine, SchedConfig, SchedPolicy, Telemetry, Tracer};
+use ij_mapreduce::{ClusterConfig, Counters, Engine, Observer, SchedConfig, SchedPolicy};
 use ij_query::JoinQuery;
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,64 +46,39 @@ pub fn engine(slots: usize) -> Engine {
     Engine::new(ClusterConfig::with_slots(slots))
 }
 
-/// Builds the simulated cluster, attaching a [`Tracer`] when `traced` —
-/// the `--trace <path>` path of the bench binaries — and applying the
-/// `--budget <bytes>` reduce-memory budget when given (oversized reducer
-/// buckets then spill to the Dfs and `spill.*` counters appear in the
-/// tables). The tracer records every job run against the engine; dump it
-/// with [`write_trace`].
-pub fn traced_engine(
+/// Builds the simulated cluster for the bench binaries. When `observed` —
+/// `--trace <path>` or `--metrics-out <path>` was given — one [`Observer`]
+/// (monotonic clock, default heartbeat quantum) is attached and records
+/// every job run against the engine; [`write_trace`] and
+/// [`write_metrics`] render two views of it. `budget` is the `--budget
+/// <bytes>` reduce-memory budget (oversized reducer buckets then spill to
+/// the Dfs and `spill.*` counters appear in the tables); `sched` selects
+/// the intra-reduce grant policy (the `--sched` flag) — output bytes are
+/// policy-invariant, so the tables only move in wall-clock and the
+/// `sched.*` counters.
+pub fn observed_engine(
     slots: usize,
-    traced: bool,
+    observed: bool,
     budget: Option<u64>,
-) -> (Engine, Option<Arc<Tracer>>) {
-    let (engine, tracer, _) =
-        instrumented_engine(slots, traced, budget, false, SchedPolicy::default());
-    (engine, tracer)
-}
-
-/// [`traced_engine`] plus the live-telemetry plane: when `metrics`, a
-/// [`Telemetry`] instance (monotonic clock, default heartbeat/straggler
-/// config) is attached to the engine, accumulating progress gauges,
-/// histograms and flight-recorder events across every job run. Dump the
-/// final snapshot with [`write_metrics`] — the `--metrics-out <path>`
-/// path of the bench binaries. `sched` selects the intra-reduce grant
-/// policy (the `--sched` flag); output bytes are policy-invariant, so the
-/// tables only move in wall-clock and the `sched.*` counters.
-pub fn instrumented_engine(
-    slots: usize,
-    traced: bool,
-    budget: Option<u64>,
-    metrics: bool,
     sched: SchedPolicy,
-) -> (Engine, Option<Arc<Tracer>>, Option<Arc<Telemetry>>) {
-    let mut engine = Engine::new(ClusterConfig {
+) -> (Engine, Option<Arc<Observer>>) {
+    let engine = Engine::new(ClusterConfig {
         reduce_memory_budget: budget,
         sched: SchedConfig::with_policy(sched),
         ..ClusterConfig::with_slots(slots)
     });
-    let tracer = if traced {
-        let tracer = Arc::new(Tracer::new());
-        engine = engine.with_tracer(tracer.clone());
-        Some(tracer)
-    } else {
-        None
-    };
-    let telemetry = if metrics {
-        let telemetry = Arc::new(Telemetry::new());
-        engine = engine.with_telemetry(Arc::clone(&telemetry));
-        Some(telemetry)
-    } else {
-        None
-    };
-    (engine, tracer, telemetry)
+    if !observed {
+        return (engine, None);
+    }
+    let observer = Arc::new(Observer::new());
+    (engine.with_observer(Arc::clone(&observer)), Some(observer))
 }
 
-/// Writes the telemetry snapshot to `path` in Prometheus text exposition
-/// format (no-op without an attached telemetry plane).
-pub fn write_metrics(path: Option<&str>, telemetry: &Option<Arc<Telemetry>>) {
-    if let (Some(path), Some(tel)) = (path, telemetry) {
-        let snap = tel.snapshot();
+/// Writes the observer's telemetry snapshot to `path` in Prometheus text
+/// exposition format (no-op without a path or an observer).
+pub fn write_metrics(path: Option<&str>, observer: &Option<Arc<Observer>>) {
+    if let (Some(path), Some(obs)) = (path, observer) {
+        let snap = obs.snapshot();
         std::fs::write(path, snap.to_prometheus())
             .unwrap_or_else(|e| panic!("cannot write metrics {path}: {e}"));
         eprintln!(
@@ -114,14 +89,15 @@ pub fn write_metrics(path: Option<&str>, telemetry: &Option<Arc<Telemetry>>) {
     }
 }
 
-/// Writes the accumulated Chrome trace to `path` (no-op without a tracer).
-pub fn write_trace(path: Option<&str>, tracer: &Option<Arc<Tracer>>) {
-    if let (Some(path), Some(t)) = (path, tracer) {
-        t.write_chrome_trace(path)
+/// Writes the observer's Chrome trace to `path` (no-op without a path or
+/// an observer).
+pub fn write_trace(path: Option<&str>, observer: &Option<Arc<Observer>>) {
+    if let (Some(path), Some(obs)) = (path, observer) {
+        std::fs::write(path, obs.chrome_trace())
             .unwrap_or_else(|e| panic!("cannot write trace {path}: {e}"));
         eprintln!(
-            "(wrote {path}: {} spans — open in chrome://tracing or ui.perfetto.dev)",
-            t.len()
+            "(wrote {path}: {} events — open in chrome://tracing or ui.perfetto.dev)",
+            obs.len()
         );
     }
 }
@@ -205,9 +181,8 @@ mod tests {
     }
 
     #[test]
-    fn traced_engine_records_jobs_and_writes_chrome_json() {
-        let (e, tracer) = traced_engine(4, true, None);
-        assert!(tracer.is_some());
+    fn observed_engine_renders_both_views_of_one_observer() {
+        let (e, observer) = observed_engine(4, true, None, SchedPolicy::default());
         let q = JoinQuery::chain(&[Overlaps]).unwrap();
         let input = JoinInput::bind_owned(
             &q,
@@ -223,54 +198,27 @@ mod tests {
         };
         let m = measure(&alg, &q, &input, &e);
         assert_eq!(m.output, 1);
-        let t = tracer.as_ref().unwrap();
-        assert!(
-            !t.is_empty(),
-            "jobs run against a traced engine leave spans"
-        );
-        let path = std::env::temp_dir().join("ij_bench_trace_test.json");
-        write_trace(path.to_str(), &tracer);
-        let written = std::fs::read_to_string(&path).unwrap();
+        let obs = observer.as_ref().expect("observed");
+        assert!(!obs.is_empty(), "jobs run against it leave events");
+        assert!(obs.snapshot().series["progress.jobs_finished"] > 0);
+
+        let trace = std::env::temp_dir().join("ij_bench_trace_test.json");
+        write_trace(trace.to_str(), &observer);
+        let written = std::fs::read_to_string(&trace).unwrap();
         assert!(written.starts_with("{\"traceEvents\":["));
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&trace);
 
-        let (_, no_tracer) = traced_engine(4, false, None);
-        assert!(no_tracer.is_none());
-        write_trace(None, &no_tracer); // no-op must not panic
-    }
-
-    #[test]
-    fn instrumented_engine_collects_telemetry_and_writes_prometheus() {
-        let (e, _, telemetry) = instrumented_engine(4, false, None, true, SchedPolicy::default());
-        assert!(telemetry.is_some());
-        let q = JoinQuery::chain(&[Overlaps]).unwrap();
-        let input = JoinInput::bind_owned(
-            &q,
-            vec![
-                Relation::from_intervals("A", vec![Interval::new(0, 10).unwrap()]),
-                Relation::from_intervals("B", vec![Interval::new(5, 15).unwrap()]),
-            ],
-        )
-        .unwrap();
-        let alg = TwoWayJoin {
-            partitions: 4,
-            mode: OutputMode::Count,
-        };
-        let m = measure(&alg, &q, &input, &e);
-        assert_eq!(m.output, 1);
-        let tel = telemetry.as_ref().unwrap();
-        let snap = tel.snapshot();
-        assert!(snap.series["progress.jobs_finished"] > 0);
-        let path = std::env::temp_dir().join("ij_bench_metrics_test.prom");
-        write_metrics(path.to_str(), &telemetry);
-        let written = std::fs::read_to_string(&path).unwrap();
+        let metrics = std::env::temp_dir().join("ij_bench_metrics_test.prom");
+        write_metrics(metrics.to_str(), &observer);
+        let written = std::fs::read_to_string(&metrics).unwrap();
         assert!(written.contains("# TYPE ij_progress_jobs_started gauge"));
         assert!(written.contains("ij_telemetry_stragglers"));
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&metrics);
 
-        let (_, _, no_tel) = instrumented_engine(4, false, None, false, SchedPolicy::Uniform);
-        assert!(no_tel.is_none());
-        write_metrics(None, &no_tel); // no-op must not panic
+        let (_, unobserved) = observed_engine(4, false, None, SchedPolicy::Uniform);
+        assert!(unobserved.is_none());
+        write_trace(None, &unobserved); // no-ops must not panic
+        write_metrics(None, &unobserved);
     }
 
     #[test]
@@ -291,12 +239,12 @@ mod tests {
             partitions: 2,
             mode: OutputMode::Count,
         };
-        let (unbudgeted, _) = traced_engine(4, false, None);
+        let (unbudgeted, _) = observed_engine(4, false, None, SchedPolicy::default());
         let base = measure(&alg, &q, &input, &unbudgeted);
         assert_eq!(base.counters.get("spill.buckets"), 0);
         assert_eq!(base.spill_secs, 0.0);
 
-        let (budgeted, _) = traced_engine(4, false, Some(64));
+        let (budgeted, _) = observed_engine(4, false, Some(64), SchedPolicy::default());
         let m = measure(&alg, &q, &input, &budgeted);
         assert_eq!(m.output, base.output, "budget must not change the join");
         assert!(m.counters.get("spill.buckets") > 0);

@@ -9,9 +9,9 @@
 
 use crate::dfs::DfsError;
 use crate::metrics::Counters;
+use crate::observe::{EventKind, Observer};
 use crate::record::Record;
 use crate::spill::{RunCursor, SpilledBucket};
-use crate::telemetry::{HeartbeatHook, Telemetry};
 use std::sync::Arc;
 
 /// Identifies a logical reducer. Join algorithms encode either a 1-D
@@ -311,7 +311,31 @@ enum StreamInner<M> {
 pub struct ValueStream<M> {
     inner: StreamInner<M>,
     remaining: usize,
-    hb: Option<HeartbeatHook>,
+    hb: Option<Heartbeats>,
+}
+
+/// Reduce-side liveness for an observed stream: the pull count, and where
+/// to report it once per heartbeat quantum.
+#[derive(Debug)]
+struct Heartbeats {
+    observer: Arc<Observer>,
+    lane: u64,
+    key: ReducerId,
+    pulled: u64,
+}
+
+impl Heartbeats {
+    /// One value pulled; appends a heartbeat at each quantum boundary.
+    /// Kept out of [`ValueStream::next`] so the unobserved pull stays small
+    /// enough to inline into reducer loops.
+    fn tick(&mut self) {
+        self.pulled += 1;
+        if self.pulled.is_multiple_of(self.observer.heartbeat_every()) {
+            let args = [("key", self.key), ("processed", self.pulled)];
+            self.observer
+                .instant(EventKind::Heartbeat, "reduce", self.lane, &args);
+        }
+    }
 }
 
 impl<M: Record> ValueStream<M> {
@@ -325,17 +349,15 @@ impl<M: Record> ValueStream<M> {
         }
     }
 
-    /// Attaches reduce-side heartbeat bookkeeping: every `every`-th pull
-    /// emits a telemetry heartbeat for reducer `id`, and the exact pull
-    /// count is flushed into the progress gauges when the stream drops.
-    pub(crate) fn enable_heartbeats(
-        &mut self,
-        telemetry: Arc<Telemetry>,
-        job: Arc<str>,
-        id: ReducerId,
-        every: u64,
-    ) {
-        self.hb = Some(HeartbeatHook::new(telemetry, job, id, every));
+    /// Makes every [`Observer::heartbeat_every`]-th pull append a `reduce`
+    /// heartbeat for reducer `key`, running on worker `lane`.
+    pub(crate) fn enable_heartbeats(&mut self, observer: Arc<Observer>, lane: u64, key: ReducerId) {
+        self.hb = Some(Heartbeats {
+            observer,
+            lane,
+            key,
+            pulled: 0,
+        });
     }
 
     /// Values not yet pulled.
@@ -404,17 +426,6 @@ impl<M: Record> Iterator for ValueStream<M> {
 }
 
 impl<M: Record> ExactSizeIterator for ValueStream<M> {}
-
-impl<M> Drop for ValueStream<M> {
-    fn drop(&mut self) {
-        // Flush the sub-quantum pull remainder so progress.reduce_values
-        // lands on the exact pull count even for partially consumed
-        // streams.
-        if let Some(hb) = &mut self.hb {
-            hb.flush();
-        }
-    }
-}
 
 /// Reduce side of a job: all values routed to one key in, output records out.
 ///

@@ -62,11 +62,10 @@ pub mod error;
 pub mod fault;
 pub mod job;
 pub mod metrics;
+pub mod observe;
 pub mod record;
 pub mod schedule;
 pub mod spill;
-pub mod telemetry;
-pub mod trace;
 
 pub use chain::JobChain;
 pub use cost::{CostModel, PhaseCost};
@@ -78,11 +77,10 @@ pub use job::{
     BucketSource, Emitter, KeyedRun, MapCtx, Mapper, ReduceCtx, Reducer, ReducerId, ValueStream,
 };
 pub use metrics::{is_execution_shape, Counters, JobMetrics, ReducerLoad, SkewReport};
+pub use observe::{
+    Clock, Event, EventKind, Histogram, MonotonicClock, Observer, Straggler, TelemetrySnapshot,
+    VirtualClock,
+};
 pub use record::Record;
 pub use schedule::{BucketLoad, SchedConfig, SchedPolicy, SchedulePlan};
 pub use spill::{SpillStats, SpilledBucket};
-pub use telemetry::{
-    Clock, FlightRecorder, Histogram, HistogramRegistry, MonotonicClock, Straggler, Telemetry,
-    TelemetryConfig, TelemetryEvent, TelemetrySnapshot, VirtualClock,
-};
-pub use trace::{SpanKind, TraceEvent, Tracer};

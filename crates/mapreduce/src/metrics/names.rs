@@ -3,7 +3,7 @@
 //!
 //! Two determinism classifiers used to live apart —
 //! `metrics::is_execution_shape` for counters and
-//! `telemetry::snapshot::is_execution_shape_series` for series — and
+//! a series classifier next to the telemetry snapshot — and
 //! could silently drift, corrupting the byte-diffs `repolint audit`
 //! builds on. Both now live *here*, driven by the same shared prefix
 //! constants, and `repolint graph`'s counter-registry rule enforces that
@@ -84,8 +84,8 @@ pub const SCHED_GRANTS: &str = "sched.grants";
 pub const SCHED_HEAVY_BUCKETS: &str = "sched.heavy_buckets";
 
 // ---------------------------------------------------------------------------
-// Histograms (recorded via `HistogramRegistry::record` /
-// `Telemetry::record_hist`).
+// Histograms (folded from event args and durations by
+// `TelemetrySnapshot::record_hist`).
 
 /// Per-bucket pair counts in key order (data-plane).
 pub const REDUCE_BUCKET_PAIRS: &str = "reduce.bucket_pairs";
@@ -102,8 +102,8 @@ pub const SPILL_RUN_BYTES: &str = "spill.run_bytes";
 pub const SCHED_GRANT_THREADS: &str = "sched.grant_threads";
 
 // ---------------------------------------------------------------------------
-// Telemetry series (recorded via `Telemetry::inc_series` and the
-// progress gauges).
+// Telemetry series (folded from the event stream by
+// `TelemetrySnapshot::inc_series`).
 
 /// Map-side heartbeats (execution-shape: one per map chunk quantum).
 pub const HEARTBEATS_MAP: &str = "telemetry.heartbeats.map";

@@ -1,21 +1,19 @@
-//! Injectable time sources for the telemetry plane.
+//! The injectable time source — the one clock of the crate.
 //!
-//! Telemetry timestamps (heartbeat times, per-reducer service durations)
-//! are the one place the live-metrics plane legitimately touches a clock.
-//! Instead of sprinkling wall-clock reads — and repolint `allow` markers —
-//! through the subsystem, every read goes through the [`Clock`] trait:
-//! production attaches a [`MonotonicClock`], tests and the determinism
-//! audit attach a [`VirtualClock`] whose time only moves when explicitly
-//! advanced. This file is the *only* telemetry source inside repolint's
-//! `wall-clock` allowlist; the rest of `telemetry/` must stay clock-free.
+//! Every timestamp the crate takes — event stamps, per-reducer service
+//! durations, the [`crate::JobMetrics`] phase walls, spill I/O time — goes
+//! through the [`Clock`] trait: production uses a [`MonotonicClock`],
+//! tests and the determinism audit attach a [`VirtualClock`] whose time
+//! only moves when explicitly advanced. This file is the *only* source in
+//! `crates/mapreduce/src` that touches `Instant`, and the only one on
+//! repolint's `wall-clock` allowlist.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// A monotonic nanosecond source. Implementations must be cheap and
-/// thread-safe — workers read the clock on reduce-service boundaries and
-/// heartbeats.
+/// thread-safe — workers read the clock on span boundaries and heartbeats.
 pub trait Clock: Send + Sync + fmt::Debug {
     /// Nanoseconds elapsed since the clock's epoch.
     fn now_nanos(&self) -> u64;
@@ -50,7 +48,7 @@ impl Clock for MonotonicClock {
 
 /// A deterministic test clock: time stands still until [`VirtualClock::advance`]
 /// (or [`VirtualClock::set`]) moves it. The determinism audit attaches one
-/// so telemetry snapshots carry no wall-clock entropy.
+/// so traces, walls and snapshots carry no wall-clock entropy.
 #[derive(Debug, Default)]
 pub struct VirtualClock {
     nanos: AtomicU64,

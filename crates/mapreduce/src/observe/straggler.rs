@@ -1,112 +1,7 @@
-//! Live progress gauges and the straggler detector.
-//!
-//! Gauges are plain atomics — workers bump them lock-free while a job
-//! runs, and anything holding the [`crate::telemetry::Telemetry`] handle
-//! can read a consistent-enough view mid-flight (each gauge individually
-//! exact, the set weakly consistent, like any scrape of a live process).
-//! Final values are deterministic: every gauge counts data-plane events
-//! (records mapped, values reduced, buckets finished) whose totals do not
-//! depend on thread count or memory budget.
+//! The straggler detector: a pure function over per-reducer loads and
+//! service times (the reduce spans' durations).
 
 use crate::job::ReducerId;
-use crate::metrics::names;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Lock-free progress counters the engine bumps while jobs run.
-#[derive(Debug, Default)]
-pub struct ProgressGauges {
-    jobs_started: AtomicU64,
-    jobs_finished: AtomicU64,
-    map_tasks: AtomicU64,
-    map_records: AtomicU64,
-    reducers: AtomicU64,
-    reducers_done: AtomicU64,
-    reduce_values: AtomicU64,
-}
-
-impl ProgressGauges {
-    /// Fresh gauges, all zero.
-    pub fn new() -> Self {
-        ProgressGauges::default()
-    }
-
-    pub(crate) fn note_job_started(&self) {
-        self.jobs_started.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_job_finished(&self) {
-        self.jobs_finished.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_map_tasks(&self, n: u64) {
-        self.map_tasks.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_map_records(&self, n: u64) {
-        self.map_records.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_reducers(&self, n: u64) {
-        self.reducers.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_reducer_done(&self) {
-        self.reducers_done.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_reduce_values(&self, n: u64) {
-        self.reduce_values.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Jobs the engine has started.
-    pub fn jobs_started(&self) -> u64 {
-        self.jobs_started.load(Ordering::Relaxed)
-    }
-
-    /// Jobs that ran to successful completion.
-    pub fn jobs_finished(&self) -> u64 {
-        self.jobs_finished.load(Ordering::Relaxed)
-    }
-
-    /// Map tasks (worker chunks) completed.
-    pub fn map_tasks(&self) -> u64 {
-        self.map_tasks.load(Ordering::Relaxed)
-    }
-
-    /// Input records mapped.
-    pub fn map_records(&self) -> u64 {
-        self.map_records.load(Ordering::Relaxed)
-    }
-
-    /// Reducer buckets formed by shuffles.
-    pub fn reducers(&self) -> u64 {
-        self.reducers.load(Ordering::Relaxed)
-    }
-
-    /// Reducer buckets fully reduced.
-    pub fn reducers_done(&self) -> u64 {
-        self.reducers_done.load(Ordering::Relaxed)
-    }
-
-    /// Values pulled through reducer [`crate::ValueStream`]s.
-    pub fn reduce_values(&self) -> u64 {
-        self.reduce_values.load(Ordering::Relaxed)
-    }
-
-    /// The gauge values as `(series name, value)` pairs, in a fixed order
-    /// (what snapshots embed).
-    pub fn read_all(&self) -> [(&'static str, u64); 7] {
-        [
-            (names::PROGRESS_JOBS_STARTED, self.jobs_started()),
-            (names::PROGRESS_JOBS_FINISHED, self.jobs_finished()),
-            (names::PROGRESS_MAP_RECORDS, self.map_records()),
-            (names::PROGRESS_MAP_TASKS, self.map_tasks()),
-            (names::PROGRESS_REDUCE_VALUES, self.reduce_values()),
-            (names::PROGRESS_REDUCERS, self.reducers()),
-            (names::PROGRESS_REDUCERS_DONE, self.reducers_done()),
-        ]
-    }
-}
 
 /// One reducer flagged by [`detect_stragglers`].
 #[derive(Debug, Clone, PartialEq)]
@@ -167,31 +62,6 @@ pub fn detect_stragglers(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gauges_accumulate_and_read_back() {
-        let g = ProgressGauges::new();
-        g.note_job_started();
-        g.add_map_tasks(3);
-        g.add_map_records(100);
-        g.add_reducers(4);
-        g.note_reducer_done();
-        g.note_reducer_done();
-        g.add_reduce_values(80);
-        g.note_job_finished();
-        assert_eq!(g.jobs_started(), 1);
-        assert_eq!(g.jobs_finished(), 1);
-        assert_eq!(g.map_tasks(), 3);
-        assert_eq!(g.map_records(), 100);
-        assert_eq!(g.reducers(), 4);
-        assert_eq!(g.reducers_done(), 2);
-        assert_eq!(g.reduce_values(), 80);
-        let all = g.read_all();
-        assert_eq!(all[0], ("progress.jobs_started", 1));
-        assert!(all
-            .iter()
-            .any(|&(n, v)| n == "progress.reduce_values" && v == 80));
-    }
 
     #[test]
     fn flags_the_slow_reducer() {

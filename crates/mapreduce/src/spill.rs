@@ -24,15 +24,10 @@
 
 use crate::dfs::{Dfs, DfsError};
 use crate::job::ReducerId;
+use crate::observe::{Clock, Event, EventKind, Observer};
 use crate::record::Record;
-use crate::telemetry::Telemetry;
-use crate::trace::{SpanKind, TraceEvent, Tracer};
 use std::marker::PhantomData;
 use std::sync::Arc;
-// repolint: allow(wall-clock, file): Instant feeds only the spill I/O wall
-// accounting surfaced as JobMetrics::spill_wall and the optional trace
-// spans; durations are never keyed, emitted, or able to reach job output.
-use std::time::Instant;
 
 /// Records per chunk the spilled-bucket cursor pulls through
 /// [`Dfs::read_range`] — a reducer holds one chunk of one run resident at
@@ -61,31 +56,28 @@ pub struct SpillRun {
 /// Shuffle-side writer for budget-overflow runs. One store lives per
 /// budgeted `run_job`, wrapping a fresh engine-internal [`Dfs`] so spill
 /// files can never collide with (or leak into) algorithm-visible storage.
-pub(crate) struct SpillStore<'t> {
+pub(crate) struct SpillStore<'o> {
     dfs: Arc<Dfs>,
     budget: u64,
     seq: u64,
     stats: SpillStats,
     write_nanos: u64,
-    tracer: Option<&'t Tracer>,
-    telemetry: Option<&'t Telemetry>,
+    clock: Arc<dyn Clock>,
+    observer: Option<&'o Observer>,
 }
 
-impl<'t> SpillStore<'t> {
-    /// A store enforcing `budget` approx-bytes per bucket buffer.
-    pub(crate) fn new(
-        budget: u64,
-        tracer: Option<&'t Tracer>,
-        telemetry: Option<&'t Telemetry>,
-    ) -> Self {
+impl<'o> SpillStore<'o> {
+    /// A store enforcing `budget` approx-bytes per bucket buffer, timing
+    /// its I/O on `clock` and reporting each run to `observer`.
+    pub(crate) fn new(budget: u64, clock: Arc<dyn Clock>, observer: Option<&'o Observer>) -> Self {
         SpillStore {
             dfs: Arc::new(Dfs::new()),
             budget,
             seq: 0,
             stats: SpillStats::default(),
             write_nanos: 0,
-            tracer,
-            telemetry,
+            clock,
+            observer,
         }
     }
 
@@ -95,20 +87,34 @@ impl<'t> SpillStore<'t> {
     }
 
     /// The store's backing DFS (shared with the cursors reading it back).
+    #[cfg(test)]
     pub(crate) fn dfs(&self) -> &Arc<Dfs> {
         &self.dfs
     }
 
+    /// A bucket over `runs` (in bucket order) of this store, read back
+    /// through the store's DFS and timed on its clock.
+    pub(crate) fn bucket<M: Record>(&self, runs: Vec<SpillRun>) -> SpilledBucket<M> {
+        SpilledBucket {
+            dfs: Arc::clone(&self.dfs),
+            clock: Arc::clone(&self.clock),
+            total: runs.iter().map(|r| r.len).sum(),
+            runs,
+            _values: PhantomData,
+        }
+    }
+
     /// Writes `values` as the next run for bucket `key`, returning its
     /// handle. The sequence number makes paths unique without consulting
-    /// any ambient state, so spill layout is deterministic.
+    /// any ambient state, so spill layout is deterministic. The shuffle
+    /// runs on the caller thread, so the run's span sits on lane 0 and the
+    /// bucket key is an arg.
     pub(crate) fn spill_run<M: Record>(
         &mut self,
         key: ReducerId,
         values: Vec<M>,
     ) -> Result<SpillRun, DfsError> {
-        let t0 = Instant::now();
-        let span_t0 = self.tracer.map(Tracer::now_us).unwrap_or(0);
+        let t0 = self.clock.now_nanos();
         let len = values.len();
         let bytes: u64 = values.iter().map(Record::approx_bytes).sum();
         let path = format!("spill/{key}/{seq}", seq = self.seq);
@@ -116,13 +122,11 @@ impl<'t> SpillStore<'t> {
         self.dfs.write(&path, values)?;
         self.stats.runs += 1;
         self.stats.bytes += bytes;
-        self.write_nanos += t0.elapsed().as_nanos() as u64;
-        if let Some(tel) = self.telemetry {
-            tel.spill_run(key, bytes);
-        }
-        if let Some(t) = self.tracer {
-            t.record(
-                TraceEvent::span(SpanKind::Spill, "spill-run", key, span_t0, t.now_us())
+        let t1 = self.clock.now_nanos();
+        self.write_nanos += t1.saturating_sub(t0);
+        if let Some(observer) = self.observer {
+            observer.record(
+                Event::span(EventKind::Spill, "spill-run", 0, t0, t1)
                     .arg("key", key)
                     .arg("records", len as u64)
                     .arg("bytes", bytes),
@@ -150,6 +154,7 @@ impl<'t> SpillStore<'t> {
 #[derive(Debug)]
 pub struct SpilledBucket<M> {
     dfs: Arc<Dfs>,
+    clock: Arc<dyn Clock>,
     runs: Vec<SpillRun>,
     total: usize,
     _values: PhantomData<fn() -> M>,
@@ -159,6 +164,7 @@ impl<M> Clone for SpilledBucket<M> {
     fn clone(&self) -> Self {
         SpilledBucket {
             dfs: Arc::clone(&self.dfs),
+            clock: Arc::clone(&self.clock),
             runs: self.runs.clone(),
             total: self.total,
             _values: PhantomData,
@@ -167,16 +173,6 @@ impl<M> Clone for SpilledBucket<M> {
 }
 
 impl<M: Record> SpilledBucket<M> {
-    /// A bucket backed by `runs`, in bucket order.
-    pub(crate) fn new(dfs: Arc<Dfs>, runs: Vec<SpillRun>) -> Self {
-        SpilledBucket {
-            dfs,
-            total: runs.iter().map(|r| r.len).sum(),
-            runs,
-            _values: PhantomData,
-        }
-    }
-
     /// Total records across all runs.
     pub fn len(&self) -> usize {
         self.total
@@ -196,6 +192,7 @@ impl<M: Record> SpilledBucket<M> {
     pub(crate) fn cursor(self) -> RunCursor<M> {
         RunCursor {
             dfs: self.dfs,
+            clock: self.clock,
             runs: self.runs,
             run_idx: 0,
             offset: 0,
@@ -214,6 +211,7 @@ impl<M: Record> SpilledBucket<M> {
 #[derive(Debug)]
 pub(crate) struct RunCursor<M> {
     dfs: Arc<Dfs>,
+    clock: Arc<dyn Clock>,
     runs: Vec<SpillRun>,
     run_idx: usize,
     offset: usize,
@@ -242,11 +240,11 @@ impl<M: Record> RunCursor<M> {
                 self.offset = 0;
                 continue;
             }
-            let t0 = Instant::now();
+            let t0 = self.clock.now_nanos();
             let read = self
                 .dfs
                 .read_range::<M>(&run.path, self.offset, SPILL_READ_CHUNK);
-            self.io_nanos += t0.elapsed().as_nanos() as u64;
+            self.io_nanos += self.clock.now_nanos().saturating_sub(t0);
             match read {
                 Ok(chunk) if chunk.is_empty() => {
                     // A run shorter than its recorded length would be an
@@ -266,7 +264,7 @@ impl<M: Record> RunCursor<M> {
         }
     }
 
-    /// Cumulative wall time spent inside `read_range`.
+    /// Cumulative clock time spent inside `read_range`.
     pub(crate) fn io_nanos(&self) -> u64 {
         self.io_nanos
     }
@@ -280,9 +278,10 @@ impl<M: Record> RunCursor<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::{MonotonicClock, VirtualClock};
 
     fn store() -> SpillStore<'static> {
-        SpillStore::new(64, None, None)
+        SpillStore::new(64, Arc::new(MonotonicClock::new()), None)
     }
 
     #[test]
@@ -290,7 +289,7 @@ mod tests {
         let mut st = store();
         let r1 = st.spill_run(3, vec![1u64, 2, 3]).unwrap();
         let r2 = st.spill_run(3, vec![4u64, 5]).unwrap();
-        let bucket = SpilledBucket::<u64>::new(Arc::clone(st.dfs()), vec![r1, r2]);
+        let bucket = st.bucket::<u64>(vec![r1, r2]);
         assert_eq!(bucket.len(), 5);
         assert_eq!(bucket.run_count(), 2);
         let mut cur = bucket.cursor();
@@ -315,6 +314,38 @@ mod tests {
     }
 
     #[test]
+    fn run_spans_sit_on_lane_zero_and_share_the_io_clock_readings() {
+        /// Every reading moves time on by 10 ns, so the write costs 10.
+        #[derive(Debug, Default)]
+        struct Ticking(VirtualClock);
+        impl Clock for Ticking {
+            fn now_nanos(&self) -> u64 {
+                self.0.advance(10);
+                self.0.now_nanos()
+            }
+        }
+        let clock: Arc<dyn Clock> = Arc::new(Ticking::default());
+        let observer = Observer::with_clock(Arc::clone(&clock), 8);
+        let mut st = SpillStore::new(64, clock, Some(&observer));
+        st.spill_run(7, vec![1u64, 2]).unwrap();
+        st.spill_run(9, vec![3u64]).unwrap();
+        let (_, write_nanos) = st.finish();
+        let spans = observer.events();
+        assert_eq!(spans.len(), 2);
+        for (span, key, bytes) in [(&spans[0], 7, 16), (&spans[1], 9, 8)] {
+            assert_eq!(
+                (span.kind, span.name.as_str()),
+                (EventKind::Spill, "spill-run")
+            );
+            assert_eq!(span.lane, 0, "the shuffle runs on the caller thread");
+            assert_eq!(span.get("key"), Some(key));
+            assert_eq!(span.get("bytes"), Some(bytes));
+        }
+        assert_eq!(write_nanos, spans.iter().map(|e| e.dur_ns).sum::<u64>());
+        assert_eq!(write_nanos, 20);
+    }
+
+    #[test]
     fn paths_are_unique_per_run() {
         let mut st = store();
         st.spill_run(1, vec![1u64]).unwrap();
@@ -330,7 +361,7 @@ mod tests {
         let r1 = st.spill_run(0, big.clone()).unwrap();
         let r2 = st.spill_run(0, vec![999u64]).unwrap();
         let total = big.len() + 1;
-        let bucket = SpilledBucket::<u64>::new(Arc::clone(st.dfs()), vec![r1, r2]);
+        let bucket = st.bucket::<u64>(vec![r1, r2]);
         let mut cur = bucket.cursor();
         let mut got = Vec::with_capacity(total);
         while let Some(v) = cur.next_value() {
@@ -346,13 +377,10 @@ mod tests {
     #[test]
     fn missing_run_latches_error_instead_of_panicking() {
         let st = store();
-        let bucket = SpilledBucket::<u64>::new(
-            Arc::clone(st.dfs()),
-            vec![SpillRun {
-                path: "spill/0/404".to_string(),
-                len: 3,
-            }],
-        );
+        let bucket = st.bucket::<u64>(vec![SpillRun {
+            path: "spill/0/404".to_string(),
+            len: 3,
+        }]);
         let mut cur = bucket.cursor();
         assert!(cur.next_value().is_none());
         assert!(matches!(cur.error(), Some(DfsError::NotFound(_))));
@@ -364,7 +392,7 @@ mod tests {
     fn cloned_bucket_rereads_independently() {
         let mut st = store();
         let r = st.spill_run(0, vec![7u64, 8]).unwrap();
-        let bucket = SpilledBucket::<u64>::new(Arc::clone(st.dfs()), vec![r]);
+        let bucket = st.bucket::<u64>(vec![r]);
         let twin = bucket.clone();
         let drain = |b: SpilledBucket<u64>| {
             let mut cur = b.cursor();

@@ -30,8 +30,8 @@ use ij_interval::AllenPredicate::{Before, Contains, Overlaps};
 use ij_interval::{Interval, Relation};
 use ij_mapreduce::metrics::names;
 use ij_mapreduce::{
-    is_execution_shape, ClusterConfig, CostModel, Dfs, Engine, SchedConfig, SchedPolicy, Telemetry,
-    TelemetryConfig, VirtualClock,
+    is_execution_shape, ClusterConfig, CostModel, Dfs, Engine, Observer, SchedConfig, SchedPolicy,
+    VirtualClock,
 };
 use ij_query::JoinQuery;
 use std::sync::Arc;
@@ -324,20 +324,13 @@ fn snapshot(
     budget: Option<u64>,
     policy: SchedPolicy,
 ) -> Result<Snapshot, String> {
-    // A virtual clock keeps telemetry timestamps at zero, and a small
+    // A virtual clock keeps every timestamp at zero, and a small
     // heartbeat quantum makes reduce-side heartbeats actually fire at
     // audit scale — the data-plane telemetry snapshot joins the byte-diff
     // below, so heartbeat/gauge/histogram drift across thread counts or
     // budgets fails the audit exactly like output drift.
-    let telemetry = Arc::new(Telemetry::with_clock(
-        TelemetryConfig {
-            heartbeat_every: 8,
-            ..TelemetryConfig::default()
-        },
-        Arc::new(VirtualClock::new()),
-    ));
-    let engine =
-        engine_with_threads(threads, budget, policy).with_telemetry(Arc::clone(&telemetry));
+    let observer = Arc::new(Observer::with_clock(Arc::new(VirtualClock::new()), 8));
+    let engine = engine_with_threads(threads, budget, policy).with_observer(Arc::clone(&observer));
     let out = algo
         .run(q, input, &engine)
         .map_err(|e| format!("{} failed under {threads} threads: {e}", algo.name()))?;
@@ -360,7 +353,7 @@ fn snapshot(
         }
         lines.push(format!("counter {k}={v}"));
     }
-    let tel_snapshot = telemetry.snapshot();
+    let tel_snapshot = observer.snapshot();
     for line in tel_snapshot.data_plane().to_prometheus().lines() {
         lines.push(format!("telemetry {line}"));
     }

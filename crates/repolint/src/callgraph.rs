@@ -190,7 +190,7 @@ mod tests {
     fn same_crate_calls_resolve_across_files() {
         let g = graph(&[
             (
-                "crates/mapreduce/src/engine.rs",
+                "crates/mapreduce/src/engine/mod.rs",
                 "impl Engine { pub fn run_job(&self) { helper(); } }",
             ),
             ("crates/mapreduce/src/job.rs", "pub fn helper() {}"),
@@ -204,7 +204,7 @@ mod tests {
     fn cross_crate_needs_qualification() {
         let g = graph(&[
             (
-                "crates/mapreduce/src/engine.rs",
+                "crates/mapreduce/src/engine/mod.rs",
                 "fn a() { reduce(); } fn b() { Kernel::reduce(); }",
             ),
             (
@@ -224,7 +224,7 @@ mod tests {
     #[test]
     fn method_calls_resolve_within_the_crate() {
         let g = graph(&[(
-            "crates/mapreduce/src/engine.rs",
+            "crates/mapreduce/src/engine/mod.rs",
             "impl Engine { fn outer(&self) { self.inner(); } fn inner(&self) {} }",
         )]);
         let outer = idx(&g, "Engine::outer");
@@ -235,7 +235,7 @@ mod tests {
     #[test]
     fn reach_returns_shortest_parents_and_paths() {
         let g = graph(&[(
-            "crates/mapreduce/src/engine.rs",
+            "crates/mapreduce/src/engine/mod.rs",
             "fn a() { b(); } fn b() { c(); } fn c() {} fn island() {}",
         )]);
         let (a, c, island) = (idx(&g, "a"), idx(&g, "c"), idx(&g, "island"));
@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn recursion_does_not_loop() {
         let g = graph(&[(
-            "crates/mapreduce/src/engine.rs",
+            "crates/mapreduce/src/engine/mod.rs",
             "fn a() { b(); } fn b() { a(); }",
         )]);
         let parent = g.reach(&[idx(&g, "a")]);
@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn json_dump_is_well_formed_enough_for_ci() {
         let g = graph(&[(
-            "crates/mapreduce/src/engine.rs",
+            "crates/mapreduce/src/engine/mod.rs",
             "fn a() { b(); } fn b() { x.unwrap(); }",
         )]);
         let j = g.to_json();

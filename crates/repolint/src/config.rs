@@ -45,7 +45,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: WALL_CLOCK,
         summary: "no wall-clock, thread-id or entropy sources outside \
-                  trace/bench/datagen allowlist",
+                  clock/bench/datagen allowlist",
     },
     RuleInfo {
         name: NO_PANIC,
@@ -61,7 +61,7 @@ pub const RULES: &[RuleInfo] = &[
         name: PANIC_PROPAGATION,
         summary: "no unwrap/expect/panic!/indexing-panic function \
                   transitively reachable from Engine::run_job, Dfs, spill \
-                  or the telemetry data plane",
+                  or the observer",
     },
     RuleInfo {
         name: COUNTER_REGISTRY,
@@ -95,11 +95,11 @@ pub fn in_unordered_iter_scope(path: &str) -> bool {
 }
 
 /// R2 scope: every crate source file except the explicit allowlist —
-/// the tracer (wall-clock is its purpose), the bench harness, the
-/// datagen crate (seeded generators; timing only feeds reports), and the
-/// telemetry clock module — the *single* file where the telemetry plane
-/// may touch `Instant`; the rest of `telemetry/` must go through the
-/// injectable `Clock` trait and so stays in scope.
+/// the bench harness, the datagen crate (seeded generators; timing only
+/// feeds reports), and the engine's clock module — the *single*
+/// mapreduce file that may touch `Instant`; the engine, the spill path
+/// and the rest of `observe/` must go through the injectable `Clock`
+/// trait and so stay in scope.
 pub fn in_wall_clock_scope(path: &str) -> bool {
     let p = norm(path);
     if !p.contains("crates/") || !p.contains("/src/") {
@@ -107,22 +107,21 @@ pub fn in_wall_clock_scope(path: &str) -> bool {
     }
     let allowlisted = p.contains("crates/bench/")
         || p.contains("crates/datagen/")
-        || p.ends_with("crates/mapreduce/src/trace.rs")
-        || p.ends_with("crates/mapreduce/src/telemetry/clock.rs");
+        || p.ends_with("crates/mapreduce/src/observe/clock.rs");
     !allowlisted
 }
 
-/// R3 scope: the engine's reduce/shuffle hot paths, plus the whole live
-/// telemetry plane (it runs inside those hot paths, so a panic there is a
+/// R3 scope: the engine's map/shuffle/reduce hot paths, plus the whole
+/// observer module (it runs inside those hot paths, so a panic there is a
 /// panic in the engine).
 pub fn in_no_panic_scope(path: &str) -> bool {
     let p = norm(path);
-    p.ends_with("crates/mapreduce/src/engine.rs")
+    p.contains("crates/mapreduce/src/engine/")
         || p.ends_with("crates/mapreduce/src/dfs.rs")
         || p.ends_with("crates/mapreduce/src/job.rs")
         || p.ends_with("crates/mapreduce/src/schedule.rs")
         || p.ends_with("crates/mapreduce/src/spill.rs")
-        || p.contains("crates/mapreduce/src/telemetry/")
+        || p.contains("crates/mapreduce/src/observe/")
 }
 
 /// R4 scope: the predicate-specialized kernel layer.
@@ -154,30 +153,37 @@ mod tests {
         assert!(!in_unordered_iter_scope("crates/query/src/query.rs"));
 
         assert!(in_wall_clock_scope("crates/query/src/query.rs"));
-        assert!(!in_wall_clock_scope("crates/mapreduce/src/trace.rs"));
         assert!(!in_wall_clock_scope("crates/bench/src/scenarios.rs"));
         assert!(!in_wall_clock_scope("crates/datagen/src/lib.rs"));
         assert!(!in_wall_clock_scope(
-            "crates/mapreduce/src/telemetry/clock.rs"
+            "crates/mapreduce/src/observe/clock.rs"
         ));
-        assert!(
-            in_wall_clock_scope("crates/mapreduce/src/telemetry/mod.rs"),
-            "only clock.rs is allowlisted; the rest of telemetry/ must use Clock"
-        );
-        assert!(in_wall_clock_scope(
-            "crates/mapreduce/src/telemetry/hist.rs"
-        ));
+        for in_scope in [
+            "crates/mapreduce/src/observe/mod.rs",
+            "crates/mapreduce/src/observe/hist.rs",
+            "crates/mapreduce/src/engine/mod.rs",
+            "crates/mapreduce/src/engine/reduce.rs",
+            "crates/mapreduce/src/spill.rs",
+        ] {
+            assert!(
+                in_wall_clock_scope(in_scope),
+                "{in_scope}: only observe/clock.rs is allowlisted; everything else uses Clock"
+            );
+        }
 
-        assert!(in_no_panic_scope("crates/mapreduce/src/engine.rs"));
-        assert!(in_no_panic_scope("crates/mapreduce/src/schedule.rs"));
-        assert!(in_no_panic_scope("crates/mapreduce/src/spill.rs"));
-        assert!(in_no_panic_scope("crates/mapreduce/src/telemetry/mod.rs"));
-        assert!(in_no_panic_scope(
-            "crates/mapreduce/src/telemetry/recorder.rs"
-        ));
+        for hot in [
+            "crates/mapreduce/src/engine/mod.rs",
+            "crates/mapreduce/src/engine/map.rs",
+            "crates/mapreduce/src/engine/shuffle.rs",
+            "crates/mapreduce/src/engine/reduce.rs",
+            "crates/mapreduce/src/schedule.rs",
+            "crates/mapreduce/src/spill.rs",
+            "crates/mapreduce/src/observe/mod.rs",
+            "crates/mapreduce/src/observe/snapshot.rs",
+        ] {
+            assert!(in_no_panic_scope(hot), "{hot}");
+        }
         assert!(!in_no_panic_scope("crates/mapreduce/src/metrics.rs"));
-
-        assert!(in_wall_clock_scope("crates/mapreduce/src/spill.rs"));
 
         assert!(in_kernel_doc_scope("crates/core/src/kernel/mod.rs"));
         assert!(!in_kernel_doc_scope("crates/core/src/cascade.rs"));

@@ -17,11 +17,13 @@ use crate::{scan, symbols};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-/// Call-graph entry points: `Engine::run_job` plus everything defined in
-/// `dfs.rs`, `spill.rs` or `telemetry/` (the issue's "`Engine::run_job`,
-/// `Dfs`, `spill`, or the telemetry data plane").
+/// Call-graph entry points: `Engine::run_job` (whose closure holds the
+/// phase files under `engine/`) plus everything defined in `dfs.rs`,
+/// `spill.rs` or `observe/` (the issue's "`Engine::run_job`, `Dfs`,
+/// `spill`, or the telemetry data plane" — now the observer, views
+/// included).
 fn is_entry_file(path: &str) -> bool {
-    path.ends_with("/dfs.rs") || path.ends_with("/spill.rs") || path.contains("/telemetry/")
+    path.ends_with("/dfs.rs") || path.ends_with("/spill.rs") || path.contains("/observe/")
 }
 
 fn is_registry_file(path: &str) -> bool {
@@ -328,7 +330,7 @@ mod tests {
     fn panic_in_helper_reachable_from_run_job_is_flagged() {
         let v = run(&[
             (
-                "crates/mapreduce/src/engine.rs",
+                "crates/mapreduce/src/engine/mod.rs",
                 "impl Engine { pub fn run_job(&self) { helper(); } }",
             ),
             (
@@ -349,7 +351,7 @@ mod tests {
     fn marker_suppresses_propagated_panic() {
         let v = run(&[
             (
-                "crates/mapreduce/src/engine.rs",
+                "crates/mapreduce/src/engine/mod.rs",
                 "impl Engine { pub fn run_job(&self) { helper(); } }",
             ),
             (
@@ -365,7 +367,7 @@ mod tests {
     #[test]
     fn existing_no_panic_marker_also_suppresses() {
         let v = run(&[(
-            "crates/mapreduce/src/telemetry/hist.rs",
+            "crates/mapreduce/src/observe/hist.rs",
             "pub fn record(&mut self) {\n\
              // repolint: allow(no-panic): bucket_index clamps to len-1\n\
              self.counts[0] += 1;\n}\n",

@@ -8,8 +8,8 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | `unordered-iter` | no `HashMap`/`HashSet` where iteration order can reach shuffle keys, emitted pairs or metrics |
-//! | `wall-clock` | no `SystemTime`/`Instant`/thread-id/entropy outside the trace/bench/datagen allowlist |
-//! | `no-panic` | engine hot paths (`engine.rs`, `dfs.rs`, `job.rs`, `spill.rs`) return typed [`ij_mapreduce::EngineError`]s, never panic |
+//! | `wall-clock` | no `SystemTime`/`Instant`/thread-id/entropy outside the bench/datagen crates and the engine's one clock file (`observe/clock.rs`) |
+//! | `no-panic` | engine hot paths (`engine/`, `dfs.rs`, `job.rs`, `schedule.rs`, `spill.rs`, `observe/`) return typed [`ij_mapreduce::EngineError`]s, never panic |
 //! | `kernel-doc` | every `pub fn` in `core::kernel` states the predicate classes it is complete for |
 //!
 //! `repolint graph` (DESIGN.md §15) lifts the analysis across files: it
@@ -19,7 +19,7 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `panic-propagation` | no panic-capable function transitively reachable from `Engine::run_job`, the `Dfs`, the spill path or the telemetry data plane |
+//! | `panic-propagation` | no panic-capable function transitively reachable from `Engine::run_job` and the engine's phase files, the `Dfs`, the spill path or the observer |
 //! | `counter-registry` | every counter/histogram name is a `mapreduce::metrics::names` constant; the execution-shape classifiers are defined only in that registry |
 //! | `lock-discipline` | no nested guard acquisitions; no guard held across a `ValueStream` pull or Dfs I/O call |
 //!

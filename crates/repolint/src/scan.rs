@@ -71,7 +71,7 @@ mod tests {
         assert!(as_str.iter().any(|p| p.ends_with("repolint/src/scan.rs")));
         assert!(as_str
             .iter()
-            .any(|p| p.ends_with("mapreduce/src/engine.rs")));
+            .any(|p| p.ends_with("mapreduce/src/engine/mod.rs")));
         assert!(!as_str.iter().any(|p| p.contains("/fixtures/")));
         assert!(!as_str.iter().any(|p| p.contains("/tests/")));
     }

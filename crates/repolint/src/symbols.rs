@@ -609,7 +609,7 @@ mod tests {
     use crate::lexer::lex;
 
     fn sym(src: &str) -> FileSymbols {
-        extract("crates/mapreduce/src/engine.rs", &lex(src))
+        extract("crates/mapreduce/src/engine/mod.rs", &lex(src))
     }
 
     #[test]
@@ -752,7 +752,7 @@ mod tests {
 
     #[test]
     fn crate_names_come_from_the_path() {
-        assert_eq!(crate_of("crates/mapreduce/src/engine.rs"), "mapreduce");
+        assert_eq!(crate_of("crates/mapreduce/src/engine/mod.rs"), "mapreduce");
         assert_eq!(crate_of("crates/core/src/kernel/mod.rs"), "core");
         assert_eq!(crate_of("src/lib.rs"), "");
     }

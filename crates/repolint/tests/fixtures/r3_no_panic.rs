@@ -1,5 +1,5 @@
 //! Seeded violation fixture for rule `no-panic` (linted as if it lived
-//! at `crates/mapreduce/src/engine.rs`). Not compiled — read as text by
+//! at `crates/mapreduce/src/engine/mod.rs`). Not compiled — read as text by
 //! the self-test.
 
 pub fn hot_path(bucket: Option<Vec<u64>>) -> Vec<u64> {

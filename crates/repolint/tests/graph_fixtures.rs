@@ -26,7 +26,7 @@ const LOCK_CLEAN: &str = include_str!("fixtures/graph/lock_clean.rs");
 #[test]
 fn panic_propagation_crosses_file_boundaries() {
     let v = run(&[
-        ("crates/mapreduce/src/engine.rs", PANIC_ENTRY),
+        ("crates/mapreduce/src/engine/mod.rs", PANIC_ENTRY),
         ("crates/mapreduce/src/job.rs", PANIC_HELPER),
     ]);
     let pp: Vec<&Violation> = v.iter().filter(|v| v.rule == "panic-propagation").collect();
@@ -48,7 +48,7 @@ fn panic_propagation_markers_suppress_both_spellings() {
     // One site is marked allow(panic-propagation), the other relies on an
     // existing allow(no-panic) marker — both must count.
     let v = run(&[
-        ("crates/mapreduce/src/engine.rs", PANIC_ENTRY),
+        ("crates/mapreduce/src/engine/mod.rs", PANIC_ENTRY),
         ("crates/mapreduce/src/job.rs", PANIC_HELPER_MARKED),
     ]);
     assert!(v.is_empty(), "{v:?}");

@@ -42,7 +42,10 @@ fn r2_fixture_trips_wall_clock() {
 
 #[test]
 fn r3_fixture_trips_no_panic_outside_tests_only() {
-    let v = check_file("crates/mapreduce/src/engine.rs", &fixture("r3_no_panic.rs"));
+    let v = check_file(
+        "crates/mapreduce/src/engine/mod.rs",
+        &fixture("r3_no_panic.rs"),
+    );
     assert_eq!(v.len(), 3, "{v:?}"); // unwrap, panic!, expect — not the test unwrap
     assert!(v.iter().all(|v| v.rule == config::NO_PANIC));
 }
@@ -92,7 +95,10 @@ fn r2_spill_fixture_trips_wall_clock_without_the_real_marker() {
 
 #[test]
 fn fixtures_render_to_json() {
-    let v = check_file("crates/mapreduce/src/engine.rs", &fixture("r3_no_panic.rs"));
+    let v = check_file(
+        "crates/mapreduce/src/engine/mod.rs",
+        &fixture("r3_no_panic.rs"),
+    );
     let json = report::to_json(&v, 1);
     assert!(json.contains("\"rule\": \"no-panic\""));
     assert!(json.contains("\"violation_count\": 3"));

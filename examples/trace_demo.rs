@@ -15,7 +15,7 @@ use interval_joins_mr::datagen::SynthConfig;
 use interval_joins_mr::interval::AllenPredicate::Overlaps;
 use interval_joins_mr::join::rccis::Rccis;
 use interval_joins_mr::join::{Algorithm, JoinInput, OutputMode};
-use interval_joins_mr::mapreduce::{ClusterConfig, Engine, Tracer};
+use interval_joins_mr::mapreduce::{ClusterConfig, Engine, Observer};
 use interval_joins_mr::query::JoinQuery;
 use std::sync::Arc;
 
@@ -31,9 +31,9 @@ fn main() {
         .collect();
     let input = JoinInput::bind_owned(&query, rels).unwrap();
 
-    // A simulated 16-slot cluster with a tracer attached.
-    let tracer = Arc::new(Tracer::new());
-    let engine = Engine::new(ClusterConfig::with_slots(16)).with_tracer(tracer.clone());
+    // A simulated 16-slot cluster with an observer attached.
+    let observer = Arc::new(Observer::new());
+    let engine = Engine::new(ClusterConfig::with_slots(16)).with_observer(observer.clone());
 
     let rccis = Rccis {
         partitions: 16,
@@ -62,11 +62,10 @@ fn main() {
         skew.reducers, skew.max_mean_ratio, skew.p99_p50_ratio, skew.gini
     );
 
-    tracer
-        .write_chrome_trace(&path)
+    std::fs::write(&path, observer.chrome_trace())
         .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     println!(
-        "\nwrote {path}: {} spans — open in chrome://tracing or ui.perfetto.dev",
-        tracer.len()
+        "\nwrote {path}: {} events — open in chrome://tracing or ui.perfetto.dev",
+        observer.len()
     );
 }
