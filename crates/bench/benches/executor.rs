@@ -1,9 +1,10 @@
-//! Benchmarks of the reducer-side backtracking join executor, including
-//! the windowed-vs-scan comparison that motivates the start-ordered binding
-//! order (see `ij_core::executor`).
+//! Benchmarks of the reducer-side join as the reducers run it — the
+//! dispatching kernel on one thread — on the chain shapes that motivate
+//! the start-ordered binding order (see `ij_core::executor`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ij_core::executor::{join_single_attr, Candidates};
+use ij_core::executor::Candidates;
+use ij_core::kernel::{self, KernelConfig};
 use ij_interval::AllenPredicate::{Before, Contains, Overlaps};
 use ij_interval::Interval;
 use ij_query::JoinQuery;
@@ -27,6 +28,12 @@ fn candidates(m: usize, n: usize, span: i64, max_len: i64, seed: u64) -> Candida
     c
 }
 
+fn serial_count(q: &JoinQuery, cands: &Candidates) -> u64 {
+    let mut outs = 0u64;
+    kernel::execute(q, cands, &KernelConfig::serial(), |_| true, |_| outs += 1);
+    outs
+}
+
 fn bench_executor(c: &mut Criterion) {
     let mut group = c.benchmark_group("executor");
 
@@ -34,35 +41,19 @@ fn bench_executor(c: &mut Criterion) {
         let q = JoinQuery::chain(&[Overlaps, Overlaps]).unwrap();
         let cands = candidates(3, n, 50_000, 100, 7);
         group.bench_with_input(BenchmarkId::new("overlap_chain_3way", n), &n, |b, _| {
-            b.iter(|| {
-                let mut outs = 0u64;
-                join_single_attr(&q, &cands, |_| true, |_| outs += 1);
-                outs
-            })
+            b.iter(|| serial_count(&q, &cands))
         });
     }
 
     // Sequence joins have inherently unbounded windows; output-sized work.
     let q = JoinQuery::chain(&[Before]).unwrap();
     let cands = candidates(2, 400, 5_000, 50, 8);
-    group.bench_function("before_2way_400", |b| {
-        b.iter(|| {
-            let mut outs = 0u64;
-            join_single_attr(&q, &cands, |_| true, |_| outs += 1);
-            outs
-        })
-    });
+    group.bench_function("before_2way_400", |b| b.iter(|| serial_count(&q, &cands)));
 
     // Containment chains exercise the both-sided windows.
     let q = JoinQuery::chain(&[Contains, Contains]).unwrap();
     let cands = candidates(3, 1000, 20_000, 400, 9);
-    group.bench_function("contains_chain_1k", |b| {
-        b.iter(|| {
-            let mut outs = 0u64;
-            join_single_attr(&q, &cands, |_| true, |_| outs += 1);
-            outs
-        })
-    });
+    group.bench_function("contains_chain_1k", |b| b.iter(|| serial_count(&q, &cands)));
 
     group.finish();
 }

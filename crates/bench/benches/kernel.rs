@@ -1,21 +1,25 @@
-//! Join-kernel micro-benchmarks: the dispatching kernel (plane sweep /
-//! sort-merge) against the windowed-backtracking fallback and two
-//! single-node oracles, on the bucket shapes reducers actually see.
+//! Join-kernel micro-benchmarks: the dispatching kernel (pair sweep /
+//! event sweep / window scan) against the `holds`-based windowed
+//! backtracking reference (`windowed_backtracking`) and two single-node
+//! oracles, on the bucket shapes reducers actually see.
 //!
-//! `overlap_heavy` is the case the sweep kernel targets: long outer
+//! `overlap_heavy` is the case the pair sweep targets: long outer
 //! intervals whose start windows cover a large fraction of the inner list
 //! while only a thin end-window slice actually matches — exactly where the
 //! backtracking path degrades to wide scans with per-candidate `holds`
-//! re-checks. `sequence_heavy` exercises the sort-merge path on `before`
-//! chains. The dispatching kernel must beat `windowed_backtracking` by ≥2×
-//! on `overlap_heavy` (checked in CI via the BENCH_JSON summary).
+//! re-checks. `sequence_heavy` exercises the window scan on `before`
+//! chains, where it is a merge join, and `hybrid` on an
+//! `overlaps`∘`before` bucket sized like a `q4_hybrid_pasm` cell, where
+//! output enumeration dominates. The dispatching kernel must beat
+//! `windowed_backtracking` by ≥2× on `overlap_heavy` (checked in CI via
+//! the BENCH_JSON summary).
 //!
-//! `event_sweep` pits the merged-event-list sweep against the dual-window
-//! scan on an overlap-heavy arity-3 colocation *clique* — the multi-way
-//! shape the event kernel targets, where per-level binary searches and
-//! wide windows dominate the dual-window path while the gapless active
-//! arrays stay small. The event sweep must beat `dual_window_sweep` by
-//! ≥2× here (same BENCH_JSON trend gate).
+//! `event_sweep` pits the merged-event-list sweep against the window
+//! scan (`dual_window_sweep`) on an overlap-heavy arity-3 colocation
+//! *clique* — the multi-way shape the event kernel targets, where
+//! per-level binary searches and wide windows dominate the window scan
+//! while the gapless active arrays stay small. The event sweep must beat
+//! `dual_window_sweep` by ≥2× here (same BENCH_JSON trend gate).
 //!
 //! `schedule_bench` drives the whole engine (map → shuffle → reduce) on a
 //! skewed clique bucket mix — one dominant hot bucket plus a light tail —
@@ -25,9 +29,10 @@
 //! runtime since single-core hosts cannot show it). Outputs are verified
 //! byte-identical across policies before timing.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
 use ij_core::executor::Candidates;
-use ij_core::kernel::{self, KernelConfig};
+use ij_core::kernel::{self, KernelConfig, KernelKind};
+use ij_core::oracle::reference_join;
 use ij_interval::{Interval, TupleId};
 use ij_mapreduce::{
     ClusterConfig, CostModel, Emitter, Engine, ReduceCtx, SchedConfig, SchedPolicy, ValueStream,
@@ -138,18 +143,58 @@ fn parallel_count(q: &JoinQuery, cands: &Candidates, cfg: &KernelConfig) -> u64 
     count
 }
 
+/// `count`, asserted equal to the independently counted `expect` — what
+/// every kernel entry of a group returns from its timed body.
+fn checked(count: u64, expect: u64) -> u64 {
+    assert_eq!(count, expect);
+    count
+}
+
+/// Match count of the dispatching kernel on one thread, through the
+/// closure form.
+fn serial_count(q: &JoinQuery, cands: &Candidates) -> u64 {
+    let mut count = 0u64;
+    kernel::execute(q, cands, &KernelConfig::serial(), |_| true, |_| count += 1);
+    count
+}
+
+/// Match count of the `holds`-based reference.
+fn reference_count(q: &JoinQuery, cands: &Candidates) -> u64 {
+    let mut count = 0u64;
+    reference_join(q, cands, |_| count += 1);
+    count
+}
+
+/// Match count of `kind` forced on a query inside its domain.
+fn forced_count(kind: KernelKind, q: &JoinQuery, cands: &Candidates) -> u64 {
+    let mut count = 0u64;
+    kernel::execute_kind(kind, q, cands, |_| true, |_| count += 1)
+        .expect("bench query lies in the forced kernel's domain");
+    count
+}
+
+/// Adds `windowed_backtracking` (the `holds` reference) and
+/// `dispatching_kernel` on one bucket to `group`, each asserting the
+/// independently counted `expect`.
+fn bench_reference_and_dispatch(
+    group: &mut BenchmarkGroup<'_>,
+    q: &JoinQuery,
+    cands: &Candidates,
+    expect: u64,
+) {
+    group.bench_function("windowed_backtracking", |b| {
+        b.iter(|| checked(reference_count(q, cands), expect))
+    });
+    group.bench_function("dispatching_kernel", |b| {
+        b.iter(|| checked(serial_count(q, cands), expect))
+    });
+}
+
 fn bench_overlap_heavy(c: &mut Criterion) {
     let n = 3000;
     let q = JoinQuery::chain(&[ij_interval::AllenPredicate::Overlaps]).unwrap();
     let cands = overlap_bucket(n, 7);
     let expect = nested_loop_count(&q, &cands);
-
-    let count_with = |run: &dyn Fn(&mut u64)| {
-        let mut count = 0u64;
-        run(&mut count);
-        assert_eq!(count, expect);
-        count
-    };
 
     let mut group = c.benchmark_group("kernel_overlap_heavy");
     group.throughput(Throughput::Elements((2 * n) as u64));
@@ -159,20 +204,7 @@ fn bench_overlap_heavy(c: &mut Criterion) {
     group.bench_function("plane_sweep_oracle", |b| {
         b.iter(|| criterion::black_box(plane_sweep_oracle_count(&q, &cands)))
     });
-    group.bench_function("windowed_backtracking", |b| {
-        b.iter(|| {
-            count_with(&|count| {
-                kernel::backtrack_join(&q, &cands, |_| true, |_| *count += 1);
-            })
-        })
-    });
-    group.bench_function("dispatching_kernel", |b| {
-        b.iter(|| {
-            count_with(&|count| {
-                kernel::execute_serial(&q, &cands, |_| true, |_| *count += 1);
-            })
-        })
-    });
+    bench_reference_and_dispatch(&mut group, &q, &cands, expect);
     // The parallel entries go through the count sink, as Count-mode
     // reducers do: a reintroduced per-chunk row buffer shows up here.
     for threads in [2, 4] {
@@ -181,7 +213,7 @@ fn bench_overlap_heavy(c: &mut Criterion) {
             parallel_threshold: 0,
         };
         group.bench_function(format!("dispatching_kernel_parallel{threads}"), |b| {
-            b.iter(|| count_with(&|count| *count = parallel_count(&q, &cands, &cfg)))
+            b.iter(|| checked(parallel_count(&q, &cands, &cfg), expect))
         });
     }
     group.finish();
@@ -198,22 +230,60 @@ fn bench_sequence_heavy(c: &mut Criterion) {
     group.bench_function("nested_loop_oracle", |b| {
         b.iter(|| criterion::black_box(nested_loop_count(&q, &cands)))
     });
-    group.bench_function("windowed_backtracking", |b| {
-        b.iter(|| {
-            let mut count = 0u64;
-            kernel::backtrack_join(&q, &cands, |_| true, |_| count += 1);
-            assert_eq!(count, expect);
-            criterion::black_box(count)
-        })
-    });
-    group.bench_function("dispatching_kernel", |b| {
-        b.iter(|| {
-            let mut count = 0u64;
-            kernel::execute_serial(&q, &cands, |_| true, |_| count += 1);
-            assert_eq!(count, expect);
-            criterion::black_box(count)
-        })
-    });
+    bench_reference_and_dispatch(&mut group, &q, &cands, expect);
+    group.finish();
+}
+
+/// A three-relation bucket: `counts[r]` intervals of relation `r` with
+/// starts in `0..span` and lengths in `lens[r]`.
+fn three_way_bucket(
+    counts: [usize; 3],
+    lens: [std::ops::Range<i64>; 3],
+    span: i64,
+    seed: u64,
+) -> Candidates {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut c = Candidates::new(3);
+    for (r, (n, len)) in counts.into_iter().zip(lens).enumerate() {
+        for t in 0..n {
+            let s = rng.gen_range(0..span);
+            c.push(r, iv(s, s + rng.gen_range(len.clone())), t as TupleId);
+        }
+    }
+    c.finish();
+    c
+}
+
+/// `overlaps`∘`before` count by pair enumeration plus a sorted-starts
+/// suffix count — independent of every kernel.
+fn hybrid_expected_count(c: &Candidates) -> u64 {
+    use ij_interval::AllenPredicate::Overlaps;
+    let starts: Vec<i64> = c.list(2).iter().map(|(iv, _)| iv.start()).collect();
+    let mut count = 0u64;
+    for &(a, _) in c.list(0) {
+        for &(b, _) in c.list(1) {
+            if Overlaps.holds(a, b) {
+                count += (starts.len() - starts.partition_point(|&s| s <= b.end())) as u64;
+            }
+        }
+    }
+    count
+}
+
+fn bench_hybrid(c: &mut Criterion) {
+    use ij_interval::AllenPredicate::{Before, Overlaps};
+    let counts = [3000, 450, 240];
+    let q = JoinQuery::chain(&[Overlaps, Before]).unwrap();
+    // Sized like one `q4_hybrid_pasm` cell after pruning: skewed
+    // cardinalities joined at a near-100 % candidate hit ratio, so
+    // enumerating the ~10⁶ outputs — not filtering — is the cost.
+    let cands = three_way_bucket(counts, [0..100, 0..100, 0..600], 4000, 19);
+    let expect = hybrid_expected_count(&cands);
+    assert!(expect > 100_000, "hybrid workload too sparse: {expect}");
+
+    let mut group = c.benchmark_group("kernel_hybrid");
+    group.throughput(Throughput::Elements(counts.iter().sum::<usize>() as u64));
+    bench_reference_and_dispatch(&mut group, &q, &cands, expect);
     group.finish();
 }
 
@@ -243,17 +313,7 @@ fn clique3() -> JoinQuery {
 /// arrays, and its start-order pruning probes only at r2 starts (the
 /// clique forces `s0 < s1 < s2`).
 fn clique_bucket(counts: [usize; 3], span: i64, seed: u64) -> Candidates {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let lens = [30..90, 15..60, 0..25];
-    let mut c = Candidates::new(3);
-    for (r, (n, len)) in counts.into_iter().zip(lens).enumerate() {
-        for t in 0..n {
-            let s = rng.gen_range(0..span);
-            c.push(r, iv(s, s + rng.gen_range(len.clone())), t as TupleId);
-        }
-    }
-    c.finish();
-    c
+    three_way_bucket(counts, [30..90, 15..60, 0..25], span, seed)
 }
 
 /// Triple nested-loop oracle for the clique, with the (0,1) pair check
@@ -299,42 +359,23 @@ fn bench_event_sweep(c: &mut Criterion) {
     let expect = clique_nested_loop_count(&q, &cands);
     assert!(expect > 0, "clique workload too sparse");
 
-    let count_with = |run: &dyn Fn(&mut u64)| {
-        let mut count = 0u64;
-        run(&mut count);
-        assert_eq!(count, expect);
-        count
-    };
-
     let mut group = c.benchmark_group("kernel_event_sweep");
     group.throughput(Throughput::Elements(n as u64));
     group.bench_function("windowed_backtracking", |b| {
-        b.iter(|| {
-            count_with(&|count| {
-                kernel::backtrack_join(&q, &cands, |_| true, |_| *count += 1);
-            })
-        })
+        b.iter(|| checked(reference_count(&q, &cands), expect))
     });
     group.bench_function("dual_window_sweep", |b| {
-        b.iter(|| {
-            count_with(&|count| {
-                kernel::sweep_join(&q, &cands, |_| true, |_| *count += 1);
-            })
-        })
+        b.iter(|| checked(forced_count(KernelKind::Window, &q, &cands), expect))
     });
     group.bench_function("event_sweep", |b| {
-        b.iter(|| {
-            count_with(&|count| {
-                kernel::event_sweep_join(&q, &cands, |_| true, |_| *count += 1);
-            })
-        })
+        b.iter(|| checked(forced_count(KernelKind::EventSweep, &q, &cands), expect))
     });
     group.bench_function("event_sweep_parallel4", |b| {
         let cfg = KernelConfig {
             threads: 4,
             parallel_threshold: 0,
         };
-        b.iter(|| count_with(&|count| *count = parallel_count(&q, &cands, &cfg)))
+        b.iter(|| checked(parallel_count(&q, &cands, &cfg), expect))
     });
     group.finish();
 }
@@ -449,6 +490,7 @@ criterion_group!(
     benches,
     bench_overlap_heavy,
     bench_sequence_heavy,
+    bench_hybrid,
     bench_event_sweep,
     bench_schedule
 );

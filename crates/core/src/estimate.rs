@@ -192,29 +192,27 @@ pub enum AlgoFamily {
 }
 
 /// Relative per-candidate reducer work of the kernel that
-/// [`crate::kernel::planned_kernel`] would select for `q`, normalized to
-/// the backtracking fallback at `1.0`.
+/// [`crate::kernel::planned_kernel`] selects for `q`, normalized to the
+/// `holds`-based backtracking reference at `1.0`.
 ///
 /// The constants are calibrated from the `kernel` criterion benches
-/// (`kernel_strategies` / `kernel_event_sweep` groups): the pair sweep is
-/// output-linear, the event sweep touches each candidate once per merged
-/// event plus gapless-array scans, sort-merge pays one windowed merge pass,
-/// the dual-window scan filters the narrower of two windows, and
-/// backtracking re-checks every predicate per candidate. Planning code
-/// multiplies reducer-side work estimates by this factor so colocation
-/// reducers are no longer priced at backtracking cost — which previously
-/// made [`auto_tune`] over-partition sweep-friendly queries.
+/// (`kernel_overlap_heavy` / `kernel_event_sweep` groups): the pair sweep
+/// is output-linear, the event sweep touches each candidate once per
+/// merged event plus gapless-array scans, and the window scan filters the
+/// narrower of two windows per level — sequence and mixed condition sets
+/// included, which it serves like any other. Planning code multiplies
+/// reducer-side work estimates by this factor so reducers are not priced
+/// at backtracking cost — which previously made [`auto_tune`]
+/// over-partition sweep-friendly queries.
 pub fn kernel_work_multiplier(q: &JoinQuery) -> f64 {
-    use crate::kernel::KernelStrategy::*;
+    use crate::kernel::KernelKind;
     match crate::kernel::planned_kernel(q) {
         // kernel_event_sweep measures the event sweep ~2.9× faster than
-        // the dual-window scan on an overlap-heavy clique (4.8ms vs
-        // 13.7ms vs 10.9ms backtracking), hence 0.12 ≈ 0.35 × (4.8/13.7).
-        PairSweep => 0.06,
-        EventSweep => 0.12,
-        SortMerge => 0.25,
-        DualWindow => 0.35,
-        Backtrack => 1.0,
+        // the window scan on an overlap-heavy clique (4.8ms vs 13.7ms vs
+        // 10.9ms backtracking), hence 0.12 ≈ 0.35 × (4.8/13.7).
+        KernelKind::PairSweep => 0.06,
+        KernelKind::EventSweep => 0.12,
+        KernelKind::Window => 0.35,
     }
 }
 
@@ -267,10 +265,10 @@ pub fn estimate_pairs(_q: &JoinQuery, stats: &[RelationStats], family: AlgoFamil
 /// count: 1-D algorithms get one partition per slot; matrix algorithms get
 /// the smallest `o` whose *consistent* cell count reaches ~2× slots,
 /// scaled by [`kernel_work_multiplier`] — a bucket served by a cheap
-/// kernel (pair/event sweep, sort-merge) needs less over-partitioning to
-/// mask skew than one served by the backtracking fallback, so the cell
-/// target shrinks with the planned kernel's per-candidate cost (floored
-/// at half to keep every slot busy).
+/// kernel needs less over-partitioning to mask skew, so the cell target
+/// shrinks with the planned kernel's per-candidate cost (floored at half
+/// to keep every slot busy; all three kernels price below the floor, so
+/// the target is one cell per slot today).
 pub fn auto_tune(q: &JoinQuery, slots: usize) -> PlanConfig {
     let comps = q.components();
     let dims = comps.len().max(1);
@@ -407,9 +405,10 @@ mod tests {
     }
 
     #[test]
-    fn kernel_multipliers_order_strategies_by_measured_cost() {
+    fn kernel_multipliers_order_kernels_by_measured_cost() {
         // Pinned ordering, calibrated from the kernel criterion benches:
-        // pair sweep < event sweep < sort-merge < dual-window < backtrack.
+        // pair sweep < event sweep < window scan < the backtracking
+        // reference at 1.0.
         let pair = kernel_work_multiplier(&JoinQuery::chain(&[Overlaps]).unwrap());
         let event = kernel_work_multiplier(
             &JoinQuery::new(
@@ -422,26 +421,33 @@ mod tests {
             )
             .unwrap(),
         );
-        let merge = kernel_work_multiplier(&JoinQuery::chain(&[Before, Before]).unwrap());
-        let dual = kernel_work_multiplier(&JoinQuery::chain(&[Overlaps, Overlaps]).unwrap());
-        let back = kernel_work_multiplier(&JoinQuery::chain(&[Overlaps, Before]).unwrap());
+        let window = kernel_work_multiplier(&JoinQuery::chain(&[Overlaps, Overlaps]).unwrap());
         assert!(pair < event, "pair sweep must price below event sweep");
-        assert!(event < merge, "event sweep must price below sort-merge");
-        assert!(merge < dual, "sort-merge must price below dual-window");
-        assert!(dual < back, "dual-window must price below backtracking");
-        assert_eq!(back, 1.0, "backtracking is the normalization point");
+        assert!(
+            event < window,
+            "event sweep must price below the window scan"
+        );
+        assert!(
+            window < 1.0,
+            "the window scan must price below backtracking"
+        );
+        // Sequence and mixed sets are window-scan buckets like any other.
+        for preds in [[Before, Before], [Overlaps, Before]] {
+            let q = JoinQuery::chain(&preds).unwrap();
+            assert_eq!(kernel_work_multiplier(&q), window, "{q}");
+        }
     }
 
     #[test]
     fn auto_tune_tracks_slots() {
-        // Pure sequence 3-way: sort-merge multiplier 0.25 floors at 0.5,
-        // so the cell target is 16; consistent cells grow ~ o^3/6 and the
+        // Pure sequence 3-way: the window-scan multiplier 0.35 floors at
+        // 0.5, so the cell target is 16; consistent cells grow ~ o^3/6 and the
         // tuner lands around o = 4-5 (C(o+2,3) >= 16).
         let q = JoinQuery::chain(&[Before, Before]).unwrap();
         let cfg = auto_tune(&q, 16);
         assert_eq!(cfg.partitions, 16);
         assert!((4..=8).contains(&cfg.per_dim), "per_dim = {}", cfg.per_dim);
-        // Hybrid Q4: two dims, one constraint -> o around 8 for 32 cells.
+        // Hybrid Q4: two dims, one constraint -> o(o+1)/2 >= 16 at o = 6.
         let q = JoinQuery::new(
             3,
             vec![

@@ -7,15 +7,12 @@
 //! satisfy all query conditions, keep the ones it *owns* (the
 //! per-algorithm duplicate-elimination rule), and emit them.
 //!
-//! [`join_single_attr`] is the optimized path for single-attribute queries.
-//! It delegates to the dispatching kernel (`crate::kernel`), which picks a
-//! pair sweep, merged event-list sweep, dual-window plane sweep, sort-merge,
-//! or the windowed-backtracking fallback by query shape; the fallback —
-//! candidates sorted by start point, each backtracking level
-//! binary-searching the window of compatible start points (via
-//! [`ij_interval::AllenPredicate::right_start_bounds`]) — run over whole
-//! relations with an all-accepting owner filter, is the test oracle's
-//! engine.
+//! This module holds what more than one join path shares: the
+//! [`Candidates`] index, the binding order, and the start-window helpers
+//! (`window`, `tighten_lower`/`tighten_upper`). Single-attribute buckets
+//! are joined by the dispatching kernels of [`crate::kernel`]; the
+//! `holds`-based reference they are tested against
+//! ([`crate::oracle::reference_join`]) is the oracle's engine.
 //!
 //! [`join_tuples`] is the general path for multi-attribute queries
 //! (Gen-Matrix): a scan-based backtracking join with incremental condition
@@ -168,44 +165,33 @@ pub(crate) fn tighten_upper(a: Bound<Time>, b: Bound<Time>) -> Bound<Time> {
     }
 }
 
+/// Index range of a `key`-sorted list whose keys lie within the bounds.
+pub(crate) fn window_by<T>(
+    list: &[T],
+    key: impl Fn(&T) -> Time,
+    lo: Bound<Time>,
+    hi: Bound<Time>,
+) -> (usize, usize) {
+    let start = match lo {
+        Bound::Unbounded => 0,
+        Bound::Included(x) => list.partition_point(|t| key(t) < x),
+        Bound::Excluded(x) => list.partition_point(|t| key(t) <= x),
+    };
+    let end = match hi {
+        Bound::Unbounded => list.len(),
+        Bound::Included(x) => list.partition_point(|t| key(t) <= x),
+        Bound::Excluded(x) => list.partition_point(|t| key(t) < x),
+    };
+    (start, end.max(start))
+}
+
 /// Index range of a sorted-by-start list compatible with the bounds.
 pub(crate) fn window(
     list: &[(Interval, TupleId)],
     lo: Bound<Time>,
     hi: Bound<Time>,
 ) -> (usize, usize) {
-    let start = match lo {
-        Bound::Unbounded => 0,
-        Bound::Included(x) => list.partition_point(|(iv, _)| iv.start() < x),
-        Bound::Excluded(x) => list.partition_point(|(iv, _)| iv.start() <= x),
-    };
-    let end = match hi {
-        Bound::Unbounded => list.len(),
-        Bound::Included(x) => list.partition_point(|(iv, _)| iv.start() <= x),
-        Bound::Excluded(x) => list.partition_point(|(iv, _)| iv.start() < x),
-    };
-    (start, end.max(start))
-}
-
-/// Enumerates all combinations (one candidate per relation) satisfying
-/// every condition of `q`; calls `on_output` for those `accept` approves.
-///
-/// `accept` receives the full assignment — `assignment[r]` is relation `r`'s
-/// `(interval, tuple id)` — and implements the algorithm's ownership rule;
-/// the oracle passes `|_| true`.
-///
-/// Returns the work units spent (candidates examined), which reducers
-/// report to the cost model.
-///
-/// # Panics
-/// Panics if `cands` was not [`finish`](Candidates::finish)ed.
-pub fn join_single_attr(
-    q: &JoinQuery,
-    cands: &Candidates,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
-    on_output: impl FnMut(&[(Interval, TupleId)]),
-) -> u64 {
-    crate::kernel::execute_serial(q, cands, accept, on_output).work
+    window_by(list, |(iv, _)| iv.start(), lo, hi)
 }
 
 /// General multi-attribute backtracking join over full tuples.
@@ -238,7 +224,6 @@ pub fn join_tuples(
     let mut chosen: Vec<usize> = vec![0; m];
     let mut work = 0u64;
     descend_tuples(
-        q,
         lists,
         &order,
         &checks,
@@ -253,7 +238,6 @@ pub fn join_tuples(
 
 #[allow(clippy::too_many_arguments)]
 fn descend_tuples(
-    _q: &JoinQuery,
     lists: &[Vec<(TupleId, Vec<Interval>)>],
     order: &[usize],
     checks: &[Vec<&ij_query::Condition>],
@@ -298,7 +282,6 @@ fn descend_tuples(
         }
         chosen[rel] = i;
         descend_tuples(
-            _q,
             lists,
             order,
             checks,
@@ -320,147 +303,6 @@ mod tests {
         Interval::new(s, e).unwrap()
     }
 
-    /// Brute-force reference: full cross product filtered by the query.
-    fn brute(q: &JoinQuery, cands: &Candidates) -> Vec<Vec<TupleId>> {
-        let m = q.num_relations() as usize;
-        let mut out = Vec::new();
-        let mut idx = vec![0usize; m];
-        loop {
-            let ivs: Vec<Interval> = (0..m).map(|r| cands.list(r)[idx[r]].0).collect();
-            if q.satisfied_by(&ivs) {
-                out.push((0..m).map(|r| cands.list(r)[idx[r]].1).collect());
-            }
-            // Odometer.
-            let mut k = 0;
-            loop {
-                idx[k] += 1;
-                if idx[k] < cands.len(k) {
-                    break;
-                }
-                idx[k] = 0;
-                k += 1;
-                if k == m {
-                    out.sort();
-                    return out;
-                }
-            }
-        }
-    }
-
-    fn run(q: &JoinQuery, cands: &Candidates) -> Vec<Vec<TupleId>> {
-        let mut got = Vec::new();
-        join_single_attr(
-            q,
-            cands,
-            |_| true,
-            |a| got.push(a.iter().map(|(_, t)| *t).collect::<Vec<_>>()),
-        );
-        got.sort();
-        got
-    }
-
-    #[test]
-    fn matches_brute_force_on_chain() {
-        let q = JoinQuery::chain(&[Overlaps, Contains]).unwrap();
-        let mut c = Candidates::new(3);
-        for (i, ivv) in [iv(0, 10), iv(4, 9), iv(20, 30)].into_iter().enumerate() {
-            c.push(0, ivv, i as u32);
-        }
-        for (i, ivv) in [iv(5, 15), iv(8, 40), iv(25, 60)].into_iter().enumerate() {
-            c.push(1, ivv, i as u32);
-        }
-        for (i, ivv) in [iv(9, 12), iv(30, 39), iv(26, 50)].into_iter().enumerate() {
-            c.push(2, ivv, i as u32);
-        }
-        c.finish();
-        assert_eq!(run(&q, &c), brute(&q, &c));
-        assert!(!run(&q, &c).is_empty());
-    }
-
-    #[test]
-    fn matches_brute_force_randomized() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(99);
-        for preds in [
-            vec![Overlaps, Overlaps],
-            vec![Before, Before],
-            vec![Overlaps, Before],
-            vec![Contains, Meets],
-            vec![Equals, Starts],
-            vec![Finishes, OverlappedBy],
-        ] {
-            let q = JoinQuery::chain(&preds).unwrap();
-            for _ in 0..20 {
-                let m = q.num_relations() as usize;
-                let mut c = Candidates::new(m);
-                for r in 0..m {
-                    for t in 0..8u32 {
-                        let s = rng.gen_range(0..40);
-                        let e = s + rng.gen_range(0..15);
-                        c.push(r, iv(s, e), t);
-                    }
-                }
-                c.finish();
-                assert_eq!(run(&q, &c), brute(&q, &c), "preds {preds:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn accept_filters_outputs() {
-        let q = JoinQuery::chain(&[Overlaps]).unwrap();
-        let mut c = Candidates::new(2);
-        c.push(0, iv(0, 10), 0);
-        c.push(1, iv(5, 15), 0);
-        c.push(1, iv(8, 20), 1);
-        c.finish();
-        let mut n = 0;
-        join_single_attr(&q, &c, |a| a[1].1 == 1, |_| n += 1);
-        assert_eq!(n, 1);
-    }
-
-    #[test]
-    fn empty_relation_short_circuits() {
-        let q = JoinQuery::chain(&[Overlaps]).unwrap();
-        let mut c = Candidates::new(2);
-        c.push(0, iv(0, 10), 0);
-        c.finish();
-        let work = join_single_attr(&q, &c, |_| true, |_| panic!("no outputs"));
-        assert_eq!(work, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "finish")]
-    fn unsorted_candidates_panic() {
-        let q = JoinQuery::chain(&[Overlaps]).unwrap();
-        let mut c = Candidates::new(2);
-        c.push(0, iv(0, 10), 0);
-        c.push(1, iv(5, 15), 0);
-        join_single_attr(&q, &c, |_| true, |_| {});
-    }
-
-    #[test]
-    fn windows_prune_work() {
-        // 1000 R2 candidates far to the right; an overlaps window from a
-        // short R1 interval must not scan them all.
-        let q = JoinQuery::chain(&[Overlaps]).unwrap();
-        let mut c = Candidates::new(2);
-        c.push(0, iv(0, 10), 0);
-        for t in 0..1000u32 {
-            c.push(1, iv(1000 + t as i64, 1010 + t as i64), t);
-        }
-        c.push(1, iv(5, 20), 1000);
-        c.finish();
-        let mut outs = 0;
-        let work = join_single_attr(&q, &c, |_| true, |_| outs += 1);
-        assert_eq!(outs, 1);
-        assert!(
-            work < 20,
-            "work = {work}, window should exclude the far tail"
-        );
-    }
-
     #[test]
     fn join_tuples_matches_single_attr_on_plain_queries() {
         let q = JoinQuery::chain(&[Overlaps, Before]).unwrap();
@@ -478,7 +320,9 @@ mod tests {
             }
         }
         c.finish();
-        let fast = run(&q, &c);
+        let mut fast: Vec<Vec<TupleId>> = Vec::new();
+        crate::oracle::reference_join(&q, &c, |a| fast.push(a.iter().map(|(_, t)| *t).collect()));
+        fast.sort();
         let mut slow: Vec<Vec<TupleId>> = Vec::new();
         join_tuples(
             &q,

@@ -26,7 +26,7 @@
 //! *equals* families) add subset facts whose transitive closure extends
 //! intersection to indirectly-connected pairs. Overlaps *chains* famously
 //! do not qualify (`[0,10] ov [5,15] ov [12,20]` has no common point) and
-//! stay on the dual-window sweep.
+//! take the window scan.
 //!
 //! **Deterministic chunking.** The outer positions are event indices. A
 //! chunk first replays its prefix events (appends and swap-removes only —
@@ -38,7 +38,7 @@
 
 use super::ranges::range_pair;
 use super::scratch::with_scratch;
-use super::{Emit, RangePair};
+use super::{Compiled, Emit, RangePair};
 use crate::executor::Candidates;
 use ij_interval::{AllenPredicate, Interval, Time, TupleId};
 use ij_query::JoinQuery;
@@ -122,26 +122,15 @@ struct Event {
     idx: u32,
 }
 
-/// The probe program run when a tuple of one particular relation starts:
-/// a BFS binding order rooted at that relation plus per-level checks in
-/// right-operand form (mirroring [`super::Compiled`]).
-#[derive(Debug)]
-struct Program {
-    /// Relations in binding order; `order[0]` is the trigger relation.
-    order: Vec<usize>,
-    /// `checks[level]` = `(other_rel, pred)` with the level's candidate
-    /// as the right operand of `pred`.
-    checks: Vec<Vec<(usize, AllenPredicate)>>,
-}
-
 /// Precomputed event-sweep structures for one bucket, shared (read-only)
 /// across parallel chunks.
 #[derive(Debug)]
 pub(crate) struct EventSweepPlan {
     /// All relations' endpoints, merged and sorted.
     events: Vec<Event>,
-    /// One probe program per trigger relation.
-    programs: Vec<Program>,
+    /// One probe program per trigger relation: a BFS binding order rooted
+    /// at it (`order[0]` is the trigger) with its per-level checks.
+    programs: Vec<Compiled>,
     /// Whether relation `r` can ever hold a binding's latest-starting
     /// tuple (see [`possible_latest`]). Start events of pruned relations
     /// only update the active arrays — their probes would always come up
@@ -230,7 +219,7 @@ impl EventSweepPlan {
             adj[c.left.rel.idx()].push(c.right.rel.idx());
             adj[c.right.rel.idx()].push(c.left.rel.idx());
         }
-        let programs = (0..m).map(|root| Program::new(q, &adj, root)).collect();
+        let programs = (0..m).map(|root| probe_program(q, &adj, root)).collect();
         EventSweepPlan {
             events,
             programs,
@@ -281,7 +270,7 @@ impl EventSweepPlan {
                 let rel = e.rel as usize;
                 assignment[rel] = cands.list(rel)[e.idx as usize];
                 let program = &self.programs[rel];
-                descend(program, active, 1, assignment, emit, work);
+                probe(program, active, 1, assignment, emit, work);
             }
         });
     }
@@ -319,8 +308,8 @@ fn apply(
 /// Enumerates bindings level by level from the active arrays, with the
 /// level's intersected endpoint ranges checked exactly — predicate
 /// satisfaction *is* range membership (see [`super::ranges`]).
-fn descend(
-    program: &Program,
+fn probe(
+    program: &Compiled,
     active: &[Vec<(Interval, TupleId, u32)>],
     level: usize,
     assignment: &mut Vec<(Interval, TupleId)>,
@@ -344,50 +333,32 @@ fn descend(
     for &(iv, tid, _) in arr {
         if rp.contains(iv) {
             assignment[rel] = (iv, tid);
-            descend(program, active, level + 1, assignment, emit, work);
+            probe(program, active, level + 1, assignment, emit, work);
         }
     }
 }
 
-impl Program {
-    /// BFS binding order rooted at `root` (neighbors in ascending
-    /// relation index — deterministic), with each condition checked at
-    /// the level where its later-bound endpoint binds, oriented so the
-    /// candidate is the right operand.
-    fn new(q: &JoinQuery, adj: &[Vec<usize>], root: usize) -> Program {
-        let m = q.num_relations() as usize;
-        let mut order = vec![root];
-        let mut seen = vec![false; m];
-        seen[root] = true;
-        let mut head = 0;
-        while head < order.len() {
-            let cur = order[head];
-            head += 1;
-            let mut next: Vec<usize> = adj[cur].iter().copied().filter(|&n| !seen[n]).collect();
-            next.sort_unstable();
-            next.dedup();
-            for n in next {
-                seen[n] = true;
-                order.push(n);
-            }
+/// BFS binding order rooted at `root` (neighbors in ascending relation
+/// index — deterministic), compiled to per-level checks.
+fn probe_program(q: &JoinQuery, adj: &[Vec<usize>], root: usize) -> Compiled {
+    let m = q.num_relations() as usize;
+    let mut order = vec![root];
+    let mut seen = vec![false; m];
+    seen[root] = true;
+    let mut head = 0;
+    while head < order.len() {
+        let cur = order[head];
+        head += 1;
+        let mut next: Vec<usize> = adj[cur].iter().copied().filter(|&n| !seen[n]).collect();
+        next.sort_unstable();
+        next.dedup();
+        for n in next {
+            seen[n] = true;
+            order.push(n);
         }
-        debug_assert_eq!(order.len(), m, "qualifying queries are connected");
-        let mut level_of = vec![0usize; m];
-        for (lvl, &r) in order.iter().enumerate() {
-            level_of[r] = lvl;
-        }
-        let mut checks: Vec<Vec<(usize, AllenPredicate)>> = vec![Vec::new(); m];
-        for c in q.conditions() {
-            let (l, r) = (c.left.rel.idx(), c.right.rel.idx());
-            let (lvl, other, pred) = if level_of[l] > level_of[r] {
-                (level_of[l], r, c.pred.inverse())
-            } else {
-                (level_of[r], l, c.pred)
-            };
-            checks[lvl].push((other, pred));
-        }
-        Program { order, checks }
     }
+    debug_assert_eq!(order.len(), m, "qualifying queries are connected");
+    Compiled::from_order(q, order)
 }
 
 #[cfg(test)]

@@ -1,17 +1,15 @@
 //! Predicate-specialized reduce-side join kernels.
 //!
 //! Every reducer of every single-attribute algorithm funnels into
-//! [`execute_serial`] (via `executor::join_single_attr`) or
-//! [`execute_into`] (via [`reduce_join`]): the dispatcher classifies the
-//! query's condition set and routes each bucket to the fastest applicable
-//! kernel —
+//! [`execute_into`] (via [`reduce_join`] / [`reduce_into`]):
+//! [`planned_kernel`] reads the query's condition set — never the bucket —
+//! and routes to one of three kernels —
 //!
 //! | Condition set | Kernel | Counter |
 //! |---|---|---|
+//! | two relations, one overlaps/contains-shaped condition | `sweep` (pair sweep: active set with a retirement array) | `kernel.sweep_buckets` |
 //! | colocation, all pairs provably intersecting | `event_sweep` (merged event list, gapless active arrays) | `kernel.event_sweep_buckets` |
-//! | other colocation-only sets | `sweep` (active-set / dual-window plane sweep) | `kernel.sweep_buckets` |
-//! | sequence only | `sort_merge` (suffix/prefix merge) | `kernel.merge_buckets` |
-//! | mixed (hybrid) | `backtrack` (windowed backtracking) | `kernel.fallback_buckets` |
+//! | everything else: other colocation sets, sequence sets, mixed sets | `window` (windowed descent: narrower of start/end window) | `kernel.sweep_buckets` |
 //!
 //! The event-list sweep is the multi-way generalization of the pair
 //! sweep: one pass over all relations' merged endpoints, emitting each
@@ -20,12 +18,15 @@
 //! intersect (1-D Helly), which `event_sweep::qualifies` proves
 //! statically — colocation cliques and containment-shaped chains route
 //! there, while e.g. pure *overlaps* chains (where the ends of a binding
-//! may not share a point) stay on the dual-window sweep. All kernels are
-//! complete join executors for arbitrary single-attribute
-//! Allen condition sets (they share the binding-order skeleton and differ
-//! only in the per-level scan strategy), so dispatch is purely a
-//! performance decision — property-tested to produce identical result
-//! sets.
+//! may not share a point) take the window scan. The window scan is a
+//! complete join executor for arbitrary single-attribute Allen condition
+//! sets; the two sweeps are complete on their domains only, and
+//! [`execute_kind`] refuses a query outside the forced kernel's domain
+//! instead of substituting another. Within a domain the choice is purely
+//! a performance decision — property-tested to produce identical result
+//! sets, against each other and against `backtrack`, the `holds`-based
+//! windowed-backtracking reference that is the oracle's engine and is
+//! never dispatched.
 //!
 //! **Heavy-bucket intra-reducer parallelism.** When a bucket's candidate
 //! count reaches the configured threshold, [`execute_into`] splits the
@@ -53,13 +54,13 @@
 //! themselves are unchanged: they run over the materialized `Candidates`
 //! index, never over the raw stream.
 
-mod backtrack;
+pub(crate) mod backtrack;
 mod event_sweep;
 mod ranges;
 mod scratch;
 mod sink;
-mod sort_merge;
 mod sweep;
+mod window;
 
 pub use ranges::{range_pair, RangePair};
 pub use sink::{BindingSink, OutputSink};
@@ -70,7 +71,7 @@ use crate::records::OutRec;
 use ij_interval::{AllenPredicate, Interval, TupleId};
 use ij_mapreduce::metrics::names;
 use ij_mapreduce::ReduceCtx;
-use ij_query::{JoinQuery, QueryClass};
+use ij_query::JoinQuery;
 use std::any::Any;
 use std::ops::Range;
 use std::panic::resume_unwind;
@@ -79,79 +80,52 @@ use std::panic::resume_unwind;
 /// in query order.
 pub(crate) type Emit<'a> = dyn FnMut(&[(Interval, TupleId)]) + 'a;
 
-/// Which kernel a bucket was routed to.
+/// The scan strategy of one bucket. Query-static (independent of bucket
+/// contents), so the cost model in `core::estimate` can price reducers
+/// per kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Endpoint-sorted plane sweep (colocation condition sets).
-    Sweep,
-    /// Merged-event-list sweep with gapless active arrays (colocation
+    /// Two-relation active-set sweep with a retirement array (one
+    /// overlaps/contains-shaped condition).
+    PairSweep,
+    /// Merged-event-list sweep over gapless active arrays (colocation
     /// sets whose relation pairs all provably intersect).
     EventSweep,
-    /// Sort-merge path (sequence condition sets).
-    SortMerge,
-    /// Windowed backtracking fallback (mixed Allen condition sets).
-    Backtrack,
+    /// Windowed descent scanning the narrower of each level's start and
+    /// end window (any Allen condition set).
+    Window,
 }
 
 impl KernelKind {
     /// The per-bucket user counter this kernel increments. Valid for
-    /// every kernel kind regardless of predicate class.
+    /// every kernel kind regardless of predicate class. The pair sweep
+    /// and the window scan share `kernel.sweep_buckets`.
     pub fn counter(self) -> &'static str {
         match self {
-            KernelKind::Sweep => names::KERNEL_SWEEP_BUCKETS,
+            KernelKind::PairSweep | KernelKind::Window => names::KERNEL_SWEEP_BUCKETS,
             KernelKind::EventSweep => names::KERNEL_EVENT_SWEEP_BUCKETS,
-            KernelKind::SortMerge => names::KERNEL_MERGE_BUCKETS,
-            KernelKind::Backtrack => names::KERNEL_FALLBACK_BUCKETS,
+        }
+    }
+
+    /// Whether this kernel is a complete executor for `q`'s condition set.
+    fn applies_to(self, q: &JoinQuery) -> bool {
+        match self {
+            KernelKind::PairSweep => sweep::eligible(q),
+            KernelKind::EventSweep => event_sweep::qualifies(q),
+            KernelKind::Window => true,
         }
     }
 }
 
-/// The fine-grained scan strategy the dispatcher will use for a query —
-/// [`KernelKind`] plus the sweep kernel's internal pair/dual-window
-/// split. This is query-static (independent of bucket contents), so the
-/// cost model in `core::estimate` can price reducers per strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelStrategy {
-    /// Two-relation active-set sweep with a retirement array.
-    PairSweep,
-    /// Merged-event-list sweep over gapless active arrays.
-    EventSweep,
-    /// Per-level adaptive dual-window scan.
-    DualWindow,
-    /// Suffix/prefix merge for sequence condition sets.
-    SortMerge,
-    /// Windowed backtracking with per-candidate `holds` re-checks.
-    Backtrack,
-}
-
-/// Whether the sweep kernel's two-relation fast path applies: a single
-/// condition whose predicate orients to an *overlaps*/*contains* shape.
-fn pair_sweep_eligible(q: &JoinQuery) -> bool {
-    use AllenPredicate::*;
-    q.num_relations() == 2
-        && q.conditions().len() == 1
-        && matches!(
-            q.conditions()[0].pred,
-            Overlaps | OverlappedBy | Contains | ContainedBy
-        )
-}
-
-/// The strategy [`execute`] will route `q`'s buckets to. Valid for any
-/// single-attribute query of any predicate class — the mapping depends
-/// only on the condition set.
-pub fn planned_kernel(q: &JoinQuery) -> KernelStrategy {
-    match choose(q) {
-        KernelKind::EventSweep => KernelStrategy::EventSweep,
-        KernelKind::SortMerge => KernelStrategy::SortMerge,
-        KernelKind::Backtrack => KernelStrategy::Backtrack,
-        KernelKind::Sweep => {
-            if pair_sweep_eligible(q) {
-                KernelStrategy::PairSweep
-            } else {
-                KernelStrategy::DualWindow
-            }
-        }
-    }
+/// The kernel [`execute_into`] routes `q`'s buckets to: the strongest
+/// specialization whose domain holds `q`. Valid for any single-attribute
+/// query of any predicate class — the choice depends only on the
+/// condition set.
+pub fn planned_kernel(q: &JoinQuery) -> KernelKind {
+    [KernelKind::PairSweep, KernelKind::EventSweep]
+        .into_iter()
+        .find(|kind| kind.applies_to(q))
+        .unwrap_or(KernelKind::Window)
 }
 
 /// What one [`execute`] call did.
@@ -197,39 +171,29 @@ impl Default for KernelConfig {
     }
 }
 
-/// Routes a condition set to its kernel.
-fn choose(q: &JoinQuery) -> KernelKind {
-    match q.class() {
-        // The pair fast path is the strongest specialization, so
-        // pair-eligible queries keep the classic sweep; other colocation
-        // sets take the event-list sweep when its completeness
-        // precondition (all relation pairs provably intersecting) holds.
-        QueryClass::Colocation if pair_sweep_eligible(q) => KernelKind::Sweep,
-        QueryClass::Colocation if event_sweep::qualifies(q) => KernelKind::EventSweep,
-        QueryClass::Colocation => KernelKind::Sweep,
-        QueryClass::Sequence => KernelKind::SortMerge,
-        // Mixed colocation/sequence sets (and anything unclassified) fall
-        // back to the general windowed backtracking scan.
-        _ => KernelKind::Backtrack,
-    }
-}
-
-/// Binding order plus per-level checks, shared by all kernels.
+/// A binding order plus per-level checks — the program every descent
+/// (window kernel, reference, event-sweep probe) runs.
 ///
 /// `checks[level]` lists `(other_rel, pred)` for every condition whose
 /// later-bound endpoint is at `level`, with the predicate oriented so the
 /// *candidate is the right operand*: the check is `pred.holds(other, cand)`
 /// and the candidate's endpoint ranges come from
 /// [`ranges::range_pair`]`(pred, other)`.
+#[derive(Debug)]
 pub(crate) struct Compiled {
     pub(crate) order: Vec<usize>,
     pub(crate) checks: Vec<Vec<(usize, AllenPredicate)>>,
 }
 
 impl Compiled {
+    /// The start-ordered binding order of `executor::binding_order`.
     fn new(q: &JoinQuery, list_len: impl Fn(usize) -> usize) -> Compiled {
+        Compiled::from_order(q, crate::executor::binding_order(q, list_len))
+    }
+
+    /// `order` must be a permutation of `q`'s relations.
+    fn from_order(q: &JoinQuery, order: Vec<usize>) -> Compiled {
         let m = q.num_relations() as usize;
-        let order = crate::executor::binding_order(q, list_len);
         let mut level_of = vec![0usize; m];
         for (lvl, &r) in order.iter().enumerate() {
             level_of[r] = lvl;
@@ -250,17 +214,24 @@ impl Compiled {
     }
 }
 
+/// The precomputed, immutable structures of one bucket's kernel.
+enum Plan {
+    Pair(sweep::PairSweep),
+    Event(event_sweep::EventSweepPlan),
+    Window(window::WindowPlan),
+}
+
 /// One prepared bucket: everything the chunk runner needs, immutable.
 struct Prepared {
     kind: KernelKind,
-    compiled: Compiled,
-    sweep: Option<sweep::SweepPlan>,
-    event: Option<event_sweep::EventSweepPlan>,
+    plan: Plan,
     outer_len: usize,
     total: usize,
 }
 
-fn prepare(q: &JoinQuery, cands: &Candidates, kind: KernelKind) -> Option<Prepared> {
+/// `None` for a bucket with an empty relation. Precondition:
+/// `kind.applies_to(q)`.
+fn prepare(kind: KernelKind, q: &JoinQuery, cands: &Candidates) -> Option<Prepared> {
     assert!(
         cands.is_sorted(),
         "Candidates::finish must be called before joining"
@@ -268,53 +239,23 @@ fn prepare(q: &JoinQuery, cands: &Candidates, kind: KernelKind) -> Option<Prepar
     if cands.any_empty() {
         return None;
     }
-    let m = q.num_relations() as usize;
-    let compiled = Compiled::new(q, |r| cands.len(r));
-    let sweep = (kind == KernelKind::Sweep).then(|| sweep::SweepPlan::new(q, cands, &compiled));
-    let event =
-        (kind == KernelKind::EventSweep).then(|| event_sweep::EventSweepPlan::new(q, cands));
-    let outer_len = match (&sweep, &event) {
-        (Some(p), _) => p.outer_len(cands, &compiled),
-        (_, Some(p)) => p.outer_len(),
-        _ => cands.len(compiled.order[0]),
+    let plan = match kind {
+        KernelKind::PairSweep => Plan::Pair(sweep::PairSweep::new(q, cands)),
+        KernelKind::EventSweep => Plan::Event(event_sweep::EventSweepPlan::new(q, cands)),
+        KernelKind::Window => Plan::Window(window::WindowPlan::new(q, cands)),
     };
-    let total = (0..m).map(|r| cands.len(r)).sum();
+    let outer_len = match &plan {
+        Plan::Pair(p) => p.outer_len(),
+        Plan::Event(p) => p.outer_len(),
+        Plan::Window(p) => p.outer_len(cands),
+    };
+    let total = (0..q.num_relations() as usize).map(|r| cands.len(r)).sum();
     Some(Prepared {
         kind,
-        compiled,
-        sweep,
-        event,
+        plan,
         outer_len,
         total,
     })
-}
-
-fn run_range(
-    prep: &Prepared,
-    cands: &Candidates,
-    outer: Range<usize>,
-    emit: &mut Emit<'_>,
-    work: &mut u64,
-    active_peak: &mut u64,
-) {
-    match prep.kind {
-        KernelKind::Backtrack => backtrack::run(cands, &prep.compiled, outer, emit, work),
-        KernelKind::SortMerge => sort_merge::run(cands, &prep.compiled, outer, emit, work),
-        KernelKind::Sweep => prep.sweep.as_ref().expect("sweep plan prepared").run(
-            cands,
-            &prep.compiled,
-            outer,
-            emit,
-            work,
-        ),
-        KernelKind::EventSweep => prep.event.as_ref().expect("event sweep plan prepared").run(
-            cands,
-            outer,
-            emit,
-            work,
-            active_peak,
-        ),
-    }
 }
 
 impl KernelReport {
@@ -339,53 +280,41 @@ fn run_serial(
     mut on_output: impl FnMut(&[(Interval, TupleId)]),
 ) -> KernelReport {
     let mut rep = KernelReport::idle(prep.kind);
-    run_range(
-        prep,
-        cands,
-        outer,
-        &mut |a| {
-            if accept(a) {
-                on_output(a)
-            }
-        },
-        &mut rep.work,
-        &mut rep.active_peak,
-    );
+    let emit: &mut Emit<'_> = &mut |a| {
+        if accept(a) {
+            on_output(a)
+        }
+    };
+    match &prep.plan {
+        Plan::Pair(p) => p.run(cands, outer, emit, &mut rep.work),
+        Plan::Event(p) => p.run(cands, outer, emit, &mut rep.work, &mut rep.active_peak),
+        Plan::Window(p) => p.run(cands, outer, emit, &mut rep.work),
+    }
     rep
 }
 
-fn run_forced(
+/// Runs `q` over `cands` on one thread with the `kind` kernel forced — the
+/// entry point for equivalence tests and benches. Returns `None`, having
+/// run nothing, when `q` lies outside `kind`'s domain: the pair sweep
+/// takes two relations joined by one overlaps/contains-shaped condition,
+/// the event sweep colocation sets whose relation pairs all provably
+/// intersect, the window scan any single-attribute condition set.
+pub fn execute_kind(
     kind: KernelKind,
     q: &JoinQuery,
     cands: &Candidates,
     accept: impl Fn(&[(Interval, TupleId)]) -> bool,
     on_output: impl FnMut(&[(Interval, TupleId)]),
-) -> KernelReport {
-    match prepare(q, cands, kind) {
+) -> Option<KernelReport> {
+    kind.applies_to(q).then(|| match prepare(kind, q, cands) {
         Some(prep) => run_serial(&prep, cands, 0..prep.outer_len, accept, on_output),
         None => KernelReport::idle(kind),
-    }
-}
-
-/// Dispatching kernel execution, serial only (no `Sync` bound on
-/// `accept`). Precondition: any single-attribute query — the dispatcher
-/// routes colocation condition sets to the sweep, sequence sets to
-/// sort-merge and mixed Allen sets to the backtracking fallback.
-///
-/// `executor::join_single_attr` delegates here, so the whole algorithm
-/// suite picks the kernels up without signature changes.
-pub fn execute_serial(
-    q: &JoinQuery,
-    cands: &Candidates,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
-    on_output: impl FnMut(&[(Interval, TupleId)]),
-) -> KernelReport {
-    run_forced(choose(q), q, cands, accept, on_output)
+    })
 }
 
 /// Dispatching kernel execution with heavy-bucket parallelism, feeding an
-/// [`OutputSink`]. Precondition: any single-attribute query (same
-/// predicate-class routing as [`execute_serial`]).
+/// [`OutputSink`]. Precondition: any single-attribute query; the kernel
+/// is [`planned_kernel`]`(q)`.
 ///
 /// When the bucket's total candidate count reaches
 /// `cfg.parallel_threshold` and `cfg.threads > 1`, the outer iteration is
@@ -401,8 +330,8 @@ pub fn execute_into(
     accept: impl Fn(&[(Interval, TupleId)]) -> bool + Sync,
     sink: &mut impl OutputSink,
 ) -> KernelReport {
-    let kind = choose(q);
-    let Some(prep) = prepare(q, cands, kind) else {
+    let kind = planned_kernel(q);
+    let Some(prep) = prepare(kind, q, cands) else {
         return KernelReport::idle(kind);
     };
     let threads = if prep.total >= cfg.parallel_threshold {
@@ -462,7 +391,7 @@ pub fn execute_into(
 /// The closure form of [`execute_into`]: `on_output` observes every
 /// accepted binding on the calling thread, in serial emission order.
 /// Precondition: any single-attribute query (same predicate-class
-/// routing as [`execute_serial`]).
+/// routing as [`execute_into`]).
 ///
 /// On the parallel path each chunk buffers its rows and the caller
 /// replays them in chunk order — reducers that only count, collect rows
@@ -520,9 +449,9 @@ pub fn reduce_into(
 /// The reducer of a join cycle: [`reduce_into`] with the sink `mode`
 /// calls for — rows appended to `out` when materializing, one
 /// `OutRec::Count` (if nonzero) when counting — plus the `join.candidates`
-/// / `join.emitted` counters. Algorithm call sites use this instead of raw
-/// `join_single_attr`. Precondition: any single-attribute query; the
-/// dispatcher picks the kernel by predicate class.
+/// / `join.emitted` counters — the one call every algorithm's join cycle
+/// makes. Precondition: any single-attribute query; the dispatcher picks
+/// the kernel by predicate class.
 pub fn reduce_join(
     ctx: &mut ReduceCtx,
     q: &JoinQuery,
@@ -549,59 +478,6 @@ pub fn reduce_join(
     ctx.inc(names::JOIN_CANDIDATES, rep.work);
     ctx.inc(names::JOIN_EMITTED, emitted);
     rep
-}
-
-/// Forces the plane-sweep kernel (complete for any single-attribute
-/// query); returns work units. Used by benchmarks and equivalence tests.
-pub fn sweep_join(
-    q: &JoinQuery,
-    cands: &Candidates,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
-    on_output: impl FnMut(&[(Interval, TupleId)]),
-) -> u64 {
-    run_forced(KernelKind::Sweep, q, cands, accept, on_output).work
-}
-
-/// Forces the event-list sweep (complete only for colocation condition
-/// sets whose relation pairs all provably intersect — see
-/// `event_sweep::qualifies`); non-qualifying queries fall back to the
-/// plane sweep, which is complete for any single-attribute query.
-/// Returns work units. Used by benchmarks and equivalence tests.
-pub fn event_sweep_join(
-    q: &JoinQuery,
-    cands: &Candidates,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
-    on_output: impl FnMut(&[(Interval, TupleId)]),
-) -> u64 {
-    let kind = if event_sweep::qualifies(q) {
-        KernelKind::EventSweep
-    } else {
-        KernelKind::Sweep
-    };
-    run_forced(kind, q, cands, accept, on_output).work
-}
-
-/// Forces the sort-merge kernel (complete for any single-attribute
-/// query); returns work units.
-pub fn merge_join(
-    q: &JoinQuery,
-    cands: &Candidates,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
-    on_output: impl FnMut(&[(Interval, TupleId)]),
-) -> u64 {
-    run_forced(KernelKind::SortMerge, q, cands, accept, on_output).work
-}
-
-/// Forces the windowed backtracking fallback (the pre-kernel
-/// `join_single_attr` semantics, complete for any single-attribute
-/// query including mixed Allen condition sets); returns work units.
-pub fn backtrack_join(
-    q: &JoinQuery,
-    cands: &Candidates,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
-    on_output: impl FnMut(&[(Interval, TupleId)]),
-) -> u64 {
-    run_forced(KernelKind::Backtrack, q, cands, accept, on_output).work
 }
 
 #[cfg(test)]
@@ -639,38 +515,75 @@ mod tests {
         (work, got)
     }
 
+    /// Sorted tuple ids from `kind` forced on `q` (which must lie in its
+    /// domain).
+    fn forced(kind: KernelKind, q: &JoinQuery, c: &Candidates) -> Vec<Vec<TupleId>> {
+        let (_, mut got) = collect(|e| {
+            execute_kind(kind, q, c, |_| true, |a| e(a))
+                .expect("query in the kernel's domain")
+                .work
+        });
+        got.sort();
+        got
+    }
+
+    fn reference(q: &JoinQuery, c: &Candidates) -> Vec<Vec<TupleId>> {
+        let (_, mut got) = collect(|e| backtrack::reference_join(q, c, |a| e(a)));
+        got.sort();
+        got
+    }
+
     #[test]
-    fn dispatch_follows_query_class() {
+    fn dispatch_follows_the_condition_set() {
         // Overlaps∘Contains chains don't guarantee pairwise intersection,
-        // so they stay on the dual-window sweep.
+        // so they take the window scan — like sequence and mixed sets.
         let coloc = JoinQuery::chain(&[Overlaps, Contains]).unwrap();
         let seq = JoinQuery::chain(&[Before, Before]).unwrap();
         let mixed = JoinQuery::chain(&[Overlaps, Before]).unwrap();
-        assert_eq!(choose(&coloc), KernelKind::Sweep);
-        assert_eq!(choose(&seq), KernelKind::SortMerge);
-        assert_eq!(choose(&mixed), KernelKind::Backtrack);
+        for q in [&coloc, &seq, &mixed] {
+            assert_eq!(planned_kernel(q), KernelKind::Window, "{q}");
+        }
         // Qualifying multi-way colocation sets route to the event sweep:
         // cliques (every pair conditioned) and containment chains.
-        let clique = JoinQuery::new(
-            3,
-            vec![
-                ij_query::Condition::whole(0, Overlaps, 1),
-                ij_query::Condition::whole(1, Contains, 2),
-                ij_query::Condition::whole(0, Overlaps, 2),
-            ],
-        )
-        .unwrap();
-        assert_eq!(choose(&clique), KernelKind::EventSweep);
+        assert_eq!(planned_kernel(&clique3()), KernelKind::EventSweep);
         let containment = JoinQuery::chain(&[Contains, Contains]).unwrap();
-        assert_eq!(choose(&containment), KernelKind::EventSweep);
-        // Pair-eligible queries keep the pair-sweep fast path.
-        let pair = JoinQuery::chain(&[Overlaps]).unwrap();
-        assert_eq!(choose(&pair), KernelKind::Sweep);
-        assert_eq!(planned_kernel(&pair), KernelStrategy::PairSweep);
-        assert_eq!(planned_kernel(&coloc), KernelStrategy::DualWindow);
-        assert_eq!(planned_kernel(&clique), KernelStrategy::EventSweep);
-        assert_eq!(planned_kernel(&seq), KernelStrategy::SortMerge);
-        assert_eq!(planned_kernel(&mixed), KernelStrategy::Backtrack);
+        assert_eq!(planned_kernel(&containment), KernelKind::EventSweep);
+        // Pair-shaped queries keep the pair sweep, the strongest
+        // specialization, although they qualify for the event sweep too.
+        for p in [Overlaps, OverlappedBy, Contains, ContainedBy] {
+            let pair = JoinQuery::chain(&[p]).unwrap();
+            assert_eq!(planned_kernel(&pair), KernelKind::PairSweep, "{p}");
+            assert!(KernelKind::EventSweep.applies_to(&pair), "{p}");
+        }
+        // Other two-relation colocation predicates are event-sweep buckets.
+        assert_eq!(
+            planned_kernel(&JoinQuery::chain(&[Meets]).unwrap()),
+            KernelKind::EventSweep
+        );
+    }
+
+    #[test]
+    fn forced_kernels_refuse_queries_outside_their_domain() {
+        let c3 = random_cands(3, 10, 1);
+        let c2 = random_cands(2, 10, 1);
+        let refused = |kind, q: &JoinQuery, c: &Candidates| {
+            execute_kind(kind, q, c, |_| true, |_| panic!("nothing may run")).is_none()
+        };
+        let chain = JoinQuery::chain(&[Overlaps, Overlaps]).unwrap();
+        assert!(refused(KernelKind::PairSweep, &chain, &c3));
+        assert!(refused(KernelKind::EventSweep, &chain, &c3));
+        assert!(refused(
+            KernelKind::PairSweep,
+            &JoinQuery::chain(&[Meets]).unwrap(),
+            &c2
+        ));
+        assert!(refused(
+            KernelKind::EventSweep,
+            &JoinQuery::chain(&[Before]).unwrap(),
+            &c2
+        ));
+        let rep = execute_kind(KernelKind::Window, &chain, &c3, |_| true, |_| {}).unwrap();
+        assert_eq!(rep.kind, KernelKind::Window);
     }
 
     /// A satisfiable 3-clique: r0 ov r1, r1 ⊇ r2, r0 ov r2 — e.g.
@@ -692,15 +605,14 @@ mod tests {
         let q = clique3();
         for seed in 0..6 {
             let c = random_cands(3, 40, 100 + seed);
-            let (_, mut es) = collect(|e| event_sweep_join(&q, &c, |_| true, |a| e(a)));
-            let (_, mut bt) = collect(|e| backtrack_join(&q, &c, |_| true, |a| e(a)));
-            let (_, mut sw) = collect(|e| sweep_join(&q, &c, |_| true, |a| e(a)));
-            es.sort();
-            bt.sort();
-            sw.sort();
+            let es = forced(KernelKind::EventSweep, &q, &c);
             assert!(!es.is_empty(), "workload too sparse");
-            assert_eq!(es, bt, "event sweep != backtrack");
-            assert_eq!(es, sw, "event sweep != dual-window sweep");
+            assert_eq!(es, reference(&q, &c), "event sweep != reference");
+            assert_eq!(
+                es,
+                forced(KernelKind::Window, &q, &c),
+                "event sweep != window scan"
+            );
         }
     }
 
@@ -758,14 +670,18 @@ mod tests {
         for p in AllenPredicate::ALL {
             let q = JoinQuery::chain(&[p]).unwrap();
             let c = random_cands(2, 40, 7 + p as u64);
-            let (_, mut bt) = collect(|e| backtrack_join(&q, &c, |_| true, |a| e(a)));
-            let (_, mut sw) = collect(|e| sweep_join(&q, &c, |_| true, |a| e(a)));
-            let (_, mut mg) = collect(|e| merge_join(&q, &c, |_| true, |a| e(a)));
-            bt.sort();
-            sw.sort();
-            mg.sort();
-            assert_eq!(bt, sw, "{p}: sweep != backtrack");
-            assert_eq!(bt, mg, "{p}: merge != backtrack");
+            let reference = reference(&q, &c);
+            assert_eq!(
+                reference,
+                forced(KernelKind::Window, &q, &c),
+                "{p}: window scan != reference"
+            );
+            // The dispatched kernel (pair or event sweep where they apply).
+            assert_eq!(
+                reference,
+                forced(planned_kernel(&q), &q, &c),
+                "{p}: dispatched kernel != reference"
+            );
         }
     }
 
@@ -812,7 +728,8 @@ mod tests {
         let rep = execute(&q, &c, &cfg, |a| a[1].1 % 2 == 0, |a| par.push(a[1].1));
         assert!(rep.parallel_chunks > 1);
         let mut ser = Vec::new();
-        execute_serial(&q, &c, |a| a[1].1 % 2 == 0, |a| ser.push(a[1].1));
+        let serial = KernelConfig::serial();
+        execute(&q, &c, &serial, |a| a[1].1 % 2 == 0, |a| ser.push(a[1].1));
         assert_eq!(par, ser);
         assert!(par.iter().all(|t| t % 2 == 0));
     }
@@ -823,9 +740,10 @@ mod tests {
         let mut c = Candidates::new(2);
         c.push(0, iv(0, 5), 0);
         c.finish();
-        let rep = execute_serial(&q, &c, |_| true, |_| panic!("no outputs"));
+        let serial = KernelConfig::serial();
+        let rep = execute(&q, &c, &serial, |_| true, |_| panic!("no outputs"));
         assert_eq!(rep.work, 0);
-        assert_eq!(rep.kind, KernelKind::Sweep);
+        assert_eq!(rep.kind, KernelKind::PairSweep);
     }
 
     #[test]

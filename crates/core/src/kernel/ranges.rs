@@ -8,8 +8,8 @@
 //! `s2 ∈ (s1, e1)` and `e2 ∈ (e1, ∞)`; `contains` into `s2 ∈ (s1, e1)` and
 //! `e2 ∈ (s1, e1)` (using `s2 <= e2`).
 //!
-//! This is what lets the sweep and sort-merge kernels drop the per-candidate
-//! `holds` re-check of the backtracking path: conditions at one binding
+//! This is what lets the production kernels drop the per-candidate `holds`
+//! re-check of the backtracking reference: conditions at one binding
 //! level intersect their start ranges and their end ranges, and membership
 //! in both intersected ranges *is* satisfaction of all the conditions. The
 //! decomposition is verified exhaustively against [`AllenPredicate::holds`]
@@ -138,24 +138,15 @@ pub fn range_pair(pred: AllenPredicate, r1: Interval) -> RangePair {
     rp
 }
 
-/// Index range of an end-sorted `(end, index)` list compatible with bounds
-/// on the end point — the end-list analogue of `executor::window`.
-pub(crate) fn window_ends(
-    ends: &[(Time, u32)],
-    lo: Bound<Time>,
-    hi: Bound<Time>,
-) -> (usize, usize) {
-    let start = match lo {
-        Bound::Unbounded => 0,
-        Bound::Included(x) => ends.partition_point(|&(e, _)| e < x),
-        Bound::Excluded(x) => ends.partition_point(|&(e, _)| e <= x),
-    };
-    let end = match hi {
-        Bound::Unbounded => ends.len(),
-        Bound::Included(x) => ends.partition_point(|&(e, _)| e <= x),
-        Bound::Excluded(x) => ends.partition_point(|&(e, _)| e < x),
-    };
-    (start, end.max(start))
+/// Whether `pred` (candidate as right operand) constrains the candidate's
+/// end point beyond what its start range already implies through
+/// `s2 <= e2` — i.e. whether an end-sorted window over the candidates can
+/// ever be narrower than the start window. Every Allen predicate but
+/// `before` does: `before`'s literal constraint is `s2 > e1` alone, and
+/// the normalized end range `e2 > e1` it induces admits every candidate
+/// the start range admits.
+pub(crate) fn constrains_end(pred: AllenPredicate) -> bool {
+    pred != AllenPredicate::Before
 }
 
 #[cfg(test)]
@@ -270,31 +261,18 @@ mod tests {
         }
     }
 
+    /// `constrains_end` is exactly "the end range can exclude a candidate
+    /// the start range admits", over the dense universe.
     #[test]
-    fn window_ends_matches_scan() {
-        let ends: Vec<(Time, u32)> = vec![(1, 0), (3, 1), (3, 2), (7, 3), (9, 4)];
-        for lo in [
-            Bound::Unbounded,
-            Bound::Included(3),
-            Bound::Excluded(3),
-            Bound::Included(10),
-        ] {
-            for hi in [
-                Bound::Unbounded,
-                Bound::Included(3),
-                Bound::Excluded(3),
-                Bound::Excluded(0),
-            ] {
-                let (from, to) = window_ends(&ends, lo, hi);
-                for (i, &(e, _)) in ends.iter().enumerate() {
-                    let inside = bounds_contain((lo, hi), e);
-                    assert_eq!(
-                        (from..to).contains(&i),
-                        inside,
-                        "lo={lo:?} hi={hi:?} i={i} e={e}"
-                    );
-                }
-            }
+    fn constrains_end_matches_the_ranges() {
+        let ivs = universe(5);
+        for p in AllenPredicate::ALL {
+            let end_can_exclude = ivs.iter().any(|&a| {
+                let rp = range_pair(p, a);
+                ivs.iter()
+                    .any(|&b| bounds_contain(rp.start, b.start()) && !rp.contains(b))
+            });
+            assert_eq!(constrains_end(p), end_can_exclude, "{p}");
         }
     }
 }

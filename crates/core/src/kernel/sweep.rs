@@ -1,55 +1,31 @@
-//! Endpoint-sorted plane-sweep kernel for colocation condition sets.
+//! The pair sweep: a genuine active-set plane sweep for two relations
+//! joined by one `overlaps`/`contains`-shaped condition.
 //!
-//! Two strategies, both driven by the exact range decomposition of
-//! [`super::ranges`]:
+//! Outer intervals are processed in end-point order; inner candidates
+//! whose end point can no longer satisfy the end range are *retired* from
+//! an alive list (a path-compressed next-pointer array over the
+//! start-sorted inner list, O(1) amortized deletion and skip). Every alive
+//! candidate inside the outer's start range is then an exact match —
+//! enumeration is output-linear, `O(n log n + output)` overall.
 //!
-//! * **Pair sweep** (`m == 2`, single `overlaps`/`contains`-shaped
-//!   condition): a genuine active-set plane sweep. Outer intervals are
-//!   processed in end-point order; inner candidates whose end point can no
-//!   longer satisfy the end range are *retired* from an alive list (a
-//!   path-compressed next-pointer array over the start-sorted inner list,
-//!   O(1) amortized deletion and skip). Every alive candidate inside the
-//!   outer's start range is then an exact match — enumeration is
-//!   output-linear, `O(n log n + output)` overall.
-//!
-//! * **Adaptive dual-window scan** (general colocation sets, any arity):
-//!   each relation gets an end-sorted view next to its start-sorted list;
-//!   at each binding level the intersected [`RangePair`] yields a start
-//!   window *and* an end window, and the kernel scans whichever is
-//!   narrower, filtering by the other range with a single comparison. For
-//!   predicates like `overlaps` with long outer intervals the end window
-//!   (`e2 > e1`) is often tiny while the start window (`s2 ∈ (s1, e1)`)
-//!   is huge — exactly the case where the windowed backtracking path
-//!   degrades.
-//!
-//! Outer iteration (level 0) is a contiguous position range in a fixed
-//! per-call order (end order for the pair sweep, start order otherwise), so
-//! the parallel driver in [`super`] can chunk it across workers: each
-//! worker's alive state depends only on the outer interval being processed
-//! (retirement is monotone along the outer order), making chunked output a
+//! Outer iteration is a contiguous position range of the end order, so the
+//! parallel driver in [`super`] can chunk it: a worker's alive state
+//! depends only on the outer interval being processed (retirement is
+//! monotone along the outer order), making chunked output a
 //! permutation-free concatenation of the serial emission order.
 
-use super::ranges::{range_pair, window_ends};
-use super::scratch::with_scratch;
-use super::{Compiled, Emit, RangePair};
-use crate::executor::{window, Candidates};
-use ij_interval::{bounds_contain, AllenPredicate, Interval, Time, TupleId};
+use super::scratch::{with_scratch, Scratch};
+use super::window::end_view;
+use super::Emit;
+use crate::executor::Candidates;
+use ij_interval::{AllenPredicate, Time};
 use ij_query::JoinQuery;
 use std::ops::Range;
 
-/// Precomputed sweep structures for one bucket, shared (read-only) across
-/// parallel chunks.
+/// The sweep structures of one bucket, shared (read-only) across parallel
+/// chunks.
 #[derive(Debug)]
-pub(crate) struct SweepPlan {
-    /// Per-relation end-sorted views: `(end, index into the start-sorted
-    /// list)`, sorted by `(end, index)`. Empty for the level-0 relation.
-    ends: Vec<Vec<(Time, u32)>>,
-    pair: Option<PairSweep>,
-}
-
-/// The specialized two-relation active-set sweep.
-#[derive(Debug)]
-struct PairSweep {
+pub(crate) struct PairSweep {
     outer_rel: usize,
     inner_rel: usize,
     /// `false` → `overlaps` shape (inner must outlive the outer: retire
@@ -64,147 +40,28 @@ struct PairSweep {
     inner_ends: Vec<(Time, u32)>,
 }
 
-fn end_view(list: &[(Interval, TupleId)]) -> Vec<(Time, u32)> {
-    let mut v: Vec<(Time, u32)> = list
-        .iter()
-        .enumerate()
-        .map(|(i, (iv, _))| (iv.end(), i as u32))
-        .collect();
-    v.sort_unstable();
-    v
+/// `(outer_rel, inner_rel, contains)` when `q` is pair-shaped: two
+/// relations and a single condition that orients — outer = the provably
+/// earlier-starting operand — to *overlaps* or *contains*.
+fn shape(q: &JoinQuery) -> Option<(usize, usize, bool)> {
+    use AllenPredicate::*;
+    let [c] = q.conditions() else { return None };
+    if q.num_relations() != 2 {
+        return None;
+    }
+    let (l, r) = (c.left.rel.idx(), c.right.rel.idx());
+    match c.pred {
+        Overlaps => Some((l, r, false)),
+        OverlappedBy => Some((r, l, false)),
+        Contains => Some((l, r, true)),
+        ContainedBy => Some((r, l, true)),
+        _ => None,
+    }
 }
 
-impl SweepPlan {
-    pub(crate) fn new(q: &JoinQuery, cands: &Candidates, compiled: &Compiled) -> SweepPlan {
-        // Pair fast path: two relations, one condition, oriented to an
-        // `overlaps`/`contains` shape (binding_order places the provably
-        // earlier-starting relation first, so the level-1 predicate is in
-        // left-operand form for both families).
-        if compiled.order.len() == 2 && q.conditions().len() == 1 {
-            if let [(other, pred)] = compiled.checks[1][..] {
-                if matches!(pred, AllenPredicate::Overlaps | AllenPredicate::Contains) {
-                    let outer_rel = other;
-                    let inner_rel = compiled.order[1];
-                    let contains = pred == AllenPredicate::Contains;
-                    let mut outer_order: Vec<u32> = {
-                        let ends = end_view(cands.list(outer_rel));
-                        ends.into_iter().map(|(_, i)| i).collect()
-                    };
-                    if contains {
-                        outer_order.reverse();
-                    }
-                    return SweepPlan {
-                        ends: Vec::new(),
-                        pair: Some(PairSweep {
-                            outer_rel,
-                            inner_rel,
-                            contains,
-                            outer_order,
-                            inner_ends: end_view(cands.list(inner_rel)),
-                        }),
-                    };
-                }
-            }
-        }
-        let m = q.num_relations() as usize;
-        let ends = (0..m)
-            .map(|r| {
-                if r == compiled.order[0] {
-                    Vec::new()
-                } else {
-                    end_view(cands.list(r))
-                }
-            })
-            .collect();
-        SweepPlan { ends, pair: None }
-    }
-
-    /// Level-0 iteration length (chunkable outer positions).
-    pub(crate) fn outer_len(&self, cands: &Candidates, compiled: &Compiled) -> usize {
-        match &self.pair {
-            Some(p) => p.outer_order.len(),
-            None => cands.len(compiled.order[0]),
-        }
-    }
-
-    /// Runs the sweep over `outer` positions of the plan's outer order.
-    pub(crate) fn run(
-        &self,
-        cands: &Candidates,
-        compiled: &Compiled,
-        outer: Range<usize>,
-        emit: &mut Emit<'_>,
-        work: &mut u64,
-    ) {
-        match &self.pair {
-            Some(p) => p.run(cands, outer, emit, work),
-            None => self.run_multi(cands, compiled, outer, emit, work),
-        }
-    }
-
-    fn run_multi(
-        &self,
-        cands: &Candidates,
-        compiled: &Compiled,
-        outer: Range<usize>,
-        emit: &mut Emit<'_>,
-        work: &mut u64,
-    ) {
-        let rel0 = compiled.order[0];
-        let list0 = cands.list(rel0);
-        with_scratch(|s| {
-            let assignment = s.reset_assignment(compiled.order.len());
-            *work += outer.len() as u64;
-            for &(iv, tid) in &list0[outer] {
-                assignment[rel0] = (iv, tid);
-                self.descend(cands, compiled, 1, assignment, emit, work);
-            }
-        });
-    }
-
-    fn descend(
-        &self,
-        cands: &Candidates,
-        compiled: &Compiled,
-        level: usize,
-        assignment: &mut Vec<(Interval, TupleId)>,
-        emit: &mut Emit<'_>,
-        work: &mut u64,
-    ) {
-        if level == compiled.order.len() {
-            emit(assignment);
-            return;
-        }
-        let rel = compiled.order[level];
-        let mut rp = RangePair::full();
-        for &(other, pred) in &compiled.checks[level] {
-            rp.intersect(&range_pair(pred, assignment[other].0));
-        }
-        let list = cands.list(rel);
-        let ends = &self.ends[rel];
-        let (sfrom, sto) = window(list, rp.start.0, rp.start.1);
-        let (efrom, eto) = window_ends(ends, rp.end.0, rp.end.1);
-        // Scan the narrower window, filter by the other range — exact
-        // either way, no `holds` re-check.
-        if eto - efrom < sto - sfrom {
-            *work += (eto - efrom) as u64;
-            for &(_, idx) in &ends[efrom..eto] {
-                let (iv, tid) = list[idx as usize];
-                if bounds_contain(rp.start, iv.start()) {
-                    assignment[rel] = (iv, tid);
-                    self.descend(cands, compiled, level + 1, assignment, emit, work);
-                }
-            }
-        } else {
-            *work += (sto - sfrom) as u64;
-            for &(iv, tid) in &list[sfrom..sto] {
-                if bounds_contain(rp.end, iv.end()) {
-                    assignment[rel] = (iv, tid);
-                    self.descend(cands, compiled, level + 1, assignment, emit, work);
-                }
-            }
-        }
-    }
+/// Whether the pair sweep is a complete executor for `q`.
+pub(super) fn eligible(q: &JoinQuery) -> bool {
+    shape(q).is_some()
 }
 
 /// First alive position `>= i` in the retirement array (path-halving find;
@@ -220,13 +77,44 @@ fn find(next: &mut [u32], mut i: usize) -> usize {
 }
 
 impl PairSweep {
-    fn run(&self, cands: &Candidates, outer: Range<usize>, emit: &mut Emit<'_>, work: &mut u64) {
+    /// Precondition: [`eligible`]`(q)`.
+    pub(super) fn new(q: &JoinQuery, cands: &Candidates) -> PairSweep {
+        let (outer_rel, inner_rel, contains) = shape(q).expect("pair sweep on a pair-shaped query");
+        let mut outer_order: Vec<u32> = end_view(cands.list(outer_rel))
+            .into_iter()
+            .map(|(_, i)| i)
+            .collect();
+        if contains {
+            outer_order.reverse();
+        }
+        PairSweep {
+            outer_rel,
+            inner_rel,
+            contains,
+            outer_order,
+            inner_ends: end_view(cands.list(inner_rel)),
+        }
+    }
+
+    /// Chunkable outer positions: one per outer interval.
+    pub(super) fn outer_len(&self) -> usize {
+        self.outer_order.len()
+    }
+
+    /// Runs the sweep over `outer` positions of the outer end order.
+    pub(super) fn run(
+        &self,
+        cands: &Candidates,
+        outer: Range<usize>,
+        emit: &mut Emit<'_>,
+        work: &mut u64,
+    ) {
         let outer_list = cands.list(self.outer_rel);
         let inner_list = cands.list(self.inner_rel);
         let n = inner_list.len();
         with_scratch(|s| {
             s.reset_assignment(2);
-            let super::scratch::Scratch {
+            let Scratch {
                 assignment, next, ..
             } = s;
             // Alive structure over the start-sorted inner list. Retirement
@@ -243,38 +131,31 @@ impl PairSweep {
                 assignment[self.outer_rel] = (o_iv, o_tid);
                 if self.contains {
                     // Alive ⇔ e2 < e1 (outer ends descending ⇒ retire from
-                    // the top of the end order). Every alive inner with
-                    // s2 > s1 is a match: s2 <= e2 < e1 holds automatically.
+                    // the top of the end order).
                     while retire > 0 && self.inner_ends[retire - 1].0 >= e1 {
                         retire -= 1;
                         let victim = self.inner_ends[retire].1 as usize;
                         next[victim] = victim as u32 + 1;
                     }
-                    let from = inner_list.partition_point(|(iv, _)| iv.start() <= s1);
-                    let mut j = find(next, from);
-                    while j < n {
-                        *work += 1;
-                        assignment[self.inner_rel] = inner_list[j];
-                        emit(assignment);
-                        j = find(next, j + 1);
-                    }
                 } else {
                     // Alive ⇔ e2 > e1 (outer ends ascending ⇒ retire from
-                    // the bottom). Every alive inner with s2 ∈ (s1, e1) is
-                    // a match.
+                    // the bottom).
                     while retire < n && self.inner_ends[retire].0 <= e1 {
                         let victim = self.inner_ends[retire].1 as usize;
                         next[victim] = victim as u32 + 1;
                         retire += 1;
                     }
-                    let from = inner_list.partition_point(|(iv, _)| iv.start() <= s1);
-                    let mut j = find(next, from);
-                    while j < n && inner_list[j].0.start() < e1 {
-                        *work += 1;
-                        assignment[self.inner_rel] = inner_list[j];
-                        emit(assignment);
-                        j = find(next, j + 1);
-                    }
+                }
+                // Every alive inner with s2 ∈ (s1, e1) is a match; in the
+                // `contains` shape s2 <= e2 < e1 holds for every alive
+                // inner, so the upper bound never cuts the scan short.
+                let from = inner_list.partition_point(|(iv, _)| iv.start() <= s1);
+                let mut j = find(next, from);
+                while j < n && inner_list[j].0.start() < e1 {
+                    *work += 1;
+                    assignment[self.inner_rel] = inner_list[j];
+                    emit(assignment);
+                    j = find(next, j + 1);
                 }
             }
         });

@@ -1,9 +1,12 @@
 //! Single-node reference implementations.
 //!
 //! The oracle computes the exact join output without MapReduce; every
-//! distributed algorithm is tested against it. Two engines:
+//! distributed algorithm is tested against it. Three engines:
 //!
-//! * [`nested_loop`] — the generic oracle for any query class;
+//! * [`nested_loop`] — the generic oracle for any query class; its
+//!   single-attribute engine, [`reference_join`], re-checks every
+//!   condition with `holds` and shares nothing with the reducer kernels
+//!   but the binding order;
 //! * [`plane_sweep`] — an independent sort-based implementation for 2-way
 //!   colocation joins, used to cross-check the oracle itself;
 //! * [`indexed`] — a third independent 2-way implementation on top of
@@ -13,6 +16,7 @@ pub mod indexed;
 pub mod nested_loop;
 pub mod plane_sweep;
 
+pub use crate::kernel::backtrack::reference_join;
 pub use indexed::indexed_join_2way;
 pub use nested_loop::oracle_join;
 pub use plane_sweep::sweep_join_2way;

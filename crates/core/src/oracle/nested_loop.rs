@@ -1,20 +1,21 @@
 //! The generic single-node oracle.
 
-use crate::executor::{join_single_attr, join_tuples, Candidates};
+use crate::executor::{join_tuples, Candidates};
 use crate::input::JoinInput;
+use crate::kernel::backtrack::reference_join;
 use crate::output::OutputTuple;
 use ij_interval::TupleId;
 use ij_query::{JoinQuery, QueryClass};
 
 /// Computes the exact join output on a single node, sorted canonically.
 ///
-/// Uses the windowed single-attribute executor when possible and the
-/// general tuple executor for multi-attribute queries. Despite the module
-/// name this is not a naive quadratic loop — it shares the backtracking
-/// engine with the reducers, but over the *whole* input and with no
-/// ownership filter, which makes it an independent end-to-end check of the
-/// distributed routing (routing bugs cannot hide in a shared reducer step:
-/// they manifest as missing or duplicated tuples).
+/// Single-attribute queries run the `holds`-based windowed-backtracking
+/// reference ([`reference_join`]) over the *whole* input — never the
+/// dispatched reducer kernels, their endpoint ranges or their sweeps, so a
+/// kernel bug cannot hide in a step shared with what it is checked
+/// against, and routing bugs manifest as missing or duplicated tuples.
+/// Multi-attribute queries use the general tuple executor. Despite the
+/// module name neither is a naive quadratic loop.
 pub fn oracle_join(q: &JoinQuery, input: &JoinInput) -> Vec<OutputTuple> {
     let mut out: Vec<OutputTuple> = Vec::new();
     if q.class() == QueryClass::General {
@@ -40,14 +41,9 @@ pub fn oracle_join(q: &JoinQuery, input: &JoinInput) -> Vec<OutputTuple> {
             }
         }
         cands.finish();
-        join_single_attr(
-            q,
-            &cands,
-            |_| true,
-            |a| {
-                out.push(a.iter().map(|(_, tid)| *tid).collect());
-            },
-        );
+        reference_join(q, &cands, |a| {
+            out.push(a.iter().map(|(_, tid)| *tid).collect());
+        });
     }
     out.sort_unstable();
     out

@@ -1,19 +1,23 @@
-//! Property tests for the kernel layer: the sweep kernel, the sort-merge
-//! kernel and the windowed-backtracking fallback are *complete* executors
-//! for any single-attribute query, so on random chains and cliques over all
-//! 13 Allen predicates the three must produce identical result sets — and
-//! all must agree with the nested-loop oracle. The event-list sweep is
-//! complete only on its qualifying domain (pairwise-intersection-
-//! guaranteed colocation sets), checked here on colocation cliques and
-//! containment chains of arity 3–4. Separately, the parallel driver must
-//! emit byte-identical output (same tuples, same order) and identical
-//! work units — and, for the event sweep, an identical active peak — for
-//! every intra-bucket thread count and chunking threshold — through the
-//! closure adapter and through the folding count/tuple sinks alike.
+//! Property tests for the kernel layer. The window scan is a *complete*
+//! executor for any single-attribute query, so on random chains and
+//! cliques over all 13 Allen predicates it must produce exactly the result
+//! set of the `holds`-based reference and of `oracle_join` — as must
+//! whatever kernel the dispatcher picks — on ordinary intervals and on
+//! intervals drawn from the `i64` extremes alike. The pair sweep and the
+//! event-list sweep are complete only on their domains; the event sweep
+//! is checked on colocation cliques and containment chains of arity 3–4,
+//! every generated case of which must really run it. Two pinned buckets
+//! hold the window scan to the emission sequence and work of the
+//! `sort_merge` / backtracking kernels it replaced. Separately, the
+//! parallel driver must emit byte-identical output (same tuples, same
+//! order) and identical work units — and, for the event sweep, an
+//! identical active peak — for every intra-bucket thread count and
+//! chunking threshold — through the closure adapter and through the
+//! folding count/tuple sinks alike.
 
 use ij_core::executor::Candidates;
-use ij_core::kernel::{self, KernelConfig, KernelStrategy};
-use ij_core::oracle::oracle_join;
+use ij_core::kernel::{self, KernelConfig, KernelKind};
+use ij_core::oracle::{oracle_join, reference_join};
 use ij_core::records::{IvRec, OutRec};
 use ij_core::{JoinInput, OutputMode};
 use ij_interval::{AllenPredicate, Interval, RelId, Relation, TupleId};
@@ -30,6 +34,19 @@ use proptest::prelude::*;
 fn rel_strategy() -> impl Strategy<Value = Vec<Interval>> {
     proptest::collection::vec(
         (0i64..30, 0i64..12).prop_map(|(s, l)| Interval::new(s, s + l).unwrap()),
+        3..25usize,
+    )
+}
+
+/// The same, with both endpoints drawn from the edges of the `i64`
+/// domain: duplicates and point intervals are the norm, and windows like
+/// `Excluded(i64::MAX)` / `Excluded(i64::MIN)` and the saturating
+/// emptiness test of `RangePair::is_empty` are exercised.
+fn extreme_rel_strategy() -> impl Strategy<Value = Vec<Interval>> {
+    const EDGES: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+    proptest::collection::vec(
+        (0usize..7, 0usize..7)
+            .prop_map(|(a, b)| Interval::new(EDGES[a.min(b)], EDGES[a.max(b)]).unwrap()),
         3..25usize,
     )
 }
@@ -59,27 +76,43 @@ fn build_inputs(q: &JoinQuery, rels: &[Vec<Interval>]) -> (Candidates, JoinInput
     (cands, input)
 }
 
-/// Sorted result sets from all three forced kernels plus the oracle; panics
-/// (via prop_assert in the caller) when any pair disagrees.
-fn all_kernel_results(q: &JoinQuery, cands: &Candidates) -> [Vec<Vec<TupleId>>; 3] {
-    type Emit<'a> = dyn FnMut(&[(Interval, TupleId)]) + 'a;
-    let collect = |run: &dyn Fn(&mut Emit<'_>)| {
-        let mut got: Vec<Vec<TupleId>> = Vec::new();
-        run(&mut |a| got.push(a.iter().map(|(_, t)| *t).collect()));
-        got.sort();
-        got
-    };
-    [
-        collect(&|emit| {
-            kernel::backtrack_join(q, cands, |_| true, |a| emit(a));
-        }),
-        collect(&|emit| {
-            kernel::sweep_join(q, cands, |_| true, |a| emit(a));
-        }),
-        collect(&|emit| {
-            kernel::merge_join(q, cands, |_| true, |a| emit(a));
-        }),
-    ]
+type Rows = Vec<Vec<TupleId>>;
+
+fn tids(a: &[(Interval, TupleId)]) -> Vec<TupleId> {
+    a.iter().map(|(_, t)| *t).collect()
+}
+
+/// Sorted result set of `kind` forced on `q`, which must lie in its
+/// domain — a refused query fails the test instead of silently running
+/// something else.
+fn forced(kind: KernelKind, q: &JoinQuery, cands: &Candidates) -> Rows {
+    let mut got: Rows = Vec::new();
+    let rep = kernel::execute_kind(kind, q, cands, |_| true, |a| got.push(tids(a)))
+        .unwrap_or_else(|| panic!("{q} is outside {kind:?}'s domain"));
+    assert_eq!(rep.kind, kind, "{q}");
+    got.sort();
+    got
+}
+
+/// Sorted result set of the `holds`-based reference.
+fn reference(q: &JoinQuery, cands: &Candidates) -> Rows {
+    let mut got: Rows = Vec::new();
+    reference_join(q, cands, |a| got.push(tids(a)));
+    got.sort();
+    got
+}
+
+/// The window scan, the `holds` reference, `oracle_join` and whatever
+/// the dispatcher picks agree on the exact result set of `q` over `rels`.
+fn assert_window_reference_oracle_agree(q: &JoinQuery, rels: &[Vec<Interval>]) {
+    let (cands, input) = build_inputs(q, rels);
+    let window = forced(KernelKind::Window, q, &cands);
+    let mut oracle = oracle_join(q, &input);
+    oracle.sort();
+    assert_eq!(window, reference(q, &cands), "window != reference for {q}");
+    assert_eq!(window, oracle, "window != oracle for {q}");
+    let dispatched = forced(kernel::planned_kernel(q), q, &cands);
+    assert_eq!(window, dispatched, "window != dispatched kernel for {q}");
 }
 
 /// The 11 colocation predicates (everything but before/after) — the
@@ -122,42 +155,32 @@ fn clique(m: u16, preds: &[AllenPredicate]) -> JoinQuery {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(150))]
 
-    /// Chains of 2–4 relations over random predicate mixes: every kernel
-    /// and the oracle agree on the exact result set.
+    /// Chains of 2–4 relations over random predicate mixes, on ordinary
+    /// and on extreme intervals.
     #[test]
-    fn kernels_match_oracle_on_chains(
+    fn window_matches_reference_and_oracle_on_chains(
         preds in proptest::collection::vec(pred_strategy(), 1..4usize),
         seed_rels in proptest::array::uniform4(rel_strategy()),
+        extreme_rels in proptest::array::uniform4(extreme_rel_strategy()),
     ) {
         let q = JoinQuery::chain(&preds).unwrap();
         let m = q.num_relations() as usize;
-        let rels = &seed_rels[..m];
-        let (cands, input) = build_inputs(&q, rels);
-        let [bt, sw, mg] = all_kernel_results(&q, &cands);
-        let mut oracle = oracle_join(&q, &input);
-        oracle.sort();
-        prop_assert_eq!(&bt, &sw, "sweep != backtrack for {}", q);
-        prop_assert_eq!(&bt, &mg, "merge != backtrack for {}", q);
-        prop_assert_eq!(&bt, &oracle, "kernels != oracle for {}", q);
+        assert_window_reference_oracle_agree(&q, &seed_rels[..m]);
+        assert_window_reference_oracle_agree(&q, &extreme_rels[..m]);
     }
 
     /// Cliques over 3–4 relations (including contradictory ones, which must
-    /// yield empty sets from every path).
+    /// yield empty sets from every path), on both interval generators.
     #[test]
-    fn kernels_match_oracle_on_cliques(
+    fn window_matches_reference_and_oracle_on_cliques(
         m in 3u16..5,
         preds in proptest::array::uniform3(pred_strategy()),
         seed_rels in proptest::array::uniform4(rel_strategy()),
+        extreme_rels in proptest::array::uniform4(extreme_rel_strategy()),
     ) {
         let q = clique(m, &preds);
-        let rels = &seed_rels[..m as usize];
-        let (cands, input) = build_inputs(&q, rels);
-        let [bt, sw, mg] = all_kernel_results(&q, &cands);
-        let mut oracle = oracle_join(&q, &input);
-        oracle.sort();
-        prop_assert_eq!(&bt, &sw, "sweep != backtrack for {}", q);
-        prop_assert_eq!(&bt, &mg, "merge != backtrack for {}", q);
-        prop_assert_eq!(&bt, &oracle, "kernels != oracle for {}", q);
+        assert_window_reference_oracle_agree(&q, &seed_rels[..m as usize]);
+        assert_window_reference_oracle_agree(&q, &extreme_rels[..m as usize]);
     }
 
     /// The heavy-bucket parallel driver is invisible: for thread counts
@@ -199,58 +222,44 @@ proptest! {
     }
 
     /// Arity-3/4 colocation cliques always qualify for the event sweep
-    /// (every pair directly conditioned); its result set must match the
-    /// oracle and the other complete kernels exactly — including the
-    /// contradictory cliques, which must be empty everywhere.
+    /// (every pair directly conditioned), so it is the dispatched kernel of
+    /// every case: its result set must match the window scan, the reference
+    /// and the oracle exactly — including the contradictory cliques, which
+    /// must be empty everywhere.
     #[test]
     fn event_sweep_matches_oracle_on_colocation_cliques(
         m in 3u16..5,
         preds in proptest::collection::vec(colocation_pred_strategy(), 6),
         seed_rels in proptest::array::uniform4(rel_strategy()),
+        extreme_rels in proptest::array::uniform4(extreme_rel_strategy()),
     ) {
         let q = clique(m, &preds);
-        let rels = &seed_rels[..m as usize];
-        let (cands, input) = build_inputs(&q, rels);
-        let mut es: Vec<Vec<TupleId>> = Vec::new();
-        kernel::event_sweep_join(&q, &cands, |_| true, |a| {
-            es.push(a.iter().map(|(_, t)| *t).collect())
-        });
-        es.sort();
-        let [bt, _, _] = all_kernel_results(&q, &cands);
-        let mut oracle = oracle_join(&q, &input);
-        oracle.sort();
-        prop_assert_eq!(&es, &bt, "event sweep != backtrack for {}", q);
-        prop_assert_eq!(&es, &oracle, "event sweep != oracle for {}", q);
+        prop_assert_eq!(kernel::planned_kernel(&q), KernelKind::EventSweep, "{}", q);
+        assert_window_reference_oracle_agree(&q, &seed_rels[..m as usize]);
+        assert_window_reference_oracle_agree(&q, &extreme_rels[..m as usize]);
     }
 
-    /// Containment-family chains (arity 3–4) reach the event sweep via the
-    /// subset closure; the result set must still match the oracle.
+    /// Containment-family chains (arity 3–4) nested in one direction reach
+    /// the event sweep via the subset closure on every case.
     #[test]
     fn event_sweep_matches_oracle_on_containment_chains(
-        preds in proptest::collection::vec(
-            (0usize..5).prop_map(|i| [
-                AllenPredicate::Contains,
-                AllenPredicate::ContainedBy,
-                AllenPredicate::Starts,
-                AllenPredicate::Finishes,
-                AllenPredicate::Equals,
-            ][i]),
-            2..4usize,
-        ),
+        outward in 0usize..2,
+        picks in proptest::collection::vec(0usize..4, 2..4usize),
         seed_rels in proptest::array::uniform4(rel_strategy()),
+        extreme_rels in proptest::array::uniform4(extreme_rel_strategy()),
     ) {
+        use AllenPredicate::*;
+        // r_i ⊇ r_{i+1} along the chain, or r_i ⊆ r_{i+1}.
+        let family = [
+            [Contains, StartedBy, FinishedBy, Equals],
+            [ContainedBy, Starts, Finishes, Equals],
+        ][outward];
+        let preds: Vec<AllenPredicate> = picks.iter().map(|&i| family[i]).collect();
         let q = JoinQuery::chain(&preds).unwrap();
         let m = q.num_relations() as usize;
-        let rels = &seed_rels[..m];
-        let (cands, input) = build_inputs(&q, rels);
-        let mut es: Vec<Vec<TupleId>> = Vec::new();
-        kernel::event_sweep_join(&q, &cands, |_| true, |a| {
-            es.push(a.iter().map(|(_, t)| *t).collect())
-        });
-        es.sort();
-        let mut oracle = oracle_join(&q, &input);
-        oracle.sort();
-        prop_assert_eq!(&es, &oracle, "event sweep != oracle for {}", q);
+        prop_assert_eq!(kernel::planned_kernel(&q), KernelKind::EventSweep, "{}", q);
+        assert_window_reference_oracle_agree(&q, &seed_rels[..m]);
+        assert_window_reference_oracle_agree(&q, &extreme_rels[..m]);
     }
 
     /// Chunked parallel event sweep is invisible: for worker thread counts
@@ -276,7 +285,7 @@ proptest! {
                 |a| a.iter().map(|(_, t)| *t as u64).sum::<u64>() % 5 != 1,
                 |a| flat.extend(a.iter().map(|(_, t)| *t)),
             );
-            assert_eq!(rep.kind, kernel::KernelKind::EventSweep, "{q}");
+            assert_eq!(rep.kind, KernelKind::EventSweep, "{q}");
             (rep.work, rep.active_peak, flat)
         };
         let (base_work, base_peak, base) = run(1, 0);
@@ -299,8 +308,8 @@ proptest! {
         }
     }
 
-    /// The folding sinks are invisible too: on one query per kernel
-    /// strategy, for threads 1/2/3/8 × "always chunk"/"never chunk", the
+    /// The folding sinks are invisible too: on every kernel kind (the
+    /// window scan on a colocation, a sequence and a mixed set), for threads 1/2/3/8 × "always chunk"/"never chunk", the
     /// count sink equals the serial count, the tuple sink's rows are the
     /// serial closure run's rows in the same order, and work and active
     /// peak do not move.
@@ -309,14 +318,14 @@ proptest! {
         seed_rels in proptest::array::uniform3(rel_strategy()),
     ) {
         use AllenPredicate::*;
-        for (q, strategy) in [
-            (JoinQuery::chain(&[Overlaps]).unwrap(), KernelStrategy::PairSweep),
-            (JoinQuery::chain(&[Overlaps, Overlaps]).unwrap(), KernelStrategy::DualWindow),
-            (clique(3, &[Overlaps, Overlaps, Contains]), KernelStrategy::EventSweep),
-            (JoinQuery::chain(&[Before, Before]).unwrap(), KernelStrategy::SortMerge),
-            (JoinQuery::chain(&[Overlaps, Before]).unwrap(), KernelStrategy::Backtrack),
+        for (q, kind) in [
+            (JoinQuery::chain(&[Overlaps]).unwrap(), KernelKind::PairSweep),
+            (JoinQuery::chain(&[Overlaps, Overlaps]).unwrap(), KernelKind::Window),
+            (clique(3, &[Overlaps, Overlaps, Contains]), KernelKind::EventSweep),
+            (JoinQuery::chain(&[Before, Before]).unwrap(), KernelKind::Window),
+            (JoinQuery::chain(&[Overlaps, Before]).unwrap(), KernelKind::Window),
         ] {
-            prop_assert_eq!(kernel::planned_kernel(&q), strategy);
+            prop_assert_eq!(kernel::planned_kernel(&q), kind);
             let (cands, _) = build_inputs(&q, &seed_rels[..q.num_relations() as usize]);
             let accept = |a: &[(Interval, TupleId)]| {
                 a.iter().map(|(_, t)| *t as u64).sum::<u64>() % 5 != 1
@@ -332,7 +341,7 @@ proptest! {
                     let count_rep = kernel::execute_into(&q, &cands, &cfg, accept, &mut count);
                     let mut rows: Vec<OutRec> = Vec::new();
                     let rows_rep = kernel::execute_into(&q, &cands, &cfg, accept, &mut rows);
-                    let at = format!("{strategy:?} threads {threads} threshold {parallel_threshold}");
+                    let at = format!("{q} threads {threads} threshold {parallel_threshold}");
                     prop_assert_eq!(count, base.len() as u64, "count sink, {}", at);
                     prop_assert_eq!(&rows, &base, "tuple sink, {}", at);
                     // Every relation has >= 3 tuples, so "always chunk"
@@ -461,4 +470,89 @@ fn worker_accept_panic_is_reraised_on_the_caller() {
     });
     let payload = caught.expect_err("worker panic must reach the caller");
     assert_eq!(payload.downcast_ref::<&str>(), Some(&"accept exploded"));
+}
+
+/// A fixed bucket from an inline LCG (independent of the `rand` stub):
+/// `n` intervals per relation, starts in `0..span`, lengths in
+/// `0..max_len`.
+fn pinned_bucket(m: usize, n: u32, span: u64, max_len: u64) -> Candidates {
+    let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut next = move |bound: u64| {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (x >> 33) % bound
+    };
+    let mut c = Candidates::new(m);
+    for r in 0..m {
+        for t in 0..n {
+            let s = next(span) as i64;
+            c.push(r, Interval::new(s, s + next(max_len) as i64).unwrap(), t);
+        }
+    }
+    c.finish();
+    c
+}
+
+/// On a sequence bucket the window scan *is* the merge join it replaced:
+/// the work and the unsorted emission sequence below were recorded from
+/// `kernel::merge_join` (the `sort_merge` kernel) at the parent of the PR
+/// that deleted it.
+#[test]
+fn sequence_bucket_keeps_the_sort_merge_scan() {
+    const PARENT_WORK: u64 = 104;
+    #[rustfmt::skip]
+    const PARENT_EMISSIONS: [[TupleId; 3]; 40] = [
+        [6, 1, 6], [6, 1, 2], [6, 1, 3], [6, 8, 6], [6, 8, 2], [6, 8, 3], [6, 0, 2], [6, 0, 3],
+        [0, 1, 6], [0, 1, 2], [0, 1, 3], [0, 8, 6], [0, 8, 2], [0, 8, 3], [0, 0, 2], [0, 0, 3],
+        [5, 1, 6], [5, 1, 2], [5, 1, 3], [5, 8, 6], [5, 8, 2], [5, 8, 3], [5, 0, 2], [5, 0, 3],
+        [7, 1, 6], [7, 1, 2], [7, 1, 3], [7, 8, 6], [7, 8, 2], [7, 8, 3], [7, 0, 2], [7, 0, 3],
+        [8, 1, 6], [8, 1, 2], [8, 1, 3], [8, 8, 6], [8, 8, 2], [8, 8, 3], [8, 0, 2], [8, 0, 3],
+    ];
+    let q = JoinQuery::chain(&[AllenPredicate::Before, AllenPredicate::Before]).unwrap();
+    let cands = pinned_bucket(3, 10, 60, 15);
+    let mut emissions: Vec<Vec<TupleId>> = Vec::new();
+    let rep = kernel::execute(
+        &q,
+        &cands,
+        &KernelConfig::serial(),
+        |_| true,
+        |a| emissions.push(tids(a)),
+    );
+    assert_eq!(rep.kind, KernelKind::Window);
+    assert_eq!(rep.work, PARENT_WORK);
+    assert_eq!(emissions, PARENT_EMISSIONS);
+}
+
+/// On a mixed bucket the window scan emits what the dispatched
+/// backtracking kernel emitted, examining no more candidates: work and
+/// sorted output below were recorded from `kernel::backtrack_join` at the
+/// same parent.
+#[test]
+fn mixed_bucket_matches_the_backtracking_kernel_with_no_more_work() {
+    const PARENT_WORK: u64 = 85;
+    #[rustfmt::skip]
+    const PARENT_OUTPUT: [[TupleId; 3]; 36] = [
+        [3, 7, 2], [3, 7, 7], [3, 8, 7], [4, 9, 2], [4, 9, 7], [4, 11, 2], [4, 11, 4], [4, 11, 7],
+        [6, 1, 2], [6, 1, 4], [6, 1, 6], [6, 1, 7], [6, 1, 10], [6, 5, 1], [6, 5, 2], [6, 5, 4],
+        [6, 5, 6], [6, 5, 7], [6, 5, 10], [8, 7, 2], [8, 7, 7], [8, 8, 7], [8, 9, 2], [8, 9, 7],
+        [9, 8, 7], [11, 1, 2], [11, 1, 4], [11, 1, 6], [11, 1, 7], [11, 1, 10], [11, 5, 1],
+        [11, 5, 2], [11, 5, 4], [11, 5, 6], [11, 5, 7], [11, 5, 10],
+    ];
+    let q = JoinQuery::chain(&[AllenPredicate::Overlaps, AllenPredicate::Before]).unwrap();
+    let cands = pinned_bucket(3, 12, 40, 30);
+    let mut output: Vec<Vec<TupleId>> = Vec::new();
+    let rep = kernel::execute(
+        &q,
+        &cands,
+        &KernelConfig::serial(),
+        |_| true,
+        |a| output.push(tids(a)),
+    );
+    output.sort();
+    assert_eq!(rep.kind, KernelKind::Window);
+    assert!(rep.work <= PARENT_WORK, "work {} > {PARENT_WORK}", rep.work);
+    assert_eq!(output, PARENT_OUTPUT);
+    // The reference still does the parent's work, candidate for candidate.
+    assert_eq!(reference_join(&q, &cands, |_| {}), PARENT_WORK);
 }

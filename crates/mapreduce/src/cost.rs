@@ -122,17 +122,11 @@ impl CostModel {
     /// (`mapreduce::schedule`). Unlike [`CostModel::reducer_cost`], which
     /// prices a finished reducer from its reported counters, this
     /// estimates from what the shuffle knows up front: the pairs routed to
-    /// the bucket, scaled by the planned kernel's per-candidate cost
-    /// relative to backtracking (`work_multiplier`) and a penalty factor
-    /// for buckets that must stream back from spilled Dfs runs
-    /// (`spill_penalty`; `1.0` for resident buckets).
-    pub fn predicted_bucket_cost(
-        &self,
-        pairs_received: u64,
-        work_multiplier: f64,
-        spill_penalty: f64,
-    ) -> f64 {
-        pairs_received as f64 * self.work_cost * work_multiplier * spill_penalty
+    /// the bucket, scaled by a penalty factor for buckets that must stream
+    /// back from spilled Dfs runs (`spill_penalty`; `1.0` for resident
+    /// buckets).
+    pub fn predicted_bucket_cost(&self, pairs_received: u64, spill_penalty: f64) -> f64 {
+        pairs_received as f64 * self.work_cost * spill_penalty
     }
 
     /// FIFO list-scheduling of reducer costs onto `slots` slots; returns
@@ -255,13 +249,12 @@ mod tests {
     #[test]
     fn predicted_bucket_cost_scales_linearly_in_each_factor() {
         let m = CostModel::default();
-        let base = m.predicted_bucket_cost(1000, 1.0, 1.0);
+        let base = m.predicted_bucket_cost(1000, 1.0);
         assert!((base - 1000.0 * m.work_cost).abs() < 1e-9);
-        // Cheaper kernel, same pairs: proportionally smaller score.
-        assert!((m.predicted_bucket_cost(1000, 0.12, 1.0) - base * 0.12).abs() < 1e-9);
+        assert!((m.predicted_bucket_cost(2000, 1.0) - base * 2.0).abs() < 1e-9);
         // Spill penalty inflates, never deflates, a resident score.
-        assert!((m.predicted_bucket_cost(1000, 1.0, 1.5) - base * 1.5).abs() < 1e-9);
-        assert_eq!(m.predicted_bucket_cost(0, 1.0, 1.5), 0.0);
+        assert!((m.predicted_bucket_cost(1000, 1.5) - base * 1.5).abs() < 1e-9);
+        assert_eq!(m.predicted_bucket_cost(0, 1.5), 0.0);
     }
 
     #[test]

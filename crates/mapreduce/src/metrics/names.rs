@@ -17,13 +17,15 @@
 // Counters (recorded via `Emitter::inc` / `ReduceCtx::inc` /
 // `Counters::inc`, merged per-name by the engine).
 
-/// Buckets joined by the endpoint-sorted plane-sweep kernel.
+/// Buckets joined by the pair sweep or the window scan.
 pub const KERNEL_SWEEP_BUCKETS: &str = "kernel.sweep_buckets";
 /// Buckets joined by the merged-event-list sweep kernel.
 pub const KERNEL_EVENT_SWEEP_BUCKETS: &str = "kernel.event_sweep_buckets";
-/// Buckets joined by the sort-merge kernel.
+/// Never recorded (sequence buckets are window-scan buckets); declared
+/// because `perf/` compiles against it.
 pub const KERNEL_MERGE_BUCKETS: &str = "kernel.merge_buckets";
-/// Buckets joined by the windowed-backtracking fallback kernel.
+/// Never recorded (mixed buckets are window-scan buckets); declared
+/// because `perf/` compiles against it.
 pub const KERNEL_FALLBACK_BUCKETS: &str = "kernel.fallback_buckets";
 /// Heavy buckets split across intra-reducer worker chunks
 /// (execution-shape: depends on the thread grant).

@@ -10,12 +10,9 @@
 //! grant with a plan computed before the reduce phase spawns workers:
 //!
 //! 1. **Score** every bucket by predicted work:
-//!    `pairs_received × work_multiplier × spill_penalty`, priced through
-//!    [`crate::cost::CostModel::predicted_bucket_cost`] (`work_multiplier` is the
-//!    planned kernel's per-candidate cost relative to backtracking —
-//!    `ij-core`'s `estimate::kernel_work_multiplier` — threaded in by the
-//!    caller since this crate sits below the kernel planner; the spill
-//!    penalty inflates buckets that must stream back from the Dfs).
+//!    `pairs_received × spill_penalty`, priced through
+//!    [`crate::cost::CostModel::predicted_bucket_cost`] (the spill penalty
+//!    inflates buckets that must stream back from the Dfs).
 //! 2. **Order** buckets heavy-first (descending score, ties on bucket
 //!    index), so the buckets that dominate the reduce makespan start
 //!    first instead of landing behind a queue of light ones.
@@ -48,11 +45,11 @@ use parking_lot::Mutex;
 use std::fmt;
 use std::str::FromStr;
 
-/// Default factor by which a spilled bucket's score is inflated: streaming
-/// runs back from the Dfs adds chunked reads and value reconstruction on
-/// top of the join itself, so a spilled bucket of equal size is slower
-/// than a resident one and deserves its grant earlier.
-pub const DEFAULT_SPILL_PENALTY: f64 = 1.5;
+/// Factor by which a spilled bucket's score is inflated: streaming runs
+/// back from the Dfs adds chunked reads and value reconstruction on top of
+/// the join itself, so a spilled bucket of equal size is slower than a
+/// resident one and deserves its grant earlier.
+const SPILL_PENALTY: f64 = 1.5;
 
 /// How intra-reduce thread grants are computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -102,42 +99,17 @@ impl FromStr for SchedPolicy {
     }
 }
 
-/// Scheduler knobs carried in [`ClusterConfig`].
-#[derive(Debug, Clone)]
+/// The scheduler knob carried in [`ClusterConfig`].
+#[derive(Debug, Clone, Default)]
 pub struct SchedConfig {
     /// Grant policy (default: [`SchedPolicy::SkewDriven`]).
     pub policy: SchedPolicy,
-    /// Per-candidate cost of the kernel the reduce phase will run,
-    /// relative to the backtracking fallback at `1.0` — callers that know
-    /// the query set this from `ij-core`'s
-    /// `estimate::kernel_work_multiplier`. A constant factor across
-    /// buckets of one job, but it matters absolutely: the heavy cutoff is
-    /// a fixed score, so a bucket served by a cheap kernel must be
-    /// proportionally larger before it earns a multi-thread grant
-    /// (mirroring `auto_tune`'s over-partitioning logic).
-    pub work_multiplier: f64,
-    /// Score inflation for buckets whose source is spilled (default
-    /// [`DEFAULT_SPILL_PENALTY`]).
-    pub spill_penalty: f64,
-}
-
-impl Default for SchedConfig {
-    fn default() -> Self {
-        SchedConfig {
-            policy: SchedPolicy::default(),
-            work_multiplier: 1.0,
-            spill_penalty: DEFAULT_SPILL_PENALTY,
-        }
-    }
 }
 
 impl SchedConfig {
-    /// A config running `policy` with default scoring knobs.
+    /// A config running `policy`.
     pub fn with_policy(policy: SchedPolicy) -> Self {
-        SchedConfig {
-            policy,
-            ..SchedConfig::default()
-        }
+        SchedConfig { policy }
     }
 }
 
@@ -179,10 +151,8 @@ pub struct SchedulePlan {
 impl SchedulePlan {
     /// Scores `loads` under `cfg` and computes the execution order and
     /// initial grant capacity. The heavy cutoff is the predicted cost of
-    /// a `heavy_bucket_threshold`-pair bucket under the backtracking
-    /// kernel — the same absolute notion of "heavy" the kernel layer
-    /// uses, which is why a cheap kernel (low `work_multiplier`) needs a
-    /// proportionally bigger bucket to earn a grant.
+    /// a resident `heavy_bucket_threshold`-pair bucket — the same
+    /// absolute notion of "heavy" the kernel layer uses.
     pub fn new(cfg: &ClusterConfig, loads: &[BucketLoad]) -> Self {
         let threads = cfg.worker_threads.max(1);
         let n = loads.len();
@@ -193,19 +163,17 @@ impl SchedulePlan {
             .min((threads / concurrent).max(1));
         let cutoff = cfg
             .cost
-            .predicted_bucket_cost(cfg.heavy_bucket_threshold as u64, 1.0, 1.0);
-        let sched = &cfg.sched;
+            .predicted_bucket_cost(cfg.heavy_bucket_threshold as u64, 1.0);
         let scores: Vec<f64> = loads
             .iter()
             .map(|l| {
-                let penalty = if l.spilled { sched.spill_penalty } else { 1.0 };
-                cfg.cost
-                    .predicted_bucket_cost(l.pairs, sched.work_multiplier, penalty)
+                let penalty = if l.spilled { SPILL_PENALTY } else { 1.0 };
+                cfg.cost.predicted_bucket_cost(l.pairs, penalty)
             })
             .collect();
         let heavy: Vec<bool> = scores.iter().map(|&s| s > 0.0 && s >= cutoff).collect();
         let mut order: Vec<usize> = (0..n).collect();
-        let pool = match sched.policy {
+        let pool = match cfg.sched.policy {
             SchedPolicy::SkewDriven => {
                 // Descending score; ties break on the bucket index, so the
                 // order is a pure function of the scores — independent of
@@ -220,7 +188,7 @@ impl SchedulePlan {
             SchedPolicy::Uniform | SchedPolicy::AllSerial => 0,
         };
         SchedulePlan {
-            policy: sched.policy,
+            policy: cfg.sched.policy,
             order,
             scores,
             heavy,
@@ -410,7 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn spill_penalty_and_multiplier_shift_the_cutoff() {
+    fn spill_penalty_shifts_the_cutoff() {
         let base = cfg(8, 8, SchedPolicy::SkewDriven);
         // 80 pairs < threshold 100: light when resident…
         let resident = SchedulePlan::new(&base, &[mem(80)]);
@@ -424,13 +392,6 @@ mod tests {
             }],
         );
         assert!(spilled.is_heavy(0));
-        // A cheap kernel needs a proportionally bigger bucket: at
-        // multiplier 0.12 the cutoff in pairs is ~833.
-        let mut cheap = cfg(8, 8, SchedPolicy::SkewDriven);
-        cheap.sched.work_multiplier = 0.12;
-        let plan = SchedulePlan::new(&cheap, &[mem(500), mem(1000)]);
-        assert!(!plan.is_heavy(0));
-        assert!(plan.is_heavy(1));
     }
 
     #[test]

@@ -247,7 +247,7 @@ fn engine_with_threads(threads: usize, budget: Option<u64>, policy: SchedPolicy)
 
 /// A satisfiable colocation *clique* — every pair directly conditioned,
 /// so reducers route to the event-list sweep (the `[Overlaps, Overlaps]`
-/// chain does not qualify and stays on the dual-window sweep; both
+/// chain does not qualify and takes the window scan; both
 /// colocation kernel paths are audited). Shared by the suite and the
 /// sched leg.
 fn clique_query() -> JoinQuery {
