@@ -4,7 +4,9 @@
 //! interval of relation `k` starting in partition `q` is sent to every
 //! *consistent* cell whose k-th coordinate is `q` (conditions D1 and D2).
 //! Each output tuple is computed at exactly one cell — the vector of its
-//! members' start partitions — so no ownership filter is needed.
+//! members' start partitions — so no ownership filter is needed. In the
+//! component-matrix pipeline (`crate::component_matrix`) this is the
+//! setting with one dimension per relation: no marking, the join alone.
 //!
 //! Presented in the paper for sequence queries, where it fixes All-Rep's
 //! load skew by spreading the heavy right-most work across a whole face of
@@ -12,16 +14,12 @@
 //! query (colocation predicates just make most cells empty), which we use
 //! for cross-validation in tests.
 
-use crate::algorithm::{
-    empty_output, iv_records, require_single_attr, AlgoError, Algorithm, RunArtifacts,
-};
+use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
 use crate::all_matrix::cells::CellSpace;
-use crate::executor::Candidates;
+use crate::component_matrix::ComponentMatrix;
 use crate::input::JoinInput;
-use crate::kernel;
 use crate::output::{JoinOutput, OutputMode};
-use crate::records::{IvRec, OutRec};
-use ij_mapreduce::{Emitter, Engine, JobChain, ReduceCtx, ValueStream};
+use ij_mapreduce::Engine;
 use ij_query::{AttrRef, JoinQuery};
 
 /// The All-Matrix algorithm.
@@ -80,8 +78,7 @@ impl Algorithm for AllMatrix {
         engine: &Engine,
     ) -> Result<JoinOutput, AlgoError> {
         require_single_attr(self.name(), query)?;
-        let order = query.start_order();
-        if order.contradictory() {
+        if query.start_order().contradictory() {
             return Ok(empty_output(self.mode));
         }
         let m = query.num_relations() as usize;
@@ -92,35 +89,23 @@ impl Algorithm for AllMatrix {
             Vec::new()
         };
         let space = CellSpace::new(m, self.per_dim, constraints)?;
-        let consistent = space.consistent_cells().len() as u64;
-        let total = space.total_cells();
-
-        let mode = self.mode;
-        let q = query.clone();
-        let partc = part.clone();
-        let spacec = space.clone();
-        let out = engine.run_job(
-            "all-matrix",
-            &iv_records(input),
-            move |rec: &IvRec, em: &mut Emitter<IvRec>| {
-                let qidx = partc.index_of(rec.iv.start());
-                em.emit_to_all(spacec.cells_eq(rec.rel.idx(), qidx).iter().copied(), rec);
-            },
-            move |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<OutRec>| {
-                let mut cands = Candidates::new(m);
-                for v in values.by_ref() {
-                    cands.push(v.rel.idx(), v.iv, v.tid);
-                }
-                cands.finish();
-                kernel::reduce_join(ctx, &q, &cands, mode, |_| true, out);
-            },
-        )?;
-
-        let mut chain = JobChain::new();
-        chain.push(out.metrics);
-        let mut result = JoinOutput::from_records(self.mode, out.outputs, chain);
-        result.stats.consistent_cells = Some((consistent, total));
-        Ok(result)
+        // Every relation is a dimension of its own, whatever the query's
+        // colocation components are: nothing is marked, every interval goes
+        // to the cells at its own start coordinate, the join runs alone.
+        let mut out = ComponentMatrix {
+            family: "all-matrix",
+            query,
+            part: &part,
+            space: &space,
+            groups: (0..m).map(|r| vec![r]).collect(),
+            mark_options: Default::default(),
+            prune: false,
+            map_op_counters: false,
+            mode: self.mode,
+        }
+        .run(input, engine)?;
+        out.stats.replicated_intervals = None;
+        Ok(out)
     }
 }
 
@@ -191,6 +176,8 @@ mod tests {
         let out = AllMatrix::new(6).run(&q, &input, &engine()).unwrap();
         // 56 of 216 (paper reports 55; see DESIGN.md §5).
         assert_eq!(out.stats.consistent_cells, Some((56, 216)));
+        let stages: Vec<&str> = out.chain.cycles.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(stages, ["all-matrix-join"]);
     }
 
     #[test]

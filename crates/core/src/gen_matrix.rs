@@ -209,8 +209,8 @@ fn owns_tuple_assignment(
     true
 }
 
-/// The attribute-level marking cycle: like
-/// [`crate::hybrid::run_component_marking`], but vertices are
+/// The attribute-level marking cycle: like the component-matrix
+/// pipeline's mark stage (`crate::component_matrix`), but vertices are
 /// ⟨relation, attribute⟩ pairs and only *flagged* vertices are returned
 /// (as a set of keys), since unflagged is the default.
 fn run_vertex_marking(

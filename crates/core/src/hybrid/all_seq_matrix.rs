@@ -1,28 +1,18 @@
-//! All-Seq-Matrix (paper Section 8.1).
-//!
-//! Two MR cycles:
-//!
-//! 1. RCCIS replication marking per colocation component
-//!    (`run_component_marking` in the hybrid module);
-//! 2. a component-dimensional matrix join: an interval of component `k`
-//!    starting in partition `q` goes to all consistent cells with
-//!    `coord_k >= q` if flagged, `coord_k == q` otherwise (conditions E1
-//!    and E2); each reducer joins what it received and emits the tuples it
-//!    owns (per-component right-most start partitions match its cell).
+//! All-Seq-Matrix (paper Section 8.1): the component-matrix pipeline
+//! (`crate::component_matrix`) at its defining setting — one dimension per
+//! colocation component, cells constrained by the sound component order,
+//! default marking, mark → join. On a query whose components are all
+//! singletons nothing can be flagged and the join runs alone, exactly
+//! All-Matrix.
 
-use crate::algorithm::{
-    empty_output, iv_records, require_single_attr, AlgoError, Algorithm, RunArtifacts,
-};
+use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
 use crate::all_matrix::CellSpace;
-use crate::executor::Candidates;
-use crate::hybrid::{owns_assignment, run_component_marking};
+use crate::component_matrix::ComponentMatrix;
 use crate::input::JoinInput;
-use crate::kernel;
 use crate::output::{JoinOutput, OutputMode};
-use crate::records::{FlagRec, IvRec, OutRec};
-use ij_interval::{Interval, TupleId};
-use ij_mapreduce::{Emitter, Engine, JobChain, ReduceCtx, ValueStream};
-use ij_query::{AttrRef, JoinQuery};
+use ij_mapreduce::Engine;
+use ij_query::components::Component;
+use ij_query::JoinQuery;
 
 /// The All-Seq-Matrix algorithm.
 #[derive(Debug, Clone)]
@@ -41,6 +31,40 @@ impl AllSeqMatrix {
             mode: OutputMode::Materialize,
         }
     }
+
+    /// Runs this setting — or, with `prune`, PASM's, which is this one
+    /// plus the prune stage — reporting errors under `name`.
+    pub(crate) fn run_setting(
+        &self,
+        name: &'static str,
+        prune: bool,
+        query: &JoinQuery,
+        input: &JoinInput,
+        engine: &Engine,
+    ) -> Result<JoinOutput, AlgoError> {
+        require_single_attr(name, query)?;
+        let order = query.start_order();
+        if order.contradictory() {
+            return Ok(empty_output(self.mode));
+        }
+        let comps = query.components();
+        let part = RunArtifacts::partition_span(input.span(), self.per_dim)?;
+        let constraints = order.component_constraints(&comps);
+        let space = CellSpace::new(comps.len(), self.per_dim, constraints)?;
+        let members = |c: &Component| c.vertices.iter().map(|v| v.rel.idx()).collect();
+        ComponentMatrix {
+            family: if prune { "pasm" } else { "asm" },
+            query,
+            part: &part,
+            space: &space,
+            groups: comps.components.iter().map(members).collect(),
+            mark_options: Default::default(),
+            prune,
+            map_op_counters: false,
+            mode: self.mode,
+        }
+        .run(input, engine)
+    }
 }
 
 impl Algorithm for AllSeqMatrix {
@@ -54,75 +78,7 @@ impl Algorithm for AllSeqMatrix {
         input: &JoinInput,
         engine: &Engine,
     ) -> Result<JoinOutput, AlgoError> {
-        require_single_attr(self.name(), query)?;
-        let order = query.start_order();
-        if order.contradictory() {
-            return Ok(empty_output(self.mode));
-        }
-        let comps = query.components();
-        let l = comps.len();
-        let part = RunArtifacts::partition_span(input.span(), self.per_dim)?;
-        let space = CellSpace::new(l, self.per_dim, order.component_constraints(&comps))?;
-        let mut chain = JobChain::new();
-
-        // ---- Cycle 1: per-component replication marking -------------------
-        let flags =
-            run_component_marking(query, &comps, &part, &iv_records(input), engine, &mut chain)?;
-        let replicated = flags.iter().filter(|f| f.replicate).count() as u64;
-
-        // ---- Cycle 2: matrix join ------------------------------------------
-        let comp_of: Vec<usize> = (0..query.num_relations())
-            .map(|r| comps.component_of(AttrRef::whole(r)).expect("component"))
-            .collect();
-        let m = query.num_relations() as usize;
-        let mode = self.mode;
-        let q = query.clone();
-        let partc = part.clone();
-        let spacec = space.clone();
-        let compsc = comps.clone();
-        let out = engine.run_job(
-            "asm-join",
-            &flags,
-            {
-                let partc = partc.clone();
-                let spacec = spacec.clone();
-                move |rec: &FlagRec, em: &mut Emitter<IvRec>| {
-                    let k = comp_of[rec.rec.rel.idx()];
-                    let qidx = partc.index_of(rec.rec.iv.start());
-                    let cells = if rec.replicate {
-                        spacec.cells_ge(k, qidx)
-                    } else {
-                        spacec.cells_eq(k, qidx)
-                    };
-                    em.emit_to_all(cells.iter().copied(), &rec.rec);
-                }
-            },
-            move |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<OutRec>| {
-                let coords = spacec.decode(ctx.key);
-                let mut cands = Candidates::new(m);
-                for v in values.by_ref() {
-                    cands.push(v.rel.idx(), v.iv, v.tid);
-                }
-                cands.finish();
-                kernel::reduce_join(
-                    ctx,
-                    &q,
-                    &cands,
-                    mode,
-                    |a: &[(Interval, TupleId)]| {
-                        owns_assignment(&compsc, &partc, &coords, |r| a[r].0)
-                    },
-                    out,
-                );
-            },
-        )?;
-        chain.push(out.metrics);
-
-        let mut result = JoinOutput::from_records(self.mode, out.outputs, chain);
-        result.stats.replicated_intervals = Some(replicated);
-        result.stats.consistent_cells =
-            Some((space.consistent_cells().len() as u64, space.total_cells()));
-        Ok(result)
+        self.run_setting(self.name(), false, query, input, engine)
     }
 }
 
@@ -131,7 +87,7 @@ mod tests {
     use super::*;
     use crate::oracle::oracle_join;
     use ij_interval::AllenPredicate::{self, *};
-    use ij_interval::Relation;
+    use ij_interval::{Interval, Relation};
     use ij_mapreduce::ClusterConfig;
     use ij_query::Condition;
     use rand::rngs::StdRng;
@@ -209,6 +165,20 @@ mod tests {
     #[test]
     fn pure_sequence_degenerates_to_all_matrix() {
         check(&[Before, Before], 6, 40, 5);
+        // Every component is a singleton: nothing to mark, the join runs
+        // alone — for PASM too, which has nothing to prune either.
+        let q = JoinQuery::chain(&[Before, Before]).unwrap();
+        let mut rng = StdRng::seed_from_u64(6);
+        let rels = (0..3).map(|_| random_rel(&mut rng, 40, 300, 50)).collect();
+        let input = JoinInput::bind_owned(&q, rels).unwrap();
+        let asm = AllSeqMatrix::new(5).run(&q, &input, &engine()).unwrap();
+        let pasm = crate::hybrid::Pasm::new(5)
+            .run(&q, &input, &engine())
+            .unwrap();
+        assert_eq!(asm.chain.cycles[0].name, "asm-join");
+        assert_eq!(pasm.chain.cycles[0].name, "pasm-join");
+        assert_eq!((asm.chain.num_cycles(), pasm.chain.num_cycles()), (1, 1));
+        assert_eq!(asm.stats.replicated_intervals, Some(0));
     }
 
     #[test]
@@ -259,7 +229,8 @@ mod tests {
         let rels = (0..3).map(|_| random_rel(&mut rng, 30, 200, 30)).collect();
         let input = JoinInput::bind_owned(&q, rels).unwrap();
         let out = AllSeqMatrix::new(4).run(&q, &input, &engine()).unwrap();
-        assert_eq!(out.chain.num_cycles(), 2);
+        let stages: Vec<&str> = out.chain.cycles.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(stages, ["asm-mark", "asm-join"]);
         assert!(out.stats.consistent_cells.is_some());
         assert!(out.stats.replicated_intervals.is_some());
     }

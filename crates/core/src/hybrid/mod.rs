@@ -4,15 +4,18 @@
 //! The query is viewed through its colocation connected components
 //! (`ij_query::Components`): the components become the dimensions of a
 //! reducer matrix (as in All-Matrix) while each component's internal
-//! colocation query is solved with RCCIS's replication marking.
+//! colocation query is solved with RCCIS's replication marking — the
+//! component-matrix pipeline (`crate::component_matrix`) that RCCIS and
+//! All-Matrix are the one-dimension and all-singleton settings of.
 //!
 //! * [`fcts`] / [`fstc`] — the two staged baselines (First Colocation Then
 //!   Sequence / First Sequence Then Colocation), which both materialize
 //!   large intermediate results;
-//! * [`all_seq_matrix`] — the paper's single-pass All-Seq-Matrix (2 MR
-//!   cycles);
-//! * [`pasm`] — Pruned-All-Seq-Matrix (3 MR cycles), which additionally
-//!   drops intervals that cannot appear in any component's output.
+//! * [`all_seq_matrix`] — the paper's single-pass All-Seq-Matrix (mark →
+//!   join);
+//! * [`pasm`] — Pruned-All-Seq-Matrix (mark → prune → join), which
+//!   additionally drops intervals that cannot appear in any component's
+//!   output.
 
 pub mod all_seq_matrix;
 pub mod fcts;
@@ -23,148 +26,3 @@ pub use all_seq_matrix::AllSeqMatrix;
 pub use fcts::Fcts;
 pub use fstc::Fstc;
 pub use pasm::Pasm;
-
-use crate::algorithm::AlgoError;
-use crate::records::{FlagRec, IvRec};
-use ij_interval::{ops, Interval, Partitioning, TupleId};
-use ij_mapreduce::{Emitter, Engine, JobChain, ReduceCtx, ReducerId, ValueStream};
-use ij_query::{AttrRef, Components, JoinQuery};
-
-/// The first MR cycle shared by All-Seq-Matrix and PASM: runs the RCCIS
-/// replication marking *per colocation component*, all components in one
-/// job. Reducer keys encode `(component, partition)`; singleton components
-/// pass through with `replicate = false`. Returns every interval exactly
-/// once, flagged.
-pub(crate) fn run_component_marking(
-    query: &JoinQuery,
-    comps: &Components,
-    part: &Partitioning,
-    records: &[IvRec],
-    engine: &Engine,
-    chain: &mut JobChain,
-) -> Result<Vec<FlagRec>, AlgoError> {
-    let p_count = part.len() as u64;
-    // Per-relation component id (single-attribute: vertex = ⟨rel, 0⟩).
-    let comp_of: Vec<usize> = (0..query.num_relations())
-        .map(|r| {
-            comps
-                .component_of(AttrRef::whole(r))
-                .expect("every relation has a component")
-        })
-        .collect();
-    let multi: Vec<bool> = comps
-        .components
-        .iter()
-        .map(|c| c.vertices.len() >= 2)
-        .collect();
-    // Pre-extract per-component sub-queries and local relation maps.
-    let sub_queries: Vec<Option<(JoinQuery, Vec<u16>)>> = comps
-        .components
-        .iter()
-        .map(|c| {
-            c.as_query(query).map(|sq| {
-                // global rel -> local index (dense map sized by relations).
-                let mut map = vec![u16::MAX; query.num_relations() as usize];
-                for (i, v) in c.vertices.iter().enumerate() {
-                    map[v.rel.idx()] = i as u16;
-                }
-                (sq, map)
-            })
-        })
-        .collect();
-
-    let partc = part.clone();
-    let out = engine.run_job(
-        "component-mark",
-        records,
-        {
-            let partc = partc.clone();
-            let comp_of = comp_of.clone();
-            let multi = multi.clone();
-            move |rec: &IvRec, em: &mut Emitter<IvRec>| {
-                let k = comp_of[rec.rel.idx()] as u64;
-                if multi[comp_of[rec.rel.idx()]] {
-                    for p in ops::split(rec.iv, &partc) {
-                        em.emit(k * p_count + p as u64, *rec);
-                    }
-                } else {
-                    // Singletons only pass through to pick up their flag.
-                    em.emit(k * p_count + ops::project(rec.iv, &partc) as u64, *rec);
-                }
-            }
-        },
-        move |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<FlagRec>| {
-            let key: ReducerId = ctx.key;
-            let k = (key / p_count) as usize;
-            let p = (key % p_count) as usize;
-            match &sub_queries[k] {
-                None => {
-                    // Singleton component: never replicated.
-                    for v in values.by_ref() {
-                        out.push(FlagRec {
-                            rec: v,
-                            replicate: false,
-                        });
-                    }
-                }
-                Some((sq, local_of)) => {
-                    let mut per_rel: Vec<Vec<(Interval, TupleId)>> =
-                        vec![Vec::new(); sq.num_relations() as usize];
-                    // Remember global identity alongside.
-                    let mut globals: Vec<Vec<IvRec>> =
-                        vec![Vec::new(); sq.num_relations() as usize];
-                    for v in values.by_ref() {
-                        let l = local_of[v.rel.idx()] as usize;
-                        per_rel[l].push((v.iv, v.tid));
-                        globals[l].push(v);
-                    }
-                    let marking = crate::rccis::marking::mark(sq, &partc, p, per_rel);
-                    ctx.add_work(marking.work);
-                    for (l, (list, flags)) in marking.sorted.iter().zip(&marking.flags).enumerate()
-                    {
-                        for (&(iv, tid), &replicate) in list.iter().zip(flags) {
-                            if partc.index_of(iv.start()) == p {
-                                // Find the global record (rel known from the
-                                // component's vertex list).
-                                let rec = globals[l]
-                                    .iter()
-                                    .find(|g| g.tid == tid)
-                                    .expect("marked interval came from input");
-                                debug_assert_eq!(rec.iv, iv);
-                                out.push(FlagRec {
-                                    rec: *rec,
-                                    replicate,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        },
-    )?;
-    chain.push(out.metrics);
-    Ok(out.outputs)
-}
-
-/// Ownership test shared by the matrix joins: the assignment is owned by
-/// cell `coords` when, for every component, the maximal start partition
-/// among the component's member intervals equals the cell's coordinate.
-pub(crate) fn owns_assignment(
-    comps: &Components,
-    part: &Partitioning,
-    coords: &[usize],
-    iv_of_rel: impl Fn(usize) -> Interval,
-) -> bool {
-    for comp in &comps.components {
-        let q_k = comp
-            .vertices
-            .iter()
-            .map(|v| part.index_of(iv_of_rel(v.rel.idx()).start()))
-            .max()
-            .expect("components are non-empty");
-        if q_k != coords[comp.id] {
-            return false;
-        }
-    }
-    true
-}

@@ -1,32 +1,20 @@
-//! Pruned-All-Seq-Matrix (paper Section 8.2).
-//!
-//! Three MR cycles:
-//!
-//! 1. the All-Seq-Matrix replication marking;
-//! 2. each colocation component's join is computed (RCCIS second cycle per
-//!    component, all components in one job) and every interval appearing in
-//!    at least one component output is marked as *participating*;
-//! 3. the All-Seq-Matrix join runs over the pruned relations — intervals
-//!    that appear in no component output are never shuffled.
+//! Pruned-All-Seq-Matrix (paper Section 8.2): All-Seq-Matrix's setting of
+//! the component-matrix pipeline (`crate::component_matrix`) with the
+//! prune stage switched on — mark → prune → join. Each colocation
+//! component's own join marks the intervals that *participate* in it, and
+//! the matrix join never shuffles the rest.
 //!
 //! Pruning shrinks both the communication and the per-reducer work; when
 //! little prunes, the extra cycle can make PASM slightly slower than
-//! All-Seq-Matrix (the Table 3 trade-off).
+//! All-Seq-Matrix (the Table 3 trade-off). When every component is a
+//! singleton there is nothing to mark or prune, and the join runs alone.
 
-use crate::algorithm::{
-    empty_output, iv_records, require_single_attr, AlgoError, Algorithm, RunArtifacts,
-};
-use crate::all_matrix::CellSpace;
-use crate::executor::Candidates;
-use crate::hybrid::{owns_assignment, run_component_marking};
+use crate::algorithm::{AlgoError, Algorithm};
+use crate::hybrid::AllSeqMatrix;
 use crate::input::JoinInput;
-use crate::kernel;
 use crate::output::{JoinOutput, OutputMode};
-use crate::records::{FlagRec, IvRec, OutRec};
-use ij_interval::{ops, Interval, TupleId};
-use ij_mapreduce::{Emitter, Engine, JobChain, ReduceCtx, ValueStream};
-use ij_query::{AttrRef, JoinQuery};
-use std::collections::BTreeSet;
+use ij_mapreduce::Engine;
+use ij_query::JoinQuery;
 
 /// The PASM algorithm.
 #[derive(Debug, Clone)]
@@ -47,36 +35,6 @@ impl Pasm {
     }
 }
 
-/// Cycle 2's reducer output: the `rel << 32 | tid` key of every interval
-/// in an owned component binding. A set, so absorbing chunks in any
-/// grouping yields the serial result.
-struct ParticipantSink<'a> {
-    /// Global relation of each local slot of the component query.
-    rels: &'a [u16],
-    ids: BTreeSet<u64>,
-}
-
-impl kernel::BindingSink for ParticipantSink<'_> {
-    fn push(&mut self, binding: &[(Interval, TupleId)]) {
-        for (&rel, (_, tid)) in self.rels.iter().zip(binding) {
-            self.ids.insert((rel as u64) << 32 | *tid as u64);
-        }
-    }
-}
-
-impl kernel::OutputSink for ParticipantSink<'_> {
-    type Chunk = Self;
-    fn fork(&self) -> Self {
-        ParticipantSink {
-            rels: self.rels,
-            ids: BTreeSet::new(),
-        }
-    }
-    fn absorb(&mut self, mut chunk: Self) {
-        self.ids.append(&mut chunk.ids);
-    }
-}
-
 impl Algorithm for Pasm {
     fn name(&self) -> &'static str {
         "PASM"
@@ -88,193 +46,17 @@ impl Algorithm for Pasm {
         input: &JoinInput,
         engine: &Engine,
     ) -> Result<JoinOutput, AlgoError> {
-        require_single_attr(self.name(), query)?;
-        let order = query.start_order();
-        if order.contradictory() {
-            return Ok(empty_output(self.mode));
-        }
-        let comps = query.components();
-        let l = comps.len();
-        let part = RunArtifacts::partition_span(input.span(), self.per_dim)?;
-        let space = CellSpace::new(l, self.per_dim, order.component_constraints(&comps))?;
-        let mut chain = JobChain::new();
-
-        // ---- Cycle 1: per-component replication marking --------------------
-        let flags =
-            run_component_marking(query, &comps, &part, &iv_records(input), engine, &mut chain)?;
-        let replicated = flags.iter().filter(|f| f.replicate).count() as u64;
-
-        let comp_of: Vec<usize> = (0..query.num_relations())
-            .map(|r| comps.component_of(AttrRef::whole(r)).expect("component"))
-            .collect();
-        let multi: Vec<bool> = comps
-            .components
-            .iter()
-            .map(|c| c.vertices.len() >= 2)
-            .collect();
-
-        // ---- Cycle 2: component joins mark participating intervals ---------
-        let p_count = part.len() as u64;
-        let sub_queries: Vec<Option<(JoinQuery, Vec<u16>)>> = comps
-            .components
-            .iter()
-            .map(|c| {
-                c.as_query(query).map(|sq| {
-                    let mut map = vec![u16::MAX; query.num_relations() as usize];
-                    for (i, v) in c.vertices.iter().enumerate() {
-                        map[v.rel.idx()] = i as u16;
-                    }
-                    (sq, map)
-                })
-            })
-            .collect();
-        // Per component: the global relation of each local slot, for
-        // translating the component join's assignments back.
-        let vertex_rels: Vec<Vec<u16>> = comps
-            .components
-            .iter()
-            .map(|c| c.vertices.iter().map(|v| v.rel.0).collect())
-            .collect();
-        let partc = part.clone();
-        let prune_out = engine.run_job(
-            "pasm-prune",
-            &flags,
-            {
-                let partc = partc.clone();
-                let comp_of = comp_of.clone();
-                let multi = multi.clone();
-                move |rec: &FlagRec, em: &mut Emitter<IvRec>| {
-                    let k = comp_of[rec.rec.rel.idx()];
-                    if !multi[k] {
-                        return; // singletons always participate
-                    }
-                    let op = if rec.replicate {
-                        ij_interval::MapOp::Replicate
-                    } else {
-                        ij_interval::MapOp::Project
-                    };
-                    for p in ops::apply(op, rec.rec.iv, &partc) {
-                        em.emit(k as u64 * p_count + p as u64, rec.rec);
-                    }
-                }
-            },
-            {
-                let partc = partc.clone();
-                move |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<u64>| {
-                    let k = (ctx.key / p_count) as usize;
-                    let p = (ctx.key % p_count) as usize;
-                    let (sq, local_of) = sub_queries[k].as_ref().expect("multi component");
-                    let mut cands = Candidates::new(sq.num_relations() as usize);
-                    for v in values.by_ref() {
-                        cands.push(local_of[v.rel.idx()] as usize, v.iv, v.tid);
-                    }
-                    cands.finish();
-                    let mut participating = ParticipantSink {
-                        rels: &vertex_rels[k],
-                        ids: BTreeSet::new(),
-                    };
-                    kernel::reduce_into(
-                        ctx,
-                        sq,
-                        &cands,
-                        |a: &[(Interval, TupleId)]| {
-                            let max_start =
-                                a.iter().map(|(iv, _)| iv.start()).max().expect("nonempty");
-                            partc.index_of(max_start) == p
-                        },
-                        &mut participating,
-                    );
-                    out.extend(participating.ids);
-                }
-            },
-        )?;
-        chain.push(prune_out.metrics);
-        let participating: BTreeSet<u64> = prune_out.outputs.into_iter().collect();
-
-        // Pruned fractions per relation (only multi-component relations are
-        // ever pruned).
-        let mut pruned_fraction = Vec::new();
-        for (r, rel) in input.relations().iter().enumerate() {
-            if multi[comp_of[r]] && !rel.is_empty() {
-                let alive = (0..rel.len() as u32)
-                    .filter(|&t| participating.contains(&((r as u64) << 32 | t as u64)))
-                    .count();
-                pruned_fraction.push((
-                    query.relations()[r].name.clone(),
-                    1.0 - alive as f64 / rel.len() as f64,
-                ));
-            }
-        }
-
-        // ---- Cycle 3: matrix join over pruned relations ---------------------
-        let mode = self.mode;
-        let q = query.clone();
-        let spacec = space.clone();
-        let compsc = comps.clone();
-        let m = query.num_relations() as usize;
-        let out = engine.run_job(
-            "pasm-join",
-            &flags,
-            {
-                let partc = partc.clone();
-                let spacec = spacec.clone();
-                let comp_of = comp_of.clone();
-                let multi = multi.clone();
-                let participating = participating.clone();
-                move |rec: &FlagRec, em: &mut Emitter<IvRec>| {
-                    let k = comp_of[rec.rec.rel.idx()];
-                    if multi[k]
-                        && !participating
-                            .contains(&((rec.rec.rel.0 as u64) << 32 | rec.rec.tid as u64))
-                    {
-                        return; // pruned
-                    }
-                    let qidx = partc.index_of(rec.rec.iv.start());
-                    let cells = if rec.replicate {
-                        spacec.cells_ge(k, qidx)
-                    } else {
-                        spacec.cells_eq(k, qidx)
-                    };
-                    em.emit_to_all(cells.iter().copied(), &rec.rec);
-                }
-            },
-            move |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<OutRec>| {
-                let coords = spacec.decode(ctx.key);
-                let mut cands = Candidates::new(m);
-                for v in values.by_ref() {
-                    cands.push(v.rel.idx(), v.iv, v.tid);
-                }
-                cands.finish();
-                kernel::reduce_join(
-                    ctx,
-                    &q,
-                    &cands,
-                    mode,
-                    |a: &[(Interval, TupleId)]| {
-                        owns_assignment(&compsc, &partc, &coords, |r| a[r].0)
-                    },
-                    out,
-                );
-            },
-        )?;
-        chain.push(out.metrics);
-
-        let mut result = JoinOutput::from_records(self.mode, out.outputs, chain);
-        result.stats.replicated_intervals = Some(replicated);
-        result.stats.consistent_cells =
-            Some((space.consistent_cells().len() as u64, space.total_cells()));
-        result.stats.pruned_fraction = pruned_fraction;
-        Ok(result)
+        let (per_dim, mode) = (self.per_dim, self.mode);
+        AllSeqMatrix { per_dim, mode }.run_setting(self.name(), true, query, input, engine)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hybrid::AllSeqMatrix;
     use crate::oracle::oracle_join;
     use ij_interval::AllenPredicate::*;
-    use ij_interval::Relation;
+    use ij_interval::{Interval, Relation};
     use ij_mapreduce::ClusterConfig;
     use ij_query::Condition;
     use rand::rngs::StdRng;
@@ -353,7 +135,8 @@ mod tests {
         )
         .unwrap();
         let out = Pasm::new(5).run(&q, &input, &engine()).unwrap();
-        assert_eq!(out.chain.num_cycles(), 3);
+        let stages: Vec<&str> = out.chain.cycles.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(stages, ["pasm-mark", "pasm-prune", "pasm-join"]);
         let r1_pruned = out
             .stats
             .pruned_fraction

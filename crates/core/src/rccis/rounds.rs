@@ -1,16 +1,13 @@
-//! The two MR cycles of RCCIS.
+//! RCCIS as a setting of the component-matrix pipeline
+//! (`crate::component_matrix`): one dimension holding every relation, no
+//! cell constraints, mark → join.
 
-use crate::algorithm::{
-    empty_output, iv_records, require_single_attr, AlgoError, Algorithm, RunArtifacts,
-};
-use crate::executor::Candidates;
+use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
+use crate::all_matrix::CellSpace;
+use crate::component_matrix::ComponentMatrix;
 use crate::input::JoinInput;
-use crate::kernel;
 use crate::output::{JoinOutput, OutputMode};
-use crate::records::{FlagRec, IvRec, OutRec};
-use ij_interval::{ops, Interval, Partitioning, TupleId};
-use ij_mapreduce::metrics::names;
-use ij_mapreduce::{Dfs, Emitter, Engine, JobChain, ReduceCtx, ValueStream};
+use ij_mapreduce::Engine;
 use ij_query::{JoinQuery, QueryClass};
 
 /// RCCIS (Section 6.1) — the efficient multi-way colocation join.
@@ -65,155 +62,27 @@ impl Algorithm for Rccis {
             return Ok(empty_output(self.mode));
         }
         let part = RunArtifacts::partition_input(input, self.partitions, self.partition_strategy)?;
-        let mut chain = JobChain::new();
-        let dfs = Dfs::new();
-
-        // ---- Cycle 1: split everything; mark intervals for replication ----
-        let flags = run_marking_cycle(
+        // Cycle 1 splits everything and marks; cycle 2 replicates the
+        // flagged, projects the rest, joins and keeps the tuples whose
+        // right-most start is the reducer's: a one-dimensional matrix whose
+        // cells are the partitions.
+        let space = CellSpace::new(1, part.len(), Vec::new())?;
+        let mut out = ComponentMatrix {
+            family: "rccis",
             query,
-            &part,
-            &iv_records(input),
-            engine,
-            &mut chain,
-            self.mark_options,
-        )?;
-        let replicated = flags.iter().filter(|f| f.replicate).count() as u64;
-        dfs.write("rccis/flags", flags).expect("fresh dfs path");
-
-        // ---- Cycle 2: replicate flagged / project rest; join; own-filter --
-        let flags = dfs.read::<FlagRec>("rccis/flags").expect("just written");
-        let records = run_join_cycle(query, &part, &flags, self.mode, engine, &mut chain)?;
-
-        let mut out = JoinOutput::from_records(self.mode, records, chain);
-        out.stats.replicated_intervals = Some(replicated);
+            part: &part,
+            space: &space,
+            groups: vec![(0..query.num_relations() as usize).collect()],
+            mark_options: self.mark_options,
+            prune: false,
+            map_op_counters: true,
+            mode: self.mode,
+        }
+        .run(input, engine)?;
+        // Table 1 reports RCCIS's replication, not a cell count.
+        out.stats.consistent_cells = None;
         Ok(out)
     }
-}
-
-/// Cycle 1: split all relations; each reducer marks the intervals starting
-/// in its partition that belong to a consistent crossing set. Returns every
-/// interval exactly once, flagged.
-pub(crate) fn run_marking_cycle(
-    query: &JoinQuery,
-    part: &Partitioning,
-    records: &[IvRec],
-    engine: &Engine,
-    chain: &mut JobChain,
-    opts: crate::rccis::marking::MarkOptions,
-) -> Result<Vec<FlagRec>, AlgoError> {
-    let m = query.num_relations() as usize;
-    let q = query.clone();
-    let partc = part.clone();
-    let out = engine.run_job(
-        "rccis-mark",
-        records,
-        {
-            let partc = partc.clone();
-            move |rec: &IvRec, em: &mut Emitter<IvRec>| {
-                let before = em.emitted();
-                for p in ops::split(rec.iv, &partc) {
-                    em.emit(p as u64, *rec);
-                }
-                let copies = (em.emitted() - before) as u64;
-                em.inc(names::RCCIS_SPLIT_PAIRS, copies);
-                if copies > 1 {
-                    // The interval crosses at least one partition boundary.
-                    em.inc(names::RCCIS_CROSSING_INTERVALS, 1);
-                }
-            }
-        },
-        move |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<FlagRec>| {
-            let p = ctx.key as usize;
-            let mut per_rel: Vec<Vec<(Interval, TupleId)>> = vec![Vec::new(); m];
-            // Keep (rel -> tids) so flags can be matched back to records.
-            for v in values.by_ref() {
-                per_rel[v.rel.idx()].push((v.iv, v.tid));
-            }
-            let marking = crate::rccis::marking::mark_with_options(&q, &partc, p, per_rel, opts);
-            ctx.add_work(marking.work);
-            for (r, (list, flags)) in marking.sorted.iter().zip(&marking.flags).enumerate() {
-                for (&(iv, tid), &replicate) in list.iter().zip(flags) {
-                    // Each interval is written once: by its start partition.
-                    if partc.index_of(iv.start()) == p {
-                        if replicate {
-                            ctx.inc(names::RCCIS_FLAGGED_INTERVALS, 1);
-                        }
-                        out.push(FlagRec {
-                            rec: IvRec {
-                                rel: ij_interval::RelId(r as u16),
-                                tid,
-                                iv,
-                            },
-                            replicate,
-                        });
-                    }
-                }
-            }
-        },
-    )?;
-    chain.push(out.metrics);
-    Ok(out.outputs)
-}
-
-/// Cycle 2: route by flag, join, and emit owned tuples (max start point in
-/// the reducer's partition).
-pub(crate) fn run_join_cycle(
-    query: &JoinQuery,
-    part: &Partitioning,
-    flags: &[FlagRec],
-    mode: OutputMode,
-    engine: &Engine,
-    chain: &mut JobChain,
-) -> Result<Vec<OutRec>, AlgoError> {
-    let m = query.num_relations() as usize;
-    let q = query.clone();
-    let partc = part.clone();
-    let out = engine.run_job(
-        "rccis-join",
-        flags,
-        {
-            let partc = partc.clone();
-            move |rec: &FlagRec, em: &mut Emitter<IvRec>| {
-                let op = if rec.replicate {
-                    ij_interval::MapOp::Replicate
-                } else {
-                    ij_interval::MapOp::Project
-                };
-                let before = em.emitted();
-                for p in ops::apply(op, rec.rec.iv, &partc) {
-                    em.emit(p as u64, rec.rec);
-                }
-                let copies = (em.emitted() - before) as u64;
-                if rec.replicate {
-                    em.inc(names::RCCIS_REPLICA_PAIRS, copies);
-                } else {
-                    em.inc(names::RCCIS_PROJECTED_PAIRS, copies);
-                }
-            }
-        },
-        move |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<OutRec>| {
-            let mut cands = Candidates::new(m);
-            for v in values.by_ref() {
-                cands.push(v.rel.idx(), v.iv, v.tid);
-            }
-            cands.finish();
-            let own = ctx.key as usize;
-            let partr = &partc;
-            kernel::reduce_join(
-                ctx,
-                &q,
-                &cands,
-                mode,
-                |a: &[(Interval, TupleId)]| {
-                    let max_start = a.iter().map(|(iv, _)| iv.start()).max().expect("nonempty");
-                    partr.index_of(max_start) == own
-                },
-                out,
-            );
-        },
-    )?;
-    chain.push(out.metrics);
-    Ok(out.outputs)
 }
 
 #[cfg(test)]
@@ -222,7 +91,7 @@ mod tests {
     use crate::all_replicate::AllReplicate;
     use crate::oracle::oracle_join;
     use ij_interval::AllenPredicate::{self, *};
-    use ij_interval::Relation;
+    use ij_interval::{Interval, Relation};
     use ij_mapreduce::ClusterConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -1,0 +1,366 @@
+//! RCCIS, All-Matrix, All-Seq-Matrix and PASM are four settings of one
+//! mark → prune → join pipeline (`core::component_matrix`). This file
+//! holds them to what the four separate implementations did at the parent
+//! of PR 17: `results/pr17/family_pins_parent.txt` is the raw output of
+//! [`render`] at that commit, recorded before any of them was touched, and
+//! every run below must reproduce its block — count, tuples in emission
+//! order, per-cycle pairs / bytes / reducer loads, run statistics and
+//! counters. Exactly two things may differ from the capture:
+//!
+//! 1. **stage names** — the capture's `name=` fields are ignored (stages
+//!    are now `<family>-mark` / `-prune` / `-join`);
+//! 2. **the cycle count of All-Seq-Matrix / PASM on an all-singleton
+//!    query** (Q2) — at the parent they shuffled every interval through a
+//!    marking cycle that could flag nothing (PASM also through a prune
+//!    cycle that received nothing); they now run the join alone, so only
+//!    the capture's last `cycle` line is compared.
+//!
+//! The cross-family identities the merge rests on are asserted directly.
+
+use ij_core::all_matrix::AllMatrix;
+use ij_core::hybrid::{AllSeqMatrix, Pasm};
+use ij_core::rccis::marking::MarkOptions;
+use ij_core::rccis::Rccis;
+use ij_core::{Algorithm, JoinInput, JoinOutput, OutputMode, PartitionStrategy};
+use ij_datagen::{Distribution, SynthConfig};
+use ij_interval::AllenPredicate::{Before, Contains, Overlaps};
+use ij_mapreduce::{ClusterConfig, Engine, ReducerLoad};
+use ij_query::{Condition, JoinQuery};
+use std::fmt::Write as _;
+
+const PARENT_CAPTURE: &str = include_str!("../../../results/pr17/family_pins_parent.txt");
+
+/// Partitions (RCCIS) and partitions per dimension (matrix families).
+const K: usize = 6;
+
+struct Case {
+    name: &'static str,
+    query: JoinQuery,
+    input: JoinInput,
+}
+
+/// `(n, t_max, i_max)` per relation; relation `r` is seeded `seed + r`.
+fn case(name: &'static str, query: JoinQuery, seed: u64, rels: &[(usize, i64, i64)]) -> Case {
+    let relations = rels
+        .iter()
+        .enumerate()
+        .map(|(r, &(n, t_max, i_max))| {
+            SynthConfig {
+                n,
+                ds: Distribution::Uniform,
+                di: Distribution::Uniform,
+                t_min: 0,
+                t_max,
+                i_min: 1,
+                i_max,
+                seed: seed + r as u64,
+            }
+            .generate(format!("R{}", r + 1))
+        })
+        .collect();
+    let input = JoinInput::bind_owned(&query, relations).unwrap();
+    Case { name, query, input }
+}
+
+fn cases() -> Vec<Case> {
+    let q4 = JoinQuery::new(
+        3,
+        vec![
+            Condition::whole(0, Before, 1),
+            Condition::whole(0, Overlaps, 2),
+        ],
+    )
+    .unwrap();
+    let q3 = JoinQuery::new(
+        5,
+        vec![
+            Condition::whole(0, Overlaps, 1),
+            Condition::whole(1, Overlaps, 2),
+            Condition::whole(1, Before, 3),
+            Condition::whole(3, Overlaps, 4),
+        ],
+    )
+    .unwrap();
+    vec![
+        case(
+            "q1-colocation",
+            JoinQuery::chain(&[Overlaps, Overlaps]).unwrap(),
+            1701,
+            &[(300, 3000, 60); 3],
+        ),
+        case(
+            "q0-colocation",
+            JoinQuery::chain(&[Overlaps, Contains, Overlaps]).unwrap(),
+            1801,
+            &[(200, 2000, 80); 4],
+        ),
+        case(
+            "q2-sequence",
+            JoinQuery::chain(&[Before, Before]).unwrap(),
+            1901,
+            &[(36, 600, 20); 3],
+        ),
+        case(
+            "q4-hybrid",
+            q4,
+            2001,
+            &[(250, 2500, 30), (20, 2500, 30), (15, 2500, 200)],
+        ),
+        case("q3-hybrid", q3, 2101, &[(50, 500, 40); 5]),
+    ]
+}
+
+fn families() -> Vec<(&'static str, Box<dyn Algorithm>)> {
+    vec![
+        ("rccis", Box::new(Rccis::new(K))),
+        (
+            "rccis equi-depth",
+            Box::new(Rccis {
+                partition_strategy: PartitionStrategy::EquiDepth,
+                ..Rccis::new(K)
+            }),
+        ),
+        (
+            "rccis no-crossing",
+            Box::new(Rccis {
+                mark_options: MarkOptions {
+                    enforce_crossing: false,
+                },
+                ..Rccis::new(K)
+            }),
+        ),
+        ("all-matrix", Box::new(AllMatrix::new(K))),
+        (
+            "all-matrix no-prune",
+            Box::new(AllMatrix {
+                prune_inconsistent: false,
+                ..AllMatrix::new(K)
+            }),
+        ),
+        ("asm", Box::new(AllSeqMatrix::new(K))),
+        ("pasm", Box::new(Pasm::new(K))),
+        (
+            "pasm count",
+            Box::new(Pasm {
+                mode: OutputMode::Count,
+                ..Pasm::new(K)
+            }),
+        ),
+    ]
+}
+
+fn engine() -> Engine {
+    Engine::new(ClusterConfig::with_slots(4))
+}
+
+/// Order-sensitive FNV-1a over the emitted tuples.
+fn emission_hash(out: &JoinOutput) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for t in &out.tuples {
+        for id in t.iter().copied().chain([u32::MAX]) {
+            for b in id.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+fn render_run(out: &JoinOutput) -> String {
+    let mut s = String::new();
+    writeln!(
+        s,
+        "count={} tuples={} emission_hash={:016x} first={:?} last={:?}",
+        out.count,
+        out.tuples.len(),
+        emission_hash(out),
+        out.tuples.first(),
+        out.tuples.last()
+    )
+    .unwrap();
+    for c in &out.chain.cycles {
+        let loads: Vec<String> = c
+            .reducer_loads
+            .iter()
+            .map(|l| format!("{}:{}:{}:{}", l.key, l.pairs_received, l.work, l.output))
+            .collect();
+        writeln!(
+            s,
+            "cycle name={} pairs={} bytes={} loads(key:pairs:work:out)=[{}]",
+            c.name,
+            c.intermediate_pairs,
+            c.shuffle_bytes,
+            loads.join(" ")
+        )
+        .unwrap();
+    }
+    writeln!(
+        s,
+        "stats replicated={:?} cells={:?} pruned={:?}",
+        out.stats.replicated_intervals, out.stats.consistent_cells, out.stats.pruned_fraction
+    )
+    .unwrap();
+    let c = out.chain.total_counters();
+    writeln!(
+        s,
+        "counters split={} crossing={} flagged={} replica={} projected={} candidates={} emitted={}",
+        c.get("rccis.split_pairs"),
+        c.get("rccis.crossing_intervals"),
+        c.get("rccis.flagged_intervals"),
+        c.get("rccis.replica_pairs"),
+        c.get("rccis.projected_pairs"),
+        c.get("join.candidates"),
+        c.get("join.emitted"),
+    )
+    .unwrap();
+    s
+}
+
+/// One `== case / family` block per run, in a fixed order.
+fn render() -> String {
+    let engine = engine();
+    let mut s = String::new();
+    for case in cases() {
+        for (label, alg) in families() {
+            writeln!(s, "== {} / {}", case.name, label).unwrap();
+            match alg.run(&case.query, &case.input, &engine) {
+                Ok(out) => s.push_str(&render_run(&out)),
+                Err(e) => writeln!(s, "error: {e}").unwrap(),
+            }
+        }
+    }
+    s
+}
+
+fn blocks(text: &str) -> Vec<(String, Vec<String>)> {
+    let mut out: Vec<(String, Vec<String>)> = Vec::new();
+    for line in text.lines() {
+        match line.strip_prefix("== ") {
+            Some(header) => out.push((header.to_string(), Vec::new())),
+            None => out
+                .last_mut()
+                .expect("capture starts with a header")
+                .1
+                .push(line.to_string()),
+        }
+    }
+    out
+}
+
+/// Difference 1: drops the `name=<stage>` field of a `cycle` line.
+fn without_stage_name(line: &str) -> String {
+    match line.find(" pairs=") {
+        Some(at) if line.starts_with("cycle name=") => format!("cycle{}", &line[at..]),
+        _ => line.to_string(),
+    }
+}
+
+#[test]
+fn every_family_reproduces_the_parent_capture() {
+    let expected = blocks(PARENT_CAPTURE);
+    let got = blocks(&render());
+    assert_eq!(
+        got.iter().map(|b| &b.0).collect::<Vec<_>>(),
+        expected.iter().map(|b| &b.0).collect::<Vec<_>>(),
+        "same runs in the same order"
+    );
+    for ((header, got), (_, expected)) in got.iter().zip(&expected) {
+        let mut expected: Vec<String> = expected.iter().map(|l| without_stage_name(l)).collect();
+        let got: Vec<String> = got.iter().map(|l| without_stage_name(l)).collect();
+        // Difference 2: on the all-singleton query the hybrid families'
+        // pass-through cycles are gone; the join cycle is the last one.
+        if header.starts_with("q2-sequence / asm") || header.starts_with("q2-sequence / pasm") {
+            let cycles = expected.iter().filter(|l| l.starts_with("cycle")).count();
+            let mut seen = 0;
+            expected.retain(|l| {
+                seen += l.starts_with("cycle") as usize;
+                !l.starts_with("cycle") || seen == cycles
+            });
+            assert_eq!(
+                got.iter().filter(|l| l.starts_with("cycle")).count(),
+                1,
+                "{header}: the join runs alone"
+            );
+        }
+        assert_eq!(got, expected, "{header}");
+    }
+}
+
+fn run(alg: &dyn Algorithm, case: &Case) -> JoinOutput {
+    alg.run(&case.query, &case.input, &engine()).unwrap()
+}
+
+/// Per-cycle `(pairs, bytes, loads)` — what a cycle shuffled and did,
+/// whatever it is called.
+fn traffic(out: &JoinOutput) -> Vec<(u64, u64, Vec<ReducerLoad>)> {
+    out.chain
+        .cycles
+        .iter()
+        .map(|c| {
+            (
+                c.intermediate_pairs,
+                c.shuffle_bytes,
+                c.reducer_loads.clone(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn rccis_is_all_seq_matrix_with_one_dimension() {
+    for case in cases().iter().filter(|c| c.name.ends_with("colocation")) {
+        let rccis = run(&Rccis::new(K), case);
+        let asm = run(&AllSeqMatrix::new(K), case);
+        assert!(!rccis.tuples.is_empty());
+        assert_eq!(rccis.tuples, asm.tuples, "{}: emission order", case.name);
+        assert_eq!(traffic(&rccis), traffic(&asm), "{}", case.name);
+        assert_eq!(
+            rccis.stats.replicated_intervals,
+            asm.stats.replicated_intervals
+        );
+        // Pruning shortens candidate lists, which may reorder the kernel's
+        // bindings: PASM's output is the same set, not the same sequence.
+        assert_eq!(
+            run(&Pasm::new(K), case).sorted_tuples(),
+            rccis.sorted_tuples()
+        );
+    }
+}
+
+#[test]
+fn all_matrix_is_all_seq_matrix_with_singleton_dimensions() {
+    let all = cases();
+    let case = all.iter().find(|c| c.name == "q2-sequence").unwrap();
+    let am = run(&AllMatrix::new(K), case);
+    assert!(!am.tuples.is_empty());
+    for hybrid in [run(&AllSeqMatrix::new(K), case), run(&Pasm::new(K), case)] {
+        assert_eq!(hybrid.tuples, am.tuples, "emission order");
+        assert_eq!(traffic(&hybrid), traffic(&am), "one cycle, the same cycle");
+        assert_eq!(hybrid.stats.consistent_cells, am.stats.consistent_cells);
+        assert_eq!(hybrid.stats.replicated_intervals, Some(0));
+    }
+}
+
+#[test]
+fn pasm_is_all_seq_matrix_with_a_prune_stage() {
+    for case in cases().iter().filter(|c| c.name.ends_with("hybrid")) {
+        let asm = run(&AllSeqMatrix::new(K), case);
+        let pasm = run(&Pasm::new(K), case);
+        assert!(!asm.tuples.is_empty());
+        assert_eq!(pasm.sorted_tuples(), asm.sorted_tuples(), "{}", case.name);
+        // The marking cycle is the same cycle; the prune stage sits
+        // between it and a join that shuffles no more than ASM's.
+        assert_eq!(traffic(&pasm)[0], traffic(&asm)[0], "{}", case.name);
+        assert_eq!(pasm.chain.num_cycles(), asm.chain.num_cycles() + 1);
+        assert!(
+            pasm.chain.cycles[2].intermediate_pairs <= asm.chain.cycles[1].intermediate_pairs,
+            "{}",
+            case.name
+        );
+        assert_eq!(
+            pasm.stats.replicated_intervals,
+            asm.stats.replicated_intervals
+        );
+        assert_eq!(pasm.stats.consistent_cells, asm.stats.consistent_cells);
+    }
+}

@@ -5,7 +5,7 @@
 //! tasks are pure and retried). These tests verify the promise holds
 //! through complete multi-cycle algorithms, not just single jobs.
 
-use ij_core::hybrid::AllSeqMatrix;
+use ij_core::hybrid::{AllSeqMatrix, Pasm};
 use ij_core::rccis::Rccis;
 use ij_core::{Algorithm, JoinInput, JoinOutput};
 use ij_interval::AllenPredicate::{Before, Overlaps};
@@ -85,36 +85,71 @@ fn phase_walls_cover_every_cycle() {
     assert!(total <= out.chain.total_wall());
 }
 
+/// Runs `alg` on `cluster` clean and under `faults`; the retried run must
+/// return the clean run's output and record at least `min_retries`
+/// retries. Returns the retried run.
+fn assert_identical_under_retries(
+    alg: &dyn Algorithm,
+    q: &JoinQuery,
+    input: &JoinInput,
+    cluster: &ClusterConfig,
+    faults: FaultPlan,
+    min_retries: u64,
+) -> JoinOutput {
+    let clean = alg.run(q, input, &Engine::new(cluster.clone())).unwrap();
+    let faulty_engine = Engine::new(cluster.clone()).with_faults(faults);
+    let faulty = alg.run(q, input, &faulty_engine).unwrap();
+
+    assert_eq!(faulty.tuples, clean.tuples, "{}", alg.name());
+    assert_eq!(faulty.count, clean.count);
+    // Retries happened and were recorded.
+    let retries: u64 = faulty.chain.cycles.iter().map(|c| c.retries()).sum();
+    assert!(
+        retries >= min_retries,
+        "{}: expected recorded retries, got {retries}",
+        alg.name()
+    );
+    faulty
+}
+
 #[test]
 fn identical_results_under_reducer_retries() {
     let q = JoinQuery::chain(&[Overlaps, Before]).unwrap();
     let input = workload(&q, 2);
-    let clean_engine = engine_with_threads(4);
-    let clean = AllSeqMatrix::new(4).run(&q, &input, &clean_engine).unwrap();
-
-    // Fail several reducers of both cycles once or twice.
-    let faulty_engine = Engine::new(ClusterConfig {
+    let cluster = ClusterConfig {
         reducer_slots: 4,
         worker_threads: 4,
-        cost: CostModel::default(),
         ..ClusterConfig::default()
-    })
-    .with_faults(
-        FaultPlan::new()
-            .fail("component-mark", 0, 1)
-            .fail("component-mark", 2, 2)
-            .fail("asm-join", 1, 1)
-            .fail("asm-join", 5, 2),
-    );
-    let faulty = AllSeqMatrix::new(4)
-        .run(&q, &input, &faulty_engine)
-        .unwrap();
+    };
+    // Fail several reducers of both cycles once or twice.
+    let asm_faults = FaultPlan::new()
+        .fail("asm-mark", 0, 1)
+        .fail("asm-mark", 2, 2)
+        .fail("asm-join", 1, 1)
+        .fail("asm-join", 5, 2);
+    assert_identical_under_retries(&AllSeqMatrix::new(4), &q, &input, &cluster, asm_faults, 3);
 
-    assert_eq!(faulty.tuples, clean.tuples);
-    assert_eq!(faulty.count, clean.count);
-    // Retries happened and were recorded.
-    let retries: u64 = faulty.chain.cycles.iter().map(|c| c.retries()).sum();
-    assert!(retries >= 3, "expected recorded retries, got {retries}");
+    // PASM's prune reducer folds a `ParticipantSink` through fork/absorb
+    // when its bucket runs the parallel kernel: make every prune bucket
+    // heavy, fail each of them once (and a join reducer twice), and the
+    // retried attempts must rebuild the same participant set.
+    let parallel = ClusterConfig {
+        intra_reduce_threads: 2,
+        heavy_bucket_threshold: 8,
+        ..cluster
+    };
+    let pasm_faults = (0..4)
+        .fold(FaultPlan::new(), |plan, key| {
+            plan.fail("pasm-prune", key, 1)
+        })
+        .fail("pasm-join", 5, 2);
+    let pasm = assert_identical_under_retries(&Pasm::new(4), &q, &input, &parallel, pasm_faults, 6);
+    let prune = &pasm.chain.cycles[1];
+    assert_eq!(prune.name, "pasm-prune");
+    assert!(
+        prune.counters.get("kernel.parallel_buckets") > 0,
+        "the prune stage's fork/absorb path ran"
+    );
 }
 
 #[test]
