@@ -55,7 +55,7 @@ pub struct BenchArgs {
     /// Where to write the telemetry snapshot in Prometheus text
     /// exposition format after the run, if anywhere.
     pub metrics_out: Option<String>,
-    /// Intra-reduce thread-grant policy (`uniform` | `skew` | `serial`);
+    /// Intra-reduce thread-grant policy (`skew` | `serial`);
     /// defaults to the engine's skew-driven scheduler. Output bytes are
     /// policy-invariant — only wall-clock and the `sched.*` counters move.
     pub sched: SchedPolicy,
@@ -70,7 +70,7 @@ impl BenchArgs {
                 eprintln!("error: {e}\n");
                 eprintln!("{about}");
                 eprintln!(
-                    "flags: --scale <f64>  (default {default_scale}; 1.0 = paper scale)\n       --seed <u64>   (default 42)\n       --json <path>  (write results as JSON)\n       --slots <n>    (reduce slots, default 16)\n       --trace <path> (write a Chrome trace of every job)\n       --budget <u64> (reduce-memory budget in bytes; oversized buckets spill)\n       --metrics-out <path> (write a Prometheus text snapshot of the run's telemetry)\n       --sched <uniform|skew|serial> (intra-reduce grant policy, default skew)"
+                    "flags: --scale <f64>  (default {default_scale}; 1.0 = paper scale)\n       --seed <u64>   (default 42)\n       --json <path>  (write results as JSON)\n       --slots <n>    (reduce slots, default 16)\n       --trace <path> (write a Chrome trace of every job)\n       --budget <u64> (reduce-memory budget in bytes; oversized buckets spill)\n       --metrics-out <path> (write a Prometheus text snapshot of the run's telemetry)\n       --sched <skew|serial> (intra-reduce grant policy, default skew)"
                 );
                 std::process::exit(2);
             })
@@ -179,7 +179,7 @@ mod tests {
                 "--metrics-out",
                 "m.prom",
                 "--sched",
-                "uniform",
+                "serial",
             ]),
             0.05,
             "t",
@@ -192,13 +192,12 @@ mod tests {
         assert_eq!(a.trace.as_deref(), Some("t.json"));
         assert_eq!(a.budget, Some(4096));
         assert_eq!(a.metrics_out.as_deref(), Some("m.prom"));
-        assert_eq!(a.sched, SchedPolicy::Uniform);
+        assert_eq!(a.sched, SchedPolicy::AllSerial);
     }
 
     #[test]
     fn sched_parses_every_policy_and_rejects_unknown() {
         for (flag, want) in [
-            ("uniform", SchedPolicy::Uniform),
             ("skew", SchedPolicy::SkewDriven),
             ("serial", SchedPolicy::AllSerial),
         ] {
@@ -207,6 +206,7 @@ mod tests {
         }
         assert!(BenchArgs::parse_from(sv(&["--sched"]), 0.1, "t").is_err());
         assert!(BenchArgs::parse_from(sv(&["--sched", "greedy"]), 0.1, "t").is_err());
+        assert!(BenchArgs::parse_from(sv(&["--sched", "uniform"]), 0.1, "t").is_err());
     }
 
     #[test]

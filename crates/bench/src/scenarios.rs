@@ -215,7 +215,7 @@ mod tests {
         assert!(written.contains("ij_telemetry_stragglers"));
         let _ = std::fs::remove_file(&metrics);
 
-        let (_, unobserved) = observed_engine(4, false, None, SchedPolicy::Uniform);
+        let (_, unobserved) = observed_engine(4, false, None, SchedPolicy::AllSerial);
         assert!(unobserved.is_none());
         write_trace(None, &unobserved); // no-ops must not panic
         write_metrics(None, &unobserved);

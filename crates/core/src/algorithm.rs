@@ -3,7 +3,7 @@
 use crate::input::JoinInput;
 use crate::output::JoinOutput;
 use crate::records::IvRec;
-use ij_interval::{Interval, Partitioning, RelId};
+use ij_interval::{Interval, Partitioning, RelId, Time};
 use ij_mapreduce::Engine;
 use ij_query::JoinQuery;
 use std::fmt;
@@ -79,14 +79,26 @@ pub struct RunArtifacts {
 }
 
 impl RunArtifacts {
+    /// The half-open range `[t0, tn)` to partition `span` into `k` parts:
+    /// one tick past the maximal end point, and at least `k` representable
+    /// points. A span that ends at `Time::MAX` cannot be widened; its last
+    /// point then reaches the final partition through
+    /// `Partitioning::index_of`'s clamp.
+    fn partition_range(span: Interval, k: usize) -> (Time, Time) {
+        let k = k as Time;
+        let tn = span
+            .end()
+            .saturating_add(1)
+            .max(span.start().saturating_add(k));
+        (span.start().min(tn.saturating_sub(k)), tn)
+    }
+
     /// Builds a `k`-partition equi-width partitioning over the input's
     /// attribute-0 span. The span is widened by one tick so the maximal end
     /// point lies inside the final partition.
     pub fn partition_span(span: Interval, k: usize) -> Result<Partitioning, AlgoError> {
         let k = k.max(1);
-        let t0 = span.start();
-        // Ensure at least k representable points.
-        let tn = (span.end() + 1).max(t0 + k as i64);
+        let (t0, tn) = Self::partition_range(span, k);
         Partitioning::equi_width(t0, tn, k)
             .map_err(|e| AlgoError::BadConfig(format!("cannot partition span {span}: {e}")))
     }
@@ -102,14 +114,14 @@ impl RunArtifacts {
         match strategy {
             PartitionStrategy::EquiWidth => Self::partition_span(span, k),
             PartitionStrategy::EquiDepth => {
-                let starts: Vec<ij_interval::Time> = input
+                let starts: Vec<Time> = input
                     .relations()
                     .iter()
                     .flat_map(|r| r.tuples().iter().map(|t| t.interval().start()))
                     .collect();
-                let t0 = span.start();
-                let tn = (span.end() + 1).max(t0 + k.max(1) as i64);
-                Partitioning::equi_depth(t0, tn, k.max(1), &starts)
+                let k = k.max(1);
+                let (t0, tn) = Self::partition_range(span, k);
+                Partitioning::equi_depth(t0, tn, k, &starts)
                     .map_err(|e| AlgoError::BadConfig(format!("cannot partition span {span}: {e}")))
             }
         }

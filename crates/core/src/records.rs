@@ -48,23 +48,6 @@ impl Record for TupleRec {
     }
 }
 
-/// A [`TupleRec`] plus one replication flag per *join attribute* — the
-/// Gen-Matrix analogue of [`FlagRec`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FlagTupleRec {
-    /// The tuple record.
-    pub rec: TupleRec,
-    /// `flags[i]` corresponds to the i-th entry of the relation's join
-    /// attribute list (in ascending [`AttrId`] order).
-    pub flags: Vec<bool>,
-}
-
-impl Record for FlagTupleRec {
-    fn approx_bytes(&self) -> u64 {
-        self.rec.approx_bytes() + self.flags.len() as u64
-    }
-}
-
 /// One attribute value of one tuple, tagged with its join-graph vertex —
 /// the record Gen-Matrix's marking cycle shuffles (a tuple contributes one
 /// `VtxRec` per join attribute).
@@ -118,15 +101,6 @@ impl Record for OutRec {
     }
 }
 
-/// Marks the attribute list position of `attr` within a relation's sorted
-/// join-attribute list — the index into [`FlagTupleRec::flags`].
-pub fn flag_slot(join_attrs: &[AttrId], attr: AttrId) -> usize {
-    join_attrs
-        .iter()
-        .position(|&a| a == attr)
-        .expect("attribute participates in the join")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,17 +125,5 @@ mod tests {
         assert_eq!(t.approx_bytes(), 8 + 32);
         assert_eq!(OutRec::Tuple(vec![1, 2, 3]).approx_bytes(), 13);
         assert_eq!(OutRec::Count(9).approx_bytes(), 9);
-    }
-
-    #[test]
-    fn flag_slot_looks_up() {
-        assert_eq!(flag_slot(&[0, 2, 5], 2), 1);
-        assert_eq!(flag_slot(&[0, 2, 5], 0), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "participates")]
-    fn flag_slot_missing_attr_panics() {
-        flag_slot(&[0, 2], 1);
     }
 }

@@ -22,9 +22,7 @@ use ij_core::records::{IvRec, OutRec};
 use ij_core::{JoinInput, OutputMode};
 use ij_interval::{AllenPredicate, Interval, RelId, Relation, TupleId};
 use ij_mapreduce::metrics::names;
-use ij_mapreduce::{
-    ClusterConfig, Emitter, Engine, ReduceCtx, SchedConfig, SchedPolicy, ValueStream,
-};
+use ij_mapreduce::{ClusterConfig, Emitter, Engine, ReduceCtx, ValueStream};
 use ij_query::{Condition, JoinQuery};
 use proptest::prelude::*;
 
@@ -390,7 +388,6 @@ fn parallel_count_reduce_join_never_buffers_rows() {
             worker_threads: threads,
             intra_reduce_threads: threads,
             heavy_bucket_threshold: 8,
-            sched: SchedConfig::with_policy(SchedPolicy::Uniform),
             ..ClusterConfig::default()
         });
         let q = q.clone();

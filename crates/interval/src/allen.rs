@@ -239,16 +239,6 @@ impl AllenPredicate {
         }
     }
 
-    /// Whether the predicate forces the operands' start points to be
-    /// *strictly* ordered (as opposed to `<=`). Used by the sound
-    /// component-order inference in `ij-query`.
-    pub fn start_order_strict(self) -> bool {
-        !matches!(
-            self,
-            AllenPredicate::Starts | AllenPredicate::StartedBy | AllenPredicate::Equals
-        )
-    }
-
     /// The pair of map-side operations a 2-way MR join uses for
     /// `R1 self R2` — `(op on R1, op on R2)` (paper Figure 1, column 3).
     ///

@@ -81,18 +81,21 @@ impl Partitioning {
     /// Divides `[t0, tn)` into `k` near-equal partitions (the first
     /// `(tn - t0) % k` partitions are one tick wider).
     pub fn equi_width(t0: Time, tn: Time, k: usize) -> Result<Self, PartitioningError> {
-        if tn <= t0 || k == 0 || (tn - t0) < k as i64 {
+        // Widened: `tn - t0` does not fit in a `Time` when the range is
+        // most of the time domain.
+        let span = tn as i128 - t0 as i128;
+        if span <= 0 || k == 0 || span < k as i128 {
             return Err(PartitioningError::EmptyRange);
         }
-        let span = tn - t0;
-        let base = span / k as i64;
-        let extra = span % k as i64;
+        let base = span / k as i128;
+        let extra = span % k as i128;
         let mut boundaries = Vec::with_capacity(k + 1);
-        let mut at = t0;
-        boundaries.push(at);
+        let mut at = t0 as i128;
+        boundaries.push(t0);
         for i in 0..k {
-            at += base + if (i as i64) < extra { 1 } else { 0 };
-            boundaries.push(at);
+            at += base + i128::from((i as i128) < extra);
+            // `at <= tn`, so the narrowing is lossless.
+            boundaries.push(at as Time);
         }
         debug_assert_eq!(*boundaries.last().unwrap(), tn);
         Partitioning::from_boundaries(boundaries)
@@ -117,7 +120,8 @@ impl Partitioning {
             return Err(PartitioningError::EmptyRange);
         }
         if starts.is_empty() || k == 1 {
-            return Partitioning::equi_width(t0, tn, k.min((tn - t0) as usize).max(1));
+            let points = usize::try_from(tn.abs_diff(t0)).unwrap_or(usize::MAX);
+            return Partitioning::equi_width(t0, tn, k.min(points).max(1));
         }
         let mut sorted = starts.to_vec();
         sorted.sort_unstable();
@@ -248,6 +252,21 @@ mod tests {
         assert!(Partitioning::equi_width(5, 5, 3).is_err());
         assert!(Partitioning::equi_width(0, 10, 0).is_err());
         assert!(Partitioning::equi_width(0, 2, 3).is_err());
+    }
+
+    #[test]
+    fn equi_width_spans_the_whole_time_domain() {
+        let p = Partitioning::equi_width(Time::MIN, Time::MAX, 3).unwrap();
+        assert_eq!(p.len(), 3);
+        assert_eq!(p.boundaries()[0], Time::MIN);
+        assert_eq!(p.boundaries()[3], Time::MAX);
+        assert_eq!(p.index_of(0), 1);
+        assert_eq!(p.index_of(Time::MAX), 2);
+        // Equi-depth falls back to it without samples.
+        assert_eq!(
+            Partitioning::equi_depth(Time::MIN, Time::MAX, 3, &[]),
+            Ok(p)
+        );
     }
 
     #[test]

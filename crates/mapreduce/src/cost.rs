@@ -148,18 +148,12 @@ impl CostModel {
         }
         let mut slot_loads = vec![0.0f64; slots.min(costs.len())];
         for c in costs {
-            // Assign to the least-loaded slot (first among ties). Written as
-            // a plain scan so no comparator can fail: loads are sums of
-            // non-negative finite costs.
-            let mut best = 0;
-            for (i, load) in slot_loads.iter().enumerate() {
-                // repolint: allow(panic-propagation): best is a previously visited index
-                if *load < slot_loads[best] {
-                    best = i;
-                }
+            // Assign to the least-loaded slot (`min_by` keeps the first among
+            // ties). `total_cmp` cannot fail, and agrees with `<` here: loads
+            // are sums of non-negative finite costs.
+            if let Some(least) = slot_loads.iter_mut().min_by(|a, b| a.total_cmp(b)) {
+                *least += c;
             }
-            // repolint: allow(panic-propagation): best < slot_loads.len() by the scan above
-            slot_loads[best] += c;
         }
         slot_loads.into_iter().fold(0.0, f64::max)
     }

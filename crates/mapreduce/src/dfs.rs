@@ -146,8 +146,7 @@ impl Dfs {
                 .ok_or_else(|| DfsError::WrongType(path.to_string()))?;
             let start = start.min(records.len());
             let end = start.saturating_add(len).min(records.len());
-            // repolint: allow(panic-propagation): start <= end <= records.len() by the clamps above.
-            records[start..end].to_vec()
+            records.get(start..end).unwrap_or_default().to_vec()
         };
         let bytes: u64 = out.iter().map(Record::approx_bytes).sum();
         let mut stats = self.stats.write();

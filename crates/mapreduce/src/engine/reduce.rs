@@ -117,13 +117,19 @@ impl Engine {
                             // Workers steal *pull positions*; the plan maps
                             // each position to a bucket index so heavy
                             // buckets are picked up first under the
-                            // skew-driven order (identity for the static
-                            // policies).
+                            // skew-driven order (identity under
+                            // all-serial).
                             let Some(&i) = plan.order().get(pos) else {
                                 break;
                             };
-                            // repolint: allow(panic-propagation): i < n == slots.len() — plan.order() is a permutation of 0..n
-                            let slot = &slots[i];
+                            // plan.order() is a permutation of 0..n and
+                            // both tables have n entries.
+                            let (Some(slot), Some(result)) = (slots.get(i), result_refs.get(i))
+                            else {
+                                return Err(EngineError::Internal(
+                                    "schedule plan names a bucket that does not exist",
+                                ));
+                            };
                             // The bucket's thread grant, drawn from the
                             // plan's token pool now (not at spawn time) so
                             // it reflects capacity freed by finished
@@ -221,8 +227,7 @@ impl Engine {
                                     attempts,
                                 };
                                 let ReduceCtx { counters, .. } = ctx;
-                                // repolint: allow(panic-propagation): i < n == result_refs.len(), same guard
-                                *result_refs[i].lock() = Some(ReduceResult {
+                                *result.lock() = Some(ReduceResult {
                                     out,
                                     load,
                                     counters,

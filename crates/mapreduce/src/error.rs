@@ -11,8 +11,9 @@
 //! Keeping the engine's own paths panic-free is a determinism requirement
 //! as much as an ergonomic one: a panic mid-reduce tears down workers at a
 //! thread-schedule-dependent point, while a typed error propagates through
-//! one deterministic join point. `repolint` rule `no-panic` enforces this
-//! contract statically over the engine sources.
+//! one deterministic join point. The crate-level clippy lints at the top of
+//! `lib.rs` (`unwrap_used`, `expect_used`, `panic`, `indexing_slicing`, …)
+//! enforce this contract statically over the whole crate.
 
 use crate::job::ReducerId;
 use std::fmt;

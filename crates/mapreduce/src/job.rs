@@ -449,12 +449,6 @@ where
     }
 }
 
-/// An identity mapper routing every record to key 0 — occasionally useful in
-/// tests and for single-reducer aggregations.
-pub fn route_all_to_one<I: Record>(record: &I, out: &mut Emitter<I>) {
-    out.emit(0, record.clone());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -54,6 +54,26 @@
 //! assert_eq!(out.metrics.intermediate_pairs, 6);
 //! ```
 
+// A panic in a worker tears the job down at a schedule-dependent point, so
+// no engine code may panic: failures are typed `EngineError`s (DESIGN.md
+// §11). The lints cover the whole crate — every function the engine can
+// reach lives here — and an exception is written at its site as
+// `#[allow(clippy::…, reason = "why it cannot fire")]`; a bare `#[allow]`
+// is itself a diagnostic. Test code may unwrap freely.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod chain;
 pub mod cost;
 pub mod dfs;

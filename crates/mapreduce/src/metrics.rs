@@ -280,7 +280,10 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
         return 0;
     }
     let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted
+        .get(rank.clamp(1, sorted.len()) - 1)
+        .copied()
+        .unwrap_or(0)
 }
 
 /// Gini coefficient over ascending-sorted values summing to `total`.

@@ -6,7 +6,7 @@
 //! a series classifier next to the telemetry snapshot — and
 //! could silently drift, corrupting the byte-diffs `repolint audit`
 //! builds on. Both now live *here*, driven by the same shared prefix
-//! constants, and `repolint graph`'s counter-registry rule enforces that
+//! constants, and `repolint check`'s counter-registry rule enforces that
 //! (a) every metric-name literal passed to a recording call is declared
 //! in this module and (b) a declared name never reappears as a string
 //! literal anywhere else in production code — call sites must use these
@@ -126,7 +126,7 @@ pub const PROGRESS_REDUCERS: &str = "progress.reducers";
 /// Reducers completed (gauge).
 pub const PROGRESS_REDUCERS_DONE: &str = "progress.reducers_done";
 
-/// Every registered metric name. `repolint graph` parses this module's
+/// Every registered metric name. `repolint check` parses this module's
 /// `const` declarations, so a name recorded anywhere in production code
 /// but missing here fails the counter-registry rule.
 pub const ALL: &[&str] = &[

@@ -5,8 +5,13 @@
 //! through the [`Clock`] trait: production uses a [`MonotonicClock`],
 //! tests and the determinism audit attach a [`VirtualClock`] whose time
 //! only moves when explicitly advanced. This file is the *only* source in
-//! `crates/mapreduce/src` that touches `Instant`, and the only one on
-//! repolint's `wall-clock` allowlist.
+//! `crates/mapreduce/src` that touches `Instant`: the one exception in
+//! this crate to the root `clippy.toml`'s wall-clock ban.
+
+#![allow(
+    clippy::disallowed_types,
+    reason = "the crate's one wall-clock read; everything else goes through `Clock`"
+)]
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

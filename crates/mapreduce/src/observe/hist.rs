@@ -55,8 +55,12 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        // repolint: allow(panic-propagation): bucket_index clamps to BUCKETS - 1
-        self.counts[bucket_index(value)] += 1;
+        #[allow(
+            clippy::indexing_slicing,
+            reason = "bucket_index is a bit length: at most 64 = HIST_BUCKETS - 1"
+        )]
+        let bucket = &mut self.counts[bucket_index(value)];
+        *bucket += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);

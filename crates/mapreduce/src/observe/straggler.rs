@@ -38,11 +38,10 @@ pub fn detect_stragglers(
     let rate_of = |pairs: u64, ns: u64| pairs as f64 / ns.max(1) as f64;
     let mut rates: Vec<f64> = loads.iter().map(|&(_, p, ns)| rate_of(p, ns)).collect();
     rates.sort_by(f64::total_cmp);
-    // repolint: allow(panic-propagation): rates.len() >= 2 by the guard at the top
-    let median = rates[rates.len() / 2];
-    if median <= 0.0 {
-        return Vec::new();
-    }
+    let median = match rates.get(rates.len() / 2) {
+        Some(&m) if m > 0.0 => m,
+        _ => return Vec::new(),
+    };
     let cutoff = fraction * median;
     loads
         .iter()

@@ -54,10 +54,6 @@ const SPILL_PENALTY: f64 = 1.5;
 /// How intra-reduce thread grants are computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicy {
-    /// The pre-scheduler static split: every bucket gets
-    /// `intra_reduce_threads` capped by `worker_threads / concurrent`,
-    /// in shuffle (key) order. Kept as the comparison baseline.
-    Uniform,
     /// Score-ordered heavy-first execution with dynamic grants from the
     /// shared token pool (the default).
     #[default]
@@ -71,7 +67,6 @@ impl SchedPolicy {
     /// Stable lowercase name (what `--sched` parses and reports print).
     pub fn name(&self) -> &'static str {
         match self {
-            SchedPolicy::Uniform => "uniform",
             SchedPolicy::SkewDriven => "skew",
             SchedPolicy::AllSerial => "serial",
         }
@@ -89,11 +84,10 @@ impl FromStr for SchedPolicy {
 
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
-            "uniform" => Ok(SchedPolicy::Uniform),
             "skew" | "skew-driven" => Ok(SchedPolicy::SkewDriven),
             "serial" | "all-serial" => Ok(SchedPolicy::AllSerial),
             other => Err(format!(
-                "unknown sched policy {other:?} (expected uniform, skew or serial)"
+                "unknown sched policy {other:?} (expected skew or serial)"
             )),
         }
     }
@@ -132,16 +126,14 @@ pub struct BucketLoad {
 #[derive(Debug)]
 pub struct SchedulePlan {
     policy: SchedPolicy,
-    /// Permutation: pull position → bucket index. Identity for the
-    /// static policies, descending-score for [`SchedPolicy::SkewDriven`].
+    /// Permutation: pull position → bucket index. Identity for
+    /// [`SchedPolicy::AllSerial`], descending-score for
+    /// [`SchedPolicy::SkewDriven`].
     order: Vec<usize>,
     /// Per-bucket predicted score (bucket-index order).
     scores: Vec<f64>,
     /// Per-bucket heavy classification (bucket-index order).
     heavy: Vec<bool>,
-    /// The static per-bucket grant of [`SchedPolicy::Uniform`] — the
-    /// pre-scheduler `intra_reduce_threads.min(threads / concurrent)`.
-    uniform_grant: usize,
     /// Per-bucket grant ceiling (`intra_reduce_threads`).
     intra_cap: usize,
     /// Spare thread tokens heavy buckets draw extra threads from.
@@ -156,11 +148,6 @@ impl SchedulePlan {
     pub fn new(cfg: &ClusterConfig, loads: &[BucketLoad]) -> Self {
         let threads = cfg.worker_threads.max(1);
         let n = loads.len();
-        let concurrent = threads.min(n.max(1));
-        let uniform_grant = cfg
-            .intra_reduce_threads
-            .max(1)
-            .min((threads / concurrent).max(1));
         let cutoff = cfg
             .cost
             .predicted_bucket_cost(cfg.heavy_bucket_threshold as u64, 1.0);
@@ -185,14 +172,13 @@ impl SchedulePlan {
                 });
                 threads
             }
-            SchedPolicy::Uniform | SchedPolicy::AllSerial => 0,
+            SchedPolicy::AllSerial => 0,
         };
         SchedulePlan {
             policy: cfg.sched.policy,
             order,
             scores,
             heavy,
-            uniform_grant,
             intra_cap: cfg.intra_reduce_threads.max(1),
             pool: Mutex::new(pool),
         }
@@ -223,19 +209,13 @@ impl SchedulePlan {
         self.heavy.iter().filter(|&&h| h).count()
     }
 
-    /// The static grant of the uniform policy (for reports).
-    pub fn uniform_grant(&self) -> usize {
-        self.uniform_grant
-    }
-
     /// Grants threads to bucket `index` as its worker picks it up. Never
     /// blocks: under [`SchedPolicy::SkewDriven`] a heavy bucket takes
     /// `1 + min(intra_cap - 1, free tokens)` and a light bucket takes 1;
-    /// the static policies return their fixed grant. The grant must be
+    /// [`SchedPolicy::AllSerial`] always grants 1. The grant must be
     /// handed back via [`SchedulePlan::release`] when the bucket ends.
     pub fn acquire(&self, index: usize) -> usize {
         match self.policy {
-            SchedPolicy::Uniform => self.uniform_grant,
             SchedPolicy::AllSerial => 1,
             SchedPolicy::SkewDriven => {
                 if !self.is_heavy(index) {
@@ -250,7 +230,8 @@ impl SchedulePlan {
     }
 
     /// Returns a grant's extra tokens to the pool, so buckets still
-    /// queued see the freed capacity. A no-op for the static policies.
+    /// queued see the freed capacity. A no-op under
+    /// [`SchedPolicy::AllSerial`].
     pub fn release(&self, grant: usize) {
         if self.policy == SchedPolicy::SkewDriven && grant > 1 {
             *self.pool.lock() += grant - 1;
@@ -290,7 +271,6 @@ mod tests {
     #[test]
     fn policy_parses_and_prints() {
         for (s, p) in [
-            ("uniform", SchedPolicy::Uniform),
             ("skew", SchedPolicy::SkewDriven),
             ("skew-driven", SchedPolicy::SkewDriven),
             ("serial", SchedPolicy::AllSerial),
@@ -299,6 +279,7 @@ mod tests {
             assert_eq!(s.parse::<SchedPolicy>().unwrap(), p);
         }
         assert!("best-effort".parse::<SchedPolicy>().is_err());
+        assert!("uniform".parse::<SchedPolicy>().is_err());
         assert_eq!(SchedPolicy::SkewDriven.to_string(), "skew");
         assert_eq!(SchedPolicy::default(), SchedPolicy::SkewDriven);
     }
@@ -316,28 +297,16 @@ mod tests {
     }
 
     #[test]
-    fn static_policies_keep_shuffle_order() {
-        for policy in [SchedPolicy::Uniform, SchedPolicy::AllSerial] {
-            let plan = SchedulePlan::new(&cfg(8, 8, policy), &[mem(10), mem(9000), mem(500)]);
-            assert_eq!(plan.order(), &[0, 1, 2]);
-        }
-    }
-
-    #[test]
-    fn uniform_grant_matches_static_split() {
-        // 8 threads over 2 buckets: 4 threads each (the old engine split).
-        let plan = SchedulePlan::new(&cfg(8, 8, SchedPolicy::Uniform), &[mem(10), mem(10)]);
-        assert_eq!(plan.acquire(0), 4);
-        assert_eq!(plan.acquire(1), 4);
-        plan.release(4); // no-op for static policies
+    fn all_serial_keeps_shuffle_order_and_grants_one() {
+        let plan = SchedulePlan::new(
+            &cfg(8, 8, SchedPolicy::AllSerial),
+            &[mem(10), mem(9000), mem(500)],
+        );
+        assert_eq!(plan.order(), &[0, 1, 2]);
+        // Serial even for a heavy bucket with spare threads.
+        assert_eq!(plan.acquire(1), 1);
+        plan.release(1); // no-op
         assert_eq!(plan.free_tokens(), 0);
-        // Many buckets: the split degrades to serial.
-        let many: Vec<BucketLoad> = (0..20).map(|_| mem(10)).collect();
-        let plan = SchedulePlan::new(&cfg(8, 8, SchedPolicy::Uniform), &many);
-        assert_eq!(plan.acquire(7), 1);
-        // All-serial grants 1 even with spare threads.
-        let plan = SchedulePlan::new(&cfg(8, 8, SchedPolicy::AllSerial), &[mem(9000)]);
-        assert_eq!(plan.acquire(0), 1);
     }
 
     #[test]
@@ -348,7 +317,8 @@ mod tests {
         let plan = SchedulePlan::new(&cfg(8, 8, SchedPolicy::SkewDriven), &loads);
         // Heavy bucket pulled first, even though 19 buckets precede it in
         // key order — and it gets the full intra cap despite 20 buckets
-        // competing (the uniform split would hand it a single thread).
+        // competing (a static `threads / buckets` split would hand it a
+        // single thread).
         assert_eq!(plan.order()[0], 4);
         let g = plan.acquire(4);
         assert_eq!(g, 8);

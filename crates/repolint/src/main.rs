@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! repolint check [--root PATH] [--format text|json] [--suggest]
-//! repolint graph [--root PATH] [--format text|json] [--suggest] [--dump-graph PATH]
 //! repolint audit [--scale N]
 //! ```
 //!
@@ -15,7 +14,6 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: repolint check [--root PATH] [--format text|json] [--suggest]\n\
-         \u{20}      repolint graph [--root PATH] [--format text|json] [--suggest] [--dump-graph PATH]\n\
          \u{20}      repolint audit [--scale N]"
     );
     ExitCode::from(2)
@@ -25,7 +23,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("check") => run_check(&args[1..]),
-        Some("graph") => run_graph(&args[1..]),
         Some("audit") => run_audit(&args[1..]),
         _ => usage(),
     }
@@ -76,65 +73,6 @@ fn run_check(args: &[String]) -> ExitCode {
         }
         Err(e) => {
             eprintln!("repolint: scan failed: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn run_graph(args: &[String]) -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut format = "text".to_string();
-    let mut suggest = false;
-    let mut dump: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => match it.next() {
-                Some(p) => root = PathBuf::from(p),
-                None => return usage(),
-            },
-            "--format" => match it.next() {
-                Some(f) if f == "text" || f == "json" => format = f.clone(),
-                _ => return usage(),
-            },
-            "--suggest" => suggest = true,
-            "--dump-graph" => match it.next() {
-                Some(p) => dump = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    if !root.join("crates").is_dir() {
-        let manifest_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-        if manifest_root.join("crates").is_dir() {
-            root = manifest_root;
-        }
-    }
-    match repolint::graph::check_workspace_graph(&root) {
-        Ok((violations, graph, scanned)) => {
-            if let Some(path) = dump {
-                if let Err(e) = std::fs::write(&path, graph.to_json()) {
-                    eprintln!("repolint: cannot write {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
-            if format == "json" {
-                print!("{}", repolint::report::to_json(&violations, scanned));
-            } else {
-                print!(
-                    "{}",
-                    repolint::report::to_text(&violations, scanned, suggest)
-                );
-            }
-            if violations.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("repolint: graph scan failed: {e}");
             ExitCode::from(2)
         }
     }

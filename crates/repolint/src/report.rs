@@ -94,7 +94,7 @@ mod tests {
 
     fn sample() -> Vec<Violation> {
         vec![Violation {
-            rule: "no-panic",
+            rule: "kernel-doc",
             path: "crates/x/src/a.rs".into(),
             line: 3,
             message: "a \"quoted\" message".into(),

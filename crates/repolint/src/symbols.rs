@@ -1,25 +1,14 @@
-//! Per-file symbol extraction: function definitions, call sites, panic
-//! sites, lock acquisitions and string-literal uses, parsed from the
-//! lexer's token stream.
+//! Per-file symbol extraction: function definitions with their lock
+//! acquisitions, and string-literal uses, parsed from the lexer's token
+//! stream — the facts the `lock-discipline` and `counter-registry` rules
+//! ([`crate::rules`]) run over. `#[cfg(test)]` subtrees are excluded up
+//! front via the same brace matcher the other rules use, so test
+//! scaffolding never contributes functions or literals.
 //!
-//! This is the front half of the cross-file analysis (`repolint graph`):
-//! [`extract`] turns one [`LexedFile`] into a [`FileSymbols`] fact set,
-//! and [`crate::callgraph`] stitches those into a workspace call graph.
-//! `#[cfg(test)]` subtrees are excluded up front via the same brace
-//! matcher the token rules use, so test scaffolding never contributes
-//! nodes, edges or panic sites.
+//! The parser is heuristic by design (no full grammar):
 //!
-//! The parser is heuristic by design (no full grammar — see DESIGN.md
-//! §15 for the known false-negative classes):
-//!
-//! * `impl Type` / `impl Trait for Type` blocks qualify the functions
-//!   they contain (`Type::name`), tracked by brace depth;
-//! * a call site is an identifier followed by `(` (with turbofish
-//!   `::<…>` skipped), classified as *method* (`.name(`), *qualified*
-//!   (`Seg::name(`) or *plain* (`name(`);
-//! * a panic site is `.unwrap(` / `.expect(`, a `panic!`-family macro,
-//!   or an indexing expression `recv[...]` (a `[` directly after an
-//!   identifier, `)` or `]` — attributes and array literals don't match);
+//! * a function is `fn name` followed by a body (bodyless trait
+//!   declarations are skipped);
 //! * a lock acquisition is `.lock()` / `.read()` / `.write()` with empty
 //!   parentheses (parking_lot style); its *live range* is computed from
 //!   the binding form, and nested acquisitions or stream/Dfs I/O inside
@@ -27,28 +16,6 @@
 
 use crate::lexer::{LexedFile, TokKind, Token};
 use crate::rules::test_region_mask;
-
-/// A call site inside a function body.
-#[derive(Debug, Clone)]
-pub struct CallSite {
-    /// Bare callee name (`run_job`, `inc`, …).
-    pub callee: String,
-    /// `Seg::name` for path-qualified calls (`Engine::new(…)`).
-    pub qual: Option<String>,
-    /// Whether this was a method call (`.name(…)`).
-    pub method: bool,
-    /// 1-based source line.
-    pub line: u32,
-}
-
-/// A potential panic inside a function body.
-#[derive(Debug, Clone)]
-pub struct PanicSite {
-    /// Human-readable form: `.unwrap()`, `panic!`, `indexing ([...])`.
-    pub what: String,
-    /// 1-based source line.
-    pub line: u32,
-}
 
 /// What a [`LockIssue`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,28 +39,15 @@ pub struct LockIssue {
     pub detail: String,
 }
 
-/// One function definition with everything the graph rules need.
+/// One function definition with its lock-discipline facts.
 #[derive(Debug, Clone)]
 pub struct FnDef {
     /// Bare name.
     pub name: String,
-    /// `Type::name` when defined inside an `impl` block.
-    pub qual: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// Call sites in the body.
-    pub calls: Vec<CallSite>,
-    /// Panic sites in the body.
-    pub panics: Vec<PanicSite>,
     /// Lock-discipline issues in the body.
     pub lock_issues: Vec<LockIssue>,
-}
-
-impl FnDef {
-    /// `Type::name` if qualified, else the bare name.
-    pub fn display(&self) -> &str {
-        self.qual.as_deref().unwrap_or(&self.name)
-    }
 }
 
 /// A string literal in production (non-test) position.
@@ -113,24 +67,11 @@ pub struct StrUse {
 pub struct FileSymbols {
     /// Workspace-relative path.
     pub path: String,
-    /// Crate name (the path segment after `crates/`).
-    pub crate_name: String,
     /// Function definitions outside `#[cfg(test)]`.
     pub fns: Vec<FnDef>,
     /// Production string-literal uses (test regions excluded).
     pub str_uses: Vec<StrUse>,
 }
-
-/// Keywords that can precede `(` or `[` without being a call / indexing
-/// receiver.
-const KEYWORDS: &[&str] = &[
-    "if", "while", "for", "match", "loop", "return", "break", "continue", "as", "in", "let", "mut",
-    "ref", "move", "else", "unsafe", "async", "await", "dyn", "where", "impl", "fn", "pub", "use",
-    "mod", "struct", "enum", "trait", "type", "const", "static", "crate", "super",
-];
-
-/// Macro names whose invocation is itself a panic site.
-const BANG_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// Lock-guard acquisition methods (empty-parens calls).
 const LOCK_METHODS: &[&str] = &["lock", "read", "write"];
@@ -140,16 +81,6 @@ const LOCK_METHODS: &[&str] = &["lock", "read", "write"];
 /// chain that mentions `dfs` (see [`receiver_mentions_dfs`]).
 const STREAM_PULLS: &[&str] = &["next", "take_vec"];
 const DFS_IO: &[&str] = &["read", "write", "read_range", "remove", "list"];
-
-/// The crate-name segment of a workspace-relative path
-/// (`crates/<name>/src/…` → `<name>`); empty when the path doesn't match.
-pub fn crate_of(path: &str) -> String {
-    let p = path.replace('\\', "/");
-    match p.split_once("crates/") {
-        Some((_, rest)) => rest.split('/').next().unwrap_or("").to_string(),
-        None => String::new(),
-    }
-}
 
 /// Extracts the symbol facts of one lexed file.
 pub fn extract(path: &str, lexed: &LexedFile) -> FileSymbols {
@@ -193,88 +124,26 @@ pub fn extract(path: &str, lexed: &LexedFile) -> FileSymbols {
         });
     }
 
-    // --- function definitions, with impl-block qualification ----------------
-    let mut depth: i32 = 0;
-    // (impl target type, brace depth of the impl body)
-    let mut impl_stack: Vec<(String, i32)> = Vec::new();
-    let mut pending_impl: Option<String> = None;
-    let mut i = 0usize;
-    while i < toks.len() {
-        if punct(i, "{") {
-            depth += 1;
-            if let Some(target) = pending_impl.take() {
-                impl_stack.push((target, depth));
-            }
-        } else if punct(i, "}") {
-            if impl_stack.last().map(|(_, d)| *d) == Some(depth) {
-                impl_stack.pop();
-            }
-            depth -= 1;
-        } else if ident(i) == Some("impl") && !mask[i] {
-            if let Some((target, after)) = parse_impl_target(toks, i + 1) {
-                pending_impl = Some(target);
-                i = after;
-                continue;
-            }
-        } else if ident(i) == Some("fn") && !mask[i] {
-            if let Some(name) = ident(i + 1) {
-                let name = name.to_string();
-                if let Some((b0, b1)) = fn_body_range(toks, i + 2) {
-                    let qual = impl_stack.last().map(|(t, _)| format!("{}::{}", t, name));
-                    fns.push(FnDef {
-                        line: toks[i].line,
-                        calls: body_calls(toks, b0, b1, &mask),
-                        panics: body_panics(toks, b0, b1, &mask),
-                        lock_issues: body_lock_issues(toks, b0, b1, &mask),
-                        name,
-                        qual,
-                    });
-                }
-            }
+    // --- function definitions ----------------------------------------------
+    for i in 0..toks.len() {
+        if ident(i) != Some("fn") || mask[i] {
+            continue;
         }
-        i += 1;
+        let Some(name) = ident(i + 1) else { continue };
+        if let Some((b0, b1)) = fn_body_range(toks, i + 2) {
+            fns.push(FnDef {
+                name: name.to_string(),
+                line: toks[i].line,
+                lock_issues: body_lock_issues(toks, b0, b1, &mask),
+            });
+        }
     }
 
     FileSymbols {
         path: path.replace('\\', "/"),
-        crate_name: crate_of(path),
         fns,
         str_uses,
     }
-}
-
-/// Parses the target type of an `impl` header starting at `i` (just past
-/// the `impl` keyword): skips generics, takes the last path segment of
-/// the implemented type (the one after `for`, if present). Returns the
-/// target and the index of the token to resume scanning at (the header's
-/// `{` — the caller's loop will push the impl scope there).
-fn parse_impl_target(toks: &[Token], mut i: usize) -> Option<(String, usize)> {
-    let punct = |i: usize, ch: &str| {
-        toks.get(i)
-            .map(|t| t.kind == TokKind::Punct && t.text == ch)
-            .unwrap_or(false)
-    };
-    if punct(i, "<") {
-        i = skip_angles(toks, i)?;
-    }
-    let mut last_seg: Option<String> = None;
-    while let Some(t) = toks.get(i) {
-        match (t.kind, t.text.as_str()) {
-            (TokKind::Ident, "for") => {
-                last_seg = None; // the *implemented-on* type wins
-                i += 1;
-            }
-            (TokKind::Ident, "where") | (TokKind::Punct, "{") => break,
-            (TokKind::Ident, seg) => {
-                last_seg = Some(seg.to_string());
-                i += 1;
-            }
-            (TokKind::Punct, "<") => i = skip_angles(toks, i)?,
-            (TokKind::Punct, ":" | "&" | "'" | "*" | "(" | ")" | "," | "-" | ">") => i += 1,
-            _ => break,
-        }
-    }
-    last_seg.map(|t| (t, i))
 }
 
 /// Skips a balanced `<…>` starting at `i` (which holds `<`); `->` arrows
@@ -342,7 +211,7 @@ fn fn_body_range(toks: &[Token], mut i: usize) -> Option<(usize, usize)> {
 }
 
 /// If the tokens at `i` form `::<…>(` or `(`, returns the index of the
-/// `(`; call-site detection uses it to see through turbofish.
+/// `(`, so a turbofish call (`dfs.read::<V>(…)`) still counts as a call.
 fn call_paren(toks: &[Token], i: usize) -> Option<usize> {
     let punct = |i: usize, ch: &str| {
         toks.get(i)
@@ -359,101 +228,6 @@ fn call_paren(toks: &[Token], i: usize) -> Option<usize> {
         }
     }
     None
-}
-
-fn body_calls(toks: &[Token], b0: usize, b1: usize, mask: &[bool]) -> Vec<CallSite> {
-    let mut out = Vec::new();
-    let punct = |i: usize, ch: &str| {
-        toks.get(i)
-            .map(|t| t.kind == TokKind::Punct && t.text == ch)
-            .unwrap_or(false)
-    };
-    for i in b0..=b1.min(toks.len() - 1) {
-        let t = &toks[i];
-        if mask[i] || t.kind != TokKind::Ident || KEYWORDS.contains(&t.text.as_str()) {
-            continue;
-        }
-        if punct(i + 1, "!") {
-            continue; // macro invocation, not a fn call
-        }
-        if i >= 1 && toks[i - 1].kind == TokKind::Ident && toks[i - 1].text == "fn" {
-            continue; // a (nested) definition
-        }
-        if call_paren(toks, i + 1).is_none() {
-            continue;
-        }
-        let method = i >= 1 && punct(i - 1, ".");
-        let qual = if !method && i >= 3 && punct(i - 1, ":") && punct(i - 2, ":") {
-            toks.get(i - 3)
-                .filter(|s| s.kind == TokKind::Ident)
-                .map(|s| format!("{}::{}", s.text, t.text))
-        } else {
-            None
-        };
-        out.push(CallSite {
-            callee: t.text.clone(),
-            qual,
-            method,
-            line: t.line,
-        });
-    }
-    out
-}
-
-fn body_panics(toks: &[Token], b0: usize, b1: usize, mask: &[bool]) -> Vec<PanicSite> {
-    let mut out = Vec::new();
-    let punct = |i: usize, ch: &str| {
-        toks.get(i)
-            .map(|t| t.kind == TokKind::Punct && t.text == ch)
-            .unwrap_or(false)
-    };
-    for i in b0..=b1.min(toks.len() - 1) {
-        if mask[i] {
-            continue;
-        }
-        let t = &toks[i];
-        match t.kind {
-            TokKind::Punct if t.text == "." => {
-                if let Some(n) = toks.get(i + 1) {
-                    if n.kind == TokKind::Ident
-                        && (n.text == "unwrap" || n.text == "expect")
-                        && punct(i + 2, "(")
-                    {
-                        out.push(PanicSite {
-                            what: format!(".{}()", n.text),
-                            line: n.line,
-                        });
-                    }
-                }
-            }
-            TokKind::Ident if BANG_MACROS.contains(&t.text.as_str()) && punct(i + 1, "!") => {
-                out.push(PanicSite {
-                    what: format!("{}!", t.text),
-                    line: t.line,
-                });
-            }
-            TokKind::Punct if t.text == "[" && i >= 1 => {
-                // Indexing: `recv[…]` where recv ends with an identifier,
-                // `)` or `]`. Attributes (`#[`), macro bodies (`vec![`) and
-                // array literals/types never match; keywords (`return [`)
-                // are excluded explicitly.
-                let p = &toks[i - 1];
-                let indexing = match p.kind {
-                    TokKind::Ident => !KEYWORDS.contains(&p.text.as_str()),
-                    TokKind::Punct => p.text == ")" || p.text == "]",
-                    _ => false,
-                };
-                if indexing {
-                    out.push(PanicSite {
-                        what: "indexing (`recv[…]`)".to_string(),
-                        line: t.line,
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    out
 }
 
 /// Whether the receiver chain ending just before the `.` at `dot`
@@ -613,50 +387,14 @@ mod tests {
     }
 
     #[test]
-    fn fns_and_impl_quals_are_extracted() {
+    fn fns_are_extracted_inside_and_outside_impl_blocks() {
         let s = sym("impl Engine {\n\
                          pub fn run_job(&self) { helper(); self.step(); }\n\
                      }\n\
                      fn helper() {}\n\
-                     impl Iterator for Stream {\n\
-                         fn next(&mut self) -> Option<u8> { None }\n\
-                     }\n");
-        let names: Vec<&str> = s.fns.iter().map(|f| f.display()).collect();
-        assert_eq!(names, vec!["Engine::run_job", "helper", "Stream::next"]);
-        let run = &s.fns[0];
-        assert_eq!(run.calls.len(), 2, "{:?}", run.calls);
-        assert_eq!(run.calls[0].callee, "helper");
-        assert!(!run.calls[0].method);
-        assert!(run.calls[1].method);
-    }
-
-    #[test]
-    fn qualified_calls_keep_their_segment() {
-        let s = sym("fn f() { Engine::new(); std::mem::take(&mut x); }");
-        let quals: Vec<Option<&str>> = s.fns[0].calls.iter().map(|c| c.qual.as_deref()).collect();
-        assert_eq!(quals, vec![Some("Engine::new"), Some("mem::take")]);
-    }
-
-    #[test]
-    fn panic_sites_cover_all_four_classes() {
-        let s = sym("fn f(v: Vec<u8>, o: Option<u8>) {\n\
-                         o.unwrap();\n\
-                         o.expect(\"x\");\n\
-                         panic!(\"y\");\n\
-                         let _ = v[0];\n\
-                     }");
-        let whats: Vec<&str> = s.fns[0].panics.iter().map(|p| p.what.as_str()).collect();
-        assert_eq!(whats.len(), 4, "{whats:?}");
-        assert!(whats.contains(&".unwrap()"));
-        assert!(whats.contains(&"panic!"));
-        assert!(whats.iter().any(|w| w.starts_with("indexing")));
-    }
-
-    #[test]
-    fn attributes_and_array_literals_are_not_indexing() {
-        let s = sym("#[derive(Debug)]\n\
-                     fn f() -> [u8; 2] { let a = [1u8, 2]; vec![3]; a }");
-        assert!(s.fns[0].panics.is_empty(), "{:?}", s.fns[0].panics);
+                     trait T { fn declared(&self); }\n");
+        let names: Vec<&str> = s.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["run_job", "helper"]);
     }
 
     #[test]
@@ -665,13 +403,6 @@ mod tests {
                      #[cfg(test)]\nmod tests {\n fn t() { x.unwrap(); }\n}");
         assert_eq!(s.fns.len(), 1);
         assert_eq!(s.fns[0].name, "prod");
-    }
-
-    #[test]
-    fn turbofish_calls_are_still_calls() {
-        let s = sym("fn f() { parse::<u32>(); it.collect::<Vec<_>>(); }");
-        let names: Vec<&str> = s.fns[0].calls.iter().map(|c| c.callee.as_str()).collect();
-        assert_eq!(names, vec!["parse", "collect"]);
     }
 
     #[test]
@@ -748,12 +479,5 @@ mod tests {
             "{:?}",
             s.fns[0].lock_issues
         );
-    }
-
-    #[test]
-    fn crate_names_come_from_the_path() {
-        assert_eq!(crate_of("crates/mapreduce/src/engine/mod.rs"), "mapreduce");
-        assert_eq!(crate_of("crates/core/src/kernel/mod.rs"), "core");
-        assert_eq!(crate_of("src/lib.rs"), "");
     }
 }

@@ -93,6 +93,10 @@ fn main() {
         cfg.partitions,
         cfg.per_dim
     );
+    #[allow(
+        clippy::disallowed_types,
+        reason = "wall time is printed for the user, never fed to the job"
+    )]
     let start = std::time::Instant::now();
     let out = alg
         .run(&query, &input, &engine)

@@ -12,7 +12,7 @@
 //! Every family is additionally re-run with `reduce_memory_budget`
 //! pinned to the auditor's `SPILL_BUDGET`, so the spill-to-Dfs reduce
 //! path is byte-diffed against the in-memory baseline too, and under the
-//! alternate intra-reduce grant policies (uniform / all-serial), so the
+//! alternate intra-reduce grant policy (all-serial), so the
 //! skew-driven scheduler can never change output bytes. The dedicated
 //! sched leg re-runs the clique family on a skewed hot-region mix across
 //! the full policy × thread × budget matrix and asserts the heavy bucket

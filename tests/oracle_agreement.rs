@@ -13,9 +13,10 @@ use ij_core::cascade::TwoWayCascade;
 use ij_core::gen_matrix::GenMatrix;
 use ij_core::hybrid::{AllSeqMatrix, Fcts, Fstc, Pasm};
 use ij_core::oracle::oracle_join;
+use ij_core::planner::{plan, PlanConfig};
 use ij_core::rccis::Rccis;
 use ij_core::two_way::TwoWayJoin;
-use ij_core::{Algorithm, JoinInput, OutputTuple};
+use ij_core::{Algorithm, JoinInput, OutputTuple, PartitionStrategy};
 use ij_interval::AllenPredicate::{self, *};
 use ij_interval::{Interval, Relation};
 use ij_mapreduce::{ClusterConfig, Engine};
@@ -228,5 +229,53 @@ fn point_interval_inputs() {
             "{}",
             alg.name()
         );
+    }
+}
+
+#[test]
+fn extreme_endpoint_inputs() {
+    // Endpoints at both `i64` extremes: the partitioned span is the whole
+    // time domain, so `end + 1` and `tn - t0` do not fit in an `i64`.
+    const EDGES: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+    let engine = Engine::new(ClusterConfig::with_slots(4));
+    for (i, preds) in [
+        vec![Overlaps, Contains],
+        vec![Before, Before],
+        vec![Overlaps, Before],
+    ]
+    .iter()
+    .enumerate()
+    {
+        let q = JoinQuery::chain(preds).unwrap();
+        let mut rng = StdRng::seed_from_u64(900 + i as u64);
+        let rels = (0..q.num_relations())
+            .map(|r| {
+                Relation::from_intervals(
+                    format!("R{}", r + 1),
+                    (0..12).map(|_| {
+                        let (a, b) = (rng.gen_range(0..7usize), rng.gen_range(0..7usize));
+                        Interval::new(EDGES[a.min(b)], EDGES[a.max(b)]).unwrap()
+                    }),
+                )
+            })
+            .collect();
+        let input = JoinInput::bind_owned(&q, rels).unwrap();
+        let want = oracle_join(&q, &input);
+        assert!(!want.is_empty(), "{q}: extreme workload joins nothing");
+        let mut algs = algorithms_for(&q);
+        algs.push(plan(&q, PlanConfig::default()));
+        if q.class() == QueryClass::Colocation {
+            algs.push(Box::new(Rccis {
+                partition_strategy: PartitionStrategy::EquiDepth,
+                ..Rccis::new(6)
+            }));
+        }
+        for alg in algs {
+            let got = alg
+                .run(&q, &input, &engine)
+                .unwrap_or_else(|e| panic!("{}: {e} on {q}", alg.name()))
+                .assert_no_duplicates();
+            assert_eq!(got, want, "{} disagrees on {q}", alg.name());
+        }
     }
 }
