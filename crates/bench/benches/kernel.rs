@@ -14,6 +14,13 @@
 //! `windowed_backtracking` by ≥2× on `overlap_heavy` (checked in CI via
 //! the BENCH_JSON summary).
 //!
+//! `kernel_materialize` sends an overlap-heavy bucket whose inners are as
+//! long as its outers (~2.4 M matches — `overlap_heavy`'s own bucket emits
+//! ~3 k) into the row sink (`Tuples`, what a materializing reducer passes)
+//! beside the count sink, serial and on two chunks: the difference between
+//! the two sinks is output assembly — one append of `arity` ids per
+//! binding and one buffer append per chunk — which no other group times.
+//!
 //! `event_sweep` pits the merged-event-list sweep against the window
 //! scan (`dual_window_sweep`) on an overlap-heavy arity-3 colocation
 //! *clique* — the multi-way shape the event kernel targets, where
@@ -33,6 +40,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Thro
 use ij_core::executor::Candidates;
 use ij_core::kernel::{self, KernelConfig, KernelKind};
 use ij_core::oracle::reference_join;
+use ij_core::Tuples;
 use ij_interval::{Interval, TupleId};
 use ij_mapreduce::{
     ClusterConfig, CostModel, Emitter, Engine, ReduceCtx, SchedConfig, SchedPolicy, ValueStream,
@@ -46,11 +54,13 @@ fn iv(s: i64, e: i64) -> Interval {
 }
 
 /// An overlap-heavy bucket: `n` long outer intervals (relation 0) and `n`
-/// short inner intervals (relation 1). Most inners start inside an outer
-/// (huge start windows) but end inside it too, failing `overlaps`' `e2 >
-/// e1` end range — the join is highly selective while the windowed scan
-/// stays quadratic-ish.
-fn overlap_bucket(n: usize, seed: u64) -> Candidates {
+/// inner intervals (relation 1) of lengths in `inner_len`, over a span of
+/// `10 n`. With short inners (`0..30`) most start inside an outer (huge
+/// start windows) but end inside it too, failing `overlaps`' `e2 > e1` end
+/// range — the join is highly selective while the windowed scan stays
+/// quadratic-ish. With inners as long as the outers about one pair in four
+/// overlaps and the bucket's cost is its output.
+fn overlap_bucket(n: usize, seed: u64, inner_len: std::ops::Range<i64>) -> Candidates {
     let mut rng = StdRng::seed_from_u64(seed);
     let span = 10 * n as i64;
     let mut c = Candidates::new(2);
@@ -62,7 +72,11 @@ fn overlap_bucket(n: usize, seed: u64) -> Candidates {
             t as TupleId,
         );
         let s2 = rng.gen_range(0..span);
-        c.push(1, iv(s2, s2 + rng.gen_range(0..30)), t as TupleId);
+        c.push(
+            1,
+            iv(s2, s2 + rng.gen_range(inner_len.clone())),
+            t as TupleId,
+        );
     }
     c.finish();
     c
@@ -193,7 +207,7 @@ fn bench_reference_and_dispatch(
 fn bench_overlap_heavy(c: &mut Criterion) {
     let n = 3000;
     let q = JoinQuery::chain(&[ij_interval::AllenPredicate::Overlaps]).unwrap();
-    let cands = overlap_bucket(n, 7);
+    let cands = overlap_bucket(n, 7, 0..30);
     let expect = nested_loop_count(&q, &cands);
 
     let mut group = c.benchmark_group("kernel_overlap_heavy");
@@ -214,6 +228,38 @@ fn bench_overlap_heavy(c: &mut Criterion) {
         };
         group.bench_function(format!("dispatching_kernel_parallel{threads}"), |b| {
             b.iter(|| checked(parallel_count(&q, &cands, &cfg), expect))
+        });
+    }
+    group.finish();
+}
+
+fn bench_materialize(c: &mut Criterion) {
+    let n = 3000;
+    let q = JoinQuery::chain(&[ij_interval::AllenPredicate::Overlaps]).unwrap();
+    let cands = overlap_bucket(n, 7, 7_500..15_000);
+    let expect = nested_loop_count(&q, &cands);
+    assert!(
+        expect > 500_000,
+        "materialize workload too sparse: {expect}"
+    );
+
+    let mut group = c.benchmark_group("kernel_materialize");
+    group.throughput(Throughput::Elements((2 * n) as u64));
+    for (label, threads) in [("serial", 1), ("parallel2", 2)] {
+        let cfg = KernelConfig {
+            threads,
+            parallel_threshold: 0,
+        };
+        group.bench_function(format!("count_sink_{label}"), |b| {
+            b.iter(|| checked(parallel_count(&q, &cands, &cfg), expect))
+        });
+        group.bench_function(format!("row_sink_{label}"), |b| {
+            b.iter(|| {
+                let mut rows = Tuples::new(2);
+                kernel::execute_into(&q, &cands, &cfg, |_| true, &mut rows);
+                checked(rows.len() as u64, expect);
+                rows
+            })
         });
     }
     group.finish();
@@ -485,6 +531,7 @@ fn bench_schedule(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_overlap_heavy,
+    bench_materialize,
     bench_sequence_heavy,
     bench_hybrid,
     bench_event_sweep,

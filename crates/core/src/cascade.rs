@@ -40,6 +40,30 @@ impl Record for CascRec {
     }
 }
 
+/// What a stage's reducer writes: a grown composite on an intermediate
+/// stage, the join's output record on the last.
+#[derive(Debug, Clone)]
+enum StageOut {
+    Comp(CompRec),
+    Final(OutRec),
+}
+
+impl Record for StageOut {
+    fn approx_bytes(&self) -> u64 {
+        match self {
+            StageOut::Comp(c) => c.approx_bytes(),
+            StageOut::Final(r) => r.approx_bytes(),
+        }
+    }
+
+    fn rows(&self) -> u64 {
+        match self {
+            StageOut::Comp(_) => 1,
+            StageOut::Final(r) => r.rows(),
+        }
+    }
+}
+
 /// One cascade stage: join the current composites with `new_rel` on
 /// `primary`, additionally checking `extras` (conditions whose endpoints
 /// are all available by this stage).
@@ -140,7 +164,7 @@ impl CascadeState {
         }
     }
 
-    fn slot_of(&self, rel: RelId) -> usize {
+    pub(crate) fn slot_of(&self, rel: RelId) -> usize {
         self.present
             .iter()
             .position(|&r| r == rel)
@@ -148,9 +172,20 @@ impl CascadeState {
     }
 }
 
-/// Executes one cascade stage as one MR cycle, growing the composites.
-/// Returns the stage's join result as `OutRec`s when `finalize` is set
-/// (the last stage), else updates `state`.
+/// For each of the query's `n_rels` relations, its slot in a composite over
+/// `present` — the gather that writes an output row in relation order.
+pub(crate) fn slots_by_rel(present: &[RelId], n_rels: usize) -> Vec<usize> {
+    let mut slots = vec![0; n_rels];
+    for (slot, rel) in present.iter().enumerate() {
+        slots[rel.idx()] = slot;
+    }
+    slots
+}
+
+/// Executes one cascade stage as one MR cycle. An intermediate stage grows
+/// `state`'s composites and returns nothing; with `finalize` set (the last
+/// stage) the reducers write the join result instead — rows already in
+/// relation order, or counts — and it is returned.
 #[allow(clippy::too_many_arguments)]
 pub fn run_stage(
     q: &JoinQuery,
@@ -242,6 +277,9 @@ pub fn run_stage(
     };
 
     let stage_name = format!("cascade-{}", state.present.len());
+    let mut grown = state.present.clone();
+    grown.push(new_rel);
+    let slots = slots_by_rel(&grown, q.num_relations() as usize);
     let out = engine.run_job(
         &stage_name,
         &records,
@@ -279,7 +317,7 @@ pub fn run_stage(
                 }
             }
         },
-        |ctx: &mut ReduceCtx, values: &mut ValueStream<CascRec>, out: &mut Vec<OutRec>| {
+        |ctx: &mut ReduceCtx, values: &mut ValueStream<CascRec>, out: &mut Vec<StageOut>| {
             let mut comps: Vec<CompRec> = Vec::new();
             let mut bases: Vec<(Interval, TupleId)> = Vec::new();
             for v in values.by_ref() {
@@ -291,6 +329,7 @@ pub fn run_stage(
             bases.sort_unstable_by_key(|(iv, tid)| (iv.start(), *tid));
             let mut work = 0u64;
             let mut count = 0u64;
+            let mut found = finalize.map(|mode| OutRec::new(mode, slots.len()));
             for comp in &comps {
                 // Exact endpoint ranges for the new tuple from all checks
                 // (kernel::ranges): orient each predicate so the new tuple
@@ -308,94 +347,38 @@ pub fn run_stage(
                         continue;
                     }
                     count += 1;
-                    if finalize != Some(OutputMode::Count) {
-                        let mut c = comp.clone();
-                        c.tids.push(tid);
-                        c.ivs.push(iv);
-                        // Composites ride out of the job flat-encoded in the
-                        // shared OutRec::Tuple payload; decoded below.
-                        out.push(OutRec::Tuple(encode_comp(&c)));
+                    match &mut found {
+                        // The new tuple sits one slot behind the composite's.
+                        Some(found) => found.push_row(
+                            (slots.iter()).map(|&s| comp.tids.get(s).copied().unwrap_or(tid)),
+                        ),
+                        None => {
+                            let mut c = comp.clone();
+                            c.tids.push(tid);
+                            c.ivs.push(iv);
+                            out.push(StageOut::Comp(c));
+                        }
                     }
                 }
             }
             ctx.add_work(work);
             ctx.inc(names::JOIN_CANDIDATES, work);
             ctx.inc(names::JOIN_EMITTED, count);
-            if finalize == Some(OutputMode::Count) && count > 0 {
-                out.push(OutRec::Count(count));
-            }
+            out.extend(found.filter(|_| count > 0).map(StageOut::Final));
         },
     )?;
     chain.push(out.metrics);
 
-    // Decode stage output.
-    let mut new_composites = Vec::new();
     let mut finals = Vec::new();
+    state.composites.clear();
     for rec in out.outputs {
         match rec {
-            OutRec::Tuple(enc) => {
-                let comp = decode_comp(&enc);
-                if finalize.is_some() {
-                    finals.push(OutRec::Tuple(comp.tids.clone()));
-                } else {
-                    new_composites.push(comp);
-                }
-            }
-            OutRec::Count(n) => finals.push(OutRec::Count(n)),
+            StageOut::Comp(c) => state.composites.push(c),
+            StageOut::Final(r) => finals.push(r),
         }
     }
-    state.present.push(new_rel);
-    state.composites = new_composites;
-
-    // Re-order final tuples' ids into global relation order.
-    if finalize == Some(OutputMode::Materialize) {
-        let present = state.present.clone();
-        finals = finals
-            .into_iter()
-            .map(|r| match r {
-                OutRec::Tuple(tids) => {
-                    let mut by_rel = vec![0 as TupleId; q.num_relations() as usize];
-                    for (slot, &rel) in present.iter().enumerate() {
-                        by_rel[rel.idx()] = tids[slot];
-                    }
-                    OutRec::Tuple(by_rel)
-                }
-                c => c,
-            })
-            .collect();
-    }
+    state.present = grown;
     Ok(finals)
-}
-
-/// Flat encoding of a composite into a `Vec<u32>` (tids then interval
-/// halves), letting stages reuse the `OutRec` job output type.
-fn encode_comp(c: &CompRec) -> Vec<u32> {
-    let mut v = Vec::with_capacity(1 + c.tids.len() * 5);
-    v.push(c.tids.len() as u32);
-    v.extend(&c.tids);
-    for iv in &c.ivs {
-        let s = iv.start() as u64;
-        let e = iv.end() as u64;
-        v.push((s >> 32) as u32);
-        v.push(s as u32);
-        v.push((e >> 32) as u32);
-        v.push(e as u32);
-    }
-    v
-}
-
-fn decode_comp(v: &[u32]) -> CompRec {
-    let n = v[0] as usize;
-    let tids = v[1..1 + n].to_vec();
-    let mut ivs = Vec::with_capacity(n);
-    let mut at = 1 + n;
-    for _ in 0..n {
-        let s = ((v[at] as u64) << 32 | v[at + 1] as u64) as i64;
-        let e = ((v[at + 2] as u64) << 32 | v[at + 3] as u64) as i64;
-        ivs.push(Interval::new_unchecked(s, e));
-        at += 4;
-    }
-    CompRec { tids, ivs }
 }
 
 /// The 2-way Cascade algorithm.
@@ -583,17 +566,5 @@ mod tests {
         .unwrap();
         let err = plan_stages(&q, vec![RelId(0)], q.conditions()).unwrap_err();
         assert!(matches!(err, AlgoError::Unsupported { .. }));
-    }
-
-    #[test]
-    fn comp_encoding_round_trips() {
-        let c = CompRec {
-            tids: vec![3, 99],
-            ivs: vec![
-                Interval::new(-5, 1_000_000_000_000).unwrap(),
-                Interval::new(0, 0).unwrap(),
-            ],
-        };
-        assert_eq!(decode_comp(&encode_comp(&c)), c);
     }
 }

@@ -153,24 +153,17 @@ impl Algorithm for GenMatrix {
                 for v in values.by_ref() {
                     lists[v.rel.idx()].push((v.tid, v.attrs));
                 }
-                let mut count = 0u64;
+                let mut found = OutRec::new(mode, m);
                 let work = join_tuples(
                     &q,
                     &lists,
                     |a: &[(TupleId, &[Interval])]| {
                         owns_tuple_assignment(&compsc, &partc, &coords, a)
                     },
-                    |a| {
-                        count += 1;
-                        if mode == OutputMode::Materialize {
-                            out.push(OutRec::Tuple(a.iter().map(|(t, _)| *t).collect()));
-                        }
-                    },
+                    |a| found.push_row(a.iter().map(|&(t, _)| t)),
                 );
                 ctx.add_work(work);
-                if mode == OutputMode::Count && count > 0 {
-                    out.push(OutRec::Count(count));
-                }
+                found.emit_into(out);
             },
         )?;
         chain.push(out.metrics);

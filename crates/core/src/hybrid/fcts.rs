@@ -11,7 +11,7 @@ use crate::input::JoinInput;
 use crate::output::{JoinOutput, OutputMode};
 use crate::rccis::Rccis;
 use crate::records::{CompRec, OutRec};
-use ij_interval::{Interval, TupleId};
+use ij_interval::Interval;
 use ij_mapreduce::{Emitter, Engine, JobChain, Record, ReduceCtx, ValueStream};
 use ij_query::JoinQuery;
 use std::sync::Arc;
@@ -124,7 +124,7 @@ impl Algorithm for Fcts {
                                             .interval()
                                     })
                                     .collect(),
-                                tids: t.clone(),
+                                tids: t.to_vec(),
                             })
                             .collect(),
                     );
@@ -160,8 +160,14 @@ impl Algorithm for Fcts {
         let mode = self.mode;
         let partc = part.clone();
         let spacec = space.clone();
-        let compsc = comps.clone();
         let n_rels = query.num_relations() as usize;
+        // Relation r's id sits at `slot` of component `k`'s composite.
+        let mut slot_of_rel = vec![(0, 0); n_rels];
+        for (k, comp) in comps.components.iter().enumerate() {
+            for (slot, v) in comp.vertices.iter().enumerate() {
+                slot_of_rel[v.rel.idx()] = (k, slot);
+            }
+        }
         let out = engine.run_job(
             "fcts-seq-matrix",
             &records,
@@ -184,14 +190,13 @@ impl Algorithm for Fcts {
             move |ctx: &mut ReduceCtx,
                   values: &mut ValueStream<TaggedComp>,
                   out: &mut Vec<OutRec>| {
-                let l = compsc.len();
                 let mut per_comp: Vec<Vec<CompRec>> = vec![Vec::new(); l];
                 for v in values.by_ref() {
                     per_comp[v.comp as usize].push(v.rec);
                 }
                 // Cross product over components with sequence checks.
                 let mut chosen = vec![0usize; l];
-                let mut count = 0u64;
+                let mut found = OutRec::new(mode, n_rels);
                 let mut work = 0u64;
                 cross(
                     &per_comp,
@@ -200,23 +205,15 @@ impl Algorithm for Fcts {
                     &mut chosen,
                     &mut work,
                     &mut |chosen| {
-                        count += 1;
-                        if mode == OutputMode::Materialize {
-                            let mut ids = vec![0 as TupleId; n_rels];
-                            for (k, comp) in compsc.components.iter().enumerate() {
-                                let c = &per_comp[k][chosen[k]];
-                                for (slot, v) in comp.vertices.iter().enumerate() {
-                                    ids[v.rel.idx()] = c.tids[slot];
-                                }
-                            }
-                            out.push(OutRec::Tuple(ids));
-                        }
+                        found.push_row(
+                            slot_of_rel
+                                .iter()
+                                .map(|&(k, slot)| per_comp[k][chosen[k]].tids[slot]),
+                        )
                     },
                 );
                 ctx.add_work(work);
-                if mode == OutputMode::Count && count > 0 {
-                    out.push(OutRec::Count(count));
-                }
+                found.emit_into(out);
             },
         )?;
         chain.push(out.metrics);

@@ -7,11 +7,11 @@
 
 use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm};
 use crate::all_matrix::AllMatrix;
-use crate::cascade::{plan_stages, run_stage, CascadeState};
+use crate::cascade::{plan_stages, run_stage, slots_by_rel, CascadeState};
 use crate::input::JoinInput;
 use crate::output::{JoinOutput, OutputMode};
 use crate::records::{CompRec, OutRec};
-use ij_interval::{RelId, TupleId};
+use ij_interval::RelId;
 use ij_mapreduce::{Engine, JobChain};
 use ij_query::{Condition, JoinQuery, QueryClass};
 use std::sync::Arc;
@@ -110,7 +110,7 @@ impl Algorithm for Fstc {
                     .enumerate()
                     .map(|(slot, &tid)| input.relation(seq_rels[slot]).tuple(tid).interval())
                     .collect(),
-                tids: t.clone(),
+                tids: t.to_vec(),
             })
             .collect();
         let mut state = CascadeState {
@@ -136,33 +136,19 @@ impl Algorithm for Fstc {
         if stages.is_empty() {
             // Every colocation condition sits between sequence relations —
             // filter locally (no further relations to introduce).
-            let filtered: Vec<OutRec> = state
-                .composites
-                .iter()
-                .filter(|c| {
-                    coloc_conditions.iter().all(|cond| {
-                        let l = state
-                            .present
-                            .iter()
-                            .position(|&r| r == cond.left.rel)
-                            .expect("present");
-                        let r = state
-                            .present
-                            .iter()
-                            .position(|&r| r == cond.right.rel)
-                            .expect("present");
-                        cond.pred.holds(c.ivs[l], c.ivs[r])
-                    })
-                })
-                .map(|c| {
-                    let mut ids = vec![0 as TupleId; query.num_relations() as usize];
-                    for (slot, &rel) in state.present.iter().enumerate() {
-                        ids[rel.idx()] = c.tids[slot];
-                    }
-                    OutRec::Tuple(ids)
-                })
+            let n_rels = query.num_relations() as usize;
+            let slots = slots_by_rel(&state.present, n_rels);
+            let mut found = OutRec::new(self.mode, n_rels);
+            let slot = |at: ij_query::AttrRef| state.slot_of(at.rel);
+            let checks: Vec<_> = (coloc_conditions.iter())
+                .map(|c| (slot(c.left), c.pred, slot(c.right)))
                 .collect();
-            return Ok(JoinOutput::from_records(self.mode, filtered, chain));
+            for c in &state.composites {
+                if (checks.iter()).all(|&(l, pred, r)| pred.holds(c.ivs[l], c.ivs[r])) {
+                    found.push_row(slots.iter().map(|&s| c.tids[s]));
+                }
+            }
+            return Ok(JoinOutput::from_records(self.mode, vec![found], chain));
         }
         let last = stages.len() - 1;
         let mut finals = Vec::new();
@@ -215,11 +201,21 @@ mod tests {
             .map(|_| random_rel(&mut rng, n, 300, 50))
             .collect();
         let input = JoinInput::bind_owned(q, rels).unwrap();
-        let got = Fstc::new(6, 4)
-            .run(q, &input, &engine())
-            .unwrap()
-            .assert_no_duplicates();
-        assert_eq!(got, oracle_join(q, &input), "query {q}");
+        let want = oracle_join(q, &input);
+        assert!(!want.is_empty(), "query {q}: workload too sparse");
+        let got = Fstc::new(6, 4).run(q, &input, &engine()).unwrap();
+        assert_eq!(got.assert_no_duplicates(), want, "query {q}");
+        let counted = Fstc {
+            mode: OutputMode::Count,
+            ..Fstc::new(6, 4)
+        }
+        .run(q, &input, &engine())
+        .unwrap();
+        assert_eq!(counted.count, want.len() as u64, "query {q}");
+        assert!(
+            counted.tuples.is_empty(),
+            "query {q}: Count mode built rows"
+        );
     }
 
     #[test]
@@ -271,6 +267,22 @@ mod tests {
             Fstc::new(4, 4).run(&q, &input, &engine()),
             Err(AlgoError::Unsupported { .. })
         ));
+    }
+
+    #[test]
+    fn colocation_inside_the_sequence_seed_counts_in_count_mode() {
+        // Both colocation endpoints are sequence relations, so no cascade
+        // stage runs: the driver filters the seed itself.
+        let q = JoinQuery::new(
+            3,
+            vec![
+                Condition::whole(0, Before, 1),
+                Condition::whole(2, Before, 1),
+                Condition::whole(0, Overlaps, 2),
+            ],
+        )
+        .unwrap();
+        check_q(&q, 6, 40);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use ranges::{range_pair, RangePair};
 pub use sink::{BindingSink, OutputSink};
 
 use crate::executor::Candidates;
-use crate::output::OutputMode;
+use crate::output::{OutputMode, Tuples};
 use crate::records::OutRec;
 use ij_interval::{AllenPredicate, Interval, TupleId};
 use ij_mapreduce::metrics::names;
@@ -447,9 +447,10 @@ pub fn reduce_into(
 }
 
 /// The reducer of a join cycle: [`reduce_into`] with the sink `mode`
-/// calls for — rows appended to `out` when materializing, one
-/// `OutRec::Count` (if nonzero) when counting — plus the `join.candidates`
-/// / `join.emitted` counters — the one call every algorithm's join cycle
+/// calls for, leaving in `out` the reducer's one record — its
+/// `OutRec::Rows` table when materializing, its `OutRec::Count` when
+/// counting, nothing if it found no tuple — plus the `join.candidates` /
+/// `join.emitted` counters — the one call every algorithm's join cycle
 /// makes. Precondition: any single-attribute query; the dispatcher picks
 /// the kernel by predicate class.
 pub fn reduce_join(
@@ -460,23 +461,21 @@ pub fn reduce_join(
     accept: impl Fn(&[(Interval, TupleId)]) -> bool + Sync,
     out: &mut Vec<OutRec>,
 ) -> KernelReport {
-    let (rep, emitted) = match mode {
+    let (rep, rec) = match mode {
         OutputMode::Count => {
             let mut count = 0u64;
             let rep = reduce_into(ctx, q, cands, accept, &mut count);
-            if count > 0 {
-                out.push(OutRec::Count(count));
-            }
-            (rep, count)
+            (rep, OutRec::Count(count))
         }
         OutputMode::Materialize => {
-            let before = out.len();
-            let rep = reduce_into(ctx, q, cands, accept, out);
-            (rep, (out.len() - before) as u64)
+            let mut rows = Tuples::new(q.num_relations() as usize);
+            let rep = reduce_into(ctx, q, cands, accept, &mut rows);
+            (rep, OutRec::Rows(rows))
         }
     };
     ctx.inc(names::JOIN_CANDIDATES, rep.work);
-    ctx.inc(names::JOIN_EMITTED, emitted);
+    ctx.inc(names::JOIN_EMITTED, rec.tuples());
+    rec.emit_into(out);
     rep
 }
 
@@ -764,6 +763,10 @@ mod tests {
         assert_eq!(ctx.counters().get("kernel.sweep_buckets"), 1);
         assert_eq!(ctx.counters().get("kernel.parallel_buckets"), 0);
         assert_eq!(ctx.counters().get(names::JOIN_CANDIDATES), rep.work);
-        assert_eq!(ctx.counters().get(names::JOIN_EMITTED), out.len() as u64);
+        let [OutRec::Rows(rows)] = out.as_slice() else {
+            panic!("one block of rows, got {out:?}");
+        };
+        assert!(!rows.is_empty());
+        assert_eq!(ctx.counters().get(names::JOIN_EMITTED), rows.len() as u64);
     }
 }

@@ -1,7 +1,7 @@
 //! Per-chunk output sinks: where the kernel driver's accepted bindings go
 //! (see the parallelism section of the [module docs](super)).
 
-use crate::records::OutRec;
+use crate::output::Tuples;
 use ij_interval::{Interval, TupleId};
 
 /// Consumer of accepted bindings (one `(interval, tuple)` slot per
@@ -21,8 +21,9 @@ pub trait BindingSink {
 /// state as one serial run of `push`, for every thread count.
 ///
 /// Implemented for `u64` (counts bindings — all a `Count`-mode reducer
-/// reports) and `Vec<OutRec>` (builds the reducer's output rows where the
-/// binding is produced, so the caller appends finished rows).
+/// reports) and [`Tuples`] (appends the binding's ids to the reducer's flat
+/// output table where the binding is produced; a chunk is one more table,
+/// absorbed by appending its buffer).
 pub trait OutputSink: BindingSink {
     /// The worker-side accumulator of one chunk; crosses threads.
     type Chunk: BindingSink + Send;
@@ -49,19 +50,19 @@ impl OutputSink for u64 {
     }
 }
 
-impl BindingSink for Vec<OutRec> {
+impl BindingSink for Tuples {
     fn push(&mut self, binding: &[(Interval, TupleId)]) {
-        self.push(OutRec::Tuple(binding.iter().map(|(_, t)| *t).collect()));
+        self.push_row(binding.iter().map(|&(_, t)| t));
     }
 }
 
-impl OutputSink for Vec<OutRec> {
-    type Chunk = Vec<OutRec>;
-    fn fork(&self) -> Vec<OutRec> {
-        Vec::new()
+impl OutputSink for Tuples {
+    type Chunk = Tuples;
+    fn fork(&self) -> Tuples {
+        Tuples::new(self.arity())
     }
-    fn absorb(&mut self, mut chunk: Vec<OutRec>) {
-        self.append(&mut chunk);
+    fn absorb(&mut self, chunk: Tuples) {
+        self.append(chunk);
     }
 }
 

@@ -44,5 +44,5 @@ pub mod two_way;
 
 pub use algorithm::{Algorithm, PartitionStrategy, RunArtifacts};
 pub use input::JoinInput;
-pub use output::{JoinOutput, OutputMode, OutputTuple};
+pub use output::{JoinOutput, OutputMode, OutputTuple, Tuples};
 pub use planner::{plan, PlanConfig};

@@ -4,10 +4,116 @@ use crate::records::OutRec;
 use ij_interval::TupleId;
 use ij_mapreduce::JobChain;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// One output tuple: the contributing tuple id of every logical relation,
 /// indexed by relation (`tuple[r]` comes from relation `r`).
 pub type OutputTuple = Vec<TupleId>;
+
+/// Output tuples as one flat table: row `i` is `ids[i * arity..][..arity]`
+/// and `row[r]` the tuple id relation `r` contributes. The same type is the
+/// materializing kernel sink, a reducer's [`OutRec::Rows`] block and
+/// [`JoinOutput::tuples`], so an output tuple is `arity` ids appended to a
+/// buffer and never a heap row of its own.
+///
+/// Whoever knows the query passes `arity` to [`Tuples::new`]; the default
+/// table has none (0) and can only [`append`](Tuples::append) blocks,
+/// adopting the first one's. Tables without rows are equal whatever arity
+/// they were built with.
+#[derive(Clone, Default, Serialize, Deserialize)]
+pub struct Tuples {
+    arity: usize,
+    ids: Vec<TupleId>,
+}
+
+impl Tuples {
+    /// An empty table whose rows will hold `arity` ids.
+    pub fn new(arity: usize) -> Tuples {
+        assert!(arity > 0, "a row holds one id per relation");
+        Tuples {
+            arity,
+            ids: Vec::new(),
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ids.len().checked_div(self.arity).unwrap_or(0)
+    }
+
+    /// Whether the table has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Ids per row.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// The rows, in insertion order.
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, TupleId> {
+        self.ids.chunks_exact(self.arity.max(1))
+    }
+
+    /// The first row.
+    pub fn first(&self) -> Option<&[TupleId]> {
+        self.iter().next()
+    }
+
+    /// The last row.
+    pub fn last(&self) -> Option<&[TupleId]> {
+        self.iter().next_back()
+    }
+
+    /// Appends one row; panics unless it yields exactly `arity` ids.
+    pub fn push_row(&mut self, row: impl IntoIterator<Item = TupleId>) {
+        let before = self.ids.len();
+        self.ids.extend(row);
+        assert_eq!(self.ids.len() - before, self.arity, "row length");
+    }
+
+    /// Moves `other`'s rows behind this table's. An empty table takes over
+    /// `other`'s buffer instead of copying it.
+    pub fn append(&mut self, mut other: Tuples) {
+        if other.is_empty() {
+            return;
+        }
+        assert!(
+            self.arity == 0 || self.arity == other.arity,
+            "appending rows of {} ids to rows of {}",
+            other.arity,
+            self.arity
+        );
+        if self.is_empty() {
+            *self = other;
+        } else {
+            self.ids.append(&mut other.ids);
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Tuples {
+    type Item = &'a [TupleId];
+    type IntoIter = std::slice::ChunksExact<'a, TupleId>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Tuples {
+    fn eq(&self, other: &Tuples) -> bool {
+        self.ids == other.ids && (self.is_empty() || self.arity == other.arity)
+    }
+}
+
+impl Eq for Tuples {}
+
+impl fmt::Debug for Tuples {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self).finish()
+    }
+}
 
 /// Whether reducers materialize output tuples or only count them.
 ///
@@ -44,7 +150,7 @@ pub struct JoinOutput {
     /// The mode the run used.
     pub mode: OutputMode,
     /// Materialized tuples (empty in `Count` mode), in no particular order.
-    pub tuples: Vec<OutputTuple>,
+    pub tuples: Tuples,
     /// Total output tuples (equals `tuples.len()` when materializing).
     pub count: u64,
     /// Per-cycle MapReduce metrics.
@@ -56,15 +162,12 @@ pub struct JoinOutput {
 impl JoinOutput {
     /// Creates an output from reducer [`OutRec`]s.
     pub fn from_records(mode: OutputMode, records: Vec<OutRec>, chain: JobChain) -> Self {
-        let mut tuples = Vec::new();
+        let mut tuples = Tuples::default();
         let mut count = 0u64;
         for r in records {
-            match r {
-                OutRec::Tuple(ids) => {
-                    count += 1;
-                    tuples.push(ids);
-                }
-                OutRec::Count(n) => count += n,
+            count += r.tuples();
+            if let OutRec::Rows(block) = r {
+                tuples.append(block);
             }
         }
         JoinOutput {
@@ -78,7 +181,7 @@ impl JoinOutput {
 
     /// The tuples in canonical (sorted) order — for comparisons in tests.
     pub fn sorted_tuples(&self) -> Vec<OutputTuple> {
-        let mut t = self.tuples.clone();
+        let mut t: Vec<OutputTuple> = self.tuples.iter().map(<[TupleId]>::to_vec).collect();
         t.sort_unstable();
         t
     }
@@ -99,27 +202,75 @@ impl JoinOutput {
 mod tests {
     use super::*;
 
+    fn table(arity: usize, rows: &[&[TupleId]]) -> Tuples {
+        let mut t = Tuples::new(arity);
+        for r in rows {
+            t.push_row(r.iter().copied());
+        }
+        t
+    }
+
+    fn rows(arity: usize, rows: &[&[TupleId]]) -> OutRec {
+        OutRec::Rows(table(arity, rows))
+    }
+
     #[test]
     fn from_records_mixes_counts_and_tuples() {
         let out = JoinOutput::from_records(
             OutputMode::Materialize,
             vec![
-                OutRec::Tuple(vec![1, 2]),
+                rows(2, &[&[1, 2]]),
                 OutRec::Count(5),
-                OutRec::Tuple(vec![0, 0]),
+                rows(2, &[]),
+                rows(2, &[&[0, 0], &[7, 1]]),
             ],
             JobChain::new(),
         );
-        assert_eq!(out.count, 7);
-        assert_eq!(out.tuples.len(), 2);
-        assert_eq!(out.sorted_tuples(), vec![vec![0, 0], vec![1, 2]]);
+        assert_eq!(out.count, 8);
+        assert_eq!(out.tuples.len(), 3);
+        assert_eq!(out.tuples.first(), Some(&[1, 2][..]));
+        assert_eq!(out.tuples.last(), Some(&[7, 1][..]));
+        assert_eq!(format!("{:?}", out.tuples), "[[1, 2], [0, 0], [7, 1]]");
+        assert_eq!(
+            out.sorted_tuples(),
+            vec![vec![0, 0], vec![1, 2], vec![7, 1]]
+        );
+    }
+
+    #[test]
+    fn no_records_make_an_empty_table() {
+        let out = JoinOutput::from_records(OutputMode::Count, Vec::new(), JobChain::new());
+        assert_eq!((out.count, out.tuples.len()), (0, 0));
+        assert!(out.tuples.is_empty());
+        assert_eq!(out.tuples.iter().next(), None);
+        assert_eq!(out.tuples, Tuples::new(3));
+    }
+
+    #[test]
+    fn equality_reads_rows_not_buffers() {
+        assert_eq!(table(2, &[&[9, 9], &[9, 9]]), table(2, &[&[9, 9], &[9, 9]]));
+        assert_ne!(table(2, &[&[9, 9], &[9, 9]]), table(2, &[&[9, 9], &[9, 8]]));
+        // Same ids, different stride.
+        assert_ne!(table(2, &[&[9, 9], &[9, 9]]), table(4, &[&[9, 9, 9, 9]]));
+    }
+
+    #[test]
+    #[should_panic(expected = "row length")]
+    fn short_row_is_refused() {
+        Tuples::new(3).push_row([1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "appending rows of 2 ids to rows of 3")]
+    fn blocks_of_different_arity_do_not_mix() {
+        Tuples::new(3).append(table(2, &[&[1, 2]]));
     }
 
     #[test]
     fn no_duplicates_passes_on_unique() {
         let out = JoinOutput::from_records(
             OutputMode::Materialize,
-            vec![OutRec::Tuple(vec![1]), OutRec::Tuple(vec![2])],
+            vec![rows(1, &[&[1], &[2]])],
             JobChain::new(),
         );
         assert_eq!(out.assert_no_duplicates().len(), 2);
@@ -130,7 +281,7 @@ mod tests {
     fn no_duplicates_panics_on_dupe() {
         let out = JoinOutput::from_records(
             OutputMode::Materialize,
-            vec![OutRec::Tuple(vec![1]), OutRec::Tuple(vec![1])],
+            vec![rows(1, &[&[1]]), rows(1, &[&[1]])],
             JobChain::new(),
         );
         out.assert_no_duplicates();

@@ -1,5 +1,6 @@
 //! Record types flowing through the MapReduce jobs.
 
+use crate::output::{OutputMode, Tuples};
 use ij_interval::{AttrId, Interval, RelId, TupleId};
 use ij_mapreduce::Record;
 use serde::{Deserialize, Serialize};
@@ -82,21 +83,63 @@ impl Record for CompRec {
     }
 }
 
-/// Reducer output: either one materialized output tuple (ids indexed by
-/// relation) or a partial count of output tuples.
+/// Reducer output: the reducer's block of materialized output tuples or
+/// its count of them — at most one record per reducer either way.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OutRec {
-    /// One output tuple: `ids[r]` is the tuple id contributed by relation r.
-    Tuple(Vec<TupleId>),
+    /// The output tuples this reducer found, in emission order.
+    Rows(Tuples),
     /// This reducer found `n` output tuples (count-only mode).
     Count(u64),
 }
 
+impl OutRec {
+    /// A reducer's empty accumulator for `mode`; rows hold `arity` ids.
+    pub fn new(mode: OutputMode, arity: usize) -> OutRec {
+        match mode {
+            OutputMode::Materialize => OutRec::Rows(Tuples::new(arity)),
+            OutputMode::Count => OutRec::Count(0),
+        }
+    }
+
+    /// Accounts one output tuple: appended when materializing, else only
+    /// counted (`row` is never evaluated).
+    pub fn push_row(&mut self, row: impl IntoIterator<Item = TupleId>) {
+        match self {
+            OutRec::Rows(rows) => rows.push_row(row),
+            OutRec::Count(n) => *n += 1,
+        }
+    }
+
+    /// Output tuples the record stands for.
+    pub fn tuples(&self) -> u64 {
+        match self {
+            OutRec::Rows(rows) => rows.len() as u64,
+            OutRec::Count(n) => *n,
+        }
+    }
+
+    /// Hands the record to the engine unless it stands for no tuple.
+    pub fn emit_into(self, out: &mut Vec<OutRec>) {
+        if self.tuples() > 0 {
+            out.push(self);
+        }
+    }
+}
+
 impl Record for OutRec {
+    /// A row is charged its ids plus a tag byte, as when each was a record.
     fn approx_bytes(&self) -> u64 {
         match self {
-            OutRec::Tuple(ids) => 1 + ids.len() as u64 * 4,
+            OutRec::Rows(rows) => rows.len() as u64 * (1 + rows.arity() as u64 * 4),
             OutRec::Count(_) => 9,
+        }
+    }
+
+    fn rows(&self) -> u64 {
+        match self {
+            OutRec::Rows(rows) => rows.len() as u64,
+            OutRec::Count(_) => 1,
         }
     }
 }
@@ -123,7 +166,19 @@ mod tests {
             attrs: vec![iv(0, 5), iv(1, 1)],
         };
         assert_eq!(t.approx_bytes(), 8 + 32);
-        assert_eq!(OutRec::Tuple(vec![1, 2, 3]).approx_bytes(), 13);
-        assert_eq!(OutRec::Count(9).approx_bytes(), 9);
+        let mut rows = OutRec::new(OutputMode::Materialize, 3);
+        rows.push_row([1, 2, 3]);
+        rows.push_row([4, 5, 6]);
+        assert_eq!(
+            (rows.approx_bytes(), rows.rows(), rows.tuples()),
+            (26, 2, 2)
+        );
+        let mut count = OutRec::new(OutputMode::Count, 3);
+        (0..9).for_each(|_| count.push_row([]));
+        assert_eq!(count, OutRec::Count(9));
+        assert_eq!(
+            (count.approx_bytes(), count.rows(), count.tuples()),
+            (9, 1, 9)
+        );
     }
 }

@@ -306,6 +306,22 @@ fn traffic(out: &JoinOutput) -> Vec<(u64, u64, Vec<ReducerLoad>)> {
         .collect()
 }
 
+/// Output is columnar: a materializing reducer writes its rows as one
+/// record (a block), not one record per tuple — while the loads and bytes
+/// the capture pins above keep counting rows.
+#[test]
+fn a_materialized_run_writes_at_most_one_record_per_reducer() {
+    let all = cases();
+    let case = all.iter().find(|c| c.name == "q1-colocation").unwrap();
+    let out = run(&Rccis::new(K), case);
+    let join = out.chain.cycles.last().unwrap();
+    assert!(out.count > join.distinct_reducers, "pin is vacuous");
+    assert!(join.output_records <= join.distinct_reducers);
+    let rows: u64 = join.reducer_loads.iter().map(|l| l.output).sum();
+    assert_eq!(rows, out.count);
+    assert_eq!(join.output_bytes, out.count * (1 + 4 * 3));
+}
+
 #[test]
 fn rccis_is_all_seq_matrix_with_one_dimension() {
     for case in cases().iter().filter(|c| c.name.ends_with("colocation")) {

@@ -16,10 +16,10 @@
 //! folding count/tuple sinks alike.
 
 use ij_core::executor::Candidates;
-use ij_core::kernel::{self, KernelConfig, KernelKind};
+use ij_core::kernel::{self, BindingSink, KernelConfig, KernelKind, OutputSink};
 use ij_core::oracle::{oracle_join, reference_join};
 use ij_core::records::{IvRec, OutRec};
-use ij_core::{JoinInput, OutputMode};
+use ij_core::{JoinInput, OutputMode, Tuples};
 use ij_interval::{AllenPredicate, Interval, RelId, Relation, TupleId};
 use ij_mapreduce::metrics::names;
 use ij_mapreduce::{ClusterConfig, Emitter, Engine, ReduceCtx, ValueStream};
@@ -328,20 +328,21 @@ proptest! {
             let accept = |a: &[(Interval, TupleId)]| {
                 a.iter().map(|(_, t)| *t as u64).sum::<u64>() % 5 != 1
             };
-            let mut base: Vec<OutRec> = Vec::new();
+            let arity = q.num_relations() as usize;
+            let mut base: Rows = Vec::new();
             let base_rep = kernel::execute(&q, &cands, &KernelConfig::serial(), accept, |a| {
-                base.push(OutRec::Tuple(a.iter().map(|(_, t)| *t).collect()))
+                base.push(tids(a))
             });
             for threads in [1usize, 2, 3, 8] {
                 for parallel_threshold in [0usize, usize::MAX] {
                     let cfg = KernelConfig { threads, parallel_threshold };
                     let mut count = 0u64;
                     let count_rep = kernel::execute_into(&q, &cands, &cfg, accept, &mut count);
-                    let mut rows: Vec<OutRec> = Vec::new();
+                    let mut rows = Tuples::new(arity);
                     let rows_rep = kernel::execute_into(&q, &cands, &cfg, accept, &mut rows);
                     let at = format!("{q} threads {threads} threshold {parallel_threshold}");
                     prop_assert_eq!(count, base.len() as u64, "count sink, {}", at);
-                    prop_assert_eq!(&rows, &base, "tuple sink, {}", at);
+                    prop_assert_eq!(rows.iter().collect::<Vec<_>>(), base.clone(), "tuple sink, {}", at);
                     // Every relation has >= 3 tuples, so "always chunk"
                     // with spare threads really takes the parallel path.
                     let chunked = threads > 1 && parallel_threshold == 0;
@@ -353,6 +354,67 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// `sink` after `fork`ing one chunk per run of `groups` consecutive
+/// bindings, `push`ing each run into its chunk and `absorb`ing the chunks
+/// in order — what `execute_into` does with a bucket's outer ranges.
+fn chunked<S: OutputSink>(
+    mut sink: S,
+    bindings: &[Vec<(Interval, TupleId)>],
+    groups: &[usize],
+) -> S {
+    let mut rest = bindings;
+    for &n in groups.iter().chain([&usize::MAX]) {
+        let (head, tail) = rest.split_at(n.min(rest.len()));
+        let mut chunk = sink.fork();
+        head.iter().for_each(|b| chunk.push(b));
+        sink.absorb(chunk);
+        rest = tail;
+    }
+    sink
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The sink contract behind byte-identity across threads: for any
+    /// arity, rows and consecutive chunk grouping (empty chunks included),
+    /// `fork`/`push`/`absorb` ends where one serial run of `push` does —
+    /// and the flat table reads as the `Vec<Vec<TupleId>>` it replaced.
+    #[test]
+    fn sinks_are_chunking_invariant_and_tuples_read_as_rows(
+        arity in 1usize..6,
+        ids in proptest::collection::vec(0u32..50, 0..120usize),
+        groups in proptest::collection::vec(0usize..9, 0..8usize),
+        other_arity in 1usize..6,
+    ) {
+        let point = Interval::new(0, 0).unwrap();
+        let bindings: Vec<Vec<(Interval, TupleId)>> = ids
+            .chunks_exact(arity)
+            .map(|row| row.iter().map(|&t| (point, t)).collect())
+            .collect();
+        let by_row: Rows = bindings.iter().map(|b| tids(b)).collect();
+
+        let mut serial = Tuples::new(arity);
+        bindings.iter().for_each(|b| serial.push(b));
+        let table = chunked(Tuples::new(arity), &bindings, &groups);
+        prop_assert_eq!(&table, &serial);
+        prop_assert_eq!(chunked(0u64, &bindings, &groups), by_row.len() as u64);
+
+        prop_assert_eq!(serial.len(), by_row.len());
+        prop_assert_eq!(serial.is_empty(), by_row.is_empty());
+        prop_assert_eq!(serial.first(), by_row.first().map(Vec::as_slice));
+        prop_assert_eq!(serial.last(), by_row.last().map(Vec::as_slice));
+        prop_assert_eq!(serial.iter().collect::<Vec<_>>(), by_row.clone());
+        prop_assert_eq!((&serial).into_iter().count(), by_row.len());
+        prop_assert_eq!(format!("{serial:?}"), format!("{by_row:?}"));
+        // Equality is over rows: an empty table has no arity to differ in.
+        prop_assert_eq!(
+            chunked(Tuples::new(other_arity), &[], &groups) == serial,
+            by_row.is_empty()
+        );
     }
 }
 
@@ -412,13 +474,13 @@ fn parallel_count_reduce_join_never_buffers_rows() {
             .expect("job runs")
     };
     let rows = run(OutputMode::Materialize, 1);
-    assert!(rows.outputs.len() > 100, "workload too sparse");
+    let [OutRec::Rows(table)] = rows.outputs.as_slice() else {
+        panic!("one block of rows, got {:?}", rows.outputs);
+    };
+    assert!(table.len() > 100, "workload too sparse");
     for threads in [1, 4] {
         let counted = run(OutputMode::Count, threads);
-        assert_eq!(
-            counted.outputs,
-            vec![OutRec::Count(rows.outputs.len() as u64)]
-        );
+        assert_eq!(counted.outputs, vec![OutRec::Count(table.len() as u64)]);
         let counters = &counted.metrics.counters;
         assert_eq!(
             counters.get(names::KERNEL_PARALLEL_BUCKETS),
@@ -431,7 +493,7 @@ fn parallel_count_reduce_join_never_buffers_rows() {
                 "{name}"
             );
         }
-        assert_eq!(counters.get(names::JOIN_EMITTED), rows.outputs.len() as u64);
+        assert_eq!(counters.get(names::JOIN_EMITTED), table.len() as u64);
     }
 }
 

@@ -84,11 +84,6 @@ impl JobChain {
         self.cycles.iter().map(|c| c.spill_wall).sum()
     }
 
-    /// Output records of the final cycle (the join result size).
-    pub fn final_output_records(&self) -> u64 {
-        self.cycles.last().map(|c| c.output_records).unwrap_or(0)
-    }
-
     /// Worst load skew across cycles.
     pub fn worst_skew(&self) -> f64 {
         self.cycles.iter().map(JobMetrics::skew).fold(1.0, f64::max)
@@ -157,14 +152,12 @@ mod tests {
         assert_eq!(chain.total_shuffle_wall(), Duration::from_millis(2));
         assert_eq!(chain.total_reduce_wall(), Duration::from_millis(2));
         assert_eq!(chain.total_spill_wall(), Duration::from_micros(200));
-        assert_eq!(chain.final_output_records(), 1);
     }
 
     #[test]
     fn empty_chain_is_zero() {
         let chain = JobChain::new();
         assert_eq!(chain.total_pairs(), 0);
-        assert_eq!(chain.final_output_records(), 0);
         assert_eq!(chain.worst_skew(), 1.0);
     }
 

@@ -191,6 +191,7 @@ impl Engine {
                                     });
                                 }
                                 spill_read_nanos += values.io_nanos();
+                                let rows: u64 = out.iter().map(Record::rows).sum();
                                 // The span is the bucket's service window:
                                 // its duration is what the straggler
                                 // detector and `reduce.service_ns` read.
@@ -208,7 +209,7 @@ impl Engine {
                                     .arg("pairs", slot.pairs_received)
                                     .arg("pulled", pulled)
                                     .arg("work", ctx.work())
-                                    .arg("out", out.len() as u64)
+                                    .arg("out", rows)
                                     .arg("spilled", spilled as u64)
                                     .arg("grant", grant as u64);
                                     // `kernel.active_peak` sketches the event
@@ -223,7 +224,7 @@ impl Engine {
                                     key: slot.key,
                                     pairs_received: slot.pairs_received,
                                     work: ctx.work(),
-                                    output: out.len() as u64,
+                                    output: rows,
                                     attempts,
                                 };
                                 let ReduceCtx { counters, .. } = ctx;

@@ -104,7 +104,8 @@ pub struct ReducerLoad {
     pub pairs_received: u64,
     /// Work units the reducer reported via [`crate::ReduceCtx::add_work`].
     pub work: u64,
-    /// Output records the reducer emitted.
+    /// Output rows the reducer emitted: the [`Record::rows`](crate::Record::rows)
+    /// of its records, so a block of rows counts as its rows.
     pub output: u64,
     /// Times this reducer was attempted (> 1 only under fault injection).
     pub attempts: u32,
@@ -128,9 +129,13 @@ pub struct JobMetrics {
     pub distinct_reducers: u64,
     /// Per-reducer loads, in key order.
     pub reducer_loads: Vec<ReducerLoad>,
-    /// Output records across all reducers.
+    /// Output *records* across all reducers — not rows: a join reducer
+    /// writes one record, its block of rows or its count (see
+    /// [`ReducerLoad::output`] for rows).
     pub output_records: u64,
-    /// Approximate bytes written by reducers.
+    /// Approximate bytes written by reducers: the records'
+    /// [`Record::approx_bytes`](crate::Record::approx_bytes), which for a
+    /// block of join output rows charges every row `1 + 4·arity`.
     pub output_bytes: u64,
     /// Real wall-clock time of the in-process execution.
     pub wall: Duration,

@@ -13,6 +13,14 @@ pub trait Record: Clone + Send + Sync + 'static {
     fn approx_bytes(&self) -> u64 {
         std::mem::size_of::<Self>() as u64
     }
+
+    /// Logical rows the record stands for when a reducer emits it — what
+    /// [`ReducerLoad::output`](crate::ReducerLoad::output) and the cost
+    /// model's output term count. One, unless the record is a block of
+    /// rows.
+    fn rows(&self) -> u64 {
+        1
+    }
 }
 
 impl Record for u8 {}

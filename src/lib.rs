@@ -38,6 +38,10 @@
 //! let out = algorithm.run(&query, &input, &engine)?;
 //! assert_eq!(out.count, 2);
 //! assert_eq!(out.chain.num_cycles(), 2); // RCCIS = marking + join
+//! // One flat id table; a row is a `&[TupleId]`, `row[r]` from relation r.
+//! for row in &out.tuples {
+//!     assert!(row == [0, 0, 0] || row == [1, 1, 1]);
+//! }
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -49,7 +53,7 @@ pub use ij_query as query;
 
 pub mod prelude {
     //! One-stop imports for typical use.
-    pub use ij_core::{Algorithm, JoinInput, JoinOutput, OutputMode, OutputTuple};
+    pub use ij_core::{Algorithm, JoinInput, JoinOutput, OutputMode, OutputTuple, Tuples};
     pub use ij_interval::{AllenPredicate, Interval, Partitioning, RelId, Relation};
     pub use ij_mapreduce::{ClusterConfig, Engine};
     pub use ij_query::{parse_query, JoinQuery};

@@ -12,6 +12,7 @@ use ij_core::all_replicate::AllReplicate;
 use ij_core::cascade::TwoWayCascade;
 use ij_core::gen_matrix::GenMatrix;
 use ij_core::hybrid::{AllSeqMatrix, Fcts, Fstc, Pasm};
+use ij_core::one_bucket::OneBucketTheta;
 use ij_core::oracle::oracle_join;
 use ij_core::planner::{plan, PlanConfig};
 use ij_core::rccis::Rccis;
@@ -42,21 +43,30 @@ fn random_input(q: &JoinQuery, seed: u64, n: usize, span: i64, max_len: i64) -> 
 
 /// All algorithms applicable to a single-attribute query of the given class.
 fn algorithms_for(q: &JoinQuery) -> Vec<Box<dyn Algorithm>> {
+    algorithms_with(q, |k| k)
+}
+
+/// The same families, each run with `k(its usual partition count)`.
+fn algorithms_with(q: &JoinQuery, k: impl Fn(usize) -> usize) -> Vec<Box<dyn Algorithm>> {
     let mut algs: Vec<Box<dyn Algorithm>> = vec![
-        Box::new(AllReplicate::new(7)),
-        Box::new(TwoWayCascade::new(7)),
-        Box::new(AllMatrix::new(4)),
-        Box::new(AllSeqMatrix::new(4)),
-        Box::new(Pasm::new(4)),
-        Box::new(Fcts::new(5, 4)),
-        Box::new(GenMatrix::new(4)),
+        Box::new(AllReplicate::new(k(7))),
+        Box::new(TwoWayCascade {
+            per_dim_2d: k(4),
+            ..TwoWayCascade::new(k(7))
+        }),
+        Box::new(AllMatrix::new(k(4))),
+        Box::new(AllSeqMatrix::new(k(4))),
+        Box::new(Pasm::new(k(4))),
+        Box::new(Fcts::new(k(5), k(4))),
+        Box::new(GenMatrix::new(k(4))),
     ];
     if q.num_relations() == 2 {
-        algs.push(Box::new(TwoWayJoin::new(6)));
+        algs.push(Box::new(TwoWayJoin::new(k(6))));
+        algs.push(Box::new(OneBucketTheta::new(k(2), k(3))));
     }
     match q.class() {
-        QueryClass::Colocation => algs.push(Box::new(Rccis::new(6))),
-        QueryClass::Hybrid => algs.push(Box::new(Fstc::new(5, 4))),
+        QueryClass::Colocation => algs.push(Box::new(Rccis::new(k(6)))),
+        QueryClass::Hybrid => algs.push(Box::new(Fstc::new(k(5), k(4)))),
         _ => {}
     }
     algs
@@ -202,6 +212,39 @@ fn degenerate_inputs() {
             alg.name()
         );
     }
+}
+
+#[test]
+fn one_partition_inputs() {
+    // `o = 1`: the join cycle's one reducer (one cell) receives everything
+    // and owns every binding; nothing is split or crosses a boundary.
+    let engine = Engine::new(ClusterConfig::with_slots(4));
+    let mut families = std::collections::BTreeSet::new();
+    for (i, preds) in [
+        vec![Overlaps],
+        vec![Before],
+        vec![Overlaps, Contains],
+        vec![Overlaps, Before],
+        vec![Before, Before],
+    ]
+    .iter()
+    .enumerate()
+    {
+        let q = JoinQuery::chain(preds).unwrap();
+        let input = random_input(&q, 60 + i as u64, 30, 300, 45);
+        let want = oracle_join(&q, &input);
+        assert!(!want.is_empty(), "{q}: workload too sparse");
+        for alg in algorithms_with(&q, |_| 1) {
+            let out = alg
+                .run(&q, &input, &engine)
+                .unwrap_or_else(|e| panic!("{}: {e} on {q}", alg.name()));
+            assert_eq!(out.assert_no_duplicates(), want, "{} on {q}", alg.name());
+            let join = out.chain.cycles.last().expect("at least one cycle");
+            assert_eq!(join.distinct_reducers, 1, "{} on {q}", alg.name());
+            families.insert(alg.name());
+        }
+    }
+    assert_eq!(families.len(), 11, "{families:?}");
 }
 
 #[test]
