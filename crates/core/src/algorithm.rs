@@ -157,6 +157,21 @@ pub fn require_single_attr(algorithm: &'static str, q: &JoinQuery) -> Result<(),
     }
 }
 
+/// Refuses a query in which no condition mentions some relation, naming
+/// it: that relation joins as a cross product, which the families growing
+/// composite records along the conditions never reach.
+pub(crate) fn require_all_joined(algorithm: &'static str, q: &JoinQuery) -> Result<(), AlgoError> {
+    let unjoined = |r: &RelId| q.conditions_of(*r).next().is_none();
+    match (0..q.num_relations()).map(RelId).find(unjoined) {
+        None => Ok(()),
+        Some(r) => {
+            let name = &q.relations()[r.idx()].name;
+            let reason = format!("no condition mentions relation {name}");
+            Err(AlgoError::Unsupported { algorithm, reason })
+        }
+    }
+}
+
 /// Short-circuit for provably unsatisfiable queries (contradictory
 /// less-than orders, Section 9): returns an empty output with no cycles.
 pub fn empty_output(mode: crate::output::OutputMode) -> JoinOutput {

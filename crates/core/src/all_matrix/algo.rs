@@ -15,12 +15,12 @@
 //! for cross-validation in tests.
 
 use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
-use crate::all_matrix::cells::CellSpace;
-use crate::component_matrix::ComponentMatrix;
+use crate::component_matrix::{starts_last, ComponentMatrix};
 use crate::input::JoinInput;
 use crate::output::{JoinOutput, OutputMode};
+use ij_interval::MapOp;
 use ij_mapreduce::Engine;
-use ij_query::{AttrRef, JoinQuery};
+use ij_query::JoinQuery;
 
 /// The All-Matrix algorithm.
 #[derive(Debug, Clone)]
@@ -52,17 +52,11 @@ impl AllMatrix {
     /// `s_{Rj} <= s_{Rk}` is provable (sound inconsistent-reducer pruning;
     /// see `ij_query::order`).
     fn constraints(q: &JoinQuery) -> Vec<(usize, usize)> {
-        let order = q.start_order();
-        let m = q.num_relations() as usize;
-        let mut out = Vec::new();
-        for j in 0..m {
-            for k in 0..m {
-                if j != k && order.le_start(AttrRef::whole(j as u16), AttrRef::whole(k as u16)) {
-                    out.push((j, k));
-                }
-            }
-        }
-        out
+        let (order, m) = (q.start_order(), q.num_relations() as usize);
+        let pairs = (0..m).flat_map(|j| (0..m).map(move |k| (j, k)));
+        pairs
+            .filter(|&(j, k)| j != k && starts_last(&order, &[j, k], k))
+            .collect()
     }
 }
 
@@ -88,7 +82,6 @@ impl Algorithm for AllMatrix {
         } else {
             Vec::new()
         };
-        let space = CellSpace::new(m, self.per_dim, constraints)?;
         // Every relation is a dimension of its own, whatever the query's
         // colocation components are: nothing is marked, every interval goes
         // to the cells at its own start coordinate, the join runs alone.
@@ -96,11 +89,12 @@ impl Algorithm for AllMatrix {
             family: "all-matrix",
             query,
             part: &part,
-            space: &space,
+            constraints,
             groups: (0..m).map(|r| vec![r]).collect(),
+            routes: vec![[MapOp::Project; 2]; m],
             mark_options: Default::default(),
             prune: false,
-            map_op_counters: false,
+            route_counters: None,
             mode: self.mode,
         }
         .run(input, engine)?;

@@ -10,6 +10,7 @@
 
 use crate::algorithm::AlgoError;
 use ij_mapreduce::ReducerId;
+use std::ops::Range;
 
 /// Maximum cells we are willing to enumerate (`o^m` grows quickly).
 const MAX_CELLS: u64 = 4_000_000;
@@ -159,6 +160,20 @@ impl CellSpace {
         &self.by_ge[d][q]
     }
 
+    /// Consistent cells whose dimension-`d` coordinate lies in `coords`: a
+    /// map operation's partition range lifted to the matrix. A split's range
+    /// may end early, which only one dimension can lift: there cell `c` is
+    /// coordinate `c`, and the range is a prefix of [`Self::cells_ge`].
+    pub(crate) fn cells_in(&self, d: usize, coords: Range<usize>) -> &[ReducerId] {
+        let ge = &self.by_ge[d][coords.start];
+        debug_assert!(self.dims == 1 || coords.len() == 1 || coords.end == self.per_dim);
+        match coords.len() {
+            1 => &self.by_eq[d][coords.start],
+            _ if coords.end == self.per_dim => ge,
+            n => &ge[..n],
+        }
+    }
+
     /// Number of dimensions.
     pub fn dims(&self) -> usize {
         self.dims
@@ -235,6 +250,23 @@ mod tests {
                 assert!(smaller.iter().all(|c| bigger.contains(c)), "dim {d} q {q}");
             }
             assert_eq!(s.cells_ge(d, 0).len(), s.consistent_cells().len());
+        }
+    }
+
+    #[test]
+    fn cells_in_lifts_a_partition_range() {
+        // One dimension: cell `c` is coordinate `c`, so a split lifts too.
+        let line = CellSpace::new(1, 6, vec![]).unwrap();
+        assert_eq!(line.cells_in(0, 2..3), &[2]);
+        assert_eq!(line.cells_in(0, 2..5), &[2, 3, 4]);
+        assert_eq!(line.cells_in(0, 2..6), &[2, 3, 4, 5]);
+        // More dimensions: a project is `cells_eq`, a replicate `cells_ge`.
+        let s = CellSpace::new(2, 4, vec![(0, 1)]).unwrap();
+        for d in 0..2 {
+            for q in 0..4 {
+                assert_eq!(s.cells_in(d, q..q + 1), s.cells_eq(d, q));
+                assert_eq!(s.cells_in(d, q..4), s.cells_ge(d, q));
+            }
         }
     }
 

@@ -4,22 +4,20 @@
 //! than every other in the less-than order) and replicate the rest; when no
 //! unique right-most relation exists, replicate everything and let each
 //! reducer emit only the tuples it owns (those whose maximal start point
-//! falls in its partition). Correct for any single-attribute query, but —
-//! as Sections 6.2 and 7 demonstrate — communication-heavy and, for
-//! sequence queries, badly load-skewed toward the right-most reducers.
+//! falls in its partition) — the component-matrix pipeline
+//! (`crate::component_matrix`) over one dimension with fixed routes. Correct
+//! for any single-attribute query, but — as Sections 6.2 and 7 demonstrate
+//! — communication-heavy and, for sequence queries, badly load-skewed toward
+//! the right-most reducers.
 
-use crate::algorithm::{
-    empty_output, iv_records, require_single_attr, AlgoError, Algorithm, RunArtifacts,
-};
-use crate::executor::Candidates;
+use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
+use crate::component_matrix::{starts_last, ComponentMatrix};
 use crate::input::JoinInput;
-use crate::kernel;
 use crate::output::{JoinOutput, OutputMode};
-use crate::records::{IvRec, OutRec};
-use ij_interval::{ops, Interval, TupleId};
+use ij_interval::MapOp;
 use ij_mapreduce::metrics::names;
-use ij_mapreduce::{Emitter, Engine, JobChain, ReduceCtx, ValueStream};
-use ij_query::{AttrRef, JoinQuery};
+use ij_mapreduce::Engine;
+use ij_query::JoinQuery;
 
 /// The All-Replicate baseline.
 #[derive(Debug, Clone)]
@@ -43,13 +41,9 @@ impl AllReplicate {
     /// order, if any ("the rightmost relation"; with several co-maximal
     /// relations the paper replicates everything).
     fn projected_relation(q: &JoinQuery) -> Option<usize> {
+        let all: Vec<usize> = (0..q.num_relations() as usize).collect();
         let order = q.start_order();
-        let m = q.num_relations() as usize;
-        (0..m).find(|&r| {
-            (0..m).all(|other| {
-                other == r || order.le_start(AttrRef::whole(other as u16), AttrRef::whole(r as u16))
-            })
-        })
+        all.iter().copied().find(|&r| starts_last(&order, &all, r))
     }
 }
 
@@ -69,70 +63,26 @@ impl Algorithm for AllReplicate {
             return Ok(empty_output(self.mode));
         }
         let part = RunArtifacts::partition_span(input.span(), self.partitions)?;
-        let projected = Self::projected_relation(query);
-
-        // Count replicated intervals for the Table 1 statistic.
-        let replicated_intervals: u64 = input
-            .relations()
-            .iter()
-            .enumerate()
-            .filter(|(r, _)| Some(*r) != projected)
-            .map(|(_, rel)| rel.len() as u64)
-            .sum();
-
         let m = query.num_relations() as usize;
-        let mode = self.mode;
-        let q = query.clone();
-        let partc = part.clone();
-        let need_owner_filter = projected.is_none();
-        let out = engine.run_job(
-            "all-replicate",
-            &iv_records(input),
-            {
-                let partc = partc.clone();
-                move |rec: &IvRec, em: &mut Emitter<IvRec>| {
-                    let replicate = Some(rec.rel.idx()) != projected;
-                    let op = if replicate {
-                        ij_interval::MapOp::Replicate
-                    } else {
-                        ij_interval::MapOp::Project
-                    };
-                    let before = em.emitted();
-                    for p in ops::apply(op, rec.iv, &partc) {
-                        em.emit(p as u64, *rec);
-                    }
-                    let copies = (em.emitted() - before) as u64;
-                    if replicate {
-                        em.inc(names::ALLREP_REPLICA_PAIRS, copies);
-                    } else {
-                        em.inc(names::ALLREP_PROJECTED_PAIRS, copies);
-                    }
-                }
-            },
-            move |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<OutRec>| {
-                let mut cands = Candidates::new(m);
-                for v in values.by_ref() {
-                    cands.push(v.rel.idx(), v.iv, v.tid);
-                }
-                cands.finish();
-                let own = ctx.key as usize;
-                let partr = &partc;
-                let accept = |a: &[(Interval, TupleId)]| {
-                    if !need_owner_filter {
-                        return true;
-                    }
-                    let max_start = a.iter().map(|(iv, _)| iv.start()).max().expect("nonempty");
-                    partr.index_of(max_start) == own
-                };
-                kernel::reduce_join(ctx, &q, &cands, mode, accept, out);
-            },
-        )?;
-
-        let mut chain = JobChain::new();
-        chain.push(out.metrics);
-        let mut result = JoinOutput::from_records(self.mode, out.outputs, chain);
-        result.stats.replicated_intervals = Some(replicated_intervals);
-        Ok(result)
+        let mut routes = vec![[MapOp::Replicate; 2]; m];
+        if let Some(r) = Self::projected_relation(query) {
+            routes[r] = [MapOp::Project; 2];
+        }
+        let mut out = ComponentMatrix {
+            family: "all-replicate",
+            query,
+            part: &part,
+            constraints: Vec::new(),
+            groups: vec![(0..m).collect()],
+            routes,
+            mark_options: Default::default(),
+            prune: false,
+            route_counters: Some((names::ALLREP_REPLICA_PAIRS, names::ALLREP_PROJECTED_PAIRS)),
+            mode: self.mode,
+        }
+        .run(input, engine)?;
+        out.stats.consistent_cells = None;
+        Ok(out)
     }
 }
 
@@ -141,7 +91,7 @@ mod tests {
     use super::*;
     use crate::oracle::oracle_join;
     use ij_interval::AllenPredicate::*;
-    use ij_interval::Relation;
+    use ij_interval::{Interval, Relation};
     use ij_mapreduce::ClusterConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -416,6 +416,7 @@ impl Algorithm for TwoWayCascade {
         engine: &Engine,
     ) -> Result<JoinOutput, AlgoError> {
         require_single_attr(self.name(), query)?;
+        crate::algorithm::require_all_joined(self.name(), query)?;
         if query.start_order().contradictory() {
             return Ok(empty_output(self.mode));
         }

@@ -1,30 +1,28 @@
 //! The component-matrix pipeline: **mark → prune → join**, written once.
 //!
-//! Paper §8.1 routes an interval of colocation component `k` that starts
-//! in partition `q` to the consistent cells with `coord_k >= q` if RCCIS
-//! flagged it and `coord_k == q` otherwise (conditions E1/E2). With one
-//! relation per dimension that is All-Matrix (§7.1), with a single
-//! dimension RCCIS (§6.1), with one more cycle PASM (§8.2): the four
-//! families are [`ComponentMatrix`] settings built by their front-ends
-//! (`rccis::rounds`, `all_matrix::algo`, `hybrid::{all_seq_matrix, pasm}`;
-//! DESIGN.md §5 tabulates them).
+//! A setting ([`ComponentMatrix`]) groups the relations into the dimensions
+//! of a reducer matrix and gives each relation a [`Route`]: one of Fig. 1's
+//! project / split / replicate, fixed or — §8.1's E1/E2 — replicate if the
+//! marking flagged the interval, project otherwise. The operation's
+//! partition range, lifted to the consistent cells, is where an interval
+//! goes. Six families are settings (DESIGN.md §5 tabulates them).
 //!
-//! * **mark** — multi-member groups are *split*, each `(group, partition)`
-//!   bucket runs the RCCIS marking on the group's colocation sub-query,
-//!   and every interval is written once, by its start partition, with its
-//!   flag. Singleton groups pass through unflagged; when *every* group is
-//!   a singleton nothing can be flagged and the stage does not run.
-//! * **prune** (on request) — each group's own join runs per partition and
-//!   the intervals of its owned bindings are the *participants*; the join
-//!   stage ships nobody else from a multi-member group.
-//! * **join** — flagged intervals go to `cells_ge`, the rest to `cells_eq`;
-//!   each cell joins what it received and keeps the bindings it owns.
+//! * **mark** — multi-member marked groups are *split*, each
+//!   `(group, partition)` bucket runs the RCCIS marking on the group's
+//!   colocation sub-query, and every interval is written once, by its start
+//!   partition, with its flag. Other groups pass through unflagged; with no
+//!   marked group the stage does not run.
+//! * **prune** (on request) — each marked group's own join runs per
+//!   partition and the intervals of its owned bindings are the
+//!   *participants*; the join stage ships nobody else from such a group.
+//! * **join** — each cell joins what it was routed and keeps what it owns.
 //!
 //! **Ownership** is one rule, used by all three stages: a binding belongs
 //! to coordinate `c` of a dimension when the right-most start among the
-//! dimension's members lies in partition `c`'s [`start_window`]. A cell
-//! owns a binding when that holds in every dimension, so each output tuple
-//! is emitted by exactly one cell.
+//! dimension's members lies in partition `c`'s [`start_window`]; a cell
+//! owns it when that holds in every dimension. Testing is always sound; the
+//! join skips a dimension where a member with a fixed project provably
+//! starts last ([`starts_last`]): only its start coordinate gets a binding.
 
 use crate::algorithm::{iv_records, AlgoError};
 use crate::all_matrix::CellSpace;
@@ -37,10 +35,18 @@ use crate::records::{FlagRec, IvRec, OutRec};
 use ij_interval::{ops, Interval, MapOp, Partitioning, RelId, Time, TupleId};
 use ij_mapreduce::metrics::names;
 use ij_mapreduce::{Emitter, Engine, EngineError, JobChain, JobOutput, ReduceCtx, ValueStream};
-use ij_query::{Condition, JoinQuery};
+use ij_query::{AttrRef, Condition, JoinQuery, StartOrder};
 use std::collections::BTreeSet;
 
-/// One setting of the pipeline (DESIGN.md §5 tabulates the four in use).
+/// How the join stage routes a relation's intervals: `route[flag as usize]`
+/// is the operation for an interval with that mark-stage flag. A fixed
+/// route is `[op; 2]`; a split only in one dimension (cells = partitions).
+pub(crate) type Route = [MapOp; 2];
+
+/// §8.1's E1/E2: replicate what the marking flagged, project the rest.
+pub(crate) const MARKED: Route = [MapOp::Project, MapOp::Replicate];
+
+/// One setting of the pipeline (DESIGN.md §5 tabulates the six in use).
 pub(crate) struct ComponentMatrix<'a> {
     /// Stage-name prefix: stages are `<family>-mark` / `-prune` / `-join`.
     pub family: &'static str,
@@ -48,18 +54,22 @@ pub(crate) struct ComponentMatrix<'a> {
     pub query: &'a JoinQuery,
     /// The 1-D partitioning every dimension shares.
     pub part: &'a Partitioning,
-    /// The reducer matrix: one dimension per group, `part.len()` per side.
-    pub space: &'a CellSpace,
-    /// `groups[d]`: the relations of dimension `d`, ascending. A group of
-    /// two or more must be connected by colocation conditions.
+    /// Cell constraints: `(j, k)` keeps cells with `coord_j <= coord_k` in
+    /// the matrix of one dimension per group, `part.len()` per side.
+    pub constraints: Vec<(usize, usize)>,
+    /// `groups[d]`: the relations of dimension `d`, ascending — together a
+    /// partition of the relations; a marked one is colocation-connected.
     pub groups: Vec<Vec<usize>>,
+    /// `routes[r]`: relation `r`'s route; a group is marked when its routes
+    /// are [`MARKED`], and then all of them must be.
+    pub routes: Vec<Route>,
     /// Options of the marking stage.
     pub mark_options: MarkOptions,
     /// Whether to run the prune stage.
     pub prune: bool,
-    /// Maintain the `rccis.*` map-operation counters — RCCIS's own; the
-    /// matrix families never recorded them.
-    pub map_op_counters: bool,
+    /// RCCIS's or All-Rep's `(replicated, projected)` join-pair counters; a
+    /// marking setting with them also counts the `rccis.*` splits and flags.
+    pub route_counters: Option<(&'static str, &'static str)>,
     /// Materialize or count.
     pub mode: OutputMode,
 }
@@ -90,20 +100,23 @@ fn owns(dims: &[(Time, Time, &[usize])], binding: &[(Interval, TupleId)]) -> boo
     })
 }
 
+/// Whether relation `r` provably starts no earlier than every other relation
+/// of `members`.
+pub(crate) fn starts_last(order: &StartOrder, members: &[usize], r: usize) -> bool {
+    let whole = |r: usize| AttrRef::whole(r as u16);
+    (members.iter()).all(|&o| o == r || order.le_start(whole(o), whole(r)))
+}
+
 /// The colocation conditions of `query` inside the group `members`, as a
-/// query over the group's local slots; `None` for a singleton.
-fn sub_query(query: &JoinQuery, members: &[usize], slot_of: &[usize]) -> Option<JoinQuery> {
-    if members.len() < 2 {
-        return None;
-    }
-    let inside = |r: RelId| members.contains(&r.idx());
-    let slot = |r: RelId| slot_of[r.idx()] as u16;
-    let conditions = (query.conditions().iter())
-        .filter(|c| c.is_colocation() && inside(c.left.rel) && inside(c.right.rel))
-        .map(|c| Condition::whole(slot(c.left.rel), c.pred, slot(c.right.rel)))
+/// query over the group's local slots.
+fn sub_query(query: &JoinQuery, members: &[usize]) -> JoinQuery {
+    let slot = |r: RelId| members.iter().position(|&m| m == r.idx());
+    let conditions = (query.conditions().iter().filter(|c| c.is_colocation()))
+        .filter_map(|c| Some((slot(c.left.rel)?, c.pred, slot(c.right.rel)?)))
+        .map(|(l, pred, r)| Condition::whole(l as u16, pred, r as u16))
         .collect();
     let sub = JoinQuery::new(members.len() as u16, conditions);
-    Some(sub.expect("a multi-member group is connected by colocation conditions"))
+    sub.expect("a multi-member group is connected by colocation conditions")
 }
 
 fn participant_key(rel: u64, tid: TupleId) -> u64 {
@@ -147,17 +160,24 @@ fn unflagged(rec: IvRec) -> FlagRec {
     }
 }
 
+/// A relation's dimension, slot in its group and route: one read per record.
+#[derive(Clone, Copy)]
+struct Lane {
+    dim: usize,
+    slot: usize,
+    route: Route,
+}
+
 /// A setting, the engine it runs on, and what the stages derive from the
 /// grouping.
 struct Stages<'a> {
     cm: &'a ComponentMatrix<'a>,
     engine: &'a Engine,
-    /// Relation → its dimension.
-    group_of: Vec<usize>,
-    /// Relation → its slot in its group's sub-query.
-    slot_of: Vec<usize>,
-    /// Per group: its colocation sub-query over local slots; `None` for a
-    /// singleton, which has nothing to mark or prune.
+    space: CellSpace,
+    /// Relation → its lane.
+    lanes: Vec<Lane>,
+    /// Per group: its colocation sub-query over local slots if it is marked
+    /// and has two or more members, else `None` — nothing to mark or prune.
     subs: Vec<Option<JoinQuery>>,
 }
 
@@ -165,27 +185,11 @@ impl ComponentMatrix<'_> {
     /// Runs the stages this setting calls for and assembles the output,
     /// with every [`crate::output::RunStats`] field the stages produce.
     pub(crate) fn run(&self, input: &JoinInput, engine: &Engine) -> Result<JoinOutput, AlgoError> {
-        let m = self.query.num_relations() as usize;
-        let (mut group_of, mut slot_of) = (vec![0; m], vec![0; m]);
-        for (g, members) in self.groups.iter().enumerate() {
-            for (slot, &r) in members.iter().enumerate() {
-                (group_of[r], slot_of[r]) = (g, slot);
-            }
-        }
-        let subs: Vec<_> = (self.groups.iter())
-            .map(|members| sub_query(self.query, members, &slot_of))
-            .collect();
-        let any_multi = subs.iter().any(Option::is_some);
-        let stages = Stages {
-            cm: self,
-            engine,
-            group_of,
-            slot_of,
-            subs,
-        };
+        let stages = self.stages(engine)?;
+        let any_marked = stages.subs.iter().any(Option::is_some);
 
         let mut chain = JobChain::new();
-        let flags = if any_multi {
+        let flags = if any_marked {
             let marked = stages.mark(&iv_records(input))?;
             chain.push(marked.metrics);
             marked.outputs
@@ -194,7 +198,7 @@ impl ComponentMatrix<'_> {
             iv_records(input).into_iter().map(unflagged).collect()
         };
         let mut participants = None;
-        if self.prune && any_multi {
+        if self.prune && any_marked {
             let pruned = stages.prune(&flags)?;
             chain.push(pruned.metrics);
             participants = Some(pruned.outputs.into_iter().collect::<BTreeSet<u64>>());
@@ -203,12 +207,14 @@ impl ComponentMatrix<'_> {
         chain.push(joined.metrics);
 
         let mut out = JoinOutput::from_records(self.mode, joined.outputs, chain);
-        out.stats.replicated_intervals = Some(flags.iter().filter(|f| f.replicate).count() as u64);
-        let cells = self.space.consistent_cells().len() as u64;
-        out.stats.consistent_cells = Some((cells, self.space.total_cells()));
+        let op = |f: &&FlagRec| stages.lanes[f.rec.rel.idx()].route[f.replicate as usize];
+        let replicated = flags.iter().filter(|f| op(f) == MapOp::Replicate);
+        out.stats.replicated_intervals = Some(replicated.count() as u64);
+        let cells = stages.space.consistent_cells().len() as u64;
+        out.stats.consistent_cells = Some((cells, stages.space.total_cells()));
         for (r, rel) in input.relations().iter().enumerate() {
-            // Only relations of multi-member groups are ever pruned.
-            let prunable = stages.subs[stages.group_of[r]].is_some() && !rel.is_empty();
+            // Only relations of marked groups are ever pruned.
+            let prunable = stages.subs[stages.lanes[r].dim].is_some() && !rel.is_empty();
             if let (Some(alive), true) = (&participants, prunable) {
                 let alive = (0..rel.len() as u32)
                     .filter(|&t| alive.contains(&participant_key(r as u64, t)))
@@ -219,6 +225,36 @@ impl ComponentMatrix<'_> {
             }
         }
         Ok(out)
+    }
+
+    /// Checks that the groups partition the relations, and derives the
+    /// matrix, each relation's lane and each marked group's sub-query.
+    fn stages<'a>(&'a self, engine: &'a Engine) -> Result<Stages<'a>, AlgoError> {
+        let m = self.query.num_relations() as usize;
+        let bad = || AlgoError::BadConfig(format!("{}: groups are not a partition", self.family));
+        let mut lanes = vec![None; m];
+        for (dim, members) in self.groups.iter().enumerate() {
+            for (slot, &r) in members.iter().enumerate() {
+                match (lanes.get_mut(r), self.routes.get(r)) {
+                    (Some(lane @ None), Some(&route)) => *lane = Some(Lane { dim, slot, route }),
+                    _ => return Err(bad()),
+                }
+            }
+        }
+        let lanes: Vec<Lane> = lanes.into_iter().collect::<Option<_>>().ok_or_else(bad)?;
+        let marked = |g: &[usize]| g.len() > 1 && self.routes[g[0]] == MARKED;
+        let subs = (self.groups.iter())
+            .map(|members| marked(members).then(|| sub_query(self.query, members)))
+            .collect();
+        let space = CellSpace::new(self.groups.len(), self.part.len(), self.constraints.clone())?;
+        let cm = self;
+        Ok(Stages {
+            cm,
+            engine,
+            space,
+            lanes,
+            subs,
+        })
     }
 }
 
@@ -231,14 +267,15 @@ impl Stages<'_> {
     /// **Mark**: every interval exactly once, flagged.
     fn mark(&self, records: &[IvRec]) -> Result<JobOutput<FlagRec>, EngineError> {
         let (cm, p_count) = (self.cm, self.cm.part.len() as u64);
+        let counters = cm.route_counters.is_some();
         self.engine.run_job(
             &format!("{}-mark", cm.family),
             records,
             |rec: &IvRec, em: &mut Emitter<IvRec>| {
-                let g = self.group_of[rec.rel.idx()];
+                let g = self.lanes[rec.rel.idx()].dim;
                 let base = g as u64 * p_count;
                 if self.subs[g].is_none() {
-                    // Singletons only pass through to pick up their flag.
+                    // Unmarked groups only pass through to pick up a flag.
                     em.emit(base + ops::project(rec.iv, cm.part) as u64, *rec);
                     return;
                 }
@@ -246,7 +283,7 @@ impl Stages<'_> {
                 for p in ops::split(rec.iv, cm.part) {
                     em.emit(base + p as u64, *rec);
                 }
-                if cm.map_op_counters {
+                if counters {
                     let copies = (em.emitted() - before) as u64;
                     em.inc(names::RCCIS_SPLIT_PAIRS, copies);
                     if copies > 1 {
@@ -258,14 +295,14 @@ impl Stages<'_> {
             |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<FlagRec>| {
                 let (g, p) = group_partition(ctx.key, p_count);
                 let Some(sub) = &self.subs[g] else {
-                    // Singleton group: never replicated.
+                    // Unmarked group: never replicated.
                     out.extend(values.by_ref().map(unflagged));
                     return;
                 };
                 let members = &cm.groups[g];
                 let mut per_slot = vec![Vec::new(); members.len()];
                 for v in values.by_ref() {
-                    per_slot[self.slot_of[v.rel.idx()]].push((v.iv, v.tid));
+                    per_slot[self.lanes[v.rel.idx()].slot].push((v.iv, v.tid));
                 }
                 let marking = mark_with_options(sub, cm.part, p, per_slot, cm.mark_options);
                 ctx.add_work(marking.work);
@@ -276,7 +313,7 @@ impl Stages<'_> {
                     for (&(iv, tid), &replicate) in list.iter().zip(flags) {
                         // Each interval is written once: by its start partition.
                         if lo <= iv.start() && iv.start() <= hi {
-                            if replicate && cm.map_op_counters {
+                            if replicate && counters {
                                 ctx.inc(names::RCCIS_FLAGGED_INTERVALS, 1);
                             }
                             let rec = IvRec { rel, tid, iv };
@@ -289,35 +326,30 @@ impl Stages<'_> {
     }
 
     /// **Prune**: the [`participant_key`] of every interval that appears in
-    /// some owned binding of its (multi-member) group's own join.
+    /// some owned binding of its marked group's own join.
     fn prune(&self, flags: &[FlagRec]) -> Result<JobOutput<u64>, EngineError> {
         let (cm, p_count) = (self.cm, self.cm.part.len() as u64);
         self.engine.run_job(
             &format!("{}-prune", cm.family),
             flags,
             |rec: &FlagRec, em: &mut Emitter<IvRec>| {
-                let g = self.group_of[rec.rec.rel.idx()];
-                if self.subs[g].is_none() {
-                    return; // singletons always participate
+                let lane = self.lanes[rec.rec.rel.idx()];
+                if self.subs[lane.dim].is_none() {
+                    return; // unmarked groups always participate
                 }
-                let op = if rec.replicate {
-                    MapOp::Replicate
-                } else {
-                    MapOp::Project
-                };
-                for p in ops::apply(op, rec.rec.iv, cm.part) {
-                    em.emit(g as u64 * p_count + p as u64, rec.rec);
+                for p in ops::apply(lane.route[rec.replicate as usize], rec.rec.iv, cm.part) {
+                    em.emit(lane.dim as u64 * p_count + p as u64, rec.rec);
                 }
             },
             |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<u64>| {
                 let (g, p) = group_partition(ctx.key, p_count);
                 let Some(sub) = &self.subs[g] else {
-                    return; // only multi-member groups are keyed
+                    return; // only marked groups are keyed
                 };
                 let rels = cm.groups[g].as_slice();
                 let mut cands = Candidates::new(rels.len());
                 for v in values.by_ref() {
-                    cands.push(self.slot_of[v.rel.idx()], v.iv, v.tid);
+                    cands.push(self.lanes[v.rel.idx()].slot, v.iv, v.tid);
                 }
                 cands.finish();
                 let slots: Vec<usize> = (0..rels.len()).collect();
@@ -331,47 +363,49 @@ impl Stages<'_> {
         )
     }
 
-    /// **Join**: route by flag, join per cell, emit the owned bindings.
-    /// With `participants`, intervals of multi-member groups outside the
-    /// set are never shuffled.
+    /// **Join**: route every interval, join per cell, emit the owned
+    /// bindings. With `participants`, intervals of marked groups outside
+    /// the set are never shuffled.
     fn join(
         &self,
         flags: &[FlagRec],
         participants: Option<&BTreeSet<u64>>,
     ) -> Result<JobOutput<OutRec>, EngineError> {
         let cm = self.cm;
-        let m = cm.query.num_relations() as usize;
-        // A singleton group's interval is never flagged, so it only reaches
-        // cells at its own start coordinate: that dimension always owns.
+        let (m, order) = (cm.query.num_relations() as usize, cm.query.start_order());
+        // Every dimension but those a fixed project provably settles.
+        let projected = |r: usize| cm.routes[r] == [MapOp::Project; 2];
+        let settled = |g: &[usize]| g.iter().any(|&r| projected(r) && starts_last(&order, g, r));
         let tested: Vec<(usize, &[usize])> = (cm.groups.iter().enumerate())
-            .filter(|(_, members)| members.len() >= 2)
-            .map(|(d, members)| (d, members.as_slice()))
+            .filter_map(|(d, g)| (!settled(g)).then_some((d, g.as_slice())))
             .collect();
         self.engine.run_job(
             &format!("{}-join", cm.family),
             flags,
             |rec: &FlagRec, em: &mut Emitter<IvRec>| {
                 let IvRec { rel, tid, iv } = rec.rec;
-                let d = self.group_of[rel.idx()];
+                let lane = self.lanes[rel.idx()];
                 let pruned = |alive: &BTreeSet<u64>| {
-                    self.subs[d].is_some() && !alive.contains(&participant_key(rel.0 as u64, tid))
+                    self.subs[lane.dim].is_some()
+                        && !alive.contains(&participant_key(rel.0 as u64, tid))
                 };
                 if participants.is_some_and(pruned) {
                     return;
                 }
-                let q = cm.part.index_of(iv.start());
-                let (cells, counter) = if rec.replicate {
-                    (cm.space.cells_ge(d, q), names::RCCIS_REPLICA_PAIRS)
-                } else {
-                    (cm.space.cells_eq(d, q), names::RCCIS_PROJECTED_PAIRS)
-                };
+                let op = lane.route[rec.replicate as usize];
+                let cells = self.space.cells_in(lane.dim, ops::apply(op, iv, cm.part));
                 em.emit_to_all(cells.iter().copied(), &rec.rec);
-                if cm.map_op_counters {
+                if let Some((replicated, projected)) = cm.route_counters {
+                    let counter = if op == MapOp::Replicate {
+                        replicated
+                    } else {
+                        projected
+                    };
                     em.inc(counter, cells.len() as u64);
                 }
             },
             |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<OutRec>| {
-                let coords = cm.space.decode(ctx.key);
+                let coords = self.space.decode(ctx.key);
                 let dims: Vec<(Time, Time, &[usize])> = (tested.iter())
                     .map(|&(d, members)| {
                         let (lo, hi) = start_window(cm.part, coords[d]);
@@ -457,6 +491,37 @@ mod tests {
             if let Ok(part) = Partitioning::from_boundaries(boundaries) {
                 assert_ownership_is_index_of_max_start(&part);
             }
+        }
+    }
+
+    #[test]
+    fn groups_must_partition_the_relations() {
+        use crate::output::OutputMode;
+        use ij_interval::{AllenPredicate::*, Relation};
+        use ij_mapreduce::ClusterConfig;
+        let q = JoinQuery::chain(&[Overlaps, Before]).unwrap();
+        let rel = |r: usize| Relation::from_intervals(format!("R{r}"), [Interval::point(r as i64)]);
+        let input = JoinInput::bind_owned(&q, (0..3).map(rel).collect()).unwrap();
+        let part = Partitioning::equi_width(0, 10, 2).unwrap();
+        let engine = Engine::new(ClusterConfig::with_slots(1));
+        let missing = vec![vec![0, 1]];
+        let twice = vec![vec![0, 1], vec![1, 2]];
+        let unknown = vec![vec![0, 1, 2, 3]];
+        for groups in [missing, twice, unknown] {
+            let setting = ComponentMatrix {
+                family: "test",
+                query: &q,
+                part: &part,
+                constraints: Vec::new(),
+                groups,
+                routes: vec![[MapOp::Project; 2]; 3],
+                mark_options: MarkOptions::default(),
+                prune: false,
+                route_counters: None,
+                mode: OutputMode::Count,
+            };
+            let err = setting.run(&input, &engine).unwrap_err();
+            assert!(matches!(err, AlgoError::BadConfig(_)), "{err}");
         }
     }
 

@@ -6,8 +6,7 @@
 //!
 //! [`RelationStats`] summarizes a relation with a start-point histogram and
 //! the length moments; [`estimate_output`] predicts a query's output
-//! cardinality from them; [`estimate_pairs`] predicts each algorithm
-//! family's shuffle volume; [`auto_tune`] picks partition counts for the
+//! cardinality from them; [`auto_tune`] picks partition counts for the
 //! planner so the number of *consistent* reducers tracks the cluster's
 //! slots. Estimates are order-of-magnitude planning aids (validated within
 //! small factors on uniform data in the tests), not exact counts.
@@ -168,114 +167,15 @@ pub fn estimate_output(q: &JoinQuery, stats: &[RelationStats]) -> f64 {
     est
 }
 
-/// Which algorithm family a shuffle estimate is for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlgoFamily {
-    /// All-Replicate with `k` partitions.
-    AllReplicate {
-        /// 1-D partition count.
-        k: usize,
-    },
-    /// RCCIS with `k` partitions (both cycles).
-    Rccis {
-        /// 1-D partition count.
-        k: usize,
-    },
-    /// A matrix algorithm with `o` partitions per dimension over `dims`
-    /// dimensions.
-    Matrix {
-        /// Partitions per dimension.
-        o: usize,
-        /// Number of dimensions (relations or components).
-        dims: usize,
-    },
-}
-
-/// Relative per-candidate reducer work of the kernel that
-/// [`crate::kernel::planned_kernel`] selects for `q`, normalized to the
-/// `holds`-based backtracking reference at `1.0`.
-///
-/// The constants are calibrated from the `kernel` criterion benches
-/// (`kernel_overlap_heavy` / `kernel_event_sweep` groups): the pair sweep
-/// is output-linear, the event sweep touches each candidate once per
-/// merged event plus gapless-array scans, and the window scan filters the
-/// narrower of two windows per level — sequence and mixed condition sets
-/// included, which it serves like any other. Planning code multiplies
-/// reducer-side work estimates by this factor so reducers are not priced
-/// at backtracking cost — which previously made [`auto_tune`]
-/// over-partition sweep-friendly queries.
-pub fn kernel_work_multiplier(q: &JoinQuery) -> f64 {
-    use crate::kernel::KernelKind;
-    match crate::kernel::planned_kernel(q) {
-        // kernel_event_sweep measures the event sweep ~2.9× faster than
-        // the window scan on an overlap-heavy clique (4.8ms vs 13.7ms vs
-        // 10.9ms backtracking), hence 0.12 ≈ 0.35 × (4.8/13.7).
-        KernelKind::PairSweep => 0.06,
-        KernelKind::EventSweep => 0.12,
-        KernelKind::Window => 0.35,
-    }
-}
-
-/// Estimated intermediate key-value pairs for an algorithm family.
-///
-/// This prices *communication* only; reducer compute is priced separately
-/// via [`kernel_work_multiplier`].
-pub fn estimate_pairs(_q: &JoinQuery, stats: &[RelationStats], family: AlgoFamily) -> f64 {
-    let total_n: f64 = stats.iter().map(|s| s.n as f64).sum();
-    let span: f64 = stats.iter().map(RelationStats::span).fold(1.0f64, f64::max);
-    match family {
-        AlgoFamily::AllReplicate { k } => {
-            // Replicated relations average (k+1)/2 copies; the projected
-            // (right-most) one ships once. Approximate all-but-one
-            // replicated.
-            let rightmost_n = stats.last().map(|s| s.n as f64).unwrap_or(0.0);
-            (total_n - rightmost_n) * (k as f64 + 1.0) / 2.0 + rightmost_n
-        }
-        AlgoFamily::Rccis { k } => {
-            // Cycle 1: split — one copy plus boundary crossings.
-            let width = span / k as f64;
-            let split: f64 = stats
-                .iter()
-                .map(|s| s.n as f64 * (1.0 + s.mean_len / width))
-                .sum();
-            // Cycle 2: project all + replicate the crossers (those whose
-            // interval crosses a boundary are the flag candidates), each to
-            // k/2 partitions on average.
-            let crossers: f64 = stats
-                .iter()
-                .map(|s| s.n as f64 * (s.mean_len / width).min(1.0))
-                .sum();
-            split + total_n + crossers * k as f64 / 2.0
-        }
-        AlgoFamily::Matrix { o, dims } => {
-            // Each tuple goes to the consistent cells sharing its
-            // coordinate: with a single chain of constraints that is
-            // ~ C(o + dims - 2, dims - 1) cells on average; approximate by
-            // o^(dims-1) / (dims-1)! — and at least 1.
-            let mut cells = 1.0;
-            for i in 1..dims {
-                cells *= o as f64 / i as f64;
-            }
-            total_n * cells.max(1.0)
-        }
-    }
-}
-
 /// Chooses partition counts so the number of reducers tracks the slot
 /// count: 1-D algorithms get one partition per slot; matrix algorithms get
-/// the smallest `o` whose *consistent* cell count reaches ~2× slots,
-/// scaled by [`kernel_work_multiplier`] — a bucket served by a cheap
-/// kernel needs less over-partitioning to mask skew, so the cell target
-/// shrinks with the planned kernel's per-candidate cost (floored at half
-/// to keep every slot busy; all three kernels price below the floor, so
-/// the target is one cell per slot today).
+/// the smallest `o` whose *consistent* cell count reaches the slot count.
 pub fn auto_tune(q: &JoinQuery, slots: usize) -> PlanConfig {
     let comps = q.components();
     let dims = comps.len().max(1);
     let order = q.start_order();
     let constraints = order.component_constraints(&comps);
-    let mult = kernel_work_multiplier(q).max(0.5);
-    let target = (2.0 * slots.max(1) as f64 * mult).ceil() as u64;
+    let target = slots.max(1) as u64;
     let mut per_dim = 2;
     for o in 2..=32usize {
         per_dim = o;
@@ -359,83 +259,6 @@ mod tests {
             (0.3..3.0).contains(&ratio),
             "estimate {est}, actual {actual}"
         );
-    }
-
-    #[test]
-    fn pair_estimates_order_algorithms_correctly() {
-        // On a colocation chain, RCCIS must be estimated far below All-Rep.
-        let q = JoinQuery::chain(&[Overlaps, Overlaps]).unwrap();
-        let stats: Vec<RelationStats> = (0..3).map(|r| stats_for(20_000, 30 + r).1).collect();
-        let rccis = estimate_pairs(&q, &stats, AlgoFamily::Rccis { k: 16 });
-        let allrep = estimate_pairs(&q, &stats, AlgoFamily::AllReplicate { k: 16 });
-        assert!(
-            rccis * 2.0 < allrep,
-            "rccis {rccis} should be well below allrep {allrep}"
-        );
-    }
-
-    #[test]
-    fn rccis_pair_estimate_matches_measurement_within_factor() {
-        use crate::algorithm::Algorithm;
-        use crate::output::OutputMode;
-        use crate::rccis::Rccis;
-        use ij_mapreduce::{ClusterConfig, Engine};
-        let q = JoinQuery::chain(&[Overlaps, Overlaps]).unwrap();
-        let rels: Vec<Relation> = (0..3)
-            .map(|r| SynthConfig::table1(8_000, 40 + r).generate("R"))
-            .collect();
-        let stats: Vec<RelationStats> = rels.iter().map(RelationStats::collect).collect();
-        let est = estimate_pairs(&q, &stats, AlgoFamily::Rccis { k: 16 });
-        let input = JoinInput::bind_owned(&q, rels).unwrap();
-        let engine = Engine::new(ClusterConfig::with_slots(4));
-        let out = Rccis {
-            partitions: 16,
-            mode: OutputMode::Count,
-            mark_options: Default::default(),
-            partition_strategy: Default::default(),
-        }
-        .run(&q, &input, &engine)
-        .unwrap();
-        let actual = out.chain.total_pairs() as f64;
-        let ratio = est / actual;
-        assert!(
-            (0.3..3.0).contains(&ratio),
-            "estimate {est}, measured {actual}"
-        );
-    }
-
-    #[test]
-    fn kernel_multipliers_order_kernels_by_measured_cost() {
-        // Pinned ordering, calibrated from the kernel criterion benches:
-        // pair sweep < event sweep < window scan < the backtracking
-        // reference at 1.0.
-        let pair = kernel_work_multiplier(&JoinQuery::chain(&[Overlaps]).unwrap());
-        let event = kernel_work_multiplier(
-            &JoinQuery::new(
-                3,
-                vec![
-                    ij_query::Condition::whole(0, Overlaps, 1),
-                    ij_query::Condition::whole(1, Contains, 2),
-                    ij_query::Condition::whole(0, Overlaps, 2),
-                ],
-            )
-            .unwrap(),
-        );
-        let window = kernel_work_multiplier(&JoinQuery::chain(&[Overlaps, Overlaps]).unwrap());
-        assert!(pair < event, "pair sweep must price below event sweep");
-        assert!(
-            event < window,
-            "event sweep must price below the window scan"
-        );
-        assert!(
-            window < 1.0,
-            "the window scan must price below backtracking"
-        );
-        // Sequence and mixed sets are window-scan buckets like any other.
-        for preds in [[Before, Before], [Overlaps, Before]] {
-            let q = JoinQuery::chain(&preds).unwrap();
-            assert_eq!(kernel_work_multiplier(&q), window, "{q}");
-        }
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! All-Seq-Matrix (paper Section 8.1): the component-matrix pipeline
 //! (`crate::component_matrix`) at its defining setting — one dimension per
-//! colocation component, cells constrained by the sound component order,
-//! default marking, mark → join. On a query whose components are all
-//! singletons nothing can be flagged and the join runs alone, exactly
-//! All-Matrix.
+//! colocation component (and per relation no condition mentions), cells
+//! constrained by the sound component order, multi-member components
+//! marked, singletons projected, mark → join. On a query whose components
+//! are all singletons nothing can be flagged and the join runs alone,
+//! exactly All-Matrix.
 
 use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
-use crate::all_matrix::CellSpace;
-use crate::component_matrix::ComponentMatrix;
+use crate::component_matrix::{ComponentMatrix, MARKED};
 use crate::input::JoinInput;
 use crate::output::{JoinOutput, OutputMode};
+use ij_interval::MapOp;
 use ij_mapreduce::Engine;
 use ij_query::components::Component;
 use ij_query::JoinQuery;
@@ -50,17 +51,25 @@ impl AllSeqMatrix {
         let comps = query.components();
         let part = RunArtifacts::partition_span(input.span(), self.per_dim)?;
         let constraints = order.component_constraints(&comps);
-        let space = CellSpace::new(comps.len(), self.per_dim, constraints)?;
         let members = |c: &Component| c.vertices.iter().map(|v| v.rel.idx()).collect();
+        let mut groups: Vec<Vec<usize>> = comps.components.iter().map(members).collect();
+        // A relation no condition mentions is in no component: it gets an
+        // unconstrained dimension of its own, as in All-Matrix.
+        let m = query.num_relations() as usize;
+        let covered: Vec<usize> = groups.concat();
+        groups.extend((0..m).filter(|r| !covered.contains(r)).map(|r| vec![r]));
+        let mut routes = vec![[MapOp::Project; 2]; m];
+        (groups.iter().filter(|g| g.len() > 1).flatten()).for_each(|&r| routes[r] = MARKED);
         ComponentMatrix {
             family: if prune { "pasm" } else { "asm" },
             query,
             part: &part,
-            space: &space,
-            groups: comps.components.iter().map(members).collect(),
+            constraints,
+            groups,
+            routes,
             mark_options: Default::default(),
             prune,
-            map_op_counters: false,
+            route_counters: None,
             mode: self.mode,
         }
         .run(input, engine)

@@ -63,6 +63,7 @@ impl Algorithm for Fcts {
         engine: &Engine,
     ) -> Result<JoinOutput, AlgoError> {
         require_single_attr(self.name(), query)?;
+        crate::algorithm::require_all_joined(self.name(), query)?;
         let order = query.start_order();
         if order.contradictory() {
             return Ok(empty_output(self.mode));

@@ -50,6 +50,7 @@ impl Algorithm for Fstc {
         engine: &Engine,
     ) -> Result<JoinOutput, AlgoError> {
         require_single_attr(self.name(), query)?;
+        crate::algorithm::require_all_joined(self.name(), query)?;
         if query.class() != QueryClass::Hybrid {
             return Err(AlgoError::Unsupported {
                 algorithm: self.name(),

@@ -13,12 +13,12 @@
 //! | [`hybrid::pasm::Pasm`] | hybrid | 3 | Section 8.2 |
 //! | [`gen_matrix::GenMatrix`] | general (multi-attribute) | 2 | Section 9.1 |
 //!
-//! RCCIS, All-Matrix, All-Seq-Matrix and PASM are front-ends of one
-//! mark → prune → join pipeline (`component_matrix`, crate-private): one
-//! dimension holding every relation, one per relation, one per colocation
-//! component, and the last plus the prune stage. Their cycle counts above
-//! are maxima — a stage that can move nothing (marking or pruning a query
-//! without a multi-relation colocation component) does not run.
+//! The 2-way join, All-Rep, RCCIS, All-Matrix, All-Seq-Matrix and PASM are
+//! front-ends of one mark → prune → join pipeline (`component_matrix`,
+//! crate-private) that routes each relation with a fixed or a marked map
+//! operation (DESIGN.md §5). Their cycle counts above are maxima — a stage
+//! that can move nothing (marking or pruning a query without a
+//! multi-relation colocation component) does not run.
 //!
 //! All algorithms implement the [`Algorithm`] trait and are verified against
 //! the single-node [`oracle`].

@@ -3,10 +3,10 @@
 //! cell constraints, mark → join.
 
 use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
-use crate::all_matrix::CellSpace;
-use crate::component_matrix::ComponentMatrix;
+use crate::component_matrix::{ComponentMatrix, MARKED};
 use crate::input::JoinInput;
 use crate::output::{JoinOutput, OutputMode};
+use ij_mapreduce::metrics::names;
 use ij_mapreduce::Engine;
 use ij_query::{JoinQuery, QueryClass};
 
@@ -66,16 +66,16 @@ impl Algorithm for Rccis {
         // flagged, projects the rest, joins and keeps the tuples whose
         // right-most start is the reducer's: a one-dimensional matrix whose
         // cells are the partitions.
-        let space = CellSpace::new(1, part.len(), Vec::new())?;
         let mut out = ComponentMatrix {
             family: "rccis",
             query,
             part: &part,
-            space: &space,
+            constraints: Vec::new(),
             groups: vec![(0..query.num_relations() as usize).collect()],
+            routes: vec![MARKED; query.num_relations() as usize],
             mark_options: self.mark_options,
             prune: false,
-            map_op_counters: true,
+            route_counters: Some((names::RCCIS_REPLICA_PAIRS, names::RCCIS_PROJECTED_PAIRS)),
             mode: self.mode,
         }
         .run(input, engine)?;

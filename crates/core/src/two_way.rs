@@ -1,20 +1,16 @@
 //! 2-way interval joins (paper Section 4, Figure 1 column 3).
 //!
 //! One MR cycle: the two relations are routed with the predicate's
-//! project/split/replicate pair and each reducer joins what it received.
-//! Because one side is always *projected* (it reaches exactly one reducer),
-//! every output pair is computed exactly once with no ownership filter.
+//! project/split/replicate pair — the component-matrix pipeline
+//! (`crate::component_matrix`) over one dimension with fixed routes. The
+//! projected side provably starts last, so each output pair reaches exactly
+//! one reducer and no ownership test runs.
 
-use crate::algorithm::{
-    empty_output, iv_records, require_single_attr, AlgoError, Algorithm, RunArtifacts,
-};
-use crate::executor::Candidates;
+use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
+use crate::component_matrix::ComponentMatrix;
 use crate::input::JoinInput;
-use crate::kernel;
 use crate::output::{JoinOutput, OutputMode};
-use crate::records::{IvRec, OutRec};
-use ij_interval::{ops, RelId};
-use ij_mapreduce::{Emitter, Engine, JobChain, ReduceCtx, ValueStream};
+use ij_mapreduce::Engine;
 use ij_query::JoinQuery;
 
 /// The Section 4 two-way join.
@@ -61,44 +57,28 @@ impl Algorithm for TwoWayJoin {
             return Ok(empty_output(self.mode));
         }
         let part = RunArtifacts::partition_span(input.span(), self.partitions)?;
-
         // Route by the FIRST condition's operation pair; the reducer-side
         // executor checks all conditions (extra conditions between the same
         // two relations only shrink the output).
         let primary = query.conditions()[0];
         let (op_left, op_right) = primary.pred.map_ops();
-        let op_of = |rel: RelId| {
-            if rel == primary.left.rel {
-                op_left
-            } else {
-                op_right
-            }
-        };
-
-        let mode = self.mode;
-        let q = query.clone();
-        let partc = part.clone();
-        let out = engine.run_job(
-            "2way-join",
-            &iv_records(input),
-            move |rec: &IvRec, em: &mut Emitter<IvRec>| {
-                for p in ops::apply(op_of(rec.rel), rec.iv, &partc) {
-                    em.emit(p as u64, *rec);
-                }
-            },
-            move |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<OutRec>| {
-                let mut cands = Candidates::new(2);
-                for v in values.by_ref() {
-                    cands.push(v.rel.idx(), v.iv, v.tid);
-                }
-                cands.finish();
-                kernel::reduce_join(ctx, &q, &cands, mode, |_| true, out);
-            },
-        )?;
-
-        let mut chain = JobChain::new();
-        chain.push(out.metrics);
-        Ok(JoinOutput::from_records(self.mode, out.outputs, chain))
+        let mut routes = vec![[op_right; 2]; 2];
+        routes[primary.left.rel.idx()] = [op_left; 2];
+        let mut out = ComponentMatrix {
+            family: "2way",
+            query,
+            part: &part,
+            constraints: Vec::new(),
+            groups: vec![vec![0, 1]],
+            routes,
+            mark_options: Default::default(),
+            prune: false,
+            route_counters: None,
+            mode: self.mode,
+        }
+        .run(input, engine)?;
+        (out.stats.replicated_intervals, out.stats.consistent_cells) = (None, None);
+        Ok(out)
     }
 }
 

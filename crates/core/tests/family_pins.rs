@@ -15,32 +15,43 @@
 //!    cycle that received nothing); they now run the join alone, so only
 //!    the capture's last `cycle` line is compared.
 //!
+//! `TwoWayJoin` and `AllReplicate` became settings of the same pipeline
+//! later; `results/pr26/family_pins_parent.txt` is the raw output of
+//! [`render_routed`] recorded before either was touched — every Allen
+//! predicate in both orientations plus two redundant-condition queries for
+//! the 2-way join, the five cases above plus a query without a right-most
+//! relation for All-Rep, both output modes, with the `allrep.*` counters.
+//! Only stage names may differ from that capture.
+//!
 //! The cross-family identities the merge rests on are asserted directly.
 
 use ij_core::all_matrix::AllMatrix;
+use ij_core::all_replicate::AllReplicate;
 use ij_core::hybrid::{AllSeqMatrix, Pasm};
 use ij_core::rccis::marking::MarkOptions;
 use ij_core::rccis::Rccis;
+use ij_core::two_way::TwoWayJoin;
 use ij_core::{Algorithm, JoinInput, JoinOutput, OutputMode, PartitionStrategy};
 use ij_datagen::{Distribution, SynthConfig};
-use ij_interval::AllenPredicate::{Before, Contains, Overlaps};
+use ij_interval::AllenPredicate::{self, After, Before, Contains, Equals, Overlaps};
 use ij_mapreduce::{ClusterConfig, Engine, ReducerLoad};
 use ij_query::{Condition, JoinQuery};
 use std::fmt::Write as _;
 
 const PARENT_CAPTURE: &str = include_str!("../../../results/pr17/family_pins_parent.txt");
+const ROUTED_CAPTURE: &str = include_str!("../../../results/pr26/family_pins_parent.txt");
 
 /// Partitions (RCCIS) and partitions per dimension (matrix families).
 const K: usize = 6;
 
 struct Case {
-    name: &'static str,
+    name: String,
     query: JoinQuery,
     input: JoinInput,
 }
 
 /// `(n, t_max, i_max)` per relation; relation `r` is seeded `seed + r`.
-fn case(name: &'static str, query: JoinQuery, seed: u64, rels: &[(usize, i64, i64)]) -> Case {
+fn case(name: impl Into<String>, query: JoinQuery, seed: u64, rels: &[(usize, i64, i64)]) -> Case {
     let relations = rels
         .iter()
         .enumerate()
@@ -59,6 +70,7 @@ fn case(name: &'static str, query: JoinQuery, seed: u64, rels: &[(usize, i64, i6
         })
         .collect();
     let input = JoinInput::bind_owned(&query, relations).unwrap();
+    let name = name.into();
     Case { name, query, input }
 }
 
@@ -216,17 +228,102 @@ fn render_run(out: &JoinOutput) -> String {
     s
 }
 
+/// Appends the `== case / label` block of one run; for All-Rep, also the
+/// run's `allrep.*` counters.
+fn render_block(s: &mut String, engine: &Engine, case: &Case, label: &str, alg: &dyn Algorithm) {
+    writeln!(s, "== {} / {}", case.name, label).unwrap();
+    match alg.run(&case.query, &case.input, engine) {
+        Ok(out) => {
+            s.push_str(&render_run(&out));
+            if label.starts_with("all-rep") {
+                let c = out.chain.total_counters();
+                let (replica, projected) = ("allrep.replica_pairs", "allrep.projected_pairs");
+                let line = format!("replica={} projected={}", c.get(replica), c.get(projected));
+                writeln!(s, "counters allrep {line}").unwrap();
+            }
+        }
+        Err(e) => writeln!(s, "error: {e}").unwrap(),
+    }
+}
+
 /// One `== case / family` block per run, in a fixed order.
 fn render() -> String {
-    let engine = engine();
-    let mut s = String::new();
+    let (engine, mut s) = (engine(), String::new());
     for case in cases() {
         for (label, alg) in families() {
-            writeln!(s, "== {} / {}", case.name, label).unwrap();
-            match alg.run(&case.query, &case.input, &engine) {
-                Ok(out) => s.push_str(&render_run(&out)),
-                Err(e) => writeln!(s, "error: {e}").unwrap(),
-            }
+            render_block(&mut s, &engine, &case, label, alg.as_ref());
+        }
+    }
+    s
+}
+
+/// The 2-way cases: each Allen predicate written `R1 p R2` and `R2 p R1`,
+/// then two queries whose second condition restates the first.
+fn two_way_cases() -> Vec<Case> {
+    let mut queries = Vec::new();
+    for pred in AllenPredicate::ALL {
+        queries.push((format!("2way R1 {pred} R2"), vec![(0, pred, 1)]));
+        queries.push((format!("2way R2 {pred} R1"), vec![(1, pred, 0)]));
+    }
+    queries.push((
+        "2way equals twice".into(),
+        vec![(0, Equals, 1), (1, Equals, 0)],
+    ));
+    queries.push((
+        "2way before-after".into(),
+        vec![(0, Before, 1), (1, After, 0)],
+    ));
+    (queries.into_iter().enumerate())
+        .map(|(i, (name, conds))| {
+            let conds = conds.into_iter().map(|(l, p, r)| Condition::whole(l, p, r));
+            let query = JoinQuery::new(2, conds.collect()).unwrap();
+            case(name, query, 2301 + 2 * i as u64, &[(150, 300, 10); 2])
+        })
+        .collect()
+}
+
+/// The All-Rep cases: [`cases`] (Q0 has a projected relation) plus
+/// `R1 before R2 ∧ R1 before R3`, which has no right-most relation.
+fn all_replicate_cases() -> Vec<Case> {
+    let no_rightmost = JoinQuery::new(
+        3,
+        vec![
+            Condition::whole(0, Before, 1),
+            Condition::whole(0, Before, 2),
+        ],
+    )
+    .unwrap();
+    let mut all = cases();
+    all.push(case(
+        "no-rightmost",
+        no_rightmost,
+        2201,
+        &[(40, 800, 30); 3],
+    ));
+    all
+}
+
+/// The capture of the two families whose jobs were hand-rolled: every
+/// case in both output modes.
+fn render_routed() -> String {
+    let (engine, mut s) = (engine(), String::new());
+    let modes = [("", OutputMode::Materialize), (" count", OutputMode::Count)];
+    for case in two_way_cases() {
+        for (suffix, mode) in modes {
+            let alg = TwoWayJoin {
+                partitions: K,
+                mode,
+            };
+            render_block(&mut s, &engine, &case, &format!("2-way{suffix}"), &alg);
+        }
+    }
+    for case in all_replicate_cases() {
+        for (suffix, mode) in modes {
+            let alg = AllReplicate {
+                partitions: K,
+                mode,
+            };
+            render_block(&mut s, &engine, &case, &format!("all-rep{suffix}"), &alg);
         }
     }
     s
@@ -255,15 +352,20 @@ fn without_stage_name(line: &str) -> String {
     }
 }
 
-#[test]
-fn every_family_reproduces_the_parent_capture() {
-    let expected = blocks(PARENT_CAPTURE);
-    let got = blocks(&render());
+/// The same runs in the same order as the capture.
+fn same_headers(got: &[(String, Vec<String>)], expected: &[(String, Vec<String>)]) {
     assert_eq!(
         got.iter().map(|b| &b.0).collect::<Vec<_>>(),
         expected.iter().map(|b| &b.0).collect::<Vec<_>>(),
         "same runs in the same order"
     );
+}
+
+#[test]
+fn every_family_reproduces_the_parent_capture() {
+    let expected = blocks(PARENT_CAPTURE);
+    let got = blocks(&render());
+    same_headers(&got, &expected);
     for ((header, got), (_, expected)) in got.iter().zip(&expected) {
         let mut expected: Vec<String> = expected.iter().map(|l| without_stage_name(l)).collect();
         let got: Vec<String> = got.iter().map(|l| without_stage_name(l)).collect();
@@ -282,6 +384,18 @@ fn every_family_reproduces_the_parent_capture() {
                 "{header}: the join runs alone"
             );
         }
+        assert_eq!(got, expected, "{header}");
+    }
+}
+
+#[test]
+fn two_way_and_all_replicate_reproduce_the_parent_capture() {
+    let expected = blocks(ROUTED_CAPTURE);
+    let got = blocks(&render_routed());
+    same_headers(&got, &expected);
+    for ((header, got), (_, expected)) in got.iter().zip(&expected) {
+        let strip = |lines: &[String]| lines.iter().map(|l| without_stage_name(l)).collect();
+        let (got, expected): (Vec<String>, Vec<String>) = (strip(got), strip(expected));
         assert_eq!(got, expected, "{header}");
     }
 }

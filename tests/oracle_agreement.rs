@@ -322,3 +322,137 @@ fn extreme_endpoint_inputs() {
         }
     }
 }
+
+#[test]
+fn relations_no_condition_mentions() {
+    // `JoinQuery::new` accepts a relation that no condition names; it joins
+    // as a cross product. A family returns exactly that or refuses the
+    // query, naming the relation — never a short result.
+    use ij_core::algorithm::AlgoError;
+    use ij_query::Condition;
+    let engine = Engine::new(ClusterConfig::with_slots(4));
+    for (q, missing) in [
+        (
+            JoinQuery::new(3, vec![Condition::whole(0, Overlaps, 1)]),
+            "R3",
+        ),
+        (
+            JoinQuery::new(
+                4,
+                vec![
+                    Condition::whole(0, Overlaps, 1),
+                    Condition::whole(1, Before, 2),
+                ],
+            ),
+            "R4",
+        ),
+        (
+            JoinQuery::new(3, vec![Condition::whole(0, Before, 1)]),
+            "R3",
+        ),
+    ] {
+        let q = q.unwrap();
+        let input = random_input(&q, 7, 12, 100, 40);
+        let want = oracle_join(&q, &input);
+        assert!(!want.is_empty(), "{q}: workload too sparse");
+        let mut algs = algorithms_for(&q);
+        algs.push(plan(&q, PlanConfig::default()));
+        for alg in algs {
+            match alg.run(&q, &input, &engine) {
+                Ok(out) => assert_eq!(out.assert_no_duplicates(), want, "{} on {q}", alg.name()),
+                Err(AlgoError::Unsupported { reason, .. }) => {
+                    assert!(reason.contains(missing), "{}: {reason}", alg.name())
+                }
+                Err(e) => panic!("{}: {e} on {q}", alg.name()),
+            }
+        }
+    }
+}
+
+/// Every partition boundary of `[0, 600)` cut into six, and the point
+/// before each: with the span pinned to `[0, 599]`, these are the first
+/// and last points of the equi-width partitions at `k = 6`.
+const EDGES: [i64; 12] = [0, 99, 100, 199, 200, 299, 300, 399, 400, 499, 500, 599];
+
+/// Intervals whose start, end or both sit on an [`EDGES`] point, a
+/// quarter of them points, plus `[0, 0]` and `[599, 599]` in `R1` so the
+/// input spans exactly `[0, 599]`.
+fn boundary_input(q: &JoinQuery, seed: u64, n: usize) -> JoinInput {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rels = (0..q.num_relations())
+        .map(|r| {
+            let mut ivs: Vec<Interval> = (0..n)
+                .map(|_| {
+                    let edge = EDGES[rng.gen_range(0..EDGES.len())];
+                    let len = rng.gen_range(0..150);
+                    let (s, e) = match rng.gen_range(0..4) {
+                        0 => (edge, (edge + len).min(599)),
+                        1 => ((edge - len).max(0), edge),
+                        2 => {
+                            let other = EDGES[rng.gen_range(0..EDGES.len())];
+                            (edge.min(other), edge.max(other))
+                        }
+                        _ => (edge, edge),
+                    };
+                    Interval::new(s, e).unwrap()
+                })
+                .collect();
+            if r == 0 {
+                ivs.extend([Interval::point(0), Interval::point(599)]);
+            }
+            Relation::from_intervals(format!("R{}", r + 1), ivs)
+        })
+        .collect();
+    JoinInput::bind_owned(q, rels).unwrap()
+}
+
+/// The families that route single intervals to partitions or cells, at `k`
+/// partitions (per dimension); RCCIS with both partitioning strategies.
+fn routed_families(q: &JoinQuery, k: usize) -> Vec<Box<dyn Algorithm>> {
+    let mut algs: Vec<Box<dyn Algorithm>> = vec![
+        Box::new(AllReplicate::new(k)),
+        Box::new(AllMatrix::new(k)),
+        Box::new(AllSeqMatrix::new(k)),
+        Box::new(Pasm::new(k)),
+    ];
+    if q.num_relations() == 2 {
+        algs.push(Box::new(TwoWayJoin::new(k)));
+    }
+    if q.class() == QueryClass::Colocation {
+        for partition_strategy in [PartitionStrategy::EquiWidth, PartitionStrategy::EquiDepth] {
+            algs.push(Box::new(Rccis {
+                partition_strategy,
+                ..Rccis::new(k)
+            }));
+        }
+    }
+    algs
+}
+
+#[test]
+fn endpoints_on_partition_boundaries() {
+    // Project, split and replicate must each include a partition whose
+    // first point an endpoint sits on and exclude the one it stops short
+    // of (paper Fig. 2).
+    let engine = Engine::new(ClusterConfig::with_slots(4));
+    let mut queries: Vec<JoinQuery> = AllenPredicate::ALL
+        .iter()
+        .map(|&p| JoinQuery::chain(&[p]).unwrap())
+        .collect();
+    for preds in [[Overlaps, Overlaps], [Before, Before], [Overlaps, Before]] {
+        queries.push(JoinQuery::chain(&preds).unwrap());
+    }
+    for (i, q) in queries.iter().enumerate() {
+        let input = boundary_input(q, 1300 + i as u64, 20);
+        let want = oracle_join(q, &input);
+        for k in [1, 6] {
+            for alg in routed_families(q, k) {
+                let got = alg
+                    .run(q, &input, &engine)
+                    .unwrap_or_else(|e| panic!("{}: {e} on {q}", alg.name()))
+                    .assert_no_duplicates();
+                assert_eq!(got, want, "{} at k = {k} on {q}", alg.name());
+            }
+        }
+    }
+}
