@@ -6,6 +6,9 @@
 //! 2-way Cascade, All-Replicate and RCCIS, reporting time, the intervals
 //! replicated by RCCIS vs All-Rep and the total key-value pairs.
 //!
+//! `pairs RCCIS` is the paper's count; `shuffled RCCIS` is what the run
+//! shuffled (see `ij_bench::scenarios::rccis_paper_pairs`).
+//!
 //! Run: `cargo run --release -p ij-bench --bin table1 [--scale f]`.
 
 use ij_bench::report::{
@@ -13,7 +16,7 @@ use ij_bench::report::{
 };
 use ij_bench::scale::BenchArgs;
 use ij_bench::scenarios::{
-    assert_same_output, measure, observed_engine, write_metrics, write_trace,
+    assert_same_output, measure, observed_engine, rccis_paper_pairs, write_metrics, write_trace,
 };
 use ij_core::all_replicate::AllReplicate;
 use ij_core::cascade::TwoWayCascade;
@@ -55,6 +58,7 @@ fn main() {
             "pairs 2wCd",
             "pairs AllRep",
             "pairs RCCIS",
+            "shuffled RCCIS",
             "output",
             "RCCIS m/s/r",
             "spill RCCIS",
@@ -146,6 +150,7 @@ fn main() {
             ar.replicated.unwrap_or(0).into(),
             cd.pairs.into(),
             ar.pairs.into(),
+            rccis_paper_pairs(&rc).into(),
             rc.pairs.into(),
             rc.output.into(),
             fmt_phases(rc.map_secs, rc.shuffle_secs, rc.reduce_secs).into(),

@@ -9,11 +9,14 @@
 //! streams reproduce the paper's packet/train counts and train-length
 //! statistics in shape.
 //!
+//! `pairs RCCIS` is the paper's count; `shuffled RCCIS` is what the run
+//! shuffled (see `ij_bench::scenarios::rccis_paper_pairs`).
+//!
 //! Run: `cargo run --release -p ij-bench --bin table2 [--scale f]`.
 
 use ij_bench::report::{fmt_sim, Report};
 use ij_bench::scale::BenchArgs;
-use ij_bench::scenarios::{assert_same_output, engine, measure};
+use ij_bench::scenarios::{assert_same_output, engine, measure, rccis_paper_pairs};
 use ij_core::cascade::TwoWayCascade;
 use ij_core::rccis::Rccis;
 use ij_core::{JoinInput, OutputMode};
@@ -52,6 +55,7 @@ fn main() {
             "sim RCCIS",
             "pairs 2wCd",
             "pairs RCCIS",
+            "shuffled RCCIS",
             "repl RCCIS",
             "output",
         ],
@@ -101,6 +105,7 @@ fn main() {
             fmt_sim(cd.simulated).into(),
             fmt_sim(rc.simulated).into(),
             cd.pairs.into(),
+            rccis_paper_pairs(&rc).into(),
             rc.pairs.into(),
             rc.replicated.unwrap_or(0).into(),
             rc.output.into(),

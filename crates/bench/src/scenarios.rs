@@ -1,6 +1,7 @@
 //! Shared measurement plumbing for the per-table/figure binaries.
 
 use ij_core::{Algorithm, JoinInput, JoinOutput};
+use ij_mapreduce::metrics::names;
 use ij_mapreduce::{ClusterConfig, Counters, Engine, Observer, SchedConfig, SchedPolicy};
 use ij_query::JoinQuery;
 use std::sync::Arc;
@@ -134,6 +135,20 @@ pub fn measure(
         counters: out.chain.total_counters(),
         out,
     }
+}
+
+/// RCCIS's key-value pairs as the paper counts them: every split copy of
+/// the marking cycle (`rccis.split_pairs`) plus the join cycle's pairs. The
+/// run itself shuffles fewer ([`Measurement::pairs`]): its marking cycle
+/// ships only the copies near enough to a boundary to be in a crossing set.
+pub fn rccis_paper_pairs(rc: &Measurement) -> u64 {
+    let join = rc
+        .out
+        .chain
+        .cycles
+        .last()
+        .map_or(0, |c| c.intermediate_pairs);
+    rc.counters.get(names::RCCIS_SPLIT_PAIRS) + join
 }
 
 /// Asserts that all measurements produced the same output count — the

@@ -7,19 +7,25 @@
 //! partition range, lifted to the consistent cells, is where an interval
 //! goes. Six families are settings (DESIGN.md §5 tabulates them).
 //!
-//! * **mark** — multi-member marked groups are *split*, each
-//!   `(group, partition)` bucket runs the RCCIS marking on the group's
-//!   colocation sub-query, and every interval is written once, by its start
-//!   partition, with its flag. Other groups pass through unflagged; with no
-//!   marked group the stage does not run.
+//! * **mark** — only multi-member marked groups take part. Their intervals
+//!   are *split*, but a copy goes to partition `p` only when it is
+//!   [`near`] enough to `p`'s boundaries to belong to a crossing set (the
+//!   reach lemma, [`reach`]). Each `(group, partition)` bucket runs the
+//!   RCCIS marking on the group's colocation sub-query and outputs the
+//!   [`participant_key`] of every interval it flags; with no marked group
+//!   the stage does not run. The flags reach the later stages as one
+//!   bitmap per relation, indexed by tuple id.
 //! * **prune** (on request) — each marked group's own join runs per
 //!   partition and the intervals of its owned bindings are the
 //!   *participants*; the join stage ships nobody else from such a group.
 //! * **join** — each cell joins what it was routed and keeps what it owns.
 //!
-//! **Ownership** is one rule, used by all three stages: a binding belongs
-//! to coordinate `c` of a dimension when the right-most start among the
-//! dimension's members lies in partition `c`'s [`start_window`]; a cell
+//! Prune and join both map the input records themselves and read an
+//! interval's flag from the bitmap.
+//!
+//! **Ownership** is one rule, used by the prune and join stages: a binding
+//! belongs to coordinate `c` of a dimension when the right-most start among
+//! the dimension's members lies in partition `c`'s [`start_window`]; a cell
 //! owns it when that holds in every dimension. Testing is always sound; the
 //! join skips a dimension where a member with a fixed project provably
 //! starts last ([`starts_last`]): only its start coordinate gets a binding.
@@ -30,8 +36,8 @@ use crate::executor::Candidates;
 use crate::input::JoinInput;
 use crate::kernel;
 use crate::output::{JoinOutput, OutputMode};
-use crate::rccis::marking::{mark_with_options, MarkOptions};
-use crate::records::{FlagRec, IvRec, OutRec};
+use crate::rccis::marking::{self, mark_with_options, MarkOptions};
+use crate::records::{IvRec, OutRec};
 use ij_interval::{ops, Interval, MapOp, Partitioning, RelId, Time, TupleId};
 use ij_mapreduce::metrics::names;
 use ij_mapreduce::{Emitter, Engine, EngineError, JobChain, JobOutput, ReduceCtx, ValueStream};
@@ -58,7 +64,7 @@ pub(crate) struct ComponentMatrix<'a> {
     /// the matrix of one dimension per group, `part.len()` per side.
     pub constraints: Vec<(usize, usize)>,
     /// `groups[d]`: the relations of dimension `d`, ascending — together a
-    /// partition of the relations; a marked one is colocation-connected.
+    /// partition of the relations.
     pub groups: Vec<Vec<usize>>,
     /// `routes[r]`: relation `r`'s route; a group is marked when its routes
     /// are [`MARKED`], and then all of them must be.
@@ -116,12 +122,56 @@ fn sub_query(query: &JoinQuery, members: &[usize]) -> JoinQuery {
         .map(|(l, pred, r)| Condition::whole(l as u16, pred, r as u16))
         .collect();
     let sub = JoinQuery::new(members.len() as u16, conditions);
-    sub.expect("a multi-member group is connected by colocation conditions")
+    sub.expect("a marked group has a colocation condition")
+}
+
+/// **The reach lemma.** Every colocation predicate makes its operands share
+/// a point. A crossing set at partition `p` is a connected proper subset of
+/// the `m` relations of `sub`, so a member `c` crosses (B1:
+/// `c.end >= b[p+1]`, or B2: `c.start < b[p]`) and every other member
+/// reaches `c` in at most `m − 2` hops of at most `longest` each. Every
+/// member therefore lies within `R = (m − 2) · longest` of a boundary of
+/// `p` ([`near`]). Returns `R`, or `None` — no filter — when crossing is not
+/// enforced, `R` overflows, or `sub` is not connected over all of its
+/// relations (then a subset without a boundary edge is a crossing set with
+/// no member crossing anything).
+fn reach(sub: &JoinQuery, longest: Option<Time>, options: MarkOptions) -> Option<Time> {
+    if !options.enforce_crossing || !marking::is_connected(sub) {
+        return None;
+    }
+    longest?.checked_mul(sub.num_relations() as Time - 2)
+}
+
+/// Whether `iv`'s split copy at partition `p` can be a member of a crossing
+/// set, given the [`reach`] `R` of its group:
+/// `iv.end >= b[p+1] − R || iv.start < b[p] + R`, where a bound beyond the
+/// time domain admits everything.
+fn near(part: &Partitioning, reach: Option<Time>, iv: Interval, p: usize) -> bool {
+    let Some(r) = reach else { return true };
+    let b = part.boundaries();
+    (b[p + 1].checked_sub(r)).is_none_or(|t| iv.end() >= t)
+        || (b[p].checked_add(r)).is_none_or(|t| iv.start() < t)
+}
+
+/// The longest interval (`end − start`) of each group's relations in
+/// `records`; `None` where a length overflows.
+fn longest_per_group(records: &[IvRec], lanes: &[Lane], groups: usize) -> Vec<Option<Time>> {
+    let mut longest = vec![Some(0); groups];
+    for rec in records {
+        let l = &mut longest[lanes[rec.rel.idx()].dim];
+        let len = rec.iv.end().checked_sub(rec.iv.start());
+        *l = l.zip(len).map(|(a, b)| a.max(b));
+    }
+    longest
 }
 
 fn participant_key(rel: u64, tid: TupleId) -> u64 {
     rel << 32 | tid as u64
 }
+
+/// The mark stage's verdicts: `flags[r][tid]` for logical relation `r`
+/// (tuple ids are dense, `Relation` keeps `tuples[i].id == i`).
+type Flags = Vec<Vec<bool>>;
 
 /// The prune stage's reducer output: the [`participant_key`] of every
 /// interval in an owned group binding. A set, so absorbing chunks in any
@@ -153,13 +203,6 @@ impl kernel::OutputSink for ParticipantSink<'_> {
     }
 }
 
-fn unflagged(rec: IvRec) -> FlagRec {
-    FlagRec {
-        rec,
-        replicate: false,
-    }
-}
-
 /// A relation's dimension, slot in its group and route: one read per record.
 #[derive(Clone, Copy)]
 struct Lane {
@@ -187,28 +230,32 @@ impl ComponentMatrix<'_> {
     pub(crate) fn run(&self, input: &JoinInput, engine: &Engine) -> Result<JoinOutput, AlgoError> {
         let stages = self.stages(engine)?;
         let any_marked = stages.subs.iter().any(Option::is_some);
+        let records = iv_records(input);
 
         let mut chain = JobChain::new();
-        let flags = if any_marked {
-            let marked = stages.mark(&iv_records(input))?;
+        let mut flags: Flags = (input.relations().iter())
+            .map(|rel| vec![false; rel.len()])
+            .collect();
+        if any_marked {
+            let marked = stages.mark(&records)?;
             chain.push(marked.metrics);
-            marked.outputs
-        } else {
-            // Nothing can be flagged: no interval needs the shuffle.
-            iv_records(input).into_iter().map(unflagged).collect()
-        };
+            for key in marked.outputs {
+                flags[(key >> 32) as usize][key as u32 as usize] = true;
+            }
+        }
         let mut participants = None;
         if self.prune && any_marked {
-            let pruned = stages.prune(&flags)?;
+            let pruned = stages.prune(&records, &flags)?;
             chain.push(pruned.metrics);
             participants = Some(pruned.outputs.into_iter().collect::<BTreeSet<u64>>());
         }
-        let joined = stages.join(&flags, participants.as_ref())?;
+        let joined = stages.join(&records, &flags, participants.as_ref())?;
         chain.push(joined.metrics);
 
         let mut out = JoinOutput::from_records(self.mode, joined.outputs, chain);
-        let op = |f: &&FlagRec| stages.lanes[f.rec.rel.idx()].route[f.replicate as usize];
-        let replicated = flags.iter().filter(|f| op(f) == MapOp::Replicate);
+        let replicated = records
+            .iter()
+            .filter(|r| stages.op(&flags, r) == MapOp::Replicate);
         out.stats.replicated_intervals = Some(replicated.count() as u64);
         let cells = stages.space.consistent_cells().len() as u64;
         out.stats.consistent_cells = Some((cells, stages.space.total_cells()));
@@ -227,8 +274,9 @@ impl ComponentMatrix<'_> {
         Ok(out)
     }
 
-    /// Checks that the groups partition the relations, and derives the
-    /// matrix, each relation's lane and each marked group's sub-query.
+    /// Checks that the groups partition the relations and that the marking
+    /// can enumerate every marked group, and derives the matrix, each
+    /// relation's lane and each marked group's sub-query.
     fn stages<'a>(&'a self, engine: &'a Engine) -> Result<Stages<'a>, AlgoError> {
         let m = self.query.num_relations() as usize;
         let bad = || AlgoError::BadConfig(format!("{}: groups are not a partition", self.family));
@@ -243,6 +291,17 @@ impl ComponentMatrix<'_> {
         }
         let lanes: Vec<Lane> = lanes.into_iter().collect::<Option<_>>().ok_or_else(bad)?;
         let marked = |g: &[usize]| g.len() > 1 && self.routes[g[0]] == MARKED;
+        if let Some(g) =
+            (self.groups.iter()).find(|g| marked(g) && g.len() > marking::MAX_RELATIONS)
+        {
+            let reason = format!(
+                "the marking enumerates subsets of at most {} relations; a marked group has {}",
+                marking::MAX_RELATIONS,
+                g.len()
+            );
+            let algorithm = self.family;
+            return Err(AlgoError::Unsupported { algorithm, reason });
+        }
         let subs = (self.groups.iter())
             .map(|members| marked(members).then(|| sub_query(self.query, members)))
             .collect();
@@ -264,40 +323,46 @@ fn group_partition(key: u64, partitions: u64) -> (usize, usize) {
 }
 
 impl Stages<'_> {
-    /// **Mark**: every interval exactly once, flagged.
-    fn mark(&self, records: &[IvRec]) -> Result<JobOutput<FlagRec>, EngineError> {
+    /// The operation `rec` is routed with, given the mark stage's `flags`.
+    fn op(&self, flags: &Flags, rec: &IvRec) -> MapOp {
+        let flagged = flags[rec.rel.idx()][rec.tid as usize];
+        self.lanes[rec.rel.idx()].route[flagged as usize]
+    }
+
+    /// **Mark**: the [`participant_key`] of every flagged interval, once
+    /// (by its start partition).
+    fn mark(&self, records: &[IvRec]) -> Result<JobOutput<u64>, EngineError> {
         let (cm, p_count) = (self.cm, self.cm.part.len() as u64);
         let counters = cm.route_counters.is_some();
+        let longest = longest_per_group(records, &self.lanes, cm.groups.len());
+        let reaches: Vec<Option<Time>> = (self.subs.iter().zip(longest))
+            .map(|(sub, longest)| reach(sub.as_ref()?, longest, cm.mark_options))
+            .collect();
         self.engine.run_job(
             &format!("{}-mark", cm.family),
             records,
             |rec: &IvRec, em: &mut Emitter<IvRec>| {
                 let g = self.lanes[rec.rel.idx()].dim;
-                let base = g as u64 * p_count;
                 if self.subs[g].is_none() {
-                    // Unmarked groups only pass through to pick up a flag.
-                    em.emit(base + ops::project(rec.iv, cm.part) as u64, *rec);
-                    return;
+                    return; // unmarked groups are never flagged
                 }
-                let before = em.emitted();
-                for p in ops::split(rec.iv, cm.part) {
-                    em.emit(base + p as u64, *rec);
-                }
+                let split = ops::split(rec.iv, cm.part);
                 if counters {
-                    let copies = (em.emitted() - before) as u64;
-                    em.inc(names::RCCIS_SPLIT_PAIRS, copies);
-                    if copies > 1 {
+                    // The paper's cycle-1 volume: every split copy.
+                    em.inc(names::RCCIS_SPLIT_PAIRS, split.len() as u64);
+                    if split.len() > 1 {
                         // The interval crosses at least one boundary.
                         em.inc(names::RCCIS_CROSSING_INTERVALS, 1);
                     }
                 }
+                for p in split.filter(|&p| near(cm.part, reaches[g], rec.iv, p)) {
+                    em.emit(g as u64 * p_count + p as u64, *rec);
+                }
             },
-            |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<FlagRec>| {
+            |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<u64>| {
                 let (g, p) = group_partition(ctx.key, p_count);
                 let Some(sub) = &self.subs[g] else {
-                    // Unmarked group: never replicated.
-                    out.extend(values.by_ref().map(unflagged));
-                    return;
+                    return; // only marked groups are keyed
                 };
                 let members = &cm.groups[g];
                 let mut per_slot = vec![Vec::new(); members.len()];
@@ -306,19 +371,14 @@ impl Stages<'_> {
                 }
                 let marking = mark_with_options(sub, cm.part, p, per_slot, cm.mark_options);
                 ctx.add_work(marking.work);
-                let (lo, hi) = start_window(cm.part, p);
+                // The marking flags only intervals that start in `p`.
                 for ((&rel, list), flags) in members.iter().zip(&marking.sorted).zip(&marking.flags)
                 {
-                    let rel = RelId(rel as u16);
-                    for (&(iv, tid), &replicate) in list.iter().zip(flags) {
-                        // Each interval is written once: by its start partition.
-                        if lo <= iv.start() && iv.start() <= hi {
-                            if replicate && counters {
-                                ctx.inc(names::RCCIS_FLAGGED_INTERVALS, 1);
-                            }
-                            let rec = IvRec { rel, tid, iv };
-                            out.push(FlagRec { rec, replicate });
+                    for (&(_, tid), _) in list.iter().zip(flags).filter(|(_, &f)| f) {
+                        if counters {
+                            ctx.inc(names::RCCIS_FLAGGED_INTERVALS, 1);
                         }
+                        out.push(participant_key(rel as u64, tid));
                     }
                 }
             },
@@ -327,18 +387,18 @@ impl Stages<'_> {
 
     /// **Prune**: the [`participant_key`] of every interval that appears in
     /// some owned binding of its marked group's own join.
-    fn prune(&self, flags: &[FlagRec]) -> Result<JobOutput<u64>, EngineError> {
+    fn prune(&self, records: &[IvRec], flags: &Flags) -> Result<JobOutput<u64>, EngineError> {
         let (cm, p_count) = (self.cm, self.cm.part.len() as u64);
         self.engine.run_job(
             &format!("{}-prune", cm.family),
-            flags,
-            |rec: &FlagRec, em: &mut Emitter<IvRec>| {
-                let lane = self.lanes[rec.rec.rel.idx()];
-                if self.subs[lane.dim].is_none() {
+            records,
+            |rec: &IvRec, em: &mut Emitter<IvRec>| {
+                let dim = self.lanes[rec.rel.idx()].dim;
+                if self.subs[dim].is_none() {
                     return; // unmarked groups always participate
                 }
-                for p in ops::apply(lane.route[rec.replicate as usize], rec.rec.iv, cm.part) {
-                    em.emit(lane.dim as u64 * p_count + p as u64, rec.rec);
+                for p in ops::apply(self.op(flags, rec), rec.iv, cm.part) {
+                    em.emit(dim as u64 * p_count + p as u64, *rec);
                 }
             },
             |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<u64>| {
@@ -368,7 +428,8 @@ impl Stages<'_> {
     /// the set are never shuffled.
     fn join(
         &self,
-        flags: &[FlagRec],
+        records: &[IvRec],
+        flags: &Flags,
         participants: Option<&BTreeSet<u64>>,
     ) -> Result<JobOutput<OutRec>, EngineError> {
         let cm = self.cm;
@@ -381,20 +442,19 @@ impl Stages<'_> {
             .collect();
         self.engine.run_job(
             &format!("{}-join", cm.family),
-            flags,
-            |rec: &FlagRec, em: &mut Emitter<IvRec>| {
-                let IvRec { rel, tid, iv } = rec.rec;
-                let lane = self.lanes[rel.idx()];
+            records,
+            |rec: &IvRec, em: &mut Emitter<IvRec>| {
+                let IvRec { rel, tid, iv } = *rec;
+                let dim = self.lanes[rel.idx()].dim;
                 let pruned = |alive: &BTreeSet<u64>| {
-                    self.subs[lane.dim].is_some()
-                        && !alive.contains(&participant_key(rel.0 as u64, tid))
+                    self.subs[dim].is_some() && !alive.contains(&participant_key(rel.0 as u64, tid))
                 };
                 if participants.is_some_and(pruned) {
                     return;
                 }
-                let op = lane.route[rec.replicate as usize];
-                let cells = self.space.cells_in(lane.dim, ops::apply(op, iv, cm.part));
-                em.emit_to_all(cells.iter().copied(), &rec.rec);
+                let op = self.op(flags, rec);
+                let cells = self.space.cells_in(dim, ops::apply(op, iv, cm.part));
+                em.emit_to_all(cells.iter().copied(), rec);
                 if let Some((replicated, projected)) = cm.route_counters {
                     let counter = if op == MapOp::Replicate {
                         replicated
@@ -523,6 +583,185 @@ mod tests {
             let err = setting.run(&input, &engine).unwrap_err();
             assert!(matches!(err, AlgoError::BadConfig(_)), "{err}");
         }
+    }
+
+    /// `(slot, tid)` of every interval the marking at `p` flags.
+    fn flagged(
+        q: &JoinQuery,
+        part: &Partitioning,
+        p: usize,
+        per_slot: Vec<Vec<(Interval, TupleId)>>,
+        options: MarkOptions,
+    ) -> BTreeSet<(usize, TupleId)> {
+        let marking = mark_with_options(q, part, p, per_slot, options);
+        let slots = marking.sorted.iter().zip(&marking.flags).enumerate();
+        let pairs = slots.flat_map(|(slot, (list, flags))| {
+            let hits = list.iter().zip(flags).filter(|(_, &f)| f);
+            hits.map(move |(&(_, tid), _)| (slot, tid))
+        });
+        pairs.collect()
+    }
+
+    /// What the reach lemma rests on, run per partition: the marking of the
+    /// filtered split input flags exactly what the marking of the full
+    /// split input flags. Returns how many copies the filter dropped and
+    /// how many intervals were flagged.
+    fn assert_reach_keeps_every_flag(
+        q: &JoinQuery,
+        part: &Partitioning,
+        rels: &[Vec<Interval>],
+        options: MarkOptions,
+    ) -> (usize, usize) {
+        let (mut dropped, mut hits) = (0, 0);
+        let records = (rels.iter().enumerate()).flat_map(|(r, ivs)| {
+            let rel = RelId(r as u16);
+            (ivs.iter().enumerate()).map(move |(tid, &iv)| IvRec {
+                rel,
+                tid: tid as TupleId,
+                iv,
+            })
+        });
+        let records: Vec<IvRec> = records.collect();
+        let lanes: Vec<Lane> = (0..rels.len())
+            .map(|slot| Lane {
+                dim: 0,
+                slot,
+                route: MARKED,
+            })
+            .collect();
+        let r = reach(q, longest_per_group(&records, &lanes, 1)[0], options);
+        for p in 0..part.len() {
+            let mut full = vec![Vec::new(); rels.len()];
+            let mut near_only = vec![Vec::new(); rels.len()];
+            for rec in records
+                .iter()
+                .filter(|rec| ops::split(rec.iv, part).contains(&p))
+            {
+                full[rec.rel.idx()].push((rec.iv, rec.tid));
+                if near(part, r, rec.iv, p) {
+                    near_only[rec.rel.idx()].push((rec.iv, rec.tid));
+                } else {
+                    dropped += 1;
+                }
+            }
+            let want = flagged(q, part, p, full, options);
+            let got = flagged(q, part, p, near_only, options);
+            assert_eq!(
+                got, want,
+                "{q} {part} p={p} reach {r:?} {options:?} {rels:?}"
+            );
+            hits += want.len();
+        }
+        (dropped, hits)
+    }
+
+    /// Chains, stars and cliques of two to five relations over all eleven
+    /// colocation predicates, and disconnected queries — some relation no
+    /// condition mentions, or two pieces; on sparse, dense, long, point and
+    /// `i64`-extreme data, six rounds of growing relations; over equi-width
+    /// and equi-depth boundaries; with and without the crossing condition.
+    #[test]
+    fn reach_filter_keeps_every_flag() {
+        use crate::algorithm::{PartitionStrategy, RunArtifacts};
+        use ij_interval::{AllenPredicate, Relation};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let colocation: Vec<AllenPredicate> = (AllenPredicate::ALL.into_iter())
+            .filter(|p| p.is_colocation())
+            .collect();
+        assert_eq!(colocation.len(), 11);
+        const EXTREMES: [Time; 7] = [Time::MIN, Time::MIN + 1, -1, 0, 1, Time::MAX - 1, Time::MAX];
+        let interval = |rng: &mut StdRng, data: usize| {
+            let (span, max_len) = match data {
+                0 => (3000, 30), // sparse
+                1 => (200, 40),  // dense
+                2 => (600, 400), // long
+                3 => (120, 0),   // points
+                _ => {
+                    let (a, b) = (EXTREMES[rng.gen_range(0..7)], EXTREMES[rng.gen_range(0..7)]);
+                    return Interval::new(a.min(b), a.max(b)).unwrap();
+                }
+            };
+            let s = rng.gen_range(0..span);
+            Interval::new(s, s + rng.gen_range(0..=max_len)).unwrap()
+        };
+        let (mut dropped, mut hits, mut next_pred) = (0, 0, 0);
+        let mut rng = StdRng::seed_from_u64(27);
+        for m in 2..=5usize {
+            let chain: Vec<(usize, usize)> = (1..m).map(|r| (r - 1, r)).collect();
+            let star: Vec<(usize, usize)> = (1..m).map(|r| (0, r)).collect();
+            let clique: Vec<(usize, usize)> = (0..m)
+                .flat_map(|a| (a + 1..m).map(move |b| (a, b)))
+                .collect();
+            let mut shapes = vec![chain.clone(), star, clique];
+            if m >= 3 {
+                shapes.push(chain[..m - 2].to_vec()); // the last relation unmentioned
+            }
+            if m >= 4 {
+                shapes.push(vec![(0, 1), (2, 3)]); // two pieces
+            }
+            for edges in shapes {
+                let conditions = (edges.iter())
+                    .map(|&(a, b)| {
+                        next_pred += 1;
+                        let pred = colocation[next_pred % colocation.len()];
+                        Condition::whole(a as u16, pred, b as u16)
+                    })
+                    .collect();
+                let q = JoinQuery::new(m as u16, conditions).unwrap();
+                for (round, data) in (0..6).flat_map(|round| (0..5).map(move |d| (round, d))) {
+                    let rels: Vec<Vec<Interval>> = (0..m)
+                        .map(|_| {
+                            let n = rng.gen_range(round..24);
+                            (0..n).map(|_| interval(&mut rng, data)).collect()
+                        })
+                        .collect();
+                    let relations = (rels.iter())
+                        .map(|ivs| Relation::from_intervals("R", ivs.iter().copied()))
+                        .collect();
+                    let input = JoinInput::bind_owned(&q, relations).unwrap();
+                    for strategy in [PartitionStrategy::EquiWidth, PartitionStrategy::EquiDepth] {
+                        let k = rng.gen_range(1..=8);
+                        let part = RunArtifacts::partition_input(&input, k, strategy).unwrap();
+                        for enforce_crossing in [true, false] {
+                            let options = MarkOptions { enforce_crossing };
+                            let (d, h) = assert_reach_keeps_every_flag(&q, &part, &rels, options);
+                            (dropped, hits) = (dropped + d, hits + h);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            dropped > 0 && hits > 0,
+            "vacuous: {dropped} dropped, {hits} flagged"
+        );
+    }
+
+    /// The bound is tight: with `R1 meets R2, R2 overlaps R3` and R2's
+    /// interval crossing `p`'s right boundary with the longest length `L`,
+    /// the R1 interval that meets it ends exactly at `b[p+1] − L`, and
+    /// both are flagged. A reach of `R − 1` would drop the R1 interval.
+    #[test]
+    fn reach_is_tight() {
+        use ij_interval::AllenPredicate::{Meets, Overlaps};
+        let q = JoinQuery::chain(&[Meets, Overlaps]).unwrap();
+        let part = Partitioning::equi_width(0, 300, 3).unwrap();
+        let iv = |s: Time, e: Time| Interval::new(s, e).unwrap();
+        let (x, c) = (iv(185, 190), iv(190, 200));
+        let (b, longest) = (part.boundaries()[2], c.end() - c.start());
+        assert_eq!(x.end(), b - longest);
+        let options = MarkOptions::default();
+        let r = reach(&q, Some(longest), options);
+        assert_eq!(r, Some(longest));
+        assert!(near(&part, r, x, 1));
+        assert!(!near(&part, Some(longest - 1), x, 1));
+        let per_slot = vec![vec![(x, 0)], vec![(c, 0)], Vec::new()];
+        let want = BTreeSet::from([(0, 0), (1, 0)]);
+        assert_eq!(flagged(&q, &part, 1, per_slot, options), want);
+        let (dropped, hits) =
+            assert_reach_keeps_every_flag(&q, &part, &[vec![x], vec![c], vec![]], options);
+        assert_eq!((dropped, hits), (0, 2));
     }
 
     /// The dimensions a cell tests are conjunctive: one outside its

@@ -10,20 +10,23 @@ use std::fmt;
 /// indexed by relation (`tuple[r]` comes from relation `r`).
 pub type OutputTuple = Vec<TupleId>;
 
-/// Output tuples as one flat table: row `i` is `ids[i * arity..][..arity]`
-/// and `row[r]` the tuple id relation `r` contributes. The same type is the
-/// materializing kernel sink, a reducer's [`OutRec::Rows`] block and
-/// [`JoinOutput::tuples`], so an output tuple is `arity` ids appended to a
-/// buffer and never a heap row of its own.
+/// Output tuples as a list of blocks, each a flat arity-strided table: a
+/// block's row `i` is `block[i * arity..][..arity]` and `row[r]` the tuple
+/// id relation `r` contributes. The same type is the materializing kernel
+/// sink, a reducer's [`OutRec::Rows`] block and [`JoinOutput::tuples`], so
+/// an output tuple is `arity` ids appended to a buffer and never a heap row
+/// of its own; [`append`](Tuples::append) moves the other table's blocks
+/// behind this one's and never copies an id.
 ///
 /// Whoever knows the query passes `arity` to [`Tuples::new`]; the default
 /// table has none (0) and can only [`append`](Tuples::append) blocks,
-/// adopting the first one's. Tables without rows are equal whatever arity
-/// they were built with.
+/// adopting the first one's. Tables compare by rows, so tables without
+/// rows are equal whatever arity they were built with.
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Tuples {
     arity: usize,
-    ids: Vec<TupleId>,
+    /// Never holds an empty block.
+    blocks: Vec<Vec<TupleId>>,
 }
 
 impl Tuples {
@@ -32,18 +35,19 @@ impl Tuples {
         assert!(arity > 0, "a row holds one id per relation");
         Tuples {
             arity,
-            ids: Vec::new(),
+            blocks: Vec::new(),
         }
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.ids.len().checked_div(self.arity).unwrap_or(0)
+        let ids: usize = self.blocks.iter().map(Vec::len).sum();
+        ids.checked_div(self.arity).unwrap_or(0)
     }
 
     /// Whether the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.blocks.is_empty()
     }
 
     /// Ids per row.
@@ -52,8 +56,14 @@ impl Tuples {
     }
 
     /// The rows, in insertion order.
-    pub fn iter(&self) -> std::slice::ChunksExact<'_, TupleId> {
-        self.ids.chunks_exact(self.arity.max(1))
+    pub fn iter(&self) -> Rows<'_> {
+        let stride = self.arity.max(1);
+        Rows {
+            blocks: self.blocks.iter(),
+            stride,
+            front: [].chunks_exact(stride),
+            back: [].chunks_exact(stride),
+        }
     }
 
     /// The first row.
@@ -66,15 +76,19 @@ impl Tuples {
         self.iter().next_back()
     }
 
-    /// Appends one row; panics unless it yields exactly `arity` ids.
+    /// Appends one row to the last block; panics unless it yields exactly
+    /// `arity` ids.
     pub fn push_row(&mut self, row: impl IntoIterator<Item = TupleId>) {
-        let before = self.ids.len();
-        self.ids.extend(row);
-        assert_eq!(self.ids.len() - before, self.arity, "row length");
+        if self.blocks.is_empty() {
+            self.blocks.push(Vec::new());
+        }
+        let block = self.blocks.last_mut().expect("a block");
+        let before = block.len();
+        block.extend(row);
+        assert_eq!(block.len() - before, self.arity, "row length");
     }
 
-    /// Moves `other`'s rows behind this table's. An empty table takes over
-    /// `other`'s buffer instead of copying it.
+    /// Moves `other`'s rows behind this table's: its blocks join the list.
     pub fn append(&mut self, mut other: Tuples) {
         if other.is_empty() {
             return;
@@ -85,17 +99,53 @@ impl Tuples {
             other.arity,
             self.arity
         );
-        if self.is_empty() {
-            *self = other;
-        } else {
-            self.ids.append(&mut other.ids);
+        self.arity = other.arity;
+        self.blocks.append(&mut other.blocks);
+    }
+}
+
+/// The rows of a [`Tuples`], front to back or back to front.
+#[derive(Clone)]
+pub struct Rows<'a> {
+    blocks: std::slice::Iter<'a, Vec<TupleId>>,
+    stride: usize,
+    /// The rest of the block being read from the front / from the back.
+    front: std::slice::ChunksExact<'a, TupleId>,
+    back: std::slice::ChunksExact<'a, TupleId>,
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = &'a [TupleId];
+    fn next(&mut self) -> Option<&'a [TupleId]> {
+        loop {
+            if let Some(row) = self.front.next() {
+                return Some(row);
+            }
+            match self.blocks.next() {
+                Some(block) => self.front = block.chunks_exact(self.stride),
+                None => return self.back.next(),
+            }
+        }
+    }
+}
+
+impl<'a> DoubleEndedIterator for Rows<'a> {
+    fn next_back(&mut self) -> Option<&'a [TupleId]> {
+        loop {
+            if let Some(row) = self.back.next_back() {
+                return Some(row);
+            }
+            match self.blocks.next_back() {
+                Some(block) => self.back = block.chunks_exact(self.stride),
+                None => return self.front.next_back(),
+            }
         }
     }
 }
 
 impl<'a> IntoIterator for &'a Tuples {
     type Item = &'a [TupleId];
-    type IntoIter = std::slice::ChunksExact<'a, TupleId>;
+    type IntoIter = Rows<'a>;
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
@@ -103,7 +153,7 @@ impl<'a> IntoIterator for &'a Tuples {
 
 impl PartialEq for Tuples {
     fn eq(&self, other: &Tuples) -> bool {
-        self.ids == other.ids && (self.is_empty() || self.arity == other.arity)
+        self.iter().eq(other.iter())
     }
 }
 
@@ -252,6 +302,34 @@ mod tests {
         assert_ne!(table(2, &[&[9, 9], &[9, 9]]), table(2, &[&[9, 9], &[9, 8]]));
         // Same ids, different stride.
         assert_ne!(table(2, &[&[9, 9], &[9, 9]]), table(4, &[&[9, 9, 9, 9]]));
+        // Same rows, different blocks.
+        let mut split = table(2, &[&[1, 2]]);
+        split.append(table(2, &[&[3, 4]]));
+        assert_eq!(split, table(2, &[&[1, 2], &[3, 4]]));
+        assert_ne!(split, table(2, &[&[1, 2]]));
+    }
+
+    #[test]
+    fn rows_run_across_blocks_from_both_ends() {
+        let mut t = Tuples::default();
+        let blocks: [&[&[TupleId]]; 4] =
+            [&[&[1, 2], &[3, 4]], &[], &[&[5, 6]], &[&[7, 8], &[9, 10]]];
+        for block in blocks {
+            t.append(table(2, block));
+        }
+        t.push_row([11, 12]);
+        assert_eq!((t.len(), t.arity()), (6, 2));
+        let forward: Vec<&[TupleId]> = t.iter().collect();
+        let mut backward: Vec<&[TupleId]> = t.iter().rev().collect();
+        backward.reverse();
+        assert_eq!(forward, backward);
+        assert_eq!(forward.concat(), (1..=12).collect::<Vec<TupleId>>());
+        // Both ends meet in the middle of a block.
+        let mut rows = t.iter();
+        assert_eq!(rows.next(), Some(&[1, 2][..]));
+        assert_eq!(rows.next_back(), Some(&[11, 12][..]));
+        assert_eq!(rows.next_back(), Some(&[9, 10][..]));
+        assert_eq!(rows.collect::<Vec<_>>(), [&[3, 4][..], &[5, 6], &[7, 8]]);
     }
 
     #[test]

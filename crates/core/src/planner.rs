@@ -8,12 +8,18 @@
 //! | Sequence | [`AllMatrix`] (Section 7) |
 //! | Hybrid | [`AllSeqMatrix`] or [`Pasm`] (Section 8) |
 //! | General | [`GenMatrix`] (Section 9) |
+//!
+//! The marking behind RCCIS, All-Seq-Matrix and PASM enumerates subsets of
+//! at most 16 relations; a colocation or hybrid query with a larger
+//! colocation group goes to [`AllReplicate`], which marks nothing.
 
 use crate::algorithm::Algorithm;
 use crate::all_matrix::AllMatrix;
+use crate::all_replicate::AllReplicate;
 use crate::gen_matrix::GenMatrix;
 use crate::hybrid::{AllSeqMatrix, Pasm};
 use crate::output::OutputMode;
+use crate::rccis::marking::MAX_RELATIONS;
 use crate::rccis::Rccis;
 use crate::two_way::TwoWayJoin;
 use ij_query::{JoinQuery, QueryClass};
@@ -43,10 +49,34 @@ impl Default for PlanConfig {
     }
 }
 
+/// Whether the group a marking family would mark — RCCIS's every relation,
+/// a hybrid query's colocation components — is beyond the marking's limit.
+fn marks_too_many(query: &JoinQuery) -> bool {
+    let widest = || {
+        query
+            .components()
+            .components
+            .iter()
+            .map(|c| c.vertices.len())
+            .max()
+    };
+    match query.class() {
+        QueryClass::Colocation => query.num_relations() as usize > MAX_RELATIONS,
+        QueryClass::Hybrid => widest().unwrap_or(0) > MAX_RELATIONS,
+        QueryClass::Sequence | QueryClass::General => false,
+    }
+}
+
 /// Picks the paper's algorithm for the query's class.
 pub fn plan(query: &JoinQuery, cfg: PlanConfig) -> Box<dyn Algorithm> {
     if query.num_relations() == 2 && query.class() != QueryClass::General {
         return Box::new(TwoWayJoin {
+            partitions: cfg.partitions,
+            mode: cfg.mode,
+        });
+    }
+    if marks_too_many(query) {
+        return Box::new(AllReplicate {
             partitions: cfg.partitions,
             mode: cfg.mode,
         });
@@ -106,6 +136,25 @@ mod tests {
         assert_eq!(
             plan_name("R1.I overlaps R2.I and R1.A = R2.A"),
             "Gen-Matrix"
+        );
+    }
+
+    #[test]
+    fn colocation_groups_beyond_the_marking_limit_replicate() {
+        let chain = |n: usize| ij_query::JoinQuery::chain(&vec![Overlaps; n]).unwrap();
+        let cfg = PlanConfig::default();
+        assert_eq!(plan(&chain(MAX_RELATIONS - 1), cfg).name(), "RCCIS");
+        assert_eq!(plan(&chain(MAX_RELATIONS), cfg).name(), "All-Rep");
+        let mut preds = vec![Overlaps; MAX_RELATIONS];
+        preds.push(Before);
+        assert_eq!(
+            plan(&ij_query::JoinQuery::chain(&preds).unwrap(), cfg).name(),
+            "All-Rep"
+        );
+        preds.remove(0);
+        assert_eq!(
+            plan(&ij_query::JoinQuery::chain(&preds).unwrap(), cfg).name(),
+            "All-Seq-Matrix"
         );
     }
 

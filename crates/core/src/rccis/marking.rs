@@ -1,9 +1,11 @@
 //! The RCCIS replication-marking computation run by first-cycle reducers.
 //!
-//! Reducer `p` receives all intervals intersecting partition `p` (one split
+//! Reducer `p` receives intervals intersecting partition `p` (one split
 //! copy each) and must find `uS_p`: the union of all interval-sets that
 //! satisfy C1 (consistent) and C2 (cross `p`). It then flags the members of
-//! `uS_p` that *start* in `p`.
+//! `uS_p` that *start* in `p`. Any input that holds every member of every
+//! such set yields the same flags, so the component-matrix pipeline ships
+//! only the copies within reach of `p`'s boundaries.
 //!
 //! ## Enumeration strategy
 //!
@@ -41,6 +43,10 @@ pub struct Marking {
     /// Candidates examined (reported to the cost model).
     pub work: u64,
 }
+
+/// The most relations a marked query may have: the marking enumerates
+/// relation subsets as bitmasks.
+pub(crate) const MAX_RELATIONS: usize = 16;
 
 /// Options for [`mark_with_options`].
 #[derive(Debug, Clone, Copy)]
@@ -80,7 +86,10 @@ pub fn mark_with_options(
 ) -> Marking {
     let m = q.num_relations() as usize;
     assert_eq!(per_rel.len(), m);
-    assert!(m <= 16, "marking enumerates relation subsets; m <= 16");
+    assert!(
+        m <= MAX_RELATIONS,
+        "marking enumerates relation subsets; m <= 16"
+    );
     for l in &mut per_rel {
         l.sort_unstable_by_key(|(iv, tid)| (iv.start(), *tid));
     }
@@ -123,37 +132,52 @@ pub fn mark_with_options(
     }
 }
 
-/// All subsets of relations (as bitmasks) that are connected in the join
-/// graph, in ascending mask order. Singletons are connected.
-fn connected_subsets(q: &JoinQuery) -> Vec<u32> {
-    let m = q.num_relations() as usize;
-    let mut adj = vec![0u32; m];
+/// Each relation's neighbours in the join graph, as a bitmask.
+fn adjacency(q: &JoinQuery) -> Vec<u32> {
+    let mut adj = vec![0u32; q.num_relations() as usize];
     for c in q.conditions() {
         adj[c.left.rel.idx()] |= 1 << c.right.rel.idx();
         adj[c.right.rel.idx()] |= 1 << c.left.rel.idx();
     }
-    (1u32..(1 << m))
-        .filter(|&mask| {
-            // Flood fill from the lowest set bit.
-            let start = mask.trailing_zeros();
-            let mut seen = 1u32 << start;
-            loop {
-                let mut grew = false;
-                for (r, &nbrs) in adj.iter().enumerate() {
-                    if seen & (1 << r) != 0 {
-                        let add = nbrs & mask & !seen;
-                        if add != 0 {
-                            seen |= add;
-                            grew = true;
-                        }
-                    }
-                }
-                if !grew {
-                    break;
+    adj
+}
+
+/// Whether the relations of `mask` are connected through conditions
+/// between them: a flood fill from the lowest set bit.
+fn is_connected_subset(adj: &[u32], mask: u32) -> bool {
+    let mut seen = 1u32 << mask.trailing_zeros();
+    loop {
+        let mut grew = false;
+        for (r, &nbrs) in adj.iter().enumerate() {
+            if seen & (1 << r) != 0 {
+                let add = nbrs & mask & !seen;
+                if add != 0 {
+                    seen |= add;
+                    grew = true;
                 }
             }
-            seen == mask
-        })
+        }
+        if !grew {
+            return seen == mask;
+        }
+    }
+}
+
+/// Whether every relation of `q` — one that no condition mentions
+/// included — is connected to every other. Only then is every proper
+/// connected subset bounded by a query edge, and so by B1/B2.
+pub(crate) fn is_connected(q: &JoinQuery) -> bool {
+    let m = q.num_relations() as usize;
+    m <= MAX_RELATIONS && is_connected_subset(&adjacency(q), (1u32 << m) - 1)
+}
+
+/// All subsets of relations (as bitmasks) that are connected in the join
+/// graph, in ascending mask order. Singletons are connected.
+fn connected_subsets(q: &JoinQuery) -> Vec<u32> {
+    let m = q.num_relations() as usize;
+    let adj = adjacency(q);
+    (1u32..(1 << m))
+        .filter(|&mask| is_connected_subset(&adj, mask))
         .collect()
 }
 
@@ -240,12 +264,15 @@ fn enumerate(
     if level == order.len() {
         // With crossing enforced, the boundary constraints were applied per
         // candidate and inputs intersect p by construction (split routing),
-        // so the set crosses.
+        // so the set crosses — unless a member lies outside the partitioned
+        // range (a point at `Time::MAX`) and reached p through the clamp of
+        // `index_of` alone.
         debug_assert!(
             !enforce_crossing || {
                 let ivs: Vec<Option<Interval>> =
                     assign.iter().map(|a| a.map(|(iv, _)| iv)).collect();
-                crosses_partition(q, part, p, &ivs)
+                let clamped = |iv: &Interval| !iv.intersects(part.range());
+                crosses_partition(q, part, p, &ivs) || ivs.iter().flatten().any(clamped)
             }
         );
         for &r in order {
@@ -408,6 +435,17 @@ mod tests {
         let flags: Vec<bool> = marking.flags[0].clone();
         // sorted order: (5,25) then (12,25); only the latter starts in p1.
         assert_eq!(flags, vec![false, true]);
+    }
+
+    #[test]
+    fn connectivity_sees_relations_no_condition_mentions() {
+        let chain = JoinQuery::chain(&[Overlaps, Overlaps]).unwrap();
+        assert!(is_connected(&chain));
+        let cond = |l, r| ij_query::Condition::whole(l, Overlaps, r);
+        let unmentioned = JoinQuery::new(3, vec![cond(0, 1)]).unwrap();
+        assert!(!is_connected(&unmentioned));
+        let two_pieces = JoinQuery::new(4, vec![cond(0, 1), cond(2, 3)]).unwrap();
+        assert!(!is_connected(&two_pieces));
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //! 1. **Marking** ([`marking`]): every relation is *split*; reducer `p_i`
 //!    finds the interval-sets that are consistent (Section 5.2) and cross
 //!    `p_i` (Section 5.3), and flags for replication the member intervals
-//!    that *start* in `p_i`. The flagged stream — every interval exactly
-//!    once, with its flag — is the input of cycle 2.
-//! 2. **Join**: flagged intervals are *replicated*, the rest *projected*;
+//!    that *start* in `p_i`. Only the split copies near enough to `p_i`'s
+//!    boundaries to be in a crossing set are shipped to it, and it returns
+//!    only the flagged intervals' keys.
+//! 2. **Join**: cycle 2 maps the input itself and reads each interval's
+//!    flag from that set; flagged intervals are *replicated*, the rest
+//!    *projected*;
 //!    each reducer joins what it received and emits the output tuples it
 //!    owns (those whose maximal start point lies in its partition).
 //!

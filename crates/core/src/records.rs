@@ -20,8 +20,10 @@ pub struct IvRec {
 impl Record for IvRec {}
 
 /// An [`IvRec`] plus the RCCIS replication flag — the record format the
-/// first RCCIS cycle writes to the DFS (Section 6.1: "writes out all the
-/// intervals on the disk along-with a flag").
+/// paper's first RCCIS cycle writes to the DFS (Section 6.1: "writes out all
+/// the intervals on the disk along-with a flag"). The pipeline hands the
+/// join a set of flagged keys instead; this 32-byte record stays public as
+/// the one `ij-perf`'s Dfs layer writes and reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlagRec {
     /// The interval record.

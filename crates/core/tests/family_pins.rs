@@ -5,7 +5,7 @@
 //! [`render`] at that commit, recorded before any of them was touched, and
 //! every run below must reproduce its block — count, tuples in emission
 //! order, per-cycle pairs / bytes / reducer loads, run statistics and
-//! counters. Exactly two things may differ from the capture:
+//! counters. Exactly three things may differ from the capture:
 //!
 //! 1. **stage names** — the capture's `name=` fields are ignored (stages
 //!    are now `<family>-mark` / `-prune` / `-join`);
@@ -13,7 +13,13 @@
 //!    query** (Q2) — at the parent they shuffled every interval through a
 //!    marking cycle that could flag nothing (PASM also through a prune
 //!    cycle that received nothing); they now run the join alone, so only
-//!    the capture's last `cycle` line is compared.
+//!    the capture's last `cycle` line is compared;
+//! 3. **the mark cycle's line** — the mark stage ships only the split
+//!    copies near enough to a partition's boundaries to be in a crossing
+//!    set and writes back only the flagged intervals. Its pairs must equal
+//!    an independent count of those copies ([`near_copies`]) and be no more
+//!    than the capture's; every other line, the join's and the prune's
+//!    included, is compared as before.
 //!
 //! `TwoWayJoin` and `AllReplicate` became settings of the same pipeline
 //! later; `results/pr26/family_pins_parent.txt` is the raw output of
@@ -21,10 +27,11 @@
 //! predicate in both orientations plus two redundant-condition queries for
 //! the 2-way join, the five cases above plus a query without a right-most
 //! relation for All-Rep, both output modes, with the `allrep.*` counters.
-//! Only stage names may differ from that capture.
+//! Only stage names may differ from that capture (neither family marks).
 //!
 //! The cross-family identities the merge rests on are asserted directly.
 
+use ij_core::algorithm::RunArtifacts;
 use ij_core::all_matrix::AllMatrix;
 use ij_core::all_replicate::AllReplicate;
 use ij_core::hybrid::{AllSeqMatrix, Pasm};
@@ -34,6 +41,7 @@ use ij_core::two_way::TwoWayJoin;
 use ij_core::{Algorithm, JoinInput, JoinOutput, OutputMode, PartitionStrategy};
 use ij_datagen::{Distribution, SynthConfig};
 use ij_interval::AllenPredicate::{self, After, Before, Contains, Equals, Overlaps};
+use ij_interval::Partitioning;
 use ij_mapreduce::{ClusterConfig, Engine, ReducerLoad};
 use ij_query::{Condition, JoinQuery};
 use std::fmt::Write as _;
@@ -361,14 +369,94 @@ fn same_headers(got: &[(String, Vec<String>)], expected: &[(String, Vec<String>)
     );
 }
 
+/// Difference 3, counted from the case's data without the pipeline: the
+/// split copies a family's mark stage ships, or `None` if it runs no mark
+/// stage. A marked group — every relation for RCCIS, each colocation
+/// component of two or more relations for All-Seq-Matrix / PASM — of `m`
+/// relations whose longest interval is `L` sends the copy of an interval
+/// at partition `p` when `end >= b[p+1] − R` or `start < b[p] + R`, with
+/// `R = (m − 2) · L`; without the crossing condition, every copy. Every
+/// group of these cases is connected over all of its relations.
+fn near_copies(case: &Case, label: &str) -> Option<u64> {
+    let (q, input) = (&case.query, &case.input);
+    let m = q.num_relations() as usize;
+    let comps = q.components();
+    let components = comps.components.iter();
+    let (part, groups): (Partitioning, Vec<Vec<usize>>) = match label {
+        _ if label.starts_with("rccis") => {
+            let strategy = match label {
+                "rccis equi-depth" => PartitionStrategy::EquiDepth,
+                _ => PartitionStrategy::EquiWidth,
+            };
+            let one_component =
+                comps.components.len() == 1 && comps.components[0].vertices.len() == m;
+            if !one_component {
+                return None; // RCCIS refuses sequence predicates
+            }
+            let part = RunArtifacts::partition_input(input, K, strategy).unwrap();
+            (part, vec![(0..m).collect()])
+        }
+        "asm" | "pasm" | "pasm count" => {
+            let members = components.map(|c| c.vertices.iter().map(|v| v.rel.idx()).collect());
+            let groups: Vec<Vec<usize>> = members.filter(|g: &Vec<usize>| g.len() > 1).collect();
+            let part = RunArtifacts::partition_span(input.span(), K).unwrap();
+            (part, groups)
+        }
+        _ => return None,
+    };
+    if groups.is_empty() {
+        return None;
+    }
+    let b: Vec<i128> = part.boundaries().iter().map(|&t| t as i128).collect();
+    let mut copies = 0;
+    for group in groups {
+        let intervals = || {
+            group
+                .iter()
+                .flat_map(|&r| input.relations()[r].tuples())
+                .map(|t| t.interval())
+        };
+        let longest = intervals()
+            .map(|iv| iv.end() as i128 - iv.start() as i128)
+            .max()
+            .unwrap_or(0);
+        let reach = (group.len() as i128 - 2) * longest;
+        for iv in intervals() {
+            let (start, end) = (iv.start() as i128, iv.end() as i128);
+            for p in (0..part.len()).filter(|&p| part.intersects_partition(iv, p)) {
+                let near = end >= b[p + 1] - reach || start < b[p] + reach;
+                copies += (near || label == "rccis no-crossing") as u64;
+            }
+        }
+    }
+    Some(copies)
+}
+
+/// The `pairs=` field of a `cycle` line.
+fn pairs_of(line: &str) -> u64 {
+    let field = line.split(' ').find_map(|f| f.strip_prefix("pairs="));
+    field.expect("a cycle line").parse().unwrap()
+}
+
 #[test]
 fn every_family_reproduces_the_parent_capture() {
     let expected = blocks(PARENT_CAPTURE);
     let got = blocks(&render());
     same_headers(&got, &expected);
-    for ((header, got), (_, expected)) in got.iter().zip(&expected) {
+    let near: Vec<Option<u64>> = (cases().iter())
+        .flat_map(|case| {
+            families()
+                .into_iter()
+                .map(|(label, _)| near_copies(case, label))
+        })
+        .collect();
+    assert_eq!(near.len(), got.len());
+    for (((header, got), (_, expected)), near) in got.iter().zip(&expected).zip(near) {
+        let mark = got
+            .iter()
+            .position(|l| l.starts_with("cycle name=") && l.contains("-mark "));
         let mut expected: Vec<String> = expected.iter().map(|l| without_stage_name(l)).collect();
-        let got: Vec<String> = got.iter().map(|l| without_stage_name(l)).collect();
+        let mut got: Vec<String> = got.iter().map(|l| without_stage_name(l)).collect();
         // Difference 2: on the all-singleton query the hybrid families'
         // pass-through cycles are gone; the join cycle is the last one.
         if header.starts_with("q2-sequence / asm") || header.starts_with("q2-sequence / pasm") {
@@ -383,6 +471,15 @@ fn every_family_reproduces_the_parent_capture() {
                 1,
                 "{header}: the join runs alone"
             );
+        }
+        // Difference 3: the mark cycle ships only the near copies.
+        assert_eq!(mark.is_some(), near.is_some(), "{header}: a mark stage");
+        if let (Some(at), Some(near)) = (mark, near) {
+            let (pairs, captured) = (pairs_of(&got[at]), pairs_of(&expected[at]));
+            assert_eq!(pairs, near, "{header}: mark pairs are the near copies");
+            assert!(pairs <= captured, "{header}: {pairs} > {captured}");
+            got.remove(at);
+            expected.remove(at);
         }
         assert_eq!(got, expected, "{header}");
     }

@@ -44,7 +44,8 @@ pub const JOIN_EMITTED: &str = "join.emitted";
 pub const ALLREP_REPLICA_PAIRS: &str = "allrep.replica_pairs";
 /// All-Rep: pairs surviving bucket projection.
 pub const ALLREP_PROJECTED_PAIRS: &str = "allrep.projected_pairs";
-/// RCCIS: split pairs produced by the partition round.
+/// RCCIS: split copies of the marking round — every one, the paper's
+/// cycle-1 volume, including those too far from a boundary to be shipped.
 pub const RCCIS_SPLIT_PAIRS: &str = "rccis.split_pairs";
 /// RCCIS: intervals crossing a partition boundary.
 pub const RCCIS_CROSSING_INTERVALS: &str = "rccis.crossing_intervals";

@@ -328,7 +328,6 @@ fn relations_no_condition_mentions() {
     // `JoinQuery::new` accepts a relation that no condition names; it joins
     // as a cross product. A family returns exactly that or refuses the
     // query, naming the relation — never a short result.
-    use ij_core::algorithm::AlgoError;
     use ij_query::Condition;
     let engine = Engine::new(ClusterConfig::with_slots(4));
     for (q, missing) in [
@@ -352,21 +351,84 @@ fn relations_no_condition_mentions() {
         ),
     ] {
         let q = q.unwrap();
-        let input = random_input(&q, 7, 12, 100, 40);
-        let want = oracle_join(&q, &input);
-        assert!(!want.is_empty(), "{q}: workload too sparse");
-        let mut algs = algorithms_for(&q);
-        algs.push(plan(&q, PlanConfig::default()));
-        for alg in algs {
-            match alg.run(&q, &input, &engine) {
-                Ok(out) => assert_eq!(out.assert_no_duplicates(), want, "{} on {q}", alg.name()),
-                Err(AlgoError::Unsupported { reason, .. }) => {
-                    assert!(reason.contains(missing), "{}: {reason}", alg.name())
-                }
-                Err(e) => panic!("{}: {e} on {q}", alg.name()),
+        check_or_refused(&q, &random_input(&q, 7, 12, 100, 40), missing, &engine);
+    }
+    // Sparse: 20 intervals 8 long, 50 apart, in every relation, so no
+    // interval is near a boundary of RCCIS's four partitions and every
+    // R3 interval is flagged only because R3 alone is a crossing set.
+    let q = JoinQuery::new(3, vec![Condition::whole(0, Overlaps, 1)]).unwrap();
+    let rels = (0..3)
+        .map(|r: i64| {
+            let ivs = (0..20).map(|i| Interval::new(50 * i + 3 * r, 50 * i + 3 * r + 8).unwrap());
+            Relation::from_intervals(format!("R{}", r + 1), ivs)
+        })
+        .collect();
+    let input = JoinInput::bind_owned(&q, rels).unwrap();
+    assert_eq!(oracle_join(&q, &input).len(), 400);
+    check_or_refused(&q, &input, "R3", &engine);
+    let rccis = Rccis::new(4).run(&q, &input, &engine).unwrap();
+    assert_eq!(rccis.assert_no_duplicates(), oracle_join(&q, &input));
+}
+
+/// Every family (and the planner's pick) on `q` returns the oracle's
+/// output or refuses the query naming the relation `missing`.
+fn check_or_refused(q: &JoinQuery, input: &JoinInput, missing: &str, engine: &Engine) {
+    use ij_core::algorithm::AlgoError;
+    let want = oracle_join(q, input);
+    assert!(!want.is_empty(), "{q}: workload too sparse");
+    let mut algs = algorithms_for(q);
+    algs.push(plan(q, PlanConfig::default()));
+    for alg in algs {
+        match alg.run(q, input, engine) {
+            Ok(out) => assert_eq!(out.assert_no_duplicates(), want, "{} on {q}", alg.name()),
+            Err(AlgoError::Unsupported { reason, .. }) => {
+                assert!(reason.contains(missing), "{}: {reason}", alg.name())
             }
+            Err(e) => panic!("{}: {e} on {q}", alg.name()),
         }
     }
+}
+
+#[test]
+fn marked_groups_beyond_the_marking_limit() {
+    // 17 relations in one colocation chain: the marking enumerates subsets
+    // of at most 16. The marking families refuse before any job runs, and
+    // the planner sends the query to All-Rep.
+    use ij_core::algorithm::AlgoError;
+    let q = JoinQuery::chain(&[Overlaps; 16]).unwrap();
+    let mut rng = StdRng::seed_from_u64(1700);
+    let rels = (0..17)
+        .map(|r: i64| {
+            // A staircase that chains, plus short noise.
+            let mut ivs = vec![Interval::new(10 * r, 10 * r + 15).unwrap()];
+            ivs.extend((0..3).map(|_| {
+                let s = rng.gen_range(0..200);
+                Interval::new(s, s + rng.gen_range(0..12)).unwrap()
+            }));
+            Relation::from_intervals(format!("R{}", r + 1), ivs)
+        })
+        .collect();
+    let input = JoinInput::bind_owned(&q, rels).unwrap();
+    let engine = Engine::new(ClusterConfig::with_slots(4));
+    let marking: Vec<Box<dyn Algorithm>> = vec![
+        Box::new(Rccis::new(6)),
+        Box::new(AllSeqMatrix::new(4)),
+        Box::new(Pasm::new(4)),
+    ];
+    for alg in marking {
+        let err = alg.run(&q, &input, &engine).err();
+        assert!(
+            matches!(err, Some(AlgoError::Unsupported { .. })),
+            "{}: {err:?}",
+            alg.name()
+        );
+    }
+    let want = oracle_join(&q, &input);
+    assert!(!want.is_empty());
+    let pick = plan(&q, PlanConfig::default());
+    assert_eq!(pick.name(), "All-Rep");
+    let got = pick.run(&q, &input, &engine).unwrap();
+    assert_eq!(got.assert_no_duplicates(), want);
 }
 
 /// Every partition boundary of `[0, 600)` cut into six, and the point
