@@ -7,6 +7,12 @@
 //! count is NOT scaled (the paper holds it at 1K; it controls the pruning
 //! fraction) — only R1 and R2 shrink with `--scale`.
 //!
+//! PASM's prune cycle broadcasts R3 to its tasks when that ships fewer
+//! pairs than the paper's shuffled prune; `prune PASM` is what the prune
+//! cycle shipped and `paper prune` what the paper's route would have
+//! (`pasm.shuffled_prune_pairs`). The two are equal on a row that took the
+//! shuffled route.
+//!
 //! Run: `cargo run --release -p ij-bench --bin table3 [--scale f]`.
 
 use ij_bench::report::{fmt_sim, Report};
@@ -16,6 +22,7 @@ use ij_core::hybrid::{AllSeqMatrix, Fcts, Pasm};
 use ij_core::{JoinInput, OutputMode};
 use ij_datagen::{Distribution, SynthConfig};
 use ij_interval::AllenPredicate::{Before, Overlaps};
+use ij_mapreduce::metrics::names;
 use ij_query::{Condition, JoinQuery};
 
 fn main() {
@@ -52,6 +59,8 @@ fn main() {
             "% R1 pruned",
             "pairs ASM",
             "pairs PASM",
+            "prune PASM",
+            "paper prune",
             "output",
         ],
     );
@@ -119,6 +128,9 @@ fn main() {
             .find(|(n, _)| n == "R1")
             .map(|(_, f)| f * 100.0)
             .unwrap_or(0.0);
+        let prune = (pasm.out.chain.cycles.iter())
+            .find(|c| c.name.ends_with("-prune"))
+            .map_or(0, |c| c.intermediate_pairs);
         report.row(vec![
             (i_max as u64).into(),
             fmt_sim(fcts.simulated).into(),
@@ -127,6 +139,8 @@ fn main() {
             pruned_r1.into(),
             asm.pairs.into(),
             pasm.pairs.into(),
+            prune.into(),
+            pasm.counters.get(names::PASM_SHUFFLED_PRUNE_PAIRS).into(),
             asm.output.into(),
         ]);
         eprintln!(

@@ -15,13 +15,17 @@
 //!   [`participant_key`] of every interval it flags; with no marked group
 //!   the stage does not run. The flags reach the later stages as one
 //!   bitmap per relation, indexed by tuple id.
-//! * **prune** (on request) — each marked group's own join runs per
-//!   partition and the intervals of its owned bindings are the
-//!   *participants*; the join stage ships nobody else from such a group.
+//! * **prune** (on request) — the intervals in some binding of a marked
+//!   group's own join are its *participants*; the join stage ships nobody
+//!   else from such a group. The set does not depend on partitioning, so
+//!   each group takes the cheaper of two routes ([`prune_route`]): the
+//!   paper's, which joins per partition and keeps the owned bindings, or a
+//!   broadcast of every member but the largest to `p` tasks that each join
+//!   one slice of the largest member in place.
 //! * **join** — each cell joins what it was routed and keeps what it owns.
 //!
 //! Prune and join both map the input records themselves and read an
-//! interval's flag from the bitmap.
+//! interval's flag, and the join its participation, from a bitmap.
 //!
 //! **Ownership** is one rule, used by the prune and join stages: a binding
 //! belongs to coordinate `c` of a dimension when the right-most start among
@@ -169,9 +173,62 @@ fn participant_key(rel: u64, tid: TupleId) -> u64 {
     rel << 32 | tid as u64
 }
 
-/// The mark stage's verdicts: `flags[r][tid]` for logical relation `r`
-/// (tuple ids are dense, `Relation` keeps `tuples[i].id == i`).
+/// One bit per interval, `flags[r][tid]` for logical relation `r` (tuple
+/// ids are dense, `Relation` keeps `tuples[i].id == i`): the mark stage's
+/// verdicts, and the prune stage's participants.
 type Flags = Vec<Vec<bool>>;
+
+/// The bitmap of `input`'s relations with exactly the [`participant_key`]s
+/// `keys` set.
+fn flags_of(input: &JoinInput, keys: impl IntoIterator<Item = u64>) -> Flags {
+    let mut flags: Flags = (input.relations().iter())
+        .map(|rel| vec![false; rel.len()])
+        .collect();
+    for key in keys {
+        flags[(key >> 32) as usize][key as u32 as usize] = true;
+    }
+    flags
+}
+
+/// The records of relation `rel` — contiguous, as [`iv_records`] writes
+/// relation after relation.
+fn rows_of(records: &[IvRec], rel: usize) -> &[IvRec] {
+    let start = records.partition_point(|r| r.rel.idx() < rel);
+    let end = records.partition_point(|r| r.rel.idx() <= rel);
+    &records[start..end]
+}
+
+/// How the prune stage moves one marked group.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum PruneRoute {
+    /// The paper's: every member's records go where their route sends
+    /// them, and partition `p` keeps the bindings it owns.
+    Shuffled,
+    /// Every member but relation `large` goes to each of the `p` tasks;
+    /// task `t` joins it against the `t`-th contiguous slice of `large`'s
+    /// records, read where they lie, and keeps every binding.
+    Broadcast { large: usize },
+}
+
+/// **The prune route rule.** `members` are a marked group's relations in
+/// ascending order and `sizes` their record counts. Its largest member `L`
+/// is the first of the largest, and `side` the record count of the others.
+/// The group broadcasts when `side × p` is strictly less than `shuffled`,
+/// the pairs the paper's route would ship for it. A group whose members
+/// are all the same size — a self-join — has no small side and stays
+/// shuffled.
+fn prune_route(members: &[usize], sizes: &[u64], p: u64, shuffled: u64) -> PruneRoute {
+    let largest = (members.iter().zip(sizes)).min_by_key(|&(_, &n)| std::cmp::Reverse(n));
+    let Some((&large, &n)) = largest else {
+        return PruneRoute::Shuffled;
+    };
+    let side = sizes.iter().sum::<u64>() - n;
+    let equal = sizes.iter().all(|&s| s == n);
+    match side.checked_mul(p) {
+        Some(copies) if copies < shuffled && !equal => PruneRoute::Broadcast { large },
+        _ => PruneRoute::Shuffled,
+    }
+}
 
 /// The prune stage's reducer output: the [`participant_key`] of every
 /// interval in an owned group binding. A set, so absorbing chunks in any
@@ -233,21 +290,21 @@ impl ComponentMatrix<'_> {
         let records = iv_records(input);
 
         let mut chain = JobChain::new();
-        let mut flags: Flags = (input.relations().iter())
-            .map(|rel| vec![false; rel.len()])
-            .collect();
-        if any_marked {
+        let flags = if any_marked {
             let marked = stages.mark(&records)?;
             chain.push(marked.metrics);
-            for key in marked.outputs {
-                flags[(key >> 32) as usize][key as u32 as usize] = true;
-            }
-        }
+            flags_of(input, marked.outputs)
+        } else {
+            flags_of(input, [])
+        };
         let mut participants = None;
         if self.prune && any_marked {
-            let pruned = stages.prune(&records, &flags)?;
+            let (routes, shuffled) = stages.prune_routes(&records, &flags);
+            let mut pruned = stages.prune(&records, &flags, &routes)?;
+            // The paper's prune volume, whichever route each group took.
+            (pruned.metrics.counters).inc(names::PASM_SHUFFLED_PRUNE_PAIRS, shuffled);
             chain.push(pruned.metrics);
-            participants = Some(pruned.outputs.into_iter().collect::<BTreeSet<u64>>());
+            participants = Some(flags_of(input, pruned.outputs));
         }
         let joined = stages.join(&records, &flags, participants.as_ref())?;
         chain.push(joined.metrics);
@@ -263,9 +320,7 @@ impl ComponentMatrix<'_> {
             // Only relations of marked groups are ever pruned.
             let prunable = stages.subs[stages.lanes[r].dim].is_some() && !rel.is_empty();
             if let (Some(alive), true) = (&participants, prunable) {
-                let alive = (0..rel.len() as u32)
-                    .filter(|&t| alive.contains(&participant_key(r as u64, t)))
-                    .count();
+                let alive = alive[r].iter().filter(|&&a| a).count();
                 let name = self.query.relations()[r].name.clone();
                 let pruned = 1.0 - alive as f64 / rel.len() as f64;
                 out.stats.pruned_fraction.push((name, pruned));
@@ -385,9 +440,39 @@ impl Stages<'_> {
         )
     }
 
+    /// Each group's [`PruneRoute`] by [`prune_route`], and the pairs the
+    /// paper's route would ship over all marked groups: every record's
+    /// operation range, summed in one pass.
+    fn prune_routes(&self, records: &[IvRec], flags: &Flags) -> (Vec<PruneRoute>, u64) {
+        let cm = self.cm;
+        let mut shuffled = vec![0u64; cm.groups.len()];
+        for rec in records {
+            let dim = self.lanes[rec.rel.idx()].dim;
+            if self.subs[dim].is_some() {
+                shuffled[dim] += ops::apply(self.op(flags, rec), rec.iv, cm.part).len() as u64;
+            }
+        }
+        let routes = (cm.groups.iter().zip(&shuffled))
+            .map(|(members, &shuffled)| {
+                let sizes: Vec<u64> = (members.iter())
+                    .map(|&r| rows_of(records, r).len() as u64)
+                    .collect();
+                prune_route(members, &sizes, cm.part.len() as u64, shuffled)
+            })
+            .collect();
+        (routes, shuffled.iter().sum())
+    }
+
     /// **Prune**: the [`participant_key`] of every interval that appears in
-    /// some owned binding of its marked group's own join.
-    fn prune(&self, records: &[IvRec], flags: &Flags) -> Result<JobOutput<u64>, EngineError> {
+    /// some binding of its marked group's own join, each group moved by its
+    /// entry of `routes`. Reducer key `group * partitions + p` is partition
+    /// `p` of a shuffled group, task `p` of a broadcast one.
+    fn prune(
+        &self,
+        records: &[IvRec],
+        flags: &Flags,
+        routes: &[PruneRoute],
+    ) -> Result<JobOutput<u64>, EngineError> {
         let (cm, p_count) = (self.cm, self.cm.part.len() as u64);
         self.engine.run_job(
             &format!("{}-prune", cm.family),
@@ -397,8 +482,18 @@ impl Stages<'_> {
                 if self.subs[dim].is_none() {
                     return; // unmarked groups always participate
                 }
-                for p in ops::apply(self.op(flags, rec), rec.iv, cm.part) {
-                    em.emit(dim as u64 * p_count + p as u64, *rec);
+                let key = |p: usize| dim as u64 * p_count + p as u64;
+                match routes[dim] {
+                    PruneRoute::Shuffled => {
+                        for p in ops::apply(self.op(flags, rec), rec.iv, cm.part) {
+                            em.emit(key(p), *rec);
+                        }
+                    }
+                    // Every task reads its slice of the largest member.
+                    PruneRoute::Broadcast { large } if large == rec.rel.idx() => {}
+                    PruneRoute::Broadcast { .. } => {
+                        em.emit_to_all((0..cm.part.len()).map(key), rec)
+                    }
                 }
             },
             |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<u64>| {
@@ -411,10 +506,26 @@ impl Stages<'_> {
                 for v in values.by_ref() {
                     cands.push(self.lanes[v.rel.idx()].slot, v.iv, v.tid);
                 }
-                cands.finish();
                 let slots: Vec<usize> = (0..rels.len()).collect();
-                let (lo, hi) = start_window(cm.part, p);
-                let owned = |a: &[(Interval, TupleId)]| owns(&[(lo, hi, &slots)], a);
+                // The tested dimension: none for a broadcast task, which
+                // finds each binding only in the slice holding its L tuple.
+                let dims = match routes[g] {
+                    PruneRoute::Shuffled => {
+                        let (lo, hi) = start_window(cm.part, p);
+                        vec![(lo, hi, slots.as_slice())]
+                    }
+                    PruneRoute::Broadcast { large } => {
+                        let rows = rows_of(records, large);
+                        let n = rows.len();
+                        let slice = &rows[n * p / p_count as usize..n * (p + 1) / p_count as usize];
+                        for v in slice {
+                            cands.push(self.lanes[large].slot, v.iv, v.tid);
+                        }
+                        Vec::new()
+                    }
+                };
+                cands.finish();
+                let owned = |a: &[(Interval, TupleId)]| owns(&dims, a);
                 let ids = BTreeSet::new();
                 let mut participants = ParticipantSink { rels, ids };
                 kernel::reduce_into(ctx, sub, &cands, owned, &mut participants);
@@ -430,7 +541,7 @@ impl Stages<'_> {
         &self,
         records: &[IvRec],
         flags: &Flags,
-        participants: Option<&BTreeSet<u64>>,
+        participants: Option<&Flags>,
     ) -> Result<JobOutput<OutRec>, EngineError> {
         let cm = self.cm;
         let (m, order) = (cm.query.num_relations() as usize, cm.query.start_order());
@@ -446,9 +557,8 @@ impl Stages<'_> {
             |rec: &IvRec, em: &mut Emitter<IvRec>| {
                 let IvRec { rel, tid, iv } = *rec;
                 let dim = self.lanes[rel.idx()].dim;
-                let pruned = |alive: &BTreeSet<u64>| {
-                    self.subs[dim].is_some() && !alive.contains(&participant_key(rel.0 as u64, tid))
-                };
+                let pruned =
+                    |alive: &Flags| self.subs[dim].is_some() && !alive[rel.idx()][tid as usize];
                 if participants.is_some_and(pruned) {
                     return;
                 }
@@ -778,5 +888,167 @@ mod tests {
         assert!(owned_at(1, 3));
         assert!(!owned_at(0, 3));
         assert!(!owned_at(1, 2));
+    }
+
+    /// Both sides of the strict `<`, the largest member's tie-break, the
+    /// equal-size fallback, an empty side and an overflowing count.
+    #[test]
+    fn prune_route_broadcasts_only_below_the_shuffled_count() {
+        let broadcast = |large| PruneRoute::Broadcast { large };
+        // side 10 × p 6 = 60 copies.
+        assert_eq!(prune_route(&[0, 2], &[80, 10], 6, 61), broadcast(0));
+        assert_eq!(prune_route(&[0, 2], &[80, 10], 6, 60), PruneRoute::Shuffled);
+        assert_eq!(prune_route(&[0, 2], &[80, 10], 6, 59), PruneRoute::Shuffled);
+        assert_eq!(prune_route(&[1, 4], &[10, 80], 6, 61), broadcast(4));
+        // Two largest members: the lower relation index stays in place.
+        assert_eq!(prune_route(&[1, 3, 4], &[50, 50, 5], 1, 106), broadcast(1));
+        assert_eq!(
+            prune_route(&[1, 3, 4], &[50, 50, 5], 1, 55),
+            PruneRoute::Shuffled
+        );
+        // Members of one size, as in a self-join, stay shuffled even
+        // where the count alone would broadcast.
+        assert_eq!(prune_route(&[0, 1], &[10, 10], 1, 20), PruneRoute::Shuffled);
+        assert_eq!(prune_route(&[0, 1], &[10, 11], 1, 21), broadcast(1));
+        // An empty side ships nothing; an overflowing one never wins.
+        assert_eq!(prune_route(&[0, 1], &[10, 0], 6, 10), broadcast(0));
+        assert_eq!(prune_route(&[0, 1], &[0, 0], 6, 0), PruneRoute::Shuffled);
+        let huge = u64::MAX / 2;
+        assert_eq!(
+            prune_route(&[0, 1], &[huge + 1, huge], 3, u64::MAX),
+            PruneRoute::Shuffled
+        );
+    }
+
+    /// The partition-free participant lemma, run: on random hybrid queries
+    /// of one or two marked groups (two or three members each, chained by
+    /// `before`), a broadcast prune — with every member in turn as the one
+    /// read in place — finds exactly the shuffled prune's participants, and
+    /// so does the route the rule picks. Data includes self-join groups,
+    /// empty members and `i64`-extreme endpoints; `k` is 1 and 6; threads
+    /// 1, 2 and 8, each with and without a 256-byte reduce budget.
+    #[test]
+    fn broadcast_and_shuffled_prune_find_the_same_participants() {
+        use crate::algorithm::RunArtifacts;
+        use ij_interval::{AllenPredicate, Relation};
+        use ij_mapreduce::ClusterConfig;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let colocation: Vec<AllenPredicate> = (AllenPredicate::ALL.into_iter())
+            .filter(|p| p.is_colocation())
+            .collect();
+        const EXTREMES: [Time; 7] = [Time::MIN, Time::MIN + 1, -1, 0, 1, Time::MAX - 1, Time::MAX];
+        let interval = |rng: &mut StdRng, data: usize| {
+            let (span, max_len) = match data {
+                0 => (3000, 60), // sparse
+                1 => (300, 40),  // dense
+                _ => {
+                    let (a, b) = (EXTREMES[rng.gen_range(0..7)], EXTREMES[rng.gen_range(0..7)]);
+                    return Interval::new(a.min(b), a.max(b)).unwrap();
+                }
+            };
+            let s = rng.gen_range(0..span);
+            Interval::new(s, s + rng.gen_range(0..=max_len)).unwrap()
+        };
+        let mut rng = StdRng::seed_from_u64(28);
+        let (mut found, mut picked) = (0, [0; 2]);
+        for case in 0..36 {
+            let sizes = [[2, 0], [3, 0], [2, 2], [2, 3], [3, 2], [3, 3]][case % 6];
+            let groups: Vec<Vec<usize>> = (sizes.iter().filter(|&&s| s > 0))
+                .scan(0, |next, &s| {
+                    *next += s;
+                    Some((*next - s..*next).collect())
+                })
+                .collect();
+            let m = groups.concat().len();
+            let mut conditions = Vec::new();
+            for g in &groups {
+                let mut edges: Vec<(usize, usize)> = g.windows(2).map(|w| (w[0], w[1])).collect();
+                if g.len() == 3 && rng.gen_bool(0.5) {
+                    edges.push((g[0], g[2]));
+                }
+                for (a, b) in edges {
+                    let pred = colocation[rng.gen_range(0..colocation.len())];
+                    conditions.push(Condition::whole(a as u16, pred, b as u16));
+                }
+            }
+            if let [a, b] = &groups[..] {
+                let (x, y) = (a[rng.gen_range(0..a.len())], b[rng.gen_range(0..b.len())]);
+                let pred = [AllenPredicate::Before, AllenPredicate::After][rng.gen_range(0..2)];
+                conditions.push(Condition::whole(x as u16, pred, y as u16));
+            }
+            let q = JoinQuery::new(m as u16, conditions).unwrap();
+            let data = case / 6 % 3;
+            let mut rels: Vec<Vec<Interval>> = (0..m)
+                .map(|_| {
+                    let n = [rng.gen_range(0..6), rng.gen_range(10..40)][rng.gen_range(0..2)];
+                    (0..n).map(|_| interval(&mut rng, data)).collect()
+                })
+                .collect();
+            match case / 18 {
+                0 => rels[1] = rels[0].clone(), // a self-join group
+                _ => rels[1].clear(),           // an empty side member
+            }
+            let relations = (rels.iter())
+                .map(|ivs| Relation::from_intervals("R", ivs.iter().copied()))
+                .collect();
+            let input = JoinInput::bind_owned(&q, relations).unwrap();
+            let records = iv_records(&input);
+            for k in [1, 6] {
+                let part = RunArtifacts::partition_span(input.span(), k).unwrap();
+                let setting = ComponentMatrix {
+                    family: "test",
+                    query: &q,
+                    part: &part,
+                    constraints: Vec::new(),
+                    groups: groups.clone(),
+                    routes: vec![MARKED; m],
+                    mark_options: MarkOptions::default(),
+                    prune: true,
+                    route_counters: None,
+                    mode: crate::output::OutputMode::Count,
+                };
+                for (threads, budget) in [1, 2, 8]
+                    .into_iter()
+                    .flat_map(|t| [(t, None), (t, Some(256))])
+                {
+                    let engine = Engine::new(ClusterConfig {
+                        reducer_slots: 4,
+                        worker_threads: threads,
+                        intra_reduce_threads: threads,
+                        heavy_bucket_threshold: 8,
+                        reduce_memory_budget: budget,
+                        ..ClusterConfig::default()
+                    });
+                    let stages = setting.stages(&engine).unwrap();
+                    let flags = flags_of(&input, stages.mark(&records).unwrap().outputs);
+                    let run = |routes: &[PruneRoute]| {
+                        flags_of(
+                            &input,
+                            stages.prune(&records, &flags, routes).unwrap().outputs,
+                        )
+                    };
+                    let shuffled = run(&vec![PruneRoute::Shuffled; groups.len()]);
+                    let at = format!("{q} k={k} threads={threads} budget={budget:?} {rels:?}");
+                    for choice in 0..3 {
+                        let large = |g: &Vec<usize>| g[choice % g.len()];
+                        let routes: Vec<PruneRoute> = (groups.iter())
+                            .map(|g| PruneRoute::Broadcast { large: large(g) })
+                            .collect();
+                        assert_eq!(run(&routes), shuffled, "broadcast {choice}: {at}");
+                    }
+                    let (routes, _) = stages.prune_routes(&records, &flags);
+                    assert_eq!(run(&routes), shuffled, "{routes:?}: {at}");
+                    for route in routes {
+                        picked[matches!(route, PruneRoute::Broadcast { .. }) as usize] += 1;
+                    }
+                    found += shuffled.concat().iter().filter(|&&a| a).count();
+                }
+            }
+        }
+        assert!(
+            found > 0 && picked[0] > 0 && picked[1] > 0,
+            "vacuous: {found} participants, routes picked {picked:?}"
+        );
     }
 }

@@ -6,8 +6,13 @@
 //!
 //! Pruning shrinks both the communication and the per-reducer work; when
 //! little prunes, the extra cycle can make PASM slightly slower than
-//! All-Seq-Matrix (the Table 3 trade-off). When every component is a
-//! singleton there is nothing to mark or prune, and the join runs alone.
+//! All-Seq-Matrix (the Table 3 trade-off). The extra cycle is cheap when a
+//! component has a small member: since the participants do not depend on
+//! partitioning, its prune broadcasts every member but the largest to the
+//! prune tasks whenever that ships fewer pairs, and the largest never
+//! crosses the shuffle (on Table 3's Q4, R3's 1 000 intervals to 6 tasks
+//! instead of R1 to 6 partitions). When every component is a singleton
+//! there is nothing to mark or prune, and the join runs alone.
 
 use crate::algorithm::{AlgoError, Algorithm};
 use crate::hybrid::AllSeqMatrix;

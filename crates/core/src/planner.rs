@@ -34,7 +34,9 @@ pub struct PlanConfig {
     /// Materialize or count.
     pub mode: OutputMode,
     /// Prefer PASM over All-Seq-Matrix for hybrid queries (pays one extra
-    /// cycle to prune; wins when component joins are selective).
+    /// cycle to prune; wins when component joins are selective). The extra
+    /// cycle is cheap when a component has a small member: its prune then
+    /// ships only the small side, once per task, not the whole component.
     pub prune_hybrid: bool,
 }
 

@@ -5,7 +5,7 @@
 //! [`render`] at that commit, recorded before any of them was touched, and
 //! every run below must reproduce its block — count, tuples in emission
 //! order, per-cycle pairs / bytes / reducer loads, run statistics and
-//! counters. Exactly three things may differ from the capture:
+//! counters. Exactly four things may differ from the capture:
 //!
 //! 1. **stage names** — the capture's `name=` fields are ignored (stages
 //!    are now `<family>-mark` / `-prune` / `-join`);
@@ -19,7 +19,13 @@
 //!    set and writes back only the flagged intervals. Its pairs must equal
 //!    an independent count of those copies ([`near_copies`]) and be no more
 //!    than the capture's; every other line, the join's and the prune's
-//!    included, is compared as before.
+//!    included, is compared as before;
+//! 4. **the prune cycle's line where a marked group broadcasts** — PASM's
+//!    prune ships a group's members but the largest to each of its `K`
+//!    tasks when that is fewer pairs than the capture's shuffled prune.
+//!    Its pairs must equal an independent count of `side × K`
+//!    ([`broadcast_copies`]) and its bytes the same records' size; a prune
+//!    in which no group broadcasts is compared as before.
 //!
 //! `TwoWayJoin` and `AllReplicate` became settings of the same pipeline
 //! later; `results/pr26/family_pins_parent.txt` is the raw output of
@@ -432,10 +438,48 @@ fn near_copies(case: &Case, label: &str) -> Option<u64> {
     Some(copies)
 }
 
+/// Difference 4, counted from the case's sizes and the capture's prune
+/// line `captured` without the pipeline: the pairs PASM's prune ships, or
+/// `None` if no marked group broadcasts. Group `g` is the `g`-th
+/// colocation component, the dimension All-Seq-Matrix gives it, and the
+/// captured loads of reducers `g * K .. (g + 1) * K` sum to its shuffled
+/// count. A group of two or more members whose sizes are not all equal
+/// broadcasts when `side × K`, `side` the size of all its members but the
+/// largest, is below that count, and then ships `side × K`.
+fn broadcast_copies(case: &Case, captured: &str) -> Option<u64> {
+    let loads = captured.split_once("=[").expect("a loads field").1;
+    let mut shuffled = vec![0u64; case.query.num_relations() as usize];
+    for load in loads.trim_end_matches(']').split(' ') {
+        let mut fields = load.split(':').map(|f| f.parse::<u64>().unwrap());
+        let (key, pairs) = (fields.next().unwrap(), fields.next().unwrap());
+        shuffled[key as usize / K] += pairs;
+    }
+    let size = |r: usize| case.input.relations()[r].len() as u64;
+    let (mut broadcast, mut pairs, k) = (false, 0, K as u64);
+    for (g, comp) in case.query.components().components.iter().enumerate() {
+        let sizes: Vec<u64> = comp.vertices.iter().map(|v| size(v.rel.idx())).collect();
+        let largest = sizes.iter().copied().max().unwrap_or(0);
+        let side = sizes.iter().sum::<u64>() - largest;
+        let equal = sizes.iter().all(|&n| n == largest);
+        if sizes.len() > 1 && !equal && side * k < shuffled[g] {
+            broadcast = true;
+            pairs += side * k;
+        } else {
+            pairs += shuffled[g];
+        }
+    }
+    broadcast.then_some(pairs)
+}
+
+/// The `name=` field of a `cycle` line.
+fn field_of(line: &str, name: &str) -> u64 {
+    let field = line.split(' ').find_map(|f| f.strip_prefix(name));
+    field.expect("a cycle line").parse().unwrap()
+}
+
 /// The `pairs=` field of a `cycle` line.
 fn pairs_of(line: &str) -> u64 {
-    let field = line.split(' ').find_map(|f| f.strip_prefix("pairs="));
-    field.expect("a cycle line").parse().unwrap()
+    field_of(line, "pairs=")
 }
 
 #[test]
@@ -443,18 +487,18 @@ fn every_family_reproduces_the_parent_capture() {
     let expected = blocks(PARENT_CAPTURE);
     let got = blocks(&render());
     same_headers(&got, &expected);
-    let near: Vec<Option<u64>> = (cases().iter())
-        .flat_map(|case| {
-            families()
-                .into_iter()
-                .map(|(label, _)| near_copies(case, label))
-        })
+    let all = cases();
+    let runs: Vec<(&Case, &str)> = (all.iter())
+        .flat_map(|case| families().into_iter().map(move |(label, _)| (case, label)))
         .collect();
-    assert_eq!(near.len(), got.len());
-    for (((header, got), (_, expected)), near) in got.iter().zip(&expected).zip(near) {
-        let mark = got
-            .iter()
-            .position(|l| l.starts_with("cycle name=") && l.contains("-mark "));
+    assert_eq!(runs.len(), got.len());
+    let (mut broadcasts, mut shuffled_prunes) = (0, 0);
+    for (((header, got), (_, expected)), (case, label)) in got.iter().zip(&expected).zip(runs) {
+        let near = near_copies(case, label);
+        let stage = |suffix: &str| {
+            (got.iter()).position(|l| l.starts_with("cycle name=") && l.contains(suffix))
+        };
+        let (mark, prune) = (stage("-mark "), stage("-prune "));
         let mut expected: Vec<String> = expected.iter().map(|l| without_stage_name(l)).collect();
         let mut got: Vec<String> = got.iter().map(|l| without_stage_name(l)).collect();
         // Difference 2: on the all-singleton query the hybrid families'
@@ -472,6 +516,20 @@ fn every_family_reproduces_the_parent_capture() {
                 "{header}: the join runs alone"
             );
         }
+        // Difference 4: a broadcasting prune ships side × K. The prune
+        // line follows the mark line, so it goes first.
+        let broadcast = prune.and_then(|at| Some((at, broadcast_copies(case, &expected[at])?)));
+        shuffled_prunes += (prune.is_some() && broadcast.is_none()) as usize;
+        if let Some((at, copies)) = broadcast {
+            let (pairs, captured) = (pairs_of(&got[at]), pairs_of(&expected[at]));
+            assert_eq!(pairs, copies, "{header}: prune pairs are side × K");
+            let record = field_of(&expected[at], "bytes=") / captured;
+            assert_eq!(field_of(&got[at], "bytes="), pairs * record, "{header}");
+            assert!(pairs < captured, "{header}: {pairs} >= {captured}");
+            broadcasts += 1;
+            got.remove(at);
+            expected.remove(at);
+        }
         // Difference 3: the mark cycle ships only the near copies.
         assert_eq!(mark.is_some(), near.is_some(), "{header}: a mark stage");
         if let (Some(at), Some(near)) = (mark, near) {
@@ -483,6 +541,8 @@ fn every_family_reproduces_the_parent_capture() {
         }
         assert_eq!(got, expected, "{header}");
     }
+    // Both routes ran: Q4's PASM blocks broadcast, the rest shuffle.
+    assert_eq!((broadcasts, shuffled_prunes), (2, 6));
 }
 
 #[test]

@@ -47,6 +47,10 @@ pub const ALLREP_PROJECTED_PAIRS: &str = "allrep.projected_pairs";
 /// RCCIS: split copies of the marking round — every one, the paper's
 /// cycle-1 volume, including those too far from a boundary to be shipped.
 pub const RCCIS_SPLIT_PAIRS: &str = "rccis.split_pairs";
+/// PASM: pairs the paper's shuffled prune would move — every marked
+/// group's records routed to their partitions — whether or not a group's
+/// prune broadcast its small side instead.
+pub const PASM_SHUFFLED_PRUNE_PAIRS: &str = "pasm.shuffled_prune_pairs";
 /// RCCIS: intervals crossing a partition boundary.
 pub const RCCIS_CROSSING_INTERVALS: &str = "rccis.crossing_intervals";
 /// RCCIS: crossing intervals flagged for the merge round.
@@ -142,6 +146,7 @@ pub const ALL: &[&str] = &[
     ALLREP_REPLICA_PAIRS,
     ALLREP_PROJECTED_PAIRS,
     RCCIS_SPLIT_PAIRS,
+    PASM_SHUFFLED_PRUNE_PAIRS,
     RCCIS_CROSSING_INTERVALS,
     RCCIS_FLAGGED_INTERVALS,
     RCCIS_REPLICA_PAIRS,

@@ -150,6 +150,25 @@ fn identical_results_under_reducer_retries() {
         prune.counters.get("kernel.parallel_buckets") > 0,
         "the prune stage's fork/absorb path ran"
     );
+
+    // With the second relation cut to 10 intervals, the prune broadcasts
+    // them to its 4 tasks, and each task reads its slice of the first
+    // relation in place: a retried task must read the same slice.
+    let rels = (input.relations().iter().enumerate()).map(|(r, rel)| {
+        let n = if r == 1 { 10 } else { rel.len() };
+        let intervals = rel.tuples()[..n].iter().map(|t| t.interval());
+        Relation::from_intervals(format!("R{r}"), intervals)
+    });
+    let small_side = JoinInput::bind_owned(&q, rels.collect()).unwrap();
+    let faults = (0..4).fold(FaultPlan::new(), |plan, key| {
+        plan.fail("pasm-prune", key, 1)
+    });
+    let pasm = assert_identical_under_retries(&Pasm::new(4), &q, &small_side, &parallel, faults, 4);
+    assert_eq!(
+        pasm.chain.cycles[1].intermediate_pairs,
+        10 * 4,
+        "the small side to each task"
+    );
 }
 
 #[test]
