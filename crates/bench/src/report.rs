@@ -270,7 +270,7 @@ pub fn telemetry_note(snap: &TelemetrySnapshot) -> String {
         s(names::HEARTBEATS_REDUCE),
         s(names::TELEMETRY_STRAGGLERS),
     );
-    if let Some(h) = snap.histograms.get(names::REDUCE_SERVICE_NS) {
+    if let Some(h) = snap.histograms.get(&**names::REDUCE_SERVICE_NS) {
         if let (Some(min), Some(max)) = (h.min(), h.max()) {
             out.push_str(&format!(" service_ns[min={min} max={max} n={}]", h.count()));
         }
@@ -357,9 +357,9 @@ mod tests {
     fn fmt_spill_shows_dash_without_spills() {
         let mut c = Counters::new();
         assert_eq!(fmt_spill(&c, 0.0), "-");
-        c.inc("spill.buckets", 2);
-        c.inc("spill.runs", 5);
-        c.inc("spill.bytes", 4096);
+        c.inc(names::SPILL_BUCKETS, 2);
+        c.inc(names::SPILL_RUNS, 5);
+        c.inc(names::SPILL_BYTES, 4096);
         let s = fmt_spill(&c, 0.25);
         assert!(s.starts_with("2b/5r/4096B"), "{s}");
     }
@@ -368,8 +368,8 @@ mod tests {
     fn fmt_sched_shows_dash_without_grants() {
         let mut c = Counters::new();
         assert_eq!(fmt_sched(&c), "-");
-        c.inc("sched.grants", 21);
-        c.inc("sched.heavy_buckets", 2);
+        c.inc(names::SCHED_GRANTS, 21);
+        c.inc(names::SCHED_HEAVY_BUCKETS, 2);
         assert_eq!(fmt_sched(&c), "21g/2h");
     }
 

@@ -43,7 +43,7 @@ use crate::output::{JoinOutput, OutputMode};
 use crate::rccis::marking::{self, mark_with_options, MarkOptions};
 use crate::records::{IvRec, OutRec};
 use ij_interval::{ops, Interval, MapOp, Partitioning, RelId, Time, TupleId};
-use ij_mapreduce::metrics::names;
+use ij_mapreduce::metrics::names::{self, Counter};
 use ij_mapreduce::{Emitter, Engine, EngineError, JobChain, JobOutput, ReduceCtx, ValueStream};
 use ij_query::{AttrRef, Condition, JoinQuery, StartOrder};
 use std::collections::BTreeSet;
@@ -79,7 +79,7 @@ pub(crate) struct ComponentMatrix<'a> {
     pub prune: bool,
     /// RCCIS's or All-Rep's `(replicated, projected)` join-pair counters; a
     /// marking setting with them also counts the `rccis.*` splits and flags.
-    pub route_counters: Option<(&'static str, &'static str)>,
+    pub route_counters: Option<(&'static Counter, &'static Counter)>,
     /// Materialize or count.
     pub mode: OutputMode,
 }

@@ -69,7 +69,7 @@ use crate::executor::Candidates;
 use crate::output::{OutputMode, Tuples};
 use crate::records::OutRec;
 use ij_interval::{AllenPredicate, Interval, TupleId};
-use ij_mapreduce::metrics::names;
+use ij_mapreduce::metrics::names::{self, Counter};
 use ij_mapreduce::ReduceCtx;
 use ij_query::JoinQuery;
 use std::any::Any;
@@ -100,7 +100,7 @@ impl KernelKind {
     /// The per-bucket user counter this kernel increments. Valid for
     /// every kernel kind regardless of predicate class. The pair sweep
     /// and the window scan share `kernel.sweep_buckets`.
-    pub fn counter(self) -> &'static str {
+    pub fn counter(self) -> &'static Counter {
         match self {
             KernelKind::PairSweep | KernelKind::Window => names::KERNEL_SWEEP_BUCKETS,
             KernelKind::EventSweep => names::KERNEL_EVENT_SWEEP_BUCKETS,

@@ -33,6 +33,9 @@ pub mod executor;
 pub mod gen_matrix;
 pub mod hybrid;
 pub mod input;
+// The reducer kernels' contract is their docs plus `execute_kind`'s
+// `Option` (DESIGN.md §10): an undocumented public item does not build.
+#[deny(missing_docs)]
 pub mod kernel;
 pub mod one_bucket;
 pub mod oracle;

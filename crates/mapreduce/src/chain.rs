@@ -163,20 +163,21 @@ mod tests {
 
     #[test]
     fn counters_roll_up_across_cycles() {
+        use crate::metrics::names::{JOIN_EMITTED, RCCIS_CROSSING_INTERVALS, RCCIS_REPLICA_PAIRS};
         let mut chain = JobChain::new();
         let mut a = cycle(10, 1.0);
-        a.counters.inc("replicas", 4);
-        a.counters.inc("crossing", 2);
+        a.counters.inc(RCCIS_REPLICA_PAIRS, 4);
+        a.counters.inc(RCCIS_CROSSING_INTERVALS, 2);
         let mut b = cycle(20, 1.0);
-        b.counters.inc("replicas", 6);
-        b.counters.inc("emitted", 9);
+        b.counters.inc(RCCIS_REPLICA_PAIRS, 6);
+        b.counters.inc(JOIN_EMITTED, 9);
         chain.push(a);
         chain.push(b);
         let total = chain.total_counters();
-        assert_eq!(total.get("replicas"), 10);
-        assert_eq!(total.get("crossing"), 2);
-        assert_eq!(total.get("emitted"), 9);
-        assert_eq!(chain.counter("replicas"), 10);
+        assert_eq!(total.get(RCCIS_REPLICA_PAIRS), 10);
+        assert_eq!(total.get(RCCIS_CROSSING_INTERVALS), 2);
+        assert_eq!(total.get(JOIN_EMITTED), 9);
+        assert_eq!(chain.counter(RCCIS_REPLICA_PAIRS), 10);
         assert_eq!(chain.counter("absent"), 0);
     }
 

@@ -10,7 +10,7 @@
 //! "huge reading cost" of the 2-way cascade.
 
 use crate::record::Record;
-use parking_lot::RwLock;
+use crate::sync::Locked;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -51,8 +51,8 @@ struct DfsFile {
 /// copying. All accesses update the volume counters.
 #[derive(Default)]
 pub struct Dfs {
-    files: RwLock<BTreeMap<String, DfsFile>>,
-    stats: RwLock<DfsStats>,
+    files: Locked<BTreeMap<String, DfsFile>>,
+    stats: Locked<DfsStats>,
 }
 
 /// Cumulative I/O volume through a [`Dfs`].
@@ -81,32 +81,30 @@ impl Dfs {
     pub fn write<V: Record>(&self, path: &str, records: Vec<V>) -> Result<(), DfsError> {
         let bytes: u64 = records.iter().map(Record::approx_bytes).sum();
         let count = records.len() as u64;
-        // The namespace guard is released before touching the stats lock:
-        // the two locks are never held together, so no ordering can deadlock.
-        {
-            let mut files = self.files.write();
+        // The namespace lock is released before the stats lock is taken:
+        // the two are never held together, so no ordering can deadlock.
+        self.files.write(|files| {
             if files.contains_key(path) {
                 return Err(DfsError::AlreadyExists(path.to_string()));
             }
-            files.insert(
-                path.to_string(),
-                DfsFile {
-                    records: Arc::new(records),
-                    bytes,
-                    count,
-                },
-            );
-        }
-        let mut stats = self.stats.write();
-        stats.records_written += count;
-        stats.bytes_written += bytes;
+            let file = DfsFile {
+                records: Arc::new(records),
+                bytes,
+                count,
+            };
+            files.insert(path.to_string(), file);
+            Ok(())
+        })?;
+        self.stats.write(|stats| {
+            stats.records_written += count;
+            stats.bytes_written += bytes;
+        });
         Ok(())
     }
 
     /// Reads the file at `path`, returning a shared handle to its records.
     pub fn read<V: Record>(&self, path: &str) -> Result<Arc<Vec<V>>, DfsError> {
-        let (records, count, bytes) = {
-            let files = self.files.read();
+        let (records, count, bytes) = self.files.read(|files| {
             let file = files
                 .get(path)
                 .ok_or_else(|| DfsError::NotFound(path.to_string()))?;
@@ -115,11 +113,12 @@ impl Dfs {
                 .clone()
                 .downcast::<Vec<V>>()
                 .map_err(|_| DfsError::WrongType(path.to_string()))?;
-            (records, file.count, file.bytes)
-        };
-        let mut stats = self.stats.write();
-        stats.records_read += count;
-        stats.bytes_read += bytes;
+            Ok((records, file.count, file.bytes))
+        })?;
+        self.stats.write(|stats| {
+            stats.records_read += count;
+            stats.bytes_read += bytes;
+        });
         Ok(records)
     }
 
@@ -135,8 +134,7 @@ impl Dfs {
         start: usize,
         len: usize,
     ) -> Result<Vec<V>, DfsError> {
-        let out: Vec<V> = {
-            let files = self.files.read();
+        let out: Vec<V> = self.files.read(|files| {
             let file = files
                 .get(path)
                 .ok_or_else(|| DfsError::NotFound(path.to_string()))?;
@@ -146,38 +144,38 @@ impl Dfs {
                 .ok_or_else(|| DfsError::WrongType(path.to_string()))?;
             let start = start.min(records.len());
             let end = start.saturating_add(len).min(records.len());
-            records.get(start..end).unwrap_or_default().to_vec()
-        };
+            Ok(records.get(start..end).unwrap_or_default().to_vec())
+        })?;
         let bytes: u64 = out.iter().map(Record::approx_bytes).sum();
-        let mut stats = self.stats.write();
-        stats.records_read += out.len() as u64;
-        stats.bytes_read += bytes;
-        stats.range_reads += 1;
+        self.stats.write(|stats| {
+            stats.records_read += out.len() as u64;
+            stats.bytes_read += bytes;
+            stats.range_reads += 1;
+        });
         Ok(out)
     }
 
     /// Removes a file (used by algorithms to clean intermediate results).
     pub fn remove(&self, path: &str) -> Result<(), DfsError> {
         self.files
-            .write()
-            .remove(path)
+            .write(|files| files.remove(path))
             .map(|_| ())
             .ok_or_else(|| DfsError::NotFound(path.to_string()))
     }
 
     /// Whether a file exists.
     pub fn exists(&self, path: &str) -> bool {
-        self.files.read().contains_key(path)
+        self.files.read(|files| files.contains_key(path))
     }
 
     /// Lists file paths, sorted.
     pub fn list(&self) -> Vec<String> {
-        self.files.read().keys().cloned().collect()
+        self.files.read(|files| files.keys().cloned().collect())
     }
 
     /// Cumulative I/O counters.
     pub fn stats(&self) -> DfsStats {
-        *self.stats.read()
+        self.stats.read(|stats| *stats)
     }
 }
 

@@ -553,22 +553,22 @@ mod tests {
                 "counted",
                 &(0..100u64).collect::<Vec<_>>(),
                 |&n: &u64, e: &mut Emitter<u64>| {
-                    e.inc("map.seen", 1);
+                    e.inc(names::PROGRESS_MAP_RECORDS, 1);
                     if n % 2 == 0 {
-                        e.inc("map.even", 1);
+                        e.inc(names::JOIN_CANDIDATES, 1);
                     }
                     e.emit(n % 4, n);
                 },
                 |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<(u64, u64)>| {
-                    ctx.inc("reduce.values", vs.len() as u64);
+                    ctx.inc(names::PROGRESS_REDUCE_VALUES, vs.len() as u64);
                     out.push((ctx.key, vs.sum()));
                 },
             )
             .unwrap();
         let c = &out.metrics.counters;
-        assert_eq!(c.get("map.seen"), 100);
-        assert_eq!(c.get("map.even"), 50);
-        assert_eq!(c.get("reduce.values"), 100);
+        assert_eq!(c.get(names::PROGRESS_MAP_RECORDS), 100);
+        assert_eq!(c.get(names::JOIN_CANDIDATES), 50);
+        assert_eq!(c.get(names::PROGRESS_REDUCE_VALUES), 100);
         assert_eq!(c.get("absent"), 0);
     }
 
@@ -586,11 +586,11 @@ mod tests {
                 "cdet",
                 &input,
                 |&n: &u64, e: &mut Emitter<u64>| {
-                    e.inc("pairs", 1 + (n % 3));
+                    e.inc(names::JOIN_CANDIDATES, 1 + (n % 3));
                     e.emit(n % 7, n);
                 },
                 |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<u64>| {
-                    ctx.inc("groups", 1);
+                    ctx.inc(names::PROGRESS_REDUCERS_DONE, 1);
                     out.push(vs.len() as u64);
                 },
             )
@@ -639,11 +639,11 @@ mod tests {
             "spilly",
             &input,
             |&n: &u64, e: &mut Emitter<u64>| {
-                e.inc("map.seen", 1);
+                e.inc(names::PROGRESS_MAP_RECORDS, 1);
                 e.emit(n % 3, n);
             },
             |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<(u64, u64)>| {
-                ctx.inc("groups", 1);
+                ctx.inc(names::PROGRESS_REDUCERS_DONE, 1);
                 out.push((ctx.key, vs.sum()));
             },
         )

@@ -8,6 +8,7 @@ use crate::metrics::{names, Counters, ReducerLoad};
 use crate::observe::{Event, EventKind};
 use crate::record::Record;
 use crate::schedule::{BucketLoad, SchedulePlan};
+use crate::sync::Locked;
 use std::any::Any;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,7 +45,7 @@ impl Engine {
         struct BucketSlot<M> {
             key: ReducerId,
             pairs_received: u64,
-            values: parking_lot::Mutex<Option<BucketSource<M>>>,
+            values: Locked<Option<BucketSource<M>>>,
         }
 
         /// What one reducer invocation leaves behind: outputs, its load
@@ -82,12 +83,11 @@ impl Engine {
             .map(|(key, source)| BucketSlot {
                 key,
                 pairs_received: source.len() as u64,
-                values: parking_lot::Mutex::new(Some(source)),
+                values: Locked::new(Some(source)),
             })
             .collect();
-        type ResultSlot<O> = parking_lot::Mutex<Option<ReduceResult<O>>>;
-        let result_slots: Vec<ResultSlot<O>> =
-            (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
+        let result_slots: Vec<Locked<Option<ReduceResult<O>>>> =
+            (0..n).map(|_| Locked::new(None)).collect();
         let mut panic_payload: Option<Box<dyn Any + Send>> = None;
         let mut worker_error: Option<EngineError> = None;
         let mut worker_events: Vec<Event> = Vec::new();
@@ -157,10 +157,10 @@ impl Engine {
                                 let taken = if faults.is_some() {
                                     // Retryable run: keep the bucket resident and
                                     // hand the reducer a fresh copy per attempt.
-                                    slot.values.lock().clone()
+                                    slot.values.read(Option::clone)
                                 } else {
                                     // Fault-free run: move the bucket out.
-                                    slot.values.lock().take()
+                                    slot.values.write(Option::take)
                                 };
                                 // `next.fetch_add` hands each bucket index to
                                 // exactly one worker, so an empty slot means
@@ -228,13 +228,14 @@ impl Engine {
                                     attempts,
                                 };
                                 let ReduceCtx { counters, .. } = ctx;
-                                *result.lock() = Some(ReduceResult {
+                                let done = ReduceResult {
                                     out,
                                     load,
                                     counters,
                                     event,
                                     grant: grant as u64,
-                                });
+                                };
+                                result.write(|r| *r = Some(done));
                                 buckets_run += 1;
                                 break;
                             }
@@ -294,7 +295,7 @@ impl Engine {
         // grants vary with policy, thread count and pool state, never the
         // data plane). `sched.grants` sums the per-bucket grants, so any
         // value above the bucket count proves some bucket ran
-        // multi-threaded — what the repolint-audit sched leg asserts.
+        // multi-threaded — what the determinism audit's sched leg asserts.
         // Recorded only when the plan deviated from the all-serial floor,
         // mirroring the `spill.*` gate: trivial jobs keep a clean counter
         // set.

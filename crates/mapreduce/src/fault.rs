@@ -8,7 +8,7 @@
 //! this to demonstrate the determinism claim.
 
 use crate::job::ReducerId;
-use parking_lot::Mutex;
+use crate::sync::Locked;
 use std::collections::BTreeMap;
 
 /// A set of one-shot reducer failures to inject, keyed by
@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 /// [`FaultPlan::max_attempts`] is exceeded.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
-    failures: Mutex<BTreeMap<(String, ReducerId), u32>>,
+    failures: Locked<BTreeMap<(String, ReducerId), u32>>,
     max_attempts: u32,
 }
 
@@ -26,7 +26,7 @@ impl FaultPlan {
     /// matching Hadoop's default `mapred.reduce.max.attempts`.
     pub fn new() -> Self {
         FaultPlan {
-            failures: Mutex::new(BTreeMap::new()),
+            failures: Locked::new(BTreeMap::new()),
             max_attempts: 4,
         }
     }
@@ -53,14 +53,14 @@ impl FaultPlan {
     /// Consumes one planned failure for `(job, key)` if any remain.
     /// Returns `true` when the attempt should fail.
     pub fn should_fail(&self, job: &str, key: ReducerId) -> bool {
-        let mut map = self.failures.lock();
-        if let Some(remaining) = map.get_mut(&(job.to_string(), key)) {
-            if *remaining > 0 {
-                *remaining -= 1;
-                return true;
-            }
-        }
-        false
+        self.failures
+            .write(|map| match map.get_mut(&(job.to_string(), key)) {
+                Some(remaining) if *remaining > 0 => {
+                    *remaining -= 1;
+                    true
+                }
+                _ => false,
+            })
     }
 }
 

@@ -8,6 +8,7 @@
 //! for reducer compute (e.g. candidate pairs examined by a join).
 
 use crate::dfs::DfsError;
+use crate::metrics::names::Counter;
 use crate::metrics::Counters;
 use crate::observe::{EventKind, Observer};
 use crate::record::Record;
@@ -104,7 +105,7 @@ impl<M> Emitter<M> {
     /// Adds `delta` to the user counter `name` (Hadoop-style; merged
     /// across workers into [`crate::JobMetrics::counters`]).
     #[inline]
-    pub fn inc(&mut self, name: &str, delta: u64) {
+    pub fn inc(&mut self, name: &Counter, delta: u64) {
         self.counters.inc(name, delta);
     }
 
@@ -210,7 +211,7 @@ impl ReduceCtx {
     /// Adds `delta` to the user counter `name` (Hadoop-style; merged
     /// across reducers into [`crate::JobMetrics::counters`]).
     #[inline]
-    pub fn inc(&mut self, name: &str, delta: u64) {
+    pub fn inc(&mut self, name: &Counter, delta: u64) {
         self.counters.inc(name, delta);
     }
 
@@ -452,6 +453,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::names;
 
     #[test]
     fn emitter_collects_pairs() {
@@ -514,18 +516,18 @@ mod tests {
     #[test]
     fn contexts_accumulate_counters() {
         let mut e: Emitter<u32> = Emitter::default();
-        e.inc("replicas", 3);
-        e.inc("replicas", 2);
-        e.inc("crossing", 1);
-        assert_eq!(e.counters().get("replicas"), 5);
+        e.inc(names::RCCIS_REPLICA_PAIRS, 3);
+        e.inc(names::RCCIS_REPLICA_PAIRS, 2);
+        e.inc(names::RCCIS_CROSSING_INTERVALS, 1);
+        assert_eq!(e.counters().get(names::RCCIS_REPLICA_PAIRS), 5);
         let (_, counters) = e.finish();
-        assert_eq!(counters.get("crossing"), 1);
+        assert_eq!(counters.get(names::RCCIS_CROSSING_INTERVALS), 1);
 
         let mut ctx = ReduceCtx::new(0);
-        ctx.inc("candidates", 10);
-        ctx.inc("emitted", 4);
-        assert_eq!(ctx.counters().get("candidates"), 10);
-        assert_eq!(ctx.counters().get("emitted"), 4);
+        ctx.inc(names::JOIN_CANDIDATES, 10);
+        ctx.inc(names::JOIN_EMITTED, 4);
+        assert_eq!(ctx.counters().get(names::JOIN_CANDIDATES), 10);
+        assert_eq!(ctx.counters().get(names::JOIN_EMITTED), 4);
     }
 
     #[test]

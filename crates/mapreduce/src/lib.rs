@@ -86,6 +86,7 @@ pub mod observe;
 pub mod record;
 pub mod schedule;
 pub mod spill;
+mod sync;
 
 pub use chain::JobChain;
 pub use cost::{CostModel, PhaseCost};

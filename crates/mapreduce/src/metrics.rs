@@ -11,6 +11,7 @@ pub mod names;
 pub use names::is_execution_shape;
 
 use crate::job::ReducerId;
+use names::Counter;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -45,7 +46,13 @@ impl Counters {
     /// hit path is a single lookup with no key allocation; only the first
     /// increment of a name allocates its `String`.
     #[inline]
-    pub fn inc(&mut self, name: &str, delta: u64) {
+    pub fn inc(&mut self, name: &Counter, delta: u64) {
+        self.add(name, delta);
+    }
+
+    /// [`Counters::inc`] by a name already held in a counter map.
+    #[inline]
+    fn add(&mut self, name: &str, delta: u64) {
         if let Some(v) = self.totals.get_mut(name) {
             *v += delta;
         } else {
@@ -63,7 +70,7 @@ impl Counters {
     /// Merges another counter map into this one (per-name sum).
     pub fn merge(&mut self, other: &Counters) {
         for (name, v) in &other.totals {
-            self.inc(name, *v);
+            self.add(name, *v);
         }
     }
 
@@ -370,16 +377,17 @@ mod tests {
 
     #[test]
     fn counters_sum_and_merge_associatively() {
+        use names::{JOIN_CANDIDATES, RCCIS_CROSSING_INTERVALS, RCCIS_REPLICA_PAIRS};
         let mut a = Counters::new();
-        a.inc("pairs", 3);
-        a.inc("pairs", 4);
-        a.inc("replicas", 1);
-        assert_eq!(a.get("pairs"), 7);
+        a.inc(JOIN_CANDIDATES, 3);
+        a.inc(JOIN_CANDIDATES, 4);
+        a.inc(RCCIS_REPLICA_PAIRS, 1);
+        assert_eq!(a.get(JOIN_CANDIDATES), 7);
         assert_eq!(a.get("missing"), 0);
 
         let mut b = Counters::new();
-        b.inc("pairs", 10);
-        b.inc("crossing", 2);
+        b.inc(JOIN_CANDIDATES, 10);
+        b.inc(RCCIS_CROSSING_INTERVALS, 2);
 
         // (a ⊕ b) == (b ⊕ a): merge is commutative.
         let mut ab = a.clone();
@@ -387,11 +395,15 @@ mod tests {
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab, ba);
-        assert_eq!(ab.get("pairs"), 17);
+        assert_eq!(ab.get(JOIN_CANDIDATES), 17);
         assert_eq!(ab.len(), 3);
         assert_eq!(
             ab.iter().collect::<Vec<_>>(),
-            vec![("crossing", 2), ("pairs", 17), ("replicas", 1)],
+            vec![
+                ("join.candidates", 17),
+                ("rccis.crossing_intervals", 2),
+                ("rccis.replica_pairs", 1)
+            ],
             "iteration is sorted by name"
         );
     }
@@ -399,10 +411,10 @@ mod tests {
     #[test]
     fn counters_serialize_as_object() {
         let mut c = Counters::new();
-        c.inc("b", 2);
-        c.inc("a", 1);
+        c.inc(names::JOIN_EMITTED, 2);
+        c.inc(names::JOIN_CANDIDATES, 1);
         let json = serde_json::to_string(&c).unwrap();
-        assert_eq!(json, r#"{"a":1,"b":2}"#);
+        assert_eq!(json, r#"{"join.candidates":1,"join.emitted":2}"#);
     }
 
     #[test]
@@ -500,16 +512,16 @@ mod tests {
     fn counter_inc_hit_path_does_not_allocate_keys() {
         let mut c = Counters::new();
         let before = KEY_ALLOCS.with(std::cell::Cell::get);
-        c.inc("hot.counter", 1);
+        c.inc(names::JOIN_CANDIDATES, 1);
         for _ in 0..1000 {
-            c.inc("hot.counter", 1);
+            c.inc(names::JOIN_CANDIDATES, 1);
         }
         let allocs = KEY_ALLOCS.with(std::cell::Cell::get) - before;
         assert_eq!(allocs, 1, "only the first inc of a name allocates");
-        assert_eq!(c.get("hot.counter"), 1001);
+        assert_eq!(c.get(names::JOIN_CANDIDATES), 1001);
         // A second distinct name costs exactly one more allocation.
-        c.inc("other", 5);
-        c.inc("other", 5);
+        c.inc(names::JOIN_EMITTED, 5);
+        c.inc(names::JOIN_EMITTED, 5);
         let allocs = KEY_ALLOCS.with(std::cell::Cell::get) - before;
         assert_eq!(allocs, 2);
     }

@@ -62,7 +62,7 @@ pub use snapshot::TelemetrySnapshot;
 pub use straggler::{detect_stragglers, Straggler};
 
 use crate::error::EngineError;
-use parking_lot::Mutex;
+use crate::sync::Locked;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -228,7 +228,7 @@ fn jsonl_of(events: &[Event]) -> String {
 }
 
 /// The event buffer and the dump frozen by the last failed job, behind
-/// one mutex (taken per event batch or heartbeat quantum, never per
+/// one lock (taken per event batch or heartbeat quantum, never per
 /// record).
 #[derive(Debug, Default)]
 struct Log {
@@ -243,7 +243,7 @@ struct Log {
 pub struct Observer {
     clock: Arc<dyn Clock>,
     heartbeat_every: u64,
-    log: Mutex<Log>,
+    log: Locked<Log>,
 }
 
 impl Default for Observer {
@@ -266,7 +266,7 @@ impl Observer {
         Observer {
             clock,
             heartbeat_every: heartbeat_every.max(1),
-            log: Mutex::new(Log::default()),
+            log: Locked::default(),
         }
     }
 
@@ -288,13 +288,13 @@ impl Observer {
 
     /// Appends one event (one lock acquisition).
     pub(crate) fn record(&self, event: Event) {
-        self.log.lock().events.push(event);
+        self.log.write(|log| log.events.push(event));
     }
 
     /// Appends a phase's batched events (one lock acquisition per batch).
     pub(crate) fn record_batch(&self, batch: Vec<Event>) {
         if !batch.is_empty() {
-            self.log.lock().events.extend(batch);
+            self.log.write(|log| log.events.extend(batch));
         }
     }
 
@@ -344,21 +344,18 @@ impl Observer {
     /// and freezes the JSONL of the last [`FLIGHT_TAIL`] events for
     /// forensics (readable via [`Observer::last_flight_dump`]).
     pub(crate) fn note_error(&self, job: &str, t_ns: u64, err: &EngineError) {
-        let mut log = self.log.lock();
-        log.events.push(Event::instant(
-            EventKind::Error,
-            format!("{job}: {err}"),
-            0,
-            t_ns,
-        ));
-        let tail = log.events.len().saturating_sub(FLIGHT_TAIL);
-        let dump = jsonl_of(log.events.get(tail..).unwrap_or_default());
-        log.flight_dump = Some(dump);
+        let error = Event::instant(EventKind::Error, format!("{job}: {err}"), 0, t_ns);
+        self.log.write(|log| {
+            log.events.push(error);
+            let tail = log.events.len().saturating_sub(FLIGHT_TAIL);
+            let dump = jsonl_of(log.events.get(tail..).unwrap_or_default());
+            log.flight_dump = Some(dump);
+        });
     }
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.log.lock().events.len()
+        self.log.read(|log| log.events.len())
     }
 
     /// True if nothing has been recorded.
@@ -368,40 +365,42 @@ impl Observer {
 
     /// A copy of the events recorded so far, in recording order.
     pub fn events(&self) -> Vec<Event> {
-        self.log.lock().events.clone()
+        self.log.read(|log| log.events.clone())
     }
 
     /// Renders the Chrome trace-event JSON (`{"traceEvents": [...]}`) —
     /// open in `chrome://tracing` or Perfetto. Heartbeat, straggler
     /// and error instants render as zero-duration complete events.
     pub fn chrome_trace(&self) -> String {
-        let log = self.log.lock();
-        let mut out = String::with_capacity(log.events.len() * 96 + 32);
-        out.push_str("{\"traceEvents\":[");
-        for (i, ev) in log.events.iter().enumerate() {
-            out.push_str(if i > 0 { ",\n  " } else { "\n  " });
-            ev.write_json(&mut out);
-        }
-        out.push_str("\n]}\n");
-        out
+        self.log.read(|log| {
+            let mut out = String::with_capacity(log.events.len() * 96 + 32);
+            out.push_str("{\"traceEvents\":[");
+            for (i, ev) in log.events.iter().enumerate() {
+                out.push_str(if i > 0 { ",\n  " } else { "\n  " });
+                ev.write_json(&mut out);
+            }
+            out.push_str("\n]}\n");
+            out
+        })
     }
 
     /// Renders one JSON object per line (same objects as the Chrome
     /// trace), for `grep`/`jq` pipelines.
     pub fn jsonl(&self) -> String {
-        jsonl_of(&self.log.lock().events)
+        self.log.read(|log| jsonl_of(&log.events))
     }
 
     /// The tail of [`Observer::jsonl`] as it stood when the most recent
     /// failed job recorded its `error` line, if any job has failed.
     pub fn last_flight_dump(&self) -> Option<String> {
-        self.log.lock().flight_dump.clone()
+        self.log.read(|log| log.flight_dump.clone())
     }
 
     /// The series and histograms folded from the events recorded so far
     /// (see [`TelemetrySnapshot::from_events`]).
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot::from_events(&self.log.lock().events)
+        self.log
+            .read(|log| TelemetrySnapshot::from_events(&log.events))
     }
 }
 

@@ -13,7 +13,7 @@
 
 use super::hist::{bucket_upper_bound, Histogram};
 use super::{Event, EventKind};
-use crate::metrics::names::{self, is_execution_shape_series};
+use crate::metrics::names::{self, is_execution_shape_series, Counter};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -75,13 +75,13 @@ impl TelemetrySnapshot {
         snap
     }
 
-    fn inc_series(&mut self, series: &str, delta: u64) {
+    fn inc_series(&mut self, series: &Counter, delta: u64) {
         *self.series.entry(series.to_string()).or_insert(0) += delta;
     }
 
     /// Records arg `key` of `ev` — or nothing, when a failed phase left
     /// the arg off its span — into histogram `hist`, returning the value.
-    fn record_hist(&mut self, hist: &str, ev: &Event, key: &str) -> u64 {
+    fn record_hist(&mut self, hist: &Counter, ev: &Event, key: &str) -> u64 {
         let value = ev.get(key);
         if let Some(v) = value {
             self.histograms

@@ -28,7 +28,7 @@
 //! output for any thread count) and the engine merges results in bucket
 //! (key) order regardless of execution order, so outputs and data-plane
 //! counters are byte-identical for every [`SchedPolicy`] — pinned by the
-//! `schedule_equivalence` proptest and a `repolint audit` leg. Only the
+//! `schedule_equivalence` proptest and a determinism-audit leg. Only the
 //! `sched.*` execution-shape counters differ (see
 //! [`crate::metrics::names`]).
 //!
@@ -41,7 +41,7 @@
 //! actual concurrency sits near `worker_threads`.
 
 use crate::engine::ClusterConfig;
-use parking_lot::Mutex;
+use crate::sync::Locked;
 use std::fmt;
 use std::str::FromStr;
 
@@ -137,7 +137,7 @@ pub struct SchedulePlan {
     /// Per-bucket grant ceiling (`intra_reduce_threads`).
     intra_cap: usize,
     /// Spare thread tokens heavy buckets draw extra threads from.
-    pool: Mutex<usize>,
+    pool: Locked<usize>,
 }
 
 impl SchedulePlan {
@@ -180,7 +180,7 @@ impl SchedulePlan {
             scores,
             heavy,
             intra_cap: cfg.intra_reduce_threads.max(1),
-            pool: Mutex::new(pool),
+            pool: Locked::new(pool),
         }
     }
 
@@ -221,9 +221,11 @@ impl SchedulePlan {
                 if !self.is_heavy(index) {
                     return 1;
                 }
-                let mut pool = self.pool.lock();
-                let extra = self.intra_cap.saturating_sub(1).min(*pool);
-                *pool -= extra;
+                let extra = self.pool.write(|pool| {
+                    let extra = self.intra_cap.saturating_sub(1).min(*pool);
+                    *pool -= extra;
+                    extra
+                });
                 1 + extra
             }
         }
@@ -234,13 +236,13 @@ impl SchedulePlan {
     /// [`SchedPolicy::AllSerial`].
     pub fn release(&self, grant: usize) {
         if self.policy == SchedPolicy::SkewDriven && grant > 1 {
-            *self.pool.lock() += grant - 1;
+            self.pool.write(|pool| *pool += grant - 1);
         }
     }
 
     /// Free tokens currently in the pool (diagnostic).
     pub fn free_tokens(&self) -> usize {
-        *self.pool.lock()
+        self.pool.read(|pool| *pool)
     }
 }
 

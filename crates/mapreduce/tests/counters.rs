@@ -6,8 +6,15 @@
 //! identical for every `worker_threads` count — the Hadoop counter
 //! contract the algorithms' replica/candidate statistics rely on.
 
+use ij_mapreduce::metrics::names::{self, Counter};
 use ij_mapreduce::{ClusterConfig, CostModel, Counters, Emitter, Engine, ReduceCtx, ValueStream};
 use proptest::prelude::*;
+
+/// The `i`-th registered name, cycling — counters can only be recorded
+/// under registered names.
+fn name(i: u64) -> &'static Counter {
+    names::ALL[i as usize % names::ALL.len()]
+}
 
 /// A small name pool keeps collisions frequent, which is where merge bugs
 /// would hide.
@@ -17,8 +24,8 @@ fn entries_strategy() -> impl Strategy<Value = Vec<(u8, u64)>> {
 
 fn counters_from(entries: &[(u8, u64)]) -> Counters {
     let mut c = Counters::new();
-    for (name, delta) in entries {
-        c.inc(&format!("c{name}"), *delta);
+    for (i, delta) in entries {
+        c.inc(name(u64::from(*i)), *delta);
     }
     c
 }
@@ -77,14 +84,14 @@ proptest! {
                 "prop-counters",
                 &input,
                 move |&n: &u64, e: &mut Emitter<u64>| {
-                    e.inc(if n % 2 == 0 { "even" } else { "odd" }, 1 + n % 3);
+                    e.inc(name(n % 2), 1 + n % 3);
                     for i in 0..1 + n % fanout {
                         e.emit((n + i) % 13, n);
                     }
                 },
                 |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<u64>| {
-                    ctx.inc("groups", 1);
-                    ctx.inc(&format!("bucket{}", ctx.key % 3), vs.len() as u64);
+                    ctx.inc(names::PROGRESS_REDUCERS_DONE, 1);
+                    ctx.inc(name(2 + ctx.key % 3), vs.len() as u64);
                     out.push(vs.len() as u64);
                 },
             )
@@ -98,4 +105,32 @@ proptest! {
             prop_assert_eq!(&run(threads), &base, "threads = {}", threads);
         }
     }
+}
+
+#[test]
+fn execution_shape_classifiers_are_registry_backed() {
+    // Both classifiers must be the registry's: the crate-root counter
+    // re-export and the snapshot's data-plane projection agree with the
+    // registry module on every registered name.
+    let mut all = ij_mapreduce::TelemetrySnapshot::default();
+    for name in names::ALL {
+        assert_eq!(
+            ij_mapreduce::is_execution_shape(name),
+            names::is_execution_shape(name),
+            "{name}"
+        );
+        all.series.insert(name.to_string(), 1);
+    }
+    let kept = all.data_plane().series;
+    for name in names::ALL {
+        assert_eq!(
+            kept.contains_key(&***name),
+            !names::is_execution_shape_series(name),
+            "{name}"
+        );
+    }
+    // The one intentionally split classification stays pinned: reduce
+    // heartbeats are execution-shape as counters but data-plane as series.
+    assert!(names::is_execution_shape(names::HEARTBEATS_REDUCE));
+    assert!(!names::is_execution_shape_series(names::HEARTBEATS_REDUCE));
 }

@@ -61,7 +61,7 @@ fn run(
                 e.emit(1 + n % 12, n);
             },
             |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<(u64, u64)>| {
-                ctx.inc("groups", 1);
+                ctx.inc(names::PROGRESS_REDUCERS_DONE, 1);
                 for v in vs.by_ref() {
                     out.push((ctx.key, v));
                 }

@@ -9,7 +9,7 @@
 //! for). Each is swept across policies × threads {1, 2, 8} × budgets
 //! {∞, 64}, every combination byte-diffed against the skew-driven
 //! single-thread unbudgeted baseline through a fresh [`Dfs`] — the same
-//! discipline as `repolint audit`.
+//! discipline as the root `tests/audit_determinism.rs`.
 
 use ij_mapreduce::metrics::names;
 use ij_mapreduce::{
@@ -58,7 +58,7 @@ fn run(
                 }
             },
             |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<(u64, u64)>| {
-                ctx.inc("groups", 1);
+                ctx.inc(names::PROGRESS_REDUCERS_DONE, 1);
                 let mut acc = 0u64;
                 for v in vs.by_ref() {
                     acc = acc.wrapping_mul(31).wrapping_add(v);

@@ -7,6 +7,7 @@
 //! observables (`spill.*` counters, `spill_wall`). These properties pin
 //! that equivalence over arbitrary emit patterns.
 
+use ij_mapreduce::metrics::names;
 use ij_mapreduce::{
     is_execution_shape, ClusterConfig, CostModel, Counters, Emitter, Engine, JobOutput, ReduceCtx,
     ValueStream,
@@ -43,7 +44,7 @@ fn run(input: &[u64], fanout: u64, threads: usize, budget: Option<u64>) -> JobOu
                 }
             },
             |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<(u64, u64)>| {
-                ctx.inc("groups", 1);
+                ctx.inc(names::PROGRESS_REDUCERS_DONE, 1);
                 for v in vs.by_ref() {
                     out.push((ctx.key, v));
                 }
