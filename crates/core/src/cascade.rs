@@ -16,7 +16,7 @@ use crate::input::JoinInput;
 use crate::kernel::{range_pair, RangePair};
 use crate::output::{JoinOutput, OutputMode};
 use crate::records::{CompRec, OutRec};
-use ij_interval::{bounds_contain, ops, Interval, MapOp, Partitioning, RelId, TupleId};
+use ij_interval::{bounds_contain, ops, Interval, MapOp, RelId, TupleId};
 use ij_mapreduce::metrics::names;
 use ij_mapreduce::{Emitter, Engine, JobChain, Record, ReduceCtx, ValueStream};
 use ij_query::{Condition, JoinQuery};
@@ -237,43 +237,30 @@ pub fn run_stage(
             }),
     );
 
-    // Routing.
-    enum Routing {
-        OneD {
-            part: Partitioning,
-            comp_op: MapOp,
-            base_op: MapOp,
-        },
-        Matrix {
-            part: Partitioning,
-            space: CellSpace,
-        },
-    }
-    let routing = if stage.primary.pred.is_colocation() {
+    // Routing: the partitioning, the matrix and each side's (dimension,
+    // operation). A colocation stage is a 1-D matrix (cell `p` is
+    // partition `p`) with the predicate's map operations; a sequence stage
+    // a 2-D All-Matrix — dim 0 the composite (via the primary's member
+    // interval), dim 1 the new relation — projecting both.
+    let (part, space, comp, base) = if stage.primary.pred.is_colocation() {
         let (op_l, op_r) = stage.primary.pred.map_ops();
         let (comp_op, base_op) = if comp_is_left {
             (op_l, op_r)
         } else {
             (op_r, op_l)
         };
-        Routing::OneD {
-            part: RunArtifacts::partition_span(span, partitions)?,
-            comp_op,
-            base_op,
-        }
+        let part = RunArtifacts::partition_span(span, partitions)?;
+        let space = CellSpace::new(1, part.len(), Vec::new())?;
+        (part, space, (0, comp_op), (0, base_op))
     } else {
-        // 2-D All-Matrix: dim 0 = composite (via the primary's member
-        // interval), dim 1 = the new relation.
-        let lesser_is_comp = stage.primary.lesser().rel == comp_rel;
-        let constraints = if lesser_is_comp {
+        let constraints = if stage.primary.lesser().rel == comp_rel {
             vec![(0, 1)]
         } else {
             vec![(1, 0)]
         };
-        Routing::Matrix {
-            part: RunArtifacts::partition_span(span, per_dim_2d)?,
-            space: CellSpace::new(2, per_dim_2d, constraints)?,
-        }
+        let part = RunArtifacts::partition_span(span, per_dim_2d)?;
+        let space = CellSpace::new(2, per_dim_2d, constraints)?;
+        (part, space, (0, MapOp::Project), (1, MapOp::Project))
     };
 
     let stage_name = format!("cascade-{}", state.present.len());
@@ -283,39 +270,14 @@ pub fn run_stage(
     let out = engine.run_job(
         &stage_name,
         &records,
-        |rec: &CascRec, em: &mut Emitter<CascRec>| match &routing {
-            Routing::OneD {
-                part,
-                comp_op,
-                base_op,
-            } => {
-                let (op, iv) = match rec {
-                    CascRec::Comp(c) => (*comp_op, c.ivs[comp_slot]),
-                    CascRec::Base { iv, .. } => (*base_op, *iv),
-                };
-                let before = em.emitted();
-                for p in ops::apply(op, iv, part) {
-                    em.emit(p as u64, rec.clone());
-                }
-                let copies = (em.emitted() - before) as u64;
-                match rec {
-                    CascRec::Comp(_) => em.inc(names::CASCADE_COMP_PAIRS, copies),
-                    CascRec::Base { .. } => em.inc(names::CASCADE_BASE_PAIRS, copies),
-                }
-            }
-            Routing::Matrix { part, space } => {
-                let (dim, iv) = match rec {
-                    CascRec::Comp(c) => (0, c.ivs[comp_slot]),
-                    CascRec::Base { iv, .. } => (1, *iv),
-                };
-                let qidx = part.index_of(iv.start());
-                let cells = space.cells_eq(dim, qidx);
-                em.emit_to_all(cells.iter().copied(), rec);
-                match rec {
-                    CascRec::Comp(_) => em.inc(names::CASCADE_COMP_PAIRS, cells.len() as u64),
-                    CascRec::Base { .. } => em.inc(names::CASCADE_BASE_PAIRS, cells.len() as u64),
-                }
-            }
+        |rec: &CascRec, em: &mut Emitter<CascRec>| {
+            let ((dim, op), iv, counter) = match rec {
+                CascRec::Comp(c) => (comp, c.ivs[comp_slot], names::CASCADE_COMP_PAIRS),
+                CascRec::Base { iv, .. } => (base, *iv, names::CASCADE_BASE_PAIRS),
+            };
+            let cells = space.cells_in(dim, ops::apply(op, iv, &part));
+            em.emit_to_all(cells.iter().copied(), rec);
+            em.inc(counter, cells.len() as u64);
         },
         |ctx: &mut ReduceCtx, values: &mut ValueStream<CascRec>, out: &mut Vec<StageOut>| {
             let mut comps: Vec<CompRec> = Vec::new();

@@ -5,7 +5,9 @@
 //! project / split / replicate, fixed or — §8.1's E1/E2 — replicate if the
 //! marking flagged the interval, project otherwise. The operation's
 //! partition range, lifted to the consistent cells, is where an interval
-//! goes. Six families are settings (DESIGN.md §5 tabulates them).
+//! goes. Six families are settings (DESIGN.md §5 tabulates them), and
+//! Gen-Matrix runs the mark stage alone ([`ComponentMatrix::mark`]) on a
+//! setting whose relations are its ⟨relation, attribute⟩ vertices.
 //!
 //! * **mark** — only multi-member marked groups take part. Their intervals
 //!   are *split*, but a copy goes to partition `p` only when it is
@@ -44,7 +46,9 @@ use crate::rccis::marking::{self, mark_with_options, MarkOptions};
 use crate::records::{IvRec, OutRec};
 use ij_interval::{ops, Interval, MapOp, Partitioning, RelId, Time, TupleId};
 use ij_mapreduce::metrics::names::{self, Counter};
-use ij_mapreduce::{Emitter, Engine, EngineError, JobChain, JobOutput, ReduceCtx, ValueStream};
+use ij_mapreduce::{
+    Emitter, Engine, EngineError, JobChain, JobMetrics, JobOutput, ReduceCtx, ValueStream,
+};
 use ij_query::{AttrRef, Condition, JoinQuery, StartOrder};
 use std::collections::BTreeSet;
 
@@ -176,14 +180,12 @@ fn participant_key(rel: u64, tid: TupleId) -> u64 {
 /// One bit per interval, `flags[r][tid]` for logical relation `r` (tuple
 /// ids are dense, `Relation` keeps `tuples[i].id == i`): the mark stage's
 /// verdicts, and the prune stage's participants.
-type Flags = Vec<Vec<bool>>;
+pub(crate) type Flags = Vec<Vec<bool>>;
 
-/// The bitmap of `input`'s relations with exactly the [`participant_key`]s
-/// `keys` set.
-fn flags_of(input: &JoinInput, keys: impl IntoIterator<Item = u64>) -> Flags {
-    let mut flags: Flags = (input.relations().iter())
-        .map(|rel| vec![false; rel.len()])
-        .collect();
+/// The bitmap of relations of `sizes[r]` intervals each with exactly the
+/// [`participant_key`]s `keys` set.
+fn flags_of(sizes: &[usize], keys: impl IntoIterator<Item = u64>) -> Flags {
+    let mut flags: Flags = sizes.iter().map(|&n| vec![false; n]).collect();
     for key in keys {
         flags[(key >> 32) as usize][key as u32 as usize] = true;
     }
@@ -288,14 +290,15 @@ impl ComponentMatrix<'_> {
         let stages = self.stages(engine)?;
         let any_marked = stages.subs.iter().any(Option::is_some);
         let records = iv_records(input);
+        let sizes: Vec<usize> = input.relations().iter().map(|rel| rel.len()).collect();
 
         let mut chain = JobChain::new();
         let flags = if any_marked {
             let marked = stages.mark(&records)?;
             chain.push(marked.metrics);
-            flags_of(input, marked.outputs)
+            flags_of(&sizes, marked.outputs)
         } else {
-            flags_of(input, [])
+            flags_of(&sizes, [])
         };
         let mut participants = None;
         if self.prune && any_marked {
@@ -304,7 +307,7 @@ impl ComponentMatrix<'_> {
             // The paper's prune volume, whichever route each group took.
             (pruned.metrics.counters).inc(names::PASM_SHUFFLED_PRUNE_PAIRS, shuffled);
             chain.push(pruned.metrics);
-            participants = Some(flags_of(input, pruned.outputs));
+            participants = Some(flags_of(&sizes, pruned.outputs));
         }
         let joined = stages.join(&records, &flags, participants.as_ref())?;
         chain.push(joined.metrics);
@@ -327,6 +330,19 @@ impl ComponentMatrix<'_> {
             }
         }
         Ok(out)
+    }
+
+    /// Runs the mark stage alone, whether or not a group is marked, over
+    /// `records`: `sizes[r]` intervals of each relation `r`, with dense
+    /// tuple ids. Returns the flags and the cycle's metrics.
+    pub(crate) fn mark(
+        &self,
+        records: &[IvRec],
+        sizes: &[usize],
+        engine: &Engine,
+    ) -> Result<(Flags, JobMetrics), AlgoError> {
+        let marked = self.stages(engine)?.mark(records)?;
+        Ok((flags_of(sizes, marked.outputs), marked.metrics))
     }
 
     /// Checks that the groups partition the relations and that the marking
@@ -427,9 +443,8 @@ impl Stages<'_> {
                 let marking = mark_with_options(sub, cm.part, p, per_slot, cm.mark_options);
                 ctx.add_work(marking.work);
                 // The marking flags only intervals that start in `p`.
-                for ((&rel, list), flags) in members.iter().zip(&marking.sorted).zip(&marking.flags)
-                {
-                    for (&(_, tid), _) in list.iter().zip(flags).filter(|(_, &f)| f) {
+                for (&rel, tids) in members.iter().zip(&marking.flagged) {
+                    for &tid in tids {
                         if counters {
                             ctx.inc(names::RCCIS_FLAGGED_INTERVALS, 1);
                         }
@@ -704,12 +719,10 @@ mod tests {
         options: MarkOptions,
     ) -> BTreeSet<(usize, TupleId)> {
         let marking = mark_with_options(q, part, p, per_slot, options);
-        let slots = marking.sorted.iter().zip(&marking.flags).enumerate();
-        let pairs = slots.flat_map(|(slot, (list, flags))| {
-            let hits = list.iter().zip(flags).filter(|(_, &f)| f);
-            hits.map(move |(&(_, tid), _)| (slot, tid))
-        });
-        pairs.collect()
+        let slots = marking.flagged.iter().enumerate();
+        slots
+            .flat_map(|(slot, tids)| tids.iter().map(move |&tid| (slot, tid)))
+            .collect()
     }
 
     /// What the reach lemma rests on, run per partition: the marking of the
@@ -994,6 +1007,7 @@ mod tests {
                 .collect();
             let input = JoinInput::bind_owned(&q, relations).unwrap();
             let records = iv_records(&input);
+            let sizes: Vec<usize> = rels.iter().map(Vec::len).collect();
             for k in [1, 6] {
                 let part = RunArtifacts::partition_span(input.span(), k).unwrap();
                 let setting = ComponentMatrix {
@@ -1021,12 +1035,10 @@ mod tests {
                         ..ClusterConfig::default()
                     });
                     let stages = setting.stages(&engine).unwrap();
-                    let flags = flags_of(&input, stages.mark(&records).unwrap().outputs);
+                    let (flags, _) = setting.mark(&records, &sizes, &engine).unwrap();
                     let run = |routes: &[PruneRoute]| {
-                        flags_of(
-                            &input,
-                            stages.prune(&records, &flags, routes).unwrap().outputs,
-                        )
+                        let pruned = stages.prune(&records, &flags, routes).unwrap();
+                        flags_of(&sizes, pruned.outputs)
                     };
                     let shuffled = run(&vec![PruneRoute::Shuffled; groups.len()]);
                     let at = format!("{q} k={k} threads={threads} budget={budget:?} {rels:?}");

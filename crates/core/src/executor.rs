@@ -9,14 +9,12 @@
 //!
 //! This module holds what more than one join path shares: the
 //! [`Candidates`] index, the binding order, and the start-window helpers
-//! (`window`, `tighten_lower`/`tighten_upper`). Single-attribute buckets
-//! are joined by the dispatching kernels of [`crate::kernel`]; the
-//! `holds`-based reference they are tested against
-//! ([`crate::oracle::reference_join`]) is the oracle's engine.
-//!
-//! [`join_tuples`] is the general path for multi-attribute queries
-//! (Gen-Matrix): a scan-based backtracking join with incremental condition
-//! checks, adequate for the cell-sized groups reducers see.
+//! (`window`, `tighten_lower`/`tighten_upper`). Single-attribute buckets —
+//! the RCCIS marking's subset joins included — are joined by the
+//! dispatching kernels of [`crate::kernel`]; the `holds`-based reference
+//! they are tested against ([`crate::oracle::reference_join`]) is the
+//! single-attribute oracle's engine. Gen-Matrix's multi-attribute reducer
+//! keeps its own scan in `crate::gen_matrix`.
 
 use ij_interval::{Interval, Time, TupleId};
 use ij_query::JoinQuery;
@@ -194,188 +192,10 @@ pub(crate) fn window(
     window_by(list, |(iv, _)| iv.start(), lo, hi)
 }
 
-/// General multi-attribute backtracking join over full tuples.
-///
-/// `lists[r]` holds relation `r`'s candidate tuples as
-/// `(tuple id, attribute values)`. Scan-based (no index), with conditions
-/// checked as soon as both endpoints are bound.
-pub fn join_tuples(
-    q: &JoinQuery,
-    lists: &[Vec<(TupleId, Vec<Interval>)>],
-    accept: impl Fn(&[(TupleId, &[Interval])]) -> bool,
-    mut on_output: impl FnMut(&[(TupleId, &[Interval])]),
-) -> u64 {
-    let m = q.num_relations() as usize;
-    debug_assert_eq!(lists.len(), m);
-    if lists.iter().any(Vec::is_empty) {
-        return 0;
-    }
-    let order = binding_order(q, |r| lists[r].len());
-    let mut level_of = vec![0usize; m];
-    for (lvl, &r) in order.iter().enumerate() {
-        level_of[r] = lvl;
-    }
-    let mut checks: Vec<Vec<&ij_query::Condition>> = vec![Vec::new(); m];
-    for c in q.conditions() {
-        let (l, r) = (c.left.rel.idx(), c.right.rel.idx());
-        let later = if level_of[l] > level_of[r] { l } else { r };
-        checks[level_of[later]].push(c);
-    }
-    let mut chosen: Vec<usize> = vec![0; m];
-    let mut work = 0u64;
-    descend_tuples(
-        lists,
-        &order,
-        &checks,
-        0,
-        &mut chosen,
-        &accept,
-        &mut on_output,
-        &mut work,
-    );
-    work
-}
-
-#[allow(clippy::too_many_arguments)]
-fn descend_tuples(
-    lists: &[Vec<(TupleId, Vec<Interval>)>],
-    order: &[usize],
-    checks: &[Vec<&ij_query::Condition>],
-    level: usize,
-    chosen: &mut Vec<usize>,
-    accept: &impl Fn(&[(TupleId, &[Interval])]) -> bool,
-    on_output: &mut impl FnMut(&[(TupleId, &[Interval])]),
-    work: &mut u64,
-) {
-    if level == order.len() {
-        let assignment: Vec<(TupleId, &[Interval])> = (0..lists.len())
-            .map(|r| {
-                let (tid, attrs) = &lists[r][chosen[r]];
-                (*tid, attrs.as_slice())
-            })
-            .collect();
-        if accept(&assignment) {
-            on_output(&assignment);
-        }
-        return;
-    }
-    let rel = order[level];
-    *work += lists[rel].len() as u64;
-    'candidates: for (i, (_, attrs)) in lists[rel].iter().enumerate() {
-        for c in &checks[level] {
-            let (this_ref, other_ref, this_is_left) = if c.left.rel.idx() == rel {
-                (c.left, c.right, true)
-            } else {
-                (c.right, c.left, false)
-            };
-            let this_iv = attrs[this_ref.attr as usize];
-            let other = &lists[other_ref.rel.idx()][chosen[other_ref.rel.idx()]];
-            let other_iv = other.1[other_ref.attr as usize];
-            let ok = if this_is_left {
-                c.pred.holds(this_iv, other_iv)
-            } else {
-                c.pred.holds(other_iv, this_iv)
-            };
-            if !ok {
-                continue 'candidates;
-            }
-        }
-        chosen[rel] = i;
-        descend_tuples(
-            lists,
-            order,
-            checks,
-            level + 1,
-            chosen,
-            accept,
-            on_output,
-            work,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ij_interval::AllenPredicate::*;
-
-    fn iv(s: i64, e: i64) -> Interval {
-        Interval::new(s, e).unwrap()
-    }
-
-    #[test]
-    fn join_tuples_matches_single_attr_on_plain_queries() {
-        let q = JoinQuery::chain(&[Overlaps, Before]).unwrap();
-        let mut c = Candidates::new(3);
-        let data: [&[(i64, i64)]; 3] = [
-            &[(0, 10), (2, 7), (30, 35)],
-            &[(5, 12), (6, 20)],
-            &[(15, 18), (25, 40), (13, 14)],
-        ];
-        let mut lists: Vec<Vec<(TupleId, Vec<Interval>)>> = vec![Vec::new(); 3];
-        for (r, rows) in data.iter().enumerate() {
-            for (t, &(s, e)) in rows.iter().enumerate() {
-                c.push(r, iv(s, e), t as u32);
-                lists[r].push((t as u32, vec![iv(s, e)]));
-            }
-        }
-        c.finish();
-        let mut fast: Vec<Vec<TupleId>> = Vec::new();
-        crate::oracle::reference_join(&q, &c, |a| fast.push(a.iter().map(|(_, t)| *t).collect()));
-        fast.sort();
-        let mut slow: Vec<Vec<TupleId>> = Vec::new();
-        join_tuples(
-            &q,
-            &lists,
-            |_| true,
-            |a| slow.push(a.iter().map(|(t, _)| *t).collect()),
-        );
-        slow.sort();
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn join_tuples_multi_attribute() {
-        use ij_query::{AttrRef, Condition};
-        // R1.a0 overlaps R2.a0 and R1.a1 = R2.a1
-        let q = JoinQuery::with_relations(
-            vec![
-                ij_query::query::RelationMeta {
-                    name: "R1".into(),
-                    attr_names: vec!["I".into(), "A".into()],
-                },
-                ij_query::query::RelationMeta {
-                    name: "R2".into(),
-                    attr_names: vec!["I".into(), "A".into()],
-                },
-            ],
-            vec![
-                Condition::new(AttrRef::new(0, 0), Overlaps, AttrRef::new(1, 0)),
-                Condition::new(AttrRef::new(0, 1), Equals, AttrRef::new(1, 1)),
-            ],
-        )
-        .unwrap();
-        let lists = vec![
-            vec![
-                (0u32, vec![iv(0, 10), Interval::point(7)]),
-                (1u32, vec![iv(0, 10), Interval::point(8)]),
-            ],
-            vec![
-                (0u32, vec![iv(5, 15), Interval::point(7)]),
-                (1u32, vec![iv(5, 15), Interval::point(9)]),
-            ],
-        ];
-        let mut out = Vec::new();
-        join_tuples(
-            &q,
-            &lists,
-            |_| true,
-            |a| {
-                out.push((a[0].0, a[1].0));
-            },
-        );
-        assert_eq!(out, vec![(0, 0)]);
-    }
 
     #[test]
     fn binding_order_covers_disconnected_queries() {

@@ -6,7 +6,9 @@
 //! * [`nested_loop`] — the generic oracle for any query class; its
 //!   single-attribute engine, [`reference_join`], re-checks every
 //!   condition with `holds` and shares nothing with the reducer kernels
-//!   but the binding order;
+//!   but the binding order, and multi-attribute (General-class) queries
+//!   take the definition itself, an odometer over the cross product with
+//!   `JoinQuery::satisfied_by_tuples`;
 //! * [`plane_sweep`] — an independent sort-based implementation for 2-way
 //!   colocation joins, used to cross-check the oracle itself;
 //! * [`indexed`] — a third independent 2-way implementation on top of

@@ -1,10 +1,10 @@
 //! The generic single-node oracle.
 
-use crate::executor::{join_tuples, Candidates};
+use crate::executor::Candidates;
 use crate::input::JoinInput;
 use crate::kernel::backtrack::reference_join;
 use crate::output::OutputTuple;
-use ij_interval::TupleId;
+use ij_interval::Tuple;
 use ij_query::{JoinQuery, QueryClass};
 
 /// Computes the exact join output on a single node, sorted canonically.
@@ -14,24 +14,13 @@ use ij_query::{JoinQuery, QueryClass};
 /// dispatched reducer kernels, their endpoint ranges or their sweeps, so a
 /// kernel bug cannot hide in a step shared with what it is checked
 /// against, and routing bugs manifest as missing or duplicated tuples.
-/// Multi-attribute queries use the general tuple executor. Despite the
-/// module name neither is a naive quadratic loop.
+/// Multi-attribute queries take the definition itself: every combination
+/// of the cross product that `satisfied_by_tuples` accepts — quadratic and
+/// worse, for test-sized inputs only, and sharing no code with Gen-Matrix.
 pub fn oracle_join(q: &JoinQuery, input: &JoinInput) -> Vec<OutputTuple> {
     let mut out: Vec<OutputTuple> = Vec::new();
     if q.class() == QueryClass::General {
-        let lists: Vec<Vec<(TupleId, Vec<ij_interval::Interval>)>> = input
-            .relations()
-            .iter()
-            .map(|r| r.tuples().iter().map(|t| (t.id, t.attrs.clone())).collect())
-            .collect();
-        join_tuples(
-            q,
-            &lists,
-            |_| true,
-            |a| {
-                out.push(a.iter().map(|(tid, _)| *tid).collect());
-            },
-        );
+        out = cross_product(q, input);
     } else {
         let m = q.num_relations() as usize;
         let mut cands = Candidates::new(m);
@@ -47,6 +36,38 @@ pub fn oracle_join(q: &JoinQuery, input: &JoinInput) -> Vec<OutputTuple> {
     }
     out.sort_unstable();
     out
+}
+
+/// Every tuple combination of `input` that `satisfied_by_tuples` accepts,
+/// by an odometer over the cross product: the definition of the join.
+fn cross_product(q: &JoinQuery, input: &JoinInput) -> Vec<OutputTuple> {
+    let rels = input.relations();
+    let mut out = Vec::new();
+    if rels.iter().any(|r| r.is_empty()) {
+        return out;
+    }
+    let mut pick = vec![0usize; rels.len()];
+    loop {
+        let tuples: Vec<&Tuple> = (pick.iter().zip(rels))
+            .map(|(&i, r)| &r.tuples()[i])
+            .collect();
+        if q.satisfied_by_tuples(&tuples) {
+            out.push(tuples.iter().map(|t| t.id).collect());
+        }
+        // Odometer step over the cross product.
+        let mut r = rels.len();
+        loop {
+            if r == 0 {
+                return out;
+            }
+            r -= 1;
+            pick[r] += 1;
+            if pick[r] < rels[r].len() {
+                break;
+            }
+            pick[r] = 0;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -120,108 +141,5 @@ mod tests {
         let out = oracle_join(&q, &input);
         // 0 ov 1, 1 ov 2 -> (0,1,2) only.
         assert_eq!(out, vec![vec![0, 1, 2]]);
-    }
-
-    /// Every tuple combination of `input` (no relation empty) that
-    /// `satisfied_by_tuples` accepts — the definition of the join, sharing
-    /// no code with `join_tuples`.
-    fn brute_force(q: &JoinQuery, input: &JoinInput) -> Vec<OutputTuple> {
-        let rels = input.relations();
-        let mut out = Vec::new();
-        let mut pick = vec![0usize; rels.len()];
-        loop {
-            let tuples: Vec<&ij_interval::Tuple> = pick
-                .iter()
-                .zip(rels)
-                .map(|(&i, r)| &r.tuples()[i])
-                .collect();
-            if q.satisfied_by_tuples(&tuples) {
-                out.push(tuples.iter().map(|t| t.id).collect());
-            }
-            // Odometer step over the cross product.
-            let mut r = rels.len();
-            loop {
-                if r == 0 {
-                    out.sort_unstable();
-                    return out;
-                }
-                r -= 1;
-                pick[r] += 1;
-                if pick[r] < rels[r].tuples().len() {
-                    break;
-                }
-                pick[r] = 0;
-            }
-        }
-    }
-
-    #[test]
-    fn general_class_matches_brute_force_cross_product() {
-        use ij_query::query::RelationMeta;
-        use ij_query::{AttrRef, Condition};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let meta = |name: &str, attrs: &[&str]| RelationMeta {
-            name: name.into(),
-            attr_names: attrs.iter().map(|a| a.to_string()).collect(),
-        };
-        // Q5 (Section 9.1): one interval and one or two real-valued
-        // attributes per relation.
-        let q5 = JoinQuery::with_relations(
-            vec![
-                meta("R1", &["I", "A"]),
-                meta("R2", &["I", "B"]),
-                meta("R3", &["I", "A", "B"]),
-            ],
-            vec![
-                Condition::new(AttrRef::new(0, 0), Before, AttrRef::new(1, 0)),
-                Condition::new(AttrRef::new(0, 0), Overlaps, AttrRef::new(2, 0)),
-                Condition::new(AttrRef::new(0, 1), Equals, AttrRef::new(2, 1)),
-                Condition::new(AttrRef::new(1, 1), Equals, AttrRef::new(2, 2)),
-            ],
-        )
-        .unwrap();
-        // Mixed: an interval attribute compared with a real-valued one,
-        // and a less-than between two real-valued attributes.
-        let mixed = JoinQuery::with_relations(
-            vec![meta("S", &["I", "x"]), meta("T", &["J", "y"])],
-            vec![
-                Condition::new(AttrRef::new(0, 0), Contains, AttrRef::new(1, 1)),
-                Condition::new(AttrRef::new(0, 1), Before, AttrRef::new(1, 1)),
-                Condition::new(AttrRef::new(0, 0), OverlappedBy, AttrRef::new(1, 0)),
-            ],
-        )
-        .unwrap();
-        for (q, seeds) in [(&q5, 0..6u64), (&mixed, 6..12u64)] {
-            assert_eq!(q.class(), QueryClass::General);
-            let mut total = 0;
-            for seed in seeds {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let rels = q
-                    .relations()
-                    .iter()
-                    .map(|m| {
-                        Relation::from_rows(
-                            m.name.clone(),
-                            (0..rng.gen_range(1..14usize)).map(|_| {
-                                let s = rng.gen_range(0..60i64);
-                                let mut row =
-                                    vec![Interval::new(s, s + rng.gen_range(0..25)).unwrap()];
-                                row.resize_with(m.attr_names.len(), || {
-                                    Interval::point(rng.gen_range(0..5))
-                                });
-                                row
-                            }),
-                        )
-                    })
-                    .collect();
-                let input = JoinInput::bind_owned(q, rels).unwrap();
-                let want = brute_force(q, &input);
-                assert_eq!(oracle_join(q, &input), want, "{q} (seed {seed})");
-                total += want.len();
-            }
-            assert!(total > 0, "{q}: workloads join nothing");
-        }
     }
 }

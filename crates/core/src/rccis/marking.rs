@@ -7,39 +7,40 @@
 //! such set yields the same flags, so the component-matrix pipeline ships
 //! only the copies within reach of `p`'s boundaries.
 //!
-//! ## Enumeration strategy
+//! ## A union of joins
 //!
 //! A crossing set never needs relations from two different *connected
 //! pieces* of the query graph: if the set's relation-set is disconnected,
 //! the crossing conditions factor per piece, so the union over connected
-//! relation-subsets already yields `uS_p`. The enumeration therefore:
+//! relation-subsets already yields `uS_p`. For each connected subset (for
+//! the paper's chain queries these are the `O(m²)` contiguous ranges):
 //!
-//! 1. enumerates the connected relation-subsets of the query graph (for the
-//!    paper's chain queries these are the `O(m²)` contiguous ranges);
-//! 2. for each subset, backtracks over its relations in BFS order, using
-//!    the same start-point windows as the join executor, checking pairwise
-//!    consistency incrementally;
-//! 3. at each complete assignment, checks the crossing conditions (B1/B2)
-//!    and marks the assigned intervals that start in `p`.
+//! 1. each member's list is filtered by its boundary need (B1/B2 on the
+//!    query edges leaving the subset) — the need depends on the candidate
+//!    alone, so it is a filter before the join, not a check inside it;
+//! 2. the filtered lists are joined on the subset's induced sub-query by
+//!    the reducer kernels ([`kernel::execute_into`]), with list positions
+//!    as tuple ids; a singleton subset is its filter alone;
+//! 3. every position in some binding is a member of a crossing set.
+//!
+//! The full relation set is an output tuple, never a crossing set, and is
+//! skipped under C2.
 
-use crate::executor::{tighten_lower, tighten_upper, window};
+use crate::executor::Candidates;
+use crate::kernel::{self, BindingSink, KernelConfig, OutputSink};
 use ij_interval::{Interval, PartitionIndex, Partitioning, TupleId};
-use ij_query::{crosses_partition, JoinQuery};
-use std::ops::Bound;
+use ij_query::{Condition, JoinQuery};
 
 /// Per-relation inputs for one marking reducer: intervals intersecting the
-/// partition, each with its tuple id, sorted by start by [`mark`].
+/// partition, each with its tuple id.
 pub type PerRelation = Vec<Vec<(Interval, TupleId)>>;
 
-/// Runs the marking for partition `p`: returns, per relation, a flag per
-/// input interval (parallel to the *sorted* list also returned), plus the
-/// work units expended. Only intervals whose start point lies in `p` can be
-/// flagged.
+/// What the marking for partition `p` found. Only intervals whose start
+/// point lies in `p` can be flagged.
 pub struct Marking {
-    /// Sorted candidate lists, per relation.
-    pub sorted: PerRelation,
-    /// `flags[r][i]` — whether `sorted[r][i]` is to be replicated.
-    pub flags: Vec<Vec<bool>>,
+    /// `flagged[r]`: the ids of relation `r`'s intervals to replicate,
+    /// ascending.
+    pub flagged: Vec<Vec<TupleId>>,
     /// Candidates examined (reported to the cost model).
     pub work: u64,
 }
@@ -81,7 +82,7 @@ pub fn mark_with_options(
     q: &JoinQuery,
     part: &Partitioning,
     p: PartitionIndex,
-    mut per_rel: PerRelation,
+    per_rel: PerRelation,
     opts: MarkOptions,
 ) -> Marking {
     let m = q.num_relations() as usize;
@@ -90,46 +91,86 @@ pub fn mark_with_options(
         m <= MAX_RELATIONS,
         "marking enumerates relation subsets; m <= 16"
     );
-    for l in &mut per_rel {
-        l.sort_unstable_by_key(|(iv, tid)| (iv.start(), *tid));
-    }
-    let mut flags: Vec<Vec<bool>> = per_rel.iter().map(|l| vec![false; l.len()]).collect();
+    let mut hits: Vec<Vec<bool>> = per_rel.iter().map(|l| vec![false; l.len()]).collect();
     let mut work = 0u64;
-
     let full_mask = (1u32 << m) - 1;
     for subset in connected_subsets(q) {
         if opts.enforce_crossing && subset == full_mask {
-            // A set covering every relation is an output tuple, never a
-            // crossing set (Section 6.1) — skip the whole enumeration.
+            continue; // an output tuple, never a crossing set (Section 6.1)
+        }
+        let members: Vec<usize> = (0..m).filter(|&r| subset & (1 << r) != 0).collect();
+        let needs = &boundary_needs(q, subset, opts);
+        let kept = |r: usize| {
+            let list = per_rel[r].iter().enumerate();
+            list.filter(move |(_, &(iv, _))| needs[r].met(part, p, iv))
+        };
+        if let [r] = members[..] {
+            work += per_rel[r].len() as u64;
+            kept(r).for_each(|(i, _)| hits[r][i] = true);
             continue;
         }
-        let order = bfs_order(q, subset);
-        let constraints = if opts.enforce_crossing {
-            boundary_constraints(q, subset)
-        } else {
-            vec![BoundaryNeed::default(); m]
-        };
-        let mut assign: Vec<Option<(Interval, usize)>> = vec![None; m];
-        enumerate(
-            q,
-            part,
-            p,
-            &per_rel,
-            &order,
-            &constraints,
-            opts.enforce_crossing,
-            0,
-            &mut assign,
-            &mut flags,
-            &mut work,
+        let mut cands = Candidates::new(members.len());
+        for (slot, &r) in members.iter().enumerate() {
+            kept(r).for_each(|(i, &(iv, _))| cands.push(slot, iv, i as TupleId));
+        }
+        cands.finish();
+        let mut found = Hits(
+            members
+                .iter()
+                .map(|&r| vec![false; per_rel[r].len()])
+                .collect(),
         );
+        let (sub, serial) = (induced(q, &members), KernelConfig::serial());
+        work += kernel::execute_into(&sub, &cands, &serial, |_| true, &mut found).work;
+        for (&r, found) in members.iter().zip(found.0) {
+            (hits[r].iter_mut().zip(found)).for_each(|(hit, f)| *hit |= f);
+        }
     }
+    let flagged = (per_rel.iter().zip(hits))
+        .map(|(list, hits)| {
+            let mut tids: Vec<TupleId> = (list.iter().zip(hits))
+                .filter(|&(&(iv, _), hit)| hit && part.index_of(iv.start()) == p)
+                .map(|(&(_, tid), _)| tid)
+                .collect();
+            tids.sort_unstable();
+            tids
+        })
+        .collect();
+    Marking { flagged, work }
+}
 
-    Marking {
-        sorted: per_rel,
-        flags,
-        work,
+/// The kernel sink of one subset's join: `0[slot][i]` is set once position
+/// `i` of the slot's list is in some binding.
+struct Hits(Vec<Vec<bool>>);
+
+impl BindingSink for Hits {
+    fn push(&mut self, binding: &[(Interval, TupleId)]) {
+        for (hits, &(_, i)) in self.0.iter_mut().zip(binding) {
+            hits[i as usize] = true;
+        }
     }
+}
+
+impl OutputSink for Hits {
+    type Chunk = Hits;
+    fn fork(&self) -> Hits {
+        Hits(self.0.iter().map(|h| vec![false; h.len()]).collect())
+    }
+    fn absorb(&mut self, chunk: Hits) {
+        for (hits, found) in self.0.iter_mut().zip(chunk.0) {
+            hits.iter_mut().zip(found).for_each(|(hit, f)| *hit |= f);
+        }
+    }
+}
+
+/// The conditions of `q` among `members`, over the members' slots.
+fn induced(q: &JoinQuery, members: &[usize]) -> JoinQuery {
+    let slot = |r: usize| members.iter().position(|&m| m == r);
+    let conditions = (q.conditions().iter())
+        .filter_map(|c| Some((slot(c.left.rel.idx())?, c.pred, slot(c.right.rel.idx())?)))
+        .map(|(l, pred, r)| Condition::whole(l as u16, pred, r as u16))
+        .collect();
+    JoinQuery::new(members.len() as u16, conditions).expect("a connected subset has a condition")
 }
 
 /// Each relation's neighbours in the join graph, as a bitmask.
@@ -181,43 +222,16 @@ fn connected_subsets(q: &JoinQuery) -> Vec<u32> {
         .collect()
 }
 
-/// BFS order over the relations of `mask` (every later relation has a bound
-/// neighbor within the subset, enabling window pruning).
-fn bfs_order(q: &JoinQuery, mask: u32) -> Vec<usize> {
-    let m = q.num_relations() as usize;
-    let mut adj = vec![Vec::new(); m];
-    for c in q.conditions() {
-        adj[c.left.rel.idx()].push(c.right.rel.idx());
-        adj[c.right.rel.idx()].push(c.left.rel.idx());
-    }
-    let mut order = Vec::new();
-    let mut placed = 0u32;
-    while (placed & mask) != mask {
-        let next = (0..m)
-            .filter(|&r| mask & (1 << r) != 0 && placed & (1 << r) == 0)
-            .find(|&r| order.is_empty() || adj[r].iter().any(|&n| placed & (1 << n) != 0))
-            .unwrap_or_else(|| {
-                (0..m)
-                    .find(|&r| mask & (1 << r) != 0 && placed & (1 << r) == 0)
-                    .expect("unplaced relation exists")
-            });
-        placed |= 1 << next;
-        order.push(next);
-    }
-    order
-}
-
 /// Per-relation boundary requirements of a subset (conditions B1/B2): for
 /// every query edge with exactly one endpoint inside `mask`, the in-set
 /// member must cross the right boundary if it is the lesser relation, the
-/// left boundary otherwise. Knowing these *before* enumerating lets the
-/// search reject candidates immediately instead of materializing every
-/// consistent set and testing crossing at the leaf — this is what makes
-/// the marking cheap relative to the join itself.
-fn boundary_constraints(q: &JoinQuery, mask: u32) -> Vec<BoundaryNeed> {
+/// left boundary otherwise; none when `opts` waive C2. Filtering by them
+/// *before* the join, instead of testing crossing on every consistent set,
+/// is what makes the marking cheap relative to the join itself.
+fn boundary_needs(q: &JoinQuery, mask: u32, opts: MarkOptions) -> Vec<BoundaryNeed> {
     let m = q.num_relations() as usize;
     let mut needs = vec![BoundaryNeed::default(); m];
-    for c in q.conditions() {
+    for c in q.conditions().iter().filter(|_| opts.enforce_crossing) {
         let l_in = mask & (1 << c.left.rel.idx()) != 0;
         let r_in = mask & (1 << c.right.rel.idx()) != 0;
         let member = match (l_in, r_in) {
@@ -242,105 +256,16 @@ struct BoundaryNeed {
 }
 
 impl BoundaryNeed {
-    fn satisfied(self, part: &Partitioning, p: PartitionIndex, iv: Interval) -> bool {
+    fn met(self, part: &Partitioning, p: PartitionIndex, iv: Interval) -> bool {
         (!self.left || part.crosses_left(iv, p)) && (!self.right || part.crosses_right(iv, p))
     }
-}
-
-#[allow(clippy::too_many_arguments, clippy::only_used_in_recursion)]
-fn enumerate(
-    q: &JoinQuery,
-    part: &Partitioning,
-    p: PartitionIndex,
-    per_rel: &PerRelation,
-    order: &[usize],
-    constraints: &[BoundaryNeed],
-    enforce_crossing: bool,
-    level: usize,
-    assign: &mut Vec<Option<(Interval, usize)>>,
-    flags: &mut [Vec<bool>],
-    work: &mut u64,
-) {
-    if level == order.len() {
-        // With crossing enforced, the boundary constraints were applied per
-        // candidate and inputs intersect p by construction (split routing),
-        // so the set crosses — unless a member lies outside the partitioned
-        // range (a point at `Time::MAX`) and reached p through the clamp of
-        // `index_of` alone.
-        debug_assert!(
-            !enforce_crossing || {
-                let ivs: Vec<Option<Interval>> =
-                    assign.iter().map(|a| a.map(|(iv, _)| iv)).collect();
-                let clamped = |iv: &Interval| !iv.intersects(part.range());
-                crosses_partition(q, part, p, &ivs) || ivs.iter().flatten().any(clamped)
-            }
-        );
-        for &r in order {
-            let (iv, idx) = assign[r].expect("assigned");
-            if part.index_of(iv.start()) == p {
-                flags[r][idx] = true;
-            }
-        }
-        return;
-    }
-    let rel = order[level];
-    // Start-point window from bound neighbors.
-    let mut lo = Bound::Unbounded;
-    let mut hi = Bound::Unbounded;
-    let mut neighbor_conds: Vec<&ij_query::Condition> = Vec::new();
-    for c in q.conditions_of(ij_interval::RelId(rel as u16)) {
-        let (other, pred_right) = if c.left.rel.idx() == rel {
-            (c.right.rel.idx(), c.pred.inverse())
-        } else {
-            (c.left.rel.idx(), c.pred)
-        };
-        if let Some((other_iv, _)) = assign[other] {
-            let (l, h) = pred_right.right_start_bounds(other_iv);
-            lo = tighten_lower(lo, l);
-            hi = tighten_upper(hi, h);
-            neighbor_conds.push(c);
-        }
-    }
-    let list = &per_rel[rel];
-    let (from, to) = window(list, lo, hi);
-    *work += (to - from) as u64;
-    'cands: for (offset, &(iv, _tid)) in list[from..to].iter().enumerate() {
-        if !constraints[rel].satisfied(part, p, iv) {
-            continue;
-        }
-        for c in &neighbor_conds {
-            let ok = if c.left.rel.idx() == rel {
-                c.pred
-                    .holds(iv, assign[c.right.rel.idx()].expect("bound").0)
-            } else {
-                c.pred.holds(assign[c.left.rel.idx()].expect("bound").0, iv)
-            };
-            if !ok {
-                continue 'cands;
-            }
-        }
-        assign[rel] = Some((iv, from + offset));
-        enumerate(
-            q,
-            part,
-            p,
-            per_rel,
-            order,
-            constraints,
-            enforce_crossing,
-            level + 1,
-            assign,
-            flags,
-            work,
-        );
-    }
-    assign[rel] = None;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ij_interval::AllenPredicate::*;
+    use ij_interval::Time;
 
     fn iv(s: i64, e: i64) -> Interval {
         Interval::new(s, e).unwrap()
@@ -396,9 +321,7 @@ mod tests {
                 vec![],
             ],
         );
-        assert_eq!(marking.flags[0], vec![false, true]);
-        assert_eq!(marking.flags[1], vec![true]);
-        assert_eq!(marking.flags[2], vec![true]);
+        assert_eq!(marking.flagged, vec![vec![1], vec![0], vec![0], vec![]]);
         assert!(marking.work > 0);
     }
 
@@ -408,7 +331,7 @@ mod tests {
         let q = JoinQuery::chain(&[Overlaps]).unwrap();
         let part = Partitioning::equi_width(0, 40, 4).unwrap();
         let marking = mark(&q, &part, 0, vec![vec![(iv(1, 4), 0)], vec![(iv(2, 6), 0)]]);
-        assert!(marking.flags.iter().flatten().all(|&f| !f));
+        assert!(marking.flagged.iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -418,7 +341,7 @@ mod tests {
         let q = JoinQuery::chain(&[Overlaps]).unwrap();
         let part = Partitioning::equi_width(0, 40, 4).unwrap();
         let marking = mark(&q, &part, 0, vec![vec![(iv(3, 15), 0)], vec![]]);
-        assert_eq!(marking.flags[0], vec![true]);
+        assert_eq!(marking.flagged[0], vec![0]);
     }
 
     #[test]
@@ -432,9 +355,8 @@ mod tests {
             1,
             vec![vec![(iv(5, 25), 0), (iv(12, 25), 1)], vec![]],
         );
-        let flags: Vec<bool> = marking.flags[0].clone();
-        // sorted order: (5,25) then (12,25); only the latter starts in p1.
-        assert_eq!(flags, vec![false, true]);
+        // Only (12,25) starts in p1.
+        assert_eq!(marking.flagged[0], vec![1]);
     }
 
     #[test]
@@ -446,6 +368,168 @@ mod tests {
         assert!(!is_connected(&unmentioned));
         let two_pieces = JoinQuery::new(4, vec![cond(0, 1), cond(2, 3)]).unwrap();
         assert!(!is_connected(&two_pieces));
+    }
+
+    /// Fig. 3's definition by brute force: the members starting in `p` of
+    /// every assignment — per relation absent or one interval of its list —
+    /// that `is_consistent` accepts and, under C2, `crosses_partition` too.
+    ///
+    /// One exemption. The marking takes its input as intersecting `p`, but
+    /// a split copy lying wholly outside the partitioned range (a point at
+    /// `Time::MAX`, say) reaches `p` only through `index_of`'s clamp, and
+    /// condition 2 rejects every set holding one. The crossing check
+    /// therefore sees such a member as the two-point interval straddling
+    /// the edge of the range it lies beyond, which intersects `p` and
+    /// crosses exactly the boundaries the member crosses.
+    fn flagged_by_definition(
+        q: &JoinQuery,
+        part: &Partitioning,
+        p: PartitionIndex,
+        per_rel: &PerRelation,
+        opts: MarkOptions,
+    ) -> Vec<Vec<TupleId>> {
+        use ij_query::consistency::is_consistent;
+        use ij_query::crosses_partition;
+        let range = part.range();
+        let seen = |iv: Interval| match iv {
+            _ if iv.start() > range.end() => iv_at(range.end(), range.end() + 1),
+            _ if iv.end() < range.start() => iv_at(range.start() - 1, range.start()),
+            _ => iv,
+        };
+        let mut flagged = vec![std::collections::BTreeSet::new(); per_rel.len()];
+        // `pick[r]`: 0 for absent, `i + 1` for `per_rel[r][i]`.
+        let mut pick = vec![0usize; per_rel.len()];
+        loop {
+            let members = || (pick.iter().zip(per_rel)).map(|(&i, l)| l.get(i.checked_sub(1)?));
+            let assign: Vec<Option<Interval>> = members().map(|m| m.map(|&(iv, _)| iv)).collect();
+            let crossing: Vec<Option<Interval>> = assign.iter().map(|m| m.map(seen)).collect();
+            if is_consistent(q, &assign)
+                && (!opts.enforce_crossing || crosses_partition(q, part, p, &crossing))
+            {
+                for (set, &(iv, tid)) in flagged
+                    .iter_mut()
+                    .zip(members())
+                    .filter_map(|(s, m)| Some((s, m?)))
+                {
+                    if part.index_of(iv.start()) == p {
+                        set.insert(tid);
+                    }
+                }
+            }
+            // Odometer step over the product.
+            let mut r = per_rel.len();
+            loop {
+                if r == 0 {
+                    return flagged
+                        .into_iter()
+                        .map(|s| s.into_iter().collect())
+                        .collect();
+                }
+                r -= 1;
+                pick[r] += 1;
+                if pick[r] <= per_rel[r].len() {
+                    break;
+                }
+                pick[r] = 0;
+            }
+        }
+    }
+
+    fn iv_at(s: Time, e: Time) -> Interval {
+        Interval::new(s, e).unwrap()
+    }
+
+    /// The marking against its definition: colocation chains, stars and
+    /// cliques of two to four relations over all eleven colocation
+    /// predicates; sparse, dense, long, point and `i64`-extreme data;
+    /// equi-width and equi-depth boundaries; both [`MarkOptions`]. Each
+    /// partition's lists are what its mark reducer receives: the intervals
+    /// whose split reaches it.
+    #[test]
+    fn marking_matches_the_definition() {
+        use crate::algorithm::{PartitionStrategy, RunArtifacts};
+        use crate::input::JoinInput;
+        use ij_interval::{ops, AllenPredicate, Relation};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let colocation: Vec<AllenPredicate> = (AllenPredicate::ALL.into_iter())
+            .filter(|p| p.is_colocation())
+            .collect();
+        const EXTREMES: [Time; 7] = [Time::MIN, Time::MIN + 1, -1, 0, 1, Time::MAX - 1, Time::MAX];
+        let interval = |rng: &mut StdRng, data: usize| {
+            let (span, max_len) = match data {
+                0 => (1000, 30), // sparse
+                1 => (120, 40),  // dense
+                2 => (400, 300), // long
+                3 => (80, 0),    // points
+                _ => {
+                    let (a, b) = (EXTREMES[rng.gen_range(0..7)], EXTREMES[rng.gen_range(0..7)]);
+                    return iv_at(a.min(b), a.max(b));
+                }
+            };
+            let s = rng.gen_range(0..span);
+            iv_at(s, s + rng.gen_range(0..=max_len))
+        };
+        let (mut checked, mut hits, mut next_pred) = (0, 0, 0);
+        let mut rng = StdRng::seed_from_u64(31);
+        for m in 2..=4usize {
+            let chain: Vec<(usize, usize)> = (1..m).map(|r| (r - 1, r)).collect();
+            let star: Vec<(usize, usize)> = (1..m).map(|r| (0, r)).collect();
+            let clique: Vec<(usize, usize)> = (0..m)
+                .flat_map(|a| (a + 1..m).map(move |b| (a, b)))
+                .collect();
+            for edges in [chain, star, clique] {
+                let conditions = (edges.iter())
+                    .map(|&(a, b)| {
+                        next_pred += 1;
+                        let pred = colocation[next_pred % colocation.len()];
+                        Condition::whole(a as u16, pred, b as u16)
+                    })
+                    .collect();
+                let q = JoinQuery::new(m as u16, conditions).unwrap();
+                for (round, data) in (0..3).flat_map(|round| (0..5).map(move |d| (round, d))) {
+                    let rels: Vec<Vec<Interval>> = (0..m)
+                        .map(|_| {
+                            let n = rng.gen_range(round..=12);
+                            (0..n).map(|_| interval(&mut rng, data)).collect()
+                        })
+                        .collect();
+                    let relations = (rels.iter())
+                        .map(|ivs| Relation::from_intervals("R", ivs.iter().copied()))
+                        .collect();
+                    let input = JoinInput::bind_owned(&q, relations).unwrap();
+                    for strategy in [PartitionStrategy::EquiWidth, PartitionStrategy::EquiDepth] {
+                        let k = rng.gen_range(1..=6);
+                        let part = RunArtifacts::partition_input(&input, k, strategy).unwrap();
+                        for p in 0..part.len() {
+                            let per_rel: PerRelation = (rels.iter())
+                                .map(|ivs| {
+                                    let tids = (0..).zip(ivs.iter().copied());
+                                    let reach =
+                                        tids.filter(|&(_, iv)| ops::split(iv, &part).contains(&p));
+                                    reach.map(|(tid, iv)| (iv, tid)).collect()
+                                })
+                                .collect();
+                            for enforce_crossing in [true, false] {
+                                let opts = MarkOptions { enforce_crossing };
+                                let want = flagged_by_definition(&q, &part, p, &per_rel, opts);
+                                let got = mark_with_options(&q, &part, p, per_rel.clone(), opts);
+                                assert_eq!(
+                                    got.flagged, want,
+                                    "{q} {part} p={p} {opts:?} {per_rel:?}"
+                                );
+                                checked += 1;
+                                hits += want.iter().map(Vec::len).sum::<usize>();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            checked > 0 && hits > 0,
+            "vacuous: {checked} markings, {hits} flags"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Record types flowing through the MapReduce jobs.
 
 use crate::output::{OutputMode, Tuples};
-use ij_interval::{AttrId, Interval, RelId, TupleId};
+use ij_interval::{Interval, RelId, TupleId};
 use ij_mapreduce::Record;
 use serde::{Deserialize, Serialize};
 
@@ -50,23 +50,6 @@ impl Record for TupleRec {
         8 + self.attrs.len() as u64 * 16
     }
 }
-
-/// One attribute value of one tuple, tagged with its join-graph vertex —
-/// the record Gen-Matrix's marking cycle shuffles (a tuple contributes one
-/// `VtxRec` per join attribute).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VtxRec {
-    /// The relation.
-    pub rel: RelId,
-    /// The attribute within the relation.
-    pub attr: AttrId,
-    /// The tuple's id.
-    pub tid: TupleId,
-    /// The attribute's interval value.
-    pub iv: Interval,
-}
-
-impl Record for VtxRec {}
 
 /// A partial join result produced by cascade stages: tuple ids and the
 /// intervals of the relations joined so far. Which relations those are is

@@ -4,7 +4,7 @@
 //! The static checks (clippy's bans, the typed metric registry, the
 //! closure-only lock wrapper) exist to protect one property: a job
 //! chain's output is byte-identical for every worker-thread count. This
-//! auditor checks the property directly. It runs *all twelve* audited
+//! auditor checks the property directly. It runs *all thirteen* audited
 //! family/query cases on a seeded workload under `worker_threads`/
 //! `intra_reduce_threads` 1, 2 and 8 with a low heavy-bucket threshold
 //! (so the parallel kernels engage), serializes each run's output tuples,
@@ -142,19 +142,24 @@ impl Lcg {
     }
 }
 
-/// A seeded workload of `n` intervals per relation over a dense time
-/// domain (plenty of overlap, so every family produces output and heavy
-/// buckets engage the parallel kernels).
+/// A seeded workload of `n` tuples per relation over a dense time domain
+/// (plenty of overlap, so every family produces output and heavy buckets
+/// engage the parallel kernels): an interval, then one point from a small
+/// domain per further attribute, so equalities match.
 fn workload(q: &JoinQuery, seed: u64, n: usize) -> JoinInput {
     let mut rng = Lcg(seed);
-    let rels: Vec<Relation> = (0..q.num_relations())
-        .map(|r| {
-            Relation::from_intervals(
+    let rels: Vec<Relation> = (q.relations().iter().enumerate())
+        .map(|(r, meta)| {
+            Relation::from_rows(
                 format!("R{r}"),
                 (0..n).map(|_| {
                     let s = (rng.next() % 400) as i64;
                     let len = (rng.next() % 50) as i64;
-                    Interval::new(s, s + len).expect("len >= 0")
+                    let mut row = vec![Interval::new(s, s + len).expect("len >= 0")];
+                    row.resize_with(meta.attr_names.len(), || {
+                        Interval::point((rng.next() % 5) as i64)
+                    });
+                    row
                 }),
             )
         })
@@ -213,9 +218,36 @@ fn clique_query() -> JoinQuery {
     .expect("colocation clique")
 }
 
+/// Q5 (Section 9.1): `R1.I before R2.I and R1.I overlaps R3.I and
+/// R1.A = R3.A and R2.B = R3.B` — the General class.
+fn q5() -> JoinQuery {
+    use ij_interval::AllenPredicate::Equals;
+    use ij_query::query::RelationMeta;
+    use ij_query::{AttrRef, Condition};
+    let meta = |name: &str, attrs: &[&str]| RelationMeta {
+        name: name.into(),
+        attr_names: attrs.iter().map(|a| a.to_string()).collect(),
+    };
+    JoinQuery::with_relations(
+        vec![
+            meta("R1", &["I", "A"]),
+            meta("R2", &["I", "B"]),
+            meta("R3", &["I", "A", "B"]),
+        ],
+        vec![
+            Condition::new(AttrRef::new(0, 0), Before, AttrRef::new(1, 0)),
+            Condition::new(AttrRef::new(0, 0), Overlaps, AttrRef::new(2, 0)),
+            Condition::new(AttrRef::new(0, 1), Equals, AttrRef::new(2, 1)),
+            Condition::new(AttrRef::new(1, 1), Equals, AttrRef::new(2, 2)),
+        ],
+    )
+    .expect("Q5")
+}
+
 /// The audited suite: every algorithm family with a query class it
 /// supports (colocation for RCCIS/All-Rep, hybrid for the cascade and
-/// matrix family, sequence for All-Matrix, two-way for 1-Bucket). The flag
+/// matrix family, sequence for All-Matrix, two-way for 1-Bucket, and Q5
+/// for Gen-Matrix, the one family that takes the General class). The flag
 /// marks families whose output comes from one `kernel::reduce_join` cycle:
 /// their `join.emitted` must equal the output count. The cascade and
 /// FCTS/FSTC also write the counters but sum them over intermediate
@@ -239,6 +271,7 @@ fn suite() -> Vec<(Box<dyn Algorithm>, JoinQuery, bool)> {
         (Box::new(AllSeqMatrix::new(3)), hybrid.clone(), true),
         (Box::new(Pasm::new(3)), hybrid.clone(), true),
         (Box::new(GenMatrix::new(3)), hybrid.clone(), false),
+        (Box::new(GenMatrix::new(3)), q5(), false),
         (Box::new(Fcts::new(4, 3)), hybrid.clone(), false),
         (Box::new(Fstc::new(4, 3)), hybrid, false),
         (Box::new(OneBucketTheta::new(4, 4)), pair.clone(), true),
@@ -449,7 +482,7 @@ fn all_algorithm_families_are_byte_identical_across_thread_counts() {
     let report = report();
     assert_eq!(
         report.cases.len(),
-        12,
+        13,
         "expected every algorithm family to be audited"
     );
     for case in &report.cases {

@@ -144,17 +144,8 @@ fn rccis_marking_at_p2_selects_the_papers_replication_set() {
         })
         .collect();
     let marking = mark(&q, &part, 1, per_rel);
-    let flagged: Vec<(usize, u32)> = marking
-        .sorted
-        .iter()
-        .zip(&marking.flags)
-        .enumerate()
-        .flat_map(|(r, (list, fl))| {
-            list.iter()
-                .zip(fl)
-                .filter(|(_, &f)| f)
-                .map(move |((_, tid), _)| (r, *tid))
-        })
+    let flagged: Vec<(usize, u32)> = (marking.flagged.iter().enumerate())
+        .flat_map(|(r, tids)| tids.iter().map(move |&tid| (r, tid)))
         .collect();
     // The paper's replication set {u3, v1, w2} is selected…
     for need in [(0usize, 3u32), (1, 1), (2, 2)] {
@@ -187,17 +178,8 @@ fn u1_and_v3_are_replicated_by_reducer_p1() {
         })
         .collect();
     let marking = mark(&q, &part, 0, per_rel);
-    let flagged: Vec<(usize, u32)> = marking
-        .sorted
-        .iter()
-        .zip(&marking.flags)
-        .enumerate()
-        .flat_map(|(r, (list, fl))| {
-            list.iter()
-                .zip(fl)
-                .filter(|(_, &f)| f)
-                .map(move |((_, tid), _)| (r, *tid))
-        })
+    let flagged: Vec<(usize, u32)> = (marking.flagged.iter().enumerate())
+        .flat_map(|(r, tids)| tids.iter().map(move |&tid| (r, tid)))
         .collect();
     assert_eq!(flagged, vec![(0, 1), (1, 3)]); // u1 and v3, nothing else
 }
