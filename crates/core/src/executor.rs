@@ -13,8 +13,10 @@
 //! the RCCIS marking's subset joins included — are joined by the
 //! dispatching kernels of [`crate::kernel`]; the `holds`-based reference
 //! they are tested against ([`crate::oracle::reference_join`]) is the
-//! single-attribute oracle's engine. Gen-Matrix's multi-attribute reducer
-//! keeps its own scan in `crate::gen_matrix`.
+//! single-attribute oracle's engine. Records that carry several intervals
+//! — the cascade's composites, FCTS's component results, Gen-Matrix's
+//! tuples — join in `kernel::composite`, which shares the binding order
+//! and `window_by`.
 
 use ij_interval::{Interval, Time, TupleId};
 use ij_query::JoinQuery;

@@ -10,18 +10,19 @@
 //!
 //! Two MR cycles: attribute-level marking — the component-matrix mark
 //! stage with one single-attribute relation per vertex — then the matrix
-//! join.
+//! join, whose reducer is the composite join (`kernel::composite`) with
+//! the query's relations as sides and their attributes as slots.
 
 use crate::algorithm::{empty_output, AlgoError, Algorithm, RunArtifacts};
 use crate::all_matrix::CellSpace;
 use crate::component_matrix::{ComponentMatrix, Flags, MARKED};
-use crate::executor::binding_order;
 use crate::input::JoinInput;
+use crate::kernel::composite::CompositeJoin;
 use crate::output::{JoinOutput, OutputMode};
 use crate::rccis::marking::MarkOptions;
-use crate::records::{IvRec, OutRec, TupleRec};
-use ij_interval::{Interval, MapOp, Partitioning, RelId, TupleId};
-use ij_mapreduce::{Emitter, Engine, JobChain, JobMetrics, ReduceCtx, ValueStream};
+use crate::records::{CompRec, IvRec};
+use ij_interval::{MapOp, Partitioning, RelId};
+use ij_mapreduce::{Engine, JobChain, JobMetrics};
 use ij_query::{AttrRef, Components, Condition, JoinQuery};
 
 /// The Gen-Matrix algorithm.
@@ -86,32 +87,31 @@ impl Algorithm for GenMatrix {
                     .collect()
             })
             .collect();
-        // Flatten tuples once.
-        let tuples: Vec<TupleRec> = (input.relations().iter().enumerate())
+        // Flatten tuples once: a record per tuple, its attributes the slots.
+        let tuples: Vec<CompRec> = (input.relations().iter().enumerate())
             .flat_map(|(r, rel)| {
-                rel.tuples().iter().map(move |t| TupleRec {
-                    rel: RelId(r as u16),
-                    tid: t.id,
-                    attrs: t.attrs.clone(),
+                rel.tuples().iter().map(move |t| CompRec {
+                    side: r as u16,
+                    tids: vec![t.id],
+                    ivs: t.attrs.clone(),
                 })
             })
             .collect();
 
-        let mode = self.mode;
-        let m = query.num_relations() as usize;
         let per_dim = self.per_dim;
-        let out = engine.run_job(
+        let out = CompositeJoin::of_query(query, self.mode).run(
+            engine,
             "gen-matrix-join",
             &tuples,
-            |rec: &TupleRec, em: &mut Emitter<TupleRec>| {
+            |rec, em| {
                 // Allowed coordinate ranges per dimension touched by this
                 // relation; untouched dimensions are free.
                 let mut lo = vec![0usize; space.dims()];
                 let mut hi = vec![per_dim - 1; space.dims()];
-                for &(attr, k, vertex) in &rel_vertices[rec.rel.idx()] {
-                    let qidx = part.index_of(rec.attrs[attr as usize].start());
+                for &(attr, k, vertex) in &rel_vertices[rec.side as usize] {
+                    let qidx = part.index_of(rec.ivs[attr as usize].start());
                     lo[k] = lo[k].max(qidx);
-                    if !flags[vertex][rec.tid as usize] {
+                    if !flags[vertex][rec.tids[0] as usize] {
                         hi[k] = hi[k].min(qidx);
                     }
                     if lo[k] > hi[k] {
@@ -138,22 +138,7 @@ impl Algorithm for GenMatrix {
                     }
                 }
             },
-            |ctx: &mut ReduceCtx, values: &mut ValueStream<TupleRec>, out: &mut Vec<OutRec>| {
-                let coords = space.decode(ctx.key);
-                let mut lists: Vec<Vec<(TupleId, Vec<Interval>)>> = vec![Vec::new(); m];
-                for v in values.by_ref() {
-                    lists[v.rel.idx()].push((v.tid, v.attrs));
-                }
-                let mut found = OutRec::new(mode, m);
-                let work = join_tuples(
-                    query,
-                    &lists,
-                    |a: &[(TupleId, &[Interval])]| owns_tuple_assignment(&comps, &part, &coords, a),
-                    |a| found.push_row(a.iter().map(|&(t, _)| t)),
-                );
-                ctx.add_work(work);
-                found.emit_into(out);
-            },
+            Some(&|key, binding| owns_tuple_assignment(&comps, &part, &space.decode(key), binding)),
         )?;
         chain.push(out.metrics);
 
@@ -230,18 +215,18 @@ fn mark_vertices(
 }
 
 /// Ownership: for every component, the maximal start partition over the
-/// assignment's member attribute intervals equals the cell coordinate.
+/// binding's member attribute intervals equals the cell coordinate.
 fn owns_tuple_assignment(
     comps: &Components,
     part: &Partitioning,
     coords: &[usize],
-    a: &[(TupleId, &[Interval])],
+    binding: &[&CompRec],
 ) -> bool {
     for comp in &comps.components {
         let q_k = comp
             .vertices
             .iter()
-            .map(|v| part.index_of(a[v.rel.idx()].1[v.attr as usize].start()))
+            .map(|v| part.index_of(binding[v.rel.idx()].ivs[v.attr as usize].start()))
             .max()
             .expect("non-empty component");
         if q_k != coords[comp.id] {
@@ -251,113 +236,12 @@ fn owns_tuple_assignment(
     true
 }
 
-/// General multi-attribute backtracking join over full tuples.
-///
-/// `lists[r]` holds relation `r`'s candidate tuples as
-/// `(tuple id, attribute values)`. Scan-based (no index), with conditions
-/// checked as soon as both endpoints are bound.
-fn join_tuples(
-    q: &JoinQuery,
-    lists: &[Vec<(TupleId, Vec<Interval>)>],
-    accept: impl Fn(&[(TupleId, &[Interval])]) -> bool,
-    mut on_output: impl FnMut(&[(TupleId, &[Interval])]),
-) -> u64 {
-    let m = q.num_relations() as usize;
-    debug_assert_eq!(lists.len(), m);
-    if lists.iter().any(Vec::is_empty) {
-        return 0;
-    }
-    let order = binding_order(q, |r| lists[r].len());
-    let mut level_of = vec![0usize; m];
-    for (lvl, &r) in order.iter().enumerate() {
-        level_of[r] = lvl;
-    }
-    let mut checks: Vec<Vec<&ij_query::Condition>> = vec![Vec::new(); m];
-    for c in q.conditions() {
-        let (l, r) = (c.left.rel.idx(), c.right.rel.idx());
-        let later = if level_of[l] > level_of[r] { l } else { r };
-        checks[level_of[later]].push(c);
-    }
-    let mut chosen: Vec<usize> = vec![0; m];
-    let mut work = 0u64;
-    descend_tuples(
-        lists,
-        &order,
-        &checks,
-        0,
-        &mut chosen,
-        &accept,
-        &mut on_output,
-        &mut work,
-    );
-    work
-}
-
-#[allow(clippy::too_many_arguments)]
-fn descend_tuples(
-    lists: &[Vec<(TupleId, Vec<Interval>)>],
-    order: &[usize],
-    checks: &[Vec<&ij_query::Condition>],
-    level: usize,
-    chosen: &mut Vec<usize>,
-    accept: &impl Fn(&[(TupleId, &[Interval])]) -> bool,
-    on_output: &mut impl FnMut(&[(TupleId, &[Interval])]),
-    work: &mut u64,
-) {
-    if level == order.len() {
-        let assignment: Vec<(TupleId, &[Interval])> = (0..lists.len())
-            .map(|r| {
-                let (tid, attrs) = &lists[r][chosen[r]];
-                (*tid, attrs.as_slice())
-            })
-            .collect();
-        if accept(&assignment) {
-            on_output(&assignment);
-        }
-        return;
-    }
-    let rel = order[level];
-    *work += lists[rel].len() as u64;
-    'candidates: for (i, (_, attrs)) in lists[rel].iter().enumerate() {
-        for c in &checks[level] {
-            let (this_ref, other_ref, this_is_left) = if c.left.rel.idx() == rel {
-                (c.left, c.right, true)
-            } else {
-                (c.right, c.left, false)
-            };
-            let this_iv = attrs[this_ref.attr as usize];
-            let other = &lists[other_ref.rel.idx()][chosen[other_ref.rel.idx()]];
-            let other_iv = other.1[other_ref.attr as usize];
-            let ok = if this_is_left {
-                c.pred.holds(this_iv, other_iv)
-            } else {
-                c.pred.holds(other_iv, this_iv)
-            };
-            if !ok {
-                continue 'candidates;
-            }
-        }
-        chosen[rel] = i;
-        descend_tuples(
-            lists,
-            order,
-            checks,
-            level + 1,
-            chosen,
-            accept,
-            on_output,
-            work,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::Candidates;
     use crate::oracle::oracle_join;
     use ij_interval::AllenPredicate::*;
-    use ij_interval::Relation;
+    use ij_interval::{Interval, Relation};
     use ij_mapreduce::ClusterConfig;
     use ij_query::query::RelationMeta;
     use rand::rngs::StdRng;
@@ -577,155 +461,5 @@ mod tests {
             .unwrap()
             .assert_no_duplicates();
         assert_eq!(got, oracle_join(&q, &input));
-    }
-
-    #[test]
-    fn join_tuples_matches_single_attr_on_plain_queries() {
-        let q = JoinQuery::chain(&[Overlaps, Before]).unwrap();
-        let mut c = Candidates::new(3);
-        let data: [&[(i64, i64)]; 3] = [
-            &[(0, 10), (2, 7), (30, 35)],
-            &[(5, 12), (6, 20)],
-            &[(15, 18), (25, 40), (13, 14)],
-        ];
-        let mut lists: Vec<Vec<(TupleId, Vec<Interval>)>> = vec![Vec::new(); 3];
-        for (r, rows) in data.iter().enumerate() {
-            for (t, &(s, e)) in rows.iter().enumerate() {
-                c.push(r, iv(s, e), t as u32);
-                lists[r].push((t as u32, vec![iv(s, e)]));
-            }
-        }
-        c.finish();
-        let mut fast: Vec<Vec<TupleId>> = Vec::new();
-        crate::oracle::reference_join(&q, &c, |a| fast.push(a.iter().map(|(_, t)| *t).collect()));
-        fast.sort();
-        let mut slow: Vec<Vec<TupleId>> = Vec::new();
-        join_tuples(
-            &q,
-            &lists,
-            |_| true,
-            |a| slow.push(a.iter().map(|(t, _)| *t).collect()),
-        );
-        slow.sort();
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn join_tuples_multi_attribute() {
-        // R1.a0 overlaps R2.a0 and R1.a1 = R2.a1
-        let q = JoinQuery::with_relations(
-            vec![
-                ij_query::query::RelationMeta {
-                    name: "R1".into(),
-                    attr_names: vec!["I".into(), "A".into()],
-                },
-                ij_query::query::RelationMeta {
-                    name: "R2".into(),
-                    attr_names: vec!["I".into(), "A".into()],
-                },
-            ],
-            vec![
-                Condition::new(AttrRef::new(0, 0), Overlaps, AttrRef::new(1, 0)),
-                Condition::new(AttrRef::new(0, 1), Equals, AttrRef::new(1, 1)),
-            ],
-        )
-        .unwrap();
-        let lists = vec![
-            vec![
-                (0u32, vec![iv(0, 10), Interval::point(7)]),
-                (1u32, vec![iv(0, 10), Interval::point(8)]),
-            ],
-            vec![
-                (0u32, vec![iv(5, 15), Interval::point(7)]),
-                (1u32, vec![iv(5, 15), Interval::point(9)]),
-            ],
-        ];
-        let mut out = Vec::new();
-        join_tuples(
-            &q,
-            &lists,
-            |_| true,
-            |a| {
-                out.push((a[0].0, a[1].0));
-            },
-        );
-        assert_eq!(out, vec![(0, 0)]);
-    }
-
-    /// The reducer join on whole inputs against the oracle's cross product.
-    #[test]
-    fn general_class_matches_brute_force_cross_product() {
-        let meta = |name: &str, attrs: &[&str]| RelationMeta {
-            name: name.into(),
-            attr_names: attrs.iter().map(|a| a.to_string()).collect(),
-        };
-        // Q5 (Section 9.1): one interval and one or two real-valued
-        // attributes per relation.
-        let q5 = JoinQuery::with_relations(
-            vec![
-                meta("R1", &["I", "A"]),
-                meta("R2", &["I", "B"]),
-                meta("R3", &["I", "A", "B"]),
-            ],
-            vec![
-                Condition::new(AttrRef::new(0, 0), Before, AttrRef::new(1, 0)),
-                Condition::new(AttrRef::new(0, 0), Overlaps, AttrRef::new(2, 0)),
-                Condition::new(AttrRef::new(0, 1), Equals, AttrRef::new(2, 1)),
-                Condition::new(AttrRef::new(1, 1), Equals, AttrRef::new(2, 2)),
-            ],
-        )
-        .unwrap();
-        // Mixed: an interval attribute compared with a real-valued one,
-        // and a less-than between two real-valued attributes.
-        let mixed = JoinQuery::with_relations(
-            vec![meta("S", &["I", "x"]), meta("T", &["J", "y"])],
-            vec![
-                Condition::new(AttrRef::new(0, 0), Contains, AttrRef::new(1, 1)),
-                Condition::new(AttrRef::new(0, 1), Before, AttrRef::new(1, 1)),
-                Condition::new(AttrRef::new(0, 0), OverlappedBy, AttrRef::new(1, 0)),
-            ],
-        )
-        .unwrap();
-        for (q, seeds) in [(&q5, 0..6u64), (&mixed, 6..12u64)] {
-            assert_eq!(q.class(), ij_query::QueryClass::General);
-            let mut total = 0;
-            for seed in seeds {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let rels = q
-                    .relations()
-                    .iter()
-                    .map(|m| {
-                        Relation::from_rows(
-                            m.name.clone(),
-                            (0..rng.gen_range(1..14usize)).map(|_| {
-                                let s = rng.gen_range(0..60i64);
-                                let mut row =
-                                    vec![Interval::new(s, s + rng.gen_range(0..25)).unwrap()];
-                                row.resize_with(m.attr_names.len(), || {
-                                    Interval::point(rng.gen_range(0..5))
-                                });
-                                row
-                            }),
-                        )
-                    })
-                    .collect();
-                let input = JoinInput::bind_owned(q, rels).unwrap();
-                let lists: Vec<Vec<(TupleId, Vec<Interval>)>> = (input.relations().iter())
-                    .map(|r| r.tuples().iter().map(|t| (t.id, t.attrs.clone())).collect())
-                    .collect();
-                let mut got: Vec<Vec<TupleId>> = Vec::new();
-                join_tuples(
-                    q,
-                    &lists,
-                    |_| true,
-                    |a| got.push(a.iter().map(|&(t, _)| t).collect()),
-                );
-                got.sort_unstable();
-                let want = oracle_join(q, &input);
-                assert_eq!(got, want, "{q} (seed {seed})");
-                total += want.len();
-            }
-            assert!(total > 0, "{q}: workloads join nothing");
-        }
     }
 }

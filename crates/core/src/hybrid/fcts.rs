@@ -2,32 +2,21 @@
 //!
 //! Stage 1 solves each colocation component with RCCIS, materializing the
 //! component join results. Stage 2 joins the component results on the
-//! sequence conditions with a component-dimensional All-Matrix. The
-//! intermediate materialization is the cost All-Seq-Matrix avoids.
+//! sequence conditions with a component-dimensional All-Matrix whose
+//! reducer is the composite join (`kernel::composite`): one side per
+//! component, its member relations the slots. The intermediate
+//! materialization is the cost All-Seq-Matrix avoids.
 
 use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
 use crate::all_matrix::CellSpace;
 use crate::input::JoinInput;
+use crate::kernel::composite::{base_composites, composites, CompositeJoin};
 use crate::output::{JoinOutput, OutputMode};
 use crate::rccis::Rccis;
-use crate::records::{CompRec, OutRec};
-use ij_interval::Interval;
-use ij_mapreduce::{Emitter, Engine, JobChain, Record, ReduceCtx, ValueStream};
+use crate::records::CompRec;
+use ij_interval::RelId;
+use ij_mapreduce::{Engine, JobChain};
 use ij_query::JoinQuery;
-use std::sync::Arc;
-
-/// A component composite tagged with its component id.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct TaggedComp {
-    comp: u16,
-    rec: CompRec,
-}
-
-impl Record for TaggedComp {
-    fn approx_bytes(&self) -> u64 {
-        2 + self.rec.approx_bytes()
-    }
-}
 
 /// The FCTS baseline.
 #[derive(Debug, Clone)]
@@ -69,39 +58,22 @@ impl Algorithm for Fcts {
             return Ok(empty_output(self.mode));
         }
         let comps = query.components();
-        let l = comps.len();
         let part = RunArtifacts::partition_span(input.span(), self.per_dim)?;
         let mut chain = JobChain::new();
 
         // ---- Stage 1: solve each component with RCCIS ----------------------
-        // composites[k]: the component's result tuples, as (global tid per
-        // member vertex, member intervals), vertex order = component order.
-        let mut composites: Vec<Vec<CompRec>> = Vec::with_capacity(l);
+        // Component k's result tuples become side k's records, its member
+        // relations (in vertex order) their slots.
+        let mut records: Vec<CompRec> = Vec::new();
         for comp in &comps.components {
+            let rels: Vec<RelId> = comp.vertices.iter().map(|v| v.rel).collect();
             match comp.as_query(query) {
-                None => {
-                    // Singleton component: its composites are the base tuples.
-                    let rel = comp.vertices[0].rel;
-                    composites.push(
-                        input
-                            .relation(rel)
-                            .tuples()
-                            .iter()
-                            .map(|t| CompRec {
-                                tids: vec![t.id],
-                                ivs: vec![t.interval()],
-                            })
-                            .collect(),
-                    );
-                }
+                // Singleton component: its results are the base tuples.
+                None => records.extend(base_composites(comp.id, rels[0], input)),
                 Some(sub_q) => {
-                    let sub_rels: Vec<Arc<ij_interval::Relation>> = comp
-                        .vertices
-                        .iter()
-                        .map(|v| input.relations()[v.rel.idx()].clone())
-                        .collect();
-                    let sub_input =
-                        JoinInput::bind(&sub_q, sub_rels).expect("component input arity matches");
+                    let sub_rels = rels.iter().map(|r| input.relations()[r.idx()].clone());
+                    let sub_input = JoinInput::bind(&sub_q, sub_rels.collect())
+                        .expect("component input arity matches");
                     let rccis = Rccis {
                         partitions: self.partitions,
                         mode: OutputMode::Materialize,
@@ -109,113 +81,55 @@ impl Algorithm for Fcts {
                         partition_strategy: Default::default(),
                     };
                     let sub_out = rccis.run(&sub_q, &sub_input, engine)?;
-                    chain.extend(sub_out.chain.clone());
-                    composites.push(
-                        sub_out
-                            .tuples
-                            .iter()
-                            .map(|t| CompRec {
-                                ivs: t
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(local, &tid)| {
-                                        input
-                                            .relation(comp.vertices[local].rel)
-                                            .tuple(tid)
-                                            .interval()
-                                    })
-                                    .collect(),
-                                tids: t.to_vec(),
-                            })
-                            .collect(),
-                    );
+                    records.extend(composites(comp.id, &rels, &sub_out.tuples, input));
+                    chain.extend(sub_out.chain);
                 }
             }
         }
 
         // ---- Stage 2: All-Matrix over components ---------------------------
-        let space = CellSpace::new(l, self.per_dim, order.component_constraints(&comps))?;
-        let records: Vec<TaggedComp> = composites
-            .into_iter()
-            .enumerate()
-            .flat_map(|(k, cs)| {
-                cs.into_iter().map(move |rec| TaggedComp {
-                    comp: k as u16,
-                    rec,
-                })
-            })
-            .collect();
-        // Sequence conditions, mapped to (left comp, left slot, pred,
-        // right comp, right slot).
-        let seq_checks: Vec<(usize, usize, ij_interval::AllenPredicate, usize, usize)> = comps
-            .sequence_condition_idxs
-            .iter()
-            .map(|&ci| {
-                let c = query.conditions()[ci];
-                let (lk, lv) = locate(&comps, c.left);
-                let (rk, rv) = locate(&comps, c.right);
-                (lk, lv, c.pred, rk, rv)
-            })
-            .collect();
-
-        let mode = self.mode;
-        let partc = part.clone();
-        let spacec = space.clone();
-        let n_rels = query.num_relations() as usize;
-        // Relation r's id sits at `slot` of component `k`'s composite.
-        let mut slot_of_rel = vec![(0, 0); n_rels];
-        for (k, comp) in comps.components.iter().enumerate() {
-            for (slot, v) in comp.vertices.iter().enumerate() {
-                slot_of_rel[v.rel.idx()] = (k, slot);
+        let space = CellSpace::new(
+            comps.len(),
+            self.per_dim,
+            order.component_constraints(&comps),
+        )?;
+        // Relation r sits at slot `s` of component `k`'s records.
+        let mut slot_of = vec![(0, 0); query.num_relations() as usize];
+        for comp in &comps.components {
+            for (s, v) in comp.vertices.iter().enumerate() {
+                slot_of[v.rel.idx()] = (comp.id, s);
             }
         }
-        let out = engine.run_job(
+        let join = CompositeJoin {
+            sides: comps.len(),
+            conditions: (comps.sequence_condition_idxs.iter())
+                .map(|&ci| query.conditions()[ci])
+                .map(|c| {
+                    (
+                        slot_of[c.left.rel.idx()],
+                        c.pred,
+                        slot_of[c.right.rel.idx()],
+                    )
+                })
+                .collect(),
+            gather: slot_of,
+            mode: self.mode,
+            order_by: None,
+        };
+        let out = join.run(
+            engine,
             "fcts-seq-matrix",
             &records,
-            {
-                let partc = partc.clone();
-                let spacec = spacec.clone();
-                move |rec: &TaggedComp, em: &mut Emitter<TaggedComp>| {
-                    // Route by the right-most member start (the component's
-                    // owner partition).
-                    let q = rec
-                        .rec
-                        .ivs
-                        .iter()
-                        .map(|iv| partc.index_of(iv.start()))
-                        .max()
-                        .expect("composite non-empty");
-                    em.emit_to_all(spacec.cells_eq(rec.comp as usize, q).iter().copied(), rec);
-                }
+            |rec, em| {
+                // Route by the right-most member start (the component's
+                // owner partition).
+                let q = (rec.ivs.iter())
+                    .map(|iv| part.index_of(iv.start()))
+                    .max()
+                    .expect("composite non-empty");
+                em.emit_to_all(space.cells_eq(rec.side as usize, q).iter().copied(), rec);
             },
-            move |ctx: &mut ReduceCtx,
-                  values: &mut ValueStream<TaggedComp>,
-                  out: &mut Vec<OutRec>| {
-                let mut per_comp: Vec<Vec<CompRec>> = vec![Vec::new(); l];
-                for v in values.by_ref() {
-                    per_comp[v.comp as usize].push(v.rec);
-                }
-                // Cross product over components with sequence checks.
-                let mut chosen = vec![0usize; l];
-                let mut found = OutRec::new(mode, n_rels);
-                let mut work = 0u64;
-                cross(
-                    &per_comp,
-                    &seq_checks,
-                    0,
-                    &mut chosen,
-                    &mut work,
-                    &mut |chosen| {
-                        found.push_row(
-                            slot_of_rel
-                                .iter()
-                                .map(|&(k, slot)| per_comp[k][chosen[k]].tids[slot]),
-                        )
-                    },
-                );
-                ctx.add_work(work);
-                found.emit_into(out);
-            },
+            None,
         )?;
         chain.push(out.metrics);
 
@@ -226,53 +140,12 @@ impl Algorithm for Fcts {
     }
 }
 
-/// Finds `(component id, slot within the component)` of a vertex.
-fn locate(comps: &ij_query::Components, v: ij_query::AttrRef) -> (usize, usize) {
-    for c in &comps.components {
-        if let Some(slot) = c.local_index(v) {
-            return (c.id, slot);
-        }
-    }
-    panic!("vertex {v} not in any component");
-}
-
-/// Recursive cross product over per-component composite lists, checking
-/// sequence conditions as soon as both endpoints are chosen.
-fn cross(
-    per_comp: &[Vec<CompRec>],
-    checks: &[(usize, usize, ij_interval::AllenPredicate, usize, usize)],
-    k: usize,
-    chosen: &mut Vec<usize>,
-    work: &mut u64,
-    emit: &mut impl FnMut(&[usize]),
-) {
-    if k == per_comp.len() {
-        emit(chosen);
-        return;
-    }
-    *work += per_comp[k].len() as u64;
-    'cands: for i in 0..per_comp[k].len() {
-        chosen[k] = i;
-        for &(lk, lv, pred, rk, rv) in checks {
-            if lk.max(rk) != k {
-                continue; // not yet fully bound (or checked earlier)
-            }
-            let liv: Interval = per_comp[lk][chosen[lk]].ivs[lv];
-            let riv: Interval = per_comp[rk][chosen[rk]].ivs[rv];
-            if !pred.holds(liv, riv) {
-                continue 'cands;
-            }
-        }
-        cross(per_comp, checks, k + 1, chosen, work, emit);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::oracle_join;
     use ij_interval::AllenPredicate::*;
-    use ij_interval::Relation;
+    use ij_interval::{Interval, Relation};
     use ij_mapreduce::ClusterConfig;
     use ij_query::Condition;
     use rand::rngs::StdRng;

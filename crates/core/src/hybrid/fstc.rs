@@ -2,17 +2,18 @@
 //!
 //! Stage 1 joins the relations touched by sequence conditions with
 //! All-Matrix; stage 2 cascades the colocation conditions onto the
-//! resulting composites (reusing the cascade stage machinery). Like FCTS,
-//! it pays for materializing and re-shuffling intermediate results.
+//! resulting composites (the cascade's stage loop). Like FCTS, it pays for
+//! materializing and re-shuffling intermediate results.
 
 use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm};
 use crate::all_matrix::AllMatrix;
-use crate::cascade::{plan_stages, run_stage, slots_by_rel, CascadeState};
+use crate::cascade::{plan_stages, TwoWayCascade};
 use crate::input::JoinInput;
+use crate::kernel::composite::{composites, CompositeJoin};
 use crate::output::{JoinOutput, OutputMode};
-use crate::records::{CompRec, OutRec};
+use crate::records::OutRec;
 use ij_interval::RelId;
-use ij_mapreduce::{Engine, JobChain};
+use ij_mapreduce::Engine;
 use ij_query::{Condition, JoinQuery, QueryClass};
 use std::sync::Arc;
 
@@ -98,26 +99,9 @@ impl Algorithm for Fstc {
             prune_inconsistent: true,
         }
         .run(&sub_q, &sub_input, engine)?;
-        let mut chain = JobChain::new();
-        chain.extend(seq_out.chain.clone());
-
         // Composites over the sequence relations.
-        let composites: Vec<CompRec> = seq_out
-            .tuples
-            .iter()
-            .map(|t| CompRec {
-                ivs: t
-                    .iter()
-                    .enumerate()
-                    .map(|(slot, &tid)| input.relation(seq_rels[slot]).tuple(tid).interval())
-                    .collect(),
-                tids: t.to_vec(),
-            })
-            .collect();
-        let mut state = CascadeState {
-            present: seq_rels.clone(),
-            composites,
-        };
+        let comps = composites(0, &seq_rels, &seq_out.tuples, input);
+        let mut chain = seq_out.chain;
 
         // ---- Stage 2: cascade the colocation conditions --------------------
         let coloc_conditions: Vec<Condition> = query
@@ -128,45 +112,32 @@ impl Algorithm for Fstc {
             .collect();
         let all_within_seed = coloc_conditions
             .iter()
-            .all(|c| state.present.contains(&c.left.rel) && state.present.contains(&c.right.rel));
-        let stages = if all_within_seed {
-            Vec::new()
-        } else {
-            plan_stages(query, seq_rels, &coloc_conditions)?
-        };
-        if stages.is_empty() {
-            // Every colocation condition sits between sequence relations —
-            // filter locally (no further relations to introduce).
-            let n_rels = query.num_relations() as usize;
-            let slots = slots_by_rel(&state.present, n_rels);
-            let mut found = OutRec::new(self.mode, n_rels);
-            let slot = |at: ij_query::AttrRef| state.slot_of(at.rel);
-            let checks: Vec<_> = (coloc_conditions.iter())
-                .map(|c| (slot(c.left), c.pred, slot(c.right)))
-                .collect();
-            for c in &state.composites {
-                if (checks.iter()).all(|&(l, pred, r)| pred.holds(c.ivs[l], c.ivs[r])) {
-                    found.push_row(slots.iter().map(|&s| c.tids[s]));
-                }
-            }
+            .all(|c| seq_rels.contains(&c.left.rel) && seq_rels.contains(&c.right.rel));
+        if all_within_seed {
+            // Every colocation condition sits between sequence relations,
+            // which are then all of the query's (each one is joined):
+            // filter the seed locally, with no relation left to introduce.
+            let slot = |rel: RelId| (0, local_of(rel));
+            let filter = CompositeJoin {
+                sides: 1,
+                conditions: (coloc_conditions.iter())
+                    .map(|c| (slot(c.left.rel), c.pred, slot(c.right.rel)))
+                    .collect(),
+                gather: (0..query.num_relations()).map(|r| slot(RelId(r))).collect(),
+                mode: self.mode,
+                order_by: None,
+            };
+            let mut found = OutRec::new(self.mode, filter.gather.len());
+            filter.join_into(&mut [comps], |_| true, &mut found);
             return Ok(JoinOutput::from_records(self.mode, vec![found], chain));
         }
-        let last = stages.len() - 1;
-        let mut finals = Vec::new();
-        for (i, stage) in stages.iter().enumerate() {
-            let finalize = (i == last).then_some(self.mode);
-            finals = run_stage(
-                query,
-                input,
-                engine,
-                &mut state,
-                stage,
-                self.partitions,
-                self.per_dim,
-                finalize,
-                &mut chain,
-            )?;
-        }
+        let stages = plan_stages(seq_rels.clone(), &coloc_conditions)?;
+        let cascade = TwoWayCascade {
+            partitions: self.partitions,
+            per_dim_2d: self.per_dim,
+            mode: self.mode,
+        };
+        let finals = cascade.run_stages(input, engine, seq_rels, comps, &stages, &mut chain)?;
         Ok(JoinOutput::from_records(self.mode, finals, chain))
     }
 }

@@ -89,7 +89,7 @@ fn descend(
 mod tests {
     use super::*;
     use crate::kernel::{execute, KernelConfig};
-    use ij_interval::AllenPredicate::*;
+    use ij_interval::AllenPredicate::{self, *};
 
     fn iv(s: i64, e: i64) -> Interval {
         Interval::new(s, e).unwrap()
@@ -168,14 +168,16 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(99);
-        for preds in [
+        // Every Allen predicate as a 2-way join, then multi-way chains.
+        let pairs = AllenPredicate::ALL.map(|p| vec![p]);
+        for preds in pairs.into_iter().chain([
             vec![Overlaps, Overlaps],
             vec![Before, Before],
             vec![Overlaps, Before],
             vec![Contains, Meets],
             vec![Equals, Starts],
             vec![Finishes, OverlappedBy],
-        ] {
+        ]) {
             let q = JoinQuery::chain(&preds).unwrap();
             for _ in 0..20 {
                 let m = q.num_relations() as usize;
@@ -189,6 +191,15 @@ mod tests {
                 }
                 c.finish();
                 assert_eq!(run(&q, &c), brute(&q, &c), "preds {preds:?}");
+            }
+            // An empty relation on either side joins nothing.
+            for empty in 0..q.num_relations() as usize {
+                let mut c = Candidates::new(q.num_relations() as usize);
+                for r in (0..q.num_relations() as usize).filter(|&r| r != empty) {
+                    c.push(r, iv(0, 5), 0);
+                }
+                c.finish();
+                assert!(run(&q, &c).is_empty(), "preds {preds:?}, R{empty} empty");
             }
         }
     }

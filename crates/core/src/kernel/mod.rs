@@ -55,6 +55,7 @@
 //! index, never over the raw stream.
 
 pub(crate) mod backtrack;
+pub(crate) mod composite;
 mod event_sweep;
 mod ranges;
 mod scratch;

@@ -34,37 +34,25 @@ pub struct FlagRec {
 
 impl Record for FlagRec {}
 
-/// A full multi-attribute tuple record, used by Gen-Matrix.
+/// A record of a composite join (`kernel::composite`): one side's tuple
+/// ids and the intervals of its slots — a cascade composite's joined
+/// relations, an FCTS component result's members, or a Gen-Matrix tuple's
+/// attributes (one id, an interval per attribute). What the slots stand
+/// for is the caller's plan, not the record's.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TupleRec {
-    /// Logical relation.
-    pub rel: RelId,
-    /// Tuple id.
-    pub tid: TupleId,
-    /// All attribute values.
-    pub attrs: Vec<Interval>,
-}
-
-impl Record for TupleRec {
-    fn approx_bytes(&self) -> u64 {
-        8 + self.attrs.len() as u64 * 16
-    }
-}
-
-/// A partial join result produced by cascade stages: tuple ids and the
-/// intervals of the relations joined so far. Which relations those are is
-/// carried by the cascade's stage plan, not the record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CompRec {
-    /// Tuple ids, parallel to the stage plan's joined-relation list.
-    pub tids: Vec<TupleId>,
-    /// Intervals, parallel to `tids`.
-    pub ivs: Vec<Interval>,
+pub(crate) struct CompRec {
+    /// The join side the record belongs to.
+    pub(crate) side: u16,
+    /// Tuple ids.
+    pub(crate) tids: Vec<TupleId>,
+    /// One interval per slot.
+    pub(crate) ivs: Vec<Interval>,
 }
 
 impl Record for CompRec {
+    /// A four-byte side tag, four bytes per id and sixteen per interval.
     fn approx_bytes(&self) -> u64 {
-        self.tids.len() as u64 * 20 + 8
+        4 + self.tids.len() as u64 * 4 + self.ivs.len() as u64 * 16
     }
 }
 
@@ -145,10 +133,10 @@ mod tests {
             iv: iv(0, 5),
         };
         assert!(r.approx_bytes() >= 20);
-        let t = TupleRec {
-            rel: RelId(0),
-            tid: 1,
-            attrs: vec![iv(0, 5), iv(1, 1)],
+        let t = CompRec {
+            side: 0,
+            tids: vec![1],
+            ivs: vec![iv(0, 5), iv(1, 1)],
         };
         assert_eq!(t.approx_bytes(), 8 + 32);
         let mut rows = OutRec::new(OutputMode::Materialize, 3);

@@ -25,7 +25,6 @@
 //! ```
 
 pub mod allen;
-pub mod index;
 pub mod interval;
 pub mod ops;
 pub mod partition;
@@ -34,7 +33,6 @@ pub mod set;
 pub mod tuple;
 
 pub use allen::{bounds_contain, AllenPredicate, MapOp, OperandOrder, PredicateClass};
-pub use index::IntervalIndex;
 pub use interval::{Interval, IntervalError, Time};
 pub use partition::{PartitionIndex, Partitioning, PartitioningError};
 pub use relation::{RelId, Relation};

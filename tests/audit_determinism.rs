@@ -248,10 +248,10 @@ fn q5() -> JoinQuery {
 /// supports (colocation for RCCIS/All-Rep, hybrid for the cascade and
 /// matrix family, sequence for All-Matrix, two-way for 1-Bucket, and Q5
 /// for Gen-Matrix, the one family that takes the General class). The flag
-/// marks families whose output comes from one `kernel::reduce_join` cycle:
-/// their `join.emitted` must equal the output count. The cascade and
-/// FCTS/FSTC also write the counters but sum them over intermediate
-/// joins; Gen-Matrix has its own reducer.
+/// marks families whose output comes from one join cycle — a
+/// `kernel::reduce_join` cycle, or Gen-Matrix's composite join: their
+/// `join.emitted` must equal the output count. The cascade and FCTS/FSTC
+/// also write the counters but sum them over intermediate joins.
 fn suite() -> Vec<(Box<dyn Algorithm>, JoinQuery, bool)> {
     let colo = JoinQuery::chain(&[Overlaps, Overlaps]).expect("colocation chain");
     let hybrid = JoinQuery::chain(&[Overlaps, Before]).expect("hybrid chain");
@@ -270,8 +270,8 @@ fn suite() -> Vec<(Box<dyn Algorithm>, JoinQuery, bool)> {
         (Box::new(AllMatrix::new(3)), seq.clone(), true),
         (Box::new(AllSeqMatrix::new(3)), hybrid.clone(), true),
         (Box::new(Pasm::new(3)), hybrid.clone(), true),
-        (Box::new(GenMatrix::new(3)), hybrid.clone(), false),
-        (Box::new(GenMatrix::new(3)), q5(), false),
+        (Box::new(GenMatrix::new(3)), hybrid.clone(), true),
+        (Box::new(GenMatrix::new(3)), q5(), true),
         (Box::new(Fcts::new(4, 3)), hybrid.clone(), false),
         (Box::new(Fstc::new(4, 3)), hybrid, false),
         (Box::new(OneBucketTheta::new(4, 4)), pair.clone(), true),

@@ -21,7 +21,8 @@ use ij_core::{Algorithm, JoinInput, OutputTuple, PartitionStrategy};
 use ij_interval::AllenPredicate::{self, *};
 use ij_interval::{Interval, Relation};
 use ij_mapreduce::{ClusterConfig, Engine};
-use ij_query::{JoinQuery, QueryClass};
+use ij_query::query::RelationMeta;
+use ij_query::{AttrRef, Condition, JoinQuery, QueryClass};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -275,11 +276,42 @@ fn point_interval_inputs() {
     }
 }
 
+/// Endpoints at both `i64` extremes and around zero.
+const EXTREMES: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+
+/// An interval between two [`EXTREMES`] (a point one time in seven).
+fn extreme_interval(rng: &mut StdRng) -> Interval {
+    let (a, b) = (rng.gen_range(0..7usize), rng.gen_range(0..7usize));
+    Interval::new(EXTREMES[a.min(b)], EXTREMES[a.max(b)]).unwrap()
+}
+
+/// `n` tuples per relation of `q`, every attribute drawn by `value`.
+fn input_with(
+    q: &JoinQuery,
+    rng: &mut StdRng,
+    n: impl Fn(&mut StdRng) -> usize,
+    value: impl Fn(&mut StdRng, u16) -> Interval,
+) -> JoinInput {
+    let rels = (q.relations().iter())
+        .map(|meta| {
+            let n = n(rng);
+            let rows: Vec<Vec<Interval>> = (0..n)
+                .map(|_| {
+                    (0..meta.attr_names.len() as u16)
+                        .map(|a| value(rng, a))
+                        .collect()
+                })
+                .collect();
+            Relation::from_rows(meta.name.clone(), rows)
+        })
+        .collect();
+    JoinInput::bind_owned(q, rels).unwrap()
+}
+
 #[test]
 fn extreme_endpoint_inputs() {
     // Endpoints at both `i64` extremes: the partitioned span is the whole
     // time domain, so `end + 1` and `tn - t0` do not fit in an `i64`.
-    const EDGES: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
     let engine = Engine::new(ClusterConfig::with_slots(4));
     for (i, preds) in [
         vec![Overlaps, Contains],
@@ -291,18 +323,7 @@ fn extreme_endpoint_inputs() {
     {
         let q = JoinQuery::chain(preds).unwrap();
         let mut rng = StdRng::seed_from_u64(900 + i as u64);
-        let rels = (0..q.num_relations())
-            .map(|r| {
-                Relation::from_intervals(
-                    format!("R{}", r + 1),
-                    (0..12).map(|_| {
-                        let (a, b) = (rng.gen_range(0..7usize), rng.gen_range(0..7usize));
-                        Interval::new(EDGES[a.min(b)], EDGES[a.max(b)]).unwrap()
-                    }),
-                )
-            })
-            .collect();
-        let input = JoinInput::bind_owned(&q, rels).unwrap();
+        let input = input_with(&q, &mut rng, |_| 12, |rng, _| extreme_interval(rng));
         let want = oracle_join(&q, &input);
         assert!(!want.is_empty(), "{q}: extreme workload joins nothing");
         let mut algs = algorithms_for(&q);
@@ -321,6 +342,145 @@ fn extreme_endpoint_inputs() {
             assert_eq!(got, want, "{} disagrees on {q}", alg.name());
         }
     }
+    // Random multi-attribute queries through Gen-Matrix at o = 1, 3, 4.
+    let mut joined = 0;
+    for seed in 0..60 {
+        let mut rng = StdRng::seed_from_u64(9100 + seed);
+        let q = random_multi_attribute_query(&mut rng);
+        let input = input_with(
+            &q,
+            &mut rng,
+            |rng| rng.gen_range(1..8),
+            |rng, _| extreme_interval(rng),
+        );
+        let want = oracle_join(&q, &input);
+        joined += want.len();
+        for o in [1, 3, 4] {
+            let got = (GenMatrix::new(o).run(&q, &input, &engine))
+                .unwrap_or_else(|e| panic!("Gen-Matrix: {e} on {q}"))
+                .assert_no_duplicates();
+            assert_eq!(got, want, "Gen-Matrix at o = {o} on {q} (seed {seed})");
+        }
+    }
+    assert!(joined > 0, "extreme multi-attribute workloads join nothing");
+    // Random hybrid trees through the staged baselines.
+    let mut joined = 0;
+    for seed in 0..80 {
+        let mut rng = StdRng::seed_from_u64(9300 + seed);
+        let q = random_hybrid_tree(&mut rng);
+        let input = input_with(&q, &mut rng, |_| 6, |rng, _| extreme_interval(rng));
+        let want = oracle_join(&q, &input);
+        joined += want.len();
+        let staged: [Box<dyn Algorithm>; 3] = [
+            Box::new(TwoWayCascade::new(5)),
+            Box::new(Fcts::new(5, 3)),
+            Box::new(Fstc::new(5, 3)),
+        ];
+        for alg in staged {
+            let got = alg
+                .run(&q, &input, &engine)
+                .unwrap_or_else(|e| panic!("{}: {e} on {q}", alg.name()))
+                .assert_no_duplicates();
+            assert_eq!(got, want, "{} on {q} (seed {seed})", alg.name());
+        }
+    }
+    assert!(joined > 0, "extreme hybrid workloads join nothing");
+}
+
+/// A random tree query over 3–5 relations with at least one colocation
+/// and one sequence edge, each edge any Allen predicate in either
+/// orientation.
+fn random_hybrid_tree(rng: &mut StdRng) -> JoinQuery {
+    loop {
+        let m = rng.gen_range(3..=5u16);
+        let conditions = (1..m)
+            .map(|r| {
+                let (parent, pred) = (
+                    rng.gen_range(0..r),
+                    AllenPredicate::ALL[rng.gen_range(0..13)],
+                );
+                match rng.gen_bool(0.5) {
+                    true => Condition::whole(parent, pred, r),
+                    false => Condition::whole(r, pred, parent),
+                }
+            })
+            .collect();
+        let q = JoinQuery::new(m, conditions).unwrap();
+        if q.class() == QueryClass::Hybrid {
+            return q;
+        }
+    }
+}
+
+/// A random multi-attribute query: 2–3 relations of 1–3 attributes each,
+/// a spanning tree of conditions plus up to two more, each between random
+/// attributes of two relations with any Allen predicate.
+fn random_multi_attribute_query(rng: &mut StdRng) -> JoinQuery {
+    let m = rng.gen_range(2..=3u16);
+    let arity: Vec<u16> = (0..m).map(|_| rng.gen_range(1..=3)).collect();
+    let relations = (0..m)
+        .map(|r| RelationMeta {
+            name: format!("R{}", r + 1),
+            attr_names: (0..arity[r as usize]).map(|a| format!("a{a}")).collect(),
+        })
+        .collect();
+    let condition = |rng: &mut StdRng, l: u16, r: u16| {
+        let attr =
+            |rng: &mut StdRng, rel: u16| AttrRef::new(rel, rng.gen_range(0..arity[rel as usize]));
+        let (left, right) = (attr(rng, l), attr(rng, r));
+        Condition::new(left, AllenPredicate::ALL[rng.gen_range(0..13)], right)
+    };
+    let mut conditions: Vec<Condition> = (1..m)
+        .map(|r| {
+            let parent = rng.gen_range(0..r);
+            condition(rng, parent, r)
+        })
+        .collect();
+    for _ in 0..rng.gen_range(0..=2) {
+        let l = rng.gen_range(0..m);
+        let r = (l + rng.gen_range(1..m)) % m;
+        conditions.push(condition(rng, l, r));
+    }
+    JoinQuery::with_relations(relations, conditions).unwrap()
+}
+
+#[test]
+fn random_multi_attribute_queries_agree() {
+    // Attribute 0 is an interval; the others are points on a small domain
+    // (real values, Section 9) or short intervals, so equalities match.
+    let engine = Engine::new(ClusterConfig::with_slots(4));
+    let (mut joined, mut shared_components) = (0, 0);
+    for seed in 0..60 {
+        let mut rng = StdRng::seed_from_u64(9500 + seed);
+        let q = random_multi_attribute_query(&mut rng);
+        // Two attributes of one relation in one colocation component.
+        shared_components += (q.components().components.iter())
+            .filter(|c| (c.vertices.windows(2)).any(|w| w[0].rel == w[1].rel))
+            .count();
+        let input = input_with(
+            &q,
+            &mut rng,
+            |rng| rng.gen_range(1..10),
+            |rng, attr| {
+                let s = rng.gen_range(0..60i64);
+                match attr == 0 || rng.gen_bool(0.5) {
+                    true => Interval::new(s, s + rng.gen_range(0..25)).unwrap(),
+                    false => Interval::point(s % 8),
+                }
+            },
+        );
+        let want = oracle_join(&q, &input);
+        joined += want.len();
+        let got = (GenMatrix::new(4).run(&q, &input, &engine))
+            .unwrap_or_else(|e| panic!("Gen-Matrix: {e} on {q}"))
+            .assert_no_duplicates();
+        assert_eq!(got, want, "Gen-Matrix on {q} (seed {seed})");
+    }
+    assert!(joined > 0, "multi-attribute workloads join nothing");
+    assert!(
+        shared_components > 0,
+        "no component holds two attributes of a relation"
+    );
 }
 
 #[test]
