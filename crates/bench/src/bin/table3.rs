@@ -13,16 +13,23 @@
 //! (`pasm.shuffled_prune_pairs`). The two are equal on a row that took the
 //! shuffled route.
 //!
+//! ASM and PASM join on a grid chosen per matrix dimension by an exact count
+//! (DESIGN.md §5, "Shares"): `grid` is each one's partitions per dimension
+//! `(k_d)`, `join` the pairs its join cycle shipped, and `paper join` the
+//! pairs the paper's grid — `o = 6` in every dimension — would have
+//! (`matrix.paper_grid_join_pairs`).
+//!
 //! Run: `cargo run --release -p ij-bench --bin table3 [--scale f]`.
 
 use ij_bench::report::{fmt_sim, Report};
 use ij_bench::scale::BenchArgs;
 use ij_bench::scenarios::{assert_same_output, engine, measure};
 use ij_core::hybrid::{AllSeqMatrix, Fcts, Pasm};
-use ij_core::{JoinInput, OutputMode};
+use ij_core::{JoinInput, JoinOutput, OutputMode};
 use ij_datagen::{Distribution, SynthConfig};
 use ij_interval::AllenPredicate::{Before, Overlaps};
 use ij_mapreduce::metrics::names;
+use ij_mapreduce::Counters;
 use ij_query::{Condition, JoinQuery};
 
 fn main() {
@@ -61,6 +68,12 @@ fn main() {
             "pairs PASM",
             "prune PASM",
             "paper prune",
+            "grid ASM",
+            "join ASM",
+            "paper join ASM",
+            "grid PASM",
+            "join PASM",
+            "paper join PASM",
             "output",
         ],
     );
@@ -128,9 +141,16 @@ fn main() {
             .find(|(n, _)| n == "R1")
             .map(|(_, f)| f * 100.0)
             .unwrap_or(0.0);
-        let prune = (pasm.out.chain.cycles.iter())
-            .find(|c| c.name.ends_with("-prune"))
-            .map_or(0, |c| c.intermediate_pairs);
+        let pairs_of = |out: &JoinOutput, stage: &str| {
+            (out.chain.cycles.iter())
+                .find(|c| c.name.ends_with(stage))
+                .map_or(0, |c| c.intermediate_pairs)
+        };
+        let grid = |out: &JoinOutput| {
+            let ks: Vec<String> = out.stats.grid.iter().map(usize::to_string).collect();
+            ks.join("x")
+        };
+        let paper_join = |counters: &Counters| counters.get(names::MATRIX_PAPER_GRID_JOIN_PAIRS);
         report.row(vec![
             (i_max as u64).into(),
             fmt_sim(fcts.simulated).into(),
@@ -139,8 +159,14 @@ fn main() {
             pruned_r1.into(),
             asm.pairs.into(),
             pasm.pairs.into(),
-            prune.into(),
+            pairs_of(&pasm.out, "-prune").into(),
             pasm.counters.get(names::PASM_SHUFFLED_PRUNE_PAIRS).into(),
+            grid(&asm.out).into(),
+            pairs_of(&asm.out, "-join").into(),
+            paper_join(&asm.counters).into(),
+            grid(&pasm.out).into(),
+            pairs_of(&pasm.out, "-join").into(),
+            paper_join(&pasm.counters).into(),
             asm.output.into(),
         ]);
         eprintln!(

@@ -26,7 +26,8 @@ use ij_query::JoinQuery;
 #[derive(Debug, Clone)]
 pub struct AllMatrix {
     /// Partitions per dimension, `o` in the paper (the matrix has
-    /// `o^m` cells).
+    /// `o^m` cells); the join's grid is chosen within that cell budget
+    /// (`core::component_matrix`).
     pub per_dim: usize,
     /// Materialize or count.
     pub mode: OutputMode,

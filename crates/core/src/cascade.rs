@@ -177,7 +177,7 @@ impl TwoWayCascade {
                     (op_r, op_l)
                 };
                 let part = RunArtifacts::partition_span(span, self.partitions)?;
-                let space = CellSpace::new(1, part.len(), Vec::new())?;
+                let space = CellSpace::new(&[&part], Vec::new())?;
                 (part, space, (0, comp_op), (0, base_op))
             } else {
                 let constraints = if stage.primary.lesser().rel == comp_rel {
@@ -186,7 +186,7 @@ impl TwoWayCascade {
                     vec![(1, 0)]
                 };
                 let part = RunArtifacts::partition_span(span, self.per_dim_2d)?;
-                let space = CellSpace::new(2, self.per_dim_2d, constraints)?;
+                let space = CellSpace::new(&[&part; 2], constraints)?;
                 (part, space, (0, MapOp::Project), (1, MapOp::Project))
             };
             let comp_slot = slot(comp_rel).1;

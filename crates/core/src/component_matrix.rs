@@ -26,6 +26,21 @@
 //!   one slice of the largest member in place.
 //! * **join** — each cell joins what it was routed and keeps what it owns.
 //!
+//! **Grids.** A setting of one dimension, or of four or more, runs every
+//! stage on `part`. With two or three dimensions the mark runs on `F`,
+//! `part` with every partition cut into `D` (the *coarsening lemma*: flags
+//! from `F` are sound on every grid whose boundaries are a subset of
+//! `F`'s), the prune on `part`, and each join dimension on its own
+//! coarsening of `F`, picked once flags and participants are final by an
+//! exact count of every candidate's pairs, cells and largest cell
+//! ([`Stages::shares`], the rule in [`pick`]). The paper's grid — `o`
+//! partitions in every dimension — is a candidate, so the join never ships
+//! more than the paper grid would *under `F`'s flags*. Those flags can
+//! replicate more than `part`'s, so a setting that keeps the paper grid
+//! can ship more than a mark on `part` would (q3-hybrid in
+//! `tests/family_pins.rs`: ASM's join 1 225 → 1 541 pairs). DESIGN.md §5
+//! has the proof.
+//!
 //! Prune and join both map the input records themselves and read an
 //! interval's flag, and the join its participation, from a bitmap.
 //!
@@ -37,6 +52,7 @@
 //! starts last ([`starts_last`]): only its start coordinate gets a binding.
 
 use crate::algorithm::{iv_records, AlgoError};
+use crate::all_matrix::cells::{for_each_consistent, windows_of};
 use crate::all_matrix::CellSpace;
 use crate::executor::Candidates;
 use crate::input::JoinInput;
@@ -66,10 +82,15 @@ pub(crate) struct ComponentMatrix<'a> {
     pub family: &'static str,
     /// The full query — what the join stage evaluates.
     pub query: &'a JoinQuery,
-    /// The 1-D partitioning every dimension shares.
+    /// The paper's grid: the 1-D partitioning every dimension of the
+    /// paper's matrix shares, `o` partitions. The prune stage runs on it;
+    /// with two or three dimensions the mark stage runs on its `D`-fold
+    /// refinement and each join dimension on a coarsening of that
+    /// ([`Stages::shares`]).
     pub part: &'a Partitioning,
-    /// Cell constraints: `(j, k)` keeps cells with `coord_j <= coord_k` in
-    /// the matrix of one dimension per group, `part.len()` per side.
+    /// Cell constraints: `(j, k)` keeps the cells whose dimension-`j`
+    /// window starts no later than their dimension-`k` window ends, in the
+    /// matrix of one dimension per group.
     pub constraints: Vec<(usize, usize)>,
     /// `groups[d]`: the relations of dimension `d`, ascending — together a
     /// partition of the relations.
@@ -233,18 +254,19 @@ fn prune_route(members: &[usize], sizes: &[u64], p: u64, shuffled: u64) -> Prune
 }
 
 /// The prune stage's reducer output: the [`participant_key`] of every
-/// interval in an owned group binding. A set, so absorbing chunks in any
-/// grouping yields the serial result.
+/// interval in an owned group binding, with its start. A set, so absorbing
+/// chunks in any grouping yields the serial result.
 struct ParticipantSink<'a> {
     /// Global relation of each local slot of the group's sub-query.
     rels: &'a [usize],
-    ids: BTreeSet<u64>,
+    ids: BTreeSet<(u64, Time)>,
 }
 
 impl kernel::BindingSink for ParticipantSink<'_> {
     fn push(&mut self, binding: &[(Interval, TupleId)]) {
-        for (&rel, (_, tid)) in self.rels.iter().zip(binding) {
-            self.ids.insert(participant_key(rel as u64, *tid));
+        for (&rel, (iv, tid)) in self.rels.iter().zip(binding) {
+            self.ids
+                .insert((participant_key(rel as u64, *tid), iv.start()));
         }
     }
 }
@@ -270,12 +292,91 @@ struct Lane {
     route: Route,
 }
 
+/// Per join dimension `d`, how many records the join ships to each range
+/// of `F` that lifts to cells: `hist[d][f]` to exactly partition `f`, and
+/// `hist[d][n + f]` to `f` and every partition after it — with two or more
+/// dimensions the only ranges a route yields ([`CellSpace::cells_in`]).
+struct Routed {
+    hist: Vec<Vec<u64>>,
+}
+
+impl Routed {
+    fn new(dims: usize, fine: &Partitioning) -> Self {
+        let hist = vec![vec![0; 2 * fine.len()]; dims];
+        Routed { hist }
+    }
+
+    /// The slot of `hist[d]` counting the partitions `range` of the `n`
+    /// of `F`.
+    fn slot(n: usize, range: std::ops::Range<usize>) -> usize {
+        range.start + n * (range.end == n) as usize
+    }
+}
+
+/// The join stage on one grid, counted: consistent cells, pairs shipped
+/// and the most pairs one cell receives.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct GridCount {
+    cells: u64,
+    pairs: u64,
+    max_load: u64,
+}
+
+/// Counts the join stage on the grids of `windows`, where `cover[d][c]`
+/// records of dimension `d` are routed to coordinate `c`: a consistent
+/// cell receives every record routed to its coordinate in each dimension.
+fn count_grid(
+    windows: &[&[(Time, Time)]],
+    constraints: &[(usize, usize)],
+    cover: &[&[u64]],
+) -> GridCount {
+    let mut count = GridCount {
+        cells: 0,
+        pairs: 0,
+        max_load: 0,
+    };
+    for_each_consistent(windows, constraints, |coords| {
+        let load: u64 = coords.iter().zip(cover).map(|(&c, cover)| cover[c]).sum();
+        count.cells += 1;
+        count.pairs += load;
+        count.max_load = count.max_load.max(load);
+    });
+    count
+}
+
+/// **The shares rule.** Among the counted `(k_d)` with no more consistent
+/// cells and no larger cell load than the `paper` grid's, the fewest
+/// pairs; ties go to fewer cells, then to the lexicographically smallest
+/// `(k_d)`. The paper grid qualifies, so a counted paper grid is always
+/// picked over nothing.
+fn pick(counted: &[(Vec<usize>, GridCount)], paper: GridCount) -> (&[usize], GridCount) {
+    let fits = |c: &GridCount| c.cells <= paper.cells && c.max_load <= paper.max_load;
+    let best = (counted.iter().filter(|(_, c)| fits(c)))
+        .min_by(|(a, x), (b, y)| (x.pairs, x.cells, a).cmp(&(y.pairs, y.cells, b)));
+    let (ks, count) = best.expect("the paper grid is counted");
+    (ks, *count)
+}
+
+/// The grids the join stage runs on.
+struct Shares {
+    /// `grids[d]`: the partitioning of join dimension `d`.
+    grids: Vec<Partitioning>,
+    space: CellSpace,
+    /// With two or more dimensions, the chosen grid's count and the paper
+    /// grid's.
+    counts: Option<(GridCount, GridCount)>,
+}
+
 /// A setting, the engine it runs on, and what the stages derive from the
 /// grouping.
 struct Stages<'a> {
     cm: &'a ComponentMatrix<'a>,
     engine: &'a Engine,
+    /// The paper grid's matrix: it validates the setting, and a
+    /// one-dimension join runs on it.
     space: CellSpace,
+    /// The mark grid `F` ([`ComponentMatrix::fine_grid`]).
+    fine: Partitioning,
     /// Relation → its lane.
     lanes: Vec<Lane>,
     /// Per group: its colocation sub-query over local slots if it is marked
@@ -291,10 +392,13 @@ impl ComponentMatrix<'_> {
         let any_marked = stages.subs.iter().any(Option::is_some);
         let records = iv_records(input);
         let sizes: Vec<usize> = input.relations().iter().map(|rel| rel.len()).collect();
+        // The shares count, with two or more dimensions.
+        let mut routed =
+            (self.groups.len() > 1).then(|| Routed::new(self.groups.len(), &stages.fine));
 
         let mut chain = JobChain::new();
         let flags = if any_marked {
-            let marked = stages.mark(&records)?;
+            let marked = stages.mark(&records, &stages.fine)?;
             chain.push(marked.metrics);
             flags_of(&sizes, marked.outputs)
         } else {
@@ -307,9 +411,21 @@ impl ComponentMatrix<'_> {
             // The paper's prune volume, whichever route each group took.
             (pruned.metrics.counters).inc(names::PASM_SHUFFLED_PRUNE_PAIRS, shuffled);
             chain.push(pruned.metrics);
-            participants = Some(flags_of(&sizes, pruned.outputs));
+            let alive = stages.participants(&sizes, pruned.outputs, routed.as_mut());
+            participants = Some(alive);
         }
-        let joined = stages.join(&records, &flags, participants.as_ref())?;
+        let shares = stages.shares(&records, &flags, participants.is_some(), routed)?;
+        let mut joined = stages.join(&records, &flags, participants.as_ref(), &shares)?;
+        if let Some((chosen, paper)) = shares.counts {
+            let loads = joined
+                .metrics
+                .reducer_loads
+                .iter()
+                .map(|l| l.pairs_received);
+            debug_assert_eq!(chosen.pairs, joined.metrics.intermediate_pairs);
+            debug_assert_eq!(chosen.max_load, loads.max().unwrap_or(0));
+            (joined.metrics.counters).inc(names::MATRIX_PAPER_GRID_JOIN_PAIRS, paper.pairs);
+        }
         chain.push(joined.metrics);
 
         let mut out = JoinOutput::from_records(self.mode, joined.outputs, chain);
@@ -317,8 +433,9 @@ impl ComponentMatrix<'_> {
             .iter()
             .filter(|r| stages.op(&flags, r) == MapOp::Replicate);
         out.stats.replicated_intervals = Some(replicated.count() as u64);
-        let cells = stages.space.consistent_cells().len() as u64;
-        out.stats.consistent_cells = Some((cells, stages.space.total_cells()));
+        let cells = shares.space.consistent_cells().len() as u64;
+        out.stats.consistent_cells = Some((cells, shares.space.total_cells()));
+        out.stats.grid = shares.grids.iter().map(Partitioning::len).collect();
         for (r, rel) in input.relations().iter().enumerate() {
             // Only relations of marked groups are ever pruned.
             let prunable = stages.subs[stages.lanes[r].dim].is_some() && !rel.is_empty();
@@ -332,16 +449,26 @@ impl ComponentMatrix<'_> {
         Ok(out)
     }
 
-    /// Runs the mark stage alone, whether or not a group is marked, over
-    /// `records`: `sizes[r]` intervals of each relation `r`, with dense
-    /// tuple ids. Returns the flags and the cycle's metrics.
+    /// The mark grid `F`: with two or three dimensions, `part` with every
+    /// partition cut into `D` ([`Partitioning::refine`]). `part` itself for
+    /// one dimension; for four or more, where no setting in use leaves the
+    /// paper grid; and where some partition is narrower than `D` ticks.
+    fn fine_grid(&self) -> Partitioning {
+        let dims = self.groups.len();
+        let fine = (2..=3).contains(&dims).then(|| self.part.refine(dims));
+        fine.flatten().unwrap_or_else(|| self.part.clone())
+    }
+
+    /// Runs the mark stage alone on `part`, whether or not a group is
+    /// marked, over `records`: `sizes[r]` intervals of each relation `r`,
+    /// with dense tuple ids. Returns the flags and the cycle's metrics.
     pub(crate) fn mark(
         &self,
         records: &[IvRec],
         sizes: &[usize],
         engine: &Engine,
     ) -> Result<(Flags, JobMetrics), AlgoError> {
-        let marked = self.stages(engine)?.mark(records)?;
+        let marked = self.stages(engine)?.mark(records, self.part)?;
         Ok((flags_of(sizes, marked.outputs), marked.metrics))
     }
 
@@ -376,12 +503,16 @@ impl ComponentMatrix<'_> {
         let subs = (self.groups.iter())
             .map(|members| marked(members).then(|| sub_query(self.query, members)))
             .collect();
-        let space = CellSpace::new(self.groups.len(), self.part.len(), self.constraints.clone())?;
-        let cm = self;
+        let space = CellSpace::new(
+            &vec![self.part; self.groups.len()],
+            self.constraints.clone(),
+        )?;
+        let (cm, fine) = (self, self.fine_grid());
         Ok(Stages {
             cm,
             engine,
             space,
+            fine,
             lanes,
             subs,
         })
@@ -401,9 +532,9 @@ impl Stages<'_> {
     }
 
     /// **Mark**: the [`participant_key`] of every flagged interval, once
-    /// (by its start partition).
-    fn mark(&self, records: &[IvRec]) -> Result<JobOutput<u64>, EngineError> {
-        let (cm, p_count) = (self.cm, self.cm.part.len() as u64);
+    /// (by its start partition), marked on `grid`.
+    fn mark(&self, records: &[IvRec], grid: &Partitioning) -> Result<JobOutput<u64>, EngineError> {
+        let (cm, p_count) = (self.cm, grid.len() as u64);
         let counters = cm.route_counters.is_some();
         let longest = longest_per_group(records, &self.lanes, cm.groups.len());
         let reaches: Vec<Option<Time>> = (self.subs.iter().zip(longest))
@@ -417,7 +548,7 @@ impl Stages<'_> {
                 if self.subs[g].is_none() {
                     return; // unmarked groups are never flagged
                 }
-                let split = ops::split(rec.iv, cm.part);
+                let split = ops::split(rec.iv, grid);
                 if counters {
                     // The paper's cycle-1 volume: every split copy.
                     em.inc(names::RCCIS_SPLIT_PAIRS, split.len() as u64);
@@ -426,7 +557,7 @@ impl Stages<'_> {
                         em.inc(names::RCCIS_CROSSING_INTERVALS, 1);
                     }
                 }
-                for p in split.filter(|&p| near(cm.part, reaches[g], rec.iv, p)) {
+                for p in split.filter(|&p| near(grid, reaches[g], rec.iv, p)) {
                     em.emit(g as u64 * p_count + p as u64, *rec);
                 }
             },
@@ -440,7 +571,7 @@ impl Stages<'_> {
                 for v in values.by_ref() {
                     per_slot[self.lanes[v.rel.idx()].slot].push((v.iv, v.tid));
                 }
-                let marking = mark_with_options(sub, cm.part, p, per_slot, cm.mark_options);
+                let marking = mark_with_options(sub, grid, p, per_slot, cm.mark_options);
                 ctx.add_work(marking.work);
                 // The marking flags only intervals that start in `p`.
                 for (&rel, tids) in members.iter().zip(&marking.flagged) {
@@ -479,15 +610,16 @@ impl Stages<'_> {
     }
 
     /// **Prune**: the [`participant_key`] of every interval that appears in
-    /// some binding of its marked group's own join, each group moved by its
-    /// entry of `routes`. Reducer key `group * partitions + p` is partition
-    /// `p` of a shuffled group, task `p` of a broadcast one.
+    /// some binding of its marked group's own join, with the [`Routed`]
+    /// slot of its join route on `F`, each group moved by its entry of
+    /// `routes`. Reducer key `group * partitions + p` is partition `p` of
+    /// a shuffled group, task `p` of a broadcast one.
     fn prune(
         &self,
         records: &[IvRec],
         flags: &Flags,
         routes: &[PruneRoute],
-    ) -> Result<JobOutput<u64>, EngineError> {
+    ) -> Result<JobOutput<(u64, u32)>, EngineError> {
         let (cm, p_count) = (self.cm, self.cm.part.len() as u64);
         self.engine.run_job(
             &format!("{}-prune", cm.family),
@@ -511,7 +643,7 @@ impl Stages<'_> {
                     }
                 }
             },
-            |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<u64>| {
+            |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<(u64, u32)>| {
                 let (g, p) = group_partition(ctx.key, p_count);
                 let Some(sub) = &self.subs[g] else {
                     return; // only marked groups are keyed
@@ -544,9 +676,146 @@ impl Stages<'_> {
                 let ids = BTreeSet::new();
                 let mut participants = ParticipantSink { rels, ids };
                 kernel::reduce_into(ctx, sub, &cands, owned, &mut participants);
-                out.extend(participants.ids);
+                // A marked group's route projects to the start partition or
+                // replicates from it.
+                let n = self.fine.len();
+                let slot = |(key, start): (u64, Time)| {
+                    let (f, rel, tid) = (self.fine.index_of(start), key >> 32, key as u32);
+                    let last = if flags[rel as usize][tid as usize] {
+                        n
+                    } else {
+                        f + 1
+                    };
+                    (key, Routed::slot(n, f..last) as u32)
+                };
+                out.extend(participants.ids.into_iter().map(slot));
             },
         )
+    }
+
+    /// The participant bitmap from the prune stage's `(key, slot)`
+    /// outputs, where several reducers may report one participant. With
+    /// `routed`, each participant is counted there once.
+    fn participants(
+        &self,
+        sizes: &[usize],
+        outputs: Vec<(u64, u32)>,
+        routed: Option<&mut Routed>,
+    ) -> Flags {
+        let Some(routed) = routed else {
+            return flags_of(sizes, outputs.into_iter().map(|(key, _)| key));
+        };
+        let mut alive = flags_of(sizes, []);
+        for (key, slot) in outputs {
+            let (rel, tid) = ((key >> 32) as usize, key as u32 as usize);
+            let seen = std::mem::replace(&mut alive[rel][tid], true);
+            routed.hist[self.lanes[rel].dim][slot as usize] += !seen as u64;
+        }
+        alive
+    }
+
+    /// **Shares**: the grid of every join dimension. One dimension runs on
+    /// `part`. With `D >= 2`, dimension `d` runs on the coarsening of `F`
+    /// to `k_d` partitions, `k_d` a divisor of `n = F.len()`, with `Π k_d`
+    /// at most `part.len()^D` — the paper grid is `k_d = o`. The flags and
+    /// participants are final: `routed` holds the pruned groups' shipped
+    /// records ([`Stages::participants`]), and one pass adds every other
+    /// group's. Every candidate is then counted exactly from those counts
+    /// ([`count_grid`]) and [`pick`] chooses. Where `F` is `part` the paper
+    /// grid is the only candidate.
+    fn shares(
+        &self,
+        records: &[IvRec],
+        flags: &Flags,
+        pruned: bool,
+        routed: Option<Routed>,
+    ) -> Result<Shares, AlgoError> {
+        let cm = self.cm;
+        let Some(mut routed) = routed else {
+            let (grids, space) = (vec![cm.part.clone()], self.space.clone());
+            return Ok(Shares {
+                grids,
+                space,
+                counts: None,
+            });
+        };
+        let (dims, o, n) = (cm.groups.len(), cm.part.len(), self.fine.len());
+        for (r, lane) in self.lanes.iter().enumerate() {
+            if pruned && self.subs[lane.dim].is_some() {
+                continue; // counted from its participants
+            }
+            let (hist, flags) = (&mut routed.hist[lane.dim], &flags[r]);
+            for rec in rows_of(records, r) {
+                let op = lane.route[flags[rec.tid as usize] as usize];
+                hist[Routed::slot(n, ops::apply(op, rec.iv, &self.fine))] += 1;
+            }
+        }
+        let divisors: Vec<usize> = match n == o {
+            true => vec![o],
+            false => (1..=n).filter(|&k| n.is_multiple_of(k)).collect(),
+        };
+        let grids: Vec<Partitioning> = (divisors.iter())
+            .map(|&k| self.fine.coarsen(n / k).expect("a divisor coarsens"))
+            .collect();
+        let windows = windows_of(&grids.iter().collect::<Vec<_>>());
+        // `cover[d][j][c]`: dimension `d`'s records at coordinate `c` of
+        // `grids[j]`, whose partition `c` is `F`'s `c * step ..`.
+        let cover: Vec<Vec<Vec<u64>>> = (routed.hist.iter())
+            .map(|hist| {
+                let (point, suffix) = hist.split_at(n);
+                let cover_on = |k: usize| {
+                    let (step, mut replicated) = (n / k, 0);
+                    let blocks = point.chunks(step).zip(suffix.chunks(step));
+                    let cover = blocks.map(|(point, suffix)| {
+                        replicated += suffix.iter().sum::<u64>();
+                        point.iter().sum::<u64>() + replicated
+                    });
+                    cover.collect()
+                };
+                divisors.iter().map(|&k| cover_on(k)).collect()
+            })
+            .collect();
+        let count = |js: &[usize]| {
+            let windows: Vec<&[(Time, Time)]> = js.iter().map(|&j| windows[j].as_slice()).collect();
+            let cover: Vec<&[u64]> = (js.iter().enumerate())
+                .map(|(d, &j)| cover[d][j].as_slice())
+                .collect();
+            count_grid(&windows, &cm.constraints, &cover)
+        };
+        // Every tuple of divisor indices, odometer order. `F` refines only
+        // two or three dimensions, so `o^D` is small; with `n = o` the one
+        // tuple is the paper grid.
+        let ks = |js: &[usize]| js.iter().map(|&j| divisors[j]).collect::<Vec<_>>();
+        let fits = |ks: &[usize]| n == o || ks.iter().product::<usize>() <= o.pow(dims as u32);
+        let (mut counted, mut js) = (Vec::new(), vec![0; dims]);
+        loop {
+            if fits(&ks(&js)) {
+                counted.push((ks(&js), count(&js)));
+            }
+            let Some(d) = (0..dims).find(|&d| js[d] + 1 < divisors.len()) else {
+                break;
+            };
+            js[..d].fill(0);
+            js[d] += 1;
+        }
+        let paper = (counted.iter())
+            .find(|(ks, _)| ks.iter().all(|&k| k == o))
+            .expect("o divides n")
+            .1;
+        let (ks, chosen) = pick(&counted, paper);
+        let grids: Vec<Partitioning> = (ks.iter())
+            .map(|&k| grids[divisors.iter().position(|&d| d == k).expect("a divisor")].clone())
+            .collect();
+        let space = match ks.iter().all(|&k| k == o) {
+            true => self.space.clone(),
+            false => CellSpace::new(&grids.iter().collect::<Vec<_>>(), cm.constraints.clone())?,
+        };
+        let counts = Some((chosen, paper));
+        Ok(Shares {
+            grids,
+            space,
+            counts,
+        })
     }
 
     /// **Join**: route every interval, join per cell, emit the owned
@@ -557,6 +826,7 @@ impl Stages<'_> {
         records: &[IvRec],
         flags: &Flags,
         participants: Option<&Flags>,
+        shares: &Shares,
     ) -> Result<JobOutput<OutRec>, EngineError> {
         let cm = self.cm;
         let (m, order) = (cm.query.num_relations() as usize, cm.query.start_order());
@@ -578,7 +848,8 @@ impl Stages<'_> {
                     return;
                 }
                 let op = self.op(flags, rec);
-                let cells = self.space.cells_in(dim, ops::apply(op, iv, cm.part));
+                let range = ops::apply(op, iv, &shares.grids[dim]);
+                let cells = shares.space.cells_in(dim, range);
                 em.emit_to_all(cells.iter().copied(), rec);
                 if let Some((replicated, projected)) = cm.route_counters {
                     let counter = if op == MapOp::Replicate {
@@ -590,10 +861,10 @@ impl Stages<'_> {
                 }
             },
             |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<OutRec>| {
-                let coords = self.space.decode(ctx.key);
+                let coords = shares.space.decode(ctx.key);
                 let dims: Vec<(Time, Time, &[usize])> = (tested.iter())
                     .map(|&(d, members)| {
-                        let (lo, hi) = start_window(cm.part, coords[d]);
+                        let (lo, hi) = start_window(&shares.grids[d], coords[d]);
                         (lo, hi, members)
                     })
                     .collect();
@@ -1038,7 +1309,7 @@ mod tests {
                     let (flags, _) = setting.mark(&records, &sizes, &engine).unwrap();
                     let run = |routes: &[PruneRoute]| {
                         let pruned = stages.prune(&records, &flags, routes).unwrap();
-                        flags_of(&sizes, pruned.outputs)
+                        flags_of(&sizes, pruned.outputs.into_iter().map(|(key, _)| key))
                     };
                     let shuffled = run(&vec![PruneRoute::Shuffled; groups.len()]);
                     let at = format!("{q} k={k} threads={threads} budget={budget:?} {rels:?}");
@@ -1062,5 +1333,315 @@ mod tests {
             found > 0 && picked[0] > 0 && picked[1] > 0,
             "vacuous: {found} participants, routes picked {picked:?}"
         );
+    }
+
+    /// A random hybrid query and its input: one marked group of two or
+    /// three relations chained by colocation predicates (sometimes closed
+    /// into a triangle) and a singleton related to one member by `before`
+    /// or `after`. Data is sparse, dense or `i64`-extreme; a relation may
+    /// be empty.
+    fn hybrid_case(seed: u64) -> (JoinQuery, JoinInput) {
+        use ij_interval::{AllenPredicate, Relation};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const EXTREMES: [Time; 7] = [Time::MIN, Time::MIN + 1, -1, 0, 1, Time::MAX - 1, Time::MAX];
+        let colocation: Vec<AllenPredicate> = (AllenPredicate::ALL.into_iter())
+            .filter(|p| p.is_colocation())
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = rng.gen_range(2..=3usize);
+        let mut conditions: Vec<Condition> = (1..g)
+            .map(|r| {
+                let pred = colocation[rng.gen_range(0..colocation.len())];
+                Condition::whole(r as u16 - 1, pred, r as u16)
+            })
+            .collect();
+        if g == 3 && rng.gen_bool(0.5) {
+            let pred = colocation[rng.gen_range(0..colocation.len())];
+            conditions.push(Condition::whole(0, pred, 2));
+        }
+        let pred = [AllenPredicate::Before, AllenPredicate::After][rng.gen_range(0..2)];
+        conditions.push(Condition::whole(rng.gen_range(0..g) as u16, pred, g as u16));
+        let q = JoinQuery::new(g as u16 + 1, conditions).unwrap();
+        let data = rng.gen_range(0..3);
+        let relations = (0..=g)
+            .map(|_| {
+                let n = match rng.gen_range(0..8) {
+                    0 => 0,
+                    1..=3 => rng.gen_range(1..6),
+                    _ => rng.gen_range(6..20),
+                };
+                let ivs: Vec<Interval> = (0..n)
+                    .map(|_| {
+                        let (span, max_len) = match data {
+                            0 => (2000, 80), // sparse
+                            1 => (200, 40),  // dense
+                            _ => {
+                                let a = EXTREMES[rng.gen_range(0..7)];
+                                let b = EXTREMES[rng.gen_range(0..7)];
+                                return Interval::new(a.min(b), a.max(b)).unwrap();
+                            }
+                        };
+                        let s = rng.gen_range(0..span);
+                        Interval::new(s, s + rng.gen_range(0..=max_len)).unwrap()
+                    })
+                    .collect();
+                Relation::from_intervals("R", ivs)
+            })
+            .collect();
+        (q.clone(), JoinInput::bind_owned(&q, relations).unwrap())
+    }
+
+    /// All-Seq-Matrix's setting of `q` on `part` — or, with `prune`,
+    /// PASM's.
+    fn hybrid_setting<'a>(
+        q: &'a JoinQuery,
+        part: &'a Partitioning,
+        prune: bool,
+    ) -> ComponentMatrix<'a> {
+        let comps = q.components();
+        let groups: Vec<Vec<usize>> = (comps.components.iter())
+            .map(|c| c.vertices.iter().map(|v| v.rel.idx()).collect())
+            .collect();
+        let mut routes = vec![[MapOp::Project; 2]; q.num_relations() as usize];
+        (groups.iter().filter(|g| g.len() > 1).flatten()).for_each(|&r| routes[r] = MARKED);
+        ComponentMatrix {
+            family: "test",
+            query: q,
+            part,
+            constraints: q.start_order().component_constraints(&comps),
+            groups,
+            routes,
+            mark_options: MarkOptions::default(),
+            prune,
+            route_counters: None,
+            mode: crate::output::OutputMode::Materialize,
+        }
+    }
+
+    /// **The coarsening lemma, run.** `flags` — marked on `F` — and every
+    /// grid whose boundaries are a subset of `F`'s: for each `(k_d)`, each
+    /// dimension `d` on `F` coarsened to `k_d`, every member of every
+    /// output binding must be routed to the binding's owner cell, and the
+    /// cell must be consistent. Returns `(members checked, members that
+    /// missed their owner)`.
+    fn lemma_misses(
+        setting: &ComponentMatrix,
+        input: &JoinInput,
+        fine: &Partitioning,
+        flags: &Flags,
+    ) -> (usize, usize) {
+        let q = setting.query;
+        let bindings = crate::oracle::oracle_join(q, input);
+        let n = fine.len();
+        let divisors: Vec<usize> = (1..=n).filter(|&k| n.is_multiple_of(k)).collect();
+        let dims = setting.groups.len();
+        let (mut checked, mut misses) = (0, 0);
+        let mut ks = vec![0usize; dims];
+        loop {
+            let grids: Vec<Partitioning> = (ks.iter())
+                .map(|&j| fine.coarsen(n / divisors[j]).unwrap())
+                .collect();
+            let space = CellSpace::new(
+                &grids.iter().collect::<Vec<_>>(),
+                setting.constraints.clone(),
+            )
+            .unwrap();
+            for binding in &bindings {
+                let iv = |r: usize| input.relations()[r].tuples()[binding[r] as usize].interval();
+                let owner: Vec<usize> = (setting.groups.iter().zip(&grids))
+                    .map(|(members, grid)| {
+                        let start = members.iter().map(|&r| iv(r).start()).max().unwrap();
+                        grid.index_of(start)
+                    })
+                    .collect();
+                let consistent = space.is_consistent(&owner);
+                for (d, members) in setting.groups.iter().enumerate() {
+                    for &r in members {
+                        let flagged = flags[r][binding[r] as usize];
+                        let op = setting.routes[r][flagged as usize];
+                        let range = ops::apply(op, iv(r), &grids[d]);
+                        checked += 1;
+                        misses += (!consistent || !range.contains(&owner[d])) as usize;
+                    }
+                }
+            }
+            // Odometer over the divisor indices.
+            let mut d = 0;
+            loop {
+                if d == dims {
+                    return (checked, misses);
+                }
+                ks[d] += 1;
+                if ks[d] < divisors.len() {
+                    break;
+                }
+                ks[d] = 0;
+                d += 1;
+            }
+        }
+    }
+
+    /// The flags `setting`'s mark stage computes on `fine`.
+    fn flags_on(setting: &ComponentMatrix, input: &JoinInput, fine: &Partitioning) -> Flags {
+        use ij_mapreduce::ClusterConfig;
+        let engine = Engine::new(ClusterConfig::with_slots(2));
+        let sizes: Vec<usize> = input.relations().iter().map(|rel| rel.len()).collect();
+        let marked = setting
+            .stages(&engine)
+            .unwrap()
+            .mark(&iv_records(input), fine);
+        flags_of(&sizes, marked.unwrap().outputs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Flags marked on `F` are sound on every coarsening of `F` in
+        /// every dimension, and ASM and PASM — on the grids the count
+        /// picks — equal the oracle at threads 1, 2 and 8, each without a
+        /// reduce budget and with a 256-byte one.
+        #[test]
+        fn fine_flags_reach_the_owner_on_every_coarsening(seed in 0u64..1 << 40, k in 1usize..=6) {
+            use crate::algorithm::RunArtifacts;
+            use ij_mapreduce::ClusterConfig;
+            let (q, input) = hybrid_case(seed);
+            let part = RunArtifacts::partition_span(input.span(), k).unwrap();
+            let setting = hybrid_setting(&q, &part, false);
+            let fine = setting.fine_grid();
+            let flags = flags_on(&setting, &input, &fine);
+            let (_, misses) = lemma_misses(&setting, &input, &fine, &flags);
+            prop_assert_eq!(misses, 0, "{} {} {:?}", q, fine, input.relations());
+            let want = crate::oracle::oracle_join(&q, &input);
+            for (threads, budget) in [1, 2, 8].into_iter().flat_map(|t| [(t, None), (t, Some(256))]) {
+                let engine = Engine::new(ClusterConfig {
+                    reducer_slots: 4,
+                    worker_threads: threads,
+                    intra_reduce_threads: threads,
+                    heavy_bucket_threshold: 8,
+                    reduce_memory_budget: budget,
+                    ..ClusterConfig::default()
+                });
+                for prune in [false, true] {
+                    let out = hybrid_setting(&q, &part, prune).run(&input, &engine).unwrap();
+                    prop_assert_eq!(out.assert_no_duplicates(), want.clone(), "{} prune={}", q, prune);
+                }
+            }
+        }
+    }
+
+    /// The lemma check is not vacuous: with every flag cleared — the
+    /// marking ignored — members miss their owner on some coarsening.
+    #[test]
+    fn the_no_flag_mutant_misses_owners() {
+        use crate::algorithm::RunArtifacts;
+        let (mut checked, mut caught) = (0, 0);
+        for seed in 0..40 {
+            let (q, input) = hybrid_case(seed);
+            let part = RunArtifacts::partition_span(input.span(), 6).unwrap();
+            let setting = hybrid_setting(&q, &part, false);
+            let fine = setting.fine_grid();
+            let flags = flags_on(&setting, &input, &fine);
+            let cleared: Flags = flags.iter().map(|f| vec![false; f.len()]).collect();
+            let (n, misses) = lemma_misses(&setting, &input, &fine, &flags);
+            assert_eq!(misses, 0, "{q}");
+            checked += n;
+            caught += lemma_misses(&setting, &input, &fine, &cleared).1;
+        }
+        assert!(
+            checked > 0 && caught > 0,
+            "vacuous: {checked} checked, {caught} caught"
+        );
+    }
+
+    /// Partitions too narrow to cut: every paper partition of a one-point
+    /// span is one tick wide, so `F` is the paper grid, the paper grid is
+    /// the only candidate, and the join ships exactly its count.
+    #[test]
+    fn partitions_too_narrow_to_refine_keep_the_paper_grid() {
+        use crate::algorithm::RunArtifacts;
+        use ij_interval::AllenPredicate::{Before, Equals};
+        use ij_interval::Relation;
+        use ij_mapreduce::ClusterConfig;
+        let q = JoinQuery::new(
+            3,
+            vec![
+                Condition::whole(0, Equals, 1),
+                Condition::whole(0, Before, 2),
+            ],
+        )
+        .unwrap();
+        let point = |t: Time| Interval::point(t);
+        let relations = vec![
+            Relation::from_intervals("R1", [point(0), point(1)]),
+            Relation::from_intervals("R2", [point(0), point(1)]),
+            Relation::from_intervals("R3", [point(2), point(5)]),
+        ];
+        let input = JoinInput::bind_owned(&q, relations).unwrap();
+        let part = RunArtifacts::partition_span(input.span(), 6).unwrap();
+        assert!(
+            part.boundaries().windows(2).all(|w| w[1] - w[0] == 1),
+            "{part}"
+        );
+        let engine = Engine::new(ClusterConfig::with_slots(2));
+        for prune in [false, true] {
+            let setting = hybrid_setting(&q, &part, prune);
+            assert_eq!(setting.fine_grid(), part);
+            let out = setting.run(&input, &engine).unwrap();
+            assert_eq!(
+                out.assert_no_duplicates(),
+                crate::oracle::oracle_join(&q, &input)
+            );
+            assert_eq!(out.stats.grid, vec![6, 6]);
+            let join = out.chain.cycles.last().unwrap();
+            let paper = join.counters.get(names::MATRIX_PAPER_GRID_JOIN_PAIRS);
+            assert_eq!(paper, join.intermediate_pairs);
+            assert!(paper > 0);
+        }
+    }
+
+    /// One dimension never refines, two and three do where every
+    /// partition is wide enough, and four or more keep the paper grid.
+    #[test]
+    fn only_settings_of_two_or_three_dimensions_mark_on_a_finer_grid() {
+        use ij_interval::AllenPredicate::Overlaps;
+        let q = JoinQuery::chain(&[Overlaps; 3]).unwrap();
+        let part = Partitioning::equi_width(0, 60, 6).unwrap();
+        let mut setting = hybrid_setting(&q, &part, false);
+        assert_eq!(setting.groups.len(), 1);
+        assert_eq!(setting.fine_grid(), part);
+        setting.groups = vec![vec![0, 1], vec![2, 3]];
+        assert_eq!(setting.fine_grid(), part.refine(2).unwrap());
+        assert_eq!(setting.fine_grid().len(), 12);
+        setting.groups = vec![vec![0, 1], vec![2], vec![3]];
+        assert_eq!(setting.fine_grid().len(), 18);
+        setting.groups = vec![vec![0], vec![1], vec![2], vec![3]];
+        assert_eq!(setting.fine_grid(), part);
+    }
+
+    /// Both filters of the rule, and each tie-break in turn.
+    #[test]
+    fn the_shares_rule_keeps_paper_bounds_then_fewest_pairs() {
+        let count = |cells, pairs, max_load| GridCount {
+            cells,
+            pairs,
+            max_load,
+        };
+        let paper = count(21, 100, 10);
+        let pick_of = |counted: &[(Vec<usize>, GridCount)]| pick(counted, paper).0.to_vec();
+        let mut counted = vec![(vec![6, 6], paper)];
+        // More cells, or a larger cell, is never picked however few pairs.
+        counted.push((vec![12, 4], count(22, 10, 5)));
+        counted.push((vec![12, 3], count(18, 10, 11)));
+        assert_eq!(pick_of(&counted), vec![6, 6]);
+        counted.push((vec![12, 2], count(18, 70, 9)));
+        assert_eq!(pick_of(&counted), vec![12, 2]);
+        // Fewer pairs first, then fewer cells, then the smaller (k_d).
+        counted.push((vec![4, 4], count(10, 70, 10)));
+        assert_eq!(pick_of(&counted), vec![4, 4]);
+        counted.push((vec![3, 4], count(10, 70, 10)));
+        assert_eq!(pick_of(&counted), vec![3, 4]);
+        counted.push((vec![6, 1], count(21, 69, 10)));
+        assert_eq!(pick_of(&counted), vec![6, 1]);
     }
 }

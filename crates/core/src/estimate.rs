@@ -11,8 +11,9 @@
 //! slots. Estimates are order-of-magnitude planning aids (validated within
 //! small factors on uniform data in the tests), not exact counts.
 
+use crate::all_matrix::CellSpace;
 use crate::planner::PlanConfig;
-use ij_interval::{AllenPredicate, Relation};
+use ij_interval::{AllenPredicate, Partitioning, Relation, Time};
 use ij_query::JoinQuery;
 
 /// Histogram buckets used by [`RelationStats::collect`].
@@ -179,7 +180,11 @@ pub fn auto_tune(q: &JoinQuery, slots: usize) -> PlanConfig {
     let mut per_dim = 2;
     for o in 2..=32usize {
         per_dim = o;
-        if let Ok(space) = crate::all_matrix::CellSpace::new(dims, o, constraints.clone()) {
+        // `o` one-tick partitions: only the partition count matters here.
+        let Ok(grid) = Partitioning::equi_width(0, o as Time, o) else {
+            break;
+        };
+        if let Ok(space) = CellSpace::new(&vec![&grid; dims], constraints.clone()) {
             if space.consistent_cells().len() as u64 >= target {
                 break;
             }

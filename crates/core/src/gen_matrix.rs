@@ -64,7 +64,7 @@ impl Algorithm for GenMatrix {
         let constraints = order.component_constraints(&comps);
         // All dimensions span the same temporal range (Section 7.1).
         let part = RunArtifacts::partition_span(input.span_all_attrs(query), self.per_dim)?;
-        let space = CellSpace::new(comps.len(), self.per_dim, constraints.clone())?;
+        let space = CellSpace::new(&vec![&part; comps.len()], constraints.clone())?;
         let mut chain = JobChain::new();
 
         // ---- Cycle 1: attribute-level replication marking -------------------

@@ -18,7 +18,8 @@ use ij_query::JoinQuery;
 /// The All-Seq-Matrix algorithm.
 #[derive(Debug, Clone)]
 pub struct AllSeqMatrix {
-    /// Partitions per matrix dimension (`o`).
+    /// Partitions per matrix dimension of the paper's grid (`o`); the
+    /// join's grid is chosen within its cell budget (`core::component_matrix`).
     pub per_dim: usize,
     /// Materialize or count.
     pub mode: OutputMode,

@@ -88,11 +88,8 @@ impl Algorithm for Fcts {
         }
 
         // ---- Stage 2: All-Matrix over components ---------------------------
-        let space = CellSpace::new(
-            comps.len(),
-            self.per_dim,
-            order.component_constraints(&comps),
-        )?;
+        let constraints = order.component_constraints(&comps);
+        let space = CellSpace::new(&vec![&part; comps.len()], constraints)?;
         // Relation r sits at slot `s` of component `k`'s records.
         let mut slot_of = vec![(0, 0); query.num_relations() as usize];
         for comp in &comps.components {

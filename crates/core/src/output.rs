@@ -189,6 +189,9 @@ pub struct RunStats {
     /// Consistent reducers used vs the full matrix size (Sections 7–9,
     /// e.g. 55-ish of 216 for Q2 with o=6).
     pub consistent_cells: Option<(u64, u64)>,
+    /// Partitions per dimension `(k_d)` of the grid a component-matrix
+    /// setting joined on (empty for other families).
+    pub grid: Vec<usize>,
     /// Fraction of intervals pruned by PASM, per relation (Table 3's
     /// "% intervals pruned in R1").
     pub pruned_fraction: Vec<(String, f64)>,

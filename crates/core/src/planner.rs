@@ -29,7 +29,10 @@ use ij_query::{JoinQuery, QueryClass};
 pub struct PlanConfig {
     /// Partitions for 1-D algorithms (2-way, RCCIS).
     pub partitions: usize,
-    /// Partitions per dimension for the matrix algorithms.
+    /// The paper's `o` for the matrix algorithms: the grid — `o` partitions
+    /// in every dimension, which a setting of two or three dimensions may
+    /// reshape per dimension by an exact count — and the cell budget
+    /// `o^D` any reshaped grid stays within.
     pub per_dim: usize,
     /// Materialize or count.
     pub mode: OutputMode,

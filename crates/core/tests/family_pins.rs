@@ -2,10 +2,11 @@
 //! mark → prune → join pipeline (`core::component_matrix`). This file
 //! holds them to what the four separate implementations did at the parent
 //! of PR 17: `results/pr17/family_pins_parent.txt` is the raw output of
-//! [`render`] at that commit, recorded before any of them was touched, and
-//! every run below must reproduce its block — count, tuples in emission
-//! order, per-cycle pairs / bytes / reducer loads, run statistics and
-//! counters. Exactly four things may differ from the capture:
+//! [`render`] at that commit, recorded before any of them was touched,
+//! and every run below that still runs the paper's plan must reproduce its
+//! block — count, tuples in emission order, per-cycle pairs / bytes /
+//! reducer loads, run statistics and counters. Exactly five things may
+//! differ from the capture:
 //!
 //! 1. **stage names** — the capture's `name=` fields are ignored (stages
 //!    are now `<family>-mark` / `-prune` / `-join`);
@@ -25,7 +26,17 @@
 //!    tasks when that is fewer pairs than the capture's shuffled prune.
 //!    Its pairs must equal an independent count of `side × K`
 //!    ([`broadcast_copies`]) and its bytes the same records' size; a prune
-//!    in which no group broadcasts is compared as before.
+//!    in which no group broadcasts is compared as before;
+//! 5. **shares** — a matrix setting of two or three dimensions marks on a
+//!    grid `D`× finer than the paper's and joins on a grid chosen per
+//!    dimension by an exact count (DESIGN.md §5, "Shares"). Every matrix
+//!    block is pinned whole by `results/pr33/family_pins_matrix.txt`, the
+//!    output of [`render`] for those families when shares landed (every
+//!    change from the PR 17 capture is listed in CHANGES.md), and must have
+//!    the PR 17 capture's output count on no more consistent join cells.
+//!    A block that neither marks on a finer grid nor leaves the paper grid
+//!    is also held to the PR 17 capture under differences 1–4, apart from
+//!    its `grid` line.
 //!
 //! `TwoWayJoin` and `AllReplicate` became settings of the same pipeline
 //! later; `results/pr26/family_pins_parent.txt` is the raw output of
@@ -39,6 +50,7 @@
 
 use ij_core::algorithm::RunArtifacts;
 use ij_core::all_matrix::AllMatrix;
+use ij_core::all_matrix::CellSpace;
 use ij_core::all_replicate::AllReplicate;
 use ij_core::hybrid::{AllSeqMatrix, Pasm};
 use ij_core::rccis::marking::MarkOptions;
@@ -54,6 +66,7 @@ use std::fmt::Write as _;
 
 const PARENT_CAPTURE: &str = include_str!("../../../results/pr17/family_pins_parent.txt");
 const ROUTED_CAPTURE: &str = include_str!("../../../results/pr26/family_pins_parent.txt");
+const MATRIX_CAPTURE: &str = include_str!("../../../results/pr33/family_pins_matrix.txt");
 
 /// Partitions (RCCIS) and partitions per dimension (matrix families).
 const K: usize = 6;
@@ -227,6 +240,15 @@ fn render_run(out: &JoinOutput) -> String {
     )
     .unwrap();
     let c = out.chain.total_counters();
+    if out.stats.grid.len() > 1 {
+        let paper = c.get("matrix.paper_grid_join_pairs");
+        writeln!(
+            s,
+            "grid k={:?} paper_grid_join_pairs={paper}",
+            out.stats.grid
+        )
+        .unwrap();
+    }
     writeln!(
         s,
         "counters split={} crossing={} flagged={} replica={} projected={} candidates={} emitted={}",
@@ -375,14 +397,16 @@ fn same_headers(got: &[(String, Vec<String>)], expected: &[(String, Vec<String>)
     );
 }
 
-/// Difference 3, counted from the case's data without the pipeline: the
-/// split copies a family's mark stage ships, or `None` if it runs no mark
-/// stage. A marked group — every relation for RCCIS, each colocation
-/// component of two or more relations for All-Seq-Matrix / PASM — of `m`
-/// relations whose longest interval is `L` sends the copy of an interval
-/// at partition `p` when `end >= b[p+1] − R` or `start < b[p] + R`, with
-/// `R = (m − 2) · L`; without the crossing condition, every copy. Every
-/// group of these cases is connected over all of its relations.
+/// The mark cycle's pairs, counted from the case's data without the
+/// pipeline, or `None` if a family runs no mark stage. A marked group —
+/// every relation for RCCIS, each colocation component of two or more
+/// relations for All-Seq-Matrix / PASM — of `m` relations whose longest
+/// interval is `L` sends the copy of an interval at partition `p` when
+/// `end >= b[p+1] − R` or `start < b[p] + R`, with `R = (m − 2) · L`;
+/// without the crossing condition, every copy. RCCIS marks on its `K`
+/// partitions; the hybrid families, with two or three dimensions, on the
+/// `K` equi-width partitions each cut into `D`. Every group of these cases is
+/// connected over all of its relations.
 fn near_copies(case: &Case, label: &str) -> Option<u64> {
     let (q, input) = (&case.query, &case.input);
     let m = q.num_relations() as usize;
@@ -406,7 +430,9 @@ fn near_copies(case: &Case, label: &str) -> Option<u64> {
             let members = components.map(|c| c.vertices.iter().map(|v| v.rel.idx()).collect());
             let groups: Vec<Vec<usize>> = members.filter(|g: &Vec<usize>| g.len() > 1).collect();
             let part = RunArtifacts::partition_span(input.span(), K).unwrap();
-            (part, groups)
+            let dims = comps.components.len();
+            let fine = (2..=3).contains(&dims).then(|| part.refine(dims));
+            (fine.flatten().unwrap_or(part), groups)
         }
         _ => return None,
     };
@@ -471,6 +497,13 @@ fn broadcast_copies(case: &Case, captured: &str) -> Option<u64> {
     broadcast.then_some(pairs)
 }
 
+/// Whether `label` is a matrix family, pinned by the PR 33 capture.
+fn is_matrix(label: &str) -> bool {
+    ["all-matrix", "asm", "pasm"]
+        .iter()
+        .any(|f| label.starts_with(f))
+}
+
 /// The `name=` field of a `cycle` line.
 fn field_of(line: &str, name: &str) -> u64 {
     let field = line.split(' ').find_map(|f| f.strip_prefix(name));
@@ -482,25 +515,86 @@ fn pairs_of(line: &str) -> u64 {
     field_of(line, "pairs=")
 }
 
+/// The `k_d` of a block's `grid` line; empty for one dimension.
+fn grid_of(block: &[String]) -> Vec<usize> {
+    let Some(line) = block.iter().find(|l| l.starts_with("grid k=[")) else {
+        return Vec::new();
+    };
+    let ks = line["grid k=[".len()..].split_once(']').unwrap().0;
+    ks.split(", ").map(|k| k.parse().unwrap()).collect()
+}
+
+/// The consistent cells of a block's `stats` line, if it reports them.
+fn cells_of(block: &[String]) -> Option<u64> {
+    let stats = block.iter().find(|l| l.starts_with("stats "))?;
+    let cells = stats.split_once("cells=Some((")?.1.split_once(',')?.0;
+    Some(cells.parse().unwrap())
+}
+
 #[test]
 fn every_family_reproduces_the_parent_capture() {
     let expected = blocks(PARENT_CAPTURE);
     let got = blocks(&render());
     same_headers(&got, &expected);
+    let mut pinned = blocks(MATRIX_CAPTURE).into_iter();
     let all = cases();
     let runs: Vec<(&Case, &str)> = (all.iter())
         .flat_map(|case| families().into_iter().map(move |(label, _)| (case, label)))
         .collect();
     assert_eq!(runs.len(), got.len());
-    let (mut broadcasts, mut shuffled_prunes) = (0, 0);
+    let (mut marks, mut broadcasts, mut shuffled_prunes, mut paper_plans) = (0, 0, 0, 0);
     for (((header, got), (_, expected)), (case, label)) in got.iter().zip(&expected).zip(runs) {
-        let near = near_copies(case, label);
-        let stage = |suffix: &str| {
-            (got.iter()).position(|l| l.starts_with("cycle name=") && l.contains(suffix))
+        let stage = |block: &[String], suffix: &str| {
+            (block.iter()).position(|l| l.starts_with("cycle name=") && l.contains(suffix))
         };
-        let (mark, prune) = (stage("-mark "), stage("-prune "));
+        // Difference 3: the mark cycle ships exactly the near copies.
+        let (near, mark) = (near_copies(case, label), stage(got, "-mark "));
+        assert_eq!(mark.is_some(), near.is_some(), "{header}: a mark stage");
+        if let (Some(at), Some(near)) = (mark, near) {
+            assert_eq!(
+                pairs_of(&got[at]),
+                near,
+                "{header}: mark pairs are the near copies"
+            );
+            marks += 1;
+        }
+        // Difference 4: a broadcasting prune ships side × K, whatever grid
+        // the marking used.
+        let prune = stage(got, "-prune ").zip(stage(expected, "-prune "));
+        let broadcast = prune.and_then(|(at, was)| {
+            let copies = broadcast_copies(case, &expected[was])?;
+            let (pairs, captured) = (pairs_of(&got[at]), pairs_of(&expected[was]));
+            assert_eq!(pairs, copies, "{header}: prune pairs are side × K");
+            let record = field_of(&expected[was], "bytes=") / captured;
+            assert_eq!(field_of(&got[at], "bytes="), pairs * record, "{header}");
+            assert!(pairs < captured, "{header}: {pairs} >= {captured}");
+            Some((at, was))
+        });
+        broadcasts += broadcast.is_some() as usize;
+        shuffled_prunes += (prune.is_some() && broadcast.is_none()) as usize;
+        // Difference 5: a matrix block is pinned whole; against the paper's
+        // grid it has the same output on no more cells.
+        let grid = grid_of(got);
+        if is_matrix(label) {
+            let (pinned_header, pinned) = pinned.next().expect("a pinned matrix block");
+            assert_eq!(&pinned_header, header);
+            assert_eq!(got, &pinned, "{header}");
+            let count =
+                |block: &[String]| block[0].split(' ').take(2).collect::<Vec<_>>().join(" ");
+            assert_eq!(count(got), count(expected), "{header}");
+            let (cells, paper) = (cells_of(got), cells_of(expected));
+            assert!(cells.zip(paper).is_some_and(|(c, p)| c <= p), "{header}");
+            let refined = mark.is_some() && (2..=3).contains(&grid.len());
+            if refined || grid.iter().any(|&k| k != K) {
+                continue;
+            }
+            paper_plans += 1;
+        }
         let mut expected: Vec<String> = expected.iter().map(|l| without_stage_name(l)).collect();
-        let mut got: Vec<String> = got.iter().map(|l| without_stage_name(l)).collect();
+        let mut got: Vec<String> = (got.iter())
+            .filter(|l| !l.starts_with("grid "))
+            .map(|l| without_stage_name(l))
+            .collect();
         // Difference 2: on the all-singleton query the hybrid families'
         // pass-through cycles are gone; the join cycle is the last one.
         if header.starts_with("q2-sequence / asm") || header.starts_with("q2-sequence / pasm") {
@@ -516,33 +610,28 @@ fn every_family_reproduces_the_parent_capture() {
                 "{header}: the join runs alone"
             );
         }
-        // Difference 4: a broadcasting prune ships side × K. The prune
-        // line follows the mark line, so it goes first.
-        let broadcast = prune.and_then(|at| Some((at, broadcast_copies(case, &expected[at])?)));
-        shuffled_prunes += (prune.is_some() && broadcast.is_none()) as usize;
-        if let Some((at, copies)) = broadcast {
-            let (pairs, captured) = (pairs_of(&got[at]), pairs_of(&expected[at]));
-            assert_eq!(pairs, copies, "{header}: prune pairs are side × K");
-            let record = field_of(&expected[at], "bytes=") / captured;
-            assert_eq!(field_of(&got[at], "bytes="), pairs * record, "{header}");
-            assert!(pairs < captured, "{header}: {pairs} >= {captured}");
-            broadcasts += 1;
+        // The prune line follows the mark line, so it goes first.
+        if let Some((at, was)) = broadcast {
             got.remove(at);
-            expected.remove(at);
+            expected.remove(was);
         }
-        // Difference 3: the mark cycle ships only the near copies.
-        assert_eq!(mark.is_some(), near.is_some(), "{header}: a mark stage");
-        if let (Some(at), Some(near)) = (mark, near) {
+        if let Some(at) = mark {
             let (pairs, captured) = (pairs_of(&got[at]), pairs_of(&expected[at]));
-            assert_eq!(pairs, near, "{header}: mark pairs are the near copies");
             assert!(pairs <= captured, "{header}: {pairs} > {captured}");
             got.remove(at);
             expected.remove(at);
         }
         assert_eq!(got, expected, "{header}");
     }
-    // Both routes ran: Q4's PASM blocks broadcast, the rest shuffle.
+    assert!(pinned.next().is_none(), "every pinned block is a run");
+    // RCCIS on two colocation cases, three settings each; ASM and PASM
+    // (twice) on Q1, Q0, Q4 and Q3.
+    assert_eq!(marks, 2 * 3 + 4 * 3);
+    // Both prune routes ran: Q4's PASM blocks broadcast, the rest shuffle.
     assert_eq!((broadcasts, shuffled_prunes), (2, 6));
+    // The one-dimension ASM / PASM blocks (Q1, Q0), the all-singleton
+    // ones (Q2) and every All-Matrix block that keeps the paper grid.
+    assert_eq!(paper_plans, 2 * 3 + 3 + 2 * 4);
 }
 
 #[test]
@@ -630,24 +719,40 @@ fn all_matrix_is_all_seq_matrix_with_singleton_dimensions() {
 
 #[test]
 fn pasm_is_all_seq_matrix_with_a_prune_stage() {
+    let paper_pairs = |out: &JoinOutput| out.chain.counter("matrix.paper_grid_join_pairs");
     for case in cases().iter().filter(|c| c.name.ends_with("hybrid")) {
         let asm = run(&AllSeqMatrix::new(K), case);
         let pasm = run(&Pasm::new(K), case);
         assert!(!asm.tuples.is_empty());
         assert_eq!(pasm.sorted_tuples(), asm.sorted_tuples(), "{}", case.name);
         // The marking cycle is the same cycle; the prune stage sits
-        // between it and a join that shuffles no more than ASM's.
+        // between it and a join that ships no more than the paper grid
+        // would, which ships no more than ASM's paper grid.
         assert_eq!(traffic(&pasm)[0], traffic(&asm)[0], "{}", case.name);
         assert_eq!(pasm.chain.num_cycles(), asm.chain.num_cycles() + 1);
-        assert!(
-            pasm.chain.cycles[2].intermediate_pairs <= asm.chain.cycles[1].intermediate_pairs,
-            "{}",
-            case.name
+        let (pasm_join, asm_join) = (
+            pasm.chain.cycles[2].intermediate_pairs,
+            asm.chain.cycles[1].intermediate_pairs,
         );
+        assert!(pasm_join <= asm_join, "{}", case.name);
+        assert!(pasm_join <= paper_pairs(&pasm));
+        assert!(paper_pairs(&pasm) <= paper_pairs(&asm), "{}", case.name);
+        assert!(asm_join <= paper_pairs(&asm));
         assert_eq!(
             pasm.stats.replicated_intervals,
             asm.stats.replicated_intervals
         );
-        assert_eq!(pasm.stats.consistent_cells, asm.stats.consistent_cells);
+        // Pruning can change the pick; each is on no more cells than the
+        // paper grid's.
+        let q = &case.query;
+        let comps = q.components();
+        let part = RunArtifacts::partition_span(case.input.span(), K).unwrap();
+        let constraints = q.start_order().component_constraints(&comps);
+        let paper = CellSpace::new(&vec![&part; comps.len()], constraints).unwrap();
+        let paper = (paper.consistent_cells().len() as u64, paper.total_cells());
+        for out in [&asm, &pasm] {
+            let (cells, total) = out.stats.consistent_cells.unwrap();
+            assert!(cells <= paper.0 && total <= paper.1, "{}", case.name);
+        }
     }
 }

@@ -138,6 +138,31 @@ impl Partitioning {
         Partitioning::from_boundaries(boundaries)
     }
 
+    /// Cuts every partition into `parts` near-equal partitions, each as
+    /// [`Partitioning::equi_width`] cuts a range; `None` when some partition
+    /// is narrower than `parts` ticks. Every boundary of `self` is one of
+    /// the result's: boundary `i` of `self` is boundary `i * parts` there.
+    pub fn refine(&self, parts: usize) -> Option<Partitioning> {
+        let mut boundaries = vec![self.boundaries[0]];
+        for w in self.boundaries.windows(2) {
+            let piece = Partitioning::equi_width(w[0], w[1], parts).ok()?;
+            boundaries.extend_from_slice(&piece.boundaries[1..]);
+        }
+        Some(Partitioning { boundaries })
+    }
+
+    /// Keeps every `step`-th boundary: partition `i` of the result is
+    /// partitions `i * step .. (i + 1) * step` of `self`, so
+    /// `coarse.index_of(t) == self.index_of(t) / step` for every `t`.
+    /// `None` unless `step` divides [`Partitioning::len`].
+    pub fn coarsen(&self, step: usize) -> Option<Partitioning> {
+        if !self.len().is_multiple_of(step) {
+            return None;
+        }
+        let boundaries = self.boundaries.iter().step_by(step).copied().collect();
+        Some(Partitioning { boundaries })
+    }
+
     /// Number of partition-intervals `l`.
     #[inline]
     pub fn len(&self) -> usize {
@@ -353,6 +378,45 @@ mod tests {
             p.boundaries(),
             Partitioning::equi_width(0, 40, 4).unwrap().boundaries()
         );
+    }
+
+    #[test]
+    fn refine_cuts_every_partition_and_keeps_its_boundaries() {
+        let p = Partitioning::from_boundaries(vec![0, 10, 13, 40]).unwrap();
+        let f = p.refine(3).unwrap();
+        assert_eq!(f.boundaries(), &[0, 4, 7, 10, 11, 12, 13, 22, 31, 40]);
+        assert_eq!(p.refine(1), Some(p.clone()));
+        // The middle partition is three ticks wide: four parts do not fit.
+        assert_eq!(p.refine(4), None);
+        assert_eq!(p.refine(0), None);
+    }
+
+    #[test]
+    fn refine_and_coarsen_at_the_ends_of_the_time_domain() {
+        let p = Partitioning::equi_width(Time::MIN, Time::MAX, 3).unwrap();
+        let f = p.refine(4).unwrap();
+        assert_eq!(f.len(), 12);
+        assert_eq!(
+            (f.boundaries()[0], f.boundaries()[12]),
+            (Time::MIN, Time::MAX)
+        );
+        for (i, &b) in p.boundaries().iter().enumerate() {
+            assert_eq!(f.boundaries()[4 * i], b);
+        }
+        assert_eq!(f.coarsen(4), Some(p.clone()));
+        assert_eq!(f.coarsen(12).unwrap().boundaries(), &[Time::MIN, Time::MAX]);
+        assert_eq!(f.coarsen(5), None);
+        assert_eq!(f.coarsen(0), None);
+        for t in [Time::MIN, Time::MIN + 1, -1, 0, 1, Time::MAX - 1, Time::MAX] {
+            for step in [1, 2, 3, 4, 6, 12] {
+                let coarse = f.coarsen(step).unwrap();
+                assert_eq!(coarse.index_of(t), f.index_of(t) / step, "{t} {step}");
+            }
+        }
+        // One-tick partitions cannot be cut.
+        let tiny = Partitioning::equi_width(Time::MAX - 4, Time::MAX, 4).unwrap();
+        assert_eq!(tiny.refine(2), None);
+        assert_eq!(tiny.refine(1), Some(tiny));
     }
 
     #[test]

@@ -95,6 +95,10 @@ pub const RCCIS_SPLIT_PAIRS: &Counter = &Counter("rccis.split_pairs");
 /// group's records routed to their partitions — whether or not a group's
 /// prune broadcast its small side instead.
 pub const PASM_SHUFFLED_PRUNE_PAIRS: &Counter = &Counter("pasm.shuffled_prune_pairs");
+/// Matrix settings of two or more dimensions: pairs the join stage would
+/// ship on the paper's grid — `o` partitions in every dimension — whichever
+/// grid it ran on.
+pub const MATRIX_PAPER_GRID_JOIN_PAIRS: &Counter = &Counter("matrix.paper_grid_join_pairs");
 /// RCCIS: intervals crossing a partition boundary.
 pub const RCCIS_CROSSING_INTERVALS: &Counter = &Counter("rccis.crossing_intervals");
 /// RCCIS: crossing intervals flagged for the merge round.
@@ -191,6 +195,7 @@ pub const ALL: &[&Counter] = &[
     ALLREP_PROJECTED_PAIRS,
     RCCIS_SPLIT_PAIRS,
     PASM_SHUFFLED_PRUNE_PAIRS,
+    MATRIX_PAPER_GRID_JOIN_PAIRS,
     RCCIS_CROSSING_INTERVALS,
     RCCIS_FLAGGED_INTERVALS,
     RCCIS_REPLICA_PAIRS,
