@@ -28,6 +28,13 @@
 //! while the gapless active arrays stay small. The event sweep must beat
 //! `dual_window_sweep` by ≥2× here (same BENCH_JSON trend gate).
 //!
+//! `kernel_composite` times the window descent's multi-slot case: one
+//! cascade-stage bucket of 2-slot composites × base records under a
+//! primary `overlaps` and an extra `before` (the composite join of the
+//! cascade, FCTS and Gen-Matrix), sized at the default 4 096-record heavy
+//! threshold, serial and on two chunks through the same runner as the
+//! single-attribute kernels.
+//!
 //! `schedule_bench` drives the whole engine (map → shuffle → reduce) on a
 //! skewed clique bucket mix — one dominant hot bucket plus a light tail —
 //! under each intra-reduce grant policy. The skew-driven scheduler should
@@ -38,9 +45,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
 use ij_core::executor::Candidates;
+use ij_core::kernel::composite::CompositeJoin;
 use ij_core::kernel::{self, KernelConfig, KernelKind};
 use ij_core::oracle::reference_join;
-use ij_core::Tuples;
+use ij_core::records::{CompRec, OutRec};
+use ij_core::{OutputMode, Tuples};
 use ij_interval::{Interval, TupleId};
 use ij_mapreduce::{
     ClusterConfig, CostModel, Emitter, Engine, ReduceCtx, SchedConfig, SchedPolicy, ValueStream,
@@ -333,6 +342,76 @@ fn bench_hybrid(c: &mut Criterion) {
     group.finish();
 }
 
+/// A cascade stage's bucket: `n` composites over (A, B) on side 0 — short
+/// A intervals, long B ones — and `n` base records of C on side 1, over a
+/// span of `10 n`.
+fn stage_bucket(n: usize, seed: u64) -> Vec<CompRec> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let span = 10 * n as i64;
+    let mut at = |len: std::ops::Range<i64>| {
+        let s = rng.gen_range(0..span);
+        iv(s, s + rng.gen_range(len))
+    };
+    let mut recs = Vec::with_capacity(2 * n);
+    for t in 0..n as TupleId {
+        let ivs = vec![at(0..100), at(200..1_200)];
+        recs.push(CompRec {
+            side: 0,
+            tids: vec![t, t],
+            ivs,
+        });
+    }
+    for t in 0..n as TupleId {
+        let ivs = vec![at(0..400)];
+        recs.push(CompRec {
+            side: 1,
+            tids: vec![t],
+            ivs,
+        });
+    }
+    recs
+}
+
+fn bench_composite(c: &mut Criterion) {
+    use ij_interval::AllenPredicate::{Before, Overlaps};
+    let n = 2048;
+    let recs = stage_bucket(n, 23);
+    // B overlaps C routes the stage; A before C is its extra check.
+    let stage = CompositeJoin {
+        sides: 2,
+        conditions: vec![((0, 1), Overlaps, (1, 0)), ((0, 0), Before, (1, 0))],
+        gather: vec![(0, 0), (0, 1), (1, 0)],
+        mode: OutputMode::Count,
+        order_by: None,
+    };
+    let (comps, base) = recs.split_at(n);
+    let expect = (comps.iter())
+        .map(|a| {
+            (base.iter())
+                .filter(|b| Overlaps.holds(a.ivs[1], b.ivs[0]) && Before.holds(a.ivs[0], b.ivs[0]))
+                .count() as u64
+        })
+        .sum::<u64>();
+    assert!(expect > 10_000, "composite workload too sparse: {expect}");
+
+    let mut group = c.benchmark_group("kernel_composite");
+    group.throughput(Throughput::Elements(recs.len() as u64));
+    for (label, threads) in [("serial", 1), ("parallel2", 2)] {
+        let cfg = KernelConfig {
+            threads,
+            parallel_threshold: 0,
+        };
+        group.bench_function(format!("cascade_stage_{label}"), |b| {
+            b.iter(|| {
+                let mut count = OutRec::Count(0);
+                stage.join_into(&recs, &cfg, |_| true, &mut count);
+                checked(count.tuples(), expect)
+            })
+        });
+    }
+    group.finish();
+}
+
 /// A satisfiable arity-3 colocation clique: r0 ov r1, r1 ⊇ r2, r0 ov r2.
 /// Every pair is directly conditioned, so the dispatcher routes the
 /// bucket to the event sweep.
@@ -534,6 +613,7 @@ criterion_group!(
     bench_materialize,
     bench_sequence_heavy,
     bench_hybrid,
+    bench_composite,
     bench_event_sweep,
     bench_schedule
 );

@@ -8,9 +8,9 @@
 //! "both 2-way joins in 2-way Cd … are executed using 2D versions of
 //! All-Matrix"). Every stage re-reads and re-shuffles the intermediate
 //! result, which is exactly the cost the paper's single-pass algorithms
-//! avoid. A stage's reducer is the composite join (`kernel::composite`)
-//! with two sides: the composites, whose slots are the relations joined so
-//! far, and the new relation.
+//! avoid. A stage's reducer is the composite join (`kernel::composite`,
+//! the window kernel's multi-slot case) with two sides: the composites,
+//! whose slots are the relations joined so far, and the new relation.
 
 use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
 use crate::all_matrix::CellSpace;

@@ -10,8 +10,8 @@
 //!
 //! Two MR cycles: attribute-level marking — the component-matrix mark
 //! stage with one single-attribute relation per vertex — then the matrix
-//! join, whose reducer is the composite join (`kernel::composite`) with
-//! the query's relations as sides and their attributes as slots.
+//! join, whose reducer is the window kernel's multi-slot composite join
+//! (`kernel::composite`): the relations are sides, attributes slots.
 
 use crate::algorithm::{empty_output, AlgoError, Algorithm, RunArtifacts};
 use crate::all_matrix::CellSpace;

@@ -3,9 +3,9 @@
 //! Stage 1 solves each colocation component with RCCIS, materializing the
 //! component join results. Stage 2 joins the component results on the
 //! sequence conditions with a component-dimensional All-Matrix whose
-//! reducer is the composite join (`kernel::composite`): one side per
-//! component, its member relations the slots. The intermediate
-//! materialization is the cost All-Seq-Matrix avoids.
+//! reducer is the window kernel's multi-slot case (`kernel::composite`):
+//! one side per component, its member relations the slots. The
+//! intermediate materialization is the cost All-Seq-Matrix avoids.
 
 use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
 use crate::all_matrix::CellSpace;

@@ -10,6 +10,7 @@ use crate::all_matrix::AllMatrix;
 use crate::cascade::{plan_stages, TwoWayCascade};
 use crate::input::JoinInput;
 use crate::kernel::composite::{composites, CompositeJoin};
+use crate::kernel::KernelConfig;
 use crate::output::{JoinOutput, OutputMode};
 use crate::records::OutRec;
 use ij_interval::RelId;
@@ -128,7 +129,7 @@ impl Algorithm for Fstc {
                 order_by: None,
             };
             let mut found = OutRec::new(self.mode, filter.gather.len());
-            filter.join_into(&mut [comps], |_| true, &mut found);
+            filter.join_into(&comps, &KernelConfig::serial(), |_| true, &mut found);
             return Ok(JoinOutput::from_records(self.mode, vec![found], chain));
         }
         let stages = plan_stages(seq_rels.clone(), &coloc_conditions)?;

@@ -10,8 +10,10 @@
 //! equivalence tests and the `kernel` benches compare the dispatched
 //! kernels against.
 
-use super::Compiled;
-use crate::executor::{tighten_lower, tighten_upper, window, Candidates};
+use super::ranges::{tighten_lower, tighten_upper};
+use super::window::window_by;
+use super::{binding_order, slot_conditions, Compiled};
+use crate::executor::Candidates;
 use ij_interval::{Interval, TupleId};
 use ij_query::JoinQuery;
 use std::ops::Bound;
@@ -34,7 +36,7 @@ pub fn reference_join(
     if cands.any_empty() {
         return 0;
     }
-    let compiled = Compiled::new(q, |r| cands.len(r));
+    let compiled = Compiled::new(binding_order(q, |r| cands.len(r)), &slot_conditions(q));
     let mut assignment = vec![(Interval::point(0), 0); compiled.order.len()];
     let mut work = 0;
     descend(
@@ -65,17 +67,17 @@ fn descend(
     // Window bounds from every condition to an already-bound neighbor.
     let mut lo = Bound::Unbounded;
     let mut hi = Bound::Unbounded;
-    for &(other, pred) in checks {
+    for &((other, _), pred, _) in checks {
         let (l, h) = pred.right_start_bounds(assignment[other].0);
         lo = tighten_lower(lo, l);
         hi = tighten_upper(hi, h);
     }
     let list = cands.list(rel);
-    let (from, to) = window(list, lo, hi);
+    let (from, to) = window_by(list, |(iv, _)| iv.start(), lo, hi);
     *work += (to - from) as u64;
     'candidates: for &(iv, tid) in &list[from..to] {
         // Full predicate check against all bound neighbors.
-        for &(other, pred) in checks {
+        for &((other, _), pred, _) in checks {
             if !pred.holds(assignment[other].0, iv) {
                 continue 'candidates;
             }

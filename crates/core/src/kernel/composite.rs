@@ -7,33 +7,26 @@
 //! the members of an FCTS component, the attributes of a Gen-Matrix tuple.
 //! Conditions are Allen predicates between `(side, slot)` pairs. A family
 //! keeps only its routing (a closure from a record to its cells) and, for
-//! Gen-Matrix, an ownership test; [`CompositeJoin::run`] is the cycle.
+//! Gen-Matrix, an ownership test; `CompositeJoin::run` is the cycle.
 //!
-//! The reducer is one windowed descent that binds a side per level. A
-//! level sorts its side's list by the start of one slot — the slot most of
-//! its checks constrain — windows it on that slot's intersected
-//! [`RangePair`] and filters every constrained slot with
-//! [`RangePair::contains`]. Range membership is predicate truth (see
-//! [`super::ranges`]), so no `holds` re-check runs. A condition between
-//! two slots of one side filters that side's list before the descent;
-//! sides with no condition between them join as a cross product.
+//! A composite bucket is the window kernel's multi-slot case: its records
+//! are the rows of the one windowed descent (see `kernel::window`), each
+//! side's list sorted by the start of its level's key slot, and it runs
+//! through the same level program, end views, chunk runner and `kernel.*`
+//! / `join.*` counters as every single-attribute bucket. A condition
+//! between two slots of one side filters that side's list before the
+//! descent; sides with no condition between them join as a cross product.
 
-use super::{range_pair, RangePair};
-use crate::executor::{binding_order, window_by};
+use super::window::{Row, WindowPlan};
+use super::{binding_order, drive, range_pair, reduce_rec, slot_conditions, BindingSink, Chunks};
+use super::{Compiled, KernelConfig, KernelKind, KernelReport, Slot, SlotCondition};
 use crate::input::JoinInput;
 use crate::output::OutputMode;
 use crate::records::{CompRec, OutRec};
-use ij_interval::{AllenPredicate, RelId, TupleId};
-use ij_mapreduce::metrics::names;
+use ij_interval::{Interval, RelId, TupleId};
 use ij_mapreduce::{Emitter, Engine, EngineError, JobOutput, ReduceCtx, ReducerId, ValueStream};
 use ij_query::JoinQuery;
-use std::cmp::{Ordering, Reverse};
-
-/// A `(side, slot)` position in a composite join.
-pub(crate) type Slot = (usize, usize);
-
-/// `left pred right` between two slots.
-pub(crate) type SlotCondition = (Slot, AllenPredicate, Slot);
+use std::ops::Range;
 
 /// The ownership test a family may add: the reducer's key and a binding,
 /// one record per side.
@@ -42,30 +35,28 @@ pub(crate) type Accept<'a> = dyn Fn(ReducerId, &[&CompRec]) -> bool + Sync + 'a;
 /// One composite join: its sides, the conditions between their slots and
 /// the output row it gathers.
 #[derive(Debug)]
-pub(crate) struct CompositeJoin<'q> {
+pub struct CompositeJoin<'q> {
     /// Number of sides; a side no condition mentions joins as a factor.
-    pub(crate) sides: usize,
+    pub sides: usize,
     /// The conditions every binding satisfies.
-    pub(crate) conditions: Vec<SlotCondition>,
-    /// Per output column, the side and the `tids` slot its id comes from.
-    pub(crate) gather: Vec<Slot>,
+    pub conditions: Vec<SlotCondition>,
+    /// Per output column, the side and the slot its id comes from; a sink
+    /// sees `(ivs[slot], tids[slot])`.
+    pub gather: Vec<Slot>,
     /// Materialize or count.
-    pub(crate) mode: OutputMode,
+    pub mode: OutputMode,
     /// Bind sides in this query's binding order (its relations are the
     /// sides) rather than in side order.
-    pub(crate) order_by: Option<&'q JoinQuery>,
+    pub order_by: Option<&'q JoinQuery>,
 }
 
 impl<'q> CompositeJoin<'q> {
     /// `q` itself: its relations are the sides, their attributes the
     /// slots, and a record's one tuple id is its output column.
-    pub(crate) fn of_query(q: &'q JoinQuery, mode: OutputMode) -> Self {
-        let slot = |at: ij_query::AttrRef| (at.rel.idx(), at.attr as usize);
+    pub fn of_query(q: &'q JoinQuery, mode: OutputMode) -> Self {
         CompositeJoin {
             sides: q.num_relations() as usize,
-            conditions: (q.conditions().iter())
-                .map(|c| (slot(c.left), c.pred, slot(c.right)))
-                .collect(),
+            conditions: slot_conditions(q),
             gather: (0..q.num_relations() as usize).map(|r| (r, 0)).collect(),
             mode,
             order_by: Some(q),
@@ -73,8 +64,9 @@ impl<'q> CompositeJoin<'q> {
     }
 
     /// Runs the join as the MR cycle `name`: `route` sends each record to
-    /// its cells, and each reducer joins its bucket, keeps the bindings
-    /// `accept` admits and writes one [`OutRec`].
+    /// its cells, and each reducer joins its bucket under the engine's
+    /// thread budget, keeps the bindings `accept` admits and writes one
+    /// [`OutRec`], recording the counters every join reducer records.
     pub(crate) fn run(
         &self,
         engine: &Engine,
@@ -88,147 +80,96 @@ impl<'q> CompositeJoin<'q> {
             records,
             route,
             |ctx: &mut ReduceCtx, values: &mut ValueStream<CompRec>, out: &mut Vec<OutRec>| {
-                let mut lists = vec![Vec::new(); self.sides];
-                for rec in values.by_ref() {
-                    lists[rec.side as usize].push(rec);
-                }
-                let key = ctx.key;
-                let mut found = OutRec::new(self.mode, self.gather.len());
-                let work =
-                    self.join_into(&mut lists, |b| accept.is_none_or(|a| a(key, b)), &mut found);
-                ctx.add_work(work);
-                ctx.inc(names::JOIN_CANDIDATES, work);
-                ctx.inc(names::JOIN_EMITTED, found.tuples());
-                found.emit_into(out);
+                let bucket: Vec<CompRec> = values.by_ref().collect();
+                let (key, rec) = (ctx.key, OutRec::new(self.mode, self.gather.len()));
+                reduce_rec(ctx, rec, out, |cfg, rec| {
+                    let accept = |b: &[&CompRec]| accept.is_none_or(|a| a(key, b));
+                    self.join_into(&bucket, cfg, accept, rec)
+                });
             },
         )
     }
 
-    /// Joins one bucket, `lists[side]` holding that side's records (sorted
-    /// and filtered in place): every binding that satisfies the conditions
-    /// and `accept` is written to `out`. Returns the candidates examined.
-    pub(crate) fn join_into(
+    /// Joins one bucket of `records` (any sides, any order) into `out`:
+    /// every binding that satisfies the conditions and `accept` adds its
+    /// gathered row, or one to the count. Chunked like every kernel
+    /// bucket: rows, their order and the work are the serial run's for
+    /// every `cfg`.
+    pub fn join_into(
         &self,
-        lists: &mut [Vec<CompRec>],
-        accept: impl Fn(&[&CompRec]) -> bool,
+        records: &[CompRec],
+        cfg: &KernelConfig,
+        accept: impl Fn(&[&CompRec]) -> bool + Sync,
         out: &mut OutRec,
-    ) -> u64 {
-        debug_assert_eq!(lists.len(), self.sides);
+    ) -> KernelReport {
+        let kind = KernelKind::Window;
+        let mut lists: Vec<Vec<&CompRec>> = vec![Vec::new(); self.sides];
+        for rec in records {
+            lists[rec.side as usize].push(rec);
+        }
         let order = match self.order_by {
             Some(q) => binding_order(q, |s| lists[s].len()),
             None => (0..self.sides).collect(),
         };
-        let mut level_of = vec![0; self.sides];
-        for (level, &side) in order.iter().enumerate() {
-            level_of[side] = level;
-        }
-        // Each check sits at the later of its two sides' levels, oriented
-        // so that side's slot is the right operand.
-        let mut checks: Vec<Vec<(Slot, AllenPredicate, usize)>> = vec![Vec::new(); self.sides];
-        for &(l, pred, r) in &self.conditions {
-            match level_of[l.0].cmp(&level_of[r.0]) {
-                Ordering::Less => checks[level_of[r.0]].push((l, pred, r.1)),
-                Ordering::Greater => checks[level_of[l.0]].push((r, pred.inverse(), l.1)),
-                Ordering::Equal => {
-                    lists[l.0].retain(|rec| range_pair(pred, rec.ivs[l.1]).contains(rec.ivs[r.1]))
-                }
+        for &((side, a), pred, (other, b)) in &self.conditions {
+            if side == other {
+                lists[side].retain(|rec| range_pair(pred, rec.ivs[a]).contains(rec.ivs[b]));
             }
         }
         if lists.iter().any(Vec::is_empty) {
-            return 0;
+            return KernelReport::idle(kind);
         }
-        let levels: Vec<Level> = (order.iter().zip(checks))
-            .map(|(&side, checks)| Level::new(side, checks))
-            .collect();
-        for level in &levels {
-            if let Some(&key) = level.slots.first() {
-                lists[level.side].sort_unstable_by(|a, b| {
-                    (a.ivs[key].start().cmp(&b.ivs[key].start())).then_with(|| a.tids.cmp(&b.tids))
-                });
-            }
+        let compiled = Compiled::new(order, &self.conditions);
+        for (&side, &key) in compiled.order.iter().zip(&compiled.key) {
+            lists[side].sort_unstable_by(|a, b| {
+                (a.ivs[key].start(), &a.tids).cmp(&(b.ivs[key].start(), &b.tids))
+            });
         }
-        let lists = &*lists;
-        let mut chosen: Vec<&CompRec> = lists.iter().map(|l| &l[0]).collect();
-        let mut ranges = vec![RangePair::full(); levels.iter().map(|l| l.slots.len()).sum()];
-        let mut work = 0;
-        descend(
+        let plan = WindowPlan::new(compiled, &lists);
+        let shape = (plan.outer_len, lists.iter().map(Vec::len).sum());
+        let bucket = Bucket {
+            plan,
             lists,
-            &levels,
-            &mut chosen,
-            &mut ranges,
-            &mut |b| {
-                if accept(b) {
-                    out.push_row(self.gather.iter().map(|&(side, slot)| b[side].tids[slot]));
-                }
-            },
-            &mut work,
-        );
-        work
-    }
-}
-
-/// One level of the descent: the side it binds and its checks against the
-/// sides bound before it.
-#[derive(Debug)]
-struct Level {
-    side: usize,
-    /// The slots the checks constrain, the windowed slot first.
-    slots: Vec<usize>,
-    /// `(bound slot, predicate with this side's slot as the right
-    /// operand, index into slots)`.
-    checks: Vec<(Slot, AllenPredicate, usize)>,
-}
-
-impl Level {
-    /// Windows on the slot most checks constrain (the lowest on a tie).
-    fn new(side: usize, mut checks: Vec<(Slot, AllenPredicate, usize)>) -> Level {
-        let mut slots: Vec<usize> = checks.iter().map(|c| c.2).collect();
-        slots.sort_unstable();
-        slots.dedup();
-        // Stable: slots with as many checks keep their order.
-        slots.sort_by_key(|&s| Reverse(checks.iter().filter(|c| c.2 == s).count()));
-        for check in &mut checks {
-            check.2 = (slots.iter().position(|&s| s == check.2)).expect("a check's slot is listed");
-        }
-        Level {
-            side,
-            slots,
-            checks,
+            gather: &self.gather,
+            accept,
+        };
+        match out {
+            OutRec::Count(n) => drive(kind, shape, cfg, &bucket, n),
+            OutRec::Rows(rows) => drive(kind, shape, cfg, &bucket, rows),
         }
     }
 }
 
-/// Binds `levels[0]`'s side to every candidate in its window that meets
-/// the level's ranges, then the rest; a full binding goes to `emit`.
-/// `ranges` is scratch, one pair per slot of each remaining level.
-fn descend<'a>(
-    lists: &'a [Vec<CompRec>],
-    levels: &[Level],
-    chosen: &mut [&'a CompRec],
-    ranges: &mut [RangePair],
-    emit: &mut dyn FnMut(&[&CompRec]),
-    work: &mut u64,
-) {
-    let Some((level, deeper)) = levels.split_first() else {
-        emit(chosen);
-        return;
-    };
-    let (rps, rest) = ranges.split_at_mut(level.slots.len());
-    rps.fill(RangePair::full());
-    for &((side, slot), pred, i) in &level.checks {
-        rps[i].intersect(&range_pair(pred, chosen[side].ivs[slot]));
+/// A composite record is a row with a slot per interval it carries.
+impl Row for &CompRec {
+    fn at(self, slot: usize) -> Interval {
+        self.ivs[slot]
     }
-    let list = &lists[level.side];
-    let (from, to) = match (level.slots.first(), rps.first()) {
-        (Some(&key), Some(rp)) => window_by(list, |r| r.ivs[key].start(), rp.start.0, rp.start.1),
-        _ => (0, list.len()),
-    };
-    *work += (to - from) as u64;
-    for rec in &list[from..to] {
-        if (level.slots.iter().zip(&*rps)).all(|(&slot, rp)| rp.contains(rec.ivs[slot])) {
-            chosen[level.side] = rec;
-            descend(lists, deeper, chosen, rest, emit, work);
-        }
+}
+
+/// One prepared composite bucket: sorted, filtered per-side lists.
+struct Bucket<'a, A> {
+    plan: WindowPlan,
+    lists: Vec<Vec<&'a CompRec>>,
+    gather: &'a [Slot],
+    accept: A,
+}
+
+impl<A: Fn(&[&CompRec]) -> bool> Chunks for Bucket<'_, A> {
+    /// An accepted binding reaches `sink` as its gathered row: per output
+    /// column the id and the interval in that slot.
+    fn run<K: BindingSink>(&self, outer: Range<usize>, sink: &mut K) -> KernelReport {
+        let mut rep = KernelReport::idle(KernelKind::Window);
+        let mut row = Vec::with_capacity(self.gather.len());
+        let emit = &mut |b: &[&CompRec]| {
+            if (self.accept)(b) {
+                row.clear();
+                row.extend((self.gather.iter()).map(|&(s, k)| (b[s].ivs[k], b[s].tids[k])));
+                sink.push(&row);
+            }
+        };
+        self.plan.run(&self.lists, outer, emit, &mut rep.work);
+        rep
     }
 }
 
@@ -266,9 +207,10 @@ pub(crate) fn base_composites(side: usize, rel: RelId, input: &JoinInput) -> Vec
 mod tests {
     use super::*;
     use crate::executor::Candidates;
+    use crate::kernel::execute_kind;
     use crate::oracle::{oracle_join, reference_join};
-    use ij_interval::AllenPredicate::*;
-    use ij_interval::{Interval, Relation};
+    use ij_interval::AllenPredicate::{self, *};
+    use ij_interval::Relation;
     use ij_query::query::RelationMeta;
     use ij_query::{AttrRef, Condition};
     use rand::rngs::StdRng;
@@ -286,14 +228,20 @@ mod tests {
         }
     }
 
-    /// The sorted rows `join` writes for `lists`, and its work.
-    fn rows(join: &CompositeJoin, mut lists: Vec<Vec<CompRec>>) -> (Vec<Vec<TupleId>>, u64) {
+    /// The rows `join` writes for `lists` in emission order, and its work.
+    fn emitted(join: &CompositeJoin, lists: Vec<Vec<CompRec>>) -> (Vec<Vec<TupleId>>, u64) {
+        let records: Vec<CompRec> = lists.into_iter().flatten().collect();
         let mut out = OutRec::new(OutputMode::Materialize, join.gather.len());
-        let work = join.join_into(&mut lists, |_| true, &mut out);
+        let rep = join.join_into(&records, &KernelConfig::serial(), |_| true, &mut out);
         let OutRec::Rows(table) = out else {
             unreachable!("materializing")
         };
-        let mut rows: Vec<Vec<TupleId>> = table.iter().map(<[TupleId]>::to_vec).collect();
+        (table.iter().map(<[TupleId]>::to_vec).collect(), rep.work)
+    }
+
+    /// The sorted rows `join` writes for `lists`, and its work.
+    fn rows(join: &CompositeJoin, lists: Vec<Vec<CompRec>>) -> (Vec<Vec<TupleId>>, u64) {
+        let (mut rows, work) = emitted(join, lists);
         rows.sort_unstable();
         (rows, work)
     }
@@ -309,16 +257,17 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn matches_the_reference_on_single_attribute_queries() {
-        let q = JoinQuery::chain(&[Overlaps, Before]).unwrap();
-        let mut c = Candidates::new(3);
-        let data: [&[(i64, i64)]; 3] = [
-            &[(0, 10), (2, 7), (30, 35)],
-            &[(5, 12), (6, 20)],
-            &[(15, 18), (25, 40), (13, 14)],
-        ];
-        let mut lists = vec![Vec::new(); 3];
+    fn tids(a: &[(Interval, TupleId)]) -> Vec<TupleId> {
+        a.iter().map(|(_, t)| *t).collect()
+    }
+
+    /// A single-attribute bucket as one-slot composite records joins like
+    /// the window kernel on the same candidates: the same rows in the same
+    /// emission order, the same work, and the reference's result set.
+    /// Returns the number of rows.
+    fn assert_one_slot_case_is_the_window_kernel(q: &JoinQuery, data: &[Vec<(i64, i64)>]) -> usize {
+        let mut c = Candidates::new(data.len());
+        let mut lists = vec![Vec::new(); data.len()];
         for (r, rows) in data.iter().enumerate() {
             for (t, &(s, e)) in rows.iter().enumerate() {
                 c.push(r, iv(s, e), t as u32);
@@ -326,14 +275,57 @@ mod tests {
             }
         }
         c.finish();
+        let mut window = Vec::new();
+        let rep = execute_kind(
+            KernelKind::Window,
+            q,
+            &c,
+            |_| true,
+            |a| window.push(tids(a)),
+        )
+        .expect("the window kernel takes every query");
+        let join = CompositeJoin::of_query(q, OutputMode::Count);
+        assert_eq!(emitted(&join, lists), (window.clone(), rep.work), "{q}");
         let mut want: Vec<Vec<TupleId>> = Vec::new();
-        reference_join(&q, &c, |a| want.push(a.iter().map(|(_, t)| *t).collect()));
+        reference_join(q, &c, |a| want.push(tids(a)));
         want.sort();
-        assert!(!want.is_empty());
-        assert_eq!(
-            rows(&CompositeJoin::of_query(&q, OutputMode::Count), lists).0,
-            want
-        );
+        window.sort();
+        assert_eq!(window, want, "{q}");
+        want.len()
+    }
+
+    #[test]
+    fn matches_the_reference_on_single_attribute_queries() {
+        let q = JoinQuery::chain(&[Overlaps, Before]).unwrap();
+        let data = vec![
+            vec![(0, 10), (2, 7), (30, 35)],
+            vec![(5, 12), (6, 20)],
+            vec![(15, 18), (25, 40), (13, 14)],
+        ];
+        assert!(assert_one_slot_case_is_the_window_kernel(&q, &data) > 0);
+        // Every predicate as a 2-way chain, and Overlaps∘Before, on
+        // random data.
+        let mut rng = StdRng::seed_from_u64(34);
+        let chains =
+            (AllenPredicate::ALL.map(|p| vec![p]).into_iter()).chain([vec![Overlaps, Before]]);
+        let mut total = 0;
+        for preds in chains {
+            let q = JoinQuery::chain(&preds).unwrap();
+            for _ in 0..8 {
+                let data: Vec<Vec<(i64, i64)>> = (0..q.num_relations())
+                    .map(|_| {
+                        (0..12)
+                            .map(|_| {
+                                let s = rng.gen_range(0..40);
+                                (s, s + rng.gen_range(0..15))
+                            })
+                            .collect()
+                    })
+                    .collect();
+                total += assert_one_slot_case_is_the_window_kernel(&q, &data);
+            }
+        }
+        assert!(total > 0, "the random buckets join nothing");
     }
 
     #[test]

@@ -38,7 +38,7 @@
 
 use super::ranges::range_pair;
 use super::scratch::with_scratch;
-use super::{Compiled, Emit, RangePair};
+use super::{slot_conditions, Compiled, Emit, RangePair};
 use crate::executor::Candidates;
 use ij_interval::{AllenPredicate, Interval, Time, TupleId};
 use ij_query::JoinQuery;
@@ -322,7 +322,7 @@ fn probe(
     }
     let rel = program.order[level];
     let mut rp = RangePair::full();
-    for &(other, pred) in &program.checks[level] {
+    for &((other, _), pred, _) in &program.checks[level] {
         rp.intersect(&range_pair(pred, assignment[other].0));
     }
     if rp.is_empty() {
@@ -358,7 +358,7 @@ fn probe_program(q: &JoinQuery, adj: &[Vec<usize>], root: usize) -> Compiled {
         }
     }
     debug_assert_eq!(order.len(), m, "qualifying queries are connected");
-    Compiled::from_order(q, order)
+    Compiled::new(order, &slot_conditions(q))
 }
 
 #[cfg(test)]

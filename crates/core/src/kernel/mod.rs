@@ -1,61 +1,57 @@
 //! Predicate-specialized reduce-side join kernels.
 //!
-//! Every reducer of every single-attribute algorithm funnels into
-//! [`execute_into`] (via [`reduce_join`] / [`reduce_into`]):
-//! [`planned_kernel`] reads the query's condition set — never the bucket —
-//! and routes to one of three kernels —
+//! Every join reducer funnels into one chunk runner: single-attribute
+//! buckets through [`execute_into`] (via [`reduce_join`] /
+//! [`reduce_into`]), buckets of records that carry several intervals —
+//! the cascade's stages, FCTS's sequence matrix, Gen-Matrix's join —
+//! through [`composite::CompositeJoin`]. [`planned_kernel`] reads the
+//! query's condition set — never the bucket — and routes to one of three
+//! kernels; a composite bucket is always a window bucket —
 //!
 //! | Condition set | Kernel | Counter |
 //! |---|---|---|
 //! | two relations, one overlaps/contains-shaped condition | `sweep` (pair sweep: active set with a retirement array) | `kernel.sweep_buckets` |
 //! | colocation, all pairs provably intersecting | `event_sweep` (merged event list, gapless active arrays) | `kernel.event_sweep_buckets` |
-//! | everything else: other colocation sets, sequence sets, mixed sets | `window` (windowed descent: narrower of start/end window) | `kernel.sweep_buckets` |
+//! | everything else: other colocation sets, sequence sets, mixed sets, composite buckets | `window` (windowed descent: narrower of start/end window) | `kernel.sweep_buckets` |
 //!
-//! The event-list sweep is the multi-way generalization of the pair
-//! sweep: one pass over all relations' merged endpoints, emitting each
-//! binding at its latest-starting tuple's event. Completeness of that
-//! rule needs every relation pair of a satisfying assignment to
-//! intersect (1-D Helly), which `event_sweep::qualifies` proves
-//! statically — colocation cliques and containment-shaped chains route
-//! there, while e.g. pure *overlaps* chains (where the ends of a binding
-//! may not share a point) take the window scan. The window scan is a
-//! complete join executor for arbitrary single-attribute Allen condition
-//! sets; the two sweeps are complete on their domains only, and
-//! [`execute_kind`] refuses a query outside the forced kernel's domain
-//! instead of substituting another. Within a domain the choice is purely
-//! a performance decision — property-tested to produce identical result
-//! sets, against each other and against `backtrack`, the `holds`-based
-//! windowed-backtracking reference that is the oracle's engine and is
-//! never dispatched.
+//! The event-list sweep emits each binding at its latest-starting
+//! tuple's event, which is complete only when every relation pair of a
+//! satisfying assignment intersects (1-D Helly) — `event_sweep::qualifies`
+//! proves that statically for colocation cliques and containment-shaped
+//! chains, while e.g. pure *overlaps* chains take the window scan. The
+//! window scan is complete for any Allen condition set between the slots
+//! of its rows (a single-attribute candidate is a one-slot row); the two
+//! sweeps only on their domains, and [`execute_kind`] refuses a query
+//! outside the forced kernel's domain instead of substituting another.
+//! Within a domain the choice is purely a performance decision —
+//! property-tested to produce identical result sets, against each other
+//! and against `backtrack`, the `holds`-based windowed-backtracking
+//! reference that is the oracle's engine and is never dispatched. All of
+//! them read one level program (`Compiled`).
 //!
 //! **Heavy-bucket intra-reducer parallelism.** When a bucket's candidate
-//! count reaches the configured threshold, [`execute_into`] splits the
-//! level-0 outer iteration into contiguous chunks across a bounded worker
-//! pool. Output goes through an [`OutputSink`]: the driver `fork`s one
-//! empty push-only [`BindingSink`] per chunk, each worker runs the
+//! count reaches the configured threshold, the runner splits the level-0
+//! outer iteration into contiguous chunks across a bounded worker pool.
+//! Output goes through an [`OutputSink`]: the runner `fork`s one empty
+//! push-only [`BindingSink`] per chunk, each worker runs the
 //! owner-`accept` filter and `push`es accepted bindings into its own —
 //! folding them into the count, rows or id set the reducer wants, not
 //! buffering them — and the caller `absorb`s the chunks in chunk order.
-//! Because every kernel
-//! emits along a fixed outer order (and the pair sweep's retirement state
-//! is a function of the current outer interval only), chunk `i` holds
-//! exactly the bindings the serial run emits for outer range `i`, in the
-//! same order; absorbing in chunk order therefore reproduces the serial
-//! sink state for any thread count, and reported work units are
-//! chunk-invariant. The closure form [`execute`] is one such sink: its
-//! chunks buffer rows that are replayed into `on_output` on the caller's
-//! thread.
+//! Every kernel emits along a fixed outer order (the pair sweep's
+//! retirement state is a function of the current outer interval only),
+//! so chunk `i` holds exactly the bindings the serial run emits for outer
+//! range `i`, in the same order: the sink ends in the serial state and
+//! work units are chunk-invariant for any thread count. The closure form
+//! [`execute`] is one such sink: its chunks buffer rows replayed into
+//! `on_output` on the caller's thread.
 //!
-//! **Streaming reducers.** Since the memory-budgeted reduce pipeline,
-//! reducers receive their bucket as a pull-based
-//! [`ij_mapreduce::ValueStream`] and build [`Candidates`] by draining it
-//! once, in emission order — whether the stream is backed by the
-//! in-memory merge or by spilled Dfs runs is invisible here. The kernels
-//! themselves are unchanged: they run over the materialized `Candidates`
-//! index, never over the raw stream.
+//! **Streaming reducers.** A reducer drains its pull-based
+//! [`ij_mapreduce::ValueStream`] once, in emission order, into
+//! [`Candidates`] or a composite record list; the kernels never see
+//! whether the stream came from the in-memory merge or spilled Dfs runs.
 
 pub(crate) mod backtrack;
-pub(crate) mod composite;
+pub mod composite;
 mod event_sweep;
 mod ranges;
 mod scratch;
@@ -67,23 +63,31 @@ pub use ranges::{range_pair, RangePair};
 pub use sink::{BindingSink, OutputSink};
 
 use crate::executor::Candidates;
-use crate::output::{OutputMode, Tuples};
+use crate::output::OutputMode;
 use crate::records::OutRec;
 use ij_interval::{AllenPredicate, Interval, TupleId};
 use ij_mapreduce::metrics::names::{self, Counter};
 use ij_mapreduce::ReduceCtx;
-use ij_query::JoinQuery;
+use ij_query::{AttrRef, JoinQuery};
 use std::any::Any;
+use std::cmp::{Ordering, Reverse};
 use std::ops::Range;
 use std::panic::resume_unwind;
 
-/// Sink for complete bindings: one `(interval, tuple)` slot per relation,
-/// in query order.
-pub(crate) type Emit<'a> = dyn FnMut(&[(Interval, TupleId)]) + 'a;
+/// Sink for complete bindings: one row per side, in side order (for a
+/// single-attribute bucket an `(interval, tuple)` per relation).
+pub(crate) type Emit<'a, R = (Interval, TupleId)> = dyn FnMut(&[R]) + 'a;
 
-/// The scan strategy of one bucket. Query-static (independent of bucket
-/// contents), so the cost model in `core::estimate` can price reducers
-/// per kernel.
+/// A `(side, slot)` position: a relation and its attribute, or a
+/// composite side and one of the intervals its records carry.
+pub type Slot = (usize, usize);
+
+/// `left pred right` between two slots.
+pub type SlotCondition = (Slot, AllenPredicate, Slot);
+
+/// The scan strategy of one bucket. Query-static: [`planned_kernel`]
+/// reads the condition set only, so every bucket of a join cycle runs
+/// the same kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
     /// Two-relation active-set sweep with a retirement array (one
@@ -93,7 +97,7 @@ pub enum KernelKind {
     /// sets whose relation pairs all provably intersect).
     EventSweep,
     /// Windowed descent scanning the narrower of each level's start and
-    /// end window (any Allen condition set).
+    /// end window (any Allen condition set, composite buckets included).
     Window,
 }
 
@@ -144,6 +148,18 @@ pub struct KernelReport {
     pub active_peak: u64,
 }
 
+impl KernelReport {
+    /// The report of a bucket with an empty relation: nothing ran.
+    fn idle(kind: KernelKind) -> KernelReport {
+        KernelReport {
+            kind,
+            work: 0,
+            parallel_chunks: 1,
+            active_peak: 0,
+        }
+    }
+}
+
 /// Execution knobs for [`execute`]; reducers derive theirs from the
 /// engine via [`reduce_join`].
 #[derive(Debug, Clone, Copy)]
@@ -172,46 +188,112 @@ impl Default for KernelConfig {
     }
 }
 
-/// A binding order plus per-level checks — the program every descent
-/// (window kernel, reference, event-sweep probe) runs.
+/// Computes a binding order for backtracking.
 ///
-/// `checks[level]` lists `(other_rel, pred)` for every condition whose
-/// later-bound endpoint is at `level`, with the predicate oriented so the
-/// *candidate is the right operand*: the check is `pred.holds(other, cand)`
-/// and the candidate's endpoint ranges come from
-/// [`ranges::range_pair`]`(pred, other)`.
+/// Relations are bound left-to-right in the provable start order: when the
+/// bound neighbor starts *before* the candidate, the candidate's start
+/// window from [`ij_interval::AllenPredicate::right_start_bounds`] is
+/// bounded on both sides for every colocation predicate, so each level
+/// binary-searches a small window. (Binding right-to-left instead would
+/// give half-open windows — "everything that starts before me" — and
+/// degrade to quadratic scans.) Connectivity still matters: among
+/// equal-rank candidates we grow BFS-style from the already-bound set and
+/// prefer the smallest candidate list.
+pub(crate) fn binding_order(q: &JoinQuery, list_len: impl Fn(usize) -> usize) -> Vec<usize> {
+    let m = q.num_relations() as usize;
+    let mut adj = vec![Vec::new(); m];
+    for c in q.conditions() {
+        adj[c.left.rel.idx()].push(c.right.rel.idx());
+        adj[c.right.rel.idx()].push(c.left.rel.idx());
+    }
+    // rank[r] = number of relations provably starting strictly before r —
+    // left-most relations get bound first.
+    let order_info = q.start_order();
+    let le = |a: usize, b: usize| {
+        order_info.le_start(AttrRef::whole(a as u16), AttrRef::whole(b as u16))
+    };
+    let rank: Vec<usize> = (0..m)
+        .map(|r| (0..m).filter(|&o| o != r && le(o, r) && !le(r, o)).count())
+        .collect();
+    let mut order = Vec::with_capacity(m);
+    let mut placed = vec![false; m];
+    while order.len() < m {
+        // Prefer: connected to the bound set, then lowest rank, then the
+        // smallest list.
+        let next = (0..m)
+            .filter(|&r| !placed[r])
+            .min_by_key(|&r| {
+                let disconnected = !order.is_empty() && !adj[r].iter().any(|&n| placed[n]);
+                (disconnected, rank[r], list_len(r))
+            })
+            .expect("some relation unplaced");
+        placed[next] = true;
+        order.push(next);
+    }
+    order
+}
+
+/// `q`'s conditions between `(relation, attribute)` slots.
+fn slot_conditions(q: &JoinQuery) -> Vec<SlotCondition> {
+    let slot = |at: AttrRef| (at.rel.idx(), at.attr as usize);
+    (q.conditions().iter())
+        .map(|c| (slot(c.left), c.pred, slot(c.right)))
+        .collect()
+}
+
+/// The level program every descent (window kernel, reference, event-sweep
+/// probe) runs: a binding order of the sides plus per-level checks.
+///
+/// `checks[level]` lists `((bound side, slot), pred, this side's slot)`
+/// for every condition whose later-bound side binds at `level`, oriented
+/// so *this side's slot is the right operand*: the check is
+/// `pred.holds(bound, cand)`, with the candidate's endpoint ranges from
+/// [`ranges::range_pair`]`(pred, bound)`. A level windows on its `key`
+/// slot — the one most of its checks constrain, the lowest on a tie, 0
+/// without checks — and filters its `others`. A single-attribute query
+/// is the one-slot case.
 #[derive(Debug)]
 pub(crate) struct Compiled {
     pub(crate) order: Vec<usize>,
-    pub(crate) checks: Vec<Vec<(usize, AllenPredicate)>>,
+    pub(crate) checks: Vec<Vec<(Slot, AllenPredicate, usize)>>,
+    pub(crate) key: Vec<usize>,
+    pub(crate) others: Vec<Vec<usize>>,
 }
 
 impl Compiled {
-    /// The start-ordered binding order of `executor::binding_order`.
-    fn new(q: &JoinQuery, list_len: impl Fn(usize) -> usize) -> Compiled {
-        Compiled::from_order(q, crate::executor::binding_order(q, list_len))
-    }
-
-    /// `order` must be a permutation of `q`'s relations.
-    fn from_order(q: &JoinQuery, order: Vec<usize>) -> Compiled {
-        let m = q.num_relations() as usize;
-        let mut level_of = vec![0usize; m];
-        for (lvl, &r) in order.iter().enumerate() {
-            level_of[r] = lvl;
+    /// `conditions` binding sides in `order`, a permutation of the sides.
+    /// A condition within one side is the caller's filter, not a check.
+    pub(crate) fn new(order: Vec<usize>, conditions: &[SlotCondition]) -> Compiled {
+        let n = order.len();
+        let mut level_of = vec![0; n];
+        for (level, &side) in order.iter().enumerate() {
+            level_of[side] = level;
         }
-        let mut checks: Vec<Vec<(usize, AllenPredicate)>> = vec![Vec::new(); m];
-        for c in q.conditions() {
-            let (l, r) = (c.left.rel.idx(), c.right.rel.idx());
-            let (lvl, other, pred) = if level_of[l] > level_of[r] {
-                // `l` binds later: the candidate is the LEFT operand, so
-                // flip to the right-operand form.
-                (level_of[l], r, c.pred.inverse())
-            } else {
-                (level_of[r], l, c.pred)
-            };
-            checks[lvl].push((other, pred));
+        let mut checks: Vec<Vec<(Slot, AllenPredicate, usize)>> = vec![Vec::new(); n];
+        for &(l, pred, r) in conditions {
+            match level_of[l.0].cmp(&level_of[r.0]) {
+                Ordering::Less => checks[level_of[r.0]].push((l, pred, r.1)),
+                // `l` binds later: flip to the right-operand form.
+                Ordering::Greater => checks[level_of[l.0]].push((r, pred.inverse(), l.1)),
+                Ordering::Equal => {}
+            }
         }
-        Compiled { order, checks }
+        let (mut key, mut others) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for level in &checks {
+            // Most checks first, the lowest slot on a tie.
+            let count = |s: usize| level.iter().filter(|c| c.2 == s).count();
+            let mut slots: Vec<usize> = level.iter().map(|c| c.2).collect();
+            slots.sort_unstable_by_key(|&s| (Reverse(count(s)), s));
+            slots.dedup();
+            key.push(slots.first().copied().unwrap_or(0));
+            others.push(slots.into_iter().skip(1).collect());
+        }
+        Compiled {
+            order,
+            checks,
+            key,
+            others,
+        }
     }
 }
 
@@ -222,17 +304,24 @@ enum Plan {
     Window(window::WindowPlan),
 }
 
-/// One prepared bucket: everything the chunk runner needs, immutable.
-struct Prepared {
+/// One prepared single-attribute bucket: everything a chunk needs,
+/// immutable.
+struct Prepared<'c, A> {
     kind: KernelKind,
     plan: Plan,
     outer_len: usize,
-    total: usize,
+    cands: &'c Candidates,
+    accept: A,
 }
 
 /// `None` for a bucket with an empty relation. Precondition:
 /// `kind.applies_to(q)`.
-fn prepare(kind: KernelKind, q: &JoinQuery, cands: &Candidates) -> Option<Prepared> {
+fn prepare<'c, A>(
+    kind: KernelKind,
+    q: &JoinQuery,
+    cands: &'c Candidates,
+    accept: A,
+) -> Option<Prepared<'c, A>> {
     assert!(
         cands.is_sorted(),
         "Candidates::finish must be called before joining"
@@ -243,55 +332,45 @@ fn prepare(kind: KernelKind, q: &JoinQuery, cands: &Candidates) -> Option<Prepar
     let plan = match kind {
         KernelKind::PairSweep => Plan::Pair(sweep::PairSweep::new(q, cands)),
         KernelKind::EventSweep => Plan::Event(event_sweep::EventSweepPlan::new(q, cands)),
-        KernelKind::Window => Plan::Window(window::WindowPlan::new(q, cands)),
+        KernelKind::Window => Plan::Window(window::WindowPlan::of_query(q, cands)),
     };
     let outer_len = match &plan {
         Plan::Pair(p) => p.outer_len(),
         Plan::Event(p) => p.outer_len(),
-        Plan::Window(p) => p.outer_len(cands),
+        Plan::Window(p) => p.outer_len,
     };
-    let total = (0..q.num_relations() as usize).map(|r| cands.len(r)).sum();
     Some(Prepared {
         kind,
         plan,
         outer_len,
-        total,
+        cands,
+        accept,
     })
 }
 
-impl KernelReport {
-    /// The report of a bucket with an empty relation: nothing ran.
-    fn idle(kind: KernelKind) -> KernelReport {
-        KernelReport {
-            kind,
-            work: 0,
-            parallel_chunks: 1,
-            active_peak: 0,
-        }
-    }
+/// A prepared bucket the chunk runner cuts: `run` covers the level-0
+/// positions `outer` on the calling thread, pushing every accepted
+/// binding into `sink`.
+trait Chunks {
+    fn run<K: BindingSink>(&self, outer: Range<usize>, sink: &mut K) -> KernelReport;
 }
 
-/// One thread over `outer`, pushing accepted bindings straight into
-/// `on_output`.
-fn run_serial(
-    prep: &Prepared,
-    cands: &Candidates,
-    outer: Range<usize>,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
-    mut on_output: impl FnMut(&[(Interval, TupleId)]),
-) -> KernelReport {
-    let mut rep = KernelReport::idle(prep.kind);
-    let emit: &mut Emit<'_> = &mut |a| {
-        if accept(a) {
-            on_output(a)
+impl<A: Fn(&[(Interval, TupleId)]) -> bool> Chunks for Prepared<'_, A> {
+    fn run<K: BindingSink>(&self, outer: Range<usize>, sink: &mut K) -> KernelReport {
+        let mut rep = KernelReport::idle(self.kind);
+        let emit: &mut Emit<'_> = &mut |a| {
+            if (self.accept)(a) {
+                sink.push(a)
+            }
+        };
+        let (cands, work) = (self.cands, &mut rep.work);
+        match &self.plan {
+            Plan::Pair(p) => p.run(cands, outer, emit, work),
+            Plan::Event(p) => p.run(cands, outer, emit, work, &mut rep.active_peak),
+            Plan::Window(p) => p.run(&cands.lists, outer, emit, work),
         }
-    };
-    match &prep.plan {
-        Plan::Pair(p) => p.run(cands, outer, emit, &mut rep.work),
-        Plan::Event(p) => p.run(cands, outer, emit, &mut rep.work, &mut rep.active_peak),
-        Plan::Window(p) => p.run(cands, outer, emit, &mut rep.work),
+        rep
     }
-    rep
 }
 
 /// Runs `q` over `cands` on one thread with the `kind` kernel forced — the
@@ -307,48 +386,37 @@ pub fn execute_kind(
     accept: impl Fn(&[(Interval, TupleId)]) -> bool,
     on_output: impl FnMut(&[(Interval, TupleId)]),
 ) -> Option<KernelReport> {
-    kind.applies_to(q).then(|| match prepare(kind, q, cands) {
-        Some(prep) => run_serial(&prep, cands, 0..prep.outer_len, accept, on_output),
-        None => KernelReport::idle(kind),
-    })
+    let arity = q.num_relations() as usize;
+    kind.applies_to(q)
+        .then(|| match prepare(kind, q, cands, accept) {
+            Some(prep) => prep.run(0..prep.outer_len, &mut sink::Replay { arity, on_output }),
+            None => KernelReport::idle(kind),
+        })
 }
 
-/// Dispatching kernel execution with heavy-bucket parallelism, feeding an
-/// [`OutputSink`]. Precondition: any single-attribute query; the kernel
-/// is [`planned_kernel`]`(q)`.
-///
-/// When the bucket's total candidate count reaches
-/// `cfg.parallel_threshold` and `cfg.threads > 1`, the outer iteration is
-/// chunked across a scoped worker pool. Each worker runs `accept` (hence
-/// the `Sync` bound) and pushes into its own forked chunk sink; the
-/// caller absorbs the chunk sinks in outer order, so the sink's final
-/// state — like `work` and `active_peak` — is the serial run's for every
-/// thread count. Below the threshold bindings go straight into `sink`.
-pub fn execute_into(
-    q: &JoinQuery,
-    cands: &Candidates,
+/// The chunk runner every bucket runs through (see [`execute_into`]):
+/// serial below the heavy threshold, else contiguous outer chunks on
+/// scoped workers, absorbed in outer order; a worker's panic re-raised.
+fn drive(
+    kind: KernelKind,
+    (outer_len, total): (usize, usize),
     cfg: &KernelConfig,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool + Sync,
+    bucket: &(impl Chunks + Sync),
     sink: &mut impl OutputSink,
 ) -> KernelReport {
-    let kind = planned_kernel(q);
-    let Some(prep) = prepare(kind, q, cands) else {
-        return KernelReport::idle(kind);
-    };
-    let threads = if prep.total >= cfg.parallel_threshold {
-        cfg.threads.min(prep.outer_len).max(1)
+    let threads = if total >= cfg.parallel_threshold {
+        cfg.threads.min(outer_len).max(1)
     } else {
         1
     };
     if threads <= 1 {
-        return run_serial(&prep, cands, 0..prep.outer_len, accept, |a| sink.push(a));
+        return bucket.run(0..outer_len, sink);
     }
 
-    let chunk = prep.outer_len.div_ceil(threads);
+    let chunk = outer_len.div_ceil(threads);
     let ranges = (0..threads)
-        .map(|t| (t * chunk)..((t + 1) * chunk).min(prep.outer_len))
+        .map(|t| (t * chunk)..((t + 1) * chunk).min(outer_len))
         .filter(|r| !r.is_empty());
-    let (prep_ref, accept_ref) = (&prep, &accept);
     let mut rep = KernelReport {
         parallel_chunks: 0,
         ..KernelReport::idle(kind)
@@ -358,11 +426,7 @@ pub fn execute_into(
         let handles: Vec<_> = ranges
             .map(|r| {
                 let mut chunk_sink = sink.fork();
-                scope.spawn(move |_| {
-                    let chunk_rep =
-                        run_serial(prep_ref, cands, r, accept_ref, |a| chunk_sink.push(a));
-                    (chunk_rep, chunk_sink)
-                })
+                scope.spawn(move |_| (bucket.run(r, &mut chunk_sink), chunk_sink))
             })
             .collect();
         for h in handles {
@@ -387,6 +451,30 @@ pub fn execute_into(
         resume_unwind(p);
     }
     rep
+}
+
+/// Dispatching kernel execution with heavy-bucket parallelism, feeding an
+/// [`OutputSink`]. Precondition: any single-attribute query; the kernel
+/// is [`planned_kernel`]`(q)`.
+///
+/// When the bucket's total candidate count reaches
+/// `cfg.parallel_threshold` and `cfg.threads > 1`, the outer iteration is
+/// chunked across a scoped worker pool, each worker running `accept`
+/// (hence the `Sync` bound); the sink ends in the serial run's state for
+/// every thread count, as do `work` and `active_peak`.
+pub fn execute_into(
+    q: &JoinQuery,
+    cands: &Candidates,
+    cfg: &KernelConfig,
+    accept: impl Fn(&[(Interval, TupleId)]) -> bool + Sync,
+    sink: &mut impl OutputSink,
+) -> KernelReport {
+    let kind = planned_kernel(q);
+    let total = cands.lists.iter().map(Vec::len).sum();
+    match prepare(kind, q, cands, accept) {
+        Some(prep) => drive(kind, (prep.outer_len, total), cfg, &prep, sink),
+        None => KernelReport::idle(kind),
+    }
 }
 
 /// The closure form of [`execute_into`]: `on_output` observes every
@@ -415,23 +503,17 @@ where
     execute_into(q, cands, cfg, accept, &mut sink)
 }
 
-/// Runs a bucket inside a reducer into `sink`: derives the
-/// [`KernelConfig`] from the engine's per-bucket thread budget, reports
-/// the work units to the cost model and maintains the `kernel.*`
-/// counters. Precondition: any single-attribute query; the dispatcher
-/// picks the kernel by predicate class.
-pub fn reduce_into(
+/// Runs a bucket inside a reducer: `run` joins it under the engine's
+/// per-bucket thread budget and heavy threshold; the report's work units
+/// go to the cost model and the `kernel.*` counters.
+fn reduce_with(
     ctx: &mut ReduceCtx,
-    q: &JoinQuery,
-    cands: &Candidates,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool + Sync,
-    sink: &mut impl OutputSink,
+    run: impl FnOnce(&KernelConfig) -> KernelReport,
 ) -> KernelReport {
-    let cfg = KernelConfig {
+    let rep = run(&KernelConfig {
         threads: ctx.thread_budget(),
         parallel_threshold: ctx.heavy_bucket_threshold(),
-    };
-    let rep = execute_into(q, cands, &cfg, accept, sink);
+    });
     ctx.add_work(rep.work);
     ctx.inc(rep.kind.counter(), 1);
     if rep.parallel_chunks > 1 {
@@ -447,13 +529,43 @@ pub fn reduce_into(
     rep
 }
 
+/// Runs a bucket inside a reducer into `sink`: derives the
+/// [`KernelConfig`] from the engine's per-bucket thread budget, reports
+/// the work units to the cost model and maintains the `kernel.*`
+/// counters. Precondition: any single-attribute query; the dispatcher
+/// picks the kernel by predicate class.
+pub fn reduce_into(
+    ctx: &mut ReduceCtx,
+    q: &JoinQuery,
+    cands: &Candidates,
+    accept: impl Fn(&[(Interval, TupleId)]) -> bool + Sync,
+    sink: &mut impl OutputSink,
+) -> KernelReport {
+    reduce_with(ctx, |cfg| execute_into(q, cands, cfg, accept, sink))
+}
+
+/// The tail of every join reducer, single-attribute or composite:
+/// [`reduce_with`] joining the bucket into `rec`, then `join.candidates`
+/// (the work) and `join.emitted` (`rec`'s tuples), and `rec` to `out`
+/// unless it stands for no tuple.
+pub(crate) fn reduce_rec(
+    ctx: &mut ReduceCtx,
+    mut rec: OutRec,
+    out: &mut Vec<OutRec>,
+    run: impl FnOnce(&KernelConfig, &mut OutRec) -> KernelReport,
+) -> KernelReport {
+    let rep = reduce_with(ctx, |cfg| run(cfg, &mut rec));
+    ctx.inc(names::JOIN_CANDIDATES, rep.work);
+    ctx.inc(names::JOIN_EMITTED, rec.tuples());
+    rec.emit_into(out);
+    rep
+}
+
 /// The reducer of a join cycle: [`reduce_into`] with the sink `mode`
 /// calls for, leaving in `out` the reducer's one record — its
 /// `OutRec::Rows` table when materializing, its `OutRec::Count` when
 /// counting, nothing if it found no tuple — plus the `join.candidates` /
-/// `join.emitted` counters — the one call every algorithm's join cycle
-/// makes. Precondition: any single-attribute query; the dispatcher picks
-/// the kernel by predicate class.
+/// `join.emitted` counters. Precondition: any single-attribute query.
 pub fn reduce_join(
     ctx: &mut ReduceCtx,
     q: &JoinQuery,
@@ -462,22 +574,11 @@ pub fn reduce_join(
     accept: impl Fn(&[(Interval, TupleId)]) -> bool + Sync,
     out: &mut Vec<OutRec>,
 ) -> KernelReport {
-    let (rep, rec) = match mode {
-        OutputMode::Count => {
-            let mut count = 0u64;
-            let rep = reduce_into(ctx, q, cands, accept, &mut count);
-            (rep, OutRec::Count(count))
-        }
-        OutputMode::Materialize => {
-            let mut rows = Tuples::new(q.num_relations() as usize);
-            let rep = reduce_into(ctx, q, cands, accept, &mut rows);
-            (rep, OutRec::Rows(rows))
-        }
-    };
-    ctx.inc(names::JOIN_CANDIDATES, rep.work);
-    ctx.inc(names::JOIN_EMITTED, rec.tuples());
-    rec.emit_into(out);
-    rep
+    let rec = OutRec::new(mode, q.num_relations() as usize);
+    reduce_rec(ctx, rec, out, |cfg, rec| match rec {
+        OutRec::Count(n) => execute_into(q, cands, cfg, accept, n),
+        OutRec::Rows(rows) => execute_into(q, cands, cfg, accept, rows),
+    })
 }
 
 #[cfg(test)]
@@ -531,6 +632,22 @@ mod tests {
         let (_, mut got) = collect(|e| backtrack::reference_join(q, c, |a| e(a)));
         got.sort();
         got
+    }
+
+    #[test]
+    fn binding_order_covers_disconnected_queries() {
+        let q = JoinQuery::new(
+            4,
+            vec![
+                ij_query::Condition::whole(0, Overlaps, 1),
+                ij_query::Condition::whole(2, Overlaps, 3),
+            ],
+        )
+        .unwrap();
+        let order = binding_order(&q, |_| 1);
+        let mut sorted = order.clone();
+        sorted.sort();
+        assert_eq!(sorted, vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -15,9 +15,42 @@
 //! decomposition is verified exhaustively against [`AllenPredicate::holds`]
 //! in this module's tests.
 
-use crate::executor::{tighten_lower, tighten_upper};
 use ij_interval::{bounds_contain, AllenPredicate, Interval, Time};
 use std::ops::Bound;
+
+/// Merges two lower bounds, keeping the tighter.
+pub(crate) fn tighten_lower(a: Bound<Time>, b: Bound<Time>) -> Bound<Time> {
+    use Bound::*;
+    match (a, b) {
+        (Unbounded, x) | (x, Unbounded) => x,
+        (Included(x), Included(y)) => Included(x.max(y)),
+        (Excluded(x), Excluded(y)) => Excluded(x.max(y)),
+        (Included(i), Excluded(e)) | (Excluded(e), Included(i)) => {
+            if e >= i {
+                Excluded(e)
+            } else {
+                Included(i)
+            }
+        }
+    }
+}
+
+/// Merges two upper bounds, keeping the tighter.
+pub(crate) fn tighten_upper(a: Bound<Time>, b: Bound<Time>) -> Bound<Time> {
+    use Bound::*;
+    match (a, b) {
+        (Unbounded, x) | (x, Unbounded) => x,
+        (Included(x), Included(y)) => Included(x.min(y)),
+        (Excluded(x), Excluded(y)) => Excluded(x.min(y)),
+        (Included(i), Excluded(e)) | (Excluded(e), Included(i)) => {
+            if e <= i {
+                Excluded(e)
+            } else {
+                Included(i)
+            }
+        }
+    }
+}
 
 /// Range constraints on a candidate interval's start and end points.
 ///

@@ -80,7 +80,7 @@ impl PairSweep {
     /// Precondition: [`eligible`]`(q)`.
     pub(super) fn new(q: &JoinQuery, cands: &Candidates) -> PairSweep {
         let (outer_rel, inner_rel, contains) = shape(q).expect("pair sweep on a pair-shaped query");
-        let mut outer_order: Vec<u32> = end_view(cands.list(outer_rel))
+        let mut outer_order: Vec<u32> = end_view(cands.list(outer_rel), 0)
             .into_iter()
             .map(|(_, i)| i)
             .collect();
@@ -92,7 +92,7 @@ impl PairSweep {
             inner_rel,
             contains,
             outer_order,
-            inner_ends: end_view(cands.list(inner_rel)),
+            inner_ends: end_view(cands.list(inner_rel), 0),
         }
     }
 

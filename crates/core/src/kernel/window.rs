@@ -1,145 +1,204 @@
 //! The windowed descent — the one recursion behind every bucket that is
-//! neither a pair sweep nor an event sweep: other colocation sets,
-//! sequence sets and mixed (hybrid) Allen condition sets.
+//! neither a pair sweep nor an event sweep: other colocation, sequence
+//! and mixed Allen condition sets, and every composite bucket.
 //!
-//! Relations bind in [`Compiled`] order. At each level the conditions to
-//! the already-bound neighbors intersect into one [`RangePair`], which
-//! yields a start window over the relation's start-sorted list *and* an
-//! end window over its end-sorted view; the kernel scans whichever is
-//! narrower and filters by the other range with a single comparison —
-//! range membership *is* predicate truth (see [`super::ranges`]), so there
-//! is no `holds` re-check. For `overlaps` with long outer intervals the
-//! end window (`e2 > e1`) is often tiny while the start window
+//! A bucket is one list of [`Row`]s per side; a row holds one interval
+//! per *slot* (a single-attribute candidate is a one-slot row). Sides
+//! bind in [`Compiled`] order. At each level the checks against the bound
+//! sides intersect into one [`RangePair`] per constrained slot. The key
+//! slot's pair yields a start window over the side's list (sorted by the
+//! key slot's start) *and* an end window over its end-sorted view; the
+//! kernel scans whichever is narrower, filters by the key slot's other
+//! range with one comparison and by every other slot's pair — range
+//! membership *is* predicate truth (see [`super::ranges`]), so there is
+//! no `holds` re-check. For `overlaps` with long outer intervals the end
+//! window (`e2 > e1`) is often tiny while the start window
 //! (`s2 ∈ (s1, e1)`) is huge.
 //!
-//! A relation gets an end view only when some check at its level
-//! constrains the end point ([`constrains_end`]). `before` does not: its
-//! end window can never be narrower than its start window, so a
+//! A side gets an end view only when some check on its key slot
+//! constrains the end point ([`constrains_end`]). `before` does not: a
 //! sequence level sorts nothing, always scans the start suffix and *is*
 //! the merge join — same candidates, same order.
 //!
 //! Outer iteration (level 0) is a contiguous range of the first-bound
-//! relation's start-sorted list, so the parallel driver in [`super`] can
-//! chunk it: a level's scan depends only on the immutable sorted views and
-//! the partial binding, making chunked output a permutation-free
-//! concatenation of the serial emission order.
+//! side's list, so the chunk runner in [`super`] can cut it: a level's
+//! scan depends only on the immutable sorted views and the partial
+//! binding, making chunked output a permutation-free concatenation of the
+//! serial emission order. A one-level program emits from level 0.
 
 use super::ranges::{constrains_end, range_pair};
-use super::scratch::with_scratch;
-use super::{Compiled, Emit, RangePair};
-use crate::executor::{window, window_by, Candidates};
+use super::{binding_order, slot_conditions, Compiled, Emit, RangePair};
+use crate::executor::Candidates;
 use ij_interval::{bounds_contain, Interval, Time, TupleId};
 use ij_query::JoinQuery;
-use std::ops::Range;
+use std::ops::{Bound, Range};
 
-/// Binding order plus the end-sorted views of one bucket, shared
+/// A candidate of the descent: one interval per slot.
+pub(crate) trait Row: Copy {
+    /// Every row has one slot: no level has other slots to filter.
+    const ONE_SLOT: bool = false;
+    /// The interval in `slot`.
+    fn at(self, slot: usize) -> Interval;
+}
+
+/// A single-attribute candidate: its interval is its one slot.
+impl Row for (Interval, TupleId) {
+    const ONE_SLOT: bool = true;
+    fn at(self, _: usize) -> Interval {
+        self.0
+    }
+}
+
+/// Index range of a `key`-sorted list whose keys lie within the bounds.
+pub(crate) fn window_by<T>(
+    list: &[T],
+    key: impl Fn(&T) -> Time,
+    lo: Bound<Time>,
+    hi: Bound<Time>,
+) -> (usize, usize) {
+    let start = match lo {
+        Bound::Unbounded => 0,
+        Bound::Included(x) => list.partition_point(|t| key(t) < x),
+        Bound::Excluded(x) => list.partition_point(|t| key(t) <= x),
+    };
+    let end = match hi {
+        Bound::Unbounded => list.len(),
+        Bound::Included(x) => list.partition_point(|t| key(t) <= x),
+        Bound::Excluded(x) => list.partition_point(|t| key(t) < x),
+    };
+    (start, end.max(start))
+}
+
+/// The level program plus the end-sorted views of one bucket, shared
 /// (read-only) across parallel chunks.
 #[derive(Debug)]
 pub(crate) struct WindowPlan {
     compiled: Compiled,
-    /// Per-relation end-sorted views; empty for a relation whose level
-    /// never constrains the end point (always the level-0 relation).
+    /// Level-0 iteration length (chunkable outer positions).
+    pub(super) outer_len: usize,
+    /// Per-side end-sorted views of the key slot; empty for a side whose
+    /// key slot's end no check constrains (always the level-0 side).
     ends: Vec<Vec<(Time, u32)>>,
 }
 
-/// `(end, index into the start-sorted list)`, sorted by `(end, index)`.
-pub(super) fn end_view(list: &[(Interval, TupleId)]) -> Vec<(Time, u32)> {
-    let mut v: Vec<(Time, u32)> = list
-        .iter()
-        .enumerate()
-        .map(|(i, (iv, _))| (iv.end(), i as u32))
+/// `(end of slot, index into the list)`, sorted by `(end, index)`.
+pub(super) fn end_view<R: Row>(list: &[R], slot: usize) -> Vec<(Time, u32)> {
+    let mut v: Vec<(Time, u32)> = (list.iter().enumerate())
+        .map(|(i, row)| (row.at(slot).end(), i as u32))
         .collect();
     v.sort_unstable();
     v
 }
 
 impl WindowPlan {
-    pub(super) fn new(q: &JoinQuery, cands: &Candidates) -> WindowPlan {
-        let compiled = Compiled::new(q, |r| cands.len(r));
+    /// The plan of `compiled` over `lists`, each side sorted by the start
+    /// of its level's key slot.
+    pub(super) fn new<R: Row>(compiled: Compiled, lists: &[Vec<R>]) -> WindowPlan {
         let mut ends = vec![Vec::new(); compiled.order.len()];
-        for (level, &rel) in compiled.order.iter().enumerate() {
-            if compiled.checks[level]
-                .iter()
-                .any(|&(_, p)| constrains_end(p))
-            {
-                ends[rel] = end_view(cands.list(rel));
+        for (level, &side) in compiled.order.iter().enumerate() {
+            let key = compiled.key[level];
+            if (compiled.checks[level].iter()).any(|&(_, p, s)| s == key && constrains_end(p)) {
+                ends[side] = end_view(&lists[side], key);
             }
         }
-        WindowPlan { compiled, ends }
+        let outer_len = lists[compiled.order[0]].len();
+        WindowPlan {
+            compiled,
+            outer_len,
+            ends,
+        }
     }
 
-    /// Level-0 iteration length (chunkable outer positions).
-    pub(super) fn outer_len(&self, cands: &Candidates) -> usize {
-        cands.len(self.compiled.order[0])
+    /// A single-attribute bucket, binding in [`binding_order`].
+    pub(super) fn of_query(q: &JoinQuery, cands: &Candidates) -> WindowPlan {
+        let order = binding_order(q, |r| cands.len(r));
+        WindowPlan::new(Compiled::new(order, &slot_conditions(q)), &cands.lists)
     }
 
-    /// Runs the descent over `outer` positions of the level-0 list.
-    pub(super) fn run(
+    /// Runs the descent over `outer` positions of the level-0 list, whose
+    /// lists are all non-empty.
+    pub(super) fn run<R: Row>(
         &self,
-        cands: &Candidates,
+        lists: &[Vec<R>],
         outer: Range<usize>,
-        emit: &mut Emit<'_>,
+        emit: &mut Emit<'_, R>,
         work: &mut u64,
     ) {
-        let rel0 = self.compiled.order[0];
-        with_scratch(|s| {
-            let assignment = s.reset_assignment(self.compiled.order.len());
-            *work += outer.len() as u64;
-            for &(iv, tid) in &cands.list(rel0)[outer] {
-                assignment[rel0] = (iv, tid);
-                self.descend(cands, 1, assignment, emit, work);
+        let mut assignment: Vec<R> = lists.iter().map(|l| l[0]).collect();
+        // One range pair per non-key slot of every level.
+        let others = self.compiled.others.iter().map(Vec::len).sum();
+        let mut ranges = vec![RangePair::full(); others];
+        let side0 = self.compiled.order[0];
+        *work += outer.len() as u64;
+        for &row in &lists[side0][outer] {
+            assignment[side0] = row;
+            if self.compiled.order.len() == 1 {
+                emit(&assignment);
+            } else {
+                self.descend(lists, 1, &mut assignment, &mut ranges, emit, work);
             }
-        });
+        }
     }
 
-    /// Binds `level` (at least 1 — every query joins two relations — and
-    /// below the arity) and everything after it. The last level emits from
-    /// inside its scan loop: one call per binding instead of two.
-    fn descend(
+    /// Binds `level` (at least 1 and below the arity) and everything
+    /// after it. The last level emits from inside its scan loop: one call
+    /// per binding instead of two.
+    fn descend<R: Row>(
         &self,
-        cands: &Candidates,
+        lists: &[Vec<R>],
         level: usize,
-        assignment: &mut Vec<(Interval, TupleId)>,
-        emit: &mut Emit<'_>,
+        assignment: &mut [R],
+        ranges: &mut [RangePair],
+        emit: &mut Emit<'_, R>,
         work: &mut u64,
     ) {
-        let rel = self.compiled.order[level];
+        let side = self.compiled.order[level];
         let last = level + 1 == self.compiled.order.len();
+        let (key, others) = (self.compiled.key[level], &self.compiled.others[level]);
+        let (rps, deeper) = ranges.split_at_mut(others.len());
+        rps.fill(RangePair::full());
         let mut rp = RangePair::full();
-        for &(other, pred) in &self.compiled.checks[level] {
-            rp.intersect(&range_pair(pred, assignment[other].0));
+        for &((bound, slot), pred, mine) in &self.compiled.checks[level] {
+            let pair = range_pair(pred, assignment[bound].at(slot));
+            match others.iter().position(|&s| s == mine) {
+                Some(i) => rps[i].intersect(&pair),
+                None => rp.intersect(&pair),
+            }
         }
-        let list = cands.list(rel);
-        let ends = &self.ends[rel];
-        let (sfrom, sto) = window(list, rp.start.0, rp.start.1);
-        let end_window =
-            (!ends.is_empty()).then(|| window_by(ends, |&(e, _)| e, rp.end.0, rp.end.1));
+        let others_hold = |row: R| {
+            R::ONE_SLOT || (others.iter().zip(rps.iter())).all(|(&s, r)| r.contains(row.at(s)))
+        };
+        let list = &lists[side];
+        let ends = &self.ends[side];
+        let (sfrom, sto) = window_by(list, |r| r.at(key).start(), rp.start.0, rp.start.1);
         // Scan the narrower window, filter by the other range — exact
         // either way.
+        let end_window = (!ends.is_empty())
+            .then(|| window_by(ends, |&(e, _)| e, rp.end.0, rp.end.1))
+            .filter(|&(efrom, eto)| eto - efrom < sto - sfrom);
+        *work += end_window.map_or(sto - sfrom, |(efrom, eto)| eto - efrom) as u64;
         match end_window {
-            Some((efrom, eto)) if eto - efrom < sto - sfrom => {
-                *work += (eto - efrom) as u64;
+            Some((efrom, eto)) => {
                 for &(_, idx) in &ends[efrom..eto] {
-                    let (iv, tid) = list[idx as usize];
-                    if bounds_contain(rp.start, iv.start()) {
-                        assignment[rel] = (iv, tid);
+                    let row = list[idx as usize];
+                    if bounds_contain(rp.start, row.at(key).start()) && others_hold(row) {
+                        assignment[side] = row;
                         if last {
                             emit(assignment);
                         } else {
-                            self.descend(cands, level + 1, assignment, emit, work);
+                            self.descend(lists, level + 1, assignment, deeper, emit, work);
                         }
                     }
                 }
             }
-            _ => {
-                *work += (sto - sfrom) as u64;
-                for &(iv, tid) in &list[sfrom..sto] {
-                    if bounds_contain(rp.end, iv.end()) {
-                        assignment[rel] = (iv, tid);
+            None => {
+                for &row in &list[sfrom..sto] {
+                    if bounds_contain(rp.end, row.at(key).end()) && others_hold(row) {
+                        assignment[side] = row;
                         if last {
                             emit(assignment);
                         } else {
-                            self.descend(cands, level + 1, assignment, emit, work);
+                            self.descend(lists, level + 1, assignment, deeper, emit, work);
                         }
                     }
                 }
@@ -171,7 +230,7 @@ mod tests {
         let c = cands(4, 20);
         for preds in [vec![Before], vec![Before, Before], vec![Before; 3]] {
             let q = JoinQuery::chain(&preds).unwrap();
-            let plan = WindowPlan::new(&q, &c);
+            let plan = WindowPlan::of_query(&q, &c);
             assert!(plan.ends.iter().all(Vec::is_empty), "{q}");
         }
     }
@@ -180,7 +239,7 @@ mod tests {
     fn end_views_follow_the_levels_that_constrain_the_end() {
         let c = cands(3, 20);
         let q = JoinQuery::chain(&[Overlaps, Before]).unwrap();
-        let plan = WindowPlan::new(&q, &c);
+        let plan = WindowPlan::of_query(&q, &c);
         assert_eq!(plan.compiled.order, vec![0, 1, 2]);
         let built: Vec<bool> = plan.ends.iter().map(|v| !v.is_empty()).collect();
         assert_eq!(built, vec![false, true, false]);
@@ -193,9 +252,9 @@ mod tests {
             ],
         )
         .unwrap();
-        let plan = WindowPlan::new(&q, &c);
+        let plan = WindowPlan::of_query(&q, &c);
         let level_of_2 = plan.compiled.order.iter().position(|&r| r == 2).unwrap();
-        assert_eq!(plan.compiled.checks[level_of_2], vec![(1, After)]);
+        assert_eq!(plan.compiled.checks[level_of_2], vec![((1, 0), After, 0)]);
         assert!(!plan.ends[2].is_empty());
     }
 

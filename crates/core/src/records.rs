@@ -34,19 +34,20 @@ pub struct FlagRec {
 
 impl Record for FlagRec {}
 
-/// A record of a composite join (`kernel::composite`): one side's tuple
-/// ids and the intervals of its slots — a cascade composite's joined
-/// relations, an FCTS component result's members, or a Gen-Matrix tuple's
-/// attributes (one id, an interval per attribute). What the slots stand
-/// for is the caller's plan, not the record's.
+/// A record of a composite join ([`crate::kernel::composite`]), a row of
+/// the window kernel's multi-slot case: one side's tuple ids and the
+/// intervals of its slots — a cascade composite's joined relations, an
+/// FCTS component result's members, or a Gen-Matrix tuple's attributes
+/// (one id, an interval per attribute). What the slots stand for is the
+/// caller's plan, not the record's.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) struct CompRec {
+pub struct CompRec {
     /// The join side the record belongs to.
-    pub(crate) side: u16,
+    pub side: u16,
     /// Tuple ids.
-    pub(crate) tids: Vec<TupleId>,
+    pub tids: Vec<TupleId>,
     /// One interval per slot.
-    pub(crate) ivs: Vec<Interval>,
+    pub ivs: Vec<Interval>,
 }
 
 impl Record for CompRec {
@@ -72,15 +73,6 @@ impl OutRec {
         match mode {
             OutputMode::Materialize => OutRec::Rows(Tuples::new(arity)),
             OutputMode::Count => OutRec::Count(0),
-        }
-    }
-
-    /// Accounts one output tuple: appended when materializing, else only
-    /// counted (`row` is never evaluated).
-    pub fn push_row(&mut self, row: impl IntoIterator<Item = TupleId>) {
-        match self {
-            OutRec::Rows(rows) => rows.push_row(row),
-            OutRec::Count(n) => *n += 1,
         }
     }
 
@@ -139,16 +131,15 @@ mod tests {
             ivs: vec![iv(0, 5), iv(1, 1)],
         };
         assert_eq!(t.approx_bytes(), 8 + 32);
-        let mut rows = OutRec::new(OutputMode::Materialize, 3);
-        rows.push_row([1, 2, 3]);
-        rows.push_row([4, 5, 6]);
+        let mut table = Tuples::new(3);
+        table.push_row([1, 2, 3]);
+        table.push_row([4, 5, 6]);
+        let rows = OutRec::Rows(table);
         assert_eq!(
             (rows.approx_bytes(), rows.rows(), rows.tuples()),
             (26, 2, 2)
         );
-        let mut count = OutRec::new(OutputMode::Count, 3);
-        (0..9).for_each(|_| count.push_row([]));
-        assert_eq!(count, OutRec::Count(9));
+        let count = OutRec::Count(9);
         assert_eq!(
             (count.approx_bytes(), count.rows(), count.tuples()),
             (9, 1, 9)

@@ -13,12 +13,17 @@
 //! order) and identical work units — and, for the event sweep, an
 //! identical active peak — for every intra-bucket thread count and
 //! chunking threshold — through the closure adapter and through the
-//! folding count/tuple sinks alike.
+//! folding count/tuple sinks alike. Composite buckets (records carrying
+//! several intervals) take the same runner: a cascade stage, an FCTS
+//! matrix, Gen-Matrix's Q5 join and FSTC's one-side filter must give the
+//! same rows, row order and work for every thread count, and the rows a
+//! brute-force cross product finds.
 
 use ij_core::executor::Candidates;
+use ij_core::kernel::composite::CompositeJoin;
 use ij_core::kernel::{self, BindingSink, KernelConfig, KernelKind, OutputSink};
 use ij_core::oracle::{oracle_join, reference_join};
-use ij_core::records::{IvRec, OutRec};
+use ij_core::records::{CompRec, IvRec, OutRec};
 use ij_core::{JoinInput, OutputMode, Tuples};
 use ij_interval::{AllenPredicate, Interval, RelId, Relation, TupleId};
 use ij_mapreduce::metrics::names;
@@ -183,11 +188,13 @@ proptest! {
 
     /// The heavy-bucket parallel driver is invisible: for thread counts
     /// 1, 2 and 8 the dispatching kernel emits the same tuples in the same
-    /// order (byte-identical output) and reports identical work units.
+    /// order (byte-identical output) and reports identical work units —
+    /// and so does the composite join on its four bucket shapes.
     #[test]
     fn parallel_execution_is_byte_identical(
         preds in proptest::collection::vec(pred_strategy(), 1..3usize),
-        seed_rels in proptest::array::uniform3(rel_strategy()),
+        seed_rels in proptest::array::uniform4(rel_strategy()),
+        points in proptest::collection::vec(0i64..3, 25),
     ) {
         let q = JoinQuery::chain(&preds).unwrap();
         let m = q.num_relations() as usize;
@@ -217,6 +224,10 @@ proptest! {
                 "thread count {} changed work units for {}", threads, q
             );
         }
+        prop_assert!(
+            composite_shapes_are_chunking_invariant(&seed_rels, &points),
+            "no composite run was cut into chunks"
+        );
     }
 
     /// Arity-3/4 colocation cliques always qualify for the event sweep
@@ -355,6 +366,204 @@ proptest! {
             }
         }
     }
+}
+
+/// Composite records of `side`: record `i` holds `slots[k][i]` in slot
+/// `k` (as many records as the shortest slot column) and tuple id `i` in
+/// every id slot.
+fn side_records(side: u16, ids: usize, slots: &[&[Interval]]) -> Vec<CompRec> {
+    let n = slots.iter().map(|s| s.len()).min().unwrap_or(0);
+    (0..n)
+        .map(|i| CompRec {
+            side,
+            tids: vec![i as TupleId; ids],
+            ivs: slots.iter().map(|s| s[i]).collect(),
+        })
+        .collect()
+}
+
+/// The sorted rows of `join` over `records` by brute force: every record
+/// combination, one per side, checked condition by condition with `holds`.
+fn composite_brute_force(
+    join: &CompositeJoin,
+    records: &[CompRec],
+    accept: &(dyn Fn(&[&CompRec]) -> bool + Sync),
+) -> Rows {
+    let mut lists: Vec<Vec<&CompRec>> = vec![Vec::new(); join.sides];
+    for rec in records {
+        lists[rec.side as usize].push(rec);
+    }
+    let mut rows = Vec::new();
+    if lists.iter().any(Vec::is_empty) {
+        return rows;
+    }
+    let mut idx = vec![0usize; join.sides];
+    loop {
+        let b: Vec<&CompRec> = (0..join.sides).map(|s| lists[s][idx[s]]).collect();
+        let holds = (join.conditions.iter())
+            .all(|&((ls, la), p, (rs, ra))| p.holds(b[ls].ivs[la], b[rs].ivs[ra]));
+        if holds && accept(&b) {
+            rows.push(join.gather.iter().map(|&(s, k)| b[s].tids[k]).collect());
+        }
+        // Odometer.
+        let mut k = 0;
+        loop {
+            idx[k] += 1;
+            if idx[k] < lists[k].len() {
+                break;
+            }
+            idx[k] = 0;
+            k += 1;
+            if k == join.sides {
+                rows.sort();
+                return rows;
+            }
+        }
+    }
+}
+
+/// For threads 1, 2 and 8 at threshold 0, `join` writes the same rows in
+/// the same order with the same work, counts as many rows, and finds the
+/// brute force's rows. Returns whether any run was cut into chunks.
+fn assert_composite_chunking_invariant(
+    join: &CompositeJoin,
+    records: &[CompRec],
+    accept: &(dyn Fn(&[&CompRec]) -> bool + Sync),
+) -> bool {
+    let run = |threads: usize, mode: OutputMode| {
+        let cfg = KernelConfig {
+            threads,
+            parallel_threshold: 0,
+        };
+        let mut out = OutRec::new(mode, join.gather.len());
+        let rep = join.join_into(records, &cfg, accept, &mut out);
+        assert_eq!(rep.kind, KernelKind::Window);
+        (out, rep)
+    };
+    let (base, base_rep) = run(1, OutputMode::Materialize);
+    let OutRec::Rows(base) = base else {
+        unreachable!("materializing")
+    };
+    let base: Rows = base.iter().map(<[TupleId]>::to_vec).collect();
+    let mut sorted = base.clone();
+    sorted.sort();
+    assert_eq!(
+        sorted,
+        composite_brute_force(join, records, accept),
+        "{join:?}"
+    );
+    let mut chunked = false;
+    for threads in [1usize, 2, 8] {
+        let (rows, rep) = run(threads, OutputMode::Materialize);
+        let OutRec::Rows(rows) = rows else {
+            unreachable!("materializing")
+        };
+        assert_eq!(
+            rows.iter().collect::<Vec<_>>(),
+            base,
+            "threads {threads}: {join:?}"
+        );
+        assert_eq!(rep.work, base_rep.work, "threads {threads}: {join:?}");
+        chunked |= rep.parallel_chunks > 1;
+        let (count, rep) = run(threads, OutputMode::Count);
+        assert_eq!(count, OutRec::Count(base.len() as u64), "threads {threads}");
+        assert_eq!(rep.work, base_rep.work, "threads {threads}: {join:?}");
+    }
+    chunked
+}
+
+/// Q5 (Section 9.1): `R1.I before R2.I and R1.I overlaps R3.I and
+/// R1.A = R3.A and R2.B = R3.B`.
+fn q5() -> JoinQuery {
+    use ij_query::query::RelationMeta;
+    use ij_query::AttrRef;
+    use AllenPredicate::*;
+    let meta = |name: &str, attrs: &[&str]| RelationMeta {
+        name: name.into(),
+        attr_names: attrs.iter().map(|a| a.to_string()).collect(),
+    };
+    JoinQuery::with_relations(
+        vec![
+            meta("R1", &["I", "A"]),
+            meta("R2", &["I", "B"]),
+            meta("R3", &["I", "A", "B"]),
+        ],
+        vec![
+            Condition::new(AttrRef::new(0, 0), Before, AttrRef::new(1, 0)),
+            Condition::new(AttrRef::new(0, 0), Overlaps, AttrRef::new(2, 0)),
+            Condition::new(AttrRef::new(0, 1), Equals, AttrRef::new(2, 1)),
+            Condition::new(AttrRef::new(1, 1), Equals, AttrRef::new(2, 2)),
+        ],
+    )
+    .expect("Q5")
+}
+
+/// The composite join's four bucket shapes over `rels` (and `points` for
+/// Q5's real-valued attributes), each through
+/// [`assert_composite_chunking_invariant`]: a cascade stage (2-slot
+/// composites × base records), an FCTS matrix with a side no condition
+/// mentions, Q5 through Gen-Matrix's join with a condition within one
+/// side and an ownership `accept`, and FSTC's one-side filter (a
+/// one-level program). Returns whether any run was cut into chunks.
+fn composite_shapes_are_chunking_invariant(rels: &[Vec<Interval>; 4], points: &[i64]) -> bool {
+    use AllenPredicate::*;
+    let point: Vec<Interval> = points.iter().map(|&p| Interval::point(p)).collect();
+    let (a, b, c, d) = (&rels[0][..], &rels[1][..], &rels[2][..], &rels[3][..]);
+    let any: &(dyn Fn(&[&CompRec]) -> bool + Sync) = &|_| true;
+    let mut chunked = false;
+
+    // Cascade stage: composites over (A, B) meet the new relation C on
+    // the primary `B overlaps C` and the extra `A before C`.
+    let stage = CompositeJoin {
+        sides: 2,
+        conditions: vec![((0, 1), Overlaps, (1, 0)), ((0, 0), Before, (1, 0))],
+        gather: vec![(0, 0), (0, 1), (1, 0)],
+        mode: OutputMode::Materialize,
+        order_by: None,
+    };
+    let mut records = side_records(0, 2, &[a, b]);
+    records.extend(side_records(1, 1, &[c]));
+    chunked |= assert_composite_chunking_invariant(&stage, &records, any);
+
+    // FCTS matrix: component 0 is (A, B), component 1 is C, and
+    // component 2 (D) is in no sequence condition.
+    let matrix = CompositeJoin {
+        sides: 3,
+        conditions: vec![((0, 0), Before, (1, 0))],
+        gather: vec![(0, 0), (0, 1), (1, 0), (2, 0)],
+        mode: OutputMode::Materialize,
+        order_by: None,
+    };
+    let mut records = side_records(0, 2, &[a, b]);
+    records.extend(side_records(1, 1, &[c]));
+    records.extend(side_records(2, 1, &[&d[..d.len().min(4)]]));
+    chunked |= assert_composite_chunking_invariant(&matrix, &records, any);
+
+    // Q5, plus `R3.A before R3.B` within one side; a binding is owned
+    // where its latest interval start falls in an even cell.
+    let q = q5();
+    let mut gen = CompositeJoin::of_query(&q, OutputMode::Materialize);
+    gen.conditions.push(((2, 1), Before, (2, 2)));
+    let owned = |bind: &[&CompRec]| {
+        let latest = bind.iter().map(|r| r.ivs[0].start()).max().unwrap_or(0);
+        latest.div_euclid(8) % 2 == 0
+    };
+    let mut records = side_records(0, 1, &[a, &point]);
+    records.extend(side_records(1, 1, &[b, &point[5..]]));
+    records.extend(side_records(2, 1, &[c, &point[3..], &point[7..]]));
+    chunked |= assert_composite_chunking_invariant(&gen, &records, &owned);
+
+    // FSTC's filter: one side of (A, B, C) composites.
+    let filter = CompositeJoin {
+        sides: 1,
+        conditions: vec![((0, 0), Overlaps, (0, 1)), ((0, 1), Before, (0, 2))],
+        gather: vec![(0, 0), (0, 1), (0, 2)],
+        mode: OutputMode::Materialize,
+        order_by: None,
+    };
+    let records = side_records(0, 3, &[a, b, c]);
+    chunked |= assert_composite_chunking_invariant(&filter, &records, any);
+    chunked
 }
 
 /// `sink` after `fork`ing one chunk per run of `groups` consecutive

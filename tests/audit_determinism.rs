@@ -80,6 +80,8 @@ struct AuditCase {
     /// The baseline run's `join.emitted` total, for families whose output
     /// comes from one `kernel::reduce_join` cycle (see [`suite`]).
     join_emitted: Option<u64>,
+    /// `kernel.parallel_buckets` of the skew-driven top-thread run.
+    parallel_buckets: u64,
 }
 
 impl AuditCase {
@@ -288,6 +290,7 @@ struct Snapshot {
     count: u64,
     spilled_buckets: u64,
     join_emitted: u64,
+    parallel_buckets: u64,
     heavy_buckets: u64,
     /// Largest per-bucket thread grant (`sched.grant_threads` histogram).
     max_grant: u64,
@@ -351,6 +354,7 @@ fn snapshot(
         count: out.count,
         spilled_buckets: counters.get(names::SPILL_BUCKETS),
         join_emitted: counters.get(names::JOIN_EMITTED),
+        parallel_buckets: counters.get(names::KERNEL_PARALLEL_BUCKETS),
         heavy_buckets: counters.get(names::SCHED_HEAVY_BUCKETS),
         max_grant: tel
             .histograms
@@ -383,9 +387,14 @@ fn run_audit(scale: usize) -> Result<AuditReport, String> {
         };
         let base = run(THREAD_COUNTS[0], None, SchedPolicy::SkewDriven)?;
         let mut diverged = Vec::new();
+        let mut parallel_buckets = 0;
         for &t in &THREAD_COUNTS[1..] {
-            if run(t, None, SchedPolicy::SkewDriven)?.bytes != base.bytes {
+            let s = run(t, None, SchedPolicy::SkewDriven)?;
+            if s.bytes != base.bytes {
                 diverged.push(t);
+            }
+            if t == top_threads {
+                parallel_buckets = s.parallel_buckets;
             }
         }
         let mut budget_diverged = Vec::new();
@@ -415,6 +424,7 @@ fn run_audit(scale: usize) -> Result<AuditReport, String> {
             policy_diverged,
             spilled_buckets,
             join_emitted: single_join.then_some(base.join_emitted),
+            parallel_buckets,
         });
     }
     let (sched, recorded) = run_sched_audit(scale)?;
@@ -525,6 +535,28 @@ fn all_algorithm_families_are_byte_identical_across_thread_counts() {
         sched.max_grant,
     );
     assert!(report.deterministic());
+}
+
+#[test]
+fn composite_joins_cut_heavy_buckets_into_chunks() {
+    // The cascade, FCTS and Gen-Matrix join through the composite join,
+    // which takes the kernels' chunk runner: at 8 threads and a heavy
+    // threshold of 64 some bucket must really run in chunks, or the
+    // byte-diff above never sees a chunked composite join.
+    let report = report();
+    for name in ["2-way Cd", "FCTS", "Gen-Matrix"] {
+        let legs: Vec<&AuditCase> = (report.cases.iter())
+            .filter(|c| c.algorithm == name)
+            .collect();
+        assert!(!legs.is_empty(), "{name} is not audited");
+        for case in legs {
+            assert!(
+                case.parallel_buckets > 0,
+                "{name} ran no bucket in chunks at {} threads:\n{case:#?}",
+                THREAD_COUNTS[THREAD_COUNTS.len() - 1]
+            );
+        }
+    }
 }
 
 #[test]
