@@ -26,7 +26,11 @@
 //! *clique* — the multi-way shape the event kernel targets, where
 //! per-level binary searches and wide windows dominate the window scan
 //! while the gapless active arrays stay small. The event sweep must beat
-//! `dual_window_sweep` by ≥2× here (same BENCH_JSON trend gate).
+//! `dual_window_sweep` by ≥2× here (same BENCH_JSON trend gate). Its
+//! `front_loaded_*` entries time a clique bucket with Zipf(2) starts at
+//! the default 4 096-candidate heavy threshold, serial and on two
+//! threads: most of its work sits in its first events, so the second
+//! thread pays only if the chunk runner's blocks spread that front.
 //!
 //! `kernel_composite` times the window descent's multi-slot case: one
 //! cascade-stage bucket of 2-slot composites × base records under a
@@ -290,18 +294,18 @@ fn bench_sequence_heavy(c: &mut Criterion) {
 }
 
 /// A three-relation bucket: `counts[r]` intervals of relation `r` with
-/// starts in `0..span` and lengths in `lens[r]`.
+/// starts drawn by `start` and lengths in `lens[r]`.
 fn three_way_bucket(
     counts: [usize; 3],
     lens: [std::ops::Range<i64>; 3],
-    span: i64,
+    start: impl Fn(&mut StdRng) -> i64,
     seed: u64,
 ) -> Candidates {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut c = Candidates::new(3);
     for (r, (n, len)) in counts.into_iter().zip(lens).enumerate() {
         for t in 0..n {
-            let s = rng.gen_range(0..span);
+            let s = start(&mut rng);
             c.push(r, iv(s, s + rng.gen_range(len.clone())), t as TupleId);
         }
     }
@@ -332,7 +336,8 @@ fn bench_hybrid(c: &mut Criterion) {
     // Sized like one `q4_hybrid_pasm` cell after pruning: skewed
     // cardinalities joined at a near-100 % candidate hit ratio, so
     // enumerating the ~10⁶ outputs — not filtering — is the cost.
-    let cands = three_way_bucket(counts, [0..100, 0..100, 0..600], 4000, 19);
+    let uniform = |rng: &mut StdRng| rng.gen_range(0..4000);
+    let cands = three_way_bucket(counts, [0..100, 0..100, 0..600], uniform, 19);
     let expect = hybrid_expected_count(&cands);
     assert!(expect > 100_000, "hybrid workload too sparse: {expect}");
 
@@ -438,7 +443,20 @@ fn clique3() -> JoinQuery {
 /// arrays, and its start-order pruning probes only at r2 starts (the
 /// clique forces `s0 < s1 < s2`).
 fn clique_bucket(counts: [usize; 3], span: i64, seed: u64) -> Candidates {
-    three_way_bucket(counts, [30..90, 15..60, 0..25], span, seed)
+    let uniform = |rng: &mut StdRng| rng.gen_range(0..span);
+    three_way_bucket(counts, [30..90, 15..60, 0..25], uniform, seed)
+}
+
+/// [`clique_bucket`]'s shape with Zipf(2) starts — `span · u²`, as
+/// `clique_zipf_count` draws them — so the event sweep's work piles up in
+/// its first events: a front-loaded bucket, the case an even cut of the
+/// outer range leaves to one thread.
+fn zipf_clique_bucket(counts: [usize; 3], span: i64, seed: u64) -> Candidates {
+    let zipf = |rng: &mut StdRng| {
+        let u: f64 = rng.gen_range(0.0..1.0);
+        (span as f64 * u * u) as i64
+    };
+    three_way_bucket(counts, [30..90, 15..60, 0..25], zipf, seed)
 }
 
 /// Triple nested-loop oracle for the clique, with the (0,1) pair check
@@ -502,6 +520,20 @@ fn bench_event_sweep(c: &mut Criterion) {
         };
         b.iter(|| checked(parallel_count(&q, &cands, &cfg), expect))
     });
+    // A front-loaded bucket at the default 4 096-candidate heavy
+    // threshold, serial and on two threads.
+    let zipf = zipf_clique_bucket([2048, 1366, 682], 1000, 13);
+    let zipf_expect = clique_nested_loop_count(&q, &zipf);
+    assert!(zipf_expect > 0, "front-loaded clique workload too sparse");
+    for (label, threads) in [("serial", 1), ("parallel2", 2)] {
+        let cfg = KernelConfig {
+            threads,
+            parallel_threshold: 0,
+        };
+        group.bench_function(format!("front_loaded_{label}"), |b| {
+            b.iter(|| checked(parallel_count(&q, &zipf, &cfg), zipf_expect))
+        });
+    }
     group.finish();
 }
 

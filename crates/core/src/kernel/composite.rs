@@ -156,9 +156,17 @@ struct Bucket<'a, A> {
 }
 
 impl<A: Fn(&[&CompRec]) -> bool> Chunks for Bucket<'_, A> {
+    /// The window descent keeps no state between outer positions.
+    type Carry<'a>
+        = ()
+    where
+        Self: 'a;
+
+    fn start(&self) {}
+
     /// An accepted binding reaches `sink` as its gathered row: per output
     /// column the id and the interval in that slot.
-    fn run<K: BindingSink>(&self, outer: Range<usize>, sink: &mut K) -> KernelReport {
+    fn run<K: BindingSink>(&self, _: &mut (), outer: Range<usize>, sink: &mut K) -> KernelReport {
         let mut rep = KernelReport::idle(KernelKind::Window);
         let mut row = Vec::with_capacity(self.gather.len());
         let emit = &mut |b: &[&CompRec]| {

@@ -28,16 +28,19 @@
 //! do not qualify (`[0,10] ov [5,15] ov [12,20]` has no common point) and
 //! take the window scan.
 //!
-//! **Deterministic chunking.** The outer positions are event indices. A
-//! chunk first replays its prefix events (appends and swap-removes only —
-//! no probing, no work charged), reconstructing the exact active-array
-//! contents *and order* at its start boundary, then processes its own
-//! range. Active state at event `i` is a pure function of `events[..i]`,
-//! so chunked emission is byte-identical to the serial order and `work` /
-//! `active_peak` are chunk-invariant for every thread count.
+//! **Deterministic blocks.** The outer positions are event indices. A
+//! thread's [`Active`] state carries the active arrays from one of its
+//! blocks to the next: the blocks a thread pulls only move forward, so
+//! before a block it applies the events since its previous one (appends
+//! and swap-removes only — no probing, no work charged) and reaches the
+//! exact active-array contents *and order* at the block boundary. No
+//! event is applied twice on one thread. Active state at event `i` is a
+//! pure function of `events[..i]`, so the blocks' emission, absorbed in
+//! block order, is byte-identical to the serial order, and `work` /
+//! `active_peak` are the serial run's for every thread count.
 
 use super::ranges::range_pair;
-use super::scratch::with_scratch;
+use super::scratch::{Lease, Scratch};
 use super::{slot_conditions, Compiled, Emit, RangePair};
 use crate::executor::Candidates;
 use ij_interval::{AllenPredicate, Interval, Time, TupleId};
@@ -232,47 +235,73 @@ impl EventSweepPlan {
         self.events.len()
     }
 
-    /// Processes `outer` event positions after replaying the prefix
-    /// events to reconstruct the active-array state at the chunk
-    /// boundary. `active_peak` is raised to the maximum total active
-    /// occupancy observed over the owned range.
+    /// A thread's sweep before the first event: every active array empty.
+    pub(crate) fn start<'a>(&'a self, cands: &'a Candidates) -> Active<'a> {
+        let m = self.programs.len();
+        let mut s = Lease::take();
+        s.active.resize_with(m, Vec::new);
+        s.pos.resize_with(m, Vec::new);
+        for r in 0..m {
+            s.active[r].clear();
+            s.pos[r].clear();
+            s.pos[r].resize(cands.len(r), INACTIVE);
+        }
+        s.reset_assignment(m);
+        Active {
+            plan: self,
+            cands,
+            s,
+            applied: 0,
+            occupancy: 0,
+        }
+    }
+}
+
+/// One thread's event sweep between its blocks: the gapless active arrays
+/// (leased scratch) after `events[..applied]`.
+pub(crate) struct Active<'a> {
+    plan: &'a EventSweepPlan,
+    cands: &'a Candidates,
+    s: Lease,
+    applied: usize,
+    occupancy: u64,
+}
+
+impl Active<'_> {
+    /// Processes event positions `outer`, which start at or after the end
+    /// of every range this sweep ran before, having applied the events in
+    /// between (state only, no probing, no work charged). `active_peak` is
+    /// raised to the maximum total active occupancy observed over `outer`.
     pub(crate) fn run(
-        &self,
-        cands: &Candidates,
+        &mut self,
         outer: Range<usize>,
         emit: &mut Emit<'_>,
         work: &mut u64,
         active_peak: &mut u64,
     ) {
-        let m = self.programs.len();
-        with_scratch(|s| {
-            s.active.resize_with(m, Vec::new);
-            s.pos.resize_with(m, Vec::new);
-            for r in 0..m {
-                s.active[r].clear();
-                s.pos[r].clear();
-                s.pos[r].resize(cands.len(r), INACTIVE);
+        debug_assert!(self.applied <= outer.start, "blocks run in order");
+        let (plan, cands) = (self.plan, self.cands);
+        let Scratch {
+            active,
+            pos,
+            assignment,
+            ..
+        } = &mut *self.s;
+        for e in &plan.events[self.applied..outer.start] {
+            self.occupancy = apply(e, cands, active, pos, self.occupancy);
+        }
+        self.applied = outer.end;
+        for e in &plan.events[outer] {
+            self.occupancy = apply(e, cands, active, pos, self.occupancy);
+            *active_peak = (*active_peak).max(self.occupancy);
+            if e.end || !plan.probe[e.rel as usize] {
+                continue;
             }
-            s.reset_assignment(m);
-            let (active, pos, assignment) = (&mut s.active, &mut s.pos, &mut s.assignment);
-            let mut occupancy = 0u64;
-            // Prefix replay: state only, no probing, no work charged.
-            for e in &self.events[..outer.start] {
-                occupancy = apply(e, cands, active, pos, occupancy);
-            }
-            for e in &self.events[outer] {
-                occupancy = apply(e, cands, active, pos, occupancy);
-                *active_peak = (*active_peak).max(occupancy);
-                if e.end || !self.probe[e.rel as usize] {
-                    continue;
-                }
-                *work += 1;
-                let rel = e.rel as usize;
-                assignment[rel] = cands.list(rel)[e.idx as usize];
-                let program = &self.programs[rel];
-                probe(program, active, 1, assignment, emit, work);
-            }
-        });
+            *work += 1;
+            let rel = e.rel as usize;
+            assignment[rel] = cands.list(rel)[e.idx as usize];
+            probe(&plan.programs[rel], active, 1, assignment, emit, work);
+        }
     }
 }
 

@@ -30,19 +30,28 @@
 //! them read one level program (`Compiled`).
 //!
 //! **Heavy-bucket intra-reducer parallelism.** When a bucket's candidate
-//! count reaches the configured threshold, the runner splits the level-0
-//! outer iteration into contiguous chunks across a bounded worker pool.
-//! Output goes through an [`OutputSink`]: the runner `fork`s one empty
-//! push-only [`BindingSink`] per chunk, each worker runs the
-//! owner-`accept` filter and `push`es accepted bindings into its own —
-//! folding them into the count, rows or id set the reducer wants, not
-//! buffering them — and the caller `absorb`s the chunks in chunk order.
-//! Every kernel emits along a fixed outer order (the pair sweep's
-//! retirement state is a function of the current outer interval only),
-//! so chunk `i` holds exactly the bindings the serial run emits for outer
-//! range `i`, in the same order: the sink ends in the serial state and
-//! work units are chunk-invariant for any thread count. The closure form
-//! [`execute`] is one such sink: its chunks buffer rows replayed into
+//! count reaches the configured threshold, the runner cuts the level-0
+//! outer range into many small contiguous blocks — a fixed number per
+//! granted thread — and the granted workers pull block indices from one
+//! shared cursor until none is left. A thread that finishes a cheap block
+//! pulls the next, so a front-loaded bucket (Zipf starts put most of a
+//! sweep's work in its first events) still spreads over every thread,
+//! where one contiguous chunk per thread left the second idle. The cursor
+//! only grows, so each thread receives its blocks in increasing order and
+//! carries its sweep state from one to the next: the event sweep applies
+//! the events between two of its blocks without probing, the pair sweep
+//! continues its retirement pointer; the window scan keeps no state
+//! between outer positions. Output goes through an [`OutputSink`]: a
+//! worker `fork`s one empty push-only [`BindingSink`] per block, runs the
+//! owner-`accept` filter and `push`es accepted bindings into it — folding
+//! them into the count, rows or id set the reducer wants, not buffering
+//! them — and the caller `absorb`s the blocks in block order. Every
+//! kernel emits along a fixed outer order and its state at an outer
+//! position does not depend on which thread got there, so block `i` holds
+//! exactly the bindings the serial run emits for outer range `i`, in the
+//! same order: the sink ends in the serial state and work units and the
+//! active peak are the serial run's for any thread count. The closure
+//! form [`execute`] is one such sink: its blocks buffer rows replayed into
 //! `on_output` on the caller's thread.
 //!
 //! **Streaming reducers.** A reducer drains its pull-based
@@ -73,6 +82,7 @@ use std::any::Any;
 use std::cmp::{Ordering, Reverse};
 use std::ops::Range;
 use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Sink for complete bindings: one row per side, in side order (for a
 /// single-attribute bucket an `(interval, tuple)` per relation).
@@ -140,7 +150,8 @@ pub struct KernelReport {
     pub kind: KernelKind,
     /// Work units spent (candidates examined), chunk-invariant.
     pub work: u64,
-    /// Outer chunks executed (1 = serial).
+    /// Outer blocks the granted threads pulled (1 = serial): a fixed
+    /// number per thread, at most one per outer position.
     pub parallel_chunks: usize,
     /// Maximum total active-array occupancy the event sweep observed
     /// (0 for the other kernels), chunk-invariant — the direct input for
@@ -348,26 +359,63 @@ fn prepare<'c, A>(
     })
 }
 
-/// A prepared bucket the chunk runner cuts: `run` covers the level-0
-/// positions `outer` on the calling thread, pushing every accepted
-/// binding into `sink`.
+/// A prepared bucket the chunk runner cuts into outer blocks.
 trait Chunks {
-    fn run<K: BindingSink>(&self, outer: Range<usize>, sink: &mut K) -> KernelReport;
+    /// What one thread carries from one of its blocks to its next.
+    type Carry<'a>
+    where
+        Self: 'a;
+    /// The carry of a thread that has run no block yet.
+    fn start(&self) -> Self::Carry<'_>;
+    /// Covers the level-0 positions `outer` on the calling thread, pushing
+    /// every accepted binding into `sink`. `outer` starts at or after the
+    /// end of every range `carry` ran before.
+    fn run<K: BindingSink>(
+        &self,
+        carry: &mut Self::Carry<'_>,
+        outer: Range<usize>,
+        sink: &mut K,
+    ) -> KernelReport;
+}
+
+/// One thread's state between its blocks of a single-attribute bucket.
+enum Carry<'a> {
+    Pair(sweep::Alive<'a>),
+    Event(event_sweep::Active<'a>),
+    /// The window scan keeps no state between outer positions.
+    Window(&'a window::WindowPlan),
 }
 
 impl<A: Fn(&[(Interval, TupleId)]) -> bool> Chunks for Prepared<'_, A> {
-    fn run<K: BindingSink>(&self, outer: Range<usize>, sink: &mut K) -> KernelReport {
+    type Carry<'a>
+        = Carry<'a>
+    where
+        Self: 'a;
+
+    fn start(&self) -> Carry<'_> {
+        match &self.plan {
+            Plan::Pair(p) => Carry::Pair(p.start(self.cands)),
+            Plan::Event(p) => Carry::Event(p.start(self.cands)),
+            Plan::Window(p) => Carry::Window(p),
+        }
+    }
+
+    fn run<K: BindingSink>(
+        &self,
+        carry: &mut Carry<'_>,
+        outer: Range<usize>,
+        sink: &mut K,
+    ) -> KernelReport {
         let mut rep = KernelReport::idle(self.kind);
         let emit: &mut Emit<'_> = &mut |a| {
             if (self.accept)(a) {
                 sink.push(a)
             }
         };
-        let (cands, work) = (self.cands, &mut rep.work);
-        match &self.plan {
-            Plan::Pair(p) => p.run(cands, outer, emit, work),
-            Plan::Event(p) => p.run(cands, outer, emit, work, &mut rep.active_peak),
-            Plan::Window(p) => p.run(&cands.lists, outer, emit, work),
+        match carry {
+            Carry::Pair(c) => c.run(outer, emit, &mut rep.work),
+            Carry::Event(c) => c.run(outer, emit, &mut rep.work, &mut rep.active_peak),
+            Carry::Window(p) => p.run(&self.cands.lists, outer, emit, &mut rep.work),
         }
         rep
     }
@@ -389,20 +437,40 @@ pub fn execute_kind(
     let arity = q.num_relations() as usize;
     kind.applies_to(q)
         .then(|| match prepare(kind, q, cands, accept) {
-            Some(prep) => prep.run(0..prep.outer_len, &mut sink::Replay { arity, on_output }),
+            Some(prep) => prep.run(
+                &mut prep.start(),
+                0..prep.outer_len,
+                &mut sink::Replay { arity, on_output },
+            ),
             None => KernelReport::idle(kind),
         })
 }
 
+/// Outer blocks per granted thread on a heavy bucket. Many small blocks
+/// pulled in order let the threads even out a front-loaded bucket, where
+/// most of the sweep's work sits in its first events (Zipf starts). In a
+/// 4 / 16 / 64 sweep on `clique_zipf_count`, 16 and 64 read alike and
+/// well below 4; 16 cuts fewer blocks (EXPERIMENTS.md).
+const BLOCKS_PER_THREAD: usize = 16;
+
+/// `0..outer_len` cut into `min(outer_len, threads × BLOCKS_PER_THREAD)`
+/// contiguous, non-empty blocks of near-equal length, in order.
+fn blocks(outer_len: usize, threads: usize) -> Vec<Range<usize>> {
+    let count = outer_len.min(threads.saturating_mul(BLOCKS_PER_THREAD));
+    let cut = |i: usize| (i as u128 * outer_len as u128 / count as u128) as usize;
+    (0..count).map(|i| cut(i)..cut(i + 1)).collect()
+}
+
 /// The chunk runner every bucket runs through (see [`execute_into`]):
-/// serial below the heavy threshold, else contiguous outer chunks on
-/// scoped workers, absorbed in outer order; a worker's panic re-raised.
-fn drive(
+/// serial below the heavy threshold, else [`blocks`] pulled from one
+/// cursor by scoped workers, absorbed in block order; a worker's panic
+/// re-raised.
+fn drive<S: OutputSink>(
     kind: KernelKind,
     (outer_len, total): (usize, usize),
     cfg: &KernelConfig,
     bucket: &(impl Chunks + Sync),
-    sink: &mut impl OutputSink,
+    sink: &mut S,
 ) -> KernelReport {
     let threads = if total >= cfg.parallel_threshold {
         cfg.threads.min(outer_len).max(1)
@@ -410,36 +478,36 @@ fn drive(
         1
     };
     if threads <= 1 {
-        return bucket.run(0..outer_len, sink);
+        return bucket.run(&mut bucket.start(), 0..outer_len, sink);
     }
 
-    let chunk = outer_len.div_ceil(threads);
-    let ranges = (0..threads)
-        .map(|t| (t * chunk)..((t + 1) * chunk).min(outer_len))
-        .filter(|r| !r.is_empty());
-    let mut rep = KernelReport {
-        parallel_chunks: 0,
-        ..KernelReport::idle(kind)
-    };
+    let blocks = blocks(outer_len, threads);
+    let cursor = AtomicUsize::new(0);
+    let mut done: Vec<(usize, KernelReport, S::Chunk)> = Vec::with_capacity(blocks.len());
     let mut panic_payload: Option<Box<dyn Any + Send>> = None;
     crossbeam::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .map(|r| {
-                let mut chunk_sink = sink.fork();
-                scope.spawn(move |_| (bucket.run(r, &mut chunk_sink), chunk_sink))
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let (proto, blocks, cursor) = (sink.fork(), &blocks, &cursor);
+                scope.spawn(move |_| {
+                    // The cursor only grows, so this thread's blocks come
+                    // in increasing order, as its carry requires. It hands
+                    // out indices only and publishes no data (the blocks
+                    // return through `join`), so `Relaxed` suffices.
+                    let mut carry = bucket.start();
+                    let mut ran = Vec::new();
+                    while let Some(r) = blocks.get(cursor.fetch_add(1, Relaxed)) {
+                        let mut block_sink = proto.fork();
+                        let rep = bucket.run(&mut carry, r.clone(), &mut block_sink);
+                        ran.push((r.start, rep, block_sink));
+                    }
+                    ran
+                })
             })
             .collect();
         for h in handles {
             match h.join() {
-                Ok((chunk_rep, chunk_sink)) => {
-                    rep.parallel_chunks += 1;
-                    rep.work += chunk_rep.work;
-                    // Per-chunk peaks are maxima of the same per-event
-                    // occupancy series the serial run observes, so their
-                    // maximum is chunk-invariant.
-                    rep.active_peak = rep.active_peak.max(chunk_rep.active_peak);
-                    sink.absorb(chunk_sink);
-                }
+                Ok(ran) => done.extend(ran),
                 Err(p) => {
                     panic_payload.get_or_insert(p);
                 }
@@ -450,6 +518,19 @@ fn drive(
     if let Some(p) = panic_payload {
         resume_unwind(p);
     }
+    done.sort_unstable_by_key(|&(start, ..)| start);
+    let mut rep = KernelReport {
+        parallel_chunks: done.len(),
+        ..KernelReport::idle(kind)
+    };
+    for (_, block_rep, block_sink) in done {
+        rep.work += block_rep.work;
+        // Per-block peaks are maxima of the same per-event occupancy
+        // series the serial run observes, so their maximum is the
+        // serial peak.
+        rep.active_peak = rep.active_peak.max(block_rep.active_peak);
+        sink.absorb(block_sink);
+    }
     rep
 }
 
@@ -459,9 +540,10 @@ fn drive(
 ///
 /// When the bucket's total candidate count reaches
 /// `cfg.parallel_threshold` and `cfg.threads > 1`, the outer iteration is
-/// chunked across a scoped worker pool, each worker running `accept`
-/// (hence the `Sync` bound); the sink ends in the serial run's state for
-/// every thread count, as do `work` and `active_peak`.
+/// cut into blocks that `cfg.threads` scoped workers pull in order, each
+/// worker running `accept` (hence the `Sync` bound); the sink ends in the
+/// serial run's state for every thread count, as do `work` and
+/// `active_peak`.
 pub fn execute_into(
     q: &JoinQuery,
     cands: &Candidates,
@@ -482,9 +564,10 @@ pub fn execute_into(
 /// Precondition: any single-attribute query (same predicate-class
 /// routing as [`execute_into`]).
 ///
-/// On the parallel path each chunk buffers its rows and the caller
-/// replays them in chunk order — reducers that only count, collect rows
-/// or build a set should pass a folding sink to [`execute_into`] instead.
+/// On the parallel path each outer block buffers its rows (intervals and
+/// ids) and the caller replays them in block order once every worker has
+/// finished — reducers that only count, collect rows or build a set
+/// should pass a folding sink to [`execute_into`] instead.
 pub fn execute<A, F>(
     q: &JoinQuery,
     cands: &Candidates,
@@ -584,6 +667,7 @@ pub fn reduce_join(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::Tuples;
     use ij_interval::AllenPredicate::*;
 
     fn iv(s: i64, e: i64) -> Interval {
@@ -604,6 +688,71 @@ mod tests {
         }
         c.finish();
         c
+    }
+
+    /// Like [`random_cands`], but with Zipf(2) starts — `60 · u²` — so a
+    /// sweep's work piles up in its first events, as on
+    /// `clique_zipf_count`'s hot bucket.
+    fn zipf_cands(m: usize, n: u32, seed: u64) -> Candidates {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut c = Candidates::new(m);
+        for r in 0..m {
+            for t in 0..n {
+                let u: f64 = rng.gen_range(0.0..1.0);
+                let s = (60.0 * u * u) as i64;
+                let e = s + rng.gen_range(0..20);
+                c.push(r, iv(s, e), t);
+            }
+        }
+        c.finish();
+        c
+    }
+
+    /// `q` on `c` at `threads` with every bucket heavy, through the
+    /// closure, the count sink and the row sink: the closure's ids, having
+    /// asserted that the sinks agree with it and the three reports with
+    /// each other; and the report.
+    fn every_sink(q: &JoinQuery, c: &Candidates, threads: usize) -> (Vec<TupleId>, KernelReport) {
+        let cfg = KernelConfig {
+            threads,
+            parallel_threshold: 0,
+        };
+        let mut got: Vec<TupleId> = Vec::new();
+        let rep = execute(
+            q,
+            c,
+            &cfg,
+            |_| true,
+            |a| got.extend(a.iter().map(|(_, t)| *t)),
+        );
+        let mut count = 0u64;
+        let count_rep = execute_into(q, c, &cfg, |_| true, &mut count);
+        let mut rows = Tuples::new(q.num_relations() as usize);
+        let rows_rep = execute_into(q, c, &cfg, |_| true, &mut rows);
+        let arity = q.num_relations() as usize;
+        assert_eq!(count as usize * arity, got.len(), "threads = {threads}");
+        assert_eq!(rows.iter().flatten().copied().collect::<Vec<_>>(), got);
+        for other in [count_rep, rows_rep] {
+            assert_eq!(
+                (other.work, other.active_peak, other.parallel_chunks),
+                (rep.work, rep.active_peak, rep.parallel_chunks),
+                "threads = {threads}"
+            );
+        }
+        (got, rep)
+    }
+
+    /// The buckets the parallel tests cut: uniform starts, Zipf starts (a
+    /// front-loaded bucket), and one so small that eight threads would
+    /// cut more blocks than it has outer positions (at most 120 < 8 × 16).
+    fn parallel_buckets(m: usize, seed: u64) -> [Candidates; 3] {
+        [
+            random_cands(m, 60, seed),
+            zipf_cands(m, 120, seed),
+            random_cands(m, 20, seed),
+        ]
     }
 
     fn collect(
@@ -736,38 +885,29 @@ mod tests {
     #[test]
     fn event_sweep_parallel_is_byte_identical_with_invariant_peak() {
         let q = clique3();
-        let c = random_cands(3, 60, 17);
-        let run = |threads: usize| {
-            let cfg = KernelConfig {
-                threads,
-                parallel_threshold: 0,
-            };
-            let mut got: Vec<TupleId> = Vec::new();
-            let rep = execute(
-                &q,
-                &c,
-                &cfg,
-                |_| true,
-                |a| got.extend(a.iter().map(|(_, t)| *t)),
-            );
-            assert_eq!(rep.kind, KernelKind::EventSweep);
-            (rep.work, rep.active_peak, got)
-        };
-        let (base_work, base_peak, base) = run(1);
-        assert!(!base.is_empty());
-        assert!(base_peak > 0, "active_peak must be tracked");
-        for t in [2, 3, 8] {
-            let (work, peak, got) = run(t);
-            assert_eq!(got, base, "threads = {t}: output order must not change");
-            assert_eq!(
-                work, base_work,
-                "threads = {t}: work must be chunk-invariant"
-            );
-            assert_eq!(
-                peak, base_peak,
-                "threads = {t}: active_peak must be chunk-invariant"
-            );
+        let mut finer = false;
+        for c in parallel_buckets(3, 17) {
+            let events = 2 * (0..3).map(|r| c.len(r)).sum::<usize>();
+            let (base, base_rep) = every_sink(&q, &c, 1);
+            assert_eq!(base_rep.kind, KernelKind::EventSweep);
+            assert!(!base.is_empty());
+            assert!(base_rep.active_peak > 0, "active_peak must be tracked");
+            for t in [2, 3, 8] {
+                let (got, rep) = every_sink(&q, &c, t);
+                assert_eq!(got, base, "threads = {t}: output order must not change");
+                assert_eq!(
+                    rep.work, base_rep.work,
+                    "threads = {t}: work must be chunk-invariant"
+                );
+                assert_eq!(
+                    rep.active_peak, base_rep.active_peak,
+                    "threads = {t}: active_peak must be chunk-invariant"
+                );
+                assert_eq!(rep.parallel_chunks, events.min(t * BLOCKS_PER_THREAD));
+                finer |= t * BLOCKS_PER_THREAD > events;
+            }
         }
+        assert!(finer, "no bucket has fewer events than blocks");
     }
 
     #[test]
@@ -804,32 +944,126 @@ mod tests {
 
     #[test]
     fn parallel_output_is_byte_identical_and_work_invariant() {
-        let q = JoinQuery::chain(&[Overlaps, Overlaps]).unwrap();
-        let c = random_cands(3, 60, 42);
-        let run = |threads: usize| {
-            let cfg = KernelConfig {
-                threads,
-                parallel_threshold: 0,
-            };
-            let mut got: Vec<TupleId> = Vec::new();
-            let rep = execute(
-                &q,
-                &c,
-                &cfg,
-                |_| true,
-                |a| got.extend(a.iter().map(|(_, t)| *t)),
-            );
-            (rep.work, got)
+        // The window scan on a chain, the pair sweep on a pair.
+        for q in [
+            JoinQuery::chain(&[Overlaps, Overlaps]).unwrap(),
+            JoinQuery::chain(&[Overlaps]).unwrap(),
+        ] {
+            let m = q.num_relations() as usize;
+            for c in parallel_buckets(m, 42) {
+                let (base, base_rep) = every_sink(&q, &c, 1);
+                assert!(!base.is_empty(), "{q}");
+                for t in [2, 3, 8] {
+                    let (got, rep) = every_sink(&q, &c, t);
+                    assert_eq!(got, base, "{q} threads = {t}: output order must not change");
+                    assert_eq!(
+                        rep.work, base_rep.work,
+                        "{q} threads = {t}: work must be chunk-invariant"
+                    );
+                    assert!(rep.parallel_chunks > 1, "{q} threads = {t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_cut_the_outer_range_in_order() {
+        for outer_len in [1, 2, 3, 15, 16, 17, 31, 32, 33, 100, 39_064] {
+            for threads in [1, 2, 3, 8] {
+                let b = blocks(outer_len, threads);
+                assert_eq!(b.len(), outer_len.min(threads * BLOCKS_PER_THREAD));
+                assert_eq!(b.first().map(|r| r.start), Some(0));
+                assert_eq!(b.last().map(|r| r.end), Some(outer_len));
+                assert!(b.iter().all(|r| !r.is_empty()), "{outer_len} {threads}");
+                assert!(b.windows(2).all(|w| w[0].end == w[1].start));
+            }
+        }
+    }
+
+    /// Each bucket's level-0 keys in outer order, from the candidates
+    /// alone: every endpoint time for the event sweep, relation 0's ends
+    /// for the pair sweep (ascending or descending, as the shape wants).
+    fn outer_keys(kind: KernelKind, c: &Candidates) -> Vec<i64> {
+        let mut keys: Vec<(i64, bool)> = match kind {
+            KernelKind::EventSweep => (c.lists.iter().flatten())
+                .flat_map(|(iv, _)| [(iv.start(), false), (iv.end(), true)])
+                .collect(),
+            _ => c.list(0).iter().map(|(iv, _)| (iv.end(), true)).collect(),
         };
-        let (base_work, base) = run(1);
-        assert!(!base.is_empty());
-        for t in [2, 3, 8] {
-            let (work, got) = run(t);
-            assert_eq!(got, base, "threads = {t}: output order must not change");
-            assert_eq!(
-                work, base_work,
-                "threads = {t}: work must be chunk-invariant"
-            );
+        keys.sort_unstable();
+        keys.into_iter().map(|(t, _)| t).collect()
+    }
+
+    /// The rows, work and active peak of `bucket`'s positions `r` on
+    /// `carry`.
+    fn run_range<'a, C: Chunks>(
+        bucket: &'a C,
+        carry: &mut C::Carry<'a>,
+        r: Range<usize>,
+        arity: usize,
+    ) -> (Vec<Vec<TupleId>>, u64, u64) {
+        let mut rows = Tuples::new(arity);
+        let rep = bucket.run(carry, r, &mut rows);
+        let rows = rows.iter().map(<[TupleId]>::to_vec).collect();
+        (rows, rep.work, rep.active_peak)
+    }
+
+    #[test]
+    fn carried_state_runs_every_range_like_a_fresh_state() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let cases = [
+            (KernelKind::EventSweep, clique3()),
+            (KernelKind::EventSweep, JoinQuery::chain(&[Starts]).unwrap()),
+            (
+                KernelKind::PairSweep,
+                JoinQuery::chain(&[Overlaps]).unwrap(),
+            ),
+            (
+                KernelKind::PairSweep,
+                JoinQuery::chain(&[Contains]).unwrap(),
+            ),
+        ];
+        for (kind, q) in cases {
+            let (mut inside_a_group, mut gaps) = (false, false);
+            for seed in 0..12 {
+                // Coarse times: most endpoints share their time with
+                // another, so most cuts fall inside a group of equal keys.
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut c = Candidates::new(q.num_relations() as usize);
+                for r in 0..q.num_relations() as usize {
+                    for t in 0..40 {
+                        let s = rng.gen_range(0..12);
+                        c.push(r, iv(s, s + rng.gen_range(0..4)), t);
+                    }
+                }
+                c.finish();
+                let keys = outer_keys(kind, &c);
+                let prep = prepare(kind, &q, &c, |_: &[(Interval, TupleId)]| true).unwrap();
+                let n = prep.outer_len;
+                assert_eq!(n, keys.len());
+                let mut cuts: Vec<usize> = (0..rng.gen_range(2..14))
+                    .map(|_| rng.gen_range(0..=n))
+                    .collect();
+                cuts.sort_unstable();
+                cuts.dedup();
+                // Even seeds run every other piece between the cuts.
+                let step = if seed % 2 == 0 { 2 } else { 1 };
+                let ranges: Vec<Range<usize>> =
+                    cuts.windows(2).step_by(step).map(|w| w[0]..w[1]).collect();
+                gaps |= ranges.windows(2).any(|w| w[0].end < w[1].start);
+                inside_a_group |= (ranges.iter())
+                    .flat_map(|r| [r.start, r.end])
+                    .any(|b| 0 < b && b < n && keys[b - 1] == keys[b]);
+                let arity = q.num_relations() as usize;
+                let mut carried = prep.start();
+                for r in ranges {
+                    let fresh = run_range(&prep, &mut prep.start(), r.clone(), arity);
+                    let got = run_range(&prep, &mut carried, r.clone(), arity);
+                    assert_eq!(got, fresh, "{q} seed {seed} {r:?}");
+                }
+            }
+            assert!(inside_a_group && gaps, "{q}: the ranges miss a case");
         }
     }
 

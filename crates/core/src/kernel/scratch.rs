@@ -1,14 +1,16 @@
 //! Reusable per-worker scratch buffers for the kernel runners.
 //!
-//! Every kernel needs a handful of working vectors per `run` call — the
-//! `assignment` slot array, the pair sweep's retirement pointers, the
-//! event sweep's active arrays and position index. Rebuilding them per
-//! bucket made reducer hot loops allocation-bound on small buckets, so
-//! they live in a thread-local [`Scratch`] instead: each runner takes the
-//! buffers out, resizes them (capacity is retained across calls), and
-//! puts them back when done. The take/put protocol keeps re-entrancy safe
-//! — a nested kernel call on the same thread (e.g. from inside an emit
-//! callback) simply sees an empty default scratch and allocates its own.
+//! The two sweeps need a handful of working vectors per thread of a
+//! bucket — the `assignment` slot array, the pair sweep's retirement
+//! pointers, the event sweep's active arrays and position index — which
+//! a thread carries from one of its outer blocks to the next. Rebuilding
+//! them per bucket made reducer hot loops allocation-bound on small
+//! buckets, so they live in a thread-local [`Scratch`] instead: a sweep's
+//! carried state holds a [`Lease`] on the buffers, resizes them (capacity
+//! is retained across buckets), and the lease puts them back when it
+//! drops. The take/put protocol keeps re-entrancy safe — a nested kernel
+//! call on the same thread (e.g. from inside an emit callback) simply
+//! sees an empty default scratch and allocates its own.
 //!
 //! Class-independent: the scratch holds no predicate state, only buffer
 //! capacity; behavioral equivalence is pinned by the kernel-vs-oracle
@@ -16,6 +18,7 @@
 
 use ij_interval::{Interval, TupleId};
 use std::cell::RefCell;
+use std::ops::{Deref, DerefMut};
 
 /// Reusable buffers shared by all kernel strategies on one thread.
 #[derive(Debug, Default)]
@@ -46,14 +49,37 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
-/// Runs `f` with this thread's scratch buffers. The buffers are moved out
-/// for the duration of the call, so nested invocations fall back to a
+/// This thread's scratch buffers, moved out of the thread-local until the
+/// lease drops, so a lease taken while another is live falls back to a
 /// fresh default rather than aliasing.
-pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
-    let mut s = SCRATCH.with(RefCell::take);
-    let r = f(&mut s);
-    SCRATCH.with(|cell| *cell.borrow_mut() = s);
-    r
+#[derive(Debug)]
+pub(crate) struct Lease(Scratch);
+
+impl Lease {
+    pub(crate) fn take() -> Lease {
+        Lease(SCRATCH.with(RefCell::take))
+    }
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        let s = std::mem::take(&mut self.0);
+        // During thread teardown the buffers are simply freed.
+        let _ = SCRATCH.try_with(|cell| *cell.borrow_mut() = s);
+    }
+}
+
+impl Deref for Lease {
+    type Target = Scratch;
+    fn deref(&self) -> &Scratch {
+        &self.0
+    }
+}
+
+impl DerefMut for Lease {
+    fn deref_mut(&mut self) -> &mut Scratch {
+        &mut self.0
+    }
 }
 
 #[cfg(test)]
@@ -62,31 +88,33 @@ mod tests {
 
     #[test]
     fn scratch_capacity_survives_round_trips() {
-        let cap = with_scratch(|s| {
+        let cap = {
+            let mut s = Lease::take();
             s.reset_assignment(16);
             s.assignment.capacity()
-        });
+        };
         assert!(cap >= 16);
-        let cap2 = with_scratch(|s| {
-            s.reset_assignment(4);
-            assert_eq!(s.assignment.len(), 4);
-            s.assignment.capacity()
-        });
-        assert!(cap2 >= cap, "capacity must be retained across calls");
+        let mut s = Lease::take();
+        s.reset_assignment(4);
+        assert_eq!(s.assignment.len(), 4);
+        assert!(
+            s.assignment.capacity() >= cap,
+            "capacity must be retained across leases"
+        );
     }
 
     #[test]
     fn nested_calls_get_independent_buffers() {
-        with_scratch(|outer| {
-            outer.reset_assignment(3);
-            outer.assignment[0] = (Interval::point(7), 42);
-            with_scratch(|inner| {
-                // The outer buffers are checked out; the inner call must
-                // see a fresh scratch, not the outer's live data.
-                assert!(inner.assignment.is_empty());
-                inner.reset_assignment(2);
-            });
-            assert_eq!(outer.assignment[0], (Interval::point(7), 42));
-        });
+        let mut outer = Lease::take();
+        outer.reset_assignment(3);
+        outer.assignment[0] = (Interval::point(7), 42);
+        {
+            // The outer buffers are checked out; the inner lease must see
+            // a fresh scratch, not the outer's live data.
+            let mut inner = Lease::take();
+            assert!(inner.assignment.is_empty());
+            inner.reset_assignment(2);
+        }
+        assert_eq!(outer.assignment[0], (Interval::point(7), 42));
     }
 }

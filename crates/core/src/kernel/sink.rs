@@ -1,4 +1,4 @@
-//! Per-chunk output sinks: where the kernel driver's accepted bindings go
+//! Per-block output sinks: where the kernel driver's accepted bindings go
 //! (see the parallelism section of the [module docs](super)).
 
 use crate::output::Tuples;
@@ -12,9 +12,9 @@ pub trait BindingSink {
 }
 
 /// A reducer's output accumulator. The serial path `push`es straight into
-/// it; the parallel path `fork`s one empty chunk per outer range, each
-/// worker `push`es into its own, and the caller `absorb`s the finished
-/// chunks in outer order.
+/// it; on the parallel path every worker `fork`s one empty chunk per outer
+/// block it pulls and `push`es that block's bindings into it, and the
+/// caller `absorb`s the finished chunks in block order.
 ///
 /// Determinism contract: a sink whose `absorb` is associative over
 /// consecutive chunks (addition, append, set union) ends in the same
@@ -25,8 +25,9 @@ pub trait BindingSink {
 /// output table where the binding is produced; a chunk is one more table,
 /// absorbed by appending its buffer).
 pub trait OutputSink: BindingSink {
-    /// The worker-side accumulator of one chunk; crosses threads.
-    type Chunk: BindingSink + Send;
+    /// The worker-side accumulator of one chunk; crosses threads. A
+    /// worker forks its blocks' chunks from one chunk of its own.
+    type Chunk: OutputSink<Chunk = Self::Chunk> + Send;
     /// An empty accumulator for one chunk.
     fn fork(&self) -> Self::Chunk;
     /// Folds in the next chunk's accumulator (caller's thread, chunk
@@ -81,6 +82,16 @@ pub(super) struct Rows(Vec<(Interval, TupleId)>);
 impl BindingSink for Rows {
     fn push(&mut self, binding: &[(Interval, TupleId)]) {
         self.0.extend_from_slice(binding);
+    }
+}
+
+impl OutputSink for Rows {
+    type Chunk = Rows;
+    fn fork(&self) -> Rows {
+        Rows(Vec::new())
+    }
+    fn absorb(&mut self, chunk: Rows) {
+        self.0.extend(chunk.0);
     }
 }
 

@@ -9,12 +9,15 @@
 //! enumeration is output-linear, `O(n log n + output)` overall.
 //!
 //! Outer iteration is a contiguous position range of the end order, so the
-//! parallel driver in [`super`] can chunk it: a worker's alive state
-//! depends only on the outer interval being processed (retirement is
-//! monotone along the outer order), making chunked output a
-//! permutation-free concatenation of the serial emission order.
+//! driver in [`super`] can cut it into blocks. The alive state at an outer
+//! interval depends only on that interval's end (retirement is monotone
+//! along the outer order), so a thread's [`Alive`] state carries from one
+//! of its blocks to its next — the blocks it pulls only move forward — and
+//! its retirement pointer simply continues: the structure is built once
+//! per thread, not per block, and the blocks' output is a permutation-free
+//! concatenation of the serial emission order.
 
-use super::scratch::{with_scratch, Scratch};
+use super::scratch::{Lease, Scratch};
 use super::window::end_view;
 use super::Emit;
 use crate::executor::Candidates;
@@ -96,68 +99,85 @@ impl PairSweep {
         }
     }
 
-    /// Chunkable outer positions: one per outer interval.
+    /// Outer positions the driver cuts into blocks: one per outer
+    /// interval.
     pub(super) fn outer_len(&self) -> usize {
         self.outer_order.len()
     }
 
-    /// Runs the sweep over `outer` positions of the outer end order.
-    pub(super) fn run(
-        &self,
-        cands: &Candidates,
-        outer: Range<usize>,
-        emit: &mut Emit<'_>,
-        work: &mut u64,
-    ) {
-        let outer_list = cands.list(self.outer_rel);
-        let inner_list = cands.list(self.inner_rel);
+    /// A thread's sweep before the first outer interval: every inner
+    /// candidate alive.
+    pub(super) fn start<'a>(&'a self, cands: &'a Candidates) -> Alive<'a> {
+        let n = cands.len(self.inner_rel);
+        let mut s = Lease::take();
+        s.reset_assignment(2);
+        // Alive structure over the start-sorted inner list.
+        s.next.clear();
+        s.next.extend(0..=n as u32);
+        Alive {
+            plan: self,
+            cands,
+            s,
+            retire: if self.contains { n } else { 0 },
+        }
+    }
+}
+
+/// One thread's pair sweep between its blocks: the alive structure
+/// (leased scratch) and the retirement pointer its last outer interval
+/// left.
+pub(super) struct Alive<'a> {
+    plan: &'a PairSweep,
+    cands: &'a Candidates,
+    s: Lease,
+    retire: usize,
+}
+
+impl Alive<'_> {
+    /// Runs the sweep over `outer` positions of the outer end order, which
+    /// start at or after the end of every range this sweep ran before.
+    pub(super) fn run(&mut self, outer: Range<usize>, emit: &mut Emit<'_>, work: &mut u64) {
+        let p = self.plan;
+        let outer_list = self.cands.list(p.outer_rel);
+        let inner_list = self.cands.list(p.inner_rel);
         let n = inner_list.len();
-        with_scratch(|s| {
-            s.reset_assignment(2);
-            let Scratch {
-                assignment, next, ..
-            } = s;
-            // Alive structure over the start-sorted inner list. Retirement
-            // is monotone along the outer order, so a chunk starting
-            // mid-order reaches the identical alive state by fast-forwarding
-            // its own retirement pointer — no cross-chunk dependency.
-            next.clear();
-            next.extend(0..=n as u32);
-            let mut retire = if self.contains { n } else { 0 };
-            for &oi in &self.outer_order[outer] {
-                let (o_iv, o_tid) = outer_list[oi as usize];
-                let (s1, e1) = (o_iv.start(), o_iv.end());
-                *work += 1;
-                assignment[self.outer_rel] = (o_iv, o_tid);
-                if self.contains {
-                    // Alive ⇔ e2 < e1 (outer ends descending ⇒ retire from
-                    // the top of the end order).
-                    while retire > 0 && self.inner_ends[retire - 1].0 >= e1 {
-                        retire -= 1;
-                        let victim = self.inner_ends[retire].1 as usize;
-                        next[victim] = victim as u32 + 1;
-                    }
-                } else {
-                    // Alive ⇔ e2 > e1 (outer ends ascending ⇒ retire from
-                    // the bottom).
-                    while retire < n && self.inner_ends[retire].0 <= e1 {
-                        let victim = self.inner_ends[retire].1 as usize;
-                        next[victim] = victim as u32 + 1;
-                        retire += 1;
-                    }
+        let Scratch {
+            assignment, next, ..
+        } = &mut *self.s;
+        let retire = &mut self.retire;
+        for &oi in &p.outer_order[outer] {
+            let (o_iv, o_tid) = outer_list[oi as usize];
+            let (s1, e1) = (o_iv.start(), o_iv.end());
+            *work += 1;
+            assignment[p.outer_rel] = (o_iv, o_tid);
+            if p.contains {
+                // Alive ⇔ e2 < e1 (outer ends descending ⇒ retire from
+                // the top of the end order).
+                while *retire > 0 && p.inner_ends[*retire - 1].0 >= e1 {
+                    *retire -= 1;
+                    let victim = p.inner_ends[*retire].1 as usize;
+                    next[victim] = victim as u32 + 1;
                 }
-                // Every alive inner with s2 ∈ (s1, e1) is a match; in the
-                // `contains` shape s2 <= e2 < e1 holds for every alive
-                // inner, so the upper bound never cuts the scan short.
-                let from = inner_list.partition_point(|(iv, _)| iv.start() <= s1);
-                let mut j = find(next, from);
-                while j < n && inner_list[j].0.start() < e1 {
-                    *work += 1;
-                    assignment[self.inner_rel] = inner_list[j];
-                    emit(assignment);
-                    j = find(next, j + 1);
+            } else {
+                // Alive ⇔ e2 > e1 (outer ends ascending ⇒ retire from
+                // the bottom).
+                while *retire < n && p.inner_ends[*retire].0 <= e1 {
+                    let victim = p.inner_ends[*retire].1 as usize;
+                    next[victim] = victim as u32 + 1;
+                    *retire += 1;
                 }
             }
-        });
+            // Every alive inner with s2 ∈ (s1, e1) is a match; in the
+            // `contains` shape s2 <= e2 < e1 holds for every alive
+            // inner, so the upper bound never cuts the scan short.
+            let from = inner_list.partition_point(|(iv, _)| iv.start() <= s1);
+            let mut j = find(next, from);
+            while j < n && inner_list[j].0.start() < e1 {
+                *work += 1;
+                assignment[p.inner_rel] = inner_list[j];
+                emit(assignment);
+                j = find(next, j + 1);
+            }
+        }
     }
 }

@@ -119,15 +119,17 @@ impl Partitioning {
         if tn <= t0 || k == 0 {
             return Err(PartitioningError::EmptyRange);
         }
-        if starts.is_empty() || k == 1 {
-            let points = usize::try_from(tn.abs_diff(t0)).unwrap_or(usize::MAX);
+        let points = usize::try_from(tn.abs_diff(t0)).unwrap_or(usize::MAX);
+        // A one-tick range has no interior boundary to place.
+        if starts.is_empty() || k == 1 || points == 1 {
             return Partitioning::equi_width(t0, tn, k.min(points).max(1));
         }
         let mut sorted = starts.to_vec();
         sorted.sort_unstable();
         let mut boundaries = vec![t0];
         for i in 1..k {
-            let q = sorted[(i * sorted.len()) / k].clamp(t0 + 1, tn - 1);
+            let at = (i as u128 * sorted.len() as u128 / k as u128) as usize;
+            let q = sorted[at].clamp(t0 + 1, tn - 1);
             if q > *boundaries.last().expect("non-empty") {
                 boundaries.push(q);
             }
@@ -369,6 +371,46 @@ mod tests {
         assert!(p.len() <= 2);
         assert_eq!(p.index_of(0), 0);
         assert_eq!(p.index_of(99), p.len() - 1);
+    }
+
+    #[test]
+    fn equi_depth_on_a_one_tick_range_is_one_partition() {
+        let one = Partitioning::equi_width(0, 1, 1).unwrap();
+        for k in [1, 2, 3, 64, usize::MAX] {
+            for starts in [&[][..], &[0][..], &[0, 0, 0][..], &[-5, 0, 9][..]] {
+                assert_eq!(Partitioning::equi_depth(0, 1, k, starts), Ok(one.clone()));
+            }
+        }
+        let top = Partitioning::equi_depth(Time::MAX - 1, Time::MAX, 2, &[Time::MAX]);
+        assert_eq!(top.unwrap().boundaries(), &[Time::MAX - 1, Time::MAX]);
+    }
+
+    #[test]
+    fn equi_depth_never_panics_on_a_valid_range() {
+        // Every range of up to five ticks, at both ends of the time domain
+        // and around zero, with starts inside, outside and on its edges.
+        for base in [Time::MIN, -3, 0, Time::MAX - 5] {
+            for width in 1..=5 {
+                let (t0, tn) = (base, base + width);
+                let starts = [Time::MIN, t0, t0 + 1, tn - 1, tn, 0, Time::MAX];
+                for k in 1..=8 {
+                    for n in 0..=starts.len() {
+                        let p = Partitioning::equi_depth(t0, tn, k, &starts[..n]).unwrap();
+                        assert_eq!(p.boundaries()[0], t0);
+                        assert_eq!(p.boundaries()[p.len()], tn);
+                        assert!(p.len() <= k, "{t0} {tn} {k} {n}");
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            Partitioning::equi_depth(3, 3, 2, &[3]),
+            Err(PartitioningError::EmptyRange)
+        );
+        assert_eq!(
+            Partitioning::equi_depth(0, 9, 0, &[3]),
+            Err(PartitioningError::EmptyRange)
+        );
     }
 
     #[test]
