@@ -39,6 +39,14 @@
 //! threshold, serial and on two chunks through the same runner as the
 //! single-attribute kernels.
 //!
+//! `kernel_owned` times a bucket under an owner: an All-Rep bucket of
+//! `R1 before R2 ∧ R1 before R3`, a query with no provably right-most
+//! relation, whose replicated relations start anywhere up to the cell's
+//! window and whose owner keeps a binding only where its right-most start
+//! lies in the window — about 40 % of the bindings the kernel would
+//! enumerate without it are not owned. Serial and on two chunks, its count
+//! is asserted against a nested loop filtered by the ownership rule.
+//!
 //! `schedule_bench` drives the whole engine (map → shuffle → reduce) on a
 //! skewed clique bucket mix — one dominant hot bucket plus a light tail —
 //! under each intra-reduce grant policy. The skew-driven scheduler should
@@ -166,7 +174,7 @@ fn plane_sweep_oracle_count(q: &JoinQuery, c: &Candidates) -> u64 {
 /// the count sink.
 fn parallel_count(q: &JoinQuery, cands: &Candidates, cfg: &KernelConfig) -> u64 {
     let mut count = 0u64;
-    kernel::execute_into(q, cands, cfg, |_| true, &mut count);
+    kernel::execute_into(q, cands, cfg, &[], &mut count);
     count
 }
 
@@ -195,7 +203,7 @@ fn reference_count(q: &JoinQuery, cands: &Candidates) -> u64 {
 /// Match count of `kind` forced on a query inside its domain.
 fn forced_count(kind: KernelKind, q: &JoinQuery, cands: &Candidates) -> u64 {
     let mut count = 0u64;
-    kernel::execute_kind(kind, q, cands, |_| true, |_| count += 1)
+    kernel::execute_kind(kind, q, cands, &[], |_| count += 1)
         .expect("bench query lies in the forced kernel's domain");
     count
 }
@@ -269,7 +277,7 @@ fn bench_materialize(c: &mut Criterion) {
         group.bench_function(format!("row_sink_{label}"), |b| {
             b.iter(|| {
                 let mut rows = Tuples::new(2);
-                kernel::execute_into(&q, &cands, &cfg, |_| true, &mut rows);
+                kernel::execute_into(&q, &cands, &cfg, &[], &mut rows);
                 checked(rows.len() as u64, expect);
                 rows
             })
@@ -377,6 +385,55 @@ fn stage_bucket(n: usize, seed: u64) -> Vec<CompRec> {
     recs
 }
 
+fn bench_owned(c: &mut Criterion) {
+    use ij_interval::AllenPredicate::Before;
+    let q = JoinQuery::new(
+        3,
+        vec![
+            ij_query::Condition::whole(0, Before, 1),
+            ij_query::Condition::whole(0, Before, 2),
+        ],
+    )
+    .unwrap();
+    let uniform = |rng: &mut StdRng| rng.gen_range(0..4000);
+    let cands = three_way_bucket([600, 300, 300], [0..200, 0..200, 0..200], uniform, 29);
+    // The cell's start window: everything in the bucket starts at or
+    // before its end, as a replicated relation's intervals do.
+    let members = [(0, 0), (1, 0), (2, 0)];
+    let owner = [(2900, 4000, &members[..])];
+    let (mut all, mut expect) = (0u64, 0u64);
+    for &(a, _) in cands.list(0) {
+        for &(b, _) in cands.list(1) {
+            for &(c, _) in cands.list(2) {
+                if Before.holds(a, b) && Before.holds(a, c) {
+                    all += 1;
+                    let last = a.start().max(b.start()).max(c.start());
+                    expect += (2900..=4000).contains(&last) as u64;
+                }
+            }
+        }
+    }
+    let unowned = (all - expect) as f64 / all as f64;
+    assert!((0.35..0.45).contains(&unowned), "unowned share {unowned}");
+
+    let mut group = c.benchmark_group("kernel_owned");
+    group.throughput(Throughput::Elements(1200));
+    for (label, threads) in [("serial", 1), ("parallel2", 2)] {
+        let cfg = KernelConfig {
+            threads,
+            parallel_threshold: 0,
+        };
+        group.bench_function(format!("all_rep_cell_{label}"), |b| {
+            b.iter(|| {
+                let mut count = 0u64;
+                kernel::execute_into(&q, &cands, &cfg, &owner, &mut count);
+                checked(count, expect)
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_composite(c: &mut Criterion) {
     use ij_interval::AllenPredicate::{Before, Overlaps};
     let n = 2048;
@@ -409,7 +466,7 @@ fn bench_composite(c: &mut Criterion) {
         group.bench_function(format!("cascade_stage_{label}"), |b| {
             b.iter(|| {
                 let mut count = OutRec::Count(0);
-                stage.join_into(&recs, &cfg, |_| true, &mut count);
+                stage.join_into(&recs, &cfg, &[], &mut count);
                 checked(count.tuples(), expect)
             })
         });
@@ -588,7 +645,7 @@ fn run_scheduled(
                 }
                 cands.finish();
                 let mut count = 0u64;
-                kernel::reduce_into(ctx, q, &cands, |_| true, &mut count);
+                kernel::reduce_into(ctx, q, &cands, &[], &mut count);
                 out.push((ctx.key, count));
             },
         )
@@ -645,6 +702,7 @@ criterion_group!(
     bench_materialize,
     bench_sequence_heavy,
     bench_hybrid,
+    bench_owned,
     bench_composite,
     bench_event_sweep,
     bench_schedule

@@ -206,7 +206,7 @@ impl TwoWayCascade {
                     em.emit_to_all(cells.iter().copied(), rec);
                     em.inc(counter, cells.len() as u64);
                 },
-                None,
+                |_| Vec::new(),
             )?;
             chain.push(out.metrics);
             if last {

@@ -47,16 +47,20 @@
 //! **Ownership** is one rule, used by the prune and join stages: a binding
 //! belongs to coordinate `c` of a dimension when the right-most start among
 //! the dimension's members lies in partition `c`'s [`start_window`]; a cell
-//! owns it when that holds in every dimension. Testing is always sound; the
-//! join skips a dimension where a member with a fixed project provably
-//! starts last ([`starts_last`]): only its start coordinate gets a binding.
+//! owns it when that holds in every dimension. A reducer hands the kernel
+//! its *owner* — one `(lo, hi, member slots)` window per tested dimension —
+//! and the kernel compiles it into start bounds of its level program
+//! (`kernel::Compiled`), so an unowned binding is never enumerated: no
+//! per-binding test is left. Testing is always sound; the join skips a
+//! dimension where a member with a fixed project provably starts last
+//! ([`starts_last`]): only its start coordinate gets a binding.
 
 use crate::algorithm::{iv_records, AlgoError};
 use crate::all_matrix::cells::{for_each_consistent, windows_of};
 use crate::all_matrix::CellSpace;
 use crate::executor::Candidates;
 use crate::input::JoinInput;
-use crate::kernel;
+use crate::kernel::{self, Slot, StartWindow};
 use crate::output::{JoinOutput, OutputMode};
 use crate::rccis::marking::{self, mark_with_options, MarkOptions};
 use crate::records::{IvRec, OutRec};
@@ -124,15 +128,9 @@ pub(crate) fn start_window(part: &Partitioning, coord: usize) -> (Time, Time) {
     (lo, hi)
 }
 
-/// The ownership rule: in every `(lo, hi, members)` dimension the
-/// right-most start among `binding[members]` lies in `[lo, hi]`.
-fn owns(dims: &[(Time, Time, &[usize])], binding: &[(Interval, TupleId)]) -> bool {
-    dims.iter().all(|&(lo, hi, members)| {
-        let start = members
-            .iter()
-            .fold(Time::MIN, |s, &r| s.max(binding[r].0.start()));
-        lo <= start && start <= hi
-    })
+/// The slots of a single-attribute bucket's `relations`.
+fn slots(relations: impl IntoIterator<Item = usize>) -> Vec<Slot> {
+    relations.into_iter().map(|r| (r, 0)).collect()
 }
 
 /// Whether relation `r` provably starts no earlier than every other relation
@@ -653,13 +651,13 @@ impl Stages<'_> {
                 for v in values.by_ref() {
                     cands.push(self.lanes[v.rel.idx()].slot, v.iv, v.tid);
                 }
-                let slots: Vec<usize> = (0..rels.len()).collect();
+                let members = slots(0..rels.len());
                 // The tested dimension: none for a broadcast task, which
                 // finds each binding only in the slice holding its L tuple.
-                let dims = match routes[g] {
+                let owner: Vec<StartWindow> = match routes[g] {
                     PruneRoute::Shuffled => {
                         let (lo, hi) = start_window(cm.part, p);
-                        vec![(lo, hi, slots.as_slice())]
+                        vec![(lo, hi, members.as_slice())]
                     }
                     PruneRoute::Broadcast { large } => {
                         let rows = rows_of(records, large);
@@ -672,10 +670,9 @@ impl Stages<'_> {
                     }
                 };
                 cands.finish();
-                let owned = |a: &[(Interval, TupleId)]| owns(&dims, a);
                 let ids = BTreeSet::new();
                 let mut participants = ParticipantSink { rels, ids };
-                kernel::reduce_into(ctx, sub, &cands, owned, &mut participants);
+                kernel::reduce_into(ctx, sub, &cands, &owner, &mut participants);
                 // A marked group's route projects to the start partition or
                 // replicates from it.
                 let n = self.fine.len();
@@ -833,8 +830,9 @@ impl Stages<'_> {
         // Every dimension but those a fixed project provably settles.
         let projected = |r: usize| cm.routes[r] == [MapOp::Project; 2];
         let settled = |g: &[usize]| g.iter().any(|&r| projected(r) && starts_last(&order, g, r));
-        let tested: Vec<(usize, &[usize])> = (cm.groups.iter().enumerate())
-            .filter_map(|(d, g)| (!settled(g)).then_some((d, g.as_slice())))
+        let tested: Vec<(usize, Vec<Slot>)> = (cm.groups.iter().enumerate())
+            .filter(|(_, g)| !settled(g))
+            .map(|(d, g)| (d, slots(g.iter().copied())))
             .collect();
         self.engine.run_job(
             &format!("{}-join", cm.family),
@@ -862,10 +860,10 @@ impl Stages<'_> {
             },
             |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<OutRec>| {
                 let coords = shares.space.decode(ctx.key);
-                let dims: Vec<(Time, Time, &[usize])> = (tested.iter())
-                    .map(|&(d, members)| {
-                        let (lo, hi) = start_window(&shares.grids[d], coords[d]);
-                        (lo, hi, members)
+                let owner: Vec<StartWindow> = (tested.iter())
+                    .map(|(d, members)| {
+                        let (lo, hi) = start_window(&shares.grids[*d], coords[*d]);
+                        (lo, hi, members.as_slice())
                     })
                     .collect();
                 let mut cands = Candidates::new(m);
@@ -873,8 +871,7 @@ impl Stages<'_> {
                     cands.push(v.rel.idx(), v.iv, v.tid);
                 }
                 cands.finish();
-                let owned = |a: &[(Interval, TupleId)]| owns(&dims, a);
-                kernel::reduce_join(ctx, cm.query, &cands, cm.mode, owned, out);
+                kernel::reduce_join(ctx, cm.query, &cands, cm.mode, &owner, out);
             },
         )
     }
@@ -884,6 +881,18 @@ impl Stages<'_> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The ownership rule as a predicate: in every `(lo, hi, members)`
+    /// dimension the right-most start among `binding[members]` lies in
+    /// `[lo, hi]`.
+    fn owns(dims: &[(Time, Time, &[usize])], binding: &[(Interval, TupleId)]) -> bool {
+        dims.iter().all(|&(lo, hi, members)| {
+            let start = members
+                .iter()
+                .fold(Time::MIN, |s, &r| s.max(binding[r].0.start()));
+            lo <= start && start <= hi
+        })
+    }
 
     /// Every boundary and its two neighbours — so also the points just
     /// below the first boundary and at and above the last — plus the ends

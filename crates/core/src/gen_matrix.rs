@@ -11,13 +11,18 @@
 //! Two MR cycles: attribute-level marking — the component-matrix mark
 //! stage with one single-attribute relation per vertex — then the matrix
 //! join, whose reducer is the window kernel's multi-slot composite join
-//! (`kernel::composite`): the relations are sides, attributes slots.
+//! (`kernel::composite`): the relations are sides, attributes slots. A
+//! cell owns a binding when, in every component, the right-most start over
+//! the component's ⟨relation, attribute⟩ slots lies in the cell
+//! coordinate's start window — the component-matrix rule, compiled into
+//! the join's level program.
 
 use crate::algorithm::{empty_output, AlgoError, Algorithm, RunArtifacts};
 use crate::all_matrix::CellSpace;
-use crate::component_matrix::{ComponentMatrix, Flags, MARKED};
+use crate::component_matrix::{start_window, ComponentMatrix, Flags, MARKED};
 use crate::input::JoinInput;
 use crate::kernel::composite::CompositeJoin;
+use crate::kernel::{Slot, StartWindow};
 use crate::output::{JoinOutput, OutputMode};
 use crate::rccis::marking::MarkOptions;
 use crate::records::{CompRec, IvRec};
@@ -98,6 +103,13 @@ impl Algorithm for GenMatrix {
             })
             .collect();
 
+        // Per component, its id and its ⟨relation, attribute⟩ slots.
+        let members: Vec<(usize, Vec<Slot>)> = (comps.components.iter())
+            .map(|c| {
+                let slots = c.vertices.iter().map(|v| (v.rel.idx(), v.attr as usize));
+                (c.id, slots.collect())
+            })
+            .collect();
         let per_dim = self.per_dim;
         let out = CompositeJoin::of_query(query, self.mode).run(
             engine,
@@ -138,7 +150,15 @@ impl Algorithm for GenMatrix {
                     }
                 }
             },
-            Some(&|key, binding| owns_tuple_assignment(&comps, &part, &space.decode(key), binding)),
+            |key| {
+                let coords = space.decode(key);
+                (members.iter())
+                    .map(|(k, slots)| {
+                        let (lo, hi) = start_window(&part, coords[*k]);
+                        (lo, hi, slots.as_slice())
+                    })
+                    .collect::<Vec<StartWindow>>()
+            },
         )?;
         chain.push(out.metrics);
 
@@ -212,28 +232,6 @@ fn mark_vertices(
         mode: OutputMode::Count,
     };
     setting.mark(&records, &sizes, engine)
-}
-
-/// Ownership: for every component, the maximal start partition over the
-/// binding's member attribute intervals equals the cell coordinate.
-fn owns_tuple_assignment(
-    comps: &Components,
-    part: &Partitioning,
-    coords: &[usize],
-    binding: &[&CompRec],
-) -> bool {
-    for comp in &comps.components {
-        let q_k = comp
-            .vertices
-            .iter()
-            .map(|v| part.index_of(binding[v.rel.idx()].ivs[v.attr as usize].start()))
-            .max()
-            .expect("non-empty component");
-        if q_k != coords[comp.id] {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]

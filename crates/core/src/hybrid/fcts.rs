@@ -126,7 +126,7 @@ impl Algorithm for Fcts {
                     .expect("composite non-empty");
                 em.emit_to_all(space.cells_eq(rec.side as usize, q).iter().copied(), rec);
             },
-            None,
+            |_| Vec::new(),
         )?;
         chain.push(out.metrics);
 

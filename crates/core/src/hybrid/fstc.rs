@@ -129,7 +129,7 @@ impl Algorithm for Fstc {
                 order_by: None,
             };
             let mut found = OutRec::new(self.mode, filter.gather.len());
-            filter.join_into(&comps, &KernelConfig::serial(), |_| true, &mut found);
+            filter.join_into(&comps, &KernelConfig::serial(), &[], &mut found);
             return Ok(JoinOutput::from_records(self.mode, vec![found], chain));
         }
         let stages = plan_stages(seq_rels.clone(), &coloc_conditions)?;

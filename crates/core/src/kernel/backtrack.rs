@@ -36,7 +36,7 @@ pub fn reference_join(
     if cands.any_empty() {
         return 0;
     }
-    let compiled = Compiled::new(binding_order(q, |r| cands.len(r)), &slot_conditions(q));
+    let compiled = Compiled::new(binding_order(q, |r| cands.len(r)), &slot_conditions(q), &[]);
     let mut assignment = vec![(Interval::point(0), 0); compiled.order.len()];
     let mut work = 0;
     descend(

@@ -7,30 +7,29 @@
 //! the members of an FCTS component, the attributes of a Gen-Matrix tuple.
 //! Conditions are Allen predicates between `(side, slot)` pairs. A family
 //! keeps only its routing (a closure from a record to its cells) and, for
-//! Gen-Matrix, an ownership test; `CompositeJoin::run` is the cycle.
+//! Gen-Matrix, a reducer's owner — the start windows of the single-attribute
+//! kernels, over member slots; `CompositeJoin::run` is the cycle.
 //!
 //! A composite bucket is the window kernel's multi-slot case: its records
 //! are the rows of the one windowed descent (see `kernel::window`), each
 //! side's list sorted by the start of its level's key slot, and it runs
 //! through the same level program, end views, chunk runner and `kernel.*`
-//! / `join.*` counters as every single-attribute bucket. A condition
-//! between two slots of one side filters that side's list before the
-//! descent; sides with no condition between them join as a cross product.
+//! / `join.*` counters as every single-attribute bucket, with the owner
+//! compiled into its level program. A condition between two slots of one
+//! side filters that side's list before the descent; sides with no
+//! condition between them join as a cross product.
 
 use super::window::{Row, WindowPlan};
-use super::{binding_order, drive, range_pair, reduce_rec, slot_conditions, BindingSink, Chunks};
-use super::{Compiled, KernelConfig, KernelKind, KernelReport, Slot, SlotCondition};
+use super::{binding_order, drive, lift_caps, range_pair, reduce_rec, slot_conditions};
+use super::{BindingSink, Chunks};
+use super::{Compiled, KernelConfig, KernelKind, KernelReport, Slot, SlotCondition, StartWindow};
 use crate::input::JoinInput;
 use crate::output::OutputMode;
 use crate::records::{CompRec, OutRec};
-use ij_interval::{Interval, RelId, TupleId};
+use ij_interval::{Interval, RelId, Time, TupleId};
 use ij_mapreduce::{Emitter, Engine, EngineError, JobOutput, ReduceCtx, ReducerId, ValueStream};
 use ij_query::JoinQuery;
 use std::ops::Range;
-
-/// The ownership test a family may add: the reducer's key and a binding,
-/// one record per side.
-pub(crate) type Accept<'a> = dyn Fn(ReducerId, &[&CompRec]) -> bool + Sync + 'a;
 
 /// One composite join: its sides, the conditions between their slots and
 /// the output row it gathers.
@@ -65,15 +64,15 @@ impl<'q> CompositeJoin<'q> {
 
     /// Runs the join as the MR cycle `name`: `route` sends each record to
     /// its cells, and each reducer joins its bucket under the engine's
-    /// thread budget, keeps the bindings `accept` admits and writes one
+    /// thread budget, keeps the bindings its `owner` owns and writes one
     /// [`OutRec`], recording the counters every join reducer records.
-    pub(crate) fn run(
+    pub(crate) fn run<'o>(
         &self,
         engine: &Engine,
         name: &str,
         records: &[CompRec],
         route: impl Fn(&CompRec, &mut Emitter<CompRec>) + Sync,
-        accept: Option<&Accept<'_>>,
+        owner: impl Fn(ReducerId) -> Vec<StartWindow<'o>> + Sync,
     ) -> Result<JobOutput<OutRec>, EngineError> {
         engine.run_job(
             name,
@@ -81,25 +80,24 @@ impl<'q> CompositeJoin<'q> {
             route,
             |ctx: &mut ReduceCtx, values: &mut ValueStream<CompRec>, out: &mut Vec<OutRec>| {
                 let bucket: Vec<CompRec> = values.by_ref().collect();
-                let (key, rec) = (ctx.key, OutRec::new(self.mode, self.gather.len()));
+                let (owner, rec) = (owner(ctx.key), OutRec::new(self.mode, self.gather.len()));
                 reduce_rec(ctx, rec, out, |cfg, rec| {
-                    let accept = |b: &[&CompRec]| accept.is_none_or(|a| a(key, b));
-                    self.join_into(&bucket, cfg, accept, rec)
+                    self.join_into(&bucket, cfg, &owner, rec)
                 });
             },
         )
     }
 
     /// Joins one bucket of `records` (any sides, any order) into `out`:
-    /// every binding that satisfies the conditions and `accept` adds its
-    /// gathered row, or one to the count. Chunked like every kernel
-    /// bucket: rows, their order and the work are the serial run's for
-    /// every `cfg`.
+    /// every binding that satisfies the conditions and that `owner` owns
+    /// adds its gathered row, or one to the count. Chunked like every
+    /// kernel bucket: rows, their order and the work are the serial run's
+    /// for every `cfg`.
     pub fn join_into(
         &self,
         records: &[CompRec],
         cfg: &KernelConfig,
-        accept: impl Fn(&[&CompRec]) -> bool + Sync,
+        owner: &[StartWindow],
         out: &mut OutRec,
     ) -> KernelReport {
         let kind = KernelKind::Window;
@@ -119,7 +117,9 @@ impl<'q> CompositeJoin<'q> {
         if lists.iter().any(Vec::is_empty) {
             return KernelReport::idle(kind);
         }
-        let compiled = Compiled::new(order, &self.conditions);
+        let latest = |(side, slot): Slot| lists[side].iter().map(|r| r.ivs[slot].start()).max();
+        let owner = lift_caps(owner, |s| latest(s).unwrap_or(Time::MIN));
+        let compiled = Compiled::new(order, &self.conditions, &owner);
         for (&side, &key) in compiled.order.iter().zip(&compiled.key) {
             lists[side].sort_unstable_by(|a, b| {
                 (a.ivs[key].start(), &a.tids).cmp(&(b.ivs[key].start(), &b.tids))
@@ -131,7 +131,6 @@ impl<'q> CompositeJoin<'q> {
             plan,
             lists,
             gather: &self.gather,
-            accept,
         };
         match out {
             OutRec::Count(n) => drive(kind, shape, cfg, &bucket, n),
@@ -148,14 +147,13 @@ impl Row for &CompRec {
 }
 
 /// One prepared composite bucket: sorted, filtered per-side lists.
-struct Bucket<'a, A> {
+struct Bucket<'a> {
     plan: WindowPlan,
     lists: Vec<Vec<&'a CompRec>>,
     gather: &'a [Slot],
-    accept: A,
 }
 
-impl<A: Fn(&[&CompRec]) -> bool> Chunks for Bucket<'_, A> {
+impl Chunks for Bucket<'_> {
     /// The window descent keeps no state between outer positions.
     type Carry<'a>
         = ()
@@ -164,17 +162,15 @@ impl<A: Fn(&[&CompRec]) -> bool> Chunks for Bucket<'_, A> {
 
     fn start(&self) {}
 
-    /// An accepted binding reaches `sink` as its gathered row: per output
+    /// An owned binding reaches `sink` as its gathered row: per output
     /// column the id and the interval in that slot.
     fn run<K: BindingSink>(&self, _: &mut (), outer: Range<usize>, sink: &mut K) -> KernelReport {
         let mut rep = KernelReport::idle(KernelKind::Window);
         let mut row = Vec::with_capacity(self.gather.len());
         let emit = &mut |b: &[&CompRec]| {
-            if (self.accept)(b) {
-                row.clear();
-                row.extend((self.gather.iter()).map(|&(s, k)| (b[s].ivs[k], b[s].tids[k])));
-                sink.push(&row);
-            }
+            row.clear();
+            row.extend((self.gather.iter()).map(|&(s, k)| (b[s].ivs[k], b[s].tids[k])));
+            sink.push(&row);
         };
         self.plan.run(&self.lists, outer, emit, &mut rep.work);
         rep
@@ -240,7 +236,7 @@ mod tests {
     fn emitted(join: &CompositeJoin, lists: Vec<Vec<CompRec>>) -> (Vec<Vec<TupleId>>, u64) {
         let records: Vec<CompRec> = lists.into_iter().flatten().collect();
         let mut out = OutRec::new(OutputMode::Materialize, join.gather.len());
-        let rep = join.join_into(&records, &KernelConfig::serial(), |_| true, &mut out);
+        let rep = join.join_into(&records, &KernelConfig::serial(), &[], &mut out);
         let OutRec::Rows(table) = out else {
             unreachable!("materializing")
         };
@@ -284,14 +280,8 @@ mod tests {
         }
         c.finish();
         let mut window = Vec::new();
-        let rep = execute_kind(
-            KernelKind::Window,
-            q,
-            &c,
-            |_| true,
-            |a| window.push(tids(a)),
-        )
-        .expect("the window kernel takes every query");
+        let rep = execute_kind(KernelKind::Window, q, &c, &[], |a| window.push(tids(a)))
+            .expect("the window kernel takes every query");
         let join = CompositeJoin::of_query(q, OutputMode::Count);
         assert_eq!(emitted(&join, lists), (window.clone(), rep.work), "{q}");
         let mut want: Vec<Vec<TupleId>> = Vec::new();

@@ -28,6 +28,13 @@
 //! do not qualify (`[0,10] ov [5,15] ov [12,20]` has no common point) and
 //! take the window scan.
 //!
+//! **Ownership.** The trigger holds a binding's latest start, so an owner
+//! dimension the trigger belongs to owns the binding exactly when the
+//! trigger's start lies in its window: each probe program compiles such a
+//! dimension as the trigger alone, a start event outside it skips its
+//! probe, and the other dimensions' bounds intersect into the probe
+//! levels' range pairs (see the [module docs](super)).
+//!
 //! **Deterministic blocks.** The outer positions are event indices. A
 //! thread's [`Active`] state carries the active arrays from one of its
 //! blocks to the next: the blocks a thread pulls only move forward, so
@@ -41,11 +48,11 @@
 
 use super::ranges::range_pair;
 use super::scratch::{Lease, Scratch};
-use super::{slot_conditions, Compiled, Emit, RangePair};
+use super::{slot_conditions, Compiled, RangePair, StartRange, StartWindow};
 use crate::executor::Candidates;
-use ij_interval::{AllenPredicate, Interval, Time, TupleId};
+use ij_interval::{bounds_contain, AllenPredicate, Interval, Time, TupleId};
 use ij_query::JoinQuery;
-use std::ops::Range;
+use std::ops::{Bound, Range};
 
 /// Sentinel for "tuple not currently active" in the position index.
 const INACTIVE: u32 = u32::MAX;
@@ -132,8 +139,12 @@ pub(crate) struct EventSweepPlan {
     /// All relations' endpoints, merged and sorted.
     events: Vec<Event>,
     /// One probe program per trigger relation: a BFS binding order rooted
-    /// at it (`order[0]` is the trigger) with its per-level checks.
+    /// at it (`order[0]` is the trigger) with its per-level checks and
+    /// owner bounds.
     programs: Vec<Compiled>,
+    /// Per trigger relation, the owner's range for the trigger's start: a
+    /// start event outside it probes nothing.
+    gates: Vec<StartRange>,
     /// Whether relation `r` can ever hold a binding's latest-starting
     /// tuple (see [`possible_latest`]). Start events of pruned relations
     /// only update the active arrays — their probes would always come up
@@ -195,7 +206,7 @@ fn possible_latest(q: &JoinQuery) -> Vec<bool> {
 }
 
 impl EventSweepPlan {
-    pub(crate) fn new(q: &JoinQuery, cands: &Candidates) -> EventSweepPlan {
+    pub(crate) fn new(q: &JoinQuery, cands: &Candidates, owner: &[StartWindow]) -> EventSweepPlan {
         debug_assert!(qualifies(q), "event sweep requires a qualifying query");
         let m = q.num_relations() as usize;
         let mut events = Vec::with_capacity((0..m).map(|r| 2 * cands.len(r)).sum());
@@ -222,10 +233,17 @@ impl EventSweepPlan {
             adj[c.left.rel.idx()].push(c.right.rel.idx());
             adj[c.right.rel.idx()].push(c.left.rel.idx());
         }
-        let programs = (0..m).map(|root| probe_program(q, &adj, root)).collect();
+        let programs: Vec<Compiled> = (0..m)
+            .map(|root| probe_program(q, &adj, root, owner))
+            .collect();
+        let full = (Bound::Unbounded, Bound::Unbounded);
+        let gates = (programs.iter())
+            .map(|p| p.owned[0].narrow::<(Interval, TupleId)>(&[], full))
+            .collect();
         EventSweepPlan {
             events,
             programs,
+            gates,
             probe: possible_latest(q),
         }
     }
@@ -272,10 +290,10 @@ impl Active<'_> {
     /// of every range this sweep ran before, having applied the events in
     /// between (state only, no probing, no work charged). `active_peak` is
     /// raised to the maximum total active occupancy observed over `outer`.
-    pub(crate) fn run(
+    pub(crate) fn run<E: FnMut(&[(Interval, TupleId)])>(
         &mut self,
         outer: Range<usize>,
-        emit: &mut Emit<'_>,
+        emit: &mut E,
         work: &mut u64,
         active_peak: &mut u64,
     ) {
@@ -299,6 +317,9 @@ impl Active<'_> {
             }
             *work += 1;
             let rel = e.rel as usize;
+            if !bounds_contain(plan.gates[rel], e.time) {
+                continue;
+            }
             assignment[rel] = cands.list(rel)[e.idx as usize];
             probe(&plan.programs[rel], active, 1, assignment, emit, work);
         }
@@ -335,14 +356,14 @@ fn apply(
 }
 
 /// Enumerates bindings level by level from the active arrays, with the
-/// level's intersected endpoint ranges checked exactly — predicate
-/// satisfaction *is* range membership (see [`super::ranges`]).
-fn probe(
+/// level's intersected endpoint ranges and owner bounds checked exactly —
+/// predicate satisfaction *is* range membership (see [`super::ranges`]).
+fn probe<E: FnMut(&[(Interval, TupleId)])>(
     program: &Compiled,
     active: &[Vec<(Interval, TupleId, u32)>],
     level: usize,
     assignment: &mut Vec<(Interval, TupleId)>,
-    emit: &mut Emit<'_>,
+    emit: &mut E,
     work: &mut u64,
 ) {
     if level == program.order.len() {
@@ -354,6 +375,7 @@ fn probe(
     for &((other, _), pred, _) in &program.checks[level] {
         rp.intersect(&range_pair(pred, assignment[other].0));
     }
+    rp.start = program.owned[level].narrow(assignment, rp.start);
     if rp.is_empty() {
         return;
     }
@@ -368,8 +390,17 @@ fn probe(
 }
 
 /// BFS binding order rooted at `root` (neighbors in ascending relation
-/// index — deterministic), compiled to per-level checks.
-fn probe_program(q: &JoinQuery, adj: &[Vec<usize>], root: usize) -> Compiled {
+/// index — deterministic), compiled to per-level checks and `owner`'s
+/// bounds. The trigger holds the binding's latest start (Helly), so a
+/// dimension it belongs to owns the binding exactly when the trigger's
+/// start lies in its window: such a dimension compiles as the trigger
+/// alone, a bound at level 0.
+fn probe_program(
+    q: &JoinQuery,
+    adj: &[Vec<usize>],
+    root: usize,
+    owner: &[StartWindow],
+) -> Compiled {
     let m = q.num_relations() as usize;
     let mut order = vec![root];
     let mut seen = vec![false; m];
@@ -387,7 +418,14 @@ fn probe_program(q: &JoinQuery, adj: &[Vec<usize>], root: usize) -> Compiled {
         }
     }
     debug_assert_eq!(order.len(), m, "qualifying queries are connected");
-    Compiled::new(order, &slot_conditions(q))
+    let trigger = [(root, 0)];
+    let owner: Vec<StartWindow> = (owner.iter())
+        .map(|&(lo, hi, members)| match members.contains(&trigger[0]) {
+            true => (lo, hi, &trigger[..]),
+            false => (lo, hi, members),
+        })
+        .collect();
+    Compiled::new(order, &slot_conditions(q), &owner)
 }
 
 #[cfg(test)]

@@ -42,17 +42,37 @@
 //! the events between two of its blocks without probing, the pair sweep
 //! continues its retirement pointer; the window scan keeps no state
 //! between outer positions. Output goes through an [`OutputSink`]: a
-//! worker `fork`s one empty push-only [`BindingSink`] per block, runs the
-//! owner-`accept` filter and `push`es accepted bindings into it — folding
-//! them into the count, rows or id set the reducer wants, not buffering
-//! them — and the caller `absorb`s the blocks in block order. Every
-//! kernel emits along a fixed outer order and its state at an outer
-//! position does not depend on which thread got there, so block `i` holds
-//! exactly the bindings the serial run emits for outer range `i`, in the
-//! same order: the sink ends in the serial state and work units and the
-//! active peak are the serial run's for any thread count. The closure
-//! form [`execute`] is one such sink: its blocks buffer rows replayed into
-//! `on_output` on the caller's thread.
+//! worker `fork`s one empty push-only [`BindingSink`] per block and the
+//! kernel `push`es every owned binding into it — a static call the scan
+//! loop inlines, folding the binding into the count, rows or id set the
+//! reducer wants, not buffering it — and the caller `absorb`s the blocks
+//! in block order. Every kernel emits along a fixed outer order and its
+//! state at an outer position does not depend on which thread got there,
+//! so block `i` holds exactly the bindings the serial run emits for outer
+//! range `i`, in the same order: the sink ends in the serial state and
+//! work units and the active peak are the serial run's for any thread
+//! count. The closure form [`execute`] is one such sink: its blocks buffer
+//! rows that are filtered by its `accept` and replayed into `on_output` on
+//! the caller's thread.
+//!
+//! **Ownership as window bounds.** A reducer keeps only the bindings its
+//! cell owns: per dimension of the reducer matrix, the right-most start
+//! among the dimension's members lies in the cell's start window. The
+//! kernels take that rule as a value, the *owner* (a [`StartWindow`] per
+//! dimension, empty to keep everything), and compile it into each bucket's
+//! level program (`Compiled`) by `lo ≤ max(p, s) ≤ hi ⟺ p ≤ hi ∧ s ≤ hi ∧
+//! (p ≥ lo ∨ s ≥ lo)`: every member's start is capped at `hi` at its own
+//! level, and the level binding a dimension's last member floors its start
+//! at `lo` unless a member bound earlier already starts there. A cap no
+//! start in the bucket exceeds is dropped before compiling. The window
+//! scan intersects the bounds into a level's start ranges (its binary
+//! searches skip unowned candidates), the pair sweep into its inner scan,
+//! the event sweep into each probe level's range pair — its trigger holds
+//! a binding's latest start, so a dimension the trigger belongs to is a
+//! bound on the trigger alone and a miss skips the probe. An unowned
+//! binding is never enumerated, so no per-binding filter is left. A level
+//! picks its scanned view on its checks alone, so the owned run emits the
+//! unowned run's owned bindings in the same order, with no more work.
 //!
 //! **Streaming reducers.** A reducer drains its pull-based
 //! [`ij_mapreduce::ValueStream`] once, in emission order, into
@@ -74,23 +94,30 @@ pub use sink::{BindingSink, OutputSink};
 use crate::executor::Candidates;
 use crate::output::OutputMode;
 use crate::records::OutRec;
-use ij_interval::{AllenPredicate, Interval, TupleId};
+use ij_interval::{AllenPredicate, Interval, Time, TupleId};
 use ij_mapreduce::metrics::names::{self, Counter};
 use ij_mapreduce::ReduceCtx;
 use ij_query::{AttrRef, JoinQuery};
 use std::any::Any;
 use std::cmp::{Ordering, Reverse};
-use std::ops::Range;
+use std::ops::{Bound, Range};
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// Sink for complete bindings: one row per side, in side order (for a
-/// single-attribute bucket an `(interval, tuple)` per relation).
-pub(crate) type Emit<'a, R = (Interval, TupleId)> = dyn FnMut(&[R]) + 'a;
+use window::Row;
 
 /// A `(side, slot)` position: a relation and its attribute, or a
 /// composite side and one of the intervals its records carry.
 pub type Slot = (usize, usize);
+
+/// One dimension of a bucket's *owner*: the bucket keeps a binding only
+/// when the right-most start among the binding's `members` slots lies in
+/// `lo..=hi` (DESIGN.md §5). An owner is a list of them, every one of
+/// which must hold; the empty owner keeps every binding. Members are never
+/// empty.
+pub type StartWindow<'a> = (Time, Time, &'a [Slot]);
+
+/// Bounds on a slot's start point.
+type StartRange = (Bound<Time>, Bound<Time>);
 
 /// `left pred right` between two slots.
 pub type SlotCondition = (Slot, AllenPredicate, Slot);
@@ -263,18 +290,102 @@ fn slot_conditions(q: &JoinQuery) -> Vec<SlotCondition> {
 /// slot — the one most of its checks constrain, the lowest on a tie, 0
 /// without checks — and filters its `others`. A single-attribute query
 /// is the one-slot case.
+///
+/// `owned[level]` is the bucket's owner compiled into start bounds on the
+/// level's slots ([`Owned`]); a slot it bounds that no check constrains
+/// joins the level's `others`, after the checked ones.
 #[derive(Debug)]
 pub(crate) struct Compiled {
     pub(crate) order: Vec<usize>,
     pub(crate) checks: Vec<Vec<(Slot, AllenPredicate, usize)>>,
     pub(crate) key: Vec<usize>,
     pub(crate) others: Vec<Vec<usize>>,
+    pub(crate) owned: Vec<Owned>,
+}
+
+/// The owner's start bounds at one level of a [`Compiled`] program. A
+/// dimension `(lo, hi, members)` holds iff every member starts at most
+/// `hi` and some member starts at `lo` or later — for members bound
+/// earlier with right-most start `p` and a member `s` bound now,
+/// `lo ≤ max(p, s) ≤ hi ⟺ p ≤ hi ∧ s ≤ hi ∧ (p ≥ lo ∨ s ≥ lo)`. So every
+/// member slot is capped at `hi` at its own level, which prunes an
+/// unowned prefix before its subtree, and the level that binds the
+/// dimension's last members floors them at `lo` unless an earlier member
+/// already starts there. An end of the `Time` domain bounds nothing and
+/// compiles to nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Owned {
+    /// `(slot, hi)`: the slot starts at most `hi`.
+    caps: Vec<(usize, Time)>,
+    /// The dimensions whose last members bind at this level.
+    floors: Vec<Floor>,
+}
+
+/// One dimension's `≥ lo` disjunction, at the level of its last members.
+#[derive(Debug)]
+struct Floor {
+    lo: Time,
+    /// The members bound at earlier levels.
+    earlier: Vec<Slot>,
+    /// The member slots this level binds: one for a single-attribute
+    /// bucket, where the floor is a start bound; several when one
+    /// composite side holds them, where it stays a row test.
+    here: Vec<usize>,
+}
+
+impl Floor {
+    /// Whether a member in `bound` (the sides bound before this level)
+    /// already starts at `lo` or later.
+    fn met<R: Row>(&self, bound: &[R]) -> bool {
+        (self.earlier.iter()).any(|&(side, slot)| bound[side].at(slot).start() >= self.lo)
+    }
+}
+
+impl Owned {
+    /// The slots [`Owned::bounds`] may bound.
+    fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        let floors = self.floors.iter().filter(|f| f.here.len() == 1);
+        (self.caps.iter().map(|c| c.0)).chain(floors.flat_map(|f| f.here.iter().copied()))
+    }
+
+    /// The start range of a slot per bound on it, given the sides `bound`
+    /// before this level; the floors over several slots are
+    /// [`Owned::holds`]'s.
+    pub(crate) fn bounds<'s, R: Row>(
+        &'s self,
+        bound: &'s [R],
+    ) -> impl Iterator<Item = (usize, StartRange)> + 's {
+        let caps =
+            (self.caps.iter()).map(|&(slot, hi)| (slot, (Bound::Unbounded, Bound::Included(hi))));
+        let floors = (self.floors.iter()).filter_map(move |f| match f.here[..] {
+            [slot] if !f.met(bound) => Some((slot, (Bound::Included(f.lo), Bound::Unbounded))),
+            _ => None,
+        });
+        caps.chain(floors)
+    }
+
+    /// `range` narrowed by every bound on a slot of a one-slot row.
+    pub(crate) fn narrow<R: Row>(&self, bound: &[R], range: StartRange) -> StartRange {
+        (self.bounds(bound)).fold(range, |r, (_, b)| ranges::intersect_range(r, b))
+    }
+
+    /// Whether `row` meets every floor over several of its slots.
+    pub(crate) fn holds<R: Row>(&self, bound: &[R], row: R) -> bool {
+        (self.floors.iter())
+            .filter(|f| f.here.len() > 1)
+            .all(|f| f.met(bound) || f.here.iter().any(|&s| row.at(s).start() >= f.lo))
+    }
 }
 
 impl Compiled {
-    /// `conditions` binding sides in `order`, a permutation of the sides.
-    /// A condition within one side is the caller's filter, not a check.
-    pub(crate) fn new(order: Vec<usize>, conditions: &[SlotCondition]) -> Compiled {
+    /// `conditions` binding sides in `order`, a permutation of the sides,
+    /// with `owner` compiled in. A condition within one side is the
+    /// caller's filter, not a check.
+    pub(crate) fn new(
+        order: Vec<usize>,
+        conditions: &[SlotCondition],
+        owner: &[StartWindow],
+    ) -> Compiled {
         let n = order.len();
         let mut level_of = vec![0; n];
         for (level, &side) in order.iter().enumerate() {
@@ -289,7 +400,8 @@ impl Compiled {
                 Ordering::Equal => {}
             }
         }
-        let (mut key, mut others) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let (mut key, mut others): (Vec<usize>, Vec<Vec<usize>>) =
+            (Vec::with_capacity(n), Vec::with_capacity(n));
         for level in &checks {
             // Most checks first, the lowest slot on a tie.
             let count = |s: usize| level.iter().filter(|c| c.2 == s).count();
@@ -299,13 +411,54 @@ impl Compiled {
             key.push(slots.first().copied().unwrap_or(0));
             others.push(slots.into_iter().skip(1).collect());
         }
+        let mut owned: Vec<Owned> = (0..n).map(|_| Owned::default()).collect();
+        for &(lo, hi, members) in owner {
+            let level = |&(side, _): &Slot| level_of[side];
+            let last = members
+                .iter()
+                .map(level)
+                .max()
+                .expect("a dimension has members");
+            if hi < Time::MAX {
+                for m in members {
+                    owned[level(m)].caps.push((m.1, hi));
+                }
+            }
+            if lo > Time::MIN {
+                let (here, earlier): (Vec<Slot>, Vec<Slot>) =
+                    members.iter().partition(|m| level(m) == last);
+                let here = here.into_iter().map(|m| m.1).collect();
+                owned[last].floors.push(Floor { lo, earlier, here });
+            }
+        }
+        for ((own, &key), others) in owned.iter().zip(&key).zip(&mut others) {
+            for slot in own.slots() {
+                if slot != key && !others.contains(&slot) {
+                    others.push(slot);
+                }
+            }
+        }
         Compiled {
             order,
             checks,
             key,
             others,
+            owned,
         }
     }
+}
+
+/// `owner` over a bucket whose slot `s` starts at `latest(s)` or before:
+/// a dimension whose members all start at or before its `hi` could be cut
+/// by no cap, so its `hi` becomes `Time::MAX`, which compiles to none.
+/// Fig. 2's operations never route an interval to a partition before its
+/// start's, so that is every dimension of a routed bucket.
+fn lift_caps<'a>(owner: &[StartWindow<'a>], latest: impl Fn(Slot) -> Time) -> Vec<StartWindow<'a>> {
+    let lift = |&(lo, hi, members): &StartWindow<'a>| {
+        let cut = members.iter().any(|&m| latest(m) > hi);
+        (lo, if cut { hi } else { Time::MAX }, members)
+    };
+    owner.iter().map(lift).collect()
 }
 
 /// The precomputed, immutable structures of one bucket's kernel.
@@ -317,22 +470,21 @@ enum Plan {
 
 /// One prepared single-attribute bucket: everything a chunk needs,
 /// immutable.
-struct Prepared<'c, A> {
+struct Prepared<'c> {
     kind: KernelKind,
     plan: Plan,
     outer_len: usize,
     cands: &'c Candidates,
-    accept: A,
 }
 
 /// `None` for a bucket with an empty relation. Precondition:
 /// `kind.applies_to(q)`.
-fn prepare<'c, A>(
+fn prepare<'c>(
     kind: KernelKind,
     q: &JoinQuery,
     cands: &'c Candidates,
-    accept: A,
-) -> Option<Prepared<'c, A>> {
+    owner: &[StartWindow],
+) -> Option<Prepared<'c>> {
     assert!(
         cands.is_sorted(),
         "Candidates::finish must be called before joining"
@@ -340,10 +492,14 @@ fn prepare<'c, A>(
     if cands.any_empty() {
         return None;
     }
+    // Every list is non-empty and sorted by start.
+    let owner = &lift_caps(owner, |(r, _)| {
+        cands.list(r).last().map_or(Time::MIN, |c| c.0.start())
+    });
     let plan = match kind {
-        KernelKind::PairSweep => Plan::Pair(sweep::PairSweep::new(q, cands)),
-        KernelKind::EventSweep => Plan::Event(event_sweep::EventSweepPlan::new(q, cands)),
-        KernelKind::Window => Plan::Window(window::WindowPlan::of_query(q, cands)),
+        KernelKind::PairSweep => Plan::Pair(sweep::PairSweep::new(q, cands, owner)),
+        KernelKind::EventSweep => Plan::Event(event_sweep::EventSweepPlan::new(q, cands, owner)),
+        KernelKind::Window => Plan::Window(window::WindowPlan::of_query(q, cands, owner)),
     };
     let outer_len = match &plan {
         Plan::Pair(p) => p.outer_len(),
@@ -355,7 +511,6 @@ fn prepare<'c, A>(
         plan,
         outer_len,
         cands,
-        accept,
     })
 }
 
@@ -368,8 +523,8 @@ trait Chunks {
     /// The carry of a thread that has run no block yet.
     fn start(&self) -> Self::Carry<'_>;
     /// Covers the level-0 positions `outer` on the calling thread, pushing
-    /// every accepted binding into `sink`. `outer` starts at or after the
-    /// end of every range `carry` ran before.
+    /// every owned binding into `sink`. `outer` starts at or after the end
+    /// of every range `carry` ran before.
     fn run<K: BindingSink>(
         &self,
         carry: &mut Self::Carry<'_>,
@@ -386,7 +541,7 @@ enum Carry<'a> {
     Window(&'a window::WindowPlan),
 }
 
-impl<A: Fn(&[(Interval, TupleId)]) -> bool> Chunks for Prepared<'_, A> {
+impl Chunks for Prepared<'_> {
     type Carry<'a>
         = Carry<'a>
     where
@@ -407,11 +562,7 @@ impl<A: Fn(&[(Interval, TupleId)]) -> bool> Chunks for Prepared<'_, A> {
         sink: &mut K,
     ) -> KernelReport {
         let mut rep = KernelReport::idle(self.kind);
-        let emit: &mut Emit<'_> = &mut |a| {
-            if (self.accept)(a) {
-                sink.push(a)
-            }
-        };
+        let emit = &mut |a: &[(Interval, TupleId)]| sink.push(a);
         match carry {
             Carry::Pair(c) => c.run(outer, emit, &mut rep.work),
             Carry::Event(c) => c.run(outer, emit, &mut rep.work, &mut rep.active_peak),
@@ -421,27 +572,28 @@ impl<A: Fn(&[(Interval, TupleId)]) -> bool> Chunks for Prepared<'_, A> {
     }
 }
 
-/// Runs `q` over `cands` on one thread with the `kind` kernel forced — the
-/// entry point for equivalence tests and benches. Returns `None`, having
-/// run nothing, when `q` lies outside `kind`'s domain: the pair sweep
-/// takes two relations joined by one overlaps/contains-shaped condition,
-/// the event sweep colocation sets whose relation pairs all provably
-/// intersect, the window scan any single-attribute condition set.
+/// Runs `q` over `cands` on one thread with the `kind` kernel forced,
+/// keeping the bindings `owner` owns — the entry point for equivalence
+/// tests and benches. Returns `None`, having run nothing, when `q` lies
+/// outside `kind`'s domain: the pair sweep takes two relations joined by
+/// one overlaps/contains-shaped condition, the event sweep colocation sets
+/// whose relation pairs all provably intersect, the window scan any
+/// single-attribute condition set.
 pub fn execute_kind(
     kind: KernelKind,
     q: &JoinQuery,
     cands: &Candidates,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
+    owner: &[StartWindow],
     on_output: impl FnMut(&[(Interval, TupleId)]),
 ) -> Option<KernelReport> {
-    let arity = q.num_relations() as usize;
+    let mut sink = sink::Replay {
+        arity: q.num_relations() as usize,
+        accept: |_: &[(Interval, TupleId)]| true,
+        on_output,
+    };
     kind.applies_to(q)
-        .then(|| match prepare(kind, q, cands, accept) {
-            Some(prep) => prep.run(
-                &mut prep.start(),
-                0..prep.outer_len,
-                &mut sink::Replay { arity, on_output },
-            ),
+        .then(|| match prepare(kind, q, cands, owner) {
+            Some(prep) => prep.run(&mut prep.start(), 0..prep.outer_len, &mut sink),
             None => KernelReport::idle(kind),
         })
 }
@@ -535,39 +687,38 @@ fn drive<S: OutputSink>(
 }
 
 /// Dispatching kernel execution with heavy-bucket parallelism, feeding an
-/// [`OutputSink`]. Precondition: any single-attribute query; the kernel
-/// is [`planned_kernel`]`(q)`.
+/// [`OutputSink`] the bindings `owner` owns. Precondition: any
+/// single-attribute query; the kernel is [`planned_kernel`]`(q)`.
 ///
 /// When the bucket's total candidate count reaches
 /// `cfg.parallel_threshold` and `cfg.threads > 1`, the outer iteration is
-/// cut into blocks that `cfg.threads` scoped workers pull in order, each
-/// worker running `accept` (hence the `Sync` bound); the sink ends in the
-/// serial run's state for every thread count, as do `work` and
-/// `active_peak`.
+/// cut into blocks that `cfg.threads` scoped workers pull in order; the
+/// sink ends in the serial run's state for every thread count, as do
+/// `work` and `active_peak`.
 pub fn execute_into(
     q: &JoinQuery,
     cands: &Candidates,
     cfg: &KernelConfig,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool + Sync,
+    owner: &[StartWindow],
     sink: &mut impl OutputSink,
 ) -> KernelReport {
     let kind = planned_kernel(q);
     let total = cands.lists.iter().map(Vec::len).sum();
-    match prepare(kind, q, cands, accept) {
+    match prepare(kind, q, cands, owner) {
         Some(prep) => drive(kind, (prep.outer_len, total), cfg, &prep, sink),
         None => KernelReport::idle(kind),
     }
 }
 
-/// The closure form of [`execute_into`]: `on_output` observes every
-/// accepted binding on the calling thread, in serial emission order.
-/// Precondition: any single-attribute query (same predicate-class
-/// routing as [`execute_into`]).
+/// The closure form of [`execute_into`] with no owner: `on_output`
+/// observes every binding `accept` admits on the calling thread, in serial
+/// emission order. Precondition: any single-attribute query (same
+/// predicate-class routing as [`execute_into`]).
 ///
 /// On the parallel path each outer block buffers its rows (intervals and
-/// ids) and the caller replays them in block order once every worker has
-/// finished — reducers that only count, collect rows or build a set
-/// should pass a folding sink to [`execute_into`] instead.
+/// ids) and the caller filters and replays them in block order once every
+/// worker has finished — reducers that only count, collect rows or build a
+/// set should pass a folding sink to [`execute_into`] instead.
 pub fn execute<A, F>(
     q: &JoinQuery,
     cands: &Candidates,
@@ -581,9 +732,10 @@ where
 {
     let mut sink = sink::Replay {
         arity: q.num_relations() as usize,
+        accept,
         on_output,
     };
-    execute_into(q, cands, cfg, accept, &mut sink)
+    execute_into(q, cands, cfg, &[], &mut sink)
 }
 
 /// Runs a bucket inside a reducer: `run` joins it under the engine's
@@ -621,10 +773,10 @@ pub fn reduce_into(
     ctx: &mut ReduceCtx,
     q: &JoinQuery,
     cands: &Candidates,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool + Sync,
+    owner: &[StartWindow],
     sink: &mut impl OutputSink,
 ) -> KernelReport {
-    reduce_with(ctx, |cfg| execute_into(q, cands, cfg, accept, sink))
+    reduce_with(ctx, |cfg| execute_into(q, cands, cfg, owner, sink))
 }
 
 /// The tail of every join reducer, single-attribute or composite:
@@ -645,7 +797,8 @@ pub(crate) fn reduce_rec(
 }
 
 /// The reducer of a join cycle: [`reduce_into`] with the sink `mode`
-/// calls for, leaving in `out` the reducer's one record — its
+/// calls for, keeping the bindings `owner` owns, leaving in `out` the
+/// reducer's one record — its
 /// `OutRec::Rows` table when materializing, its `OutRec::Count` when
 /// counting, nothing if it found no tuple — plus the `join.candidates` /
 /// `join.emitted` counters. Precondition: any single-attribute query.
@@ -654,13 +807,13 @@ pub fn reduce_join(
     q: &JoinQuery,
     cands: &Candidates,
     mode: OutputMode,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool + Sync,
+    owner: &[StartWindow],
     out: &mut Vec<OutRec>,
 ) -> KernelReport {
     let rec = OutRec::new(mode, q.num_relations() as usize);
     reduce_rec(ctx, rec, out, |cfg, rec| match rec {
-        OutRec::Count(n) => execute_into(q, cands, cfg, accept, n),
-        OutRec::Rows(rows) => execute_into(q, cands, cfg, accept, rows),
+        OutRec::Count(n) => execute_into(q, cands, cfg, owner, n),
+        OutRec::Rows(rows) => execute_into(q, cands, cfg, owner, rows),
     })
 }
 
@@ -728,9 +881,9 @@ mod tests {
             |a| got.extend(a.iter().map(|(_, t)| *t)),
         );
         let mut count = 0u64;
-        let count_rep = execute_into(q, c, &cfg, |_| true, &mut count);
+        let count_rep = execute_into(q, c, &cfg, &[], &mut count);
         let mut rows = Tuples::new(q.num_relations() as usize);
-        let rows_rep = execute_into(q, c, &cfg, |_| true, &mut rows);
+        let rows_rep = execute_into(q, c, &cfg, &[], &mut rows);
         let arity = q.num_relations() as usize;
         assert_eq!(count as usize * arity, got.len(), "threads = {threads}");
         assert_eq!(rows.iter().flatten().copied().collect::<Vec<_>>(), got);
@@ -769,7 +922,7 @@ mod tests {
     /// domain).
     fn forced(kind: KernelKind, q: &JoinQuery, c: &Candidates) -> Vec<Vec<TupleId>> {
         let (_, mut got) = collect(|e| {
-            execute_kind(kind, q, c, |_| true, |a| e(a))
+            execute_kind(kind, q, c, &[], |a| e(a))
                 .expect("query in the kernel's domain")
                 .work
         });
@@ -833,7 +986,7 @@ mod tests {
         let c3 = random_cands(3, 10, 1);
         let c2 = random_cands(2, 10, 1);
         let refused = |kind, q: &JoinQuery, c: &Candidates| {
-            execute_kind(kind, q, c, |_| true, |_| panic!("nothing may run")).is_none()
+            execute_kind(kind, q, c, &[], |_| panic!("nothing may run")).is_none()
         };
         let chain = JoinQuery::chain(&[Overlaps, Overlaps]).unwrap();
         assert!(refused(KernelKind::PairSweep, &chain, &c3));
@@ -848,7 +1001,7 @@ mod tests {
             &JoinQuery::chain(&[Before]).unwrap(),
             &c2
         ));
-        let rep = execute_kind(KernelKind::Window, &chain, &c3, |_| true, |_| {}).unwrap();
+        let rep = execute_kind(KernelKind::Window, &chain, &c3, &[], |_| {}).unwrap();
         assert_eq!(rep.kind, KernelKind::Window);
     }
 
@@ -915,7 +1068,7 @@ mod tests {
         let q = clique3();
         let c = random_cands(3, 30, 5);
         let mut ctx = ReduceCtx::new(0);
-        let rep = reduce_into(&mut ctx, &q, &c, |_| true, &mut 0u64);
+        let rep = reduce_into(&mut ctx, &q, &c, &[], &mut 0u64);
         assert_eq!(rep.kind, KernelKind::EventSweep);
         assert_eq!(ctx.counters().get("kernel.event_sweep_buckets"), 1);
         assert_eq!(ctx.counters().get("kernel.active_peak"), rep.active_peak);
@@ -1039,7 +1192,7 @@ mod tests {
                 }
                 c.finish();
                 let keys = outer_keys(kind, &c);
-                let prep = prepare(kind, &q, &c, |_: &[(Interval, TupleId)]| true).unwrap();
+                let prep = prepare(kind, &q, &c, &[]).unwrap();
                 let n = prep.outer_len;
                 assert_eq!(n, keys.len());
                 let mut cuts: Vec<usize> = (0..rng.gen_range(2..14))
@@ -1068,21 +1221,37 @@ mod tests {
     }
 
     #[test]
-    fn accept_filter_runs_in_parallel_path() {
+    fn owner_windows_run_in_parallel_path() {
         let q = JoinQuery::chain(&[Overlaps]).unwrap();
         let c = random_cands(2, 50, 9);
         let cfg = KernelConfig {
             threads: 4,
             parallel_threshold: 0,
         };
-        let mut par = Vec::new();
-        let rep = execute(&q, &c, &cfg, |a| a[1].1 % 2 == 0, |a| par.push(a[1].1));
+        // The bindings whose right-most start lies in 20..=39.
+        let members = [(0, 0), (1, 0)];
+        let owned =
+            |a: &[(Interval, TupleId)]| (20..=39).contains(&a[0].0.start().max(a[1].0.start()));
+        let run = |cfg: &KernelConfig, owner: &[StartWindow]| {
+            let mut got = Vec::new();
+            let mut sink = sink::Replay {
+                arity: 2,
+                accept: |_: &[(Interval, TupleId)]| true,
+                on_output: |a: &[(Interval, TupleId)]| got.push((a[0].1, a[1].1, owned(a))),
+            };
+            let rep = execute_into(&q, &c, cfg, owner, &mut sink);
+            (got, rep)
+        };
+        let owner = [(20, 39, &members[..])];
+        let (par, rep) = run(&cfg, &owner);
         assert!(rep.parallel_chunks > 1);
-        let mut ser = Vec::new();
-        let serial = KernelConfig::serial();
-        execute(&q, &c, &serial, |a| a[1].1 % 2 == 0, |a| ser.push(a[1].1));
+        let (ser, _) = run(&KernelConfig::serial(), &owner);
         assert_eq!(par, ser);
-        assert!(par.iter().all(|t| t % 2 == 0));
+        assert!(par.iter().all(|&(.., owned)| owned));
+        let (all, _) = run(&KernelConfig::serial(), &[]);
+        let kept: Vec<_> = all.iter().copied().filter(|&(.., owned)| owned).collect();
+        assert!(kept.len() < all.len(), "the owner rejects a share");
+        assert_eq!(par, kept);
     }
 
     #[test]
@@ -1103,14 +1272,7 @@ mod tests {
         let c = random_cands(2, 30, 3);
         let mut ctx = ReduceCtx::new(0);
         let mut out = Vec::new();
-        let rep = reduce_join(
-            &mut ctx,
-            &q,
-            &c,
-            OutputMode::Materialize,
-            |_| true,
-            &mut out,
-        );
+        let rep = reduce_join(&mut ctx, &q, &c, OutputMode::Materialize, &[], &mut out);
         assert_eq!(ctx.work(), rep.work);
         assert_eq!(ctx.counters().get("kernel.sweep_buckets"), 1);
         assert_eq!(ctx.counters().get("kernel.parallel_buckets"), 0);

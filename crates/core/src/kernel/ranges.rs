@@ -52,6 +52,14 @@ pub(crate) fn tighten_upper(a: Bound<Time>, b: Bound<Time>) -> Bound<Time> {
     }
 }
 
+/// The conjunction of two ranges of one endpoint.
+pub(crate) fn intersect_range(
+    a: (Bound<Time>, Bound<Time>),
+    b: (Bound<Time>, Bound<Time>),
+) -> (Bound<Time>, Bound<Time>) {
+    (tighten_lower(a.0, b.0), tighten_upper(a.1, b.1))
+}
+
 /// Range constraints on a candidate interval's start and end points.
 ///
 /// Produced by [`range_pair`] and intersected across all conditions at one
@@ -79,10 +87,8 @@ impl RangePair {
     /// Tightens `self` to the conjunction of both constraint pairs —
     /// how a condition set's Allen predicates compose on one candidate.
     pub fn intersect(&mut self, other: &RangePair) {
-        self.start.0 = tighten_lower(self.start.0, other.start.0);
-        self.start.1 = tighten_upper(self.start.1, other.start.1);
-        self.end.0 = tighten_lower(self.end.0, other.end.0);
-        self.end.1 = tighten_upper(self.end.1, other.end.1);
+        self.start = intersect_range(self.start, other.start);
+        self.end = intersect_range(self.end, other.end);
     }
 
     /// Whether `iv` satisfies both range constraints. Exact for every

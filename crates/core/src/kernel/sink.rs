@@ -1,13 +1,13 @@
-//! Per-block output sinks: where the kernel driver's accepted bindings go
+//! Per-block output sinks: where the kernel driver's owned bindings go
 //! (see the parallelism section of the [module docs](super)).
 
 use crate::output::Tuples;
 use ij_interval::{Interval, TupleId};
 
-/// Consumer of accepted bindings (one `(interval, tuple)` slot per
+/// Consumer of owned bindings (one `(interval, tuple)` slot per
 /// relation, in query order) — all a worker ever does with its chunk.
 pub trait BindingSink {
-    /// Consumes one accepted binding.
+    /// Consumes one owned binding.
     fn push(&mut self, binding: &[(Interval, TupleId)]);
 }
 
@@ -67,12 +67,14 @@ impl OutputSink for Tuples {
     }
 }
 
-/// The closure form of the driver: bindings reach `on_output` directly on
-/// the serial path, and through per-chunk [`Rows`] replayed in chunk order
-/// on the parallel path (the closure never leaves the caller's thread).
-pub(super) struct Replay<F> {
+/// The closure form of the driver: the bindings `accept` admits reach
+/// `on_output` directly on the serial path, and through per-chunk
+/// [`Rows`] filtered and replayed in chunk order on the parallel path
+/// (neither closure leaves the caller's thread).
+pub(super) struct Replay<A, F> {
     /// Relations per binding: the stride of a chunk's row buffer.
     pub(super) arity: usize,
+    pub(super) accept: A,
     pub(super) on_output: F,
 }
 
@@ -95,21 +97,28 @@ impl OutputSink for Rows {
     }
 }
 
-impl<F: FnMut(&[(Interval, TupleId)])> BindingSink for Replay<F> {
+impl<A, F> BindingSink for Replay<A, F>
+where
+    A: Fn(&[(Interval, TupleId)]) -> bool,
+    F: FnMut(&[(Interval, TupleId)]),
+{
     fn push(&mut self, binding: &[(Interval, TupleId)]) {
-        (self.on_output)(binding);
+        if (self.accept)(binding) {
+            (self.on_output)(binding);
+        }
     }
 }
 
-impl<F: FnMut(&[(Interval, TupleId)])> OutputSink for Replay<F> {
+impl<A, F> OutputSink for Replay<A, F>
+where
+    A: Fn(&[(Interval, TupleId)]) -> bool,
+    F: FnMut(&[(Interval, TupleId)]),
+{
     type Chunk = Rows;
     fn fork(&self) -> Rows {
         Rows(Vec::new())
     }
     fn absorb(&mut self, chunk: Rows) {
-        chunk
-            .0
-            .chunks_exact(self.arity)
-            .for_each(&mut self.on_output);
+        chunk.0.chunks_exact(self.arity).for_each(|b| self.push(b));
     }
 }

@@ -6,7 +6,11 @@
 //! an alive list (a path-compressed next-pointer array over the
 //! start-sorted inner list, O(1) amortized deletion and skip). Every alive
 //! candidate inside the outer's start range is then an exact match —
-//! enumeration is output-linear, `O(n log n + output)` overall.
+//! enumeration is output-linear, `O(n log n + output)` overall. The
+//! bucket's owner (see the [module docs](super)) bounds both starts: an
+//! outer interval outside its owned range emits nothing and is skipped,
+//! and the inner scan starts and stops at the owned start range, so an
+//! unowned pair is never enumerated.
 //!
 //! Outer iteration is a contiguous position range of the end order, so the
 //! driver in [`super`] can cut it into blocks. The alive state at an outer
@@ -18,12 +22,12 @@
 //! concatenation of the serial emission order.
 
 use super::scratch::{Lease, Scratch};
-use super::window::end_view;
-use super::Emit;
+use super::window::{end_view, window_by};
+use super::{slot_conditions, Compiled, Owned, StartRange, StartWindow};
 use crate::executor::Candidates;
-use ij_interval::{AllenPredicate, Time};
+use ij_interval::{bounds_contain, AllenPredicate, Interval, Time, TupleId};
 use ij_query::JoinQuery;
-use std::ops::Range;
+use std::ops::{Bound, Range};
 
 /// The sweep structures of one bucket, shared (read-only) across parallel
 /// chunks.
@@ -41,6 +45,10 @@ pub(crate) struct PairSweep {
     /// Inner list positions sorted by ascending `(end, idx)` — the
     /// retirement schedule.
     inner_ends: Vec<(Time, u32)>,
+    /// The owner's start range for an outer interval.
+    outer_owned: StartRange,
+    /// The owner's bounds on an inner interval, given the outer.
+    inner_owned: Owned,
 }
 
 /// `(outer_rel, inner_rel, contains)` when `q` is pair-shaped: two
@@ -81,8 +89,13 @@ fn find(next: &mut [u32], mut i: usize) -> usize {
 
 impl PairSweep {
     /// Precondition: [`eligible`]`(q)`.
-    pub(super) fn new(q: &JoinQuery, cands: &Candidates) -> PairSweep {
+    pub(super) fn new(q: &JoinQuery, cands: &Candidates, owner: &[StartWindow]) -> PairSweep {
         let (outer_rel, inner_rel, contains) = shape(q).expect("pair sweep on a pair-shaped query");
+        let order = vec![outer_rel, inner_rel];
+        let mut owned = Compiled::new(order, &slot_conditions(q), owner).owned;
+        let inner_owned = owned.pop().expect("two levels");
+        let full = (Bound::Unbounded, Bound::Unbounded);
+        let outer_owned = owned[0].narrow::<(Interval, TupleId)>(&[], full);
         let mut outer_order: Vec<u32> = end_view(cands.list(outer_rel), 0)
             .into_iter()
             .map(|(_, i)| i)
@@ -96,6 +109,8 @@ impl PairSweep {
             contains,
             outer_order,
             inner_ends: end_view(cands.list(inner_rel), 0),
+            outer_owned,
+            inner_owned,
         }
     }
 
@@ -136,7 +151,12 @@ pub(super) struct Alive<'a> {
 impl Alive<'_> {
     /// Runs the sweep over `outer` positions of the outer end order, which
     /// start at or after the end of every range this sweep ran before.
-    pub(super) fn run(&mut self, outer: Range<usize>, emit: &mut Emit<'_>, work: &mut u64) {
+    pub(super) fn run<E: FnMut(&[(Interval, TupleId)])>(
+        &mut self,
+        outer: Range<usize>,
+        emit: &mut E,
+        work: &mut u64,
+    ) {
         let p = self.plan;
         let outer_list = self.cands.list(p.outer_rel);
         let inner_list = self.cands.list(p.inner_rel);
@@ -149,6 +169,11 @@ impl Alive<'_> {
             let (o_iv, o_tid) = outer_list[oi as usize];
             let (s1, e1) = (o_iv.start(), o_iv.end());
             *work += 1;
+            // An outer interval outside its owner range is in no owned
+            // pair; the next one retires what this one would have.
+            if !bounds_contain(p.outer_owned, s1) {
+                continue;
+            }
             assignment[p.outer_rel] = (o_iv, o_tid);
             if p.contains {
                 // Alive ⇔ e2 < e1 (outer ends descending ⇒ retire from
@@ -167,12 +192,15 @@ impl Alive<'_> {
                     *retire += 1;
                 }
             }
-            // Every alive inner with s2 ∈ (s1, e1) is a match; in the
+            // Every alive inner with s2 ∈ (s1, e1) is a match, and an
+            // owned one when s2 also lies in the owner's bounds; in the
             // `contains` shape s2 <= e2 < e1 holds for every alive
-            // inner, so the upper bound never cuts the scan short.
-            let from = inner_list.partition_point(|(iv, _)| iv.start() <= s1);
+            // inner, so only the owner's bound can cut the scan short.
+            let (lo, hi) =
+                (p.inner_owned).narrow(assignment, (Bound::Excluded(s1), Bound::Excluded(e1)));
+            let (from, _) = window_by(inner_list, |(iv, _)| iv.start(), lo, Bound::Unbounded);
             let mut j = find(next, from);
-            while j < n && inner_list[j].0.start() < e1 {
+            while j < n && bounds_contain((Bound::Unbounded, hi), inner_list[j].0.start()) {
                 *work += 1;
                 assignment[p.inner_rel] = inner_list[j];
                 emit(assignment);

@@ -15,6 +15,13 @@
 //! window (`e2 > e1`) is often tiny while the start window
 //! (`s2 ∈ (s1, e1)`) is huge.
 //!
+//! The bucket's owner (see the [module docs](super)) narrows each level's
+//! start ranges: the key slot's start window is cut to the owned range
+//! before it is scanned, the other slots' pairs are filtered as before,
+//! and a floor over several slots of one composite side is a row test.
+//! Which view a level scans is decided on the checks alone, so the
+//! emission order is the unowned run's minus the unowned bindings.
+//!
 //! A side gets an end view only when some check on its key slot
 //! constrains the end point ([`constrains_end`]). `before` does not: a
 //! sequence level sorts nothing, always scans the start suffix and *is*
@@ -26,8 +33,8 @@
 //! binding, making chunked output a permutation-free concatenation of the
 //! serial emission order. A one-level program emits from level 0.
 
-use super::ranges::{constrains_end, range_pair};
-use super::{binding_order, slot_conditions, Compiled, Emit, RangePair};
+use super::ranges::{constrains_end, intersect_range, range_pair};
+use super::{binding_order, slot_conditions, Compiled, RangePair, StartWindow};
 use crate::executor::Candidates;
 use ij_interval::{bounds_contain, Interval, Time, TupleId};
 use ij_query::JoinQuery;
@@ -90,6 +97,22 @@ pub(super) fn end_view<R: Row>(list: &[R], slot: usize) -> Vec<(Time, u32)> {
     v
 }
 
+/// A key-sorted list's start window `(from, to)` narrowed to `range`: a
+/// search inside it, or the window itself when `range` is `within`.
+fn narrowed<R: Row>(
+    list: &[R],
+    key: usize,
+    (from, to): (usize, usize),
+    within: (Bound<Time>, Bound<Time>),
+    range: (Bound<Time>, Bound<Time>),
+) -> (usize, usize) {
+    if range == within {
+        return (from, to);
+    }
+    let (a, b) = window_by(&list[from..to], |r| r.at(key).start(), range.0, range.1);
+    (from + a, from + b)
+}
+
 impl WindowPlan {
     /// The plan of `compiled` over `lists`, each side sorted by the start
     /// of its level's key slot.
@@ -109,28 +132,36 @@ impl WindowPlan {
         }
     }
 
-    /// A single-attribute bucket, binding in [`binding_order`].
-    pub(super) fn of_query(q: &JoinQuery, cands: &Candidates) -> WindowPlan {
+    /// A single-attribute bucket, binding in [`binding_order`], keeping
+    /// what `owner` owns.
+    pub(super) fn of_query(q: &JoinQuery, cands: &Candidates, owner: &[StartWindow]) -> WindowPlan {
         let order = binding_order(q, |r| cands.len(r));
-        WindowPlan::new(Compiled::new(order, &slot_conditions(q)), &cands.lists)
+        let compiled = Compiled::new(order, &slot_conditions(q), owner);
+        WindowPlan::new(compiled, &cands.lists)
     }
 
     /// Runs the descent over `outer` positions of the level-0 list, whose
     /// lists are all non-empty.
-    pub(super) fn run<R: Row>(
+    pub(super) fn run<R: Row, E: FnMut(&[R])>(
         &self,
         lists: &[Vec<R>],
         outer: Range<usize>,
-        emit: &mut Emit<'_, R>,
+        emit: &mut E,
         work: &mut u64,
     ) {
         let mut assignment: Vec<R> = lists.iter().map(|l| l[0]).collect();
         // One range pair per non-key slot of every level.
         let others = self.compiled.others.iter().map(Vec::len).sum();
         let mut ranges = vec![RangePair::full(); others];
-        let side0 = self.compiled.order[0];
+        let (side0, own) = (self.compiled.order[0], &self.compiled.owned[0]);
         *work += outer.len() as u64;
         for &row in &lists[side0][outer] {
+            // Level 0 binds after nothing: its bounds are static.
+            let owned =
+                (own.bounds::<R>(&[])).all(|(slot, b)| bounds_contain(b, row.at(slot).start()));
+            if !owned || !own.holds::<R>(&[], row) {
+                continue;
+            }
             assignment[side0] = row;
             if self.compiled.order.len() == 1 {
                 emit(&assignment);
@@ -143,18 +174,19 @@ impl WindowPlan {
     /// Binds `level` (at least 1 and below the arity) and everything
     /// after it. The last level emits from inside its scan loop: one call
     /// per binding instead of two.
-    fn descend<R: Row>(
+    fn descend<R: Row, E: FnMut(&[R])>(
         &self,
         lists: &[Vec<R>],
         level: usize,
         assignment: &mut [R],
         ranges: &mut [RangePair],
-        emit: &mut Emit<'_, R>,
+        emit: &mut E,
         work: &mut u64,
     ) {
         let side = self.compiled.order[level];
         let last = level + 1 == self.compiled.order.len();
         let (key, others) = (self.compiled.key[level], &self.compiled.others[level]);
+        let own = &self.compiled.owned[level];
         let (rps, deeper) = ranges.split_at_mut(others.len());
         rps.fill(RangePair::full());
         let mut rp = RangePair::full();
@@ -165,23 +197,36 @@ impl WindowPlan {
                 None => rp.intersect(&pair),
             }
         }
-        let others_hold = |row: R| {
-            R::ONE_SLOT || (others.iter().zip(rps.iter())).all(|(&s, r)| r.contains(row.at(s)))
+        // The owner's bounds narrow the key slot's start range to `owned`
+        // and the other slots' pairs; the scanned view is picked on the
+        // checks alone, so the emission order is the unowned run's.
+        let mut owned = rp.start;
+        for (slot, b) in own.bounds(assignment) {
+            match others.iter().position(|&s| s == slot) {
+                Some(i) => rps[i].start = intersect_range(rps[i].start, b),
+                None => owned = intersect_range(owned, b),
+            }
+        }
+        let others_hold = |row: R, bound: &[R]| {
+            R::ONE_SLOT
+                || ((others.iter().zip(rps.iter())).all(|(&s, r)| r.contains(row.at(s)))
+                    && own.holds(bound, row))
         };
         let list = &lists[side];
         let ends = &self.ends[side];
-        let (sfrom, sto) = window_by(list, |r| r.at(key).start(), rp.start.0, rp.start.1);
+        let start_window = window_by(list, |r| r.at(key).start(), rp.start.0, rp.start.1);
+        let (sfrom, sto) = start_window;
         // Scan the narrower window, filter by the other range — exact
         // either way.
         let end_window = (!ends.is_empty())
             .then(|| window_by(ends, |&(e, _)| e, rp.end.0, rp.end.1))
             .filter(|&(efrom, eto)| eto - efrom < sto - sfrom);
-        *work += end_window.map_or(sto - sfrom, |(efrom, eto)| eto - efrom) as u64;
         match end_window {
             Some((efrom, eto)) => {
+                *work += (eto - efrom) as u64;
                 for &(_, idx) in &ends[efrom..eto] {
                     let row = list[idx as usize];
-                    if bounds_contain(rp.start, row.at(key).start()) && others_hold(row) {
+                    if bounds_contain(owned, row.at(key).start()) && others_hold(row, assignment) {
                         assignment[side] = row;
                         if last {
                             emit(assignment);
@@ -192,8 +237,10 @@ impl WindowPlan {
                 }
             }
             None => {
-                for &row in &list[sfrom..sto] {
-                    if bounds_contain(rp.end, row.at(key).end()) && others_hold(row) {
+                let (from, to) = narrowed(list, key, start_window, rp.start, owned);
+                *work += (to - from) as u64;
+                for &row in &list[from..to] {
+                    if bounds_contain(rp.end, row.at(key).end()) && others_hold(row, assignment) {
                         assignment[side] = row;
                         if last {
                             emit(assignment);
@@ -230,7 +277,7 @@ mod tests {
         let c = cands(4, 20);
         for preds in [vec![Before], vec![Before, Before], vec![Before; 3]] {
             let q = JoinQuery::chain(&preds).unwrap();
-            let plan = WindowPlan::of_query(&q, &c);
+            let plan = WindowPlan::of_query(&q, &c, &[]);
             assert!(plan.ends.iter().all(Vec::is_empty), "{q}");
         }
     }
@@ -239,7 +286,7 @@ mod tests {
     fn end_views_follow_the_levels_that_constrain_the_end() {
         let c = cands(3, 20);
         let q = JoinQuery::chain(&[Overlaps, Before]).unwrap();
-        let plan = WindowPlan::of_query(&q, &c);
+        let plan = WindowPlan::of_query(&q, &c, &[]);
         assert_eq!(plan.compiled.order, vec![0, 1, 2]);
         let built: Vec<bool> = plan.ends.iter().map(|v| !v.is_empty()).collect();
         assert_eq!(built, vec![false, true, false]);
@@ -252,7 +299,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let plan = WindowPlan::of_query(&q, &c);
+        let plan = WindowPlan::of_query(&q, &c, &[]);
         let level_of_2 = plan.compiled.order.iter().position(|&r| r == 2).unwrap();
         assert_eq!(plan.compiled.checks[level_of_2], vec![((1, 0), After, 0)]);
         assert!(!plan.ends[2].is_empty());

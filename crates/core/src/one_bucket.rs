@@ -112,7 +112,7 @@ impl Algorithm for OneBucketTheta {
                     cands.push(v.rel.idx(), v.iv, v.tid);
                 }
                 cands.finish();
-                kernel::reduce_join(ctx, &q, &cands, mode, |_| true, out);
+                kernel::reduce_join(ctx, &q, &cands, mode, &[], out);
             },
         )?;
         let mut chain = JobChain::new();

@@ -121,7 +121,7 @@ pub fn mark_with_options(
                 .collect(),
         );
         let (sub, serial) = (induced(q, &members), KernelConfig::serial());
-        work += kernel::execute_into(&sub, &cands, &serial, |_| true, &mut found).work;
+        work += kernel::execute_into(&sub, &cands, &serial, &[], &mut found).work;
         for (&r, found) in members.iter().zip(found.0) {
             (hits[r].iter_mut().zip(found)).for_each(|(hit, f)| *hit |= f);
         }

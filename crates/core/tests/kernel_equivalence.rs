@@ -22,6 +22,7 @@
 use ij_core::executor::Candidates;
 use ij_core::kernel::composite::CompositeJoin;
 use ij_core::kernel::{self, BindingSink, KernelConfig, KernelKind, OutputSink};
+use ij_core::kernel::{Slot, SlotCondition, StartWindow};
 use ij_core::oracle::{oracle_join, reference_join};
 use ij_core::records::{CompRec, IvRec, OutRec};
 use ij_core::{JoinInput, OutputMode, Tuples};
@@ -30,6 +31,8 @@ use ij_mapreduce::metrics::names;
 use ij_mapreduce::{ClusterConfig, Emitter, Engine, ReduceCtx, ValueStream};
 use ij_query::{Condition, JoinQuery};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// One relation's worth of random intervals: `(start, len)` pairs over a
 /// span small enough that every predicate (including the point-equality
@@ -81,6 +84,17 @@ fn build_inputs(q: &JoinQuery, rels: &[Vec<Interval>]) -> (Candidates, JoinInput
 
 type Rows = Vec<Vec<TupleId>>;
 
+/// The per-binding ownership test the kernels' owner windows replaced,
+/// kept as their reference: in every `(lo, hi, members)` dimension the
+/// right-most start among the members (`start` of a slot) lies in
+/// `lo..=hi`.
+fn owns(owner: &[StartWindow], start: impl Fn(Slot) -> i64) -> bool {
+    (owner.iter()).all(|&(lo, hi, members)| {
+        let latest = members.iter().map(|&m| start(m)).max();
+        latest.is_some_and(|t| lo <= t && t <= hi)
+    })
+}
+
 fn tids(a: &[(Interval, TupleId)]) -> Vec<TupleId> {
     a.iter().map(|(_, t)| *t).collect()
 }
@@ -90,7 +104,7 @@ fn tids(a: &[(Interval, TupleId)]) -> Vec<TupleId> {
 /// something else.
 fn forced(kind: KernelKind, q: &JoinQuery, cands: &Candidates) -> Rows {
     let mut got: Rows = Vec::new();
-    let rep = kernel::execute_kind(kind, q, cands, |_| true, |a| got.push(tids(a)))
+    let rep = kernel::execute_kind(kind, q, cands, &[], |a| got.push(tids(a)))
         .unwrap_or_else(|| panic!("{q} is outside {kind:?}'s domain"));
     assert_eq!(rep.kind, kind, "{q}");
     got.sort();
@@ -318,13 +332,16 @@ proptest! {
     }
 
     /// The folding sinks are invisible too: on every kernel kind (the
-    /// window scan on a colocation, a sequence and a mixed set), for threads 1/2/3/8 × "always chunk"/"never chunk", the
-    /// count sink equals the serial count, the tuple sink's rows are the
-    /// serial closure run's rows in the same order, and work and active
-    /// peak do not move.
+    /// window scan on a colocation, a sequence and a mixed set), under an
+    /// owner window that rejects a share of the bindings, for threads
+    /// 1/2/3/8 × "always chunk"/"never chunk", the count sink equals the
+    /// serial count, the tuple sink's rows are the serial closure run's
+    /// owned rows in the same order, and work and active peak do not move
+    /// from the serial owned run's.
     #[test]
     fn sinks_match_serial_closure_on_every_kernel(
         seed_rels in proptest::array::uniform3(rel_strategy()),
+        (lo, len) in (0i64..30, 0i64..30),
     ) {
         use AllenPredicate::*;
         for (q, kind) in [
@@ -336,21 +353,22 @@ proptest! {
         ] {
             prop_assert_eq!(kernel::planned_kernel(&q), kind);
             let (cands, _) = build_inputs(&q, &seed_rels[..q.num_relations() as usize]);
-            let accept = |a: &[(Interval, TupleId)]| {
-                a.iter().map(|(_, t)| *t as u64).sum::<u64>() % 5 != 1
-            };
             let arity = q.num_relations() as usize;
+            let members: Vec<Slot> = (0..arity).map(|r| (r, 0)).collect();
+            let owner = [(lo, lo + len, members.as_slice())];
+            let accept = |a: &[(Interval, TupleId)]| owns(&owner, |(r, _)| a[r].0.start());
             let mut base: Rows = Vec::new();
-            let base_rep = kernel::execute(&q, &cands, &KernelConfig::serial(), accept, |a| {
+            kernel::execute(&q, &cands, &KernelConfig::serial(), accept, |a| {
                 base.push(tids(a))
             });
+            let base_rep = kernel::execute_into(&q, &cands, &KernelConfig::serial(), &owner, &mut 0u64);
             for threads in [1usize, 2, 3, 8] {
                 for parallel_threshold in [0usize, usize::MAX] {
                     let cfg = KernelConfig { threads, parallel_threshold };
                     let mut count = 0u64;
-                    let count_rep = kernel::execute_into(&q, &cands, &cfg, accept, &mut count);
+                    let count_rep = kernel::execute_into(&q, &cands, &cfg, &owner, &mut count);
                     let mut rows = Tuples::new(arity);
-                    let rows_rep = kernel::execute_into(&q, &cands, &cfg, accept, &mut rows);
+                    let rows_rep = kernel::execute_into(&q, &cands, &cfg, &owner, &mut rows);
                     let at = format!("{q} threads {threads} threshold {parallel_threshold}");
                     prop_assert_eq!(count, base.len() as u64, "count sink, {}", at);
                     prop_assert_eq!(rows.iter().collect::<Vec<_>>(), base.clone(), "tuple sink, {}", at);
@@ -384,11 +402,7 @@ fn side_records(side: u16, ids: usize, slots: &[&[Interval]]) -> Vec<CompRec> {
 
 /// The sorted rows of `join` over `records` by brute force: every record
 /// combination, one per side, checked condition by condition with `holds`.
-fn composite_brute_force(
-    join: &CompositeJoin,
-    records: &[CompRec],
-    accept: &(dyn Fn(&[&CompRec]) -> bool + Sync),
-) -> Rows {
+fn composite_brute_force(join: &CompositeJoin, records: &[CompRec], owner: &[StartWindow]) -> Rows {
     let mut lists: Vec<Vec<&CompRec>> = vec![Vec::new(); join.sides];
     for rec in records {
         lists[rec.side as usize].push(rec);
@@ -402,7 +416,7 @@ fn composite_brute_force(
         let b: Vec<&CompRec> = (0..join.sides).map(|s| lists[s][idx[s]]).collect();
         let holds = (join.conditions.iter())
             .all(|&((ls, la), p, (rs, ra))| p.holds(b[ls].ivs[la], b[rs].ivs[ra]));
-        if holds && accept(&b) {
+        if holds && owns(owner, |(s, k)| b[s].ivs[k].start()) {
             rows.push(join.gather.iter().map(|&(s, k)| b[s].tids[k]).collect());
         }
         // Odometer.
@@ -424,11 +438,12 @@ fn composite_brute_force(
 
 /// For threads 1, 2 and 8 at threshold 0, `join` writes the same rows in
 /// the same order with the same work, counts as many rows, and finds the
-/// brute force's rows. Returns whether any run was cut into chunks.
+/// brute force's rows that `owner` owns. Returns whether any run was cut
+/// into chunks.
 fn assert_composite_chunking_invariant(
     join: &CompositeJoin,
     records: &[CompRec],
-    accept: &(dyn Fn(&[&CompRec]) -> bool + Sync),
+    owner: &[StartWindow],
 ) -> bool {
     let run = |threads: usize, mode: OutputMode| {
         let cfg = KernelConfig {
@@ -436,7 +451,7 @@ fn assert_composite_chunking_invariant(
             parallel_threshold: 0,
         };
         let mut out = OutRec::new(mode, join.gather.len());
-        let rep = join.join_into(records, &cfg, accept, &mut out);
+        let rep = join.join_into(records, &cfg, owner, &mut out);
         assert_eq!(rep.kind, KernelKind::Window);
         (out, rep)
     };
@@ -449,7 +464,7 @@ fn assert_composite_chunking_invariant(
     sorted.sort();
     assert_eq!(
         sorted,
-        composite_brute_force(join, records, accept),
+        composite_brute_force(join, records, owner),
         "{join:?}"
     );
     let mut chunked = false;
@@ -503,13 +518,13 @@ fn q5() -> JoinQuery {
 /// [`assert_composite_chunking_invariant`]: a cascade stage (2-slot
 /// composites × base records), an FCTS matrix with a side no condition
 /// mentions, Q5 through Gen-Matrix's join with a condition within one
-/// side and an ownership `accept`, and FSTC's one-side filter (a
-/// one-level program). Returns whether any run was cut into chunks.
+/// side and an owner, and FSTC's one-side filter (a one-level program).
+/// Returns whether any run was cut into chunks.
 fn composite_shapes_are_chunking_invariant(rels: &[Vec<Interval>; 4], points: &[i64]) -> bool {
     use AllenPredicate::*;
     let point: Vec<Interval> = points.iter().map(|&p| Interval::point(p)).collect();
     let (a, b, c, d) = (&rels[0][..], &rels[1][..], &rels[2][..], &rels[3][..]);
-    let any: &(dyn Fn(&[&CompRec]) -> bool + Sync) = &|_| true;
+    let any = &[];
     let mut chunked = false;
 
     // Cascade stage: composites over (A, B) meet the new relation C on
@@ -540,14 +555,15 @@ fn composite_shapes_are_chunking_invariant(rels: &[Vec<Interval>; 4], points: &[
     chunked |= assert_composite_chunking_invariant(&matrix, &records, any);
 
     // Q5, plus `R3.A before R3.B` within one side; a binding is owned
-    // where its latest interval start falls in an even cell.
+    // where the latest start of its intervals falls in 8..=23, and the
+    // latest of `R3`'s two points is 1 or 2.
     let q = q5();
     let mut gen = CompositeJoin::of_query(&q, OutputMode::Materialize);
     gen.conditions.push(((2, 1), Before, (2, 2)));
-    let owned = |bind: &[&CompRec]| {
-        let latest = bind.iter().map(|r| r.ivs[0].start()).max().unwrap_or(0);
-        latest.div_euclid(8) % 2 == 0
-    };
+    let owned: [StartWindow; 2] = [
+        (8, 23, &[(0, 0), (1, 0), (2, 0)]),
+        (1, 2, &[(2, 1), (2, 2)]),
+    ];
     let mut records = side_records(0, 1, &[a, &point]);
     records.extend(side_records(1, 1, &[b, &point[5..]]));
     records.extend(side_records(2, 1, &[c, &point[3..], &point[7..]]));
@@ -673,7 +689,8 @@ fn parallel_count_reduce_join_never_buffers_rows() {
                         cands.push(v.rel.idx(), v.iv, v.tid);
                     }
                     cands.finish();
-                    kernel::reduce_join(ctx, &q, &cands, mode, |a| a[0].1 % 3 != 0, out);
+                    let members = [(0, 0), (1, 0), (2, 0)];
+                    kernel::reduce_join(ctx, &q, &cands, mode, &[(30, 69, &members)], out);
                     if mode == OutputMode::Count {
                         assert!(matches!(out.as_slice(), [OutRec::Count(_)]), "{out:?}");
                         assert!(out.capacity() <= 4, "row buffer grew: {}", out.capacity());
@@ -706,10 +723,30 @@ fn parallel_count_reduce_join_never_buffers_rows() {
     }
 }
 
-/// A panic inside a worker's `accept` is not swallowed with the worker:
-/// the driver re-raises the original payload on the caller's thread.
+/// A count sink whose chunks panic on a binding of outer tuple 35.
+struct Bomb(u64);
+
+impl BindingSink for Bomb {
+    fn push(&mut self, binding: &[(Interval, TupleId)]) {
+        assert_ne!(binding[0].1, 35, "sink exploded");
+        self.0 += 1;
+    }
+}
+
+impl OutputSink for Bomb {
+    type Chunk = Bomb;
+    fn fork(&self) -> Bomb {
+        Bomb(0)
+    }
+    fn absorb(&mut self, chunk: Bomb) {
+        self.0 += chunk.0;
+    }
+}
+
+/// A panic inside a worker's sink is not swallowed with the worker: the
+/// driver re-raises the original payload on the caller's thread.
 #[test]
-fn worker_accept_panic_is_reraised_on_the_caller() {
+fn worker_sink_panic_is_reraised_on_the_caller() {
     let q = JoinQuery::chain(&[AllenPredicate::Overlaps]).unwrap();
     let rels: Vec<Vec<Interval>> = (0..2)
         .map(|_| (0..40).map(|s| Interval::new(s, s + 10).unwrap()).collect())
@@ -720,24 +757,292 @@ fn worker_accept_panic_is_reraised_on_the_caller() {
         parallel_threshold: 0,
     };
     let caught = std::panic::catch_unwind(|| {
-        let mut count = 0u64;
-        // Tuple 35 sits in the last of the four outer chunks.
-        kernel::execute_into(
-            &q,
-            &cands,
-            &cfg,
-            |a| {
-                if a[0].1 == 35 {
-                    panic!("accept exploded")
-                } else {
-                    true
-                }
-            },
-            &mut count,
-        )
+        // Tuple 35 sits in one of the last outer blocks.
+        kernel::execute_into(&q, &cands, &cfg, &[], &mut Bomb(0))
     });
     let payload = caught.expect_err("worker panic must reach the caller");
-    assert_eq!(payload.downcast_ref::<&str>(), Some(&"accept exploded"));
+    let message = payload
+        .downcast_ref::<String>()
+        .expect("an assertion message");
+    assert!(message.contains("sink exploded"), "{message}");
+}
+
+/// An interval endpoint for the owner tests: a window edge, one off an
+/// edge, or anywhere in `0..40`.
+fn edge_point(rng: &mut StdRng, edges: &[i64]) -> i64 {
+    match rng.gen_range(0..2) {
+        0 => edges[rng.gen_range(0..edges.len())] + rng.gen_range(-1i64..=1),
+        _ => rng.gen_range(0..40),
+    }
+}
+
+/// `n` intervals with endpoints on and around `edges`: points, short
+/// intervals, intervals ending on an edge, and duplicates of earlier ones.
+fn edge_intervals(rng: &mut StdRng, edges: &[i64], n: usize) -> Vec<Interval> {
+    let mut ivs: Vec<Interval> = Vec::with_capacity(n);
+    while ivs.len() < n {
+        let s = edge_point(rng, edges);
+        let iv = match rng.gen_range(0..5) {
+            0 => Interval::point(s),
+            1 if !ivs.is_empty() => ivs[rng.gen_range(0..ivs.len())],
+            2 => {
+                let e = edge_point(rng, edges);
+                Interval::new(s.min(e), s.max(e)).unwrap()
+            }
+            _ => Interval::new(s, s + rng.gen_range(0..12)).unwrap(),
+        };
+        ivs.push(iv);
+    }
+    ivs
+}
+
+/// One to three owner dimensions over random non-empty sets of `slots`,
+/// each end a window edge, one off an edge, or the end of the `Time`
+/// domain.
+fn random_owner(rng: &mut StdRng, edges: &[i64], slots: &[Slot]) -> Vec<(i64, i64, Vec<Slot>)> {
+    let end = |rng: &mut StdRng, open: i64| match rng.gen_range(0..4) {
+        0 => open,
+        k => edges[rng.gen_range(0..edges.len())] + k - 2,
+    };
+    (0..rng.gen_range(1..=3))
+        .map(|_| {
+            let (a, b) = (end(rng, i64::MIN), end(rng, i64::MAX));
+            let mut members: Vec<Slot> = slots
+                .iter()
+                .copied()
+                .filter(|_| rng.gen_bool(0.5))
+                .collect();
+            if members.is_empty() {
+                members.push(slots[rng.gen_range(0..slots.len())]);
+            }
+            (a.min(b), a.max(b), members)
+        })
+        .collect()
+}
+
+/// The windows of `dims` as an owner.
+fn owner_of(dims: &[(i64, i64, Vec<Slot>)]) -> Vec<StartWindow<'_>> {
+    dims.iter()
+        .map(|(lo, hi, m)| (*lo, *hi, m.as_slice()))
+        .collect()
+}
+
+/// Window edges for one owner test case.
+fn random_edges(rng: &mut StdRng) -> Vec<i64> {
+    (0..rng.gen_range(1..=3))
+        .map(|_| rng.gen_range(0..40))
+        .collect()
+}
+
+/// What the owner tests saw, per kernel: bindings kept and rejected.
+#[derive(Default)]
+struct Seen {
+    kept: usize,
+    rejected: usize,
+}
+
+/// Owner windows are the ownership rule. On random buckets with endpoints
+/// on and around the window edges, point and duplicate intervals, and an
+/// owner of one to three dimensions over random member slots with window
+/// ends that include `Time::MIN` and `Time::MAX`, each of the pair sweep,
+/// the event sweep and the window scan emits exactly the bindings of its
+/// unowned run that `owns` keeps, in the same order, examining no more
+/// candidates; the dispatched kernel does the same on threads 1/2/3/8
+/// through the count and the tuple sink, with the serial run's work.
+#[test]
+fn owner_windows_are_the_ownership_rule() {
+    use AllenPredicate::*;
+    let mut seen: [Seen; 3] = Default::default();
+    for seed in 0..1500u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pred = |rng: &mut StdRng, from: &[AllenPredicate]| from[rng.gen_range(0..from.len())];
+        let q = match seed % 3 {
+            0 => JoinQuery::chain(&[pred(
+                &mut rng,
+                &[Overlaps, OverlappedBy, Contains, ContainedBy],
+            )]),
+            1 => Ok(clique(
+                3,
+                &[0, 1, 2].map(|_| pred(&mut rng, &COLOCATION_PREDS)),
+            )),
+            _ => {
+                let n = rng.gen_range(1..=3);
+                JoinQuery::chain(
+                    &(0..n)
+                        .map(|_| pred(&mut rng, &AllenPredicate::ALL))
+                        .collect::<Vec<_>>(),
+                )
+            }
+        }
+        .unwrap();
+        let m = q.num_relations() as usize;
+        let edges = random_edges(&mut rng);
+        let rels: Vec<Vec<Interval>> = (0..m)
+            .map(|_| {
+                let n = rng.gen_range(3..20);
+                edge_intervals(&mut rng, &edges, n)
+            })
+            .collect();
+        let (cands, _) = build_inputs(&q, &rels);
+        let slots: Vec<Slot> = (0..m).map(|r| (r, 0)).collect();
+        let dims = random_owner(&mut rng, &edges, &slots);
+        let owner = owner_of(&dims);
+        for (k, kind) in [
+            KernelKind::PairSweep,
+            KernelKind::EventSweep,
+            KernelKind::Window,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut all: Vec<(Vec<TupleId>, bool)> = Vec::new();
+            let keep = |a: &[(Interval, TupleId)]| owns(&owner, |(r, _)| a[r].0.start());
+            let Some(unowned) =
+                kernel::execute_kind(kind, &q, &cands, &[], |a| all.push((tids(a), keep(a))))
+            else {
+                continue;
+            };
+            let want: Rows = all.iter().filter(|b| b.1).map(|b| b.0.clone()).collect();
+            seen[k].kept += want.len();
+            seen[k].rejected += all.len() - want.len();
+            let mut got: Rows = Vec::new();
+            let rep =
+                kernel::execute_kind(kind, &q, &cands, &owner, |a| got.push(tids(a))).unwrap();
+            let at = format!("{kind:?} {q} seed {seed} owner {dims:?}");
+            assert_eq!(got, want, "{at}");
+            assert!(
+                rep.work <= unowned.work,
+                "{at}: {} > {}",
+                rep.work,
+                unowned.work
+            );
+            if kind != kernel::planned_kernel(&q) {
+                continue;
+            }
+            for threads in [1usize, 2, 3, 8] {
+                let cfg = KernelConfig {
+                    threads,
+                    parallel_threshold: 0,
+                };
+                let mut count = 0u64;
+                let count_rep = kernel::execute_into(&q, &cands, &cfg, &owner, &mut count);
+                let mut rows = Tuples::new(m);
+                let rows_rep = kernel::execute_into(&q, &cands, &cfg, &owner, &mut rows);
+                assert_eq!(count, want.len() as u64, "{at} threads {threads}");
+                assert_eq!(
+                    rows.iter().collect::<Vec<_>>(),
+                    want,
+                    "{at} threads {threads}"
+                );
+                for r in [count_rep, rows_rep] {
+                    assert_eq!(r.work, rep.work, "{at} threads {threads}");
+                }
+            }
+        }
+    }
+    for (kind, seen) in ["pair sweep", "event sweep", "window scan"]
+        .iter()
+        .zip(&seen)
+    {
+        assert!(
+            seen.kept > 0 && seen.rejected > 0,
+            "{kind}: {} kept, {} rejected",
+            seen.kept,
+            seen.rejected
+        );
+    }
+}
+
+/// The same on composite rows: sides of two-slot records under random
+/// conditions between them, with an owner whose dimensions may hold both
+/// slots of one side — a `≥ lo` disjunction that stays a row test —
+/// through the count and the tuple sink on threads 1/2/3/8.
+#[test]
+fn owner_windows_are_the_ownership_rule_on_composite_rows() {
+    let mut seen = Seen::default();
+    for seed in 0..400u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let edges = random_edges(&mut rng);
+        let sides = rng.gen_range(1..=3usize);
+        // cols[side][slot]: the intervals of one slot of a side's records.
+        let cols: Vec<[Vec<Interval>; 2]> = (0..sides)
+            .map(|_| {
+                let n = rng.gen_range(3..14);
+                [0, 1].map(|_| edge_intervals(&mut rng, &edges, n))
+            })
+            .collect();
+        let pred = |rng: &mut StdRng| AllenPredicate::ALL[rng.gen_range(0..13)];
+        let mut conditions: Vec<SlotCondition> = (1..sides)
+            .map(|s| {
+                (
+                    (s - 1, rng.gen_range(0..2)),
+                    pred(&mut rng),
+                    (s, rng.gen_range(0..2)),
+                )
+            })
+            .collect();
+        if rng.gen_bool(0.3) {
+            conditions.push(((0, 0), pred(&mut rng), (0, 1)));
+        }
+        let join = CompositeJoin {
+            sides,
+            conditions,
+            gather: (0..sides).map(|s| (s, 0)).collect(),
+            mode: OutputMode::Materialize,
+            order_by: None,
+        };
+        let records: Vec<CompRec> = (cols.iter().enumerate())
+            .flat_map(|(s, [a, b])| side_records(s as u16, 2, &[a, b]))
+            .collect();
+        let slots: Vec<Slot> = (0..sides).flat_map(|s| [(s, 0), (s, 1)]).collect();
+        let dims = random_owner(&mut rng, &edges, &slots);
+        let owner = owner_of(&dims);
+        let run = |owner: &[StartWindow], threads: usize, mode: OutputMode| {
+            let cfg = KernelConfig {
+                threads,
+                parallel_threshold: 0,
+            };
+            let mut out = OutRec::new(mode, sides);
+            let rep = join.join_into(&records, &cfg, owner, &mut out);
+            (out, rep.work)
+        };
+        let rows = |out: OutRec| match out {
+            OutRec::Rows(t) => t.iter().map(<[TupleId]>::to_vec).collect::<Rows>(),
+            OutRec::Count(_) => unreachable!("materializing"),
+        };
+        // A row's ids are its records' positions, so its intervals are known.
+        let keep = |row: &[TupleId]| owns(&owner, |(s, k)| cols[s][k][row[s] as usize].start());
+        let (all, unowned_work) = run(&[], 1, OutputMode::Materialize);
+        let all = rows(all);
+        let want: Rows = all.iter().filter(|r| keep(r)).cloned().collect();
+        seen.kept += want.len();
+        seen.rejected += all.len() - want.len();
+        let (got, work) = run(&owner, 1, OutputMode::Materialize);
+        let at = format!("{join:?} seed {seed} owner {dims:?}");
+        assert_eq!(rows(got), want, "{at}");
+        assert!(work <= unowned_work, "{at}: {work} > {unowned_work}");
+        for threads in [1usize, 2, 3, 8] {
+            let (got, rows_work) = run(&owner, threads, OutputMode::Materialize);
+            assert_eq!(rows(got), want, "{at} threads {threads}");
+            let (count, count_work) = run(&owner, threads, OutputMode::Count);
+            assert_eq!(
+                count,
+                OutRec::Count(want.len() as u64),
+                "{at} threads {threads}"
+            );
+            assert_eq!(
+                (rows_work, count_work),
+                (work, work),
+                "{at} threads {threads}"
+            );
+        }
+    }
+    assert!(
+        seen.kept > 0 && seen.rejected > 0,
+        "{} kept, {} rejected",
+        seen.kept,
+        seen.rejected
+    );
 }
 
 /// A fixed bucket from an inline LCG (independent of the `rand` stub):

@@ -6,17 +6,20 @@
 //!   partitionings.
 //! * Distributed-vs-oracle agreement for the flagship algorithms on
 //!   arbitrary data and several query shapes.
+//! * The mirror: a query and its mirror image return the same tuples, with
+//!   no oracle.
 
 use ij_core::all_matrix::AllMatrix;
+use ij_core::all_replicate::AllReplicate;
 use ij_core::gen_matrix::GenMatrix;
-use ij_core::hybrid::AllSeqMatrix;
+use ij_core::hybrid::{AllSeqMatrix, Pasm};
 use ij_core::oracle::oracle_join;
 use ij_core::rccis::Rccis;
 use ij_core::{Algorithm, JoinInput};
 use ij_interval::AllenPredicate::{self, *};
 use ij_interval::{ops, Interval, Partitioning, Relation};
 use ij_mapreduce::{ClusterConfig, Engine};
-use ij_query::JoinQuery;
+use ij_query::{Condition, JoinQuery};
 use proptest::prelude::*;
 
 fn interval_strategy(span: i64, max_len: i64) -> impl Strategy<Value = Interval> {
@@ -164,5 +167,103 @@ proptest! {
         // All-Seq-Matrix handles every single-attribute class uniformly.
         let got = AllSeqMatrix::new(4).run(&q, &input, &engine).unwrap().assert_no_duplicates();
         prop_assert_eq!(got, oracle_join(&q, &input));
+    }
+}
+
+/// Allen's algebra seen in a mirror (`t → −t`): `p` holds between two
+/// intervals exactly when `mirrored(p)` holds between their mirror images.
+fn mirrored(p: AllenPredicate) -> AllenPredicate {
+    match p {
+        Before => After,
+        After => Before,
+        Meets => MetBy,
+        MetBy => Meets,
+        Overlaps => OverlappedBy,
+        OverlappedBy => Overlaps,
+        Starts => Finishes,
+        Finishes => Starts,
+        StartedBy => FinishedBy,
+        FinishedBy => StartedBy,
+        Contains | ContainedBy | Equals => p,
+    }
+}
+
+/// `[s, e] → [−e, −s]`.
+fn mirror(iv: Interval) -> Interval {
+    Interval::new(-iv.end(), -iv.start()).unwrap()
+}
+
+/// A chain and its mirror — every interval `[s, e]` becomes `[−e, −s]`
+/// and every predicate its mirror image — return the same tid tuples
+/// through RCCIS, All-Rep and PASM on one and two threads, on random
+/// two-condition chains (RCCIS only on colocation ones) away from
+/// `i64::MIN`. Mirroring moves the right-most start to another relation,
+/// so each family's ownership windows bind their `≥ lo` bound at another
+/// level.
+#[test]
+fn mirrored_queries_return_the_same_tuples() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut found = [0usize; 3];
+    for seed in 0..40u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let preds: Vec<AllenPredicate> = (0..2)
+            .map(|_| AllenPredicate::ALL[rng.gen_range(0..13)])
+            .collect();
+        let q = JoinQuery::chain(&preds).unwrap();
+        let conditions = (q.conditions().iter())
+            .map(|c| Condition::new(c.left, mirrored(c.pred), c.right))
+            .collect();
+        let m = JoinQuery::new(3, conditions).unwrap();
+        let rels: Vec<Vec<Interval>> = (0..3)
+            .map(|_| {
+                let n = rng.gen_range(1..15);
+                (0..n)
+                    .map(|_| {
+                        let s = rng.gen_range(0..120);
+                        Interval::new(s, s + rng.gen_range(0..40)).unwrap()
+                    })
+                    .collect()
+            })
+            .collect();
+        let bind = |q: &JoinQuery, flip: fn(Interval) -> Interval| {
+            let relation = |(r, ivs): (usize, &Vec<Interval>)| {
+                Relation::from_intervals(format!("R{r}"), ivs.iter().map(|&iv| flip(iv)))
+            };
+            JoinInput::bind_owned(q, rels.iter().enumerate().map(relation).collect()).unwrap()
+        };
+        let (input, mirror_input) = (bind(&q, |iv| iv), bind(&m, mirror));
+        let k = rng.gen_range(2..7);
+        let colocation = preds.iter().all(|p| p.is_colocation());
+        let families: Vec<(usize, Box<dyn Algorithm>)> = vec![
+            (0, Box::new(Rccis::new(k))),
+            (1, Box::new(AllReplicate::new(k))),
+            (2, Box::new(Pasm::new(k))),
+        ];
+        for (f, alg) in families.iter().filter(|(f, _)| colocation || *f != 0) {
+            for threads in [1, 2] {
+                let engine = Engine::new(ClusterConfig {
+                    worker_threads: threads,
+                    intra_reduce_threads: threads,
+                    heavy_bucket_threshold: 8,
+                    ..ClusterConfig::with_slots(4)
+                });
+                let got = alg.run(&q, &input, &engine).unwrap().assert_no_duplicates();
+                let seen = alg
+                    .run(&m, &mirror_input, &engine)
+                    .unwrap()
+                    .assert_no_duplicates();
+                assert_eq!(
+                    seen,
+                    got,
+                    "{} {q} threads {threads} seed {seed}",
+                    alg.name()
+                );
+                found[*f] += got.len();
+            }
+        }
+    }
+    for (alg, found) in ["RCCIS", "All-Rep", "PASM"].iter().zip(found) {
+        assert!(found > 0, "{alg}: the chains join nothing");
     }
 }
