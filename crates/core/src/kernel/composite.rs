@@ -20,13 +20,13 @@
 //! condition between them join as a cross product.
 
 use super::window::{Row, WindowPlan};
-use super::{binding_order, drive, lift_caps, range_pair, reduce_rec, slot_conditions};
+use super::{binding_order, drive, range_pair, reduce_rec, slot_conditions};
 use super::{BindingSink, Chunks};
 use super::{Compiled, KernelConfig, KernelKind, KernelReport, Slot, SlotCondition, StartWindow};
 use crate::input::JoinInput;
 use crate::output::OutputMode;
 use crate::records::{CompRec, OutRec};
-use ij_interval::{Interval, RelId, Time, TupleId};
+use ij_interval::{Interval, RelId, TupleId};
 use ij_mapreduce::{Emitter, Engine, EngineError, JobOutput, ReduceCtx, ReducerId, ValueStream};
 use ij_query::JoinQuery;
 use std::ops::Range;
@@ -117,9 +117,7 @@ impl<'q> CompositeJoin<'q> {
         if lists.iter().any(Vec::is_empty) {
             return KernelReport::idle(kind);
         }
-        let latest = |(side, slot): Slot| lists[side].iter().map(|r| r.ivs[slot].start()).max();
-        let owner = lift_caps(owner, |s| latest(s).unwrap_or(Time::MIN));
-        let compiled = Compiled::new(order, &self.conditions, &owner);
+        let compiled = Compiled::new(order, &self.conditions, owner);
         for (&side, &key) in compiled.order.iter().zip(&compiled.key) {
             lists[side].sort_unstable_by(|a, b| {
                 (a.ivs[key].start(), &a.tids).cmp(&(b.ivs[key].start(), &b.tids))

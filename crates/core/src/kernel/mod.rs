@@ -52,8 +52,8 @@
 //! range `i`, in the same order: the sink ends in the serial state and
 //! work units and the active peak are the serial run's for any thread
 //! count. The closure form [`execute`] is one such sink: its blocks buffer
-//! rows that are filtered by its `accept` and replayed into `on_output` on
-//! the caller's thread.
+//! rows that are replayed through its `accept` into `on_output` on the
+//! caller's thread.
 //!
 //! **Ownership as window bounds.** A reducer keeps only the bindings its
 //! cell owns: per dimension of the reducer matrix, the right-most start
@@ -63,8 +63,7 @@
 //! level program (`Compiled`) by `lo ≤ max(p, s) ≤ hi ⟺ p ≤ hi ∧ s ≤ hi ∧
 //! (p ≥ lo ∨ s ≥ lo)`: every member's start is capped at `hi` at its own
 //! level, and the level binding a dimension's last member floors its start
-//! at `lo` unless a member bound earlier already starts there. A cap no
-//! start in the bucket exceeds is dropped before compiling. The window
+//! at `lo` unless a member bound earlier already starts there. The window
 //! scan intersects the bounds into a level's start ranges (its binary
 //! searches skip unowned candidates), the pair sweep into its inner scan,
 //! the event sweep into each probe level's range pair — its trigger holds
@@ -113,7 +112,7 @@ pub type Slot = (usize, usize);
 /// when the right-most start among the binding's `members` slots lies in
 /// `lo..=hi` (DESIGN.md §5). An owner is a list of them, every one of
 /// which must hold; the empty owner keeps every binding. Members are never
-/// empty.
+/// empty; a slot listed twice counts once.
 pub type StartWindow<'a> = (Time, Time, &'a [Slot]);
 
 /// Bounds on a slot's start point.
@@ -413,6 +412,10 @@ impl Compiled {
         }
         let mut owned: Vec<Owned> = (0..n).map(|_| Owned::default()).collect();
         for &(lo, hi, members) in owner {
+            // Distinct, so a floor over one slot stays a start bound.
+            let mut members = members.to_vec();
+            members.sort_unstable();
+            members.dedup();
             let level = |&(side, _): &Slot| level_of[side];
             let last = members
                 .iter()
@@ -420,7 +423,7 @@ impl Compiled {
                 .max()
                 .expect("a dimension has members");
             if hi < Time::MAX {
-                for m in members {
+                for m in &members {
                     owned[level(m)].caps.push((m.1, hi));
                 }
             }
@@ -446,19 +449,6 @@ impl Compiled {
             owned,
         }
     }
-}
-
-/// `owner` over a bucket whose slot `s` starts at `latest(s)` or before:
-/// a dimension whose members all start at or before its `hi` could be cut
-/// by no cap, so its `hi` becomes `Time::MAX`, which compiles to none.
-/// Fig. 2's operations never route an interval to a partition before its
-/// start's, so that is every dimension of a routed bucket.
-fn lift_caps<'a>(owner: &[StartWindow<'a>], latest: impl Fn(Slot) -> Time) -> Vec<StartWindow<'a>> {
-    let lift = |&(lo, hi, members): &StartWindow<'a>| {
-        let cut = members.iter().any(|&m| latest(m) > hi);
-        (lo, if cut { hi } else { Time::MAX }, members)
-    };
-    owner.iter().map(lift).collect()
 }
 
 /// The precomputed, immutable structures of one bucket's kernel.
@@ -492,10 +482,6 @@ fn prepare<'c>(
     if cands.any_empty() {
         return None;
     }
-    // Every list is non-empty and sorted by start.
-    let owner = &lift_caps(owner, |(r, _)| {
-        cands.list(r).last().map_or(Time::MIN, |c| c.0.start())
-    });
     let plan = match kind {
         KernelKind::PairSweep => Plan::Pair(sweep::PairSweep::new(q, cands, owner)),
         KernelKind::EventSweep => Plan::Event(event_sweep::EventSweepPlan::new(q, cands, owner)),
@@ -588,7 +574,6 @@ pub fn execute_kind(
 ) -> Option<KernelReport> {
     let mut sink = sink::Replay {
         arity: q.num_relations() as usize,
-        accept: |_: &[(Interval, TupleId)]| true,
         on_output,
     };
     kind.applies_to(q)
@@ -724,7 +709,7 @@ pub fn execute<A, F>(
     cands: &Candidates,
     cfg: &KernelConfig,
     accept: A,
-    on_output: F,
+    mut on_output: F,
 ) -> KernelReport
 where
     A: Fn(&[(Interval, TupleId)]) -> bool + Sync,
@@ -732,8 +717,11 @@ where
 {
     let mut sink = sink::Replay {
         arity: q.num_relations() as usize,
-        accept,
-        on_output,
+        on_output: move |a: &[(Interval, TupleId)]| {
+            if accept(a) {
+                on_output(a)
+            }
+        },
     };
     execute_into(q, cands, cfg, &[], &mut sink)
 }
@@ -1236,7 +1224,6 @@ mod tests {
             let mut got = Vec::new();
             let mut sink = sink::Replay {
                 arity: 2,
-                accept: |_: &[(Interval, TupleId)]| true,
                 on_output: |a: &[(Interval, TupleId)]| got.push((a[0].1, a[1].1, owned(a))),
             };
             let rep = execute_into(&q, &c, cfg, owner, &mut sink);
@@ -1252,6 +1239,28 @@ mod tests {
         let kept: Vec<_> = all.iter().copied().filter(|&(.., owned)| owned).collect();
         assert!(kept.len() < all.len(), "the owner rejects a share");
         assert_eq!(par, kept);
+    }
+
+    #[test]
+    fn a_member_listed_twice_counts_once() {
+        // Two relations that overlap pairwise: every kernel applies.
+        let q = JoinQuery::chain(&[Overlaps]).unwrap();
+        let c = random_cands(2, 40, 11);
+        let run = |kind: KernelKind, owner: &[StartWindow]| {
+            let mut got = Vec::new();
+            execute_kind(kind, &q, &c, owner, |a| got.push((a[0].1, a[1].1)));
+            got
+        };
+        let (once, twice) = ([(1, 0)], [(1, 0), (1, 0)]);
+        for kind in [
+            KernelKind::PairSweep,
+            KernelKind::EventSweep,
+            KernelKind::Window,
+        ] {
+            let want = run(kind, &[(20, 39, &once[..])]);
+            assert!(!want.is_empty() && want.len() < run(kind, &[]).len());
+            assert_eq!(run(kind, &[(20, 39, &twice[..])]), want, "{kind:?}");
+        }
     }
 
     #[test]

@@ -67,14 +67,12 @@ impl OutputSink for Tuples {
     }
 }
 
-/// The closure form of the driver: the bindings `accept` admits reach
-/// `on_output` directly on the serial path, and through per-chunk
-/// [`Rows`] filtered and replayed in chunk order on the parallel path
-/// (neither closure leaves the caller's thread).
-pub(super) struct Replay<A, F> {
+/// The closure form of the driver: bindings reach `on_output` directly on
+/// the serial path, and through per-chunk [`Rows`] replayed in chunk order
+/// on the parallel path (the closure never leaves the caller's thread).
+pub(super) struct Replay<F> {
     /// Relations per binding: the stride of a chunk's row buffer.
     pub(super) arity: usize,
-    pub(super) accept: A,
     pub(super) on_output: F,
 }
 
@@ -97,28 +95,21 @@ impl OutputSink for Rows {
     }
 }
 
-impl<A, F> BindingSink for Replay<A, F>
-where
-    A: Fn(&[(Interval, TupleId)]) -> bool,
-    F: FnMut(&[(Interval, TupleId)]),
-{
+impl<F: FnMut(&[(Interval, TupleId)])> BindingSink for Replay<F> {
     fn push(&mut self, binding: &[(Interval, TupleId)]) {
-        if (self.accept)(binding) {
-            (self.on_output)(binding);
-        }
+        (self.on_output)(binding);
     }
 }
 
-impl<A, F> OutputSink for Replay<A, F>
-where
-    A: Fn(&[(Interval, TupleId)]) -> bool,
-    F: FnMut(&[(Interval, TupleId)]),
-{
+impl<F: FnMut(&[(Interval, TupleId)])> OutputSink for Replay<F> {
     type Chunk = Rows;
     fn fork(&self) -> Rows {
         Rows(Vec::new())
     }
     fn absorb(&mut self, chunk: Rows) {
-        chunk.0.chunks_exact(self.arity).for_each(|b| self.push(b));
+        chunk
+            .0
+            .chunks_exact(self.arity)
+            .for_each(&mut self.on_output);
     }
 }
