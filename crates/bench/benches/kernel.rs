@@ -47,6 +47,14 @@
 //! enumerate without it are not owned. Serial and on two chunks, its count
 //! is asserted against a nested loop filtered by the ownership rule.
 //!
+//! `kernel_sparse_chain` times a bucket of `q1_sparse_shuffle`'s shape
+//! from its unsorted candidates: `Candidates::finish` plus `execute_into`
+//! of the Q1 chain (`R1 overlaps R2 overlaps R3`) over 3 × 19 000
+//! intervals of length 1–100 spread over 1.25 M ticks, under one owner
+//! window, serial and on two chunks. The join finds few bindings, so the
+//! sort and the window searches are most of its time. Its count is
+//! asserted against the `holds` reference filtered by the ownership rule.
+//!
 //! `schedule_bench` drives the whole engine (map → shuffle → reduce) on a
 //! skewed clique bucket mix — one dominant hot bucket plus a light tail —
 //! under each intra-reduce grant policy. The skew-driven scheduler should
@@ -434,6 +442,50 @@ fn bench_owned(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_sparse_chain(c: &mut Criterion) {
+    use ij_interval::AllenPredicate::Overlaps;
+    let q = JoinQuery::chain(&[Overlaps, Overlaps]).unwrap();
+    let (n, span) = (19_000, 1_250_000);
+    let mut rng = StdRng::seed_from_u64(37);
+    let mut unsorted = Candidates::new(3);
+    for r in 0..3 {
+        for t in 0..n {
+            // A few start before the cell, as a crossing interval does.
+            let s = rng.gen_range(-100..span);
+            unsorted.push(r, iv(s, s + rng.gen_range(1..=100)), t);
+        }
+    }
+    let members = [(0, 0), (1, 0), (2, 0)];
+    let owner = [(0, span - 1, &members[..])];
+    let mut sorted = unsorted.clone();
+    sorted.finish();
+    let mut expect = 0u64;
+    reference_join(&q, &sorted, |a| {
+        let last = a.iter().map(|(iv, _)| iv.start()).max().unwrap_or(i64::MIN);
+        expect += (0..span).contains(&last) as u64;
+    });
+    assert!(expect > 1_000, "sparse chain too sparse: {expect}");
+
+    let mut group = c.benchmark_group("kernel_sparse_chain");
+    group.throughput(Throughput::Elements(3 * n as u64));
+    for (label, threads) in [("serial", 1), ("parallel2", 2)] {
+        let cfg = KernelConfig {
+            threads,
+            parallel_threshold: 0,
+        };
+        group.bench_function(format!("finish_and_join_{label}"), |b| {
+            b.iter(|| {
+                let mut cands = unsorted.clone();
+                cands.finish();
+                let mut count = 0u64;
+                kernel::execute_into(&q, &cands, &cfg, &owner, &mut count);
+                checked(count, expect)
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_composite(c: &mut Criterion) {
     use ij_interval::AllenPredicate::{Before, Overlaps};
     let n = 2048;
@@ -703,6 +755,7 @@ criterion_group!(
     bench_sequence_heavy,
     bench_hybrid,
     bench_owned,
+    bench_sparse_chain,
     bench_composite,
     bench_event_sweep,
     bench_schedule

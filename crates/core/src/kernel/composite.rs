@@ -19,7 +19,7 @@
 //! side filters that side's list before the descent; sides with no
 //! condition between them join as a cross product.
 
-use super::window::{Row, WindowPlan};
+use super::window::{Row, Scan, WindowPlan};
 use super::{binding_order, drive, range_pair, reduce_rec, slot_conditions};
 use super::{BindingSink, Chunks};
 use super::{Compiled, KernelConfig, KernelKind, KernelReport, Slot, SlotCondition, StartWindow};
@@ -151,18 +151,25 @@ struct Bucket<'a> {
     gather: &'a [Slot],
 }
 
-impl Chunks for Bucket<'_> {
-    /// The window descent keeps no state between outer positions.
+impl<'r> Chunks for Bucket<'r> {
+    /// Where each level's searches ended.
     type Carry<'a>
-        = ()
+        = Scan<&'r CompRec>
     where
         Self: 'a;
 
-    fn start(&self) {}
+    fn start(&self) -> Scan<&'r CompRec> {
+        self.plan.start(&self.lists)
+    }
 
     /// An owned binding reaches `sink` as its gathered row: per output
     /// column the id and the interval in that slot.
-    fn run<K: BindingSink>(&self, _: &mut (), outer: Range<usize>, sink: &mut K) -> KernelReport {
+    fn run<K: BindingSink>(
+        &self,
+        scan: &mut Scan<&'r CompRec>,
+        outer: Range<usize>,
+        sink: &mut K,
+    ) -> KernelReport {
         let mut rep = KernelReport::idle(KernelKind::Window);
         let mut row = Vec::with_capacity(self.gather.len());
         let emit = &mut |b: &[&CompRec]| {
@@ -170,7 +177,7 @@ impl Chunks for Bucket<'_> {
             row.extend((self.gather.iter()).map(|&(s, k)| (b[s].ivs[k], b[s].tids[k])));
             sink.push(&row);
         };
-        self.plan.run(&self.lists, outer, emit, &mut rep.work);
+        self.plan.run(&self.lists, scan, outer, emit, &mut rep.work);
         rep
     }
 }

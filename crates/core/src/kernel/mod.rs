@@ -40,13 +40,14 @@
 //! only grows, so each thread receives its blocks in increasing order and
 //! carries its sweep state from one to the next: the event sweep applies
 //! the events between two of its blocks without probing, the pair sweep
-//! continues its retirement pointer; the window scan keeps no state
-//! between outer positions. Output goes through an [`OutputSink`]: a
-//! worker `fork`s one empty push-only [`BindingSink`] per block and the
-//! kernel `push`es every owned binding into it — a static call the scan
-//! loop inlines, folding the binding into the count, rows or id set the
-//! reducer wants, not buffering it — and the caller `absorb`s the blocks
-//! in block order. Every kernel emits along a fixed outer order and its
+//! continues its retirement pointer, the window scan keeps where each
+//! level's searches ended and starts the next ones there (any start finds
+//! the same window, so its state only saves search steps). Output goes
+//! through an [`OutputSink`]: a worker `fork`s one empty push-only
+//! [`BindingSink`] per block and the kernel `push`es every owned binding
+//! into it — a static call the scan loop inlines, folding the binding
+//! into the count, rows or id set the reducer wants, not buffering it —
+//! and the caller `absorb`s the blocks in block order. Every kernel emits along a fixed outer order and its
 //! state at an outer position does not depend on which thread got there,
 //! so block `i` holds exactly the bindings the serial run emits for outer
 //! range `i`, in the same order: the sink ends in the serial state and
@@ -523,8 +524,8 @@ trait Chunks {
 enum Carry<'a> {
     Pair(sweep::Alive<'a>),
     Event(event_sweep::Active<'a>),
-    /// The window scan keeps no state between outer positions.
-    Window(&'a window::WindowPlan),
+    /// The window scan carries where each level's searches ended.
+    Window(&'a window::WindowPlan, window::Scan<(Interval, TupleId)>),
 }
 
 impl Chunks for Prepared<'_> {
@@ -537,7 +538,7 @@ impl Chunks for Prepared<'_> {
         match &self.plan {
             Plan::Pair(p) => Carry::Pair(p.start(self.cands)),
             Plan::Event(p) => Carry::Event(p.start(self.cands)),
-            Plan::Window(p) => Carry::Window(p),
+            Plan::Window(p) => Carry::Window(p, p.start(&self.cands.lists)),
         }
     }
 
@@ -552,7 +553,7 @@ impl Chunks for Prepared<'_> {
         match carry {
             Carry::Pair(c) => c.run(outer, emit, &mut rep.work),
             Carry::Event(c) => c.run(outer, emit, &mut rep.work, &mut rep.active_peak),
-            Carry::Window(p) => p.run(&self.cands.lists, outer, emit, &mut rep.work),
+            Carry::Window(p, scan) => p.run(&self.cands.lists, scan, outer, emit, &mut rep.work),
         }
         rep
     }

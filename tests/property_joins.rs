@@ -267,3 +267,91 @@ fn mirrored_queries_return_the_same_tuples() {
         assert!(found > 0, "{alg}: the chains join nothing");
     }
 }
+
+/// A time shift keeps every Allen relation: a chain over `[s, e]` and
+/// over `[s + δ, e + δ]` return the same tid tuples through RCCIS, All-Rep
+/// and PASM on one and two threads. `δ` is random, or pushes the data
+/// against `i64::MAX` or `i64::MIN`. Half the inputs are large enough
+/// that a bucket's lists take the radix sort, and half of those are
+/// stretched so far that their starts span more than the radix passes
+/// cover (the comparison sort's side of the limit).
+#[test]
+fn shifted_queries_return_the_same_tuples() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut found = [0usize; 3];
+    for seed in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let preds: Vec<AllenPredicate> = (0..2)
+            .map(|_| AllenPredicate::ALL[rng.gen_range(0..13)])
+            .collect();
+        let q = JoinQuery::chain(&preds).unwrap();
+        let (n, t_max) = if seed % 2 == 0 {
+            (1..15, 120)
+        } else {
+            (300..400, 9_000)
+        };
+        // 2^38 · 9 000 ≈ 2^51 ticks: a span past the radix sort's 44 bits.
+        let scale: i64 = if seed % 4 == 3 { 1 << 38 } else { 1 };
+        let rels: Vec<Vec<Interval>> = (0..3)
+            .map(|_| {
+                (0..rng.gen_range(n.clone()))
+                    .map(|_| {
+                        let s = rng.gen_range(0..t_max);
+                        Interval::new(s * scale, (s + rng.gen_range(0..40)) * scale).unwrap()
+                    })
+                    .collect()
+            })
+            .collect();
+        let (lo, hi) = (rels.iter().flatten()).fold((i64::MAX, i64::MIN), |(lo, hi), iv| {
+            (lo.min(iv.start()), hi.max(iv.end()))
+        });
+        // `i64::MIN + r − lo` is below `i64::MIN` for `lo > r`: shifts
+        // wrap, and the shifted endpoints themselves stay in range.
+        let deltas = [
+            rng.gen_range(-1_000_000_000..1_000_000_000),
+            i64::MAX - hi - rng.gen_range(0..1_000),
+            (i64::MIN + rng.gen_range(0..1_000)).wrapping_sub(lo),
+        ];
+        let bind = |delta: i64| {
+            let relation = |(r, ivs): (usize, &Vec<Interval>)| {
+                let at = |t: i64| t.wrapping_add(delta);
+                let shift = |iv: &Interval| Interval::new(at(iv.start()), at(iv.end()));
+                Relation::from_intervals(format!("R{r}"), ivs.iter().map(|iv| shift(iv).unwrap()))
+            };
+            JoinInput::bind_owned(&q, rels.iter().enumerate().map(relation).collect()).unwrap()
+        };
+        let input = bind(0);
+        let k = rng.gen_range(2..7);
+        let colocation = preds.iter().all(|p| p.is_colocation());
+        let families: Vec<(usize, Box<dyn Algorithm>)> = vec![
+            (0, Box::new(Rccis::new(k))),
+            (1, Box::new(AllReplicate::new(k))),
+            (2, Box::new(Pasm::new(k))),
+        ];
+        for (f, alg) in families.iter().filter(|(f, _)| colocation || *f != 0) {
+            for threads in [1, 2] {
+                let engine = Engine::new(ClusterConfig {
+                    worker_threads: threads,
+                    intra_reduce_threads: threads,
+                    heavy_bucket_threshold: 64,
+                    ..ClusterConfig::with_slots(4)
+                });
+                let got = alg.run(&q, &input, &engine).unwrap().assert_no_duplicates();
+                for delta in deltas {
+                    let seen = (alg.run(&q, &bind(delta), &engine).unwrap()).assert_no_duplicates();
+                    assert_eq!(
+                        seen,
+                        got,
+                        "{} {q} δ {delta} threads {threads} seed {seed}",
+                        alg.name()
+                    );
+                }
+                found[*f] += got.len();
+            }
+        }
+    }
+    for (alg, found) in ["RCCIS", "All-Rep", "PASM"].iter().zip(found) {
+        assert!(found > 0, "{alg}: the chains join nothing");
+    }
+}
