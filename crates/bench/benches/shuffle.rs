@@ -2,17 +2,21 @@
 //! splice at 10^5–10^7 pairs, under uniform and zipf-skewed key
 //! distributions (the group keeps its historical `merge_sorted_runs` id so
 //! recorded baselines still compare), the map-side emit path at 16 and 216
-//! keys, and the end-to-end reduce path with and without a fault plan
-//! (i.e. the zero-clone move path vs. the clone-per-attempt path).
+//! keys and on RCCIS-shaped records, the read of a resident bucket held as
+//! one or many segments, and the end-to-end reduce path with and without
+//! a fault plan (i.e. the zero-clone move path vs. the clone-per-attempt
+//! path).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use ij_core::records::IvRec;
 use ij_datagen::Distribution;
+use ij_interval::{Interval, RelId};
 use ij_mapreduce::{
-    merge_keyed_runs, ClusterConfig, CostModel, Emitter, Engine, FaultPlan, KeyedRun, ReduceCtx,
-    ReducerId, ValueStream,
+    merge_keyed_runs, BucketSource, ClusterConfig, CostModel, Emitter, Engine, FaultPlan, KeyedRun,
+    ReduceCtx, ReducerId, ValueStream,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const KEYS: i64 = 1024;
 
@@ -60,9 +64,11 @@ fn bench_grouping(c: &mut Criterion) {
 
 /// The map worker's side of the shuffle: 1 M pairs through one `Emitter`.
 /// 16 keys is the 1-D partitioning of RCCIS; 216 is All-Matrix's 6×6×6
-/// cell space. Round-robin emission misses the last-key fast path on
-/// every pair (what replicating an interval to consecutive partitions
-/// does); random keys miss it almost always.
+/// cell space. Round-robin emission never repeats the previous key (what
+/// replicating an interval to consecutive partitions does); random keys
+/// rarely do. `rccis_16_keys` is a join map's input: 24-byte `IvRec`s,
+/// relation after relation, each filed under the partition of its start,
+/// with the starts in random order.
 fn bench_map_emit(c: &mut Criterion) {
     const PAIRS: usize = 1_000_000;
     let mut group = c.benchmark_group("map_emit");
@@ -85,6 +91,63 @@ fn bench_map_emit(c: &mut Criterion) {
                 })
             });
         }
+    }
+    const SPAN: i64 = 1 << 30;
+    let mut rng = StdRng::seed_from_u64(42);
+    let records: Vec<(ReducerId, IvRec)> = (0..PAIRS)
+        .map(|i| {
+            let start = rng.gen_range(0..SPAN);
+            let rec = IvRec {
+                rel: RelId((3 * i / PAIRS) as u16),
+                tid: (i % (PAIRS / 3 + 1)) as u32,
+                iv: Interval::new(start, start + rng.gen_range(0..1024)).unwrap(),
+            };
+            ((start / (SPAN / 16)) as ReducerId, rec)
+        })
+        .collect();
+    group.bench_function("rccis_16_keys", |b| {
+        b.iter(|| {
+            let mut em = Emitter::default();
+            for &(k, rec) in &records {
+                em.emit(k, rec);
+            }
+            let run = em.finish().0;
+            assert_eq!(run.len(), 16);
+            criterion::black_box(run)
+        })
+    });
+    group.finish();
+}
+
+/// The reducer's side: 1 M values of one resident bucket drained through
+/// its `ValueStream`, held as one segment or cut into 2 or 16 (the shuffle
+/// hands a bucket over as one segment per map run that fed it). Every
+/// iteration clones the bucket, as a fault-plan attempt does, so the ids
+/// differ only in how many segments the stream walks.
+fn bench_bucket_read(c: &mut Criterion) {
+    const VALUES: usize = 1_000_000;
+    let mut group = c.benchmark_group("bucket_read");
+    group.throughput(Throughput::Elements(VALUES as u64));
+    let values: Vec<u64> = (0..VALUES as u64).collect();
+    let want: u64 = values.iter().sum();
+    for (id, segments) in [
+        ("one_segment", 1usize),
+        ("two_segments", 2),
+        ("16_segments", 16),
+    ] {
+        let bucket = BucketSource::InMemory(
+            values
+                .chunks(VALUES.div_ceil(segments))
+                .map(<[u64]>::to_vec)
+                .collect(),
+        );
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                let sum: u64 = bucket.clone().into_stream().sum();
+                assert_eq!(sum, want);
+                criterion::black_box(sum)
+            })
+        });
     }
     group.finish();
 }
@@ -134,6 +197,7 @@ criterion_group!(
     benches,
     bench_grouping,
     bench_map_emit,
+    bench_bucket_read,
     bench_reduce_ownership
 );
 criterion_main!(benches);

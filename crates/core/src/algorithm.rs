@@ -117,7 +117,7 @@ impl RunArtifacts {
                 let starts: Vec<Time> = input
                     .relations()
                     .iter()
-                    .flat_map(|r| r.tuples().iter().map(|t| t.interval().start()))
+                    .flat_map(|r| r.tuples().iter().map(|t| t.attr(0).start()))
                     .collect();
                 let k = k.max(1);
                 let (t0, tn) = Self::partition_range(span, k);
@@ -131,17 +131,26 @@ impl RunArtifacts {
 /// Flattens the input into [`IvRec`]s (attribute 0), the record stream every
 /// single-attribute job maps over.
 pub fn iv_records(input: &JoinInput) -> Vec<IvRec> {
+    iv_records_and_longest(input).0
+}
+
+/// [`iv_records`], and each relation's longest interval (`end − start`)
+/// taken in the same pass over the tuples.
+pub(crate) fn iv_records_and_longest(input: &JoinInput) -> (Vec<IvRec>, Vec<u64>) {
     let mut recs = Vec::with_capacity(input.total_tuples());
-    for (r, rel) in input.relations().iter().enumerate() {
+    let mut longest = vec![0u64; input.len()];
+    for ((r, rel), longest) in input.relations().iter().enumerate().zip(&mut longest) {
         for t in rel.tuples() {
+            let iv = t.attr(0);
+            *longest = (*longest).max(iv.end().abs_diff(iv.start()));
             recs.push(IvRec {
                 rel: RelId(r as u16),
                 tid: t.id,
-                iv: t.interval(),
+                iv,
             });
         }
     }
-    recs
+    (recs, longest)
 }
 
 /// Requires a query to be single-attribute (classes Colocation, Sequence,

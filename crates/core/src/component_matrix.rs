@@ -55,7 +55,7 @@
 //! dimension where a member with a fixed project provably starts last
 //! ([`starts_last`]): only its start coordinate gets a binding.
 
-use crate::algorithm::{iv_records, AlgoError};
+use crate::algorithm::{iv_records_and_longest, AlgoError};
 use crate::all_matrix::cells::{for_each_consistent, windows_of};
 use crate::all_matrix::CellSpace;
 use crate::executor::Candidates;
@@ -180,16 +180,28 @@ fn near(part: &Partitioning, reach: Option<Time>, iv: Interval, p: usize) -> boo
         || (b[p].checked_add(r)).is_none_or(|t| iv.start() < t)
 }
 
-/// The longest interval (`end − start`) of each group's relations in
-/// `records`; `None` where a length overflows.
-fn longest_per_group(records: &[IvRec], lanes: &[Lane], groups: usize) -> Vec<Option<Time>> {
-    let mut longest = vec![Some(0); groups];
-    for rec in records {
-        let l = &mut longest[lanes[rec.rel.idx()].dim];
-        let len = rec.iv.end().checked_sub(rec.iv.start());
-        *l = l.zip(len).map(|(a, b)| a.max(b));
+/// The longest interval of each group, from each relation's `longest`
+/// (`end − start`); `None` where it overflows [`Time`].
+fn longest_per_group(longest: &[u64], lanes: &[Lane], groups: usize) -> Vec<Option<Time>> {
+    let mut per_group = vec![0u64; groups];
+    for (&l, lane) in longest.iter().zip(lanes) {
+        per_group[lane.dim] = per_group[lane.dim].max(l);
     }
-    longest
+    (per_group.into_iter())
+        .map(|l| Time::try_from(l).ok())
+        .collect()
+}
+
+/// Each relation's longest interval (`end − start`) in `records`, a pass
+/// over each relation's contiguous rows.
+fn longest_per_relation(records: &[IvRec], relations: usize) -> Vec<u64> {
+    (0..relations)
+        .map(|r| {
+            let lens = rows_of(records, r).iter();
+            lens.map(|rec| rec.iv.end().abs_diff(rec.iv.start()))
+                .fold(0, u64::max)
+        })
+        .collect()
 }
 
 fn participant_key(rel: u64, tid: TupleId) -> u64 {
@@ -211,7 +223,8 @@ fn flags_of(sizes: &[usize], keys: impl IntoIterator<Item = u64>) -> Flags {
     flags
 }
 
-/// The records of relation `rel` — contiguous, as [`iv_records`] writes
+/// The records of relation `rel` — contiguous, as
+/// [`iv_records`](crate::algorithm::iv_records) writes
 /// relation after relation.
 fn rows_of(records: &[IvRec], rel: usize) -> &[IvRec] {
     let start = records.partition_point(|r| r.rel.idx() < rel);
@@ -388,7 +401,7 @@ impl ComponentMatrix<'_> {
     pub(crate) fn run(&self, input: &JoinInput, engine: &Engine) -> Result<JoinOutput, AlgoError> {
         let stages = self.stages(engine)?;
         let any_marked = stages.subs.iter().any(Option::is_some);
-        let records = iv_records(input);
+        let (records, longest) = iv_records_and_longest(input);
         let sizes: Vec<usize> = input.relations().iter().map(|rel| rel.len()).collect();
         // The shares count, with two or more dimensions.
         let mut routed =
@@ -396,7 +409,7 @@ impl ComponentMatrix<'_> {
 
         let mut chain = JobChain::new();
         let flags = if any_marked {
-            let marked = stages.mark(&records, &stages.fine)?;
+            let marked = stages.mark(&records, &longest, &stages.fine)?;
             chain.push(marked.metrics);
             flags_of(&sizes, marked.outputs)
         } else {
@@ -427,10 +440,7 @@ impl ComponentMatrix<'_> {
         chain.push(joined.metrics);
 
         let mut out = JoinOutput::from_records(self.mode, joined.outputs, chain);
-        let replicated = records
-            .iter()
-            .filter(|r| stages.op(&flags, r) == MapOp::Replicate);
-        out.stats.replicated_intervals = Some(replicated.count() as u64);
+        out.stats.replicated_intervals = Some(stages.replicated(&flags));
         let cells = shares.space.consistent_cells().len() as u64;
         out.stats.consistent_cells = Some((cells, shares.space.total_cells()));
         out.stats.grid = shares.grids.iter().map(Partitioning::len).collect();
@@ -466,7 +476,8 @@ impl ComponentMatrix<'_> {
         sizes: &[usize],
         engine: &Engine,
     ) -> Result<(Flags, JobMetrics), AlgoError> {
-        let marked = self.stages(engine)?.mark(records, self.part)?;
+        let longest = longest_per_relation(records, sizes.len());
+        let marked = self.stages(engine)?.mark(records, &longest, self.part)?;
         Ok((flags_of(sizes, marked.outputs), marked.metrics))
     }
 
@@ -529,12 +540,32 @@ impl Stages<'_> {
         self.lanes[rec.rel.idx()].route[flagged as usize]
     }
 
+    /// How many intervals the join replicates: per relation, those of the
+    /// flag values its route sends to [`MapOp::Replicate`].
+    fn replicated(&self, flags: &Flags) -> u64 {
+        let replicated = |op: MapOp| op == MapOp::Replicate;
+        let flagged = |flags: &[bool]| flags.iter().filter(|&&f| f).count() as u64;
+        (self.lanes.iter().zip(flags))
+            .map(|(lane, flags)| match lane.route.map(replicated) {
+                [false, false] => 0,
+                [false, true] => flagged(flags),
+                [true, false] => flags.len() as u64 - flagged(flags),
+                [true, true] => flags.len() as u64,
+            })
+            .sum()
+    }
+
     /// **Mark**: the [`participant_key`] of every flagged interval, once
     /// (by its start partition), marked on `grid`.
-    fn mark(&self, records: &[IvRec], grid: &Partitioning) -> Result<JobOutput<u64>, EngineError> {
+    fn mark(
+        &self,
+        records: &[IvRec],
+        longest: &[u64],
+        grid: &Partitioning,
+    ) -> Result<JobOutput<u64>, EngineError> {
         let (cm, p_count) = (self.cm, grid.len() as u64);
         let counters = cm.route_counters.is_some();
-        let longest = longest_per_group(records, &self.lanes, cm.groups.len());
+        let longest = longest_per_group(longest, &self.lanes, cm.groups.len());
         let reaches: Vec<Option<Time>> = (self.subs.iter().zip(longest))
             .map(|(sub, longest)| reach(sub.as_ref()?, longest, cm.mark_options))
             .collect();
@@ -880,6 +911,7 @@ impl Stages<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::iv_records;
     use proptest::prelude::*;
 
     /// The ownership rule as a predicate: in every `(lo, hi, members)`
@@ -1032,7 +1064,8 @@ mod tests {
                 route: MARKED,
             })
             .collect();
-        let r = reach(q, longest_per_group(&records, &lanes, 1)[0], options);
+        let longest = longest_per_relation(&records, rels.len());
+        let r = reach(q, longest_per_group(&longest, &lanes, 1)[0], options);
         for p in 0..part.len() {
             let mut full = vec![Vec::new(); rels.len()];
             let mut near_only = vec![Vec::new(); rels.len()];
@@ -1496,10 +1529,11 @@ mod tests {
         use ij_mapreduce::ClusterConfig;
         let engine = Engine::new(ClusterConfig::with_slots(2));
         let sizes: Vec<usize> = input.relations().iter().map(|rel| rel.len()).collect();
+        let (records, longest) = iv_records_and_longest(input);
         let marked = setting
             .stages(&engine)
             .unwrap()
-            .mark(&iv_records(input), fine);
+            .mark(&records, &longest, fine);
         flags_of(&sizes, marked.unwrap().outputs)
     }
 

@@ -53,7 +53,7 @@ impl RelationStats {
         let mut hist = vec![0u64; BUCKETS];
         let mut total_len = 0i64;
         for t in rel.tuples() {
-            let iv = t.interval();
+            let iv = t.attr(0);
             total_len += iv.len();
             let b = (((iv.start() - t_min) as f64 / width) as usize).min(BUCKETS - 1);
             hist[b] += 1;

@@ -195,7 +195,7 @@ pub(crate) fn composites<'r>(
             side: side as u16,
             tids: row.to_vec(),
             ivs: (row.iter().zip(rels))
-                .map(|(&tid, &rel)| input.relation(rel).tuple(tid).interval())
+                .map(|(&tid, &rel)| input.relation(rel).tuple(tid).attr(0))
                 .collect(),
         })
         .collect()

@@ -26,7 +26,7 @@ pub fn oracle_join(q: &JoinQuery, input: &JoinInput) -> Vec<OutputTuple> {
         let mut cands = Candidates::new(m);
         for (r, rel) in input.relations().iter().enumerate() {
             for t in rel.tuples() {
-                cands.push(r, t.interval(), t.id);
+                cands.push(r, t.attr(0), t.id);
             }
         }
         cands.finish();

@@ -4,19 +4,22 @@
 //! shuffle rather than a single global sort:
 //!
 //! 1. **Map** — each worker maps its input chunk; its [`crate::Emitter`] files
-//!    every pair under its reducer key as it is emitted, so the worker
-//!    finishes with a key-grouped run and nothing to sort.
+//!    every pair under its reducer key as it is emitted, in O(1) for a key
+//!    it has seen before, so the worker finishes with a key-grouped run and
+//!    nothing to sort.
 //! 2. **Shuffle** — [`merge_keyed_runs`] walks the distinct keys in
-//!    ascending order and, per key, splices the runs' segments together in
-//!    run (chunk) order, accumulating the shuffle-volume counters per
-//!    segment. No code path ever sorts or re-compares individual pairs.
-//!    With [`ClusterConfig::reduce_memory_budget`] set, a bucket that
-//!    overflows the budget is cut into runs on an engine-internal
+//!    ascending order and hands each bucket over as its key's segments in
+//!    run (chunk) order — moved, never copied into one vector —
+//!    accumulating the shuffle-volume counters per segment. No code path
+//!    ever sorts or re-compares individual pairs. With
+//!    [`ClusterConfig::reduce_memory_budget`] set, a bucket whose values
+//!    exceed the budget is cut into runs on an engine-internal
 //!    [`crate::Dfs`] instead of staying resident (see [`crate::spill`]).
 //! 3. **Reduce** — workers steal buckets and reducers take *ownership* of
 //!    their bucket, consuming it as a pull-based
-//!    [`crate::job::ValueStream`]: resident buckets stream out of memory,
-//!    spilled buckets stream back chunk-by-chunk from the DFS. The
+//!    [`crate::job::ValueStream`]: resident buckets stream out of memory
+//!    segment by segment, spilled buckets stream back chunk-by-chunk from
+//!    the DFS. The
 //!    fault-free path moves the bucket out without a copy; only with a
 //!    [`FaultPlan`] attached is the bucket cloned per attempt (for spilled
 //!    buckets the clone is just run paths — the retry re-reads them),
@@ -282,7 +285,7 @@ impl Engine {
         let (runs, map_input_bytes, mut counters) = self.run_map_phase(input, mapper);
         let map_end = self.close_phase(clock.as_ref(), "map", start, [("records", records)]);
 
-        // ---- Shuffle: splice the runs' segments into reducer buckets -------
+        // ---- Shuffle: hand the runs' segments over as reducer buckets ----
         let shuffled = self.run_shuffle_phase(name, runs, clock);
         let args = shuffled.as_ref().map(|(buckets, shuffle, ..)| {
             [

@@ -1,5 +1,6 @@
-//! The shuffle: splices the map workers' key-grouped runs into reducer
-//! buckets — resident, or cut into spill runs under a memory budget.
+//! The shuffle: groups the map workers' key-grouped runs into reducer
+//! buckets — each key's segments handed over as they are, or cut into
+//! spill runs under a memory budget.
 
 use super::Engine;
 use crate::error::EngineError;
@@ -35,7 +36,7 @@ impl Engine {
                 let (buckets, stats) = merge_keyed_runs(runs);
                 let sources = buckets
                     .into_iter()
-                    .map(|(k, v)| (k, BucketSource::InMemory(v)))
+                    .map(|(k, segments)| (k, BucketSource::InMemory(segments)))
                     .collect();
                 Ok((sources, stats, SpillStats::default(), 0))
             }
@@ -61,9 +62,12 @@ pub struct ShuffleStats {
 }
 
 impl ShuffleStats {
-    fn add_segment<M: Record>(&mut self, values: &[M]) {
+    /// Counts one segment; returns its values' bytes (keys not included).
+    fn add_segment<M: Record>(&mut self, values: &[M]) -> u64 {
+        let bytes = values.iter().map(Record::approx_bytes).sum::<u64>();
         self.pairs += values.len() as u64;
-        self.bytes += values.iter().map(|v| v.approx_bytes() + 8).sum::<u64>();
+        self.bytes += bytes + 8 * values.len() as u64;
+        bytes
     }
 }
 
@@ -100,29 +104,25 @@ impl<M> KeyMajor<M> {
     }
 }
 
-/// Splices per-worker key-grouped runs into reducer buckets.
+/// Groups per-worker key-grouped runs into reducer buckets.
 ///
-/// Keys ascend, and a bucket is its key's segments concatenated in run
-/// index order, so the result is exactly a *stable* sort of the
+/// Keys ascend, and a bucket is its key's segments in run index order, so
+/// the segments concatenated are exactly a *stable* sort of the
 /// concatenated map outputs grouped by key: values within a key keep
-/// mapper-emission order. The first segment of a key is moved, the rest
-/// are appended — a memcpy per segment; the full pair vector is never
-/// materialized, sorted or compared pair by pair.
-pub fn merge_keyed_runs<M: Record>(
-    runs: Vec<KeyedRun<M>>,
-) -> (Vec<(ReducerId, Vec<M>)>, ShuffleStats) {
-    let mut buckets: Vec<(ReducerId, Vec<M>)> = Vec::new();
+/// mapper-emission order. Every segment is moved, none copied: the reducer
+/// reads them one after the other ([`crate::ValueStream`]), so no pair is
+/// ever gathered, sorted or compared. The buckets come back as a keyed run
+/// whose values are segments.
+pub fn merge_keyed_runs<M: Record>(runs: Vec<KeyedRun<M>>) -> (KeyedRun<Vec<M>>, ShuffleStats) {
+    let mut buckets = Vec::new();
     let mut stats = ShuffleStats::default();
     let mut walk = KeyMajor::new(runs);
-    while let Some((key, mut segments)) = walk.next_key() {
-        let mut values = segments.next().unwrap_or_default();
-        stats.add_segment(&values);
-        values.reserve_exact(segments.as_slice().iter().map(Vec::len).sum());
-        for mut segment in segments {
-            stats.add_segment(&segment);
-            values.append(&mut segment);
+    while let Some((key, segments)) = walk.next_key() {
+        let segments: Vec<Vec<M>> = segments.collect();
+        for segment in &segments {
+            stats.add_segment(segment);
         }
-        buckets.push((key, values));
+        buckets.push((key, segments));
     }
     (buckets, stats)
 }
@@ -133,13 +133,14 @@ type BudgetedShuffle<M> = (Vec<(ReducerId, BucketSource<M>)>, ShuffleStats);
 
 /// The budgeted shuffle: the same key-major walk as [`merge_keyed_runs`],
 /// but a bucket buffers at most `store.budget()` approx-bytes before the
-/// buffered prefix is flushed to the spill store as a run. A bucket that
-/// never overflows comes out as [`BucketSource::InMemory`] — byte-for-byte
-/// the fast path — while an overflowing bucket becomes
-/// [`BucketSource::Spilled`] over its runs (plus the in-memory tail, also
-/// flushed). A bucket's value sequence is thread-count-independent, so the
-/// flush points — and therefore the whole spill layout — depend only on
-/// the budget. A failed spill write names the bucket being flushed.
+/// buffered prefix is flushed to the spill store as a run. A bucket whose
+/// values total at most the budget never overflows and comes out as
+/// [`BucketSource::InMemory`] over its segments — byte-for-byte the fast
+/// path — while any other bucket becomes [`BucketSource::Spilled`] over
+/// its runs (plus the in-memory tail, also flushed). A bucket's value
+/// sequence is thread-count-independent, so the flush points — and
+/// therefore the whole spill layout — depend only on the budget. A failed
+/// spill write names the bucket being flushed.
 fn merge_keyed_runs_budgeted<M: Record>(
     job: &str,
     runs: Vec<KeyedRun<M>>,
@@ -159,23 +160,23 @@ fn merge_keyed_runs_budgeted<M: Record>(
                     detail: e.to_string(),
                 })
         };
+        let segments: Vec<Vec<M>> = segments.collect();
+        let total: u64 = segments.iter().map(|s| stats.add_segment(s)).sum();
+        // No prefix of the bucket exceeds a budget its total fits.
+        if total <= budget {
+            buckets.push((key, BucketSource::InMemory(segments)));
+            continue;
+        }
         let mut values: Vec<M> = Vec::new();
         let mut buffered = 0u64;
         let mut spilled: Vec<SpillRun> = Vec::new();
-        for segment in segments {
-            stats.add_segment(&segment);
-            for value in segment {
-                buffered += value.approx_bytes();
-                values.push(value);
-                if buffered > budget {
-                    spilled.push(spill(store, std::mem::take(&mut values))?);
-                    buffered = 0;
-                }
+        for value in segments.into_iter().flatten() {
+            buffered += value.approx_bytes();
+            values.push(value);
+            if buffered > budget {
+                spilled.push(spill(store, std::mem::take(&mut values))?);
+                buffered = 0;
             }
-        }
-        if spilled.is_empty() {
-            buckets.push((key, BucketSource::InMemory(values)));
-            continue;
         }
         if !values.is_empty() {
             spilled.push(spill(store, values)?);
@@ -205,6 +206,13 @@ mod tests {
         e.finish().0
     }
 
+    /// Buckets with their segments concatenated.
+    fn flat<M: Clone>(buckets: &[(ReducerId, Vec<Vec<M>>)]) -> Vec<(ReducerId, Vec<M>)> {
+        (buckets.iter())
+            .map(|(key, segments)| (*key, segments.concat()))
+            .collect()
+    }
+
     #[test]
     fn merge_orders_keys_and_preserves_value_order() {
         // Two runs as two map workers would produce them.
@@ -214,7 +222,11 @@ mod tests {
         ]);
         assert_eq!(
             buckets,
-            vec![(1, vec!['b', 'd']), (3, vec!['e']), (5, vec!['a', 'c'])]
+            vec![
+                (1, vec![vec!['b'], vec!['d']]),
+                (3, vec![vec!['e']]),
+                (5, vec![vec!['a', 'c']])
+            ]
         );
         assert_eq!(stats.pairs, 5);
         assert_eq!(stats.bytes, 5 * (4 + 8)); // char is 4 bytes + 8-byte key
@@ -228,14 +240,15 @@ mod tests {
             run_of([(0, 3)]),
             run_of([(0, 4), (0, 5)]),
         ]);
-        assert_eq!(buckets, vec![(0, vec![1, 2, 3, 4, 5])]);
+        assert_eq!(flat(&buckets), vec![(0, vec![1, 2, 3, 4, 5])]);
+        assert_eq!(buckets[0].1.len(), 3, "one segment per run, none appended");
     }
 
     #[test]
     fn merge_handles_empty_runs() {
         let (buckets, stats) =
             merge_keyed_runs(vec![Vec::new(), run_of([(2u64, 9u64)]), Vec::new()]);
-        assert_eq!(buckets, vec![(2, vec![9])]);
+        assert_eq!(flat(&buckets), vec![(2, vec![9])]);
         assert_eq!(stats.pairs, 1);
         let (empty, stats) = merge_keyed_runs(Vec::<KeyedRun<u64>>::new());
         assert!(empty.is_empty());
@@ -263,6 +276,29 @@ mod tests {
         assert_eq!(spill_stats.buckets, 1);
         assert_eq!(spill_stats.runs, 3);
         assert_eq!(spill_stats.bytes, 12 * 8);
+    }
+
+    #[test]
+    fn budgeted_merge_keeps_a_bucket_at_the_budget_resident() {
+        // Budget 32: key 3's four 8-byte values fill it exactly and stay
+        // resident, as the two map runs' segments; key 5's fifth value
+        // overflows it.
+        let runs = vec![
+            run_of([(3u64, 1u64), (3, 2), (5, 10), (5, 11)]),
+            run_of([(3, 3), (3, 4), (5, 12), (5, 13), (5, 14)]),
+        ];
+        let mut store = store(32);
+        let (buckets, stats) = merge_keyed_runs_budgeted("edge", runs, &mut store).unwrap();
+        assert_eq!(stats.pairs, 9);
+        match &buckets[..] {
+            [(3, BucketSource::InMemory(segments)), (5, spilled)] => {
+                assert_eq!(segments, &vec![vec![1, 2], vec![3, 4]]);
+                assert!(spilled.is_spilled());
+                assert_eq!(spilled.len(), 5);
+            }
+            other => panic!("unexpected buckets {other:?}"),
+        }
+        assert_eq!(store.finish().0.buckets, 1);
     }
 
     #[test]

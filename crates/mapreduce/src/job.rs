@@ -36,18 +36,47 @@ pub type KeyedRun<M> = Vec<(ReducerId, Vec<M>)>;
 /// merged across workers by the engine — the map half of Hadoop's
 /// user-counter facility. [`MapCtx`] is an alias making the context role
 /// explicit at algorithm call sites.
+///
+/// Filing a pair costs O(1) for a key seen before: a direct-mapped cache
+/// of `(key, segment)` entries, indexed by a multiplicative hash of the
+/// key, names the key's segment. A cache miss falls back to a binary
+/// search of the ascending key table, and only a key's first emission
+/// inserts into it. A counter increment finds its per-task slot by the
+/// name's address; the slots are folded into [`Counters`] when the task
+/// finishes, or when [`Emitter::counters`] is read.
 #[derive(Debug)]
 pub struct Emitter<M> {
-    /// The distinct keys emitted so far, ascending. Keys are reducer ids —
-    /// a handful to a few thousand per job — so a first emission shifting
-    /// the tail of this table is cheap, and it is the only per-key cost.
-    keys: Vec<ReducerId>,
-    /// `segments[i]` holds the values emitted to `keys[i]`, in order.
+    /// The distinct keys emitted so far, ascending, each with the index of
+    /// its segment. Keys are reducer ids — a handful to a few thousand per
+    /// job — so a first emission shifting the tail of this table is cheap,
+    /// and it is the only per-key cost.
+    keys: Vec<(ReducerId, usize)>,
+    /// One segment per distinct key, in first-emission order; each holds
+    /// the values emitted to its key, in order.
     segments: Vec<Vec<M>>,
-    /// Position of the key the previous emit went to.
-    last: usize,
+    /// The direct-mapped cache: slot [`slot_of`] of a key holds
+    /// `(key, segment)`, or a segment of [`NO_SEGMENT`] while empty. Its
+    /// length is a power of two, at least twice the number of keys.
+    cache: Vec<(ReducerId, usize)>,
+    /// `64 − log2(cache.len())`: the hash bits that index the cache.
+    shift: u32,
     emitted: usize,
-    counters: Counters,
+    /// Per-task counter slots `(name, total)`, in first-increment order.
+    counts: Vec<(&'static str, u64)>,
+}
+
+/// The segment index of an empty cache slot. Emptiness lives in the index,
+/// not the key, so every `u64` is a valid key.
+const NO_SEGMENT: usize = usize::MAX;
+
+/// The cache's length before the first key forces it to grow.
+const CACHE_BITS: u32 = 6;
+
+/// The cache slot of `key`: the top `64 − shift` bits of its Fibonacci
+/// hash, so keys that agree modulo a power of two still spread.
+#[inline]
+fn slot_of(key: ReducerId, shift: u32) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
 }
 
 /// The map-side context handed to [`Mapper`]s — an alias for [`Emitter`]
@@ -61,9 +90,10 @@ impl<M> Default for Emitter<M> {
         Emitter {
             keys: Vec::new(),
             segments: Vec::new(),
-            last: 0,
+            cache: vec![(0, NO_SEGMENT); 1 << CACHE_BITS],
+            shift: 64 - CACHE_BITS,
             emitted: 0,
-            counters: Counters::new(),
+            counts: Vec::new(),
         }
     }
 }
@@ -74,16 +104,48 @@ impl<M> Emitter<M> {
     #[inline]
     pub fn emit(&mut self, key: ReducerId, value: M) {
         self.emitted += 1;
-        // Mappers tend to emit runs of one key; skip the search for those.
-        if self.keys.get(self.last) != Some(&key) {
-            self.last = self.keys.binary_search(&key).unwrap_or_else(|at| {
-                self.keys.insert(at, key);
-                self.segments.insert(at, Vec::new());
-                at
-            });
-        }
-        if let Some(values) = self.segments.get_mut(self.last) {
+        let slot = slot_of(key, self.shift);
+        let segment = match self.cache.get(slot) {
+            Some(&(k, segment)) if k == key && segment != NO_SEGMENT => segment,
+            _ => self.miss(key, slot),
+        };
+        if let Some(values) = self.segments.get_mut(segment) {
             values.push(value);
+        }
+    }
+
+    /// The segment of a key the cache did not hold: found by binary search,
+    /// or opened on the key's first emission. Either way the key takes its
+    /// cache slot.
+    #[inline(never)]
+    fn miss(&mut self, key: ReducerId, slot: usize) -> usize {
+        let at = self.keys.partition_point(|&(k, _)| k < key);
+        let segment = match self.keys.get(at) {
+            Some(&(k, segment)) if k == key => segment,
+            _ => {
+                let segment = self.segments.len();
+                self.keys.insert(at, (key, segment));
+                self.segments.push(Vec::new());
+                segment
+            }
+        };
+        if let Some(entry) = self.cache.get_mut(slot) {
+            *entry = (key, segment);
+        }
+        if 2 * self.keys.len() > self.cache.len() {
+            self.grow();
+        }
+        segment
+    }
+
+    /// Doubles the cache and files every key in it again.
+    fn grow(&mut self) {
+        self.shift -= 1;
+        self.cache = vec![(0, NO_SEGMENT); 2 * self.cache.len()];
+        for &(key, segment) in &self.keys {
+            if let Some(entry) = self.cache.get_mut(slot_of(key, self.shift)) {
+                *entry = (key, segment);
+            }
         }
     }
 
@@ -103,24 +165,40 @@ impl<M> Emitter<M> {
     }
 
     /// Adds `delta` to the user counter `name` (Hadoop-style; merged
-    /// across workers into [`crate::JobMetrics::counters`]).
+    /// across workers into [`crate::JobMetrics::counters`]). The slot is
+    /// found by the address of the name's text, with no string compare; a
+    /// name met at two addresses takes two slots, which the fold sums.
     #[inline]
     pub fn inc(&mut self, name: &Counter, delta: u64) {
-        self.counters.inc(name, delta);
+        let name = name.as_static();
+        match self.counts.iter_mut().find(|(n, _)| std::ptr::eq(*n, name)) {
+            Some((_, total)) => *total += delta,
+            None => self.counts.push((name, delta)),
+        }
     }
 
-    /// The counters this worker accumulated so far.
-    pub fn counters(&self) -> &Counters {
-        &self.counters
+    /// The counters this worker accumulated so far, folded from its slots.
+    pub fn counters(&self) -> Counters {
+        let mut counters = Counters::new();
+        for &(name, total) in &self.counts {
+            counters.add(name, total);
+        }
+        counters
     }
 
     /// Finishes the worker: its map output as a key-grouped run, plus its
     /// accumulated counters. Nothing is sorted: the key table is already
     /// ascending, and each segment holds its values in emission order —
     /// the engine's determinism contract.
-    pub fn finish(self) -> (KeyedRun<M>, Counters) {
-        let run = self.keys.into_iter().zip(self.segments).collect();
-        (run, self.counters)
+    pub fn finish(mut self) -> (KeyedRun<M>, Counters) {
+        let counters = self.counters();
+        let run = (self.keys.iter())
+            .map(|&(key, segment)| {
+                let values = self.segments.get_mut(segment).map(std::mem::take);
+                (key, values.unwrap_or_default())
+            })
+            .collect();
+        (run, counters)
     }
 }
 
@@ -222,15 +300,16 @@ impl ReduceCtx {
 }
 
 /// Where a reduce bucket's values physically live: resident in memory (the
-/// fast path — zero behavior change from the pre-streaming engine) or
-/// spilled to DFS runs when the bucket overflowed
+/// fast path) or spilled to DFS runs when the bucket overflowed
 /// [`crate::ClusterConfig::reduce_memory_budget`]. Either way,
 /// [`BucketSource::into_stream`] yields the values in the engine's
 /// deterministic bucket order.
 #[derive(Debug)]
 pub enum BucketSource<M> {
-    /// The bucket fit its budget and stayed resident.
-    InMemory(Vec<M>),
+    /// The bucket fit its budget and stayed resident: its key's segments,
+    /// one per map run that emitted to it, in run order — the bucket is
+    /// their concatenation, which is never built.
+    InMemory(Vec<Vec<M>>),
     /// The bucket overflowed and lives as DFS runs (see [`crate::spill`]).
     Spilled(SpilledBucket<M>),
 }
@@ -248,7 +327,7 @@ impl<M: Record> BucketSource<M> {
     /// Number of values in the bucket.
     pub fn len(&self) -> usize {
         match self {
-            BucketSource::InMemory(v) => v.len(),
+            BucketSource::InMemory(segments) => segments.iter().map(Vec::len).sum(),
             BucketSource::Spilled(b) => b.len(),
         }
     }
@@ -278,7 +357,7 @@ impl<M: Record> BucketSource<M> {
     /// The pull-based value stream a reducer consumes.
     pub fn into_stream(self) -> ValueStream<M> {
         match self {
-            BucketSource::InMemory(v) => ValueStream::from_vec(v),
+            BucketSource::InMemory(segments) => ValueStream::from_segments(segments),
             BucketSource::Spilled(b) => {
                 let total = b.len();
                 ValueStream {
@@ -293,8 +372,27 @@ impl<M: Record> BucketSource<M> {
 
 #[derive(Debug)]
 enum StreamInner<M> {
-    Mem(std::vec::IntoIter<M>),
+    Mem(Segments<M>),
     Spilled(RunCursor<M>),
+}
+
+/// A resident bucket's values, segment after segment.
+#[derive(Debug)]
+struct Segments<M> {
+    current: std::vec::IntoIter<M>,
+    rest: std::vec::IntoIter<Vec<M>>,
+}
+
+impl<M> Segments<M> {
+    #[inline]
+    fn next(&mut self) -> Option<M> {
+        loop {
+            if let Some(v) = self.current.next() {
+                return Some(v);
+            }
+            self.current = self.rest.next()?.into_iter();
+        }
+    }
 }
 
 /// The pull-based view of one reduce bucket's values, in deterministic
@@ -343,9 +441,17 @@ impl<M: Record> ValueStream<M> {
     /// A stream over an in-memory value vector (what tests and standalone
     /// reducer invocations construct directly).
     pub fn from_vec(values: Vec<M>) -> Self {
+        ValueStream::from_segments(vec![values])
+    }
+
+    /// A stream over in-memory segments, read one after the other.
+    fn from_segments(segments: Vec<Vec<M>>) -> Self {
         ValueStream {
-            remaining: values.len(),
-            inner: StreamInner::Mem(values.into_iter()),
+            remaining: segments.iter().map(Vec::len).sum(),
+            inner: StreamInner::Mem(Segments {
+                current: Vec::new().into_iter(),
+                rest: segments.into_iter(),
+            }),
             hb: None,
         }
     }
@@ -477,9 +583,9 @@ mod tests {
 
     #[test]
     fn keyed_run_is_key_ordered_and_stable() {
-        // Interleaved and descending keys: every emit misses the last-key
-        // fast path, and the run still comes out key-ascending with each
-        // key's values in emission order.
+        // Interleaved and descending keys, and key 0, which an empty
+        // cache slot must not match: the run still comes out key-ascending
+        // with each key's values in emission order.
         let mut e: Emitter<char> = Emitter::default();
         for (k, v) in [
             (5, 'a'),
@@ -502,6 +608,65 @@ mod tests {
             ]
         );
         assert!(Emitter::<u8>::default().finish().0.is_empty());
+    }
+
+    /// Keys for the property below: both ends of the key space, keys equal
+    /// modulo every power of two up to 4 096, and keys equal in their low
+    /// 52 bits — 133 in all, so the 64-slot cache grows three times.
+    fn key_pool() -> Vec<ReducerId> {
+        let mut keys = vec![0, 1, u64::MAX, u64::MAX - 1, 1 << 63];
+        keys.extend((1..=96).map(|j| 7 + j * 4096));
+        keys.extend((1..=32).map(|j| j << 52));
+        keys
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// The emitter against a `BTreeMap` grouping: the run is every key
+        /// ascending with its values in emission order, and `counters()`
+        /// is exact between any two increments.
+        #[test]
+        fn emitter_groups_like_a_btreemap(
+            descending in 0u8..2,
+            steps in proptest::collection::vec((0u8..8, 0usize..133, 1u64..5), 0..400),
+        ) {
+            let pool = key_pool();
+            let names = [names::RCCIS_REPLICA_PAIRS, names::JOIN_CANDIDATES, names::SPILL_RUNS];
+            let mut e: Emitter<u32> = Emitter::default();
+            let mut want: std::collections::BTreeMap<ReducerId, Vec<u32>> = Default::default();
+            let mut want_counters = Counters::new();
+            let mut tag = 0u32;
+            let mut emit = |e: &mut Emitter<u32>, key: ReducerId| {
+                tag += 1;
+                e.emit(key, tag);
+                want.entry(key).or_default().push(tag);
+            };
+            // First emissions in descending key order: each inserts at the
+            // front of the key table.
+            if descending == 1 {
+                let mut keys = pool.clone();
+                keys.sort_unstable_by(|a, b| b.cmp(a));
+                for key in keys {
+                    emit(&mut e, key);
+                }
+            }
+            for (op, k, delta) in steps {
+                if op == 0 {
+                    let name = names[k % names.len()];
+                    e.inc(name, delta);
+                    want_counters.inc(name, delta);
+                    proptest::prop_assert_eq!(e.counters(), want_counters.clone());
+                } else {
+                    emit(&mut e, pool[k]);
+                }
+            }
+            let emitted = want.values().map(Vec::len).sum::<usize>();
+            proptest::prop_assert_eq!(e.emitted(), emitted);
+            let (run, counters) = e.finish();
+            proptest::prop_assert_eq!(run, want.into_iter().collect::<Vec<_>>());
+            proptest::prop_assert_eq!(counters, want_counters);
+        }
     }
 
     #[test]
@@ -564,11 +729,28 @@ mod tests {
 
     #[test]
     fn bucket_source_reports_shape() {
-        let b = BucketSource::InMemory(vec![1u64, 2]);
+        let b = BucketSource::InMemory(vec![vec![1u64, 2]]);
         assert_eq!(b.len(), 2);
         assert!(!b.is_spilled());
         assert!(!b.is_empty());
         let mut s = b.into_stream();
         assert_eq!(s.by_ref().collect::<Vec<_>>(), vec![1, 2]);
+    }
+
+    #[test]
+    fn resident_bucket_streams_its_segments_in_order() {
+        // Empty segments anywhere, including first and last.
+        let b = BucketSource::InMemory(vec![vec![], vec![1u64, 2], vec![], vec![3], vec![]]);
+        assert_eq!(b.len(), 3);
+        let copy = b.clone();
+        let mut s = b.into_stream();
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.next(), Some(1));
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.take_vec(), vec![2, 3]);
+        assert!(s.is_empty());
+        assert_eq!(s.next(), None);
+        assert_eq!(copy.into_stream().collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert!(BucketSource::InMemory(Vec::<Vec<u8>>::new()).is_empty());
     }
 }

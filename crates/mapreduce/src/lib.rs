@@ -24,9 +24,10 @@
 //! the mappers' emission order, independent of thread count. The shuffle is
 //! *partitioned* like Hadoop's, and partitioned at emit: each map worker's
 //! [`Emitter`] files every pair under its reducer key, so the worker ends
-//! with a key-grouped run, and [`merge_keyed_runs`] splices the runs'
-//! per-key segments into reducer buckets in chunk order — no code path
-//! sorts, or compares, individual intermediate pairs.
+//! with a key-grouped run, and [`merge_keyed_runs`] hands each reducer
+//! bucket over as the runs' segments for its key, in chunk order — no code
+//! path sorts, or compares, individual intermediate pairs, and none copies
+//! a pair after the emit.
 //! Reducers take ownership of their bucket (cloned per attempt only when a
 //! [`FaultPlan`] is attached), and each phase's wall time and byte volume is
 //! reported separately in [`JobMetrics`].

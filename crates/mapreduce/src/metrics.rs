@@ -50,9 +50,10 @@ impl Counters {
         self.add(name, delta);
     }
 
-    /// [`Counters::inc`] by a name already held in a counter map.
+    /// [`Counters::inc`] by a name already held in a counter map or in an
+    /// emitter's counter slot.
     #[inline]
-    fn add(&mut self, name: &str, delta: u64) {
+    pub(crate) fn add(&mut self, name: &str, delta: u64) {
         if let Some(v) = self.totals.get_mut(name) {
             *v += delta;
         } else {
@@ -148,8 +149,8 @@ pub struct JobMetrics {
     pub wall: Duration,
     /// Wall-clock time of the map phase (chunked map, partitioned at emit).
     pub map_wall: Duration,
-    /// Wall-clock time of the shuffle (splicing the runs' per-key segments
-    /// into reducer buckets).
+    /// Wall-clock time of the shuffle (gathering the runs' per-key segments
+    /// into reducer buckets, and cutting spill runs under a budget).
     pub shuffle_wall: Duration,
     /// Wall-clock time of the reduce phase (including output concatenation).
     pub reduce_wall: Duration,

@@ -43,6 +43,14 @@ use std::ops::Deref;
 #[derive(Debug, PartialEq, Eq)]
 pub struct Counter(&'static str);
 
+impl Counter {
+    /// The name with its static lifetime — what an emitter's counter slot
+    /// holds, and whose address identifies the name on its hit path.
+    pub(crate) const fn as_static(&self) -> &'static str {
+        self.0
+    }
+}
+
 impl Deref for Counter {
     type Target = str;
 

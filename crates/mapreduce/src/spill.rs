@@ -12,7 +12,7 @@
 //!
 //! # Spill format and the determinism argument
 //!
-//! Runs are cut from one bucket's value sequence as the shuffle splices
+//! Runs are cut from one bucket's value sequence as the shuffle walks
 //! it: the key's segments in map-run index order, each in mapper-emission
 //! order (see [`crate::merge_keyed_runs`]). Run *i* of a bucket therefore
 //! holds a contiguous slice that entirely precedes run *i + 1*, so reading

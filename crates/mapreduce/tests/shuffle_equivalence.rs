@@ -1,11 +1,12 @@
 //! Property tests for the sort-free shuffle.
 //!
 //! The engine never sorts intermediate pairs: each map worker's `Emitter`
-//! partitions by key at emit, and the shuffle splices the workers' per-key
-//! segments in chunk order. These properties pin that against the
-//! definition it replaces — concatenate every worker's emissions in chunk
-//! order, stable-sort by key, group — for `worker_threads` 1/2/8, over
-//! emission patterns chosen to defeat the emitter's last-key fast path and
+//! partitions by key at emit, and the shuffle hands each bucket over as
+//! the workers' per-key segments in chunk order. These properties pin
+//! that against the definition it replaces — concatenate every worker's
+//! emissions in chunk order, stable-sort by key, group — for
+//! `worker_threads` 1/2/8, over
+//! emission patterns chosen to make the emitter open keys out of order and
 //! to leave workers and keys lopsided.
 
 use ij_mapreduce::{
@@ -64,7 +65,16 @@ fn check(input: &[Emissions]) {
             })
             .collect();
         let (buckets, stats) = merge_keyed_runs(runs);
-        assert_eq!(&buckets, &want, "splice, threads = {}", threads);
+        let flat_buckets: Vec<(ReducerId, Vec<u32>)> = (buckets.iter())
+            .map(|(k, segments)| (*k, segments.concat()))
+            .collect();
+        assert_eq!(&flat_buckets, &want, "splice, threads = {}", threads);
+        for (k, segments) in &buckets {
+            assert!(
+                segments.len() <= threads && segments.iter().all(|s| !s.is_empty()),
+                "key {k}: one non-empty segment per run that emitted it, threads = {threads}"
+            );
+        }
         assert_eq!(stats, want_stats, "splice stats, threads = {}", threads);
 
         let out = Engine::new(ClusterConfig {
@@ -118,7 +128,7 @@ fn tagged(keys: Vec<Vec<ReducerId>>) -> Vec<Emissions> {
 
 /// One record's key sequence: nothing, random pool keys, the pool strictly
 /// descending, or the pool round-robin from a random offset — the last two
-/// miss the emitter's last-key cache on every single emit.
+/// never repeat the previous emit's key.
 fn record_keys() -> impl Strategy<Value = Vec<ReducerId>> {
     (0u8..5, proptest::collection::vec(0usize..POOL.len(), 0..6)).prop_map(|(pattern, picks)| {
         match pattern {

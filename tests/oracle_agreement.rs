@@ -215,6 +215,46 @@ fn degenerate_inputs() {
     }
 }
 
+/// A single-attribute query names attribute 0 of each relation, and a
+/// relation may carry more attributes than the query reads: every
+/// single-attribute family joins attribute 0 alone, returning the oracle's
+/// tuples for the same data projected to it. The second attribute is
+/// random, so a family reading it (or refusing the wider tuple) fails.
+#[test]
+fn relations_with_attributes_the_query_does_not_name() {
+    let engine = Engine::new(ClusterConfig::with_slots(4));
+    for (seed, preds) in [
+        (1u64, vec![Overlaps]),
+        (2, vec![Overlaps, Contains]),
+        (3, vec![Before, Overlaps]),
+    ] {
+        let q = JoinQuery::chain(&preds).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut iv = |span: i64| {
+            let s = rng.gen_range(0..span);
+            Interval::new(s, s + rng.gen_range(0..=45)).unwrap()
+        };
+        let rows: Vec<Vec<Vec<Interval>>> = (0..q.num_relations())
+            .map(|_| (0..30).map(|_| vec![iv(300), iv(3000)]).collect())
+            .collect();
+        let bind = |width: usize| {
+            let relation = |(r, rows): (usize, &Vec<Vec<Interval>>)| {
+                let rows = rows.iter().map(|row| row[..width].to_vec());
+                Relation::from_rows(format!("R{r}"), rows)
+            };
+            JoinInput::bind_owned(&q, rows.iter().enumerate().map(relation).collect()).unwrap()
+        };
+        let (wide, projected) = (bind(2), bind(1));
+        let want = oracle_join(&q, &projected);
+        assert!(!want.is_empty(), "{q} joins nothing");
+        assert_eq!(oracle_join(&q, &wide), want, "oracle on {q}");
+        for alg in algorithms_for(&q) {
+            let got = alg.run(&q, &wide, &engine).unwrap().assert_no_duplicates();
+            assert_eq!(got, want, "{} on {q} over two attributes", alg.name());
+        }
+    }
+}
+
 #[test]
 fn one_partition_inputs() {
     // `o = 1`: the join cycle's one reducer (one cell) receives everything

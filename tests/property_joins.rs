@@ -6,8 +6,8 @@
 //!   partitionings.
 //! * Distributed-vs-oracle agreement for the flagship algorithms on
 //!   arbitrary data and several query shapes.
-//! * The mirror: a query and its mirror image return the same tuples, with
-//!   no oracle.
+//! * Metamorphic legs: a query and its mirror image, its time shift or its
+//!   reversal return the same tuples, with no oracle.
 
 use ij_core::all_matrix::AllMatrix;
 use ij_core::all_replicate::AllReplicate;
@@ -347,6 +347,81 @@ fn shifted_queries_return_the_same_tuples() {
                         alg.name()
                     );
                 }
+                found[*f] += got.len();
+            }
+        }
+    }
+    for (alg, found) in ["RCCIS", "All-Rep", "PASM"].iter().zip(found) {
+        assert!(found > 0, "{alg}: the chains join nothing");
+    }
+}
+
+/// A chain read backwards is the same query: relations in reverse order,
+/// each predicate replaced by its converse ([`AllenPredicate::inverse`]).
+/// Its tuples, reversed back, equal the chain's through RCCIS, All-Rep and
+/// PASM on one and two threads. Reversal reorders the relation-major map
+/// input, so each map worker opens its keys in another order and the
+/// buckets' segments interleave differently.
+#[test]
+fn permuted_queries_return_the_same_tuples() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut found = [0usize; 3];
+    for seed in 0..32u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let preds: Vec<AllenPredicate> = (0..rng.gen_range(1..4))
+            .map(|_| AllenPredicate::ALL[rng.gen_range(0..13)])
+            .collect();
+        let q = JoinQuery::chain(&preds).unwrap();
+        let back: Vec<AllenPredicate> = preds.iter().rev().map(|p| p.inverse()).collect();
+        let r = JoinQuery::chain(&back).unwrap();
+        let m = preds.len() + 1;
+        let rels: Vec<Vec<Interval>> = (0..m)
+            .map(|_| {
+                (0..rng.gen_range(1..40))
+                    .map(|_| {
+                        let s = rng.gen_range(0..200);
+                        Interval::new(s, s + rng.gen_range(0..50)).unwrap()
+                    })
+                    .collect()
+            })
+            .collect();
+        let bind = |q: &JoinQuery, order: &mut dyn Iterator<Item = usize>| {
+            let relation = |r: usize| Relation::from_intervals(format!("R{r}"), rels[r].clone());
+            JoinInput::bind_owned(q, order.map(relation).collect()).unwrap()
+        };
+        let (input, reversed) = (bind(&q, &mut (0..m)), bind(&r, &mut (0..m).rev()));
+        let k = rng.gen_range(2..7);
+        let colocation = preds.iter().all(|p| p.is_colocation());
+        let families: Vec<(usize, Box<dyn Algorithm>)> = vec![
+            (0, Box::new(Rccis::new(k))),
+            (1, Box::new(AllReplicate::new(k))),
+            (2, Box::new(Pasm::new(k))),
+        ];
+        for (f, alg) in families.iter().filter(|(f, _)| colocation || *f != 0) {
+            for threads in [1, 2] {
+                let engine = Engine::new(ClusterConfig {
+                    worker_threads: threads,
+                    intra_reduce_threads: threads,
+                    heavy_bucket_threshold: 8,
+                    ..ClusterConfig::with_slots(4)
+                });
+                let got = alg.run(&q, &input, &engine).unwrap().assert_no_duplicates();
+                let mut seen: Vec<_> = (alg.run(&r, &reversed, &engine).unwrap())
+                    .assert_no_duplicates()
+                    .into_iter()
+                    .map(|mut t| {
+                        t.reverse();
+                        t
+                    })
+                    .collect();
+                seen.sort_unstable();
+                assert_eq!(
+                    seen,
+                    got,
+                    "{} {q} reversed {r} threads {threads} seed {seed}",
+                    alg.name()
+                );
                 found[*f] += got.len();
             }
         }
