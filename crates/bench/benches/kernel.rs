@@ -179,7 +179,7 @@ fn plane_sweep_oracle_count(q: &JoinQuery, c: &Candidates) -> u64 {
 }
 
 /// Match count of the dispatching kernel under `cfg`, folded per chunk by
-/// the count sink.
+/// the count sink (serial under [`KernelConfig::serial`]).
 fn parallel_count(q: &JoinQuery, cands: &Candidates, cfg: &KernelConfig) -> u64 {
     let mut count = 0u64;
     kernel::execute_into(q, cands, cfg, &[], &mut count);
@@ -216,8 +216,10 @@ fn forced_count(kind: KernelKind, q: &JoinQuery, cands: &Candidates) -> u64 {
     count
 }
 
-/// Adds `windowed_backtracking` (the `holds` reference) and
-/// `dispatching_kernel` on one bucket to `group`, each asserting the
+/// Adds `windowed_backtracking` (the `holds` reference),
+/// `dispatching_kernel` (the closure form, one binding at a time) and
+/// `dispatching_kernel_count_sink` (the serial count sink, which adds each
+/// run's length) on one bucket to `group`, each asserting the
 /// independently counted `expect`.
 fn bench_reference_and_dispatch(
     group: &mut BenchmarkGroup<'_>,
@@ -230,6 +232,10 @@ fn bench_reference_and_dispatch(
     });
     group.bench_function("dispatching_kernel", |b| {
         b.iter(|| checked(serial_count(q, cands), expect))
+    });
+    let serial = KernelConfig::serial();
+    group.bench_function("dispatching_kernel_count_sink", |b| {
+        b.iter(|| checked(parallel_count(q, cands, &serial), expect))
     });
 }
 

@@ -162,8 +162,6 @@ impl<'r> Chunks for Bucket<'r> {
         self.plan.start(&self.lists)
     }
 
-    /// An owned binding reaches `sink` as its gathered row: per output
-    /// column the id and the interval in that slot.
     fn run<K: BindingSink>(
         &self,
         scan: &mut Scan<&'r CompRec>,
@@ -171,14 +169,32 @@ impl<'r> Chunks for Bucket<'r> {
         sink: &mut K,
     ) -> KernelReport {
         let mut rep = KernelReport::idle(KernelKind::Window);
-        let mut row = Vec::with_capacity(self.gather.len());
-        let emit = &mut |b: &[&CompRec]| {
-            row.clear();
-            row.extend((self.gather.iter()).map(|&(s, k)| (b[s].ivs[k], b[s].tids[k])));
-            sink.push(&row);
+        let mut gathered = Gathered {
+            columns: self.gather,
+            row: Vec::with_capacity(self.gather.len()),
+            sink,
         };
-        self.plan.run(&self.lists, scan, outer, emit, &mut rep.work);
+        self.plan
+            .run(&self.lists, scan, outer, &mut gathered, &mut rep.work);
         rep
+    }
+}
+
+/// The descent's sink over composite bindings: an owned binding reaches
+/// `sink` as its gathered row, per output column the id and the interval
+/// in that slot — one binding at a time (the default
+/// [`BindingSink::push_run`]).
+struct Gathered<'a, K> {
+    columns: &'a [Slot],
+    row: Vec<(Interval, TupleId)>,
+    sink: &'a mut K,
+}
+
+impl<K: BindingSink> BindingSink<&CompRec> for Gathered<'_, K> {
+    fn push(&mut self, b: &[&CompRec]) {
+        self.row.clear();
+        (self.row).extend((self.columns.iter()).map(|&(s, k)| (b[s].ivs[k], b[s].tids[k])));
+        self.sink.push(&self.row);
     }
 }
 

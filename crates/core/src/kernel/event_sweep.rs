@@ -46,9 +46,9 @@
 //! block order, is byte-identical to the serial order, and `work` /
 //! `active_peak` are the serial run's for every thread count.
 
-use super::ranges::range_pair;
+use super::ranges::{closed, range_pair, within};
 use super::scratch::{Lease, Scratch};
-use super::{slot_conditions, Compiled, RangePair, StartRange, StartWindow};
+use super::{slot_conditions, BindingSink, Compiled, RangePair, StartRange, StartWindow};
 use crate::executor::Candidates;
 use ij_interval::{bounds_contain, AllenPredicate, Interval, Time, TupleId};
 use ij_query::JoinQuery;
@@ -290,10 +290,10 @@ impl Active<'_> {
     /// of every range this sweep ran before, having applied the events in
     /// between (state only, no probing, no work charged). `active_peak` is
     /// raised to the maximum total active occupancy observed over `outer`.
-    pub(crate) fn run<E: FnMut(&[(Interval, TupleId)])>(
+    pub(crate) fn run<S: BindingSink>(
         &mut self,
         outer: Range<usize>,
-        emit: &mut E,
+        sink: &mut S,
         work: &mut u64,
         active_peak: &mut u64,
     ) {
@@ -321,7 +321,7 @@ impl Active<'_> {
                 continue;
             }
             assignment[rel] = cands.list(rel)[e.idx as usize];
-            probe(&plan.programs[rel], active, 1, assignment, emit, work);
+            probe(&plan.programs[rel], active, 1, assignment, sink, work);
         }
     }
 }
@@ -358,18 +358,16 @@ fn apply(
 /// Enumerates bindings level by level from the active arrays, with the
 /// level's intersected endpoint ranges and owner bounds checked exactly —
 /// predicate satisfaction *is* range membership (see [`super::ranges`]).
-fn probe<E: FnMut(&[(Interval, TupleId)])>(
+/// The last level hands the active tuples inside its ranges to `sink` as
+/// one run, the ranges normalized to inclusive bounds once.
+fn probe<S: BindingSink>(
     program: &Compiled,
     active: &[Vec<(Interval, TupleId, u32)>],
     level: usize,
-    assignment: &mut Vec<(Interval, TupleId)>,
-    emit: &mut E,
+    assignment: &mut [(Interval, TupleId)],
+    sink: &mut S,
     work: &mut u64,
 ) {
-    if level == program.order.len() {
-        emit(assignment);
-        return;
-    }
     let rel = program.order[level];
     let mut rp = RangePair::full();
     for &((other, _), pred, _) in &program.checks[level] {
@@ -381,10 +379,15 @@ fn probe<E: FnMut(&[(Interval, TupleId)])>(
     }
     let arr = &active[rel];
     *work += arr.len() as u64;
-    for &(iv, tid, _) in arr {
-        if rp.contains(iv) {
-            assignment[rel] = (iv, tid);
-            probe(program, active, level + 1, assignment, emit, work);
+    let (start, end) = (closed(rp.start), closed(rp.end));
+    let run = (arr.iter().map(|&(iv, tid, _)| (iv, tid)))
+        .filter(|(iv, _)| within(start, iv.start()) && within(end, iv.end()));
+    if level + 1 == program.order.len() {
+        sink.push_run(assignment, rel, run);
+    } else {
+        for row in run {
+            assignment[rel] = row;
+            probe(program, active, level + 1, assignment, sink, work);
         }
     }
 }

@@ -44,10 +44,11 @@
 //! level's searches ended and starts the next ones there (any start finds
 //! the same window, so its state only saves search steps). Output goes
 //! through an [`OutputSink`]: a worker `fork`s one empty push-only
-//! [`BindingSink`] per block and the kernel `push`es every owned binding
-//! into it — a static call the scan loop inlines, folding the binding
-//! into the count, rows or id set the reducer wants, not buffering it —
-//! and the caller `absorb`s the blocks in block order. Every kernel emits along a fixed outer order and its
+//! [`BindingSink`] per block, and the kernel's last level hands it each
+//! filtered window as one run ([`BindingSink::push_run`]) — a static call
+//! the scan loop inlines, folding the run into the count, rows or id set
+//! the reducer wants, not buffering it — and the caller `absorb`s the
+//! blocks in block order. Every kernel emits along a fixed outer order and its
 //! state at an outer position does not depend on which thread got there,
 //! so block `i` holds exactly the bindings the serial run emits for outer
 //! range `i`, in the same order: the sink ends in the serial state and
@@ -350,7 +351,7 @@ impl Owned {
 
     /// The start range of a slot per bound on it, given the sides `bound`
     /// before this level; the floors over several slots are
-    /// [`Owned::holds`]'s.
+    /// [`Owned::reaches`]'s.
     pub(crate) fn bounds<'s, R: Row>(
         &'s self,
         bound: &'s [R],
@@ -369,11 +370,18 @@ impl Owned {
         (self.bounds(bound)).fold(range, |r, (_, b)| ranges::intersect_range(r, b))
     }
 
-    /// Whether `row` meets every floor over several of its slots.
-    pub(crate) fn holds<R: Row>(&self, bound: &[R], row: R) -> bool {
-        (self.floors.iter())
-            .filter(|f| f.here.len() > 1)
-            .all(|f| f.met(bound) || f.here.iter().any(|&s| row.at(s).start() >= f.lo))
+    /// The floors over several slots that no member in `bound` meets, as
+    /// indices into `unmet` — what is left of them for a row to meet.
+    pub(crate) fn unmet<R: Row>(&self, bound: &[R], unmet: &mut Vec<usize>) {
+        unmet.clear();
+        let open = |(_, f): &(usize, &Floor)| f.here.len() > 1 && !f.met(bound);
+        unmet.extend(self.floors.iter().enumerate().filter(open).map(|(i, _)| i));
+    }
+
+    /// Whether `row` meets every floor of `unmet` ([`Owned::unmet`]).
+    pub(crate) fn reaches<R: Row>(&self, unmet: &[usize], row: R) -> bool {
+        (unmet.iter().map(|&i| &self.floors[i]))
+            .all(|f| f.here.iter().any(|&s| row.at(s).start() >= f.lo))
     }
 }
 
@@ -549,23 +557,39 @@ impl Chunks for Prepared<'_> {
         sink: &mut K,
     ) -> KernelReport {
         let mut rep = KernelReport::idle(self.kind);
-        let emit = &mut |a: &[(Interval, TupleId)]| sink.push(a);
         match carry {
-            Carry::Pair(c) => c.run(outer, emit, &mut rep.work),
-            Carry::Event(c) => c.run(outer, emit, &mut rep.work, &mut rep.active_peak),
-            Carry::Window(p, scan) => p.run(&self.cands.lists, scan, outer, emit, &mut rep.work),
+            Carry::Pair(c) => c.run(outer, sink, &mut rep.work),
+            Carry::Event(c) => c.run(outer, sink, &mut rep.work, &mut rep.active_peak),
+            Carry::Window(p, scan) => p.run(&self.cands.lists, scan, outer, sink, &mut rep.work),
         }
         rep
     }
 }
 
-/// Runs `q` over `cands` on one thread with the `kind` kernel forced,
-/// keeping the bindings `owner` owns — the entry point for equivalence
-/// tests and benches. Returns `None`, having run nothing, when `q` lies
-/// outside `kind`'s domain: the pair sweep takes two relations joined by
-/// one overlaps/contains-shaped condition, the event sweep colocation sets
-/// whose relation pairs all provably intersect, the window scan any
-/// single-attribute condition set.
+/// [`execute_into`] with the `kind` kernel forced — the entry point for
+/// equivalence tests and benches. Returns `None`, having run nothing, when
+/// `q` lies outside `kind`'s domain: the pair sweep takes two relations
+/// joined by one overlaps/contains-shaped condition, the event sweep
+/// colocation sets whose relation pairs all provably intersect, the window
+/// scan any single-attribute condition set.
+pub fn execute_kind_into(
+    kind: KernelKind,
+    q: &JoinQuery,
+    cands: &Candidates,
+    cfg: &KernelConfig,
+    owner: &[StartWindow],
+    sink: &mut impl OutputSink,
+) -> Option<KernelReport> {
+    let total = cands.lists.iter().map(Vec::len).sum();
+    kind.applies_to(q)
+        .then(|| match prepare(kind, q, cands, owner) {
+            Some(prep) => drive(kind, (prep.outer_len, total), cfg, &prep, sink),
+            None => KernelReport::idle(kind),
+        })
+}
+
+/// [`execute_kind_into`] on one thread, handing each binding to
+/// `on_output`.
 pub fn execute_kind(
     kind: KernelKind,
     q: &JoinQuery,
@@ -577,11 +601,7 @@ pub fn execute_kind(
         arity: q.num_relations() as usize,
         on_output,
     };
-    kind.applies_to(q)
-        .then(|| match prepare(kind, q, cands, owner) {
-            Some(prep) => prep.run(&mut prep.start(), 0..prep.outer_len, &mut sink),
-            None => KernelReport::idle(kind),
-        })
+    execute_kind_into(kind, q, cands, &KernelConfig::serial(), owner, &mut sink)
 }
 
 /// Outer blocks per granted thread on a heavy bucket. Many small blocks
@@ -688,12 +708,8 @@ pub fn execute_into(
     owner: &[StartWindow],
     sink: &mut impl OutputSink,
 ) -> KernelReport {
-    let kind = planned_kernel(q);
-    let total = cands.lists.iter().map(Vec::len).sum();
-    match prepare(kind, q, cands, owner) {
-        Some(prep) => drive(kind, (prep.outer_len, total), cfg, &prep, sink),
-        None => KernelReport::idle(kind),
-    }
+    execute_kind_into(planned_kernel(q), q, cands, cfg, owner, sink)
+        .expect("every query lies in its planned kernel's domain")
 }
 
 /// The closure form of [`execute_into`] with no owner: `on_output`

@@ -60,6 +60,38 @@ pub(crate) fn intersect_range(
     (tighten_lower(a.0, b.0), tighten_upper(a.1, b.1))
 }
 
+/// `range` as inclusive bounds `(lo, hi)`: `x` lies in `range` iff
+/// `lo <= x && x <= hi` — two compares in a run's filter instead of a
+/// match on two [`Bound`]s per row. A range that no `Time` satisfies
+/// (`Excluded(Time::MAX)` below, `Excluded(Time::MIN)` above) is
+/// `(Time::MAX, Time::MIN)`, which admits nothing.
+pub(crate) fn closed((lo, hi): (Bound<Time>, Bound<Time>)) -> (Time, Time) {
+    const EMPTY: (Time, Time) = (Time::MAX, Time::MIN);
+    let lo = match lo {
+        Bound::Unbounded => Time::MIN,
+        Bound::Included(x) => x,
+        Bound::Excluded(x) => match x.checked_add(1) {
+            Some(x) => x,
+            None => return EMPTY,
+        },
+    };
+    let hi = match hi {
+        Bound::Unbounded => Time::MAX,
+        Bound::Included(x) => x,
+        Bound::Excluded(x) => match x.checked_sub(1) {
+            Some(x) => x,
+            None => return EMPTY,
+        },
+    };
+    (lo, hi)
+}
+
+/// Whether `x` lies in the [`closed`] range `(lo, hi)`.
+#[inline]
+pub(crate) fn within((lo, hi): (Time, Time), x: Time) -> bool {
+    lo <= x && x <= hi
+}
+
 /// Range constraints on a candidate interval's start and end points.
 ///
 /// Produced by [`range_pair`] and intersected across all conditions at one
@@ -296,6 +328,30 @@ mod tests {
                 };
                 let any = (-1..=6).any(|t| bounds_contain((lo, hi), t));
                 assert_eq!(rp.is_empty(), !any, "lo={lo:?} hi={hi:?}");
+            }
+        }
+    }
+
+    /// A [`closed`] range admits exactly what its bounds admit, at the
+    /// ends of the `Time` domain too.
+    #[test]
+    fn closed_ranges_admit_what_their_bounds_admit() {
+        let edges = [Time::MIN, Time::MIN + 1, -1, 0, 1, Time::MAX - 1, Time::MAX];
+        let bounds = |x: Time| [Bound::Unbounded, Bound::Included(x), Bound::Excluded(x)];
+        for &a in &edges {
+            for &b in &edges {
+                for lo in bounds(a) {
+                    for hi in bounds(b) {
+                        let range = closed((lo, hi));
+                        for &x in &edges {
+                            assert_eq!(
+                                within(range, x),
+                                bounds_contain((lo, hi), x),
+                                "{lo:?} {hi:?} {x}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -1,14 +1,36 @@
 //! Per-block output sinks: where the kernel driver's owned bindings go
 //! (see the parallelism section of the [module docs](super)).
+//!
+//! A kernel hands its last level's bindings over as *runs*: the partial
+//! binding, the slot the last level binds and the rows of that level's
+//! window that pass its filters, in scan order ([`BindingSink::push_run`]).
+//! A run is lazy — its filter runs as the sink pulls it, and the pair
+//! sweep's walk over its alive inners counts its work as it goes — so a
+//! sink consumes every row of a run, in order, exactly once. The default
+//! body binds each row and [`push`](BindingSink::push)es the binding; the
+//! count sink adds the run's length and the row sink writes the run's rows
+//! into its last block, found once per run, so the scan loop and the
+//! sink's loop are one tight loop.
 
 use crate::output::Tuples;
 use ij_interval::{Interval, TupleId};
 
-/// Consumer of owned bindings (one `(interval, tuple)` slot per
-/// relation, in query order) — all a worker ever does with its chunk.
-pub trait BindingSink {
+/// Consumer of owned bindings (one row per side, in side order: for a
+/// single-attribute bucket one `(interval, tuple)` slot per relation, in
+/// query order) — all a worker ever does with its chunk.
+pub trait BindingSink<R = (Interval, TupleId)> {
     /// Consumes one owned binding.
-    fn push(&mut self, binding: &[(Interval, TupleId)]);
+    fn push(&mut self, binding: &[R]);
+
+    /// Consumes one binding per row of `run`, in order: `binding` with the
+    /// row in `slot` (the other slots are the bound sides). Must consume
+    /// every row of `run`; `binding[slot]` is the sink's to overwrite.
+    fn push_run(&mut self, binding: &mut [R], slot: usize, run: impl Iterator<Item = R>) {
+        for row in run {
+            binding[slot] = row;
+            self.push(binding);
+        }
+    }
 }
 
 /// A reducer's output accumulator. The serial path `push`es straight into
@@ -39,6 +61,15 @@ impl BindingSink for u64 {
     fn push(&mut self, _: &[(Interval, TupleId)]) {
         *self += 1;
     }
+
+    fn push_run(
+        &mut self,
+        _: &mut [(Interval, TupleId)],
+        _: usize,
+        run: impl Iterator<Item = (Interval, TupleId)>,
+    ) {
+        *self += run.count() as u64;
+    }
 }
 
 impl OutputSink for u64 {
@@ -54,6 +85,28 @@ impl OutputSink for u64 {
 impl BindingSink for Tuples {
     fn push(&mut self, binding: &[(Interval, TupleId)]) {
         self.push_row(binding.iter().map(|&(_, t)| t));
+    }
+
+    /// The run's rows go to the last block, found once per run. The block
+    /// grows as rows arrive: reserving the window's length up front would
+    /// hold room for the rows the filter drops, which on sparse windows
+    /// is most of them.
+    fn push_run(
+        &mut self,
+        binding: &mut [(Interval, TupleId)],
+        slot: usize,
+        mut run: impl Iterator<Item = (Interval, TupleId)>,
+    ) {
+        // An empty run opens no block.
+        let Some(first) = run.next() else { return };
+        assert_eq!(binding.len(), self.arity(), "row length");
+        let block = self.tail();
+        let mut write = |(_, id): (Interval, TupleId)| {
+            binding[slot].1 = id;
+            block.extend(binding.iter().map(|&(_, t)| t));
+        };
+        write(first);
+        run.for_each(write);
     }
 }
 

@@ -21,9 +21,10 @@
 //! per thread, not per block, and the blocks' output is a permutation-free
 //! concatenation of the serial emission order.
 
+use super::ranges::{closed, within};
 use super::scratch::{Lease, Scratch};
 use super::window::{end_view, window_by};
-use super::{slot_conditions, Compiled, Owned, StartRange, StartWindow};
+use super::{slot_conditions, BindingSink, Compiled, Owned, StartRange, StartWindow};
 use crate::executor::Candidates;
 use ij_interval::{bounds_contain, AllenPredicate, Interval, Time, TupleId};
 use ij_query::JoinQuery;
@@ -151,10 +152,10 @@ pub(super) struct Alive<'a> {
 impl Alive<'_> {
     /// Runs the sweep over `outer` positions of the outer end order, which
     /// start at or after the end of every range this sweep ran before.
-    pub(super) fn run<E: FnMut(&[(Interval, TupleId)])>(
+    pub(super) fn run<S: BindingSink>(
         &mut self,
         outer: Range<usize>,
-        emit: &mut E,
+        sink: &mut S,
         work: &mut u64,
     ) {
         let p = self.plan;
@@ -196,16 +197,20 @@ impl Alive<'_> {
             // owned one when s2 also lies in the owner's bounds; in the
             // `contains` shape s2 <= e2 < e1 holds for every alive
             // inner, so only the owner's bound can cut the scan short.
+            // The walk over them is the run, and counts its work as the
+            // sink pulls it.
             let (lo, hi) =
                 (p.inner_owned).narrow(assignment, (Bound::Excluded(s1), Bound::Excluded(e1)));
             let (from, _) = window_by(inner_list, |(iv, _)| iv.start(), lo, Bound::Unbounded);
+            let below = closed((Bound::Unbounded, hi));
             let mut j = find(next, from);
-            while j < n && bounds_contain((Bound::Unbounded, hi), inner_list[j].0.start()) {
+            let run = std::iter::from_fn(|| {
+                let &row = inner_list.get(j).filter(|r| within(below, r.0.start()))?;
                 *work += 1;
-                assignment[p.inner_rel] = inner_list[j];
-                emit(assignment);
                 j = find(next, j + 1);
-            }
+                Some(row)
+            });
+            sink.push_run(assignment, p.inner_rel, run);
         }
     }
 }

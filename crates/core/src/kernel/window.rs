@@ -48,14 +48,22 @@
 //! window, so the output, the work and the emission order do not depend
 //! on them.
 //!
+//! The last level binds no deeper level: its filtered window goes to the
+//! sink as one run ([`BindingSink::push_run`]), the key slot's other
+//! range and the owned start range normalized once per run to inclusive
+//! bounds, so a single-attribute row is tested by two compares and a count
+//! sink only counts what passes. A one-level program hands its level-0
+//! rows over the same way.
+//!
 //! Outer iteration (level 0) is a contiguous range of the first-bound
 //! side's list, so the chunk runner in [`super`] can cut it: a level's
 //! scan depends only on the immutable sorted views and the partial
 //! binding, making chunked output a permutation-free concatenation of the
-//! serial emission order. A one-level program emits from level 0.
+//! serial emission order.
 
-use super::ranges::{constrains_end, intersect_range, range_pair};
-use super::{binding_order, slot_conditions, Compiled, RangePair, StartRange, StartWindow};
+use super::ranges::{closed, constrains_end, intersect_range, range_pair, within};
+use super::{binding_order, slot_conditions, BindingSink, Compiled, RangePair};
+use super::{StartRange, StartWindow};
 use crate::executor::Candidates;
 use ij_interval::{bounds_contain, Interval, Time, TupleId};
 use ij_query::JoinQuery;
@@ -271,8 +279,7 @@ fn narrowed<R: Row>(
 pub(crate) struct Scan<R> {
     /// The partial binding, one row per side.
     assignment: Vec<R>,
-    /// Per level, what it keeps between its visits (level 0 keeps
-    /// nothing).
+    /// Per level, what it keeps between its visits.
     levels: Vec<Level>,
 }
 
@@ -281,6 +288,9 @@ pub(crate) struct Scan<R> {
 struct Level {
     /// One range pair per non-key slot.
     ranges: Vec<RangePair>,
+    /// The owner's floors over several slots that a row must meet
+    /// ([`super::Owned::unmet`]).
+    unmet: Vec<usize>,
     hints: Hints,
     /// An end window gathered by [`EndView::tell`].
     rows: Vec<(Time, u32)>,
@@ -346,31 +356,32 @@ impl WindowPlan {
 
     /// Runs the descent over `outer` positions of the level-0 list, whose
     /// lists are all non-empty, on the thread that owns `scan`.
-    pub(super) fn run<R: Row, E: FnMut(&[R])>(
+    pub(super) fn run<R: Row, S: BindingSink<R>>(
         &self,
         lists: &[Vec<R>],
         scan: &mut Scan<R>,
         outer: Range<usize>,
-        emit: &mut E,
+        sink: &mut S,
         work: &mut u64,
     ) {
         let (side0, own) = (self.compiled.order[0], &self.compiled.owned[0]);
         *work += outer.len() as u64;
-        for &row in &lists[side0][outer] {
-            // Level 0 binds after nothing: its bounds are static.
-            let owned =
-                (own.bounds::<R>(&[])).all(|(slot, b)| bounds_contain(b, row.at(slot).start()));
-            if !owned || !own.holds::<R>(&[], row) {
-                continue;
-            }
-            scan.assignment[side0] = row;
-            if self.compiled.order.len() == 1 {
-                emit(&scan.assignment);
-            } else {
-                let levels = &mut scan.levels[1..];
-                self.descend(lists, (&mut scan.assignment, levels), emit, work);
-            }
-        }
+        let (first, deeper) = scan.levels.split_first_mut().expect("level 0");
+        // Level 0 binds after nothing: its bounds are static.
+        own.unmet::<R>(&[], &mut first.unmet);
+        let unmet = &first.unmet;
+        let rows = lists[side0][outer].iter().copied().filter(|&row| {
+            (own.bounds::<R>(&[])).all(|(slot, b)| bounds_contain(b, row.at(slot).start()))
+                && own.reaches(unmet, row)
+        });
+        self.bind(
+            lists,
+            (&mut scan.assignment, deeper),
+            side0,
+            rows,
+            sink,
+            work,
+        );
     }
 
     /// The `(end, index)` rows of `side`'s end window over `end`, when it
@@ -405,14 +416,12 @@ impl WindowPlan {
 
     /// Binds the level of `levels[0]` (at least 1; `levels` are it and
     /// every later level of the thread's [`Scan`]) and everything after
-    /// it, given the binding of the earlier levels in `assignment`. The
-    /// last level emits from inside its scan loop: one call per binding
-    /// instead of two.
-    fn descend<R: Row, E: FnMut(&[R])>(
+    /// it, given the binding of the earlier levels in `assignment`.
+    fn descend<R: Row, S: BindingSink<R>>(
         &self,
         lists: &[Vec<R>],
         (assignment, levels): (&mut [R], &mut [Level]),
-        emit: &mut E,
+        sink: &mut S,
         work: &mut u64,
     ) {
         let level = self.compiled.order.len() - levels.len();
@@ -440,11 +449,12 @@ impl WindowPlan {
                 None => owned = intersect_range(owned, b),
             }
         }
-        let rps = &at.ranges;
-        let others_hold = |row: R, bound: &[R]| {
+        own.unmet(assignment, &mut at.unmet);
+        let (rps, unmet) = (&at.ranges, &at.unmet);
+        let others_hold = |row: R| {
             R::ONE_SLOT
                 || ((others.iter().zip(rps.iter())).all(|(&s, r)| r.contains(row.at(s)))
-                    && own.holds(bound, row))
+                    && own.reaches(unmet, row))
         };
         let list = &lists[side];
         let start_window = window_near(list, (at.hints.start, 0), |r| r.at(key).start(), rp.start);
@@ -456,31 +466,41 @@ impl WindowPlan {
         match self.end_window((list, side, key), rp.end, size, hints, rows) {
             Some(ends) => {
                 *work += ends.len() as u64;
-                for &(_, idx) in ends {
-                    let row = list[idx as usize];
-                    if bounds_contain(owned, row.at(key).start()) && others_hold(row, assignment) {
-                        assignment[side] = row;
-                        if deeper.is_empty() {
-                            emit(assignment);
-                        } else {
-                            self.descend(lists, (&mut *assignment, &mut *deeper), emit, work);
-                        }
-                    }
-                }
+                let owned = closed(owned);
+                let run = (ends.iter().map(|&(_, idx)| list[idx as usize]))
+                    .filter(|&row| within(owned, row.at(key).start()) && others_hold(row));
+                self.bind(lists, (assignment, deeper), side, run, sink, work);
             }
             None => {
                 let (from, to) = narrowed(list, key, start_window, rp.start, owned);
                 *work += (to - from) as u64;
-                for &row in &list[from..to] {
-                    if bounds_contain(rp.end, row.at(key).end()) && others_hold(row, assignment) {
-                        assignment[side] = row;
-                        if deeper.is_empty() {
-                            emit(assignment);
-                        } else {
-                            self.descend(lists, (&mut *assignment, &mut *deeper), emit, work);
-                        }
-                    }
-                }
+                let end = closed(rp.end);
+                let run = (list[from..to].iter().copied())
+                    .filter(|&row| within(end, row.at(key).end()) && others_hold(row));
+                self.bind(lists, (assignment, deeper), side, run, sink, work);
+            }
+        }
+    }
+
+    /// Binds `side` to each row of `run` in turn, under the binding of the
+    /// earlier levels in `assignment`: the last level (no `deeper` levels)
+    /// hands the run to `sink` whole, an earlier one descends under each
+    /// row.
+    fn bind<R: Row, S: BindingSink<R>>(
+        &self,
+        lists: &[Vec<R>],
+        (assignment, deeper): (&mut [R], &mut [Level]),
+        side: usize,
+        run: impl Iterator<Item = R>,
+        sink: &mut S,
+        work: &mut u64,
+    ) {
+        if deeper.is_empty() {
+            sink.push_run(assignment, side, run);
+        } else {
+            for row in run {
+                assignment[side] = row;
+                self.descend(lists, (&mut *assignment, &mut *deeper), sink, work);
             }
         }
     }
@@ -489,6 +509,7 @@ impl WindowPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::Tuples;
     use ij_interval::AllenPredicate::{self, *};
     use std::ops::Bound;
 
@@ -618,14 +639,13 @@ mod tests {
     /// The plan's rows in emission order, and its work, over every outer
     /// position, in blocks cut at `cuts` that one carried [`Scan`] runs.
     fn scanned(plan: &WindowPlan, c: &Candidates, cuts: &[usize]) -> (Vec<Vec<TupleId>>, u64) {
-        let (mut rows, mut work) = (Vec::new(), 0);
-        let mut emit = |a: &[(Interval, TupleId)]| rows.push(a.iter().map(|r| r.1).collect());
+        let (mut rows, mut work) = (Tuples::new(c.lists.len()), 0);
         let mut scan = plan.start(&c.lists);
         let ends = cuts.iter().copied().chain([plan.outer_len]);
         for block in [0].into_iter().chain(cuts.iter().copied()).zip(ends) {
-            plan.run(&c.lists, &mut scan, block.0..block.1, &mut emit, &mut work);
+            plan.run(&c.lists, &mut scan, block.0..block.1, &mut rows, &mut work);
         }
-        (rows, work)
+        (rows.iter().map(<[TupleId]>::to_vec).collect(), work)
     }
 
     /// The descent with every end view built up front and every window

@@ -79,13 +79,20 @@ impl Tuples {
     /// Appends one row to the last block; panics unless it yields exactly
     /// `arity` ids.
     pub fn push_row(&mut self, row: impl IntoIterator<Item = TupleId>) {
+        let arity = self.arity;
+        let block = self.tail();
+        let before = block.len();
+        block.extend(row);
+        assert_eq!(block.len() - before, arity, "row length");
+    }
+
+    /// The block rows are appended to, opened when there is none. The
+    /// caller appends at least one whole row, so no block stays empty.
+    pub(crate) fn tail(&mut self) -> &mut Vec<TupleId> {
         if self.blocks.is_empty() {
             self.blocks.push(Vec::new());
         }
-        let block = self.blocks.last_mut().expect("a block");
-        let before = block.len();
-        block.extend(row);
-        assert_eq!(block.len() - before, self.arity, "row length");
+        self.blocks.last_mut().expect("a block")
     }
 
     /// Moves `other`'s rows behind this table's: its blocks join the list.

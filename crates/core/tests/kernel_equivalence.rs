@@ -13,7 +13,9 @@
 //! order) and identical work units — and, for the event sweep, an
 //! identical active peak — for every intra-bucket thread count and
 //! chunking threshold — through the closure adapter and through the
-//! folding count/tuple sinks alike. Composite buckets (records carrying
+//! folding count/tuple sinks alike; and every kernel hands a count sink,
+//! a row sink and a sink that implements only `push` the same runs, on
+//! every random chain and clique above. Composite buckets (records carrying
 //! several intervals) take the same runner: a cascade stage, an FCTS
 //! matrix, Gen-Matrix's Q5 join and FSTC's one-side filter must give the
 //! same rows, row order and work for every thread count, and the rows a
@@ -120,7 +122,9 @@ fn reference(q: &JoinQuery, cands: &Candidates) -> Rows {
 }
 
 /// The window scan, the `holds` reference, `oracle_join` and whatever
-/// the dispatcher picks agree on the exact result set of `q` over `rels`.
+/// the dispatcher picks agree on the exact result set of `q` over `rels`,
+/// and both kernels hand the same runs to every sink
+/// ([`assert_sinks_match_reference`]).
 fn assert_window_reference_oracle_agree(q: &JoinQuery, rels: &[Vec<Interval>]) {
     let (cands, input) = build_inputs(q, rels);
     let window = forced(KernelKind::Window, q, &cands);
@@ -130,6 +134,93 @@ fn assert_window_reference_oracle_agree(q: &JoinQuery, rels: &[Vec<Interval>]) {
     assert_eq!(window, oracle, "window != oracle for {q}");
     let dispatched = forced(kernel::planned_kernel(q), q, &cands);
     assert_eq!(window, dispatched, "window != dispatched kernel for {q}");
+    assert_sinks_match_reference(q, &cands);
+}
+
+/// The third witness of the sink tests: a sink that implements only
+/// `push`, so every run reaches it through the default `push_run`, one
+/// bound row at a time.
+struct PushOnly(Rows);
+
+impl BindingSink for PushOnly {
+    fn push(&mut self, binding: &[(Interval, TupleId)]) {
+        self.0.push(tids(binding));
+    }
+}
+
+impl OutputSink for PushOnly {
+    type Chunk = PushOnly;
+    fn fork(&self) -> PushOnly {
+        PushOnly(Vec::new())
+    }
+    fn absorb(&mut self, mut chunk: PushOnly) {
+        self.0.append(&mut chunk.0);
+    }
+}
+
+/// The window scan and the dispatched kernel of `q` (the pair sweep, the
+/// event sweep or the window scan again) through the count sink, the row
+/// sink and [`PushOnly`], with no owner and under one owner window cut
+/// from the data, at threads 1/2/8 × threshold 0/∞: every count is the
+/// number of `reference_join`'s owned bindings, every table's rows are
+/// the serial push-only run's in emission order, those rows are the
+/// reference's as a set, and the work is the serial run's.
+fn assert_sinks_match_reference(q: &JoinQuery, cands: &Candidates) {
+    let arity = q.num_relations() as usize;
+    let members: Vec<Slot> = (0..arity).map(|r| (r, 0)).collect();
+    // The owner keeps the bindings whose latest start lies between two
+    // starts of relation 0: a share on ordinary data, the ends of the
+    // `i64` domain on extreme data.
+    let starts: Vec<i64> = cands.list(0).iter().map(|(iv, _)| iv.start()).collect();
+    let (lo, hi) = (starts[starts.len() / 3], starts[2 * starts.len() / 3]);
+    let windows = [(lo, hi, members.as_slice())];
+    let mut kinds = vec![KernelKind::Window, kernel::planned_kernel(q)];
+    kinds.dedup();
+    for owner in [&[][..], &windows[..]] {
+        let mut want: Rows = Vec::new();
+        reference_join(q, cands, |a| {
+            if owns(owner, |(r, _)| a[r].0.start()) {
+                want.push(tids(a));
+            }
+        });
+        want.sort();
+        for &kind in &kinds {
+            let mut base = PushOnly(Vec::new());
+            let serial = KernelConfig::serial();
+            let base_rep = kernel::execute_kind_into(kind, q, cands, &serial, owner, &mut base)
+                .unwrap_or_else(|| panic!("{q} is outside {kind:?}'s domain"));
+            let mut sorted = base.0.clone();
+            sorted.sort();
+            let at = format!("{kind:?} on {q}, owner {owner:?}");
+            assert_eq!(sorted, want, "push-only sink != reference, {at}");
+            for threads in [1usize, 2, 8] {
+                for parallel_threshold in [0usize, usize::MAX] {
+                    let cfg = KernelConfig {
+                        threads,
+                        parallel_threshold,
+                    };
+                    let at = format!("{at}, threads {threads} threshold {parallel_threshold}");
+                    let mut count = 0u64;
+                    let count_rep =
+                        kernel::execute_kind_into(kind, q, cands, &cfg, owner, &mut count);
+                    let mut rows = Tuples::new(arity);
+                    let rows_rep =
+                        kernel::execute_kind_into(kind, q, cands, &cfg, owner, &mut rows);
+                    let mut one = PushOnly(Vec::new());
+                    let one_rep = kernel::execute_kind_into(kind, q, cands, &cfg, owner, &mut one);
+                    assert_eq!(count, want.len() as u64, "count sink, {at}");
+                    let table: Rows = rows.iter().map(<[TupleId]>::to_vec).collect();
+                    assert_eq!(table, base.0, "row sink, {at}");
+                    assert_eq!(one.0, base.0, "push-only sink, {at}");
+                    for rep in [count_rep, rows_rep, one_rep] {
+                        let rep = rep.expect("the kernel ran");
+                        assert_eq!(rep.work, base_rep.work, "work, {at}");
+                        assert_eq!(rep.active_peak, base_rep.active_peak, "peak, {at}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The 11 colocation predicates (everything but before/after) — the

@@ -39,6 +39,22 @@ pub struct Relation {
     pub n_attrs: u16,
     /// The tuples; `tuples[i].id == i` is maintained by the constructors.
     tuples: Vec<Tuple>,
+    /// Per attribute, the hull of the tuples' intervals there (minimum
+    /// start, maximum end); empty while there are no tuples. The
+    /// constructors and [`Relation::push`] widen it as tuples arrive, so
+    /// [`Relation::attr_span`] reads it without a pass over the tuples.
+    spans: Vec<Interval>,
+}
+
+/// `spans` widened to cover one tuple's `attrs`.
+fn widen(spans: &mut Vec<Interval>, attrs: &[Interval]) {
+    if spans.is_empty() {
+        spans.extend_from_slice(attrs);
+    } else {
+        for (span, &iv) in spans.iter_mut().zip(attrs) {
+            *span = span.hull(iv);
+        }
+    }
 }
 
 impl Relation {
@@ -48,6 +64,7 @@ impl Relation {
             name: name.into(),
             n_attrs,
             tuples: Vec::new(),
+            spans: Vec::new(),
         }
     }
 
@@ -57,15 +74,20 @@ impl Relation {
         name: impl Into<String>,
         intervals: impl IntoIterator<Item = Interval>,
     ) -> Self {
+        let mut spans = Vec::new();
         let tuples = intervals
             .into_iter()
             .enumerate()
-            .map(|(i, iv)| Tuple::single(i as TupleId, iv))
+            .map(|(i, iv)| {
+                widen(&mut spans, &[iv]);
+                Tuple::single(i as TupleId, iv)
+            })
             .collect();
         Relation {
             name: name.into(),
             n_attrs: 1,
             tuples,
+            spans,
         }
     }
 
@@ -79,6 +101,7 @@ impl Relation {
         rows: impl IntoIterator<Item = Vec<Interval>>,
     ) -> Self {
         let mut n_attrs = None;
+        let mut spans = Vec::new();
         let tuples: Vec<Tuple> = rows
             .into_iter()
             .enumerate()
@@ -87,6 +110,7 @@ impl Relation {
                     None => n_attrs = Some(attrs.len()),
                     Some(n) => assert_eq!(attrs.len(), n, "row {i} has inconsistent arity"),
                 }
+                widen(&mut spans, &attrs);
                 Tuple::multi(i as TupleId, attrs)
             })
             .collect();
@@ -94,6 +118,7 @@ impl Relation {
             name: name.into(),
             n_attrs: n_attrs.unwrap_or(1) as u16,
             tuples,
+            spans,
         }
     }
 
@@ -104,6 +129,7 @@ impl Relation {
     pub fn push(&mut self, attrs: Vec<Interval>) -> TupleId {
         assert_eq!(attrs.len(), self.n_attrs as usize, "arity mismatch");
         let id = self.tuples.len() as TupleId;
+        widen(&mut self.spans, &attrs);
         self.tuples.push(Tuple::multi(id, attrs));
         id
     }
@@ -137,11 +163,13 @@ impl Relation {
 
     /// The minimum start and maximum end point over attribute `a` of all
     /// tuples — the tight time range to build a [`crate::Partitioning`] over.
-    /// Returns `None` for an empty relation.
+    /// Returns `None` for an empty relation. O(1): the constructors keep
+    /// the span as tuples arrive.
+    ///
+    /// # Panics
+    /// Panics if `a` is out of range for a non-empty relation.
     pub fn attr_span(&self, a: AttrId) -> Option<Interval> {
-        let mut it = self.tuples.iter().map(|t| t.attr(a));
-        let first = it.next()?;
-        Some(it.fold(first, |acc, iv| acc.hull(iv)))
+        (!self.tuples.is_empty()).then(|| self.spans[a as usize])
     }
 }
 
@@ -204,6 +232,62 @@ mod tests {
         assert_eq!(r.attr_span(0), Some(iv(1, 20)));
         let empty = Relation::new("E", 1);
         assert_eq!(empty.attr_span(0), None);
+    }
+
+    /// The span every attribute's fold over `r`'s tuples gives.
+    fn folded(r: &Relation) -> Vec<Option<Interval>> {
+        (0..r.n_attrs)
+            .map(|a| {
+                let mut ivs = r.tuples().iter().map(|t| t.attr(a));
+                let first = ivs.next()?;
+                Some(ivs.fold(first, Interval::hull))
+            })
+            .collect()
+    }
+
+    fn spans(r: &Relation) -> Vec<Option<Interval>> {
+        (0..r.n_attrs).map(|a| r.attr_span(a)).collect()
+    }
+
+    /// The kept span is the fold over the tuples after every constructor
+    /// and after each `push`: empty relations, several attributes, and
+    /// intervals at the ends of the `Time` domain.
+    #[test]
+    fn kept_span_is_the_fold_over_the_tuples() {
+        use crate::interval::Time;
+        let (lo, hi) = (Time::MIN, Time::MAX);
+        let rows = [
+            vec![iv(5, 9), Interval::point(0)],
+            vec![iv(lo, lo), iv(-3, 4)],
+            vec![iv(1, hi), Interval::point(hi)],
+            vec![iv(lo, hi), iv(lo, -1)],
+            vec![iv(0, 0), iv(2, 2)],
+        ];
+        let built = [
+            Relation::new("E", 1),
+            Relation::new("E2", 2),
+            Relation::from_intervals("E", []),
+            Relation::from_rows("E", Vec::<Vec<Interval>>::new()),
+            Relation::from_intervals("R", rows.iter().map(|r| r[0])),
+            Relation::from_intervals("P", [iv(hi, hi), iv(lo, lo)]),
+            Relation::from_rows("M", rows.iter().cloned()),
+        ];
+        for r in &built {
+            assert_eq!(spans(r), folded(r), "{}", r.name);
+        }
+        let mut r = Relation::new("R", 2);
+        for row in &rows {
+            r.push(row.clone());
+            assert_eq!(spans(&r), folded(&r));
+            assert!(spans(&r).iter().all(Option::is_some));
+        }
+        assert_eq!(r.attr_span(0), Some(iv(lo, hi)));
+        assert_eq!(r.attr_span(1), Some(iv(lo, hi)));
+        let mut one = Relation::new("R", 1);
+        for row in &rows {
+            one.push(vec![row[1]]);
+            assert_eq!(spans(&one), folded(&one));
+        }
     }
 
     #[test]

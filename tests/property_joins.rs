@@ -7,15 +7,18 @@
 //! * Distributed-vs-oracle agreement for the flagship algorithms on
 //!   arbitrary data and several query shapes.
 //! * Metamorphic legs: a query and its mirror image, its time shift or its
-//!   reversal return the same tuples, with no oracle.
+//!   reversal return the same tuples, with no oracle, through six
+//!   families, each of which counts as many tuples as it materializes.
 
+use ij_core::algorithm::AlgoError;
 use ij_core::all_matrix::AllMatrix;
 use ij_core::all_replicate::AllReplicate;
+use ij_core::cascade::TwoWayCascade;
 use ij_core::gen_matrix::GenMatrix;
 use ij_core::hybrid::{AllSeqMatrix, Pasm};
 use ij_core::oracle::oracle_join;
 use ij_core::rccis::Rccis;
-use ij_core::{Algorithm, JoinInput};
+use ij_core::{Algorithm, JoinInput, OutputMode, OutputTuple};
 use ij_interval::AllenPredicate::{self, *};
 use ij_interval::{ops, Interval, Partitioning, Relation};
 use ij_mapreduce::{ClusterConfig, Engine};
@@ -170,6 +173,76 @@ proptest! {
     }
 }
 
+/// The families the metamorphic legs run: RCCIS, All-Rep and PASM, the
+/// All-Matrix and All-Seq-Matrix settings of the component matrix, and
+/// the two-way cascade, whose stages join composite buckets.
+const FAMILIES: [&str; 6] = [
+    "RCCIS",
+    "All-Rep",
+    "PASM",
+    "All-Matrix",
+    "All-Seq-Matrix",
+    "2-way Cd",
+];
+
+/// Family `f` of [`FAMILIES`] over `k` partitions (the matrices over
+/// 2–4 per dimension), in `mode`.
+fn family(f: usize, k: usize, mode: OutputMode) -> Box<dyn Algorithm> {
+    let per_dim = 2 + k % 3;
+    match f {
+        0 => Box::new(Rccis {
+            mode,
+            ..Rccis::new(k)
+        }),
+        1 => Box::new(AllReplicate {
+            mode,
+            ..AllReplicate::new(k)
+        }),
+        2 => Box::new(Pasm {
+            mode,
+            ..Pasm::new(k)
+        }),
+        3 => Box::new(AllMatrix {
+            mode,
+            ..AllMatrix::new(per_dim)
+        }),
+        4 => Box::new(AllSeqMatrix {
+            mode,
+            ..AllSeqMatrix::new(per_dim)
+        }),
+        _ => Box::new(TwoWayCascade {
+            mode,
+            ..TwoWayCascade::new(k)
+        }),
+    }
+}
+
+/// Family `f`'s tuples for `q` over `input`, having asserted that the same
+/// run in `OutputMode::Count` counts as many; `None` when `f` refuses `q`
+/// as unsupported (RCCIS a sequence predicate, say).
+fn joined(
+    f: usize,
+    k: usize,
+    q: &JoinQuery,
+    input: &JoinInput,
+    engine: &Engine,
+) -> Option<Vec<OutputTuple>> {
+    let rows = match family(f, k, OutputMode::Materialize).run(q, input, engine) {
+        Err(AlgoError::Unsupported { .. }) => return None,
+        out => out.unwrap().assert_no_duplicates(),
+    };
+    let counted = family(f, k, OutputMode::Count)
+        .run(q, input, engine)
+        .unwrap();
+    assert_eq!(
+        counted.count,
+        rows.len() as u64,
+        "{} {q} counted",
+        FAMILIES[f]
+    );
+    Some(rows)
+}
+
 /// Allen's algebra seen in a mirror (`t → −t`): `p` holds between two
 /// intervals exactly when `mirrored(p)` holds between their mirror images.
 fn mirrored(p: AllenPredicate) -> AllenPredicate {
@@ -195,16 +268,16 @@ fn mirror(iv: Interval) -> Interval {
 
 /// A chain and its mirror — every interval `[s, e]` becomes `[−e, −s]`
 /// and every predicate its mirror image — return the same tid tuples
-/// through RCCIS, All-Rep and PASM on one and two threads, on random
-/// two-condition chains (RCCIS only on colocation ones) away from
-/// `i64::MIN`. Mirroring moves the right-most start to another relation,
+/// through every family of [`FAMILIES`] that takes the chain, on one and
+/// two threads, materialized and counted, on random two-condition chains
+/// away from `i64::MIN`. Mirroring moves the right-most start to another relation,
 /// so each family's ownership windows bind their `≥ lo` bound at another
 /// level.
 #[test]
 fn mirrored_queries_return_the_same_tuples() {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    let mut found = [0usize; 3];
+    let mut found = [0usize; FAMILIES.len()];
     for seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let preds: Vec<AllenPredicate> = (0..2)
@@ -234,13 +307,7 @@ fn mirrored_queries_return_the_same_tuples() {
         };
         let (input, mirror_input) = (bind(&q, |iv| iv), bind(&m, mirror));
         let k = rng.gen_range(2..7);
-        let colocation = preds.iter().all(|p| p.is_colocation());
-        let families: Vec<(usize, Box<dyn Algorithm>)> = vec![
-            (0, Box::new(Rccis::new(k))),
-            (1, Box::new(AllReplicate::new(k))),
-            (2, Box::new(Pasm::new(k))),
-        ];
-        for (f, alg) in families.iter().filter(|(f, _)| colocation || *f != 0) {
+        for (f, found) in found.iter_mut().enumerate() {
             for threads in [1, 2] {
                 let engine = Engine::new(ClusterConfig {
                     worker_threads: threads,
@@ -248,29 +315,25 @@ fn mirrored_queries_return_the_same_tuples() {
                     heavy_bucket_threshold: 8,
                     ..ClusterConfig::with_slots(4)
                 });
-                let got = alg.run(&q, &input, &engine).unwrap().assert_no_duplicates();
-                let seen = alg
-                    .run(&m, &mirror_input, &engine)
-                    .unwrap()
-                    .assert_no_duplicates();
-                assert_eq!(
-                    seen,
-                    got,
-                    "{} {q} threads {threads} seed {seed}",
-                    alg.name()
-                );
-                found[*f] += got.len();
+                let Some(got) = joined(f, k, &q, &input, &engine) else {
+                    continue;
+                };
+                let seen = joined(f, k, &m, &mirror_input, &engine).expect("the mirror runs");
+                let at = format!("{} {q} threads {threads} seed {seed}", FAMILIES[f]);
+                assert_eq!(seen, got, "{at}");
+                *found += got.len();
             }
         }
     }
-    for (alg, found) in ["RCCIS", "All-Rep", "PASM"].iter().zip(found) {
+    for (alg, found) in FAMILIES.iter().zip(found) {
         assert!(found > 0, "{alg}: the chains join nothing");
     }
 }
 
 /// A time shift keeps every Allen relation: a chain over `[s, e]` and
-/// over `[s + δ, e + δ]` return the same tid tuples through RCCIS, All-Rep
-/// and PASM on one and two threads. `δ` is random, or pushes the data
+/// over `[s + δ, e + δ]` return the same tid tuples through every family
+/// of [`FAMILIES`] that takes the chain, on one and two threads,
+/// materialized and counted. `δ` is random, or pushes the data
 /// against `i64::MAX` or `i64::MIN`. Half the inputs are large enough
 /// that a bucket's lists take the radix sort, and half of those are
 /// stretched so far that their starts span more than the radix passes
@@ -279,7 +342,7 @@ fn mirrored_queries_return_the_same_tuples() {
 fn shifted_queries_return_the_same_tuples() {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    let mut found = [0usize; 3];
+    let mut found = [0usize; FAMILIES.len()];
     for seed in 0..24u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let preds: Vec<AllenPredicate> = (0..2)
@@ -323,13 +386,7 @@ fn shifted_queries_return_the_same_tuples() {
         };
         let input = bind(0);
         let k = rng.gen_range(2..7);
-        let colocation = preds.iter().all(|p| p.is_colocation());
-        let families: Vec<(usize, Box<dyn Algorithm>)> = vec![
-            (0, Box::new(Rccis::new(k))),
-            (1, Box::new(AllReplicate::new(k))),
-            (2, Box::new(Pasm::new(k))),
-        ];
-        for (f, alg) in families.iter().filter(|(f, _)| colocation || *f != 0) {
+        for (f, found) in found.iter_mut().enumerate() {
             for threads in [1, 2] {
                 let engine = Engine::new(ClusterConfig {
                     worker_threads: threads,
@@ -337,36 +394,38 @@ fn shifted_queries_return_the_same_tuples() {
                     heavy_bucket_threshold: 64,
                     ..ClusterConfig::with_slots(4)
                 });
-                let got = alg.run(&q, &input, &engine).unwrap().assert_no_duplicates();
+                let Some(got) = joined(f, k, &q, &input, &engine) else {
+                    continue;
+                };
                 for delta in deltas {
-                    let seen = (alg.run(&q, &bind(delta), &engine).unwrap()).assert_no_duplicates();
-                    assert_eq!(
-                        seen,
-                        got,
+                    let seen = joined(f, k, &q, &bind(delta), &engine).expect("the shift runs");
+                    let at = format!(
                         "{} {q} δ {delta} threads {threads} seed {seed}",
-                        alg.name()
+                        FAMILIES[f]
                     );
+                    assert_eq!(seen, got, "{at}");
                 }
-                found[*f] += got.len();
+                *found += got.len();
             }
         }
     }
-    for (alg, found) in ["RCCIS", "All-Rep", "PASM"].iter().zip(found) {
+    for (alg, found) in FAMILIES.iter().zip(found) {
         assert!(found > 0, "{alg}: the chains join nothing");
     }
 }
 
 /// A chain read backwards is the same query: relations in reverse order,
 /// each predicate replaced by its converse ([`AllenPredicate::inverse`]).
-/// Its tuples, reversed back, equal the chain's through RCCIS, All-Rep and
-/// PASM on one and two threads. Reversal reorders the relation-major map
+/// Its tuples, reversed back, equal the chain's through every family of
+/// [`FAMILIES`] that takes the chain, on one and two threads, materialized
+/// and counted. Reversal reorders the relation-major map
 /// input, so each map worker opens its keys in another order and the
 /// buckets' segments interleave differently.
 #[test]
 fn permuted_queries_return_the_same_tuples() {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    let mut found = [0usize; 3];
+    let mut found = [0usize; FAMILIES.len()];
     for seed in 0..32u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let preds: Vec<AllenPredicate> = (0..rng.gen_range(1..4))
@@ -392,13 +451,7 @@ fn permuted_queries_return_the_same_tuples() {
         };
         let (input, reversed) = (bind(&q, &mut (0..m)), bind(&r, &mut (0..m).rev()));
         let k = rng.gen_range(2..7);
-        let colocation = preds.iter().all(|p| p.is_colocation());
-        let families: Vec<(usize, Box<dyn Algorithm>)> = vec![
-            (0, Box::new(Rccis::new(k))),
-            (1, Box::new(AllReplicate::new(k))),
-            (2, Box::new(Pasm::new(k))),
-        ];
-        for (f, alg) in families.iter().filter(|(f, _)| colocation || *f != 0) {
+        for (f, found) in found.iter_mut().enumerate() {
             for threads in [1, 2] {
                 let engine = Engine::new(ClusterConfig {
                     worker_threads: threads,
@@ -406,9 +459,11 @@ fn permuted_queries_return_the_same_tuples() {
                     heavy_bucket_threshold: 8,
                     ..ClusterConfig::with_slots(4)
                 });
-                let got = alg.run(&q, &input, &engine).unwrap().assert_no_duplicates();
-                let mut seen: Vec<_> = (alg.run(&r, &reversed, &engine).unwrap())
-                    .assert_no_duplicates()
+                let Some(got) = joined(f, k, &q, &input, &engine) else {
+                    continue;
+                };
+                let mut seen: Vec<_> = (joined(f, k, &r, &reversed, &engine))
+                    .expect("the reversal runs")
                     .into_iter()
                     .map(|mut t| {
                         t.reverse();
@@ -416,17 +471,16 @@ fn permuted_queries_return_the_same_tuples() {
                     })
                     .collect();
                 seen.sort_unstable();
-                assert_eq!(
-                    seen,
-                    got,
+                let at = format!(
                     "{} {q} reversed {r} threads {threads} seed {seed}",
-                    alg.name()
+                    FAMILIES[f]
                 );
-                found[*f] += got.len();
+                assert_eq!(seen, got, "{at}");
+                *found += got.len();
             }
         }
     }
-    for (alg, found) in ["RCCIS", "All-Rep", "PASM"].iter().zip(found) {
+    for (alg, found) in FAMILIES.iter().zip(found) {
         assert!(found > 0, "{alg}: the chains join nothing");
     }
 }
