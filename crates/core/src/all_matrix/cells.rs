@@ -42,14 +42,25 @@ fn consistent<W: AsRef<[(Time, Time)]>>(
     (constraints.iter()).all(|&(j, k)| window(j).0 <= window(k).1)
 }
 
-/// Calls `visit` with the coordinates of every consistent cell, in
-/// ascending mixed-radix id order (dimension 0 least significant).
+/// Every coordinate of each dimension of `windows`.
+pub(crate) fn every<W: AsRef<[(Time, Time)]>>(windows: &[W]) -> Vec<Range<usize>> {
+    windows.iter().map(|w| 0..w.as_ref().len()).collect()
+}
+
+/// Calls `visit` with the coordinates of every consistent cell whose
+/// dimension-`d` coordinate lies in `within[d]` ([`every`] for the whole
+/// matrix), in ascending mixed-radix id order (dimension 0 least
+/// significant).
 pub(crate) fn for_each_consistent<W: AsRef<[(Time, Time)]>>(
     windows: &[W],
     constraints: &[(usize, usize)],
+    within: &[Range<usize>],
     mut visit: impl FnMut(&[usize]),
 ) {
-    let mut coords = vec![0usize; windows.len()];
+    if within.iter().any(Range::is_empty) {
+        return;
+    }
+    let mut coords: Vec<usize> = within.iter().map(|r| r.start).collect();
     loop {
         if consistent(windows, constraints, &coords) {
             visit(&coords);
@@ -58,10 +69,10 @@ pub(crate) fn for_each_consistent<W: AsRef<[(Time, Time)]>>(
         let mut d = 0;
         loop {
             coords[d] += 1;
-            if coords[d] < windows[d].as_ref().len() {
+            if coords[d] < within[d].end {
                 break;
             }
-            coords[d] = 0;
+            coords[d] = within[d].start;
             d += 1;
             if d == windows.len() {
                 return;
@@ -121,9 +132,7 @@ impl CellSpace {
             by_ge: Vec::new(),
         };
         let mut consistent = Vec::new();
-        for_each_consistent(&space.windows, &space.constraints, |coords| {
-            consistent.push(space.encode(coords));
-        });
+        space.for_each_in(&every(&space.windows), |cell| consistent.push(cell));
         space.consistent = consistent;
         space.index();
         Ok(space)
@@ -170,33 +179,18 @@ impl CellSpace {
         coords.collect()
     }
 
-    /// Whether a cell satisfies all ordering constraints.
-    pub fn is_consistent(&self, coords: &[usize]) -> bool {
-        consistent(&self.windows, &self.constraints, coords)
-    }
-
     /// All consistent cells, ascending.
     pub fn consistent_cells(&self) -> &[ReducerId] {
         &self.consistent
     }
 
-    /// Consistent cells whose dimension-`d` coordinate equals `q` — the
-    /// routing set for an unreplicated interval (conditions D1 + D2).
-    pub fn cells_eq(&self, d: usize, q: usize) -> &[ReducerId] {
-        &self.by_eq[d][q]
-    }
-
-    /// Consistent cells whose dimension-`d` coordinate is `>= q` — the
-    /// routing set for an RCCIS-replicated interval in All-Seq-Matrix
-    /// (condition E2's `i_k >= q` arm).
-    pub fn cells_ge(&self, d: usize, q: usize) -> &[ReducerId] {
-        &self.by_ge[d][q]
-    }
-
     /// Consistent cells whose dimension-`d` coordinate lies in `coords`: a
-    /// map operation's partition range lifted to the matrix. A split's range
-    /// may end early, which only one dimension can lift: there cell `c` is
-    /// coordinate `c`, and the range is a prefix of [`Self::cells_ge`].
+    /// map operation's partition range lifted to the matrix. A project's
+    /// range is one coordinate — the cells of conditions D1 + D2 — and a
+    /// replicate's every coordinate from its start on (condition E2's
+    /// `i_k >= q` arm). A split's range may end early, which only one
+    /// dimension can lift: there cell `c` is coordinate `c`, and the range
+    /// is a prefix of the replicate's.
     pub(crate) fn cells_in(&self, d: usize, coords: Range<usize>) -> &[ReducerId] {
         let ge = &self.by_ge[d][coords.start];
         let radix = self.partitions(d);
@@ -206,6 +200,15 @@ impl CellSpace {
             _ if coords.end == radix => ge,
             n => &ge[..n],
         }
+    }
+
+    /// Calls `visit` with every consistent cell whose dimension-`d`
+    /// coordinate lies in `within[d]`, ascending: the routing set of a
+    /// record constrained in several dimensions.
+    pub(crate) fn for_each_in(&self, within: &[Range<usize>], mut visit: impl FnMut(ReducerId)) {
+        for_each_consistent(&self.windows, &self.constraints, within, |coords| {
+            visit(self.encode(coords))
+        });
     }
 
     /// Number of dimensions.
@@ -228,6 +231,21 @@ impl CellSpace {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The two indices `cells_in` reads, and the consistency test.
+    impl CellSpace {
+        pub(crate) fn is_consistent(&self, coords: &[usize]) -> bool {
+            consistent(&self.windows, &self.constraints, coords)
+        }
+
+        fn cells_eq(&self, d: usize, q: usize) -> &[ReducerId] {
+            &self.by_eq[d][q]
+        }
+
+        fn cells_ge(&self, d: usize, q: usize) -> &[ReducerId] {
+            &self.by_ge[d][q]
+        }
+    }
 
     /// `o` one-tick partitions per dimension: the paper's equal grids.
     fn grid(o: usize) -> Partitioning {

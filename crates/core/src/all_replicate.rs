@@ -77,7 +77,7 @@ impl Algorithm for AllReplicate {
             routes,
             mark_options: Default::default(),
             prune: false,
-            route_counters: Some((names::ALLREP_REPLICA_PAIRS, names::ALLREP_PROJECTED_PAIRS)),
+            route_counters: Some([names::ALLREP_PROJECTED_PAIRS, names::ALLREP_REPLICA_PAIRS]),
             mode: self.mode,
         }
         .run(input, engine)?;

@@ -8,17 +8,20 @@
 //! "both 2-way joins in 2-way Cd … are executed using 2D versions of
 //! All-Matrix"). Every stage re-reads and re-shuffles the intermediate
 //! result, which is exactly the cost the paper's single-pass algorithms
-//! avoid. A stage's reducer is the composite join (`kernel::composite`,
-//! the window kernel's multi-slot case) with two sides: the composites,
-//! whose slots are the relations joined so far, and the new relation.
+//! avoid. Each stage is a route table of the component-matrix join stage
+//! (`component_matrix::JoinStage`) with one lane per side and no ownership
+//! test, and its reducer is the composite join (`kernel::composite`, the
+//! window kernel's multi-slot case) with two sides: the composites, whose
+//! slots are the relations joined so far, and the new relation.
 
 use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
 use crate::all_matrix::CellSpace;
+use crate::component_matrix::{JoinStage, Lane};
 use crate::input::JoinInput;
 use crate::kernel::composite::{base_composites, composites, CompositeJoin};
 use crate::output::{JoinOutput, OutputMode};
 use crate::records::{CompRec, OutRec};
-use ij_interval::{ops, MapOp, RelId};
+use ij_interval::{MapOp, RelId};
 use ij_mapreduce::metrics::names;
 use ij_mapreduce::{Engine, JobChain};
 use ij_query::{Condition, JoinQuery};
@@ -133,81 +136,65 @@ impl TwoWayCascade {
     ) -> Result<Vec<OutRec>, AlgoError> {
         let span = input.span();
         for (i, stage) in stages.iter().enumerate() {
-            let last = i + 1 == stages.len();
-            let new_rel = stage.new_rel;
+            let (last, new_rel, p) = (i + 1 == stages.len(), stage.new_rel, stage.primary);
             // Side 0 is the composite, side 1 the new relation's tuple.
-            let slot = |rel: RelId| match present.iter().position(|&r| r == rel) {
-                Some(s) => (0, s),
-                None => (1, 0),
+            let sides = [present.clone(), vec![new_rel]];
+            let (gather, mode): (Vec<RelId>, _) = match last {
+                true => ((0..input.len() as u16).map(RelId).collect(), self.mode),
+                false => ([&present[..], &[new_rel]].concat(), OutputMode::Materialize),
             };
-            let (mode, gather) = if last {
-                let by_rel = (0..input.relations().len()).map(|r| slot(RelId(r as u16)));
-                (self.mode, by_rel.collect())
-            } else {
-                let grown = present.iter().map(|&r| slot(r)).chain([(1, 0)]);
-                (OutputMode::Materialize, grown.collect())
-            };
-            let join = CompositeJoin {
-                sides: 2,
-                conditions: (std::iter::once(&stage.primary).chain(&stage.extras))
-                    .map(|c| (slot(c.left.rel), c.pred, slot(c.right.rel)))
-                    .collect(),
-                gather,
-                mode,
-                order_by: None,
-            };
-
-            // Routing: the partitioning, the matrix and each side's
-            // (dimension, operation). A colocation stage is a 1-D matrix
-            // (cell `p` is partition `p`) with the predicate's map
-            // operations; a sequence stage a 2-D All-Matrix — dim 0 the
-            // composite (via the primary's member interval), dim 1 the new
-            // relation — projecting both.
-            let comp_is_left = stage.primary.left.rel != new_rel;
+            let conditions = std::iter::once(&p).chain(&stage.extras);
+            let join = CompositeJoin::over(&sides, conditions, gather, mode);
+            // The stage's route table: a colocation stage is a 1-D matrix
+            // with the predicate's map operations, a sequence stage a 2-D
+            // All-Matrix projecting both sides — dimension 0 the composite
+            // (via the primary's member interval), 1 the new relation.
+            let comp_is_left = p.left.rel != new_rel;
             let comp_rel = if comp_is_left {
-                stage.primary.left.rel
+                p.left.rel
             } else {
-                stage.primary.right.rel
+                p.right.rel
             };
-            let (part, space, comp, base) = if stage.primary.pred.is_colocation() {
-                let (op_l, op_r) = stage.primary.pred.map_ops();
-                let (comp_op, base_op) = if comp_is_left {
-                    (op_l, op_r)
-                } else {
-                    (op_r, op_l)
-                };
+            let (grids, constraints, (l, r)) = if p.pred.is_colocation() {
                 let part = RunArtifacts::partition_span(span, self.partitions)?;
-                let space = CellSpace::new(&[&part], Vec::new())?;
-                (part, space, (0, comp_op), (0, base_op))
+                (vec![part], Vec::new(), p.pred.map_ops())
             } else {
-                let constraints = if stage.primary.lesser().rel == comp_rel {
-                    vec![(0, 1)]
-                } else {
-                    vec![(1, 0)]
-                };
                 let part = RunArtifacts::partition_span(span, self.per_dim_2d)?;
-                let space = CellSpace::new(&[&part; 2], constraints)?;
-                (part, space, (0, MapOp::Project), (1, MapOp::Project))
+                let constraint = if p.lesser().rel == comp_rel {
+                    (0, 1)
+                } else {
+                    (1, 0)
+                };
+                (
+                    vec![part.clone(), part],
+                    vec![constraint],
+                    (MapOp::Project, MapOp::Project),
+                )
             };
-            let comp_slot = slot(comp_rel).1;
-
+            let (comp_op, base_op) = if comp_is_left { (l, r) } else { (r, l) };
+            let space = CellSpace::new(&grids.iter().collect::<Vec<_>>(), constraints)?;
+            let comp_slot = present.iter().position(|&r| r == comp_rel);
+            let lane =
+                |dim, slot, op, counter| vec![Lane::fixed(dim, vec![slot], op, Some(counter))];
+            let stage = JoinStage {
+                name: format!("cascade-{}", present.len()),
+                grids: &grids,
+                space: &space,
+                sides: vec![
+                    lane(
+                        0,
+                        comp_slot.expect("present"),
+                        comp_op,
+                        names::CASCADE_COMP_PAIRS,
+                    ),
+                    lane(grids.len() - 1, 0, base_op, names::CASCADE_BASE_PAIRS),
+                ],
+                owner: Vec::new(),
+                join,
+            };
             let mut records = std::mem::take(&mut comps);
             records.extend(base_composites(1, new_rel, input));
-            let out = join.run(
-                engine,
-                &format!("cascade-{}", present.len()),
-                &records,
-                |rec, em| {
-                    let ((dim, op), slot, counter) = match rec.side {
-                        0 => (comp, comp_slot, names::CASCADE_COMP_PAIRS),
-                        _ => (base, 0, names::CASCADE_BASE_PAIRS),
-                    };
-                    let cells = space.cells_in(dim, ops::apply(op, rec.ivs[slot], &part));
-                    em.emit_to_all(cells.iter().copied(), rec);
-                    em.inc(counter, cells.len() as u64);
-                },
-                |_| Vec::new(),
-            )?;
+            let out = stage.run(engine, &records)?;
             chain.push(out.metrics);
             if last {
                 return Ok(out.outputs);

@@ -9,6 +9,12 @@
 //! Gen-Matrix runs the mark stage alone ([`ComponentMatrix::mark`]) on a
 //! setting whose relations are its ⟨relation, attribute⟩ vertices.
 //!
+//! The join stage is data of its own ([`JoinStage`]): a route table of
+//! [`Lane`]s per side, an owner rule and a reducer program. The settings
+//! build it with one lane per relation; the cascade's stages, FCTS's
+//! sequence matrix and Gen-Matrix's join build it too, over composite
+//! records, so every matrix family's join cycle is this one.
+//!
 //! * **mark** — only multi-member marked groups take part. Their intervals
 //!   are *split*, but a copy goes to partition `p` only when it is
 //!   [`near`] enough to `p`'s boundaries to belong to a crossing set (the
@@ -56,21 +62,22 @@
 //! ([`starts_last`]): only its start coordinate gets a binding.
 
 use crate::algorithm::{iv_records_and_longest, AlgoError};
-use crate::all_matrix::cells::{for_each_consistent, windows_of};
+use crate::all_matrix::cells::{every, for_each_consistent, windows_of};
 use crate::all_matrix::CellSpace;
 use crate::executor::Candidates;
-use crate::input::JoinInput;
-use crate::kernel::{self, Slot, StartWindow};
+use crate::input::{induced, JoinInput};
+use crate::kernel::{self, BucketJoin, OneSlot, Slot, StartWindow};
 use crate::output::{JoinOutput, OutputMode};
 use crate::rccis::marking::{self, mark_with_options, MarkOptions};
-use crate::records::{IvRec, OutRec};
-use ij_interval::{ops, Interval, MapOp, Partitioning, RelId, Time, TupleId};
+use crate::records::{CompRec, IvRec, OutRec};
+use ij_interval::{ops, Interval, MapOp, Partitioning, Time, TupleId};
 use ij_mapreduce::metrics::names::{self, Counter};
 use ij_mapreduce::{
-    Emitter, Engine, EngineError, JobChain, JobMetrics, JobOutput, ReduceCtx, ValueStream,
+    Emitter, Engine, EngineError, JobChain, JobMetrics, JobOutput, Record, ReduceCtx, ValueStream,
 };
-use ij_query::{AttrRef, Condition, JoinQuery, StartOrder};
+use ij_query::{AttrRef, JoinQuery, StartOrder};
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// How the join stage routes a relation's intervals: `route[flag as usize]`
 /// is the operation for an interval with that mark-stage flag. A fixed
@@ -106,9 +113,10 @@ pub(crate) struct ComponentMatrix<'a> {
     pub mark_options: MarkOptions,
     /// Whether to run the prune stage.
     pub prune: bool,
-    /// RCCIS's or All-Rep's `(replicated, projected)` join-pair counters; a
-    /// marking setting with them also counts the `rccis.*` splits and flags.
-    pub route_counters: Option<(&'static Counter, &'static Counter)>,
+    /// RCCIS's or All-Rep's `[projected, replicated]` join-pair counters;
+    /// a marking setting with them also counts the `rccis.*` splits and
+    /// flags.
+    pub route_counters: Option<[&'static Counter; 2]>,
     /// Materialize or count.
     pub mode: OutputMode,
 }
@@ -138,18 +146,6 @@ fn slots(relations: impl IntoIterator<Item = usize>) -> Vec<Slot> {
 pub(crate) fn starts_last(order: &StartOrder, members: &[usize], r: usize) -> bool {
     let whole = |r: usize| AttrRef::whole(r as u16);
     (members.iter()).all(|&o| o == r || order.le_start(whole(o), whole(r)))
-}
-
-/// The colocation conditions of `query` inside the group `members`, as a
-/// query over the group's local slots.
-fn sub_query(query: &JoinQuery, members: &[usize]) -> JoinQuery {
-    let slot = |r: RelId| members.iter().position(|&m| m == r.idx());
-    let conditions = (query.conditions().iter().filter(|c| c.is_colocation()))
-        .filter_map(|c| Some((slot(c.left.rel)?, c.pred, slot(c.right.rel)?)))
-        .map(|(l, pred, r)| Condition::whole(l as u16, pred, r as u16))
-        .collect();
-    let sub = JoinQuery::new(members.len() as u16, conditions);
-    sub.expect("a marked group has a colocation condition")
 }
 
 /// **The reach lemma.** Every colocation predicate makes its operands share
@@ -182,10 +178,10 @@ fn near(part: &Partitioning, reach: Option<Time>, iv: Interval, p: usize) -> boo
 
 /// The longest interval of each group, from each relation's `longest`
 /// (`end − start`); `None` where it overflows [`Time`].
-fn longest_per_group(longest: &[u64], lanes: &[Lane], groups: usize) -> Vec<Option<Time>> {
+fn longest_per_group(longest: &[u64], places: &[Place], groups: usize) -> Vec<Option<Time>> {
     let mut per_group = vec![0u64; groups];
-    for (&l, lane) in longest.iter().zip(lanes) {
-        per_group[lane.dim] = per_group[lane.dim].max(l);
+    for (&l, place) in longest.iter().zip(places) {
+        per_group[place.dim] = per_group[place.dim].max(l);
     }
     (per_group.into_iter())
         .map(|l| Time::try_from(l).ok())
@@ -297,10 +293,160 @@ impl kernel::OutputSink for ParticipantSink<'_> {
 
 /// A relation's dimension, slot in its group and route: one read per record.
 #[derive(Clone, Copy)]
-struct Lane {
+struct Place {
     dim: usize,
     slot: usize,
     route: Route,
+}
+
+/// A record the [`JoinStage`] routes: its side and the tuple id its lanes'
+/// bit rows are indexed by, and the interval in each of its slots.
+pub(crate) trait StageRec: Record {
+    fn id(&self) -> (usize, TupleId);
+    fn at(&self, slot: usize) -> Interval;
+}
+
+/// An interval record is a one-slot row of its relation's side.
+impl StageRec for IvRec {
+    fn id(&self) -> (usize, TupleId) {
+        (self.rel.idx(), self.tid)
+    }
+    fn at(&self, _: usize) -> Interval {
+        self.iv
+    }
+}
+
+/// A composite record's bit rows are indexed by its first id (a
+/// Gen-Matrix tuple's one id).
+impl StageRec for CompRec {
+    fn id(&self) -> (usize, TupleId) {
+        (self.side as usize, self.tids[0])
+    }
+    fn at(&self, slot: usize) -> Interval {
+        self.ivs[slot]
+    }
+}
+
+/// One route of a join-stage side. A record's range in dimension `dim` is
+/// `ops::apply(route[flag], key, grid)`: the key is the interval of its
+/// right-most-starting slot of `slots`, `flag` its bit in `flags` (unset
+/// without a row). A record whose bit in `alive` is unset is not shipped.
+/// A one-lane side counts the cells it ships to under `counters[flag]`.
+pub(crate) struct Lane<'a> {
+    pub dim: usize,
+    pub slots: Vec<usize>,
+    pub route: Route,
+    pub flags: Option<&'a [bool]>,
+    pub alive: Option<&'a [bool]>,
+    pub counters: Option<[&'static Counter; 2]>,
+}
+
+impl Lane<'_> {
+    /// A lane that always takes `op`, counted under `counter`.
+    pub(crate) fn fixed(
+        dim: usize,
+        slots: Vec<usize>,
+        op: MapOp,
+        counter: Option<&'static Counter>,
+    ) -> Self {
+        let (route, counters) = ([op; 2], counter.map(|c| [c; 2]));
+        Lane {
+            dim,
+            slots,
+            route,
+            flags: None,
+            alive: None,
+            counters,
+        }
+    }
+
+    /// The partitions of its dimension's grid among `grids` that `rec`
+    /// goes to, with its flag; `None` if `rec` is not shipped.
+    fn range<R: StageRec>(&self, rec: &R, grids: &[Partitioning]) -> Option<(Range<usize>, bool)> {
+        let tid = rec.id().1 as usize;
+        if self.alive.is_some_and(|alive| !alive[tid]) {
+            return None;
+        }
+        let flag = self.flags.is_some_and(|flags| flags[tid]);
+        let key = (self.slots.iter().map(|&s| rec.at(s)))
+            .reduce(|a, b| if b.start() > a.start() { b } else { a })
+            .expect("a lane has slots");
+        let op = self.route[flag as usize];
+        Some((ops::apply(op, key, &grids[self.dim]), flag))
+    }
+}
+
+/// **The join cycle** of every matrix family, as data (DESIGN.md §5): a
+/// route table over the matrix `space` of `grids` — per side, its
+/// [`Lane`]s — an owner rule and a reducer program. A record goes to the
+/// consistent cells of its lanes' ranges, intersected per dimension; a
+/// side of no lane to every consistent cell. Reducer `c` keeps a binding
+/// when, in each `owner` dimension `d`, the right-most start among the
+/// member slots lies in coordinate `c[d]`'s [`start_window`].
+pub(crate) struct JoinStage<'a, J> {
+    pub name: String,
+    pub grids: &'a [Partitioning],
+    pub space: &'a CellSpace,
+    pub sides: Vec<Vec<Lane<'a>>>,
+    pub owner: Vec<(usize, Vec<Slot>)>,
+    pub join: J,
+}
+
+impl<J> JoinStage<'_, J> {
+    /// Runs the cycle over `records`.
+    pub(crate) fn run<R: StageRec>(
+        &self,
+        engine: &Engine,
+        records: &[R],
+    ) -> Result<JobOutput<OutRec>, EngineError>
+    where
+        J: BucketJoin<R>,
+    {
+        engine.run_job(
+            &self.name,
+            records,
+            |rec: &R, em: &mut Emitter<R>| self.route(rec, em),
+            |ctx: &mut ReduceCtx, values: &mut ValueStream<R>, out: &mut Vec<OutRec>| {
+                let coords = self.space.decode(ctx.key);
+                let owner: Vec<StartWindow> = (self.owner.iter())
+                    .map(|(d, members)| {
+                        let (lo, hi) = start_window(&self.grids[*d], coords[*d]);
+                        (lo, hi, members.as_slice())
+                    })
+                    .collect();
+                self.join.reduce(ctx, values, &owner, out);
+            },
+        )
+    }
+
+    /// Ships `rec`: a one-lane side with one operation and one slice of
+    /// cells, any other side by a walk over its box of coordinates.
+    fn route<R: StageRec>(&self, rec: &R, em: &mut Emitter<R>) {
+        match self.sides[rec.id().0].as_slice() {
+            [lane] => {
+                let Some((range, flag)) = lane.range(rec, self.grids) else {
+                    return;
+                };
+                let cells = self.space.cells_in(lane.dim, range);
+                em.emit_to_all(cells.iter().copied(), rec);
+                if let Some(counters) = lane.counters {
+                    em.inc(counters[flag as usize], cells.len() as u64);
+                }
+            }
+            lanes => {
+                let mut within: Vec<Range<usize>> = self.grids.iter().map(|g| 0..g.len()).collect();
+                for lane in lanes {
+                    let Some((range, _)) = lane.range(rec, self.grids) else {
+                        return;
+                    };
+                    let at = &mut within[lane.dim];
+                    *at = at.start.max(range.start)..at.end.min(range.end);
+                }
+                self.space
+                    .for_each_in(&within, |cell| em.emit(cell, rec.clone()));
+            }
+        }
+    }
 }
 
 /// Per join dimension `d`, how many records the join ships to each range
@@ -346,7 +492,7 @@ fn count_grid(
         pairs: 0,
         max_load: 0,
     };
-    for_each_consistent(windows, constraints, |coords| {
+    for_each_consistent(windows, constraints, &every(windows), |coords| {
         let load: u64 = coords.iter().zip(cover).map(|(&c, cover)| cover[c]).sum();
         count.cells += 1;
         count.pairs += load;
@@ -388,8 +534,8 @@ struct Stages<'a> {
     space: CellSpace,
     /// The mark grid `F` ([`ComponentMatrix::fine_grid`]).
     fine: Partitioning,
-    /// Relation → its lane.
-    lanes: Vec<Lane>,
+    /// Relation → its place.
+    places: Vec<Place>,
     /// Per group: its colocation sub-query over local slots if it is marked
     /// and has two or more members, else `None` — nothing to mark or prune.
     subs: Vec<Option<JoinQuery>>,
@@ -446,7 +592,7 @@ impl ComponentMatrix<'_> {
         out.stats.grid = shares.grids.iter().map(Partitioning::len).collect();
         for (r, rel) in input.relations().iter().enumerate() {
             // Only relations of marked groups are ever pruned.
-            let prunable = stages.subs[stages.lanes[r].dim].is_some() && !rel.is_empty();
+            let prunable = stages.subs[stages.places[r].dim].is_some() && !rel.is_empty();
             if let (Some(alive), true) = (&participants, prunable) {
                 let alive = alive[r].iter().filter(|&&a| a).count();
                 let name = self.query.relations()[r].name.clone();
@@ -483,20 +629,20 @@ impl ComponentMatrix<'_> {
 
     /// Checks that the groups partition the relations and that the marking
     /// can enumerate every marked group, and derives the matrix, each
-    /// relation's lane and each marked group's sub-query.
+    /// relation's place and each marked group's sub-query.
     fn stages<'a>(&'a self, engine: &'a Engine) -> Result<Stages<'a>, AlgoError> {
         let m = self.query.num_relations() as usize;
         let bad = || AlgoError::BadConfig(format!("{}: groups are not a partition", self.family));
-        let mut lanes = vec![None; m];
+        let mut places = vec![None; m];
         for (dim, members) in self.groups.iter().enumerate() {
             for (slot, &r) in members.iter().enumerate() {
-                match (lanes.get_mut(r), self.routes.get(r)) {
-                    (Some(lane @ None), Some(&route)) => *lane = Some(Lane { dim, slot, route }),
+                match (places.get_mut(r), self.routes.get(r)) {
+                    (Some(place @ None), Some(&route)) => *place = Some(Place { dim, slot, route }),
                     _ => return Err(bad()),
                 }
             }
         }
-        let lanes: Vec<Lane> = lanes.into_iter().collect::<Option<_>>().ok_or_else(bad)?;
+        let places: Vec<Place> = places.into_iter().collect::<Option<_>>().ok_or_else(bad)?;
         let marked = |g: &[usize]| g.len() > 1 && self.routes[g[0]] == MARKED;
         if let Some(g) =
             (self.groups.iter()).find(|g| marked(g) && g.len() > marking::MAX_RELATIONS)
@@ -510,7 +656,7 @@ impl ComponentMatrix<'_> {
             return Err(AlgoError::Unsupported { algorithm, reason });
         }
         let subs = (self.groups.iter())
-            .map(|members| marked(members).then(|| sub_query(self.query, members)))
+            .map(|g| marked(g).then(|| induced(self.query, g, |c| c.is_colocation())))
             .collect();
         let space = CellSpace::new(
             &vec![self.part; self.groups.len()],
@@ -522,7 +668,7 @@ impl ComponentMatrix<'_> {
             engine,
             space,
             fine,
-            lanes,
+            places,
             subs,
         })
     }
@@ -537,7 +683,7 @@ impl Stages<'_> {
     /// The operation `rec` is routed with, given the mark stage's `flags`.
     fn op(&self, flags: &Flags, rec: &IvRec) -> MapOp {
         let flagged = flags[rec.rel.idx()][rec.tid as usize];
-        self.lanes[rec.rel.idx()].route[flagged as usize]
+        self.places[rec.rel.idx()].route[flagged as usize]
     }
 
     /// How many intervals the join replicates: per relation, those of the
@@ -545,8 +691,8 @@ impl Stages<'_> {
     fn replicated(&self, flags: &Flags) -> u64 {
         let replicated = |op: MapOp| op == MapOp::Replicate;
         let flagged = |flags: &[bool]| flags.iter().filter(|&&f| f).count() as u64;
-        (self.lanes.iter().zip(flags))
-            .map(|(lane, flags)| match lane.route.map(replicated) {
+        (self.places.iter().zip(flags))
+            .map(|(place, flags)| match place.route.map(replicated) {
                 [false, false] => 0,
                 [false, true] => flagged(flags),
                 [true, false] => flags.len() as u64 - flagged(flags),
@@ -565,7 +711,7 @@ impl Stages<'_> {
     ) -> Result<JobOutput<u64>, EngineError> {
         let (cm, p_count) = (self.cm, grid.len() as u64);
         let counters = cm.route_counters.is_some();
-        let longest = longest_per_group(longest, &self.lanes, cm.groups.len());
+        let longest = longest_per_group(longest, &self.places, cm.groups.len());
         let reaches: Vec<Option<Time>> = (self.subs.iter().zip(longest))
             .map(|(sub, longest)| reach(sub.as_ref()?, longest, cm.mark_options))
             .collect();
@@ -573,7 +719,7 @@ impl Stages<'_> {
             &format!("{}-mark", cm.family),
             records,
             |rec: &IvRec, em: &mut Emitter<IvRec>| {
-                let g = self.lanes[rec.rel.idx()].dim;
+                let g = self.places[rec.rel.idx()].dim;
                 if self.subs[g].is_none() {
                     return; // unmarked groups are never flagged
                 }
@@ -598,7 +744,7 @@ impl Stages<'_> {
                 let members = &cm.groups[g];
                 let mut per_slot = vec![Vec::new(); members.len()];
                 for v in values.by_ref() {
-                    per_slot[self.lanes[v.rel.idx()].slot].push((v.iv, v.tid));
+                    per_slot[self.places[v.rel.idx()].slot].push((v.iv, v.tid));
                 }
                 let marking = mark_with_options(sub, grid, p, per_slot, cm.mark_options);
                 ctx.add_work(marking.work);
@@ -622,7 +768,7 @@ impl Stages<'_> {
         let cm = self.cm;
         let mut shuffled = vec![0u64; cm.groups.len()];
         for rec in records {
-            let dim = self.lanes[rec.rel.idx()].dim;
+            let dim = self.places[rec.rel.idx()].dim;
             if self.subs[dim].is_some() {
                 shuffled[dim] += ops::apply(self.op(flags, rec), rec.iv, cm.part).len() as u64;
             }
@@ -654,7 +800,7 @@ impl Stages<'_> {
             &format!("{}-prune", cm.family),
             records,
             |rec: &IvRec, em: &mut Emitter<IvRec>| {
-                let dim = self.lanes[rec.rel.idx()].dim;
+                let dim = self.places[rec.rel.idx()].dim;
                 if self.subs[dim].is_none() {
                     return; // unmarked groups always participate
                 }
@@ -680,7 +826,7 @@ impl Stages<'_> {
                 let rels = cm.groups[g].as_slice();
                 let mut cands = Candidates::new(rels.len());
                 for v in values.by_ref() {
-                    cands.push(self.lanes[v.rel.idx()].slot, v.iv, v.tid);
+                    cands.push(self.places[v.rel.idx()].slot, v.iv, v.tid);
                 }
                 let members = slots(0..rels.len());
                 // The tested dimension: none for a broadcast task, which
@@ -695,7 +841,7 @@ impl Stages<'_> {
                         let n = rows.len();
                         let slice = &rows[n * p / p_count as usize..n * (p + 1) / p_count as usize];
                         for v in slice {
-                            cands.push(self.lanes[large].slot, v.iv, v.tid);
+                            cands.push(self.places[large].slot, v.iv, v.tid);
                         }
                         Vec::new()
                     }
@@ -737,7 +883,7 @@ impl Stages<'_> {
         for (key, slot) in outputs {
             let (rel, tid) = ((key >> 32) as usize, key as u32 as usize);
             let seen = std::mem::replace(&mut alive[rel][tid], true);
-            routed.hist[self.lanes[rel].dim][slot as usize] += !seen as u64;
+            routed.hist[self.places[rel].dim][slot as usize] += !seen as u64;
         }
         alive
     }
@@ -768,13 +914,13 @@ impl Stages<'_> {
             });
         };
         let (dims, o, n) = (cm.groups.len(), cm.part.len(), self.fine.len());
-        for (r, lane) in self.lanes.iter().enumerate() {
-            if pruned && self.subs[lane.dim].is_some() {
+        for (r, place) in self.places.iter().enumerate() {
+            if pruned && self.subs[place.dim].is_some() {
                 continue; // counted from its participants
             }
-            let (hist, flags) = (&mut routed.hist[lane.dim], &flags[r]);
+            let (hist, flags) = (&mut routed.hist[place.dim], &flags[r]);
             for rec in rows_of(records, r) {
-                let op = lane.route[flags[rec.tid as usize] as usize];
+                let op = place.route[flags[rec.tid as usize] as usize];
                 hist[Routed::slot(n, ops::apply(op, rec.iv, &self.fine))] += 1;
             }
         }
@@ -857,54 +1003,41 @@ impl Stages<'_> {
         shares: &Shares,
     ) -> Result<JobOutput<OutRec>, EngineError> {
         let cm = self.cm;
-        let (m, order) = (cm.query.num_relations() as usize, cm.query.start_order());
+        let order = cm.query.start_order();
         // Every dimension but those a fixed project provably settles.
         let projected = |r: usize| cm.routes[r] == [MapOp::Project; 2];
         let settled = |g: &[usize]| g.iter().any(|&r| projected(r) && starts_last(&order, g, r));
-        let tested: Vec<(usize, Vec<Slot>)> = (cm.groups.iter().enumerate())
+        let owner = (cm.groups.iter().enumerate())
             .filter(|(_, g)| !settled(g))
             .map(|(d, g)| (d, slots(g.iter().copied())))
             .collect();
-        self.engine.run_job(
-            &format!("{}-join", cm.family),
-            records,
-            |rec: &IvRec, em: &mut Emitter<IvRec>| {
-                let IvRec { rel, tid, iv } = *rec;
-                let dim = self.lanes[rel.idx()].dim;
-                let pruned =
-                    |alive: &Flags| self.subs[dim].is_some() && !alive[rel.idx()][tid as usize];
-                if participants.is_some_and(pruned) {
-                    return;
-                }
-                let op = self.op(flags, rec);
-                let range = ops::apply(op, iv, &shares.grids[dim]);
-                let cells = shares.space.cells_in(dim, range);
-                em.emit_to_all(cells.iter().copied(), rec);
-                if let Some((replicated, projected)) = cm.route_counters {
-                    let counter = if op == MapOp::Replicate {
-                        replicated
-                    } else {
-                        projected
-                    };
-                    em.inc(counter, cells.len() as u64);
-                }
+        let sides = (self.places.iter().enumerate())
+            .map(|(r, place)| {
+                let pruned = participants.filter(|_| self.subs[place.dim].is_some());
+                let counter =
+                    |c: [_; 2]| place.route.map(|op| c[(op == MapOp::Replicate) as usize]);
+                vec![Lane {
+                    dim: place.dim,
+                    slots: vec![0],
+                    route: place.route,
+                    flags: Some(&flags[r]),
+                    alive: pruned.map(|alive| alive[r].as_slice()),
+                    counters: cm.route_counters.map(counter),
+                }]
+            })
+            .collect();
+        let stage = JoinStage {
+            name: format!("{}-join", cm.family),
+            grids: &shares.grids,
+            space: &shares.space,
+            sides,
+            owner,
+            join: OneSlot {
+                query: cm.query,
+                mode: cm.mode,
             },
-            |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<OutRec>| {
-                let coords = shares.space.decode(ctx.key);
-                let owner: Vec<StartWindow> = (tested.iter())
-                    .map(|(d, members)| {
-                        let (lo, hi) = start_window(&shares.grids[*d], coords[*d]);
-                        (lo, hi, members.as_slice())
-                    })
-                    .collect();
-                let mut cands = Candidates::new(m);
-                for v in values.by_ref() {
-                    cands.push(v.rel.idx(), v.iv, v.tid);
-                }
-                cands.finish();
-                kernel::reduce_join(ctx, cm.query, &cands, cm.mode, &owner, out);
-            },
-        )
+        };
+        stage.run(self.engine, records)
     }
 }
 
@@ -912,6 +1045,8 @@ impl Stages<'_> {
 mod tests {
     use super::*;
     use crate::algorithm::iv_records;
+    use ij_interval::RelId;
+    use ij_query::Condition;
     use proptest::prelude::*;
 
     /// The ownership rule as a predicate: in every `(lo, hi, members)`
@@ -1057,15 +1192,15 @@ mod tests {
             })
         });
         let records: Vec<IvRec> = records.collect();
-        let lanes: Vec<Lane> = (0..rels.len())
-            .map(|slot| Lane {
+        let places: Vec<Place> = (0..rels.len())
+            .map(|slot| Place {
                 dim: 0,
                 slot,
                 route: MARKED,
             })
             .collect();
         let longest = longest_per_relation(&records, rels.len());
-        let r = reach(q, longest_per_group(&longest, &lanes, 1)[0], options);
+        let r = reach(q, longest_per_group(&longest, &places, 1)[0], options);
         for p in 0..part.len() {
             let mut full = vec![Vec::new(); rels.len()];
             let mut near_only = vec![Vec::new(); rels.len()];

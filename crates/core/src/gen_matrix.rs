@@ -9,20 +9,23 @@
 //! equality into Allen *equals* and `<`/`>` into *before*/*after*.
 //!
 //! Two MR cycles: attribute-level marking — the component-matrix mark
-//! stage with one single-attribute relation per vertex — then the matrix
-//! join, whose reducer is the window kernel's multi-slot composite join
-//! (`kernel::composite`): the relations are sides, attributes slots. A
-//! cell owns a binding when, in every component, the right-most start over
-//! the component's ⟨relation, attribute⟩ slots lies in the cell
-//! coordinate's start window — the component-matrix rule, compiled into
-//! the join's level program.
+//! stage with one single-attribute relation per vertex — then the
+//! component-matrix join stage (`component_matrix::JoinStage`) over whole
+//! tuples: the relations are sides, attributes slots, and a relation's side
+//! has one `MARKED` lane per join vertex, carrying the vertex's flags, so a
+//! tuple's coordinate range in a component is the intersection of its
+//! vertices' ranges there. Its reducer is the window kernel's multi-slot
+//! composite join (`kernel::composite`). Every component is tested: a cell
+//! owns a binding when, in every component, the right-most start over the
+//! component's ⟨relation, attribute⟩ slots lies in the cell coordinate's
+//! start window — the component-matrix rule, compiled into the join's
+//! level program.
 
 use crate::algorithm::{empty_output, AlgoError, Algorithm, RunArtifacts};
 use crate::all_matrix::CellSpace;
-use crate::component_matrix::{start_window, ComponentMatrix, Flags, MARKED};
+use crate::component_matrix::{ComponentMatrix, Flags, JoinStage, Lane, MARKED};
 use crate::input::JoinInput;
 use crate::kernel::composite::CompositeJoin;
-use crate::kernel::{Slot, StartWindow};
 use crate::output::{JoinOutput, OutputMode};
 use crate::rccis::marking::MarkOptions;
 use crate::records::{CompRec, IvRec};
@@ -69,7 +72,8 @@ impl Algorithm for GenMatrix {
         let constraints = order.component_constraints(&comps);
         // All dimensions span the same temporal range (Section 7.1).
         let part = RunArtifacts::partition_span(input.span_all_attrs(query), self.per_dim)?;
-        let space = CellSpace::new(&vec![&part; comps.len()], constraints.clone())?;
+        let grids = vec![part.clone(); comps.len()];
+        let space = CellSpace::new(&grids.iter().collect::<Vec<_>>(), constraints.clone())?;
         let mut chain = JobChain::new();
 
         // ---- Cycle 1: attribute-level replication marking -------------------
@@ -83,16 +87,9 @@ impl Algorithm for GenMatrix {
         let replicated = flags.iter().flatten().filter(|&&f| f).count() as u64;
 
         // ---- Cycle 2: matrix join -------------------------------------------
-        // Per relation: its join vertices as (attr, component, vertex id).
-        let rel_vertices: Vec<Vec<(u16, usize, usize)>> = (0..query.num_relations())
-            .map(|r| {
-                (vertices.iter().enumerate())
-                    .filter(|(_, (_, v))| v.rel == RelId(r))
-                    .map(|(id, &(k, v))| (v.attr, k, id))
-                    .collect()
-            })
-            .collect();
-        // Flatten tuples once: a record per tuple, its attributes the slots.
+        // A record per tuple, its attributes the slots; its relation's side
+        // has a lane per join vertex, which replicates where the marking
+        // flagged the vertex's value.
         let tuples: Vec<CompRec> = (input.relations().iter().enumerate())
             .flat_map(|(r, rel)| {
                 rel.tuples().iter().map(move |t| CompRec {
@@ -102,64 +99,29 @@ impl Algorithm for GenMatrix {
                 })
             })
             .collect();
-
-        // Per component, its id and its ⟨relation, attribute⟩ slots.
-        let members: Vec<(usize, Vec<Slot>)> = (comps.components.iter())
-            .map(|c| {
-                let slots = c.vertices.iter().map(|v| (v.rel.idx(), v.attr as usize));
-                (c.id, slots.collect())
-            })
+        let mut sides: Vec<Vec<Lane>> = (0..query.num_relations()).map(|_| Vec::new()).collect();
+        for (v, &(k, at)) in vertices.iter().enumerate() {
+            let lane = Lane {
+                flags: Some(&flags[v]),
+                route: MARKED,
+                ..Lane::fixed(k, vec![at.attr as usize], MapOp::Project, None)
+            };
+            sides[at.rel.idx()].push(lane);
+        }
+        // Every component is tested, over its ⟨relation, attribute⟩ slots.
+        let slot = |v: &AttrRef| (v.rel.idx(), v.attr as usize);
+        let owner = (comps.components.iter())
+            .map(|c| (c.id, c.vertices.iter().map(slot).collect()))
             .collect();
-        let per_dim = self.per_dim;
-        let out = CompositeJoin::of_query(query, self.mode).run(
-            engine,
-            "gen-matrix-join",
-            &tuples,
-            |rec, em| {
-                // Allowed coordinate ranges per dimension touched by this
-                // relation; untouched dimensions are free.
-                let mut lo = vec![0usize; space.dims()];
-                let mut hi = vec![per_dim - 1; space.dims()];
-                for &(attr, k, vertex) in &rel_vertices[rec.side as usize] {
-                    let qidx = part.index_of(rec.ivs[attr as usize].start());
-                    lo[k] = lo[k].max(qidx);
-                    if !flags[vertex][rec.tids[0] as usize] {
-                        hi[k] = hi[k].min(qidx);
-                    }
-                    if lo[k] > hi[k] {
-                        return; // contradictory attribute placement
-                    }
-                }
-                // Enumerate the coordinate box, keep consistent cells.
-                let mut coords = lo.clone();
-                'outer: loop {
-                    if space.is_consistent(&coords) {
-                        em.emit(space.encode(&coords), rec.clone());
-                    }
-                    let mut d = 0;
-                    loop {
-                        coords[d] += 1;
-                        if coords[d] <= hi[d] {
-                            break;
-                        }
-                        coords[d] = lo[d];
-                        d += 1;
-                        if d == coords.len() {
-                            break 'outer;
-                        }
-                    }
-                }
-            },
-            |key| {
-                let coords = space.decode(key);
-                (members.iter())
-                    .map(|(k, slots)| {
-                        let (lo, hi) = start_window(&part, coords[*k]);
-                        (lo, hi, slots.as_slice())
-                    })
-                    .collect::<Vec<StartWindow>>()
-            },
-        )?;
+        let stage = JoinStage {
+            name: "gen-matrix-join".into(),
+            grids: &grids,
+            space: &space,
+            sides,
+            owner,
+            join: CompositeJoin::of_query(query, self.mode),
+        };
+        let out = stage.run(engine, &tuples)?;
         chain.push(out.metrics);
 
         let mut result = JoinOutput::from_records(self.mode, out.outputs, chain);
@@ -201,12 +163,6 @@ fn mark_vertices(
                 .collect()
         })
         .collect();
-    let routes = (vertices.iter())
-        .map(|&(k, _)| match groups[k].len() {
-            1 => [MapOp::Project; 2],
-            _ => MARKED,
-        })
-        .collect();
     let records: Vec<IvRec> = (vertices.iter().enumerate())
         .flat_map(|(v, &(_, at))| {
             input.relation(at.rel).tuples().iter().map(move |t| IvRec {
@@ -225,7 +181,8 @@ fn mark_vertices(
         part,
         constraints,
         groups,
-        routes,
+        // A group of one vertex is never marked.
+        routes: vec![MARKED; vertices.len()],
         mark_options: MarkOptions::default(),
         prune: false,
         route_counters: None,

@@ -2,19 +2,24 @@
 //!
 //! Stage 1 solves each colocation component with RCCIS, materializing the
 //! component join results. Stage 2 joins the component results on the
-//! sequence conditions with a component-dimensional All-Matrix whose
-//! reducer is the window kernel's multi-slot case (`kernel::composite`):
-//! one side per component, its member relations the slots. The
-//! intermediate materialization is the cost All-Seq-Matrix avoids.
+//! sequence conditions with a component-dimensional All-Matrix — the
+//! component-matrix join stage (`component_matrix::JoinStage`) with one
+//! `[Project; 2]` lane per component over all of its member slots, so a
+//! result goes to the cells at its right-most member's start, and no
+//! ownership test. Its reducer is the window kernel's multi-slot case
+//! (`kernel::composite`): one side per component, its member relations
+//! the slots. The intermediate materialization is the cost All-Seq-Matrix
+//! avoids.
 
 use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
 use crate::all_matrix::CellSpace;
+use crate::component_matrix::{JoinStage, Lane};
 use crate::input::JoinInput;
 use crate::kernel::composite::{base_composites, composites, CompositeJoin};
 use crate::output::{JoinOutput, OutputMode};
 use crate::rccis::Rccis;
 use crate::records::CompRec;
-use ij_interval::RelId;
+use ij_interval::{MapOp, RelId};
 use ij_mapreduce::{Engine, JobChain};
 use ij_query::JoinQuery;
 
@@ -64,70 +69,49 @@ impl Algorithm for Fcts {
         // ---- Stage 1: solve each component with RCCIS ----------------------
         // Component k's result tuples become side k's records, its member
         // relations (in vertex order) their slots.
+        let sides: Vec<Vec<RelId>> = (comps.components.iter())
+            .map(|c| c.vertices.iter().map(|v| v.rel).collect())
+            .collect();
         let mut records: Vec<CompRec> = Vec::new();
-        for comp in &comps.components {
-            let rels: Vec<RelId> = comp.vertices.iter().map(|v| v.rel).collect();
+        for (comp, rels) in comps.components.iter().zip(&sides) {
             match comp.as_query(query) {
                 // Singleton component: its results are the base tuples.
                 None => records.extend(base_composites(comp.id, rels[0], input)),
                 Some(sub_q) => {
-                    let sub_rels = rels.iter().map(|r| input.relations()[r.idx()].clone());
-                    let sub_input = JoinInput::bind(&sub_q, sub_rels.collect())
-                        .expect("component input arity matches");
-                    let rccis = Rccis {
-                        partitions: self.partitions,
-                        mode: OutputMode::Materialize,
-                        mark_options: Default::default(),
-                        partition_strategy: Default::default(),
-                    };
-                    let sub_out = rccis.run(&sub_q, &sub_input, engine)?;
-                    records.extend(composites(comp.id, &rels, &sub_out.tuples, input));
+                    let sub_input = input.restrict(&sub_q, rels);
+                    let sub_out = Rccis::new(self.partitions).run(&sub_q, &sub_input, engine)?;
+                    records.extend(composites(comp.id, rels, &sub_out.tuples, input));
                     chain.extend(sub_out.chain);
                 }
             }
         }
 
         // ---- Stage 2: All-Matrix over components ---------------------------
+        // One dimension per component; a component result goes to the
+        // cells at the partition of its right-most member start.
+        let grids = vec![part; comps.len()];
         let constraints = order.component_constraints(&comps);
-        let space = CellSpace::new(&vec![&part; comps.len()], constraints)?;
-        // Relation r sits at slot `s` of component `k`'s records.
-        let mut slot_of = vec![(0, 0); query.num_relations() as usize];
-        for comp in &comps.components {
-            for (s, v) in comp.vertices.iter().enumerate() {
-                slot_of[v.rel.idx()] = (comp.id, s);
-            }
-        }
-        let join = CompositeJoin {
-            sides: comps.len(),
-            conditions: (comps.sequence_condition_idxs.iter())
-                .map(|&ci| query.conditions()[ci])
-                .map(|c| {
-                    (
-                        slot_of[c.left.rel.idx()],
-                        c.pred,
-                        slot_of[c.right.rel.idx()],
-                    )
+        let space = CellSpace::new(&grids.iter().collect::<Vec<_>>(), constraints)?;
+        let sequence = (comps.sequence_condition_idxs.iter()).map(|&ci| &query.conditions()[ci]);
+        let every = (0..query.num_relations()).map(RelId);
+        let stage = JoinStage {
+            name: "fcts-seq-matrix".into(),
+            grids: &grids,
+            space: &space,
+            sides: (sides.iter().enumerate())
+                .map(|(k, rels)| {
+                    vec![Lane::fixed(
+                        k,
+                        (0..rels.len()).collect(),
+                        MapOp::Project,
+                        None,
+                    )]
                 })
                 .collect(),
-            gather: slot_of,
-            mode: self.mode,
-            order_by: None,
+            owner: Vec::new(),
+            join: CompositeJoin::over(&sides, sequence, every, self.mode),
         };
-        let out = join.run(
-            engine,
-            "fcts-seq-matrix",
-            &records,
-            |rec, em| {
-                // Route by the right-most member start (the component's
-                // owner partition).
-                let q = (rec.ivs.iter())
-                    .map(|iv| part.index_of(iv.start()))
-                    .max()
-                    .expect("composite non-empty");
-                em.emit_to_all(space.cells_eq(rec.side as usize, q).iter().copied(), rec);
-            },
-            |_| Vec::new(),
-        )?;
+        let out = stage.run(engine, &records)?;
         chain.push(out.metrics);
 
         let mut result = JoinOutput::from_records(self.mode, out.outputs, chain);

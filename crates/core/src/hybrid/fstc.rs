@@ -8,7 +8,7 @@
 use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm};
 use crate::all_matrix::AllMatrix;
 use crate::cascade::{plan_stages, TwoWayCascade};
-use crate::input::JoinInput;
+use crate::input::{induced, JoinInput};
 use crate::kernel::composite::{composites, CompositeJoin};
 use crate::kernel::KernelConfig;
 use crate::output::{JoinOutput, OutputMode};
@@ -16,7 +16,6 @@ use crate::records::OutRec;
 use ij_interval::RelId;
 use ij_mapreduce::Engine;
 use ij_query::{Condition, JoinQuery, QueryClass};
-use std::sync::Arc;
 
 /// The FSTC baseline.
 #[derive(Debug, Clone)]
@@ -64,51 +63,26 @@ impl Algorithm for Fstc {
         }
 
         // ---- Stage 1: All-Matrix over the sequence sub-query ---------------
-        let seq_conditions: Vec<Condition> = query
-            .conditions()
-            .iter()
-            .copied()
+        let mut seq_rels: Vec<RelId> = (query.conditions().iter())
             .filter(|c| c.is_sequence())
-            .collect();
-        let mut seq_rels: Vec<RelId> = seq_conditions
-            .iter()
             .flat_map(|c| [c.left.rel, c.right.rel])
             .collect();
         seq_rels.sort_unstable();
         seq_rels.dedup();
-        let local_of = |r: RelId| seq_rels.iter().position(|&x| x == r).expect("seq rel");
-        let sub_conditions: Vec<Condition> = seq_conditions
-            .iter()
-            .map(|c| {
-                Condition::whole(
-                    local_of(c.left.rel) as u16,
-                    c.pred,
-                    local_of(c.right.rel) as u16,
-                )
-            })
-            .collect();
-        let sub_q = JoinQuery::new(seq_rels.len() as u16, sub_conditions)
-            .expect("sequence sub-query is valid");
-        let sub_rels: Vec<Arc<ij_interval::Relation>> = seq_rels
-            .iter()
-            .map(|r| input.relations()[r.idx()].clone())
-            .collect();
-        let sub_input = JoinInput::bind(&sub_q, sub_rels).expect("sub input arity");
+        let members: Vec<usize> = seq_rels.iter().map(|r| r.idx()).collect();
+        let sub_q = induced(query, &members, |c| c.is_sequence());
         let seq_out = AllMatrix {
             per_dim: self.per_dim,
             mode: OutputMode::Materialize,
             prune_inconsistent: true,
         }
-        .run(&sub_q, &sub_input, engine)?;
+        .run(&sub_q, &input.restrict(&sub_q, &seq_rels), engine)?;
         // Composites over the sequence relations.
         let comps = composites(0, &seq_rels, &seq_out.tuples, input);
         let mut chain = seq_out.chain;
 
         // ---- Stage 2: cascade the colocation conditions --------------------
-        let coloc_conditions: Vec<Condition> = query
-            .conditions()
-            .iter()
-            .copied()
+        let coloc_conditions: Vec<Condition> = (query.conditions().iter().copied())
             .filter(|c| c.is_colocation())
             .collect();
         let all_within_seed = coloc_conditions
@@ -118,16 +92,9 @@ impl Algorithm for Fstc {
             // Every colocation condition sits between sequence relations,
             // which are then all of the query's (each one is joined):
             // filter the seed locally, with no relation left to introduce.
-            let slot = |rel: RelId| (0, local_of(rel));
-            let filter = CompositeJoin {
-                sides: 1,
-                conditions: (coloc_conditions.iter())
-                    .map(|c| (slot(c.left.rel), c.pred, slot(c.right.rel)))
-                    .collect(),
-                gather: (0..query.num_relations()).map(|r| slot(RelId(r))).collect(),
-                mode: self.mode,
-                order_by: None,
-            };
+            let every = (0..query.num_relations()).map(RelId);
+            let sides = [seq_rels];
+            let filter = CompositeJoin::over(&sides, &coloc_conditions, every, self.mode);
             let mut found = OutRec::new(self.mode, filter.gather.len());
             filter.join_into(&comps, &KernelConfig::serial(), &[], &mut found);
             return Ok(JoinOutput::from_records(self.mode, vec![found], chain));

@@ -1,7 +1,7 @@
 //! Binding relations (data) to a query's logical relations.
 
 use ij_interval::{RelId, Relation};
-use ij_query::JoinQuery;
+use ij_query::{Condition, JoinQuery};
 use std::fmt;
 use std::sync::Arc;
 
@@ -29,6 +29,22 @@ impl fmt::Display for InputError {
 }
 
 impl std::error::Error for InputError {}
+
+/// The sub-query of `q` among the relations `members`: the conditions
+/// between two members that `keep` admits, the members renumbered by
+/// position. Every caller picks members that share such a condition.
+pub(crate) fn induced(
+    q: &JoinQuery,
+    members: &[usize],
+    keep: impl Fn(&Condition) -> bool,
+) -> JoinQuery {
+    let slot = |r: RelId| members.iter().position(|&m| m == r.idx());
+    let conditions = (q.conditions().iter().filter(|c| keep(c)))
+        .filter_map(|c| Some((slot(c.left.rel)?, c.pred, slot(c.right.rel)?)))
+        .map(|(l, pred, r)| Condition::whole(l as u16, pred, r as u16))
+        .collect();
+    JoinQuery::new(members.len() as u16, conditions).expect("the members share a condition")
+}
 
 /// The data for a join: one [`Relation`] per logical relation of the query.
 ///
@@ -63,6 +79,13 @@ impl JoinInput {
             }
         }
         Ok(JoinInput { relations })
+    }
+
+    /// This input's relations `rels`, bound in order to `sub`, a query
+    /// over them ([`induced`]).
+    pub(crate) fn restrict(&self, sub: &JoinQuery, rels: &[RelId]) -> JoinInput {
+        let relations = rels.iter().map(|r| self.relations[r.idx()].clone());
+        JoinInput::bind(sub, relations.collect()).expect("a sub-query binds its members")
     }
 
     /// Binds owned relations (wraps each in an [`Arc`]).

@@ -1,14 +1,14 @@
-//! The composite join: the one reducer step of every family whose records
+//! The composite join: the reducer program of every family whose records
 //! carry several intervals — the cascade's stages (Section 6), FCTS's
 //! sequence matrix (Section 8) and Gen-Matrix's join (Section 9.1).
 //!
 //! A bucket holds one list of [`CompRec`]s per *side*, and a record holds
 //! one interval per *slot*: the relations a cascade composite has joined,
 //! the members of an FCTS component, the attributes of a Gen-Matrix tuple.
-//! Conditions are Allen predicates between `(side, slot)` pairs. A family
-//! keeps only its routing (a closure from a record to its cells) and, for
-//! Gen-Matrix, a reducer's owner — the start windows of the single-attribute
-//! kernels, over member slots; `CompositeJoin::run` is the cycle.
+//! Conditions are Allen predicates between `(side, slot)` pairs. The cycle
+//! itself — routing, cells and ownership — is the component-matrix join
+//! stage (`component_matrix::JoinStage`), which runs this program in every
+//! reducer (`BucketJoin`).
 //!
 //! A composite bucket is the window kernel's multi-slot case: its records
 //! are the rows of the one windowed descent (see `kernel::window`), each
@@ -21,14 +21,14 @@
 
 use super::window::{Row, Scan, WindowPlan};
 use super::{binding_order, drive, range_pair, reduce_rec, slot_conditions};
-use super::{BindingSink, Chunks};
+use super::{BindingSink, BucketJoin, Chunks};
 use super::{Compiled, KernelConfig, KernelKind, KernelReport, Slot, SlotCondition, StartWindow};
 use crate::input::JoinInput;
 use crate::output::OutputMode;
 use crate::records::{CompRec, OutRec};
 use ij_interval::{Interval, RelId, TupleId};
-use ij_mapreduce::{Emitter, Engine, EngineError, JobOutput, ReduceCtx, ReducerId, ValueStream};
-use ij_query::JoinQuery;
+use ij_mapreduce::{ReduceCtx, ValueStream};
+use ij_query::{Condition, JoinQuery};
 use std::ops::Range;
 
 /// One composite join: its sides, the conditions between their slots and
@@ -62,30 +62,29 @@ impl<'q> CompositeJoin<'q> {
         }
     }
 
-    /// Runs the join as the MR cycle `name`: `route` sends each record to
-    /// its cells, and each reducer joins its bucket under the engine's
-    /// thread budget, keeps the bindings its `owner` owns and writes one
-    /// [`OutRec`], recording the counters every join reducer records.
-    pub(crate) fn run<'o>(
-        &self,
-        engine: &Engine,
-        name: &str,
-        records: &[CompRec],
-        route: impl Fn(&CompRec, &mut Emitter<CompRec>) + Sync,
-        owner: impl Fn(ReducerId) -> Vec<StartWindow<'o>> + Sync,
-    ) -> Result<JobOutput<OutRec>, EngineError> {
-        engine.run_job(
-            name,
-            records,
-            route,
-            |ctx: &mut ReduceCtx, values: &mut ValueStream<CompRec>, out: &mut Vec<OutRec>| {
-                let bucket: Vec<CompRec> = values.by_ref().collect();
-                let (owner, rec) = (owner(ctx.key), OutRec::new(self.mode, self.gather.len()));
-                reduce_rec(ctx, rec, out, |cfg, rec| {
-                    self.join_into(&bucket, cfg, &owner, rec)
-                });
-            },
-        )
+    /// The join of `sides` — side `s`'s records carry the relations
+    /// `sides[s]`, one per slot — on `conditions`, gathering the relations
+    /// `gather` in order.
+    pub(crate) fn over<'c>(
+        sides: &[Vec<RelId>],
+        conditions: impl IntoIterator<Item = &'c Condition>,
+        gather: impl IntoIterator<Item = RelId>,
+        mode: OutputMode,
+    ) -> Self {
+        let slot = |rel: RelId| {
+            (sides.iter().enumerate())
+                .find_map(|(s, rels)| Some((s, rels.iter().position(|&r| r == rel)?)))
+                .expect("every relation is on a side")
+        };
+        CompositeJoin {
+            sides: sides.len(),
+            conditions: (conditions.into_iter())
+                .map(|c| (slot(c.left.rel), c.pred, slot(c.right.rel)))
+                .collect(),
+            gather: gather.into_iter().map(slot).collect(),
+            mode,
+            order_by: None,
+        }
     }
 
     /// Joins one bucket of `records` (any sides, any order) into `out`:
@@ -134,6 +133,24 @@ impl<'q> CompositeJoin<'q> {
             OutRec::Count(n) => drive(kind, shape, cfg, &bucket, n),
             OutRec::Rows(rows) => drive(kind, shape, cfg, &bucket, rows),
         }
+    }
+}
+
+/// The multi-slot program: a bucket of [`CompRec`]s joined by
+/// [`CompositeJoin::join_into`] under the engine's thread budget.
+impl BucketJoin<CompRec> for CompositeJoin<'_> {
+    fn reduce(
+        &self,
+        ctx: &mut ReduceCtx,
+        values: &mut ValueStream<CompRec>,
+        owner: &[StartWindow],
+        out: &mut Vec<OutRec>,
+    ) {
+        let bucket: Vec<CompRec> = values.by_ref().collect();
+        let rec = OutRec::new(self.mode, self.gather.len());
+        reduce_rec(ctx, rec, out, |cfg, rec| {
+            self.join_into(&bucket, cfg, owner, rec)
+        });
     }
 }
 
@@ -219,13 +236,9 @@ pub(crate) fn composites<'r>(
 
 /// One single-slot composite record of `side` per tuple of `rel`.
 pub(crate) fn base_composites(side: usize, rel: RelId, input: &JoinInput) -> Vec<CompRec> {
-    let ids = input.relation(rel).tuples().iter();
-    composites(
-        side,
-        &[rel],
-        ids.map(|t| std::slice::from_ref(&t.id)),
-        input,
-    )
+    let rows = input.relation(rel).tuples().iter();
+    let rows = rows.map(|t| std::slice::from_ref(&t.id));
+    composites(side, &[rel], rows, input)
 }
 
 #[cfg(test)]

@@ -4,7 +4,9 @@
 //! buckets through [`execute_into`] (via [`reduce_join`] /
 //! [`reduce_into`]), buckets of records that carry several intervals —
 //! the cascade's stages, FCTS's sequence matrix, Gen-Matrix's join —
-//! through [`composite::CompositeJoin`]. [`planned_kernel`] reads the
+//! through [`composite::CompositeJoin`]. A join cycle runs one of the
+//! two as its reducer program (`BucketJoin`: `OneSlot` or the composite
+//! join), whatever family routed the bucket. [`planned_kernel`] reads the
 //! query's condition set — never the bucket — and routes to one of three
 //! kernels; a composite bucket is always a window bucket —
 //!
@@ -94,10 +96,10 @@ pub use sink::{BindingSink, OutputSink};
 
 use crate::executor::Candidates;
 use crate::output::OutputMode;
-use crate::records::OutRec;
+use crate::records::{IvRec, OutRec};
 use ij_interval::{AllenPredicate, Interval, Time, TupleId};
 use ij_mapreduce::metrics::names::{self, Counter};
-use ij_mapreduce::ReduceCtx;
+use ij_mapreduce::{ReduceCtx, ValueStream};
 use ij_query::{AttrRef, JoinQuery};
 use std::any::Any;
 use std::cmp::{Ordering, Reverse};
@@ -820,6 +822,44 @@ pub fn reduce_join(
         OutRec::Count(n) => execute_into(q, cands, cfg, owner, n),
         OutRec::Rows(rows) => execute_into(q, cands, cfg, owner, rows),
     })
+}
+
+/// The reducer program of a join cycle over records `R`: joins one bucket,
+/// keeps the bindings `owner` owns and writes the reducer's one
+/// [`OutRec`], with the counters [`reduce_rec`] records.
+pub(crate) trait BucketJoin<R>: Sync {
+    /// Drains `values` and joins them.
+    fn reduce(
+        &self,
+        ctx: &mut ReduceCtx,
+        values: &mut ValueStream<R>,
+        owner: &[StartWindow],
+        out: &mut Vec<OutRec>,
+    );
+}
+
+/// The single-attribute program: a bucket of [`IvRec`]s, one relation per
+/// query relation, joined by [`reduce_join`].
+pub(crate) struct OneSlot<'q> {
+    pub query: &'q JoinQuery,
+    pub mode: OutputMode,
+}
+
+impl BucketJoin<IvRec> for OneSlot<'_> {
+    fn reduce(
+        &self,
+        ctx: &mut ReduceCtx,
+        values: &mut ValueStream<IvRec>,
+        owner: &[StartWindow],
+        out: &mut Vec<OutRec>,
+    ) {
+        let mut cands = Candidates::new(self.query.num_relations() as usize);
+        for v in values.by_ref() {
+            cands.push(v.rel.idx(), v.iv, v.tid);
+        }
+        cands.finish();
+        reduce_join(ctx, self.query, &cands, self.mode, owner, out);
+    }
 }
 
 #[cfg(test)]

@@ -17,9 +17,8 @@
 //! matrix (fewer copies, pruned cells) possible.
 
 use crate::algorithm::{empty_output, iv_records, require_single_attr, AlgoError, Algorithm};
-use crate::executor::Candidates;
 use crate::input::JoinInput;
-use crate::kernel;
+use crate::kernel::{BucketJoin, OneSlot};
 use crate::output::{JoinOutput, OutputMode};
 use crate::records::{IvRec, OutRec};
 use ij_mapreduce::metrics::names;
@@ -85,8 +84,10 @@ impl Algorithm for OneBucketTheta {
             return Ok(empty_output(self.mode));
         }
         let (rows, cols, seed) = (self.rows as u64, self.cols as u64, self.seed);
-        let mode = self.mode;
-        let q = query.clone();
+        let join = OneSlot {
+            query,
+            mode: self.mode,
+        };
         let out = engine.run_job(
             "one-bucket-theta",
             &iv_records(input),
@@ -106,13 +107,8 @@ impl Algorithm for OneBucketTheta {
                     em.inc(names::ONEBUCKET_COL_COPIES, rows);
                 }
             },
-            move |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<OutRec>| {
-                let mut cands = Candidates::new(2);
-                for v in values.by_ref() {
-                    cands.push(v.rel.idx(), v.iv, v.tid);
-                }
-                cands.finish();
-                kernel::reduce_join(ctx, &q, &cands, mode, &[], out);
+            |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<OutRec>| {
+                join.reduce(ctx, values, &[], out)
             },
         )?;
         let mut chain = JobChain::new();

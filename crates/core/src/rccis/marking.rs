@@ -27,9 +27,10 @@
 //! skipped under C2.
 
 use crate::executor::Candidates;
+use crate::input::induced;
 use crate::kernel::{self, BindingSink, KernelConfig, OutputSink};
 use ij_interval::{Interval, PartitionIndex, Partitioning, TupleId};
-use ij_query::{Condition, JoinQuery};
+use ij_query::JoinQuery;
 
 /// Per-relation inputs for one marking reducer: intervals intersecting the
 /// partition, each with its tuple id.
@@ -120,7 +121,7 @@ pub fn mark_with_options(
                 .map(|&r| vec![false; per_rel[r].len()])
                 .collect(),
         );
-        let (sub, serial) = (induced(q, &members), KernelConfig::serial());
+        let (sub, serial) = (induced(q, &members, |_| true), KernelConfig::serial());
         work += kernel::execute_into(&sub, &cands, &serial, &[], &mut found).work;
         for (&r, found) in members.iter().zip(found.0) {
             (hits[r].iter_mut().zip(found)).for_each(|(hit, f)| *hit |= f);
@@ -161,16 +162,6 @@ impl OutputSink for Hits {
             hits.iter_mut().zip(found).for_each(|(hit, f)| *hit |= f);
         }
     }
-}
-
-/// The conditions of `q` among `members`, over the members' slots.
-fn induced(q: &JoinQuery, members: &[usize]) -> JoinQuery {
-    let slot = |r: usize| members.iter().position(|&m| m == r);
-    let conditions = (q.conditions().iter())
-        .filter_map(|c| Some((slot(c.left.rel.idx())?, c.pred, slot(c.right.rel.idx())?)))
-        .map(|(l, pred, r)| Condition::whole(l as u16, pred, r as u16))
-        .collect();
-    JoinQuery::new(members.len() as u16, conditions).expect("a connected subset has a condition")
 }
 
 /// Each relation's neighbours in the join graph, as a bitmask.
@@ -266,6 +257,7 @@ mod tests {
     use super::*;
     use ij_interval::AllenPredicate::*;
     use ij_interval::Time;
+    use ij_query::Condition;
 
     fn iv(s: i64, e: i64) -> Interval {
         Interval::new(s, e).unwrap()

@@ -75,7 +75,7 @@ impl Algorithm for Rccis {
             routes: vec![MARKED; query.num_relations() as usize],
             mark_options: self.mark_options,
             prune: false,
-            route_counters: Some((names::RCCIS_REPLICA_PAIRS, names::RCCIS_PROJECTED_PAIRS)),
+            route_counters: Some([names::RCCIS_PROJECTED_PAIRS, names::RCCIS_REPLICA_PAIRS]),
             mode: self.mode,
         }
         .run(input, engine)?;

@@ -54,22 +54,33 @@
 //! `results/pr36/` holds [`render`] and [`render_routed`] whole from that
 //! change on, and both must reproduce it byte for byte.
 //!
+//! `results/pr40/family_pins_composite.txt` is [`render_composite`]
+//! recorded before the families whose records carry several intervals
+//! moved onto the component-matrix join stage: the 2-way cascade, FSTC,
+//! FCTS, Gen-Matrix and 1-Bucket-Theta on [`cases`], a two-relation case
+//! and Q5, in both output modes, with the `cascade.*` and `onebucket.*`
+//! counters. It too must be reproduced byte for byte.
+//!
 //! The cross-family identities the merge rests on are asserted directly.
 
 use ij_core::algorithm::RunArtifacts;
 use ij_core::all_matrix::AllMatrix;
 use ij_core::all_matrix::CellSpace;
 use ij_core::all_replicate::AllReplicate;
-use ij_core::hybrid::{AllSeqMatrix, Pasm};
+use ij_core::cascade::TwoWayCascade;
+use ij_core::gen_matrix::GenMatrix;
+use ij_core::hybrid::{AllSeqMatrix, Fcts, Fstc, Pasm};
+use ij_core::one_bucket::OneBucketTheta;
 use ij_core::rccis::marking::MarkOptions;
 use ij_core::rccis::Rccis;
 use ij_core::two_way::TwoWayJoin;
 use ij_core::{Algorithm, JoinInput, JoinOutput, OutputMode, PartitionStrategy};
 use ij_datagen::{Distribution, SynthConfig};
 use ij_interval::AllenPredicate::{self, After, Before, Contains, Equals, Overlaps};
-use ij_interval::Partitioning;
+use ij_interval::{Interval, Partitioning, Relation};
 use ij_mapreduce::{ClusterConfig, Engine, ReducerLoad};
-use ij_query::{Condition, JoinQuery};
+use ij_query::query::RelationMeta;
+use ij_query::{AttrRef, Condition, JoinQuery};
 use std::fmt::Write as _;
 
 const PARENT_CAPTURE: &str = include_str!("../../../results/pr17/family_pins_parent.txt");
@@ -77,6 +88,7 @@ const ROUTED_CAPTURE: &str = include_str!("../../../results/pr26/family_pins_par
 const MATRIX_CAPTURE: &str = include_str!("../../../results/pr33/family_pins_matrix.txt");
 const CAPTURE: &str = include_str!("../../../results/pr36/family_pins.txt");
 const ROUTED: &str = include_str!("../../../results/pr36/family_pins_routed.txt");
+const COMPOSITE: &str = include_str!("../../../results/pr40/family_pins_composite.txt");
 
 /// Partitions (RCCIS) and partitions per dimension (matrix families).
 const K: usize = 6;
@@ -370,6 +382,131 @@ fn render_routed() -> String {
                 mode,
             };
             render_block(&mut s, &engine, &case, &format!("all-rep{suffix}"), &alg);
+        }
+    }
+    s
+}
+
+/// The composite cases: [`cases`], a two-relation case and Q5 (Section
+/// 9.1) — an interval and one or two real-valued attributes per relation,
+/// the values drawn from a small domain so the equalities match.
+fn composite_cases() -> Vec<Case> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut all = cases();
+    let two = JoinQuery::new(2, vec![Condition::whole(1, Overlaps, 0)]).unwrap();
+    all.push(case("two-relation", two, 2401, &[(120, 1200, 40); 2]));
+    let meta = |name: &str, attrs: &[&str]| RelationMeta {
+        name: name.into(),
+        attr_names: attrs.iter().map(|a| a.to_string()).collect(),
+    };
+    let q5 = JoinQuery::with_relations(
+        vec![
+            meta("R1", &["I", "A"]),
+            meta("R2", &["I", "B"]),
+            meta("R3", &["I", "A", "B"]),
+        ],
+        vec![
+            Condition::new(AttrRef::new(0, 0), Before, AttrRef::new(1, 0)),
+            Condition::new(AttrRef::new(0, 0), Overlaps, AttrRef::new(2, 0)),
+            Condition::new(AttrRef::new(0, 1), Equals, AttrRef::new(2, 1)),
+            Condition::new(AttrRef::new(1, 1), Equals, AttrRef::new(2, 2)),
+        ],
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(2501);
+    let relations = (q5.relations().iter())
+        .map(|m| {
+            let rows: Vec<Vec<Interval>> = (0..60)
+                .map(|_| {
+                    let s = rng.gen_range(0..600i64);
+                    let mut row = vec![Interval::new(s, s + rng.gen_range(1..60)).unwrap()];
+                    row.resize_with(m.attr_names.len(), || Interval::point(rng.gen_range(0..6)));
+                    row
+                })
+                .collect();
+            Relation::from_rows(m.name.clone(), rows)
+        })
+        .collect();
+    let input = JoinInput::bind_owned(&q5, relations).unwrap();
+    let name = "q5-multi-attribute".to_string();
+    all.push(Case {
+        name,
+        query: q5,
+        input,
+    });
+    all
+}
+
+/// The families whose records carry several intervals, and 1-Bucket-Theta,
+/// in `mode`.
+fn composite_families(mode: OutputMode) -> Vec<(&'static str, Box<dyn Algorithm>)> {
+    vec![
+        (
+            "2-way-cd",
+            Box::new(TwoWayCascade {
+                mode,
+                ..TwoWayCascade::new(K)
+            }),
+        ),
+        (
+            "fstc",
+            Box::new(Fstc {
+                mode,
+                ..Fstc::new(K, K)
+            }),
+        ),
+        (
+            "fcts",
+            Box::new(Fcts {
+                mode,
+                ..Fcts::new(K, K)
+            }),
+        ),
+        (
+            "gen-matrix",
+            Box::new(GenMatrix {
+                mode,
+                ..GenMatrix::new(K)
+            }),
+        ),
+        (
+            "1-bucket-theta",
+            Box::new(OneBucketTheta {
+                mode,
+                ..OneBucketTheta::new(3, 4)
+            }),
+        ),
+    ]
+}
+
+/// The capture of the composite families: every composite case, every
+/// family in both output modes, with the cascade's and 1-Bucket-Theta's
+/// route counters.
+fn render_composite() -> String {
+    let (engine, mut s) = (engine(), String::new());
+    let modes = [("", OutputMode::Materialize), (" count", OutputMode::Count)];
+    for case in composite_cases() {
+        for (suffix, mode) in modes {
+            for (label, alg) in composite_families(mode) {
+                writeln!(s, "== {} / {label}{suffix}", case.name).unwrap();
+                match alg.run(&case.query, &case.input, &engine) {
+                    Ok(out) => {
+                        s.push_str(&render_run(&out));
+                        let c = out.chain.total_counters();
+                        writeln!(
+                            s,
+                            "counters cascade comp={} base={} onebucket row={} col={}",
+                            c.get("cascade.comp_pairs"),
+                            c.get("cascade.base_pairs"),
+                            c.get("onebucket.row_copies"),
+                            c.get("onebucket.col_copies"),
+                        )
+                        .unwrap();
+                    }
+                    Err(e) => writeln!(s, "error: {e}").unwrap(),
+                }
+            }
         }
     }
     s
@@ -709,6 +846,13 @@ fn two_way_and_all_replicate_reproduce_the_parent_capture() {
         let (got, expected): (Vec<String>, Vec<String>) = (strip(got), strip(expected));
         same_but_work(&got, &expected, header);
     }
+}
+
+/// The cascade, FSTC, FCTS, Gen-Matrix and 1-Bucket-Theta reproduce
+/// `results/pr40/family_pins_composite.txt` byte for byte.
+#[test]
+fn composite_families_reproduce_the_capture() {
+    same_blocks(&blocks(&render_composite()), COMPOSITE);
 }
 
 fn run(alg: &dyn Algorithm, case: &Case) -> JoinOutput {

@@ -288,6 +288,51 @@ fn one_partition_inputs() {
     assert_eq!(families.len(), 11, "{families:?}");
 }
 
+/// Zero partitions are one: every family that takes a partition count
+/// reads 0 as a single partition (the span's `k.max(1)`) and still
+/// equals the oracle — Gen-Matrix's route table included.
+#[test]
+fn zero_partitions_mean_one() {
+    let engine = Engine::new(ClusterConfig::with_slots(4));
+    let mut families = std::collections::BTreeSet::new();
+    for (i, preds) in [
+        vec![Overlaps, Contains],
+        vec![Before, Before],
+        vec![Overlaps, Before],
+    ]
+    .iter()
+    .enumerate()
+    {
+        let q = JoinQuery::chain(preds).unwrap();
+        let input = random_input(&q, 90 + i as u64, 30, 300, 45);
+        let want = oracle_join(&q, &input);
+        assert!(!want.is_empty(), "{q}: workload too sparse");
+        let algs: Vec<Box<dyn Algorithm>> = vec![
+            Box::new(GenMatrix::new(0)),
+            Box::new(AllMatrix::new(0)),
+            Box::new(AllSeqMatrix::new(0)),
+            Box::new(Pasm::new(0)),
+            Box::new(Fcts::new(0, 0)),
+            Box::new(Fstc::new(0, 0)),
+            Box::new(TwoWayCascade {
+                per_dim_2d: 0,
+                ..TwoWayCascade::new(0)
+            }),
+            Box::new(AllReplicate::new(0)),
+            Box::new(Rccis::new(0)),
+        ];
+        for alg in algs {
+            let out = match alg.run(&q, &input, &engine) {
+                Err(ij_core::algorithm::AlgoError::Unsupported { .. }) => continue,
+                out => out.unwrap_or_else(|e| panic!("{}: {e} on {q}", alg.name())),
+            };
+            assert_eq!(out.assert_no_duplicates(), want, "{} on {q}", alg.name());
+            families.insert(alg.name());
+        }
+    }
+    assert_eq!(families.len(), 9, "{families:?}");
+}
+
 #[test]
 fn point_interval_inputs() {
     // Length-0 intervals reduce colocation to equality and sequence to

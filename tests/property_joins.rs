@@ -15,9 +15,11 @@ use ij_core::all_matrix::AllMatrix;
 use ij_core::all_replicate::AllReplicate;
 use ij_core::cascade::TwoWayCascade;
 use ij_core::gen_matrix::GenMatrix;
-use ij_core::hybrid::{AllSeqMatrix, Pasm};
+use ij_core::hybrid::{AllSeqMatrix, Fcts, Fstc, Pasm};
+use ij_core::one_bucket::OneBucketTheta;
 use ij_core::oracle::oracle_join;
 use ij_core::rccis::Rccis;
+use ij_core::two_way::TwoWayJoin;
 use ij_core::{Algorithm, JoinInput, OutputMode, OutputTuple};
 use ij_interval::AllenPredicate::{self, *};
 use ij_interval::{ops, Interval, Partitioning, Relation};
@@ -176,13 +178,18 @@ proptest! {
 /// The families the metamorphic legs run: RCCIS, All-Rep and PASM, the
 /// All-Matrix and All-Seq-Matrix settings of the component matrix, and
 /// the two-way cascade, whose stages join composite buckets.
-const FAMILIES: [&str; 6] = [
+const FAMILIES: [&str; 11] = [
     "RCCIS",
     "All-Rep",
     "PASM",
     "All-Matrix",
     "All-Seq-Matrix",
     "2-way Cd",
+    "FCTS",
+    "FSTC",
+    "Gen-Matrix",
+    "2-way",
+    "1-Bucket-Theta",
 ];
 
 /// Family `f` of [`FAMILIES`] over `k` partitions (the matrices over
@@ -210,9 +217,29 @@ fn family(f: usize, k: usize, mode: OutputMode) -> Box<dyn Algorithm> {
             mode,
             ..AllSeqMatrix::new(per_dim)
         }),
-        _ => Box::new(TwoWayCascade {
+        5 => Box::new(TwoWayCascade {
             mode,
             ..TwoWayCascade::new(k)
+        }),
+        6 => Box::new(Fcts {
+            mode,
+            ..Fcts::new(k, per_dim)
+        }),
+        7 => Box::new(Fstc {
+            mode,
+            ..Fstc::new(k, per_dim)
+        }),
+        8 => Box::new(GenMatrix {
+            mode,
+            ..GenMatrix::new(per_dim)
+        }),
+        9 => Box::new(TwoWayJoin {
+            partitions: k,
+            mode,
+        }),
+        _ => Box::new(OneBucketTheta {
+            mode,
+            ..OneBucketTheta::new(per_dim, k)
         }),
     }
 }
@@ -269,10 +296,11 @@ fn mirror(iv: Interval) -> Interval {
 /// A chain and its mirror — every interval `[s, e]` becomes `[−e, −s]`
 /// and every predicate its mirror image — return the same tid tuples
 /// through every family of [`FAMILIES`] that takes the chain, on one and
-/// two threads, materialized and counted, on random two-condition chains
-/// away from `i64::MIN`. Mirroring moves the right-most start to another relation,
-/// so each family's ownership windows bind their `≥ lo` bound at another
-/// level.
+/// two threads, materialized and counted, on random chains of one to
+/// three conditions away from `i64::MIN` (one condition, so the 2-way
+/// families join something). Mirroring moves the right-most start to
+/// another relation, so each family's ownership windows bind their `≥ lo`
+/// bound at another level.
 #[test]
 fn mirrored_queries_return_the_same_tuples() {
     use rand::rngs::StdRng;
@@ -280,15 +308,15 @@ fn mirrored_queries_return_the_same_tuples() {
     let mut found = [0usize; FAMILIES.len()];
     for seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let preds: Vec<AllenPredicate> = (0..2)
+        let preds: Vec<AllenPredicate> = (0..rng.gen_range(1..4))
             .map(|_| AllenPredicate::ALL[rng.gen_range(0..13)])
             .collect();
         let q = JoinQuery::chain(&preds).unwrap();
         let conditions = (q.conditions().iter())
             .map(|c| Condition::new(c.left, mirrored(c.pred), c.right))
             .collect();
-        let m = JoinQuery::new(3, conditions).unwrap();
-        let rels: Vec<Vec<Interval>> = (0..3)
+        let m = JoinQuery::new(q.num_relations(), conditions).unwrap();
+        let rels: Vec<Vec<Interval>> = (0..q.num_relations())
             .map(|_| {
                 let n = rng.gen_range(1..15);
                 (0..n)
@@ -333,9 +361,11 @@ fn mirrored_queries_return_the_same_tuples() {
 /// A time shift keeps every Allen relation: a chain over `[s, e]` and
 /// over `[s + δ, e + δ]` return the same tid tuples through every family
 /// of [`FAMILIES`] that takes the chain, on one and two threads,
-/// materialized and counted. `δ` is random, or pushes the data
-/// against `i64::MAX` or `i64::MIN`. Half the inputs are large enough
-/// that a bucket's lists take the radix sort, and half of those are
+/// materialized and counted, on chains of one to three conditions. `δ` is
+/// random, or pushes the data
+/// against `i64::MAX` or `i64::MIN`. Half the inputs are large, and
+/// those of one or two conditions enough that a bucket's lists take the
+/// radix sort; half of the large ones are
 /// stretched so far that their starts span more than the radix passes
 /// cover (the comparison sort's side of the limit).
 #[test]
@@ -345,18 +375,23 @@ fn shifted_queries_return_the_same_tuples() {
     let mut found = [0usize; FAMILIES.len()];
     for seed in 0..24u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let preds: Vec<AllenPredicate> = (0..2)
+        let preds: Vec<AllenPredicate> = (0..rng.gen_range(1..4))
             .map(|_| AllenPredicate::ALL[rng.gen_range(0..13)])
             .collect();
         let q = JoinQuery::chain(&preds).unwrap();
-        let (n, t_max) = if seed % 2 == 0 {
-            (1..15, 120)
-        } else {
-            (300..400, 9_000)
+        // A large chain of four relations could join ~n⁴ tuples, and FSTC
+        // first joins its sequence conditions alone — a cross product of
+        // two pairs when they are not adjacent: its relations are a tenth
+        // the size of a shorter chain's, over a tenth of the span, so they
+        // are as dense.
+        let (n, t_max) = match (seed % 2, preds.len()) {
+            (0, _) => (1..15, 120),
+            (_, 3) => (30..40, 900),
+            _ => (300..400, 9_000),
         };
-        // 2^38 · 9 000 ≈ 2^51 ticks: a span past the radix sort's 44 bits.
+        // 2^38 · t_max ≥ 2^48 ticks: a span past the radix sort's 44 bits.
         let scale: i64 = if seed % 4 == 3 { 1 << 38 } else { 1 };
-        let rels: Vec<Vec<Interval>> = (0..3)
+        let rels: Vec<Vec<Interval>> = (0..q.num_relations())
             .map(|_| {
                 (0..rng.gen_range(n.clone()))
                     .map(|_| {
