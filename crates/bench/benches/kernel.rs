@@ -57,11 +57,12 @@
 //!
 //! `schedule_bench` drives the whole engine (map → shuffle → reduce) on a
 //! skewed clique bucket mix — one dominant hot bucket plus a light tail —
-//! under each intra-reduce grant policy. The skew-driven scheduler should
-//! beat the all-serial floor on the reduce makespan at 8 worker threads
-//! (checked in CI via the BENCH_JSON trend; not asserted at runtime since
-//! single-core hosts cannot show it). Outputs are verified
-//! byte-identical across policies before timing.
+//! at 8 worker threads, twice: `skew` lets the heavy bucket take up to 8
+//! threads (`intra_reduce_threads: 8`), `serial` grants every bucket one
+//! (`intra_reduce_threads: 1`). The multi-thread grant should beat the
+//! serial floor on the reduce makespan (checked in CI via the BENCH_JSON
+//! trend; not asserted at runtime since single-core hosts cannot show it).
+//! Outputs are verified byte-identical across both before timing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
 use ij_core::executor::Candidates;
@@ -71,9 +72,7 @@ use ij_core::oracle::reference_join;
 use ij_core::records::{CompRec, OutRec};
 use ij_core::{OutputMode, Tuples};
 use ij_interval::{Interval, TupleId};
-use ij_mapreduce::{
-    ClusterConfig, CostModel, Emitter, Engine, ReduceCtx, SchedConfig, SchedPolicy, ValueStream,
-};
+use ij_mapreduce::{ClusterConfig, Emitter, Engine, ReduceCtx, ValueStream};
 use ij_query::JoinQuery;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -656,7 +655,7 @@ fn bench_event_sweep(c: &mut Criterion) {
 /// interval endpoints). Bucket 0 carries a `clique_bucket`-shaped heavy
 /// mix; the tail buckets get the same shape scaled down ~30×, so the
 /// reduce makespan is set by when bucket 0 starts and how many threads it
-/// holds — exactly what the grant policy controls.
+/// holds — exactly what the schedule controls.
 fn skewed_clique_records(light_buckets: u64, seed: u64) -> Vec<(u64, u32, (i64, i64))> {
     let mut rng = StdRng::seed_from_u64(seed);
     let lens = [30i64..90, 15..60, 0..25];
@@ -677,8 +676,8 @@ fn skewed_clique_records(light_buckets: u64, seed: u64) -> Vec<(u64, u32, (i64, 
     recs
 }
 
-/// Runs the clique join over the skewed bucket mix through the engine
-/// under `policy`, returning per-bucket match counts (key order).
+/// Runs the clique join over the skewed bucket mix through `engine`,
+/// returning per-bucket match counts (key order).
 fn run_scheduled(
     engine: &Engine,
     q: &JoinQuery,
@@ -711,43 +710,41 @@ fn run_scheduled(
         .outputs
 }
 
-fn sched_engine(policy: SchedPolicy) -> Engine {
+fn sched_engine(intra_reduce_threads: usize) -> Engine {
     Engine::new(ClusterConfig {
         reducer_slots: 4,
         worker_threads: 8,
-        intra_reduce_threads: 8,
+        intra_reduce_threads,
         // Well under the hot bucket's 2,400 pairs and above the light
-        // buckets' 80, so exactly one bucket is classified heavy and the
-        // kernel's intra-bucket parallelism engages on it.
+        // buckets' 80, so exactly one bucket is classified heavy and, with
+        // more than one intra-reduce thread, runs on several.
         heavy_bucket_threshold: 1000,
         reduce_memory_budget: None,
-        sched: SchedConfig::with_policy(policy),
-        cost: CostModel::default(),
     })
 }
 
 fn bench_schedule(c: &mut Criterion) {
     let q = clique3();
     let input = skewed_clique_records(15, 17);
-    let policies = [SchedPolicy::SkewDriven, SchedPolicy::AllSerial];
-    // The scheduler contract before any timing: every policy produces the
-    // same bytes, and the mix really joins.
-    let expect = run_scheduled(&sched_engine(SchedPolicy::AllSerial), &q, &input);
+    let entries = [("skew", 8), ("serial", 1)];
+    // The schedule's contract before any timing: both grant settings
+    // produce the same bytes, and the mix really joins.
+    let expect = run_scheduled(&sched_engine(1), &q, &input);
     assert!(expect.iter().any(|&(_, n)| n > 0), "clique mix too sparse");
-    for policy in policies {
+    for (id, intra) in entries {
         assert_eq!(
-            run_scheduled(&sched_engine(policy), &q, &input),
+            run_scheduled(&sched_engine(intra), &q, &input),
             expect,
-            "policy {policy} changed output bytes"
+            "{id} changed output bytes"
         );
     }
 
     let mut group = c.benchmark_group("schedule_bench");
     group.throughput(Throughput::Elements(input.len() as u64));
     group.sample_size(10);
-    for policy in policies {
-        let engine = sched_engine(policy);
-        group.bench_function(policy.name(), |b| {
+    for (id, intra) in entries {
+        let engine = sched_engine(intra);
+        group.bench_function(id, |b| {
             b.iter(|| criterion::black_box(run_scheduled(&engine, &q, &input)))
         });
     }

@@ -12,8 +12,8 @@ use ij_core::records::IvRec;
 use ij_datagen::Distribution;
 use ij_interval::{Interval, RelId};
 use ij_mapreduce::{
-    merge_keyed_runs, BucketSource, ClusterConfig, CostModel, Emitter, Engine, FaultPlan, KeyedRun,
-    ReduceCtx, ReducerId, ValueStream,
+    merge_keyed_runs, BucketSource, ClusterConfig, Emitter, Engine, FaultPlan, KeyedRun, ReduceCtx,
+    ReducerId, ValueStream,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -158,7 +158,6 @@ fn bench_reduce_ownership(c: &mut Criterion) {
         let e = Engine::new(ClusterConfig {
             reducer_slots: 16,
             worker_threads: 8,
-            cost: CostModel::default(),
             ..ClusterConfig::default()
         });
         if faults {

@@ -40,7 +40,6 @@ fn main() {
         args.slots,
         args.trace.is_some() || args.metrics_out.is_some(),
         args.budget,
-        args.sched,
     );
 
     // ---- 1. Distribution sweep on Q1 ---------------------------------------
@@ -69,10 +68,7 @@ fn main() {
         )),
         None => rep.note("reduce memory budget unlimited — no spilling"),
     }
-    rep.note(format!(
-        "intra-reduce scheduler {} (sched col: granted threads/heavy buckets, - if all-serial)",
-        args.sched
-    ));
+    rep.note("sched col: granted threads/heavy buckets, - if no bucket was heavy");
     for (name, ds) in [
         ("uniform", Distribution::Uniform),
         ("normal", Distribution::Normal),

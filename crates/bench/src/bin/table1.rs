@@ -35,7 +35,6 @@ fn main() {
         args.slots,
         args.trace.is_some() || args.metrics_out.is_some(),
         args.budget,
-        args.sched,
     );
     let q = JoinQuery::chain(&[Overlaps, Overlaps]).unwrap();
     let paper_sizes: [u64; 4] = [500_000, 750_000, 1_000_000, 1_250_000];
@@ -76,10 +75,7 @@ fn main() {
         )),
         None => report.note("reduce memory budget unlimited — no spilling"),
     }
-    report.note(format!(
-        "intra-reduce scheduler {} (sched col: granted threads/heavy buckets, - if all-serial)",
-        args.sched
-    ));
+    report.note("sched col: granted threads/heavy buckets, - if no bucket was heavy");
 
     for (i, &paper_n) in paper_sizes.iter().enumerate() {
         let n = args.scale.apply(paper_n);

@@ -231,11 +231,12 @@ pub fn fmt_spill(counters: &Counters, spill_secs: f64) -> String {
 }
 
 /// Formats one measurement's intra-reduce scheduling activity from its
-/// `sched.*` counters: `-` when no reduce phase deviated from one thread
-/// per bucket (all grants serial, nothing classified heavy), else
+/// `sched.*` counters: `-` when no bucket of any MR cycle was heavy (the
+/// engine records the counters only then), else
 /// `"<granted threads>g/<heavy buckets>h"`. Granted threads sum over
-/// every bucket of every MR cycle, so `g` exceeding the bucket count
-/// means some bucket really ran multi-threaded.
+/// every bucket of every cycle with a heavy bucket, so `g` exceeding
+/// those cycles' bucket count means some bucket really ran
+/// multi-threaded.
 pub fn fmt_sched(counters: &Counters) -> String {
     let grants = counters.get(names::SCHED_GRANTS);
     if grants == 0 {

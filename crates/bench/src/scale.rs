@@ -9,7 +9,6 @@
 //! compared costs (communication volume, straggler load, intermediate
 //! result size) scale together.
 
-use ij_mapreduce::SchedPolicy;
 use std::fmt;
 
 /// A scale factor with helpers for applying it to the paper's counts.
@@ -33,7 +32,7 @@ impl fmt::Display for Scale {
 ///
 /// Recognized flags: `--scale <f64>`, `--seed <u64>`, `--json <path>`,
 /// `--slots <usize>`, `--trace <path>`, `--budget <bytes>`,
-/// `--metrics-out <path>`, `--sched <policy>`, `--help`.
+/// `--metrics-out <path>`, `--help`.
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
     /// Workload scale relative to the paper.
@@ -55,10 +54,6 @@ pub struct BenchArgs {
     /// Where to write the telemetry snapshot in Prometheus text
     /// exposition format after the run, if anywhere.
     pub metrics_out: Option<String>,
-    /// Intra-reduce thread-grant policy (`skew` | `serial`);
-    /// defaults to the engine's skew-driven scheduler. Output bytes are
-    /// policy-invariant — only wall-clock and the `sched.*` counters move.
-    pub sched: SchedPolicy,
 }
 
 impl BenchArgs {
@@ -70,7 +65,7 @@ impl BenchArgs {
                 eprintln!("error: {e}\n");
                 eprintln!("{about}");
                 eprintln!(
-                    "flags: --scale <f64>  (default {default_scale}; 1.0 = paper scale)\n       --seed <u64>   (default 42)\n       --json <path>  (write results as JSON)\n       --slots <n>    (reduce slots, default 16)\n       --trace <path> (write a Chrome trace of every job)\n       --budget <u64> (reduce-memory budget in bytes; oversized buckets spill)\n       --metrics-out <path> (write a Prometheus text snapshot of the run's telemetry)\n       --sched <skew|serial> (intra-reduce grant policy, default skew)"
+                    "flags: --scale <f64>  (default {default_scale}; 1.0 = paper scale)\n       --seed <u64>   (default 42)\n       --json <path>  (write results as JSON)\n       --slots <n>    (reduce slots, default 16)\n       --trace <path> (write a Chrome trace of every job)\n       --budget <u64> (reduce-memory budget in bytes; oversized buckets spill)\n       --metrics-out <path> (write a Prometheus text snapshot of the run's telemetry)"
                 );
                 std::process::exit(2);
             })
@@ -90,7 +85,6 @@ impl BenchArgs {
             trace: None,
             budget: None,
             metrics_out: None,
-            sched: SchedPolicy::default(),
         };
         let mut it = args.into_iter();
         while let Some(flag) = it.next() {
@@ -121,11 +115,6 @@ impl BenchArgs {
                 }
                 "--trace" => out.trace = Some(value("--trace")?),
                 "--metrics-out" => out.metrics_out = Some(value("--metrics-out")?),
-                "--sched" => {
-                    out.sched = value("--sched")?
-                        .parse()
-                        .map_err(|e| format!("--sched: {e}"))?
-                }
                 "--slots" => {
                     out.slots = value("--slots")?
                         .parse()
@@ -157,7 +146,6 @@ mod tests {
         assert!(a.trace.is_none());
         assert!(a.budget.is_none());
         assert!(a.metrics_out.is_none());
-        assert_eq!(a.sched, SchedPolicy::SkewDriven);
     }
 
     #[test]
@@ -178,8 +166,6 @@ mod tests {
                 "4096",
                 "--metrics-out",
                 "m.prom",
-                "--sched",
-                "serial",
             ]),
             0.05,
             "t",
@@ -192,21 +178,6 @@ mod tests {
         assert_eq!(a.trace.as_deref(), Some("t.json"));
         assert_eq!(a.budget, Some(4096));
         assert_eq!(a.metrics_out.as_deref(), Some("m.prom"));
-        assert_eq!(a.sched, SchedPolicy::AllSerial);
-    }
-
-    #[test]
-    fn sched_parses_every_policy_and_rejects_unknown() {
-        for (flag, want) in [
-            ("skew", SchedPolicy::SkewDriven),
-            ("serial", SchedPolicy::AllSerial),
-        ] {
-            let a = BenchArgs::parse_from(sv(&["--sched", flag]), 0.1, "t").unwrap();
-            assert_eq!(a.sched, want);
-        }
-        assert!(BenchArgs::parse_from(sv(&["--sched"]), 0.1, "t").is_err());
-        assert!(BenchArgs::parse_from(sv(&["--sched", "greedy"]), 0.1, "t").is_err());
-        assert!(BenchArgs::parse_from(sv(&["--sched", "uniform"]), 0.1, "t").is_err());
     }
 
     #[test]

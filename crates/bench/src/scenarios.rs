@@ -2,7 +2,7 @@
 
 use ij_core::{Algorithm, JoinInput, JoinOutput};
 use ij_mapreduce::metrics::names;
-use ij_mapreduce::{ClusterConfig, Counters, Engine, Observer, SchedConfig, SchedPolicy};
+use ij_mapreduce::{ClusterConfig, Counters, Engine, Observer};
 use ij_query::JoinQuery;
 use std::sync::Arc;
 use std::time::Instant;
@@ -53,19 +53,14 @@ pub fn engine(slots: usize) -> Engine {
 /// every job run against the engine; [`write_trace`] and
 /// [`write_metrics`] render two views of it. `budget` is the `--budget
 /// <bytes>` reduce-memory budget (oversized reducer buckets then spill to
-/// the Dfs and `spill.*` counters appear in the tables); `sched` selects
-/// the intra-reduce grant policy (the `--sched` flag) — output bytes are
-/// policy-invariant, so the tables only move in wall-clock and the
-/// `sched.*` counters.
+/// the Dfs and `spill.*` counters appear in the tables).
 pub fn observed_engine(
     slots: usize,
     observed: bool,
     budget: Option<u64>,
-    sched: SchedPolicy,
 ) -> (Engine, Option<Arc<Observer>>) {
     let engine = Engine::new(ClusterConfig {
         reduce_memory_budget: budget,
-        sched: SchedConfig::with_policy(sched),
         ..ClusterConfig::with_slots(slots)
     });
     if !observed {
@@ -197,7 +192,7 @@ mod tests {
 
     #[test]
     fn observed_engine_renders_both_views_of_one_observer() {
-        let (e, observer) = observed_engine(4, true, None, SchedPolicy::default());
+        let (e, observer) = observed_engine(4, true, None);
         let q = JoinQuery::chain(&[Overlaps]).unwrap();
         let input = JoinInput::bind_owned(
             &q,
@@ -230,7 +225,7 @@ mod tests {
         assert!(written.contains("ij_telemetry_stragglers"));
         let _ = std::fs::remove_file(&metrics);
 
-        let (_, unobserved) = observed_engine(4, false, None, SchedPolicy::AllSerial);
+        let (_, unobserved) = observed_engine(4, false, None);
         assert!(unobserved.is_none());
         write_trace(None, &unobserved); // no-ops must not panic
         write_metrics(None, &unobserved);
@@ -254,12 +249,12 @@ mod tests {
             partitions: 2,
             mode: OutputMode::Count,
         };
-        let (unbudgeted, _) = observed_engine(4, false, None, SchedPolicy::default());
+        let (unbudgeted, _) = observed_engine(4, false, None);
         let base = measure(&alg, &q, &input, &unbudgeted);
         assert_eq!(base.counters.get("spill.buckets"), 0);
         assert_eq!(base.spill_secs, 0.0);
 
-        let (budgeted, _) = observed_engine(4, false, Some(64), SchedPolicy::default());
+        let (budgeted, _) = observed_engine(4, false, Some(64));
         let m = measure(&alg, &q, &input, &budgeted);
         assert_eq!(m.output, base.output, "budget must not change the join");
         assert!(m.counters.get("spill.buckets") > 0);

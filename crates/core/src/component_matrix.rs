@@ -554,13 +554,8 @@ impl ComponentMatrix<'_> {
             (self.groups.len() > 1).then(|| Routed::new(self.groups.len(), &stages.fine));
 
         let mut chain = JobChain::new();
-        let flags = if any_marked {
-            let marked = stages.mark(&records, &longest, &stages.fine)?;
-            chain.push(marked.metrics);
-            flags_of(&sizes, marked.outputs)
-        } else {
-            flags_of(&sizes, [])
-        };
+        let (flags, marked) = stages.mark(&records, &longest, &stages.fine, &sizes)?;
+        chain.cycles.extend(marked);
         let mut participants = None;
         if self.prune && any_marked {
             let (routes, shuffled) = stages.prune_routes(&records, &flags);
@@ -613,18 +608,18 @@ impl ComponentMatrix<'_> {
         fine.flatten().unwrap_or_else(|| self.part.clone())
     }
 
-    /// Runs the mark stage alone on `part`, whether or not a group is
-    /// marked, over `records`: `sizes[r]` intervals of each relation `r`,
-    /// with dense tuple ids. Returns the flags and the cycle's metrics.
+    /// Runs the mark stage alone on `part` over `records`: `sizes[r]`
+    /// intervals of each relation `r`, with dense tuple ids. Returns the
+    /// flags, and the cycle's metrics unless no group is marked.
     pub(crate) fn mark(
         &self,
         records: &[IvRec],
         sizes: &[usize],
         engine: &Engine,
-    ) -> Result<(Flags, JobMetrics), AlgoError> {
+    ) -> Result<(Flags, Option<JobMetrics>), AlgoError> {
+        let stages = self.stages(engine)?;
         let longest = longest_per_relation(records, sizes.len());
-        let marked = self.stages(engine)?.mark(records, &longest, self.part)?;
-        Ok((flags_of(sizes, marked.outputs), marked.metrics))
+        Ok(stages.mark(records, &longest, self.part, sizes)?)
     }
 
     /// Checks that the groups partition the relations and that the marking
@@ -702,20 +697,26 @@ impl Stages<'_> {
     }
 
     /// **Mark**: the [`participant_key`] of every flagged interval, once
-    /// (by its start partition), marked on `grid`.
+    /// (by its start partition), marked on `grid` — as flags over `sizes`
+    /// intervals per relation, with the cycle's metrics. No cycle runs
+    /// when no group is marked, as none could flag anything.
     fn mark(
         &self,
         records: &[IvRec],
         longest: &[u64],
         grid: &Partitioning,
-    ) -> Result<JobOutput<u64>, EngineError> {
+        sizes: &[usize],
+    ) -> Result<(Flags, Option<JobMetrics>), EngineError> {
+        if self.subs.iter().all(Option::is_none) {
+            return Ok((flags_of(sizes, []), None));
+        }
         let (cm, p_count) = (self.cm, grid.len() as u64);
         let counters = cm.route_counters.is_some();
         let longest = longest_per_group(longest, &self.places, cm.groups.len());
         let reaches: Vec<Option<Time>> = (self.subs.iter().zip(longest))
             .map(|(sub, longest)| reach(sub.as_ref()?, longest, cm.mark_options))
             .collect();
-        self.engine.run_job(
+        let marked = self.engine.run_job(
             &format!("{}-mark", cm.family),
             records,
             |rec: &IvRec, em: &mut Emitter<IvRec>| {
@@ -758,7 +759,8 @@ impl Stages<'_> {
                     }
                 }
             },
-        )
+        )?;
+        Ok((flags_of(sizes, marked.outputs), Some(marked.metrics)))
     }
 
     /// Each group's [`PruneRoute`] by [`prune_route`], and the pairs the
@@ -1480,7 +1482,6 @@ mod tests {
                         intra_reduce_threads: threads,
                         heavy_bucket_threshold: 8,
                         reduce_memory_budget: budget,
-                        ..ClusterConfig::default()
                     });
                     let stages = setting.stages(&engine).unwrap();
                     let (flags, _) = setting.mark(&records, &sizes, &engine).unwrap();
@@ -1665,11 +1666,8 @@ mod tests {
         let engine = Engine::new(ClusterConfig::with_slots(2));
         let sizes: Vec<usize> = input.relations().iter().map(|rel| rel.len()).collect();
         let (records, longest) = iv_records_and_longest(input);
-        let marked = setting
-            .stages(&engine)
-            .unwrap()
-            .mark(&records, &longest, fine);
-        flags_of(&sizes, marked.unwrap().outputs)
+        let stages = setting.stages(&engine).unwrap();
+        stages.mark(&records, &longest, fine, &sizes).unwrap().0
     }
 
     proptest! {
@@ -1698,7 +1696,6 @@ mod tests {
                     intra_reduce_threads: threads,
                     heavy_bucket_threshold: 8,
                     reduce_memory_budget: budget,
-                    ..ClusterConfig::default()
                 });
                 for prune in [false, true] {
                     let out = hybrid_setting(&q, &part, prune).run(&input, &engine).unwrap();

@@ -8,8 +8,8 @@
 //! Real-valued attributes ride along as length-0 intervals, turning
 //! equality into Allen *equals* and `<`/`>` into *before*/*after*.
 //!
-//! Two MR cycles: attribute-level marking — the component-matrix mark
-//! stage with one single-attribute relation per vertex — then the
+//! Two MR cycles: attribute-level marking (skipped when nothing can be
+//! marked) — the mark stage with one relation per vertex — then the
 //! component-matrix join stage (`component_matrix::JoinStage`) over whole
 //! tuples: the relations are sides, attributes slots, and a relation's side
 //! has one `MARKED` lane per join vertex, carrying the vertex's flags, so a
@@ -83,7 +83,7 @@ impl Algorithm for GenMatrix {
             .collect();
         let (flags, metrics) =
             mark_vertices(query, &comps, &vertices, constraints, &part, input, engine)?;
-        chain.push(metrics);
+        chain.cycles.extend(metrics);
         let replicated = flags.iter().flatten().filter(|&&f| f).count() as u64;
 
         // ---- Cycle 2: matrix join -------------------------------------------
@@ -135,7 +135,8 @@ impl Algorithm for GenMatrix {
 /// The attribute-level marking cycle: the component-matrix mark stage on a
 /// query with one single-attribute relation per vertex of `vertices` —
 /// `query`'s conditions between vertex ids — and one group per component,
-/// marked when it has several vertices. Returns `flags[vertex][tid]`.
+/// marked when it has several vertices. Returns `flags[vertex][tid]`, and
+/// the cycle's metrics unless no group is marked.
 fn mark_vertices(
     query: &JoinQuery,
     comps: &Components,
@@ -144,7 +145,7 @@ fn mark_vertices(
     part: &Partitioning,
     input: &JoinInput,
     engine: &Engine,
-) -> Result<(Flags, JobMetrics), AlgoError> {
+) -> Result<(Flags, Option<JobMetrics>), AlgoError> {
     let id = |at: AttrRef| {
         vertices
             .iter()

@@ -31,8 +31,9 @@
 //! reference that is the oracle's engine and is never dispatched. All of
 //! them read one level program (`Compiled`).
 //!
-//! **Heavy-bucket intra-reducer parallelism.** When a bucket's candidate
-//! count reaches the configured threshold, the runner cuts the level-0
+//! **Heavy-bucket intra-reducer parallelism.** On a bucket granted several
+//! threads (by the engine's schedule, or by `parallel_threshold` for a
+//! direct caller), the runner cuts the level-0
 //! outer range into many small contiguous blocks — a fixed number per
 //! granted thread — and the granted workers pull block indices from one
 //! shared cursor until none is left. A thread that finishes a cheap block
@@ -184,8 +185,8 @@ pub struct KernelReport {
     /// number per thread, at most one per outer position.
     pub parallel_chunks: usize,
     /// Maximum total active-array occupancy the event sweep observed
-    /// (0 for the other kernels), chunk-invariant — the direct input for
-    /// skew-driven intra-reduce budgeting.
+    /// (0 for the other kernels), chunk-invariant — a diagnostic, recorded
+    /// as `kernel.active_peak`; no schedule reads it.
     pub active_peak: u64,
 }
 
@@ -202,13 +203,13 @@ impl KernelReport {
 }
 
 /// Execution knobs for [`execute`]; reducers derive theirs from the
-/// engine via [`reduce_join`].
+/// engine's grant via [`reduce_join`].
 #[derive(Debug, Clone, Copy)]
 pub struct KernelConfig {
     /// Maximum worker threads for one bucket (1 disables parallelism).
     pub threads: usize,
-    /// Total candidate count at which a bucket becomes "heavy" and may be
-    /// split across the worker pool.
+    /// Total candidate count at which a bucket may be split across
+    /// `threads` (0 in a reducer: its grant already decided).
     pub parallel_threshold: usize,
 }
 
@@ -220,12 +221,6 @@ impl KernelConfig {
             threads: 1,
             parallel_threshold: usize::MAX,
         }
-    }
-}
-
-impl Default for KernelConfig {
-    fn default() -> Self {
-        KernelConfig::serial()
     }
 }
 
@@ -745,16 +740,17 @@ where
     execute_into(q, cands, cfg, &[], &mut sink)
 }
 
-/// Runs a bucket inside a reducer: `run` joins it under the engine's
-/// per-bucket thread budget and heavy threshold; the report's work units
-/// go to the cost model and the `kernel.*` counters.
+/// Runs a bucket inside a reducer: `run` joins it on exactly the threads
+/// the engine granted (the one parallelism decision: only a heavy bucket
+/// gets several); the report's work units go to the cost model and the
+/// `kernel.*` counters.
 fn reduce_with(
     ctx: &mut ReduceCtx,
     run: impl FnOnce(&KernelConfig) -> KernelReport,
 ) -> KernelReport {
     let rep = run(&KernelConfig {
         threads: ctx.thread_budget(),
-        parallel_threshold: ctx.heavy_bucket_threshold(),
+        parallel_threshold: 0,
     });
     ctx.add_work(rep.work);
     ctx.inc(rep.kind.counter(), 1);
@@ -763,9 +759,9 @@ fn reduce_with(
     }
     if rep.active_peak > 0 {
         // Execution-shape counter (see `ij_mapreduce::is_execution_shape`):
-        // the event sweep's peak concurrent-interval count, the signal the
-        // skew-driven thread budget consumes. The engine also records the
-        // per-bucket values into the `kernel.active_peak` histogram.
+        // the event sweep's peak concurrent-interval count, a diagnostic.
+        // The engine also records the per-bucket values into the
+        // `kernel.active_peak` histogram.
         ctx.inc(names::KERNEL_ACTIVE_PEAK, rep.active_peak);
     }
     rep

@@ -11,9 +11,9 @@ use ij_query::{JoinQuery, QueryClass};
 ///
 /// Single-attribute queries run the `holds`-based windowed-backtracking
 /// reference ([`reference_join`]) over the *whole* input — never the
-/// dispatched reducer kernels, their endpoint ranges or their sweeps, so a
-/// kernel bug cannot hide in a step shared with what it is checked
-/// against, and routing bugs manifest as missing or duplicated tuples.
+/// dispatched kernels' endpoint ranges or sweeps (the steps it shares are
+/// listed in `kernel::backtrack`) — so routing bugs manifest as missing
+/// or duplicated tuples.
 /// Multi-attribute queries take the definition itself: every combination
 /// of the cross product that `satisfied_by_tuples` accepts — quadratic and
 /// worse, for test-sized inputs only, and sharing no code with Gen-Matrix.

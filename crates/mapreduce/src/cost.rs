@@ -117,18 +117,6 @@ impl CostModel {
             + c.output as f64 * self.output_cost
     }
 
-    /// Predicted compute cost of one reduce bucket *before* it runs — the
-    /// scoring primitive of the skew-driven intra-reduce scheduler
-    /// (`mapreduce::schedule`). Unlike [`CostModel::reducer_cost`], which
-    /// prices a finished reducer from its reported counters, this
-    /// estimates from what the shuffle knows up front: the pairs routed to
-    /// the bucket, scaled by a penalty factor for buckets that must stream
-    /// back from spilled Dfs runs (`spill_penalty`; `1.0` for resident
-    /// buckets).
-    pub fn predicted_bucket_cost(&self, pairs_received: u64, spill_penalty: f64) -> f64 {
-        pairs_received as f64 * self.work_cost * spill_penalty
-    }
-
     /// FIFO list-scheduling of reducer costs onto `slots` slots; returns
     /// the makespan.
     ///
@@ -238,17 +226,6 @@ mod tests {
     fn empty_schedule_is_zero() {
         let m = CostModel::default();
         assert_eq!(m.schedule(std::iter::empty(), 4), 0.0);
-    }
-
-    #[test]
-    fn predicted_bucket_cost_scales_linearly_in_each_factor() {
-        let m = CostModel::default();
-        let base = m.predicted_bucket_cost(1000, 1.0);
-        assert!((base - 1000.0 * m.work_cost).abs() < 1e-9);
-        assert!((m.predicted_bucket_cost(2000, 1.0) - base * 2.0).abs() < 1e-9);
-        // Spill penalty inflates, never deflates, a resident score.
-        assert!((m.predicted_bucket_cost(1000, 1.5) - base * 1.5).abs() < 1e-9);
-        assert_eq!(m.predicted_bucket_cost(0, 1.5), 0.0);
     }
 
     #[test]

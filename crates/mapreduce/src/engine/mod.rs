@@ -38,6 +38,7 @@
 
 mod map;
 mod reduce;
+mod schedule;
 mod shuffle;
 
 pub use shuffle::{merge_keyed_runs, ShuffleStats};
@@ -49,15 +50,15 @@ use crate::job::{Mapper, Reducer};
 use crate::metrics::{names, JobMetrics};
 use crate::observe::{Clock, Event, EventKind, MonotonicClock, Observer};
 use crate::record::Record;
-use crate::schedule::SchedConfig;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Default candidate count at which a reduce bucket counts as "heavy" and
-/// becomes eligible for intra-reducer parallel join kernels.
+/// Default pair count at which a reduce bucket counts as "heavy" and
+/// becomes eligible for an intra-reducer thread grant.
 pub const DEFAULT_HEAVY_BUCKET_THRESHOLD: usize = 4096;
 
-/// Cluster shape and cost parameters.
+/// Cluster shape and reduce-phase parameters. The simulated cluster time
+/// is priced by [`CostModel::default`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Parallel reduce slots — the paper runs "16 reduce processes".
@@ -68,17 +69,16 @@ pub struct ClusterConfig {
     /// Worker threads used for the map phase (and for physically running
     /// reducers). Defaults to the machine's available parallelism.
     pub worker_threads: usize,
-    /// Upper bound on worker threads one reducer invocation may use for
-    /// heavy-bucket compute (the kernel layer's intra-reducer parallelism).
-    /// How the grant is actually computed per bucket is governed by
-    /// [`ClusterConfig::sched`]: the default skew-driven policy hands up to
-    /// this many threads to predicted-heavy buckets (heavy-first, from a
-    /// shared token pool) while light buckets run serial. Defaults to
-    /// `worker_threads`; set to 1 for strictly serial reducers.
+    /// Upper bound on the threads one reducer invocation may use (the
+    /// kernel layer's intra-reducer parallelism). The reduce phase's one
+    /// schedule pulls heavy buckets first and grants each up to this many
+    /// threads from a shared pool of `worker_threads` tokens; light buckets
+    /// run serial. Defaults to `worker_threads`; set to 1 for strictly
+    /// serial reducers.
     pub intra_reduce_threads: usize,
-    /// Candidate count at which a bucket counts as heavy and may use the
-    /// intra-reducer thread grant. Defaults to
-    /// [`DEFAULT_HEAVY_BUCKET_THRESHOLD`].
+    /// Pair count at which a bucket counts as heavy: a bucket whose
+    /// `pairs_received` reaches it may take an intra-reducer thread grant.
+    /// Defaults to [`DEFAULT_HEAVY_BUCKET_THRESHOLD`].
     pub heavy_bucket_threshold: usize,
     /// Per-reducer memory budget in approx-bytes (see
     /// [`Record::approx_bytes`]) — the paper's reducer-size bound. `None`
@@ -90,13 +90,6 @@ pub struct ClusterConfig {
     /// execution-shape counters differ; see
     /// [`crate::metrics::is_execution_shape`]).
     pub reduce_memory_budget: Option<u64>,
-    /// Intra-reduce scheduling policy and scoring knobs (see
-    /// [`crate::schedule`]). Outputs and data-plane counters are
-    /// byte-identical for every policy; only the `sched.*` execution-shape
-    /// counters differ.
-    pub sched: SchedConfig,
-    /// Cost-model weights for the simulated cluster time.
-    pub cost: CostModel,
 }
 
 impl Default for ClusterConfig {
@@ -110,14 +103,12 @@ impl Default for ClusterConfig {
             intra_reduce_threads: threads,
             heavy_bucket_threshold: DEFAULT_HEAVY_BUCKET_THRESHOLD,
             reduce_memory_budget: None,
-            sched: SchedConfig::default(),
-            cost: CostModel::default(),
         }
     }
 }
 
 impl ClusterConfig {
-    /// A config with `slots` reduce slots and default cost weights.
+    /// A config with `slots` reduce slots and every other field default.
     pub fn with_slots(slots: usize) -> Self {
         ClusterConfig {
             reducer_slots: slots,
@@ -340,9 +331,7 @@ impl Engine {
             counters.inc(names::SPILL_BYTES, spill_stats.bytes);
         }
 
-        let simulated = self
-            .cfg
-            .cost
+        let simulated = CostModel::default()
             .simulate_phases(
                 records,
                 shuffle.pairs,
@@ -399,7 +388,6 @@ mod tests {
         Engine::new(ClusterConfig {
             reducer_slots: 4,
             worker_threads: 3,
-            cost: CostModel::default(),
             ..ClusterConfig::default()
         })
     }
@@ -446,7 +434,6 @@ mod tests {
             Engine::new(ClusterConfig {
                 reducer_slots: 4,
                 worker_threads: threads,
-                cost: CostModel::default(),
                 ..ClusterConfig::default()
             })
             .run_job(
@@ -582,7 +569,6 @@ mod tests {
             Engine::new(ClusterConfig {
                 reducer_slots: 4,
                 worker_threads: threads,
-                cost: CostModel::default(),
                 ..ClusterConfig::default()
             })
             .run_job(
@@ -630,7 +616,6 @@ mod tests {
             worker_threads: threads,
             intra_reduce_threads: threads,
             reduce_memory_budget: budget,
-            cost: CostModel::default(),
             ..ClusterConfig::default()
         })
     }

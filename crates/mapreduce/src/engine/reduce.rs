@@ -1,13 +1,13 @@
 //! The reduce phase: plan-ordered work stealing over the key buckets,
 //! with per-bucket thread grants and fault-injection retries.
 
+use super::schedule::SchedulePlan;
 use super::Engine;
 use crate::error::EngineError;
 use crate::job::{BucketSource, ReduceCtx, Reducer, ReducerId};
 use crate::metrics::{names, Counters, ReducerLoad};
 use crate::observe::{Event, EventKind};
 use crate::record::Record;
-use crate::schedule::{BucketLoad, SchedulePlan};
 use crate::sync::Locked;
 use std::any::Any;
 use std::panic::resume_unwind;
@@ -63,21 +63,12 @@ impl Engine {
         let threads = self.cfg.worker_threads.max(1);
         let next = AtomicUsize::new(0);
         let n = buckets.len();
-        // Intra-reduce scheduling: score every bucket by predicted work
-        // (full logical length — spilled buckets report their pre-spill
-        // pair count — times the kernel work multiplier and spill penalty)
-        // and build the execution plan: pull order plus the live grant
-        // table workers draw thread budgets from. Under the default
-        // skew-driven policy heavy buckets run first with up to
-        // `intra_reduce_threads`, light buckets run serial, and grants are
-        // recomputed from remaining pool capacity as buckets finish. The
-        // plan never affects output bytes — results land in per-bucket
-        // slots and merge in bucket order below.
-        let bucket_loads: Vec<BucketLoad> = buckets.iter().map(|(_, s)| s.load()).collect();
-        let plan = SchedulePlan::new(&self.cfg, &bucket_loads);
-        let heavy_threshold = self.cfg.heavy_bucket_threshold;
-        let faults = self.faults.clone();
-        let observer = self.observer.as_ref();
+        // The schedule reads each bucket's pairs (a spilled bucket's full
+        // logical length) once: heavy buckets run first with up to
+        // `intra_reduce_threads`, light buckets run serial, and grants come
+        // from the remaining pool capacity as buckets finish. It never
+        // affects output bytes — results land in per-bucket slots and merge
+        // in bucket order below.
         let slots: Vec<BucketSlot<M>> = buckets
             .into_iter()
             .map(|(key, source)| BucketSlot {
@@ -86,6 +77,10 @@ impl Engine {
                 values: Locked::new(Some(source)),
             })
             .collect();
+        let pairs: Vec<u64> = slots.iter().map(|s| s.pairs_received).collect();
+        let plan = SchedulePlan::new(&self.cfg, &pairs);
+        let faults = self.faults.clone();
+        let observer = self.observer.as_ref();
         let result_slots: Vec<Locked<Option<ReduceResult<O>>>> =
             (0..n).map(|_| Locked::new(None)).collect();
         let mut panic_payload: Option<Box<dyn Any + Send>> = None;
@@ -116,9 +111,7 @@ impl Engine {
                             }
                             // Workers steal *pull positions*; the plan maps
                             // each position to a bucket index so heavy
-                            // buckets are picked up first under the
-                            // skew-driven order (identity under
-                            // all-serial).
+                            // buckets are picked up first.
                             let Some(&i) = plan.order().get(pos) else {
                                 break;
                             };
@@ -173,8 +166,7 @@ impl Engine {
                                 let spilled = source.is_spilled();
                                 let r0 = observer.map_or(0, |o| o.now());
                                 let mut out = Vec::new();
-                                let mut ctx =
-                                    ReduceCtx::with_parallelism(slot.key, grant, heavy_threshold);
+                                let mut ctx = ReduceCtx::with_parallelism(slot.key, grant);
                                 let mut values = source.into_stream();
                                 if let Some(o) = observer {
                                     values.enable_heartbeats(Arc::clone(o), w as u64, slot.key);
@@ -280,31 +272,29 @@ impl Engine {
         let mut loads = Vec::with_capacity(n);
         let mut counters = Counters::new();
         let mut reduce_events: Vec<Event> = Vec::new();
-        let mut grants: Vec<u64> = Vec::with_capacity(n);
+        let mut granted_total = 0u64;
         for slot in result_slots {
             let r = slot
                 .into_inner()
                 .ok_or(EngineError::Internal("reducer left no result"))?;
-            grants.push(r.grant);
+            granted_total += r.grant;
             outs.push(r.out);
             loads.push(r.load);
             counters.merge(&r.counters);
             reduce_events.extend(r.event);
         }
         // Scheduler shape counters (the `sched.` prefix is execution-shape:
-        // grants vary with policy, thread count and pool state, never the
+        // grants vary with the thread settings and pool state, never the
         // data plane). `sched.grants` sums the per-bucket grants, so any
         // value above the bucket count proves some bucket ran
         // multi-threaded — what the determinism audit's sched leg asserts.
-        // Recorded only when the plan deviated from the all-serial floor,
-        // mirroring the `spill.*` gate: trivial jobs keep a clean counter
-        // set.
-        let granted_total: u64 = grants.iter().sum();
-        if granted_total > n as u64 || plan.heavy_count() > 0 {
+        // Recorded only when some bucket was heavy (only a heavy bucket is
+        // granted more than one thread), mirroring the `spill.*` gate:
+        // trivial jobs keep a clean counter set.
+        let heavy = plan.heavy_count() as u64;
+        if heavy > 0 {
             counters.inc(names::SCHED_GRANTS, granted_total);
-            if plan.heavy_count() > 0 {
-                counters.inc(names::SCHED_HEAVY_BUCKETS, plan.heavy_count() as u64);
-            }
+            counters.inc(names::SCHED_HEAVY_BUCKETS, heavy);
         }
         if let Some(o) = observer {
             // Per-reducer spans in bucket (key) order, then worker stints in

@@ -229,7 +229,6 @@ pub struct ReduceCtx {
     pub(crate) work: u64,
     pub(crate) counters: Counters,
     thread_budget: usize,
-    heavy_bucket_threshold: usize,
 }
 
 impl ReduceCtx {
@@ -237,40 +236,27 @@ impl ReduceCtx {
     /// hands out by default, and what tests and the oracle construct
     /// directly.
     pub fn new(key: ReducerId) -> Self {
-        ReduceCtx::with_parallelism(key, 1, crate::engine::DEFAULT_HEAVY_BUCKET_THRESHOLD)
+        ReduceCtx::with_parallelism(key, 1)
     }
 
-    /// A context carrying the engine's intra-reducer parallelism grant:
-    /// heavy-bucket kernels may use up to `thread_budget` worker threads
-    /// once a bucket reaches `heavy_bucket_threshold` candidates. The
-    /// engine computes `thread_budget` per bucket via
-    /// [`crate::schedule::SchedulePlan::acquire`] — under the default
-    /// skew-driven policy a predicted-heavy bucket gets up to
-    /// `intra_reduce_threads` from the shared pool, a light one gets 1.
-    pub(crate) fn with_parallelism(
-        key: ReducerId,
-        thread_budget: usize,
-        heavy_bucket_threshold: usize,
-    ) -> Self {
+    /// A context carrying the engine's intra-reducer thread grant: the
+    /// reduce phase's schedule gives a heavy bucket (one whose pairs reach
+    /// [`crate::ClusterConfig::heavy_bucket_threshold`]) up to
+    /// `intra_reduce_threads` from a shared token pool, and a light one 1.
+    pub(crate) fn with_parallelism(key: ReducerId, thread_budget: usize) -> Self {
         ReduceCtx {
             key,
             work: 0,
             counters: Counters::new(),
             thread_budget: thread_budget.max(1),
-            heavy_bucket_threshold,
         }
     }
 
-    /// Worker threads this invocation may use for heavy-bucket compute
-    /// (≥ 1; 1 means strictly serial).
+    /// Threads this invocation was granted (≥ 1; 1 means strictly
+    /// serial). The grant is the reduce phase's only parallelism decision:
+    /// a kernel splits its bucket across exactly these threads.
     pub fn thread_budget(&self) -> usize {
         self.thread_budget
-    }
-
-    /// Candidate count at which a bucket counts as "heavy" and may be
-    /// split across the thread budget.
-    pub fn heavy_bucket_threshold(&self) -> usize {
-        self.heavy_bucket_threshold
     }
 
     /// Reports `units` of compute done by this reducer (candidate pairs
@@ -340,18 +326,6 @@ impl<M: Record> BucketSource<M> {
     /// Whether the bucket was spilled to DFS.
     pub fn is_spilled(&self) -> bool {
         matches!(self, BucketSource::Spilled(_))
-    }
-
-    /// What the intra-reduce scheduler needs to score this bucket before
-    /// it runs. For a spilled bucket `pairs` is the *full logical length*
-    /// — [`crate::spill::SpilledBucket::len`] counts every value the
-    /// budgeted merge routed here, not the in-memory tail — so scores are
-    /// independent of `reduce_memory_budget`.
-    pub fn load(&self) -> crate::schedule::BucketLoad {
-        crate::schedule::BucketLoad {
-            pairs: self.len() as u64,
-            spilled: self.is_spilled(),
-        }
     }
 
     /// The pull-based value stream a reducer consumes.

@@ -85,7 +85,6 @@ pub mod job;
 pub mod metrics;
 pub mod observe;
 pub mod record;
-pub mod schedule;
 pub mod spill;
 mod sync;
 
@@ -104,5 +103,4 @@ pub use observe::{
     VirtualClock,
 };
 pub use record::Record;
-pub use schedule::{BucketLoad, SchedConfig, SchedPolicy, SchedulePlan};
 pub use spill::{SpillStats, SpilledBucket};

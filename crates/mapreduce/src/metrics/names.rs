@@ -138,12 +138,12 @@ pub const TELEMETRY_STRAGGLERS: &Counter = &Counter("telemetry.stragglers");
 
 /// Total intra-reduce threads granted across all buckets — the sum of
 /// per-bucket grants, so a value above the bucket count means some bucket
-/// ran multi-threaded (execution-shape: depends on the sched policy and
-/// thread count).
+/// ran multi-threaded (execution-shape: depends on `worker_threads`,
+/// `intra_reduce_threads` and the pool's state).
 pub const SCHED_GRANTS: &Counter = &Counter("sched.grants");
-/// Buckets the scheduler classified heavy (execution-shape: the cutoff
-/// depends on `heavy_bucket_threshold` and the work multiplier, and the
-/// counter is only meaningful relative to a policy).
+/// Buckets the schedule classified heavy, those whose pairs reach
+/// `heavy_bucket_threshold` (execution-shape: it moves with that setting,
+/// not with the data plane).
 pub const SCHED_HEAVY_BUCKETS: &Counter = &Counter("sched.heavy_buckets");
 
 // ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ pub const REDUCE_SERVICE_NS: &Counter = &Counter("reduce.service_ns");
 /// Per-run spilled bytes (execution-shape: budget).
 pub const SPILL_RUN_BYTES: &Counter = &Counter("spill.run_bytes");
 /// Per-bucket intra-reduce thread grants in key order (execution-shape:
-/// grants depend on the sched policy, thread count and pool state).
+/// grants depend on the thread settings and pool state).
 pub const SCHED_GRANT_THREADS: &Counter = &Counter("sched.grant_threads");
 
 // ---------------------------------------------------------------------------
@@ -332,11 +332,11 @@ mod tests {
 
     #[test]
     fn both_classifiers_share_the_sched_prefix() {
-        // The grant counters and histogram vary with SchedPolicy and
-        // thread count; were either classifier to miss the prefix, the
-        // cross-policy byte-diffs of the determinism audit and the
-        // schedule_equivalence proptest would flag legitimate grant
-        // variation as nondeterminism.
+        // The grant counters and histogram vary with the thread settings;
+        // were either classifier to miss the prefix, the cross-setting
+        // byte-diffs of the determinism audit and the schedule_equivalence
+        // proptest would flag legitimate grant variation as
+        // nondeterminism.
         assert!(SHAPE_COUNTER_PREFIXES.contains(&SCHED_PREFIX));
         assert!(SHAPE_SERIES_PREFIXES.contains(&SCHED_PREFIX));
         assert!(is_execution_shape(SCHED_GRANTS));

@@ -35,11 +35,12 @@
 //!
 //! The first five kinds are spans; the last three are instants (zero
 //! duration). *Which* args are data-plane — byte-identical across
-//! `worker_threads`, memory budgets and scheduler policies — is decided by
-//! the series they fold into, in [`crate::metrics::names`]: `records`,
-//! `pairs`, `pulled`, `bytes` of the shuffle and the reduce-heartbeat count
-//! are; lanes, chunking, durations, `grant`, `spilled`, `active_peak` and
-//! everything about spill runs are execution shape.
+//! `worker_threads`, `intra_reduce_threads` and memory budgets — is
+//! decided by the series they fold into, in [`crate::metrics::names`]:
+//! `records`, `pairs`, `pulled`, `bytes` of the shuffle and the
+//! reduce-heartbeat count are; lanes, chunking, durations, `grant`,
+//! `spilled`, `active_peak` and everything about spill runs are execution
+//! shape.
 //!
 //! Event *order* is deterministic where it can be — map tasks in chunk
 //! order, reduce spans in bucket (key) order, phase and job spans after

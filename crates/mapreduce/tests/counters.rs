@@ -7,7 +7,7 @@
 //! contract the algorithms' replica/candidate statistics rely on.
 
 use ij_mapreduce::metrics::names::{self, Counter};
-use ij_mapreduce::{ClusterConfig, CostModel, Counters, Emitter, Engine, ReduceCtx, ValueStream};
+use ij_mapreduce::{ClusterConfig, Counters, Emitter, Engine, ReduceCtx, ValueStream};
 use proptest::prelude::*;
 
 /// The `i`-th registered name, cycling — counters can only be recorded
@@ -77,7 +77,6 @@ proptest! {
             Engine::new(ClusterConfig {
                 reducer_slots: 4,
                 worker_threads: threads,
-                cost: CostModel::default(),
     ..ClusterConfig::default()
             })
             .run_job(

@@ -12,8 +12,8 @@
 
 use ij_mapreduce::metrics::names;
 use ij_mapreduce::{
-    is_execution_shape, ClusterConfig, CostModel, Counters, Emitter, Engine, FaultPlan, JobOutput,
-    ReduceCtx, ValueStream,
+    is_execution_shape, ClusterConfig, Counters, Emitter, Engine, FaultPlan, JobOutput, ReduceCtx,
+    ValueStream,
 };
 use proptest::prelude::*;
 
@@ -33,7 +33,6 @@ fn engine(threads: usize, budget: Option<u64>, faults: Option<FaultPlan>) -> Eng
         worker_threads: threads,
         intra_reduce_threads: threads,
         reduce_memory_budget: budget,
-        cost: CostModel::default(),
         ..ClusterConfig::default()
     });
     match faults {

@@ -15,8 +15,8 @@
 //! * a failed job is in its trace and freezes a flight dump.
 
 use ij_mapreduce::{
-    Clock, ClusterConfig, CostModel, Emitter, Engine, EngineError, Event, EventKind, FaultPlan,
-    JobOutput, Observer, ReduceCtx, ValueStream, VirtualClock,
+    Clock, ClusterConfig, Emitter, Engine, EngineError, Event, EventKind, FaultPlan, JobOutput,
+    Observer, ReduceCtx, ValueStream, VirtualClock,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -34,7 +34,6 @@ fn engine(threads: usize, budget: Option<u64>) -> Engine {
         worker_threads: threads,
         intra_reduce_threads: threads,
         reduce_memory_budget: budget,
-        cost: CostModel::default(),
         ..ClusterConfig::default()
     })
 }

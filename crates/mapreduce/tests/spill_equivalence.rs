@@ -9,8 +9,7 @@
 
 use ij_mapreduce::metrics::names;
 use ij_mapreduce::{
-    is_execution_shape, ClusterConfig, CostModel, Counters, Emitter, Engine, JobOutput, ReduceCtx,
-    ValueStream,
+    is_execution_shape, ClusterConfig, Counters, Emitter, Engine, JobOutput, ReduceCtx, ValueStream,
 };
 use proptest::prelude::*;
 
@@ -25,7 +24,6 @@ fn engine(threads: usize, budget: Option<u64>) -> Engine {
         worker_threads: threads,
         intra_reduce_threads: threads,
         reduce_memory_budget: budget,
-        cost: CostModel::default(),
         ..ClusterConfig::default()
     })
 }

@@ -13,11 +13,12 @@
 //! the snapshots across thread counts. Every family is additionally
 //! re-run with `reduce_memory_budget` pinned to [`SPILL_BUDGET`], so the
 //! spill-to-Dfs reduce path is byte-diffed against the in-memory baseline
-//! too, and under the alternate intra-reduce grant policy (all-serial),
-//! so the skew-driven scheduler can never change output bytes. The
-//! dedicated sched leg re-runs the clique family on a skewed hot-region
-//! mix across the full policy × thread × budget matrix and asserts the
-//! heavy bucket actually received a multi-thread grant.
+//! too, and at 8 worker threads with `intra_reduce_threads: 1` (every
+//! grant serial), so multi-thread grants can never change output bytes.
+//! The dedicated sched leg re-runs the clique family on a skewed
+//! hot-region mix across `intra_reduce_threads` {1, threads} × threads ×
+//! budgets and asserts the heavy bucket actually received a multi-thread
+//! grant.
 //!
 //! The workload comes from a tiny in-file LCG rather than an RNG crate:
 //! the auditor itself must be deterministic.
@@ -34,10 +35,7 @@ use ij_core::{Algorithm, JoinInput};
 use ij_interval::AllenPredicate::{Before, Contains, Overlaps};
 use ij_interval::{Interval, Relation};
 use ij_mapreduce::metrics::names;
-use ij_mapreduce::{
-    is_execution_shape, ClusterConfig, CostModel, Dfs, Engine, Observer, SchedConfig, SchedPolicy,
-    VirtualClock,
-};
+use ij_mapreduce::{is_execution_shape, ClusterConfig, Dfs, Engine, Observer, VirtualClock};
 use ij_query::JoinQuery;
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
@@ -51,10 +49,6 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 /// *spilled* reduce path against the in-memory baseline.
 const SPILL_BUDGET: u64 = 256;
 
-/// The grant policies every family is cross-checked under (the default
-/// skew-driven policy is the baseline's).
-const SCHED_POLICIES: [SchedPolicy; 2] = [SchedPolicy::SkewDriven, SchedPolicy::AllSerial];
-
 /// Intervals per relation: small enough to finish in seconds, dense
 /// enough to produce thousands of candidate pairs per reducer.
 const AUDIT_SCALE: usize = 80;
@@ -63,7 +57,7 @@ const AUDIT_SCALE: usize = 80;
 #[derive(Debug)]
 struct AuditCase {
     algorithm: &'static str,
-    /// Whether all thread counts, budgets and policies produced
+    /// Whether all thread counts, budgets and grant settings produced
     /// byte-identical snapshots.
     identical: bool,
     /// Output tuple count of the baseline run (the workload must actually
@@ -73,14 +67,15 @@ struct AuditCase {
     diverged: Vec<usize>,
     /// Thread counts that diverged under the pinned [`SPILL_BUDGET`].
     budget_diverged: Vec<usize>,
-    /// Cross-policy legs that diverged.
-    policy_diverged: Vec<&'static str>,
+    /// Whether the serial-grant leg (8 worker threads,
+    /// `intra_reduce_threads: 1`, budgeted) diverged.
+    serial_diverged: bool,
     /// Buckets spilled under the pinned budget (single-thread run).
     spilled_buckets: u64,
     /// The baseline run's `join.emitted` total, for families whose output
     /// comes from one `kernel::reduce_join` cycle (see [`suite`]).
     join_emitted: Option<u64>,
-    /// `kernel.parallel_buckets` of the skew-driven top-thread run.
+    /// `kernel.parallel_buckets` of the top-thread run.
     parallel_buckets: u64,
 }
 
@@ -92,19 +87,19 @@ impl AuditCase {
     }
 }
 
-/// The skew-scheduler leg: a deliberately skewed bucket mix run under
-/// every policy × thread count × budget, byte-diffed against the
-/// skew-driven single-thread baseline.
+/// The schedule leg: a deliberately skewed bucket mix run under every
+/// `intra_reduce_threads` × thread count × budget, byte-diffed against the
+/// serial single-thread baseline.
 #[derive(Debug, Default)]
 struct SchedAudit {
     identical: bool,
-    /// The combinations that diverged, as `policy@threads[+budget]`.
+    /// The combinations that diverged, as `intra<n>@threads[+budget]`.
     diverged: Vec<String>,
     output_count: u64,
-    /// `sched.heavy_buckets` of the skew-driven 8-thread run.
+    /// `sched.heavy_buckets` of the 8-thread run with 8 intra threads.
     heavy_buckets: u64,
-    /// Largest per-bucket thread grant of the skew-driven 8-thread run
-    /// (the `sched.grant_threads` histogram's max).
+    /// Largest per-bucket thread grant of that run (the
+    /// `sched.grant_threads` histogram's max).
     max_grant: u64,
 }
 
@@ -119,7 +114,7 @@ struct AuditReport {
 
 impl AuditReport {
     /// Whether every family was byte-identical across all thread counts,
-    /// budgets and grant policies — including the sched leg, which must
+    /// budgets and grant settings — including the sched leg, which must
     /// additionally prove a multi-thread grant landed on the heavy bucket.
     fn deterministic(&self) -> bool {
         !self.cases.is_empty()
@@ -191,16 +186,16 @@ fn skewed_workload(q: &JoinQuery, seed: u64, n: usize) -> JoinInput {
     JoinInput::bind_owned(q, rels).expect("relation count matches query")
 }
 
-fn engine_with_threads(threads: usize, budget: Option<u64>, policy: SchedPolicy) -> Engine {
+/// The audited engine: `threads` workers, up to `intra` threads per heavy
+/// bucket. The serial anchor is `threads = intra = 1`.
+fn engine_with_threads(threads: usize, intra: usize, budget: Option<u64>) -> Engine {
     Engine::new(ClusterConfig {
         reducer_slots: 4,
         worker_threads: threads,
-        intra_reduce_threads: threads,
+        intra_reduce_threads: intra,
         // Low threshold so the intra-reducer parallel kernels engage.
         heavy_bucket_threshold: 64,
         reduce_memory_budget: budget,
-        sched: SchedConfig::with_policy(policy),
-        cost: CostModel::default(),
     })
 }
 
@@ -298,21 +293,20 @@ struct Snapshot {
     recorded: BTreeSet<String>,
 }
 
-/// Runs one policy/thread/budget combination and captures a [`Snapshot`].
+/// Runs one threads/intra/budget combination and captures a [`Snapshot`].
 fn snapshot(
     algo: &dyn Algorithm,
     q: &JoinQuery,
     input: &JoinInput,
-    threads: usize,
+    (threads, intra): (usize, usize),
     budget: Option<u64>,
-    policy: SchedPolicy,
 ) -> Result<Snapshot, String> {
     // A virtual clock keeps every timestamp at zero, and a small
     // heartbeat quantum makes reduce-side heartbeats fire at audit scale —
     // the data-plane telemetry joins the byte-diff below, so heartbeat/
     // gauge/histogram drift fails the audit exactly like output drift.
     let observer = Arc::new(Observer::with_clock(Arc::new(VirtualClock::new()), 8));
-    let engine = engine_with_threads(threads, budget, policy).with_observer(Arc::clone(&observer));
+    let engine = engine_with_threads(threads, intra, budget).with_observer(Arc::clone(&observer));
     let out = algo
         .run(q, input, &engine)
         .map_err(|e| format!("{} failed under {threads} threads: {e}", algo.name()))?;
@@ -369,27 +363,27 @@ fn snapshot(
 ///
 /// Each family is audited twice per thread count: with an unlimited
 /// reduce-memory budget (the in-memory merge path) and with the pinned
-/// [`SPILL_BUDGET`] (the spill-to-Dfs path), plus one cross-policy leg
-/// at the highest thread count (the all-serial policy, budgeted — where
-/// grants differ most from the default). Every run must byte-match the
-/// single-thread unlimited baseline. The skewed-mix sched leg
-/// ([`run_sched_audit`]) then covers the full policy × thread × budget
+/// [`SPILL_BUDGET`] (the spill-to-Dfs path), plus one serial-grant leg
+/// at the highest thread count (`intra_reduce_threads: 1`, budgeted —
+/// where grants differ most from the default). Every run must byte-match
+/// the serial single-thread unlimited baseline. The skewed-mix sched leg
+/// ([`run_sched_audit`]) then covers the full intra × thread × budget
 /// matrix.
 fn run_audit(scale: usize) -> Result<AuditReport, String> {
     let mut report = AuditReport::default();
     let top_threads = THREAD_COUNTS[THREAD_COUNTS.len() - 1];
     for (algo, q, single_join) in suite() {
         let input = workload(&q, 0x5eed + q.num_relations() as u64, scale);
-        let mut run = |threads, budget, policy| -> Result<Snapshot, String> {
-            let s = snapshot(algo.as_ref(), &q, &input, threads, budget, policy)?;
+        let mut run = |threads, budget| -> Result<Snapshot, String> {
+            let s = snapshot(algo.as_ref(), &q, &input, threads, budget)?;
             report.recorded.extend(s.recorded.iter().cloned());
             Ok(s)
         };
-        let base = run(THREAD_COUNTS[0], None, SchedPolicy::SkewDriven)?;
+        let base = run((1, 1), None)?;
         let mut diverged = Vec::new();
         let mut parallel_buckets = 0;
         for &t in &THREAD_COUNTS[1..] {
-            let s = run(t, None, SchedPolicy::SkewDriven)?;
+            let s = run((t, t), None)?;
             if s.bytes != base.bytes {
                 diverged.push(t);
             }
@@ -400,7 +394,7 @@ fn run_audit(scale: usize) -> Result<AuditReport, String> {
         let mut budget_diverged = Vec::new();
         let mut spilled_buckets = 0;
         for (i, &t) in THREAD_COUNTS.iter().enumerate() {
-            let s = run(t, Some(SPILL_BUDGET), SchedPolicy::SkewDriven)?;
+            let s = run((t, t), Some(SPILL_BUDGET))?;
             if i == 0 {
                 spilled_buckets = s.spilled_buckets;
             }
@@ -408,20 +402,14 @@ fn run_audit(scale: usize) -> Result<AuditReport, String> {
                 budget_diverged.push(t);
             }
         }
-        let mut policy_diverged = Vec::new();
-        let policy = SchedPolicy::AllSerial;
-        if run(top_threads, Some(SPILL_BUDGET), policy)?.bytes != base.bytes {
-            policy_diverged.push(policy.name());
-        }
+        let serial_diverged = run((top_threads, 1), Some(SPILL_BUDGET))?.bytes != base.bytes;
         report.cases.push(AuditCase {
             algorithm: algo.name(),
-            identical: diverged.is_empty()
-                && budget_diverged.is_empty()
-                && policy_diverged.is_empty(),
+            identical: diverged.is_empty() && budget_diverged.is_empty() && !serial_diverged,
             output_count: base.count,
             diverged,
             budget_diverged,
-            policy_diverged,
+            serial_diverged,
             spilled_buckets,
             join_emitted: single_join.then_some(base.join_emitted),
             parallel_buckets,
@@ -433,43 +421,37 @@ fn run_audit(scale: usize) -> Result<AuditReport, String> {
     Ok(report)
 }
 
-/// The skew-scheduler leg: All-Replicate on the colocation clique over
-/// the hot-region [`skewed_workload`], run under the full
-/// [`SCHED_POLICIES`] × [`THREAD_COUNTS`] × {unbudgeted, [`SPILL_BUDGET`]}
-/// matrix and byte-diffed against the skew-driven single-thread
-/// unbudgeted baseline. The skew-driven top-thread run also reports the
-/// scheduler's execution shape (heavy buckets, max grant). Returns the
-/// names the leg recorded beside its verdict.
+/// The schedule leg: All-Replicate on the colocation clique over the
+/// hot-region [`skewed_workload`], run under the full
+/// `intra_reduce_threads` {1, threads} × [`THREAD_COUNTS`] × {unbudgeted,
+/// [`SPILL_BUDGET`]} matrix and byte-diffed against the serial
+/// single-thread unbudgeted baseline. The top-thread unbudgeted run with
+/// as many intra threads also reports the schedule's execution shape
+/// (heavy buckets, max grant). Returns the names the leg recorded beside
+/// its verdict.
 fn run_sched_audit(scale: usize) -> Result<(SchedAudit, BTreeSet<String>), String> {
     let q = clique_query();
     let algo = AllReplicate::new(4);
     let input = skewed_workload(&q, 0x5ca1ed, scale);
     let top_threads = THREAD_COUNTS[THREAD_COUNTS.len() - 1];
-    let base = snapshot(
-        &algo,
-        &q,
-        &input,
-        THREAD_COUNTS[0],
-        None,
-        SchedPolicy::SkewDriven,
-    )?;
+    let base = snapshot(&algo, &q, &input, (1, 1), None)?;
     let mut sched = SchedAudit {
         output_count: base.count,
         ..SchedAudit::default()
     };
     let mut recorded = base.recorded.clone();
-    for &policy in &SCHED_POLICIES {
-        for &t in &THREAD_COUNTS {
+    for &t in &THREAD_COUNTS {
+        for intra in [1, t] {
             for budget in [None, Some(SPILL_BUDGET)] {
-                let s = snapshot(&algo, &q, &input, t, budget, policy)?;
+                let s = snapshot(&algo, &q, &input, (t, intra), budget)?;
                 if s.bytes != base.bytes {
                     let leg = match budget {
-                        None => format!("{}@{t}", policy.name()),
-                        Some(b) => format!("{}@{t}+{b}B", policy.name()),
+                        None => format!("intra{intra}@{t}"),
+                        Some(b) => format!("intra{intra}@{t}+{b}B"),
                     };
                     sched.diverged.push(leg);
                 }
-                if policy == SchedPolicy::SkewDriven && t == top_threads && budget.is_none() {
+                if intra == top_threads && t == top_threads && budget.is_none() {
                     sched.heavy_buckets = s.heavy_buckets;
                     sched.max_grant = s.max_grant;
                 }
@@ -499,8 +481,8 @@ fn all_algorithm_families_are_byte_identical_across_thread_counts() {
         assert!(
             case.identical,
             "{} diverged from the single-thread baseline at threads {:?} \
-             (budget {SPILL_BUDGET}B at {:?}, policies {:?}) (of {THREAD_COUNTS:?})",
-            case.algorithm, case.diverged, case.budget_diverged, case.policy_diverged
+             (budget {SPILL_BUDGET}B at {:?}, serial grants: {}) (of {THREAD_COUNTS:?})",
+            case.algorithm, case.diverged, case.budget_diverged, case.serial_diverged
         );
         // The workload must actually exercise the join — a zero-output
         // run would pass the diff vacuously.
@@ -516,14 +498,13 @@ fn all_algorithm_families_are_byte_identical_across_thread_counts() {
         report.cases.iter().any(|c| c.spilled_buckets > 0),
         "no family spilled under the pinned {SPILL_BUDGET}B budget:\n{report:#?}"
     );
-    // The skew-scheduler leg: byte-identical across the full grant-policy
-    // matrix, and the heavy bucket of the skewed mix must really have run
-    // with a multi-thread grant — an inert scheduler fails the audit.
+    // The schedule leg: byte-identical across the full grant matrix, and
+    // the heavy bucket of the skewed mix must really have run with a
+    // multi-thread grant — an inert schedule fails the audit.
     let sched = report.sched.as_ref().expect("sched leg present");
     assert!(
         sched.identical,
-        "grant policies {:?} changed output bytes at {:?}:\n{report:#?}",
-        SCHED_POLICIES.map(|p| p.name()),
+        "grant settings changed output bytes at {:?}:\n{report:#?}",
         sched.diverged,
     );
     assert!(sched.output_count > 0, "sched leg produced no output");
@@ -604,8 +585,7 @@ fn every_recorded_name_is_registered() {
 fn audit_snapshots_embed_data_plane_telemetry() {
     let (algo, q, _) = suite().remove(0);
     let input = workload(&q, 0x5eed + q.num_relations() as u64, 40);
-    let s =
-        snapshot(algo.as_ref(), &q, &input, 1, None, SchedPolicy::SkewDriven).expect("snapshot");
+    let s = snapshot(algo.as_ref(), &q, &input, (1, 1), None).expect("snapshot");
     let text = String::from_utf8(s.bytes).expect("utf8");
     assert!(
         text.contains("telemetry # TYPE ij_progress_jobs_started gauge"),
@@ -625,8 +605,8 @@ fn audit_snapshots_embed_data_plane_telemetry() {
     assert!(!text.contains("ij_telemetry_stragglers"));
     assert!(!text.contains("ij_reduce_service_ns"));
     assert!(!text.contains("ij_spill_run_bytes"));
-    // The grant histogram varies with the sched policy — it must stay
-    // out of the diff, or every cross-policy leg would diverge.
+    // The grant histogram varies with the thread settings — it must stay
+    // out of the diff, or every serial-grant leg would diverge.
     assert!(!text.contains("ij_sched_grant_threads"));
     assert!(!text.contains("counter sched."));
 }
@@ -639,8 +619,7 @@ fn clique_family_routes_to_event_sweep() {
     let (algo, q, _) = suite().remove(2);
     assert_eq!(q.conditions().len(), 3, "clique has all three pairs");
     let input = workload(&q, 0x5eed + q.num_relations() as u64, 40);
-    let s =
-        snapshot(algo.as_ref(), &q, &input, 1, None, SchedPolicy::SkewDriven).expect("snapshot");
+    let s = snapshot(algo.as_ref(), &q, &input, (1, 1), None).expect("snapshot");
     let text = String::from_utf8(s.bytes).expect("utf8");
     let buckets = text
         .lines()

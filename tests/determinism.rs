@@ -10,7 +10,7 @@ use ij_core::rccis::Rccis;
 use ij_core::{Algorithm, JoinInput, JoinOutput};
 use ij_interval::AllenPredicate::{Before, Overlaps};
 use ij_interval::{Interval, Relation};
-use ij_mapreduce::{ClusterConfig, CostModel, Engine, FaultPlan};
+use ij_mapreduce::{ClusterConfig, Engine, FaultPlan};
 use ij_query::JoinQuery;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,7 +35,6 @@ fn engine_with_threads(threads: usize) -> Engine {
     Engine::new(ClusterConfig {
         reducer_slots: 4,
         worker_threads: threads,
-        cost: CostModel::default(),
         ..ClusterConfig::default()
     })
 }
