@@ -1,4 +1,10 @@
 //! The [`Algorithm`] trait and shared plumbing for the join algorithms.
+//!
+//! Every family's [`Algorithm::run`] checks the query, builds the family's
+//! plan — its MR cycles as a list of steps (`crate::plan`, DESIGN.md §5) —
+//! and runs it. A provably empty join (a contradictory start order or an
+//! empty relation) gets a plan with no steps, after the query's checks, so
+//! a family refuses the same queries on every input.
 
 use crate::input::JoinInput;
 use crate::output::JoinOutput;
@@ -179,12 +185,6 @@ pub(crate) fn require_all_joined(algorithm: &'static str, q: &JoinQuery) -> Resu
             Err(AlgoError::Unsupported { algorithm, reason })
         }
     }
-}
-
-/// Short-circuit for provably unsatisfiable queries (contradictory
-/// less-than orders, Section 9): returns an empty output with no cycles.
-pub fn empty_output(mode: crate::output::OutputMode) -> JoinOutput {
-    JoinOutput::from_records(mode, Vec::new(), ij_mapreduce::JobChain::new())
 }
 
 #[cfg(test)]

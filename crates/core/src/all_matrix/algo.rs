@@ -14,10 +14,11 @@
 //! query (colocation predicates just make most cells empty), which we use
 //! for cross-validation in tests.
 
-use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
+use crate::algorithm::{require_single_attr, AlgoError, Algorithm, RunArtifacts};
 use crate::component_matrix::{starts_last, ComponentMatrix};
 use crate::input::JoinInput;
 use crate::output::{JoinOutput, OutputMode};
+use crate::plan::{Plan, Report};
 use ij_interval::MapOp;
 use ij_mapreduce::Engine;
 use ij_query::JoinQuery;
@@ -59,6 +60,36 @@ impl AllMatrix {
             .filter(|&(j, k)| j != k && starts_last(&order, &[j, k], k))
             .collect()
     }
+
+    /// The plan over `input`. Every relation is a dimension of its own,
+    /// whatever the query's colocation components are: nothing is marked,
+    /// every interval goes to the cells at its own start coordinate, the
+    /// join runs alone.
+    pub(crate) fn plan<'a>(
+        &self,
+        query: &'a JoinQuery,
+        input: &JoinInput,
+    ) -> Result<Plan<'a>, AlgoError> {
+        let m = query.num_relations() as usize;
+        let part = RunArtifacts::partition_span(input.span(), self.per_dim)?;
+        let constraints = match self.prune_inconsistent {
+            true => Self::constraints(query),
+            false => Vec::new(),
+        };
+        let setting = ComponentMatrix {
+            family: "all-matrix",
+            query,
+            part,
+            constraints,
+            groups: (0..m).map(|r| vec![r]).collect(),
+            routes: vec![[MapOp::Project; 2]; m],
+            mark_options: Default::default(),
+            prune: false,
+            route_counters: None,
+            mode: self.mode,
+        };
+        setting.plan(input, Report::Cells)
+    }
 }
 
 impl Algorithm for AllMatrix {
@@ -73,34 +104,7 @@ impl Algorithm for AllMatrix {
         engine: &Engine,
     ) -> Result<JoinOutput, AlgoError> {
         require_single_attr(self.name(), query)?;
-        if query.start_order().contradictory() {
-            return Ok(empty_output(self.mode));
-        }
-        let m = query.num_relations() as usize;
-        let part = RunArtifacts::partition_span(input.span(), self.per_dim)?;
-        let constraints = if self.prune_inconsistent {
-            Self::constraints(query)
-        } else {
-            Vec::new()
-        };
-        // Every relation is a dimension of its own, whatever the query's
-        // colocation components are: nothing is marked, every interval goes
-        // to the cells at its own start coordinate, the join runs alone.
-        let mut out = ComponentMatrix {
-            family: "all-matrix",
-            query,
-            part: &part,
-            constraints,
-            groups: (0..m).map(|r| vec![r]).collect(),
-            routes: vec![[MapOp::Project; 2]; m],
-            mark_options: Default::default(),
-            prune: false,
-            route_counters: None,
-            mode: self.mode,
-        }
-        .run(input, engine)?;
-        out.stats.replicated_intervals = None;
-        Ok(out)
+        self.plan(query, input)?.run(input, engine)
     }
 }
 

@@ -10,10 +10,11 @@
 //! — communication-heavy and, for sequence queries, badly load-skewed toward
 //! the right-most reducers.
 
-use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
+use crate::algorithm::{require_single_attr, AlgoError, Algorithm, RunArtifacts};
 use crate::component_matrix::{starts_last, ComponentMatrix};
 use crate::input::JoinInput;
 use crate::output::{JoinOutput, OutputMode};
+use crate::plan::Report;
 use ij_interval::MapOp;
 use ij_mapreduce::metrics::names;
 use ij_mapreduce::Engine;
@@ -59,19 +60,16 @@ impl Algorithm for AllReplicate {
         engine: &Engine,
     ) -> Result<JoinOutput, AlgoError> {
         require_single_attr(self.name(), query)?;
-        if query.start_order().contradictory() {
-            return Ok(empty_output(self.mode));
-        }
         let part = RunArtifacts::partition_span(input.span(), self.partitions)?;
         let m = query.num_relations() as usize;
         let mut routes = vec![[MapOp::Replicate; 2]; m];
         if let Some(r) = Self::projected_relation(query) {
             routes[r] = [MapOp::Project; 2];
         }
-        let mut out = ComponentMatrix {
+        let setting = ComponentMatrix {
             family: "all-replicate",
             query,
-            part: &part,
+            part,
             constraints: Vec::new(),
             groups: vec![(0..m).collect()],
             routes,
@@ -79,10 +77,8 @@ impl Algorithm for AllReplicate {
             prune: false,
             route_counters: Some([names::ALLREP_PROJECTED_PAIRS, names::ALLREP_REPLICA_PAIRS]),
             mode: self.mode,
-        }
-        .run(input, engine)?;
-        out.stats.consistent_cells = None;
-        Ok(out)
+        };
+        setting.plan(input, Report::Replicated)?.run(input, engine)
     }
 }
 

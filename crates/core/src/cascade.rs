@@ -8,22 +8,25 @@
 //! "both 2-way joins in 2-way Cd … are executed using 2D versions of
 //! All-Matrix"). Every stage re-reads and re-shuffles the intermediate
 //! result, which is exactly the cost the paper's single-pass algorithms
-//! avoid. Each stage is a route table of the component-matrix join stage
-//! (`component_matrix::JoinStage`) with one lane per side and no ownership
-//! test, and its reducer is the composite join (`kernel::composite`, the
-//! window kernel's multi-slot case) with two sides: the composites, whose
-//! slots are the relations joined so far, and the new relation.
+//! avoid. The family builds a plan (`crate::plan`): the seed relation's
+//! tuples, then per stage the new relation's tuples and a join step that
+//! hands its rows on to the next. Each stage is a route table of the
+//! component-matrix join stage (`component_matrix::JoinStage`) with one
+//! lane per side and no ownership test, and its reducer is the composite
+//! join (`kernel::composite`, the window kernel's multi-slot case) with
+//! two sides: the composites, whose slots are the relations joined so far,
+//! and the new relation.
 
-use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
+use crate::algorithm::{require_single_attr, AlgoError, Algorithm, RunArtifacts};
 use crate::all_matrix::CellSpace;
 use crate::component_matrix::{JoinStage, Lane};
 use crate::input::JoinInput;
-use crate::kernel::composite::{base_composites, composites, CompositeJoin};
+use crate::kernel::composite::CompositeJoin;
 use crate::output::{JoinOutput, OutputMode};
-use crate::records::{CompRec, OutRec};
+use crate::plan::{Plan, Report, Step};
 use ij_interval::{MapOp, RelId};
 use ij_mapreduce::metrics::names;
-use ij_mapreduce::{Engine, JobChain};
+use ij_mapreduce::Engine;
 use ij_query::{Condition, JoinQuery};
 
 /// One cascade stage: join the current composites with `new_rel` on
@@ -120,21 +123,19 @@ impl TwoWayCascade {
         }
     }
 
-    /// Runs `stages`, one MR cycle each, starting from the side-0
-    /// composites `comps` over the relations `present` (in slot order). An
-    /// intermediate stage writes id rows in slot order, which become the
-    /// next stage's composites; the last writes the join result in
-    /// relation order, and it is returned.
-    pub(crate) fn run_stages(
+    /// The plan steps of `stages`, one MR cycle each, after steps that
+    /// put the composites over the relations `present` (in slot order) on
+    /// side 0. Each stage adds its new relation's tuples as side 1 and
+    /// joins; an intermediate stage's id rows, in slot order, are the next
+    /// stage's side 0, and the last writes the join result in relation
+    /// order.
+    pub(crate) fn steps<'a>(
         &self,
         input: &JoinInput,
-        engine: &Engine,
         mut present: Vec<RelId>,
-        mut comps: Vec<CompRec>,
         stages: &[Stage],
-        chain: &mut JobChain,
-    ) -> Result<Vec<OutRec>, AlgoError> {
-        let span = input.span();
+    ) -> Result<Vec<Step<'a>>, AlgoError> {
+        let (span, mut steps) = (input.span(), Vec::new());
         for (i, stage) in stages.iter().enumerate() {
             let (last, new_rel, p) = (i + 1 == stages.len(), stage.new_rel, stage.primary);
             // Side 0 is the composite, side 1 the new relation's tuple.
@@ -176,35 +177,29 @@ impl TwoWayCascade {
             let comp_slot = present.iter().position(|&r| r == comp_rel);
             let lane =
                 |dim, slot, op, counter| vec![Lane::fixed(dim, vec![slot], op, Some(counter))];
+            let sides = vec![
+                lane(
+                    0,
+                    comp_slot.expect("present"),
+                    comp_op,
+                    names::CASCADE_COMP_PAIRS,
+                ),
+                lane(grids.len() - 1, 0, base_op, names::CASCADE_BASE_PAIRS),
+            ];
             let stage = JoinStage {
                 name: format!("cascade-{}", present.len()),
-                grids: &grids,
-                space: &space,
-                sides: vec![
-                    lane(
-                        0,
-                        comp_slot.expect("present"),
-                        comp_op,
-                        names::CASCADE_COMP_PAIRS,
-                    ),
-                    lane(grids.len() - 1, 0, base_op, names::CASCADE_BASE_PAIRS),
-                ],
+                grids,
+                space,
+                sides,
                 owner: Vec::new(),
                 join,
             };
-            let mut records = std::mem::take(&mut comps);
-            records.extend(base_composites(1, new_rel, input));
-            let out = stage.run(engine, &records)?;
-            chain.push(out.metrics);
-            if last {
-                return Ok(out.outputs);
-            }
             present.push(new_rel);
-            let rows =
-                JoinOutput::from_records(OutputMode::Materialize, out.outputs, JobChain::new());
-            comps = composites(0, &present, &rows.tuples, input);
+            let (side, rel, attrs) = (1, new_rel, false);
+            let then = (!last).then(|| present.clone());
+            steps.extend([Step::Base { side, rel, attrs }, Step::Join(stage, then)]);
         }
-        Ok(Vec::new())
+        Ok(steps)
     }
 }
 
@@ -221,18 +216,19 @@ impl Algorithm for TwoWayCascade {
     ) -> Result<JoinOutput, AlgoError> {
         require_single_attr(self.name(), query)?;
         crate::algorithm::require_all_joined(self.name(), query)?;
-        if query.start_order().contradictory() {
-            return Ok(empty_output(self.mode));
-        }
         if query.num_relations() < 2 {
             return Err(AlgoError::BadConfig("need at least 2 relations".into()));
         }
         let seed = query.conditions()[0].left.rel;
         let stages = plan_stages(vec![seed], query.conditions())?;
-        let mut chain = JobChain::new();
-        let comps = base_composites(0, seed, input);
-        let finals = self.run_stages(input, engine, vec![seed], comps, &stages, &mut chain)?;
-        Ok(JoinOutput::from_records(self.mode, finals, chain))
+        let (side, attrs) = (0, false);
+        let mut steps = vec![Step::Base {
+            side,
+            rel: seed,
+            attrs,
+        }];
+        steps.extend(self.steps(input, vec![seed], &stages)?);
+        Plan::new(query, input, self.mode, Report::Neither, steps).run(input, engine)
     }
 }
 

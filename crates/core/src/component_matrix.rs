@@ -5,15 +5,18 @@
 //! project / split / replicate, fixed or — §8.1's E1/E2 — replicate if the
 //! marking flagged the interval, project otherwise. The operation's
 //! partition range, lifted to the consistent cells, is where an interval
-//! goes. Six families are settings (DESIGN.md §5 tabulates them), and
-//! Gen-Matrix runs the mark stage alone ([`ComponentMatrix::mark`]) on a
-//! setting whose relations are its ⟨relation, attribute⟩ vertices.
+//! goes. Six families are settings (DESIGN.md §5 tabulates them): each
+//! builds a plan (`crate::plan`) whose one step is its checked setting
+//! ([`ComponentMatrix::plan`], [`Stages`]). Gen-Matrix's plan runs the
+//! mark stage alone ([`Stages::mark_alone`]) on a setting whose relations
+//! are its ⟨relation, attribute⟩ vertices.
 //!
 //! The join stage is data of its own ([`JoinStage`]): a route table of
 //! [`Lane`]s per side, an owner rule and a reducer program. The settings
 //! build it with one lane per relation; the cascade's stages, FCTS's
-//! sequence matrix and Gen-Matrix's join build it too, over composite
-//! records, so every matrix family's join cycle is this one.
+//! sequence matrix and Gen-Matrix's join are plan steps that build it too,
+//! over composite records, so every matrix family's join cycle is this
+//! one.
 //!
 //! * **mark** — only multi-member marked groups take part. Their intervals
 //!   are *split*, but a copy goes to partition `p` only when it is
@@ -67,10 +70,11 @@ use crate::all_matrix::CellSpace;
 use crate::executor::Candidates;
 use crate::input::{induced, JoinInput};
 use crate::kernel::{self, BucketJoin, OneSlot, Slot, StartWindow};
-use crate::output::{JoinOutput, OutputMode};
+use crate::output::{OutputMode, RunStats};
+use crate::plan::{Plan, Report, Step};
 use crate::rccis::marking::{self, mark_with_options, MarkOptions};
 use crate::records::{CompRec, IvRec, OutRec};
-use ij_interval::{ops, Interval, MapOp, Partitioning, Time, TupleId};
+use ij_interval::{ops, Interval, MapOp, Partitioning, RelId, Time, TupleId};
 use ij_mapreduce::metrics::names::{self, Counter};
 use ij_mapreduce::{
     Emitter, Engine, EngineError, JobChain, JobMetrics, JobOutput, Record, ReduceCtx, ValueStream,
@@ -98,7 +102,7 @@ pub(crate) struct ComponentMatrix<'a> {
     /// with two or three dimensions the mark stage runs on its `D`-fold
     /// refinement and each join dimension on a coarsening of that
     /// ([`Stages::shares`]).
-    pub part: &'a Partitioning,
+    pub part: Partitioning,
     /// Cell constraints: `(j, k)` keeps the cells whose dimension-`j`
     /// window starts no later than their dimension-`k` window ends, in the
     /// matrix of one dimension per group.
@@ -185,18 +189,6 @@ fn longest_per_group(longest: &[u64], places: &[Place], groups: usize) -> Vec<Op
     }
     (per_group.into_iter())
         .map(|l| Time::try_from(l).ok())
-        .collect()
-}
-
-/// Each relation's longest interval (`end − start`) in `records`, a pass
-/// over each relation's contiguous rows.
-fn longest_per_relation(records: &[IvRec], relations: usize) -> Vec<u64> {
-    (0..relations)
-        .map(|r| {
-            let lens = rows_of(records, r).iter();
-            lens.map(|rec| rec.iv.end().abs_diff(rec.iv.start()))
-                .fold(0, u64::max)
-        })
         .collect()
 }
 
@@ -329,19 +321,21 @@ impl StageRec for CompRec {
 
 /// One route of a join-stage side. A record's range in dimension `dim` is
 /// `ops::apply(route[flag], key, grid)`: the key is the interval of its
-/// right-most-starting slot of `slots`, `flag` its bit in `flags` (unset
-/// without a row). A record whose bit in `alive` is unset is not shipped.
-/// A one-lane side counts the cells it ships to under `counters[flag]`.
-pub(crate) struct Lane<'a> {
+/// right-most-starting slot of `slots`, `flag` its bit in row `row` of the
+/// flags the stage runs with (unset without a row). On a `pruned` lane a
+/// record whose bit in that row of the participants is unset is not
+/// shipped. A one-lane side counts the cells it ships to under
+/// `counters[flag]`.
+pub(crate) struct Lane {
     pub dim: usize,
     pub slots: Vec<usize>,
     pub route: Route,
-    pub flags: Option<&'a [bool]>,
-    pub alive: Option<&'a [bool]>,
+    pub row: Option<usize>,
+    pub pruned: bool,
     pub counters: Option<[&'static Counter; 2]>,
 }
 
-impl Lane<'_> {
+impl Lane {
     /// A lane that always takes `op`, counted under `counter`.
     pub(crate) fn fixed(
         dim: usize,
@@ -354,20 +348,26 @@ impl Lane<'_> {
             dim,
             slots,
             route,
-            flags: None,
-            alive: None,
+            row: None,
+            pruned: false,
             counters,
         }
     }
 
     /// The partitions of its dimension's grid among `grids` that `rec`
     /// goes to, with its flag; `None` if `rec` is not shipped.
-    fn range<R: StageRec>(&self, rec: &R, grids: &[Partitioning]) -> Option<(Range<usize>, bool)> {
+    fn range<R: StageRec>(
+        &self,
+        rec: &R,
+        grids: &[Partitioning],
+        bits: Bits,
+    ) -> Option<(Range<usize>, bool)> {
         let tid = rec.id().1 as usize;
-        if self.alive.is_some_and(|alive| !alive[tid]) {
+        let bit = |rows: &Flags| self.row.is_some_and(|row| rows[row][tid]);
+        if self.pruned && bits.1.is_some_and(|alive| !bit(alive)) {
             return None;
         }
-        let flag = self.flags.is_some_and(|flags| flags[tid]);
+        let flag = bit(bits.0);
         let key = (self.slots.iter().map(|&s| rec.at(s)))
             .reduce(|a, b| if b.start() > a.start() { b } else { a })
             .expect("a lane has slots");
@@ -376,6 +376,10 @@ impl Lane<'_> {
     }
 }
 
+/// The bitmaps a [`JoinStage`]'s lanes read by row: the mark stage's
+/// flags, and the prune stage's participants if it ran.
+pub(crate) type Bits<'a> = (&'a Flags, Option<&'a Flags>);
+
 /// **The join cycle** of every matrix family, as data (DESIGN.md §5): a
 /// route table over the matrix `space` of `grids` — per side, its
 /// [`Lane`]s — an owner rule and a reducer program. A record goes to the
@@ -383,21 +387,22 @@ impl Lane<'_> {
 /// side of no lane to every consistent cell. Reducer `c` keeps a binding
 /// when, in each `owner` dimension `d`, the right-most start among the
 /// member slots lies in coordinate `c[d]`'s [`start_window`].
-pub(crate) struct JoinStage<'a, J> {
+pub(crate) struct JoinStage<J> {
     pub name: String,
-    pub grids: &'a [Partitioning],
-    pub space: &'a CellSpace,
-    pub sides: Vec<Vec<Lane<'a>>>,
+    pub grids: Vec<Partitioning>,
+    pub space: CellSpace,
+    pub sides: Vec<Vec<Lane>>,
     pub owner: Vec<(usize, Vec<Slot>)>,
     pub join: J,
 }
 
-impl<J> JoinStage<'_, J> {
-    /// Runs the cycle over `records`.
+impl<J> JoinStage<J> {
+    /// Runs the cycle over `records`, its lanes reading `bits`.
     pub(crate) fn run<R: StageRec>(
         &self,
         engine: &Engine,
         records: &[R],
+        bits: Bits,
     ) -> Result<JobOutput<OutRec>, EngineError>
     where
         J: BucketJoin<R>,
@@ -405,7 +410,7 @@ impl<J> JoinStage<'_, J> {
         engine.run_job(
             &self.name,
             records,
-            |rec: &R, em: &mut Emitter<R>| self.route(rec, em),
+            |rec: &R, em: &mut Emitter<R>| self.route(rec, em, bits),
             |ctx: &mut ReduceCtx, values: &mut ValueStream<R>, out: &mut Vec<OutRec>| {
                 let coords = self.space.decode(ctx.key);
                 let owner: Vec<StartWindow> = (self.owner.iter())
@@ -421,10 +426,10 @@ impl<J> JoinStage<'_, J> {
 
     /// Ships `rec`: a one-lane side with one operation and one slice of
     /// cells, any other side by a walk over its box of coordinates.
-    fn route<R: StageRec>(&self, rec: &R, em: &mut Emitter<R>) {
+    fn route<R: StageRec>(&self, rec: &R, em: &mut Emitter<R>, bits: Bits) {
         match self.sides[rec.id().0].as_slice() {
             [lane] => {
-                let Some((range, flag)) = lane.range(rec, self.grids) else {
+                let Some((range, flag)) = lane.range(rec, &self.grids, bits) else {
                     return;
                 };
                 let cells = self.space.cells_in(lane.dim, range);
@@ -436,7 +441,7 @@ impl<J> JoinStage<'_, J> {
             lanes => {
                 let mut within: Vec<Range<usize>> = self.grids.iter().map(|g| 0..g.len()).collect();
                 for lane in lanes {
-                    let Some((range, _)) = lane.range(rec, self.grids) else {
+                    let Some((range, _)) = lane.range(rec, &self.grids, bits) else {
                         return;
                     };
                     let at = &mut within[lane.dim];
@@ -524,11 +529,10 @@ struct Shares {
     counts: Option<(GridCount, GridCount)>,
 }
 
-/// A setting, the engine it runs on, and what the stages derive from the
-/// grouping.
-struct Stages<'a> {
-    cm: &'a ComponentMatrix<'a>,
-    engine: &'a Engine,
+/// A checked setting — a plan's [`Step::Matrix`] — and what the stages
+/// derive from its grouping.
+pub(crate) struct Stages<'a> {
+    cm: ComponentMatrix<'a>,
     /// The paper grid's matrix: it validates the setting, and a
     /// one-dimension join runs on it.
     space: CellSpace,
@@ -541,61 +545,18 @@ struct Stages<'a> {
     subs: Vec<Option<JoinQuery>>,
 }
 
-impl ComponentMatrix<'_> {
-    /// Runs the stages this setting calls for and assembles the output,
-    /// with every [`crate::output::RunStats`] field the stages produce.
-    pub(crate) fn run(&self, input: &JoinInput, engine: &Engine) -> Result<JoinOutput, AlgoError> {
-        let stages = self.stages(engine)?;
-        let any_marked = stages.subs.iter().any(Option::is_some);
-        let (records, longest) = iv_records_and_longest(input);
-        let sizes: Vec<usize> = input.relations().iter().map(|rel| rel.len()).collect();
-        // The shares count, with two or more dimensions.
-        let mut routed =
-            (self.groups.len() > 1).then(|| Routed::new(self.groups.len(), &stages.fine));
-
-        let mut chain = JobChain::new();
-        let (flags, marked) = stages.mark(&records, &longest, &stages.fine, &sizes)?;
-        chain.cycles.extend(marked);
-        let mut participants = None;
-        if self.prune && any_marked {
-            let (routes, shuffled) = stages.prune_routes(&records, &flags);
-            let mut pruned = stages.prune(&records, &flags, &routes)?;
-            // The paper's prune volume, whichever route each group took.
-            (pruned.metrics.counters).inc(names::PASM_SHUFFLED_PRUNE_PAIRS, shuffled);
-            chain.push(pruned.metrics);
-            let alive = stages.participants(&sizes, pruned.outputs, routed.as_mut());
-            participants = Some(alive);
-        }
-        let shares = stages.shares(&records, &flags, participants.is_some(), routed)?;
-        let mut joined = stages.join(&records, &flags, participants.as_ref(), &shares)?;
-        if let Some((chosen, paper)) = shares.counts {
-            let loads = joined
-                .metrics
-                .reducer_loads
-                .iter()
-                .map(|l| l.pairs_received);
-            debug_assert_eq!(chosen.pairs, joined.metrics.intermediate_pairs);
-            debug_assert_eq!(chosen.max_load, loads.max().unwrap_or(0));
-            (joined.metrics.counters).inc(names::MATRIX_PAPER_GRID_JOIN_PAIRS, paper.pairs);
-        }
-        chain.push(joined.metrics);
-
-        let mut out = JoinOutput::from_records(self.mode, joined.outputs, chain);
-        out.stats.replicated_intervals = Some(stages.replicated(&flags));
-        let cells = shares.space.consistent_cells().len() as u64;
-        out.stats.consistent_cells = Some((cells, shares.space.total_cells()));
-        out.stats.grid = shares.grids.iter().map(Partitioning::len).collect();
-        for (r, rel) in input.relations().iter().enumerate() {
-            // Only relations of marked groups are ever pruned.
-            let prunable = stages.subs[stages.places[r].dim].is_some() && !rel.is_empty();
-            if let (Some(alive), true) = (&participants, prunable) {
-                let alive = alive[r].iter().filter(|&&a| a).count();
-                let name = self.query.relations()[r].name.clone();
-                let pruned = 1.0 - alive as f64 / rel.len() as f64;
-                out.stats.pruned_fraction.push((name, pruned));
-            }
-        }
-        Ok(out)
+impl<'a> ComponentMatrix<'a> {
+    /// The plan of this setting over `input`: its one step, reporting the
+    /// statistics `report` names.
+    pub(crate) fn plan(self, input: &JoinInput, report: Report) -> Result<Plan<'a>, AlgoError> {
+        let (query, mode) = (self.query, self.mode);
+        Ok(Plan::new(
+            query,
+            input,
+            mode,
+            report,
+            vec![Step::Matrix(self.stages()?)],
+        ))
     }
 
     /// The mark grid `F`: with two or three dimensions, `part` with every
@@ -608,24 +569,10 @@ impl ComponentMatrix<'_> {
         fine.flatten().unwrap_or_else(|| self.part.clone())
     }
 
-    /// Runs the mark stage alone on `part` over `records`: `sizes[r]`
-    /// intervals of each relation `r`, with dense tuple ids. Returns the
-    /// flags, and the cycle's metrics unless no group is marked.
-    pub(crate) fn mark(
-        &self,
-        records: &[IvRec],
-        sizes: &[usize],
-        engine: &Engine,
-    ) -> Result<(Flags, Option<JobMetrics>), AlgoError> {
-        let stages = self.stages(engine)?;
-        let longest = longest_per_relation(records, sizes.len());
-        Ok(stages.mark(records, &longest, self.part, sizes)?)
-    }
-
     /// Checks that the groups partition the relations and that the marking
     /// can enumerate every marked group, and derives the matrix, each
     /// relation's place and each marked group's sub-query.
-    fn stages<'a>(&'a self, engine: &'a Engine) -> Result<Stages<'a>, AlgoError> {
+    pub(crate) fn stages(self) -> Result<Stages<'a>, AlgoError> {
         let m = self.query.num_relations() as usize;
         let bad = || AlgoError::BadConfig(format!("{}: groups are not a partition", self.family));
         let mut places = vec![None; m];
@@ -654,13 +601,12 @@ impl ComponentMatrix<'_> {
             .map(|g| marked(g).then(|| induced(self.query, g, |c| c.is_colocation())))
             .collect();
         let space = CellSpace::new(
-            &vec![self.part; self.groups.len()],
+            &vec![&self.part; self.groups.len()],
             self.constraints.clone(),
         )?;
-        let (cm, fine) = (self, self.fine_grid());
+        let fine = self.fine_grid();
         Ok(Stages {
-            cm,
-            engine,
+            cm: self,
             space,
             fine,
             places,
@@ -674,7 +620,89 @@ fn group_partition(key: u64, partitions: u64) -> (usize, usize) {
     ((key / partitions) as usize, (key % partitions) as usize)
 }
 
-impl Stages<'_> {
+impl<'a> Stages<'a> {
+    /// Runs the stages the setting calls for, each cycle's metrics onto
+    /// `chain`: the join's output records, and every [`RunStats`] field
+    /// the stages produce.
+    pub(crate) fn run(
+        &self,
+        input: &JoinInput,
+        engine: &Engine,
+        chain: &mut JobChain,
+    ) -> Result<(Vec<OutRec>, RunStats), AlgoError> {
+        let cm = &self.cm;
+        let (records, longest) = iv_records_and_longest(input);
+        let sizes: Vec<usize> = input.relations().iter().map(|rel| rel.len()).collect();
+        // The shares count, with two or more dimensions.
+        let mut routed = (cm.groups.len() > 1).then(|| Routed::new(cm.groups.len(), &self.fine));
+
+        let (flags, marked) = self.mark(&records, &longest, &self.fine, &sizes, engine)?;
+        chain.cycles.extend(marked);
+        let mut participants = None;
+        if cm.prune && self.subs.iter().any(Option::is_some) {
+            let (routes, shuffled) = self.prune_routes(&records, &flags);
+            let mut pruned = self.prune(&records, &flags, &routes, engine)?;
+            // The paper's prune volume, whichever route each group took.
+            (pruned.metrics.counters).inc(names::PASM_SHUFFLED_PRUNE_PAIRS, shuffled);
+            chain.push(pruned.metrics);
+            participants = Some(self.participants(&sizes, pruned.outputs, routed.as_mut()));
+        }
+        let shares = self.shares(&records, &flags, participants.is_some(), routed)?;
+        let (counts, stage) = (shares.counts, self.join(shares, participants.is_some()));
+        let mut joined = stage.run(engine, &records, (&flags, participants.as_ref()))?;
+        if let Some((chosen, paper)) = counts {
+            let loads = joined
+                .metrics
+                .reducer_loads
+                .iter()
+                .map(|l| l.pairs_received);
+            debug_assert_eq!(chosen.pairs, joined.metrics.intermediate_pairs);
+            debug_assert_eq!(chosen.max_load, loads.max().unwrap_or(0));
+            (joined.metrics.counters).inc(names::MATRIX_PAPER_GRID_JOIN_PAIRS, paper.pairs);
+        }
+        chain.push(joined.metrics);
+
+        let cells = stage.space.consistent_cells().len() as u64;
+        let mut stats = RunStats {
+            replicated_intervals: Some(self.replicated(&flags)),
+            consistent_cells: Some((cells, stage.space.total_cells())),
+            grid: stage.grids.iter().map(Partitioning::len).collect(),
+            pruned_fraction: Vec::new(),
+        };
+        for (r, alive) in participants.iter().flatten().enumerate() {
+            // Only relations of marked groups are ever pruned.
+            if self.subs[self.places[r].dim].is_some() {
+                let kept = alive.iter().filter(|&&a| a).count();
+                let name = cm.query.relations()[r].name.clone();
+                let pruned = 1.0 - kept as f64 / alive.len() as f64;
+                stats.pruned_fraction.push((name, pruned));
+            }
+        }
+        Ok((joined.outputs, stats))
+    }
+
+    /// Runs the mark stage alone on the paper grid: relation `v` of the
+    /// setting is attribute `attrs[v]` of `input`. Returns the flags, and
+    /// the cycle's metrics unless no group is marked.
+    pub(crate) fn mark_alone(
+        &self,
+        input: &JoinInput,
+        attrs: &[AttrRef],
+        engine: &Engine,
+    ) -> Result<(Flags, Option<JobMetrics>), EngineError> {
+        let (mut records, mut longest, mut sizes) = (Vec::new(), Vec::new(), Vec::new());
+        for (v, at) in attrs.iter().enumerate() {
+            let tuples = input.relation(at.rel).tuples();
+            let ivs = tuples.iter().map(|t| (t.id, t.attrs[at.attr as usize]));
+            let lens = ivs.clone().map(|(_, iv)| iv.end().abs_diff(iv.start()));
+            let rel = RelId(v as u16);
+            records.extend(ivs.map(|(tid, iv)| IvRec { rel, tid, iv }));
+            longest.push(lens.fold(0, u64::max));
+            sizes.push(tuples.len());
+        }
+        self.mark(&records, &longest, &self.cm.part, &sizes, engine)
+    }
+
     /// The operation `rec` is routed with, given the mark stage's `flags`.
     fn op(&self, flags: &Flags, rec: &IvRec) -> MapOp {
         let flagged = flags[rec.rel.idx()][rec.tid as usize];
@@ -706,17 +734,18 @@ impl Stages<'_> {
         longest: &[u64],
         grid: &Partitioning,
         sizes: &[usize],
+        engine: &Engine,
     ) -> Result<(Flags, Option<JobMetrics>), EngineError> {
         if self.subs.iter().all(Option::is_none) {
             return Ok((flags_of(sizes, []), None));
         }
-        let (cm, p_count) = (self.cm, grid.len() as u64);
+        let (cm, p_count) = (&self.cm, grid.len() as u64);
         let counters = cm.route_counters.is_some();
         let longest = longest_per_group(longest, &self.places, cm.groups.len());
         let reaches: Vec<Option<Time>> = (self.subs.iter().zip(longest))
             .map(|(sub, longest)| reach(sub.as_ref()?, longest, cm.mark_options))
             .collect();
-        let marked = self.engine.run_job(
+        let marked = engine.run_job(
             &format!("{}-mark", cm.family),
             records,
             |rec: &IvRec, em: &mut Emitter<IvRec>| {
@@ -767,12 +796,12 @@ impl Stages<'_> {
     /// paper's route would ship over all marked groups: every record's
     /// operation range, summed in one pass.
     fn prune_routes(&self, records: &[IvRec], flags: &Flags) -> (Vec<PruneRoute>, u64) {
-        let cm = self.cm;
+        let cm = &self.cm;
         let mut shuffled = vec![0u64; cm.groups.len()];
         for rec in records {
             let dim = self.places[rec.rel.idx()].dim;
             if self.subs[dim].is_some() {
-                shuffled[dim] += ops::apply(self.op(flags, rec), rec.iv, cm.part).len() as u64;
+                shuffled[dim] += ops::apply(self.op(flags, rec), rec.iv, &cm.part).len() as u64;
             }
         }
         let routes = (cm.groups.iter().zip(&shuffled))
@@ -796,9 +825,10 @@ impl Stages<'_> {
         records: &[IvRec],
         flags: &Flags,
         routes: &[PruneRoute],
+        engine: &Engine,
     ) -> Result<JobOutput<(u64, u32)>, EngineError> {
-        let (cm, p_count) = (self.cm, self.cm.part.len() as u64);
-        self.engine.run_job(
+        let (cm, p_count) = (&self.cm, self.cm.part.len() as u64);
+        engine.run_job(
             &format!("{}-prune", cm.family),
             records,
             |rec: &IvRec, em: &mut Emitter<IvRec>| {
@@ -809,7 +839,7 @@ impl Stages<'_> {
                 let key = |p: usize| dim as u64 * p_count + p as u64;
                 match routes[dim] {
                     PruneRoute::Shuffled => {
-                        for p in ops::apply(self.op(flags, rec), rec.iv, cm.part) {
+                        for p in ops::apply(self.op(flags, rec), rec.iv, &cm.part) {
                             em.emit(key(p), *rec);
                         }
                     }
@@ -835,7 +865,7 @@ impl Stages<'_> {
                 // finds each binding only in the slice holding its L tuple.
                 let owner: Vec<StartWindow> = match routes[g] {
                     PruneRoute::Shuffled => {
-                        let (lo, hi) = start_window(cm.part, p);
+                        let (lo, hi) = start_window(&cm.part, p);
                         vec![(lo, hi, members.as_slice())]
                     }
                     PruneRoute::Broadcast { large } => {
@@ -906,7 +936,7 @@ impl Stages<'_> {
         pruned: bool,
         routed: Option<Routed>,
     ) -> Result<Shares, AlgoError> {
-        let cm = self.cm;
+        let cm = &self.cm;
         let Some(mut routed) = routed else {
             let (grids, space) = (vec![cm.part.clone()], self.space.clone());
             return Ok(Shares {
@@ -995,16 +1025,11 @@ impl Stages<'_> {
     }
 
     /// **Join**: route every interval, join per cell, emit the owned
-    /// bindings. With `participants`, intervals of marked groups outside
-    /// the set are never shuffled.
-    fn join(
-        &self,
-        records: &[IvRec],
-        flags: &Flags,
-        participants: Option<&Flags>,
-        shares: &Shares,
-    ) -> Result<JobOutput<OutRec>, EngineError> {
-        let cm = self.cm;
+    /// bindings — one lane per relation, reading its row of the flags and,
+    /// where `pruned` and its group is marked, of the participants: an
+    /// interval outside the set is never shuffled.
+    fn join(&self, shares: Shares, pruned: bool) -> JoinStage<OneSlot<'a>> {
+        let cm = &self.cm;
         let order = cm.query.start_order();
         // Every dimension but those a fixed project provably settles.
         let projected = |r: usize| cm.routes[r] == [MapOp::Project; 2];
@@ -1015,31 +1040,29 @@ impl Stages<'_> {
             .collect();
         let sides = (self.places.iter().enumerate())
             .map(|(r, place)| {
-                let pruned = participants.filter(|_| self.subs[place.dim].is_some());
                 let counter =
                     |c: [_; 2]| place.route.map(|op| c[(op == MapOp::Replicate) as usize]);
                 vec![Lane {
                     dim: place.dim,
                     slots: vec![0],
                     route: place.route,
-                    flags: Some(&flags[r]),
-                    alive: pruned.map(|alive| alive[r].as_slice()),
+                    row: Some(r),
+                    pruned: pruned && self.subs[place.dim].is_some(),
                     counters: cm.route_counters.map(counter),
                 }]
             })
             .collect();
-        let stage = JoinStage {
+        JoinStage {
             name: format!("{}-join", cm.family),
-            grids: &shares.grids,
-            space: &shares.space,
+            grids: shares.grids,
+            space: shares.space,
             sides,
             owner,
             join: OneSlot {
                 query: cm.query,
                 mode: cm.mode,
             },
-        };
-        stage.run(self.engine, records)
+        }
     }
 }
 
@@ -1132,12 +1155,10 @@ mod tests {
     fn groups_must_partition_the_relations() {
         use crate::output::OutputMode;
         use ij_interval::{AllenPredicate::*, Relation};
-        use ij_mapreduce::ClusterConfig;
         let q = JoinQuery::chain(&[Overlaps, Before]).unwrap();
         let rel = |r: usize| Relation::from_intervals(format!("R{r}"), [Interval::point(r as i64)]);
         let input = JoinInput::bind_owned(&q, (0..3).map(rel).collect()).unwrap();
         let part = Partitioning::equi_width(0, 10, 2).unwrap();
-        let engine = Engine::new(ClusterConfig::with_slots(1));
         let missing = vec![vec![0, 1]];
         let twice = vec![vec![0, 1], vec![1, 2]];
         let unknown = vec![vec![0, 1, 2, 3]];
@@ -1145,7 +1166,7 @@ mod tests {
             let setting = ComponentMatrix {
                 family: "test",
                 query: &q,
-                part: &part,
+                part: part.clone(),
                 constraints: Vec::new(),
                 groups,
                 routes: vec![[MapOp::Project; 2]; 3],
@@ -1154,7 +1175,7 @@ mod tests {
                 route_counters: None,
                 mode: OutputMode::Count,
             };
-            let err = setting.run(&input, &engine).unwrap_err();
+            let err = setting.plan(&input, Report::Both).err().unwrap();
             assert!(matches!(err, AlgoError::BadConfig(_)), "{err}");
         }
     }
@@ -1201,7 +1222,10 @@ mod tests {
                 route: MARKED,
             })
             .collect();
-        let longest = longest_per_relation(&records, rels.len());
+        let len = |iv: &Interval| iv.end().abs_diff(iv.start());
+        let longest: Vec<u64> = (rels.iter())
+            .map(|ivs| ivs.iter().map(len).fold(0, u64::max))
+            .collect();
         let r = reach(q, longest_per_group(&longest, &places, 1)[0], options);
         for p in 0..part.len() {
             let mut full = vec![Vec::new(); rels.len()];
@@ -1460,10 +1484,10 @@ mod tests {
             let sizes: Vec<usize> = rels.iter().map(Vec::len).collect();
             for k in [1, 6] {
                 let part = RunArtifacts::partition_span(input.span(), k).unwrap();
-                let setting = ComponentMatrix {
+                let stages = ComponentMatrix {
                     family: "test",
                     query: &q,
-                    part: &part,
+                    part,
                     constraints: Vec::new(),
                     groups: groups.clone(),
                     routes: vec![MARKED; m],
@@ -1471,7 +1495,9 @@ mod tests {
                     prune: true,
                     route_counters: None,
                     mode: crate::output::OutputMode::Count,
-                };
+                }
+                .stages()
+                .unwrap();
                 for (threads, budget) in [1, 2, 8]
                     .into_iter()
                     .flat_map(|t| [(t, None), (t, Some(256))])
@@ -1483,10 +1509,10 @@ mod tests {
                         heavy_bucket_threshold: 8,
                         reduce_memory_budget: budget,
                     });
-                    let stages = setting.stages(&engine).unwrap();
-                    let (flags, _) = setting.mark(&records, &sizes, &engine).unwrap();
+                    let whole: Vec<AttrRef> = (0..m as u16).map(AttrRef::whole).collect();
+                    let (flags, _) = stages.mark_alone(&input, &whole, &engine).unwrap();
                     let run = |routes: &[PruneRoute]| {
-                        let pruned = stages.prune(&records, &flags, routes).unwrap();
+                        let pruned = stages.prune(&records, &flags, routes, &engine).unwrap();
                         flags_of(&sizes, pruned.outputs.into_iter().map(|(key, _)| key))
                     };
                     let shuffled = run(&vec![PruneRoute::Shuffled; groups.len()]);
@@ -1574,7 +1600,7 @@ mod tests {
     /// PASM's.
     fn hybrid_setting<'a>(
         q: &'a JoinQuery,
-        part: &'a Partitioning,
+        part: &Partitioning,
         prune: bool,
     ) -> ComponentMatrix<'a> {
         let comps = q.components();
@@ -1586,7 +1612,7 @@ mod tests {
         ComponentMatrix {
             family: "test",
             query: q,
-            part,
+            part: part.clone(),
             constraints: q.start_order().component_constraints(&comps),
             groups,
             routes,
@@ -1661,13 +1687,16 @@ mod tests {
     }
 
     /// The flags `setting`'s mark stage computes on `fine`.
-    fn flags_on(setting: &ComponentMatrix, input: &JoinInput, fine: &Partitioning) -> Flags {
+    fn flags_on(setting: ComponentMatrix, input: &JoinInput, fine: &Partitioning) -> Flags {
         use ij_mapreduce::ClusterConfig;
         let engine = Engine::new(ClusterConfig::with_slots(2));
         let sizes: Vec<usize> = input.relations().iter().map(|rel| rel.len()).collect();
         let (records, longest) = iv_records_and_longest(input);
-        let stages = setting.stages(&engine).unwrap();
-        stages.mark(&records, &longest, fine, &sizes).unwrap().0
+        let stages = setting.stages().unwrap();
+        stages
+            .mark(&records, &longest, fine, &sizes, &engine)
+            .unwrap()
+            .0
     }
 
     proptest! {
@@ -1685,7 +1714,7 @@ mod tests {
             let part = RunArtifacts::partition_span(input.span(), k).unwrap();
             let setting = hybrid_setting(&q, &part, false);
             let fine = setting.fine_grid();
-            let flags = flags_on(&setting, &input, &fine);
+            let flags = flags_on(hybrid_setting(&q, &part, false), &input, &fine);
             let (_, misses) = lemma_misses(&setting, &input, &fine, &flags);
             prop_assert_eq!(misses, 0, "{} {} {:?}", q, fine, input.relations());
             let want = crate::oracle::oracle_join(&q, &input);
@@ -1698,7 +1727,7 @@ mod tests {
                     reduce_memory_budget: budget,
                 });
                 for prune in [false, true] {
-                    let out = hybrid_setting(&q, &part, prune).run(&input, &engine).unwrap();
+                    let out = hybrid_setting(&q, &part, prune).plan(&input, Report::Both).unwrap().run(&input, &engine).unwrap();
                     prop_assert_eq!(out.assert_no_duplicates(), want.clone(), "{} prune={}", q, prune);
                 }
             }
@@ -1716,7 +1745,7 @@ mod tests {
             let part = RunArtifacts::partition_span(input.span(), 6).unwrap();
             let setting = hybrid_setting(&q, &part, false);
             let fine = setting.fine_grid();
-            let flags = flags_on(&setting, &input, &fine);
+            let flags = flags_on(hybrid_setting(&q, &part, false), &input, &fine);
             let cleared: Flags = flags.iter().map(|f| vec![false; f.len()]).collect();
             let (n, misses) = lemma_misses(&setting, &input, &fine, &flags);
             assert_eq!(misses, 0, "{q}");
@@ -1762,7 +1791,8 @@ mod tests {
         for prune in [false, true] {
             let setting = hybrid_setting(&q, &part, prune);
             assert_eq!(setting.fine_grid(), part);
-            let out = setting.run(&input, &engine).unwrap();
+            let out = setting.plan(&input, Report::Both).unwrap();
+            let out = out.run(&input, &engine).unwrap();
             assert_eq!(
                 out.assert_no_duplicates(),
                 crate::oracle::oracle_join(&q, &input)

@@ -8,9 +8,10 @@
 //! Real-valued attributes ride along as length-0 intervals, turning
 //! equality into Allen *equals* and `<`/`>` into *before*/*after*.
 //!
-//! Two MR cycles: attribute-level marking (skipped when nothing can be
-//! marked) — the mark stage with one relation per vertex — then the
-//! component-matrix join stage (`component_matrix::JoinStage`) over whole
+//! The family builds a plan (`crate::plan`) of two MR cycles:
+//! attribute-level marking (skipped when nothing can be marked) — the mark
+//! stage with one relation per vertex — then the component-matrix join
+//! stage (`component_matrix::JoinStage`) over whole
 //! tuples: the relations are sides, attributes slots, and a relation's side
 //! has one `MARKED` lane per join vertex, carrying the vertex's flags, so a
 //! tuple's coordinate range in a component is the intersection of its
@@ -21,16 +22,16 @@
 //! start window — the component-matrix rule, compiled into the join's
 //! level program.
 
-use crate::algorithm::{empty_output, AlgoError, Algorithm, RunArtifacts};
+use crate::algorithm::{AlgoError, Algorithm, RunArtifacts};
 use crate::all_matrix::CellSpace;
-use crate::component_matrix::{ComponentMatrix, Flags, JoinStage, Lane, MARKED};
+use crate::component_matrix::{ComponentMatrix, JoinStage, Lane, Stages, MARKED};
 use crate::input::JoinInput;
 use crate::kernel::composite::CompositeJoin;
 use crate::output::{JoinOutput, OutputMode};
+use crate::plan::{Plan, Report, Step};
 use crate::rccis::marking::MarkOptions;
-use crate::records::{CompRec, IvRec};
 use ij_interval::{MapOp, Partitioning, RelId};
-use ij_mapreduce::{Engine, JobChain, JobMetrics};
+use ij_mapreduce::Engine;
 use ij_query::{AttrRef, Components, Condition, JoinQuery};
 
 /// The Gen-Matrix algorithm.
@@ -65,44 +66,36 @@ impl Algorithm for GenMatrix {
         engine: &Engine,
     ) -> Result<JoinOutput, AlgoError> {
         let order = query.start_order();
-        if order.contradictory() {
-            return Ok(empty_output(self.mode));
-        }
         let comps = query.components();
         let constraints = order.component_constraints(&comps);
         // All dimensions span the same temporal range (Section 7.1).
         let part = RunArtifacts::partition_span(input.span_all_attrs(query), self.per_dim)?;
         let grids = vec![part.clone(); comps.len()];
         let space = CellSpace::new(&grids.iter().collect::<Vec<_>>(), constraints.clone())?;
-        let mut chain = JobChain::new();
 
         // ---- Cycle 1: attribute-level replication marking -------------------
         // The join vertices, numbered component by component.
         let vertices: Vec<(usize, AttrRef)> = (comps.components.iter())
             .flat_map(|c| c.vertices.iter().map(move |&v| (c.id, v)))
             .collect();
-        let (flags, metrics) =
-            mark_vertices(query, &comps, &vertices, constraints, &part, input, engine)?;
-        chain.cycles.extend(metrics);
-        let replicated = flags.iter().flatten().filter(|&&f| f).count() as u64;
+        let vertex_query = vertex_query(query, &vertices);
+        let marking = mark_vertices(&vertex_query, &comps, &vertices, constraints, part)?;
+        let mut steps = vec![Step::Mark(marking, vertices.iter().map(|v| v.1).collect())];
 
         // ---- Cycle 2: matrix join -------------------------------------------
         // A record per tuple, its attributes the slots; its relation's side
         // has a lane per join vertex, which replicates where the marking
         // flagged the vertex's value.
-        let tuples: Vec<CompRec> = (input.relations().iter().enumerate())
-            .flat_map(|(r, rel)| {
-                rel.tuples().iter().map(move |t| CompRec {
-                    side: r as u16,
-                    tids: vec![t.id],
-                    ivs: t.attrs.clone(),
-                })
-            })
-            .collect();
+        let attrs = true;
+        steps.extend((0..query.num_relations()).map(|r| Step::Base {
+            side: r as usize,
+            rel: RelId(r),
+            attrs,
+        }));
         let mut sides: Vec<Vec<Lane>> = (0..query.num_relations()).map(|_| Vec::new()).collect();
         for (v, &(k, at)) in vertices.iter().enumerate() {
             let lane = Lane {
-                flags: Some(&flags[v]),
+                row: Some(v),
                 route: MARKED,
                 ..Lane::fixed(k, vec![at.attr as usize], MapOp::Project, None)
             };
@@ -115,37 +108,20 @@ impl Algorithm for GenMatrix {
             .collect();
         let stage = JoinStage {
             name: "gen-matrix-join".into(),
-            grids: &grids,
-            space: &space,
+            grids,
+            space,
             sides,
             owner,
             join: CompositeJoin::of_query(query, self.mode),
         };
-        let out = stage.run(engine, &tuples)?;
-        chain.push(out.metrics);
-
-        let mut result = JoinOutput::from_records(self.mode, out.outputs, chain);
-        result.stats.replicated_intervals = Some(replicated);
-        result.stats.consistent_cells =
-            Some((space.consistent_cells().len() as u64, space.total_cells()));
-        Ok(result)
+        steps.push(Step::Join(stage, None));
+        Plan::new(query, input, self.mode, Report::Both, steps).run(input, engine)
     }
 }
 
-/// The attribute-level marking cycle: the component-matrix mark stage on a
-/// query with one single-attribute relation per vertex of `vertices` —
-/// `query`'s conditions between vertex ids — and one group per component,
-/// marked when it has several vertices. Returns `flags[vertex][tid]`, and
-/// the cycle's metrics unless no group is marked.
-fn mark_vertices(
-    query: &JoinQuery,
-    comps: &Components,
-    vertices: &[(usize, AttrRef)],
-    constraints: Vec<(usize, usize)>,
-    part: &Partitioning,
-    input: &JoinInput,
-    engine: &Engine,
-) -> Result<(Flags, Option<JobMetrics>), AlgoError> {
+/// The query with one single-attribute relation per vertex of `vertices`:
+/// `query`'s conditions between vertex ids.
+fn vertex_query(query: &JoinQuery, vertices: &[(usize, AttrRef)]) -> JoinQuery {
     let id = |at: AttrRef| {
         vertices
             .iter()
@@ -155,8 +131,20 @@ fn mark_vertices(
     let conditions = (query.conditions().iter())
         .map(|c| Condition::whole(id(c.left) as u16, c.pred, id(c.right) as u16))
         .collect();
-    let vertex_query = JoinQuery::new(vertices.len() as u16, conditions)
-        .expect("the vertex query of a valid query is valid");
+    JoinQuery::new(vertices.len() as u16, conditions)
+        .expect("the vertex query of a valid query is valid")
+}
+
+/// The attribute-level marking cycle: the component-matrix mark stage on
+/// the [`vertex_query`] of `vertices`, with one group per component,
+/// marked when it has several vertices. It flags `flags[vertex][tid]`.
+fn mark_vertices<'a>(
+    vertex_query: &'a JoinQuery,
+    comps: &Components,
+    vertices: &[(usize, AttrRef)],
+    constraints: Vec<(usize, usize)>,
+    part: Partitioning,
+) -> Result<Stages<'a>, AlgoError> {
     let groups: Vec<Vec<usize>> = (comps.components.iter())
         .map(|c| {
             (0..vertices.len())
@@ -164,21 +152,9 @@ fn mark_vertices(
                 .collect()
         })
         .collect();
-    let records: Vec<IvRec> = (vertices.iter().enumerate())
-        .flat_map(|(v, &(_, at))| {
-            input.relation(at.rel).tuples().iter().map(move |t| IvRec {
-                rel: RelId(v as u16),
-                tid: t.id,
-                iv: t.attrs[at.attr as usize],
-            })
-        })
-        .collect();
-    let sizes: Vec<usize> = (vertices.iter())
-        .map(|&(_, at)| input.relation(at.rel).len())
-        .collect();
     let setting = ComponentMatrix {
         family: "gen-matrix",
-        query: &vertex_query,
+        query: vertex_query,
         part,
         constraints,
         groups,
@@ -189,7 +165,7 @@ fn mark_vertices(
         route_counters: None,
         mode: OutputMode::Count,
     };
-    setting.mark(&records, &sizes, engine)
+    setting.stages()
 }
 
 #[cfg(test)]

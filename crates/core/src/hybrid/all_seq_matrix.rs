@@ -6,10 +6,11 @@
 //! are all singletons nothing can be flagged and the join runs alone,
 //! exactly All-Matrix.
 
-use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
+use crate::algorithm::{require_single_attr, AlgoError, Algorithm, RunArtifacts};
 use crate::component_matrix::{ComponentMatrix, MARKED};
 use crate::input::JoinInput;
 use crate::output::{JoinOutput, OutputMode};
+use crate::plan::Report;
 use ij_interval::MapOp;
 use ij_mapreduce::Engine;
 use ij_query::components::Component;
@@ -34,8 +35,8 @@ impl AllSeqMatrix {
         }
     }
 
-    /// Runs this setting — or, with `prune`, PASM's, which is this one
-    /// plus the prune stage — reporting errors under `name`.
+    /// Plans and runs this setting — or, with `prune`, PASM's, which is
+    /// this one plus the prune stage — reporting errors under `name`.
     pub(crate) fn run_setting(
         &self,
         name: &'static str,
@@ -46,9 +47,6 @@ impl AllSeqMatrix {
     ) -> Result<JoinOutput, AlgoError> {
         require_single_attr(name, query)?;
         let order = query.start_order();
-        if order.contradictory() {
-            return Ok(empty_output(self.mode));
-        }
         let comps = query.components();
         let part = RunArtifacts::partition_span(input.span(), self.per_dim)?;
         let constraints = order.component_constraints(&comps);
@@ -61,10 +59,10 @@ impl AllSeqMatrix {
         groups.extend((0..m).filter(|r| !covered.contains(r)).map(|r| vec![r]));
         let mut routes = vec![[MapOp::Project; 2]; m];
         (groups.iter().filter(|g| g.len() > 1).flatten()).for_each(|&r| routes[r] = MARKED);
-        ComponentMatrix {
+        let setting = ComponentMatrix {
             family: if prune { "pasm" } else { "asm" },
             query,
-            part: &part,
+            part,
             constraints,
             groups,
             routes,
@@ -72,8 +70,8 @@ impl AllSeqMatrix {
             prune,
             route_counters: None,
             mode: self.mode,
-        }
-        .run(input, engine)
+        };
+        setting.plan(input, Report::Both)?.run(input, engine)
     }
 }
 

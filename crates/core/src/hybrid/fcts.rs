@@ -1,6 +1,7 @@
 //! FCTS — First Colocation Then Sequence (Section 8, baseline).
 //!
-//! Stage 1 solves each colocation component with RCCIS, materializing the
+//! The family builds a plan (`crate::plan`). Stage 1 solves each
+//! colocation component with an RCCIS sub-plan, materializing the
 //! component join results. Stage 2 joins the component results on the
 //! sequence conditions with a component-dimensional All-Matrix — the
 //! component-matrix join stage (`component_matrix::JoinStage`) with one
@@ -11,16 +12,16 @@
 //! the slots. The intermediate materialization is the cost All-Seq-Matrix
 //! avoids.
 
-use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
+use crate::algorithm::{require_single_attr, AlgoError, Algorithm, RunArtifacts};
 use crate::all_matrix::CellSpace;
 use crate::component_matrix::{JoinStage, Lane};
 use crate::input::JoinInput;
-use crate::kernel::composite::{base_composites, composites, CompositeJoin};
+use crate::kernel::composite::CompositeJoin;
 use crate::output::{JoinOutput, OutputMode};
+use crate::plan::{Plan, Report, Step};
 use crate::rccis::Rccis;
-use crate::records::CompRec;
 use ij_interval::{MapOp, RelId};
-use ij_mapreduce::{Engine, JobChain};
+use ij_mapreduce::Engine;
 use ij_query::JoinQuery;
 
 /// The FCTS baseline.
@@ -58,13 +59,9 @@ impl Algorithm for Fcts {
     ) -> Result<JoinOutput, AlgoError> {
         require_single_attr(self.name(), query)?;
         crate::algorithm::require_all_joined(self.name(), query)?;
-        let order = query.start_order();
-        if order.contradictory() {
-            return Ok(empty_output(self.mode));
-        }
-        let comps = query.components();
+        let (order, comps) = (query.start_order(), query.components());
         let part = RunArtifacts::partition_span(input.span(), self.per_dim)?;
-        let mut chain = JobChain::new();
+        let rccis = Rccis::new(self.partitions);
 
         // ---- Stage 1: solve each component with RCCIS ----------------------
         // Component k's result tuples become side k's records, its member
@@ -72,18 +69,28 @@ impl Algorithm for Fcts {
         let sides: Vec<Vec<RelId>> = (comps.components.iter())
             .map(|c| c.vertices.iter().map(|v| v.rel).collect())
             .collect();
-        let mut records: Vec<CompRec> = Vec::new();
-        for (comp, rels) in comps.components.iter().zip(&sides) {
-            match comp.as_query(query) {
+        let subs: Vec<_> = comps.components.iter().map(|c| c.as_query(query)).collect();
+        let mut steps = Vec::new();
+        for ((comp, rels), sub) in comps.components.iter().zip(&sides).zip(&subs) {
+            let (side, rels) = (comp.id, rels.clone());
+            steps.push(match sub {
                 // Singleton component: its results are the base tuples.
-                None => records.extend(base_composites(comp.id, rels[0], input)),
-                Some(sub_q) => {
-                    let sub_input = input.restrict(&sub_q, rels);
-                    let sub_out = Rccis::new(self.partitions).run(&sub_q, &sub_input, engine)?;
-                    records.extend(composites(comp.id, rels, &sub_out.tuples, input));
-                    chain.extend(sub_out.chain);
+                None => Step::Base {
+                    side,
+                    rel: rels[0],
+                    attrs: false,
+                },
+                Some(query) => {
+                    let input = input.restrict(query, &rels);
+                    let plan = rccis.plan(query, &input)?;
+                    Step::Sub {
+                        side,
+                        rels,
+                        input,
+                        plan,
+                    }
                 }
-            }
+            });
         }
 
         // ---- Stage 2: All-Matrix over components ---------------------------
@@ -96,8 +103,8 @@ impl Algorithm for Fcts {
         let every = (0..query.num_relations()).map(RelId);
         let stage = JoinStage {
             name: "fcts-seq-matrix".into(),
-            grids: &grids,
-            space: &space,
+            grids,
+            space,
             sides: (sides.iter().enumerate())
                 .map(|(k, rels)| {
                     vec![Lane::fixed(
@@ -111,13 +118,8 @@ impl Algorithm for Fcts {
             owner: Vec::new(),
             join: CompositeJoin::over(&sides, sequence, every, self.mode),
         };
-        let out = stage.run(engine, &records)?;
-        chain.push(out.metrics);
-
-        let mut result = JoinOutput::from_records(self.mode, out.outputs, chain);
-        result.stats.consistent_cells =
-            Some((space.consistent_cells().len() as u64, space.total_cells()));
-        Ok(result)
+        steps.push(Step::Join(stage, None));
+        Plan::new(query, input, self.mode, Report::Cells, steps).run(input, engine)
     }
 }
 

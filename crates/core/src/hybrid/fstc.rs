@@ -1,18 +1,19 @@
 //! FSTC — First Sequence Then Colocation (Section 8, baseline).
 //!
-//! Stage 1 joins the relations touched by sequence conditions with
-//! All-Matrix; stage 2 cascades the colocation conditions onto the
-//! resulting composites (the cascade's stage loop). Like FCTS, it pays for
-//! materializing and re-shuffling intermediate results.
+//! The family builds a plan (`crate::plan`). Stage 1 joins the relations
+//! touched by sequence conditions with an All-Matrix sub-plan; stage 2
+//! cascades the colocation conditions onto the resulting composites (the
+//! cascade's stages), or filters them in place when no relation is left
+//! to introduce. Like FCTS, it pays for materializing and re-shuffling
+//! intermediate results.
 
-use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm};
+use crate::algorithm::{require_single_attr, AlgoError, Algorithm};
 use crate::all_matrix::AllMatrix;
 use crate::cascade::{plan_stages, TwoWayCascade};
 use crate::input::{induced, JoinInput};
-use crate::kernel::composite::{composites, CompositeJoin};
-use crate::kernel::KernelConfig;
+use crate::kernel::composite::CompositeJoin;
 use crate::output::{JoinOutput, OutputMode};
-use crate::records::OutRec;
+use crate::plan::{Plan, Report, Step};
 use ij_interval::RelId;
 use ij_mapreduce::Engine;
 use ij_query::{Condition, JoinQuery, QueryClass};
@@ -58,9 +59,6 @@ impl Algorithm for Fstc {
                 reason: "FSTC needs both sequence and colocation conditions".into(),
             });
         }
-        if query.start_order().contradictory() {
-            return Ok(empty_output(self.mode));
-        }
 
         // ---- Stage 1: All-Matrix over the sequence sub-query ---------------
         let mut seq_rels: Vec<RelId> = (query.conditions().iter())
@@ -71,15 +69,15 @@ impl Algorithm for Fstc {
         seq_rels.dedup();
         let members: Vec<usize> = seq_rels.iter().map(|r| r.idx()).collect();
         let sub_q = induced(query, &members, |c| c.is_sequence());
-        let seq_out = AllMatrix {
-            per_dim: self.per_dim,
-            mode: OutputMode::Materialize,
-            prune_inconsistent: true,
-        }
-        .run(&sub_q, &input.restrict(&sub_q, &seq_rels), engine)?;
+        let seq = AllMatrix::new(self.per_dim);
         // Composites over the sequence relations.
-        let comps = composites(0, &seq_rels, &seq_out.tuples, input);
-        let mut chain = seq_out.chain;
+        let sub_input = input.restrict(&sub_q, &seq_rels);
+        let mut steps = vec![Step::Sub {
+            side: 0,
+            rels: seq_rels.clone(),
+            plan: seq.plan(&sub_q, &sub_input)?,
+            input: sub_input,
+        }];
 
         // ---- Stage 2: cascade the colocation conditions --------------------
         let coloc_conditions: Vec<Condition> = (query.conditions().iter().copied())
@@ -95,18 +93,17 @@ impl Algorithm for Fstc {
             let every = (0..query.num_relations()).map(RelId);
             let sides = [seq_rels];
             let filter = CompositeJoin::over(&sides, &coloc_conditions, every, self.mode);
-            let mut found = OutRec::new(self.mode, filter.gather.len());
-            filter.join_into(&comps, &KernelConfig::serial(), &[], &mut found);
-            return Ok(JoinOutput::from_records(self.mode, vec![found], chain));
+            steps.push(Step::Filter(filter));
+        } else {
+            let stages = plan_stages(seq_rels.clone(), &coloc_conditions)?;
+            let cascade = TwoWayCascade {
+                partitions: self.partitions,
+                per_dim_2d: self.per_dim,
+                mode: self.mode,
+            };
+            steps.extend(cascade.steps(input, seq_rels, &stages)?);
         }
-        let stages = plan_stages(seq_rels.clone(), &coloc_conditions)?;
-        let cascade = TwoWayCascade {
-            partitions: self.partitions,
-            per_dim_2d: self.per_dim,
-            mode: self.mode,
-        };
-        let finals = cascade.run_stages(input, engine, seq_rels, comps, &stages, &mut chain)?;
-        Ok(JoinOutput::from_records(self.mode, finals, chain))
+        Plan::new(query, input, self.mode, Report::Neither, steps).run(input, engine)
     }
 }
 

@@ -234,13 +234,6 @@ pub(crate) fn composites<'r>(
         .collect()
 }
 
-/// One single-slot composite record of `side` per tuple of `rel`.
-pub(crate) fn base_composites(side: usize, rel: RelId, input: &JoinInput) -> Vec<CompRec> {
-    let rows = input.relation(rel).tuples().iter();
-    let rows = rows.map(|t| std::slice::from_ref(&t.id));
-    composites(side, &[rel], rows, input)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,7 +28,6 @@ pub mod all_matrix;
 pub mod all_replicate;
 pub mod cascade;
 mod component_matrix;
-pub mod estimate;
 pub mod executor;
 pub mod gen_matrix;
 pub mod hybrid;
@@ -40,6 +39,7 @@ pub mod kernel;
 pub mod one_bucket;
 pub mod oracle;
 pub mod output;
+mod plan;
 pub mod planner;
 pub mod rccis;
 pub mod records;

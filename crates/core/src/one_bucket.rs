@@ -15,14 +15,19 @@
 //! Included as a baseline: the paper's contribution is precisely that for
 //! *interval* predicates the start-point order makes the partitioned
 //! matrix (fewer copies, pruned cells) possible.
+//!
+//! The family builds a plan (`crate::plan`) of one step of its own: a
+//! hashed route reads no partitioning, so it is not a route table of the
+//! component-matrix join stage.
 
-use crate::algorithm::{empty_output, iv_records, require_single_attr, AlgoError, Algorithm};
+use crate::algorithm::{iv_records, require_single_attr, AlgoError, Algorithm};
 use crate::input::JoinInput;
 use crate::kernel::{BucketJoin, OneSlot};
 use crate::output::{JoinOutput, OutputMode};
+use crate::plan::{Plan, Report, Step};
 use crate::records::{IvRec, OutRec};
 use ij_mapreduce::metrics::names;
-use ij_mapreduce::{Emitter, Engine, JobChain, ReduceCtx, ValueStream};
+use ij_mapreduce::{Emitter, Engine, EngineError, JobOutput, ReduceCtx, ValueStream};
 use ij_query::JoinQuery;
 
 /// The 1-Bucket-Theta 2-way join.
@@ -47,6 +52,44 @@ impl OneBucketTheta {
             mode: OutputMode::Materialize,
             seed: 0,
         }
+    }
+
+    /// The cycle: each left tuple to every cell of its hashed row, each
+    /// right tuple to every cell of its hashed column.
+    pub(crate) fn cycle(
+        &self,
+        query: &JoinQuery,
+        input: &JoinInput,
+        engine: &Engine,
+    ) -> Result<JobOutput<OutRec>, EngineError> {
+        let (rows, cols, seed) = (self.rows as u64, self.cols as u64, self.seed);
+        let join = OneSlot {
+            query,
+            mode: self.mode,
+        };
+        engine.run_job(
+            "one-bucket-theta",
+            &iv_records(input),
+            move |rec: &IvRec, em: &mut Emitter<IvRec>| {
+                let h = mix(seed, ((rec.rel.0 as u64) << 32) | rec.tid as u64);
+                if rec.rel.idx() == 0 {
+                    let row = h % rows;
+                    for col in 0..cols {
+                        em.emit(row * cols + col, *rec);
+                    }
+                    em.inc(names::ONEBUCKET_ROW_COPIES, cols);
+                } else {
+                    let col = h % cols;
+                    for row in 0..rows {
+                        em.emit(row * cols + col, *rec);
+                    }
+                    em.inc(names::ONEBUCKET_COL_COPIES, rows);
+                }
+            },
+            |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<OutRec>| {
+                join.reduce(ctx, values, &[], out)
+            },
+        )
     }
 }
 
@@ -80,42 +123,8 @@ impl Algorithm for OneBucketTheta {
         if self.rows == 0 || self.cols == 0 {
             return Err(AlgoError::BadConfig("rows and cols must be >= 1".into()));
         }
-        if query.start_order().contradictory() {
-            return Ok(empty_output(self.mode));
-        }
-        let (rows, cols, seed) = (self.rows as u64, self.cols as u64, self.seed);
-        let join = OneSlot {
-            query,
-            mode: self.mode,
-        };
-        let out = engine.run_job(
-            "one-bucket-theta",
-            &iv_records(input),
-            move |rec: &IvRec, em: &mut Emitter<IvRec>| {
-                let h = mix(seed, ((rec.rel.0 as u64) << 32) | rec.tid as u64);
-                if rec.rel.idx() == 0 {
-                    let row = h % rows;
-                    for col in 0..cols {
-                        em.emit(row * cols + col, *rec);
-                    }
-                    em.inc(names::ONEBUCKET_ROW_COPIES, cols);
-                } else {
-                    let col = h % cols;
-                    for row in 0..rows {
-                        em.emit(row * cols + col, *rec);
-                    }
-                    em.inc(names::ONEBUCKET_COL_COPIES, rows);
-                }
-            },
-            |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<OutRec>| {
-                join.reduce(ctx, values, &[], out)
-            },
-        )?;
-        let mut chain = JobChain::new();
-        chain.push(out.metrics);
-        let mut result = JoinOutput::from_records(self.mode, out.outputs, chain);
-        result.stats.consistent_cells = Some((rows * cols, rows * cols));
-        Ok(result)
+        let steps = vec![Step::OneBucket(self, query)];
+        Plan::new(query, input, self.mode, Report::Cells, steps).run(input, engine)
     }
 }
 

@@ -12,9 +12,11 @@
 //! The marking behind RCCIS, All-Seq-Matrix and PASM enumerates subsets of
 //! at most 16 relations; a colocation or hybrid query with a larger
 //! colocation group goes to [`AllReplicate`], which marks nothing.
+//!
+//! [`auto_tune`] picks the partition counts for a cluster's slots.
 
 use crate::algorithm::Algorithm;
-use crate::all_matrix::AllMatrix;
+use crate::all_matrix::{AllMatrix, CellSpace};
 use crate::all_replicate::AllReplicate;
 use crate::gen_matrix::GenMatrix;
 use crate::hybrid::{AllSeqMatrix, Pasm};
@@ -22,6 +24,7 @@ use crate::output::OutputMode;
 use crate::rccis::marking::MAX_RELATIONS;
 use crate::rccis::Rccis;
 use crate::two_way::TwoWayJoin;
+use ij_interval::{Partitioning, Time};
 use ij_query::{JoinQuery, QueryClass};
 
 /// Tuning knobs for the planner.
@@ -51,6 +54,39 @@ impl Default for PlanConfig {
             mode: OutputMode::Materialize,
             prune_hybrid: false,
         }
+    }
+}
+
+/// Chooses partition counts so the number of reducers tracks the slot
+/// count: 1-D algorithms get one partition per slot; matrix algorithms get
+/// the smallest `o` whose *consistent* cell count reaches the slot count.
+pub fn auto_tune(q: &JoinQuery, slots: usize) -> PlanConfig {
+    let comps = q.components();
+    let dims = comps.len().max(1);
+    let order = q.start_order();
+    let constraints = order.component_constraints(&comps);
+    let target = slots.max(1) as u64;
+    let mut per_dim = 2;
+    for o in 2..=32usize {
+        per_dim = o;
+        // `o` one-tick partitions: only the partition count matters here.
+        let Ok(grid) = Partitioning::equi_width(0, o as Time, o) else {
+            break;
+        };
+        if let Ok(space) = CellSpace::new(&vec![&grid; dims], constraints.clone()) {
+            if space.consistent_cells().len() as u64 >= target {
+                break;
+            }
+        } else {
+            // Matrix too large to enumerate — back off one step.
+            per_dim = o.saturating_sub(1).max(2);
+            break;
+        }
+    }
+    PlanConfig {
+        partitions: slots.max(1),
+        per_dim,
+        ..PlanConfig::default()
     }
 }
 
@@ -161,6 +197,27 @@ mod tests {
             plan(&ij_query::JoinQuery::chain(&preds).unwrap(), cfg).name(),
             "All-Seq-Matrix"
         );
+    }
+
+    #[test]
+    fn auto_tune_tracks_slots() {
+        // Pure sequence 3-way: consistent cells grow ~ o^3/6 and the tuner
+        // lands around o = 4-5 (C(o+2,3) >= 16).
+        let q = JoinQuery::chain(&[Before, Before]).unwrap();
+        let cfg = auto_tune(&q, 16);
+        assert_eq!(cfg.partitions, 16);
+        assert!((4..=8).contains(&cfg.per_dim), "per_dim = {}", cfg.per_dim);
+        // Hybrid Q4: two dims, one constraint -> o(o+1)/2 >= 16 at o = 6.
+        let q = JoinQuery::new(
+            3,
+            vec![
+                ij_query::Condition::whole(0, Before, 1),
+                ij_query::Condition::whole(0, Overlaps, 2),
+            ],
+        )
+        .unwrap();
+        let cfg = auto_tune(&q, 16);
+        assert!((6..=10).contains(&cfg.per_dim), "per_dim = {}", cfg.per_dim);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! (`crate::component_matrix`): one dimension holding every relation, no
 //! cell constraints, mark → join.
 
-use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
+use crate::algorithm::{require_single_attr, AlgoError, Algorithm, RunArtifacts};
 use crate::component_matrix::{ComponentMatrix, MARKED};
 use crate::input::JoinInput;
 use crate::output::{JoinOutput, OutputMode};
+use crate::plan::{Plan, Report};
 use ij_mapreduce::metrics::names;
 use ij_mapreduce::Engine;
 use ij_query::{JoinQuery, QueryClass};
@@ -35,6 +36,33 @@ impl Rccis {
             partition_strategy: Default::default(),
         }
     }
+
+    /// The plan over `input`: one dimension holding every relation, whose
+    /// cells are the partitions. Cycle 1 splits everything and marks;
+    /// cycle 2 replicates the flagged, projects the rest, joins and keeps
+    /// the tuples whose right-most start is the reducer's.
+    pub(crate) fn plan<'a>(
+        &self,
+        query: &'a JoinQuery,
+        input: &JoinInput,
+    ) -> Result<Plan<'a>, AlgoError> {
+        let part = RunArtifacts::partition_input(input, self.partitions, self.partition_strategy)?;
+        let m = query.num_relations() as usize;
+        let setting = ComponentMatrix {
+            family: "rccis",
+            query,
+            part,
+            constraints: Vec::new(),
+            groups: vec![(0..m).collect()],
+            routes: vec![MARKED; m],
+            mark_options: self.mark_options,
+            prune: false,
+            route_counters: Some([names::RCCIS_PROJECTED_PAIRS, names::RCCIS_REPLICA_PAIRS]),
+            mode: self.mode,
+        };
+        // Table 1 reports RCCIS's replication, not a cell count.
+        setting.plan(input, Report::Replicated)
+    }
 }
 
 impl Algorithm for Rccis {
@@ -58,30 +86,7 @@ impl Algorithm for Rccis {
                 reason: "sequence predicates present; use All-Matrix / All-Seq-Matrix".into(),
             });
         }
-        if query.start_order().contradictory() {
-            return Ok(empty_output(self.mode));
-        }
-        let part = RunArtifacts::partition_input(input, self.partitions, self.partition_strategy)?;
-        // Cycle 1 splits everything and marks; cycle 2 replicates the
-        // flagged, projects the rest, joins and keeps the tuples whose
-        // right-most start is the reducer's: a one-dimensional matrix whose
-        // cells are the partitions.
-        let mut out = ComponentMatrix {
-            family: "rccis",
-            query,
-            part: &part,
-            constraints: Vec::new(),
-            groups: vec![(0..query.num_relations() as usize).collect()],
-            routes: vec![MARKED; query.num_relations() as usize],
-            mark_options: self.mark_options,
-            prune: false,
-            route_counters: Some([names::RCCIS_PROJECTED_PAIRS, names::RCCIS_REPLICA_PAIRS]),
-            mode: self.mode,
-        }
-        .run(input, engine)?;
-        // Table 1 reports RCCIS's replication, not a cell count.
-        out.stats.consistent_cells = None;
-        Ok(out)
+        self.plan(query, input)?.run(input, engine)
     }
 }
 

@@ -6,10 +6,11 @@
 //! projected side provably starts last, so each output pair reaches exactly
 //! one reducer and no ownership test runs.
 
-use crate::algorithm::{empty_output, require_single_attr, AlgoError, Algorithm, RunArtifacts};
+use crate::algorithm::{require_single_attr, AlgoError, Algorithm, RunArtifacts};
 use crate::component_matrix::ComponentMatrix;
 use crate::input::JoinInput;
 use crate::output::{JoinOutput, OutputMode};
+use crate::plan::Report;
 use ij_mapreduce::Engine;
 use ij_query::JoinQuery;
 
@@ -53,9 +54,6 @@ impl Algorithm for TwoWayJoin {
                 ),
             });
         }
-        if query.start_order().contradictory() {
-            return Ok(empty_output(self.mode));
-        }
         let part = RunArtifacts::partition_span(input.span(), self.partitions)?;
         // Route by the FIRST condition's operation pair; the reducer-side
         // executor checks all conditions (extra conditions between the same
@@ -64,10 +62,10 @@ impl Algorithm for TwoWayJoin {
         let (op_left, op_right) = primary.pred.map_ops();
         let mut routes = vec![[op_right; 2]; 2];
         routes[primary.left.rel.idx()] = [op_left; 2];
-        let mut out = ComponentMatrix {
+        let setting = ComponentMatrix {
             family: "2way",
             query,
-            part: &part,
+            part,
             constraints: Vec::new(),
             groups: vec![vec![0, 1]],
             routes,
@@ -75,10 +73,8 @@ impl Algorithm for TwoWayJoin {
             prune: false,
             route_counters: None,
             mode: self.mode,
-        }
-        .run(input, engine)?;
-        (out.stats.replicated_intervals, out.stats.consistent_cells) = (None, None);
-        Ok(out)
+        };
+        setting.plan(input, Report::Neither)?.run(input, engine)
     }
 }
 

@@ -9,8 +9,8 @@
 //! Optional second argument: tuples per relation (default 1000).
 
 use interval_joins_mr::datagen::{Distribution, SynthConfig};
-use interval_joins_mr::join::estimate::auto_tune;
 use interval_joins_mr::join::plan;
+use interval_joins_mr::join::planner::auto_tune;
 use interval_joins_mr::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -172,24 +172,61 @@ fn fully_random_queries_agree() {
     }
 }
 
+/// Asserts that every family for `q` returns the empty join of `input`
+/// without running a cycle: a provably empty join's plan is elided.
+fn assert_elided(q: &JoinQuery, input: &JoinInput, engine: &Engine, what: &str) {
+    for alg in algorithms_for(q) {
+        let out = alg.run(q, input, engine).unwrap();
+        assert_eq!(out.count, 0, "{} on {what}", alg.name());
+        assert_eq!(
+            out.chain.num_cycles(),
+            0,
+            "{} ran cycles on {what}",
+            alg.name()
+        );
+    }
+}
+
 #[test]
 fn degenerate_inputs() {
-    // Empty relations, single tuples, all-identical intervals.
+    // Empty relations, contradictory orders, single tuples, all-identical
+    // intervals.
     let q = JoinQuery::chain(&[Overlaps, Before]).unwrap();
     let engine = Engine::new(ClusterConfig::with_slots(4));
+    let iv = |s, e| Interval::new(s, e).unwrap();
 
     let empty = JoinInput::bind_owned(
         &q,
         vec![
-            Relation::from_intervals("A", vec![Interval::new(0, 5).unwrap()]),
+            Relation::from_intervals("A", vec![iv(0, 5)]),
             Relation::new("B", 1),
-            Relation::from_intervals("C", vec![Interval::new(9, 12).unwrap()]),
+            Relation::from_intervals("C", vec![iv(9, 12)]),
         ],
     )
     .unwrap();
-    for alg in algorithms_for(&q) {
-        let out = alg.run(&q, &empty, &engine).unwrap();
-        assert_eq!(out.count, 0, "{} on empty relation", alg.name());
+    assert_elided(&q, &empty, &engine, "an empty relation");
+    // A two-relation query reaches the 2-way join, 1-Bucket-Theta and RCCIS.
+    let pair = JoinQuery::chain(&[Overlaps]).unwrap();
+    let rels = vec![
+        Relation::new("A", 1),
+        Relation::from_intervals("B", [iv(0, 5)]),
+    ];
+    let empty_pair = JoinInput::bind_owned(&pair, rels).unwrap();
+    assert_elided(&pair, &empty_pair, &engine, "an empty relation");
+
+    // Contradictory start orders over random data: a sequence, a
+    // colocation (RCCIS) and a hybrid (FSTC) query.
+    let before = |l, r| Condition::whole(l, Before, r);
+    let overlaps = |l, r| Condition::whole(l, Overlaps, r);
+    for (m, conditions) in [
+        (2, vec![before(0, 1), before(1, 0)]),
+        (2, vec![overlaps(0, 1), overlaps(1, 0)]),
+        (3, vec![before(0, 1), before(1, 0), overlaps(0, 2)]),
+    ] {
+        let q = JoinQuery::new(m, conditions).unwrap();
+        let input = random_input(&q, 7, 30, 200, 40);
+        assert!(oracle_join(&q, &input).is_empty());
+        assert_elided(&q, &input, &engine, &format!("contradictory {q}"));
     }
 
     let identical = JoinInput::bind_owned(
@@ -212,6 +249,47 @@ fn degenerate_inputs() {
             "{} on identical intervals",
             alg.name()
         );
+    }
+}
+
+/// A family's refusals are decided before a provably empty join is
+/// elided: it refuses a query on every input, also when the query's start
+/// order is contradictory or a relation is empty.
+#[test]
+fn refusals_do_not_depend_on_the_input() {
+    let engine = Engine::new(ClusterConfig::with_slots(4));
+    let whole = |l, pred, r| Condition::whole(l, pred, r);
+    // RCCIS marks every relation, and the marking enumerates subsets of at
+    // most 16; `R17 overlaps R1` closes a strict start-order cycle.
+    let chain: Vec<Condition> = (0..16).map(|r| whole(r, Overlaps, r + 1)).collect();
+    let cycle = [chain.clone(), vec![whole(16, Overlaps, 0)]].concat();
+    // The cascade cannot order a condition disconnected from the seed's
+    // relations; `R2 before R1` contradicts `R1 before R2`.
+    let apart = vec![whole(0, Before, 1), whole(2, Overlaps, 3)];
+    let contradicted = [apart.clone(), vec![whole(1, Before, 0)]].concat();
+    let rccis: Box<dyn Algorithm> = Box::new(Rccis::new(6));
+    let cascade: Box<dyn Algorithm> = Box::new(TwoWayCascade::new(6));
+    let cases = [
+        (rccis, 17, vec![chain, cycle]),
+        (cascade, 4, vec![apart, contradicted]),
+    ];
+    for (alg, m, queries) in cases {
+        for conditions in queries {
+            let q = JoinQuery::new(m, conditions).unwrap();
+            let full = random_input(&q, 3, 10, 200, 40);
+            let mut rels: Vec<Relation> = full.relations().iter().map(|r| (**r).clone()).collect();
+            rels[1] = Relation::new("R2", 1);
+            let empty = JoinInput::bind_owned(&q, rels).unwrap();
+            for input in [&full, &empty] {
+                let got = alg.run(&q, input, &engine);
+                assert!(
+                    matches!(got, Err(ij_core::algorithm::AlgoError::Unsupported { .. })),
+                    "{} on {q}: {:?}",
+                    alg.name(),
+                    got.map(|out| out.count)
+                );
+            }
+        }
     }
 }
 
