@@ -9,7 +9,7 @@
 use crate::input::JoinInput;
 use crate::output::JoinOutput;
 use crate::records::IvRec;
-use ij_interval::{Interval, Partitioning, RelId, Time};
+use ij_interval::{Interval, Partitioning, RelId, Time, TupleId};
 use ij_mapreduce::Engine;
 use ij_query::JoinQuery;
 use std::fmt;
@@ -120,10 +120,9 @@ impl RunArtifacts {
         match strategy {
             PartitionStrategy::EquiWidth => Self::partition_span(span, k),
             PartitionStrategy::EquiDepth => {
-                let starts: Vec<Time> = input
-                    .relations()
-                    .iter()
-                    .flat_map(|r| r.tuples().iter().map(|t| t.attr(0).start()))
+                let rels = input.relations().iter();
+                let starts: Vec<Time> = rels
+                    .flat_map(|r| r.column(0).map(Interval::start))
                     .collect();
                 let k = k.max(1);
                 let (t0, tn) = Self::partition_range(span, k);
@@ -141,22 +140,29 @@ pub fn iv_records(input: &JoinInput) -> Vec<IvRec> {
 }
 
 /// [`iv_records`], and each relation's longest interval (`end − start`)
-/// taken in the same pass over the tuples.
+/// taken in the same walk down its attribute-0 columns.
 pub(crate) fn iv_records_and_longest(input: &JoinInput) -> (Vec<IvRec>, Vec<u64>) {
     let mut recs = Vec::with_capacity(input.total_tuples());
-    let mut longest = vec![0u64; input.len()];
-    for ((r, rel), longest) in input.relations().iter().enumerate().zip(&mut longest) {
-        for t in rel.tuples() {
-            let iv = t.attr(0);
-            *longest = (*longest).max(iv.end().abs_diff(iv.start()));
-            recs.push(IvRec {
-                rel: RelId(r as u16),
-                tid: t.id,
-                iv,
-            });
-        }
-    }
+    let longest = (input.relations().iter().enumerate())
+        .map(|(r, rel)| push_column(RelId(r as u16), rel.column(0), &mut recs))
+        .collect();
     (recs, longest)
+}
+
+/// Appends one record of `rel` per interval of `column`, tuple ids in
+/// order, and returns the longest interval (`end − start`).
+pub(crate) fn push_column(
+    rel: RelId,
+    column: impl Iterator<Item = Interval>,
+    recs: &mut Vec<IvRec>,
+) -> u64 {
+    let mut longest = 0;
+    recs.extend(column.enumerate().map(|(tid, iv)| {
+        longest = iv.end().abs_diff(iv.start()).max(longest);
+        let tid = tid as TupleId;
+        IvRec { rel, tid, iv }
+    }));
+    longest
 }
 
 /// Requires a query to be single-attribute (classes Colocation, Sequence,

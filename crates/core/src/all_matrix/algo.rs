@@ -57,7 +57,7 @@ impl AllMatrix {
         let (order, m) = (q.start_order(), q.num_relations() as usize);
         let pairs = (0..m).flat_map(|j| (0..m).map(move |k| (j, k)));
         pairs
-            .filter(|&(j, k)| j != k && starts_last(&order, &[j, k], k))
+            .filter(|&(j, k)| j != k && starts_last(order, &[j, k], k))
             .collect()
     }
 

@@ -44,7 +44,7 @@ impl AllReplicate {
     fn projected_relation(q: &JoinQuery) -> Option<usize> {
         let all: Vec<usize> = (0..q.num_relations() as usize).collect();
         let order = q.start_order();
-        all.iter().copied().find(|&r| starts_last(&order, &all, r))
+        all.iter().copied().find(|&r| starts_last(order, &all, r))
     }
 }
 

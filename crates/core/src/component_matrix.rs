@@ -64,7 +64,7 @@
 //! dimension where a member with a fixed project provably starts last
 //! ([`starts_last`]): only its start coordinate gets a binding.
 
-use crate::algorithm::{iv_records_and_longest, AlgoError};
+use crate::algorithm::{iv_records_and_longest, push_column, AlgoError};
 use crate::all_matrix::cells::{every, for_each_consistent, windows_of};
 use crate::all_matrix::CellSpace;
 use crate::executor::Candidates;
@@ -692,13 +692,9 @@ impl<'a> Stages<'a> {
     ) -> Result<(Flags, Option<JobMetrics>), EngineError> {
         let (mut records, mut longest, mut sizes) = (Vec::new(), Vec::new(), Vec::new());
         for (v, at) in attrs.iter().enumerate() {
-            let tuples = input.relation(at.rel).tuples();
-            let ivs = tuples.iter().map(|t| (t.id, t.attrs[at.attr as usize]));
-            let lens = ivs.clone().map(|(_, iv)| iv.end().abs_diff(iv.start()));
-            let rel = RelId(v as u16);
-            records.extend(ivs.map(|(tid, iv)| IvRec { rel, tid, iv }));
-            longest.push(lens.fold(0, u64::max));
-            sizes.push(tuples.len());
+            let column = input.relation(at.rel).column(at.attr);
+            sizes.push(column.len());
+            longest.push(push_column(RelId(v as u16), column, &mut records));
         }
         self.mark(&records, &longest, &self.cm.part, &sizes, engine)
     }
@@ -1033,7 +1029,7 @@ impl<'a> Stages<'a> {
         let order = cm.query.start_order();
         // Every dimension but those a fixed project provably settles.
         let projected = |r: usize| cm.routes[r] == [MapOp::Project; 2];
-        let settled = |g: &[usize]| g.iter().any(|&r| projected(r) && starts_last(&order, g, r));
+        let settled = |g: &[usize]| g.iter().any(|&r| projected(r) && starts_last(order, g, r));
         let owner = (cm.groups.iter().enumerate())
             .filter(|(_, g)| !settled(g))
             .map(|(d, g)| (d, slots(g.iter().copied())))
@@ -1652,7 +1648,7 @@ mod tests {
             )
             .unwrap();
             for binding in &bindings {
-                let iv = |r: usize| input.relations()[r].tuples()[binding[r] as usize].interval();
+                let iv = |r: usize| input.relations()[r].tuple(binding[r]).interval();
                 let owner: Vec<usize> = (setting.groups.iter().zip(&grids))
                     .map(|(members, grid)| {
                         let start = members.iter().map(|&r| iv(r).start()).max().unwrap();

@@ -281,8 +281,8 @@ mod tests {
     fn lists_of(input: &JoinInput) -> Vec<Vec<CompRec>> {
         (input.relations().iter().enumerate())
             .map(|(r, rel)| {
-                (rel.tuples().iter())
-                    .map(|t| rec(r, t.id, t.attrs.clone()))
+                rel.tuples()
+                    .map(|t| rec(r, t.id, t.intervals().collect()))
                     .collect()
             })
             .collect()

@@ -4,7 +4,7 @@ use crate::executor::Candidates;
 use crate::input::JoinInput;
 use crate::kernel::backtrack::reference_join;
 use crate::output::OutputTuple;
-use ij_interval::Tuple;
+use ij_interval::{Tuple, TupleId};
 use ij_query::{JoinQuery, QueryClass};
 
 /// Computes the exact join output on a single node, sorted canonically.
@@ -25,8 +25,8 @@ pub fn oracle_join(q: &JoinQuery, input: &JoinInput) -> Vec<OutputTuple> {
         let m = q.num_relations() as usize;
         let mut cands = Candidates::new(m);
         for (r, rel) in input.relations().iter().enumerate() {
-            for t in rel.tuples() {
-                cands.push(r, t.attr(0), t.id);
+            for (iv, tid) in rel.column(0).zip(0..) {
+                cands.push(r, iv, tid);
             }
         }
         cands.finish();
@@ -48,8 +48,8 @@ fn cross_product(q: &JoinQuery, input: &JoinInput) -> Vec<OutputTuple> {
     }
     let mut pick = vec![0usize; rels.len()];
     loop {
-        let tuples: Vec<&Tuple> = (pick.iter().zip(rels))
-            .map(|(&i, r)| &r.tuples()[i])
+        let tuples: Vec<Tuple> = (pick.iter().zip(rels))
+            .map(|(&i, r)| r.tuple(i as TupleId))
             .collect();
         if q.satisfied_by_tuples(&tuples) {
             out.push(tuples.iter().map(|t| t.id).collect());

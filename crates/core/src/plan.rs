@@ -108,15 +108,12 @@ impl<'a> Plan<'a> {
             match step {
                 Step::Matrix(stages) => (rows, stats) = stages.run(input, engine, &mut chain)?,
                 Step::Base { side, rel, attrs } => {
-                    let tuples = input.relation(*rel).tuples().iter();
-                    sides.extend(tuples.map(|t| CompRec {
+                    let rel = input.relation(*rel);
+                    let arity = if *attrs { rel.n_attrs } else { 1 };
+                    sides.extend(rel.tuples().map(|t| CompRec {
                         side: *side as u16,
                         tids: vec![t.id],
-                        ivs: if *attrs {
-                            t.attrs.clone()
-                        } else {
-                            vec![t.attr(0)]
-                        },
+                        ivs: (0..arity).map(|a| t.attr(a)).collect(),
                     }));
                 }
                 Step::Sub {

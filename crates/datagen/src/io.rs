@@ -56,7 +56,7 @@ pub fn write_relation<W: Write>(w: &mut W, rel: &Relation) -> io::Result<()> {
     let mut line = String::new();
     for t in rel.tuples() {
         line.clear();
-        for (i, iv) in t.attrs.iter().enumerate() {
+        for (i, iv) in t.intervals().enumerate() {
             if i > 0 {
                 line.push('\t');
             }
@@ -78,8 +78,10 @@ pub fn save_relation(path: impl AsRef<Path>, rel: &Relation) -> io::Result<()> {
     f.flush()
 }
 
-/// Parses a relation from the line format. The relation's name is taken
-/// from the header comment when present, else `default_name`.
+/// Parses a relation from the line format. The relation's name and arity
+/// are taken from the header comment when present, else `default_name`
+/// and the first row's arity (1 without rows); every row must have that
+/// arity.
 pub fn read_relation<R: Read>(r: R, default_name: &str) -> Result<Relation, ReadError> {
     let reader = BufReader::new(r);
     let mut name = default_name.to_string();
@@ -93,10 +95,14 @@ pub fn read_relation<R: Read>(r: R, default_name: &str) -> Result<Relation, Read
             continue;
         }
         if let Some(rest) = trimmed.strip_prefix('#') {
-            // "# relation NAME, ..." header is informative.
+            // The "# relation NAME, N attributes" header.
             if let Some(n) = rest.trim().strip_prefix("relation ") {
-                if let Some((n, _)) = n.split_once(',') {
+                if let Some((n, count)) = n.split_once(',') {
                     name = n.trim().to_string();
+                    let count = count.trim().strip_suffix(" attributes");
+                    if let Some(Ok(count)) = count.map(str::parse::<u16>) {
+                        check_arity(&mut arity, count.into(), lineno)?;
+                    }
                 }
             }
             continue;
@@ -133,19 +139,26 @@ pub fn read_relation<R: Read>(r: R, default_name: &str) -> Result<Relation, Read
             })?;
             attrs.push(iv);
         }
-        match arity {
-            None => arity = Some(attrs.len()),
-            Some(a) if a != attrs.len() => {
-                return Err(ReadError::Parse {
-                    line: lineno,
-                    message: format!("expected {a} attributes, found {}", attrs.len()),
-                })
-            }
-            _ => {}
-        }
+        check_arity(&mut arity, attrs.len(), lineno)?;
         rows.push(attrs);
     }
-    Ok(Relation::from_rows(name, rows))
+    let mut rel = Relation::with_capacity(name, arity.unwrap_or(1) as u16, rows.len());
+    for row in &rows {
+        rel.push(row);
+    }
+    Ok(rel)
+}
+
+/// Sets the arity the file declares on line `line`, or checks `n` against
+/// it.
+fn check_arity(arity: &mut Option<usize>, n: usize, line: usize) -> Result<(), ReadError> {
+    match *arity.get_or_insert(n) {
+        a if a == n => Ok(()),
+        a => Err(ReadError::Parse {
+            line,
+            message: format!("expected {a} attributes, found {n}"),
+        }),
+    }
 }
 
 /// Reads a relation from a file; the default name is the file stem.
@@ -190,6 +203,33 @@ mod tests {
         write_relation(&mut buf, &rel).unwrap();
         let back = read_relation(&buf[..], "x").unwrap();
         assert_eq!(back, rel);
+    }
+
+    /// Empty, one-attribute and three-attribute relations come back with
+    /// their name, arity and rows.
+    #[test]
+    fn round_trip_keeps_arity() {
+        let rows = |n: usize, arity: usize| {
+            (0..n as i64).map(move |i| (0..arity as i64).map(|a| iv(i, i + a)).collect::<Vec<_>>())
+        };
+        let rels = [
+            Relation::new("E1", 1),
+            Relation::new("E2", 2),
+            Relation::new("E3", 3),
+            Relation::from_rows("R1", rows(4, 1)),
+            Relation::from_rows("R3", rows(5, 3)),
+        ];
+        for rel in &rels {
+            let mut buf = Vec::new();
+            write_relation(&mut buf, rel).unwrap();
+            let back = read_relation(&buf[..], "x").unwrap();
+            assert_eq!(back, *rel, "{}", String::from_utf8_lossy(&buf));
+        }
+        let text = "# relation R, 2 attributes\n0 1\n";
+        assert!(matches!(
+            read_relation(text.as_bytes(), "R").unwrap_err(),
+            ReadError::Parse { line: 2, .. }
+        ));
     }
 
     #[test]

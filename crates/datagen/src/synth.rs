@@ -156,6 +156,6 @@ mod tests {
             ..SynthConfig::table1(50, 1)
         };
         let r = cfg.generate("R");
-        assert!(r.tuples().iter().all(|t| t.interval().is_point()));
+        assert!(r.tuples().all(|t| t.interval().is_point()));
     }
 }

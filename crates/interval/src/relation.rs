@@ -1,4 +1,4 @@
-//! Relations: named collections of [`Tuple`]s.
+//! Relations: named collections of [`Tuple`]s, stored by column.
 //!
 //! In the paper each relation is an HDFS file of interval tuples; a join
 //! query names `m` (logical) relations. A *self-join* such as Table 2's
@@ -6,9 +6,15 @@
 //! the same `Relation` under several logical relation ids — the query layer
 //! treats logical occurrences as distinct relations, exactly as the paper's
 //! algorithms do.
+//!
+//! A relation keeps per attribute two dense columns, the start points and
+//! the end points in tuple-id order: tuple `i` is row `i` of every column,
+//! so ids are implicit and a relation costs a few heap blocks whatever its
+//! size. [`Tuple`]s are views of a row; [`Relation::column`] walks one
+//! attribute, the walk the jobs' record streams are built from.
 
-use crate::interval::Interval;
-use crate::tuple::{AttrId, Tuple, TupleId};
+use crate::interval::{Interval, Time};
+use crate::tuple::{AttrId, Row, Tuple, TupleId};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a (logical) relation within a query: `R_1, R_2, …` are
@@ -37,8 +43,12 @@ pub struct Relation {
     pub name: String,
     /// Number of attributes every tuple carries.
     pub n_attrs: u16,
-    /// The tuples; `tuples[i].id == i` is maintained by the constructors.
-    tuples: Vec<Tuple>,
+    /// Number of tuples; tuple `i` is row `i` of every column.
+    len: usize,
+    /// Per attribute, every tuple's start point, in id order.
+    pub(crate) starts: Vec<Vec<Time>>,
+    /// Per attribute, every tuple's end point, in id order.
+    pub(crate) ends: Vec<Vec<Time>>,
     /// Per attribute, the hull of the tuples' intervals there (minimum
     /// start, maximum end); empty while there are no tuples. The
     /// constructors and [`Relation::push`] widen it as tuples arrive, so
@@ -46,53 +56,43 @@ pub struct Relation {
     spans: Vec<Interval>,
 }
 
-/// `spans` widened to cover one tuple's `attrs`.
-fn widen(spans: &mut Vec<Interval>, attrs: &[Interval]) {
-    if spans.is_empty() {
-        spans.extend_from_slice(attrs);
-    } else {
-        for (span, &iv) in spans.iter_mut().zip(attrs) {
-            *span = span.hull(iv);
-        }
-    }
-}
-
 impl Relation {
     /// An empty relation with `n_attrs` attributes per tuple.
     pub fn new(name: impl Into<String>, n_attrs: u16) -> Self {
+        Relation::with_capacity(name, n_attrs, 0)
+    }
+
+    /// An empty relation whose columns hold `n` tuples before they grow.
+    pub fn with_capacity(name: impl Into<String>, n_attrs: u16, n: usize) -> Self {
+        let columns = || (0..n_attrs).map(|_| Vec::with_capacity(n)).collect();
         Relation {
             name: name.into(),
             n_attrs,
-            tuples: Vec::new(),
+            len: 0,
+            starts: columns(),
+            ends: columns(),
             spans: Vec::new(),
         }
     }
 
     /// Builds a single-attribute relation from raw intervals; tuple ids are
-    /// assigned densely in input order.
+    /// assigned densely in input order. An exact-size iterator fills
+    /// columns of exactly its length.
     pub fn from_intervals(
         name: impl Into<String>,
         intervals: impl IntoIterator<Item = Interval>,
     ) -> Self {
-        let mut spans = Vec::new();
-        let tuples = intervals
-            .into_iter()
-            .enumerate()
-            .map(|(i, iv)| {
-                widen(&mut spans, &[iv]);
-                Tuple::single(i as TupleId, iv)
-            })
-            .collect();
-        Relation {
-            name: name.into(),
-            n_attrs: 1,
-            tuples,
-            spans,
+        let intervals = intervals.into_iter();
+        let mut rel = Relation::with_capacity(name, 1, intervals.size_hint().0);
+        for iv in intervals {
+            rel.push(&[iv]);
         }
+        rel
     }
 
     /// Builds a multi-attribute relation from attribute rows; every row must
-    /// have the same length.
+    /// have the same length. An empty `rows` gives a single-attribute
+    /// relation.
     ///
     /// # Panics
     /// Panics if a row's length differs from the first row's.
@@ -100,65 +100,73 @@ impl Relation {
         name: impl Into<String>,
         rows: impl IntoIterator<Item = Vec<Interval>>,
     ) -> Self {
-        let mut n_attrs = None;
-        let mut spans = Vec::new();
-        let tuples: Vec<Tuple> = rows
-            .into_iter()
-            .enumerate()
-            .map(|(i, attrs)| {
-                match n_attrs {
-                    None => n_attrs = Some(attrs.len()),
-                    Some(n) => assert_eq!(attrs.len(), n, "row {i} has inconsistent arity"),
-                }
-                widen(&mut spans, &attrs);
-                Tuple::multi(i as TupleId, attrs)
-            })
-            .collect();
-        Relation {
-            name: name.into(),
-            n_attrs: n_attrs.unwrap_or(1) as u16,
-            tuples,
-            spans,
+        let mut rows = rows.into_iter().peekable();
+        let n_attrs = rows.peek().map_or(1, Vec::len) as u16;
+        let mut rel = Relation::with_capacity(name, n_attrs, rows.size_hint().0);
+        for (i, row) in rows.enumerate() {
+            let n = n_attrs as usize;
+            assert_eq!(row.len(), n, "row {i} has inconsistent arity");
+            rel.push(&row);
         }
+        rel
     }
 
     /// Appends a tuple, assigning it the next dense id. Returns the id.
     ///
     /// # Panics
     /// Panics if the tuple's arity does not match the relation's.
-    pub fn push(&mut self, attrs: Vec<Interval>) -> TupleId {
+    pub fn push(&mut self, attrs: &[Interval]) -> TupleId {
         assert_eq!(attrs.len(), self.n_attrs as usize, "arity mismatch");
-        let id = self.tuples.len() as TupleId;
-        widen(&mut self.spans, &attrs);
-        self.tuples.push(Tuple::multi(id, attrs));
-        id
+        if self.spans.is_empty() {
+            self.spans.extend_from_slice(attrs);
+        }
+        for (a, &iv) in attrs.iter().enumerate() {
+            self.starts[a].push(iv.start());
+            self.ends[a].push(iv.end());
+            self.spans[a] = self.spans[a].hull(iv);
+        }
+        self.len += 1;
+        (self.len - 1) as TupleId
     }
 
     /// Number of tuples.
     #[inline]
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.len
     }
 
     /// Whether the relation holds no tuples.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.len == 0
     }
 
-    /// The tuples, in id order.
-    #[inline]
-    pub fn tuples(&self) -> &[Tuple] {
-        &self.tuples
+    /// Views of the tuples, in id order.
+    pub fn tuples(&self) -> impl ExactSizeIterator<Item = Tuple<'_>> + DoubleEndedIterator + Clone {
+        (0..self.len as TupleId).map(|id| self.tuple(id))
     }
 
-    /// The tuple with id `t`.
+    /// A view of the tuple with id `t`.
     ///
     /// # Panics
     /// Panics if `t` is out of range.
     #[inline]
-    pub fn tuple(&self, t: TupleId) -> &Tuple {
-        &self.tuples[t as usize]
+    pub fn tuple(&self, t: TupleId) -> Tuple<'_> {
+        assert!((t as usize) < self.len, "tuple {t} of {}", self.len);
+        Tuple {
+            id: t,
+            row: Row::Columns(self),
+        }
+    }
+
+    /// Attribute `a` of every tuple, in id order: one walk down its start
+    /// and end columns.
+    ///
+    /// # Panics
+    /// Panics if `a` is out of range.
+    pub fn column(&self, a: AttrId) -> impl ExactSizeIterator<Item = Interval> + Clone + '_ {
+        let a = a as usize;
+        (self.starts[a].iter().zip(&self.ends[a])).map(|(&s, &e)| Interval::new_unchecked(s, e))
     }
 
     /// The minimum start and maximum end point over attribute `a` of all
@@ -169,7 +177,7 @@ impl Relation {
     /// # Panics
     /// Panics if `a` is out of range for a non-empty relation.
     pub fn attr_span(&self, a: AttrId) -> Option<Interval> {
-        (!self.tuples.is_empty()).then(|| self.spans[a as usize])
+        (!self.is_empty()).then(|| self.spans[a as usize])
     }
 }
 
@@ -207,8 +215,8 @@ mod tests {
     #[test]
     fn push_maintains_ids() {
         let mut r = Relation::new("R", 2);
-        let a = r.push(vec![iv(0, 1), Interval::point(9)]);
-        let b = r.push(vec![iv(2, 3), Interval::point(8)]);
+        let a = r.push(&[iv(0, 1), Interval::point(9)]);
+        let b = r.push(&[iv(2, 3), Interval::point(8)]);
         assert_eq!((a, b), (0, 1));
         assert_eq!(r.tuple(b).attr(1), Interval::point(8));
     }
@@ -217,7 +225,7 @@ mod tests {
     #[should_panic(expected = "arity mismatch")]
     fn push_rejects_wrong_arity() {
         let mut r = Relation::new("R", 2);
-        r.push(vec![iv(0, 1)]);
+        r.push(&[iv(0, 1)]);
     }
 
     #[test]
@@ -238,7 +246,7 @@ mod tests {
     fn folded(r: &Relation) -> Vec<Option<Interval>> {
         (0..r.n_attrs)
             .map(|a| {
-                let mut ivs = r.tuples().iter().map(|t| t.attr(a));
+                let mut ivs = r.tuples().map(|t| t.attr(a));
                 let first = ivs.next()?;
                 Some(ivs.fold(first, Interval::hull))
             })
@@ -277,7 +285,7 @@ mod tests {
         }
         let mut r = Relation::new("R", 2);
         for row in &rows {
-            r.push(row.clone());
+            r.push(row);
             assert_eq!(spans(&r), folded(&r));
             assert!(spans(&r).iter().all(Option::is_some));
         }
@@ -285,9 +293,78 @@ mod tests {
         assert_eq!(r.attr_span(1), Some(iv(lo, hi)));
         let mut one = Relation::new("R", 1);
         for row in &rows {
-            one.push(vec![row[1]]);
+            one.push(&[row[1]]);
             assert_eq!(spans(&one), folded(&one));
         }
+    }
+
+    /// A random interval: endpoints near zero or at the ends of the `Time`
+    /// domain, one in four a point.
+    fn random_iv(rng: &mut impl rand::Rng) -> Interval {
+        use crate::interval::Time;
+        let extremes = [Time::MIN, Time::MIN + 1, Time::MAX - 1, Time::MAX];
+        let mut at = || match rng.gen_range(0..4) {
+            0 => extremes[rng.gen_range(0..extremes.len())],
+            _ => rng.gen_range(-50..=50),
+        };
+        let (a, b) = (at(), at());
+        if rng.gen_bool(0.25) {
+            Interval::point(a)
+        } else {
+            iv(a.min(b), a.max(b))
+        }
+    }
+
+    /// Random relations of 1–3 attributes, empty ones among them, built
+    /// by `from_intervals`, `from_rows` and `push`: every view equals its
+    /// row, ids are dense, every column walks its attribute, and each
+    /// kept span is the fold over the rows.
+    #[test]
+    fn views_read_back_the_rows_they_were_built_from() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(44);
+        for case in 0..400 {
+            let n_attrs = rng.gen_range(1..=3usize);
+            let n = if case % 8 == 0 {
+                0
+            } else {
+                rng.gen_range(1..=30)
+            };
+            let rows: Vec<Vec<Interval>> = (0..n)
+                .map(|_| (0..n_attrs).map(|_| random_iv(&mut rng)).collect())
+                .collect();
+            let mut pushed = Relation::new("P", n_attrs as u16);
+            for row in &rows {
+                pushed.push(row);
+            }
+            let mut built = vec![pushed, Relation::from_rows("R", rows.iter().cloned())];
+            if n_attrs == 1 {
+                built.push(Relation::from_intervals("I", rows.iter().map(|r| r[0])));
+            }
+            for r in &built {
+                assert_eq!((r.len(), r.tuples().len()), (n, n), "{}", r.name);
+                assert_eq!(r.is_empty(), n == 0);
+                for ((t, row), id) in r.tuples().zip(&rows).zip(0..) {
+                    assert_eq!(t, Tuple::multi(id, row), "{} case {case}", r.name);
+                    assert_eq!(r.tuple(id), t);
+                    assert_eq!(t.intervals().collect::<Vec<_>>(), *row);
+                }
+                for a in 0..r.n_attrs as usize {
+                    let want: Vec<Interval> = rows.iter().map(|row| row[a]).collect();
+                    assert_eq!(r.column(a as AttrId).collect::<Vec<_>>(), want);
+                    let fold = want.into_iter().reduce(Interval::hull);
+                    assert_eq!(r.attr_span(a as AttrId), fold, "{} case {case}", r.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tuple 2 of 2")]
+    fn tuple_rejects_an_id_past_the_end() {
+        let r = Relation::from_intervals("R", vec![iv(0, 1), iv(2, 3)]);
+        let _ = r.tuple(2);
     }
 
     #[test]

@@ -50,6 +50,8 @@ use crate::job::{Mapper, Reducer};
 use crate::metrics::{names, JobMetrics};
 use crate::observe::{Clock, Event, EventKind, MonotonicClock, Observer};
 use crate::record::Record;
+use std::any::Any;
+use std::panic::resume_unwind;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -365,6 +367,41 @@ impl Engine {
 
         Ok(JobOutput { outputs, metrics })
     }
+}
+
+/// Runs `task` on every item and returns the results in item order: on
+/// the calling thread when there is one item, else on one scoped thread
+/// per item. A panicking task re-raises its original payload once every
+/// thread has been joined, either way.
+fn fan_out<A, T>(items: impl ExactSizeIterator<Item = A>, task: impl Fn(A) -> T + Sync) -> Vec<T>
+where
+    A: Send,
+    T: Send,
+{
+    if items.len() <= 1 {
+        return items.map(task).collect();
+    }
+    let task = &task;
+    let mut results = Vec::with_capacity(items.len());
+    let mut panic_payload: Option<Box<dyn Any + Send>> = None;
+    crossbeam::scope(|scope| {
+        let handles: Vec<_> = items.map(|a| scope.spawn(move |_| task(a))).collect();
+        for h in handles {
+            match h.join() {
+                Ok(result) => results.push(result),
+                // Keep draining the remaining handles so the scope can
+                // close; re-raise the first payload afterwards.
+                Err(payload) => {
+                    panic_payload.get_or_insert(payload);
+                }
+            }
+        }
+    })
+    .unwrap_or_else(|payload| resume_unwind(payload));
+    if let Some(payload) = panic_payload {
+        resume_unwind(payload);
+    }
+    results
 }
 
 /// Concatenates the per-reducer outputs (key order), accounting output

@@ -2,15 +2,13 @@
 //! with per-bucket thread grants and fault-injection retries.
 
 use super::schedule::SchedulePlan;
-use super::Engine;
+use super::{fan_out, Engine};
 use crate::error::EngineError;
 use crate::job::{BucketSource, ReduceCtx, Reducer, ReducerId};
 use crate::metrics::{names, Counters, ReducerLoad};
 use crate::observe::{Event, EventKind};
 use crate::record::Record;
 use crate::sync::Locked;
-use std::any::Any;
-use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -83,186 +81,154 @@ impl Engine {
         let observer = self.observer.as_ref();
         let result_slots: Vec<Locked<Option<ReduceResult<O>>>> =
             (0..n).map(|_| Locked::new(None)).collect();
-        let mut panic_payload: Option<Box<dyn Any + Send>> = None;
         let mut worker_error: Option<EngineError> = None;
         let mut worker_events: Vec<Event> = Vec::new();
         let mut spill_read_nanos = 0u64;
 
-        // Shared state is captured by reference; the `move` below only
-        // copies these references (plus each worker's index) into the
-        // closure.
-        let slots = &slots;
-        let next = &next;
-        let faults = &faults;
-        let result_refs = &result_slots;
-        let plan = &plan;
-
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..threads.min(n.max(1)))
-                .map(|w| {
-                    scope.spawn(move |_| {
-                        let t0 = observer.map_or(0, |o| o.now());
-                        let mut buckets_run = 0u64;
-                        let mut spill_read_nanos = 0u64;
-                        loop {
-                            let pos = next.fetch_add(1, Ordering::Relaxed);
-                            if pos >= n {
-                                break;
-                            }
-                            // Workers steal *pull positions*; the plan maps
-                            // each position to a bucket index so heavy
-                            // buckets are picked up first.
-                            let Some(&i) = plan.order().get(pos) else {
-                                break;
-                            };
-                            // plan.order() is a permutation of 0..n and
-                            // both tables have n entries.
-                            let (Some(slot), Some(result)) = (slots.get(i), result_refs.get(i))
-                            else {
-                                return Err(EngineError::Internal(
-                                    "schedule plan names a bucket that does not exist",
-                                ));
-                            };
-                            // The bucket's thread grant, drawn from the
-                            // plan's token pool now (not at spawn time) so
-                            // it reflects capacity freed by finished
-                            // buckets. Held across fault retries; returned
-                            // when the bucket completes.
-                            let grant = plan.acquire(i);
-                            let mut attempts = 0u32;
-                            loop {
-                                attempts += 1;
-                                if let Some(plan) = &faults {
-                                    if plan.should_fail(job_name, slot.key) {
-                                        if attempts >= plan.max_attempts() {
-                                            // The job fails, as Hadoop's
-                                            // would; surfaced as a typed
-                                            // error at the join point.
-                                            return Err(EngineError::MaxAttemptsExceeded {
-                                                job: job_name.to_string(),
-                                                reducer: slot.key,
-                                                attempts,
-                                            });
-                                        }
-                                        continue; // retry (re-read below)
-                                    }
-                                }
-                                let taken = if faults.is_some() {
-                                    // Retryable run: keep the bucket resident and
-                                    // hand the reducer a fresh copy per attempt.
-                                    slot.values.read(Option::clone)
-                                } else {
-                                    // Fault-free run: move the bucket out.
-                                    slot.values.write(Option::take)
-                                };
-                                // `next.fetch_add` hands each bucket index to
-                                // exactly one worker, so an empty slot means
-                                // an engine bug, not a user error.
-                                let Some(source) = taken else {
-                                    return Err(EngineError::Internal(
-                                        "reduce bucket consumed twice",
-                                    ));
-                                };
-                                let spilled = source.is_spilled();
-                                let r0 = observer.map_or(0, |o| o.now());
-                                let mut out = Vec::new();
-                                let mut ctx = ReduceCtx::with_parallelism(slot.key, grant);
-                                let mut values = source.into_stream();
-                                if let Some(o) = observer {
-                                    values.enable_heartbeats(Arc::clone(o), w as u64, slot.key);
-                                }
-                                reducer.reduce(&mut ctx, &mut values, &mut out);
-                                // Streaming can't surface a Result per value,
-                                // so a spilled-read failure ends the stream
-                                // early and is latched for this check.
-                                if let Some(e) = values.io_error() {
-                                    return Err(EngineError::Spill {
-                                        job: job_name.to_string(),
-                                        reducer: slot.key,
-                                        detail: e.to_string(),
-                                    });
-                                }
-                                spill_read_nanos += values.io_nanos();
-                                let rows: u64 = out.iter().map(Record::rows).sum();
-                                // The span is the bucket's service window:
-                                // its duration is what the straggler
-                                // detector and `reduce.service_ns` read.
-                                let event = observer.map(|o| {
-                                    let pulled = slot.pairs_received - values.len() as u64;
-                                    let peak = ctx.counters.get(names::KERNEL_ACTIVE_PEAK);
-                                    let span = Event::span(
-                                        EventKind::Reduce,
-                                        "reduce",
-                                        w as u64,
-                                        r0,
-                                        o.now(),
-                                    )
-                                    .arg("key", slot.key)
-                                    .arg("pairs", slot.pairs_received)
-                                    .arg("pulled", pulled)
-                                    .arg("work", ctx.work())
-                                    .arg("out", rows)
-                                    .arg("spilled", spilled as u64)
-                                    .arg("grant", grant as u64);
-                                    // `kernel.active_peak` sketches the event
-                                    // sweep's execution shape; only buckets
-                                    // that ran it carry the arg.
-                                    match peak {
-                                        0 => span,
-                                        _ => span.arg("active_peak", peak),
-                                    }
-                                });
-                                let load = ReducerLoad {
-                                    key: slot.key,
-                                    pairs_received: slot.pairs_received,
-                                    work: ctx.work(),
-                                    output: rows,
+        let stints = fan_out(0..threads.min(n.max(1)), |w| {
+            let t0 = observer.map_or(0, |o| o.now());
+            let mut buckets_run = 0u64;
+            let mut spill_read_nanos = 0u64;
+            loop {
+                let pos = next.fetch_add(1, Ordering::Relaxed);
+                if pos >= n {
+                    break;
+                }
+                // Workers steal *pull positions*; the plan maps
+                // each position to a bucket index so heavy
+                // buckets are picked up first.
+                let Some(&i) = plan.order().get(pos) else {
+                    break;
+                };
+                // plan.order() is a permutation of 0..n and
+                // both tables have n entries.
+                let (Some(slot), Some(result)) = (slots.get(i), result_slots.get(i)) else {
+                    return Err(EngineError::Internal(
+                        "schedule plan names a bucket that does not exist",
+                    ));
+                };
+                // The bucket's thread grant, drawn from the
+                // plan's token pool now (not at spawn time) so
+                // it reflects capacity freed by finished
+                // buckets. Held across fault retries; returned
+                // when the bucket completes.
+                let grant = plan.acquire(i);
+                let mut attempts = 0u32;
+                loop {
+                    attempts += 1;
+                    if let Some(plan) = &faults {
+                        if plan.should_fail(job_name, slot.key) {
+                            if attempts >= plan.max_attempts() {
+                                // The job fails, as Hadoop's
+                                // would; surfaced as a typed
+                                // error at the join point.
+                                return Err(EngineError::MaxAttemptsExceeded {
+                                    job: job_name.to_string(),
+                                    reducer: slot.key,
                                     attempts,
-                                };
-                                let ReduceCtx { counters, .. } = ctx;
-                                let done = ReduceResult {
-                                    out,
-                                    load,
-                                    counters,
-                                    event,
-                                    grant: grant as u64,
-                                };
-                                result.write(|r| *r = Some(done));
-                                buckets_run += 1;
-                                break;
+                                });
                             }
-                            // Return the grant so queued buckets see the
-                            // freed capacity (error paths abort the whole
-                            // job, so they need not bother).
-                            plan.release(grant);
+                            continue; // retry (re-read below)
                         }
-                        let stint = observer.map(|o| {
-                            Event::span(EventKind::Task, "reduce-worker", w as u64, t0, o.now())
-                                .arg("buckets", buckets_run)
-                                .arg("heavy_buckets", plan.heavy_count() as u64)
+                    }
+                    let taken = if faults.is_some() {
+                        // Retryable run: keep the bucket resident and
+                        // hand the reducer a fresh copy per attempt.
+                        slot.values.read(Option::clone)
+                    } else {
+                        // Fault-free run: move the bucket out.
+                        slot.values.write(Option::take)
+                    };
+                    // `next.fetch_add` hands each bucket index to
+                    // exactly one worker, so an empty slot means
+                    // an engine bug, not a user error.
+                    let Some(source) = taken else {
+                        return Err(EngineError::Internal("reduce bucket consumed twice"));
+                    };
+                    let spilled = source.is_spilled();
+                    let r0 = observer.map_or(0, |o| o.now());
+                    let mut out = Vec::new();
+                    let mut ctx = ReduceCtx::with_parallelism(slot.key, grant);
+                    let mut values = source.into_stream();
+                    if let Some(o) = observer {
+                        values.enable_heartbeats(Arc::clone(o), w as u64, slot.key);
+                    }
+                    reducer.reduce(&mut ctx, &mut values, &mut out);
+                    // Streaming can't surface a Result per value,
+                    // so a spilled-read failure ends the stream
+                    // early and is latched for this check.
+                    if let Some(e) = values.io_error() {
+                        return Err(EngineError::Spill {
+                            job: job_name.to_string(),
+                            reducer: slot.key,
+                            detail: e.to_string(),
                         });
-                        Ok((stint, spill_read_nanos))
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(Ok((event, nanos))) => {
-                        worker_events.extend(event);
-                        spill_read_nanos += nanos;
                     }
-                    Ok(Err(e)) => {
-                        worker_error.get_or_insert(e);
-                    }
-                    Err(payload) => {
-                        panic_payload.get_or_insert(payload);
-                    }
+                    spill_read_nanos += values.io_nanos();
+                    let rows: u64 = out.iter().map(Record::rows).sum();
+                    // The span is the bucket's service window:
+                    // its duration is what the straggler
+                    // detector and `reduce.service_ns` read.
+                    let event = observer.map(|o| {
+                        let pulled = slot.pairs_received - values.len() as u64;
+                        let peak = ctx.counters.get(names::KERNEL_ACTIVE_PEAK);
+                        let span = Event::span(EventKind::Reduce, "reduce", w as u64, r0, o.now())
+                            .arg("key", slot.key)
+                            .arg("pairs", slot.pairs_received)
+                            .arg("pulled", pulled)
+                            .arg("work", ctx.work())
+                            .arg("out", rows)
+                            .arg("spilled", spilled as u64)
+                            .arg("grant", grant as u64);
+                        // `kernel.active_peak` sketches the event
+                        // sweep's execution shape; only buckets
+                        // that ran it carry the arg.
+                        match peak {
+                            0 => span,
+                            _ => span.arg("active_peak", peak),
+                        }
+                    });
+                    let load = ReducerLoad {
+                        key: slot.key,
+                        pairs_received: slot.pairs_received,
+                        work: ctx.work(),
+                        output: rows,
+                        attempts,
+                    };
+                    let ReduceCtx { counters, .. } = ctx;
+                    let done = ReduceResult {
+                        out,
+                        load,
+                        counters,
+                        event,
+                        grant: grant as u64,
+                    };
+                    result.write(|r| *r = Some(done));
+                    buckets_run += 1;
+                    break;
+                }
+                // Return the grant so queued buckets see the
+                // freed capacity (error paths abort the whole
+                // job, so they need not bother).
+                plan.release(grant);
+            }
+            let stint = observer.map(|o| {
+                Event::span(EventKind::Task, "reduce-worker", w as u64, t0, o.now())
+                    .arg("buckets", buckets_run)
+                    .arg("heavy_buckets", plan.heavy_count() as u64)
+            });
+            Ok((stint, spill_read_nanos))
+        });
+        for stint in stints {
+            match stint {
+                Ok((event, nanos)) => {
+                    worker_events.extend(event);
+                    spill_read_nanos += nanos;
+                }
+                Err(e) => {
+                    worker_error.get_or_insert(e);
                 }
             }
-        })
-        .unwrap_or_else(|payload| resume_unwind(payload));
-        if let Some(payload) = panic_payload {
-            resume_unwind(payload);
         }
         if let Some(e) = worker_error {
             return Err(e);

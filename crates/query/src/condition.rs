@@ -83,7 +83,7 @@ impl Condition {
     /// Evaluates the condition on whole tuples (reads the referenced
     /// attributes).
     #[inline]
-    pub fn holds_tuples(self, left: &Tuple, right: &Tuple) -> bool {
+    pub fn holds_tuples(self, left: Tuple<'_>, right: Tuple<'_>) -> bool {
         self.pred
             .holds(left.attr(self.left.attr), right.attr(self.right.attr))
     }
@@ -184,18 +184,13 @@ mod tests {
 
     #[test]
     fn holds_tuples_reads_attributes() {
-        let t1 = Tuple::multi(
-            0,
-            vec![Interval::new(0, 1).unwrap(), Interval::new(0, 10).unwrap()],
-        );
-        let t2 = Tuple::multi(
-            0,
-            vec![Interval::new(50, 60).unwrap(), Interval::new(2, 5).unwrap()],
-        );
+        let r1 = [Interval::new(0, 1).unwrap(), Interval::new(0, 10).unwrap()];
+        let r2 = [Interval::new(50, 60).unwrap(), Interval::new(2, 5).unwrap()];
+        let (t1, t2) = (Tuple::multi(0, &r1), Tuple::multi(0, &r2));
         let c = Condition::new(AttrRef::new(0, 1), Contains, AttrRef::new(1, 1));
-        assert!(c.holds_tuples(&t1, &t2));
+        assert!(c.holds_tuples(t1, t2));
         let c0 = Condition::new(AttrRef::new(0, 0), Contains, AttrRef::new(1, 0));
-        assert!(!c0.holds_tuples(&t1, &t2));
+        assert!(!c0.holds_tuples(t1, t2));
     }
 
     #[test]

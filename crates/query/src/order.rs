@@ -23,12 +23,12 @@
 //! DESIGN.md §5 discusses this deviation.
 
 use crate::components::Components;
-use crate::condition::AttrRef;
-use crate::query::JoinQuery;
+use crate::condition::{AttrRef, Condition};
 use ij_interval::AllenPredicate;
+use serde::{Deserialize, Serialize};
 
 /// Relation between two events in the closure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 enum Rel {
     /// No provable ordering.
     Unknown,
@@ -57,54 +57,58 @@ impl Rel {
 }
 
 /// The provable partial order on the start points of a query's vertices.
-#[derive(Debug, Clone)]
+/// A [`JoinQuery`](crate::JoinQuery) derives it once, when it is built
+/// ([`JoinQuery::start_order`](crate::JoinQuery::start_order)).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StartOrder {
     vertices: Vec<AttrRef>,
-    /// `matrix[a][b]`: provable relation between event `a` and event `b`,
-    /// where event `2i` is `s_{vertices[i]}` and event `2i+1` is
-    /// `e_{vertices[i]}`.
-    matrix: Vec<Vec<Rel>>,
+    /// `matrix[a * n + b]`, with `n` twice the vertex count: provable
+    /// relation between event `a` and event `b`, where event `2i` is
+    /// `s_{vertices[i]}` and event `2i+1` is `e_{vertices[i]}`.
+    matrix: Vec<Rel>,
 }
 
 impl StartOrder {
-    /// Infers the order for a query.
-    pub fn infer(q: &JoinQuery) -> StartOrder {
-        let vertices = q.vertices();
+    /// Infers the order implied by a conjunction of conditions.
+    pub(crate) fn infer(conditions: &[Condition]) -> StartOrder {
+        let mut vertices: Vec<AttrRef> = (conditions.iter())
+            .flat_map(|c| [c.left, c.right])
+            .collect();
+        vertices.sort_unstable();
+        vertices.dedup();
         let n = vertices.len() * 2;
-        let mut m = vec![vec![Rel::Unknown; n]; n];
-        let idx = |v: AttrRef, vertices: &[AttrRef]| -> usize {
-            vertices.binary_search(&v).expect("vertex present") * 2
-        };
-        for (i, row) in m.iter_mut().enumerate() {
-            row[i] = Rel::Le;
+        let mut m = vec![Rel::Unknown; n * n];
+        let event = |v: AttrRef| vertices.binary_search(&v).expect("vertex present") * 2;
+        for i in 0..n {
+            m[i * n + i] = Rel::Le;
         }
         // s_v <= e_v for every vertex.
-        for i in 0..vertices.len() {
-            m[2 * i][2 * i + 1] = Rel::Le;
+        for i in (0..n).step_by(2) {
+            m[i * n + i + 1] = Rel::Le;
         }
-        for c in q.conditions() {
-            let (sa, ea) = {
-                let b = idx(c.left, &vertices);
-                (b, b + 1)
+        for c in conditions {
+            let (a, b) = (event(c.left), event(c.right));
+            let at = |e: Event| match e {
+                Event::StartA => a,
+                Event::EndA => a + 1,
+                Event::StartB => b,
+                Event::EndB => b + 1,
             };
-            let (sb, eb) = {
-                let b = idx(c.right, &vertices);
-                (b, b + 1)
-            };
-            for (x, y, rel) in predicate_implications(c.pred, sa, ea, sb, eb) {
-                m[x][y] = m[x][y].strengthen(rel);
+            for &(x, y, rel) in implications(c.pred) {
+                let xy = &mut m[at(x) * n + at(y)];
+                *xy = xy.strengthen(rel);
             }
         }
         // Floyd–Warshall closure.
         for k in 0..n {
             for i in 0..n {
-                if m[i][k] == Rel::Unknown {
+                if m[i * n + k] == Rel::Unknown {
                     continue;
                 }
                 for j in 0..n {
-                    let via = Rel::join_path(m[i][k], m[k][j]);
+                    let via = Rel::join_path(m[i * n + k], m[k * n + j]);
                     if via != Rel::Unknown {
-                        m[i][j] = m[i][j].strengthen(via);
+                        m[i * n + j] = m[i * n + j].strengthen(via);
                     }
                 }
             }
@@ -115,6 +119,11 @@ impl StartOrder {
         }
     }
 
+    /// The provable relation between events `a` and `b`.
+    fn rel(&self, a: usize, b: usize) -> Rel {
+        self.matrix[a * self.vertices.len() * 2 + b]
+    }
+
     fn sidx(&self, v: AttrRef) -> Option<usize> {
         self.vertices.binary_search(&v).ok().map(|i| i * 2)
     }
@@ -122,7 +131,7 @@ impl StartOrder {
     /// Whether `s_a <= s_b` is provable for every satisfying assignment.
     pub fn le_start(&self, a: AttrRef, b: AttrRef) -> bool {
         match (self.sidx(a), self.sidx(b)) {
-            (Some(i), Some(j)) => self.matrix[i][j] != Rel::Unknown,
+            (Some(i), Some(j)) => self.rel(i, j) != Rel::Unknown,
             _ => false,
         }
     }
@@ -130,7 +139,7 @@ impl StartOrder {
     /// Whether `s_a < s_b` (strict) is provable.
     pub fn lt_start(&self, a: AttrRef, b: AttrRef) -> bool {
         match (self.sidx(a), self.sidx(b)) {
-            (Some(i), Some(j)) => self.matrix[i][j] == Rel::Lt,
+            (Some(i), Some(j)) => self.rel(i, j) == Rel::Lt,
             _ => false,
         }
     }
@@ -139,7 +148,7 @@ impl StartOrder {
     /// before itself. Section 9 notes that conflicting orders make the
     /// query output null; algorithms short-circuit on this.
     pub fn contradictory(&self) -> bool {
-        (0..self.matrix.len()).any(|i| self.matrix[i][i] == Rel::Lt)
+        (0..self.vertices.len() * 2).any(|i| self.rel(i, i) == Rel::Lt)
     }
 
     /// The vertices this order is over (sorted).
@@ -180,38 +189,42 @@ impl StartOrder {
     }
 }
 
-/// The event inequalities implied by `P(a, b)`, as
-/// `(event_x, event_y, relation)` triples meaning `x rel y`.
-fn predicate_implications(
-    p: AllenPredicate,
-    sa: usize,
-    ea: usize,
-    sb: usize,
-    eb: usize,
-) -> Vec<(usize, usize, Rel)> {
+/// One of the four events of a condition `P(a, b)`'s operands.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    StartA,
+    EndA,
+    StartB,
+    EndB,
+}
+
+/// The event inequalities implied by `P(a, b)`, as `(x, y, relation)`
+/// triples meaning `x relation y`.
+fn implications(p: AllenPredicate) -> &'static [(Event, Event, Rel)] {
     use AllenPredicate::*;
+    use Event::{EndA as Ea, EndB as Eb, StartA as Sa, StartB as Sb};
     use Rel::*;
     match p {
-        Before => vec![(ea, sb, Lt)],
-        After => vec![(eb, sa, Lt)],
-        Overlaps => vec![(sa, sb, Lt), (sb, ea, Lt), (ea, eb, Lt)],
-        OverlappedBy => vec![(sb, sa, Lt), (sa, eb, Lt), (eb, ea, Lt)],
-        Contains => vec![(sa, sb, Lt), (eb, ea, Lt)],
-        ContainedBy => vec![(sb, sa, Lt), (ea, eb, Lt)],
-        Meets => vec![(sa, sb, Lt), (ea, sb, Le), (sb, ea, Le), (ea, eb, Lt)],
-        MetBy => vec![(sb, sa, Lt), (eb, sa, Le), (sa, eb, Le), (eb, ea, Lt)],
-        Starts => vec![(sa, sb, Le), (sb, sa, Le), (ea, eb, Lt)],
-        StartedBy => vec![(sa, sb, Le), (sb, sa, Le), (eb, ea, Lt)],
-        Finishes => vec![(ea, eb, Le), (eb, ea, Le), (sb, sa, Lt)],
-        FinishedBy => vec![(ea, eb, Le), (eb, ea, Le), (sa, sb, Lt)],
-        Equals => vec![(sa, sb, Le), (sb, sa, Le), (ea, eb, Le), (eb, ea, Le)],
+        Before => &[(Ea, Sb, Lt)],
+        After => &[(Eb, Sa, Lt)],
+        Overlaps => &[(Sa, Sb, Lt), (Sb, Ea, Lt), (Ea, Eb, Lt)],
+        OverlappedBy => &[(Sb, Sa, Lt), (Sa, Eb, Lt), (Eb, Ea, Lt)],
+        Contains => &[(Sa, Sb, Lt), (Eb, Ea, Lt)],
+        ContainedBy => &[(Sb, Sa, Lt), (Ea, Eb, Lt)],
+        Meets => &[(Sa, Sb, Lt), (Ea, Sb, Le), (Sb, Ea, Le), (Ea, Eb, Lt)],
+        MetBy => &[(Sb, Sa, Lt), (Eb, Sa, Le), (Sa, Eb, Le), (Eb, Ea, Lt)],
+        Starts => &[(Sa, Sb, Le), (Sb, Sa, Le), (Ea, Eb, Lt)],
+        StartedBy => &[(Sa, Sb, Le), (Sb, Sa, Le), (Eb, Ea, Lt)],
+        Finishes => &[(Ea, Eb, Le), (Eb, Ea, Le), (Sb, Sa, Lt)],
+        FinishedBy => &[(Ea, Eb, Le), (Eb, Ea, Le), (Sa, Sb, Lt)],
+        Equals => &[(Sa, Sb, Le), (Sb, Sa, Le), (Ea, Eb, Le), (Eb, Ea, Le)],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::condition::Condition;
+    use crate::query::JoinQuery;
     use ij_interval::AllenPredicate::*;
     use ij_interval::OperandOrder;
 
@@ -219,6 +232,7 @@ mod tests {
         JoinQuery::new(2, vec![Condition::whole(0, p, 1)])
             .unwrap()
             .start_order()
+            .clone()
     }
 
     /// For a single condition, the closure must reproduce Figure 1's

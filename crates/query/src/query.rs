@@ -67,6 +67,8 @@ impl std::error::Error for QueryError {}
 pub struct JoinQuery {
     relations: Vec<RelationMeta>,
     conditions: Vec<Condition>,
+    /// Derived from `conditions` when the query is built.
+    start_order: StartOrder,
 }
 
 impl JoinQuery {
@@ -102,6 +104,7 @@ impl JoinQuery {
             }
         }
         Ok(JoinQuery {
+            start_order: StartOrder::infer(&conditions),
             relations,
             conditions,
         })
@@ -150,14 +153,7 @@ impl JoinQuery {
     /// All distinct ⟨relation, attribute⟩ vertices appearing in conditions,
     /// sorted.
     pub fn vertices(&self) -> Vec<AttrRef> {
-        let mut vs: Vec<AttrRef> = self
-            .conditions
-            .iter()
-            .flat_map(|c| [c.left, c.right])
-            .collect();
-        vs.sort_unstable();
-        vs.dedup();
-        vs
+        self.start_order.vertices().to_vec()
     }
 
     /// The paper's four-way classification.
@@ -176,9 +172,10 @@ impl JoinQuery {
     }
 
     /// The inferred start-point partial order over vertices (Section 5.1's
-    /// less-than-order, closed transitively; see DESIGN.md §5).
-    pub fn start_order(&self) -> StartOrder {
-        StartOrder::infer(self)
+    /// less-than-order, closed transitively; see DESIGN.md §5), derived
+    /// once when the query was built.
+    pub fn start_order(&self) -> &StartOrder {
+        &self.start_order
     }
 
     /// Whether `assignment` (one interval per relation, single-attribute
@@ -193,7 +190,7 @@ impl JoinQuery {
 
     /// Whether full tuples (one per relation) satisfy every condition,
     /// honoring attribute references — the multi-attribute acceptance test.
-    pub fn satisfied_by_tuples(&self, tuples: &[&ij_interval::Tuple]) -> bool {
+    pub fn satisfied_by_tuples(&self, tuples: &[ij_interval::Tuple<'_>]) -> bool {
         debug_assert_eq!(tuples.len(), self.relations.len());
         self.conditions
             .iter()

@@ -69,7 +69,7 @@ fn main() {
                 // Widen with extra attributes: alternate interval / point.
                 Relation::from_rows(
                     meta.name.clone(),
-                    base.tuples().iter().map(|t| {
+                    base.tuples().map(|t| {
                         let mut attrs = vec![t.interval()];
                         for _ in 1..meta.attr_names.len() {
                             attrs.push(Interval::point(rng.gen_range(0..50)));

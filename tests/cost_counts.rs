@@ -1,22 +1,22 @@
 //! Exact cost counts of the six `ij-perf` workloads at test scale.
 //!
 //! A counting global allocator (std only) wraps the system allocator, so
-//! memory is a count, not a sample: for one run of each workload's planned
-//! family this binary records the allocations, the bytes allocated, the
-//! peak live bytes above the bound input, and the engine's exact counts
-//! (pairs and bytes shuffled, reducer work, `join.candidates`). With one
-//! worker thread and one intra-reduce thread every number repeats exactly,
-//! so the run is compared line for line with
-//! `results/pr43/cost_counts.txt`, one section per build profile (debug
+//! memory is a count, not a sample: for each workload this binary records
+//! the bound input's live bytes and the allocations that built it, and for
+//! one run of the workload's planned family the allocations, the bytes
+//! allocated, the peak live bytes above the bound input, and the engine's
+//! exact counts (pairs and bytes shuffled, reducer work,
+//! `join.candidates`). With one worker thread and one intra-reduce thread
+//! every number repeats exactly, so the run is compared line for line with
+//! `results/pr44/cost_counts.txt`, one section per build profile (debug
 //! builds allocate for their extra checks).
 //!
 //! The contract is `crates/core/tests/family_pins.rs`'s: a change that
 //! moves a count re-captures the file and explains each moved count. To
 //! re-capture, run `cargo test --test cost_counts` and `cargo test
 //! --release --test cost_counts`; a failure prints the section to paste.
-//! Run it without `--nocapture`: every thread the engine spawns inherits
-//! the harness's output capture, which costs it allocations, and the
-//! capture counts those.
+//! With one worker thread the engine runs every phase on the calling
+//! thread, so `--nocapture` does not move a count.
 //!
 //! The workloads mirror `perf/src/workloads.rs` at its smoke scale (0.02):
 //! every relation's size and time range shrink by that factor, and the
@@ -228,10 +228,15 @@ fn scaled(relations: &[SynthConfig]) -> Vec<SynthConfig> {
 fn render(seed: u64) -> String {
     let mut lines = Vec::new();
     for w in workloads(seed) {
-        let rels = (scaled(&w.relations).iter().enumerate())
+        let configs = scaled(&w.relations);
+        quiesce();
+        let (allocs, live) = (ALLOCS.load(Relaxed), LIVE.load(Relaxed));
+        let rels = (configs.iter().enumerate())
             .map(|(r, c)| c.generate(format!("R{}", r + 1)))
             .collect();
         let input = JoinInput::bind_owned(&w.query, rels).unwrap();
+        let input_allocs = ALLOCS.load(Relaxed) - allocs;
+        let input_bytes = LIVE.load(Relaxed) - live;
         let engine = Engine::new(ClusterConfig {
             reducer_slots: 16,
             worker_threads: 1,
@@ -258,7 +263,8 @@ fn render(seed: u64) -> String {
         let work: u64 = out.chain.cycles.iter().map(|c| c.total_work()).sum();
         let candidates = out.chain.total_counters().get(names::JOIN_CANDIDATES);
         lines.push(format!(
-            "{} {} count={} cycles={} allocs={allocs} alloc_bytes={bytes} peak_above_input={peak} \
+            "{} {} count={} cycles={} input_allocs={input_allocs} input_bytes={input_bytes} \
+             allocs={allocs} alloc_bytes={bytes} peak_above_input={peak} \
              shuffle_pairs={pairs} shuffle_bytes={shuffled} work={work} candidates={candidates}",
             w.name,
             family.name(),
@@ -271,7 +277,7 @@ fn render(seed: u64) -> String {
 
 /// The captured section of the running build's profile.
 fn captured(profile: &str) -> String {
-    let file = include_str!("../results/pr43/cost_counts.txt");
+    let file = include_str!("../results/pr44/cost_counts.txt");
     let header = format!("[{profile}]");
     let section = (file.lines())
         .skip_while(|l| *l != header)

@@ -155,7 +155,7 @@ fn identical_results_under_reducer_retries() {
     // relation in place: a retried task must read the same slice.
     let rels = (input.relations().iter().enumerate()).map(|(r, rel)| {
         let n = if r == 1 { 10 } else { rel.len() };
-        let intervals = rel.tuples()[..n].iter().map(|t| t.interval());
+        let intervals = rel.column(0).take(n);
         Relation::from_intervals(format!("R{r}"), intervals)
     });
     let small_side = JoinInput::bind_owned(&q, rels.collect()).unwrap();

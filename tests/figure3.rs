@@ -137,7 +137,6 @@ fn rccis_marking_at_p2_selects_the_papers_replication_set() {
         .iter()
         .map(|rel| {
             rel.tuples()
-                .iter()
                 .map(|t| (t.interval(), t.id))
                 .filter(|(iv, _)| part.intersects_partition(*iv, 1))
                 .collect()
@@ -171,7 +170,6 @@ fn u1_and_v3_are_replicated_by_reducer_p1() {
         .iter()
         .map(|rel| {
             rel.tuples()
-                .iter()
                 .map(|t| (t.interval(), t.id))
                 .filter(|(iv, _)| part.intersects_partition(*iv, 0))
                 .collect()
