@@ -72,7 +72,7 @@ use crate::input::{induced, JoinInput};
 use crate::kernel::{self, BucketJoin, OneSlot, Slot, StartWindow};
 use crate::output::{OutputMode, RunStats};
 use crate::plan::{Plan, Report, Step};
-use crate::rccis::marking::{self, mark_with_options, MarkOptions};
+use crate::rccis::marking::{self, MarkOptions, Marker};
 use crate::records::{CompRec, IvRec, OutRec};
 use ij_interval::{ops, Interval, MapOp, Partitioning, RelId, Time, TupleId};
 use ij_mapreduce::metrics::names::{self, Counter};
@@ -543,6 +543,8 @@ pub(crate) struct Stages<'a> {
     /// Per group: its colocation sub-query over local slots if it is marked
     /// and has two or more members, else `None` — nothing to mark or prune.
     subs: Vec<Option<JoinQuery>>,
+    /// Per group: the marking of its `subs` entry, compiled once.
+    markers: Vec<Option<Marker>>,
 }
 
 impl<'a> ComponentMatrix<'a> {
@@ -597,8 +599,11 @@ impl<'a> ComponentMatrix<'a> {
             let algorithm = self.family;
             return Err(AlgoError::Unsupported { algorithm, reason });
         }
-        let subs = (self.groups.iter())
+        let subs: Vec<Option<JoinQuery>> = (self.groups.iter())
             .map(|g| marked(g).then(|| induced(self.query, g, |c| c.is_colocation())))
+            .collect();
+        let markers = (subs.iter())
+            .map(|sub| Some(Marker::new(sub.as_ref()?, self.mark_options)))
             .collect();
         let space = CellSpace::new(
             &vec![&self.part; self.groups.len()],
@@ -611,6 +616,7 @@ impl<'a> ComponentMatrix<'a> {
             fine,
             places,
             subs,
+            markers,
         })
     }
 }
@@ -764,7 +770,7 @@ impl<'a> Stages<'a> {
             },
             |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<u64>| {
                 let (g, p) = group_partition(ctx.key, p_count);
-                let Some(sub) = &self.subs[g] else {
+                let Some(marker) = &self.markers[g] else {
                     return; // only marked groups are keyed
                 };
                 let members = &cm.groups[g];
@@ -772,7 +778,7 @@ impl<'a> Stages<'a> {
                 for v in values.by_ref() {
                     per_slot[self.places[v.rel.idx()].slot].push((v.iv, v.tid));
                 }
-                let marking = mark_with_options(sub, grid, p, per_slot, cm.mark_options);
+                let marking = marker.run(grid, p, per_slot);
                 ctx.add_work(marking.work);
                 // The marking flags only intervals that start in `p`.
                 for (&rel, tids) in members.iter().zip(&marking.flagged) {
@@ -1184,7 +1190,7 @@ mod tests {
         per_slot: Vec<Vec<(Interval, TupleId)>>,
         options: MarkOptions,
     ) -> BTreeSet<(usize, TupleId)> {
-        let marking = mark_with_options(q, part, p, per_slot, options);
+        let marking = Marker::new(q, options).run(part, p, per_slot);
         let slots = marking.flagged.iter().enumerate();
         slots
             .flat_map(|(slot, tids)| tids.iter().map(move |&tid| (slot, tid)))

@@ -47,11 +47,10 @@
 //! `active_peak` are the serial run's for every thread count.
 
 use super::ranges::{closed, range_pair, within};
-use super::scratch::{Lease, Scratch};
 use super::{slot_conditions, BindingSink, Compiled, RangePair, StartRange, StartWindow};
 use crate::executor::Candidates;
 use ij_interval::{bounds_contain, AllenPredicate, Interval, Time, TupleId};
-use ij_query::JoinQuery;
+use ij_query::{AttrRef, JoinQuery};
 use std::ops::{Bound, Range};
 
 /// Sentinel for "tuple not currently active" in the position index.
@@ -153,56 +152,17 @@ pub(crate) struct EventSweepPlan {
 }
 
 /// Which relations can hold the *latest-starting* tuple of a satisfying
-/// binding — the only start events whose probes can emit.
-///
-/// Colocation predicates impose a partial order on start points:
-/// `overlaps`/`contains`/`meets`/`finished-by` force the left operand to
-/// start strictly first (their converses force the right), while the
-/// `starts`/`equals` family pins starts equal. A relation with a strict
-/// successor in the transitive closure (through equalities) can never be
-/// the latest-starter, so its start-event probes are statically dead:
-/// the strictly-later tuple in any would-be binding cannot be active yet.
-/// Ties stay unpruned — the total event order decides which of the two
-/// equal-start tuples probes last and emits.
+/// binding — the only start events whose probes can emit. A relation that
+/// provably starts strictly before another ([`ij_query::StartOrder`])
+/// never can: the strictly-later tuple of any would-be binding is not yet
+/// active at its start event. Equal starts are a tie and stay unpruned —
+/// the total event order decides which of the two probes last and emits.
 fn possible_latest(q: &JoinQuery) -> Vec<bool> {
-    use AllenPredicate::*;
-    let m = q.num_relations() as usize;
-    let mut strict = vec![vec![false; m]; m];
-    let mut eq = vec![vec![false; m]; m];
-    for c in q.conditions() {
-        let (l, r) = (c.left.rel.idx(), c.right.rel.idx());
-        match c.pred {
-            Overlaps | Contains | Meets | FinishedBy => strict[l][r] = true,
-            OverlappedBy | ContainedBy | MetBy | Finishes => strict[r][l] = true,
-            Starts | StartedBy | Equals => {
-                eq[l][r] = true;
-                eq[r][l] = true;
-            }
-            _ => {}
-        }
-    }
-    // Fixpoint closure: strict composes with strict or equality on
-    // either side. m is tiny, so the cubic loop-to-fixpoint is fine.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in 0..m {
-            for k in 0..m {
-                if !(strict[i][k] || eq[i][k]) {
-                    continue;
-                }
-                for j in 0..m {
-                    let via =
-                        (strict[i][k] && (strict[k][j] || eq[k][j])) || (eq[i][k] && strict[k][j]);
-                    if via && !strict[i][j] {
-                        strict[i][j] = true;
-                        changed = true;
-                    }
-                }
-            }
-        }
-    }
-    (0..m).map(|r| !(0..m).any(|p| strict[r][p])).collect()
+    let (order, m) = (q.start_order(), q.num_relations());
+    let rel = AttrRef::whole;
+    (0..m)
+        .map(|r| !(0..m).any(|p| order.lt_start(rel(r), rel(p))))
+        .collect()
 }
 
 impl EventSweepPlan {
@@ -256,19 +216,12 @@ impl EventSweepPlan {
     /// A thread's sweep before the first event: every active array empty.
     pub(crate) fn start<'a>(&'a self, cands: &'a Candidates) -> Active<'a> {
         let m = self.programs.len();
-        let mut s = Lease::take();
-        s.active.resize_with(m, Vec::new);
-        s.pos.resize_with(m, Vec::new);
-        for r in 0..m {
-            s.active[r].clear();
-            s.pos[r].clear();
-            s.pos[r].resize(cands.len(r), INACTIVE);
-        }
-        s.reset_assignment(m);
         Active {
             plan: self,
             cands,
-            s,
+            active: vec![Vec::new(); m],
+            pos: (0..m).map(|r| vec![INACTIVE; cands.len(r)]).collect(),
+            assignment: vec![(Interval::point(0), 0); m],
             applied: 0,
             occupancy: 0,
         }
@@ -276,11 +229,18 @@ impl EventSweepPlan {
 }
 
 /// One thread's event sweep between its blocks: the gapless active arrays
-/// (leased scratch) after `events[..applied]`.
+/// and their position index after `events[..applied]`, and the binding
+/// being built.
 pub(crate) struct Active<'a> {
     plan: &'a EventSweepPlan,
     cands: &'a Candidates,
-    s: Lease,
+    /// One gapless array per relation; the third slot is the tuple's
+    /// candidate-list index (for `pos` fixup after a swap-remove).
+    active: Vec<Vec<(Interval, TupleId, u32)>>,
+    /// `pos[rel][list_idx]` is the slot of that tuple in `active[rel]`, or
+    /// [`INACTIVE`].
+    pos: Vec<Vec<u32>>,
+    assignment: Vec<(Interval, TupleId)>,
     applied: usize,
     occupancy: u64,
 }
@@ -297,21 +257,23 @@ impl Active<'_> {
         work: &mut u64,
         active_peak: &mut u64,
     ) {
-        debug_assert!(self.applied <= outer.start, "blocks run in order");
-        let (plan, cands) = (self.plan, self.cands);
-        let Scratch {
+        let Active {
+            plan,
+            cands,
             active,
             pos,
             assignment,
-            ..
-        } = &mut *self.s;
-        for e in &plan.events[self.applied..outer.start] {
-            self.occupancy = apply(e, cands, active, pos, self.occupancy);
+            applied,
+            occupancy,
+        } = self;
+        debug_assert!(*applied <= outer.start, "blocks run in order");
+        for e in &plan.events[*applied..outer.start] {
+            *occupancy = apply(e, cands, active, pos, *occupancy);
         }
-        self.applied = outer.end;
+        *applied = outer.end;
         for e in &plan.events[outer] {
-            self.occupancy = apply(e, cands, active, pos, self.occupancy);
-            *active_peak = (*active_peak).max(self.occupancy);
+            *occupancy = apply(e, cands, active, pos, *occupancy);
+            *active_peak = (*active_peak).max(*occupancy);
             if e.end || !plan.probe[e.rel as usize] {
                 continue;
             }

@@ -87,7 +87,6 @@ pub(crate) mod backtrack;
 pub mod composite;
 mod event_sweep;
 mod ranges;
-mod scratch;
 mod sink;
 mod sweep;
 mod window;
@@ -99,13 +98,12 @@ use crate::executor::Candidates;
 use crate::output::OutputMode;
 use crate::records::{IvRec, OutRec};
 use ij_interval::{AllenPredicate, Interval, Time, TupleId};
+use ij_mapreduce::engine::fan_out;
 use ij_mapreduce::metrics::names::{self, Counter};
 use ij_mapreduce::{ReduceCtx, ValueStream};
 use ij_query::{AttrRef, JoinQuery};
-use std::any::Any;
 use std::cmp::{Ordering, Reverse};
 use std::ops::{Bound, Range};
-use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use window::Row;
 
@@ -224,7 +222,8 @@ impl KernelConfig {
     }
 }
 
-/// Computes a binding order for backtracking.
+/// The order in which a descent binds `q`'s relations: the window
+/// scan, the composite join and the `holds` reference all use it.
 ///
 /// Relations are bound left-to-right in the provable start order: when the
 /// bound neighbor starts *before* the candidate, the candidate's start
@@ -618,8 +617,8 @@ fn blocks(outer_len: usize, threads: usize) -> Vec<Range<usize>> {
 
 /// The chunk runner every bucket runs through (see [`execute_into`]):
 /// serial below the heavy threshold, else [`blocks`] pulled from one
-/// cursor by scoped workers, absorbed in block order; a worker's panic
-/// re-raised.
+/// cursor by one [`fan_out`] task per granted thread, each with a sink
+/// forked for it, absorbed in block order.
 fn drive<S: OutputSink>(
     kind: KernelKind,
     (outer_len, total): (usize, usize),
@@ -638,41 +637,22 @@ fn drive<S: OutputSink>(
 
     let blocks = blocks(outer_len, threads);
     let cursor = AtomicUsize::new(0);
-    let mut done: Vec<(usize, KernelReport, S::Chunk)> = Vec::with_capacity(blocks.len());
-    let mut panic_payload: Option<Box<dyn Any + Send>> = None;
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let (proto, blocks, cursor) = (sink.fork(), &blocks, &cursor);
-                scope.spawn(move |_| {
-                    // The cursor only grows, so this thread's blocks come
-                    // in increasing order, as its carry requires. It hands
-                    // out indices only and publishes no data (the blocks
-                    // return through `join`), so `Relaxed` suffices.
-                    let mut carry = bucket.start();
-                    let mut ran = Vec::new();
-                    while let Some(r) = blocks.get(cursor.fetch_add(1, Relaxed)) {
-                        let mut block_sink = proto.fork();
-                        let rep = bucket.run(&mut carry, r.clone(), &mut block_sink);
-                        ran.push((r.start, rep, block_sink));
-                    }
-                    ran
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(ran) => done.extend(ran),
-                Err(p) => {
-                    panic_payload.get_or_insert(p);
-                }
-            }
+    let protos: Vec<S::Chunk> = (0..threads).map(|_| sink.fork()).collect();
+    let ran = fan_out(protos.into_iter(), |proto| {
+        // The cursor only grows, so this thread's blocks come in
+        // increasing order, as its carry requires. It hands out indices
+        // only and publishes no data (the blocks return through the
+        // join), so `Relaxed` suffices.
+        let mut carry = bucket.start();
+        let mut ran = Vec::new();
+        while let Some(r) = blocks.get(cursor.fetch_add(1, Relaxed)) {
+            let mut block_sink = proto.fork();
+            let rep = bucket.run(&mut carry, r.clone(), &mut block_sink);
+            ran.push((r.start, rep, block_sink));
         }
-    })
-    .unwrap_or_else(|p| resume_unwind(p));
-    if let Some(p) = panic_payload {
-        resume_unwind(p);
-    }
+        ran
+    });
+    let mut done: Vec<_> = ran.into_iter().flatten().collect();
     done.sort_unstable_by_key(|&(start, ..)| start);
     let mut rep = KernelReport {
         parallel_chunks: done.len(),

@@ -22,7 +22,6 @@
 //! concatenation of the serial emission order.
 
 use super::ranges::{closed, within};
-use super::scratch::{Lease, Scratch};
 use super::window::{end_view, window_by};
 use super::{slot_conditions, BindingSink, Compiled, Owned, StartRange, StartWindow};
 use crate::executor::Candidates;
@@ -125,27 +124,26 @@ impl PairSweep {
     /// candidate alive.
     pub(super) fn start<'a>(&'a self, cands: &'a Candidates) -> Alive<'a> {
         let n = cands.len(self.inner_rel);
-        let mut s = Lease::take();
-        s.reset_assignment(2);
-        // Alive structure over the start-sorted inner list.
-        s.next.clear();
-        s.next.extend(0..=n as u32);
         Alive {
             plan: self,
             cands,
-            s,
+            assignment: vec![(Interval::point(0), 0); 2],
+            // Alive structure over the start-sorted inner list.
+            next: (0..=n as u32).collect(),
             retire: if self.contains { n } else { 0 },
         }
     }
 }
 
-/// One thread's pair sweep between its blocks: the alive structure
-/// (leased scratch) and the retirement pointer its last outer interval
+/// One thread's pair sweep between its blocks: the binding being built,
+/// the alive structure (`n + 1` path-halving retirement pointers, the
+/// last a sentinel) and the retirement pointer its last outer interval
 /// left.
 pub(super) struct Alive<'a> {
     plan: &'a PairSweep,
     cands: &'a Candidates,
-    s: Lease,
+    assignment: Vec<(Interval, TupleId)>,
+    next: Vec<u32>,
     retire: usize,
 }
 
@@ -162,10 +160,12 @@ impl Alive<'_> {
         let outer_list = self.cands.list(p.outer_rel);
         let inner_list = self.cands.list(p.inner_rel);
         let n = inner_list.len();
-        let Scratch {
-            assignment, next, ..
-        } = &mut *self.s;
-        let retire = &mut self.retire;
+        let Alive {
+            assignment,
+            next,
+            retire,
+            ..
+        } = self;
         for &oi in &p.outer_order[outer] {
             let (o_iv, o_tid) = outer_list[oi as usize];
             let (s1, e1) = (o_iv.start(), o_iv.end());

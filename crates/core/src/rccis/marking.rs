@@ -86,58 +86,91 @@ pub fn mark_with_options(
     per_rel: PerRelation,
     opts: MarkOptions,
 ) -> Marking {
-    let m = q.num_relations() as usize;
-    assert_eq!(per_rel.len(), m);
-    assert!(
-        m <= MAX_RELATIONS,
-        "marking enumerates relation subsets; m <= 16"
-    );
-    let mut hits: Vec<Vec<bool>> = per_rel.iter().map(|l| vec![false; l.len()]).collect();
-    let mut work = 0u64;
-    let full_mask = (1u32 << m) - 1;
-    for subset in connected_subsets(q) {
-        if opts.enforce_crossing && subset == full_mask {
-            continue; // an output tuple, never a crossing set (Section 6.1)
-        }
-        let members: Vec<usize> = (0..m).filter(|&r| subset & (1 << r) != 0).collect();
-        let needs = &boundary_needs(q, subset, opts);
-        let kept = |r: usize| {
-            let list = per_rel[r].iter().enumerate();
-            list.filter(move |(_, &(iv, _))| needs[r].met(part, p, iv))
-        };
-        if let [r] = members[..] {
-            work += per_rel[r].len() as u64;
-            kept(r).for_each(|(i, _)| hits[r][i] = true);
-            continue;
-        }
-        let mut cands = Candidates::new(members.len());
-        for (slot, &r) in members.iter().enumerate() {
-            kept(r).for_each(|(i, &(iv, _))| cands.push(slot, iv, i as TupleId));
-        }
-        cands.finish();
-        let mut found = Hits(
-            members
-                .iter()
-                .map(|&r| vec![false; per_rel[r].len()])
-                .collect(),
+    Marker::new(q, opts).run(part, p, per_rel)
+}
+
+/// The marking of one query, compiled: what depends on the query alone,
+/// derived once and run on every partition's input. Per connected relation
+/// subset (the full set skipped under C2): its members, each relation's
+/// boundary need, and the induced sub-query the members join on — `None`
+/// for a singleton, which is its filter alone.
+pub(crate) struct Marker {
+    /// The query's relation count.
+    m: usize,
+    subsets: Vec<(Vec<usize>, Vec<BoundaryNeed>, Option<JoinQuery>)>,
+}
+
+impl Marker {
+    pub(crate) fn new(q: &JoinQuery, opts: MarkOptions) -> Marker {
+        let m = q.num_relations() as usize;
+        assert!(
+            m <= MAX_RELATIONS,
+            "marking enumerates relation subsets; m <= 16"
         );
-        let (sub, serial) = (induced(q, &members, |_| true), KernelConfig::serial());
-        work += kernel::execute_into(&sub, &cands, &serial, &[], &mut found).work;
-        for (&r, found) in members.iter().zip(found.0) {
-            (hits[r].iter_mut().zip(found)).for_each(|(hit, f)| *hit |= f);
-        }
+        // The full relation set is an output tuple, never a crossing set
+        // (Section 6.1).
+        let full_mask = (1u32 << m) - 1;
+        let crossing = |&mask: &u32| !(opts.enforce_crossing && mask == full_mask);
+        let subsets = (connected_subsets(q).into_iter().filter(crossing))
+            .map(|mask| {
+                let members: Vec<usize> = (0..m).filter(|&r| mask & (1 << r) != 0).collect();
+                let sub = (members.len() > 1).then(|| induced(q, &members, |_| true));
+                (members, boundary_needs(q, mask, opts), sub)
+            })
+            .collect();
+        Marker { m, subsets }
     }
-    let flagged = (per_rel.iter().zip(hits))
-        .map(|(list, hits)| {
-            let mut tids: Vec<TupleId> = (list.iter().zip(hits))
-                .filter(|&(&(iv, _), hit)| hit && part.index_of(iv.start()) == p)
-                .map(|(&(_, tid), _)| tid)
-                .collect();
-            tids.sort_unstable();
-            tids
-        })
-        .collect();
-    Marking { flagged, work }
+
+    /// The marking of partition `p`, given its input.
+    pub(crate) fn run(
+        &self,
+        part: &Partitioning,
+        p: PartitionIndex,
+        per_rel: PerRelation,
+    ) -> Marking {
+        assert_eq!(per_rel.len(), self.m);
+        let mut hits: Vec<Vec<bool>> = per_rel.iter().map(|l| vec![false; l.len()]).collect();
+        let mut work = 0u64;
+        for (members, needs, sub) in &self.subsets {
+            let kept = |r: usize| {
+                let list = per_rel[r].iter().enumerate();
+                list.filter(move |(_, &(iv, _))| needs[r].met(part, p, iv))
+            };
+            let Some(sub) = sub else {
+                let r = members[0];
+                work += per_rel[r].len() as u64;
+                kept(r).for_each(|(i, _)| hits[r][i] = true);
+                continue;
+            };
+            let mut cands = Candidates::new(members.len());
+            for (slot, &r) in members.iter().enumerate() {
+                kept(r).for_each(|(i, &(iv, _))| cands.push(slot, iv, i as TupleId));
+            }
+            cands.finish();
+            let mut found = Hits(
+                members
+                    .iter()
+                    .map(|&r| vec![false; per_rel[r].len()])
+                    .collect(),
+            );
+            let serial = KernelConfig::serial();
+            work += kernel::execute_into(sub, &cands, &serial, &[], &mut found).work;
+            for (&r, found) in members.iter().zip(found.0) {
+                (hits[r].iter_mut().zip(found)).for_each(|(hit, f)| *hit |= f);
+            }
+        }
+        let flagged = (per_rel.iter().zip(hits))
+            .map(|(list, hits)| {
+                let mut tids: Vec<TupleId> = (list.iter().zip(hits))
+                    .filter(|&(&(iv, _), hit)| hit && part.index_of(iv.start()) == p)
+                    .map(|(&(_, tid), _)| tid)
+                    .collect();
+                tids.sort_unstable();
+                tids
+            })
+            .collect();
+        Marking { flagged, work }
+    }
 }
 
 /// The kernel sink of one subset's join: `0[slot][i]` is set once position

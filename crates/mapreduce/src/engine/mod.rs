@@ -369,23 +369,25 @@ impl Engine {
     }
 }
 
-/// Runs `task` on every item and returns the results in item order: on
-/// the calling thread when there is one item, else on one scoped thread
-/// per item. A panicking task re-raises its original payload once every
-/// thread has been joined, either way.
-fn fan_out<A, T>(items: impl ExactSizeIterator<Item = A>, task: impl Fn(A) -> T + Sync) -> Vec<T>
+/// Runs `f` on every item and returns the results in item order: on the
+/// calling thread when there is one item, else on one scoped thread per
+/// item. A panicking task re-raises its original payload once every
+/// thread has been joined, either way. The map and reduce phases and the
+/// kernels' heavy buckets all run on this one spawn loop (DESIGN.md §11).
+#[allow(clippy::disallowed_methods, reason = "the one spawn loop")]
+pub fn fan_out<A, T>(items: impl ExactSizeIterator<Item = A>, f: impl Fn(A) -> T + Sync) -> Vec<T>
 where
     A: Send,
     T: Send,
 {
     if items.len() <= 1 {
-        return items.map(task).collect();
+        return items.map(f).collect();
     }
-    let task = &task;
+    let f = &f;
     let mut results = Vec::with_capacity(items.len());
     let mut panic_payload: Option<Box<dyn Any + Send>> = None;
     crossbeam::scope(|scope| {
-        let handles: Vec<_> = items.map(|a| scope.spawn(move |_| task(a))).collect();
+        let handles: Vec<_> = items.map(|a| scope.spawn(move |_| f(a))).collect();
         for h in handles {
             match h.join() {
                 Ok(result) => results.push(result),

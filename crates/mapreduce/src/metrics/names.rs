@@ -83,8 +83,8 @@ pub const KERNEL_FALLBACK_BUCKETS: &Counter = &Counter("kernel.fallback_buckets"
 /// (execution-shape: depends on the thread grant).
 pub const KERNEL_PARALLEL_BUCKETS: &Counter = &Counter("kernel.parallel_buckets");
 /// Summed per-bucket peak active-interval count of the event sweep
-/// (execution-shape: the skew-driven thread budget's load signal). Also
-/// recorded as a per-bucket histogram under the same name.
+/// (execution-shape; a diagnostic that no schedule reads). Also recorded
+/// as a per-bucket histogram under the same name.
 pub const KERNEL_ACTIVE_PEAK: &Counter = &Counter("kernel.active_peak");
 
 /// Candidate pairs examined by a join kernel.

@@ -99,6 +99,10 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the holder must die on a thread of its own"
+    )]
     fn panicking_holder_does_not_poison() {
         let lock = Arc::new(Locked::new(0u32));
         let other = Arc::clone(&lock);

@@ -41,6 +41,15 @@ pub fn guard_outlives_statement(m: &parking_lot::Mutex<u64>, l: &parking_lot::Rw
     *held
 }
 
+/// Threads spawned outside `ij_mapreduce::engine::fan_out`: each call
+/// site joins and re-raises (or drops) its threads' panics its own way.
+pub fn own_spawn_loops() -> u64 {
+    let scoped = crossbeam::scope(|s| s.spawn(|_| 1u64).join().unwrap_or(0)).unwrap_or(0);
+    let spawned = std::thread::spawn(|| 2u64).join().unwrap_or(0);
+    let std_scoped = std::thread::scope(|s| s.spawn(|| 3u64).join().unwrap_or(0));
+    scoped + spawned + std_scoped
+}
+
 /// An exception without a justification is itself a diagnostic.
 #[allow(clippy::unwrap_used)]
 pub fn unjustified(o: Option<u64>) -> u64 {

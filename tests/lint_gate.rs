@@ -84,6 +84,10 @@ fn clippy_carries_the_static_invariants() {
             "src/lib.rs",
             "parking_lot::RwLock::write",
         ),
+        // A thread spawned outside `ij_mapreduce::engine::fan_out`.
+        ("disallowed_methods", "src/lib.rs", "crossbeam::scope"),
+        ("disallowed_methods", "src/lib.rs", "std::thread::spawn"),
+        ("disallowed_methods", "src/lib.rs", "std::thread::scope"),
         // The panicking helper in a second module, called from the first.
         ("unwrap_used", "src/helper.rs", "unwrap"),
     ] {
