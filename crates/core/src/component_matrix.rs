@@ -69,7 +69,7 @@ use crate::all_matrix::cells::{every, for_each_consistent, windows_of};
 use crate::all_matrix::CellSpace;
 use crate::executor::Candidates;
 use crate::input::{induced, JoinInput};
-use crate::kernel::{self, BucketJoin, OneSlot, Slot, StartWindow};
+use crate::kernel::{self, BucketJoin, OneSlot, Planned, Slot, StartWindow};
 use crate::output::{OutputMode, RunStats};
 use crate::plan::{Plan, Report, Step};
 use crate::rccis::marking::{self, MarkOptions, Marker};
@@ -541,8 +541,9 @@ pub(crate) struct Stages<'a> {
     /// Relation → its place.
     places: Vec<Place>,
     /// Per group: its colocation sub-query over local slots if it is marked
-    /// and has two or more members, else `None` — nothing to mark or prune.
-    subs: Vec<Option<JoinQuery>>,
+    /// and has two or more members, with the kernel its prune join runs,
+    /// else `None` — nothing to mark or prune.
+    subs: Vec<Option<Planned>>,
     /// Per group: the marking of its `subs` entry, compiled once.
     markers: Vec<Option<Marker>>,
 }
@@ -599,11 +600,12 @@ impl<'a> ComponentMatrix<'a> {
             let algorithm = self.family;
             return Err(AlgoError::Unsupported { algorithm, reason });
         }
-        let subs: Vec<Option<JoinQuery>> = (self.groups.iter())
-            .map(|g| marked(g).then(|| induced(self.query, g, |c| c.is_colocation())))
+        let sub = |g| kernel::with_kernel(induced(self.query, g, |c| c.is_colocation()));
+        let subs: Vec<Option<Planned>> = (self.groups.iter())
+            .map(|g| marked(g).then(|| sub(g)))
             .collect();
         let markers = (subs.iter())
-            .map(|sub| Some(Marker::new(sub.as_ref()?, self.mark_options)))
+            .map(|sub| Some(Marker::new(&sub.as_ref()?.0, self.mark_options)))
             .collect();
         let space = CellSpace::new(
             &vec![&self.part; self.groups.len()],
@@ -745,7 +747,7 @@ impl<'a> Stages<'a> {
         let counters = cm.route_counters.is_some();
         let longest = longest_per_group(longest, &self.places, cm.groups.len());
         let reaches: Vec<Option<Time>> = (self.subs.iter().zip(longest))
-            .map(|(sub, longest)| reach(sub.as_ref()?, longest, cm.mark_options))
+            .map(|(sub, longest)| reach(&sub.as_ref()?.0, longest, cm.mark_options))
             .collect();
         let marked = engine.run_job(
             &format!("{}-mark", cm.family),
@@ -854,7 +856,7 @@ impl<'a> Stages<'a> {
             },
             |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<(u64, u32)>| {
                 let (g, p) = group_partition(ctx.key, p_count);
-                let Some(sub) = &self.subs[g] else {
+                let Some((sub, kind)) = &self.subs[g] else {
                     return; // only marked groups are keyed
                 };
                 let rels = cm.groups[g].as_slice();
@@ -883,7 +885,9 @@ impl<'a> Stages<'a> {
                 cands.finish();
                 let ids = BTreeSet::new();
                 let mut participants = ParticipantSink { rels, ids };
-                kernel::reduce_into(ctx, sub, &cands, &owner, &mut participants);
+                kernel::reduce_with(ctx, |cfg| {
+                    kernel::run_into(*kind, sub, &cands, cfg, &owner, &mut participants)
+                });
                 // A marked group's route projects to the start partition or
                 // replicates from it.
                 let n = self.fine.len();
@@ -1060,10 +1064,7 @@ impl<'a> Stages<'a> {
             space: shares.space,
             sides,
             owner,
-            join: OneSlot {
-                query: cm.query,
-                mode: cm.mode,
-            },
+            join: OneSlot::new(cm.query, cm.mode),
         }
     }
 }

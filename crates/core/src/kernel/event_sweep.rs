@@ -5,8 +5,9 @@
 //! events sorted by `(time, is_end, rel, idx)` — start events before end
 //! events at equal time, so endpoint-touching matches (*meets*-shaped
 //! pairs) are still live when their partner starts. A cursor walks the
-//! events once, maintaining one **gapless** active array per relation:
-//! a start event appends the tuple (recording its slot in a position
+//! events once, maintaining one **gapless** active array per relation,
+//! allocated at the most tuples of the relation the plan saw active at
+//! once: a start event appends the tuple (recording its slot in a position
 //! index), an end event swap-removes it, fixing up the displaced tuple's
 //! slot — the arrays stay densely packed, so probes are pure linear scans
 //! with no skip lists and no per-level binary searches.
@@ -28,22 +29,17 @@
 //! do not qualify (`[0,10] ov [5,15] ov [12,20]` has no common point) and
 //! take the window scan.
 //!
-//! **Ownership.** The trigger holds a binding's latest start, so an owner
-//! dimension the trigger belongs to owns the binding exactly when the
-//! trigger's start lies in its window: each probe program compiles such a
-//! dimension as the trigger alone, a start event outside it skips its
-//! probe, and the other dimensions' bounds intersect into the probe
-//! levels' range pairs (see the [module docs](super)).
+//! **Ownership.** An owner dimension the trigger belongs to compiles as a
+//! bound on the trigger alone, checked before its probe (see the [module
+//! docs](super)); the others intersect into the probe levels' range pairs.
 //!
 //! **Deterministic blocks.** The outer positions are event indices. A
 //! thread's [`Active`] state carries the active arrays from one of its
-//! blocks to the next: the blocks a thread pulls only move forward, so
-//! before a block it applies the events since its previous one (appends
-//! and swap-removes only — no probing, no work charged) and reaches the
-//! exact active-array contents *and order* at the block boundary. No
-//! event is applied twice on one thread. Active state at event `i` is a
-//! pure function of `events[..i]`, so the blocks' emission, absorbed in
-//! block order, is byte-identical to the serial order, and `work` /
+//! blocks to the next, applying the events in between (appends and
+//! swap-removes only — no probing, no work charged), so it reaches the
+//! exact active-array contents *and order* at each block boundary. Active
+//! state at event `i` is a pure function of `events[..i]`, so the blocks'
+//! emission, absorbed in block order, is the serial order, and `work` /
 //! `active_peak` are the serial run's for every thread count.
 
 use super::ranges::{closed, range_pair, within};
@@ -149,6 +145,9 @@ pub(crate) struct EventSweepPlan {
     /// only update the active arrays — their probes would always come up
     /// empty, so they are skipped entirely.
     probe: Vec<bool>,
+    /// Per relation, the most of its tuples active at once: the capacity
+    /// of its active array, so that it never regrows.
+    peaks: Vec<usize>,
 }
 
 /// Which relations can hold the *latest-starting* tuple of a satisfying
@@ -188,6 +187,12 @@ impl EventSweepPlan {
             }
         }
         events.sort_unstable();
+        let (mut now, mut peaks) = (vec![0usize; m], vec![0usize; m]);
+        for e in &events {
+            let r = e.rel as usize;
+            now[r] = if e.end { now[r] - 1 } else { now[r] + 1 };
+            peaks[r] = peaks[r].max(now[r]);
+        }
         let mut adj = vec![Vec::new(); m];
         for c in q.conditions() {
             adj[c.left.rel.idx()].push(c.right.rel.idx());
@@ -205,6 +210,7 @@ impl EventSweepPlan {
             programs,
             gates,
             probe: possible_latest(q),
+            peaks,
         }
     }
 
@@ -213,13 +219,14 @@ impl EventSweepPlan {
         self.events.len()
     }
 
-    /// A thread's sweep before the first event: every active array empty.
+    /// A thread's sweep before the first event: every active array empty,
+    /// at its peak's capacity.
     pub(crate) fn start<'a>(&'a self, cands: &'a Candidates) -> Active<'a> {
-        let m = self.programs.len();
+        let (m, active) = (self.programs.len(), self.peaks.iter());
         Active {
             plan: self,
             cands,
-            active: vec![Vec::new(); m],
+            active: active.map(|&n| Vec::with_capacity(n)).collect(),
             pos: (0..m).map(|r| vec![INACTIVE; cands.len(r)]).collect(),
             assignment: vec![(Interval::point(0), 0); m],
             applied: 0,

@@ -1,82 +1,69 @@
 //! Predicate-specialized reduce-side join kernels.
 //!
 //! Every join reducer funnels into one chunk runner: single-attribute
-//! buckets through [`execute_into`] (via [`reduce_join`] /
-//! [`reduce_into`]), buckets of records that carry several intervals —
-//! the cascade's stages, FCTS's sequence matrix, Gen-Matrix's join —
-//! through [`composite::CompositeJoin`]. A join cycle runs one of the
-//! two as its reducer program (`BucketJoin`: `OneSlot` or the composite
-//! join), whatever family routed the bucket. [`planned_kernel`] reads the
-//! query's condition set — never the bucket — and routes to one of three
-//! kernels; a composite bucket is always a window bucket —
+//! buckets through [`execute_into`] (via [`reduce_join`]), buckets of
+//! records that carry several intervals — the cascade's stages, FCTS's
+//! sequence matrix, Gen-Matrix's join — through
+//! [`composite::CompositeJoin`]. A join cycle runs one of the two as its
+//! reducer program (`BucketJoin`: `OneSlot` or the composite join),
+//! whatever family routed the bucket. [`planned_kernel`] reads the query —
+//! its relation count and condition set, never the bucket — and picks one
+//! of two kernels, once per reducer program; a composite bucket is always
+//! a window bucket:
 //!
-//! | Condition set | Kernel | Counter |
+//! | Query | Kernel | Counter |
 //! |---|---|---|
-//! | two relations, one overlaps/contains-shaped condition | `sweep` (pair sweep: active set with a retirement array) | `kernel.sweep_buckets` |
-//! | colocation, all pairs provably intersecting | `event_sweep` (merged event list, gapless active arrays) | `kernel.event_sweep_buckets` |
-//! | everything else: other colocation sets, sequence sets, mixed sets, composite buckets | `window` (windowed descent: narrower of start/end window) | `kernel.sweep_buckets` |
+//! | three or more relations, colocation, all pairs provably intersecting | `event_sweep` (merged event list, gapless active arrays) | `kernel.event_sweep_buckets` |
+//! | everything else: every two-relation bucket, other colocation sets, sequence sets, mixed sets, composite buckets | `window` (windowed descent: narrower of start/end window, starts bounded by the end range) | `kernel.sweep_buckets` |
 //!
-//! The event-list sweep emits each binding at its latest-starting
-//! tuple's event, which is complete only when every relation pair of a
-//! satisfying assignment intersects (1-D Helly) — `event_sweep::qualifies`
-//! proves that statically for colocation cliques and containment-shaped
-//! chains, while e.g. pure *overlaps* chains take the window scan. The
+//! The event sweep emits each binding at its latest-starting tuple's
+//! event, which is complete only when every relation pair of a satisfying
+//! assignment intersects (1-D Helly): `event_sweep::qualifies` proves that
+//! for colocation cliques and containment-shaped chains, two relations
+//! included, while e.g. pure *overlaps* chains take the window scan. The
 //! window scan is complete for any Allen condition set between the slots
-//! of its rows (a single-attribute candidate is a one-slot row); the two
-//! sweeps only on their domains, and [`execute_kind`] refuses a query
-//! outside the forced kernel's domain instead of substituting another.
-//! Within a domain the choice is purely a performance decision —
-//! property-tested to produce identical result sets, against each other
-//! and against `backtrack`, the `holds`-based windowed-backtracking
-//! reference that is the oracle's engine and is never dispatched. All of
-//! them read one level program (`Compiled`).
+//! of its rows (a single-attribute candidate is a one-slot row), and
+//! outruns the event sweep on two-relation buckets (EXPERIMENTS.md).
+//! [`execute_kind`] refuses a query outside the forced kernel's domain
+//! instead of substituting another. Within a domain the choice is purely
+//! a performance decision, property-tested against the other kernel and
+//! against `backtrack`, the `holds`-based reference that is the oracle's
+//! engine and is never dispatched. Both read one level program
+//! (`Compiled`).
 //!
-//! **Heavy-bucket intra-reducer parallelism.** On a bucket granted several
-//! threads (by the engine's schedule, or by `parallel_threshold` for a
-//! direct caller), the runner cuts the level-0
-//! outer range into many small contiguous blocks — a fixed number per
-//! granted thread — and the granted workers pull block indices from one
-//! shared cursor until none is left. A thread that finishes a cheap block
-//! pulls the next, so a front-loaded bucket (Zipf starts put most of a
-//! sweep's work in its first events) still spreads over every thread,
-//! where one contiguous chunk per thread left the second idle. The cursor
-//! only grows, so each thread receives its blocks in increasing order and
-//! carries its sweep state from one to the next: the event sweep applies
-//! the events between two of its blocks without probing, the pair sweep
-//! continues its retirement pointer, the window scan keeps where each
-//! level's searches ended and starts the next ones there (any start finds
-//! the same window, so its state only saves search steps). Output goes
-//! through an [`OutputSink`]: a worker `fork`s one empty push-only
-//! [`BindingSink`] per block, and the kernel's last level hands it each
-//! filtered window as one run ([`BindingSink::push_run`]) — a static call
-//! the scan loop inlines, folding the run into the count, rows or id set
-//! the reducer wants, not buffering it — and the caller `absorb`s the
-//! blocks in block order. Every kernel emits along a fixed outer order and its
-//! state at an outer position does not depend on which thread got there,
-//! so block `i` holds exactly the bindings the serial run emits for outer
-//! range `i`, in the same order: the sink ends in the serial state and
-//! work units and the active peak are the serial run's for any thread
-//! count. The closure form [`execute`] is one such sink: its blocks buffer
-//! rows that are replayed through its `accept` into `on_output` on the
-//! caller's thread.
+//! **Heavy-bucket parallelism.** On a bucket granted several threads (by
+//! the engine's schedule, or by `parallel_threshold` for a direct caller),
+//! the runner cuts the level-0 outer range into a fixed number of small
+//! contiguous blocks per thread, which the threads pull from one shared
+//! cursor: a thread done with a cheap block pulls the next, so a
+//! front-loaded bucket (Zipf starts put most of a sweep's work in its
+//! first events) still spreads over every thread. The cursor only grows,
+//! so each thread carries its state from one of its blocks to the next:
+//! the event sweep applies the events in between without probing, the
+//! window scan starts its searches where the last ones ended (any start
+//! finds the same window). A worker `fork`s one push-only [`BindingSink`]
+//! per block, the kernel's last level hands it each filtered window as one
+//! run ([`BindingSink::push_run`], a static call the scan loop inlines),
+//! and the caller `absorb`s the blocks in block order. Every kernel emits
+//! along a fixed outer order and its state at an outer position does not
+//! depend on which thread got there, so the sink ends in the serial state,
+//! and work units and the active peak are the serial run's, for any
+//! thread count. The closure form [`execute`] is one such sink: its blocks
+//! buffer rows that are replayed through its `accept` into `on_output` on
+//! the caller's thread.
 //!
 //! **Ownership as window bounds.** A reducer keeps only the bindings its
 //! cell owns: per dimension of the reducer matrix, the right-most start
 //! among the dimension's members lies in the cell's start window. The
 //! kernels take that rule as a value, the *owner* (a [`StartWindow`] per
-//! dimension, empty to keep everything), and compile it into each bucket's
-//! level program (`Compiled`) by `lo ≤ max(p, s) ≤ hi ⟺ p ≤ hi ∧ s ≤ hi ∧
-//! (p ≥ lo ∨ s ≥ lo)`: every member's start is capped at `hi` at its own
-//! level, and the level binding a dimension's last member floors its start
-//! at `lo` unless a member bound earlier already starts there. The window
-//! scan intersects the bounds into a level's start ranges (its binary
-//! searches skip unowned candidates), the pair sweep into its inner scan,
-//! the event sweep into each probe level's range pair — its trigger holds
-//! a binding's latest start, so a dimension the trigger belongs to is a
-//! bound on the trigger alone and a miss skips the probe. An unowned
-//! binding is never enumerated, so no per-binding filter is left. A level
-//! picks its scanned view on its checks alone, so the owned run emits the
-//! unowned run's owned bindings in the same order, with no more work.
+//! dimension, empty to keep everything), compiled into each bucket's level
+//! program as start bounds (`Owned`). The window scan intersects them into
+//! a level's start ranges, the event sweep into each probe level's range
+//! pair; its trigger holds a binding's latest start, so a dimension the
+//! trigger belongs to bounds the trigger alone and a miss skips the probe.
+//! An unowned binding is never enumerated, and a level picks its scanned
+//! view on its checks alone, so the owned run emits the unowned run's
+//! owned bindings in the same order, with no more work.
 //!
 //! **Streaming reducers.** A reducer drains its pull-based
 //! [`ij_mapreduce::ValueStream`] once, in emission order, into
@@ -88,7 +75,6 @@ pub mod composite;
 mod event_sweep;
 mod ranges;
 mod sink;
-mod sweep;
 mod window;
 
 pub use ranges::{range_pair, RangePair};
@@ -125,13 +111,10 @@ type StartRange = (Bound<Time>, Bound<Time>);
 pub type SlotCondition = (Slot, AllenPredicate, Slot);
 
 /// The scan strategy of one bucket. Query-static: [`planned_kernel`]
-/// reads the condition set only, so every bucket of a join cycle runs
-/// the same kernel.
+/// reads the query only, so every bucket of a join cycle runs the same
+/// kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Two-relation active-set sweep with a retirement array (one
-    /// overlaps/contains-shaped condition).
-    PairSweep,
     /// Merged-event-list sweep over gapless active arrays (colocation
     /// sets whose relation pairs all provably intersect).
     EventSweep,
@@ -141,35 +124,34 @@ pub enum KernelKind {
 }
 
 impl KernelKind {
-    /// The per-bucket user counter this kernel increments. Valid for
-    /// every kernel kind regardless of predicate class. The pair sweep
-    /// and the window scan share `kernel.sweep_buckets`.
+    /// The per-bucket user counter this kernel increments.
     pub fn counter(self) -> &'static Counter {
         match self {
-            KernelKind::PairSweep | KernelKind::Window => names::KERNEL_SWEEP_BUCKETS,
+            KernelKind::Window => names::KERNEL_SWEEP_BUCKETS,
             KernelKind::EventSweep => names::KERNEL_EVENT_SWEEP_BUCKETS,
-        }
-    }
-
-    /// Whether this kernel is a complete executor for `q`'s condition set.
-    fn applies_to(self, q: &JoinQuery) -> bool {
-        match self {
-            KernelKind::PairSweep => sweep::eligible(q),
-            KernelKind::EventSweep => event_sweep::qualifies(q),
-            KernelKind::Window => true,
         }
     }
 }
 
-/// The kernel [`execute_into`] routes `q`'s buckets to: the strongest
-/// specialization whose domain holds `q`. Valid for any single-attribute
-/// query of any predicate class — the choice depends only on the
-/// condition set.
+/// A query with its [`planned_kernel`], for a caller that runs many
+/// buckets of it through [`run_into`].
+pub(crate) type Planned = (JoinQuery, KernelKind);
+
+/// `q` as [`Planned`].
+pub(crate) fn with_kernel(q: JoinQuery) -> Planned {
+    let kind = planned_kernel(&q);
+    (q, kind)
+}
+
+/// The kernel [`execute_into`] routes `q`'s buckets to: the event sweep
+/// when `q` binds three or more relations and lies in its domain, else the
+/// window scan. Valid for any single-attribute query.
 pub fn planned_kernel(q: &JoinQuery) -> KernelKind {
-    [KernelKind::PairSweep, KernelKind::EventSweep]
-        .into_iter()
-        .find(|kind| kind.applies_to(q))
-        .unwrap_or(KernelKind::Window)
+    if q.num_relations() >= 3 && event_sweep::qualifies(q) {
+        KernelKind::EventSweep
+    } else {
+        KernelKind::Window
+    }
 }
 
 /// What one [`execute`] call did.
@@ -183,7 +165,7 @@ pub struct KernelReport {
     /// number per thread, at most one per outer position.
     pub parallel_chunks: usize,
     /// Maximum total active-array occupancy the event sweep observed
-    /// (0 for the other kernels), chunk-invariant — a diagnostic, recorded
+    /// (0 for the window scan), chunk-invariant — a diagnostic, recorded
     /// as `kernel.active_peak`; no schedule reads it.
     pub active_peak: u64,
 }
@@ -212,8 +194,7 @@ pub struct KernelConfig {
 }
 
 impl KernelConfig {
-    /// Strictly serial execution. Predicate-class independent: every
-    /// kernel accepts a serial config.
+    /// Strictly serial execution.
     pub fn serial() -> KernelConfig {
         KernelConfig {
             threads: 1,
@@ -458,7 +439,6 @@ impl Compiled {
 
 /// The precomputed, immutable structures of one bucket's kernel.
 enum Plan {
-    Pair(sweep::PairSweep),
     Event(event_sweep::EventSweepPlan),
     Window(window::WindowPlan),
 }
@@ -472,8 +452,8 @@ struct Prepared<'c> {
     cands: &'c Candidates,
 }
 
-/// `None` for a bucket with an empty relation. Precondition:
-/// `kind.applies_to(q)`.
+/// `None` for a bucket with an empty relation. Precondition: `q` lies in
+/// `kind`'s domain ([`execute_kind_into`]).
 fn prepare<'c>(
     kind: KernelKind,
     q: &JoinQuery,
@@ -488,12 +468,10 @@ fn prepare<'c>(
         return None;
     }
     let plan = match kind {
-        KernelKind::PairSweep => Plan::Pair(sweep::PairSweep::new(q, cands, owner)),
         KernelKind::EventSweep => Plan::Event(event_sweep::EventSweepPlan::new(q, cands, owner)),
         KernelKind::Window => Plan::Window(window::WindowPlan::of_query(q, cands, owner)),
     };
     let outer_len = match &plan {
-        Plan::Pair(p) => p.outer_len(),
         Plan::Event(p) => p.outer_len(),
         Plan::Window(p) => p.outer_len,
     };
@@ -526,7 +504,6 @@ trait Chunks {
 
 /// One thread's state between its blocks of a single-attribute bucket.
 enum Carry<'a> {
-    Pair(sweep::Alive<'a>),
     Event(event_sweep::Active<'a>),
     /// The window scan carries where each level's searches ended.
     Window(&'a window::WindowPlan, window::Scan<(Interval, TupleId)>),
@@ -540,7 +517,6 @@ impl Chunks for Prepared<'_> {
 
     fn start(&self) -> Carry<'_> {
         match &self.plan {
-            Plan::Pair(p) => Carry::Pair(p.start(self.cands)),
             Plan::Event(p) => Carry::Event(p.start(self.cands)),
             Plan::Window(p) => Carry::Window(p, p.start(&self.cands.lists)),
         }
@@ -554,7 +530,6 @@ impl Chunks for Prepared<'_> {
     ) -> KernelReport {
         let mut rep = KernelReport::idle(self.kind);
         match carry {
-            Carry::Pair(c) => c.run(outer, sink, &mut rep.work),
             Carry::Event(c) => c.run(outer, sink, &mut rep.work, &mut rep.active_peak),
             Carry::Window(p, scan) => p.run(&self.cands.lists, scan, outer, sink, &mut rep.work),
         }
@@ -562,12 +537,28 @@ impl Chunks for Prepared<'_> {
     }
 }
 
+/// [`execute_into`] on `kind`, which the caller chose once for every
+/// bucket of `q`. Precondition: `q` lies in `kind`'s domain.
+pub(crate) fn run_into(
+    kind: KernelKind,
+    q: &JoinQuery,
+    cands: &Candidates,
+    cfg: &KernelConfig,
+    owner: &[StartWindow],
+    sink: &mut impl OutputSink,
+) -> KernelReport {
+    let total = cands.lists.iter().map(Vec::len).sum();
+    match prepare(kind, q, cands, owner) {
+        Some(prep) => drive(kind, (prep.outer_len, total), cfg, &prep, sink),
+        None => KernelReport::idle(kind),
+    }
+}
+
 /// [`execute_into`] with the `kind` kernel forced — the entry point for
 /// equivalence tests and benches. Returns `None`, having run nothing, when
-/// `q` lies outside `kind`'s domain: the pair sweep takes two relations
-/// joined by one overlaps/contains-shaped condition, the event sweep
-/// colocation sets whose relation pairs all provably intersect, the window
-/// scan any single-attribute condition set.
+/// `q` lies outside `kind`'s domain: the event sweep takes colocation sets
+/// whose relation pairs all provably intersect, two relations included,
+/// the window scan any single-attribute condition set.
 pub fn execute_kind_into(
     kind: KernelKind,
     q: &JoinQuery,
@@ -576,12 +567,8 @@ pub fn execute_kind_into(
     owner: &[StartWindow],
     sink: &mut impl OutputSink,
 ) -> Option<KernelReport> {
-    let total = cands.lists.iter().map(Vec::len).sum();
-    kind.applies_to(q)
-        .then(|| match prepare(kind, q, cands, owner) {
-            Some(prep) => drive(kind, (prep.outer_len, total), cfg, &prep, sink),
-            None => KernelReport::idle(kind),
-        })
+    let in_domain = kind == KernelKind::Window || event_sweep::qualifies(q);
+    in_domain.then(|| run_into(kind, q, cands, cfg, owner, sink))
 }
 
 /// [`execute_kind_into`] on one thread, handing each binding to
@@ -669,15 +656,11 @@ fn drive<S: OutputSink>(
     rep
 }
 
-/// Dispatching kernel execution with heavy-bucket parallelism, feeding an
-/// [`OutputSink`] the bindings `owner` owns. Precondition: any
-/// single-attribute query; the kernel is [`planned_kernel`]`(q)`.
-///
-/// When the bucket's total candidate count reaches
-/// `cfg.parallel_threshold` and `cfg.threads > 1`, the outer iteration is
-/// cut into blocks that `cfg.threads` scoped workers pull in order; the
-/// sink ends in the serial run's state for every thread count, as do
-/// `work` and `active_peak`.
+/// Dispatching kernel execution with heavy-bucket parallelism (see the
+/// [module docs](self)), feeding an [`OutputSink`] the bindings `owner`
+/// owns: the sink ends in the serial run's state for every `cfg`, as do
+/// `work` and `active_peak`. Precondition: any single-attribute query; the
+/// kernel is [`planned_kernel`]`(q)`.
 pub fn execute_into(
     q: &JoinQuery,
     cands: &Candidates,
@@ -685,19 +668,15 @@ pub fn execute_into(
     owner: &[StartWindow],
     sink: &mut impl OutputSink,
 ) -> KernelReport {
-    execute_kind_into(planned_kernel(q), q, cands, cfg, owner, sink)
-        .expect("every query lies in its planned kernel's domain")
+    run_into(planned_kernel(q), q, cands, cfg, owner, sink)
 }
 
 /// The closure form of [`execute_into`] with no owner: `on_output`
 /// observes every binding `accept` admits on the calling thread, in serial
-/// emission order. Precondition: any single-attribute query (same
-/// predicate-class routing as [`execute_into`]).
-///
-/// On the parallel path each outer block buffers its rows (intervals and
-/// ids) and the caller filters and replays them in block order once every
-/// worker has finished — reducers that only count, collect rows or build a
-/// set should pass a folding sink to [`execute_into`] instead.
+/// emission order. On the parallel path each outer block buffers its rows,
+/// replayed in block order once every worker has finished — a reducer that
+/// only counts, collects rows or builds a set passes a folding sink to
+/// [`execute_into`] instead.
 pub fn execute<A, F>(
     q: &JoinQuery,
     cands: &Candidates,
@@ -724,7 +703,7 @@ where
 /// the engine granted (the one parallelism decision: only a heavy bucket
 /// gets several); the report's work units go to the cost model and the
 /// `kernel.*` counters.
-fn reduce_with(
+pub(crate) fn reduce_with(
     ctx: &mut ReduceCtx,
     run: impl FnOnce(&KernelConfig) -> KernelReport,
 ) -> KernelReport {
@@ -747,21 +726,6 @@ fn reduce_with(
     rep
 }
 
-/// Runs a bucket inside a reducer into `sink`: derives the
-/// [`KernelConfig`] from the engine's per-bucket thread budget, reports
-/// the work units to the cost model and maintains the `kernel.*`
-/// counters. Precondition: any single-attribute query; the dispatcher
-/// picks the kernel by predicate class.
-pub fn reduce_into(
-    ctx: &mut ReduceCtx,
-    q: &JoinQuery,
-    cands: &Candidates,
-    owner: &[StartWindow],
-    sink: &mut impl OutputSink,
-) -> KernelReport {
-    reduce_with(ctx, |cfg| execute_into(q, cands, cfg, owner, sink))
-}
-
 /// The tail of every join reducer, single-attribute or composite:
 /// [`reduce_with`] joining the bucket into `rec`, then `join.candidates`
 /// (the work) and `join.emitted` (`rec`'s tuples), and `rec` to `out`
@@ -779,9 +743,9 @@ pub(crate) fn reduce_rec(
     rep
 }
 
-/// The reducer of a join cycle: [`reduce_into`] with the sink `mode`
-/// calls for, keeping the bindings `owner` owns, leaving in `out` the
-/// reducer's one record — its
+/// The reducer of a join cycle: [`execute_into`] under the engine's
+/// thread budget into the sink `mode` calls for, keeping the bindings
+/// `owner` owns, leaving in `out` the reducer's one record — its
 /// `OutRec::Rows` table when materializing, its `OutRec::Count` when
 /// counting, nothing if it found no tuple — plus the `join.candidates` /
 /// `join.emitted` counters. Precondition: any single-attribute query.
@@ -793,11 +757,7 @@ pub fn reduce_join(
     owner: &[StartWindow],
     out: &mut Vec<OutRec>,
 ) -> KernelReport {
-    let rec = OutRec::new(mode, q.num_relations() as usize);
-    reduce_rec(ctx, rec, out, |cfg, rec| match rec {
-        OutRec::Count(n) => execute_into(q, cands, cfg, owner, n),
-        OutRec::Rows(rows) => execute_into(q, cands, cfg, owner, rows),
-    })
+    OneSlot::new(q, mode).join(ctx, cands, owner, out)
 }
 
 /// The reducer program of a join cycle over records `R`: joins one bucket,
@@ -815,10 +775,35 @@ pub(crate) trait BucketJoin<R>: Sync {
 }
 
 /// The single-attribute program: a bucket of [`IvRec`]s, one relation per
-/// query relation, joined by [`reduce_join`].
+/// query relation, joined by [`reduce_join`] on the kernel chosen when the
+/// program is built.
 pub(crate) struct OneSlot<'q> {
-    pub query: &'q JoinQuery,
-    pub mode: OutputMode,
+    query: &'q JoinQuery,
+    mode: OutputMode,
+    kind: KernelKind,
+}
+
+impl<'q> OneSlot<'q> {
+    pub(crate) fn new(query: &'q JoinQuery, mode: OutputMode) -> Self {
+        let kind = planned_kernel(query);
+        OneSlot { query, mode, kind }
+    }
+
+    /// [`reduce_join`] of one bucket.
+    fn join(
+        &self,
+        ctx: &mut ReduceCtx,
+        cands: &Candidates,
+        owner: &[StartWindow],
+        out: &mut Vec<OutRec>,
+    ) -> KernelReport {
+        let (q, kind) = (self.query, self.kind);
+        let rec = OutRec::new(self.mode, q.num_relations() as usize);
+        reduce_rec(ctx, rec, out, |cfg, rec| match rec {
+            OutRec::Count(n) => run_into(kind, q, cands, cfg, owner, n),
+            OutRec::Rows(rows) => run_into(kind, q, cands, cfg, owner, rows),
+        })
+    }
 }
 
 impl BucketJoin<IvRec> for OneSlot<'_> {
@@ -834,7 +819,7 @@ impl BucketJoin<IvRec> for OneSlot<'_> {
             cands.push(v.rel.idx(), v.iv, v.tid);
         }
         cands.finish();
-        reduce_join(ctx, self.query, &cands, self.mode, owner, out);
+        self.join(ctx, &cands, owner, out);
     }
 }
 
@@ -988,18 +973,13 @@ mod tests {
         assert_eq!(planned_kernel(&clique3()), KernelKind::EventSweep);
         let containment = JoinQuery::chain(&[Contains, Contains]).unwrap();
         assert_eq!(planned_kernel(&containment), KernelKind::EventSweep);
-        // Pair-shaped queries keep the pair sweep, the strongest
-        // specialization, although they qualify for the event sweep too.
-        for p in [Overlaps, OverlappedBy, Contains, ContainedBy] {
+        // Every two-relation query takes the window scan, although its
+        // colocation ones lie in the event sweep's domain too.
+        for p in [Overlaps, OverlappedBy, Contains, ContainedBy, Meets, Equals] {
             let pair = JoinQuery::chain(&[p]).unwrap();
-            assert_eq!(planned_kernel(&pair), KernelKind::PairSweep, "{p}");
-            assert!(KernelKind::EventSweep.applies_to(&pair), "{p}");
+            assert_eq!(planned_kernel(&pair), KernelKind::Window, "{p}");
+            assert!(event_sweep::qualifies(&pair), "{p}");
         }
-        // Other two-relation colocation predicates are event-sweep buckets.
-        assert_eq!(
-            planned_kernel(&JoinQuery::chain(&[Meets]).unwrap()),
-            KernelKind::EventSweep
-        );
     }
 
     #[test]
@@ -1010,13 +990,7 @@ mod tests {
             execute_kind(kind, q, c, &[], |_| panic!("nothing may run")).is_none()
         };
         let chain = JoinQuery::chain(&[Overlaps, Overlaps]).unwrap();
-        assert!(refused(KernelKind::PairSweep, &chain, &c3));
         assert!(refused(KernelKind::EventSweep, &chain, &c3));
-        assert!(refused(
-            KernelKind::PairSweep,
-            &JoinQuery::chain(&[Meets]).unwrap(),
-            &c2
-        ));
         assert!(refused(
             KernelKind::EventSweep,
             &JoinQuery::chain(&[Before]).unwrap(),
@@ -1089,7 +1063,7 @@ mod tests {
         let q = clique3();
         let c = random_cands(3, 30, 5);
         let mut ctx = ReduceCtx::new(0);
-        let rep = reduce_into(&mut ctx, &q, &c, &[], &mut 0u64);
+        let rep = reduce_join(&mut ctx, &q, &c, OutputMode::Count, &[], &mut Vec::new());
         assert_eq!(rep.kind, KernelKind::EventSweep);
         assert_eq!(ctx.counters().get("kernel.event_sweep_buckets"), 1);
         assert_eq!(ctx.counters().get("kernel.active_peak"), rep.active_peak);
@@ -1107,18 +1081,20 @@ mod tests {
                 forced(KernelKind::Window, &q, &c),
                 "{p}: window scan != reference"
             );
-            // The dispatched kernel (pair or event sweep where they apply).
-            assert_eq!(
-                reference,
-                forced(planned_kernel(&q), &q, &c),
-                "{p}: dispatched kernel != reference"
-            );
+            // The event sweep, on the colocation predicates.
+            if p.is_colocation() {
+                assert_eq!(
+                    reference,
+                    forced(KernelKind::EventSweep, &q, &c),
+                    "{p}: event sweep != reference"
+                );
+            }
         }
     }
 
     #[test]
     fn parallel_output_is_byte_identical_and_work_invariant() {
-        // The window scan on a chain, the pair sweep on a pair.
+        // The window scan on a chain and on a pair.
         for q in [
             JoinQuery::chain(&[Overlaps, Overlaps]).unwrap(),
             JoinQuery::chain(&[Overlaps]).unwrap(),
@@ -1155,14 +1131,18 @@ mod tests {
     }
 
     /// Each bucket's level-0 keys in outer order, from the candidates
-    /// alone: every endpoint time for the event sweep, relation 0's ends
-    /// for the pair sweep (ascending or descending, as the shape wants).
+    /// alone: every endpoint time for the event sweep, relation 0's starts
+    /// for the window scan (which binds relation 0 first here).
     fn outer_keys(kind: KernelKind, c: &Candidates) -> Vec<i64> {
         let mut keys: Vec<(i64, bool)> = match kind {
             KernelKind::EventSweep => (c.lists.iter().flatten())
                 .flat_map(|(iv, _)| [(iv.start(), false), (iv.end(), true)])
                 .collect(),
-            _ => c.list(0).iter().map(|(iv, _)| (iv.end(), true)).collect(),
+            KernelKind::Window => c
+                .list(0)
+                .iter()
+                .map(|(iv, _)| (iv.start(), false))
+                .collect(),
         };
         keys.sort_unstable();
         keys.into_iter().map(|(t, _)| t).collect()
@@ -1189,14 +1169,8 @@ mod tests {
         let cases = [
             (KernelKind::EventSweep, clique3()),
             (KernelKind::EventSweep, JoinQuery::chain(&[Starts]).unwrap()),
-            (
-                KernelKind::PairSweep,
-                JoinQuery::chain(&[Overlaps]).unwrap(),
-            ),
-            (
-                KernelKind::PairSweep,
-                JoinQuery::chain(&[Contains]).unwrap(),
-            ),
+            (KernelKind::Window, JoinQuery::chain(&[Overlaps]).unwrap()),
+            (KernelKind::Window, JoinQuery::chain(&[Contains]).unwrap()),
         ];
         for (kind, q) in cases {
             let (mut inside_a_group, mut gaps) = (false, false);
@@ -1285,11 +1259,7 @@ mod tests {
             got
         };
         let (once, twice) = ([(1, 0)], [(1, 0), (1, 0)]);
-        for kind in [
-            KernelKind::PairSweep,
-            KernelKind::EventSweep,
-            KernelKind::Window,
-        ] {
+        for kind in [KernelKind::EventSweep, KernelKind::Window] {
             let want = run(kind, &[(20, 39, &once[..])]);
             assert!(!want.is_empty() && want.len() < run(kind, &[]).len());
             assert_eq!(run(kind, &[(20, 39, &twice[..])]), want, "{kind:?}");
@@ -1305,7 +1275,7 @@ mod tests {
         let serial = KernelConfig::serial();
         let rep = execute(&q, &c, &serial, |_| true, |_| panic!("no outputs"));
         assert_eq!(rep.work, 0);
-        assert_eq!(rep.kind, KernelKind::PairSweep);
+        assert_eq!(rep.kind, KernelKind::Window);
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! A kernel hands its last level's bindings over as *runs*: the partial
 //! binding, the slot the last level binds and the rows of that level's
 //! window that pass its filters, in scan order ([`BindingSink::push_run`]).
-//! A run is lazy — its filter runs as the sink pulls it, and the pair
-//! sweep's walk over its alive inners counts its work as it goes — so a
-//! sink consumes every row of a run, in order, exactly once. The default
+//! A run is lazy — its filter runs as the sink pulls it — so a sink
+//! consumes every row of a run, in order, exactly once. The default
 //! body binds each row and [`push`](BindingSink::push)es the binding; the
 //! count sink adds the run's length and the row sink writes the run's rows
 //! into its last block, found once per run, so the scan loop and the

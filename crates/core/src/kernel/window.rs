@@ -1,6 +1,6 @@
 //! The windowed descent — the one recursion behind every bucket that is
-//! neither a pair sweep nor an event sweep: other colocation, sequence
-//! and mixed Allen condition sets, and every composite bucket.
+//! not an event sweep: every two-relation bucket, other colocation,
+//! sequence and mixed Allen condition sets, and every composite bucket.
 //!
 //! A bucket is one list of [`Row`]s per side; a row holds one interval
 //! per *slot* (a single-attribute candidate is a one-slot row). Sides
@@ -11,57 +11,58 @@
 //! kernel scans whichever is narrower, filters by the key slot's other
 //! range with one comparison and by every other slot's pair — range
 //! membership *is* predicate truth (see [`super::ranges`]), so there is
-//! no `holds` re-check. For `overlaps` with long outer intervals the end
-//! window (`e2 > e1`) is often tiny while the start window
-//! (`s2 ∈ (s1, e1)`) is huge.
+//! no `holds` re-check.
+//!
+//! A row ends `S` to `L` after it starts, `S` and `L` its side's shortest
+//! and longest key-slot interval, so where a check constrains the key
+//! slot's end to `(A, B)`, its start lies in `(A ⊖ L, B ⊖ S)` (a side that
+//! underflows is unbounded). A level intersects that bound into the key
+//! slot's start range before it searches: its start window holds only the
+//! rows whose length lets them reach the end range, and the end window is
+//! narrower only where the side's lengths vary.
 //!
 //! The bucket's owner (see the [module docs](super)) narrows each level's
-//! start ranges: the key slot's start window is cut to the owned range
-//! before it is scanned, the other slots' pairs are filtered as before,
-//! and a floor over several slots of one composite side is a row test.
-//! Which view a level scans is decided on the checks alone, so the
-//! emission order is the unowned run's minus the unowned bindings.
+//! start ranges further: the key slot's start window is cut to the owned
+//! range before it is scanned, the other slots' pairs are filtered, and a
+//! floor over several slots of one composite side is a row test. Which
+//! view a level scans is decided on the checks alone, so the emission
+//! order is the unowned run's minus the unowned bindings.
 //!
-//! A side may have an end view only when some check on its key slot
-//! constrains the end point ([`constrains_end`]). `before` does not: a
-//! sequence level sorts nothing, always scans the start suffix and *is*
-//! the merge join — same candidates, same order. Even then the view is
-//! built only when a level needs it to pick. With `L` the side's longest
-//! key-slot interval, a row ends at most `L` after it starts, so for the
-//! end range `(A, B)` every row starting in `(A, B ⊖ L]` ends inside it
-//! and only the rows starting in `(A ⊖ L, B)` can: when the start-sorted
-//! list holds at least as many of the first as the start window, the end
-//! window cannot be strictly narrower and the level scans the start
-//! window — the pick the view would make. When few rows are of the second
-//! kind, their ends are tested directly and a narrower end window is
-//! gathered from them and sorted as the view would order it. Otherwise,
-//! or once a level has tested as many rows as the side holds, the view is
-//! built, once per bucket in a `OnceLock` shared by its threads, and the
-//! exact comparison runs on it. On sparse data no view is built.
+//! A side has an end view only when some check on its key slot constrains
+//! the end point ([`constrains_end`]). `before` does not: a sequence level
+//! sorts nothing, always scans the start suffix and *is* the merge join.
+//! Even then the view is built only when a level needs it to pick. Every
+//! row starting in `(A, B ⊖ L]` ends in `(A, B)`, and only the *near* rows,
+//! starting in `(A ⊖ L, B)`, can: when the start-sorted list holds at
+//! least as many of the first as the start window, the end window cannot
+//! be strictly narrower and the level scans the start window — the pick
+//! the view would make. When the near rows are few, their ends are tested
+//! directly and the end window is gathered from them in the view's order.
+//! Otherwise, or once a level has tested as many rows as the side holds,
+//! the view is built, once per bucket in a `OnceLock` shared by its
+//! threads, and the exact comparison runs on it. On sparse data no view is
+//! built.
 //!
 //! Every window is found by galloping (exponential search) from where the
 //! level's previous search of the same list ended, its upper end from its
-//! lower one: the bound rows of one level move little from one outer
-//! position to the next, so a search costs the log of the distance moved,
-//! not of the list. Those positions are a thread's [`Scan`], carried from
-//! one of its outer blocks to the next; any position gives the same
-//! window, so the output, the work and the emission order do not depend
-//! on them.
+//! lower one, so a search costs the log of the distance the level's rows
+//! moved, not of the list. Those positions are a thread's [`Scan`],
+//! carried from one of its outer blocks to the next; any position gives
+//! the same window, so the output, the work and the emission order do not
+//! depend on them.
 //!
-//! The last level binds no deeper level: its filtered window goes to the
-//! sink as one run ([`BindingSink::push_run`]), the key slot's other
-//! range and the owned start range normalized once per run to inclusive
-//! bounds, so a single-attribute row is tested by two compares and a count
-//! sink only counts what passes. A one-level program hands its level-0
-//! rows over the same way.
-//!
+//! The last level (level 0 of a one-level program) hands its filtered
+//! window to the sink as one run ([`BindingSink::push_run`]), its ranges
+//! normalized once per run to inclusive bounds, so a single-attribute row
+//! is tested by two compares and a count sink only counts what passes.
 //! Outer iteration (level 0) is a contiguous range of the first-bound
 //! side's list, so the chunk runner in [`super`] can cut it: a level's
 //! scan depends only on the immutable sorted views and the partial
-//! binding, making chunked output a permutation-free concatenation of the
-//! serial emission order.
+//! binding, so the chunks' output concatenates to the serial emission
+//! order.
 
 use super::ranges::{closed, constrains_end, intersect_range, range_pair, within};
+use super::ranges::{tighten_lower, tighten_upper};
 use super::{binding_order, slot_conditions, BindingSink, Compiled, RangePair};
 use super::{StartRange, StartWindow};
 use crate::executor::Candidates;
@@ -180,6 +181,8 @@ struct EndView {
     /// The longest key-slot interval of the side: every row ends at most
     /// this far after its start.
     longest: u64,
+    /// The shortest: every row ends at least this far after its start.
+    shortest: u64,
     /// The view, once a level has needed it.
     view: OnceLock<Vec<(Time, u32)>>,
 }
@@ -213,6 +216,19 @@ fn moved_down(bound: Bound<Time>, by: u64) -> Option<Bound<Time>> {
 }
 
 impl EndView {
+    /// Narrows `rp`'s start range to the rows that can end in its end
+    /// range `[A, B]` (closed): to `[A − longest, B − shortest]`, a side
+    /// that falls below `Time::MIN` left as it is.
+    fn bound(&self, rp: &mut RangePair) {
+        let (a, b) = closed(rp.end);
+        if let Some(lo) = a.checked_sub_unsigned(self.longest) {
+            rp.start.0 = tighten_lower(rp.start.0, Bound::Included(lo));
+        }
+        if let Some(hi) = b.checked_sub_unsigned(self.shortest) {
+            rp.start.1 = tighten_upper(rp.start.1, Bound::Included(hi));
+        }
+    }
+
     /// The end window over `end` of the side's `list`, told from the
     /// start order against the start window's `size`. A row ends at most
     /// `longest` after it starts, so the rows that start in `end` at least
@@ -319,8 +335,11 @@ impl WindowPlan {
             let key = compiled.key[level];
             if (compiled.checks[level].iter()).any(|&(_, p, s)| s == key && constrains_end(p)) {
                 let length = |row: &R| row.at(key).end().abs_diff(row.at(key).start());
+                let (shortest, longest) = (lists[side].iter().map(length))
+                    .fold((u64::MAX, 0), |(s, l), n| (s.min(n), l.max(n)));
                 ends[side] = Some(EndView {
-                    longest: lists[side].iter().map(length).max().unwrap_or(0),
+                    longest,
+                    shortest,
                     view: OnceLock::new(),
                 });
             }
@@ -438,6 +457,10 @@ impl WindowPlan {
                 Some(i) => rps[i].intersect(&pair),
                 None => rp.intersect(&pair),
             }
+        }
+        // The key slot's end range bounds its start ([`EndView::bound`]).
+        if let Some(ev) = &self.ends[side] {
+            ev.bound(&mut rp);
         }
         // The owner's bounds narrow the key slot's start range to `owned`
         // and the other slots' pairs; the scanned view is picked on the
@@ -649,9 +672,10 @@ mod tests {
     }
 
     /// The descent with every end view built up front and every window
-    /// found by a fresh binary search, taking the end window whenever it
-    /// is strictly narrower: the rows from `level` on under the binding
-    /// `a`, and their work, into `out`. One-slot rows, no owner.
+    /// found by a fresh binary search, the start range bounded by the end
+    /// range and the side's lengths, taking the end window whenever it is
+    /// strictly narrower: the rows from `level` on under the binding `a`,
+    /// and their work, into `out`. One-slot rows, no owner.
     fn eager(
         plan: &WindowPlan,
         c: &Candidates,
@@ -668,6 +692,9 @@ mod tests {
         let mut rp = RangePair::full();
         for &((bound, _), pred, _) in &plan.compiled.checks[level] {
             rp.intersect(&range_pair(pred, a[bound].0));
+        }
+        if let Some(ev) = &plan.ends[side] {
+            ev.bound(&mut rp);
         }
         let (from, to) = window_by(list, |r| r.0.start(), rp.start.0, rp.start.1);
         let mut rows = list[from..to].to_vec();
@@ -718,6 +745,71 @@ mod tests {
             assert_eq!(built, builds, "{q}");
             assert_eq!(got, eagerly(&plan, &c), "{q}");
         }
+    }
+
+    /// Two relations joined by `r0 pred r1`, one row each `(start, end)`
+    /// with its list index as its id: the bindings the descent finds,
+    /// sorted, having checked them against the reference and the eager
+    /// descent's rows and work.
+    fn pair_join(pred: AllenPredicate, r0: &[(Time, Time)], r1: &[(Time, Time)]) -> Vec<[u32; 2]> {
+        let mut c = Candidates::new(2);
+        for (r, rows) in [r0, r1].into_iter().enumerate() {
+            for (t, &(s, e)) in rows.iter().enumerate() {
+                c.push(r, Interval::new(s, e).unwrap(), t as TupleId);
+            }
+        }
+        c.finish();
+        let q = JoinQuery::chain(&[pred]).unwrap();
+        let plan = WindowPlan::of_query(&q, &c, &[]);
+        assert_eq!(plan.compiled.order, vec![0, 1], "{q}");
+        let (rows, work) = scanned(&plan, &c, &[]);
+        assert_eq!((rows.clone(), work), eagerly(&plan, &c), "{q}");
+        let mut want = Vec::new();
+        super::super::backtrack::reference_join(&q, &c, |a| want.push([a[0].1, a[1].1]));
+        want.sort();
+        let mut got: Vec<[u32; 2]> = rows.iter().map(|r| [r[0], r[1]]).collect();
+        got.sort();
+        assert_eq!(got, want, "{q}");
+        got
+    }
+
+    /// Relation 1's rows are 2 to 5 ticks long, so an end range `(A, B)`
+    /// bounds their starts to `(A − 5, B − 2)`: the row of exactly the
+    /// longest length ending on the lower end bound, and the row of
+    /// exactly the shortest ending on the upper one, start on the start
+    /// bound's edges — `Included` (`finished-by`: the end is `e1`) and
+    /// `Excluded` (`overlaps`: above `e1`; `contains`: below `e1`) alike —
+    /// and are found.
+    #[test]
+    fn the_length_bound_keeps_the_rows_on_its_edges() {
+        // End in [10, 10]: starts in [5, 8].
+        let got = pair_join(FinishedBy, &[(0, 10)], &[(5, 10), (8, 10), (6, 9)]);
+        assert_eq!(got, [[0, 0], [0, 1]]);
+        // End in (10, ∞): starts above 5 (and in (0, 10)).
+        let got = pair_join(Overlaps, &[(0, 10)], &[(6, 11), (9, 11), (3, 8)]);
+        assert_eq!(got, [[0, 0], [0, 1]]);
+        // End in (0, 20): starts in (−5, 18).
+        let got = pair_join(Contains, &[(0, 20)], &[(17, 19), (1, 6), (18, 20)]);
+        assert_eq!(got, [[0, 0], [0, 1]]);
+    }
+
+    /// At the `i64` extremes `A − longest` underflows and leaves the start
+    /// unbounded below; an upper bound that underflows admits no row
+    /// anyway, and is left unbounded too.
+    #[test]
+    fn the_length_bound_is_unbounded_where_it_underflows() {
+        let (min, max) = (Time::MIN, Time::MAX);
+        // End in (MIN, MAX), longest MAX − 1: the lower start bound
+        // underflows.
+        let got = pair_join(Contains, &[(min, max)], &[(min + 1, min + 2), (0, max - 1)]);
+        assert_eq!(got, [[0, 0], [0, 1]]);
+        // End in (MIN, MIN + 3), shortest 9: the upper one does.
+        let got = pair_join(
+            Contains,
+            &[(min, min + 3)],
+            &[(min + 1, min + 10), (0, max)],
+        );
+        assert!(got.is_empty());
     }
 
     /// Views built on demand, gathered end windows and galloping searches

@@ -63,10 +63,7 @@ impl OneBucketTheta {
         engine: &Engine,
     ) -> Result<JobOutput<OutRec>, EngineError> {
         let (rows, cols, seed) = (self.rows as u64, self.cols as u64, self.seed);
-        let join = OneSlot {
-            query,
-            mode: self.mode,
-        };
+        let join = OneSlot::new(query, self.mode);
         engine.run_job(
             "one-bucket-theta",
             &iv_records(input),

@@ -19,7 +19,8 @@
 //!    query edges leaving the subset) — the need depends on the candidate
 //!    alone, so it is a filter before the join, not a check inside it;
 //! 2. the filtered lists are joined on the subset's induced sub-query by
-//!    the reducer kernels ([`kernel::execute_into`]), with list positions
+//!    the reducer kernels ([`kernel::execute_into`], on the kernel chosen
+//!    once per subset), with list positions
 //!    as tuple ids; a singleton subset is its filter alone;
 //! 3. every position in some binding is a member of a crossing set.
 //!
@@ -28,7 +29,7 @@
 
 use crate::executor::Candidates;
 use crate::input::induced;
-use crate::kernel::{self, BindingSink, KernelConfig, OutputSink};
+use crate::kernel::{self, BindingSink, KernelConfig, OutputSink, Planned};
 use ij_interval::{Interval, PartitionIndex, Partitioning, TupleId};
 use ij_query::JoinQuery;
 
@@ -92,12 +93,12 @@ pub fn mark_with_options(
 /// The marking of one query, compiled: what depends on the query alone,
 /// derived once and run on every partition's input. Per connected relation
 /// subset (the full set skipped under C2): its members, each relation's
-/// boundary need, and the induced sub-query the members join on — `None`
-/// for a singleton, which is its filter alone.
+/// boundary need, and the induced sub-query the members join on with the
+/// kernel it runs — `None` for a singleton, which is its filter alone.
 pub(crate) struct Marker {
     /// The query's relation count.
     m: usize,
-    subsets: Vec<(Vec<usize>, Vec<BoundaryNeed>, Option<JoinQuery>)>,
+    subsets: Vec<(Vec<usize>, Vec<BoundaryNeed>, Option<Planned>)>,
 }
 
 impl Marker {
@@ -114,7 +115,8 @@ impl Marker {
         let subsets = (connected_subsets(q).into_iter().filter(crossing))
             .map(|mask| {
                 let members: Vec<usize> = (0..m).filter(|&r| mask & (1 << r) != 0).collect();
-                let sub = (members.len() > 1).then(|| induced(q, &members, |_| true));
+                let sub = (members.len() > 1)
+                    .then(|| kernel::with_kernel(induced(q, &members, |_| true)));
                 (members, boundary_needs(q, mask, opts), sub)
             })
             .collect();
@@ -136,7 +138,7 @@ impl Marker {
                 let list = per_rel[r].iter().enumerate();
                 list.filter(move |(_, &(iv, _))| needs[r].met(part, p, iv))
             };
-            let Some(sub) = sub else {
+            let Some((sub, kind)) = sub else {
                 let r = members[0];
                 work += per_rel[r].len() as u64;
                 kept(r).for_each(|(i, _)| hits[r][i] = true);
@@ -154,7 +156,7 @@ impl Marker {
                     .collect(),
             );
             let serial = KernelConfig::serial();
-            work += kernel::execute_into(sub, &cands, &serial, &[], &mut found).work;
+            work += kernel::run_into(*kind, sub, &cands, &serial, &[], &mut found).work;
             for (&r, found) in members.iter().zip(found.0) {
                 (hits[r].iter_mut().zip(found)).for_each(|(hit, f)| *hit |= f);
             }

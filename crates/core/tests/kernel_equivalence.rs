@@ -3,10 +3,10 @@
 //! cliques over all 13 Allen predicates it must produce exactly the result
 //! set of the `holds`-based reference and of `oracle_join` — as must
 //! whatever kernel the dispatcher picks — on ordinary intervals and on
-//! intervals drawn from the `i64` extremes alike. The pair sweep and the
-//! event-list sweep are complete only on their domains; the event sweep
-//! is checked on colocation cliques and containment chains of arity 3–4,
-//! every generated case of which must really run it. Two pinned buckets
+//! intervals drawn from the `i64` extremes alike. The event-list sweep is
+//! complete only on its domain; it is checked on colocation cliques and
+//! containment chains of arity 3–4, every generated case of which must
+//! really run it, and forced on two-relation colocation queries. Two pinned buckets
 //! hold the window scan to the emission sequence and work of the
 //! `sort_merge` / backtracking kernels it replaced. Separately, the
 //! parallel driver must emit byte-identical output (same tuples, same
@@ -121,9 +121,10 @@ fn reference(q: &JoinQuery, cands: &Candidates) -> Rows {
     got
 }
 
-/// The window scan, the `holds` reference, `oracle_join` and whatever
-/// the dispatcher picks agree on the exact result set of `q` over `rels`,
-/// and both kernels hand the same runs to every sink
+/// The window scan, the `holds` reference, `oracle_join` and the event
+/// sweep wherever its domain holds `q` — two relations included, where the
+/// dispatcher picks the window scan — agree on the exact result set of `q`
+/// over `rels`, and those kernels hand the same runs to every sink
 /// ([`assert_sinks_match_reference`]).
 fn assert_window_reference_oracle_agree(q: &JoinQuery, rels: &[Vec<Interval>]) {
     let (cands, input) = build_inputs(q, rels);
@@ -132,9 +133,19 @@ fn assert_window_reference_oracle_agree(q: &JoinQuery, rels: &[Vec<Interval>]) {
     oracle.sort();
     assert_eq!(window, reference(q, &cands), "window != reference for {q}");
     assert_eq!(window, oracle, "window != oracle for {q}");
-    let dispatched = forced(kernel::planned_kernel(q), q, &cands);
-    assert_eq!(window, dispatched, "window != dispatched kernel for {q}");
-    assert_sinks_match_reference(q, &cands);
+    let mut kinds = vec![KernelKind::Window];
+    let mut event: Rows = Vec::new();
+    if kernel::execute_kind(KernelKind::EventSweep, q, &cands, &[], |a| {
+        event.push(tids(a))
+    })
+    .is_some()
+    {
+        event.sort();
+        assert_eq!(window, event, "window != event sweep for {q}");
+        kinds.push(KernelKind::EventSweep);
+    }
+    assert!(kinds.contains(&kernel::planned_kernel(q)), "{q}");
+    assert_sinks_match_reference(q, &cands, &kinds);
 }
 
 /// The third witness of the sink tests: a sink that implements only
@@ -158,14 +169,13 @@ impl OutputSink for PushOnly {
     }
 }
 
-/// The window scan and the dispatched kernel of `q` (the pair sweep, the
-/// event sweep or the window scan again) through the count sink, the row
-/// sink and [`PushOnly`], with no owner and under one owner window cut
+/// Each of `kinds` on `q` through the count sink, the row sink and
+/// [`PushOnly`], with no owner and under one owner window cut
 /// from the data, at threads 1/2/8 × threshold 0/∞: every count is the
 /// number of `reference_join`'s owned bindings, every table's rows are
 /// the serial push-only run's in emission order, those rows are the
 /// reference's as a set, and the work is the serial run's.
-fn assert_sinks_match_reference(q: &JoinQuery, cands: &Candidates) {
+fn assert_sinks_match_reference(q: &JoinQuery, cands: &Candidates, kinds: &[KernelKind]) {
     let arity = q.num_relations() as usize;
     let members: Vec<Slot> = (0..arity).map(|r| (r, 0)).collect();
     // The owner keeps the bindings whose latest start lies between two
@@ -174,8 +184,6 @@ fn assert_sinks_match_reference(q: &JoinQuery, cands: &Candidates) {
     let starts: Vec<i64> = cands.list(0).iter().map(|(iv, _)| iv.start()).collect();
     let (lo, hi) = (starts[starts.len() / 3], starts[2 * starts.len() / 3]);
     let windows = [(lo, hi, members.as_slice())];
-    let mut kinds = vec![KernelKind::Window, kernel::planned_kernel(q)];
-    kinds.dedup();
     for owner in [&[][..], &windows[..]] {
         let mut want: Rows = Vec::new();
         reference_join(q, cands, |a| {
@@ -184,7 +192,7 @@ fn assert_sinks_match_reference(q: &JoinQuery, cands: &Candidates) {
             }
         });
         want.sort();
-        for &kind in &kinds {
+        for &kind in kinds {
             let mut base = PushOnly(Vec::new());
             let serial = KernelConfig::serial();
             let base_rep = kernel::execute_kind_into(kind, q, cands, &serial, owner, &mut base)
@@ -442,7 +450,7 @@ proptest! {
             JoinQuery::new(leaves + 1, conds).unwrap()
         };
         for (q, kind) in [
-            (JoinQuery::chain(&[Overlaps]).unwrap(), KernelKind::PairSweep),
+            (JoinQuery::chain(&[Overlaps]).unwrap(), KernelKind::Window),
             (JoinQuery::chain(&[Overlaps, Overlaps]).unwrap(), KernelKind::Window),
             (clique(3, &[Overlaps, Overlaps, Contains]), KernelKind::EventSweep),
             (JoinQuery::chain(&[Before, Before]).unwrap(), KernelKind::Window),
@@ -943,15 +951,15 @@ struct Seen {
 /// Owner windows are the ownership rule. On random buckets with endpoints
 /// on and around the window edges, point and duplicate intervals, and an
 /// owner of one to three dimensions over random member slots with window
-/// ends that include `Time::MIN` and `Time::MAX`, each of the pair sweep,
-/// the event sweep and the window scan emits exactly the bindings of its
+/// ends that include `Time::MIN` and `Time::MAX`, the event sweep and the
+/// window scan each emit exactly the bindings of its
 /// unowned run that `owns` keeps, in the same order, examining no more
 /// candidates; the dispatched kernel does the same on threads 1/2/3/8
 /// through the count and the tuple sink, with the serial run's work.
 #[test]
 fn owner_windows_are_the_ownership_rule() {
     use AllenPredicate::*;
-    let mut seen: [Seen; 3] = Default::default();
+    let mut seen: [Seen; 2] = Default::default();
     for seed in 0..1500u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let pred = |rng: &mut StdRng, from: &[AllenPredicate]| from[rng.gen_range(0..from.len())];
@@ -986,13 +994,9 @@ fn owner_windows_are_the_ownership_rule() {
         let slots: Vec<Slot> = (0..m).map(|r| (r, 0)).collect();
         let dims = random_owner(&mut rng, &edges, &slots);
         let owner = owner_of(&dims);
-        for (k, kind) in [
-            KernelKind::PairSweep,
-            KernelKind::EventSweep,
-            KernelKind::Window,
-        ]
-        .into_iter()
-        .enumerate()
+        for (k, kind) in [KernelKind::EventSweep, KernelKind::Window]
+            .into_iter()
+            .enumerate()
         {
             let mut all: Vec<(Vec<TupleId>, bool)> = Vec::new();
             let keep = |a: &[(Interval, TupleId)]| owns(&owner, |(r, _)| a[r].0.start());
@@ -1039,10 +1043,7 @@ fn owner_windows_are_the_ownership_rule() {
             }
         }
     }
-    for (kind, seen) in ["pair sweep", "event sweep", "window scan"]
-        .iter()
-        .zip(&seen)
-    {
+    for (kind, seen) in ["event sweep", "window scan"].iter().zip(&seen) {
         assert!(
             seen.kept > 0 && seen.rejected > 0,
             "{kind}: {} kept, {} rejected",

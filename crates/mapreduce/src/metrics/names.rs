@@ -69,7 +69,8 @@ impl fmt::Display for Counter {
 // Counters (recorded via `Emitter::inc` / `ReduceCtx::inc` /
 // `Counters::inc`, merged per-name by the engine).
 
-/// Buckets joined by the pair sweep or the window scan.
+/// Buckets joined by the window scan (the name is older than the scan:
+/// `perf/` reads it as `core.kernel.sweep_buckets`).
 pub const KERNEL_SWEEP_BUCKETS: &Counter = &Counter("kernel.sweep_buckets");
 /// Buckets joined by the merged-event-list sweep kernel.
 pub const KERNEL_EVENT_SWEEP_BUCKETS: &Counter = &Counter("kernel.event_sweep_buckets");
