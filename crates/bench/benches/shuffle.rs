@@ -170,7 +170,7 @@ fn bench_reduce_ownership(c: &mut Criterion) {
     let run = |e: &Engine| {
         e.run_job(
             "bench-reduce",
-            &input,
+            &input[..],
             |&n: &u64, em: &mut Emitter<u64>| em.emit(n % 64, n),
             |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<(u64, u64)>| {
                 out.push((ctx.key, vs.sum()));

@@ -8,9 +8,9 @@
 
 use crate::input::JoinInput;
 use crate::output::JoinOutput;
-use crate::records::IvRec;
-use ij_interval::{Interval, Partitioning, RelId, Time, TupleId};
-use ij_mapreduce::Engine;
+use crate::records::{Columns, IvRec};
+use ij_interval::{Interval, Partitioning, RelId, Time};
+use ij_mapreduce::{Engine, MapInput};
 use ij_query::JoinQuery;
 use std::fmt;
 
@@ -133,36 +133,15 @@ impl RunArtifacts {
     }
 }
 
-/// Flattens the input into [`IvRec`]s (attribute 0), the record stream every
-/// single-attribute job maps over.
+/// Copies the input into [`IvRec`]s (attribute 0), in [`Columns`]' order.
+/// No family maps over this copy any more: every job reads the columns in
+/// place through [`Columns`]; benches and tests that want the records as a
+/// slice call it.
 pub fn iv_records(input: &JoinInput) -> Vec<IvRec> {
-    iv_records_and_longest(input).0
-}
-
-/// [`iv_records`], and each relation's longest interval (`end − start`)
-/// taken in the same walk down its attribute-0 columns.
-pub(crate) fn iv_records_and_longest(input: &JoinInput) -> (Vec<IvRec>, Vec<u64>) {
-    let mut recs = Vec::with_capacity(input.total_tuples());
-    let longest = (input.relations().iter().enumerate())
-        .map(|(r, rel)| push_column(RelId(r as u16), rel.column(0), &mut recs))
-        .collect();
-    (recs, longest)
-}
-
-/// Appends one record of `rel` per interval of `column`, tuple ids in
-/// order, and returns the longest interval (`end − start`).
-pub(crate) fn push_column(
-    rel: RelId,
-    column: impl Iterator<Item = Interval>,
-    recs: &mut Vec<IvRec>,
-) -> u64 {
-    let mut longest = 0;
-    recs.extend(column.enumerate().map(|(tid, iv)| {
-        longest = iv.end().abs_diff(iv.start()).max(longest);
-        let tid = tid as TupleId;
-        IvRec { rel, tid, iv }
-    }));
-    longest
+    let columns = Columns::of(input);
+    let mut recs = Vec::with_capacity(columns.len());
+    columns.for_each_in(0..columns.len(), |rec| recs.push(*rec));
+    recs
 }
 
 /// Requires a query to be single-attribute (classes Colocation, Sequence,

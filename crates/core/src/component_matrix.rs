@@ -64,7 +64,7 @@
 //! dimension where a member with a fixed project provably starts last
 //! ([`starts_last`]): only its start coordinate gets a binding.
 
-use crate::algorithm::{iv_records_and_longest, push_column, AlgoError};
+use crate::algorithm::AlgoError;
 use crate::all_matrix::cells::{every, for_each_consistent, windows_of};
 use crate::all_matrix::CellSpace;
 use crate::executor::Candidates;
@@ -73,11 +73,12 @@ use crate::kernel::{self, BucketJoin, OneSlot, Planned, Slot, StartWindow};
 use crate::output::{OutputMode, RunStats};
 use crate::plan::{Plan, Report, Step};
 use crate::rccis::marking::{self, MarkOptions, Marker};
-use crate::records::{CompRec, IvRec, OutRec};
+use crate::records::{Columns, CompRec, IvRec, OutRec};
 use ij_interval::{ops, Interval, MapOp, Partitioning, RelId, Time, TupleId};
 use ij_mapreduce::metrics::names::{self, Counter};
 use ij_mapreduce::{
-    Emitter, Engine, EngineError, JobChain, JobMetrics, JobOutput, Record, ReduceCtx, ValueStream,
+    Emitter, Engine, EngineError, JobChain, JobMetrics, JobOutput, MapInput, Record, ReduceCtx,
+    ValueStream,
 };
 use ij_query::{AttrRef, JoinQuery, StartOrder};
 use std::collections::BTreeSet;
@@ -209,15 +210,6 @@ fn flags_of(sizes: &[usize], keys: impl IntoIterator<Item = u64>) -> Flags {
         flags[(key >> 32) as usize][key as u32 as usize] = true;
     }
     flags
-}
-
-/// The records of relation `rel` — contiguous, as
-/// [`iv_records`](crate::algorithm::iv_records) writes
-/// relation after relation.
-fn rows_of(records: &[IvRec], rel: usize) -> &[IvRec] {
-    let start = records.partition_point(|r| r.rel.idx() < rel);
-    let end = records.partition_point(|r| r.rel.idx() <= rel);
-    &records[start..end]
 }
 
 /// How the prune stage moves one marked group.
@@ -401,7 +393,7 @@ impl<J> JoinStage<J> {
     pub(crate) fn run<R: StageRec>(
         &self,
         engine: &Engine,
-        records: &[R],
+        records: &(impl MapInput<Item = R> + ?Sized),
         bits: Bits,
     ) -> Result<JobOutput<OutRec>, EngineError>
     where
@@ -639,25 +631,25 @@ impl<'a> Stages<'a> {
         chain: &mut JobChain,
     ) -> Result<(Vec<OutRec>, RunStats), AlgoError> {
         let cm = &self.cm;
-        let (records, longest) = iv_records_and_longest(input);
+        let columns = Columns::of(input);
         let sizes: Vec<usize> = input.relations().iter().map(|rel| rel.len()).collect();
         // The shares count, with two or more dimensions.
         let mut routed = (cm.groups.len() > 1).then(|| Routed::new(cm.groups.len(), &self.fine));
 
-        let (flags, marked) = self.mark(&records, &longest, &self.fine, &sizes, engine)?;
+        let (flags, marked) = self.mark(&columns, &self.fine, &sizes, engine)?;
         chain.cycles.extend(marked);
         let mut participants = None;
         if cm.prune && self.subs.iter().any(Option::is_some) {
-            let (routes, shuffled) = self.prune_routes(&records, &flags);
-            let mut pruned = self.prune(&records, &flags, &routes, engine)?;
+            let (routes, shuffled) = self.prune_routes(&columns, &flags);
+            let mut pruned = self.prune(&columns, &flags, &routes, engine)?;
             // The paper's prune volume, whichever route each group took.
             (pruned.metrics.counters).inc(names::PASM_SHUFFLED_PRUNE_PAIRS, shuffled);
             chain.push(pruned.metrics);
             participants = Some(self.participants(&sizes, pruned.outputs, routed.as_mut()));
         }
-        let shares = self.shares(&records, &flags, participants.is_some(), routed)?;
+        let shares = self.shares(&columns, &flags, participants.is_some(), routed)?;
         let (counts, stage) = (shares.counts, self.join(shares, participants.is_some()));
-        let mut joined = stage.run(engine, &records, (&flags, participants.as_ref()))?;
+        let mut joined = stage.run(engine, &columns, (&flags, participants.as_ref()))?;
         if let Some((chosen, paper)) = counts {
             let loads = joined
                 .metrics
@@ -698,13 +690,12 @@ impl<'a> Stages<'a> {
         attrs: &[AttrRef],
         engine: &Engine,
     ) -> Result<(Flags, Option<JobMetrics>), EngineError> {
-        let (mut records, mut longest, mut sizes) = (Vec::new(), Vec::new(), Vec::new());
-        for (v, at) in attrs.iter().enumerate() {
-            let column = input.relation(at.rel).column(at.attr);
-            sizes.push(column.len());
-            longest.push(push_column(RelId(v as u16), column, &mut records));
-        }
-        self.mark(&records, &longest, &self.cm.part, &sizes, engine)
+        let vertices = attrs.iter().enumerate();
+        let columns = Columns::new(
+            vertices.map(|(v, at)| (RelId(v as u16), input.relation(at.rel), at.attr)),
+        );
+        let sizes: Vec<usize> = (0..attrs.len()).map(|v| columns.rows(v).len()).collect();
+        self.mark(&columns, &self.cm.part, &sizes, engine)
     }
 
     /// The operation `rec` is routed with, given the mark stage's `flags`.
@@ -734,8 +725,7 @@ impl<'a> Stages<'a> {
     /// when no group is marked, as none could flag anything.
     fn mark(
         &self,
-        records: &[IvRec],
-        longest: &[u64],
+        columns: &Columns,
         grid: &Partitioning,
         sizes: &[usize],
         engine: &Engine,
@@ -745,13 +735,14 @@ impl<'a> Stages<'a> {
         }
         let (cm, p_count) = (&self.cm, grid.len() as u64);
         let counters = cm.route_counters.is_some();
-        let longest = longest_per_group(longest, &self.places, cm.groups.len());
+        let longest: Vec<u64> = (0..self.places.len()).map(|r| columns.longest(r)).collect();
+        let longest = longest_per_group(&longest, &self.places, cm.groups.len());
         let reaches: Vec<Option<Time>> = (self.subs.iter().zip(longest))
             .map(|(sub, longest)| reach(&sub.as_ref()?.0, longest, cm.mark_options))
             .collect();
         let marked = engine.run_job(
             &format!("{}-mark", cm.family),
-            records,
+            columns,
             |rec: &IvRec, em: &mut Emitter<IvRec>| {
                 let g = self.places[rec.rel.idx()].dim;
                 if self.subs[g].is_none() {
@@ -799,19 +790,19 @@ impl<'a> Stages<'a> {
     /// Each group's [`PruneRoute`] by [`prune_route`], and the pairs the
     /// paper's route would ship over all marked groups: every record's
     /// operation range, summed in one pass.
-    fn prune_routes(&self, records: &[IvRec], flags: &Flags) -> (Vec<PruneRoute>, u64) {
+    fn prune_routes(&self, columns: &Columns, flags: &Flags) -> (Vec<PruneRoute>, u64) {
         let cm = &self.cm;
         let mut shuffled = vec![0u64; cm.groups.len()];
-        for rec in records {
+        columns.for_each_in(0..columns.len(), |rec| {
             let dim = self.places[rec.rel.idx()].dim;
             if self.subs[dim].is_some() {
                 shuffled[dim] += ops::apply(self.op(flags, rec), rec.iv, &cm.part).len() as u64;
             }
-        }
+        });
         let routes = (cm.groups.iter().zip(&shuffled))
             .map(|(members, &shuffled)| {
                 let sizes: Vec<u64> = (members.iter())
-                    .map(|&r| rows_of(records, r).len() as u64)
+                    .map(|&r| columns.rows(r).len() as u64)
                     .collect();
                 prune_route(members, &sizes, cm.part.len() as u64, shuffled)
             })
@@ -826,7 +817,7 @@ impl<'a> Stages<'a> {
     /// a shuffled group, task `p` of a broadcast one.
     fn prune(
         &self,
-        records: &[IvRec],
+        columns: &Columns,
         flags: &Flags,
         routes: &[PruneRoute],
         engine: &Engine,
@@ -834,7 +825,7 @@ impl<'a> Stages<'a> {
         let (cm, p_count) = (&self.cm, self.cm.part.len() as u64);
         engine.run_job(
             &format!("{}-prune", cm.family),
-            records,
+            columns,
             |rec: &IvRec, em: &mut Emitter<IvRec>| {
                 let dim = self.places[rec.rel.idx()].dim;
                 if self.subs[dim].is_none() {
@@ -856,7 +847,7 @@ impl<'a> Stages<'a> {
             },
             |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<(u64, u32)>| {
                 let (g, p) = group_partition(ctx.key, p_count);
-                let Some((sub, kind)) = &self.subs[g] else {
+                let Some((sub, program)) = &self.subs[g] else {
                     return; // only marked groups are keyed
                 };
                 let rels = cm.groups[g].as_slice();
@@ -873,12 +864,9 @@ impl<'a> Stages<'a> {
                         vec![(lo, hi, members.as_slice())]
                     }
                     PruneRoute::Broadcast { large } => {
-                        let rows = rows_of(records, large);
-                        let n = rows.len();
-                        let slice = &rows[n * p / p_count as usize..n * (p + 1) / p_count as usize];
-                        for v in slice {
-                            cands.push(self.places[large].slot, v.iv, v.tid);
-                        }
+                        let (rows, slot) = (columns.rows(large), self.places[large].slot);
+                        let cut = |p: usize| rows.start + rows.len() * p / p_count as usize;
+                        columns.for_each_in(cut(p)..cut(p + 1), |v| cands.push(slot, v.iv, v.tid));
                         Vec::new()
                     }
                 };
@@ -886,7 +874,7 @@ impl<'a> Stages<'a> {
                 let ids = BTreeSet::new();
                 let mut participants = ParticipantSink { rels, ids };
                 kernel::reduce_with(ctx, |cfg| {
-                    kernel::run_into(*kind, sub, &cands, cfg, &owner, &mut participants)
+                    kernel::run_into(program, sub, &cands, cfg, &owner, &mut participants)
                 });
                 // A marked group's route projects to the start partition or
                 // replicates from it.
@@ -937,7 +925,7 @@ impl<'a> Stages<'a> {
     /// grid is the only candidate.
     fn shares(
         &self,
-        records: &[IvRec],
+        columns: &Columns,
         flags: &Flags,
         pruned: bool,
         routed: Option<Routed>,
@@ -957,10 +945,10 @@ impl<'a> Stages<'a> {
                 continue; // counted from its participants
             }
             let (hist, flags) = (&mut routed.hist[place.dim], &flags[r]);
-            for rec in rows_of(records, r) {
+            columns.for_each_in(columns.rows(r), |rec| {
                 let op = place.route[flags[rec.tid as usize] as usize];
                 hist[Routed::slot(n, ops::apply(op, rec.iv, &self.fine))] += 1;
-            }
+            });
         }
         let divisors: Vec<usize> = match n == o {
             true => vec![o],
@@ -1072,7 +1060,6 @@ impl<'a> Stages<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::iv_records;
     use ij_interval::RelId;
     use ij_query::Condition;
     use proptest::prelude::*;
@@ -1483,7 +1470,7 @@ mod tests {
                 .map(|ivs| Relation::from_intervals("R", ivs.iter().copied()))
                 .collect();
             let input = JoinInput::bind_owned(&q, relations).unwrap();
-            let records = iv_records(&input);
+            let columns = Columns::of(&input);
             let sizes: Vec<usize> = rels.iter().map(Vec::len).collect();
             for k in [1, 6] {
                 let part = RunArtifacts::partition_span(input.span(), k).unwrap();
@@ -1515,7 +1502,7 @@ mod tests {
                     let whole: Vec<AttrRef> = (0..m as u16).map(AttrRef::whole).collect();
                     let (flags, _) = stages.mark_alone(&input, &whole, &engine).unwrap();
                     let run = |routes: &[PruneRoute]| {
-                        let pruned = stages.prune(&records, &flags, routes, &engine).unwrap();
+                        let pruned = stages.prune(&columns, &flags, routes, &engine).unwrap();
                         flags_of(&sizes, pruned.outputs.into_iter().map(|(key, _)| key))
                     };
                     let shuffled = run(&vec![PruneRoute::Shuffled; groups.len()]);
@@ -1527,7 +1514,7 @@ mod tests {
                             .collect();
                         assert_eq!(run(&routes), shuffled, "broadcast {choice}: {at}");
                     }
-                    let (routes, _) = stages.prune_routes(&records, &flags);
+                    let (routes, _) = stages.prune_routes(&columns, &flags);
                     assert_eq!(run(&routes), shuffled, "{routes:?}: {at}");
                     for route in routes {
                         picked[matches!(route, PruneRoute::Broadcast { .. }) as usize] += 1;
@@ -1694,12 +1681,11 @@ mod tests {
         use ij_mapreduce::ClusterConfig;
         let engine = Engine::new(ClusterConfig::with_slots(2));
         let sizes: Vec<usize> = input.relations().iter().map(|rel| rel.len()).collect();
-        let (records, longest) = iv_records_and_longest(input);
         let stages = setting.stages().unwrap();
-        stages
-            .mark(&records, &longest, fine, &sizes, &engine)
-            .unwrap()
-            .0
+        (stages
+            .mark(&Columns::of(input), fine, &sizes, &engine)
+            .unwrap())
+        .0
     }
 
     proptest! {

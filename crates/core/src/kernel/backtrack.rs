@@ -13,7 +13,7 @@
 
 use super::ranges::{tighten_lower, tighten_upper};
 use super::window::window_by;
-use super::{binding_order, slot_conditions, Compiled};
+use super::{Compiled, KernelKind, Program};
 use crate::executor::Candidates;
 use ij_interval::{Interval, TupleId};
 use ij_query::JoinQuery;
@@ -37,7 +37,8 @@ pub fn reference_join(
     if cands.any_empty() {
         return 0;
     }
-    let compiled = Compiled::new(binding_order(q, |r| cands.len(r)), &slot_conditions(q), &[]);
+    let program = Program::new(KernelKind::Window, q);
+    let compiled = Compiled::new(program.order(|r| cands.len(r)), &program.conditions, &[]);
     let mut assignment = vec![(Interval::point(0), 0); compiled.order.len()];
     let mut work = 0;
     descend(

@@ -20,7 +20,7 @@
 //! condition between them join as a cross product.
 
 use super::window::{Row, Scan, WindowPlan};
-use super::{binding_order, drive, range_pair, reduce_rec, slot_conditions};
+use super::{drive, range_pair, reduce_rec, Program};
 use super::{BindingSink, BucketJoin, Chunks};
 use super::{Compiled, KernelConfig, KernelKind, KernelReport, Slot, SlotCondition, StartWindow};
 use crate::input::JoinInput;
@@ -55,7 +55,7 @@ impl<'q> CompositeJoin<'q> {
     pub fn of_query(q: &'q JoinQuery, mode: OutputMode) -> Self {
         CompositeJoin {
             sides: q.num_relations() as usize,
-            conditions: slot_conditions(q),
+            conditions: Program::new(KernelKind::Window, q).conditions,
             gather: (0..q.num_relations() as usize).map(|r| (r, 0)).collect(),
             mode,
             order_by: Some(q),
@@ -105,7 +105,7 @@ impl<'q> CompositeJoin<'q> {
             lists[rec.side as usize].push(rec);
         }
         let order = match self.order_by {
-            Some(q) => binding_order(q, |s| lists[s].len()),
+            Some(q) => Program::new(kind, q).order(|s| lists[s].len()),
             None => (0..self.sides).collect(),
         };
         for &((side, a), pred, (other, b)) in &self.conditions {

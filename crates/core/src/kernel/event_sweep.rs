@@ -43,7 +43,7 @@
 //! `active_peak` are the serial run's for every thread count.
 
 use super::ranges::{closed, range_pair, within};
-use super::{slot_conditions, BindingSink, Compiled, RangePair, StartRange, StartWindow};
+use super::{BindingSink, Compiled, Program, RangePair, StartRange, StartWindow};
 use crate::executor::Candidates;
 use ij_interval::{bounds_contain, AllenPredicate, Interval, Time, TupleId};
 use ij_query::{AttrRef, JoinQuery};
@@ -165,7 +165,12 @@ fn possible_latest(q: &JoinQuery) -> Vec<bool> {
 }
 
 impl EventSweepPlan {
-    pub(crate) fn new(q: &JoinQuery, cands: &Candidates, owner: &[StartWindow]) -> EventSweepPlan {
+    pub(crate) fn new(
+        q: &JoinQuery,
+        program: &Program,
+        cands: &Candidates,
+        owner: &[StartWindow],
+    ) -> EventSweepPlan {
         debug_assert!(qualifies(q), "event sweep requires a qualifying query");
         let m = q.num_relations() as usize;
         let mut events = Vec::with_capacity((0..m).map(|r| 2 * cands.len(r)).sum());
@@ -193,13 +198,8 @@ impl EventSweepPlan {
             now[r] = if e.end { now[r] - 1 } else { now[r] + 1 };
             peaks[r] = peaks[r].max(now[r]);
         }
-        let mut adj = vec![Vec::new(); m];
-        for c in q.conditions() {
-            adj[c.left.rel.idx()].push(c.right.rel.idx());
-            adj[c.right.rel.idx()].push(c.left.rel.idx());
-        }
         let programs: Vec<Compiled> = (0..m)
-            .map(|root| probe_program(q, &adj, root, owner))
+            .map(|root| probe_program(program, root, owner))
             .collect();
         let full = (Bound::Unbounded, Bound::Unbounded);
         let gates = (programs.iter())
@@ -367,13 +367,8 @@ fn probe<S: BindingSink>(
 /// dimension it belongs to owns the binding exactly when the trigger's
 /// start lies in its window: such a dimension compiles as the trigger
 /// alone, a bound at level 0.
-fn probe_program(
-    q: &JoinQuery,
-    adj: &[Vec<usize>],
-    root: usize,
-    owner: &[StartWindow],
-) -> Compiled {
-    let m = q.num_relations() as usize;
+fn probe_program(program: &Program, root: usize, owner: &[StartWindow]) -> Compiled {
+    let (m, adj) = (program.adj.len(), &program.adj);
     let mut order = vec![root];
     let mut seen = vec![false; m];
     seen[root] = true;
@@ -397,7 +392,7 @@ fn probe_program(
             false => (lo, hi, members),
         })
         .collect();
-    Compiled::new(order, &slot_conditions(q), &owner)
+    Compiled::new(order, &program.conditions, &owner)
 }
 
 #[cfg(test)]

@@ -133,14 +133,28 @@ impl KernelKind {
     }
 }
 
-/// A query with its [`planned_kernel`], for a caller that runs many
-/// buckets of it through [`run_into`].
-pub(crate) type Planned = (JoinQuery, KernelKind);
+/// A query with its [`Program`], for a caller that runs many buckets of
+/// it through [`run_into`].
+pub(crate) type Planned = (JoinQuery, Program);
 
 /// `q` as [`Planned`].
 pub(crate) fn with_kernel(q: JoinQuery) -> Planned {
-    let kind = planned_kernel(&q);
-    (q, kind)
+    let program = Program::new(planned_kernel(&q), &q);
+    (q, program)
+}
+
+/// What every bucket of one query's join reads of the query, derived once
+/// per reducer program: its kernel, each relation's neighbours and rank
+/// for [`Program::order`], and the conditions between slots. Only the
+/// binding order's tie-break on list lengths is left to each bucket.
+#[derive(Debug)]
+pub(crate) struct Program {
+    pub(crate) kind: KernelKind,
+    /// Per relation, the relations a condition ties it to.
+    adj: Vec<Vec<usize>>,
+    /// Per relation, how many relations provably start strictly before it.
+    rank: Vec<usize>,
+    conditions: Vec<SlotCondition>,
 }
 
 /// The kernel [`execute_into`] routes `q`'s buckets to: the event sweep
@@ -203,58 +217,68 @@ impl KernelConfig {
     }
 }
 
-/// The order in which a descent binds `q`'s relations: the window
-/// scan, the composite join and the `holds` reference all use it.
-///
-/// Relations are bound left-to-right in the provable start order: when the
-/// bound neighbor starts *before* the candidate, the candidate's start
-/// window from [`ij_interval::AllenPredicate::right_start_bounds`] is
-/// bounded on both sides for every colocation predicate, so each level
-/// binary-searches a small window. (Binding right-to-left instead would
-/// give half-open windows — "everything that starts before me" — and
-/// degrade to quadratic scans.) Connectivity still matters: among
-/// equal-rank candidates we grow BFS-style from the already-bound set and
-/// prefer the smallest candidate list.
-pub(crate) fn binding_order(q: &JoinQuery, list_len: impl Fn(usize) -> usize) -> Vec<usize> {
-    let m = q.num_relations() as usize;
-    let mut adj = vec![Vec::new(); m];
-    for c in q.conditions() {
-        adj[c.left.rel.idx()].push(c.right.rel.idx());
-        adj[c.right.rel.idx()].push(c.left.rel.idx());
+impl Program {
+    /// `q`'s program on `kind`, which the caller has checked `q` lies in.
+    pub(crate) fn new(kind: KernelKind, q: &JoinQuery) -> Program {
+        let m = q.num_relations() as usize;
+        let mut adj = vec![Vec::new(); m];
+        for c in q.conditions() {
+            adj[c.left.rel.idx()].push(c.right.rel.idx());
+            adj[c.right.rel.idx()].push(c.left.rel.idx());
+        }
+        // rank[r] = number of relations provably starting strictly before
+        // r — left-most relations get bound first.
+        let order_info = q.start_order();
+        let le = |a: usize, b: usize| {
+            order_info.le_start(AttrRef::whole(a as u16), AttrRef::whole(b as u16))
+        };
+        let rank = (0..m)
+            .map(|r| (0..m).filter(|&o| o != r && le(o, r) && !le(r, o)).count())
+            .collect();
+        let slot = |at: AttrRef| (at.rel.idx(), at.attr as usize);
+        let conditions = (q.conditions().iter())
+            .map(|c| (slot(c.left), c.pred, slot(c.right)))
+            .collect();
+        Program {
+            kind,
+            adj,
+            rank,
+            conditions,
+        }
     }
-    // rank[r] = number of relations provably starting strictly before r —
-    // left-most relations get bound first.
-    let order_info = q.start_order();
-    let le = |a: usize, b: usize| {
-        order_info.le_start(AttrRef::whole(a as u16), AttrRef::whole(b as u16))
-    };
-    let rank: Vec<usize> = (0..m)
-        .map(|r| (0..m).filter(|&o| o != r && le(o, r) && !le(r, o)).count())
-        .collect();
-    let mut order = Vec::with_capacity(m);
-    let mut placed = vec![false; m];
-    while order.len() < m {
-        // Prefer: connected to the bound set, then lowest rank, then the
-        // smallest list.
-        let next = (0..m)
-            .filter(|&r| !placed[r])
-            .min_by_key(|&r| {
-                let disconnected = !order.is_empty() && !adj[r].iter().any(|&n| placed[n]);
-                (disconnected, rank[r], list_len(r))
-            })
-            .expect("some relation unplaced");
-        placed[next] = true;
-        order.push(next);
-    }
-    order
-}
 
-/// `q`'s conditions between `(relation, attribute)` slots.
-fn slot_conditions(q: &JoinQuery) -> Vec<SlotCondition> {
-    let slot = |at: AttrRef| (at.rel.idx(), at.attr as usize);
-    (q.conditions().iter())
-        .map(|c| (slot(c.left), c.pred, slot(c.right)))
-        .collect()
+    /// The order in which a descent binds the query's relations, given
+    /// each relation's list length: the window scan, the composite join
+    /// and the `holds` reference all use it.
+    ///
+    /// Relations are bound left-to-right in the provable start order: when
+    /// the bound neighbor starts *before* the candidate, the candidate's
+    /// start window from [`ij_interval::AllenPredicate::right_start_bounds`]
+    /// is bounded on both sides for every colocation predicate, so each
+    /// level binary-searches a small window. (Binding right-to-left instead
+    /// would give half-open windows — "everything that starts before me" —
+    /// and degrade to quadratic scans.) Connectivity still matters: among
+    /// equal-rank candidates we grow BFS-style from the already-bound set
+    /// and prefer the smallest candidate list.
+    pub(crate) fn order(&self, list_len: impl Fn(usize) -> usize) -> Vec<usize> {
+        let (m, adj) = (self.rank.len(), &self.adj);
+        let mut order = Vec::with_capacity(m);
+        let mut placed = vec![false; m];
+        while order.len() < m {
+            // Prefer: connected to the bound set, then lowest rank, then the
+            // smallest list.
+            let next = (0..m)
+                .filter(|&r| !placed[r])
+                .min_by_key(|&r| {
+                    let disconnected = !order.is_empty() && !adj[r].iter().any(|&n| placed[n]);
+                    (disconnected, self.rank[r], list_len(r))
+                })
+                .expect("some relation unplaced");
+            placed[next] = true;
+            order.push(next);
+        }
+        order
+    }
 }
 
 /// The level program every descent (window kernel, reference, event-sweep
@@ -452,10 +476,10 @@ struct Prepared<'c> {
     cands: &'c Candidates,
 }
 
-/// `None` for a bucket with an empty relation. Precondition: `q` lies in
-/// `kind`'s domain ([`execute_kind_into`]).
+/// `None` for a bucket with an empty relation. Precondition: `program`
+/// is `q`'s, and `q` lies in its kernel's domain ([`execute_kind_into`]).
 fn prepare<'c>(
-    kind: KernelKind,
+    program: &Program,
     q: &JoinQuery,
     cands: &'c Candidates,
     owner: &[StartWindow],
@@ -467,16 +491,18 @@ fn prepare<'c>(
     if cands.any_empty() {
         return None;
     }
-    let plan = match kind {
-        KernelKind::EventSweep => Plan::Event(event_sweep::EventSweepPlan::new(q, cands, owner)),
-        KernelKind::Window => Plan::Window(window::WindowPlan::of_query(q, cands, owner)),
+    let plan = match program.kind {
+        KernelKind::EventSweep => {
+            Plan::Event(event_sweep::EventSweepPlan::new(q, program, cands, owner))
+        }
+        KernelKind::Window => Plan::Window(window::WindowPlan::of_program(program, cands, owner)),
     };
     let outer_len = match &plan {
         Plan::Event(p) => p.outer_len(),
         Plan::Window(p) => p.outer_len,
     };
     Some(Prepared {
-        kind,
+        kind: program.kind,
         plan,
         outer_len,
         cands,
@@ -537,18 +563,18 @@ impl Chunks for Prepared<'_> {
     }
 }
 
-/// [`execute_into`] on `kind`, which the caller chose once for every
-/// bucket of `q`. Precondition: `q` lies in `kind`'s domain.
+/// [`execute_into`] on `q`'s `program`, which the caller derived once for
+/// every bucket of `q`. Precondition: `q` lies in its kernel's domain.
 pub(crate) fn run_into(
-    kind: KernelKind,
+    program: &Program,
     q: &JoinQuery,
     cands: &Candidates,
     cfg: &KernelConfig,
     owner: &[StartWindow],
     sink: &mut impl OutputSink,
 ) -> KernelReport {
-    let total = cands.lists.iter().map(Vec::len).sum();
-    match prepare(kind, q, cands, owner) {
+    let (kind, total) = (program.kind, cands.lists.iter().map(Vec::len).sum());
+    match prepare(program, q, cands, owner) {
         Some(prep) => drive(kind, (prep.outer_len, total), cfg, &prep, sink),
         None => KernelReport::idle(kind),
     }
@@ -568,7 +594,7 @@ pub fn execute_kind_into(
     sink: &mut impl OutputSink,
 ) -> Option<KernelReport> {
     let in_domain = kind == KernelKind::Window || event_sweep::qualifies(q);
-    in_domain.then(|| run_into(kind, q, cands, cfg, owner, sink))
+    in_domain.then(|| run_into(&Program::new(kind, q), q, cands, cfg, owner, sink))
 }
 
 /// [`execute_kind_into`] on one thread, handing each binding to
@@ -668,7 +694,14 @@ pub fn execute_into(
     owner: &[StartWindow],
     sink: &mut impl OutputSink,
 ) -> KernelReport {
-    run_into(planned_kernel(q), q, cands, cfg, owner, sink)
+    run_into(
+        &Program::new(planned_kernel(q), q),
+        q,
+        cands,
+        cfg,
+        owner,
+        sink,
+    )
 }
 
 /// The closure form of [`execute_into`] with no owner: `on_output`
@@ -775,18 +808,22 @@ pub(crate) trait BucketJoin<R>: Sync {
 }
 
 /// The single-attribute program: a bucket of [`IvRec`]s, one relation per
-/// query relation, joined by [`reduce_join`] on the kernel chosen when the
-/// program is built.
+/// query relation, joined by [`reduce_join`] on the [`Program`] derived
+/// when the program is built.
 pub(crate) struct OneSlot<'q> {
     query: &'q JoinQuery,
     mode: OutputMode,
-    kind: KernelKind,
+    program: Program,
 }
 
 impl<'q> OneSlot<'q> {
     pub(crate) fn new(query: &'q JoinQuery, mode: OutputMode) -> Self {
-        let kind = planned_kernel(query);
-        OneSlot { query, mode, kind }
+        let program = Program::new(planned_kernel(query), query);
+        OneSlot {
+            query,
+            mode,
+            program,
+        }
     }
 
     /// [`reduce_join`] of one bucket.
@@ -797,11 +834,11 @@ impl<'q> OneSlot<'q> {
         owner: &[StartWindow],
         out: &mut Vec<OutRec>,
     ) -> KernelReport {
-        let (q, kind) = (self.query, self.kind);
+        let (q, program) = (self.query, &self.program);
         let rec = OutRec::new(self.mode, q.num_relations() as usize);
         reduce_rec(ctx, rec, out, |cfg, rec| match rec {
-            OutRec::Count(n) => run_into(kind, q, cands, cfg, owner, n),
-            OutRec::Rows(rows) => run_into(kind, q, cands, cfg, owner, rows),
+            OutRec::Count(n) => run_into(program, q, cands, cfg, owner, n),
+            OutRec::Rows(rows) => run_into(program, q, cands, cfg, owner, rows),
         })
     }
 }
@@ -952,7 +989,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let order = binding_order(&q, |_| 1);
+        let order = Program::new(KernelKind::Window, &q).order(|_| 1);
         let mut sorted = order.clone();
         sorted.sort();
         assert_eq!(sorted, vec![0, 1, 2, 3]);
@@ -1187,7 +1224,7 @@ mod tests {
                 }
                 c.finish();
                 let keys = outer_keys(kind, &c);
-                let prep = prepare(kind, &q, &c, &[]).unwrap();
+                let prep = prepare(&Program::new(kind, &q), &q, &c, &[]).unwrap();
                 let n = prep.outer_len;
                 assert_eq!(n, keys.len());
                 let mut cuts: Vec<usize> = (0..rng.gen_range(2..14))

@@ -63,11 +63,10 @@
 
 use super::ranges::{closed, constrains_end, intersect_range, range_pair, within};
 use super::ranges::{tighten_lower, tighten_upper};
-use super::{binding_order, slot_conditions, BindingSink, Compiled, RangePair};
+use super::{BindingSink, Compiled, Program, RangePair};
 use super::{StartRange, StartWindow};
 use crate::executor::Candidates;
 use ij_interval::{bounds_contain, Interval, Time, TupleId};
-use ij_query::JoinQuery;
 use std::ops::{Bound, Range};
 use std::sync::OnceLock;
 
@@ -352,11 +351,15 @@ impl WindowPlan {
         }
     }
 
-    /// A single-attribute bucket, binding in [`binding_order`], keeping
-    /// what `owner` owns.
-    pub(super) fn of_query(q: &JoinQuery, cands: &Candidates, owner: &[StartWindow]) -> WindowPlan {
-        let order = binding_order(q, |r| cands.len(r));
-        let compiled = Compiled::new(order, &slot_conditions(q), owner);
+    /// A single-attribute bucket of `program`'s query, binding in
+    /// [`Program::order`], keeping what `owner` owns.
+    pub(super) fn of_program(
+        program: &Program,
+        cands: &Candidates,
+        owner: &[StartWindow],
+    ) -> WindowPlan {
+        let order = program.order(|r| cands.len(r));
+        let compiled = Compiled::new(order, &program.conditions, owner);
         WindowPlan::new(compiled, &cands.lists)
     }
 
@@ -532,8 +535,10 @@ impl WindowPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::KernelKind;
     use crate::output::Tuples;
     use ij_interval::AllenPredicate::{self, *};
+    use ij_query::JoinQuery;
     use std::ops::Bound;
 
     fn cands(m: usize, n: i64) -> Candidates {
@@ -553,7 +558,7 @@ mod tests {
         let c = cands(4, 20);
         for preds in [vec![Before], vec![Before, Before], vec![Before; 3]] {
             let q = JoinQuery::chain(&preds).unwrap();
-            let plan = WindowPlan::of_query(&q, &c, &[]);
+            let plan = WindowPlan::of_program(&Program::new(KernelKind::Window, &q), &c, &[]);
             assert!(plan.ends.iter().all(Option::is_none), "{q}");
         }
     }
@@ -562,7 +567,7 @@ mod tests {
     fn end_views_follow_the_levels_that_constrain_the_end() {
         let c = cands(3, 20);
         let q = JoinQuery::chain(&[Overlaps, Before]).unwrap();
-        let plan = WindowPlan::of_query(&q, &c, &[]);
+        let plan = WindowPlan::of_program(&Program::new(KernelKind::Window, &q), &c, &[]);
         assert_eq!(plan.compiled.order, vec![0, 1, 2]);
         let built: Vec<bool> = plan.ends.iter().map(Option::is_some).collect();
         assert_eq!(built, vec![false, true, false]);
@@ -575,7 +580,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let plan = WindowPlan::of_query(&q, &c, &[]);
+        let plan = WindowPlan::of_program(&Program::new(KernelKind::Window, &q), &c, &[]);
         let level_of_2 = plan.compiled.order.iter().position(|&r| r == 2).unwrap();
         assert_eq!(plan.compiled.checks[level_of_2], vec![((1, 0), After, 0)]);
         assert!(plan.ends[2].is_some());
@@ -738,7 +743,7 @@ mod tests {
         let dense = spread(4, 300, 1_000, 100, 2);
         let q0 = JoinQuery::chain(&[Overlaps, Contains, Overlaps]).unwrap();
         for (q, c, builds) in [(q1, sparse, false), (q0, dense, true)] {
-            let plan = WindowPlan::of_query(&q, &c, &[]);
+            let plan = WindowPlan::of_program(&Program::new(KernelKind::Window, &q), &c, &[]);
             let got = scanned(&plan, &c, &[]);
             assert!(!got.0.is_empty(), "{q}");
             let built = (plan.ends.iter().flatten()).any(|ev| ev.view.get().is_some());
@@ -760,7 +765,7 @@ mod tests {
         }
         c.finish();
         let q = JoinQuery::chain(&[pred]).unwrap();
-        let plan = WindowPlan::of_query(&q, &c, &[]);
+        let plan = WindowPlan::of_program(&Program::new(KernelKind::Window, &q), &c, &[]);
         assert_eq!(plan.compiled.order, vec![0, 1], "{q}");
         let (rows, work) = scanned(&plan, &c, &[]);
         assert_eq!((rows.clone(), work), eagerly(&plan, &c), "{q}");
@@ -828,14 +833,14 @@ mod tests {
             let q = JoinQuery::chain(&preds).unwrap();
             let (n, span) = [(150, 20_000), (150, 1_500), (100, 150)][seed as usize % 3];
             let c = spread(3, n, span, rng.gen_range(0..80), seed);
-            let plan = WindowPlan::of_query(&q, &c, &[]);
+            let plan = WindowPlan::of_program(&Program::new(KernelKind::Window, &q), &c, &[]);
             let want = eagerly(&plan, &c);
             assert_eq!(scanned(&plan, &c, &[]), want, "{q} seed {seed}");
             let mut cuts: Vec<usize> = (0..rng.gen_range(1..6))
                 .map(|_| rng.gen_range(0..=plan.outer_len))
                 .collect();
             cuts.sort_unstable();
-            let plan = WindowPlan::of_query(&q, &c, &[]);
+            let plan = WindowPlan::of_program(&Program::new(KernelKind::Window, &q), &c, &[]);
             assert_eq!(scanned(&plan, &c, &cuts), want, "{q} seed {seed} {cuts:?}");
             found += want.0.len();
         }

@@ -20,12 +20,12 @@
 //! hashed route reads no partitioning, so it is not a route table of the
 //! component-matrix join stage.
 
-use crate::algorithm::{iv_records, require_single_attr, AlgoError, Algorithm};
+use crate::algorithm::{require_single_attr, AlgoError, Algorithm};
 use crate::input::JoinInput;
 use crate::kernel::{BucketJoin, OneSlot};
 use crate::output::{JoinOutput, OutputMode};
 use crate::plan::{Plan, Report, Step};
-use crate::records::{IvRec, OutRec};
+use crate::records::{Columns, IvRec, OutRec};
 use ij_mapreduce::metrics::names;
 use ij_mapreduce::{Emitter, Engine, EngineError, JobOutput, ReduceCtx, ValueStream};
 use ij_query::JoinQuery;
@@ -66,7 +66,7 @@ impl OneBucketTheta {
         let join = OneSlot::new(query, self.mode);
         engine.run_job(
             "one-bucket-theta",
-            &iv_records(input),
+            &Columns::of(input),
             move |rec: &IvRec, em: &mut Emitter<IvRec>| {
                 let h = mix(seed, ((rec.rel.0 as u64) << 32) | rec.tid as u64);
                 if rec.rel.idx() == 0 {

@@ -134,7 +134,7 @@ impl<'a> Plan<'a> {
                     flags = marked;
                 }
                 Step::Join(stage, then) => {
-                    let out = stage.run(engine, &std::mem::take(&mut sides), (&flags, None))?;
+                    let out = stage.run(engine, &std::mem::take(&mut sides)[..], (&flags, None))?;
                     chain.push(out.metrics);
                     let cells = stage.space.consistent_cells().len() as u64;
                     stats.consistent_cells = Some((cells, stage.space.total_cells()));

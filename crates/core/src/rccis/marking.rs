@@ -138,7 +138,7 @@ impl Marker {
                 let list = per_rel[r].iter().enumerate();
                 list.filter(move |(_, &(iv, _))| needs[r].met(part, p, iv))
             };
-            let Some((sub, kind)) = sub else {
+            let Some((sub, program)) = sub else {
                 let r = members[0];
                 work += per_rel[r].len() as u64;
                 kept(r).for_each(|(i, _)| hits[r][i] = true);
@@ -156,7 +156,7 @@ impl Marker {
                     .collect(),
             );
             let serial = KernelConfig::serial();
-            work += kernel::run_into(*kind, sub, &cands, &serial, &[], &mut found).work;
+            work += kernel::run_into(program, sub, &cands, &serial, &[], &mut found).work;
             for (&r, found) in members.iter().zip(found.0) {
                 (hits[r].iter_mut().zip(found)).for_each(|(hit, f)| *hit |= f);
             }

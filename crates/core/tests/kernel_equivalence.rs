@@ -788,7 +788,7 @@ fn parallel_count_reduce_join_never_buffers_rows() {
         engine
             .run_job(
                 "sink-test",
-                &recs,
+                &recs[..],
                 |r: &IvRec, em: &mut Emitter<IvRec>| em.emit(0, *r),
                 move |ctx: &mut ReduceCtx, vs: &mut ValueStream<IvRec>, out: &mut Vec<OutRec>| {
                     let mut cands = Candidates::new(3);

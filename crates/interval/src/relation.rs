@@ -11,7 +11,8 @@
 //! the end points in tuple-id order: tuple `i` is row `i` of every column,
 //! so ids are implicit and a relation costs a few heap blocks whatever its
 //! size. [`Tuple`]s are views of a row; [`Relation::column`] walks one
-//! attribute, the walk the jobs' record streams are built from.
+//! attribute, and [`Relation::bounds`] hands out its two columns, which
+//! the jobs' map inputs read in place.
 
 use crate::interval::{Interval, Time};
 use crate::tuple::{AttrId, Row, Tuple, TupleId};
@@ -165,8 +166,17 @@ impl Relation {
     /// # Panics
     /// Panics if `a` is out of range.
     pub fn column(&self, a: AttrId) -> impl ExactSizeIterator<Item = Interval> + Clone + '_ {
-        let a = a as usize;
-        (self.starts[a].iter().zip(&self.ends[a])).map(|(&s, &e)| Interval::new_unchecked(s, e))
+        let (starts, ends) = self.bounds(a);
+        (starts.iter().zip(ends)).map(|(&s, &e)| Interval::new_unchecked(s, e))
+    }
+
+    /// Attribute `a`'s start and end columns: row `i` of each is tuple
+    /// `i`'s, so a range of rows is a range of tuple ids.
+    ///
+    /// # Panics
+    /// Panics if `a` is out of range.
+    pub fn bounds(&self, a: AttrId) -> (&[Time], &[Time]) {
+        (&self.starts[a as usize], &self.ends[a as usize])
     }
 
     /// The minimum start and maximum end point over attribute `a` of all

@@ -1,7 +1,7 @@
-//! The map phase: parallel chunks, each filed by key as it is emitted.
+//! The map phase: parallel index ranges, each filed by key as it is emitted.
 
 use super::{fan_out, Engine};
-use crate::job::{Emitter, KeyedRun, Mapper};
+use crate::job::{Emitter, KeyedRun, MapInput, Mapper};
 use crate::metrics::Counters;
 use crate::observe::{Event, EventKind};
 use crate::record::Record;
@@ -12,27 +12,29 @@ impl Engine {
     /// accumulated user counters. Runs, counters and per-task events all
     /// come back in chunk order, so the downstream merge — and the event
     /// stream — see the same sequence as sequential execution.
-    pub(super) fn run_map_phase<I, M>(
+    pub(super) fn run_map_phase<S, M>(
         &self,
-        input: &[I],
-        mapper: &impl Mapper<I, M>,
+        input: &S,
+        mapper: &impl Mapper<S::Item, M>,
     ) -> (Vec<KeyedRun<M>>, u64, Counters)
     where
-        I: Record,
+        S: MapInput + ?Sized,
         M: Record,
     {
-        let threads = self.cfg.worker_threads.max(1);
-        if input.is_empty() {
+        let (threads, len) = (self.cfg.worker_threads.max(1), input.len());
+        if len == 0 {
             return (Vec::new(), 0, Counters::new());
         }
-        let chunk = input.len().div_ceil(threads);
+        let chunk = len.div_ceil(threads);
+        let chunks = (0..len).step_by(chunk).map(|lo| lo..len.min(lo + chunk));
         let observer = self.observer.as_deref();
-        let tasks = fan_out(input.chunks(chunk).enumerate(), |(ci, c)| {
+        let tasks = fan_out(chunks.enumerate(), |(ci, rows)| {
             let t0 = observer.map_or(0, |o| o.now());
             let mut em = Emitter::default();
             let mut bytes = 0u64;
             let mut processed = 0u64;
-            for rec in c {
+            let records = rows.len() as u64;
+            input.for_each_in(rows, |rec| {
                 bytes += rec.approx_bytes();
                 mapper.map(rec, &mut em);
                 if let Some(o) = observer {
@@ -42,12 +44,12 @@ impl Engine {
                         o.instant(EventKind::Heartbeat, "map", ci as u64, &args);
                     }
                 }
-            }
+            });
             let emitted = em.emitted() as u64;
             let (run, worker_counters) = em.finish();
             let event = observer.map(|o| {
                 Event::span(EventKind::Task, "map-task", ci as u64, t0, o.now())
-                    .arg("records", c.len() as u64)
+                    .arg("records", records)
                     .arg("pairs", emitted)
             });
             (run, bytes, worker_counters, event)
@@ -80,7 +82,7 @@ mod tests {
         let _ = engine()
             .run_job(
                 "boom",
-                &(0..32u64).collect::<Vec<_>>(),
+                &(0..32u64).collect::<Vec<_>>()[..],
                 |&n: &u64, e: &mut Emitter<u64>| {
                     assert!(n != 7, "mapper exploded on {n}");
                     e.emit(0, n);

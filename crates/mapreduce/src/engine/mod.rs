@@ -3,10 +3,12 @@
 //! The data plane is partitioned end-to-end, mirroring Hadoop's actual
 //! shuffle rather than a single global sort:
 //!
-//! 1. **Map** — each worker maps its input chunk; its [`crate::Emitter`] files
-//!    every pair under its reducer key as it is emitted, in O(1) for a key
-//!    it has seen before, so the worker finishes with a key-grouped run and
-//!    nothing to sort.
+//! 1. **Map** — each worker maps one range of the input's indices, read
+//!    in place through [`MapInput`] (the join pipeline builds its records
+//!    from the relations' columns, so nothing is copied). Its
+//!    [`crate::Emitter`] files every pair under its reducer key as it is
+//!    emitted, in O(1) for a key it has seen before, so the worker
+//!    finishes with a key-grouped run and nothing to sort.
 //! 2. **Shuffle** — [`merge_keyed_runs`] walks the distinct keys in
 //!    ascending order and hands each bucket over as its key's segments in
 //!    run (chunk) order — moved, never copied into one vector —
@@ -46,7 +48,7 @@ pub use shuffle::{merge_keyed_runs, ShuffleStats};
 use crate::cost::{CostModel, ReducerCost};
 use crate::error::EngineError;
 use crate::fault::FaultPlan;
-use crate::job::{Mapper, Reducer};
+use crate::job::{MapInput, Mapper, Reducer};
 use crate::metrics::{names, JobMetrics};
 use crate::observe::{Clock, Event, EventKind, MonotonicClock, Observer};
 use crate::record::Record;
@@ -177,9 +179,10 @@ impl Engine {
 
     /// Runs one map-reduce cycle.
     ///
-    /// * `input` — the records to map over (a multi-relation job simply
+    /// * `input` — the records to map over: a slice, or any [`MapInput`]
+    ///   that builds each record as it is read. A multi-relation job simply
     ///   concatenates its relations, with the relation id carried inside
-    ///   each record, as Hadoop jobs do with multiple input files).
+    ///   each record, as Hadoop jobs do with multiple input files.
     /// * `mapper` / `reducer` — the job logic; usually closures.
     ///
     /// Output records are ordered by reducer key, then by value emission
@@ -195,15 +198,15 @@ impl Engine {
     /// Re-raises a mapper/reducer panic with its original payload — a
     /// panicking map or reduce function is job-logic failure, exactly like
     /// an uncaught exception in a Hadoop task.
-    pub fn run_job<I, M, O>(
+    pub fn run_job<S, M, O>(
         &self,
         name: &str,
-        input: &[I],
-        mapper: impl Mapper<I, M>,
+        input: &S,
+        mapper: impl Mapper<S::Item, M>,
         reducer: impl Reducer<M, O>,
     ) -> Result<JobOutput<O>, EngineError>
     where
-        I: Record,
+        S: MapInput + ?Sized,
         M: Record,
         O: Record,
     {
@@ -258,17 +261,17 @@ impl Engine {
     /// The three phases of one cycle. `start` is the job's first clock
     /// reading, which also opens the map phase; `metrics.wall` is left
     /// for [`Engine::run_job`] to fill from its closing reading.
-    fn run_phases<I, M, O>(
+    fn run_phases<S, M, O>(
         &self,
         name: &str,
-        input: &[I],
-        mapper: &impl Mapper<I, M>,
+        input: &S,
+        mapper: &impl Mapper<S::Item, M>,
         reducer: &impl Reducer<M, O>,
         clock: &Arc<dyn Clock>,
         start: u64,
     ) -> Result<JobOutput<O>, EngineError>
     where
-        I: Record,
+        S: MapInput + ?Sized,
         M: Record,
         O: Record,
     {
@@ -436,7 +439,7 @@ mod tests {
         let out = engine()
             .run_job(
                 "group",
-                &[1u64, 2, 3, 4, 5, 6, 7, 8],
+                &[1u64, 2, 3, 4, 5, 6, 7, 8][..],
                 |&n: &u64, e: &mut Emitter<u64>| e.emit(n % 2, n),
                 |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<(u64, u64)>| {
                     out.push((ctx.key, vs.sum()));
@@ -456,7 +459,7 @@ mod tests {
         let out = engine()
             .run_job(
                 "order",
-                &input,
+                &input[..],
                 |&n: &u64, e: &mut Emitter<u64>| e.emit(0, n),
                 |_: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<u64>| {
                     out.extend(vs);
@@ -477,7 +480,7 @@ mod tests {
             })
             .run_job(
                 "det",
-                &input,
+                &input[..],
                 |&n: &u64, e: &mut Emitter<u64>| {
                     e.emit(n % 7, n);
                     if n % 3 == 0 {
@@ -504,7 +507,7 @@ mod tests {
         let out = engine()
             .run_job(
                 "empty",
-                &Vec::<u64>::new(),
+                &Vec::<u64>::new()[..],
                 |&n: &u64, e: &mut Emitter<u64>| e.emit(0, n),
                 |_: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<u64>| out.extend(vs),
             )
@@ -519,7 +522,7 @@ mod tests {
         let out = engine()
             .run_job(
                 "metrics",
-                &[10u64, 20, 30],
+                &[10u64, 20, 30][..],
                 |&n: &u64, e: &mut Emitter<u64>| {
                     // Each record to 2 reducers: 6 pairs.
                     e.emit(0, n);
@@ -544,7 +547,7 @@ mod tests {
         let out = engine()
             .run_job(
                 "phases",
-                &input,
+                &input[..],
                 |&n: &u64, e: &mut Emitter<u64>| e.emit(n % 16, n),
                 |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<(u64, u64)>| {
                     out.push((ctx.key, vs.sum()));
@@ -564,7 +567,7 @@ mod tests {
         let out = engine()
             .run_job(
                 "work",
-                &[1u64, 2, 3],
+                &[1u64, 2, 3][..],
                 |&n: &u64, e: &mut Emitter<u64>| e.emit(0, n),
                 |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<u64>| {
                     ctx.add_work(100);
@@ -580,7 +583,7 @@ mod tests {
         let out = engine()
             .run_job(
                 "counted",
-                &(0..100u64).collect::<Vec<_>>(),
+                &(0..100u64).collect::<Vec<_>>()[..],
                 |&n: &u64, e: &mut Emitter<u64>| {
                     e.inc(names::PROGRESS_MAP_RECORDS, 1);
                     if n % 2 == 0 {
@@ -612,7 +615,7 @@ mod tests {
             })
             .run_job(
                 "cdet",
-                &input,
+                &input[..],
                 |&n: &u64, e: &mut Emitter<u64>| {
                     e.inc(names::JOIN_CANDIDATES, 1 + (n % 3));
                     e.emit(n % 7, n);
@@ -640,7 +643,7 @@ mod tests {
         let out = eng
             .run_job(
                 "untraced",
-                &[1u64, 2, 3],
+                &[1u64, 2, 3][..],
                 |&n: &u64, e: &mut Emitter<u64>| e.emit(0, n),
                 |_: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<u64>| out.extend(vs),
             )
@@ -664,7 +667,7 @@ mod tests {
         let input: Vec<u64> = (0..400).collect();
         eng.run_job(
             "spilly",
-            &input,
+            &input[..],
             |&n: &u64, e: &mut Emitter<u64>| {
                 e.inc(names::PROGRESS_MAP_RECORDS, 1);
                 e.emit(n % 3, n);
@@ -732,7 +735,7 @@ mod tests {
         let out = budgeted_engine(Some(256), 3)
             .run_job(
                 "spill-order",
-                &input,
+                &input[..],
                 |&n: &u64, e: &mut Emitter<u64>| e.emit(0, n),
                 |_: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<u64>| {
                     out.extend(vs);

@@ -290,7 +290,7 @@ mod tests {
         let clean = engine()
             .run_job(
                 "faulty",
-                &input,
+                &input[..],
                 |&n: &u64, e: &mut Emitter<u64>| e.emit(n % 5, n),
                 |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<(u64, u64)>| {
                     out.push((ctx.key, vs.sum()));
@@ -301,7 +301,7 @@ mod tests {
             .with_faults(FaultPlan::new().fail("faulty", 2, 2))
             .run_job(
                 "faulty",
-                &input,
+                &input[..],
                 |&n: &u64, e: &mut Emitter<u64>| e.emit(n % 5, n),
                 |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<(u64, u64)>| {
                     out.push((ctx.key, vs.sum()));
@@ -328,7 +328,7 @@ mod tests {
             .with_faults(FaultPlan::new().fail("j", 0, 10).with_max_attempts(3))
             .run_job(
                 "j",
-                &[1u64],
+                &[1u64][..],
                 |&n: &u64, e: &mut Emitter<u64>| e.emit(0, n),
                 |_: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<u64>| out.extend(vs),
             );
@@ -352,7 +352,7 @@ mod tests {
         let _ = engine()
             .run_job(
                 "boom",
-                &(0..32u64).collect::<Vec<_>>(),
+                &(0..32u64).collect::<Vec<_>>()[..],
                 |&n: &u64, e: &mut Emitter<u64>| e.emit(n % 5, n),
                 |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<u64>| {
                     assert!(ctx.key != 3, "reducer exploded on key {}", ctx.key);
@@ -391,7 +391,7 @@ mod tests {
 
         let before = TRACKED_CLONES.load(Ordering::SeqCst);
         let clean = engine()
-            .run_job("noclone", &input, mapper, reducer)
+            .run_job("noclone", &input[..], mapper, reducer)
             .unwrap();
         let clean_clones = TRACKED_CLONES.load(Ordering::SeqCst) - before;
         assert_eq!(clean_clones, 0, "fault-free path must not clone buckets");
@@ -399,7 +399,7 @@ mod tests {
         let before = TRACKED_CLONES.load(Ordering::SeqCst);
         let faulty = engine()
             .with_faults(FaultPlan::new().fail("noclone", 1, 1))
-            .run_job("noclone", &input, mapper, reducer)
+            .run_job("noclone", &input[..], mapper, reducer)
             .unwrap();
         let fault_clones = TRACKED_CLONES.load(Ordering::SeqCst) - before;
         // One clone per successful attempt: 4 buckets, each reduced once
@@ -415,7 +415,7 @@ mod tests {
         let run = |eng: Engine| {
             eng.run_job(
                 "spill-faulty",
-                &input,
+                &input[..],
                 |&n: &u64, e: &mut Emitter<u64>| e.emit(n % 4, n),
                 |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<(u64, u64)>| {
                     out.push((ctx.key, vs.sum()));

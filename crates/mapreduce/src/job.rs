@@ -13,6 +13,7 @@ use crate::metrics::Counters;
 use crate::observe::{EventKind, Observer};
 use crate::record::Record;
 use crate::spill::{RunCursor, SpilledBucket};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Identifies a logical reducer. Join algorithms encode either a 1-D
@@ -199,6 +200,33 @@ impl<M> Emitter<M> {
             })
             .collect();
         (run, counters)
+    }
+}
+
+/// What a job maps over: `len` records, walked in order over any range of
+/// their indices. A slice is one; a source that builds each record as it
+/// is read — the join pipeline's columns — is another, and then the input
+/// is never copied into records.
+pub trait MapInput: Sync {
+    /// The record a mapper sees.
+    type Item: Record;
+    /// The number of records.
+    fn len(&self) -> usize;
+    /// Whether there is no record.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// Calls `f` on the records at `rows` (within `0..len`), in order.
+    fn for_each_in(&self, rows: Range<usize>, f: impl FnMut(&Self::Item));
+}
+
+impl<T: Record> MapInput for [T] {
+    type Item = T;
+    fn len(&self) -> usize {
+        <[T]>::len(self)
+    }
+    fn for_each_in(&self, rows: Range<usize>, f: impl FnMut(&T)) {
+        self.get(rows).unwrap_or_default().iter().for_each(f);
     }
 }
 

@@ -45,7 +45,7 @@
 //! // Word-count style: route each number to key (n % 3) and sum per key.
 //! let out = engine.run_job(
 //!     "sum-mod-3",
-//!     &[1u64, 2, 3, 4, 5, 6],
+//!     &[1u64, 2, 3, 4, 5, 6][..],
 //!     |&n: &u64, out: &mut Emitter<u64>| out.emit(n % 3, n),
 //!     |ctx: &mut ReduceCtx, values: &mut ValueStream<u64>, out: &mut Vec<(u64, u64)>| {
 //!         out.push((ctx.key, values.sum()));
@@ -95,7 +95,8 @@ pub use engine::{merge_keyed_runs, ClusterConfig, Engine, JobOutput, ShuffleStat
 pub use error::EngineError;
 pub use fault::FaultPlan;
 pub use job::{
-    BucketSource, Emitter, KeyedRun, MapCtx, Mapper, ReduceCtx, Reducer, ReducerId, ValueStream,
+    BucketSource, Emitter, KeyedRun, MapCtx, MapInput, Mapper, ReduceCtx, Reducer, ReducerId,
+    ValueStream,
 };
 pub use metrics::{is_execution_shape, Counters, JobMetrics, ReducerLoad, SkewReport};
 pub use observe::{

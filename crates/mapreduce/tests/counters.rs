@@ -81,7 +81,7 @@ proptest! {
             })
             .run_job(
                 "prop-counters",
-                &input,
+                &input[..],
                 move |&n: &u64, e: &mut Emitter<u64>| {
                     e.inc(name(n % 2), 1 + n % 3);
                     for i in 0..1 + n % fanout {

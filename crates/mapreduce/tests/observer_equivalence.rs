@@ -125,7 +125,7 @@ fn spans_cover_every_level_in_deterministic_order() {
         .with_observer(Arc::clone(&obs))
         .run_job(
             "traced",
-            &(0..64u64).collect::<Vec<_>>(),
+            &(0..64u64).collect::<Vec<_>>()[..],
             |&n: &u64, e: &mut Emitter<u64>| e.emit(n % 4, n),
             |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<(u64, u64)>| {
                 ctx.add_work(vs.len() as u64);
@@ -196,7 +196,7 @@ fn walls_are_the_span_durations_on_the_shared_clock() {
             .with_observer(Arc::clone(&obs))
             .run_job(
                 "clocked",
-                &input,
+                &input[..],
                 move |&n: &u64, e: &mut Emitter<u64>| {
                     ticking.advance(STEP);
                     e.emit(n % 5, n);
@@ -292,7 +292,7 @@ fn doomed(obs: &Arc<Observer>) -> Result<JobOutput<u64>, EngineError> {
         .with_faults(FaultPlan::new().fail("doomed", 0, 10).with_max_attempts(2))
         .run_job(
             "doomed",
-            &(0..64u64).collect::<Vec<_>>(),
+            &(0..64u64).collect::<Vec<_>>()[..],
             |&n: &u64, e: &mut Emitter<u64>| e.emit(n % 4, n),
             |_: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<u64>| out.extend(vs),
         )

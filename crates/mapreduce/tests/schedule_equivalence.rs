@@ -170,7 +170,7 @@ fn heavy_buckets_do_not_depend_on_the_memory_budget() {
             let out = engine(threads, threads, budget)
                 .run_job(
                     "sched-budget",
-                    &input,
+                    &input[..],
                     |&(key, v): &(u64, u64), e: &mut Emitter<u64>| e.emit(key, v),
                     |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<(u64, u64)>| {
                         out.push((ctx.key, vs.sum()));

@@ -8,7 +8,7 @@
 //! exact counts (pairs and bytes shuffled, reducer work,
 //! `join.candidates`). With one worker thread and one intra-reduce thread
 //! every number repeats exactly, so the run is compared line for line with
-//! `results/pr46/cost_counts.txt`, one section per build profile (debug
+//! `results/pr47/cost_counts.txt`, one section per build profile (debug
 //! builds allocate for their extra checks).
 //!
 //! The contract is `crates/core/tests/family_pins.rs`'s: a change that
@@ -277,7 +277,7 @@ fn render(seed: u64) -> String {
 
 /// The captured section of the running build's profile.
 fn captured(profile: &str) -> String {
-    let file = include_str!("../results/pr46/cost_counts.txt");
+    let file = include_str!("../results/pr47/cost_counts.txt");
     let header = format!("[{profile}]");
     let section = (file.lines())
         .skip_while(|l| *l != header)
